@@ -177,6 +177,20 @@ fn bench_live_ingest(c: &mut Criterion) {
         b.iter(|| PathWeightFunction::instantiate(&w.net, &w.merged, &w.cfg).expect("instantiates"))
     });
 
+    // The offline step on its smallest fixture (the weight tests' golden
+    // `tiny(21)`, β = 10): count → collect → fit through the fan-out, end to
+    // end, so the bench smoke runs the fit kernel under instantiation too.
+    let (tiny_net, tiny_store) = DatasetPreset::tiny(21)
+        .materialise()
+        .expect("the tiny preset materialises");
+    let tiny_cfg = HybridConfig::default().with_beta(10);
+    group.bench_function(BenchmarkId::new("instantiate", "tiny"), |b| {
+        b.iter(|| {
+            PathWeightFunction::instantiate(&tiny_net, &tiny_store, &tiny_cfg)
+                .expect("instantiates")
+        })
+    });
+
     // Retirement (PR 5): re-deriving only the retired windows' keys — with
     // downward transitions deleting below-β variables — against rebuilding
     // the whole weight function over the truncated store.

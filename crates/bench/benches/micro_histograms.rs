@@ -3,10 +3,12 @@
 //! the inner loops of weight-function instantiation and estimation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pathcost_hist::auto::{auto_histogram, AutoConfig};
+use pathcost_hist::auto::{auto_histogram, auto_histogram_with_scratch, AutoConfig};
 use pathcost_hist::convolution::{convolve_many_with_limit, convolve_many_with_scratch};
 use pathcost_hist::voptimal::voptimal_histogram;
-use pathcost_hist::{naive, ConvolveScratch, Histogram1D, HistogramNd, RawDistribution};
+use pathcost_hist::{
+    naive, ConvolveScratch, FitScratch, Histogram1D, HistogramNd, RawDistribution,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -33,6 +35,48 @@ fn bench_voptimal_and_auto(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("auto", n), &samples, |b, samples| {
             b.iter(|| auto_histogram(samples, &AutoConfig::default()).unwrap())
+        });
+    }
+    group.finish();
+}
+
+/// `rows` joint observations of a `rank`-edge path: per-edge travel times of
+/// a few tens of seconds sharing a congestion factor — about twenty distinct
+/// second-resolution values per column at the 46 rows a `city40` variable
+/// averages.
+fn path_rows(rows: usize, rank: usize, seed: u64) -> Vec<Vec<f64>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..rows)
+        .map(|_| {
+            let shared: f64 = rng.gen_range(0.85..1.25);
+            (0..rank)
+                .map(|d| (40.0 + 5.0 * d as f64) * shared + rng.gen_range(-4.0..4.0))
+                .collect()
+        })
+        .collect()
+}
+
+/// The unit of work of instantiation and live re-derivation: one column fit
+/// (sort, fold distributions, V-Optimal per fold, final boundaries) and one
+/// whole variable, both through a reused [`FitScratch`].
+fn bench_variable_fit(c: &mut Criterion) {
+    let cfg = AutoConfig::default();
+    let mut scratch = FitScratch::new();
+    let mut group = c.benchmark_group("fit_column");
+    // β, the city40 mean, and the selection-subsample boundary.
+    for rows in [30usize, 46, 400] {
+        let column: Vec<f64> = path_rows(rows, 1, 5).into_iter().map(|r| r[0]).collect();
+        group.bench_function(format!("{rows}_rows"), |b| {
+            b.iter(|| auto_histogram_with_scratch(&column, &cfg, &mut scratch).unwrap())
+        });
+    }
+    group.finish();
+
+    let mut group = c.benchmark_group("fit_variable");
+    for rank in [1usize, 3, 6] {
+        let rows = path_rows(46, rank, 9);
+        group.bench_function(format!("rank{rank}"), |b| {
+            b.iter(|| HistogramNd::from_samples_with_scratch(&rows, &cfg, &mut scratch).unwrap())
         });
     }
     group.finish();
@@ -125,7 +169,7 @@ fn bench_cdf_evaluation(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_voptimal_and_auto, bench_convolution_and_marginal,
+    targets = bench_voptimal_and_auto, bench_variable_fit, bench_convolution_and_marginal,
         bench_convolve_many_paths, bench_cdf_evaluation
 }
 criterion_main!(benches);

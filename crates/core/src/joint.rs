@@ -157,32 +157,39 @@ fn fold_sum(buckets: &[Bucket], from: usize, to: usize) -> Bucket {
 }
 
 /// Bounds the number of states by grouping them by overlap cell and coarsening
-/// the accumulated-sum distribution within each group.
+/// the accumulated-sum distribution within each group. Groups come out in
+/// the order their overlap cell was first seen, so the state order — and with
+/// it every later floating-point sum over the states — is a function of the
+/// input alone.
 fn merge_states(states: Vec<ChainState>, max_state_buckets: usize) -> Vec<ChainState> {
-    use std::collections::HashMap;
+    use std::collections::hash_map::{Entry, HashMap};
     if states.is_empty() {
         return states;
     }
     // Group by the exact identity of the overlap buckets (they come from the
     // same component's axes, so bit-exact comparison is appropriate).
     type OverlapKey = Vec<(u64, u64)>;
-    let mut groups: HashMap<OverlapKey, Vec<(Bucket, f64)>> = HashMap::new();
+    /// One overlap cell and the `(sum bucket, probability)` entries seen in it.
+    type Group = (Vec<Bucket>, Vec<(Bucket, f64)>);
+    let mut slots: HashMap<OverlapKey, usize> = HashMap::new();
+    let mut groups: Vec<Group> = Vec::new();
     for s in states {
-        let key: Vec<(u64, u64)> = s
+        let key: OverlapKey = s
             .overlap
             .iter()
             .map(|b| (b.lo.to_bits(), b.hi.to_bits()))
             .collect();
-        groups.entry(key).or_default().push((s.sum, s.prob));
+        let slot = match slots.entry(key) {
+            Entry::Occupied(seen) => *seen.get(),
+            Entry::Vacant(new) => {
+                groups.push((s.overlap, Vec::new()));
+                *new.insert(groups.len() - 1)
+            }
+        };
+        groups[slot].1.push((s.sum, s.prob));
     }
     let mut merged = Vec::new();
-    for (key, entries) in groups {
-        let overlap: Vec<Bucket> = key
-            .iter()
-            .map(|&(lo, hi)| {
-                Bucket::new(f64::from_bits(lo), f64::from_bits(hi)).expect("bucket round-trips")
-            })
-            .collect();
+    for (overlap, entries) in groups {
         let total: f64 = entries.iter().map(|&(_, p)| p).sum();
         if total <= 0.0 {
             continue;
@@ -360,6 +367,45 @@ mod tests {
             "chain {} vs convolution {}",
             chain.mean(),
             conv.mean()
+        );
+    }
+
+    #[test]
+    fn estimates_are_bit_reproducible_within_and_across_graphs() {
+        use crate::estimator::{CostEstimator, OdEstimator};
+        let f = fixture();
+        let graph = HybridGraph::build(&f.net, &f.store, f.graph_cfg.clone()).unwrap();
+        let rebuilt = HybridGraph::build(&f.net, &f.store, f.graph_cfg.clone()).unwrap();
+        // Whole trips: long enough that the chain walks several overlapping
+        // components and merges states from more than one overlap cell.
+        let mut queries = 0;
+        let mut multi_component = 0;
+        for m in f
+            .store
+            .matched()
+            .iter()
+            .filter(|m| m.path.cardinality() >= 8)
+        {
+            let departure = m.entry_times[0];
+            let od = OdEstimator::new(&graph);
+            let first = od.estimate(&m.path, departure).unwrap();
+            let again = od.estimate(&m.path, departure).unwrap();
+            let other = OdEstimator::new(&rebuilt)
+                .estimate(&m.path, departure)
+                .unwrap();
+            assert_eq!(first, again, "same graph, second evaluation");
+            assert_eq!(first, other, "independently built graph");
+            let array = CandidateArray::build(&graph, &m.path, departure, None).unwrap();
+            multi_component += usize::from(Decomposition::coarsest(&array).len() > 2);
+            queries += 1;
+            if queries == 60 {
+                break;
+            }
+        }
+        assert!(queries >= 20, "only {queries} long trips in the fixture");
+        assert!(
+            multi_component >= 10,
+            "only {multi_component} chained queries"
         );
     }
 

@@ -1,30 +1,40 @@
 //! Instantiating the path weight function `W_P` from trajectories (§3).
 //!
 //! The weight function maps a path and a time interval to an instantiated
-//! random variable — the joint distribution of the path's per-edge costs. It
-//! is built in one pass over the trajectory store:
+//! random variable — the joint distribution of the path's per-edge costs.
+//! Every table of the function — the all-traffic table, and one own table per
+//! regime rung present in the data — is built by the same procedure over the
+//! trajectories that contribute to it:
 //!
 //! 1. every window of length `1..=max_rank` of every matched trajectory is an
 //!    occurrence of a candidate path, keyed by the interval its entry time
-//!    falls in;
-//! 2. candidates with at least `β` qualified occurrences get a multi-
-//!    dimensional histogram fitted to their per-edge cost rows (the Auto +
-//!    V-Optimal procedure of §3.1/§3.2);
-//! 3. unit paths that never reach `β` qualified trajectories fall back to a
-//!    speed-limit-derived distribution, so every edge always has *some*
-//!    ground-truth unit weight.
+//!    falls in; a first pass counts the occurrences of every key;
+//! 2. a second pass collects the per-edge cost rows of the keys with at least
+//!    `β` qualified occurrences;
+//! 3. each such key gets a multi-dimensional histogram fitted to its rows (the
+//!    Auto + V-Optimal procedure of §3.1/§3.2). The fits are independent, so
+//!    the sorted key list is cut into contiguous chunks, one scoped worker
+//!    (with its own [`FitScratch`]) per chunk, and the fitted variables are
+//!    concatenated in key order — the result does not depend on the worker
+//!    count. [`PathWeightFunction::rederive`] re-fits its dirty keys through
+//!    the same fan-out.
+//!
+//! Unit paths that never reach `β` qualified trajectories fall back to a
+//! speed-limit-derived distribution, so every edge always has *some*
+//! ground-truth unit weight.
 
 use crate::config::HybridConfig;
 use crate::error::CoreError;
 use crate::interval::{DayPartition, IntervalId};
 use crate::variable::{InstantiatedVariable, VariableSource};
-use pathcost_hist::{auto::auto_histogram, Histogram1D, HistogramNd};
+use pathcost_hist::{auto::auto_histogram_with_scratch, FitScratch, Histogram1D, HistogramNd};
 use pathcost_roadnet::{EdgeId, Path, RoadNetwork};
 use pathcost_traj::costs::per_edge_costs;
 use pathcost_traj::MatchedTrajectory;
 use pathcost_traj::{CostKind, RegimeId, RegimeSchema, TrajectoryStore};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 /// The variable keys whose qualified occurrence sets a batch of *appended or
@@ -228,22 +238,89 @@ impl WeightUpdate {
     }
 }
 
-/// Fits the §3.1/§3.2 histogram for one variable key from its qualified
-/// per-edge cost rows (shared by full instantiation and selective
-/// re-derivation so both produce bit-identical distributions).
-fn fit_histogram(
-    path: &Path,
+/// Fits the §3.1/§3.2 variable of one key from its qualified per-edge cost
+/// rows (shared by full instantiation and selective re-derivation so both
+/// produce bit-identical distributions).
+fn fit_variable(
+    path: Path,
+    interval: IntervalId,
     rows: &[Vec<f64>],
     cfg: &HybridConfig,
-) -> Result<HistogramNd, CoreError> {
-    if path.is_unit() {
+    scratch: &mut FitScratch,
+) -> Result<InstantiatedVariable, CoreError> {
+    let histogram = if path.is_unit() {
         let totals: Vec<f64> = rows.iter().map(|r| r[0]).collect();
-        Ok(HistogramNd::from_histogram1d(&auto_histogram(
-            &totals, &cfg.auto,
-        )?))
+        HistogramNd::from_histogram1d(&auto_histogram_with_scratch(&totals, &cfg.auto, scratch)?)
     } else {
-        Ok(HistogramNd::from_samples(rows, &cfg.auto)?)
+        HistogramNd::from_samples_with_scratch(rows, &cfg.auto, scratch)?
+    };
+    Ok(InstantiatedVariable {
+        path,
+        interval,
+        histogram,
+        source: VariableSource::Trajectories { count: rows.len() },
+    })
+}
+
+/// Fewest keys that are worth a worker of their own: below twice this many a
+/// fan-out stays on the calling thread (a fit takes tens of microseconds, a
+/// thread hand-over about as long).
+const MIN_KEYS_PER_WORKER: usize = 32;
+
+/// Maps the per-key job `f` over `items` — contiguous chunks of the list on
+/// scoped worker threads, one [`FitScratch`] each — and returns the results
+/// in item order (or the error of the first failing item), whatever the
+/// worker count. `workers` fixes that count; `None` sizes it from the cores
+/// available and the number of items.
+fn fan_out<T: Sync, R: Send>(
+    items: &[T],
+    workers: Option<usize>,
+    f: impl Fn(&T, &mut FitScratch) -> Result<R, CoreError> + Sync,
+) -> Result<Vec<R>, CoreError> {
+    if items.is_empty() {
+        return Ok(Vec::new());
     }
+    let workers = workers
+        .unwrap_or_else(|| {
+            let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+            cores.min(items.len() / MIN_KEYS_PER_WORKER)
+        })
+        .clamp(1, items.len());
+    let run = |chunk: &[T]| -> Result<Vec<R>, CoreError> {
+        let mut scratch = FitScratch::new();
+        chunk.iter().map(|item| f(item, &mut scratch)).collect()
+    };
+    // The calling thread takes the first chunk itself.
+    let mut chunks = items.chunks(items.len().div_ceil(workers));
+    let first = chunks.next().expect("items is not empty");
+    let parts: Vec<Result<Vec<R>, CoreError>> = std::thread::scope(|scope| {
+        let spawned: Vec<_> = chunks.map(|chunk| scope.spawn(|| run(chunk))).collect();
+        std::iter::once(run(first))
+            .chain(spawned.into_iter().map(|worker| {
+                worker
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            }))
+            .collect()
+    });
+    let mut results = Vec::with_capacity(items.len());
+    for part in parts {
+        results.extend(part?);
+    }
+    Ok(results)
+}
+
+/// The non-global rungs of the fallback ladders of `regimes`: the own tables
+/// those regimes' trajectories feed, and the views they resolve through.
+fn own_tables(
+    schema: &RegimeSchema,
+    regimes: impl IntoIterator<Item = RegimeId>,
+) -> BTreeSet<RegimeId> {
+    regimes
+        .into_iter()
+        .flat_map(|q| schema.ladder(q))
+        .filter(|r| !r.is_global())
+        .collect()
 }
 
 impl PathWeightFunction {
@@ -264,80 +341,26 @@ impl PathWeightFunction {
         cfg: &HybridConfig,
         excluded: &[(Path, IntervalId)],
     ) -> Result<Self, CoreError> {
+        Self::instantiate_on(net, store, cfg, excluded, None)
+    }
+
+    /// [`Self::instantiate_with_exclusions`] with the fit fan-out's worker
+    /// count fixed (`None`: sized from the machine).
+    fn instantiate_on(
+        net: &RoadNetwork,
+        store: &TrajectoryStore,
+        cfg: &HybridConfig,
+        excluded: &[(Path, IntervalId)],
+        workers: Option<usize>,
+    ) -> Result<Self, CoreError> {
         cfg.validate()?;
         let partition = DayPartition::new(cfg.alpha_minutes)?;
-        let is_excluded = |edges: &[EdgeId], interval: IntervalId| -> bool {
-            excluded.iter().any(|(path, iv)| {
-                *iv == interval
-                    && path.cardinality() <= edges.len()
-                    && edges.windows(path.cardinality()).any(|w| w == path.edges())
-            })
+        let fit_table = |table: RegimeId| {
+            Self::fit_table(net, store, cfg, &partition, excluded, table, workers)
         };
 
-        // Pass 1: count qualified occurrences of every (window, interval) key.
-        let mut counts: HashMap<(Vec<EdgeId>, IntervalId), usize> = HashMap::new();
-        for m in store.matched() {
-            let edges = m.path.edges();
-            for k in 1..=cfg.max_rank.min(edges.len()) {
-                for start in 0..=edges.len() - k {
-                    let interval = partition.interval_of(m.entry_times[start].time_of_day());
-                    let window = &edges[start..start + k];
-                    if !excluded.is_empty() && is_excluded(window, interval) {
-                        continue;
-                    }
-                    let key = (window.to_vec(), interval);
-                    *counts.entry(key).or_insert(0) += 1;
-                }
-            }
-        }
-
-        // Pass 2: collect per-edge cost rows only for keys that reached β.
-        let mut samples: HashMap<(Vec<EdgeId>, IntervalId), Vec<Vec<f64>>> = counts
-            .iter()
-            .filter(|(_, &c)| c >= cfg.beta)
-            .map(|(k, &c)| (k.clone(), Vec::with_capacity(c)))
-            .collect();
-        if !samples.is_empty() {
-            for m in store.matched() {
-                let edges = m.path.edges();
-                for k in 1..=cfg.max_rank.min(edges.len()) {
-                    for start in 0..=edges.len() - k {
-                        let interval = partition.interval_of(m.entry_times[start].time_of_day());
-                        let key = (edges[start..start + k].to_vec(), interval);
-                        if let Some(rows) = samples.get_mut(&key) {
-                            let sub = Path::from_edges_unchecked(key.0.clone());
-                            if let Some(costs) = per_edge_costs(m, net, &sub, start, cfg.cost_kind)
-                            {
-                                rows.push(costs);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        // Fit histograms, keyed and ordered by (edges, interval).
-        let mut by_key: BTreeMap<VariableKey, InstantiatedVariable> = BTreeMap::new();
-        let mut keys: Vec<VariableKey> = samples.keys().cloned().collect();
-        keys.sort();
-        for key in keys {
-            let rows = samples.remove(&key).expect("key came from samples");
-            if rows.len() < cfg.beta {
-                continue;
-            }
-            let path = Path::from_edges_unchecked(key.0.clone());
-            let histogram = fit_histogram(&path, &rows, cfg)?;
-            let interval = key.1;
-            by_key.insert(
-                key,
-                InstantiatedVariable {
-                    path,
-                    interval,
-                    histogram,
-                    source: VariableSource::Trajectories { count: rows.len() },
-                },
-            );
-        }
+        // The all-traffic table is the root rung of every fallback ladder.
+        let variables = fit_table(RegimeId::ALL_TRAFFIC)?;
 
         // Speed-limit fallbacks for every edge of the network.
         let mut fallback_units = HashMap::with_capacity(net.edge_count());
@@ -348,52 +371,37 @@ impl PathWeightFunction {
             fallback_units.insert(edge.id, Histogram1D::uniform(lo, hi.max(lo + 0.5))?);
         }
 
-        // Per-regime own tables: one extra counting/collection pass per
-        // non-global table reachable from the regimes present in the store.
-        // Skipped entirely for untagged stores.
+        // Per-regime own tables: one table per non-global rung reachable from
+        // the regimes present in the store — none for an untagged store.
         let mut regime_own: BTreeMap<RegimeId, Vec<InstantiatedVariable>> = BTreeMap::new();
-        if store.has_regimes() {
-            let mut tables: BTreeSet<RegimeId> = BTreeSet::new();
-            for q in store.regimes_present() {
-                for r in cfg.regimes.ladder(q) {
-                    if !r.is_global() {
-                        tables.insert(r);
-                    }
-                }
-            }
-            for table in tables {
-                let vars =
-                    Self::collect_regime_table(net, store, cfg, &partition, excluded, table)?;
-                if !vars.is_empty() {
-                    regime_own.insert(table, vars);
-                }
+        for table in own_tables(&cfg.regimes, store.regimes_present()) {
+            let vars = fit_table(table)?;
+            if !vars.is_empty() {
+                regime_own.insert(table, vars);
             }
         }
 
-        Ok(Self::assemble(
-            partition,
-            cfg.cost_kind,
-            by_key,
-            fallback_units,
-            store,
-            cfg.regimes.clone(),
-            regime_own,
-        ))
+        Ok(
+            Self::finish(partition, cfg.cost_kind, variables, fallback_units, store)
+                .with_regime_tables(cfg.regimes.clone(), regime_own, store),
+        )
     }
 
-    /// Fits one regime's own table: the same two-pass β-threshold procedure
-    /// as global instantiation, restricted to trajectories whose fallback
-    /// ladder passes through `table` — so the rows a key collects here are
-    /// exactly the contributing subsequence, in the same (trajectory,
-    /// position) order, of the rows the global pass collects. Returns the
-    /// fitted variables in sorted `(path edges, interval)` key order.
-    fn collect_regime_table(
+    /// Fits one table: the two-pass β-threshold procedure over the
+    /// trajectories whose fallback ladder passes through `table` (every
+    /// trajectory, for the all-traffic table) — so the rows a key collects in
+    /// a regime's own table are exactly the contributing subsequence, in the
+    /// same (trajectory, position) order, of the rows the all-traffic table
+    /// collects. Returns the fitted variables in sorted `(path edges,
+    /// interval)` key order.
+    fn fit_table(
         net: &RoadNetwork,
         store: &TrajectoryStore,
         cfg: &HybridConfig,
         partition: &DayPartition,
         excluded: &[(Path, IntervalId)],
         table: RegimeId,
+        workers: Option<usize>,
     ) -> Result<Vec<InstantiatedVariable>, CoreError> {
         let is_excluded = |edges: &[EdgeId], interval: IntervalId| -> bool {
             excluded.iter().any(|(path, iv)| {
@@ -402,12 +410,18 @@ impl PathWeightFunction {
                     && edges.windows(path.cardinality()).any(|w| w == path.edges())
             })
         };
+        let contributing = || {
+            store
+                .matched()
+                .iter()
+                .filter(|m| cfg.regimes.contributes_to(m.regime, table))
+        };
 
-        let mut counts: HashMap<(Vec<EdgeId>, IntervalId), usize> = HashMap::new();
-        for m in store.matched() {
-            if !cfg.regimes.contributes_to(m.regime, table) {
-                continue;
-            }
+        // Pass 1: count qualified occurrences of every (window, interval)
+        // key; the keys borrow their windows from the store's trajectories.
+        type WindowKey<'a> = (&'a [EdgeId], IntervalId);
+        let mut counts: HashMap<WindowKey, usize> = HashMap::new();
+        for m in contributing() {
             let edges = m.path.edges();
             for k in 1..=cfg.max_rank.min(edges.len()) {
                 for start in 0..=edges.len() - k {
@@ -416,29 +430,30 @@ impl PathWeightFunction {
                     if !excluded.is_empty() && is_excluded(window, interval) {
                         continue;
                     }
-                    *counts.entry((window.to_vec(), interval)).or_insert(0) += 1;
+                    *counts.entry((window, interval)).or_insert(0) += 1;
                 }
             }
         }
 
-        let mut samples: HashMap<(Vec<EdgeId>, IntervalId), Vec<Vec<f64>>> = counts
-            .iter()
-            .filter(|(_, &c)| c >= cfg.beta)
-            .map(|(k, &c)| (k.clone(), Vec::with_capacity(c)))
+        // Pass 2: collect per-edge cost rows only for keys that reached β.
+        let mut samples: HashMap<WindowKey, (Path, Vec<Vec<f64>>)> = counts
+            .into_iter()
+            .filter(|&(_, c)| c >= cfg.beta)
+            .map(|(key, c)| {
+                let path = Path::from_edges_unchecked(key.0.to_vec());
+                (key, (path, Vec::with_capacity(c)))
+            })
             .collect();
         if !samples.is_empty() {
-            for m in store.matched() {
-                if !cfg.regimes.contributes_to(m.regime, table) {
-                    continue;
-                }
+            for m in contributing() {
                 let edges = m.path.edges();
                 for k in 1..=cfg.max_rank.min(edges.len()) {
                     for start in 0..=edges.len() - k {
                         let interval = partition.interval_of(m.entry_times[start].time_of_day());
-                        let key = (edges[start..start + k].to_vec(), interval);
-                        if let Some(rows) = samples.get_mut(&key) {
-                            let sub = Path::from_edges_unchecked(key.0.clone());
-                            if let Some(costs) = per_edge_costs(m, net, &sub, start, cfg.cost_kind)
+                        if let Some((path, rows)) =
+                            samples.get_mut(&(&edges[start..start + k], interval))
+                        {
+                            if let Some(costs) = per_edge_costs(m, net, path, start, cfg.cost_kind)
                             {
                                 rows.push(costs);
                             }
@@ -448,47 +463,16 @@ impl PathWeightFunction {
             }
         }
 
-        let mut by_key: BTreeMap<VariableKey, InstantiatedVariable> = BTreeMap::new();
-        let mut keys: Vec<VariableKey> = samples.keys().cloned().collect();
-        keys.sort();
-        for key in keys {
-            let rows = samples.remove(&key).expect("key came from samples");
-            if rows.len() < cfg.beta {
-                continue;
-            }
-            let path = Path::from_edges_unchecked(key.0.clone());
-            let histogram = fit_histogram(&path, &rows, cfg)?;
-            let interval = key.1;
-            by_key.insert(
-                key,
-                InstantiatedVariable {
-                    path,
-                    interval,
-                    histogram,
-                    source: VariableSource::Trajectories { count: rows.len() },
-                },
-            );
-        }
-        Ok(by_key.into_values().collect())
-    }
-
-    /// Assembles a weight function from fitted variables: the sorted-key
-    /// order fixes variable indices, the exact-lookup and first-edge indices
-    /// are rebuilt, and the summary statistics are recomputed. Shared by full
-    /// instantiation and [`Self::rederive`] so both produce identical
-    /// structures for identical variable sets.
-    fn assemble(
-        partition: DayPartition,
-        cost_kind: CostKind,
-        by_key: BTreeMap<VariableKey, InstantiatedVariable>,
-        fallback_units: HashMap<EdgeId, Histogram1D>,
-        store: &TrajectoryStore,
-        schema: RegimeSchema,
-        regime_own: BTreeMap<RegimeId, Vec<InstantiatedVariable>>,
-    ) -> PathWeightFunction {
-        let variables: Vec<InstantiatedVariable> = by_key.into_values().collect();
-        Self::finish(partition, cost_kind, variables, fallback_units, store)
-            .with_regime_tables(schema, regime_own, store)
+        // Fit the surviving keys, in sorted key order.
+        let mut jobs: Vec<(Path, IntervalId, Vec<Vec<f64>>)> = samples
+            .into_iter()
+            .filter(|(_, (_, rows))| rows.len() >= cfg.beta)
+            .map(|((_, interval), (path, rows))| (path, interval, rows))
+            .collect();
+        jobs.sort_unstable_by(|a, b| (a.0.edges(), a.1).cmp(&(b.0.edges(), b.1)));
+        fan_out(&jobs, workers, |(path, interval, rows), scratch| {
+            fit_variable(path.clone(), *interval, rows, cfg, scratch)
+        })
     }
 
     /// Attaches the regime schema and own tables to an assembled global
@@ -518,23 +502,15 @@ impl PathWeightFunction {
         if self.regime_own.is_empty() && !store.has_regimes() {
             return;
         }
-        let mut targets: BTreeSet<RegimeId> = BTreeSet::new();
         // Schema-declared regimes get a view even before their own data
         // lands: a sparse regime must resolve through its *group's* table
         // (ladder rung 1), not skip straight to the global function.
-        for q in store
+        let sources = store
             .regimes_present()
             .into_iter()
             .chain(self.regime_own.keys().copied())
-            .chain(self.schema.entries().map(|(regime, _)| regime))
-        {
-            for r in self.schema.ladder(q) {
-                if !r.is_global() {
-                    targets.insert(r);
-                }
-            }
-        }
-        for regime in targets {
+            .chain(self.schema.entries().map(|(regime, _)| regime));
+        for regime in own_tables(&self.schema, sources) {
             let ladder = self.schema.ladder(regime);
             let mut by_key: BTreeMap<VariableKey, (InstantiatedVariable, usize, RegimeId)> =
                 BTreeMap::new();
@@ -574,9 +550,9 @@ impl PathWeightFunction {
     }
 
     /// Patches a sorted delta into this function's already-sorted variable
-    /// list by a single splice/merge pass — the incremental counterpart of
-    /// [`Self::assemble`], which [`Self::rederive`] uses so a small epoch
-    /// does not pay an `O(|variables| log |variables|)` sorted re-index.
+    /// list by a single splice/merge pass, which [`Self::rederive`] uses so a
+    /// small epoch does not pay an `O(|variables| log |variables|)` sorted
+    /// re-index.
     /// `Some(var)` entries replace (or insert) their key, `None` entries
     /// delete it. The merged order is exactly the sorted-key order a full
     /// re-assembly would produce — bit-identity is asserted by the weight
@@ -627,8 +603,9 @@ impl PathWeightFunction {
         .with_regime_tables(self.schema.clone(), regime_own, store)
     }
 
-    /// The tail shared by [`Self::assemble`] and [`Self::assemble_patched`]:
-    /// `variables` must already be in sorted key order; the lookup and
+    /// The tail shared by every constructor (instantiation,
+    /// [`Self::assemble_patched`], restore from parts): `variables` must
+    /// already be in sorted key order; the lookup and
     /// first-edge indices and the summary statistics are derived from it.
     fn finish(
         partition: DayPartition,
@@ -749,6 +726,19 @@ impl PathWeightFunction {
         cfg: &HybridConfig,
         dirty: &BTreeSet<RegimeVariableKey>,
     ) -> Result<WeightUpdate, CoreError> {
+        self.rederive_on(net, current, cfg, dirty, None)
+    }
+
+    /// [`Self::rederive_regimes`] with the fit fan-out's worker count fixed
+    /// (`None`: sized from the machine and the number of dirty keys).
+    fn rederive_on(
+        &self,
+        net: &RoadNetwork,
+        current: &TrajectoryStore,
+        cfg: &HybridConfig,
+        dirty: &BTreeSet<RegimeVariableKey>,
+        workers: Option<usize>,
+    ) -> Result<WeightUpdate, CoreError> {
         cfg.validate()?;
         let partition = DayPartition::new(cfg.alpha_minutes)?;
         if partition != self.partition || cfg.cost_kind != self.cost_kind {
@@ -762,22 +752,11 @@ impl PathWeightFunction {
             ));
         }
 
-        let mut delta: BTreeMap<VariableKey, Option<InstantiatedVariable>> = BTreeMap::new();
-        let mut regime_delta: BTreeMap<
-            RegimeId,
-            BTreeMap<VariableKey, Option<InstantiatedVariable>>,
-        > = BTreeMap::new();
-        let mut updated = Vec::new();
-        let mut added = Vec::new();
-        let mut removed = Vec::new();
-        for (edges, interval, regime) in dirty {
-            let key: VariableKey = (edges.clone(), *interval);
+        // Re-fit every dirty key that still clears β in its table (`None`
+        // for the ones that do not) — independent per key, so fanned out.
+        let keys: Vec<&RegimeVariableKey> = dirty.iter().collect();
+        let refits = fan_out(&keys, workers, |&(edges, interval, regime), scratch| {
             let path = Path::from_edges_unchecked(edges.clone());
-            let existing = if regime.is_global() {
-                self.index.contains_key(&key)
-            } else {
-                self.regime_table_get(*regime, edges, *interval).is_some()
-            };
             // The key's qualified occurrences in its table's contributing
             // subsequence of the current store, in the same (trajectory,
             // position) order the full rebuild collects rows in.
@@ -786,47 +765,57 @@ impl PathWeightFunction {
                 .into_iter()
                 .filter(|o| partition.interval_of(o.entry_time.time_of_day()) == *interval)
                 .collect();
-            let mut rows = Vec::new();
-            if occurrences.len() >= cfg.beta {
-                rows.reserve(occurrences.len());
-                for o in &occurrences {
-                    let m = current.get(o.traj_index).expect("occurrence is in store");
-                    if let Some(costs) = per_edge_costs(m, net, &path, o.offset, cfg.cost_kind) {
-                        rows.push(costs);
-                    }
-                }
+            if occurrences.len() < cfg.beta {
+                return Ok(None);
             }
-            if rows.len() >= cfg.beta {
-                let histogram = fit_histogram(&path, &rows, cfg)?;
-                let var = InstantiatedVariable {
-                    path: path.clone(),
-                    interval: *interval,
-                    histogram,
-                    source: VariableSource::Trajectories { count: rows.len() },
-                };
-                if regime.is_global() {
-                    delta.insert(key, Some(var));
-                } else {
-                    regime_delta
-                        .entry(*regime)
-                        .or_default()
-                        .insert(key, Some(var));
-                }
-                if existing {
-                    updated.push((path, *interval, *regime));
-                } else {
-                    added.push((path, *interval, *regime));
-                }
-            } else if existing {
-                // Downward transition: the key lost its β support in this
-                // table, so the full rebuild would not instantiate it there
-                // — delete it.
-                if regime.is_global() {
-                    delta.insert(key, None);
-                } else {
-                    regime_delta.entry(*regime).or_default().insert(key, None);
-                }
-                removed.push((path, *interval, *regime));
+            let rows: Vec<Vec<f64>> = occurrences
+                .iter()
+                .filter_map(|o| {
+                    let m = current.get(o.traj_index).expect("occurrence is in store");
+                    per_edge_costs(m, net, &path, o.offset, cfg.cost_kind)
+                })
+                .collect();
+            if rows.len() < cfg.beta {
+                return Ok(None);
+            }
+            fit_variable(path, *interval, &rows, cfg, scratch).map(Some)
+        })?;
+
+        let mut delta: BTreeMap<VariableKey, Option<InstantiatedVariable>> = BTreeMap::new();
+        let mut regime_delta: BTreeMap<
+            RegimeId,
+            BTreeMap<VariableKey, Option<InstantiatedVariable>>,
+        > = BTreeMap::new();
+        let mut updated = Vec::new();
+        let mut added = Vec::new();
+        let mut removed = Vec::new();
+        for ((edges, interval, regime), refit) in keys.into_iter().zip(refits) {
+            let key: VariableKey = (edges.clone(), *interval);
+            let existing = if regime.is_global() {
+                self.index.contains_key(&key)
+            } else {
+                self.regime_table_get(*regime, edges, *interval).is_some()
+            };
+            // A key that lost its β support in this table is one the full
+            // rebuild would not instantiate there — delete it; one that never
+            // had it is left alone.
+            if refit.is_none() && !existing {
+                continue;
+            }
+            let changed = match (&refit, existing) {
+                (Some(_), true) => &mut updated,
+                (Some(_), false) => &mut added,
+                (None, _) => &mut removed,
+            };
+            changed.push((
+                Path::from_edges_unchecked(edges.clone()),
+                *interval,
+                *regime,
+            ));
+            if regime.is_global() {
+                delta.insert(key, refit);
+            } else {
+                regime_delta.entry(*regime).or_default().insert(key, refit);
             }
         }
 
@@ -1522,6 +1511,136 @@ mod tests {
             update.removed.iter().any(|(_, _, r)| !r.is_global()),
             "a 60% retirement must delete some regime-table variable"
         );
+    }
+
+    /// FNV-1a over every bit the fit produces: keys, source counts, axis
+    /// bounds and cell masses of the global table and every regime own table.
+    fn digest(wp: &PathWeightFunction) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |x: u64| {
+            for b in x.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        let tables = std::iter::once((RegimeId::ALL_TRAFFIC, wp.variables())).chain(
+            wp.regime_tables()
+                .iter()
+                .map(|(regime, vars)| (*regime, vars.as_slice())),
+        );
+        for (regime, vars) in tables {
+            eat(u64::from(regime.0));
+            eat(vars.len() as u64);
+            for v in vars {
+                eat(v.path.cardinality() as u64);
+                v.path.edges().iter().for_each(|e| eat(u64::from(e.0)));
+                eat(u64::from(v.interval.0));
+                match v.source {
+                    VariableSource::Trajectories { count } => eat(count as u64),
+                    VariableSource::SpeedLimit => eat(u64::MAX),
+                }
+                for axis in v.histogram.axes() {
+                    eat(axis.len() as u64);
+                    for b in axis {
+                        eat(b.lo.to_bits());
+                        eat(b.hi.to_bits());
+                    }
+                }
+                eat(v.histogram.cell_count() as u64);
+                for (key, p) in v.histogram.cells() {
+                    key.iter().for_each(|&i| eat(u64::from(i)));
+                    eat(p.to_bits());
+                }
+            }
+        }
+        h
+    }
+
+    /// Digests captured at the parent of PR 12 (the straight-line fit kernel,
+    /// serial instantiation): the rebuilt kernel and the parallel fan-out
+    /// must reproduce every fitted bit.
+    #[test]
+    fn instantiate_matches_the_pre_pr12_golden_digest() {
+        let beta10 = HybridConfig {
+            beta: 10,
+            ..HybridConfig::default()
+        };
+        let (_, _, wp) = build();
+        assert_eq!(wp.variables().len(), 58);
+        assert_eq!(digest(&wp), 0x1a83_5671_c5ee_b18e, "untagged tiny(21)");
+
+        // Four times the trips: more variables, more rows per column.
+        let mut dense = DatasetPreset::tiny(51);
+        dense.simulation.trips = 600;
+        let (net, store) = dense.materialise().unwrap();
+        let wp = PathWeightFunction::instantiate(&net, &store, &beta10).unwrap();
+        assert_eq!(wp.variables().len(), 576);
+        assert_eq!(digest(&wp), 0xd641_08e1_6619_642d, "600-trip tiny(51)");
+
+        let (net, untagged) = DatasetPreset::tiny(31).materialise().unwrap();
+        let store = tag_store(&untagged, untagged.len() / 2);
+        let cfg = beta10.with_regimes(grouped_schema());
+        let wp = PathWeightFunction::instantiate(&net, &store, &cfg).unwrap();
+        assert_eq!(wp.regime_tables().len(), 3);
+        assert_eq!(digest(&wp), 0x7e55_f35e_ec4a_c7a5, "tagged tiny(31)");
+    }
+
+    #[test]
+    fn fit_fan_out_is_independent_of_the_worker_count() {
+        let (net, untagged) = DatasetPreset::tiny(31).materialise().unwrap();
+        let cfg = HybridConfig {
+            beta: 10,
+            ..HybridConfig::default()
+        }
+        .with_regimes(grouped_schema());
+        let store = tag_store(&untagged, untagged.len() / 2);
+        let split = store.len() * 7 / 10;
+        let mut base = TrajectoryStore::new(store.matched()[..split].to_vec());
+        let batch = store.matched()[split..].to_vec();
+        let partition = DayPartition::new(cfg.alpha_minutes).unwrap();
+        let dirty = dirty_keys_by_regime(&batch, &partition, cfg.max_rank, &cfg.regimes);
+
+        let serial = PathWeightFunction::instantiate_on(&net, &base, &cfg, &[], Some(1)).unwrap();
+        assert!(serial.variables().len() > 7, "more keys than workers");
+        for workers in [2, 7] {
+            let fanned =
+                PathWeightFunction::instantiate_on(&net, &base, &cfg, &[], Some(workers)).unwrap();
+            assert_regime_identical(&fanned, &serial);
+        }
+
+        base.append(batch);
+        let refit = serial
+            .rederive_on(&net, &base, &cfg, &dirty, Some(1))
+            .unwrap();
+        assert!(refit.changed() > 7, "more changed keys than workers");
+        for workers in [2, 7] {
+            let fanned = serial
+                .rederive_on(&net, &base, &cfg, &dirty, Some(workers))
+                .unwrap();
+            assert_regime_identical(&fanned.weights, &refit.weights);
+            assert_eq!(fanned.updated, refit.updated);
+            assert_eq!(fanned.added, refit.added);
+            assert_eq!(fanned.removed, refit.removed);
+        }
+        // And the machine-sized fan-out is one of them.
+        let auto = serial.rederive_regimes(&net, &base, &cfg, &dirty).unwrap();
+        assert_regime_identical(&auto.weights, &refit.weights);
+    }
+
+    #[test]
+    fn fan_out_keeps_item_order_and_reports_the_first_error() {
+        let items: Vec<usize> = (0..100).collect();
+        for workers in [None, Some(1), Some(3), Some(100), Some(1000)] {
+            let doubled = fan_out(&items, workers, |&i, _| Ok(2 * i)).unwrap();
+            assert_eq!(doubled, (0..100).map(|i| 2 * i).collect::<Vec<_>>());
+            let failed = fan_out(&items, workers, |&i, _| match i {
+                40 => Err(CoreError::NoDistribution),
+                80 => Err(CoreError::InvalidConfig("later error")),
+                _ => Ok(i),
+            });
+            assert_eq!(failed, Err(CoreError::NoDistribution));
+        }
+        let none: Vec<usize> = fan_out(&[], None, |&i: &usize, _| Ok(i)).unwrap();
+        assert!(none.is_empty());
     }
 
     #[test]

@@ -7,15 +7,44 @@
 //! out, a V-Optimal histogram with `b` buckets is built from the remaining
 //! folds, and the squared error between that histogram and the held-out fold's
 //! raw distribution is averaged over the folds.
+//!
+//! # The fit kernel
+//!
+//! Fitting one column of samples — bucket-count selection plus the final
+//! V-Optimal histogram — is the unit of work of weight-function instantiation
+//! and of every live re-derivation, so it is built to touch the samples once:
+//!
+//! * the samples are validated, rounded to the working resolution and
+//!   **sorted once**; the full-sample raw distribution (which fixes the
+//!   candidate range and the final boundaries) is read off that array;
+//! * every fold's training and held-out distribution is one linear pass over
+//!   the same sorted array, filtered by each sample's fold tag — no per-fold
+//!   copy, sort or [`RawDistribution`];
+//! * each fold runs one V-Optimal dynamic program on flat reusable tables
+//!   (`O(n²)` for the span errors plus `O(n² · b)` add-compares over the `n`
+//!   distinct training values) that serves all candidate bucket counts, and
+//!   each candidate is scored against the held-out fold in scratch arrays —
+//!   no throw-away [`Histogram1D`] is built.
+//!
+//! All working memory lives in a [`FitScratch`]; the scratch-free entry points
+//! reuse a thread-local one, so a steady-state fit allocates only what it
+//! returns. Callers fitting in a loop (instantiation workers) thread their own
+//! scratch through the `*_with_scratch` variants. Rounding, grouping, fold
+//! assignment (same RNG draws in the same order) and every floating-point
+//! expression follow the straight-line formulation retained in the
+//! test-only `reference` module, which the kernel is property-tested against
+//! bit for bit.
 
+use crate::bucket::Bucket;
 use crate::error::HistError;
-use crate::histogram1d::Histogram1D;
-use crate::raw::RawDistribution;
-use crate::voptimal::{voptimal_boundaries_all, voptimal_histogram};
+use crate::histogram1d::{self, Histogram1D};
+use crate::raw::{self, RawDistribution};
+use crate::voptimal::{self, voptimal_histogram, VOptimalTables};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 
 /// Configuration for the Auto bucket-count selection.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -82,6 +111,292 @@ pub fn effective_resolution(samples: &[f64], cfg: &AutoConfig) -> f64 {
     cfg.resolution.max(span_based).max(1e-9)
 }
 
+/// Fold tag of a sample that the selection subsample left out.
+const NOT_SELECTED: u32 = u32::MAX;
+
+/// A raw distribution laid out in two parallel scratch vectors.
+#[derive(Debug, Default)]
+struct RawParts {
+    values: Vec<f64>,
+    probs: Vec<f64>,
+}
+
+impl RawParts {
+    fn clear(&mut self) {
+        self.values.clear();
+        self.probs.clear();
+    }
+
+    /// Adds one rounded sample, scanning in increasing order: it joins the
+    /// last distinct value or opens a new one (`probs` holds counts until
+    /// [`Self::normalise`]).
+    #[inline]
+    fn push(&mut self, v: f64, resolution: f64) {
+        match self.values.last() {
+            Some(&first) if raw::same_value(first, v, resolution) => {
+                *self.probs.last_mut().expect("aligned with values") += 1.0;
+            }
+            _ => {
+                self.values.push(v);
+                self.probs.push(1.0);
+            }
+        }
+    }
+
+    /// Turns the per-value counts into relative frequencies of `total` samples.
+    fn normalise(&mut self, total: usize) {
+        let total = total as f64;
+        for p in &mut self.probs {
+            *p /= total;
+        }
+    }
+}
+
+/// Reusable working memory of the Auto fit kernel: the sorted sample array,
+/// the per-fold distributions, the V-Optimal tables and the candidate
+/// histogram being scored. Buffers grow on first use and are then reused.
+#[derive(Debug, Default)]
+pub struct FitScratch {
+    /// The column being fitted, when the caller's samples are not contiguous
+    /// (one dimension of joint rows).
+    pub(crate) column: Vec<f64>,
+    /// `(rounded sample, original index)`, sorted by value then index.
+    sorted: Vec<(f64, u32)>,
+    /// Working resolution of the prepared column.
+    resolution: f64,
+    /// Raw distribution of all samples.
+    full: RawParts,
+    /// Per original sample index: its cross-validation fold, or
+    /// [`NOT_SELECTED`].
+    fold_of: Vec<u32>,
+    /// Shuffle buffers: the selection subsample and the fold order.
+    subsample: Vec<usize>,
+    order: Vec<usize>,
+    training: RawParts,
+    held_out: RawParts,
+    tables: VOptimalTables,
+    boundaries: Vec<usize>,
+    gaps: Vec<f64>,
+    /// The candidate (and, last, the final) histogram's arrays.
+    pub(crate) buckets: Vec<Bucket>,
+    probs: Vec<f64>,
+    cum: Vec<f64>,
+    errors: Vec<f64>,
+}
+
+impl FitScratch {
+    /// An empty scratch; buffers grow on first use and are then reused.
+    pub fn new() -> Self {
+        FitScratch::default()
+    }
+
+    /// Validates, rounds and sorts `samples` and derives their raw
+    /// distribution — the one sort every later step reads from.
+    fn prepare(&mut self, samples: &[f64], cfg: &AutoConfig) -> Result<(), HistError> {
+        if samples.is_empty() {
+            return Err(HistError::EmptyInput);
+        }
+        assert!(
+            samples.len() < NOT_SELECTED as usize,
+            "a column holds fewer than 2^32 samples"
+        );
+        let resolution = effective_resolution(samples, cfg);
+        self.resolution = resolution;
+        self.sorted.clear();
+        for (i, &s) in samples.iter().enumerate() {
+            self.sorted
+                .push((raw::round_sample(s, resolution)?, i as u32));
+        }
+        self.sorted.sort_unstable_by(|a, b| {
+            a.0.partial_cmp(&b.0)
+                .expect("finite values")
+                .then(a.1.cmp(&b.1))
+        });
+        self.full.clear();
+        for &(v, _) in &self.sorted {
+            self.full.push(v, resolution);
+        }
+        self.full.normalise(samples.len());
+        Ok(())
+    }
+
+    /// Cross-validated errors `E_b`, `b = 1..=max_b`, of the prepared column
+    /// into `self.errors`.
+    fn cross_validate(&mut self, max_b: usize, cfg: &AutoConfig) -> Result<(), HistError> {
+        if cfg.folds < 2 {
+            return Err(HistError::TooFewFolds(cfg.folds));
+        }
+        if max_b == 0 {
+            return Err(HistError::ZeroBuckets);
+        }
+        let n = self.sorted.len();
+        let resolution = self.resolution;
+
+        // Subsample very large inputs for selection only; `fold_of` doubles
+        // as the membership mask of the selection.
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        self.fold_of.clear();
+        let subsampled = n > cfg.max_selection_samples;
+        let selected = if subsampled {
+            self.subsample.clear();
+            self.subsample.extend(0..n);
+            self.subsample.shuffle(&mut rng);
+            self.subsample.truncate(cfg.max_selection_samples);
+            self.fold_of.resize(n, NOT_SELECTED);
+            for &i in &self.subsample {
+                self.fold_of[i] = 0;
+            }
+            cfg.max_selection_samples
+        } else {
+            self.fold_of.resize(n, 0);
+            n
+        };
+
+        self.errors.clear();
+        // When there are too few samples for f folds, fall back to the direct
+        // V-Optimal error on the whole selection.
+        if selected < cfg.folds * 2 {
+            self.training.clear();
+            for &(v, i) in &self.sorted {
+                if self.fold_of[i as usize] != NOT_SELECTED {
+                    self.training.push(v, resolution);
+                }
+            }
+            self.training.normalise(selected);
+            let (values, probs) = (&self.training.values, &self.training.probs);
+            let levels = self.tables.solve(values, probs, max_b);
+            for b in 1..=max_b {
+                self.tables
+                    .boundaries_into(b.min(levels), &mut self.boundaries);
+                self.errors
+                    .push(voptimal::partition_error(values, probs, &self.boundaries));
+            }
+            return Ok(());
+        }
+
+        // Deal the selection into folds: position `p` of a shuffled order
+        // belongs to fold `p / fold_size`, the last fold taking the remainder.
+        self.order.clear();
+        self.order.extend(0..selected);
+        self.order.shuffle(&mut rng);
+        let fold_size = selected / cfg.folds;
+        for (p, &i) in self.order.iter().enumerate() {
+            let sample = if subsampled { self.subsample[i] } else { i };
+            self.fold_of[sample] = (p / fold_size).min(cfg.folds - 1) as u32;
+        }
+
+        self.errors.resize(max_b, 0.0);
+        for fold in 0..cfg.folds {
+            let held_len = if fold + 1 == cfg.folds {
+                selected - fold * fold_size
+            } else {
+                fold_size
+            };
+            if held_len == 0 || held_len == selected {
+                continue;
+            }
+            self.training.clear();
+            self.held_out.clear();
+            for &(v, i) in &self.sorted {
+                match self.fold_of[i as usize] {
+                    NOT_SELECTED => {}
+                    f if f as usize == fold => self.held_out.push(v, resolution),
+                    _ => self.training.push(v, resolution),
+                }
+            }
+            self.training.normalise(selected - held_len);
+            self.held_out.normalise(held_len);
+
+            let training = (&self.training.values[..], &self.training.probs[..]);
+            let levels = self.tables.solve(training.0, training.1, max_b);
+            let step = histogram1d::bucket_step(training.0, &mut self.gaps);
+            let mut finest = 0.0;
+            for b in 1..=levels {
+                self.tables.boundaries_into(b, &mut self.boundaries);
+                histogram1d::partition_into(
+                    training,
+                    &self.boundaries,
+                    step,
+                    (&mut self.buckets, &mut self.probs, &mut self.cum),
+                )?;
+                finest = squared_error_in(
+                    (&self.buckets, &self.probs, &self.cum),
+                    (&self.held_out.values, &self.held_out.probs),
+                    resolution,
+                );
+                self.errors[b - 1] += finest;
+            }
+            // Bucket counts beyond the number of distinct training values
+            // reuse the finest available histogram.
+            for total in &mut self.errors[levels..max_b] {
+                *total += finest;
+            }
+        }
+        for total in &mut self.errors {
+            *total /= cfg.folds as f64;
+        }
+        Ok(())
+    }
+
+    /// The Auto bucket count of the prepared column (its error profile stays
+    /// in `self.errors`).
+    fn select(&mut self, cfg: &AutoConfig) -> Result<usize, HistError> {
+        let distinct = self.full.values.len();
+        let max_b = cfg.max_buckets.max(1).min(distinct.max(1));
+        self.cross_validate(max_b, cfg)?;
+        Ok(knee(&self.errors, cfg))
+    }
+
+    /// Fits the prepared column's Auto histogram into the scratch arrays
+    /// `(self.buckets, self.probs, self.cum)`.
+    fn fit(&mut self, cfg: &AutoConfig) -> Result<(), HistError> {
+        let bucket_count = self.select(cfg)?;
+        let full = (&self.full.values[..], &self.full.probs[..]);
+        let levels = self.tables.solve(full.0, full.1, bucket_count);
+        self.tables.boundaries_into(levels, &mut self.boundaries);
+        let step = histogram1d::bucket_step(full.0, &mut self.gaps);
+        histogram1d::partition_into(
+            full,
+            &self.boundaries,
+            step,
+            (&mut self.buckets, &mut self.probs, &mut self.cum),
+        )
+    }
+
+    /// The Auto + V-Optimal bucket bounds of `samples` — one axis of a
+    /// multi-dimensional histogram — left in `self.buckets`.
+    pub(crate) fn fit_axis(&mut self, samples: &[f64], cfg: &AutoConfig) -> Result<(), HistError> {
+        self.prepare(samples, cfg)?;
+        self.fit(cfg)
+    }
+}
+
+thread_local! {
+    static THREAD_SCRATCH: RefCell<FitScratch> = RefCell::new(FitScratch::new());
+}
+
+/// Runs `f` on this thread's shared [`FitScratch`].
+pub(crate) fn with_thread_scratch<R>(f: impl FnOnce(&mut FitScratch) -> R) -> R {
+    THREAD_SCRATCH.with(|cell| f(&mut cell.borrow_mut()))
+}
+
+/// The knee rule over an error profile: the smallest `b` whose error is
+/// within `min_relative_improvement` of the best achievable error, relative
+/// to the error of a single bucket.
+fn knee(errors: &[f64], cfg: &AutoConfig) -> usize {
+    let e1 = errors[0];
+    let e_min = errors.iter().copied().fold(f64::INFINITY, f64::min);
+    let span = (e1 - e_min).max(0.0);
+    if span > 1e-15 {
+        for (i, &e) in errors.iter().enumerate() {
+            if (e - e_min) / span <= cfg.min_relative_improvement {
+                return i + 1;
+            }
+        }
+    }
+    1
+}
+
 /// Computes the cross-validated errors `E_b` for every `b` in `1..=max_b`
 /// (the curve plotted in Figure 5(a)). Each fold runs a single V-Optimal
 /// dynamic program that yields the boundaries for every candidate `b`.
@@ -90,81 +405,11 @@ pub fn cross_validated_errors(
     max_b: usize,
     cfg: &AutoConfig,
 ) -> Result<Vec<f64>, HistError> {
-    if samples.is_empty() {
-        return Err(HistError::EmptyInput);
-    }
-    if cfg.folds < 2 {
-        return Err(HistError::TooFewFolds(cfg.folds));
-    }
-    if max_b == 0 {
-        return Err(HistError::ZeroBuckets);
-    }
-    let resolution = effective_resolution(samples, cfg);
-
-    // Subsample very large inputs for selection only.
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let selection: Vec<f64> = if samples.len() > cfg.max_selection_samples {
-        let mut idx: Vec<usize> = (0..samples.len()).collect();
-        idx.shuffle(&mut rng);
-        idx[..cfg.max_selection_samples]
-            .iter()
-            .map(|&i| samples[i])
-            .collect()
-    } else {
-        samples.to_vec()
-    };
-
-    // When there are too few samples for f folds, fall back to the direct
-    // V-Optimal error on the full sample set.
-    if selection.len() < cfg.folds * 2 {
-        let raw = RawDistribution::from_samples(&selection, resolution)?;
-        return (1..=max_b)
-            .map(|b| crate::voptimal::voptimal_error(&raw, b))
-            .collect();
-    }
-
-    let mut indices: Vec<usize> = (0..selection.len()).collect();
-    indices.shuffle(&mut rng);
-
-    let fold_size = selection.len() / cfg.folds;
-    let mut totals = vec![0.0f64; max_b];
-    for fold in 0..cfg.folds {
-        let start = fold * fold_size;
-        let end = if fold + 1 == cfg.folds {
-            selection.len()
-        } else {
-            start + fold_size
-        };
-        let held_out: Vec<f64> = indices[start..end].iter().map(|&i| selection[i]).collect();
-        let training: Vec<f64> = indices[..start]
-            .iter()
-            .chain(indices[end..].iter())
-            .map(|&i| selection[i])
-            .collect();
-        if held_out.is_empty() || training.is_empty() {
-            continue;
-        }
-        let train_raw = RawDistribution::from_samples(&training, resolution)?;
-        let held_raw = RawDistribution::from_samples(&held_out, resolution)?;
-        let boundary_sets = voptimal_boundaries_all(&train_raw, max_b)?;
-        for (b_index, boundaries) in boundary_sets.iter().enumerate() {
-            let hist = Histogram1D::from_raw_with_boundaries(&train_raw, boundaries)?;
-            totals[b_index] += squared_error(&hist, &held_raw, resolution);
-        }
-        // Bucket counts beyond the number of distinct training values reuse
-        // the finest available histogram.
-        if boundary_sets.len() < max_b {
-            let hist = Histogram1D::from_raw_with_boundaries(
-                &train_raw,
-                &boundary_sets[boundary_sets.len() - 1],
-            )?;
-            let reused = squared_error(&hist, &held_raw, resolution);
-            for total in &mut totals[boundary_sets.len()..max_b] {
-                *total += reused;
-            }
-        }
-    }
-    Ok(totals.into_iter().map(|t| t / cfg.folds as f64).collect())
+    with_thread_scratch(|scratch| {
+        scratch.prepare(samples, cfg)?;
+        scratch.cross_validate(max_b, cfg)?;
+        Ok(scratch.errors.clone())
+    })
 }
 
 /// Computes the cross-validated error `E_b` of using `b` buckets for the given
@@ -188,24 +433,51 @@ pub fn cross_validated_error(
 /// `resolution`-wide cells at the extremes), so the comparison is on the same
 /// scale regardless of how coarsely the raw values are spaced.
 pub fn squared_error(hist: &Histogram1D, raw: &RawDistribution, resolution: f64) -> f64 {
-    let values = raw.values();
-    let probs = raw.probs();
+    squared_error_in(
+        (hist.buckets(), hist.probs(), hist.cumulative_probs()),
+        (raw.values(), raw.probs()),
+        resolution,
+    )
+}
+
+/// [`squared_error`] over borrowed histogram arrays `(buckets, probs, cum)`
+/// and raw distribution arrays `(values, probs)`.
+///
+/// The Voronoi bounds increase with the raw values (rounding is monotone) and
+/// each cell's lower bound is its predecessor's upper bound, so one cursor
+/// walks the buckets and every bound's CDF is evaluated once.
+fn squared_error_in(
+    (buckets, masses, cum): (&[Bucket], &[f64], &[f64]),
+    (values, probs): (&[f64], &[f64]),
+    resolution: f64,
+) -> f64 {
+    let mut idx = 0;
+    let mut cdf = |x: f64| {
+        while idx < buckets.len() && buckets[idx].hi <= x {
+            idx += 1;
+        }
+        histogram1d::cdf_at_index(buckets, masses, cum, idx, x)
+    };
     let n = values.len();
     let mut total = 0.0;
+    let mut lo = values[0] - 0.5 * resolution;
+    let mut below = cdf(lo);
     for i in 0..n {
-        let lo = if i == 0 {
-            values[i] - 0.5 * resolution
-        } else {
-            0.5 * (values[i - 1] + values[i])
-        };
         let hi = if i + 1 == n {
             values[i] + 0.5 * resolution
         } else {
             0.5 * (values[i] + values[i + 1])
         };
-        let h = hist.prob_within(lo, hi);
+        let above = cdf(hi);
+        let h = if hi <= lo {
+            0.0
+        } else {
+            (above - below).max(0.0)
+        };
         let d = probs[i];
         total += (h - d) * (h - d);
+        lo = hi;
+        below = above;
     }
     total
 }
@@ -223,37 +495,33 @@ pub fn select_bucket_count(
     samples: &[f64],
     cfg: &AutoConfig,
 ) -> Result<BucketSelection, HistError> {
-    if samples.is_empty() {
-        return Err(HistError::EmptyInput);
-    }
-    let resolution = effective_resolution(samples, cfg);
-    let distinct = RawDistribution::from_samples(samples, resolution)?.distinct_count();
-    let max_b = cfg.max_buckets.max(1).min(distinct.max(1));
-
-    let errors = cross_validated_errors(samples, max_b, cfg)?;
-    let e1 = errors[0];
-    let e_min = errors.iter().copied().fold(f64::INFINITY, f64::min);
-    let span = (e1 - e_min).max(0.0);
-    let mut chosen = 1;
-    if span > 1e-15 {
-        for (i, &e) in errors.iter().enumerate() {
-            if (e - e_min) / span <= cfg.min_relative_improvement {
-                chosen = i + 1;
-                break;
-            }
-        }
-    }
-    Ok(BucketSelection {
-        bucket_count: chosen.max(1),
-        errors,
+    with_thread_scratch(|scratch| {
+        scratch.prepare(samples, cfg)?;
+        let bucket_count = scratch.select(cfg)?;
+        Ok(BucketSelection {
+            bucket_count,
+            errors: scratch.errors.clone(),
+        })
     })
 }
 
 /// Builds the Auto histogram: automatic bucket count + V-Optimal boundaries.
 pub fn auto_histogram(samples: &[f64], cfg: &AutoConfig) -> Result<Histogram1D, HistError> {
-    let selection = select_bucket_count(samples, cfg)?;
-    let raw = RawDistribution::from_samples(samples, effective_resolution(samples, cfg))?;
-    voptimal_histogram(&raw, selection.bucket_count)
+    with_thread_scratch(|scratch| auto_histogram_with_scratch(samples, cfg, scratch))
+}
+
+/// As [`auto_histogram`], with caller-provided working memory.
+pub fn auto_histogram_with_scratch(
+    samples: &[f64],
+    cfg: &AutoConfig,
+    scratch: &mut FitScratch,
+) -> Result<Histogram1D, HistError> {
+    scratch.fit_axis(samples, cfg)?;
+    Ok(Histogram1D::from_normalised_parts(
+        &scratch.buckets,
+        &scratch.probs,
+        &scratch.cum,
+    ))
 }
 
 /// Builds the fixed-bucket `Sta-b` histogram used as a comparison point in

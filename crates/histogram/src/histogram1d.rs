@@ -85,6 +85,18 @@ impl Histogram1D {
         let probs = masses.iter().map(|&m| m / total).collect();
         Ok(Histogram1D::assemble(buckets.to_vec(), probs))
     }
+
+    /// Copies out a histogram whose sorted disjoint buckets, normalised
+    /// masses and cumulative masses a kernel already laid out (see
+    /// [`partition_into`]).
+    pub(crate) fn from_normalised_parts(buckets: &[Bucket], probs: &[f64], cum: &[f64]) -> Self {
+        Histogram1D {
+            buckets: buckets.to_vec(),
+            probs: probs.to_vec(),
+            cum: cum.to_vec(),
+        }
+    }
+
     /// Restores a histogram from buckets and probabilities captured from an
     /// existing histogram (e.g. a persisted snapshot), **without**
     /// re-normalising the probabilities, so the restored histogram is
@@ -210,37 +222,20 @@ impl Histogram1D {
         raw: &RawDistribution,
         boundaries: &[usize],
     ) -> Result<Self, HistError> {
-        if boundaries.is_empty() || boundaries[0] != 0 {
-            return Err(HistError::ZeroBuckets);
-        }
         let values = raw.values();
-        let probs = raw.probs();
-        let n = values.len();
-        // Bucket upper bound: one resolution step past the last value assigned
-        // to the bucket, clamped to the next bucket's first value so buckets
-        // stay disjoint. Extending only to the last *contained* value (rather
-        // than to the next bucket's start) keeps empty gaps between modes out
-        // of every bucket, which matters for density-based error metrics.
-        let step = bucket_step(values);
-        let mut entries = Vec::with_capacity(boundaries.len());
-        for (i, &start) in boundaries.iter().enumerate() {
-            let end = if i + 1 < boundaries.len() {
-                boundaries[i + 1]
-            } else {
-                n
-            };
-            if start >= end || end > n {
-                return Err(HistError::ZeroBuckets);
-            }
-            let lo = values[start];
-            let mut hi = values[end - 1] + step;
-            if end < n {
-                hi = hi.min(values[end]);
-            }
-            let mass: f64 = probs[start..end].iter().sum();
-            entries.push((Bucket::new_unchecked(lo, hi), mass));
-        }
-        Histogram1D::from_entries(entries)
+        let step = bucket_step(values, &mut Vec::new());
+        let (mut buckets, mut probs, mut cum) = (Vec::new(), Vec::new(), Vec::new());
+        partition_into(
+            (values, raw.probs()),
+            boundaries,
+            step,
+            (&mut buckets, &mut probs, &mut cum),
+        )?;
+        Ok(Histogram1D {
+            buckets,
+            probs,
+            cum,
+        })
     }
 
     /// The buckets, sorted and disjoint.
@@ -316,13 +311,7 @@ impl Histogram1D {
     /// `P(cost ≤ x)`, by binary search over the cumulative array.
     pub fn prob_leq(&self, x: f64) -> f64 {
         let idx = self.bucket_index_above(x);
-        let mut acc = if idx == 0 { 0.0 } else { self.cum[idx - 1] };
-        if let Some(b) = self.buckets.get(idx) {
-            if x > b.lo {
-                acc += self.probs[idx] * (x - b.lo) / b.width();
-            }
-        }
-        acc.min(1.0)
+        cdf_at_index(&self.buckets, &self.probs, &self.cum, idx, x)
     }
 
     /// `P(lo ≤ cost < hi)`, as the CDF difference of the window bounds.
@@ -413,16 +402,98 @@ impl Histogram1D {
     }
 }
 
+/// `P(cost ≤ x)` of the histogram laid out in `(buckets, probs, cum)` — the
+/// arrays of a [`Histogram1D`], or the Auto fit kernel's scratch copy of one —
+/// given `idx`, the index of the first bucket whose upper bound exceeds `x`
+/// (the bucket containing `x` when one does).
+#[inline]
+pub(crate) fn cdf_at_index(
+    buckets: &[Bucket],
+    probs: &[f64],
+    cum: &[f64],
+    idx: usize,
+    x: f64,
+) -> f64 {
+    let mut acc = if idx == 0 { 0.0 } else { cum[idx - 1] };
+    if let Some(b) = buckets.get(idx) {
+        if x > b.lo {
+            acc += probs[idx] * (x - b.lo) / b.width();
+        }
+    }
+    acc.min(1.0)
+}
+
+/// Lays out the histogram that groups the raw distribution `(values, probs)`
+/// into the buckets starting at the value indices `boundaries`, writing its
+/// bucket bounds, normalised masses and cumulative masses into `out`
+/// (cleared first). `step` is [`bucket_step`] of `values`.
+pub(crate) fn partition_into(
+    (values, probs): (&[f64], &[f64]),
+    boundaries: &[usize],
+    step: f64,
+    (buckets, masses, cum): (&mut Vec<Bucket>, &mut Vec<f64>, &mut Vec<f64>),
+) -> Result<(), HistError> {
+    if boundaries.is_empty() || boundaries[0] != 0 {
+        return Err(HistError::ZeroBuckets);
+    }
+    let n = values.len();
+    buckets.clear();
+    masses.clear();
+    cum.clear();
+    // Bucket upper bound: one resolution step past the last value assigned
+    // to the bucket, clamped to the next bucket's first value so buckets
+    // stay disjoint. Extending only to the last *contained* value (rather
+    // than to the next bucket's start) keeps empty gaps between modes out
+    // of every bucket, which matters for density-based error metrics.
+    for (i, &start) in boundaries.iter().enumerate() {
+        let end = if i + 1 < boundaries.len() {
+            boundaries[i + 1]
+        } else {
+            n
+        };
+        if start >= end || end > n {
+            return Err(HistError::ZeroBuckets);
+        }
+        let lo = values[start];
+        let mut hi = values[end - 1] + step;
+        if end < n {
+            hi = hi.min(values[end]);
+        }
+        let mass: f64 = probs[start..end].iter().sum();
+        if !mass.is_finite() || mass < 0.0 {
+            return Err(HistError::InvalidProbability(mass));
+        }
+        buckets.push(Bucket::new_unchecked(lo, hi));
+        masses.push(mass);
+    }
+    // Values increase strictly and every upper bound is clamped to the next
+    // lower bound, so the buckets are sorted and disjoint by construction.
+    let total: f64 = masses.iter().sum();
+    if total <= 0.0 {
+        return Err(HistError::InvalidProbability(total));
+    }
+    let mut acc = 0.0f64;
+    for m in masses.iter_mut() {
+        *m /= total;
+        acc += *m;
+        cum.push(acc);
+    }
+    Ok(())
+}
+
 /// A sensible bucket step for the final bucket of a raw distribution: the
 /// median gap between consecutive distinct values, or 1.0 when there is only
-/// one value.
-fn bucket_step(values: &[f64]) -> f64 {
+/// one value. `gaps` is working space.
+pub(crate) fn bucket_step(values: &[f64], gaps: &mut Vec<f64>) -> f64 {
     if values.len() < 2 {
         return 1.0;
     }
-    let mut gaps: Vec<f64> = values.windows(2).map(|w| w[1] - w[0]).collect();
-    gaps.sort_by(|a, b| a.partial_cmp(b).expect("finite gaps"));
-    gaps[gaps.len() / 2].max(1e-6)
+    gaps.clear();
+    gaps.extend(values.windows(2).map(|w| w[1] - w[0]));
+    let mid = gaps.len() / 2;
+    let (_, median, _) =
+        gaps.select_nth_unstable_by(mid, |a, b| a.partial_cmp(b).expect("finite gaps"));
+    median.max(1e-6)
 }
 
 #[cfg(test)]

@@ -10,7 +10,8 @@
 //!   semantics, used to represent univariate travel-cost distributions,
 //! * [`voptimal`] — V-Optimal bucket boundary selection,
 //! * [`auto`] — the paper's self-tuning ("Auto") bucket-count selection via
-//!   f-fold cross validation, plus the fixed `Sta-b` alternative,
+//!   f-fold cross validation, plus the fixed `Sta-b` alternative: the
+//!   one-sort fit kernel with reusable [`FitScratch`] buffers,
 //! * [`HistogramNd`] — multi-dimensional histograms over hyper-buckets, used
 //!   to represent the joint distribution of a path's edge costs,
 //! * [`convolution`] — independent-sum convolution of 1-D histograms (the
@@ -31,11 +32,13 @@ pub mod histogram1d;
 pub mod multidim;
 pub mod naive;
 pub mod raw;
+#[cfg(test)]
+mod reference;
 pub mod standard;
 mod sweep;
 pub mod voptimal;
 
-pub use auto::{AutoConfig, BucketSelection};
+pub use auto::{AutoConfig, BucketSelection, FitScratch};
 pub use bucket::Bucket;
 pub use convolution::{convolve, convolve_many, ConvolveScratch};
 pub use divergence::{entropy_of_probs, kl_divergence, kl_divergence_histograms};

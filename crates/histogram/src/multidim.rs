@@ -10,12 +10,10 @@
 //! per dimension, and the probability of each hyper-bucket is the fraction of
 //! joint samples falling in it (Figure 6).
 
-use crate::auto::{select_bucket_count, AutoConfig};
+use crate::auto::{with_thread_scratch, AutoConfig, FitScratch};
 use crate::bucket::Bucket;
 use crate::error::HistError;
 use crate::histogram1d::Histogram1D;
-use crate::raw::RawDistribution;
-use crate::voptimal::voptimal_boundaries;
 use serde::{Deserialize, Serialize};
 
 /// A multi-dimensional histogram: a set of `(hyper-bucket, probability)` pairs.
@@ -36,6 +34,16 @@ impl HistogramNd {
     /// Per-dimension bucket counts are chosen with the Auto method and bucket
     /// boundaries with V-Optimal; cell probabilities are empirical fractions.
     pub fn from_samples(samples: &[Vec<f64>], cfg: &AutoConfig) -> Result<Self, HistError> {
+        with_thread_scratch(|scratch| Self::from_samples_with_scratch(samples, cfg, scratch))
+    }
+
+    /// As [`Self::from_samples`], with caller-provided working memory for the
+    /// per-dimension Auto fits.
+    pub fn from_samples_with_scratch(
+        samples: &[Vec<f64>],
+        cfg: &AutoConfig,
+        scratch: &mut FitScratch,
+    ) -> Result<Self, HistError> {
         if samples.is_empty() {
             return Err(HistError::EmptyInput);
         }
@@ -52,19 +60,19 @@ impl HistogramNd {
             }
         }
 
-        // Per-dimension axes.
-        let mut axes: Vec<Vec<Bucket>> = Vec::with_capacity(dims);
-        for d in 0..dims {
-            let column: Vec<f64> = samples.iter().map(|s| s[d]).collect();
-            let selection = select_bucket_count(&column, cfg)?;
-            let resolution = crate::auto::effective_resolution(&column, cfg);
-            let raw = RawDistribution::from_samples(&column, resolution)?;
-            let boundaries = voptimal_boundaries(&raw, selection.bucket_count)?;
-            let hist = Histogram1D::from_raw_with_boundaries(&raw, &boundaries)?;
-            axes.push(hist.buckets().to_vec());
-        }
+        // Per-dimension axes, each fitted from one contiguous column.
+        let mut column = std::mem::take(&mut scratch.column);
+        let axes: Result<Vec<Vec<Bucket>>, HistError> = (0..dims)
+            .map(|d| {
+                column.clear();
+                column.extend(samples.iter().map(|s| s[d]));
+                scratch.fit_axis(&column, cfg)?;
+                Ok(scratch.buckets.clone())
+            })
+            .collect();
+        scratch.column = column;
 
-        Self::from_samples_with_axes(samples, axes)
+        Self::from_samples_with_axes(samples, axes?)
     }
 
     /// Builds an N-dimensional histogram from joint samples using externally
@@ -78,8 +86,9 @@ impl HistogramNd {
             return Err(HistError::EmptyInput);
         }
         let dims = axes.len();
-        let mut counts: std::collections::HashMap<Vec<u32>, usize> =
-            std::collections::HashMap::new();
+        // One flat row of per-dimension bucket indices per sample; equal rows
+        // are counted by sorting the sample order on them.
+        let mut keys: Vec<u32> = Vec::with_capacity(samples.len() * dims);
         for sample in samples {
             if sample.len() != dims {
                 return Err(HistError::DimensionMismatch {
@@ -87,18 +96,22 @@ impl HistogramNd {
                     actual: sample.len(),
                 });
             }
-            let mut key = Vec::with_capacity(dims);
             for (d, &value) in sample.iter().enumerate() {
-                key.push(locate(&axes[d], value) as u32);
+                keys.push(locate(&axes[d], value) as u32);
             }
-            *counts.entry(key).or_insert(0) += 1;
         }
+        let key = |row: usize| &keys[row * dims..(row + 1) * dims];
+        let mut order: Vec<usize> = (0..samples.len()).collect();
+        order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
         let total = samples.len() as f64;
-        let mut cells: Vec<(Vec<u32>, f64)> = counts
-            .into_iter()
-            .map(|(key, count)| (key, count as f64 / total))
-            .collect();
-        cells.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut cells: Vec<(Vec<u32>, f64)> = Vec::new();
+        let mut run = 0;
+        while run < order.len() {
+            let cell = key(order[run]);
+            let count = order[run..].iter().take_while(|&&r| key(r) == cell).count();
+            cells.push((cell.to_vec(), count as f64 / total));
+            run += count;
+        }
         Ok(HistogramNd { dims, axes, cells })
     }
 
@@ -316,7 +329,7 @@ impl HistogramNd {
 
 /// Index of the axis bucket containing `value`, clamping values outside the
 /// covered range to the nearest bucket.
-fn locate(axis: &[Bucket], value: f64) -> usize {
+pub(crate) fn locate(axis: &[Bucket], value: f64) -> usize {
     if value < axis[0].lo {
         return 0;
     }

@@ -10,6 +10,24 @@
 use crate::error::HistError;
 use serde::{Deserialize, Serialize};
 
+/// Validates one cost sample and rounds it to a multiple of `resolution`
+/// (which must be positive) — the grid [`RawDistribution::from_samples`] and
+/// the Auto fit kernel group samples on.
+#[inline]
+pub(crate) fn round_sample(s: f64, resolution: f64) -> Result<f64, HistError> {
+    if !s.is_finite() || s < 0.0 {
+        return Err(HistError::InvalidValue(s));
+    }
+    Ok((s / resolution).round() * resolution)
+}
+
+/// `true` when the rounded sample `v` belongs to the group of distinct values
+/// opened by `first` (scanning rounded samples in increasing order).
+#[inline]
+pub(crate) fn same_value(first: f64, v: f64, resolution: f64) -> bool {
+    (first - v).abs() < resolution * 1e-9
+}
+
 /// An empirical distribution over discrete cost values.
 ///
 /// Values are kept sorted in increasing order; probabilities sum to one.
@@ -34,17 +52,14 @@ impl RawDistribution {
         let resolution = if resolution > 0.0 { resolution } else { 1.0 };
         let mut rounded: Vec<f64> = Vec::with_capacity(samples.len());
         for &s in samples {
-            if !s.is_finite() || s < 0.0 {
-                return Err(HistError::InvalidValue(s));
-            }
-            rounded.push((s / resolution).round() * resolution);
+            rounded.push(round_sample(s, resolution)?);
         }
         rounded.sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
         let mut values: Vec<f64> = Vec::new();
         let mut counts: Vec<usize> = Vec::new();
         for v in rounded {
             match values.last() {
-                Some(&last) if (last - v).abs() < resolution * 1e-9 => {
+                Some(&last) if same_value(last, v, resolution) => {
                     *counts.last_mut().expect("non-empty") += 1usize;
                 }
                 _ => {

@@ -7,9 +7,14 @@
 //! the within-bucket error is measured as the probability-weighted variance of
 //! the cost values assigned to the bucket: boundaries therefore end up at the
 //! gaps between modes of the raw distribution, which is what makes the Auto
-//! histograms track multi-modal travel-time data (Figure 5). The dynamic
-//! program runs in `O(n² · b)` over the `n` distinct values, which is ample
-//! for the per-edge / per-path sample sizes encountered here.
+//! histograms track multi-modal travel-time data (Figure 5).
+//!
+//! The dynamic program lives in the crate-private `VOptimalTables`: flat,
+//! reusable tables, the within-bucket error `sse(i, j)` of every span computed
+//! once (`O(n²)` over the `n` distinct values) and then `O(n² · b)`
+//! add-compares over it — one run yields the boundaries of every bucket count
+//! up to `b`. The Auto fit (`crate::auto`) threads one set of tables through
+//! all its folds; the functions below run it on a [`RawDistribution`].
 
 use crate::error::HistError;
 use crate::histogram1d::Histogram1D;
@@ -40,66 +45,124 @@ pub fn voptimal_boundaries_all(
     if max_b == 0 {
         return Err(HistError::ZeroBuckets);
     }
-    let probs = raw.probs();
-    let values = raw.values();
-    let n = probs.len();
-    let b = max_b.min(n);
+    let mut tables = VOptimalTables::default();
+    let levels = tables.solve(raw.values(), raw.probs(), max_b);
+    Ok((1..=levels)
+        .map(|target| {
+            let mut boundaries = Vec::with_capacity(target);
+            tables.boundaries_into(target, &mut boundaries);
+            boundaries
+        })
+        .collect())
+}
 
-    // Prefix sums of p, p·v and p·v² for O(1) within-bucket weighted-variance
-    // queries.
-    let mut pw = vec![0.0f64; n + 1];
-    let mut pv = vec![0.0f64; n + 1];
-    let mut pvv = vec![0.0f64; n + 1];
-    for i in 0..n {
-        pw[i + 1] = pw[i] + probs[i];
-        pv[i + 1] = pv[i] + probs[i] * values[i];
-        pvv[i + 1] = pvv[i] + probs[i] * values[i] * values[i];
-    }
-    // Weighted within-bucket variance of grouping values [i, j) into one bucket:
-    //   Σ p v² − (Σ p v)² / Σ p
-    let sse = |i: usize, j: usize| -> f64 {
-        let w = pw[j] - pw[i];
-        if w <= 0.0 {
-            return 0.0;
+/// The reusable tables of the V-Optimal dynamic program.
+///
+/// [`Self::solve`] fills them for one distribution; [`Self::boundaries_into`]
+/// then recovers the optimal boundaries of any bucket count up to the solved
+/// one. Buffers grow on first use and are reused afterwards. All tables are
+/// row-major with a stride of `n + 1`.
+#[derive(Debug, Default)]
+pub(crate) struct VOptimalTables {
+    /// Prefix sums of `p`, `p·v` and `p·v²` (length `n + 1`).
+    pw: Vec<f64>,
+    pv: Vec<f64>,
+    pvv: Vec<f64>,
+    /// `sse[i · (n + 1) + j]`: weighted within-bucket variance of grouping
+    /// values `[i, j)` into one bucket, for `i < j` (other cells are stale).
+    sse: Vec<f64>,
+    /// `dp[k · (n + 1) + j]`: minimal error of covering the first `j` values
+    /// with `k` buckets; `choice` holds the arg-min start of the last bucket.
+    dp: Vec<f64>,
+    choice: Vec<u32>,
+    /// Number of values and bucket levels of the last [`Self::solve`].
+    n: usize,
+    levels: usize,
+}
+
+#[inline]
+fn tri(j: usize) -> usize {
+    j * (j - 1) / 2
+}
+
+impl VOptimalTables {
+    /// Runs the dynamic program over `(values, probs)` for every bucket count
+    /// up to `max_b` (capped at the number of values) and returns that cap.
+    pub(crate) fn solve(&mut self, values: &[f64], probs: &[f64], max_b: usize) -> usize {
+        let n = probs.len();
+        let b = max_b.min(n);
+        let stride = n + 1;
+        self.n = n;
+        self.levels = b;
+
+        // Prefix sums for O(1) within-bucket weighted-variance queries.
+        for sums in [&mut self.pw, &mut self.pv, &mut self.pvv] {
+            sums.clear();
+            sums.resize(stride, 0.0);
         }
-        let sum_v = pv[j] - pv[i];
-        let sum_vv = pvv[j] - pvv[i];
-        (sum_vv - sum_v * sum_v / w).max(0.0)
-    };
-
-    // dp[k][j]: minimal SSE of covering the first j values with k buckets.
-    let inf = f64::INFINITY;
-    let mut dp = vec![vec![inf; n + 1]; b + 1];
-    let mut choice = vec![vec![0usize; n + 1]; b + 1];
-    dp[0][0] = 0.0;
-    for k in 1..=b {
-        for j in k..=n {
-            for i in (k - 1)..j {
-                if dp[k - 1][i] == inf {
-                    continue;
-                }
-                let cost = dp[k - 1][i] + sse(i, j);
-                if cost < dp[k][j] {
-                    dp[k][j] = cost;
-                    choice[k][j] = i;
-                }
+        for i in 0..n {
+            self.pw[i + 1] = self.pw[i] + probs[i];
+            self.pv[i + 1] = self.pv[i] + probs[i] * values[i];
+            self.pvv[i + 1] = self.pvv[i] + probs[i] * values[i] * values[i];
+        }
+        // Σ p v² − (Σ p v)² / Σ p over [i, j), once per span.
+        self.sse.clear();
+        self.sse.resize(n * stride / 2, 0.0);
+        let (pw, pv, pvv) = (&self.pw[..stride], &self.pv[..stride], &self.pvv[..stride]);
+        for j in 1..=n {
+            let column = &mut self.sse[tri(j)..tri(j) + j];
+            let starts = pw[..j].iter().zip(&pv[..j]).zip(&pvv[..j]);
+            for (cell, ((w_i, v_i), vv_i)) in column.iter_mut().zip(starts) {
+                let w = pw[j] - w_i;
+                let sum_v = pv[j] - v_i;
+                let sum_vv = pvv[j] - vv_i;
+                let variance = (sum_vv - sum_v * sum_v / w).max(0.0);
+                *cell = if w > 0.0 { variance } else { 0.0 };
             }
         }
+
+        self.dp.clear();
+        self.dp.resize((b + 1) * stride, f64::INFINITY);
+        self.choice.clear();
+        self.choice.resize((b + 1) * stride, 0);
+        self.dp[0] = 0.0;
+        for k in 1..=b {
+            let (lower, upper) = self.dp.split_at_mut(k * stride);
+            let prev = &lower[(k - 1) * stride..];
+            let cur = &mut upper[..stride];
+            let choice = &mut self.choice[k * stride..(k + 1) * stride];
+            for j in k..=n {
+                let column = &self.sse[tri(j)..tri(j) + j];
+                let mut best = f64::INFINITY;
+                let mut arg = 0usize;
+                for (i, (reach, span)) in prev[..j].iter().zip(column).enumerate().skip(k - 1) {
+                    let cost = reach + span;
+                    if cost < best {
+                        best = cost;
+                        arg = i;
+                    }
+                }
+                cur[j] = best;
+                choice[j] = arg as u32;
+            }
+        }
+        b
     }
 
-    // Recover the boundaries for every bucket count up to b.
-    let mut all = Vec::with_capacity(b);
-    for target in 1..=b {
-        let mut boundaries = vec![0usize; target];
-        let mut j = n;
+    /// Writes the optimal boundaries for `target` buckets (the index of the
+    /// first value of each bucket, starting with `0`) into `out`.
+    pub(crate) fn boundaries_into(&self, target: usize, out: &mut Vec<usize>) {
+        debug_assert!((1..=self.levels).contains(&target));
+        let stride = self.n + 1;
+        out.clear();
+        out.resize(target, 0);
+        let mut j = self.n;
         for k in (1..=target).rev() {
-            let i = choice[k][j];
-            boundaries[k - 1] = i;
+            let i = self.choice[k * stride + j] as usize;
+            out[k - 1] = i;
             j = i;
         }
-        all.push(boundaries);
     }
-    Ok(all)
 }
 
 /// Builds the V-Optimal histogram of `raw` with `b` buckets.
@@ -112,8 +175,12 @@ pub fn voptimal_histogram(raw: &RawDistribution, b: usize) -> Result<Histogram1D
 /// buckets (the quantity the DP minimises); exposed for tests and diagnostics.
 pub fn voptimal_error(raw: &RawDistribution, b: usize) -> Result<f64, HistError> {
     let boundaries = voptimal_boundaries(raw, b)?;
-    let probs = raw.probs();
-    let values = raw.values();
+    Ok(partition_error(raw.values(), raw.probs(), &boundaries))
+}
+
+/// The probability-weighted squared deviation of `values` from their bucket
+/// means under the partition `boundaries`.
+pub(crate) fn partition_error(values: &[f64], probs: &[f64], boundaries: &[usize]) -> f64 {
     let mut err = 0.0;
     for (i, &start) in boundaries.iter().enumerate() {
         let end = if i + 1 < boundaries.len() {
@@ -137,7 +204,7 @@ pub fn voptimal_error(raw: &RawDistribution, b: usize) -> Result<f64, HistError>
             .map(|(v, p)| p * (v - mean) * (v - mean))
             .sum::<f64>();
     }
-    Ok(err)
+    err
 }
 
 #[cfg(test)]
