@@ -7,7 +7,8 @@ use pathcost_hist::auto::{auto_histogram, auto_histogram_with_scratch, AutoConfi
 use pathcost_hist::convolution::{convolve_many_with_limit, convolve_many_with_scratch};
 use pathcost_hist::voptimal::voptimal_histogram;
 use pathcost_hist::{
-    naive, ConvolveScratch, FitScratch, Histogram1D, HistogramNd, RawDistribution,
+    naive, rebucket, Bucket, ConvolveScratch, FitScratch, Histogram1D, HistogramNd,
+    RawDistribution, RebucketScratch,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -166,10 +167,73 @@ fn bench_cdf_evaluation(c: &mut Criterion) {
     group.finish();
 }
 
+/// `n` overlapping `(bucket, mass)` entries shaped like one overlap group of
+/// the joint chain: 16 contiguous accumulated-sum buckets shifted by the
+/// new-edge sums of `n / 16` cells, so cut points coincide the way they do
+/// there (second-resolution bounds).
+fn chain_group_entries(n: usize, seed: u64) -> Vec<(Bucket, f64)> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut lo = 300.0;
+    let states: Vec<(Bucket, f64)> = (0..16)
+        .map(|_| {
+            let hi = lo + rng.gen_range(2..12) as f64;
+            let state = (Bucket::new(lo, hi).unwrap(), rng.gen_range(0.01..1.0));
+            lo = hi;
+            state
+        })
+        .collect();
+    (0..n / 16)
+        .flat_map(|_| {
+            let shift_lo = rng.gen_range(20..90) as f64;
+            let added = Bucket::new(shift_lo, shift_lo + rng.gen_range(3..25) as f64).unwrap();
+            let p_cond: f64 = rng.gen_range(0.01..1.0);
+            states
+                .iter()
+                .map(move |&(sum, p)| (sum.sum(&added), p * p_cond))
+                .collect::<Vec<_>>()
+        })
+        .collect()
+}
+
+/// The joint chain's state merge: overlapping entries → 24 disjoint buckets
+/// through a reused [`RebucketScratch`] (sweep, normalise, coarsen), and the
+/// tournament-tree coarsening on its own at the ~120 disjoint buckets such a
+/// group sweeps to and at a convolution-sized input.
+fn bench_rebucket_and_coarsen(c: &mut Criterion) {
+    let mut scratch = RebucketScratch::default();
+    let mut group = c.benchmark_group("rebucket");
+    for n in [64usize, 128, 512] {
+        let entries = chain_group_entries(n, 17);
+        group.bench_function(format!("{n}_entries"), |b| {
+            b.iter(|| rebucket(&entries, 24, &mut scratch).unwrap().len())
+        });
+    }
+    group.finish();
+
+    let mut group = c.benchmark_group("coarsen");
+    for n in [120usize, 400] {
+        let mut rng = StdRng::seed_from_u64(23);
+        let fine = Histogram1D::from_entries(
+            (0..n)
+                .map(|i| {
+                    let lo = 100.0 + 2.0 * i as f64;
+                    (
+                        Bucket::new(lo, lo + 2.0).unwrap(),
+                        rng.gen_range(0.001..1.0),
+                    )
+                })
+                .collect(),
+        )
+        .unwrap();
+        group.bench_function(format!("{n}_to_24"), |b| b.iter(|| fine.coarsen(24)));
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_voptimal_and_auto, bench_variable_fit, bench_convolution_and_marginal,
-        bench_convolve_many_paths, bench_cdf_evaluation
+        bench_convolve_many_paths, bench_cdf_evaluation, bench_rebucket_and_coarsen
 }
 criterion_main!(benches);

@@ -123,13 +123,17 @@ impl CandidateArray {
 
         // Candidate rows.
         let mut rows: Vec<Vec<SelectedVariable>> = vec![Vec::new(); n];
+        // Per rank, the best `(overlap, variable)` of the row being built.
+        const NONE: (f64, usize) = (f64::NEG_INFINITY, usize::MAX);
+        let mut best: Vec<(f64, usize)> = Vec::new();
         for (k, &edge) in query.edges().iter().enumerate() {
             let window = &updated_intervals[k];
             // Spatially relevant instantiated variables starting at edge k.
-            // For each distinct sub-path keep the interval with the largest
-            // overlap with UI_k.
-            let mut best: std::collections::HashMap<Vec<pathcost_roadnet::EdgeId>, (f64, usize)> =
-                std::collections::HashMap::new();
+            // A variable's path is checked against the query slice, so a row
+            // holds one sub-path per rank; for each keep the interval with
+            // the largest overlap with UI_k.
+            best.clear();
+            best.resize(n - k + 1, NONE);
             for &vi in wp.variables_starting_with(edge) {
                 let var = wp.variable(vi);
                 if let Some(cap) = rank_cap {
@@ -147,25 +151,13 @@ impl CandidateArray {
                 if overlap <= 0.0 {
                     continue;
                 }
-                let entry = best
-                    .entry(var.path.edges().to_vec())
-                    .or_insert((f64::NEG_INFINITY, usize::MAX));
+                let entry = &mut best[var.rank()];
                 if overlap > entry.0 {
                     *entry = (overlap, vi);
                 }
             }
-            for (_, (_, vi)) in best {
-                let var = wp.variable(vi);
-                rows[k].push(SelectedVariable {
-                    start: k,
-                    path: var.path.clone(),
-                    interval: var.interval,
-                    histogram: var.histogram.clone(),
-                    source: CandidateSource::Instantiated(vi),
-                });
-            }
             // Guarantee a unit variable in every row.
-            if !rows[k].iter().any(|v| v.rank() == 1) {
+            if best[1].1 == NONE.1 {
                 let probe_interval = partition.interval_of(pathcost_traj::TimeOfDay::wrap(
                     0.5 * (window.start + window.end),
                 ));
@@ -183,7 +175,16 @@ impl CandidateArray {
                     source: CandidateSource::UnitFallback,
                 });
             }
-            rows[k].sort_by_key(|v| v.rank());
+            for &(_, vi) in best.iter().filter(|slot| slot.1 != NONE.1) {
+                let var = wp.variable(vi);
+                rows[k].push(SelectedVariable {
+                    start: k,
+                    path: var.path.clone(),
+                    interval: var.interval,
+                    histogram: var.histogram.clone(),
+                    source: CandidateSource::Instantiated(vi),
+                });
+            }
         }
         trajectory_unit_reads.sort_unstable();
         trajectory_unit_reads.dedup();
@@ -259,6 +260,7 @@ mod tests {
             assert_eq!(row[0].rank(), 1, "row {k} must start with a unit variable");
             for w in row.windows(2) {
                 assert!(w[0].rank() <= w[1].rank());
+                assert_ne!(w[0].rank(), w[1].rank(), "one sub-path per rank");
             }
             for v in row {
                 assert_eq!(v.start, k);

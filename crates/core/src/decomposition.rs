@@ -24,7 +24,7 @@ pub struct Decomposition {
 
 impl Decomposition {
     /// Assembles a decomposition, precomputing the component ranks.
-    fn assemble(components: Vec<SelectedVariable>, query_len: usize) -> Decomposition {
+    pub(crate) fn assemble(components: Vec<SelectedVariable>, query_len: usize) -> Decomposition {
         let ranks = components.iter().map(SelectedVariable::rank).collect();
         Decomposition {
             components,

@@ -413,10 +413,6 @@ impl CostEstimator for GroundTruthEstimator<'_> {
     }
 }
 
-/// Re-export of the default chain state budget, so callers tuning accuracy can
-/// reference the same constant the estimators use.
-pub const STATE_BUCKETS: usize = DEFAULT_STATE_BUCKETS;
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -18,25 +18,255 @@
 //! component) — which is exactly what Equation 2's chain structure requires.
 //! Each hyper-bucket of the final state is then turned into a cost bucket by
 //! summing bounds and the overlapping buckets are re-arranged (§4.2).
+//!
+//! # State layout
+//!
+//! A state is one `(accumulated-sum bucket, probability)` pair; what it
+//! shares with the next component is not stored per state but per *overlap
+//! group*: the states whose shared edges fall in the same buckets lie
+//! contiguously in one flat array, and the group remembers one cell of the
+//! component that produced it, from whose index key the shared buckets are
+//! read off the component's axes. Walking a component therefore costs
+//!
+//! * once per component: the sum of every cell's new-edge buckets and the
+//!   dense id of every cell's overlap with the next component;
+//! * once per overlap group: per-dimension tables of how much of each axis
+//!   bucket lies within the group's shared buckets, the conditional weight of
+//!   every cell from them, and the division by their sum;
+//! * per state: one `(sum, probability)` pair emitted per cell of positive
+//!   conditional weight, slotted by the cell's overlap id —
+//!
+//! `O(groups · cells + states · live cells)` instead of the
+//! `O(states · cells · dims)` bucket intersections (and one allocation per
+//! emitted state) of the straight-line walk, which survives as the test-only
+//! `reference` module; the two agree bit for bit. An overlap group that
+//! outgrows the state budget is re-bucketed by [`pathcost_hist::rebucket`].
+//! All working memory is a per-thread scratch, so a steady-state walk
+//! allocates only the entries it returns.
 
 use crate::decomposition::Decomposition;
 use crate::error::CoreError;
-use pathcost_hist::{Bucket, Histogram1D};
+use pathcost_hist::{rebucket, Bucket, Histogram1D, HistogramNd, RebucketScratch};
+use std::cell::RefCell;
 
 /// Maximum number of accumulated-sum buckets kept per overlap cell while
 /// walking the decomposition. Larger values increase accuracy and run time.
 pub const DEFAULT_STATE_BUCKETS: usize = 24;
 
-/// One partial state while walking the decomposition chain.
-#[derive(Debug, Clone)]
-struct ChainState {
-    /// Buckets of the edges shared with the *next* component, expressed in the
-    /// current component's axes (empty when the next component does not overlap).
-    overlap: Vec<Bucket>,
-    /// Bucket of the total cost accumulated over all edges processed so far.
-    sum: Bucket,
-    /// Probability of this state.
-    prob: f64,
+const NIL: u32 = u32::MAX;
+
+/// Working memory of the chain walk (see the module docs for the layout).
+#[derive(Default)]
+struct ChainScratch {
+    /// The merged states, the states of one overlap group contiguous.
+    states: Vec<(Bucket, f64)>,
+    /// One `(cell, end)` per overlap group, in first-seen order: a cell of
+    /// the component walked last whose overlap buckets the group's states
+    /// share, and the end of the group's range in `states`.
+    groups: Vec<(u32, u32)>,
+    /// Per cell of the current component: the sum of its new-edge buckets
+    /// (empty when the component adds no edge).
+    new_sum: Vec<Bucket>,
+    /// Per cell: dense id of its overlap with the next component.
+    next_id: Vec<u32>,
+    /// Cell order scratch of the id assignment.
+    order: Vec<u32>,
+    /// Per overlap group: the fraction of every axis bucket of the shared
+    /// dimensions within the group's bucket, the axes back to back.
+    fractions: Vec<f64>,
+    /// Per overlap group: every cell's weight, then `(cell, conditional
+    /// probability, slot)` of the cells with a positive one.
+    weights: Vec<f64>,
+    live: Vec<(u32, f64, u32)>,
+    /// Emitted states in emission order and the slot of each; `slot_of` maps
+    /// an overlap id to its slot (first-seen order, `NIL` until seen) and
+    /// `slots` holds each slot's `(first cell, state count)`.
+    emitted: Vec<(Bucket, f64)>,
+    emitted_slot: Vec<u32>,
+    slot_of: Vec<u32>,
+    slots: Vec<(u32, u32)>,
+    /// The emitted states grouped by slot, emission order kept within one.
+    sorted: Vec<(Bucket, f64)>,
+    rebucket: RebucketScratch,
+}
+
+impl ChainScratch {
+    /// Tabulates what the walk reads of every cell of `hist`, a component
+    /// sharing its first `overlap_prev` edges with the previous component and
+    /// its last `overlap_next` with the next.
+    fn index_component(&mut self, hist: &HistogramNd, overlap_prev: usize, overlap_next: usize) {
+        let (axes, cells, rank) = (hist.axes(), hist.cells(), hist.dims());
+        debug_assert!(overlap_prev <= rank && overlap_next <= rank);
+        self.new_sum.clear();
+        if overlap_prev < rank {
+            self.new_sum.extend(cells.iter().map(|(key, _)| {
+                let mut acc = axes[overlap_prev][key[overlap_prev] as usize];
+                for d in overlap_prev + 1..rank {
+                    acc = acc.sum(&axes[d][key[d] as usize]);
+                }
+                acc
+            }));
+        }
+        // Equal key suffixes get equal ids: sort the cells by suffix and
+        // number the runs.
+        let suffix = |cell: u32| &cells[cell as usize].0[rank - overlap_next..];
+        self.next_id.clear();
+        self.next_id.resize(cells.len(), 0);
+        let mut ids = 1;
+        if overlap_next > 0 {
+            self.order.clear();
+            self.order.extend(0..cells.len() as u32);
+            self.order
+                .sort_unstable_by(|&a, &b| suffix(a).cmp(suffix(b)));
+            for w in self.order.windows(2) {
+                ids += u32::from(suffix(w[0]) != suffix(w[1]));
+                self.next_id[w[1] as usize] = ids - 1;
+            }
+        }
+        self.slot_of.clear();
+        self.slot_of.resize(ids as usize, NIL);
+    }
+
+    /// The slot of the overlap group `cell` emits into, opened on first use.
+    fn slot(&mut self, cell: u32) -> u32 {
+        let slot = &mut self.slot_of[self.next_id[cell as usize] as usize];
+        if *slot == NIL {
+            *slot = self.slots.len() as u32;
+            self.slots.push((cell, 0));
+        }
+        *slot
+    }
+
+    /// Emits the states of the first component: one per cell.
+    fn seed(&mut self, first: &HistogramNd) {
+        for (cell, &(_, prob)) in first.cells().iter().enumerate() {
+            let slot = self.slot(cell as u32);
+            self.slots[slot as usize].1 += 1;
+            self.emitted.push((self.new_sum[cell], prob));
+            self.emitted_slot.push(slot);
+        }
+    }
+
+    /// Chains `comp`, indexed by [`Self::index_component`], onto the states
+    /// left by `prev`: every state times the conditional distribution of
+    /// `comp`'s cells given the `overlap_prev` edges the two share.
+    fn extend(&mut self, prev: &HistogramNd, comp: &HistogramNd, overlap_prev: usize) {
+        let (axes, cells) = (comp.axes(), comp.cells());
+        let shared_from = prev.dims() - overlap_prev;
+        let mut start = 0usize;
+        for g in 0..self.groups.len() {
+            let (rep, end) = self.groups[g];
+            // Conditional weight of each cell given that the shared edges fall
+            // inside the group's overlap region (uniform-within-bucket mass).
+            let rep_key = &prev.cells()[rep as usize].0[shared_from..];
+            self.fractions.clear();
+            for (d, &index) in rep_key.iter().enumerate() {
+                let overlap = prev.axes()[shared_from + d][index as usize];
+                self.fractions
+                    .extend(axes[d].iter().map(|b| b.fraction_within(&overlap)));
+            }
+            self.weights.clear();
+            let mut denom = 0.0;
+            for (key, prob) in cells {
+                let mut frac = 1.0;
+                let mut table = 0;
+                for (d, &index) in key[..overlap_prev].iter().enumerate() {
+                    frac *= self.fractions[table + index as usize];
+                    if frac == 0.0 {
+                        break;
+                    }
+                    table += axes[d].len();
+                }
+                let w = prob * frac;
+                self.weights.push(w);
+                denom += w;
+            }
+            // If the group's overlap region is incompatible with every cell of
+            // this component (disjoint supports, e.g. fallback vs trajectory
+            // data), fall back to the unconditional distribution.
+            let use_unconditional = denom <= 1e-300;
+            self.live.clear();
+            for (cell, (_, prob)) in cells.iter().enumerate() {
+                let p_cond = if use_unconditional {
+                    *prob
+                } else {
+                    self.weights[cell] / denom
+                };
+                if p_cond <= 0.0 {
+                    continue;
+                }
+                // Every state of the group emits this same cell sequence, so
+                // opening the slots here keeps them in first-emission order.
+                let slot = self.slot(cell as u32);
+                self.slots[slot as usize].1 += end - start as u32;
+                self.live.push((cell as u32, p_cond, slot));
+            }
+            for &(sum, prob) in &self.states[start..end as usize] {
+                for &(cell, p_cond, slot) in &self.live {
+                    // The new edges of this component are the ones after the
+                    // overlap with the previous component.
+                    let new_sum = match self.new_sum.get(cell as usize) {
+                        Some(added) => sum.sum(added),
+                        None => sum,
+                    };
+                    self.emitted.push((new_sum, prob * p_cond));
+                    self.emitted_slot.push(slot);
+                }
+            }
+            start = end as usize;
+        }
+    }
+
+    /// Bounds the number of states: groups the emitted ones by overlap slot
+    /// and coarsens the accumulated-sum distribution of every group that
+    /// outgrew `max_state_buckets`. Groups come out in the order their
+    /// overlap cell was first seen, so the state order — and with it every
+    /// later floating-point sum over the states — is a function of the input
+    /// alone.
+    fn merge(&mut self, max_state_buckets: usize) {
+        // A counting sort by slot: each slot's count becomes the cursor its
+        // states are written at, which ends up at the end of its range.
+        let mut cursor = 0u32;
+        for slot in &mut self.slots {
+            cursor += std::mem::replace(&mut slot.1, cursor);
+        }
+        self.sorted.clear();
+        self.sorted.extend_from_slice(&self.emitted);
+        for (&entry, &slot) in self.emitted.iter().zip(&self.emitted_slot) {
+            let at = &mut self.slots[slot as usize].1;
+            self.sorted[*at as usize] = entry;
+            *at += 1;
+        }
+        self.emitted.clear();
+        self.emitted_slot.clear();
+        self.states.clear();
+        self.groups.clear();
+        let mut start = 0usize;
+        for &(cell, end) in &self.slots {
+            let entries = &self.sorted[start..end as usize];
+            start = end as usize;
+            let total: f64 = entries.iter().map(|&(_, p)| p).sum();
+            if total <= 0.0 {
+                continue;
+            }
+            let before = self.states.len();
+            if entries.len() <= max_state_buckets {
+                self.states.extend_from_slice(entries);
+            } else if let Ok(coarse) = rebucket(entries, max_state_buckets, &mut self.rebucket) {
+                // Too many sum buckets for this overlap cell: re-bucketed.
+                self.states
+                    .extend(coarse.iter().map(|&(bucket, prob)| (bucket, prob * total)));
+            }
+            if self.states.len() > before {
+                self.groups.push((cell, self.states.len() as u32));
+            }
+        }
+        self.slots.clear();
+    }
+}
+
+thread_local! {
+    static SCRATCH: RefCell<ChainScratch> = RefCell::new(ChainScratch::default());
 }
 
 /// Walks the decomposition chain and returns the final accumulated-sum
@@ -49,86 +279,39 @@ pub fn cost_entries_with_limit(
     decomposition: &Decomposition,
     max_state_buckets: usize,
 ) -> Result<Vec<(Bucket, f64)>, CoreError> {
+    SCRATCH.with(|cell| {
+        cost_entries_with_scratch(decomposition, max_state_buckets, &mut cell.borrow_mut())
+    })
+}
+
+/// [`cost_entries_with_limit`] on caller-provided working memory.
+fn cost_entries_with_scratch(
+    decomposition: &Decomposition,
+    max_state_buckets: usize,
+    scratch: &mut ChainScratch,
+) -> Result<Vec<(Bucket, f64)>, CoreError> {
     let comps = decomposition.components();
     if comps.is_empty() {
         return Err(CoreError::NoDistribution);
     }
-
-    // Initial states from the first component.
-    let overlap_with_next = decomposition.overlap_len(0);
-    let first = &comps[0];
-    let mut states: Vec<ChainState> = first
-        .histogram
-        .iter_cells()
-        .map(|(buckets, prob)| {
-            let sum = fold_sum(&buckets, 0, buckets.len());
-            let overlap_start = buckets.len() - overlap_with_next;
-            ChainState {
-                overlap: buckets[overlap_start..].to_vec(),
-                sum,
-                prob,
-            }
-        })
-        .collect();
-    states = merge_states(states, max_state_buckets);
-
-    for (i, comp) in comps.iter().enumerate().skip(1) {
-        let overlap_prev = decomposition.overlap_len(i - 1);
-        let overlap_next = decomposition.overlap_len(i);
-        let rank = comp.rank();
-        let cells: Vec<(Vec<Bucket>, f64)> = comp.histogram.iter_cells().collect();
-
-        let mut next_states: Vec<ChainState> = Vec::with_capacity(states.len() * 4);
-        for state in &states {
-            // Conditional weight of each cell given that the shared edges fall
-            // inside the state's overlap region (uniform-within-bucket mass).
-            let mut weights: Vec<f64> = Vec::with_capacity(cells.len());
-            let mut denom = 0.0;
-            for (buckets, prob) in &cells {
-                let mut frac = 1.0;
-                for (bucket, overlap) in buckets.iter().zip(&state.overlap).take(overlap_prev) {
-                    frac *= bucket.fraction_within(overlap);
-                    if frac == 0.0 {
-                        break;
-                    }
-                }
-                let w = prob * frac;
-                weights.push(w);
-                denom += w;
-            }
-            // If the state's overlap region is incompatible with every cell of
-            // this component (disjoint supports, e.g. fallback vs trajectory
-            // data), fall back to the unconditional distribution.
-            let use_unconditional = denom <= 1e-300;
-            let denom = if use_unconditional { 1.0 } else { denom };
-
-            for ((buckets, prob), w) in cells.iter().zip(&weights) {
-                let p_cond = if use_unconditional { *prob } else { *w / denom };
-                if p_cond <= 0.0 {
-                    continue;
-                }
-                // The new edges of this component are the ones after the
-                // overlap with the previous component.
-                let new_sum = if overlap_prev < rank {
-                    state.sum.sum(&fold_sum(buckets, overlap_prev, rank))
-                } else {
-                    state.sum
-                };
-                let overlap_start = rank - overlap_next;
-                next_states.push(ChainState {
-                    overlap: buckets[overlap_start..].to_vec(),
-                    sum: new_sum,
-                    prob: state.prob * p_cond,
-                });
-            }
+    for (i, comp) in comps.iter().enumerate() {
+        let overlap_prev = if i == 0 {
+            0
+        } else {
+            decomposition.overlap_len(i - 1)
+        };
+        scratch.index_component(&comp.histogram, overlap_prev, decomposition.overlap_len(i));
+        if i == 0 {
+            scratch.seed(&comp.histogram);
+        } else {
+            scratch.extend(&comps[i - 1].histogram, &comp.histogram, overlap_prev);
         }
-        states = merge_states(next_states, max_state_buckets);
-        if states.is_empty() {
+        scratch.merge(max_state_buckets);
+        if i > 0 && scratch.states.is_empty() {
             return Err(CoreError::NoDistribution);
         }
     }
-
-    Ok(states.into_iter().map(|s| (s.sum, s.prob)).collect())
+    Ok(scratch.states.clone())
 }
 
 /// Derives the query path's cost distribution from a decomposition, keeping at
@@ -146,78 +329,8 @@ pub fn cost_histogram(decomposition: &Decomposition) -> Result<Histogram1D, Core
     cost_histogram_with_limit(decomposition, DEFAULT_STATE_BUCKETS)
 }
 
-/// Sums the bucket bounds of dimensions `[from, to)` of a hyper-bucket.
-fn fold_sum(buckets: &[Bucket], from: usize, to: usize) -> Bucket {
-    debug_assert!(from < to && to <= buckets.len());
-    let mut acc = buckets[from];
-    for b in &buckets[from + 1..to] {
-        acc = acc.sum(b);
-    }
-    acc
-}
-
-/// Bounds the number of states by grouping them by overlap cell and coarsening
-/// the accumulated-sum distribution within each group. Groups come out in
-/// the order their overlap cell was first seen, so the state order — and with
-/// it every later floating-point sum over the states — is a function of the
-/// input alone.
-fn merge_states(states: Vec<ChainState>, max_state_buckets: usize) -> Vec<ChainState> {
-    use std::collections::hash_map::{Entry, HashMap};
-    if states.is_empty() {
-        return states;
-    }
-    // Group by the exact identity of the overlap buckets (they come from the
-    // same component's axes, so bit-exact comparison is appropriate).
-    type OverlapKey = Vec<(u64, u64)>;
-    /// One overlap cell and the `(sum bucket, probability)` entries seen in it.
-    type Group = (Vec<Bucket>, Vec<(Bucket, f64)>);
-    let mut slots: HashMap<OverlapKey, usize> = HashMap::new();
-    let mut groups: Vec<Group> = Vec::new();
-    for s in states {
-        let key: OverlapKey = s
-            .overlap
-            .iter()
-            .map(|b| (b.lo.to_bits(), b.hi.to_bits()))
-            .collect();
-        let slot = match slots.entry(key) {
-            Entry::Occupied(seen) => *seen.get(),
-            Entry::Vacant(new) => {
-                groups.push((s.overlap, Vec::new()));
-                *new.insert(groups.len() - 1)
-            }
-        };
-        groups[slot].1.push((s.sum, s.prob));
-    }
-    let mut merged = Vec::new();
-    for (overlap, entries) in groups {
-        let total: f64 = entries.iter().map(|&(_, p)| p).sum();
-        if total <= 0.0 {
-            continue;
-        }
-        if entries.len() <= max_state_buckets {
-            for (sum, prob) in entries {
-                merged.push(ChainState {
-                    overlap: overlap.clone(),
-                    sum,
-                    prob,
-                });
-            }
-            continue;
-        }
-        // Too many sum buckets for this overlap cell: re-bucket them.
-        if let Ok(hist) = Histogram1D::from_overlapping(&entries) {
-            let coarse = hist.coarsen(max_state_buckets);
-            for (bucket, prob) in coarse.buckets().iter().zip(coarse.probs()) {
-                merged.push(ChainState {
-                    overlap: overlap.clone(),
-                    sum: *bucket,
-                    prob: prob * total,
-                });
-            }
-        }
-    }
-    merged
-}
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

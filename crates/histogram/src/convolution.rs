@@ -18,7 +18,7 @@
 use crate::bucket::Bucket;
 use crate::error::HistError;
 use crate::histogram1d::Histogram1D;
-use crate::sweep::{self, CoarsenScratch};
+use crate::sweep::{self, RebucketScratch};
 use std::cell::RefCell;
 
 /// Default cap on the number of buckets of intermediate convolution results.
@@ -27,16 +27,14 @@ use std::cell::RefCell;
 /// convolved histograms.
 pub const DEFAULT_MAX_BUCKETS: usize = 64;
 
-/// Reusable buffers for the convolution kernel: density events, disjoint
-/// output entries, coarsening state and the fold accumulator of
+/// Reusable buffers for the convolution kernel: the sweep's density events,
+/// disjoint output entries and coarsening state, and the fold accumulator of
 /// [`convolve_many_with_scratch`].
 #[derive(Debug, Default)]
 pub struct ConvolveScratch {
-    events: Vec<(f64, f64)>,
-    entries: Vec<(Bucket, f64)>,
+    sweep: RebucketScratch,
     acc_buckets: Vec<Bucket>,
     acc_probs: Vec<f64>,
-    coarsen: CoarsenScratch,
 }
 
 impl ConvolveScratch {
@@ -64,17 +62,21 @@ fn point_mass_of(buckets: &[Bucket], probs: &[f64]) -> Option<(f64, f64)> {
 }
 
 /// The sweep-line convolution kernel over raw `(buckets, masses)` operand
-/// slices. Writes the disjoint, coarsened, unnormalised result into `entries`.
+/// slices. Writes the disjoint, coarsened, unnormalised result into
+/// `scratch.entries`.
 fn convolve_core(
     a: (&[Bucket], &[f64]),
     b: (&[Bucket], &[f64]),
     max_buckets: usize,
-    events: &mut Vec<(f64, f64)>,
-    entries: &mut Vec<(Bucket, f64)>,
-    coarsen: &mut CoarsenScratch,
+    scratch: &mut RebucketScratch,
 ) -> Result<(), HistError> {
     let (a_buckets, a_probs) = a;
     let (b_buckets, b_probs) = b;
+    let RebucketScratch {
+        events,
+        entries,
+        coarsen,
+    } = scratch;
     if a_buckets.is_empty() || b_buckets.is_empty() {
         return Err(HistError::EmptyInput);
     }
@@ -132,21 +134,13 @@ pub fn convolve_with_scratch(
     max_buckets: usize,
     scratch: &mut ConvolveScratch,
 ) -> Result<Histogram1D, HistError> {
-    let ConvolveScratch {
-        events,
-        entries,
-        coarsen,
-        ..
-    } = scratch;
     convolve_core(
         (a.buckets(), a.probs()),
         (b.buckets(), b.probs()),
         max_buckets,
-        events,
-        entries,
-        coarsen,
+        &mut scratch.sweep,
     )?;
-    Histogram1D::from_disjoint_entries(entries)
+    Histogram1D::from_disjoint_entries(&scratch.sweep.entries)
 }
 
 /// Convolves a sequence of independent cost histograms (left to right).
@@ -180,11 +174,9 @@ pub fn convolve_many_with_scratch(
         return Ok(first.clone());
     }
     let ConvolveScratch {
-        events,
-        entries,
+        sweep,
         acc_buckets,
         acc_probs,
-        coarsen,
     } = scratch;
     acc_buckets.clear();
     acc_buckets.extend_from_slice(first.buckets());
@@ -195,10 +187,9 @@ pub fn convolve_many_with_scratch(
             (acc_buckets, acc_probs),
             (h.buckets(), h.probs()),
             max_buckets,
-            events,
-            entries,
-            coarsen,
+            sweep,
         )?;
+        let entries = &sweep.entries;
         let total: f64 = entries.iter().map(|&(_, m)| m).sum();
         if total <= 0.0 {
             return Err(HistError::InvalidProbability(total));

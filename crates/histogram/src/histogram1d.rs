@@ -53,6 +53,13 @@ impl Histogram1D {
         }
     }
 
+    /// Copies out sorted disjoint `(bucket, probability)` entries as they are.
+    fn from_entry_slice(entries: &[(Bucket, f64)]) -> Self {
+        let buckets = entries.iter().map(|&(b, _)| b).collect();
+        let probs = entries.iter().map(|&(_, p)| p).collect();
+        Histogram1D::assemble(buckets, probs)
+    }
+
     /// Builds a histogram from disjoint sorted `(bucket, mass)` entries
     /// produced by the sweep/coarsen kernels, normalising the masses.
     /// Skips the sorting and overlap validation of [`Self::from_entries`] —
@@ -183,21 +190,9 @@ impl Histogram1D {
     /// exactly the union of the input boundaries, matching the paper's worked
     /// example.
     pub fn from_overlapping(entries: &[(Bucket, f64)]) -> Result<Self, HistError> {
-        if entries.is_empty() {
-            return Err(HistError::EmptyInput);
-        }
-        for &(_, p) in entries {
-            if !p.is_finite() || p < 0.0 {
-                return Err(HistError::InvalidProbability(p));
-            }
-        }
-        sweep::with_local_buffers(|events, out, _| {
-            events.clear();
-            for &(b, p) in entries {
-                sweep::push_box(events, b.lo, b.hi, p);
-            }
-            sweep::sweep_into(events, out);
-            Histogram1D::from_disjoint_entries(out)
+        sweep::with_local_buffers(|scratch| {
+            sweep::rearrange(entries, scratch)?;
+            Ok(Histogram1D::from_entry_slice(&scratch.entries))
         })
     }
 
@@ -382,7 +377,7 @@ impl Histogram1D {
 
     /// Coarsens the histogram to at most `max_buckets` buckets by greedily
     /// merging adjacent buckets with the smallest combined probability
-    /// (heap-based, `O(n log n)`; same merge sequence as the naive rescan).
+    /// (tournament tree, `O(n log n)`; same merge sequence as the naive rescan).
     ///
     /// Convolving many histograms multiplies bucket counts; the legacy
     /// baseline uses this to keep intermediate results bounded.
@@ -391,13 +386,14 @@ impl Histogram1D {
         if self.buckets.len() <= max_buckets {
             return self.clone();
         }
-        sweep::with_local_buffers(|_, entries, coarsen| {
+        sweep::with_local_buffers(|scratch| {
+            let sweep::RebucketScratch {
+                entries, coarsen, ..
+            } = scratch;
             entries.clear();
             entries.extend(self.buckets.iter().copied().zip(self.probs.iter().copied()));
             sweep::coarsen_entries_in_place(entries, max_buckets, coarsen);
-            let buckets = entries.iter().map(|&(b, _)| b).collect();
-            let probs = entries.iter().map(|&(_, p)| p).collect();
-            Histogram1D::assemble(buckets, probs)
+            Histogram1D::from_entry_slice(entries)
         })
     }
 }

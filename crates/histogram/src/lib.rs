@@ -17,6 +17,8 @@
 //! * [`convolution`] — independent-sum convolution of 1-D histograms (the
 //!   legacy-baseline substrate), built on the sweep-line kernel of the
 //!   private `sweep` module with reusable [`ConvolveScratch`] buffers,
+//! * [`rebucket`] — overlapping entries → at most `n` disjoint buckets on a
+//!   reusable [`RebucketScratch`] (the joint chain's state merge),
 //! * [`naive`] — the retained pre-optimisation reference implementations the
 //!   fast kernels are property-tested (and benchmarked) against,
 //! * [`divergence`] — KL divergence and entropy,
@@ -47,3 +49,4 @@ pub use histogram1d::Histogram1D;
 pub use multidim::HistogramNd;
 pub use raw::RawDistribution;
 pub use standard::{ExponentialDist, GammaDist, GaussianDist, StandardFit};
+pub use sweep::{rebucket, RebucketScratch};

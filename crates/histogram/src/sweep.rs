@@ -1,4 +1,4 @@
-//! Sweep-line rearrangement and heap-based coarsening kernels.
+//! Sweep-line rearrangement and tournament-tree coarsening kernels.
 //!
 //! Both the §4.2 overlap rearrangement and the convolution of two histograms
 //! reduce to the same problem: a set of weighted intervals ("boxcars", each
@@ -13,14 +13,19 @@
 //!
 //! Coarsening (greedy merging of the adjacent bucket pair with the smallest
 //! combined probability) is likewise reimplemented from the naive
-//! rescan-per-merge `O(n²)` loop into a lazy-deletion min-heap over pairs,
-//! `O(n log n)`, reproducing the exact same merge sequence and leftmost
-//! tie-breaking.
+//! rescan-per-merge `O(n²)` loop: the live pairs sit in the leaves of a
+//! fixed-size tournament tree keyed `(mass bits, left index)`, whose root is
+//! the next pair to merge; a merge rewrites three leaves and re-plays their
+//! `log n` matches, so there are no stale entries to skip and nothing grows.
+//! `O(n log n)`, the exact same merge sequence and leftmost tie-breaking.
+//!
+//! [`rebucket`] chains the two — sweep, normalise, coarsen — on one
+//! [`RebucketScratch`], for callers that re-bucket in a loop (the joint
+//! chain's state merge) and want neither intermediate [`crate::Histogram1D`].
 
 use crate::bucket::Bucket;
+use crate::error::HistError;
 use std::cell::RefCell;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Cut points closer than this are merged into one boundary, mirroring the
 /// dedup tolerance of the naive rearrangement.
@@ -80,27 +85,51 @@ pub(crate) fn sweep_into(events: &mut Vec<(f64, f64)>, out: &mut Vec<(Bucket, f6
     events.clear();
 }
 
-const NIL: usize = usize::MAX;
+const NIL: u32 = u32::MAX;
+
+/// Key of a pair slot that holds no live pair. Pair masses are finite, so
+/// their bit patterns all order below it.
+const DEAD: u64 = u64::MAX;
 
 /// Reusable buffers for [`coarsen_entries_in_place`].
 #[derive(Debug, Default)]
 pub struct CoarsenScratch {
-    heap: BinaryHeap<Reverse<(u64, usize)>>,
-    next: Vec<usize>,
-    prev: Vec<usize>,
-    /// Current combined mass of the pair whose left bucket is `i`
-    /// (`f64::INFINITY` when `i` is dead or has no right neighbour); heap
-    /// entries not matching it are stale and skipped.
-    pair_mass: Vec<f64>,
-    alive: Vec<bool>,
+    /// Tournament tree over the pair slots, one leaf per left bucket index:
+    /// leaf `i` sits at `tree[size + i]` (`size` the leaf count rounded up to
+    /// a power of two) and holds `(key, i)`, the key being the bit pattern of
+    /// the combined mass of the pair whose left bucket is `i` — [`DEAD`] when
+    /// `i` is merged away or has no right neighbour. Every inner node copies
+    /// the child with the smaller key, the left one on ties, so `tree[1]` is
+    /// the leftmost smallest live pair.
+    tree: Vec<(u64, u32)>,
+    next: Vec<u32>,
+    prev: Vec<u32>,
+}
+
+/// Re-plays the matches above the pair slots `leaves` after their keys
+/// changed, the three paths level by level (they are independent until they
+/// join, and re-playing a shared node twice is harmless).
+#[inline]
+fn replay(tree: &mut [(u64, u32)], leaves: [usize; 3]) {
+    let size = tree.len() / 2;
+    let mut nodes = leaves.map(|leaf| (size + leaf) / 2);
+    while nodes[0] >= 1 {
+        for node in &mut nodes {
+            let (left, right) = (tree[2 * *node], tree[2 * *node + 1]);
+            tree[*node] = if left.0 <= right.0 { left } else { right };
+            *node /= 2;
+        }
+    }
 }
 
 /// Greedily merges the adjacent pair with the smallest combined mass until at
 /// most `max_buckets` entries remain, in place.
 ///
 /// Pair masses are non-negative finite, so their IEEE-754 bit patterns order
-/// exactly like the values and `(mass.to_bits(), left_index)` in a min-heap
-/// pops the same leftmost-smallest pair the naive rescan picks.
+/// exactly like the values; the tournament tree keeps the minimum of
+/// `(mass.to_bits(), left_index)` over the live pairs only — a merge rewrites
+/// the three slots it touches and re-plays their matches — so its root is the
+/// same leftmost-smallest pair the naive rescan picks.
 pub(crate) fn coarsen_entries_in_place(
     entries: &mut Vec<(Bucket, f64)>,
     max_buckets: usize,
@@ -111,98 +140,141 @@ pub(crate) fn coarsen_entries_in_place(
     if n <= max_buckets {
         return;
     }
-    let CoarsenScratch {
-        heap,
-        next,
-        prev,
-        pair_mass,
-        alive,
-    } = scratch;
-    heap.clear();
+    let last = u32::try_from(n - 1).expect("fewer than 2^32 entries to coarsen");
+    let CoarsenScratch { tree, next, prev } = scratch;
     next.clear();
-    next.extend((0..n).map(|i| if i + 1 < n { i + 1 } else { NIL }));
+    next.extend(1..=last);
+    next.push(NIL);
     prev.clear();
-    // `0usize.wrapping_sub(1)` is `usize::MAX`, i.e. `NIL`.
-    prev.extend((0..n).map(|i| i.wrapping_sub(1)));
-    alive.clear();
-    alive.resize(n, true);
-    pair_mass.clear();
-    pair_mass.resize(n, f64::INFINITY);
-    for i in 0..n - 1 {
-        let mass = entries[i].1 + entries[i + 1].1;
-        pair_mass[i] = mass;
-        heap.push(Reverse((mass.to_bits(), i)));
+    prev.push(NIL);
+    prev.extend(0..last);
+    // One pair slot per entry but the last.
+    let size = (n - 1).next_power_of_two();
+    tree.clear();
+    tree.resize(size, (DEAD, 0));
+    tree.extend(
+        entries
+            .windows(2)
+            .zip(0u32..)
+            .map(|(w, i)| ((w[0].1 + w[1].1).to_bits(), i)),
+    );
+    tree.resize(2 * size, (DEAD, 0));
+    for node in (1..size).rev() {
+        let (left, right) = (tree[2 * node], tree[2 * node + 1]);
+        tree[node] = if left.0 <= right.0 { left } else { right };
     }
-    let mut count = n;
-    while count > max_buckets {
-        let Some(Reverse((bits, i))) = heap.pop() else {
-            break;
-        };
-        if !alive[i] || pair_mass[i].to_bits() != bits {
-            continue;
-        }
-        let j = next[i];
-        debug_assert!(j != NIL, "live pairs always have a right neighbour");
+    for _ in max_buckets..n {
+        let (key, i) = tree[1];
+        debug_assert!(key != DEAD, "two entries left always form a live pair");
+        let i = i as usize;
+        let j = next[i] as usize;
         entries[i] = (
             Bucket::new_unchecked(entries[i].0.lo, entries[j].0.hi),
             entries[i].1 + entries[j].1,
         );
-        alive[j] = false;
-        pair_mass[j] = f64::INFINITY;
         let after = next[j];
         next[i] = after;
-        count -= 1;
+        // The slots whose pair changed: `i`, its left neighbour and — unless
+        // `j` was the last entry and never the left of a pair — `j`.
+        let mut touched = [i; 3];
         if after != NIL {
-            prev[after] = i;
-            let mass = entries[i].1 + entries[after].1;
-            pair_mass[i] = mass;
-            heap.push(Reverse((mass.to_bits(), i)));
+            prev[after as usize] = i as u32;
+            tree[size + i].0 = (entries[i].1 + entries[after as usize].1).to_bits();
+            tree[size + j].0 = DEAD;
+            touched[1] = j;
         } else {
-            pair_mass[i] = f64::INFINITY;
+            tree[size + i].0 = DEAD;
         }
         let before = prev[i];
         if before != NIL {
-            let mass = entries[before].1 + entries[i].1;
-            pair_mass[before] = mass;
-            heap.push(Reverse((mass.to_bits(), before)));
+            let before = before as usize;
+            tree[size + before].0 = (entries[before].1 + entries[i].1).to_bits();
+            touched[2] = before;
         }
+        replay(tree, touched);
     }
-    let mut write = 0usize;
-    for read in 0..n {
-        if alive[read] {
-            entries[write] = entries[read];
-            write += 1;
-        }
+    // The survivors are the `next` chain from entry 0 (a merge always keeps
+    // its left entry).
+    let (mut read, mut write) = (next[0], 1usize);
+    while read != NIL {
+        entries[write] = entries[read as usize];
+        write += 1;
+        read = next[read as usize];
     }
     entries.truncate(write);
 }
 
-/// Per-thread reusable sweep/coarsen buffers backing the scratch-free APIs.
-#[derive(Default)]
-struct LocalBuffers {
-    events: Vec<(f64, f64)>,
-    entries: Vec<(Bucket, f64)>,
-    coarsen: CoarsenScratch,
+/// Reusable buffers for [`rebucket`]; one per thread also backs the
+/// scratch-free [`Histogram1D::from_overlapping`](crate::Histogram1D::from_overlapping)
+/// and [`Histogram1D::coarsen`](crate::Histogram1D::coarsen).
+#[derive(Debug, Default)]
+pub struct RebucketScratch {
+    pub(crate) events: Vec<(f64, f64)>,
+    pub(crate) entries: Vec<(Bucket, f64)>,
+    pub(crate) coarsen: CoarsenScratch,
+}
+
+/// The §4.2 rearrangement on scratch arrays: validates the overlapping
+/// `entries`, flattens them with the sweep and normalises the masses, leaving
+/// the disjoint sorted `(bucket, probability)` entries in `scratch.entries`.
+pub(crate) fn rearrange(
+    entries: &[(Bucket, f64)],
+    scratch: &mut RebucketScratch,
+) -> Result<(), HistError> {
+    if entries.is_empty() {
+        return Err(HistError::EmptyInput);
+    }
+    for &(_, p) in entries {
+        if !p.is_finite() || p < 0.0 {
+            return Err(HistError::InvalidProbability(p));
+        }
+    }
+    let RebucketScratch {
+        events,
+        entries: out,
+        ..
+    } = scratch;
+    events.clear();
+    for &(b, p) in entries {
+        push_box(events, b.lo, b.hi, p);
+    }
+    sweep_into(events, out);
+    if out.is_empty() {
+        return Err(HistError::EmptyInput);
+    }
+    let total: f64 = out.iter().map(|&(_, m)| m).sum();
+    if total <= 0.0 {
+        return Err(HistError::InvalidProbability(total));
+    }
+    for (_, m) in out.iter_mut() {
+        *m /= total;
+    }
+    Ok(())
+}
+
+/// Rearranges overlapping `(bucket, mass)` entries into at most `max_buckets`
+/// disjoint sorted buckets with probabilities summing to one — bit for bit
+/// the buckets and probabilities of
+/// `Histogram1D::from_overlapping(entries)?.coarsen(max_buckets)`, without
+/// building either histogram. The result borrows `scratch`.
+pub fn rebucket<'s>(
+    entries: &[(Bucket, f64)],
+    max_buckets: usize,
+    scratch: &'s mut RebucketScratch,
+) -> Result<&'s [(Bucket, f64)], HistError> {
+    rearrange(entries, scratch)?;
+    coarsen_entries_in_place(&mut scratch.entries, max_buckets, &mut scratch.coarsen);
+    Ok(&scratch.entries)
 }
 
 thread_local! {
-    static LOCAL: RefCell<LocalBuffers> = RefCell::new(LocalBuffers::default());
+    static LOCAL: RefCell<RebucketScratch> = RefCell::new(RebucketScratch::default());
 }
 
 /// Runs `f` with this thread's reusable sweep/coarsen buffers, so the
 /// scratch-free public APIs allocate nothing in steady state.
-pub(crate) fn with_local_buffers<R>(
-    f: impl FnOnce(&mut Vec<(f64, f64)>, &mut Vec<(Bucket, f64)>, &mut CoarsenScratch) -> R,
-) -> R {
-    LOCAL.with(|cell| {
-        let mut guard = cell.borrow_mut();
-        let LocalBuffers {
-            events,
-            entries,
-            coarsen,
-        } = &mut *guard;
-        f(events, entries, coarsen)
-    })
+pub(crate) fn with_local_buffers<R>(f: impl FnOnce(&mut RebucketScratch) -> R) -> R {
+    LOCAL.with(|cell| f(&mut cell.borrow_mut()))
 }
 
 #[cfg(test)]

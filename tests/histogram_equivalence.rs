@@ -1,6 +1,7 @@
 //! Equivalence property tests: the optimised histogram kernels (sweep-line
 //! rearrangement, scratch-buffered convolution with its point-mass fast path,
-//! heap-based coarsening, binary-search CDF evaluation) against the retained
+//! tournament-tree coarsening, the scratch rebucket that chains the two,
+//! binary-search CDF evaluation) against the retained
 //! naive reference implementations in `pathcost::hist::naive` — the exact
 //! pre-optimisation code. Where the arithmetic is reassociated (sweep
 //! accumulation, CDF differencing) equivalence is asserted within `1e-12`
@@ -10,7 +11,7 @@
 use pathcost::hist::convolution::{
     convolve_many_with_limit, convolve_many_with_scratch, convolve_with_limit,
 };
-use pathcost::hist::{naive, Bucket, ConvolveScratch, Histogram1D};
+use pathcost::hist::{naive, rebucket, Bucket, ConvolveScratch, Histogram1D, RebucketScratch};
 use proptest::prelude::*;
 
 /// `(start, width, mass)` triples convertible into overlapping buckets.
@@ -187,6 +188,85 @@ proptest! {
         // rounding.
         for (pf, pr) in fast.probs().iter().zip(reference.probs()) {
             prop_assert!((pf - pr).abs() < 1e-12);
+        }
+    }
+    #[test]
+    fn tournament_coarsen_matches_naive_on_ties_zeros_and_every_cap(
+        n in 2usize..513,
+        cap in 0usize..4,
+        picks in prop::collection::vec((0usize..6, 0.001f64..1.0), 512..513),
+    ) {
+        // Contiguous unit buckets whose masses come in runs of exactly equal
+        // values (the leftmost-smallest tie-break decides the merge order),
+        // with exact zeros in between; not normalised, so nothing rounds
+        // before the merges start.
+        let masses: Vec<f64> = picks[..n]
+            .iter()
+            .map(|&(kind, u)| [0.0, 0.015625, 0.015625, 0.03125, 0.25, u][kind])
+            .collect();
+        prop_assume!(masses.iter().any(|&m| m > 0.0));
+        let buckets: Vec<Bucket> = (0..n)
+            .map(|i| Bucket::new(i as f64, i as f64 + 1.0).unwrap())
+            .collect();
+        let h = Histogram1D::from_raw_parts(buckets, masses).unwrap();
+        let max_buckets = [1, 24, n - 1, n][cap];
+        let fast = h.coarsen(max_buckets);
+        let reference = naive::coarsen(&h, max_buckets);
+        prop_assert_eq!(fast.bucket_count(), n.min(max_buckets.max(1)));
+        if max_buckets >= n {
+            // Nothing to merge: both hand the histogram back untouched.
+            prop_assert_eq!(&fast, &h);
+            prop_assert_eq!(&reference, &h);
+            return Ok(());
+        }
+        // The naive path normalises what it merged; the same division over
+        // the fast path's masses must land on the same bits — bounds, masses
+        // and cumulative masses.
+        let renormalised = Histogram1D::from_entries(
+            fast.buckets().iter().copied().zip(fast.probs().iter().copied()).collect(),
+        )
+        .unwrap();
+        prop_assert_eq!(&renormalised, &reference);
+        prop_assert_eq!(renormalised.cumulative_probs(), reference.cumulative_probs());
+    }
+
+    #[test]
+    fn scratch_rebucket_matches_rearrange_then_coarsen(
+        boxes in prop::collection::vec((0u32..40, 1u32..12, 0usize..4, 0.01f64..1.0), 1..140),
+        max_buckets in 0usize..40,
+    ) {
+        // Whole-number bounds, so cut points coincide; every fourth bound is
+        // nudged by less than the sweep's merge tolerance, and some masses
+        // are exact zeros.
+        let entries: Vec<(Bucket, f64)> = boxes
+            .iter()
+            .map(|&(lo, width, kind, mass)| {
+                let lo = f64::from(lo) + if kind == 1 { 3e-13 } else { 0.0 };
+                let mass = if kind == 2 { 0.0 } else { mass };
+                (Bucket::new(lo, lo + f64::from(width)).unwrap(), mass)
+            })
+            .collect();
+        let expected = Histogram1D::from_overlapping(&entries).map(|h| h.coarsen(max_buckets));
+        // A scratch that has seen another input first.
+        let mut scratch = RebucketScratch::default();
+        let decoy: Vec<(Bucket, f64)> = entries.iter().rev().copied().collect();
+        let _ = rebucket(&decoy, 3, &mut scratch);
+        match (rebucket(&entries, max_buckets, &mut scratch), expected) {
+            (Ok(fast), Ok(reference)) => {
+                let fast: Vec<[u64; 3]> = fast
+                    .iter()
+                    .map(|&(b, p)| [b.lo, b.hi, p].map(f64::to_bits))
+                    .collect();
+                let reference: Vec<[u64; 3]> = reference
+                    .buckets()
+                    .iter()
+                    .zip(reference.probs())
+                    .map(|(b, &p)| [b.lo, b.hi, p].map(f64::to_bits))
+                    .collect();
+                prop_assert_eq!(fast, reference);
+            }
+            (Err(fast), Err(reference)) => prop_assert_eq!(fast, reference),
+            (fast, reference) => prop_assert!(false, "{:?} vs {:?}", fast.map(<[_]>::len), reference),
         }
     }
 }
