@@ -9,11 +9,8 @@
 //! across the worker pool); `service_batch_warm` is the steady-state serving
 //! path where every lookup hits the cache.
 //!
-//! The `pool_vs_scoped` pair compares the persistent shard-pinned worker
-//! pool against the scoped-threads-per-batch baseline on the same warm
-//! workload, and a per-query tail-latency table (p50/p99/max from the
-//! engine's fixed-bucket histogram) is printed for both executors at each
-//! batch size.
+//! A per-query tail-latency line (p50/p99/max from the engine's fixed-bucket
+//! histogram) is printed for the warm engine at each batch size.
 //!
 //! The `service_batch_warm` / `service_batch_warm_traced` pair measures the
 //! observability overhead: the identical warm batch with and without a
@@ -26,6 +23,7 @@ use pathcost_obs::ActiveTrace;
 use pathcost_service::{QueryEngine, QueryRequest, RequestContext, ServiceConfig};
 use pathcost_traj::DatasetPreset;
 use std::sync::Arc;
+use std::time::Duration;
 
 fn bench_service_throughput(c: &mut Criterion) {
     let (net, store) = DatasetPreset::tiny(2016).materialise().expect("dataset");
@@ -139,33 +137,16 @@ fn bench_service_throughput(c: &mut Criterion) {
             |b, requests| b.iter(|| engine.execute_batch_under(requests, &contexts, false)),
         );
 
-        // Persistent shard-pinned pool vs scoped-threads-per-batch, on the
-        // same warm workload. The pool must be no slower at batch 256.
-        for (label, persistent_pool) in [("pool_batch_warm", true), ("scoped_batch_warm", false)] {
-            let engine = QueryEngine::new(
-                graph.clone(),
-                ServiceConfig {
-                    persistent_pool,
-                    ..ServiceConfig::default()
-                },
-            );
-            let _ = engine.execute_batch(&requests);
-            group.bench_with_input(
-                BenchmarkId::new(label, batch_size),
-                &requests,
-                |b, requests| b.iter(|| engine.execute_batch(requests)),
-            );
-            // Per-query tail latency out of the engine's own histogram —
-            // these are the numbers PERFORMANCE.md's PR 6 table quotes.
-            let latency = engine.stats().latency;
-            println!(
-                "tail_latency/{label}/{batch_size}: p50 {:?}  p99 {:?}  max {:?}  ({} queries)",
-                latency.p50(),
-                latency.p99(),
-                latency.max(),
-                latency.total(),
-            );
-        }
+        // Per-query tail latency out of the engine's own histogram.
+        let latency = engine.stats().latency;
+        let secs = Duration::from_secs_f64;
+        println!(
+            "tail_latency/service_batch_warm/{batch_size}: p50 {:?}  p99 {:?}  max {:?}  ({} queries)",
+            secs(latency.p50()),
+            secs(latency.p99()),
+            secs(latency.max),
+            latency.count(),
+        );
     }
 
     // Cross-path reuse: a batch whose candidates overlap on path prefixes

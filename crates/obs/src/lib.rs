@@ -2,9 +2,10 @@
 //!
 //! Dependency-free observability substrate for the pathcost serving stack:
 //!
-//! * [`metrics`] — lock-cheap typed instruments ([`Counter`], [`Gauge`],
-//!   [`Histogram`]) and a process-wide [`Registry`] that hands out
-//!   label-addressed handles and renders everything it owns,
+//! * [`metrics`] — lock-free typed instruments ([`Counter`], [`Gauge`],
+//!   [`Histogram`] with exact sum, max and conservative quantiles) and a
+//!   [`Registry`] that hands out label-addressed handles and renders
+//!   everything it owns,
 //! * [`expo`] — a hand-rolled Prometheus text-exposition writer
 //!   ([`ExpositionWriter`]) plus a strict [`validate`](expo::validate)
 //!   conformance checker used by tests and the chaos harness,
@@ -16,13 +17,11 @@
 //!   replaces ad-hoc `eprintln!` across the serving crates.
 //!
 //! The crate deliberately has **no dependencies** (matching the repo's
-//! no-external-deps stance) and no knowledge of the domain crates: the
-//! server derives most of its `/metrics` series at scrape time from the
-//! existing single-source-of-truth snapshots (`ServiceStats`,
-//! `PersistenceStatus`, admission-queue gauges) so that `/stats` and
-//! `/metrics` can never disagree, and uses [`Registry`] handles only for
-//! telemetry that has no prior home (status-class counters, per-stage
-//! histograms, the connection gauge).
+//! no-external-deps stance) and no knowledge of the domain crates: every
+//! serving layer (engine, cache, admission queue, persistence, HTTP server)
+//! registers its instruments in a [`Registry`] it owns, and `GET /metrics`
+//! renders those registries — the handles are the only place a number
+//! lives, so `/stats` and `/metrics` can never disagree.
 //!
 //! See `OBSERVABILITY.md` at the repository root for the full metric
 //! inventory, the trace/span model, the log schema, and a scrape example.

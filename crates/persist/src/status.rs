@@ -2,11 +2,14 @@
 //!
 //! A single [`PersistenceStatus`] is created by the persistence layer and
 //! cloned (via `Arc`) into whoever needs to observe it — typically the HTTP
-//! server's `/healthz` handler — or poke it — the `/admin/snapshot` endpoint
-//! sets a request flag that the ingest-owning thread polls. Everything is
-//! plain atomics so readers never contend with the ingest path.
+//! server's `/healthz` and `/metrics` handlers — or poke it — the
+//! `/admin/snapshot` endpoint sets a request flag that the ingest-owning
+//! thread polls. Every number is an instrument registered, with its
+//! `pathcost_persist_*` family name, in the [`Registry`] the status owns;
+//! the accessor methods read those same handles, so readers never contend
+//! with the ingest path and `/healthz` cannot disagree with `/metrics`.
 
-use pathcost_obs::{exponential_buckets, Histogram, HistogramSnapshot};
+use pathcost_obs::{exponential_buckets, Counter, Gauge, Histogram, HistogramSnapshot, Registry};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::time::Duration;
 
@@ -54,67 +57,106 @@ impl RecoveryOutcome {
     }
 }
 
-/// Live persistence counters, shared between the ingest path and observers.
+/// Live persistence telemetry, shared between the ingest path and observers.
 ///
-/// All stores use relaxed ordering: every field is an independent gauge or
-/// counter read for monitoring, and no reader derives invariants across
-/// fields.
+/// Everything is relaxed: each field is an independent gauge or counter read
+/// for monitoring, and no reader derives invariants across fields.
 #[derive(Debug)]
 pub struct PersistenceStatus {
+    registry: Registry,
     recovery_outcome: AtomicU8,
-    /// Epoch of the snapshot the process recovered from (0 = none).
-    recovered_snapshot_epoch: AtomicU64,
-    /// Journal records replayed on top of the recovered snapshot.
-    replayed_records: AtomicU64,
-    /// Snapshot generations skipped as corrupt during recovery.
-    corrupt_generations_skipped: AtomicU64,
-    /// Epoch of the most recent published snapshot (0 = none yet).
-    snapshot_epoch: AtomicU64,
     /// Wall-clock milliseconds of the most recent published snapshot.
     snapshot_unix_ms: AtomicU64,
-    /// Snapshots published by this process.
-    snapshots_written: AtomicU64,
-    /// Valid records currently in the journal.
-    journal_records: AtomicU64,
-    /// Current journal size in bytes.
-    journal_bytes: AtomicU64,
     /// Set by `/admin/snapshot`, cleared by the ingest thread when honoured.
     snapshot_requested: AtomicBool,
     /// Whether persistence is suspended (IO-fault ladder exhausted): the
     /// process keeps serving but new ingests are not durable until resumed.
+    /// Mirrored into `suspended_gauge` on every change.
     suspended: AtomicBool,
-    /// Times persistence entered the suspended state.
-    suspensions: AtomicU64,
-    /// Transient IO errors retried (successfully or not) by the ingest path.
-    io_retries: AtomicU64,
-    /// Journal failures that escalated to the snapshot-fallback rung of the
-    /// IO-fault ladder (retries exhausted, snapshot attempted instead).
-    snapshot_fallbacks: AtomicU64,
-    /// Journal fsync latency (seconds, 16 µs … ~4 s exponential buckets).
+    snapshots_written: Counter,
+    snapshot_fallbacks: Counter,
+    suspensions: Counter,
+    io_retries: Counter,
+    replayed_records: Counter,
+    corrupt_generations_skipped: Counter,
+    recovered_snapshot_epoch: Gauge,
+    snapshot_epoch: Gauge,
+    journal_records: Gauge,
+    journal_bytes: Gauge,
+    suspended_gauge: Gauge,
     fsync_seconds: Histogram,
-    /// End-to-end snapshot publish duration (seconds).
     snapshot_seconds: Histogram,
 }
 
 impl Default for PersistenceStatus {
+    /// Registers every persistence family; the field order below is the
+    /// order the families appear on the page.
     fn default() -> Self {
+        let registry = Registry::new();
+        let counter = |name: &str, help: &str| registry.counter(name, help, &[]);
+        let gauge = |name: &str, help: &str| registry.gauge(name, help, &[]);
         Self {
             recovery_outcome: AtomicU8::new(0),
-            recovered_snapshot_epoch: AtomicU64::new(0),
-            replayed_records: AtomicU64::new(0),
-            corrupt_generations_skipped: AtomicU64::new(0),
-            snapshot_epoch: AtomicU64::new(0),
             snapshot_unix_ms: AtomicU64::new(0),
-            snapshots_written: AtomicU64::new(0),
-            journal_records: AtomicU64::new(0),
-            journal_bytes: AtomicU64::new(0),
             snapshot_requested: AtomicBool::new(false),
             suspended: AtomicBool::new(false),
-            suspensions: AtomicU64::new(0),
-            io_retries: AtomicU64::new(0),
-            snapshot_fallbacks: AtomicU64::new(0),
-            fsync_seconds: Histogram::new(&exponential_buckets(16e-6, 4.0, 10)),
-            snapshot_seconds: Histogram::new(&exponential_buckets(256e-6, 4.0, 8)),
+            snapshots_written: counter(
+                "pathcost_persist_snapshots_total",
+                "Snapshots published by this process.",
+            ),
+            snapshot_fallbacks: counter(
+                "pathcost_persist_snapshot_fallbacks_total",
+                "Snapshot attempts that fell back down the IO-fault ladder.",
+            ),
+            suspensions: counter(
+                "pathcost_persist_suspensions_total",
+                "Times persistence entered the suspended state.",
+            ),
+            io_retries: counter(
+                "pathcost_persist_io_retries_total",
+                "Transient IO errors retried by the ingest path.",
+            ),
+            replayed_records: counter(
+                "pathcost_persist_replayed_records_total",
+                "Journal records replayed during the last recovery.",
+            ),
+            corrupt_generations_skipped: counter(
+                "pathcost_persist_corrupt_generations_total",
+                "Snapshot generations skipped as corrupt during recovery.",
+            ),
+            recovered_snapshot_epoch: gauge(
+                "pathcost_persist_recovered_snapshot_epoch",
+                "Epoch of the snapshot this process recovered from (0 = none).",
+            ),
+            snapshot_epoch: gauge(
+                "pathcost_persist_snapshot_epoch",
+                "Epoch of the most recent published snapshot (0 = none).",
+            ),
+            journal_records: gauge(
+                "pathcost_persist_journal_records",
+                "Valid records currently in the journal.",
+            ),
+            journal_bytes: gauge(
+                "pathcost_persist_journal_bytes",
+                "Current journal size in bytes.",
+            ),
+            suspended_gauge: gauge(
+                "pathcost_persist_suspended",
+                "1 while persistence is suspended (serving-only mode).",
+            ),
+            fsync_seconds: registry.histogram(
+                "pathcost_persist_fsync_seconds",
+                "Journal fsync latency.",
+                &[],
+                &exponential_buckets(16e-6, 4.0, 10),
+            ),
+            snapshot_seconds: registry.histogram(
+                "pathcost_persist_snapshot_seconds",
+                "End-to-end snapshot publish duration.",
+                &[],
+                &exponential_buckets(256e-6, 4.0, 8),
+            ),
+            registry,
         }
     }
 }
@@ -124,6 +166,14 @@ impl PersistenceStatus {
         Self::default()
     }
 
+    /// The registry holding every `pathcost_persist_*` family — render it
+    /// for `/metrics`.
+    pub fn registry(&self) -> &Registry {
+        &self.registry
+    }
+
+    /// Records how this process start obtained its state. Called once per
+    /// process: the replay and corrupt-generation counts are counters.
     pub fn record_recovery(
         &self,
         outcome: RecoveryOutcome,
@@ -133,22 +183,20 @@ impl PersistenceStatus {
     ) {
         self.recovery_outcome
             .store(outcome.as_u8(), Ordering::Relaxed);
-        self.recovered_snapshot_epoch
-            .store(snapshot_epoch, Ordering::Relaxed);
-        self.replayed_records.store(replayed, Ordering::Relaxed);
-        self.corrupt_generations_skipped
-            .store(corrupt_skipped, Ordering::Relaxed);
+        self.recovered_snapshot_epoch.set(snapshot_epoch as f64);
+        self.replayed_records.add(replayed);
+        self.corrupt_generations_skipped.add(corrupt_skipped);
     }
 
     pub fn record_snapshot(&self, epoch: u64, unix_ms: u64) {
-        self.snapshot_epoch.store(epoch, Ordering::Relaxed);
+        self.snapshot_epoch.set(epoch as f64);
         self.snapshot_unix_ms.store(unix_ms, Ordering::Relaxed);
-        self.snapshots_written.fetch_add(1, Ordering::Relaxed);
+        self.snapshots_written.inc();
     }
 
     pub fn record_journal(&self, records: u64, bytes: u64) {
-        self.journal_records.store(records, Ordering::Relaxed);
-        self.journal_bytes.store(bytes, Ordering::Relaxed);
+        self.journal_records.set(records as f64);
+        self.journal_bytes.set(bytes as f64);
     }
 
     /// Flags that an operator asked for a snapshot; the ingest-owning thread
@@ -166,8 +214,9 @@ impl PersistenceStatus {
     /// Counts a suspension only on the false → true transition.
     pub fn set_suspended(&self, suspended: bool) {
         let was = self.suspended.swap(suspended, Ordering::Relaxed);
+        self.suspended_gauge.set(f64::from(u8::from(suspended)));
         if suspended && !was {
-            self.suspensions.fetch_add(1, Ordering::Relaxed);
+            self.suspensions.inc();
         }
     }
 
@@ -179,27 +228,27 @@ impl PersistenceStatus {
 
     /// Times persistence entered the suspended state over process lifetime.
     pub fn suspensions(&self) -> u64 {
-        self.suspensions.load(Ordering::Relaxed)
+        self.suspensions.get()
     }
 
     /// Counts one transient IO error that the ingest path retried.
     pub fn record_io_retry(&self) {
-        self.io_retries.fetch_add(1, Ordering::Relaxed);
+        self.io_retries.inc();
     }
 
     /// Transient IO errors retried by the ingest path.
     pub fn io_retries(&self) -> u64 {
-        self.io_retries.load(Ordering::Relaxed)
+        self.io_retries.get()
     }
 
     /// Counts one snapshot attempt that fell back down the IO-fault ladder.
     pub fn record_snapshot_fallback(&self) {
-        self.snapshot_fallbacks.fetch_add(1, Ordering::Relaxed);
+        self.snapshot_fallbacks.inc();
     }
 
     /// Snapshot attempts that could not be published and fell back.
     pub fn snapshot_fallbacks(&self) -> u64 {
-        self.snapshot_fallbacks.load(Ordering::Relaxed)
+        self.snapshot_fallbacks.get()
     }
 
     /// Records the duration of one journal fsync (or fsync-equivalent flush).
@@ -207,7 +256,7 @@ impl PersistenceStatus {
         self.fsync_seconds.observe_duration(took);
     }
 
-    /// Distribution of journal fsync latencies, for `/metrics`.
+    /// Distribution of journal fsync latencies.
     pub fn fsync_latency(&self) -> HistogramSnapshot {
         self.fsync_seconds.snapshot()
     }
@@ -217,7 +266,7 @@ impl PersistenceStatus {
         self.snapshot_seconds.observe_duration(took);
     }
 
-    /// Distribution of snapshot publish durations, for `/metrics`.
+    /// Distribution of snapshot publish durations.
     pub fn snapshot_duration(&self) -> HistogramSnapshot {
         self.snapshot_seconds.snapshot()
     }
@@ -227,19 +276,19 @@ impl PersistenceStatus {
     }
 
     pub fn recovered_snapshot_epoch(&self) -> u64 {
-        self.recovered_snapshot_epoch.load(Ordering::Relaxed)
+        self.recovered_snapshot_epoch.get() as u64
     }
 
     pub fn replayed_records(&self) -> u64 {
-        self.replayed_records.load(Ordering::Relaxed)
+        self.replayed_records.get()
     }
 
     pub fn corrupt_generations_skipped(&self) -> u64 {
-        self.corrupt_generations_skipped.load(Ordering::Relaxed)
+        self.corrupt_generations_skipped.get()
     }
 
     pub fn snapshot_epoch(&self) -> u64 {
-        self.snapshot_epoch.load(Ordering::Relaxed)
+        self.snapshot_epoch.get() as u64
     }
 
     pub fn snapshot_unix_ms(&self) -> u64 {
@@ -247,15 +296,15 @@ impl PersistenceStatus {
     }
 
     pub fn snapshots_written(&self) -> u64 {
-        self.snapshots_written.load(Ordering::Relaxed)
+        self.snapshots_written.get()
     }
 
     pub fn journal_records(&self) -> u64 {
-        self.journal_records.load(Ordering::Relaxed)
+        self.journal_records.get() as u64
     }
 
     pub fn journal_bytes(&self) -> u64 {
-        self.journal_bytes.load(Ordering::Relaxed)
+        self.journal_bytes.get() as u64
     }
 }
 
@@ -274,13 +323,16 @@ mod tests {
 
     #[test]
     fn recovery_outcome_round_trips() {
-        let s = PersistenceStatus::new();
-        assert_eq!(s.recovery_outcome(), RecoveryOutcome::Unknown);
+        assert_eq!(
+            PersistenceStatus::new().recovery_outcome(),
+            RecoveryOutcome::Unknown
+        );
         for outcome in [
             RecoveryOutcome::Cold,
             RecoveryOutcome::Warm,
             RecoveryOutcome::Discarded,
         ] {
+            let s = PersistenceStatus::new();
             s.record_recovery(outcome, 7, 3, 1);
             assert_eq!(s.recovery_outcome(), outcome);
             assert_eq!(s.recovered_snapshot_epoch(), 7);
@@ -321,7 +373,7 @@ mod tests {
     }
 
     #[test]
-    fn durability_latency_histograms_accumulate() {
+    fn durability_histograms_accumulate() {
         let s = PersistenceStatus::new();
         s.record_fsync(Duration::from_micros(120));
         s.record_fsync(Duration::from_millis(3));

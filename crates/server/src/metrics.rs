@@ -1,33 +1,21 @@
-//! The `/metrics` Prometheus exposition and the server's own telemetry.
+//! The server's own telemetry and the `GET /metrics` page.
 //!
-//! Two sources feed one page:
-//!
-//! * **Registry-backed instruments** ([`ServerObs`]) for telemetry that has
-//!   no prior home: per-status-class request counters, the open-connection
-//!   gauge, write-timeout and slow-query counters, per-stage latency
-//!   histograms fed from finished traces, and `pathcost_build_info`.
-//! * **Derived series**, rendered at scrape time from the same
-//!   single-source-of-truth snapshots that `GET /stats` reads
-//!   ([`ServiceStats`], the admission queue's gauges, the per-shard cache
-//!   counters, [`PersistenceStatus`]) — so `/stats` and `/metrics` cannot
-//!   disagree: they are two encodings of one read.
-//!
-//! Power-of-two [`LatencySnapshot`] histograms are converted to Prometheus
-//! `le`-second buckets exactly (bucket `i`'s upper edge `2^(i+1)` µs); the
-//! `_sum` is exact where the recorder tracks it (`latency_micros_sum`) and
-//! a conservative upper-edge approximation otherwise.
+//! Every layer owns a [`Registry`] holding the instruments it registered at
+//! construction: the engine (queries, cache, regimes, ingest), the admission
+//! queue (depth, degradation, queue-wait and end-to-end latency), the
+//! optional [`PersistenceStatus`], and [`ServerObs`] here (status classes,
+//! connections, write timeouts, slow queries, per-stage latency from
+//! finished traces, build info, uptime). [`render`] is those registries, in
+//! that fixed order, on one page; `GET /stats` reads the same handles
+//! through the layers' typed views, so the two endpoints cannot disagree.
 
 use crate::server::ServerConfig;
 use pathcost_obs::{
-    exponential_buckets, Counter, ExpositionWriter, FinishedTrace, Gauge, Histogram,
-    HistogramSnapshot, MetricKind, Registry, Stage, TraceRing, STAGE_COUNT,
+    exponential_buckets, Counter, ExpositionWriter, FinishedTrace, Gauge, Histogram, Registry,
+    Stage, TraceRing, STAGE_COUNT,
 };
 use pathcost_persist::PersistenceStatus;
-use pathcost_service::{
-    LatencySnapshot, RegimeTally, ServiceStats, ShardCounters, FALLBACK_DEPTH_BUCKETS,
-    LATENCY_BUCKETS,
-};
-use std::collections::BTreeMap;
+use pathcost_service::{AdmissionQueue, QueryEngine};
 use std::time::Instant;
 
 /// Status classes tracked by `pathcost_http_requests_total`.
@@ -39,6 +27,8 @@ pub(crate) struct ServerObs {
     registry: Registry,
     /// Process-start instant: `/healthz` uptime and `pathcost_uptime_seconds`.
     pub started: Instant,
+    /// `pathcost_uptime_seconds`, set from `started` just before a render.
+    uptime: Gauge,
     /// Recently finished request traces, newest first (`GET /debug/traces`).
     pub traces: TraceRing,
     /// `pathcost_http_requests_total{class=...}`, indexed like [`CLASSES`].
@@ -64,7 +54,12 @@ impl ServerObs {
                 "Build metadata; the value is always 1.",
                 &[("version", env!("CARGO_PKG_VERSION"))],
             )
-            .set(1);
+            .set(1.0);
+        let uptime = registry.gauge(
+            "pathcost_uptime_seconds",
+            "Seconds since the server started.",
+            &[],
+        );
         let requests = CLASSES.map(|class| {
             registry.counter(
                 "pathcost_http_requests_total",
@@ -104,6 +99,7 @@ impl ServerObs {
         ServerObs {
             registry,
             started: Instant::now(),
+            uptime,
             traces: TraceRing::new(config.trace_ring_capacity),
             requests,
             connections,
@@ -135,496 +131,23 @@ impl ServerObs {
     }
 }
 
-/// Converts a power-of-two microsecond [`LatencySnapshot`] into the
-/// cumulative second-bounded form the exposition writer wants. The last
-/// power-of-two bucket (≥ ~36 minutes) folds into `+Inf`. `exact_sum_micros`
-/// supplies a true `_sum` where the recorder tracks one; otherwise the sum
-/// is approximated conservatively from bucket upper edges.
-fn latency_histogram(snap: &LatencySnapshot, exact_sum_micros: Option<u64>) -> HistogramSnapshot {
-    let mut bounds = Vec::with_capacity(LATENCY_BUCKETS - 1);
-    let mut cumulative = Vec::with_capacity(LATENCY_BUCKETS);
-    let mut running = 0u64;
-    let mut approx_sum_micros = 0.0f64;
-    for (i, &count) in snap.counts.iter().enumerate() {
-        running += count;
-        let upper_micros = (1u64 << (i + 1)) as f64;
-        approx_sum_micros += count as f64 * upper_micros;
-        if i < LATENCY_BUCKETS - 1 {
-            bounds.push(upper_micros / 1e6);
-            cumulative.push(running);
-        }
-    }
-    cumulative.push(running); // +Inf
-    let sum_micros = exact_sum_micros.map_or(approx_sum_micros, |s| s as f64);
-    HistogramSnapshot {
-        bounds,
-        cumulative,
-        sum: sum_micros / 1e6,
-    }
-}
-
-/// Everything `/metrics` derives that the registry does not own. All fields
-/// are point-in-time reads the connection thread takes under no locks the
-/// ingest or eval paths contend on.
-pub(crate) struct ScrapeView<'a> {
-    pub stats: &'a ServiceStats,
-    pub shards: &'a [ShardCounters],
-    pub epoch: u64,
-    pub queue_depth: usize,
-    pub queue_degraded: bool,
-    pub e2e: &'a LatencySnapshot,
-    pub queue_wait: &'a LatencySnapshot,
-    /// Per-regime cache tallies for non-global regimes, keyed by regime id.
-    pub regimes: &'a BTreeMap<u16, RegimeTally>,
-    pub persistence: Option<&'a PersistenceStatus>,
-}
-
-/// Renders the full exposition page: registry families first, then the
-/// derived series for every layer (admission, engine, cache, ingest,
-/// persistence). The output passes [`pathcost_obs::expo::validate`].
-pub(crate) fn render(obs: &ServerObs, view: &ScrapeView<'_>) -> String {
+/// Renders the full exposition page: the server's registry, then the
+/// admission queue's, the engine's and (when configured) persistence's. The
+/// output passes [`pathcost_obs::expo::validate`].
+pub(crate) fn render(
+    obs: &ServerObs,
+    queue: &AdmissionQueue,
+    engine: &QueryEngine<'_>,
+    persistence: Option<&PersistenceStatus>,
+) -> String {
+    obs.uptime.set(obs.started.elapsed().as_secs_f64());
     let mut w = ExpositionWriter::new();
     obs.registry.render_into(&mut w);
-
-    let stats = view.stats;
-    w.family(
-        "pathcost_uptime_seconds",
-        MetricKind::Gauge,
-        "Seconds since the server started.",
-    );
-    w.sample(
-        "pathcost_uptime_seconds",
-        &[],
-        obs.started.elapsed().as_secs_f64(),
-    );
-    w.family(
-        "pathcost_epoch",
-        MetricKind::Gauge,
-        "Currently published weight-function epoch.",
-    );
-    w.sample("pathcost_epoch", &[], view.epoch as f64);
-
-    // --- admission ---
-    w.family(
-        "pathcost_admission_queue_depth",
-        MetricKind::Gauge,
-        "Requests admitted and not yet dispatched.",
-    );
-    w.sample(
-        "pathcost_admission_queue_depth",
-        &[],
-        view.queue_depth as f64,
-    );
-    w.family(
-        "pathcost_admission_degraded",
-        MetricKind::Gauge,
-        "1 while the load-watermark policy is degrading service.",
-    );
-    w.sample(
-        "pathcost_admission_degraded",
-        &[],
-        if view.queue_degraded { 1.0 } else { 0.0 },
-    );
-    w.family(
-        "pathcost_admission_shed_total",
-        MetricKind::Counter,
-        "Requests shed in the queue on an expired deadline (answered 504).",
-    );
-    w.sample(
-        "pathcost_admission_shed_total",
-        &[],
-        stats.shed_deadline as f64,
-    );
-    w.family(
-        "pathcost_admission_rejected_degraded_total",
-        MetricKind::Counter,
-        "Submissions refused at the admission door while degraded (answered 429).",
-    );
-    w.sample(
-        "pathcost_admission_rejected_degraded_total",
-        &[],
-        stats.rejected_degraded as f64,
-    );
-    w.family(
-        "pathcost_admission_queue_wait_seconds",
-        MetricKind::Histogram,
-        "Time admitted requests waited before dispatch.",
-    );
-    w.histogram(
-        "pathcost_admission_queue_wait_seconds",
-        &[],
-        &latency_histogram(view.queue_wait, None),
-    );
-    w.family(
-        "pathcost_request_e2e_seconds",
-        MetricKind::Histogram,
-        "End-to-end request latency (submit to answered ticket).",
-    );
-    w.histogram(
-        "pathcost_request_e2e_seconds",
-        &[],
-        &latency_histogram(view.e2e, None),
-    );
-    w.family(
-        "pathcost_batches_total",
-        MetricKind::Counter,
-        "Cross-connection batches dispatched.",
-    );
-    w.sample("pathcost_batches_total", &[], stats.batches as f64);
-    w.family(
-        "pathcost_batch_requests_total",
-        MetricKind::Counter,
-        "Requests that arrived inside dispatched batches.",
-    );
-    w.sample(
-        "pathcost_batch_requests_total",
-        &[],
-        stats.batch_requests as f64,
-    );
-    w.family(
-        "pathcost_batch_jobs_deduplicated_total",
-        MetricKind::Counter,
-        "Estimation jobs skipped via intra-batch (path, interval) sharing.",
-    );
-    w.sample(
-        "pathcost_batch_jobs_deduplicated_total",
-        &[],
-        stats.batch_jobs_deduplicated as f64,
-    );
-
-    // --- engine ---
-    w.family(
-        "pathcost_queries_total",
-        MetricKind::Counter,
-        "Queries served by kind (including failed ones).",
-    );
-    for (kind, count) in [
-        ("estimate", stats.estimate_queries),
-        ("probability", stats.probability_queries),
-        ("rank", stats.rank_queries),
-        ("route", stats.route_queries),
-    ] {
-        w.sample("pathcost_queries_total", &[("kind", kind)], count as f64);
+    queue.registry().render_into(&mut w);
+    engine.registry().render_into(&mut w);
+    if let Some(status) = persistence {
+        status.registry().render_into(&mut w);
     }
-    w.family(
-        "pathcost_query_errors_total",
-        MetricKind::Counter,
-        "Queries that returned an error.",
-    );
-    w.sample("pathcost_query_errors_total", &[], stats.errors as f64);
-    w.family(
-        "pathcost_query_seconds",
-        MetricKind::Histogram,
-        "Per-query evaluation latency, all outcomes merged (exact sum).",
-    );
-    w.histogram(
-        "pathcost_query_seconds",
-        &[],
-        &latency_histogram(&stats.latency, Some(stats.latency_micros_sum)),
-    );
-    w.family(
-        "pathcost_query_outcome_seconds",
-        MetricKind::Histogram,
-        "Per-query latency split by outcome (shed = queue wait until shed).",
-    );
-    for (outcome, snap) in [
-        ("ok", &stats.latency_ok),
-        ("failed", &stats.latency_failed),
-        ("shed", &stats.latency_shed),
-    ] {
-        w.histogram(
-            "pathcost_query_outcome_seconds",
-            &[("outcome", outcome)],
-            &latency_histogram(snap, None),
-        );
-    }
-    for (name, help, value) in [
-        (
-            "pathcost_deadline_exceeded_total",
-            "Requests answered DeadlineExceeded (shed or mid-evaluation).",
-            stats.deadline_exceeded,
-        ),
-        (
-            "pathcost_cancelled_total",
-            "Requests abandoned mid-evaluation by explicit cancellation.",
-            stats.cancelled,
-        ),
-        (
-            "pathcost_degraded_answers_total",
-            "Requests answered in degraded mode (no warm phase, capped budgets).",
-            stats.degraded_answers,
-        ),
-        (
-            "pathcost_panicked_queries_total",
-            "Query evaluations that panicked (contained, answered 500).",
-            stats.panicked_queries,
-        ),
-        (
-            "pathcost_estimations_total",
-            "Full estimator runs (cache misses that did the work).",
-            stats.estimations,
-        ),
-        (
-            "pathcost_prefix_warmed_jobs_total",
-            "Estimation jobs built by the prefix-sharing warm phase.",
-            stats.prefix_warmed_jobs,
-        ),
-        (
-            "pathcost_route_expansions_total",
-            "Partial paths popped and extended by the best-first router.",
-            stats.route_expansions,
-        ),
-        (
-            "pathcost_route_candidates_total",
-            "Complete candidate paths evaluated across Route searches.",
-            stats.route_candidates_evaluated,
-        ),
-        (
-            "pathcost_route_prunes_total",
-            "Partial paths dropped by the router's incumbent bound.",
-            stats.route_incumbent_prunes,
-        ),
-        (
-            "pathcost_route_cache_hits_total",
-            "Distribution-cache hits scored by Route candidate evaluations.",
-            stats.route_eval_cache_hits,
-        ),
-    ] {
-        w.family(name, MetricKind::Counter, help);
-        w.sample(name, &[], value as f64);
-    }
-
-    // --- cache (per shard + whole-cache series) ---
-    for (name, help, pick) in [
-        (
-            "pathcost_cache_hits_total",
-            "Distribution-cache hits by shard.",
-            (|c: &ShardCounters| c.hits) as fn(&ShardCounters) -> u64,
-        ),
-        (
-            "pathcost_cache_misses_total",
-            "Distribution-cache misses by shard.",
-            |c: &ShardCounters| c.misses,
-        ),
-        (
-            "pathcost_cache_evictions_total",
-            "LRU capacity evictions by shard (invalidation counted separately).",
-            |c: &ShardCounters| c.evictions,
-        ),
-    ] {
-        w.family(name, MetricKind::Counter, help);
-        for (i, shard) in view.shards.iter().enumerate() {
-            let label = i.to_string();
-            w.sample(name, &[("shard", &label)], pick(shard) as f64);
-        }
-    }
-    w.family(
-        "pathcost_cache_insertions_total",
-        MetricKind::Counter,
-        "Distribution-cache insertions (estimations plus warm fills).",
-    );
-    w.sample(
-        "pathcost_cache_insertions_total",
-        &[],
-        stats.cache_insertions as f64,
-    );
-    w.family(
-        "pathcost_cache_invalidation_evictions_total",
-        MetricKind::Counter,
-        "Entries evicted by live-update invalidation, by mechanism.",
-    );
-    for (mode, count) in [
-        ("tracked", stats.invalidation_tracked_evictions),
-        ("swept", stats.invalidation_swept_evictions),
-    ] {
-        w.sample(
-            "pathcost_cache_invalidation_evictions_total",
-            &[("mode", mode)],
-            count as f64,
-        );
-    }
-
-    // --- regimes ---
-    w.family(
-        "pathcost_regime_fallback_total",
-        MetricKind::Counter,
-        "Regime-tagged lookups by fallback-ladder depth (0 = regime-specific data).",
-    );
-    for (depth, count) in stats.regime_fallback.iter().enumerate() {
-        let label = if depth == FALLBACK_DEPTH_BUCKETS - 1 {
-            format!("{depth}+")
-        } else {
-            depth.to_string()
-        };
-        w.sample(
-            "pathcost_regime_fallback_total",
-            &[("depth", &label)],
-            *count as f64,
-        );
-    }
-    if !view.regimes.is_empty() {
-        for (name, help, pick) in [
-            (
-                "pathcost_regime_cache_hits_total",
-                "Distribution-cache hits by requested (non-global) regime.",
-                (|t: &RegimeTally| t.hits) as fn(&RegimeTally) -> u64,
-            ),
-            (
-                "pathcost_regime_cache_misses_total",
-                "Distribution-cache misses by requested (non-global) regime.",
-                |t: &RegimeTally| t.misses,
-            ),
-        ] {
-            w.family(name, MetricKind::Counter, help);
-            for (regime, tally) in view.regimes {
-                let label = regime.to_string();
-                w.sample(name, &[("regime", &label)], pick(tally) as f64);
-            }
-        }
-    }
-
-    // --- live ingest ---
-    w.family(
-        "pathcost_ingest_updates_total",
-        MetricKind::Counter,
-        "Live weight updates applied through apply_update.",
-    );
-    w.sample(
-        "pathcost_ingest_updates_total",
-        &[],
-        stats.ingest_updates as f64,
-    );
-    w.family(
-        "pathcost_ingest_publish_seconds",
-        MetricKind::Histogram,
-        "Wall time each update spent publishing its epoch (swap + invalidation).",
-    );
-    w.histogram(
-        "pathcost_ingest_publish_seconds",
-        &[],
-        &latency_histogram(&stats.ingest_publish_latency, None),
-    );
-    w.family(
-        "pathcost_ingest_trajectories_total",
-        MetricKind::Counter,
-        "Trajectories appended across applied updates.",
-    );
-    w.sample(
-        "pathcost_ingest_trajectories_total",
-        &[],
-        stats.ingest_trajectories as f64,
-    );
-    w.family(
-        "pathcost_ingest_trajectories_retired_total",
-        MetricKind::Counter,
-        "Trajectories retired (TTL or removal) across applied updates.",
-    );
-    w.sample(
-        "pathcost_ingest_trajectories_retired_total",
-        &[],
-        stats.ingest_trajectories_retired as f64,
-    );
-    w.family(
-        "pathcost_ingest_variables_total",
-        MetricKind::Counter,
-        "Weight-function variables touched by updates, by operation.",
-    );
-    for (op, count) in [
-        ("updated", stats.ingest_variables_updated),
-        ("added", stats.ingest_variables_added),
-        ("removed", stats.ingest_variables_removed),
-    ] {
-        w.sample(
-            "pathcost_ingest_variables_total",
-            &[("op", op)],
-            count as f64,
-        );
-    }
-
-    // --- persistence ---
-    if let Some(status) = view.persistence {
-        for (name, help, value) in [
-            (
-                "pathcost_persist_snapshots_total",
-                "Snapshots published by this process.",
-                status.snapshots_written(),
-            ),
-            (
-                "pathcost_persist_snapshot_fallbacks_total",
-                "Snapshot attempts that fell back down the IO-fault ladder.",
-                status.snapshot_fallbacks(),
-            ),
-            (
-                "pathcost_persist_suspensions_total",
-                "Times persistence entered the suspended state.",
-                status.suspensions(),
-            ),
-            (
-                "pathcost_persist_io_retries_total",
-                "Transient IO errors retried by the ingest path.",
-                status.io_retries(),
-            ),
-            (
-                "pathcost_persist_replayed_records_total",
-                "Journal records replayed during the last recovery.",
-                status.replayed_records(),
-            ),
-            (
-                "pathcost_persist_corrupt_generations_total",
-                "Snapshot generations skipped as corrupt during recovery.",
-                status.corrupt_generations_skipped(),
-            ),
-        ] {
-            w.family(name, MetricKind::Counter, help);
-            w.sample(name, &[], value as f64);
-        }
-        for (name, help, value) in [
-            (
-                "pathcost_persist_snapshot_epoch",
-                "Epoch of the most recent published snapshot (0 = none).",
-                status.snapshot_epoch() as f64,
-            ),
-            (
-                "pathcost_persist_journal_records",
-                "Valid records currently in the journal.",
-                status.journal_records() as f64,
-            ),
-            (
-                "pathcost_persist_journal_bytes",
-                "Current journal size in bytes.",
-                status.journal_bytes() as f64,
-            ),
-            (
-                "pathcost_persist_suspended",
-                "1 while persistence is suspended (serving-only mode).",
-                if status.suspended() { 1.0 } else { 0.0 },
-            ),
-        ] {
-            w.family(name, MetricKind::Gauge, help);
-            w.sample(name, &[], value);
-        }
-        w.family(
-            "pathcost_persist_fsync_seconds",
-            MetricKind::Histogram,
-            "Journal fsync latency.",
-        );
-        w.histogram(
-            "pathcost_persist_fsync_seconds",
-            &[],
-            &status.fsync_latency(),
-        );
-        w.family(
-            "pathcost_persist_snapshot_seconds",
-            MetricKind::Histogram,
-            "End-to-end snapshot publish duration.",
-        );
-        w.histogram(
-            "pathcost_persist_snapshot_seconds",
-            &[],
-            &status.snapshot_duration(),
-        );
-    }
-
     w.finish()
 }
 
@@ -635,29 +158,8 @@ mod tests {
     use pathcost_obs::ActiveTrace;
     use std::time::Duration;
 
-    fn sample_view<'a>(
-        stats: &'a ServiceStats,
-        shards: &'a [ShardCounters],
-        e2e: &'a LatencySnapshot,
-        queue_wait: &'a LatencySnapshot,
-        regimes: &'a BTreeMap<u16, RegimeTally>,
-        persistence: Option<&'a PersistenceStatus>,
-    ) -> ScrapeView<'a> {
-        ScrapeView {
-            stats,
-            shards,
-            epoch: 3,
-            queue_depth: 2,
-            queue_degraded: true,
-            e2e,
-            queue_wait,
-            regimes,
-            persistence,
-        }
-    }
-
     #[test]
-    fn rendered_page_validates_with_and_without_persistence() {
+    fn finished_traces_feed_class_counters_and_stage_histograms() {
         let obs = ServerObs::new(&ServerConfig::default());
         let trace = ActiveTrace::start("t1".to_string(), "/query".to_string());
         trace.record(Stage::Eval, Duration::from_micros(250));
@@ -665,80 +167,15 @@ mod tests {
         obs.observe_request(&trace.finish(200));
         obs.observe_request(&trace.finish(0)); // aborted write
 
-        let mut regime_fallback = [0u64; FALLBACK_DEPTH_BUCKETS];
-        regime_fallback[1] = 3;
-        regime_fallback[FALLBACK_DEPTH_BUCKETS - 1] = 2;
-        let stats = ServiceStats {
-            estimate_queries: 4,
-            latency_micros_sum: 1_000,
-            rejected_degraded: 6,
-            regime_fallback,
-            ..ServiceStats::default()
-        };
-        let shards = vec![ShardCounters::default(); 4];
-        let mut e2e = LatencySnapshot::default();
-        e2e.counts[3] = 7;
-        e2e.max_micros = 12;
-        let queue_wait = LatencySnapshot::default();
-        let regimes = BTreeMap::from([(2u16, RegimeTally { hits: 5, misses: 1 })]);
-
-        let page = render(
-            &obs,
-            &sample_view(&stats, &shards, &e2e, &queue_wait, &regimes, None),
-        );
-        validate(&page).expect("page without persistence validates");
+        let mut w = ExpositionWriter::new();
+        obs.registry.render_into(&mut w);
+        let page = w.finish();
+        validate(&page).expect("server registry renders a valid page");
         assert!(page.contains("pathcost_build_info{version="));
         assert!(page.contains("pathcost_http_requests_total{class=\"2xx\"} 1"));
         assert!(page.contains("pathcost_http_requests_total{class=\"aborted\"} 1"));
-        assert!(page.contains("pathcost_admission_degraded 1"));
-        assert!(page.contains("pathcost_admission_rejected_degraded_total 6"));
-        assert!(page.contains("pathcost_queries_total{kind=\"estimate\"} 4"));
-        assert!(page.contains("pathcost_cache_hits_total{shard=\"3\"}"));
-        assert!(page.contains("pathcost_regime_fallback_total{depth=\"1\"} 3"));
-        assert!(page.contains("pathcost_regime_fallback_total{depth=\"4+\"} 2"));
-        assert!(page.contains("pathcost_regime_cache_hits_total{regime=\"2\"} 5"));
-        assert!(page.contains("pathcost_regime_cache_misses_total{regime=\"2\"} 1"));
-        assert!(!page.contains("pathcost_persist_"));
-
-        let status = PersistenceStatus::new();
-        status.record_fsync(Duration::from_micros(90));
-        status.record_snapshot(5, 1_000);
-        let no_regimes = BTreeMap::new();
-        let page = render(
-            &obs,
-            &sample_view(
-                &stats,
-                &shards,
-                &e2e,
-                &queue_wait,
-                &no_regimes,
-                Some(&status),
-            ),
-        );
-        validate(&page).expect("page with persistence validates");
-        assert!(page.contains("pathcost_persist_snapshots_total 1"));
-        assert!(page.contains("pathcost_persist_fsync_seconds_count 1"));
-        assert!(
-            !page.contains("pathcost_regime_cache_hits_total"),
-            "per-regime series omitted when no regime traffic was seen"
-        );
-    }
-
-    #[test]
-    fn latency_conversion_is_cumulative_and_exact_about_counts() {
-        let mut snap = LatencySnapshot::default();
-        snap.counts[0] = 2; // [1, 2) µs
-        snap.counts[3] = 5; // [8, 16) µs
-        snap.counts[LATENCY_BUCKETS - 1] = 1; // folds into +Inf
-        snap.max_micros = u64::MAX;
-        let hist = latency_histogram(&snap, Some(100));
-        assert_eq!(hist.bounds.len(), LATENCY_BUCKETS - 1);
-        assert_eq!(hist.cumulative.len(), LATENCY_BUCKETS);
-        assert_eq!(hist.count(), 8);
-        assert_eq!(hist.cumulative[0], 2);
-        assert_eq!(hist.cumulative[3], 7);
-        assert_eq!(hist.cumulative[LATENCY_BUCKETS - 2], 7, "last finite bound");
-        assert!((hist.sum - 100e-6).abs() < 1e-12, "exact sum wins");
-        assert!((hist.bounds[0] - 2e-6).abs() < 1e-18, "2 µs upper edge");
+        assert!(page.contains("pathcost_request_stage_seconds_count{stage=\"eval\"} 2"));
+        // Stages the request never entered are skipped, not filed as zero.
+        assert!(page.contains("pathcost_request_stage_seconds_count{stage=\"queue\"} 0"));
     }
 }

@@ -18,7 +18,7 @@
 
 use crate::http::{self, HttpError, Limits};
 use crate::json;
-use crate::metrics::{self, ScrapeView, ServerObs};
+use crate::metrics::{self, ServerObs};
 use crate::wire;
 use crate::ServerError;
 use pathcost_obs::log as obslog;
@@ -178,7 +178,7 @@ impl Server {
                             continue;
                         }
                         active.fetch_add(1, Ordering::AcqRel);
-                        obs.connections.add(1);
+                        obs.connections.add(1.0);
                         let conn = Connection {
                             engine,
                             queue: &queue,
@@ -191,7 +191,7 @@ impl Server {
                         scope.spawn(move || {
                             conn.serve(stream);
                             active.fetch_sub(1, Ordering::AcqRel);
-                            connections.sub(1);
+                            connections.sub(1.0);
                         });
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -549,22 +549,11 @@ impl Connection<'_, '_> {
                 write(writer, 200, "OK", body.to_string())
             }
             ("GET", "/metrics") => {
-                let stats = self.engine.stats();
-                let shards = self.engine.cache().per_shard_counters();
-                let regimes = self.engine.regime_stats();
                 let page = metrics::render(
                     self.obs,
-                    &ScrapeView {
-                        stats: &stats,
-                        shards: &shards,
-                        epoch: self.engine.epoch(),
-                        queue_depth: self.queue.len(),
-                        queue_degraded: self.queue.degraded(),
-                        e2e: &self.queue.latency(),
-                        queue_wait: &self.queue.queue_wait(),
-                        regimes: &regimes,
-                        persistence: self.config.persistence.as_deref(),
-                    },
+                    self.queue,
+                    self.engine,
+                    self.config.persistence.as_deref(),
                 );
                 self.write_traced(
                     writer,

@@ -27,12 +27,14 @@
 
 use crate::json::Json;
 use pathcost_hist::Histogram1D;
+use pathcost_obs::HistogramSnapshot;
 use pathcost_roadnet::{EdgeId, Path, VertexId};
 use pathcost_routing::RouteResult;
 use pathcost_service::{
-    LatencySnapshot, QueryOutcome, QueryRequest, QueryStats, RegimeId, ServiceError, ServiceStats,
+    QueryOutcome, QueryRequest, QueryStats, RegimeId, ServiceError, ServiceStats,
 };
 use pathcost_traj::Timestamp;
+use std::time::Duration;
 
 /// Decodes one request object into a typed [`QueryRequest`].
 pub fn decode_request(value: &Json) -> Result<QueryRequest, String> {
@@ -307,12 +309,15 @@ pub fn encode_error(message: &str) -> Json {
     Json::object(vec![("error", Json::String(message.to_string()))])
 }
 
-fn encode_latency(latency: &LatencySnapshot) -> Json {
+/// A latency histogram (seconds) as its count plus whole-microsecond
+/// p50 / p99 / max.
+fn encode_latency(latency: &HistogramSnapshot) -> Json {
+    let micros = |seconds: f64| Json::Number(Duration::from_secs_f64(seconds).as_micros() as f64);
     Json::object(vec![
-        ("count", Json::Number(latency.total() as f64)),
-        ("p50_us", Json::Number(latency.p50().as_micros() as f64)),
-        ("p99_us", Json::Number(latency.p99().as_micros() as f64)),
-        ("max_us", Json::Number(latency.max().as_micros() as f64)),
+        ("count", Json::Number(latency.count() as f64)),
+        ("p50_us", micros(latency.p50())),
+        ("p99_us", micros(latency.p99())),
+        ("max_us", micros(latency.max)),
     ])
 }
 
@@ -320,12 +325,12 @@ fn encode_latency(latency: &LatencySnapshot) -> Json {
 /// admission queue's gauges (end-to-end and queue-wait latency histograms,
 /// current depth, degradation state), the worker-pool size and — when
 /// persistence is configured — the same persistence block `/healthz`
-/// carries. `/metrics` derives its series from these same snapshots, so the
-/// two endpoints agree by construction.
+/// carries. Every number is read off the instrument `/metrics` renders, so
+/// the two endpoints agree by construction.
 pub fn encode_stats(
     stats: &ServiceStats,
-    e2e: &LatencySnapshot,
-    queue_wait: &LatencySnapshot,
+    e2e: &HistogramSnapshot,
+    queue_wait: &HistogramSnapshot,
     queue_depth: usize,
     degraded: bool,
     workers: usize,
@@ -521,10 +526,10 @@ mod tests {
     }
 
     #[test]
-    fn stats_payload_carries_both_latency_histograms() {
+    fn stats_payload_carries_both_latency_distributions() {
         let stats = ServiceStats::default();
-        let e2e = LatencySnapshot::default();
-        let queue_wait = LatencySnapshot::default();
+        let e2e = HistogramSnapshot::default();
+        let queue_wait = HistogramSnapshot::default();
         let encoded = encode_stats(&stats, &e2e, &queue_wait, 3, true, 8, None);
         assert_eq!(encoded.get("queue_depth").unwrap().as_u64(), Some(3));
         assert_eq!(encoded.get("degraded").unwrap(), &Json::Bool(true));

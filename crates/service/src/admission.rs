@@ -39,16 +39,18 @@
 //! `queue.dispatch(&engine)` on a scoped thread; tests can run it inline.
 //!
 //! End-to-end latency (submit → completion, i.e. queue wait + linger +
-//! execution) is recorded into a [`LatencySnapshot`] separate from the
-//! engine's per-query execution histogram, so `/stats` can report both the
-//! work latency and the latency a client actually experienced.
+//! execution) is recorded into a histogram separate from the engine's
+//! per-query execution histogram, so `/stats` can report both the work
+//! latency and the latency a client actually experienced. The queue owns the
+//! [`Registry`] its families (`pathcost_admission_*`,
+//! `pathcost_request_e2e_seconds`) are registered in.
 
 use crate::deadline::RequestContext;
 use crate::engine::{stop_error, QueryEngine};
 use crate::error::ServiceError;
 use crate::request::{QueryOutcome, QueryRequest};
-use crate::stats::{LatencyRecorder, LatencySnapshot};
-use pathcost_obs::{log as obslog, Stage};
+use crate::stats::latency_bounds;
+use pathcost_obs::{log as obslog, Gauge, Histogram, HistogramSnapshot, Registry, Stage};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -144,10 +146,14 @@ pub struct AdmissionQueue {
     config: AdmissionConfig,
     state: Mutex<QueueState>,
     not_empty: Condvar,
-    latency: LatencyRecorder,
+    registry: Registry,
+    /// Set from the live state by [`Self::registry`], just before a render.
+    depth_gauge: Gauge,
+    degraded_gauge: Gauge,
     /// Pure queue wait (submit → batch pickup, linger included) — the
     /// component of [`Self::latency`] the spans disentangle from execution.
-    queue_wait: LatencyRecorder,
+    queue_wait: Histogram,
+    latency: Histogram,
     /// Last degradation state the dispatcher observed, for transition logs.
     was_degraded: AtomicBool,
 }
@@ -160,6 +166,8 @@ impl AdmissionQueue {
             max_batch: config.max_batch.max(1),
             ..config
         };
+        let registry = Registry::new();
+        let bounds = latency_bounds();
         AdmissionQueue {
             config,
             state: Mutex::new(QueueState {
@@ -167,10 +175,40 @@ impl AdmissionQueue {
                 closed: false,
             }),
             not_empty: Condvar::new(),
-            latency: LatencyRecorder::default(),
-            queue_wait: LatencyRecorder::default(),
+            depth_gauge: registry.gauge(
+                "pathcost_admission_queue_depth",
+                "Requests admitted and not yet dispatched.",
+                &[],
+            ),
+            degraded_gauge: registry.gauge(
+                "pathcost_admission_degraded",
+                "1 while the load-watermark policy is degrading service.",
+                &[],
+            ),
+            queue_wait: registry.histogram(
+                "pathcost_admission_queue_wait_seconds",
+                "Time admitted requests waited before dispatch.",
+                &[],
+                &bounds,
+            ),
+            latency: registry.histogram(
+                "pathcost_request_e2e_seconds",
+                "End-to-end request latency (submit to answered ticket).",
+                &[],
+                &bounds,
+            ),
+            registry,
             was_degraded: AtomicBool::new(false),
         }
+    }
+
+    /// The registry holding the queue's metric families, with the depth and
+    /// degradation gauges brought up to date — render it for `/metrics`.
+    pub fn registry(&self) -> &Registry {
+        self.depth_gauge.set(self.len() as f64);
+        self.degraded_gauge
+            .set(f64::from(u8::from(self.degraded())));
+        &self.registry
     }
 
     /// The configuration the queue was built with.
@@ -227,11 +265,7 @@ impl AdmissionQueue {
         // re-derived from the held state rather than through
         // [`Self::degraded`] — that accessor takes this same (non-reentrant)
         // lock.
-        let depth_degraded = state.pending.len() >= self.config.degrade_queue_depth;
-        if depth_degraded || {
-            let latency = self.latency.snapshot();
-            latency.total() > 0 && latency.p99() >= self.config.degrade_p99
-        } {
+        if state.pending.len() >= self.config.degrade_queue_depth || self.p99_breached() {
             return Err(ServiceError::Degraded);
         }
         if state.pending.len() + requests.len() > self.config.capacity {
@@ -269,7 +303,7 @@ impl AdmissionQueue {
     }
 
     /// Snapshot of the end-to-end (submit → completion) latency histogram.
-    pub fn latency(&self) -> LatencySnapshot {
+    pub fn latency(&self) -> HistogramSnapshot {
         self.latency.snapshot()
     }
 
@@ -277,7 +311,7 @@ impl AdmissionQueue {
     /// included) histogram — the queueing component of [`Self::latency`],
     /// recorded separately so queue pressure is not conflated with
     /// evaluation or write time.
-    pub fn queue_wait(&self) -> LatencySnapshot {
+    pub fn queue_wait(&self) -> HistogramSnapshot {
         self.queue_wait.snapshot()
     }
 
@@ -287,11 +321,15 @@ impl AdmissionQueue {
     /// dispatcher disables the batch warm phase and caps route candidate
     /// budgets, and the HTTP front-end reports the state on `/healthz`.
     pub fn degraded(&self) -> bool {
-        if self.len() >= self.config.degrade_queue_depth {
-            return true;
-        }
-        let latency = self.latency.snapshot();
-        latency.total() > 0 && latency.p99() >= self.config.degrade_p99
+        self.len() >= self.config.degrade_queue_depth || self.p99_breached()
+    }
+
+    /// Whether the end-to-end p99 (seconds, read off the live buckets without
+    /// allocating — this runs on every submit) has reached the watermark;
+    /// never before the first observation.
+    fn p99_breached(&self) -> bool {
+        let p99 = self.latency.quantile(0.99);
+        p99 > 0.0 && p99 >= self.config.degrade_p99.as_secs_f64()
     }
 
     /// Closes the queue: subsequent submits fail with
@@ -320,7 +358,7 @@ impl AdmissionQueue {
             let mut slots = Vec::with_capacity(batch.len());
             for pending in batch {
                 let queued = pending.submitted.elapsed();
-                self.queue_wait.record(queued);
+                self.queue_wait.observe_duration(queued);
                 if let Some(trace) = pending.context.trace() {
                     trace.record(Stage::Queue, queued);
                 }
@@ -329,7 +367,7 @@ impl AdmissionQueue {
                     // client abandoned the request) while it queued, so
                     // answer immediately instead of burning a worker.
                     engine.recorder.record_shed(pending.submitted.elapsed());
-                    self.latency.record(pending.submitted.elapsed());
+                    self.latency.observe_duration(pending.submitted.elapsed());
                     pending.slot.complete(Err(stop_error(&pending.context)));
                     continue;
                 }
@@ -355,13 +393,13 @@ impl AdmissionQueue {
                 engine.execute_batch_under(&requests, &contexts, degraded)
             }))
             .unwrap_or_else(|_| {
-                engine.recorder.record_panicked();
+                engine.recorder.panicked_queries.inc();
                 (0..requests.len())
                     .map(|_| Err(ServiceError::Internal("batch execution panicked")))
                     .collect()
             });
             for ((slot, submitted), result) in slots.into_iter().zip(results) {
-                self.latency.record(submitted.elapsed());
+                self.latency.observe_duration(submitted.elapsed());
                 slot.complete(result);
             }
         }
@@ -374,12 +412,11 @@ impl AdmissionQueue {
         if was == degraded {
             return;
         }
-        let latency = self.latency.snapshot();
         let fields = [
             ("queue_depth", obslog::Value::from(self.len())),
             (
                 "e2e_p99_us",
-                obslog::Value::from(latency.p99().as_micros().min(u128::from(u64::MAX)) as u64),
+                obslog::Value::from((self.latency.quantile(0.99) * 1e6) as u64),
             ),
         ];
         if degraded {
@@ -467,6 +504,36 @@ mod tests {
     }
 
     #[test]
+    fn registry_renders_exact_sums_and_live_gauges() {
+        with_engine(|_engine, store| {
+            let queue = AdmissionQueue::new(AdmissionConfig {
+                degrade_queue_depth: 1,
+                ..AdmissionConfig::default()
+            });
+            // Durations far from any bucket's upper edge, so a sum rebuilt
+            // from edges (up to 2x high) cannot pass for the real one.
+            queue.latency.observe_duration(Duration::from_micros(1_100));
+            queue.latency.observe_duration(Duration::from_micros(70));
+            queue
+                .queue_wait
+                .observe_duration(Duration::from_micros(300));
+            queue.submit(sample_request(store, 0)).unwrap();
+            for (series, want) in [
+                ("pathcost_request_e2e_seconds_sum", 1_170e-6),
+                ("pathcost_admission_queue_wait_seconds_sum", 300e-6),
+                ("pathcost_admission_queue_depth", 1.0),
+                ("pathcost_admission_degraded", 1.0),
+            ] {
+                let value = crate::stats::rendered_value(queue.registry(), series);
+                assert!(
+                    (value - want).abs() < 1e-6,
+                    "{series} = {value}, want {want}"
+                );
+            }
+        });
+    }
+
+    #[test]
     fn batched_dispatch_matches_direct_execution() {
         with_engine(|engine, store| {
             let queue = AdmissionQueue::new(AdmissionConfig {
@@ -529,7 +596,7 @@ mod tests {
             queue.dispatch(engine);
             assert!(ticket.wait().is_ok());
             assert!(queue.is_empty());
-            assert!(queue.latency().total() >= 1);
+            assert!(queue.latency().count() >= 1);
         });
     }
 
@@ -558,7 +625,7 @@ mod tests {
                 queue.close();
                 dispatcher.join().unwrap();
             });
-            assert_eq!(queue.latency().total(), 8);
+            assert_eq!(queue.latency().count(), 8);
         });
     }
 }

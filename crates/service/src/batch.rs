@@ -10,8 +10,9 @@
 //!    request in the batch — including each `Route` request's free-flow
 //!    fastest path, the predictable seed candidate of its best-first
 //!    search — deduplicate them (the shared-decomposition-work dedup), and
-//!    fan the unique jobs out across a scoped worker pool so the cache is
-//!    populated once per distinct job with no duplicated estimator work.
+//!    fan the unique jobs out across the persistent worker pool so the
+//!    cache is populated once per distinct job with no duplicated estimator
+//!    work.
 //! 2. **Answer** — execute the requests themselves (again fanned out across
 //!    the pool; `Route` searches do their real work here), each reading
 //!    through the now-warm cache.
@@ -43,7 +44,7 @@ use pathcost_roadnet::search::fastest_path;
 use pathcost_roadnet::{EdgeId, Path, VertexId};
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Mutex;
 
 /// One deduplicated warm-phase estimation job.
@@ -63,7 +64,7 @@ struct Job<'r> {
 
 impl QueryEngine<'_> {
     /// Executes a batch of queries, deduplicating shared estimation work and
-    /// fanning out across [`QueryEngine::worker_count`] scoped threads.
+    /// fanning out across [`QueryEngine::worker_count`] pool workers.
     ///
     /// Results come back in request order, each independently succeeding or
     /// failing; identical to running [`QueryEngine::execute`] per request,
@@ -222,16 +223,14 @@ impl QueryEngine<'_> {
                 );
             });
             self.warm_with_prefix_sharing(&jobs, &warm_counters, &abandoned);
-        } else if let Some(pool) = self
-            .batch_pool()
-            .filter(|p| p.width() > 1 && jobs.len() > 1)
-        {
+        } else if jobs.len() > 1 && self.batch_pool().width() > 1 {
             // Shard-pinned warm: route each fill to the worker that owns its
             // cache shard (worker = shard % width), so no two workers ever
             // take the same shard lock — fills proceed contention-free and
             // each worker's forward dependency records land in shards it
             // owns exclusively too (the index shards by the same
             // fingerprint bits).
+            let pool = self.batch_pool();
             let width = pool.width();
             let mut by_worker: Vec<Vec<&Job<'_>>> = (0..width).map(|_| Vec::new()).collect();
             for job in &jobs {
@@ -293,7 +292,7 @@ impl QueryEngine<'_> {
                 None => self.execute_under(&requests[i], &RequestContext::unbounded(), degraded),
             }))
             .unwrap_or_else(|_| {
-                self.recorder.record_panicked();
+                self.recorder.panicked_queries.inc();
                 Err(ServiceError::Internal("query evaluation panicked"))
             });
             *slots[i].lock().expect("batch slot poisoned") = Some(outcome);
@@ -477,34 +476,16 @@ impl QueryEngine<'_> {
             .record_prefix_warm(warmed, reuses, edges_reused);
     }
 
-    /// Runs `f(0..count)` across the worker pool: the engine's persistent
-    /// pool when [`ServiceConfig::persistent_pool`](crate::ServiceConfig) is
-    /// on, otherwise freshly spawned scoped threads (the pre-pool baseline);
-    /// inline when the pool or the work degenerates to one.
+    /// Runs `f(0..count)` across the engine's persistent worker pool; inline
+    /// when the pool or the work degenerates to one.
     fn for_each_index<F: Fn(usize) + Sync>(&self, count: usize, f: F) {
-        let workers = self.worker_count().min(count);
-        if workers <= 1 {
+        if self.worker_count().min(count) <= 1 {
             for i in 0..count {
                 f(i);
             }
             return;
         }
-        if let Some(pool) = self.batch_pool() {
-            pool.run(count, f);
-            return;
-        }
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= count {
-                        break;
-                    }
-                    f(i);
-                });
-            }
-        });
+        self.batch_pool().run(count, f);
     }
 }
 

@@ -24,9 +24,9 @@
 
 use pathcost_core::{mix_regime, IntervalId, RegimeId};
 use pathcost_hist::Histogram1D;
+use pathcost_obs::{Counter, Registry};
 use pathcost_roadnet::Path;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// A cached estimation result.
@@ -308,51 +308,73 @@ impl Shard {
     }
 }
 
-/// Per-shard hit/miss/eviction totals, exported with a `shard` label on
-/// `/metrics` so load imbalance across the fingerprint space is visible.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardCounters {
-    pub hits: u64,
-    pub misses: u64,
-    pub evictions: u64,
-}
-
-#[derive(Default)]
+/// One shard's hit/miss/eviction counters — the `shard`-labelled series on
+/// `/metrics`, so load imbalance across the fingerprint space is visible.
+/// They live outside the shard locks, and the whole-cache totals are their
+/// sums: a lookup touches only its own shard's counter, never a cache line
+/// every shard shares.
 struct ShardTally {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    hits: Counter,
+    misses: Counter,
+    evictions: Counter,
 }
 
 /// The sharded distribution cache.
 pub struct DistributionCache {
     shards: Vec<Mutex<Shard>>,
-    /// Per-shard counters, parallel to `shards` (outside the shard locks —
-    /// the aggregates below never lock either, and per-shard totals lagging
-    /// an in-flight operation is fine for monitoring).
+    /// Per-shard counters, parallel to `shards`.
     tallies: Vec<ShardTally>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    insertions: AtomicU64,
-    evictions: AtomicU64,
-    invalidations: AtomicU64,
+    insertions: Counter,
+    /// Targeted-invalidation evictions. Not a family of its own: `/metrics`
+    /// reports them by mechanism (`pathcost_cache_invalidation_evictions_total`).
+    invalidations: Counter,
 }
 
 impl DistributionCache {
-    /// A cache with `shards` shards of `shard_capacity` entries each.
+    /// A cache with `shards` shards of `shard_capacity` entries each, its
+    /// counters registered nowhere (read them through the accessors).
     pub fn new(shards: usize, shard_capacity: usize) -> Self {
+        Self::registered(shards, shard_capacity, &Registry::new())
+    }
+
+    /// As [`Self::new`], with the cache families registered in `registry`.
+    pub(crate) fn registered(shards: usize, shard_capacity: usize, registry: &Registry) -> Self {
         let shards = shards.max(1);
         let shard_capacity = shard_capacity.max(1);
+        // Each family stays one contiguous block on the page however its
+        // series are interleaved here.
+        let tallies = (0..shards)
+            .map(|shard| {
+                let shard = shard.to_string();
+                let counter =
+                    |name: &str, help: &str| registry.counter(name, help, &[("shard", &shard)]);
+                ShardTally {
+                    hits: counter(
+                        "pathcost_cache_hits_total",
+                        "Distribution-cache hits by shard.",
+                    ),
+                    misses: counter(
+                        "pathcost_cache_misses_total",
+                        "Distribution-cache misses by shard.",
+                    ),
+                    evictions: counter(
+                        "pathcost_cache_evictions_total",
+                        "LRU capacity evictions by shard (invalidation counted separately).",
+                    ),
+                }
+            })
+            .collect();
         DistributionCache {
             shards: (0..shards)
                 .map(|_| Mutex::new(Shard::new(shard_capacity)))
                 .collect(),
-            tallies: (0..shards).map(|_| ShardTally::default()).collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            insertions: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
+            tallies,
+            insertions: registry.counter(
+                "pathcost_cache_insertions_total",
+                "Distribution-cache insertions (estimations plus warm fills).",
+                &[],
+            ),
+            invalidations: Counter::new(),
         }
     }
 
@@ -392,20 +414,13 @@ impl DistributionCache {
             .lock()
             .expect("cache shard poisoned")
             .get(fingerprint, interval, regime, path);
-        match &found {
-            Some(_) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.tallies[shard_index]
-                    .hits
-                    .fetch_add(1, Ordering::Relaxed)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.tallies[shard_index]
-                    .misses
-                    .fetch_add(1, Ordering::Relaxed)
-            }
-        };
+        let tally = &self.tallies[shard_index];
+        if found.is_some() {
+            &tally.hits
+        } else {
+            &tally.misses
+        }
+        .inc();
         found
     }
 
@@ -422,16 +437,13 @@ impl DistributionCache {
     ) -> Option<(Path, IntervalId, RegimeId)> {
         let fingerprint = key_fingerprint(path, interval, regime);
         let shard_index = self.shard_index_of(fingerprint);
-        self.insertions.fetch_add(1, Ordering::Relaxed);
+        self.insertions.inc();
         let victim = self.shards[shard_index]
             .lock()
             .expect("cache shard poisoned")
             .insert(fingerprint, interval, regime, path, value);
         if victim.is_some() {
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            self.tallies[shard_index]
-                .evictions
-                .fetch_add(1, Ordering::Relaxed);
+            self.tallies[shard_index].evictions.inc();
         }
         victim
     }
@@ -474,7 +486,7 @@ impl DistributionCache {
             .expect("cache shard poisoned")
             .remove(fingerprint, interval, regime, path);
         if removed {
-            self.invalidations.fetch_add(1, Ordering::Relaxed);
+            self.invalidations.inc();
         }
         removed
     }
@@ -497,8 +509,7 @@ impl DistributionCache {
                     .invalidate_matching(&predicate),
             );
         }
-        self.invalidations
-            .fetch_add(evicted.len() as u64, Ordering::Relaxed);
+        self.invalidations.add(evicted.len() as u64);
         evicted
     }
 
@@ -517,7 +528,7 @@ impl DistributionCache {
         for shard in &self.shards {
             dropped += shard.lock().expect("cache shard poisoned").clear_all();
         }
-        self.invalidations.fetch_add(dropped, Ordering::Relaxed);
+        self.invalidations.add(dropped);
         dropped
     }
 
@@ -534,44 +545,32 @@ impl DistributionCache {
         self.len() == 0
     }
 
-    /// Lifetime hit counter.
+    /// Lifetime hit counter (the sum over shards).
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.tallies.iter().map(|t| t.hits.get()).sum()
     }
 
-    /// Per-shard hit/miss/eviction totals, indexed by shard. LRU evictions
-    /// only — targeted invalidations are whole-cache events counted under
-    /// [`Self::invalidations`].
-    pub fn per_shard_counters(&self) -> Vec<ShardCounters> {
-        self.tallies
-            .iter()
-            .map(|t| ShardCounters {
-                hits: t.hits.load(Ordering::Relaxed),
-                misses: t.misses.load(Ordering::Relaxed),
-                evictions: t.evictions.load(Ordering::Relaxed),
-            })
-            .collect()
-    }
-
-    /// Lifetime miss counter.
+    /// Lifetime miss counter (the sum over shards).
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.tallies.iter().map(|t| t.misses.get()).sum()
     }
 
     /// Lifetime insertion counter.
     pub fn insertions(&self) -> u64 {
-        self.insertions.load(Ordering::Relaxed)
+        self.insertions.get()
     }
 
-    /// Lifetime capacity-pressure (LRU) eviction counter.
+    /// Lifetime capacity-pressure (LRU) eviction counter (the sum over
+    /// shards). Targeted invalidations are counted under
+    /// [`Self::invalidations`] instead.
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        self.tallies.iter().map(|t| t.evictions.get()).sum()
     }
 
     /// Lifetime targeted-invalidation eviction counter
     /// ([`Self::remove`] / [`Self::invalidate_matching`] / [`Self::clear`]).
     pub fn invalidations(&self) -> u64 {
-        self.invalidations.load(Ordering::Relaxed)
+        self.invalidations.get()
     }
 }
 

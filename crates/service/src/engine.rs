@@ -12,6 +12,7 @@ use pathcost_core::{
     CostEstimator, EstimateBreakdown, HybridGraph, IntervalId, OdEstimator, RegimeId,
 };
 use pathcost_hist::Histogram1D;
+use pathcost_obs::{Gauge, Registry};
 use pathcost_roadnet::Path;
 use pathcost_routing::{prob_within_budget, BestFirstRouter, RouterConfig, RoutingError};
 use pathcost_traj::{TimeOfDay, Timestamp};
@@ -42,17 +43,6 @@ pub struct ServiceConfig {
     /// results remain identical to sequential execution unless it is enabled.
     /// Reuse is reported through [`ServiceStats`]'s `prefix_*` counters.
     pub share_prefixes: bool,
-    /// Fan batches out over a persistent [`WorkerPool`]
-    /// of [`Self::workers`] long-lived threads (spawned lazily on the first
-    /// batch, joined when the engine drops) instead of spawning fresh scoped
-    /// threads per batch phase. On by default — a serving process executes
-    /// thousands of batches, and the pool both amortises the spawn/join cost
-    /// and enables cache-shard-pinned warm fills (each worker owns the
-    /// shards `s` with `s % workers == worker`, so concurrent fills never
-    /// contend on a shard lock). `false` restores the scoped-threads-per-
-    /// batch executor — kept as the benchmark baseline; results are
-    /// identical either way.
-    pub persistent_pool: bool,
 }
 
 impl Default for ServiceConfig {
@@ -63,7 +53,6 @@ impl Default for ServiceConfig {
             workers: None,
             router: RouterConfig::default(),
             share_prefixes: false,
-            persistent_pool: true,
         }
     }
 }
@@ -116,10 +105,14 @@ pub struct QueryEngine<'n> {
     /// Serializes [`Self::apply_update`]s against each other (queries are
     /// never blocked by it).
     update_lock: std::sync::Mutex<()>,
+    /// Every engine-level metric family (the recorder's and the cache's),
+    /// plus the `pathcost_epoch` gauge [`Self::registry`] refreshes.
+    registry: Registry,
+    epoch_gauge: Gauge,
     pub(crate) recorder: StatsRecorder,
-    /// The persistent batch worker pool, spawned lazily by the first batch
-    /// when [`ServiceConfig::persistent_pool`] is on (so engines that never
-    /// execute a batch never spawn threads) and joined on drop.
+    /// The persistent batch worker pool: [`ServiceConfig::workers`]
+    /// long-lived threads, spawned lazily by the first batch (so engines
+    /// that never execute one never spawn threads) and joined on drop.
     pool: std::sync::OnceLock<WorkerPool>,
     config: ServiceConfig,
 }
@@ -128,7 +121,15 @@ impl<'n> QueryEngine<'n> {
     /// Wraps `graph` for serving (epoch 0).
     pub fn new(graph: Arc<HybridGraph<'n>>, config: ServiceConfig) -> Self {
         let partition = graph.weights().partition().clone();
-        let cache = DistributionCache::new(config.cache_shards, config.shard_capacity);
+        let registry = Registry::new();
+        let epoch_gauge = registry.gauge(
+            "pathcost_epoch",
+            "Currently published weight-function epoch.",
+            &[],
+        );
+        let recorder = StatsRecorder::new(&registry);
+        let cache =
+            DistributionCache::registered(config.cache_shards, config.shard_capacity, &registry);
         // The dependency index shards by the same fingerprint bits as the
         // cache; matching shard counts keeps a worker's pinned cache shards
         // and its forward dependency-record shards aligned.
@@ -140,23 +141,18 @@ impl<'n> QueryEngine<'n> {
             deps,
             epoch: AtomicU64::new(0),
             update_lock: std::sync::Mutex::new(()),
-            recorder: StatsRecorder::default(),
+            registry,
+            epoch_gauge,
+            recorder,
             pool: std::sync::OnceLock::new(),
             config,
         }
     }
 
-    /// The engine's persistent batch worker pool, spawning it on first use;
-    /// `None` when [`ServiceConfig::persistent_pool`] is disabled (the
-    /// scoped-threads-per-batch baseline).
-    pub(crate) fn batch_pool(&self) -> Option<&WorkerPool> {
-        if !self.config.persistent_pool {
-            return None;
-        }
-        Some(
-            self.pool
-                .get_or_init(|| WorkerPool::new(self.worker_count())),
-        )
+    /// The engine's persistent batch worker pool, spawning it on first use.
+    pub(crate) fn batch_pool(&self) -> &WorkerPool {
+        self.pool
+            .get_or_init(|| WorkerPool::new(self.worker_count()))
     }
 
     /// The lock serializing update application (see `apply_update`).
@@ -222,7 +218,14 @@ impl<'n> QueryEngine<'n> {
         &self.deps
     }
 
-    /// Point-in-time metrics snapshot.
+    /// The registry holding every engine-level metric family, with the
+    /// `pathcost_epoch` gauge brought up to date — render it for `/metrics`.
+    pub fn registry(&self) -> &Registry {
+        self.epoch_gauge.set(self.epoch() as f64);
+        &self.registry
+    }
+
+    /// Point-in-time typed view of the same instruments.
     pub fn stats(&self) -> ServiceStats {
         self.recorder.snapshot(
             self.cache.hits(),
@@ -243,7 +246,7 @@ impl<'n> QueryEngine<'n> {
     /// was degraded ([`ServiceStats::rejected_degraded`]); called by the
     /// front-end that owns both the admission queue and the engine.
     pub fn record_rejected_degraded(&self) {
-        self.recorder.record_rejected_degraded();
+        self.recorder.rejected_degraded.inc();
     }
 
     /// The day partition (α) the engine serves under; fixed for the engine's
@@ -310,8 +313,12 @@ impl<'n> QueryEngine<'n> {
             counters.record(true, 0);
             counters.record_fallback(hit.fallback_depth);
             if !regime.is_global() {
-                self.recorder.record_regime_lookup(regime, true);
-                self.recorder.record_regime_fallback(hit.fallback_depth);
+                self.recorder.record_regime_lookup(
+                    &self.registry,
+                    regime,
+                    true,
+                    hit.fallback_depth,
+                );
             }
             return Ok(hit);
         }
@@ -396,8 +403,8 @@ impl<'n> QueryEngine<'n> {
         counters.record(false, depth);
         counters.record_fallback(fallback_depth);
         if !regime.is_global() {
-            self.recorder.record_regime_lookup(regime, false);
-            self.recorder.record_regime_fallback(fallback_depth);
+            self.recorder
+                .record_regime_lookup(&self.registry, regime, false, fallback_depth);
         }
         Ok(value)
     }
@@ -447,7 +454,7 @@ impl<'n> QueryEngine<'n> {
         self.cache.if_absent(path, interval, regime, || {
             purged = self.deps.purge_entry(path, interval, regime);
         });
-        self.recorder.record_stale_purges(purged);
+        self.recorder.invalidation_stale_reader_purges.add(purged);
         purged
     }
 
@@ -465,7 +472,9 @@ impl<'n> QueryEngine<'n> {
     /// could wipe the edges of an entry inserted in between, leaving a live
     /// entry invisible to future invalidation.
     pub fn flush_cache(&self) -> u64 {
-        self.recorder.record_stale_purges(self.deps.clear());
+        self.recorder
+            .invalidation_stale_reader_purges
+            .add(self.deps.clear());
         self.cache.clear()
     }
 
@@ -503,12 +512,12 @@ impl<'n> QueryEngine<'n> {
         self.recorder
             .record_query(request.kind(), latency, response.is_ok());
         match &response {
-            Err(ServiceError::DeadlineExceeded) => self.recorder.record_deadline_exceeded(),
-            Err(ServiceError::Cancelled) => self.recorder.record_cancelled(),
+            Err(ServiceError::DeadlineExceeded) => self.recorder.deadline_exceeded.inc(),
+            Err(ServiceError::Cancelled) => self.recorder.cancelled.inc(),
             _ => {}
         }
         if degraded && response.is_ok() {
-            self.recorder.record_degraded();
+            self.recorder.degraded_answers.inc();
         }
         response.map(|response| QueryOutcome {
             response,
@@ -625,13 +634,12 @@ impl<'n> QueryEngine<'n> {
                     self.config.router.clone()
                 };
                 let router = BestFirstRouter::new(&graph, router_config)?;
-                let estimator = CachingEstimator::for_query(
-                    self,
+                let estimator = CachingEstimator {
+                    engine: self,
                     counters,
-                    graph.clone(),
-                    snapshot_epoch,
-                    *regime,
-                );
+                    pinned: (snapshot_epoch, graph.clone()),
+                    regime: *regime,
+                };
                 let (mut ranked, telemetry) = match router.route_top_k_cancellable(
                     &estimator,
                     *source,
@@ -647,12 +655,17 @@ impl<'n> QueryEngine<'n> {
                 // The per-query counters are exclusive to this request here
                 // (they were created fresh in `execute`), so their hit total
                 // is exactly the candidate evaluations answered by the cache.
-                self.recorder.record_route(
-                    telemetry.evaluated_candidates as u64,
-                    counters.hits.load(Ordering::Relaxed),
-                    telemetry.incumbent_prunes as u64,
-                    telemetry.expansions as u64,
-                );
+                let recorder = &self.recorder;
+                recorder
+                    .route_candidates_evaluated
+                    .add(telemetry.evaluated_candidates as u64);
+                recorder
+                    .route_eval_cache_hits
+                    .add(counters.hits.load(Ordering::Relaxed));
+                recorder
+                    .route_incumbent_prunes
+                    .add(telemetry.incumbent_prunes as u64);
+                recorder.route_expansions.add(telemetry.expansions as u64);
                 if *k == 1 {
                     let best = (!ranked.is_empty()).then(|| ranked.swap_remove(0));
                     Ok(QueryResponse::Route(best))
@@ -719,50 +732,16 @@ fn validate_budget(budget_s: f64) -> Result<(), ServiceError> {
 /// Timing caveat: the reported [`EstimateBreakdown`] attributes the whole
 /// call to the joint-computation phase (`joint_s`) on a miss and is zero on a
 /// hit — the cache does not observe the OI/JC/MC split of Figure 17.
-pub struct CachingEstimator<'e, 'n> {
+pub(crate) struct CachingEstimator<'e, 'n> {
     engine: &'e QueryEngine<'n>,
-    /// Per-query tallies when created inside [`QueryEngine::execute`];
-    /// standalone adapters observe through [`QueryEngine::stats`] instead.
-    counters: Option<&'e QueryCounters>,
+    /// Per-query tallies of the `Route` request this adapter serves.
+    counters: &'e QueryCounters,
     /// The epoch snapshot misses are estimated against, paired with the
     /// epoch version observed at pin time (the in-flight-fill guard's
-    /// reference point). Engine-created adapters pin the snapshot of the
-    /// query they serve; standalone adapters read the currently published
-    /// graph per lookup.
-    pinned: Option<(u64, Arc<HybridGraph<'n>>)>,
-    /// The traffic regime every lookup evaluates under; the global
-    /// [`RegimeId::ALL_TRAFFIC`] for standalone adapters.
+    /// reference point).
+    pinned: (u64, Arc<HybridGraph<'n>>),
+    /// The traffic regime every lookup evaluates under.
     regime: RegimeId,
-}
-
-impl<'e, 'n> CachingEstimator<'e, 'n> {
-    /// An adapter over `engine`, evaluating under the global regime. Its
-    /// lookups show up in the engine-level [`QueryEngine::stats`] (cache
-    /// hits/misses, estimations); per-query tallies are only collected for
-    /// adapters the engine creates itself while answering a `Route` request.
-    pub fn new(engine: &'e QueryEngine<'n>) -> Self {
-        CachingEstimator {
-            engine,
-            counters: None,
-            pinned: None,
-            regime: RegimeId::ALL_TRAFFIC,
-        }
-    }
-
-    pub(crate) fn for_query(
-        engine: &'e QueryEngine<'n>,
-        counters: &'e QueryCounters,
-        graph: Arc<HybridGraph<'n>>,
-        snapshot_epoch: u64,
-        regime: RegimeId,
-    ) -> Self {
-        CachingEstimator {
-            engine,
-            counters: Some(counters),
-            pinned: Some((snapshot_epoch, graph)),
-            regime,
-        }
-    }
 }
 
 impl CostEstimator for CachingEstimator<'_, '_> {
@@ -802,25 +781,20 @@ impl CachingEstimator<'_, '_> {
         path: &Path,
         departure: Timestamp,
     ) -> Result<CachedDistribution, pathcost_core::CoreError> {
-        let throwaway = QueryCounters::default();
-        let counters = self.counters.unwrap_or(&throwaway);
-        match &self.pinned {
-            Some((snapshot_epoch, graph)) => self.engine.estimate_cached_on(
+        let (snapshot_epoch, graph) = &self.pinned;
+        self.engine
+            .estimate_cached_on(
                 graph,
                 *snapshot_epoch,
                 path,
                 departure,
                 self.regime,
-                counters,
-            ),
-            None => self
-                .engine
-                .estimate_cached(path, departure, self.regime, counters),
-        }
-        .map_err(|e| match e {
-            ServiceError::Core(core) => core,
-            // Non-core failures cannot escape `estimate_cached`.
-            _ => pathcost_core::CoreError::NoDistribution,
-        })
+                self.counters,
+            )
+            .map_err(|e| match e {
+                ServiceError::Core(core) => core,
+                // Non-core failures cannot escape `estimate_cached`.
+                _ => pathcost_core::CoreError::NoDistribution,
+            })
     }
 }

@@ -23,15 +23,15 @@
 //!   O(1) lookup instead of a decomposition.
 //! * **A batch executor** — [`QueryEngine::execute_batch`] deduplicates the
 //!   `(path, interval)` estimation jobs shared across a batch and fans the
-//!   unique work out over scoped worker threads (no async runtime: the work
-//!   is CPU-bound), then answers every request from the warm cache. Batch
-//!   responses are identical to sequential execution.
-//! * **A routing adapter** — [`CachingEstimator`] implements
-//!   [`CostEstimator`](pathcost_core::CostEstimator) by reading through the
+//!   unique work out over the persistent worker pool (no async runtime:
+//!   the work is CPU-bound), then answers every request from the warm
+//!   cache. Batch responses are identical to sequential execution.
+//! * **A routing adapter** — `Route` requests hand the
+//!   [`BestFirstRouter`](pathcost_routing::BestFirstRouter) a
+//!   [`CostEstimator`](pathcost_core::CostEstimator) that reads through the
 //!   cache (its `estimate_arc` hands out the cached `Arc` itself), so
-//!   [`BestFirstRouter`](pathcost_routing::BestFirstRouter) searches reuse
-//!   candidate-path distributions across route queries without copying
-//!   them.
+//!   searches reuse candidate-path distributions across route queries
+//!   without copying them.
 //! * **Live updates** — [`QueryEngine::apply_update`] consumes a
 //!   [`WeightUpdate`](pathcost_core::WeightUpdate) (produced by the
 //!   `pathcost-live` ingestor), publishes the new weight-function epoch
@@ -118,14 +118,12 @@ pub mod stats;
 pub mod update;
 
 pub use admission::{AdmissionConfig, AdmissionQueue, Ticket};
-pub use cache::{CachedDistribution, DistributionCache, ShardCounters};
+pub use cache::{CachedDistribution, DistributionCache};
 pub use deadline::RequestContext;
-pub use engine::{CachingEstimator, QueryEngine, ServiceConfig};
+pub use engine::{QueryEngine, ServiceConfig};
 pub use error::ServiceError;
 pub use pathcost_core::RegimeId;
 pub use pool::WorkerPool;
 pub use request::{QueryOutcome, QueryRequest, QueryResponse, QueryStats, RankedPath};
-pub use stats::{
-    LatencySnapshot, QueryKind, RegimeTally, ServiceStats, FALLBACK_DEPTH_BUCKETS, LATENCY_BUCKETS,
-};
+pub use stats::{QueryKind, RegimeTally, ServiceStats, FALLBACK_DEPTH_BUCKETS};
 pub use update::{DependencyIndex, UpdateReport};

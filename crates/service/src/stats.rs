@@ -1,12 +1,17 @@
-//! Lock-free service metrics.
+//! The engine's metrics: registry-backed instruments and the typed view
+//! over them.
 //!
-//! Every query updates a set of shared atomic counters; [`ServiceStats`] is a
-//! consistent-enough point-in-time snapshot (individual counters are read
-//! with relaxed ordering — totals can be off by in-flight queries, which is
-//! the usual contract for serving metrics).
+//! [`StatsRecorder`] registers every engine-level instrument — with the
+//! family name and help text `GET /metrics` shows — in the engine's
+//! [`Registry`] at construction and keeps the lock-free handles the query
+//! path bumps. [`ServiceStats`] is the typed point-in-time *view*
+//! [`QueryEngine::stats`](crate::QueryEngine::stats) fills by reading those
+//! same handles (relaxed loads — totals can be off by in-flight queries, the
+//! usual contract for serving metrics), so `/stats` and `/metrics` are two
+//! renderings of one set of numbers.
 
+use pathcost_obs::{Counter, Histogram, HistogramSnapshot, Registry};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -35,108 +40,11 @@ impl RegimeTally {
     }
 }
 
-/// Number of fixed buckets in a [`LatencySnapshot`]: power-of-two
-/// microsecond buckets, bucket `i` covering `[2^i, 2^(i+1))` µs (bucket 0
-/// also absorbs sub-microsecond latencies), so 32 buckets span 1 µs to
-/// ~71 minutes — the whole plausible range of a query latency.
-pub const LATENCY_BUCKETS: usize = 32;
-
-/// Lock-free fixed-bucket latency recorder (the mutable half of
-/// [`LatencySnapshot`]). Shared so the engine's per-query accounting and the
-/// admission queue's end-to-end accounting use one implementation.
-#[derive(Default)]
-pub(crate) struct LatencyRecorder {
-    counts: [AtomicU64; LATENCY_BUCKETS],
-    max_micros: AtomicU64,
-}
-
-impl LatencyRecorder {
-    /// Files one observation into its power-of-two bucket.
-    pub fn record(&self, latency: Duration) {
-        let micros = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
-        let bucket = (63 - micros.max(1).leading_zeros() as usize).min(LATENCY_BUCKETS - 1);
-        self.counts[bucket].fetch_add(1, Ordering::Relaxed);
-        self.max_micros.fetch_max(micros, Ordering::Relaxed);
-    }
-
-    pub fn snapshot(&self) -> LatencySnapshot {
-        let mut counts = [0u64; LATENCY_BUCKETS];
-        for (out, c) in counts.iter_mut().zip(&self.counts) {
-            *out = c.load(Ordering::Relaxed);
-        }
-        LatencySnapshot {
-            counts,
-            max_micros: self.max_micros.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A fixed-bucket latency distribution: per-request latencies filed into
-/// [`LATENCY_BUCKETS`] power-of-two microsecond buckets, plus the exact
-/// maximum. This is what turns the service's "mean latency" into a *tail*:
-/// [`Self::p50`] / [`Self::p99`] / [`Self::max`] are the numbers a
-/// "millions of users" serving claim is judged on.
-///
-/// Quantiles are conservative: a quantile resolves to the upper edge of the
-/// bucket containing its rank (clamped to the observed maximum), so the
-/// reported p99 is never below the true p99 and at most one bucket width
-/// (2×) above it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LatencySnapshot {
-    /// Observations per power-of-two bucket (bucket `i` covers
-    /// `[2^i, 2^(i+1))` µs; bucket 0 includes sub-microsecond).
-    pub counts: [u64; LATENCY_BUCKETS],
-    /// The exact largest observation, in microseconds.
-    pub max_micros: u64,
-}
-
-impl LatencySnapshot {
-    /// Total recorded observations.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// The latency at quantile `q` in `[0, 1]` (upper bucket edge, clamped
-    /// to the observed maximum); zero before any observation.
-    pub fn quantile(&self, q: f64) -> Duration {
-        let total = self.total();
-        if total == 0 {
-            return Duration::ZERO;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &count) in self.counts.iter().enumerate() {
-            seen += count;
-            if seen >= rank {
-                let upper = 1u64 << (i + 1).min(63);
-                return Duration::from_micros(upper.min(self.max_micros.max(1)));
-            }
-        }
-        Duration::from_micros(self.max_micros)
-    }
-
-    /// Median latency.
-    pub fn p50(&self) -> Duration {
-        self.quantile(0.50)
-    }
-
-    /// 99th-percentile latency.
-    pub fn p99(&self) -> Duration {
-        self.quantile(0.99)
-    }
-
-    /// The exact maximum observed latency.
-    pub fn max(&self) -> Duration {
-        Duration::from_micros(self.max_micros)
-    }
-
-    /// Folds another snapshot into this one (bucket-wise sum, max of maxes).
-    pub fn merge(&mut self, other: &LatencySnapshot) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.max_micros = self.max_micros.max(other.max_micros);
-    }
+/// Upper bounds, in seconds, of every serving-latency histogram: the 31
+/// power-of-two microsecond edges `2^(i+1) µs` (2 µs … ~36 minutes); the
+/// implicit `+Inf` bucket takes anything slower.
+pub(crate) fn latency_bounds() -> Vec<f64> {
+    (0..31).map(|i| (1u64 << (i + 1)) as f64 / 1e6).collect()
 }
 
 /// Which kind of request a counter bucket refers to.
@@ -152,77 +60,229 @@ pub enum QueryKind {
     Route,
 }
 
-const KINDS: usize = 4;
-
 impl QueryKind {
-    fn index(self) -> usize {
-        match self {
-            QueryKind::Estimate => 0,
-            QueryKind::Probability => 1,
-            QueryKind::Rank => 2,
-            QueryKind::Route => 3,
-        }
-    }
+    /// The `kind` label values, indexed by `self as usize`.
+    const LABELS: [&'static str; 4] = ["estimate", "probability", "rank", "route"];
 }
 
-/// Shared mutable counters behind the engine.
-#[derive(Default)]
+/// The engine's instruments. Events with a single call site bump the public
+/// handles directly; the `record_*` methods cover the ones several paths
+/// share.
 pub(crate) struct StatsRecorder {
-    queries: [AtomicU64; KINDS],
-    errors: AtomicU64,
-    estimations: AtomicU64,
-    decomposition_depth_sum: AtomicU64,
-    latency_micros_sum: AtomicU64,
-    latency: LatencyRecorder,
-    latency_ok: LatencyRecorder,
-    latency_failed: LatencyRecorder,
-    latency_shed: LatencyRecorder,
-    shed_deadline: AtomicU64,
-    deadline_exceeded: AtomicU64,
-    cancelled: AtomicU64,
-    degraded_answers: AtomicU64,
-    panicked_queries: AtomicU64,
-    batches: AtomicU64,
-    batch_requests: AtomicU64,
-    batch_jobs_deduplicated: AtomicU64,
-    prefix_warmed_jobs: AtomicU64,
-    prefix_reuses: AtomicU64,
-    prefix_edges_reused: AtomicU64,
-    route_candidates_evaluated: AtomicU64,
-    route_eval_cache_hits: AtomicU64,
-    route_incumbent_prunes: AtomicU64,
-    route_expansions: AtomicU64,
-    ingest_updates: AtomicU64,
-    ingest_publish_latency: LatencyRecorder,
-    ingest_trajectories: AtomicU64,
-    ingest_trajectories_retired: AtomicU64,
-    ingest_variables_updated: AtomicU64,
-    ingest_variables_added: AtomicU64,
-    ingest_variables_removed: AtomicU64,
-    invalidation_tracked_evictions: AtomicU64,
-    invalidation_swept_evictions: AtomicU64,
-    invalidation_stale_reader_purges: AtomicU64,
-    rejected_degraded: AtomicU64,
-    regime_fallback: [AtomicU64; FALLBACK_DEPTH_BUCKETS],
-    /// Per-regime hit/miss tallies. Behind a mutex rather than atomics
-    /// because the regime set is open-ended — but the lock is only touched
-    /// by *non-global* lookups, so the pre-regime hot path stays lock-free.
-    regimes: Mutex<BTreeMap<u16, RegimeTally>>,
+    shed_deadline: Counter,
+    pub rejected_degraded: Counter,
+    batches: Counter,
+    batch_requests: Counter,
+    batch_jobs_deduplicated: Counter,
+    queries: [Counter; 4],
+    errors: Counter,
+    latency: Histogram,
+    latency_ok: Histogram,
+    latency_failed: Histogram,
+    latency_shed: Histogram,
+    pub deadline_exceeded: Counter,
+    pub cancelled: Counter,
+    pub degraded_answers: Counter,
+    pub panicked_queries: Counter,
+    estimations: Counter,
+    decomposition_depth_sum: Counter,
+    prefix_warmed_jobs: Counter,
+    prefix_reuses: Counter,
+    prefix_edges_reused: Counter,
+    pub route_expansions: Counter,
+    pub route_candidates_evaluated: Counter,
+    pub route_incumbent_prunes: Counter,
+    pub route_eval_cache_hits: Counter,
+    pub invalidation_tracked_evictions: Counter,
+    pub invalidation_swept_evictions: Counter,
+    pub invalidation_stale_reader_purges: Counter,
+    regime_fallback: [Counter; FALLBACK_DEPTH_BUCKETS],
+    pub ingest_updates: Counter,
+    pub ingest_publish_latency: Histogram,
+    pub ingest_trajectories: Counter,
+    pub ingest_trajectories_retired: Counter,
+    pub ingest_variables_updated: Counter,
+    pub ingest_variables_added: Counter,
+    pub ingest_variables_removed: Counter,
+    /// Per-regime `(hits, misses)` handles, registered on a regime's first
+    /// lookup. Behind a mutex because the regime set is open-ended — but the
+    /// lock is only touched by *non-global* lookups, so the global hot path
+    /// stays lock-free.
+    regimes: Mutex<BTreeMap<u16, (Counter, Counter)>>,
 }
 
 impl StatsRecorder {
-    pub fn record_query(&self, kind: QueryKind, latency: Duration, ok: bool) {
-        self.queries[kind.index()].fetch_add(1, Ordering::Relaxed);
-        if !ok {
-            self.errors.fetch_add(1, Ordering::Relaxed);
+    /// Registers every engine-level family in `registry`; the field order
+    /// below is the order the families appear on the page.
+    pub fn new(registry: &Registry) -> Self {
+        let counter = |name: &str, help: &str| registry.counter(name, help, &[]);
+        let bounds = latency_bounds();
+        let outcome = |outcome: &str| {
+            registry.histogram(
+                "pathcost_query_outcome_seconds",
+                "Per-query latency split by outcome (shed = queue wait until shed).",
+                &[("outcome", outcome)],
+                &bounds,
+            )
+        };
+        let invalidated = |mode: &str| {
+            registry.counter(
+                "pathcost_cache_invalidation_evictions_total",
+                "Entries evicted by live-update invalidation, by mechanism.",
+                &[("mode", mode)],
+            )
+        };
+        let variables = |op: &str| {
+            registry.counter(
+                "pathcost_ingest_variables_total",
+                "Weight-function variables touched by updates, by operation.",
+                &[("op", op)],
+            )
+        };
+        StatsRecorder {
+            shed_deadline: counter(
+                "pathcost_admission_shed_total",
+                "Requests shed in the queue on an expired deadline (answered 504).",
+            ),
+            rejected_degraded: counter(
+                "pathcost_admission_rejected_degraded_total",
+                "Submissions refused at the admission door while degraded (answered 429).",
+            ),
+            batches: counter(
+                "pathcost_batches_total",
+                "Cross-connection batches dispatched.",
+            ),
+            batch_requests: counter(
+                "pathcost_batch_requests_total",
+                "Requests that arrived inside dispatched batches.",
+            ),
+            batch_jobs_deduplicated: counter(
+                "pathcost_batch_jobs_deduplicated_total",
+                "Estimation jobs skipped via intra-batch (path, interval) sharing.",
+            ),
+            queries: QueryKind::LABELS.map(|kind| {
+                registry.counter(
+                    "pathcost_queries_total",
+                    "Queries served by kind (including failed ones).",
+                    &[("kind", kind)],
+                )
+            }),
+            errors: counter(
+                "pathcost_query_errors_total",
+                "Queries that returned an error.",
+            ),
+            latency: registry.histogram(
+                "pathcost_query_seconds",
+                "Per-query evaluation latency, all outcomes merged.",
+                &[],
+                &bounds,
+            ),
+            latency_ok: outcome("ok"),
+            latency_failed: outcome("failed"),
+            latency_shed: outcome("shed"),
+            deadline_exceeded: counter(
+                "pathcost_deadline_exceeded_total",
+                "Requests answered DeadlineExceeded (shed or mid-evaluation).",
+            ),
+            cancelled: counter(
+                "pathcost_cancelled_total",
+                "Requests abandoned mid-evaluation by explicit cancellation.",
+            ),
+            degraded_answers: counter(
+                "pathcost_degraded_answers_total",
+                "Requests answered in degraded mode (no warm phase, capped budgets).",
+            ),
+            panicked_queries: counter(
+                "pathcost_panicked_queries_total",
+                "Query evaluations that panicked (contained, answered 500).",
+            ),
+            estimations: counter(
+                "pathcost_estimations_total",
+                "Full estimator runs (cache misses that did the work).",
+            ),
+            decomposition_depth_sum: counter(
+                "pathcost_decomposition_components_total",
+                "Coarsest-decomposition components summed over all estimator runs.",
+            ),
+            prefix_warmed_jobs: counter(
+                "pathcost_prefix_warmed_jobs_total",
+                "Estimation jobs built by the prefix-sharing warm phase.",
+            ),
+            prefix_reuses: counter(
+                "pathcost_prefix_reuses_total",
+                "Prefix-warmed jobs that reused a memoized shared sub-path.",
+            ),
+            prefix_edges_reused: counter(
+                "pathcost_prefix_edges_reused_total",
+                "Edges whose convolution a shared path prefix made unnecessary.",
+            ),
+            route_expansions: counter(
+                "pathcost_route_expansions_total",
+                "Partial paths popped and extended by the best-first router.",
+            ),
+            route_candidates_evaluated: counter(
+                "pathcost_route_candidates_total",
+                "Complete candidate paths evaluated across Route searches.",
+            ),
+            route_incumbent_prunes: counter(
+                "pathcost_route_prunes_total",
+                "Partial paths dropped by the router's incumbent bound.",
+            ),
+            route_eval_cache_hits: counter(
+                "pathcost_route_cache_hits_total",
+                "Distribution-cache hits scored by Route candidate evaluations.",
+            ),
+            invalidation_tracked_evictions: invalidated("tracked"),
+            invalidation_swept_evictions: invalidated("swept"),
+            invalidation_stale_reader_purges: counter(
+                "pathcost_cache_stale_reader_purges_total",
+                "Dependency-index reader edges purged because the cache dropped their entry.",
+            ),
+            regime_fallback: std::array::from_fn(|depth| {
+                let label = if depth == FALLBACK_DEPTH_BUCKETS - 1 {
+                    format!("{depth}+")
+                } else {
+                    depth.to_string()
+                };
+                registry.counter(
+                    "pathcost_regime_fallback_total",
+                    "Regime-tagged lookups by fallback-ladder depth (0 = regime-specific data).",
+                    &[("depth", &label)],
+                )
+            }),
+            ingest_updates: counter(
+                "pathcost_ingest_updates_total",
+                "Live weight updates applied through apply_update.",
+            ),
+            ingest_publish_latency: registry.histogram(
+                "pathcost_ingest_publish_seconds",
+                "Wall time each update spent publishing its epoch (swap + invalidation).",
+                &[],
+                &bounds,
+            ),
+            ingest_trajectories: counter(
+                "pathcost_ingest_trajectories_total",
+                "Trajectories appended across applied updates.",
+            ),
+            ingest_trajectories_retired: counter(
+                "pathcost_ingest_trajectories_retired_total",
+                "Trajectories retired (TTL or removal) across applied updates.",
+            ),
+            ingest_variables_updated: variables("updated"),
+            ingest_variables_added: variables("added"),
+            ingest_variables_removed: variables("removed"),
+            regimes: Mutex::new(BTreeMap::new()),
         }
-        self.latency_micros_sum
-            .fetch_add(latency.as_micros() as u64, Ordering::Relaxed);
-        self.latency.record(latency);
+    }
+
+    pub fn record_query(&self, kind: QueryKind, latency: Duration, ok: bool) {
+        self.queries[kind as usize].inc();
+        self.latency.observe_duration(latency);
         if ok {
-            self.latency_ok.record(latency);
+            self.latency_ok.observe_duration(latency);
         } else {
-            self.latency_failed.record(latency);
+            self.errors.inc();
+            self.latency_failed.observe_duration(latency);
         }
     }
 
@@ -230,148 +290,77 @@ impl StatsRecorder {
     /// expired while it waited — answered 504 *before* any evaluation.
     /// `queued` is how long the request sat in the queue.
     pub fn record_shed(&self, queued: Duration) {
-        self.shed_deadline.fetch_add(1, Ordering::Relaxed);
-        self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-        self.latency_shed.record(queued);
-    }
-
-    /// Counts a request abandoned mid-evaluation because its deadline passed.
-    pub fn record_deadline_exceeded(&self) {
-        self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts a request abandoned mid-evaluation by explicit cancellation.
-    pub fn record_cancelled(&self) {
-        self.cancelled.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts a request answered in degraded mode (capped budgets, no warm
-    /// phase).
-    pub fn record_degraded(&self) {
-        self.degraded_answers.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts a query whose evaluation panicked; the panic was contained by
-    /// the batch executor and answered as an internal error.
-    pub fn record_panicked(&self) {
-        self.panicked_queries.fetch_add(1, Ordering::Relaxed);
+        self.shed_deadline.inc();
+        self.deadline_exceeded.inc();
+        self.latency_shed.observe_duration(queued);
     }
 
     pub fn record_estimation(&self, decomposition_depth: usize) {
-        self.estimations.fetch_add(1, Ordering::Relaxed);
-        self.decomposition_depth_sum
-            .fetch_add(decomposition_depth as u64, Ordering::Relaxed);
+        self.estimations.inc();
+        self.decomposition_depth_sum.add(decomposition_depth as u64);
     }
 
     pub fn record_batch(&self, requests: u64, deduplicated_jobs: u64) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batch_requests.fetch_add(requests, Ordering::Relaxed);
-        self.batch_jobs_deduplicated
-            .fetch_add(deduplicated_jobs, Ordering::Relaxed);
+        self.batches.inc();
+        self.batch_requests.add(requests);
+        self.batch_jobs_deduplicated.add(deduplicated_jobs);
     }
 
     pub fn record_prefix_warm(&self, jobs: u64, reuses: u64, edges_reused: u64) {
-        self.prefix_warmed_jobs.fetch_add(jobs, Ordering::Relaxed);
-        self.prefix_reuses.fetch_add(reuses, Ordering::Relaxed);
-        self.prefix_edges_reused
-            .fetch_add(edges_reused, Ordering::Relaxed);
+        self.prefix_warmed_jobs.add(jobs);
+        self.prefix_reuses.add(reuses);
+        self.prefix_edges_reused.add(edges_reused);
     }
 
-    pub fn record_route(
+    /// Files one non-global distribution lookup: its hit/miss under the
+    /// requested regime (the `regime`-labelled series are registered on the
+    /// regime's first lookup) and its fallback depth (the last bucket
+    /// absorbs deeper ladders).
+    pub fn record_regime_lookup(
         &self,
-        candidates_evaluated: u64,
-        cache_hits: u64,
-        incumbent_prunes: u64,
-        expansions: u64,
+        registry: &Registry,
+        regime: pathcost_core::RegimeId,
+        hit: bool,
+        fallback_depth: usize,
     ) {
-        self.route_candidates_evaluated
-            .fetch_add(candidates_evaluated, Ordering::Relaxed);
-        self.route_eval_cache_hits
-            .fetch_add(cache_hits, Ordering::Relaxed);
-        self.route_incumbent_prunes
-            .fetch_add(incumbent_prunes, Ordering::Relaxed);
-        self.route_expansions
-            .fetch_add(expansions, Ordering::Relaxed);
-    }
-
-    /// Files the wall time one live update spent inside `apply_update` —
-    /// epoch publish plus targeted invalidation (the "how long until queries
-    /// see the new weights" number).
-    pub fn record_publish(&self, latency: Duration) {
-        self.ingest_publish_latency.record(latency);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_ingest(
-        &self,
-        trajectories: u64,
-        trajectories_retired: u64,
-        variables_updated: u64,
-        variables_added: u64,
-        variables_removed: u64,
-        tracked_evictions: u64,
-        swept_evictions: u64,
-    ) {
-        self.ingest_updates.fetch_add(1, Ordering::Relaxed);
-        self.ingest_trajectories
-            .fetch_add(trajectories, Ordering::Relaxed);
-        self.ingest_trajectories_retired
-            .fetch_add(trajectories_retired, Ordering::Relaxed);
-        self.ingest_variables_updated
-            .fetch_add(variables_updated, Ordering::Relaxed);
-        self.ingest_variables_added
-            .fetch_add(variables_added, Ordering::Relaxed);
-        self.ingest_variables_removed
-            .fetch_add(variables_removed, Ordering::Relaxed);
-        self.invalidation_tracked_evictions
-            .fetch_add(tracked_evictions, Ordering::Relaxed);
-        self.invalidation_swept_evictions
-            .fetch_add(swept_evictions, Ordering::Relaxed);
-    }
-
-    /// Counts a request answered 429 at the admission door because the
-    /// queue's load watermark already had the service degraded.
-    pub fn record_rejected_degraded(&self) {
-        self.rejected_degraded.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Files one non-global distribution lookup's regime-fallback depth into
-    /// its bucket (the last bucket absorbs deeper ladders).
-    pub fn record_regime_fallback(&self, depth: usize) {
-        self.regime_fallback[depth.min(FALLBACK_DEPTH_BUCKETS - 1)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Tallies one distribution lookup under a non-global regime.
-    pub fn record_regime_lookup(&self, regime: pathcost_core::RegimeId, hit: bool) {
+        self.regime_fallback[fallback_depth.min(FALLBACK_DEPTH_BUCKETS - 1)].inc();
         let mut regimes = self.regimes.lock().expect("regime tally lock poisoned");
-        let tally = regimes.entry(regime.0).or_default();
-        if hit {
-            tally.hits += 1;
-        } else {
-            tally.misses += 1;
-        }
+        let (hits, misses) = regimes.entry(regime.0).or_insert_with(|| {
+            let label = regime.0.to_string();
+            (
+                registry.counter(
+                    "pathcost_regime_cache_hits_total",
+                    "Distribution-cache hits by requested (non-global) regime.",
+                    &[("regime", &label)],
+                ),
+                registry.counter(
+                    "pathcost_regime_cache_misses_total",
+                    "Distribution-cache misses by requested (non-global) regime.",
+                    &[("regime", &label)],
+                ),
+            )
+        });
+        if hit { hits } else { misses }.inc();
     }
 
-    /// Snapshot of the per-regime tallies (empty until a non-global lookup).
+    /// The per-regime tallies (empty until a non-global lookup).
     pub fn regime_tallies(&self) -> BTreeMap<u16, RegimeTally> {
-        self.regimes
-            .lock()
-            .expect("regime tally lock poisoned")
-            .clone()
+        let regimes = self.regimes.lock().expect("regime tally lock poisoned");
+        regimes
+            .iter()
+            .map(|(&regime, (hits, misses))| {
+                let tally = RegimeTally {
+                    hits: hits.get(),
+                    misses: misses.get(),
+                };
+                (regime, tally)
+            })
+            .collect()
     }
 
-    /// Counts stale reader edges purged from the dependency index when the
-    /// cache dropped their entry (LRU eviction, invalidation, raced fill).
-    pub fn record_stale_purges(&self, purged: u64) {
-        if purged > 0 {
-            self.invalidation_stale_reader_purges
-                .fetch_add(purged, Ordering::Relaxed);
-        }
-    }
-
-    /// Snapshots the recorder; cache hit/miss/insertion/eviction totals are
-    /// owned by the [`DistributionCache`](crate::cache::DistributionCache)
-    /// and passed in.
+    /// Reads every handle into the typed view; cache hit/miss/insertion/
+    /// eviction totals are owned by the
+    /// [`DistributionCache`](crate::cache::DistributionCache) and passed in.
     pub fn snapshot(
         &self,
         cache_hits: u64,
@@ -379,63 +368,58 @@ impl StatsRecorder {
         cache_insertions: u64,
         cache_evictions: u64,
     ) -> ServiceStats {
-        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let [estimate_queries, probability_queries, rank_queries, route_queries] =
+            self.queries.each_ref().map(Counter::get);
         ServiceStats {
-            estimate_queries: load(&self.queries[QueryKind::Estimate.index()]),
-            probability_queries: load(&self.queries[QueryKind::Probability.index()]),
-            rank_queries: load(&self.queries[QueryKind::Rank.index()]),
-            route_queries: load(&self.queries[QueryKind::Route.index()]),
-            errors: load(&self.errors),
+            estimate_queries,
+            probability_queries,
+            rank_queries,
+            route_queries,
+            errors: self.errors.get(),
             cache_hits,
             cache_misses,
-            estimations: load(&self.estimations),
-            decomposition_depth_sum: load(&self.decomposition_depth_sum),
-            latency_micros_sum: load(&self.latency_micros_sum),
+            estimations: self.estimations.get(),
+            decomposition_depth_sum: self.decomposition_depth_sum.get(),
             latency: self.latency.snapshot(),
             latency_ok: self.latency_ok.snapshot(),
             latency_failed: self.latency_failed.snapshot(),
             latency_shed: self.latency_shed.snapshot(),
-            shed_deadline: load(&self.shed_deadline),
-            deadline_exceeded: load(&self.deadline_exceeded),
-            cancelled: load(&self.cancelled),
-            degraded_answers: load(&self.degraded_answers),
-            panicked_queries: load(&self.panicked_queries),
-            batches: load(&self.batches),
-            batch_requests: load(&self.batch_requests),
-            batch_jobs_deduplicated: load(&self.batch_jobs_deduplicated),
-            prefix_warmed_jobs: load(&self.prefix_warmed_jobs),
-            prefix_reuses: load(&self.prefix_reuses),
-            prefix_edges_reused: load(&self.prefix_edges_reused),
-            route_candidates_evaluated: load(&self.route_candidates_evaluated),
-            route_eval_cache_hits: load(&self.route_eval_cache_hits),
-            route_incumbent_prunes: load(&self.route_incumbent_prunes),
-            route_expansions: load(&self.route_expansions),
+            shed_deadline: self.shed_deadline.get(),
+            deadline_exceeded: self.deadline_exceeded.get(),
+            cancelled: self.cancelled.get(),
+            degraded_answers: self.degraded_answers.get(),
+            panicked_queries: self.panicked_queries.get(),
+            batches: self.batches.get(),
+            batch_requests: self.batch_requests.get(),
+            batch_jobs_deduplicated: self.batch_jobs_deduplicated.get(),
+            prefix_warmed_jobs: self.prefix_warmed_jobs.get(),
+            prefix_reuses: self.prefix_reuses.get(),
+            prefix_edges_reused: self.prefix_edges_reused.get(),
+            route_candidates_evaluated: self.route_candidates_evaluated.get(),
+            route_eval_cache_hits: self.route_eval_cache_hits.get(),
+            route_incumbent_prunes: self.route_incumbent_prunes.get(),
+            route_expansions: self.route_expansions.get(),
             cache_insertions,
             cache_evictions,
-            ingest_updates: load(&self.ingest_updates),
+            ingest_updates: self.ingest_updates.get(),
             ingest_publish_latency: self.ingest_publish_latency.snapshot(),
-            ingest_trajectories: load(&self.ingest_trajectories),
-            ingest_trajectories_retired: load(&self.ingest_trajectories_retired),
-            ingest_variables_updated: load(&self.ingest_variables_updated),
-            ingest_variables_added: load(&self.ingest_variables_added),
-            ingest_variables_removed: load(&self.ingest_variables_removed),
-            invalidation_tracked_evictions: load(&self.invalidation_tracked_evictions),
-            invalidation_swept_evictions: load(&self.invalidation_swept_evictions),
-            invalidation_stale_reader_purges: load(&self.invalidation_stale_reader_purges),
-            rejected_degraded: load(&self.rejected_degraded),
-            regime_fallback: {
-                let mut buckets = [0u64; FALLBACK_DEPTH_BUCKETS];
-                for (out, c) in buckets.iter_mut().zip(&self.regime_fallback) {
-                    *out = load(c);
-                }
-                buckets
-            },
+            ingest_trajectories: self.ingest_trajectories.get(),
+            ingest_trajectories_retired: self.ingest_trajectories_retired.get(),
+            ingest_variables_updated: self.ingest_variables_updated.get(),
+            ingest_variables_added: self.ingest_variables_added.get(),
+            ingest_variables_removed: self.ingest_variables_removed.get(),
+            invalidation_tracked_evictions: self.invalidation_tracked_evictions.get(),
+            invalidation_swept_evictions: self.invalidation_swept_evictions.get(),
+            invalidation_stale_reader_purges: self.invalidation_stale_reader_purges.get(),
+            rejected_degraded: self.rejected_degraded.get(),
+            regime_fallback: self.regime_fallback.each_ref().map(Counter::get),
         }
     }
 }
 
-/// Point-in-time snapshot of the engine's metrics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Point-in-time view of the engine's metrics, read off the registered
+/// instruments by [`QueryEngine::stats`](crate::QueryEngine::stats).
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ServiceStats {
     /// `EstimateDistribution` queries served (including failed ones).
     pub estimate_queries: u64,
@@ -455,20 +439,18 @@ pub struct ServiceStats {
     pub estimations: u64,
     /// Sum of coarsest-decomposition component counts over all estimations.
     pub decomposition_depth_sum: u64,
-    /// Sum of per-query latencies, in microseconds.
-    pub latency_micros_sum: u64,
-    /// Fixed-bucket per-query latency distribution — the tail
-    /// ([`LatencySnapshot::p50`] / [`LatencySnapshot::p99`] /
-    /// [`LatencySnapshot::max`]) behind [`Self::mean_latency`]'s average.
-    pub latency: LatencySnapshot,
+    /// Fixed-bucket per-query latency distribution, in seconds — the tail
+    /// ([`HistogramSnapshot::p50`] / [`HistogramSnapshot::p99`] /
+    /// [`HistogramSnapshot::max`]) behind [`Self::mean_latency`]'s average.
+    pub latency: HistogramSnapshot,
     /// Latency distribution of successful queries only.
-    pub latency_ok: LatencySnapshot,
+    pub latency_ok: HistogramSnapshot,
     /// Latency distribution of failed queries (errors, deadline expiry,
     /// cancellation, contained panics).
-    pub latency_failed: LatencySnapshot,
+    pub latency_failed: HistogramSnapshot,
     /// Queue-wait distribution of requests shed in the admission queue
     /// because their deadline expired before dispatch.
-    pub latency_shed: LatencySnapshot,
+    pub latency_shed: HistogramSnapshot,
     /// Requests shed in the admission queue on an expired deadline — they
     /// were answered 504 without ever reaching a worker.
     pub shed_deadline: u64,
@@ -523,7 +505,7 @@ pub struct ServiceStats {
     pub ingest_updates: u64,
     /// Wall time each applied update spent publishing its epoch (graph swap
     /// plus targeted cache invalidation), as a latency distribution.
-    pub ingest_publish_latency: LatencySnapshot,
+    pub ingest_publish_latency: HistogramSnapshot,
     /// Trajectories appended across all applied updates.
     pub ingest_trajectories: u64,
     /// Trajectories retired (TTL-expired or removed by id) across all
@@ -560,7 +542,7 @@ pub struct ServiceStats {
     /// the last bucket absorbs deeper ladders). Per-regime hit/miss splits
     /// are reported separately via
     /// [`QueryEngine::regime_stats`](crate::QueryEngine::regime_stats) —
-    /// they live behind a lock, outside this `Copy` snapshot.
+    /// they live behind a lock, outside this view.
     pub regime_fallback: [u64; FALLBACK_DEPTH_BUCKETS],
 }
 
@@ -615,43 +597,65 @@ impl ServiceStats {
 
     /// Mean per-query latency; zero before any query.
     pub fn mean_latency(&self) -> Duration {
-        self.latency_micros_sum
-            .checked_div(self.total_queries())
-            .map(Duration::from_micros)
-            .unwrap_or(Duration::ZERO)
+        match self.latency.count() {
+            0 => Duration::ZERO,
+            n => Duration::from_secs_f64(self.latency.sum / n as f64),
+        }
     }
+}
+
+/// Renders `registry`, checks the page is a valid exposition and returns the
+/// value of the series with exactly this name-plus-labels.
+#[cfg(test)]
+pub(crate) fn rendered_value(registry: &Registry, series: &str) -> f64 {
+    let mut page = pathcost_obs::ExpositionWriter::new();
+    registry.render_into(&mut page);
+    let page = page.finish();
+    pathcost_obs::expo::validate(&page).expect("registry renders a valid page");
+    page.lines()
+        .find_map(|l| l.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("{series} missing:\n{page}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pathcost_core::RegimeId;
 
     #[test]
     fn snapshot_reflects_recorded_events() {
-        let rec = StatsRecorder::default();
+        let registry = Registry::new();
+        let rec = StatsRecorder::new(&registry);
         rec.record_query(QueryKind::Estimate, Duration::from_micros(100), true);
         rec.record_query(QueryKind::Route, Duration::from_micros(300), false);
         rec.record_estimation(2);
         rec.record_estimation(4);
         rec.record_batch(10, 6);
         rec.record_prefix_warm(4, 3, 7);
-        rec.record_route(5, 2, 9, 13);
-        rec.record_ingest(25, 7, 4, 2, 1, 11, 3);
-        rec.record_publish(Duration::from_micros(40));
-        rec.record_stale_purges(6);
-        rec.record_stale_purges(0); // no-op
+        rec.route_candidates_evaluated.add(5);
+        rec.route_eval_cache_hits.add(2);
+        rec.route_incumbent_prunes.add(9);
+        rec.route_expansions.add(13);
+        rec.ingest_updates.inc();
+        rec.ingest_trajectories.add(25);
+        rec.ingest_trajectories_retired.add(7);
+        rec.ingest_variables_updated.add(4);
+        rec.ingest_variables_added.add(2);
+        rec.ingest_variables_removed.add(1);
+        rec.invalidation_tracked_evictions.add(11);
+        rec.invalidation_swept_evictions.add(3);
+        rec.ingest_publish_latency
+            .observe_duration(Duration::from_micros(40));
+        rec.invalidation_stale_reader_purges.add(6);
         rec.record_shed(Duration::from_micros(50));
-        rec.record_deadline_exceeded();
-        rec.record_cancelled();
-        rec.record_degraded();
-        rec.record_panicked();
-        rec.record_rejected_degraded();
-        rec.record_regime_fallback(0);
-        rec.record_regime_fallback(2);
-        rec.record_regime_fallback(99); // clamped into the last bucket
-        rec.record_regime_lookup(pathcost_core::RegimeId(1), true);
-        rec.record_regime_lookup(pathcost_core::RegimeId(1), false);
-        rec.record_regime_lookup(pathcost_core::RegimeId(2), false);
+        rec.deadline_exceeded.inc();
+        rec.cancelled.inc();
+        rec.degraded_answers.inc();
+        rec.panicked_queries.inc();
+        rec.rejected_degraded.inc();
+        rec.record_regime_lookup(&registry, RegimeId(1), true, 0);
+        rec.record_regime_lookup(&registry, RegimeId(1), false, 2);
+        rec.record_regime_lookup(&registry, RegimeId(2), false, 99); // clamped into the last bucket
         let s = rec.snapshot(3, 1, 20, 5);
         assert_eq!(s.estimate_queries, 1);
         assert_eq!(s.route_queries, 1);
@@ -670,7 +674,7 @@ mod tests {
         assert_eq!(s.route_incumbent_prunes, 9);
         assert_eq!(s.route_expansions, 13);
         assert_eq!(s.ingest_updates, 1);
-        assert_eq!(s.ingest_publish_latency.total(), 1);
+        assert_eq!(s.ingest_publish_latency.count(), 1);
         assert_eq!(s.ingest_trajectories, 25);
         assert_eq!(s.ingest_trajectories_retired, 7);
         assert_eq!(s.ingest_variables_updated, 4);
@@ -687,9 +691,10 @@ mod tests {
         assert!((s.eviction_rate() - 0.95).abs() < 1e-12);
         // Outcome accounting: one ok + one failed query, one shed request,
         // and the shed also counts toward deadline_exceeded.
-        assert_eq!(s.latency_ok.total(), 1);
-        assert_eq!(s.latency_failed.total(), 1);
-        assert_eq!(s.latency_shed.total(), 1);
+        assert_eq!(s.latency.count(), 2);
+        assert_eq!(s.latency_ok.count(), 1);
+        assert_eq!(s.latency_failed.count(), 1);
+        assert_eq!(s.latency_shed.count(), 1);
         assert_eq!(s.shed_deadline, 1);
         assert_eq!(s.deadline_exceeded, 2);
         assert_eq!(s.cancelled, 1);
@@ -704,63 +709,52 @@ mod tests {
     }
 
     #[test]
-    fn latency_histogram_buckets_and_quantiles() {
-        let rec = LatencyRecorder::default();
-        // 99 fast queries at ~8 µs, one slow one at 10 ms.
-        for _ in 0..99 {
-            rec.record(Duration::from_micros(8));
+    fn rendered_histogram_sums_are_exact() {
+        let registry = Registry::new();
+        let rec = StatsRecorder::new(&registry);
+        // Durations far from any bucket's upper edge, so a sum rebuilt from
+        // edges (up to 2x high) cannot pass for the real one.
+        rec.record_query(QueryKind::Estimate, Duration::from_micros(1_100), true);
+        rec.record_query(QueryKind::Rank, Duration::from_micros(2_300), true);
+        rec.record_query(QueryKind::Route, Duration::from_micros(70), false);
+        rec.record_shed(Duration::from_micros(5_000));
+        rec.ingest_publish_latency
+            .observe_duration(Duration::from_micros(33_000));
+        rec.ingest_publish_latency
+            .observe_duration(Duration::from_micros(9));
+        for (series, micros) in [
+            ("pathcost_query_seconds_sum", 3_470.0),
+            (
+                r#"pathcost_query_outcome_seconds_sum{outcome="ok"}"#,
+                3_400.0,
+            ),
+            (
+                r#"pathcost_query_outcome_seconds_sum{outcome="failed"}"#,
+                70.0,
+            ),
+            (
+                r#"pathcost_query_outcome_seconds_sum{outcome="shed"}"#,
+                5_000.0,
+            ),
+            ("pathcost_ingest_publish_seconds_sum", 33_009.0),
+        ] {
+            let value = rendered_value(&registry, series);
+            assert!(
+                (value * 1e6 - micros).abs() < 1.0,
+                "{series} = {value} s, want {micros} µs"
+            );
         }
-        rec.record(Duration::from_millis(10));
-        let snap = rec.snapshot();
-        assert_eq!(snap.total(), 100);
-        // 8 µs lands in bucket 3 ([8, 16) µs).
-        assert_eq!(snap.counts[3], 99);
-        assert_eq!(snap.max(), Duration::from_millis(10));
-        // p50 resolves to the fast bucket's upper edge (16 µs)…
-        assert_eq!(snap.p50(), Duration::from_micros(16));
-        // …while p99 still sits in the fast bucket (rank 99 of 100)…
-        assert_eq!(snap.p99(), Duration::from_micros(16));
-        // …and the max exposes the outlier the mean would bury.
-        assert!(snap.quantile(1.0) >= Duration::from_millis(8));
-        assert!(snap.p99() < snap.max());
-    }
-
-    #[test]
-    fn latency_quantile_is_clamped_to_the_observed_max() {
-        let rec = LatencyRecorder::default();
-        rec.record(Duration::from_micros(9)); // bucket [8, 16), max 9
-        let snap = rec.snapshot();
-        assert_eq!(snap.p99(), Duration::from_micros(9), "clamped to max");
-        // Sub-microsecond observations land in bucket 0.
-        let rec = LatencyRecorder::default();
-        rec.record(Duration::from_nanos(10));
-        let snap = rec.snapshot();
-        assert_eq!(snap.counts[0], 1);
-        assert_eq!(snap.total(), 1);
-    }
-
-    #[test]
-    fn latency_snapshots_merge_bucketwise() {
-        let (a, b) = (LatencyRecorder::default(), LatencyRecorder::default());
-        a.record(Duration::from_micros(5));
-        b.record(Duration::from_micros(5));
-        b.record(Duration::from_millis(1));
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-        assert_eq!(merged.total(), 3);
-        assert_eq!(merged.counts[2], 2, "both 5 µs observations in [4, 8)");
-        assert_eq!(merged.max(), Duration::from_millis(1));
     }
 
     #[test]
     fn empty_snapshot_divides_safely() {
-        let s = StatsRecorder::default().snapshot(0, 0, 0, 0);
+        let s = StatsRecorder::new(&Registry::new()).snapshot(0, 0, 0, 0);
         assert_eq!(s.cache_hit_rate(), 0.0);
         assert_eq!(s.mean_decomposition_depth(), 0.0);
         assert_eq!(s.mean_latency(), Duration::ZERO);
-        assert_eq!(s.latency.p50(), Duration::ZERO);
-        assert_eq!(s.latency.p99(), Duration::ZERO);
-        assert_eq!(s.latency.max(), Duration::ZERO);
+        assert_eq!(s.latency.p50(), 0.0);
+        assert_eq!(s.latency.p99(), 0.0);
+        assert_eq!(s.latency.max, 0.0);
         assert_eq!(s.total_queries(), 0);
         assert_eq!(s.eviction_rate(), 0.0);
         assert_eq!(s.invalidation_evictions(), 0);

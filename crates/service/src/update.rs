@@ -467,16 +467,20 @@ impl<'n> QueryEngine<'n> {
             stale_reader_purges += self.purge_stale_edges(&path, interval, regime);
         }
 
-        self.recorder.record_ingest(
-            trajectories as u64,
-            trajectories_retired as u64,
-            updated.len() as u64,
-            added.len() as u64,
-            removed.len() as u64,
-            evicted_tracked,
-            evicted_swept,
-        );
-        self.recorder.record_publish(publish_started.elapsed());
+        let recorder = &self.recorder;
+        recorder.ingest_updates.inc();
+        recorder.ingest_trajectories.add(trajectories as u64);
+        recorder
+            .ingest_trajectories_retired
+            .add(trajectories_retired as u64);
+        recorder.ingest_variables_updated.add(updated.len() as u64);
+        recorder.ingest_variables_added.add(added.len() as u64);
+        recorder.ingest_variables_removed.add(removed.len() as u64);
+        recorder.invalidation_tracked_evictions.add(evicted_tracked);
+        recorder.invalidation_swept_evictions.add(evicted_swept);
+        recorder
+            .ingest_publish_latency
+            .observe_duration(publish_started.elapsed());
         Ok(UpdateReport {
             epoch: published,
             variables_updated: updated.len(),

@@ -882,13 +882,13 @@ fn expired_deadlines_are_shed_before_dispatch() {
     let stats = engine.stats();
     assert_eq!(stats.shed_deadline, 1, "{stats:?}");
     assert!(stats.deadline_exceeded >= 1);
-    assert_eq!(stats.latency_shed.total(), 1);
+    assert_eq!(stats.latency_shed.count(), 1);
     assert_eq!(
         stats.estimate_queries, 1,
         "the shed request must never reach the engine"
     );
     // Both tickets count in the end-to-end histogram (clients waited on both).
-    assert_eq!(queue.latency().total(), 2);
+    assert_eq!(queue.latency().count(), 2);
 }
 
 #[test]
