@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pathcost_bench::experiment::{experiment_config, random_od_pairs, Dataset, Scale};
 use pathcost_core::{CostEstimator, HpEstimator, HybridGraph, LbEstimator, OdEstimator};
 // The figure reproduces the paper's DFS query, so it drives the retained
-// reference; `routing_throughput.rs` measures the best-first search against it.
+// reference.
 use pathcost_routing::naive::DfsRouter;
 use pathcost_routing::RouterConfig;
 use pathcost_traj::{DatasetPreset, Timestamp};

@@ -12,16 +12,17 @@
 //! the *serving* side after an update lands: two identically warmed engines
 //! receive the same update — one through targeted invalidation, one through
 //! a full flush — and re-serve the warm workload. Eviction counts (precision)
-//! and first-pass latencies are printed and asserted: targeted invalidation
-//! must evict a strict subset of the cache and beat the flush on post-update
-//! warm-query latency. Medians land in `BENCH_4.json`.
+//! and first-pass latencies are printed; targeted invalidation is asserted
+//! to evict a strict subset of the cache (the latency ratio is printed, not
+//! asserted — wall-clock floors do not belong in CI).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pathcost_bench::experiment::{experiment_config, Dataset, Scale};
 use pathcost_core::{
-    DayPartition, HybridConfig, HybridGraph, PathWeightFunction, VariableKey, WeightUpdate,
+    dirty_keys_by_regime, DayPartition, HybridConfig, HybridGraph, PathWeightFunction,
+    RegimeVariableKey, WeightUpdate,
 };
-use pathcost_live::{dirty_keys, LiveIngestor};
+use pathcost_live::LiveIngestor;
 use pathcost_roadnet::RoadNetwork;
 use pathcost_service::{QueryEngine, QueryRequest, ServiceConfig};
 use pathcost_traj::{DatasetPreset, MatchedTrajectory, Timestamp, TrajectoryStore};
@@ -36,13 +37,13 @@ struct Workload {
     batch: Vec<MatchedTrajectory>,
     merged: TrajectoryStore,
     base_weights: PathWeightFunction,
-    dirty: BTreeSet<VariableKey>,
+    dirty: BTreeSet<RegimeVariableKey>,
     /// The merged store after its oldest ~2% aged out (the TTL retirement
     /// workload), the weight function instantiated over `merged` (the
     /// pre-retirement epoch), and the removed windows' dirty keys.
     truncated: TrajectoryStore,
     merged_weights: PathWeightFunction,
-    dirty_retire: BTreeSet<VariableKey>,
+    dirty_retire: BTreeSet<RegimeVariableKey>,
 }
 
 fn workload() -> Workload {
@@ -63,7 +64,7 @@ fn workload() -> Workload {
     let base_weights =
         PathWeightFunction::instantiate(&dataset.net, &base, &cfg).expect("instantiates");
     let partition = DayPartition::new(cfg.alpha_minutes).expect("valid α");
-    let dirty = dirty_keys(&batch, &partition, cfg.max_rank);
+    let dirty = dirty_keys_by_regime(&batch, &partition, cfg.max_rank, &cfg.regimes);
     // Retirement mirror of the ingest shape: the oldest ~2% of the merged
     // store hits its TTL as one retirement epoch.
     let cutoff = merged
@@ -74,7 +75,7 @@ fn workload() -> Workload {
     assert!(!removed.is_empty(), "the TTL cut must retire something");
     let merged_weights =
         PathWeightFunction::instantiate(&dataset.net, &merged, &cfg).expect("instantiates");
-    let dirty_retire = dirty_keys(&removed, &partition, cfg.max_rank);
+    let dirty_retire = dirty_keys_by_regime(&removed, &partition, cfg.max_rank, &cfg.regimes);
     Workload {
         net: dataset.net,
         cfg,
@@ -169,7 +170,7 @@ fn bench_live_ingest(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("rederive_targeted", "1pct"), &w, |b, w| {
         b.iter(|| {
             w.base_weights
-                .rederive(&w.net, &w.merged, &w.cfg, &w.dirty)
+                .rederive_regimes(&w.net, &w.merged, &w.cfg, &w.dirty)
                 .expect("rederive succeeds")
         })
     });
@@ -196,7 +197,7 @@ fn bench_live_ingest(c: &mut Criterion) {
     // the whole weight function over the truncated store.
     let retire_update = w
         .merged_weights
-        .rederive(&w.net, &w.truncated, &w.cfg, &w.dirty_retire)
+        .rederive_regimes(&w.net, &w.truncated, &w.cfg, &w.dirty_retire)
         .expect("rederive succeeds");
     let truncated_full =
         PathWeightFunction::instantiate(&w.net, &w.truncated, &w.cfg).expect("instantiates");
@@ -217,7 +218,7 @@ fn bench_live_ingest(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("retire_targeted", "2pct"), &w, |b, w| {
         b.iter(|| {
             w.merged_weights
-                .rederive(&w.net, &w.truncated, &w.cfg, &w.dirty_retire)
+                .rederive_regimes(&w.net, &w.truncated, &w.cfg, &w.dirty_retire)
                 .expect("rederive succeeds")
         })
     });
@@ -274,10 +275,6 @@ fn bench_live_ingest(c: &mut Criterion) {
     assert!(
         (targeted_evicted as usize) < cache_size,
         "targeted invalidation must evict a strict subset ({targeted_evicted}/{cache_size})"
-    );
-    assert!(
-        targeted < flushed,
-        "surviving entries must make the post-update pass faster ({targeted:?} vs {flushed:?})"
     );
 }
 

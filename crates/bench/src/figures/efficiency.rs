@@ -9,8 +9,7 @@ use pathcost_core::{
     RdEstimator,
 };
 // Figure 18 reproduces the paper's DFS probabilistic path query, so it drives
-// the retained reference implementation; the optimised best-first search is
-// measured against it in `benches/routing_throughput.rs`.
+// the retained reference implementation.
 use pathcost_routing::naive::DfsRouter;
 use pathcost_routing::RouterConfig;
 use pathcost_traj::Timestamp;

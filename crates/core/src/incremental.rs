@@ -15,7 +15,7 @@
 //! * [`IncrementalEstimate`] pairs a `PartialEstimate` with the concrete
 //!   [`Path`] it describes, validating adjacency and vertex-distinctness on
 //!   every extension — the safe API for callers that need the materialised
-//!   path (the batch executor's prefix sharing, tests, examples). A full OD
+//!   path (the DFS reference router, tests, examples). A full OD
 //!   re-estimation can be requested at any time for the exact
 //!   coarsest-decomposition result.
 
@@ -218,8 +218,8 @@ impl IncrementalEstimate {
     }
 
     /// As [`Self::extend`], threading caller-owned scratch buffers through the
-    /// convolution so tight extension loops (the batch executor's prefix
-    /// sharing) allocate only the returned estimate.
+    /// convolution so tight extension loops allocate only the returned
+    /// estimate.
     pub fn extend_with_scratch(
         &self,
         graph: &HybridGraph<'_>,
@@ -291,7 +291,7 @@ mod tests {
     }
 
     #[test]
-    fn incremental_mean_is_close_to_full_od_estimate() {
+    fn incremental_mean_is_close_to_the_od_estimate() {
         let (net, store, cfg) = fixture();
         let graph = HybridGraph::build(&net, &store, cfg).unwrap();
         let (query, _) = store.frequent_paths(4, 10, None)[0].clone();

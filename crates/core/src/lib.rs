@@ -58,6 +58,6 @@ pub use interval::{DayPartition, IntervalId};
 pub use pathcost_traj::{mix_regime, RegimeClassifier, RegimeId, RegimeSchema};
 pub use variable::{InstantiatedVariable, VariableSource};
 pub use weights::{
-    dirty_keys, dirty_keys_by_regime, PathWeightFunction, RegimeVariableKey, VariableKey,
-    WeightStats, WeightUpdate,
+    dirty_keys_by_regime, PathWeightFunction, RegimeVariableKey, VariableKey, WeightStats,
+    WeightUpdate,
 };

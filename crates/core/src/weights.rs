@@ -16,8 +16,8 @@
 //!    the sorted key list is cut into contiguous chunks, one scoped worker
 //!    (with its own [`FitScratch`]) per chunk, and the fitted variables are
 //!    concatenated in key order — the result does not depend on the worker
-//!    count. [`PathWeightFunction::rederive`] re-fits its dirty keys through
-//!    the same fan-out.
+//!    count. [`PathWeightFunction::rederive_regimes`] re-fits its dirty keys
+//!    through the same fan-out.
 //!
 //! Unit paths that never reach `β` qualified trajectories fall back to a
 //! speed-limit-derived distribution, so every edge always has *some*
@@ -40,35 +40,15 @@ use std::sync::Arc;
 /// The variable keys whose qualified occurrence sets a batch of *appended or
 /// removed* trajectories changes: each `(edges[start..start + k], interval)`
 /// window for `k = 1..=max_rank` — the exact mirror of instantiation's pass-1
-/// enumeration below, kept next to it so the two cannot drift. Everything
-/// outside this set is provably untouched by the append (or retirement),
-/// which is what makes [`PathWeightFunction::rederive`] exact: a trajectory
-/// only ever contributes occurrences to its own windows, whether it is
-/// arriving or aging out.
-pub fn dirty_keys(
-    batch: &[MatchedTrajectory],
-    partition: &DayPartition,
-    max_rank: usize,
-) -> BTreeSet<VariableKey> {
-    let mut dirty = BTreeSet::new();
-    for m in batch {
-        let edges = m.path.edges();
-        for k in 1..=max_rank.min(edges.len()) {
-            for start in 0..=edges.len() - k {
-                let interval = partition.interval_of(m.entry_times[start].time_of_day());
-                dirty.insert((edges[start..start + k].to_vec(), interval));
-            }
-        }
-    }
-    dirty
-}
-
-/// The regime-keyed counterpart of [`dirty_keys`]: each window of a changed
-/// trajectory dirties one key per rung of the trajectory's fallback ladder,
-/// because a regime-`Q` traversal contributes occurrences to `Q`'s own table,
-/// every ancestor group table and the global table. For an all-global batch
-/// this is exactly [`dirty_keys`] with [`RegimeId::ALL_TRAFFIC`] appended to
-/// every key.
+/// enumeration below, kept next to it so the two cannot drift — once per rung
+/// of the trajectory's fallback ladder, because a regime-`Q` traversal
+/// contributes occurrences to `Q`'s own table, every ancestor group table and
+/// the global table (an untagged trajectory's ladder is the global table
+/// alone). Everything outside this set is provably untouched by the append
+/// (or retirement), which is what makes
+/// [`PathWeightFunction::rederive_regimes`] exact: a trajectory only ever
+/// contributes occurrences to its own windows, whether it is arriving or
+/// aging out.
 pub fn dirty_keys_by_regime(
     batch: &[MatchedTrajectory],
     partition: &DayPartition,
@@ -185,7 +165,8 @@ pub type VariableKey = (Vec<EdgeId>, IntervalId);
 /// passes through it).
 pub type RegimeVariableKey = (Vec<EdgeId>, IntervalId, RegimeId);
 
-/// The outcome of a selective re-instantiation ([`PathWeightFunction::rederive`]):
+/// The outcome of a selective re-instantiation
+/// ([`PathWeightFunction::rederive_regimes`]):
 /// a new weight-function epoch plus the exact set of variable keys whose
 /// histograms differ from the previous epoch. The serving layer consumes this
 /// to swap the published weight function and surgically evict exactly the
@@ -550,9 +531,9 @@ impl PathWeightFunction {
     }
 
     /// Patches a sorted delta into this function's already-sorted variable
-    /// list by a single splice/merge pass, which [`Self::rederive`] uses so a
-    /// small epoch does not pay an `O(|variables| log |variables|)` sorted
-    /// re-index.
+    /// list by a single splice/merge pass, which [`Self::rederive_regimes`]
+    /// uses so a small epoch does not pay an `O(|variables| log |variables|)`
+    /// sorted re-index.
     /// `Some(var)` entries replace (or insert) their key, `None` entries
     /// delete it. The merged order is exactly the sorted-key order a full
     /// re-assembly would produce — bit-identity is asserted by the weight
@@ -673,12 +654,18 @@ impl PathWeightFunction {
     /// `current` is the store after the producing mutation — trajectories
     /// appended, retired (TTL expiry), or both — and `dirty` must name every
     /// key whose qualified occurrence set the mutation changed (the windows
-    /// of appended plus removed trajectories, see [`dirty_keys`]). `cfg` must
+    /// of appended plus removed trajectories on every rung of their fallback
+    /// ladders, see [`dirty_keys_by_regime`]). `cfg` must
     /// be the configuration the function was originally instantiated with —
-    /// the day partition (α) and cost kind are checked, because a changed
-    /// partition would silently re-key every interval. Under those conditions
-    /// the result is **bit-identical** to [`PathWeightFunction::instantiate`]
-    /// over `current`:
+    /// the day partition (α), cost kind and regime schema are checked,
+    /// because a changed partition would silently re-key every interval.
+    /// Global keys are re-derived against the full store; a non-global key
+    /// against the contributing subsequence of the store (trajectories whose
+    /// fallback ladder passes through the key's table) and patched into that
+    /// regime's own table, from which the effective views are
+    /// re-materialized. Under those conditions the result is
+    /// **bit-identical** to [`PathWeightFunction::instantiate`] over
+    /// `current`:
     ///
     /// * a dirty key's qualified rows in the current store are exactly the
     ///   rows the full rebuild's collection pass would visit, in the same
@@ -697,28 +684,6 @@ impl PathWeightFunction {
     /// trajectories aged out) is **deleted** and reported in
     /// [`WeightUpdate::removed`]. Holdout exclusions are an
     /// evaluation-protocol feature and are not supported here.
-    pub fn rederive(
-        &self,
-        net: &RoadNetwork,
-        current: &TrajectoryStore,
-        cfg: &HybridConfig,
-        dirty: &BTreeSet<VariableKey>,
-    ) -> Result<WeightUpdate, CoreError> {
-        let tagged: BTreeSet<RegimeVariableKey> = dirty
-            .iter()
-            .map(|(edges, interval)| (edges.clone(), *interval, RegimeId::ALL_TRAFFIC))
-            .collect();
-        self.rederive_regimes(net, current, cfg, &tagged)
-    }
-
-    /// The regime-aware selective re-instantiation behind [`Self::rederive`]:
-    /// global keys are re-derived against the full store exactly as before;
-    /// a non-global key is re-derived against the contributing subsequence
-    /// of the store (trajectories whose fallback ladder passes through the
-    /// key's table) and patched into that regime's own table. Effective
-    /// views are re-materialized from the patched tables, so the result is
-    /// bit-identical to a full [`Self::instantiate`] over `current` when
-    /// `dirty` covers every changed key (see [`dirty_keys_by_regime`]).
     pub fn rederive_regimes(
         &self,
         net: &RoadNetwork,
@@ -860,35 +825,14 @@ impl PathWeightFunction {
 
     /// Restores a weight function from previously captured parts — the
     /// deserialization counterpart of [`Self::variables`] +
-    /// [`Self::fallback_units`]. `variables` must be in strictly increasing
+    /// [`Self::fallback_units`] + [`Self::regime_tables`]. `variables` and
+    /// every regime own table must be in strictly increasing
     /// `(path edges, interval)` key order (the order [`Self::variables`]
-    /// exposes); the lookup and first-edge indices and the summary statistics
-    /// are re-derived exactly as every other constructor derives them, so a
-    /// restored function is bit-identical to the one that was captured
-    /// (given the same `store`).
-    pub fn from_parts(
-        partition: DayPartition,
-        cost_kind: CostKind,
-        variables: Vec<InstantiatedVariable>,
-        fallback_units: HashMap<EdgeId, Histogram1D>,
-        store: &TrajectoryStore,
-    ) -> Result<Self, CoreError> {
-        Self::from_parts_with_regimes(
-            partition,
-            cost_kind,
-            variables,
-            fallback_units,
-            store,
-            RegimeSchema::flat(),
-            BTreeMap::new(),
-        )
-    }
-
-    /// [`Self::from_parts`] with regime tables: restores the schema and the
-    /// per-regime own tables and re-materializes the effective views, so a
-    /// v2 snapshot round-trips to a function bit-identical to the captured
-    /// one. Own tables obey the same strictly-increasing key-order contract
-    /// as the global variables.
+    /// exposes); the lookup and first-edge indices, the summary statistics
+    /// and the effective regime views are re-derived exactly as every other
+    /// constructor derives them, so a restored function is bit-identical to
+    /// the one that was captured (given the same `store`). A function without
+    /// regimes restores with [`RegimeSchema::flat`] and no own tables.
     pub fn from_parts_with_regimes(
         partition: DayPartition,
         cost_kind: CostKind,
@@ -1190,10 +1134,10 @@ mod tests {
         assert!(!batch.is_empty());
         let wp = PathWeightFunction::instantiate(&net, &base, &cfg).unwrap();
         let partition = DayPartition::new(cfg.alpha_minutes).unwrap();
-        let dirty = dirty_keys(&batch, &partition, cfg.max_rank);
+        let dirty = dirty_keys_by_regime(&batch, &partition, cfg.max_rank, &cfg.regimes);
 
         base.append(batch);
-        let update = wp.rederive(&net, &base, &cfg, &dirty).unwrap();
+        let update = wp.rederive_regimes(&net, &base, &cfg, &dirty).unwrap();
         let full = PathWeightFunction::instantiate(&net, &base, &cfg).unwrap();
         // The strongest possible check: every variable (path, interval,
         // histogram buckets, source count) and the summary statistics are
@@ -1251,8 +1195,8 @@ mod tests {
         assert!(!removed_trajs.is_empty());
 
         let partition = DayPartition::new(cfg.alpha_minutes).unwrap();
-        let dirty = dirty_keys(&removed_trajs, &partition, cfg.max_rank);
-        let update = wp.rederive(&net, &truncated, &cfg, &dirty).unwrap();
+        let dirty = dirty_keys_by_regime(&removed_trajs, &partition, cfg.max_rank, &cfg.regimes);
+        let update = wp.rederive_regimes(&net, &truncated, &cfg, &dirty).unwrap();
         let full = PathWeightFunction::instantiate(&net, &truncated, &cfg).unwrap();
         assert_reindex_identical(&update.weights, &full);
         assert!(
@@ -1287,8 +1231,8 @@ mod tests {
         // Epoch 1: retire the oldest quarter.
         let cutoff = live.start_time_at_percentile(25).unwrap();
         let removed_trajs = live.retire_before(cutoff);
-        let dirty = dirty_keys(&removed_trajs, &partition, cfg.max_rank);
-        let update = wp.rederive(&net, &live, &cfg, &dirty).unwrap();
+        let dirty = dirty_keys_by_regime(&removed_trajs, &partition, cfg.max_rank, &cfg.regimes);
+        let update = wp.rederive_regimes(&net, &live, &cfg, &dirty).unwrap();
         assert_reindex_identical(
             &update.weights,
             &PathWeightFunction::instantiate(&net, &live, &cfg).unwrap(),
@@ -1296,9 +1240,9 @@ mod tests {
         wp = (*update.weights).clone();
 
         // Epoch 2: append the held-out batch on top of the truncated store.
-        let dirty = dirty_keys(&batch, &partition, cfg.max_rank);
+        let dirty = dirty_keys_by_regime(&batch, &partition, cfg.max_rank, &cfg.regimes);
         live.append(batch);
-        let update = wp.rederive(&net, &live, &cfg, &dirty).unwrap();
+        let update = wp.rederive_regimes(&net, &live, &cfg, &dirty).unwrap();
         assert_reindex_identical(
             &update.weights,
             &PathWeightFunction::instantiate(&net, &live, &cfg).unwrap(),
@@ -1313,7 +1257,9 @@ mod tests {
             ..HybridConfig::default()
         };
         let wp = PathWeightFunction::instantiate(&net, &store, &cfg).unwrap();
-        let update = wp.rederive(&net, &store, &cfg, &BTreeSet::new()).unwrap();
+        let update = wp
+            .rederive_regimes(&net, &store, &cfg, &BTreeSet::new())
+            .unwrap();
         assert_eq!(update.changed(), 0);
         assert_eq!(update.weights.variables(), wp.variables());
         assert_eq!(update.weights.stats(), wp.stats());
@@ -1346,7 +1292,16 @@ mod tests {
         let (_, store) = DatasetPreset::tiny(21).materialise().unwrap();
         let partition = DayPartition::new(30).unwrap();
         let batch = store.matched()[..10].to_vec();
-        let flat = dirty_keys(&batch, &partition, 6);
+        let mut flat = BTreeSet::new();
+        for m in &batch {
+            let edges = m.path.edges();
+            for k in 1..=6.min(edges.len()) {
+                for start in 0..=edges.len() - k {
+                    let interval = partition.interval_of(m.entry_times[start].time_of_day());
+                    flat.insert((edges[start..start + k].to_vec(), interval));
+                }
+            }
+        }
         let tagged = dirty_keys_by_regime(&batch, &partition, 6, &RegimeSchema::flat());
         assert_eq!(tagged.len(), flat.len());
         for (edges, interval) in &flat {
@@ -1669,6 +1624,8 @@ mod tests {
             alpha_minutes: cfg.alpha_minutes * 2,
             ..cfg
         };
-        assert!(wp.rederive(&net, &store, &recut, &BTreeSet::new()).is_err());
+        assert!(wp
+            .rederive_regimes(&net, &store, &recut, &BTreeSet::new())
+            .is_err());
     }
 }

@@ -11,18 +11,18 @@
 //! them; the same enumeration serves both directions, which is why
 //! `LiveIngestor::retire_*` feed the *removed* trajectories through it.
 
-/// The set of variable keys whose qualified occurrence sets a batch of newly
-/// appended trajectories changes. The implementation lives in
+/// The set of regime-keyed variable keys whose qualified occurrence sets a
+/// batch of newly appended trajectories changes. The implementation lives in
 /// `pathcost-core` next to the pass-1 loop it mirrors
 /// ([`pathcost_core::weights`]), so the enumeration and the instantiation it
 /// must match cannot drift apart; this module re-exports it as the ingest
 /// subsystem's entry point and keeps the batch-level tests.
-pub use pathcost_core::{dirty_keys, dirty_keys_by_regime};
+pub use pathcost_core::dirty_keys_by_regime;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pathcost_core::DayPartition;
+    use pathcost_core::{DayPartition, RegimeId, RegimeSchema};
     use pathcost_traj::{DatasetPreset, MatchedTrajectory};
 
     #[test]
@@ -31,11 +31,12 @@ mod tests {
         let partition = DayPartition::new(30).unwrap();
         let batch: Vec<MatchedTrajectory> = store.matched()[..3].to_vec();
         let max_rank = 4;
-        let dirty = dirty_keys(&batch, &partition, max_rank);
+        let dirty = dirty_keys_by_regime(&batch, &partition, max_rank, &RegimeSchema::flat());
         assert!(!dirty.is_empty());
         // Every key is a window of some batch trajectory at its entry
         // interval …
-        for (edges, interval) in &dirty {
+        for (edges, interval, regime) in &dirty {
+            assert_eq!(*regime, RegimeId::ALL_TRAFFIC);
             assert!((1..=max_rank).contains(&edges.len()));
             let witnessed = batch.iter().any(|m| {
                 m.path
@@ -56,7 +57,11 @@ mod tests {
             for k in 1..=max_rank.min(edges.len()) {
                 for start in 0..=edges.len() - k {
                     let interval = partition.interval_of(m.entry_times[start].time_of_day());
-                    assert!(dirty.contains(&(edges[start..start + k].to_vec(), interval)));
+                    assert!(dirty.contains(&(
+                        edges[start..start + k].to_vec(),
+                        interval,
+                        RegimeId::ALL_TRAFFIC
+                    )));
                 }
             }
         }
@@ -65,6 +70,6 @@ mod tests {
     #[test]
     fn empty_batch_is_clean() {
         let partition = DayPartition::new(30).unwrap();
-        assert!(dirty_keys(&[], &partition, 6).is_empty());
+        assert!(dirty_keys_by_regime(&[], &partition, 6, &RegimeSchema::flat()).is_empty());
     }
 }

@@ -44,7 +44,7 @@ impl RetentionConfig {
 /// Each [`LiveIngestor::ingest`] call appends the batch to the trajectory
 /// store through the delta-indexed [`TrajectoryStore::append`], re-derives
 /// only the variables whose qualified occurrence sets the batch actually
-/// changed ([`PathWeightFunction::rederive`]), and returns a stamped
+/// changed ([`PathWeightFunction::rederive_regimes`]), and returns a stamped
 /// [`WeightUpdate`] — the new epoch plus the exact changed-key sets a serving
 /// engine needs for targeted cache invalidation
 /// (`QueryEngine::apply_update` in `pathcost-service`).

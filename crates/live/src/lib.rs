@@ -19,11 +19,11 @@
 //!    [`MatchedTrajectory`](pathcost_traj::MatchedTrajectory) are appended to
 //!    the [`TrajectoryStore`](pathcost_traj::TrajectoryStore) through its
 //!    incremental index maintenance, not a rebuild.
-//! 2. **Dirty-key computation** ([`delta::dirty_keys`]) — the appended
+//! 2. **Dirty-key computation** ([`delta::dirty_keys_by_regime`]) — the appended
 //!    windows name exactly the weight-function variables whose qualified
 //!    occurrence sets changed; everything else is provably untouched.
 //! 3. **Selective re-derivation**
-//!    ([`PathWeightFunction::rederive`](pathcost_core::PathWeightFunction::rederive))
+//!    ([`PathWeightFunction::rederive_regimes`](pathcost_core::PathWeightFunction::rederive_regimes))
 //!    — only the dirty variables are re-fitted, bit-identically to a full
 //!    re-instantiation over the merged store.
 //! 4. **Versioned epoch publishing** ([`LiveIngestor`]) — each ingest yields
@@ -51,8 +51,8 @@
 //! * The *removed* trajectories' windows are the dirty keys — the same
 //!   enumeration as an append, because a trajectory only ever contributes
 //!   occurrences to its own windows, whether arriving or leaving.
-//! * [`rederive`](pathcost_core::PathWeightFunction::rederive) handles the
-//!   **downward** count transitions retirement causes: a dirty key that
+//! * [`rederive_regimes`](pathcost_core::PathWeightFunction::rederive_regimes)
+//!   handles the **downward** count transitions retirement causes: a dirty key that
 //!   still clears β is re-fitted from the surviving rows; a key whose
 //!   support drops below β is *deleted* from the weight function and
 //!   reported in [`WeightUpdate::removed`](pathcost_core::WeightUpdate::removed),
@@ -109,6 +109,5 @@ pub mod delta;
 pub mod ingest;
 pub mod persist;
 
-pub use delta::dirty_keys;
 pub use ingest::{LiveIngestor, RetentionConfig};
 pub use persist::{PersistenceConfig, PersistenceError, PersistentIngestor, RecoveryReport};

@@ -842,7 +842,7 @@ mod tests {
         let update = r.ingest(Vec::new()).unwrap();
         assert_eq!(update.epoch, want_epoch + 1);
         drop(r);
-        let (r, report) = PersistentIngestor::recover(
+        let (mut r, report) = PersistentIngestor::recover(
             &net,
             &dir,
             fixture().2,
@@ -853,6 +853,27 @@ mod tests {
         .unwrap();
         assert_eq!(report.outcome, RecoveryOutcome::Warm);
         assert_eq!(r.epoch(), want_epoch + 1);
+
+        // A snapshot at the final epoch (graceful shutdown): recovery is
+        // pure decode, nothing to replay — and every boot path lands on the
+        // state a cold rebuild over the raw rows instantiates.
+        r.snapshot_now().unwrap();
+        drop(r);
+        let (r, report) = PersistentIngestor::recover(
+            &net,
+            &dir,
+            fixture().2,
+            RetentionConfig::default(),
+            PersistenceConfig::default(),
+            || panic!("still warm"),
+        )
+        .unwrap();
+        assert_eq!(report.outcome, RecoveryOutcome::Warm);
+        assert_eq!(report.replayed_records, 0);
+        assert_eq!(r.epoch(), want_epoch + 1);
+        let rebuilt = PathWeightFunction::instantiate(&net, &store, &fixture().2).unwrap();
+        assert_eq!(r.weights().variables(), rebuilt.variables());
+        assert_eq!(r.weights().stats(), rebuilt.stats());
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -2,8 +2,7 @@
 //! retained as the measured reference for the arena-based best-first search
 //! in [`crate::bestfirst`] — the same role `pathcost_hist::naive` plays for
 //! the histogram kernels. `tests/routing_equivalence.rs` property-tests that
-//! both searches agree on the preset fixtures, and the `routing_throughput`
-//! bench reports the speedup against this implementation.
+//! both searches agree on the preset fixtures.
 //!
 //! The algorithm is kept verbatim: partial paths are explored depth-first
 //! with the "path + another edge" pattern, each stack entry cloning a full

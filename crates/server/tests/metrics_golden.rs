@@ -62,7 +62,6 @@ pathcost_persist_snapshot_seconds histogram [] le=[0.000256,0.001024,0.004096,0.
 pathcost_persist_snapshots_total counter []\n\
 pathcost_persist_suspended gauge []\n\
 pathcost_persist_suspensions_total counter []\n\
-pathcost_prefix_warmed_jobs_total counter []\n\
 pathcost_queries_total counter [kind]\n\
 pathcost_query_errors_total counter []\n\
 pathcost_query_outcome_seconds histogram [outcome] le=[0.000002,0.000004,0.000008,0.000016,0.000032,0.000064,0.000128,0.000256,0.000512,0.001024,0.002048,0.004096,0.008192,0.016384,0.032768,0.065536,0.131072,0.262144,0.524288,1.048576,2.097152,4.194304,8.388608,16.777216,33.554432,67.108864,134.217728,268.435456,536.870912,1073.741824,2147.483648,+Inf]\n\

@@ -3,7 +3,7 @@
 //! The batch executor ([`QueryEngine::execute_batch`]) amortises estimation
 //! work across the requests *inside one batch* — but a network front-end
 //! receives requests one connection at a time, so without help every
-//! connection would run a batch of one and the dedup/prefix-warm phases
+//! connection would run a batch of one and the dedup/warm phases
 //! would never fire across clients. The [`AdmissionQueue`] closes that gap:
 //!
 //! * Connection handlers [`submit`](AdmissionQueue::submit) individual

@@ -32,17 +32,6 @@ pub struct ServiceConfig {
     pub workers: Option<usize>,
     /// Configuration of the best-first router answering `Route` requests.
     pub router: RouterConfig,
-    /// Share sub-path work across a cold batch: estimation jobs that overlap
-    /// on a path prefix (within one α-interval) are built through
-    /// [`pathcost_core::IncrementalEstimate`] extensions of a memoized shared
-    /// prefix, so each shared sub-path is paid for once per batch.
-    ///
-    /// This trades accuracy for cold-batch throughput — prefix-shared entries
-    /// are incremental (edge-convolution) estimates rather than full
-    /// coarsest-decomposition ones — and is therefore off by default; batch
-    /// results remain identical to sequential execution unless it is enabled.
-    /// Reuse is reported through [`ServiceStats`]'s `prefix_*` counters.
-    pub share_prefixes: bool,
 }
 
 impl Default for ServiceConfig {
@@ -52,7 +41,6 @@ impl Default for ServiceConfig {
             shard_capacity: 512,
             workers: None,
             router: RouterConfig::default(),
-            share_prefixes: false,
         }
     }
 }
@@ -177,7 +165,7 @@ impl<'n> QueryEngine<'n> {
     /// in its post-insert check and self-evicts; reading the pair in the
     /// opposite order could pair an old graph with the new epoch number and
     /// silently retain a stale entry.
-    pub(crate) fn graph_snapshot(&self) -> (u64, Arc<HybridGraph<'n>>) {
+    fn graph_snapshot(&self) -> (u64, Arc<HybridGraph<'n>>) {
         let epoch = self.epoch.load(Ordering::SeqCst);
         (epoch, self.graph())
     }
@@ -385,7 +373,15 @@ impl<'n> QueryEngine<'n> {
         // inserting it, so an update arriving in between cannot observe the
         // entry without its dependencies.
         self.deps.record(&dependencies, path, interval, regime);
-        self.insert_cached(path, interval, regime, value.clone());
+        // When making room LRU-evicts another entry, the victim's reader
+        // edges are purged from the dependency index so the index stays
+        // bounded by live entries (counted as
+        // `invalidation_stale_reader_purges`).
+        if let Some((victim_path, victim_interval, victim_regime)) =
+            self.cache.insert(path, interval, regime, value.clone())
+        {
+            self.purge_stale_edges(&victim_path, victim_interval, victim_regime);
+        }
         // Heal a purge that raced the record-before-insert window: a purge
         // of this key's *previous* incarnation (its LRU eviction raced this
         // refill) may have stripped the pre-insert registration. Purges run
@@ -397,7 +393,9 @@ impl<'n> QueryEngine<'n> {
             self.deps.record(&dependencies, path, interval, regime);
         }
         if self.epoch.load(Ordering::SeqCst) != snapshot_epoch {
-            self.evict_cached(path, interval, regime);
+            // Raced fill: drop the entry *and* its dependency-index edges.
+            self.cache.remove(path, interval, regime);
+            self.purge_stale_edges(path, interval, regime);
         }
         self.recorder.record_estimation(depth);
         counters.record(false, depth);
@@ -407,32 +405,6 @@ impl<'n> QueryEngine<'n> {
                 .record_regime_lookup(&self.registry, regime, false, fallback_depth);
         }
         Ok(value)
-    }
-
-    /// Inserts a fill into the cache; when making room LRU-evicts another
-    /// entry, the victim's reader edges are purged from the dependency index
-    /// so the index stays bounded by live entries (counted as
-    /// `invalidation_stale_reader_purges`).
-    pub(crate) fn insert_cached(
-        &self,
-        path: &Path,
-        interval: IntervalId,
-        regime: RegimeId,
-        value: CachedDistribution,
-    ) {
-        if let Some((victim_path, victim_interval, victim_regime)) =
-            self.cache.insert(path, interval, regime, value)
-        {
-            self.purge_stale_edges(&victim_path, victim_interval, victim_regime);
-        }
-    }
-
-    /// Drops one cache entry *and* its dependency-index edges — the raced-
-    /// fill self-eviction path (an `apply_update` landed while the fill was
-    /// in flight).
-    pub(crate) fn evict_cached(&self, path: &Path, interval: IntervalId, regime: RegimeId) {
-        self.cache.remove(path, interval, regime);
-        self.purge_stale_edges(path, interval, regime);
     }
 
     /// Purges a dead entry's reader edges from the dependency index,

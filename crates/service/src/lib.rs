@@ -25,7 +25,10 @@
 //!   `(path, interval)` estimation jobs shared across a batch and fans the
 //!   unique work out over the persistent worker pool (no async runtime:
 //!   the work is CPU-bound), then answers every request from the warm
-//!   cache. Batch responses are identical to sequential execution.
+//!   cache. Every fill — warm phase, point query or route candidate — goes
+//!   through the engine's one cache-backed estimation path, so every cached
+//!   distribution is the paper's coarsest-decomposition (OD) estimate and
+//!   batch responses are bit-identical to sequential execution.
 //! * **A routing adapter** — `Route` requests hand the
 //!   [`BestFirstRouter`](pathcost_routing::BestFirstRouter) a
 //!   [`CostEstimator`](pathcost_core::CostEstimator) that reads through the
@@ -103,8 +106,7 @@
 //! ```
 //!
 //! See `examples/serve_queries.rs` for a mixed workload over all four query
-//! kinds and `crates/bench/benches/service_throughput.rs` for the
-//! batch-vs-naive throughput comparison.
+//! kinds and `benchmark/` for the end-to-end throughput measurements.
 
 pub mod admission;
 pub mod batch;

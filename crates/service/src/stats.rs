@@ -1,7 +1,7 @@
 //! The engine's metrics: registry-backed instruments and the typed view
 //! over them.
 //!
-//! [`StatsRecorder`] registers every engine-level instrument — with the
+//! `StatsRecorder` registers every engine-level instrument — with the
 //! family name and help text `GET /metrics` shows — in the engine's
 //! [`Registry`] at construction and keeps the lock-free handles the query
 //! path bumps. [`ServiceStats`] is the typed point-in-time *view*
@@ -86,9 +86,6 @@ pub(crate) struct StatsRecorder {
     pub panicked_queries: Counter,
     estimations: Counter,
     decomposition_depth_sum: Counter,
-    prefix_warmed_jobs: Counter,
-    prefix_reuses: Counter,
-    prefix_edges_reused: Counter,
     pub route_expansions: Counter,
     pub route_candidates_evaluated: Counter,
     pub route_incumbent_prunes: Counter,
@@ -204,18 +201,6 @@ impl StatsRecorder {
                 "pathcost_decomposition_components_total",
                 "Coarsest-decomposition components summed over all estimator runs.",
             ),
-            prefix_warmed_jobs: counter(
-                "pathcost_prefix_warmed_jobs_total",
-                "Estimation jobs built by the prefix-sharing warm phase.",
-            ),
-            prefix_reuses: counter(
-                "pathcost_prefix_reuses_total",
-                "Prefix-warmed jobs that reused a memoized shared sub-path.",
-            ),
-            prefix_edges_reused: counter(
-                "pathcost_prefix_edges_reused_total",
-                "Edges whose convolution a shared path prefix made unnecessary.",
-            ),
             route_expansions: counter(
                 "pathcost_route_expansions_total",
                 "Partial paths popped and extended by the best-first router.",
@@ -306,12 +291,6 @@ impl StatsRecorder {
         self.batch_jobs_deduplicated.add(deduplicated_jobs);
     }
 
-    pub fn record_prefix_warm(&self, jobs: u64, reuses: u64, edges_reused: u64) {
-        self.prefix_warmed_jobs.add(jobs);
-        self.prefix_reuses.add(reuses);
-        self.prefix_edges_reused.add(edges_reused);
-    }
-
     /// Files one non-global distribution lookup: its hit/miss under the
     /// requested regime (the `regime`-labelled series are registered on the
     /// regime's first lookup) and its fallback depth (the last bucket
@@ -392,9 +371,6 @@ impl StatsRecorder {
             batches: self.batches.get(),
             batch_requests: self.batch_requests.get(),
             batch_jobs_deduplicated: self.batch_jobs_deduplicated.get(),
-            prefix_warmed_jobs: self.prefix_warmed_jobs.get(),
-            prefix_reuses: self.prefix_reuses.get(),
-            prefix_edges_reused: self.prefix_edges_reused.get(),
             route_candidates_evaluated: self.route_candidates_evaluated.get(),
             route_eval_cache_hits: self.route_eval_cache_hits.get(),
             route_incumbent_prunes: self.route_incumbent_prunes.get(),
@@ -472,17 +448,6 @@ pub struct ServiceStats {
     /// Estimation jobs skipped because another request in the same batch
     /// shared the `(path, interval)` pair.
     pub batch_jobs_deduplicated: u64,
-    /// Estimation jobs whose distribution was built by the prefix-sharing
-    /// warm phase (only when
-    /// [`ServiceConfig::share_prefixes`](crate::ServiceConfig) is on).
-    /// Jobs already cached or falling back to full OD estimation are not
-    /// counted here — they show up as cache hits / `estimations` instead.
-    pub prefix_warmed_jobs: u64,
-    /// Prefix-warmed jobs that reused at least one memoized shared sub-path.
-    pub prefix_reuses: u64,
-    /// Total edges whose convolution was skipped because a shared path
-    /// prefix had already been estimated within the batch.
-    pub prefix_edges_reused: u64,
     /// Complete candidate paths evaluated across all `Route` searches.
     pub route_candidates_evaluated: u64,
     /// Distribution-cache hits scored by `Route` candidate evaluations —
@@ -631,7 +596,6 @@ mod tests {
         rec.record_estimation(2);
         rec.record_estimation(4);
         rec.record_batch(10, 6);
-        rec.record_prefix_warm(4, 3, 7);
         rec.route_candidates_evaluated.add(5);
         rec.route_eval_cache_hits.add(2);
         rec.route_incumbent_prunes.add(9);
@@ -666,9 +630,6 @@ mod tests {
         assert_eq!(s.mean_latency(), Duration::from_micros(200));
         assert_eq!(s.batches, 1);
         assert_eq!(s.batch_jobs_deduplicated, 6);
-        assert_eq!(s.prefix_warmed_jobs, 4);
-        assert_eq!(s.prefix_reuses, 3);
-        assert_eq!(s.prefix_edges_reused, 7);
         assert_eq!(s.route_candidates_evaluated, 5);
         assert_eq!(s.route_eval_cache_hits, 2);
         assert_eq!(s.route_incumbent_prunes, 9);

@@ -5,7 +5,9 @@
 use pathcost_core::{CostEstimator, HybridConfig, HybridGraph, OdEstimator, PathWeightFunction};
 use pathcost_live::LiveIngestor;
 use pathcost_roadnet::{Path, RoadNetwork, VertexId};
-use pathcost_service::{QueryEngine, QueryRequest, QueryResponse, ServiceConfig};
+use pathcost_service::{
+    QueryEngine, QueryOutcome, QueryRequest, QueryResponse, ServiceConfig, ServiceError,
+};
 use pathcost_traj::{DatasetPreset, Timestamp, TrajectoryStore};
 use std::sync::Arc;
 
@@ -147,174 +149,167 @@ fn probability_and_ranking_read_the_same_cache() {
     assert!((0.0..=1.0).contains(&p));
 }
 
+/// A histogram as raw bits, so comparisons see `-0.0` and the last ulp.
+fn histogram_bits(h: &pathcost_hist::Histogram1D) -> Vec<[u64; 3]> {
+    h.buckets()
+        .iter()
+        .zip(h.probs())
+        .map(|(b, &p)| [b.lo, b.hi, p].map(f64::to_bits))
+        .collect()
+}
+
+/// Asserts two answers to the same request are equal bit for bit (per-query
+/// `stats` aside: hits and misses legitimately depend on the cache state).
+fn assert_bit_identical(i: usize, a: &QueryResponse, b: &QueryResponse) {
+    let route_bits = |r: &pathcost_routing::RouteResult| {
+        (
+            r.path.clone(),
+            r.probability.to_bits(),
+            histogram_bits(&r.distribution),
+        )
+    };
+    match (a, b) {
+        (QueryResponse::Distribution(a), QueryResponse::Distribution(b)) => {
+            assert_eq!(histogram_bits(a), histogram_bits(b), "request {i}")
+        }
+        (QueryResponse::Probability(a), QueryResponse::Probability(b)) => {
+            assert_eq!(a.to_bits(), b.to_bits(), "request {i}: {a} vs {b}")
+        }
+        (QueryResponse::Ranking(a), QueryResponse::Ranking(b)) => {
+            let bits = |r: &[pathcost_service::RankedPath]| -> Vec<(usize, u64)> {
+                r.iter()
+                    .map(|x| (x.index, x.probability.to_bits()))
+                    .collect()
+            };
+            assert_eq!(bits(a), bits(b), "request {i}");
+        }
+        (QueryResponse::Route(a), QueryResponse::Route(b)) => {
+            assert_eq!(
+                a.as_ref().map(route_bits),
+                b.as_ref().map(route_bits),
+                "request {i}"
+            )
+        }
+        (QueryResponse::Routes(a), QueryResponse::Routes(b)) => {
+            let bits = |r: &[pathcost_routing::RouteResult]| -> Vec<_> {
+                r.iter().map(route_bits).collect()
+            };
+            assert_eq!(bits(a), bits(b), "request {i}");
+        }
+        _ => panic!("request {i}: response kinds diverge"),
+    }
+}
+
 #[test]
 fn batch_execution_equals_sequential_execution() {
+    use pathcost_service::RegimeId;
+    use pathcost_traj::{tag_batch, PeakOffPeak, RegimeSchema};
+
+    // A regime-tagged store, so the batch mixes the global regime with one
+    // that answers from its own table (peak = 1) through the fallback ladder.
     let f = fixture(303);
-    let pairs = query_paths(&f.store, 4);
+    let peak = RegimeId(1);
+    let mut matched = f.store.matched().to_vec();
+    tag_batch(
+        &mut matched,
+        &PeakOffPeak {
+            peak,
+            off_peak: RegimeId(2),
+            ..PeakOffPeak::default()
+        },
+    );
+    let store = TrajectoryStore::new(matched);
+    let cfg = HybridConfig {
+        regimes: RegimeSchema::flat()
+            .with_group(peak, RegimeId::ALL_TRAFFIC)
+            .with_group(RegimeId(2), RegimeId::ALL_TRAFFIC),
+        ..f.cfg.clone()
+    };
+    let weights = PathWeightFunction::instantiate(&f.net, &store, &cfg).unwrap();
+    assert!(weights.regime_tables().contains_key(&peak));
+    let pairs = query_paths(&store, 4);
     let departure = pairs[0].1;
 
     // A mixed batch with deliberate duplication: every path appears in an
-    // estimate, a probability query and the ranking.
+    // estimate, a probability query and the ranking, under both regimes,
+    // beside one route search per regime (distinct regimes never share a
+    // cache key, so the parallel answer phase estimates no key twice).
     let mut requests: Vec<QueryRequest> = Vec::new();
-    for (path, dep) in &pairs {
-        requests.push(QueryRequest::EstimateDistribution {
-            path: path.clone(),
-            departure: *dep,
-            regime: pathcost_service::RegimeId::ALL_TRAFFIC,
-        });
-        requests.push(QueryRequest::ProbWithinBudget {
-            path: path.clone(),
-            departure: *dep,
-            budget_s: 900.0,
-            regime: pathcost_service::RegimeId::ALL_TRAFFIC,
-        });
-    }
-    requests.push(QueryRequest::RankPaths {
-        candidates: pairs.iter().map(|(p, _)| p.clone()).collect(),
-        departure,
-        budget_s: 900.0,
-        regime: pathcost_service::RegimeId::ALL_TRAFFIC,
-    });
-
-    let graph_batch = HybridGraph::build(&f.net, &f.store, f.cfg.clone()).unwrap();
-    let batch_engine = QueryEngine::new(
-        Arc::new(graph_batch),
-        ServiceConfig {
-            workers: Some(4),
-            ..ServiceConfig::default()
-        },
-    );
-    let batch_results = batch_engine.execute_batch(&requests);
-
-    let graph_seq = HybridGraph::build(&f.net, &f.store, f.cfg.clone()).unwrap();
-    let seq_engine = QueryEngine::new(Arc::new(graph_seq), ServiceConfig::default());
-    let seq_results: Vec<_> = requests.iter().map(|r| seq_engine.execute(r)).collect();
-
-    assert_eq!(batch_results.len(), seq_results.len());
-    for (i, (batch, seq)) in batch_results.iter().zip(&seq_results).enumerate() {
-        let batch = batch.as_ref().expect("batch request succeeds");
-        let seq = seq.as_ref().expect("sequential request succeeds");
-        match (&batch.response, &seq.response) {
-            (QueryResponse::Distribution(a), QueryResponse::Distribution(b)) => {
-                assert_eq!(a, b, "request {i}")
-            }
-            (QueryResponse::Probability(a), QueryResponse::Probability(b)) => {
-                assert!((a - b).abs() < 1e-12, "request {i}: {a} vs {b}")
-            }
-            (QueryResponse::Ranking(a), QueryResponse::Ranking(b)) => {
-                assert_eq!(a.len(), b.len(), "request {i}");
-                for (x, y) in a.iter().zip(b) {
-                    assert_eq!(x.index, y.index, "request {i}");
-                    assert!((x.probability - y.probability).abs() < 1e-12, "request {i}");
-                }
-            }
-            _ => panic!("request {i}: response kinds diverge"),
+    for regime in [RegimeId::ALL_TRAFFIC, peak] {
+        for (path, dep) in &pairs {
+            requests.push(QueryRequest::EstimateDistribution {
+                path: path.clone(),
+                departure: *dep,
+                regime,
+            });
+            requests.push(QueryRequest::ProbWithinBudget {
+                path: path.clone(),
+                departure: *dep,
+                budget_s: 900.0,
+                regime,
+            });
         }
+        requests.push(QueryRequest::RankPaths {
+            candidates: pairs.iter().map(|(p, _)| p.clone()).collect(),
+            departure,
+            budget_s: 900.0,
+            regime,
+        });
+        requests.push(QueryRequest::Route {
+            source: VertexId(0),
+            destination: VertexId(18),
+            departure: Timestamp::from_day_hms(0, 8, 0, 0),
+            budget_s: 3_600.0,
+            k: if regime.is_global() { 1 } else { 3 },
+            regime,
+        });
     }
+
+    let engine = |workers| {
+        QueryEngine::new(
+            Arc::new(HybridGraph::from_parts(
+                &f.net,
+                weights.clone(),
+                cfg.clone(),
+            )),
+            ServiceConfig {
+                workers,
+                ..ServiceConfig::default()
+            },
+        )
+    };
+    let seq_engine = engine(None);
+    let sequential: Vec<_> = requests.iter().map(|r| seq_engine.execute(r)).collect();
+    let assert_equals_sequential = |results: &[Result<QueryOutcome, ServiceError>]| {
+        assert_eq!(results.len(), sequential.len());
+        for (i, (batch, seq)) in results.iter().zip(&sequential).enumerate() {
+            let batch = batch.as_ref().expect("batch request succeeds");
+            let seq = seq.as_ref().expect("sequential request succeeds");
+            assert_bit_identical(i, &batch.response, &seq.response);
+        }
+    };
+
+    // Cold: the warm phase fills every declared key.
+    let cold_engine = engine(Some(4));
+    assert_equals_sequential(&cold_engine.execute_batch(&requests));
+    // Pre-warmed by point queries arriving in the opposite order: who filled
+    // a key first never shows in an answer, rankings and routes included.
+    let warm_engine = engine(Some(4));
+    for request in requests.iter().rev() {
+        warm_engine.execute(request).unwrap();
+    }
+    assert_equals_sequential(&warm_engine.execute_batch(&requests));
 
     // The duplicated (path, interval) jobs were actually deduplicated, and
     // each unique job was estimated exactly once.
-    let stats = batch_engine.stats();
+    let stats = cold_engine.stats();
     assert_eq!(stats.batches, 1);
     assert!(
         stats.batch_jobs_deduplicated > 0,
         "duplicates must be folded"
     );
     assert!(stats.cache_hits > 0, "answer phase must hit the warm cache");
-    assert_eq!(stats.estimations as usize, batch_engine.cache().len());
-}
-
-#[test]
-fn prefix_sharing_reuses_subpaths_and_stays_close_to_od() {
-    let f = fixture(303);
-    let pairs = query_paths(&f.store, 4);
-    let departure = pairs[0].1;
-
-    // Candidates with deliberate overlap: every frequent path plus its
-    // proper prefixes, so the trie walk has sub-paths to share.
-    let mut candidates: Vec<Path> = Vec::new();
-    for (path, _) in &pairs {
-        candidates.push(path.clone());
-        for len in 1..path.cardinality() {
-            candidates.push(path.prefix(len).expect("proper prefix exists"));
-        }
-    }
-    let mut requests: Vec<QueryRequest> = vec![QueryRequest::RankPaths {
-        candidates: candidates.clone(),
-        departure,
-        budget_s: 900.0,
-        regime: pathcost_service::RegimeId::ALL_TRAFFIC,
-    }];
-    for path in &candidates {
-        requests.push(QueryRequest::EstimateDistribution {
-            path: path.clone(),
-            departure,
-            regime: pathcost_service::RegimeId::ALL_TRAFFIC,
-        });
-    }
-
-    let graph = HybridGraph::build(&f.net, &f.store, f.cfg.clone()).unwrap();
-    let engine = QueryEngine::new(
-        Arc::new(graph),
-        ServiceConfig {
-            share_prefixes: true,
-            ..ServiceConfig::default()
-        },
-    );
-    let results = engine.execute_batch(&requests);
-    for (i, result) in results.iter().enumerate() {
-        assert!(result.is_ok(), "request {i} failed: {result:?}");
-    }
-
-    // Shared sub-paths were actually reused, and the warm phase served the
-    // unique jobs without full OD estimations.
-    let stats = engine.stats();
-    assert!(stats.prefix_warmed_jobs > 0, "{stats:?}");
-    assert!(stats.prefix_reuses > 0, "overlapping candidates must reuse");
-    assert!(stats.prefix_edges_reused >= stats.prefix_reuses);
-
-    // A second identical batch is answered from the warm cache: nothing is
-    // rebuilt (and cached entries are not overwritten).
-    let rerun = engine.execute_batch(&requests);
-    assert!(rerun.iter().all(|r| r.is_ok()));
-    let stats_after = engine.stats();
-    assert_eq!(
-        stats_after.prefix_warmed_jobs, stats.prefix_warmed_jobs,
-        "already-cached jobs must not be rebuilt"
-    );
-    assert!(stats_after.cache_hits > stats.cache_hits);
-
-    // The accuracy trade-off stays bounded: every cached distribution is
-    // normalised and its mean is within 35% of the full OD estimate (the
-    // contract the incremental estimator itself is tested to).
-    let graph2 = HybridGraph::build(&f.net, &f.store, f.cfg.clone()).unwrap();
-    let od = OdEstimator::new(&graph2);
-    let canonical = engine.canonical_departure(engine.interval_of(departure));
-    for result in &results[1..] {
-        let outcome = result.as_ref().unwrap();
-        let QueryResponse::Distribution(hist) = &outcome.response else {
-            panic!("expected a distribution");
-        };
-        assert!((hist.probs().iter().sum::<f64>() - 1.0).abs() < 1e-6);
-    }
-    for path in candidates.iter().take(3) {
-        let cached = engine
-            .cache()
-            .get(
-                path,
-                engine.interval_of(departure),
-                pathcost_service::RegimeId::ALL_TRAFFIC,
-            )
-            .expect("warm phase cached every job");
-        let reference = od.estimate(path, canonical).unwrap();
-        let rel = (cached.histogram.mean() - reference.mean()).abs() / reference.mean();
-        assert!(
-            rel < 0.35,
-            "prefix-shared mean {} vs OD {}",
-            cached.histogram.mean(),
-            reference.mean()
-        );
-    }
+    assert_eq!(stats.estimations as usize, cold_engine.cache().len());
 }
 
 #[test]
@@ -532,62 +527,6 @@ fn batch_warm_phase_seeds_route_searches_with_the_fastest_path() {
 }
 
 #[test]
-fn route_seed_stays_full_od_quality_under_prefix_sharing() {
-    // With share_prefixes on, ordinary warm jobs may be cached as
-    // incremental (edge-convolution) estimates — but a Route seed must keep
-    // estimator-exact quality, because the search's incumbent comparisons
-    // assume candidates are estimator-evaluated.
-    let f = fixture(310);
-    let graph = HybridGraph::build(&f.net, &f.store, f.cfg.clone()).unwrap();
-    let engine = QueryEngine::new(
-        Arc::new(graph),
-        ServiceConfig {
-            share_prefixes: true,
-            ..ServiceConfig::default()
-        },
-    );
-    let departure = Timestamp::from_day_hms(0, 8, 0, 0);
-    let seed = pathcost_roadnet::search::fastest_path(&f.net, VertexId(0), VertexId(18)).unwrap();
-    // Make the seed share a prefix family with ordinary warm jobs, the
-    // situation where the trie walk would otherwise rebuild it incrementally.
-    let mut requests: Vec<QueryRequest> = (2..seed.cardinality())
-        .map(|len| QueryRequest::EstimateDistribution {
-            path: seed.prefix(len).unwrap(),
-            departure,
-            regime: pathcost_service::RegimeId::ALL_TRAFFIC,
-        })
-        .collect();
-    requests.push(QueryRequest::Route {
-        source: VertexId(0),
-        destination: VertexId(18),
-        departure,
-        budget_s: 3_600.0,
-        k: 1,
-        regime: pathcost_service::RegimeId::ALL_TRAFFIC,
-    });
-
-    let results = engine.execute_batch(&requests);
-    assert!(results.iter().all(|r| r.is_ok()));
-
-    let cached = engine
-        .cache()
-        .get(
-            &seed,
-            engine.interval_of(departure),
-            pathcost_service::RegimeId::ALL_TRAFFIC,
-        )
-        .expect("the Route seed must be warmed");
-    let graph2 = HybridGraph::build(&f.net, &f.store, f.cfg.clone()).unwrap();
-    let od = OdEstimator::new(&graph2);
-    let canonical = engine.canonical_departure(engine.interval_of(departure));
-    let exact = od.estimate(&seed, canonical).unwrap();
-    assert_eq!(
-        *cached.histogram, exact,
-        "the seed entry must be the exact OD estimate, not an incremental one"
-    );
-}
-
-#[test]
 fn invalid_requests_are_rejected_without_panicking() {
     let f = fixture(306);
     let graph = HybridGraph::build(&f.net, &f.store, f.cfg.clone()).unwrap();
@@ -766,7 +705,7 @@ fn apply_update_rejects_a_changed_partition() {
     };
     let repartitioned = PathWeightFunction::instantiate(&net, &store, &recut).unwrap();
     let update = repartitioned
-        .rederive(&net, &store, &recut, &std::collections::BTreeSet::new())
+        .rederive_regimes(&net, &store, &recut, &std::collections::BTreeSet::new())
         .unwrap();
     assert!(engine.apply_update(update).is_err());
 }
@@ -1001,6 +940,28 @@ fn degraded_mode_answers_are_flagged_and_counted() {
     // The degradation policy caps the search budget; it must not cost more
     // work than the normal answer (the tiny grid stays feasible either way).
     assert!(degraded.response.route().is_some());
+
+    // A degraded batch has no warm phase, so it collects no jobs either: a
+    // duplicate-laden batch advances the batch counters, folds nothing, and
+    // answers exactly as the single degraded request did.
+    let before = engine.stats();
+    let batch = vec![route; 3];
+    let results = engine.execute_batch_under(&batch, &[], true);
+    let after = engine.stats();
+    assert_eq!(after.batches, before.batches + 1);
+    assert_eq!(after.batch_requests, before.batch_requests + 3);
+    assert_eq!(
+        after.batch_jobs_deduplicated,
+        before.batch_jobs_deduplicated
+    );
+    for (i, result) in results.iter().enumerate() {
+        let outcome = result.as_ref().expect("degraded batch request succeeds");
+        assert!(outcome.stats.degraded);
+        assert_bit_identical(i, &outcome.response, &degraded.response);
+    }
+    // The same batch under normal load does fold its duplicate seeds.
+    engine.execute_batch(&batch);
+    assert!(engine.stats().batch_jobs_deduplicated > after.batch_jobs_deduplicated);
 }
 
 #[test]
