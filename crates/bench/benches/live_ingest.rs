@@ -135,10 +135,7 @@ fn recovery_rep(w: &Workload, update: WeightUpdate, flush: bool) -> (u64, usize,
     let warmed = engine.cache().len();
     let (evicted, before) = if flush {
         let report = engine.apply_update(update).expect("update applies");
-        // `flush_cache` (not `cache().clear()`): the baseline must drop the
-        // dependency index's edges along with the entries, like targeted
-        // invalidation does, or the flushed engine would leak reader edges.
-        let flushed = engine.flush_cache();
+        let flushed = engine.cache().clear();
         (
             report.evicted_total() + flushed,
             report.cache_entries_before,

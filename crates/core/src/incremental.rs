@@ -217,23 +217,6 @@ impl IncrementalEstimate {
         })
     }
 
-    /// As [`Self::extend`], threading caller-owned scratch buffers through the
-    /// convolution so tight extension loops allocate only the returned
-    /// estimate.
-    pub fn extend_with_scratch(
-        &self,
-        graph: &HybridGraph<'_>,
-        edge: EdgeId,
-        scratch: &mut ConvolveScratch,
-    ) -> Result<Self, CoreError> {
-        let path = self.path.extend(edge, graph.network())?;
-        Ok(IncrementalEstimate {
-            path,
-            departure: self.departure,
-            partial: self.partial.extend_with_scratch(graph, edge, scratch)?,
-        })
-    }
-
     /// Re-estimates the current path with the exact OD method, replacing the
     /// incrementally maintained distribution.
     pub fn refine(&mut self, graph: &HybridGraph<'_>) -> Result<(), CoreError> {

@@ -117,12 +117,23 @@ impl<'n> LiveIngestor<'n> {
     /// table (and to every ancestor table of its fallback ladder) in
     /// addition to the global one. Without a classifier the batch's existing
     /// tags are preserved — untagged producers keep the pre-regime pipeline
-    /// bit-identical, and journal replay re-lands journalled tags verbatim.
-    /// A classifier must be deterministic in the trajectory itself, or crash
-    /// recovery's replay would diverge from the original ingest.
+    /// bit-identical.
+    ///
+    /// A classifier must be deterministic in the trajectory itself: a
+    /// persisted lineage classifies each batch once and journals the rows as
+    /// tagged, recovery attaches no classifier and re-lands the journalled
+    /// tags verbatim, and the tagged rows pass through
+    /// [`ingest`](Self::ingest)'s own re-tag on the way into the store.
     pub fn with_classifier(mut self, classifier: Arc<dyn RegimeClassifier>) -> Self {
         self.classifier = Some(classifier);
         self
+    }
+
+    /// Tags `batch` through the installed classifier, if any.
+    pub(crate) fn classify(&self, batch: &mut [MatchedTrajectory]) {
+        if let Some(classifier) = &self.classifier {
+            tag_batch(batch, &**classifier);
+        }
     }
 
     /// Installs a TTL [`RetentionConfig`]: every subsequent
@@ -155,9 +166,7 @@ impl<'n> LiveIngestor<'n> {
     pub fn ingest(&mut self, mut batch: Vec<MatchedTrajectory>) -> Result<WeightUpdate, CoreError> {
         let mut seen = HashSet::with_capacity(batch.len());
         batch.retain(|m| !self.store.contains_id(m.id) && seen.insert(m.id));
-        if let Some(classifier) = &self.classifier {
-            tag_batch(&mut batch, &**classifier);
-        }
+        self.classify(&mut batch);
         let mut dirty = self.dirty_of(&batch);
         let trajectories = batch.len();
         let appended_ids: Vec<u64> = batch.iter().map(|m| m.id).collect();

@@ -402,7 +402,9 @@ impl<'n> PersistentIngestor<'n> {
     }
 
     /// Ingests a batch (see [`LiveIngestor::ingest`]) and journals the
-    /// published epoch durably before returning.
+    /// published epoch durably before returning. The journal holds the rows
+    /// as they land in the store — tagged by the installed classifier, if
+    /// any — because replay attaches no classifier.
     ///
     /// Transient journal IO errors climb the **IO-fault ladder**: bounded
     /// retry with backoff, then a snapshot attempt (a different IO path that
@@ -414,9 +416,10 @@ impl<'n> PersistentIngestor<'n> {
     /// [`PersistenceError::Suspended`] **before** touching in-memory state.
     pub fn ingest(
         &mut self,
-        batch: Vec<MatchedTrajectory>,
+        mut batch: Vec<MatchedTrajectory>,
     ) -> Result<WeightUpdate, PersistenceError> {
         self.ensure_not_suspended()?;
+        self.inner.classify(&mut batch);
         let journalled = batch.clone();
         let update = self.inner.ingest(batch)?;
         self.journal_epoch(update.epoch, JournalOp::Ingest(journalled))?;

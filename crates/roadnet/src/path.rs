@@ -96,11 +96,6 @@ impl Path {
         self.edges.contains(&edge)
     }
 
-    /// The position of `edge` in the path, if present.
-    pub fn position_of(&self, edge: EdgeId) -> Option<usize> {
-        self.edges.iter().position(|&e| e == edge)
-    }
-
     /// The vertices visited by the path, in order, resolved against `net`.
     pub fn vertices(&self, net: &RoadNetwork) -> Result<Vec<VertexId>, RoadNetError> {
         let mut vs = Vec::with_capacity(self.edges.len() + 1);

@@ -106,13 +106,21 @@ impl QueryEngine<'_> {
         // with the right request context.
         let warm_counters = QueryCounters::default();
         let warm_started = std::time::Instant::now();
+        let fill = |job: &Job<'_>| {
+            if abandoned() {
+                return;
+            }
+            let _ = self.estimate_cached(
+                &job.path,
+                self.canonical_departure(job.interval),
+                job.regime,
+                &warm_counters,
+            );
+        };
         if jobs.len() > 1 && self.batch_pool().width() > 1 {
             // Shard-pinned warm: route each fill to the worker that owns its
             // cache shard (worker = shard % width), so no two workers ever
-            // take the same shard lock — fills proceed contention-free and
-            // each worker's forward dependency records land in shards it
-            // owns exclusively too (the index shards by the same
-            // fingerprint bits).
+            // take the same shard lock — fills proceed contention-free.
             let pool = self.batch_pool();
             let width = pool.width();
             let mut by_worker: Vec<Vec<&Job<'_>>> = (0..width).map(|_| Vec::new()).collect();
@@ -122,32 +130,9 @@ impl QueryEngine<'_> {
                     .shard_index(job.path.as_ref(), job.interval, job.regime);
                 by_worker[shard % width].push(job);
             }
-            pool.run_pinned(|w| {
-                for job in &by_worker[w] {
-                    if abandoned() {
-                        return;
-                    }
-                    let _ = self.estimate_cached(
-                        &job.path,
-                        self.canonical_departure(job.interval),
-                        job.regime,
-                        &warm_counters,
-                    );
-                }
-            });
+            pool.run_pinned(|w| by_worker[w].iter().copied().for_each(&fill));
         } else {
-            self.for_each_index(jobs.len(), |i| {
-                if abandoned() {
-                    return;
-                }
-                let job = &jobs[i];
-                let _ = self.estimate_cached(
-                    &job.path,
-                    self.canonical_departure(job.interval),
-                    job.regime,
-                    &warm_counters,
-                );
-            });
+            self.for_each_index(jobs.len(), |i| fill(&jobs[i]));
         }
         // Warm span: the phase is batch-wide, so every traced request in the
         // batch is attributed the same wall time — the time it actually

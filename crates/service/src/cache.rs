@@ -16,6 +16,16 @@
 //! Each shard is an exact LRU: a `HashMap` into a slab of intrusively
 //! doubly-linked nodes, giving O(1) lookup, touch and eviction.
 //!
+//! Invalidation: an entry carries its **reads** — the fingerprints of the
+//! regime-qualified weight-function variables its estimation consumed —
+//! beside its value, written by the same [`DistributionCache::insert`]
+//! under the same shard lock. "Which answers does this update stale?" is
+//! therefore one [`DistributionCache::invalidate_matching`] pass whose
+//! predicate sees each entry's key and reads together (the rule itself
+//! lives in the [`update`](crate::update) module); an entry that leaves the
+//! cache for any reason — LRU pressure, invalidation, a raced fill evicting
+//! itself — takes its reads with it, so there is nothing to keep in step.
+//!
 //! Regimes: the key is really the triple `(path, interval, regime)` — the
 //! regime is folded into the fingerprint through
 //! [`mix_regime`], which is the *identity* for
@@ -73,8 +83,8 @@ impl Key {
     }
 }
 
-/// The cache (and dependency-index) fingerprint of a `(path, interval,
-/// regime)` key. Identity-mixed for the global regime.
+/// The fingerprint of a `(path, interval, regime)` triple — a cache key or
+/// a variable key an entry read. Identity-mixed for the global regime.
 pub(crate) fn key_fingerprint(path: &Path, interval: IntervalId, regime: RegimeId) -> u64 {
     mix_regime(interval.mix_fingerprint(path.fingerprint()), regime)
 }
@@ -84,6 +94,9 @@ const NIL: usize = usize::MAX;
 struct Node {
     key: Key,
     value: CachedDistribution,
+    /// [`key_fingerprint`]s of the variable keys the estimation read. Kept
+    /// beside the value, not inside it, so a hit still clones one `Arc`.
+    reads: Box<[u64]>,
     prev: usize,
     next: usize,
 }
@@ -169,10 +182,8 @@ impl Shard {
         Some(self.slab[at].value.clone())
     }
 
-    /// Inserts or refreshes an entry; returns the key of the entry a
-    /// capacity (LRU) eviction dropped to make room, if one was needed —
-    /// the caller purges the victim's reader edges from the dependency
-    /// index, which is what keeps that index bounded by live entries.
+    /// Inserts or refreshes an entry; returns whether making room dropped
+    /// the least-recently-used entry.
     fn insert(
         &mut self,
         fingerprint: u64,
@@ -180,18 +191,20 @@ impl Shard {
         regime: RegimeId,
         path: &Path,
         value: CachedDistribution,
-    ) -> Option<(Path, IntervalId, RegimeId)> {
+        reads: Box<[u64]>,
+    ) -> bool {
         if let Some(at) = self.find(fingerprint, interval, regime, path) {
             self.slab[at].value = value;
+            self.slab[at].reads = reads;
             self.unlink(at);
             self.push_front(at);
-            return None;
+            return false;
         }
-        let victim = if self.len >= self.capacity {
-            self.evict_tail()
-        } else {
-            None
-        };
+        // `capacity` is at least 1, so a full shard has a tail.
+        let evicted = self.len >= self.capacity;
+        if evicted {
+            self.remove_at(self.tail);
+        }
         let key = Key {
             fingerprint,
             interval,
@@ -201,6 +214,7 @@ impl Shard {
         let node = Node {
             key,
             value,
+            reads,
             prev: NIL,
             next: NIL,
         };
@@ -217,21 +231,7 @@ impl Shard {
         self.index.entry(fingerprint).or_default().push(at);
         self.push_front(at);
         self.len += 1;
-        victim
-    }
-
-    fn evict_tail(&mut self) -> Option<(Path, IntervalId, RegimeId)> {
-        let at = self.tail;
-        if at == NIL {
-            return None;
-        }
-        let key = (
-            self.slab[at].key.path.clone(),
-            self.slab[at].key.interval,
-            self.slab[at].key.regime,
-        );
-        self.remove_at(at);
-        Some(key)
+        evicted
     }
 
     /// Unlinks and frees the node at slab index `at` (which must be live).
@@ -266,7 +266,7 @@ impl Shard {
 
     /// Drops every entry at once, returning how many were live. Unlike
     /// [`Self::invalidate_matching`] this resets the slab wholesale — no
-    /// per-entry key clones, no free-list bookkeeping.
+    /// free-list bookkeeping.
     fn clear_all(&mut self) -> u64 {
         let dropped = self.len as u64;
         self.index.clear();
@@ -278,33 +278,28 @@ impl Shard {
         dropped
     }
 
-    /// Evicts every entry whose key matches `predicate`, returning the
-    /// evicted keys (so the caller can purge their dependency-index edges).
+    /// Evicts every entry whose key and reads match `predicate`, returning
+    /// how many were evicted.
     fn invalidate_matching(
         &mut self,
-        predicate: &dyn Fn(&Path, IntervalId, RegimeId) -> bool,
-    ) -> Vec<(Path, IntervalId, RegimeId)> {
+        predicate: &impl Fn(&Path, IntervalId, RegimeId, &[u64]) -> bool,
+    ) -> u64 {
         // Walk the recency list (only live nodes are linked) and collect
         // victims first: removal mutates the links being walked.
         let mut victims = Vec::new();
         let mut cursor = self.head;
         while cursor != NIL {
             let node = &self.slab[cursor];
-            if predicate(&node.key.path, node.key.interval, node.key.regime) {
+            let key = &node.key;
+            if predicate(&key.path, key.interval, key.regime, &node.reads) {
                 victims.push(cursor);
             }
             cursor = node.next;
         }
-        let mut evicted = Vec::with_capacity(victims.len());
-        for at in victims {
-            evicted.push((
-                self.slab[at].key.path.clone(),
-                self.slab[at].key.interval,
-                self.slab[at].key.regime,
-            ));
+        for &at in &victims {
             self.remove_at(at);
         }
-        evicted
+        victims.len() as u64
     }
 }
 
@@ -388,11 +383,6 @@ impl DistributionCache {
         (fingerprint >> 48) as usize % self.shards.len()
     }
 
-    /// Number of independent shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The shard index the entry for `(path, interval, regime)` lives in —
     /// the affinity key the batch executor uses to pin cache-fill jobs to the
     /// worker that owns the shard (worker `shard % pool_width`), so
@@ -424,55 +414,32 @@ impl DistributionCache {
         found
     }
 
-    /// Inserts (or refreshes) the entry for `(path, interval, regime)`. When
-    /// making room forced a capacity (LRU) eviction, the victim's key is
-    /// returned so the caller can purge its reader edges from the dependency
-    /// index.
+    /// Inserts (or refreshes) the entry for `(path, interval, regime)`:
+    /// `value` and the `reads` it was estimated from (fingerprints of the
+    /// regime-qualified variable keys, mixed like the cache key itself — what
+    /// [`Self::invalidate_matching`]'s predicate is later shown) land
+    /// together under one shard lock, so no pass over the cache can observe
+    /// the entry without its reads. Making room may drop the shard's
+    /// least-recently-used entry.
     pub fn insert(
         &self,
         path: &Path,
         interval: IntervalId,
         regime: RegimeId,
         value: CachedDistribution,
-    ) -> Option<(Path, IntervalId, RegimeId)> {
+        reads: Vec<u64>,
+    ) {
         let fingerprint = key_fingerprint(path, interval, regime);
         let shard_index = self.shard_index_of(fingerprint);
+        let reads = reads.into_boxed_slice();
         self.insertions.inc();
-        let victim = self.shards[shard_index]
+        let evicted = self.shards[shard_index]
             .lock()
             .expect("cache shard poisoned")
-            .insert(fingerprint, interval, regime, path, value);
-        if victim.is_some() {
+            .insert(fingerprint, interval, regime, path, value, reads);
+        if evicted {
             self.tallies[shard_index].evictions.inc();
         }
-        victim
-    }
-
-    /// Runs `action` while holding the key's shard lock, iff `(path,
-    /// interval)` is *not* currently cached; returns whether it ran.
-    ///
-    /// This is the linearization point for dependency-index purges: a purge
-    /// performed inside `action` cannot race a concurrent re-insertion of
-    /// the same key (the filler needs this shard lock to insert), so a
-    /// just-refilled entry can never have its fresh reader edges stripped
-    /// by the purge of its evicted predecessor.
-    pub(crate) fn if_absent(
-        &self,
-        path: &Path,
-        interval: IntervalId,
-        regime: RegimeId,
-        action: impl FnOnce(),
-    ) -> bool {
-        let fingerprint = key_fingerprint(path, interval, regime);
-        let shard = self
-            .shard_of(fingerprint)
-            .lock()
-            .expect("cache shard poisoned");
-        let absent = shard.find(fingerprint, interval, regime, path).is_none();
-        if absent {
-            action();
-        }
-        absent
     }
 
     /// Targeted invalidation of one exact `(path, interval, regime)` entry.
@@ -493,36 +460,31 @@ impl DistributionCache {
 
     /// Targeted invalidation by predicate: walks every shard (each under its
     /// own lock, so concurrent traffic on other shards proceeds) and evicts
-    /// the entries whose `(path, interval, regime)` key matches. Returns the
-    /// evicted keys (so the caller can purge their dependency-index edges);
-    /// counted under [`Self::invalidations`].
+    /// the entries for which `predicate(path, interval, regime, reads)`
+    /// holds — `reads` being what the entry's [`Self::insert`] recorded. The
+    /// predicate is called exactly once per live entry. Returns the number
+    /// of entries evicted; counted under [`Self::invalidations`].
     pub fn invalidate_matching(
         &self,
-        predicate: impl Fn(&Path, IntervalId, RegimeId) -> bool,
-    ) -> Vec<(Path, IntervalId, RegimeId)> {
-        let mut evicted = Vec::new();
-        for shard in &self.shards {
-            evicted.extend(
+        predicate: impl Fn(&Path, IntervalId, RegimeId, &[u64]) -> bool,
+    ) -> u64 {
+        let evicted = self
+            .shards
+            .iter()
+            .map(|shard| {
                 shard
                     .lock()
                     .expect("cache shard poisoned")
-                    .invalidate_matching(&predicate),
-            );
-        }
-        self.invalidations.add(evicted.len() as u64);
+                    .invalidate_matching(&predicate)
+            })
+            .sum();
+        self.invalidations.add(evicted);
         evicted
     }
 
     /// Evicts every entry — the full-flush baseline the targeted invalidation
     /// path is benchmarked against. Returns the number of entries dropped;
     /// counted under [`Self::invalidations`].
-    ///
-    /// This clears the cache *only*: callers holding a dependency index over
-    /// these entries (i.e. a `QueryEngine`) must flush through
-    /// `QueryEngine::flush_cache`, which also drops the flushed entries'
-    /// reader edges — clearing the cache alone would leave the index
-    /// tracking dead entries, the leak this crate's eviction-time purging
-    /// exists to prevent.
     pub fn clear(&self) -> u64 {
         let mut dropped = 0;
         for shard in &self.shards {
@@ -606,7 +568,7 @@ mod tests {
         let cache = DistributionCache::new(4, 8);
         let p = path(&[1, 2, 3]);
         assert!(cache.get(&p, IntervalId(3), G).is_none());
-        cache.insert(&p, IntervalId(3), G, value(10.0));
+        cache.insert(&p, IntervalId(3), G, value(10.0), Vec::new());
         let got = cache.get(&p, IntervalId(3), G).expect("cached");
         assert!((got.histogram.mean() - 10.0).abs() < 1e-9);
         assert_eq!(cache.hits(), 1);
@@ -618,8 +580,8 @@ mod tests {
     fn intervals_key_independent_entries() {
         let cache = DistributionCache::new(4, 8);
         let p = path(&[1, 2, 3]);
-        cache.insert(&p, IntervalId(0), G, value(10.0));
-        cache.insert(&p, IntervalId(1), G, value(20.0));
+        cache.insert(&p, IntervalId(0), G, value(10.0), Vec::new());
+        cache.insert(&p, IntervalId(1), G, value(20.0), Vec::new());
         assert_eq!(cache.len(), 2);
         assert!((cache.get(&p, IntervalId(0), G).unwrap().histogram.mean() - 10.0).abs() < 1e-9);
         assert!((cache.get(&p, IntervalId(1), G).unwrap().histogram.mean() - 20.0).abs() < 1e-9);
@@ -630,11 +592,11 @@ mod tests {
     fn lru_evicts_the_least_recently_used() {
         let cache = DistributionCache::new(1, 2);
         let (a, b, c) = (path(&[1]), path(&[2]), path(&[3]));
-        cache.insert(&a, IntervalId(0), G, value(1.0));
-        cache.insert(&b, IntervalId(0), G, value(2.0));
+        cache.insert(&a, IntervalId(0), G, value(1.0), Vec::new());
+        cache.insert(&b, IntervalId(0), G, value(2.0), Vec::new());
         // Touch `a` so `b` is the LRU entry, then overflow.
         assert!(cache.get(&a, IntervalId(0), G).is_some());
-        cache.insert(&c, IntervalId(0), G, value(3.0));
+        cache.insert(&c, IntervalId(0), G, value(3.0), Vec::new());
         assert_eq!(cache.len(), 2);
         assert!(
             cache.get(&a, IntervalId(0), G).is_some(),
@@ -651,8 +613,8 @@ mod tests {
     fn reinsert_refreshes_value_without_growing() {
         let cache = DistributionCache::new(1, 4);
         let p = path(&[7, 8]);
-        cache.insert(&p, IntervalId(5), G, value(1.0));
-        cache.insert(&p, IntervalId(5), G, value(9.0));
+        cache.insert(&p, IntervalId(5), G, value(1.0), Vec::new());
+        cache.insert(&p, IntervalId(5), G, value(9.0), Vec::new());
         assert_eq!(cache.len(), 1);
         assert!((cache.get(&p, IntervalId(5), G).unwrap().histogram.mean() - 9.0).abs() < 1e-9);
     }
@@ -665,7 +627,7 @@ mod tests {
         let p = path(&[4, 5, 6]);
         let inserted = value(42.0);
         let backing = inserted.histogram.clone();
-        cache.insert(&p, IntervalId(1), G, inserted);
+        cache.insert(&p, IntervalId(1), G, inserted, Vec::new());
         let first = cache.get(&p, IntervalId(1), G).expect("cached");
         let second = cache.get(&p, IntervalId(1), G).expect("cached");
         assert!(Arc::ptr_eq(&first.histogram, &backing));
@@ -673,24 +635,36 @@ mod tests {
     }
 
     #[test]
-    fn insert_reports_its_lru_victim() {
+    fn refreshing_a_full_shard_evicts_nothing_and_replaces_the_reads() {
         let cache = DistributionCache::new(1, 2);
         let (a, b, c) = (path(&[1]), path(&[2]), path(&[3]));
-        assert!(cache.insert(&a, IntervalId(0), G, value(1.0)).is_none());
-        assert!(cache.insert(&b, IntervalId(4), G, value(2.0)).is_none());
-        // Refreshing an existing key never evicts.
-        assert!(cache.insert(&a, IntervalId(0), G, value(1.5)).is_none());
-        // Overflow: `b` is now the LRU entry and must be reported.
-        let victim = cache.insert(&c, IntervalId(0), G, value(3.0));
-        assert_eq!(victim, Some((b, IntervalId(4), G)));
+        cache.insert(&a, IntervalId(0), G, value(1.0), vec![7]);
+        cache.insert(&b, IntervalId(4), G, value(2.0), vec![8]);
+        // Refreshing an existing key never evicts, and the entry now
+        // answers for the refill's reads, not its predecessor's.
+        cache.insert(&a, IntervalId(0), G, value(1.5), vec![9]);
+        assert_eq!(cache.evictions(), 0);
+        assert_eq!(cache.invalidate_matching(|_, _, _, reads| reads == [7]), 0);
+        // Overflow: `b` is now the LRU entry and leaves with its reads.
+        cache.insert(&c, IntervalId(0), G, value(3.0), Vec::new());
         assert_eq!(cache.evictions(), 1);
+        assert!(cache.get(&b, IntervalId(4), G).is_none());
+        assert_eq!(cache.invalidate_matching(|_, _, _, reads| reads == [8]), 0);
+        assert_eq!(cache.invalidate_matching(|_, _, _, reads| reads == [9]), 1);
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]
     fn eviction_slots_are_reused() {
         let cache = DistributionCache::new(1, 2);
         for i in 0..100u32 {
-            cache.insert(&path(&[i]), IntervalId(0), G, value(i as f64 + 1.0));
+            cache.insert(
+                &path(&[i]),
+                IntervalId(0),
+                G,
+                value(i as f64 + 1.0),
+                Vec::new(),
+            );
         }
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.evictions(), 98);
@@ -703,9 +677,9 @@ mod tests {
     fn remove_evicts_exactly_one_entry_and_counts_it() {
         let cache = DistributionCache::new(4, 8);
         let (a, b) = (path(&[1, 2]), path(&[3, 4]));
-        cache.insert(&a, IntervalId(0), G, value(1.0));
-        cache.insert(&a, IntervalId(1), G, value(2.0));
-        cache.insert(&b, IntervalId(0), G, value(3.0));
+        cache.insert(&a, IntervalId(0), G, value(1.0), Vec::new());
+        cache.insert(&a, IntervalId(1), G, value(2.0), Vec::new());
+        cache.insert(&b, IntervalId(0), G, value(3.0), Vec::new());
         assert!(cache.remove(&a, IntervalId(0), G));
         assert!(!cache.remove(&a, IntervalId(0), G), "already gone");
         assert_eq!(cache.len(), 2);
@@ -715,7 +689,7 @@ mod tests {
         assert!(cache.get(&a, IntervalId(1), G).is_some());
         assert!(cache.get(&b, IntervalId(0), G).is_some());
         // A removed slot is reusable without disturbing the survivors.
-        cache.insert(&a, IntervalId(0), G, value(9.0));
+        cache.insert(&a, IntervalId(0), G, value(9.0), Vec::new());
         assert_eq!(cache.len(), 3);
         assert!((cache.get(&a, IntervalId(0), G).unwrap().histogram.mean() - 9.0).abs() < 1e-9);
     }
@@ -729,15 +703,11 @@ mod tests {
                 IntervalId((i % 3) as u16),
                 G,
                 value(1.0),
+                Vec::new(),
             );
         }
-        let evicted = cache.invalidate_matching(|_, interval, _| interval == IntervalId(0));
-        assert_eq!(evicted.len(), 4);
-        for (path, interval, regime) in &evicted {
-            assert_eq!(*interval, IntervalId(0));
-            assert_eq!(*regime, G);
-            assert_eq!(path.cardinality(), 2);
-        }
+        let evicted = cache.invalidate_matching(|_, interval, _, _| interval == IntervalId(0));
+        assert_eq!(evicted, 4);
         assert_eq!(cache.len(), 8);
         for i in 0..12u32 {
             let present = cache
@@ -755,9 +725,9 @@ mod tests {
         let cache = DistributionCache::new(4, 8);
         let p = path(&[1, 2, 3]);
         let (peak, off) = (RegimeId(1), RegimeId(2));
-        cache.insert(&p, IntervalId(0), G, value(10.0));
-        cache.insert(&p, IntervalId(0), peak, value(20.0));
-        cache.insert(&p, IntervalId(0), off, value(30.0));
+        cache.insert(&p, IntervalId(0), G, value(10.0), Vec::new());
+        cache.insert(&p, IntervalId(0), peak, value(20.0), Vec::new());
+        cache.insert(&p, IntervalId(0), off, value(30.0), Vec::new());
         assert_eq!(cache.len(), 3, "one entry per regime");
         assert!((cache.get(&p, IntervalId(0), G).unwrap().histogram.mean() - 10.0).abs() < 1e-9);
         assert!((cache.get(&p, IntervalId(0), peak).unwrap().histogram.mean() - 20.0).abs() < 1e-9);
@@ -770,9 +740,11 @@ mod tests {
             IntervalId(0).mix_fingerprint(p.fingerprint())
         );
         // Regime-targeted invalidation only touches that regime's entries.
-        let evicted = cache.invalidate_matching(|_, _, regime| regime == peak);
-        assert_eq!(evicted.len(), 1);
-        assert_eq!(evicted[0].2, peak);
+        assert_eq!(
+            cache.invalidate_matching(|_, _, regime, _| regime == peak),
+            1
+        );
+        assert!(cache.get(&p, IntervalId(0), peak).is_none());
         assert!(cache.get(&p, IntervalId(0), G).is_some());
         assert!(cache.get(&p, IntervalId(0), off).is_some());
     }

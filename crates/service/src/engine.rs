@@ -1,12 +1,19 @@
 //! The query engine: cache-backed serving of path-cost-distribution queries.
+//!
+//! Every cached distribution enters through one three-step fill
+//! (`QueryEngine::estimate_cached`): **estimate** against an epoch
+//! snapshot, **insert** the value together with the variable keys the
+//! estimate read (one shard lock, so invalidation never sees one without the
+//! other), **re-check** the epoch and evict the entry again if an update was
+//! published meanwhile. The [`update`](crate::update) module has the
+//! invalidation rule the reads feed and the consistency argument.
 
-use crate::cache::{CachedDistribution, DistributionCache};
+use crate::cache::{key_fingerprint, CachedDistribution, DistributionCache};
 use crate::deadline::RequestContext;
 use crate::error::ServiceError;
 use crate::pool::WorkerPool;
 use crate::request::{QueryOutcome, QueryRequest, QueryResponse, QueryStats, RankedPath};
 use crate::stats::{ServiceStats, StatsRecorder};
-use crate::update::DependencyIndex;
 use pathcost_core::interval::DayPartition;
 use pathcost_core::{
     CostEstimator, EstimateBreakdown, HybridGraph, IntervalId, OdEstimator, RegimeId,
@@ -88,7 +95,6 @@ pub struct QueryEngine<'n> {
     graph: RwLock<Arc<HybridGraph<'n>>>,
     partition: DayPartition,
     cache: DistributionCache,
-    pub(crate) deps: DependencyIndex,
     pub(crate) epoch: AtomicU64,
     /// Serializes [`Self::apply_update`]s against each other (queries are
     /// never blocked by it).
@@ -118,15 +124,10 @@ impl<'n> QueryEngine<'n> {
         let recorder = StatsRecorder::new(&registry);
         let cache =
             DistributionCache::registered(config.cache_shards, config.shard_capacity, &registry);
-        // The dependency index shards by the same fingerprint bits as the
-        // cache; matching shard counts keeps a worker's pinned cache shards
-        // and its forward dependency-record shards aligned.
-        let deps = DependencyIndex::with_shards(cache.shard_count());
         QueryEngine {
             graph: RwLock::new(graph),
             partition,
             cache,
-            deps,
             epoch: AtomicU64::new(0),
             update_lock: std::sync::Mutex::new(()),
             registry,
@@ -198,12 +199,6 @@ impl<'n> QueryEngine<'n> {
     /// The distribution cache (exposed for inspection and tests).
     pub fn cache(&self) -> &DistributionCache {
         &self.cache
-    }
-
-    /// The dependency index backing targeted invalidation (exposed for
-    /// inspection and tests).
-    pub fn dependency_index(&self) -> &DependencyIndex {
-        &self.deps
     }
 
     /// The registry holding every engine-level metric family, with the
@@ -310,15 +305,6 @@ impl<'n> QueryEngine<'n> {
             }
             return Ok(hit);
         }
-        // Guard against a fill racing `apply_update`: if an update publishes
-        // while this estimation is in flight, its invalidation may run before
-        // the insert below lands (or drain the reader edges recorded below
-        // before they are needed), which would otherwise strand a pre-update
-        // entry no later update can find. Detecting an epoch newer than the
-        // snapshot (`snapshot_epoch` was read before the graph, see
-        // `graph_snapshot`) after the insert and evicting our own entry
-        // restores the invariant: the caller still gets its (raced,
-        // pre-update — allowed) answer, but the cache does not retain it.
         let canonical = self.canonical_departure(interval);
         // Non-global regimes estimate against the regime's materialized
         // effective view (its own observations layered over the fallback
@@ -338,18 +324,18 @@ impl<'n> QueryEngine<'n> {
         let eval_graph = regime_graph.as_ref().unwrap_or(graph);
         let artifacts = OdEstimator::new(eval_graph).estimate_with_artifacts(path, canonical)?;
         let depth = artifacts.decomposition.len();
-        // Dependencies are recorded at their *source* regime — the table the
-        // variable actually resolved from — so a global-table update drains
-        // this entry exactly when it read through the fallback ladder, and a
-        // sibling regime's update never does. The entry's fallback depth is
-        // the deepest rung any of its variables resolved at.
+        // Reads name their *source* regime — the table the variable actually
+        // resolved from — so a global-table update stales this entry exactly
+        // when it read through the fallback ladder, and a sibling regime's
+        // update never does. The entry's fallback depth is the deepest rung
+        // any of its variables resolved at.
         let mut fallback_depth = if regime_graph.is_some() {
             0
         } else {
             base_depth
         };
         let resolved = eval_graph.weights();
-        let dependencies: Vec<(Path, IntervalId, RegimeId)> = artifacts
+        let reads: Vec<u64> = artifacts
             .dependencies
             .iter()
             .map(|(dep_path, dep_interval)| {
@@ -361,7 +347,7 @@ impl<'n> QueryEngine<'n> {
                         .unwrap_or((base_depth, RegimeId::ALL_TRAFFIC))
                 };
                 fallback_depth = fallback_depth.max(dep_depth);
-                (dep_path.clone(), *dep_interval, source)
+                key_fingerprint(dep_path, *dep_interval, source)
             })
             .collect();
         let value = CachedDistribution {
@@ -369,33 +355,20 @@ impl<'n> QueryEngine<'n> {
             decomposition_depth: depth,
             fallback_depth,
         };
-        // Register which trajectory-derived variables this entry read before
-        // inserting it, so an update arriving in between cannot observe the
-        // entry without its dependencies.
-        self.deps.record(&dependencies, path, interval, regime);
-        // When making room LRU-evicts another entry, the victim's reader
-        // edges are purged from the dependency index so the index stays
-        // bounded by live entries (counted as
-        // `invalidation_stale_reader_purges`).
-        if let Some((victim_path, victim_interval, victim_regime)) =
-            self.cache.insert(path, interval, regime, value.clone())
-        {
-            self.purge_stale_edges(&victim_path, victim_interval, victim_regime);
-        }
-        // Heal a purge that raced the record-before-insert window: a purge
-        // of this key's *previous* incarnation (its LRU eviction raced this
-        // refill) may have stripped the pre-insert registration. Purges run
-        // to completion under the cache shard lock the insert just held, and
-        // from here on they see the entry live and skip — so a surviving
-        // forward record proves the registration is intact, and re-recording
-        // is only needed (and raced by nothing) when it is gone.
-        if !dependencies.is_empty() && !self.deps.entry_recorded(path, interval, regime) {
-            self.deps.record(&dependencies, path, interval, regime);
-        }
+        self.cache
+            .insert(path, interval, regime, value.clone(), reads);
+        // Guard against a fill racing `apply_update`: an update published
+        // while this estimation was in flight may have run its invalidation
+        // pass before the insert above landed, which would otherwise strand
+        // a pre-update entry no later update can find. Seeing an epoch newer
+        // than the snapshot here (`snapshot_epoch` was read before the graph,
+        // see `graph_snapshot`) and evicting our own entry restores the
+        // invariant: the caller still gets its (raced, pre-update — allowed)
+        // answer, but the cache does not retain it. An update whose epoch
+        // bump comes after this check runs its pass after the insert, and
+        // finds the entry with its reads.
         if self.epoch.load(Ordering::SeqCst) != snapshot_epoch {
-            // Raced fill: drop the entry *and* its dependency-index edges.
             self.cache.remove(path, interval, regime);
-            self.purge_stale_edges(path, interval, regime);
         }
         self.recorder.record_estimation(depth);
         counters.record(false, depth);
@@ -405,49 +378,6 @@ impl<'n> QueryEngine<'n> {
                 .record_regime_lookup(&self.registry, regime, false, fallback_depth);
         }
         Ok(value)
-    }
-
-    /// Purges a dead entry's reader edges from the dependency index,
-    /// *linearized against refills*: the purge runs under the key's cache
-    /// shard lock and only while the key is absent, so it can never strip
-    /// the edges of an entry another thread just re-inserted (the refill
-    /// needs the same shard lock). A purge lost to the narrow
-    /// record-before-insert window is healed by the filler's post-insert
-    /// re-registration; the worst surviving race leaves a few *extra*
-    /// edges (sound: at most one spurious eviction later), never missing
-    /// ones.
-    pub(crate) fn purge_stale_edges(
-        &self,
-        path: &Path,
-        interval: IntervalId,
-        regime: RegimeId,
-    ) -> u64 {
-        let mut purged = 0;
-        self.cache.if_absent(path, interval, regime, || {
-            purged = self.deps.purge_entry(path, interval, regime);
-        });
-        self.recorder.invalidation_stale_reader_purges.add(purged);
-        purged
-    }
-
-    /// Flushes the whole cache *and* the dependency index — the full-flush
-    /// baseline targeted invalidation is benchmarked against. Unlike
-    /// [`DistributionCache::clear`] on [`Self::cache`] alone, this keeps the
-    /// dependency index consistent (no reader edges for flushed entries
-    /// survive). Returns the number of cache entries dropped.
-    ///
-    /// Index before cache, deliberately: any fill racing this flush either
-    /// lands before the cache clear (flushed; at worst its edges linger as
-    /// sound extras until its next incarnation is purged) or after it
-    /// (survives — and its post-insert registration check runs after the
-    /// index clear, so its edges are re-established). The opposite order
-    /// could wipe the edges of an entry inserted in between, leaving a live
-    /// entry invisible to future invalidation.
-    pub fn flush_cache(&self) -> u64 {
-        self.recorder
-            .invalidation_stale_reader_purges
-            .add(self.deps.clear());
-        self.cache.clear()
     }
 
     /// Executes a single query, recording per-query and engine-level stats.

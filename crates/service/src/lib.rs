@@ -40,8 +40,8 @@
 //!   `pathcost-live` ingestor), publishes the new weight-function epoch
 //!   swap-on-publish (in-flight queries keep their snapshot) and evicts
 //!   exactly the cache entries whose recorded estimation reads an updated
-//!   variable invalidates — see the [`update`] module for the dependency
-//!   index and the correctness contract.
+//!   variable invalidates — see the [`update`] module for the invalidation
+//!   rule and the correctness contract.
 //! * **A deadline-aware request lifecycle** — a [`RequestContext`]
 //!   (deadline + cancellation token) travels with each admitted request:
 //!   expired work is shed in the admission queue before it reaches a worker,
@@ -128,4 +128,4 @@ pub use pathcost_core::RegimeId;
 pub use pool::WorkerPool;
 pub use request::{QueryOutcome, QueryRequest, QueryResponse, QueryStats, RankedPath};
 pub use stats::{QueryKind, RegimeTally, ServiceStats, FALLBACK_DEPTH_BUCKETS};
-pub use update::{DependencyIndex, UpdateReport};
+pub use update::UpdateReport;

@@ -16,10 +16,7 @@
 //!   the batch executor uses it to route cache-fill jobs to the worker that
 //!   *owns* their [`DistributionCache`](crate::DistributionCache) shard
 //!   (shard `s` belongs to worker `s % width`), so concurrent warm-phase
-//!   fills never contend on a cache-shard lock — and, because the
-//!   dependency index shards by the same fingerprint bits (see
-//!   [`ServiceConfig`](crate::ServiceConfig) `cache_shards`), their forward
-//!   dependency records are partitioned the same way.
+//!   fills never contend on a cache-shard lock.
 //!
 //! Jobs are **broadcast**: every worker observes every generation in order,
 //! which is what makes per-worker pinning deterministic. One job runs at a

@@ -92,7 +92,6 @@ pub(crate) struct StatsRecorder {
     pub route_eval_cache_hits: Counter,
     pub invalidation_tracked_evictions: Counter,
     pub invalidation_swept_evictions: Counter,
-    pub invalidation_stale_reader_purges: Counter,
     regime_fallback: [Counter; FALLBACK_DEPTH_BUCKETS],
     pub ingest_updates: Counter,
     pub ingest_publish_latency: Histogram,
@@ -219,10 +218,6 @@ impl StatsRecorder {
             ),
             invalidation_tracked_evictions: invalidated("tracked"),
             invalidation_swept_evictions: invalidated("swept"),
-            invalidation_stale_reader_purges: counter(
-                "pathcost_cache_stale_reader_purges_total",
-                "Dependency-index reader edges purged because the cache dropped their entry.",
-            ),
             regime_fallback: std::array::from_fn(|depth| {
                 let label = if depth == FALLBACK_DEPTH_BUCKETS - 1 {
                     format!("{depth}+")
@@ -386,7 +381,6 @@ impl StatsRecorder {
             ingest_variables_removed: self.ingest_variables_removed.get(),
             invalidation_tracked_evictions: self.invalidation_tracked_evictions.get(),
             invalidation_swept_evictions: self.invalidation_swept_evictions.get(),
-            invalidation_stale_reader_purges: self.invalidation_stale_reader_purges.get(),
             rejected_degraded: self.rejected_degraded.get(),
             regime_fallback: self.regime_fallback.each_ref().map(Counter::get),
         }
@@ -485,18 +479,13 @@ pub struct ServiceStats {
     /// Weight-function variables deleted because their support dropped below
     /// β after trajectories were retired, across all applied updates.
     pub ingest_variables_removed: u64,
-    /// Cache entries surgically evicted because the dependency index recorded
-    /// them as readers of an updated or removed variable.
+    /// Cache entries surgically evicted because their recorded reads name
+    /// an updated or removed variable.
     pub invalidation_tracked_evictions: u64,
-    /// Cache entries evicted by the sub-path containment sweep for newly
-    /// added or removed variables (which change candidate selection, not
-    /// just values).
+    /// Cache entries evicted by sub-path containment alone, for newly added
+    /// or removed variables (which change candidate selection, not just
+    /// values).
     pub invalidation_swept_evictions: u64,
-    /// Stale reader edges purged from the dependency index because the cache
-    /// dropped their entry — LRU capacity pressure, targeted invalidation's
-    /// residual edges, or a raced fill evicting itself. Non-zero purges are
-    /// the observable proof the index is not leaking edges for dead entries.
-    pub invalidation_stale_reader_purges: u64,
     /// Requests answered 429 at the admission door because the service was
     /// already degraded when they arrived — shed *before* enqueueing, the
     /// load-watermark policy's early-rejection half.
@@ -610,7 +599,6 @@ mod tests {
         rec.invalidation_swept_evictions.add(3);
         rec.ingest_publish_latency
             .observe_duration(Duration::from_micros(40));
-        rec.invalidation_stale_reader_purges.add(6);
         rec.record_shed(Duration::from_micros(50));
         rec.deadline_exceeded.inc();
         rec.cancelled.inc();
@@ -643,7 +631,6 @@ mod tests {
         assert_eq!(s.ingest_variables_removed, 1);
         assert_eq!(s.invalidation_tracked_evictions, 11);
         assert_eq!(s.invalidation_swept_evictions, 3);
-        assert_eq!(s.invalidation_stale_reader_purges, 6);
         assert_eq!(s.invalidation_evictions(), 14);
         assert_eq!(s.cache_insertions, 20);
         assert_eq!(s.cache_evictions, 5);

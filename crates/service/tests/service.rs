@@ -648,7 +648,6 @@ fn apply_update_evicts_a_strict_subset_and_serves_rebuild_identical_answers() {
     }
     let warmed = engine.cache().len();
     assert!(warmed >= 4, "need a warm cache to invalidate");
-    assert!(engine.dependency_index().tracked_variables() > 0);
 
     // Ingest the held-out 5% and apply the update.
     let update = ingestor.ingest(rest).unwrap();
@@ -658,8 +657,8 @@ fn apply_update_evicts_a_strict_subset_and_serves_rebuild_identical_answers() {
     assert_eq!(engine.epoch(), 1);
     assert_eq!(report.cache_entries_before, warmed);
     assert!(
-        report.evicted_total() > 0,
-        "busy-hour entries must depend on updated variables: {report:?}"
+        report.evicted_tracked > 0,
+        "busy-hour entries must have read updated variables: {report:?}"
     );
     assert!(
         (report.evicted_total() as usize) < warmed,
@@ -731,51 +730,6 @@ fn apply_update_rejects_out_of_order_epochs() {
     assert_eq!(engine.epoch(), 2);
     assert!(engine.apply_update(first).is_err(), "stale epoch accepted");
     assert_eq!(engine.epoch(), 2);
-}
-
-#[test]
-fn flush_cache_drops_entries_and_dependency_edges_together() {
-    let f = fixture(313);
-    let weights = PathWeightFunction::instantiate(&f.net, &f.store, &f.cfg).unwrap();
-    let graph = HybridGraph::from_parts(&f.net, weights, f.cfg.clone());
-    let engine = QueryEngine::new(Arc::new(graph), ServiceConfig::default());
-    // Variable-anchored probes record real dependency edges.
-    for var in engine.graph().weights().variables().iter().take(12) {
-        engine
-            .execute(&QueryRequest::EstimateDistribution {
-                path: var.path.clone(),
-                departure: engine.canonical_departure(var.interval),
-                regime: pathcost_service::RegimeId::ALL_TRAFFIC,
-            })
-            .unwrap();
-    }
-    let warmed = engine.cache().len();
-    assert!(warmed > 0);
-    let deps = engine.dependency_index();
-    assert!(deps.tracked_entries() > 0 && deps.tracked_readers() > 0);
-
-    // The full flush drops the entries AND their reader edges (unlike
-    // cache().clear() alone, which would leave the index tracking dead
-    // entries).
-    let flushed = engine.flush_cache();
-    assert_eq!(flushed as usize, warmed);
-    assert!(engine.cache().is_empty());
-    assert_eq!(deps.tracked_entries(), 0);
-    assert_eq!(deps.tracked_readers(), 0);
-    assert_eq!(deps.tracked_variables(), 0);
-    assert!(engine.stats().invalidation_stale_reader_purges > 0);
-
-    // The engine keeps serving (and re-recording) after a flush.
-    let var = &engine.graph().weights().variables()[0].clone();
-    engine
-        .execute(&QueryRequest::EstimateDistribution {
-            path: var.path.clone(),
-            departure: engine.canonical_departure(var.interval),
-            regime: pathcost_service::RegimeId::ALL_TRAFFIC,
-        })
-        .unwrap();
-    assert_eq!(engine.cache().len(), 1);
-    assert!(deps.tracked_entries() <= 1);
 }
 
 #[test]
@@ -862,7 +816,7 @@ fn cancelled_requests_stop_before_and_during_evaluation() {
     // polls the token once per expansion, so whichever poll observes the
     // cancel, the outcome is Cancelled — unless the search already finished,
     // which is also legal (the flag raced the final expansion).
-    engine.flush_cache();
+    engine.cache().clear();
     let ctx = RequestContext::unbounded();
     let flag = ctx.clone();
     let outcome = std::thread::scope(|scope| {

@@ -45,8 +45,8 @@ impl std::fmt::Display for RegimeId {
 ///
 /// The global regime is mixed as the **identity** — a regime-0 fingerprint is
 /// bit-identical to the pre-regime fingerprint, which keeps cache keys,
-/// dependency-index keys and shard selection unchanged for untagged
-/// deployments. Non-zero regimes are avalanched through a multiply so the
+/// the variable-key fingerprints cache entries record as their reads, and
+/// shard selection unchanged for untagged deployments. Non-zero regimes are avalanched through a multiply so the
 /// high bits (used for shard selection) differ too.
 pub fn mix_regime(fingerprint: u64, regime: RegimeId) -> u64 {
     if regime.0 == 0 {

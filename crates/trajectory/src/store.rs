@@ -162,15 +162,6 @@ impl TrajectoryStore {
             .collect()
     }
 
-    /// The regime of the trajectory at `index` (the global root for an
-    /// out-of-range index).
-    pub fn regime_of(&self, index: usize) -> RegimeId {
-        self.matched
-            .get(index)
-            .map(|m| m.regime)
-            .unwrap_or(RegimeId::ALL_TRAFFIC)
-    }
-
     /// `true` when at least one stored trajectory carries a non-global
     /// regime tag. The weight function skips every per-regime pass when this
     /// is false, which is what keeps untagged stores bit-identical to the

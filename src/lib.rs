@@ -23,7 +23,7 @@
 //! * [`live`] — online trajectory ingestion: delta-indexed store appends,
 //!   dirty-key tracking, selective re-derivation of exactly the changed
 //!   weight-function variables, and versioned epoch publishing feeding the
-//!   service layer's dependency-indexed cache invalidation,
+//!   service layer's targeted cache invalidation,
 //! * [`persist`] — crash-safe persistence: a versioned, checksummed
 //!   snapshot format for the trajectory store and weight function (atomic
 //!   temp-file + fsync + rename publication, two retained generations),

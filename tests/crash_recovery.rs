@@ -567,28 +567,55 @@ fn regime_schema() -> RegimeSchema {
 /// process that never crashed.
 #[test]
 fn regime_tagged_lineage_recovers_bit_identically() {
+    check_tagged_lineage("regime-v2", false);
+}
+
+/// The same lineage with the tags assigned by the ingestor's installed
+/// classifier instead of the producer: the journal must hold the rows as
+/// they landed in the store, because `recover` attaches no classifier and
+/// replays journalled tags verbatim.
+#[test]
+fn classifier_tagged_lineage_recovers_bit_identically() {
+    check_tagged_lineage("regime-classified", true);
+}
+
+/// `classify_at_ingest`: the ingested batches arrive untagged and both the
+/// reference and the persisted ingestor tag them through `with_classifier`;
+/// otherwise the producer tagged them up front. The base store is
+/// producer-tagged either way.
+fn check_tagged_lineage(dir_tag: &str, classify_at_ingest: bool) {
     let (net, store) = DatasetPreset::tiny(401).materialise().unwrap();
+    let classifier = PeakOffPeak {
+        peak: RegimeId(1),
+        off_peak: RegimeId(2),
+        ..PeakOffPeak::default()
+    };
     let mut matched = store.matched().to_vec();
-    tag_batch(
-        &mut matched,
-        &PeakOffPeak {
-            peak: RegimeId(1),
-            off_peak: RegimeId(2),
-            ..PeakOffPeak::default()
-        },
-    );
     let cfg = HybridConfig {
         beta: 4,
         regimes: regime_schema(),
         ..HybridConfig::default()
     };
     let split = matched.len() * 2 / 5;
+    if classify_at_ingest {
+        tag_batch(&mut matched[..split], &classifier);
+    } else {
+        tag_batch(&mut matched, &classifier);
+    }
     let base = TrajectoryStore::new(matched[..split].to_vec());
     let rest: Vec<MatchedTrajectory> = matched[split..].to_vec();
     let mid = rest.len() / 2;
+    let ingestor = |base: TrajectoryStore| {
+        let ingestor = LiveIngestor::new(&net, base, cfg.clone()).unwrap();
+        if classify_at_ingest {
+            ingestor.with_classifier(Arc::new(classifier.clone()))
+        } else {
+            ingestor
+        }
+    };
 
     // Reference: same two tagged batches, never crashes.
-    let mut reference = LiveIngestor::new(&net, base.clone(), cfg.clone()).unwrap();
+    let mut reference = ingestor(base.clone());
     reference.ingest(rest[..mid].to_vec()).unwrap();
     reference.ingest(rest[mid..].to_vec()).unwrap();
     assert!(
@@ -596,10 +623,9 @@ fn regime_tagged_lineage_recovers_bit_identically() {
         "fixture must clear β in at least one regime-own table"
     );
 
-    let dir = temp_dir("regime-v2");
+    let dir = temp_dir(dir_tag);
     {
-        let mut p = LiveIngestor::new(&net, base.clone(), cfg.clone())
-            .unwrap()
+        let mut p = ingestor(base.clone())
             .with_persistence(&dir, PersistenceConfig::default())
             .unwrap();
         p.ingest(rest[..mid].to_vec()).unwrap();

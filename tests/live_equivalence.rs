@@ -14,9 +14,9 @@
 //! additionally cover variables *deleted* because their support dropped
 //! below β.
 //!
-//! A separate churn workload pins the dependency index's hygiene invariant:
-//! with eviction-time purging, the number of entries it tracks is bounded by
-//! the number of *live* cache entries.
+//! Two further tests cover what the oracle's sequential rounds cannot: fills
+//! racing updates under LRU churn (no pre-update entry is retained), and a
+//! golden of the per-update eviction counts by mode.
 
 use pathcost::core::{HybridConfig, HybridGraph, PathWeightFunction};
 use pathcost::live::LiveIngestor;
@@ -231,22 +231,48 @@ fn retirement_equivalence_fixed_cases() {
     check_retention_equivalence(411, 35, false);
 }
 
-/// The dependency index must stay bounded by the *live* cache contents under
-/// an ingest/retire/query churn workload: a deliberately tiny LRU cache
-/// forces steady capacity evictions, updates land between serving passes,
-/// and after every round the number of entries the index tracks may not
-/// exceed the entries actually cached (pre-fix, LRU-evicted readers leaked
-/// until their variable happened to update).
+/// The `(path, departure)` a probe asks about.
+fn probe_parts(request: &QueryRequest) -> (&pathcost::roadnet::Path, Timestamp) {
+    match request {
+        QueryRequest::EstimateDistribution {
+            path, departure, ..
+        } => (path, *departure),
+        other => unreachable!("probes are distribution queries, got {other:?}"),
+    }
+}
+
+/// The histogram's bucket bounds and probabilities as raw bits.
+fn bits(histogram: &pathcost::hist::Histogram1D) -> Vec<[u64; 3]> {
+    histogram
+        .buckets()
+        .iter()
+        .zip(histogram.probs())
+        .map(|(b, &p)| [b.lo, b.hi, p].map(f64::to_bits))
+        .collect()
+}
+
+/// Raced fills: reader threads cycle a wide probe set through a 12-entry
+/// cache (steady LRU churn, so a fill is in flight at every instant) while
+/// the main thread publishes ingest and TTL-retire epochs. A fill that
+/// estimated against a pre-update snapshot may hand its caller that answer,
+/// but the cache may not *retain* it. Checked twice: after every update the
+/// readers are held at a gate (their in-flight fills land first) and each
+/// entry the race left cached must be bit-equal to a cold engine built from
+/// the current store; and once the readers have joined, so must every probe
+/// the live engine answers.
 #[test]
-fn dependency_index_stays_bounded_by_live_cache_under_churn() {
+fn raced_fills_never_retain_a_pre_update_entry() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
     let (net, full) = pathcost::traj::DatasetPreset::tiny(509)
+        .with_trip_factor(3.0)
         .materialise()
         .unwrap();
     let cfg = HybridConfig {
-        beta: 10,
+        beta: 6,
         ..HybridConfig::default()
     };
-    let split = full.len() * 70 / 100;
+    let split = full.len() * 80 / 100;
     let base = TrajectoryStore::new(full.matched()[..split].to_vec());
     let rest: Vec<MatchedTrajectory> = full.matched()[split..].to_vec();
 
@@ -259,58 +285,214 @@ fn dependency_index_stays_bounded_by_live_cache_under_churn() {
             ..ServiceConfig::default()
         },
     );
-    let mut ingestor = LiveIngestor::from_instantiated(&net, base, weights, cfg).unwrap();
+    let mut ingestor = LiveIngestor::from_instantiated(&net, base, weights, cfg.clone()).unwrap();
+    let probes = probe_requests(&live, 16);
+    let cold_rebuild = |store: &TrajectoryStore| {
+        let weights = PathWeightFunction::instantiate(&net, store, &cfg).unwrap();
+        QueryEngine::new(
+            Arc::new(HybridGraph::from_parts(&net, weights, cfg.clone())),
+            ServiceConfig::default(),
+        )
+    };
 
+    let stop = AtomicBool::new(false);
+    // Readers hold the gate shared for the length of one query; the main
+    // thread takes it exclusively to look at a quiescent cache.
+    let gate = std::sync::RwLock::new(());
+    let mut retired = 0;
+    std::thread::scope(|scope| {
+        for reader in 0..2 {
+            let (live, probes, stop, gate) = (&live, &probes, &stop, &gate);
+            scope.spawn(move || {
+                // The readers walk the probe set from opposite ends, so they
+                // also race each other's fills of the same keys.
+                let mut order: Vec<&QueryRequest> = probes.iter().collect();
+                if reader == 1 {
+                    order.reverse();
+                }
+                for request in order.iter().cycle() {
+                    let _serving = gate.read().unwrap();
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    live.execute(request).expect("serving query succeeds");
+                }
+            });
+        }
+        let chunk = rest.len().div_ceil(4).max(1);
+        let mut batches = rest.chunks(chunk);
+        for round in 0..8 {
+            let update = if round % 2 == 0 {
+                let batch = batches.next().expect("four ingest rounds");
+                ingestor.ingest(batch.to_vec()).unwrap()
+            } else {
+                ingestor
+                    .retire_before(ttl_cutoff(ingestor.store(), 4))
+                    .unwrap()
+            };
+            retired += update.trajectories_retired;
+            live.apply_update(update).unwrap();
+
+            let _quiescent = gate.write().unwrap();
+            let oracle = cold_rebuild(ingestor.store());
+            for request in &probes {
+                let (path, departure) = probe_parts(request);
+                let interval = live.interval_of(departure);
+                if let Some(cached) = live.cache().get(path, interval, RegimeId::ALL_TRAFFIC) {
+                    assert_eq!(
+                        bits(&cached.histogram),
+                        bits(&estimate(&oracle, request)),
+                        "epoch {}: the cache retained a pre-update entry for {request:?}",
+                        live.epoch()
+                    );
+                }
+            }
+        }
+        stop.store(true, Ordering::Relaxed);
+    });
+    assert_eq!(live.epoch(), 8);
+    assert!(retired > 0, "the churn must both append and retire");
+    assert!(
+        live.stats().cache_evictions > 0,
+        "the readers must have churned the LRU"
+    );
+
+    let oracle = cold_rebuild(ingestor.store());
+    for request in probes.iter().chain(&probe_requests(&oracle, 16)) {
+        assert_eq!(
+            bits(&estimate(&live, request)),
+            bits(&estimate(&oracle, request)),
+            "a pre-update entry outlived the updates: {request:?}"
+        );
+    }
+}
+
+/// Per-update `(evicted_tracked, evicted_swept, cache_entries_after)` of a
+/// single-threaded lineage: three ingest epochs alternating with three
+/// TTL-retire epochs, the engine re-warmed with the current epoch's probes
+/// (at each of `regimes`) before every update.
+fn invalidation_trace(
+    net: &pathcost::roadnet::RoadNetwork,
+    full: &TrajectoryStore,
+    cfg: &HybridConfig,
+    service: ServiceConfig,
+    regimes: &[RegimeId],
+) -> Vec<(u64, u64, usize)> {
+    let split = full.len() * 88 / 100;
+    let base = TrajectoryStore::new(full.matched()[..split].to_vec());
+    let rest: Vec<MatchedTrajectory> = full.matched()[split..].to_vec();
+    let weights = PathWeightFunction::instantiate(net, &base, cfg).unwrap();
+    let live = QueryEngine::new(
+        Arc::new(HybridGraph::from_parts(net, weights.clone(), cfg.clone())),
+        service,
+    );
+    let mut ingestor = LiveIngestor::from_instantiated(net, base, weights, cfg.clone()).unwrap();
     let chunk = rest.len().div_ceil(3).max(1);
     let mut batches = rest.chunks(chunk);
-    let assert_bounded = |round: usize| {
-        let tracked = live.dependency_index().tracked_entries();
-        let cached = live.cache().len();
-        assert!(
-            tracked <= cached,
-            "round {round}: dependency index tracks {tracked} entries but only {cached} are cached"
-        );
-    };
-    for round in 0..8 {
-        // Serving pass: wide probe set against a 12-entry cache ⇒ heavy LRU
-        // churn, every eviction must purge its reader edges.
-        for request in probe_requests(&live, 16) {
-            live.execute(&request).unwrap();
-        }
-        assert_bounded(round);
-        // Alternate ingest and TTL-retire epochs while serving continues.
-        let update = if round % 2 == 0 {
-            match batches.next() {
-                Some(batch) => ingestor.ingest(batch.to_vec()).unwrap(),
-                None => ingestor.ingest(Vec::new()).unwrap(),
+    let mut trace = Vec::new();
+    for round in 0..6 {
+        // Whole trips ride along with the variable probes: long paths that
+        // contain many variables, so the containment rule has work to do.
+        let trips = full
+            .matched()
+            .iter()
+            .step_by(17)
+            .map(|m| QueryRequest::EstimateDistribution {
+                path: m.path.clone(),
+                departure: m.entry_times[0],
+                regime: RegimeId::ALL_TRAFFIC,
+            });
+        for request in probe_requests(&live, 40).into_iter().chain(trips) {
+            let (path, departure) = probe_parts(&request);
+            for &regime in regimes {
+                live.execute(&QueryRequest::EstimateDistribution {
+                    path: path.clone(),
+                    departure,
+                    regime,
+                })
+                .unwrap();
             }
+        }
+        let update = if round % 2 == 0 {
+            let batch = batches.next().expect("three ingest rounds");
+            ingestor.ingest(batch.to_vec()).unwrap()
         } else {
             ingestor
-                .retire_before(ttl_cutoff(ingestor.store(), 15))
+                .retire_before(ttl_cutoff(ingestor.store(), 4))
                 .unwrap()
         };
-        live.apply_update(update).unwrap();
-        assert_bounded(round);
+        let report = live.apply_update(update).unwrap();
+        trace.push((
+            report.evicted_tracked,
+            report.evicted_swept,
+            report.cache_entries_after,
+        ));
     }
-
-    let stats = live.stats();
-    assert!(
-        stats.cache_evictions > 0,
-        "the churn workload must exercise LRU evictions"
-    );
-    assert!(
-        stats.invalidation_stale_reader_purges > 0,
-        "evictions of recorded readers must purge their dependency edges"
-    );
-    assert!(
-        stats.ingest_trajectories_retired > 0 && stats.ingest_trajectories > 0,
-        "churn must both append and retire"
-    );
-    // Total edge count is likewise bounded: every tracked entry is live, so
-    // the edge total cannot exceed live entries × the per-entry read count
-    // (a small constant given bounded path length and decomposition depth).
-    assert!(live.dependency_index().tracked_readers() >= live.dependency_index().tracked_entries());
+    trace
 }
+
+/// Invalidation golden: which entries an update evicts, and under which
+/// mode it counts them, is pinned to numbers captured when reads still
+/// lived in a separate variable → readers index — over an untagged lineage with
+/// a roomy cache, the same lineage under steady LRU pressure, and a
+/// regime-tagged lineage queried at every regime of its schema.
+#[test]
+fn invalidation_counts_match_the_golden_sequence() {
+    let (net, full) = pathcost::traj::DatasetPreset::tiny(509)
+        .with_trip_factor(3.0)
+        .materialise()
+        .unwrap();
+    let cfg = HybridConfig {
+        beta: 6,
+        ..HybridConfig::default()
+    };
+    let global = [RegimeId::ALL_TRAFFIC];
+    assert_eq!(
+        invalidation_trace(&net, &full, &cfg, ServiceConfig::default(), &global),
+        GOLDEN_ROOMY,
+    );
+    let tight = ServiceConfig {
+        cache_shards: 4,
+        shard_capacity: 8,
+        ..ServiceConfig::default()
+    };
+    assert_eq!(
+        invalidation_trace(&net, &full, &cfg, tight, &global),
+        GOLDEN_TIGHT,
+    );
+    let (net, tagged, cfg) = tagged_fixture(401, 4);
+    let every_regime = [RegimeId::ALL_TRAFFIC, RegimeId(1), RegimeId(2), RegimeId(3)];
+    assert_eq!(
+        invalidation_trace(&net, &tagged, &cfg, ServiceConfig::default(), &every_regime),
+        GOLDEN_REGIMES,
+    );
+}
+
+const GOLDEN_ROOMY: [(u64, u64, usize); 6] = [
+    (22, 20, 37),
+    (22, 10, 47),
+    (35, 38, 6),
+    (18, 0, 60),
+    (26, 11, 41),
+    (28, 33, 18),
+];
+/// 4 shards × 8 entries: 358 LRU evictions interleave with the updates.
+const GOLDEN_TIGHT: [(u64, u64, usize); 6] = [
+    (7, 11, 14),
+    (6, 4, 22),
+    (13, 13, 6),
+    (8, 0, 24),
+    (8, 2, 22),
+    (11, 9, 12),
+];
+const GOLDEN_REGIMES: [(u64, u64, usize); 6] = [
+    (56, 0, 216),
+    (76, 72, 124),
+    (68, 124, 80),
+    (64, 52, 156),
+    (148, 92, 32),
+    (12, 8, 256),
+];
 
 // ---------------------------------------------------------------------------
 // Regime-keyed weight variables: fallback-ladder oracle, global bit-identity
