@@ -14,10 +14,16 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// A candidate in the priority queue.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 struct QueueEntry {
     cost: f64,
     edge: EdgeId,
+}
+
+impl PartialEq for QueueEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
 }
 
 impl Eq for QueueEntry {}
@@ -25,10 +31,11 @@ impl Eq for QueueEntry {}
 impl Ord for QueueEntry {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reverse ordering: BinaryHeap is a max-heap, we need the smallest cost.
+        // `total_cmp`, because `edge_cost` is the caller's closure and an
+        // ordering that calls NaN equal to everything is not transitive.
         other
             .cost
-            .partial_cmp(&self.cost)
-            .unwrap_or(Ordering::Equal)
+            .total_cmp(&self.cost)
             .then_with(|| self.edge.0.cmp(&other.edge.0))
     }
 }
@@ -158,6 +165,38 @@ mod tests {
     fn same_vertex_and_unreachable_return_none() {
         let net = GeneratorConfig::tiny(1).generate();
         assert!(fastest_path(&net, VertexId(0), VertexId(0)).is_none());
+    }
+
+    #[test]
+    fn queue_order_is_total_even_over_nan_costs() {
+        let entry = |cost, edge| QueueEntry {
+            cost,
+            edge: EdgeId(edge),
+        };
+        let entries = [
+            entry(1.0, 0),
+            entry(f64::NAN, 1),
+            entry(2.0, 2),
+            entry(1.0, 3),
+            entry(f64::INFINITY, 4),
+        ];
+        for a in &entries {
+            for b in &entries {
+                assert_eq!(a.cmp(b), b.cmp(a).reverse());
+                assert_eq!(a == b, a.cmp(b) == Ordering::Equal);
+                for c in &entries {
+                    if a.cmp(b) != Ordering::Greater && b.cmp(c) != Ordering::Greater {
+                        assert_ne!(a.cmp(c), Ordering::Greater, "{a:?} {b:?} {c:?}");
+                    }
+                }
+            }
+        }
+        // Finite costs pop cheapest first, as they always did.
+        let mut heap: BinaryHeap<QueueEntry> = entries.into_iter().collect();
+        let popped: Vec<u32> = std::iter::from_fn(|| heap.pop())
+            .map(|e| e.edge.0)
+            .collect();
+        assert_eq!(popped, [3, 0, 2, 4, 1]);
     }
 
     #[test]

@@ -22,21 +22,22 @@
 //!   probability is dropped (at push and again at pop, where the incumbent
 //!   may have improved). Equal-bound paths are kept so tie-breaking stays
 //!   exact.
-//! * **Precomputed successor order** — the lower-bound-sorted adjacency is
-//!   built once per `route()` call; the old search re-sorted the successor
-//!   list of every expanded node.
+//! * **Precomputed bounds and successor order** — the admissible bounds to
+//!   the destination and the lower-bound-sorted adjacency come from a
+//!   [`FreeFlowCache`]: they depend on the network alone, so they are
+//!   searched once per destination, not once per `route()` call.
 //!
 //! Complete candidates are evaluated with the pluggable [`CostEstimator`]
 //! through [`CostEstimator::estimate_arc`], so an estimator backed by a
 //! distribution cache (the serving layer's `CachingEstimator`) hands back
 //! shared histograms without copying them.
 
-use crate::dijkstra::{edge_target_lower_bound, free_flow_to_destination};
 use crate::error::RoutingError;
+use crate::freeflow::FreeFlowCache;
 use crate::query::prob_within_budget;
 use pathcost_core::{CostEstimator, HybridGraph, PartialEstimate};
 use pathcost_hist::{ConvolveScratch, Histogram1D};
-use pathcost_roadnet::{EdgeId, Path, VertexId};
+use pathcost_roadnet::{EdgeId, Path, RoadNetwork, VertexId};
 use pathcost_traj::Timestamp;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
@@ -218,17 +219,66 @@ impl IncumbentList {
 pub struct BestFirstRouter<'g, 'n> {
     graph: &'g HybridGraph<'n>,
     config: RouterConfig,
+    free_flow: Arc<FreeFlowCache<'n>>,
+}
+
+/// The checks on a routing request's shape that every search starts with,
+/// in the order their errors are reported. Public so a caller that prepares
+/// work for a search (the serving layer's warm phase) can skip requests the
+/// search will reject.
+pub fn validate_route(
+    net: &RoadNetwork,
+    source: VertexId,
+    destination: VertexId,
+    k: usize,
+) -> Result<(), RoutingError> {
+    if k == 0 {
+        return Err(RoutingError::InvalidConfig(
+            "k-best routing needs k >= 1 ranked results",
+        ));
+    }
+    if source == destination {
+        return Err(RoutingError::SameSourceAndDestination);
+    }
+    net.vertex(source)?;
+    net.vertex(destination)?;
+    Ok(())
 }
 
 impl<'g, 'n> BestFirstRouter<'g, 'n> {
-    /// Creates a router with the given configuration.
+    /// Creates a router with the given configuration and a free-flow cache
+    /// of its own.
     pub fn new(graph: &'g HybridGraph<'n>, config: RouterConfig) -> Result<Self, RoutingError> {
+        let free_flow = Arc::new(FreeFlowCache::new(graph.network()));
+        Self::with_cache(graph, config, free_flow)
+    }
+
+    /// As [`Self::new`], reading bounds and successor orders from
+    /// `free_flow` — a cache a longer-lived owner shares across routers,
+    /// weight epochs and regime views of the same network.
+    ///
+    /// # Panics
+    /// When `free_flow` was built over a different network than the graph's:
+    /// its bounds would silently misorder and misprune every search.
+    pub fn with_cache(
+        graph: &'g HybridGraph<'n>,
+        config: RouterConfig,
+        free_flow: Arc<FreeFlowCache<'n>>,
+    ) -> Result<Self, RoutingError> {
         if config.max_expansions == 0 || config.max_candidates == 0 || config.max_path_edges == 0 {
             return Err(RoutingError::InvalidConfig(
                 "expansion, candidate and path-length limits must be positive",
             ));
         }
-        Ok(BestFirstRouter { graph, config })
+        assert!(
+            std::ptr::eq(free_flow.network(), graph.network()),
+            "the free-flow cache must be over the router's network"
+        );
+        Ok(BestFirstRouter {
+            graph,
+            config,
+            free_flow,
+        })
     }
 
     /// Finds the path from `source` to `destination` departing at `departure`
@@ -316,29 +366,13 @@ impl<'g, 'n> BestFirstRouter<'g, 'n> {
         k: usize,
         cancel: &dyn Fn() -> bool,
     ) -> Result<(Vec<RouteResult>, SearchTelemetry), RoutingError> {
-        if k == 0 {
-            return Err(RoutingError::InvalidConfig(
-                "k-best routing needs k >= 1 ranked results",
-            ));
-        }
-        if source == destination {
-            return Err(RoutingError::SameSourceAndDestination);
-        }
         let net = self.graph.network();
-        net.vertex(source)?;
-        net.vertex(destination)?;
-        let lower_bound = free_flow_to_destination(net, destination);
+        validate_route(net, source, destination, k)?;
+        let index = self.free_flow.destination(destination);
+        let lower_bound = index.lower_bound();
         if !lower_bound[source.index()].is_finite() {
             return Err(RoutingError::Unreachable);
         }
-
-        // Lower-bound-sorted adjacency, memoised per vertex: each successor
-        // list is built and sorted at most once per `route()` call (the old
-        // search re-sorted it at every expansion), and only for the region
-        // the search actually reaches. Edges whose head cannot reach the
-        // destination are dropped — any path through them fails the budget
-        // prune anyway.
-        let mut sorted_adjacency: Vec<Option<Vec<EdgeId>>> = vec![None; net.vertex_count()];
 
         let mut telemetry = SearchTelemetry::default();
         let mut arena: Vec<Node> = Vec::new();
@@ -351,7 +385,7 @@ impl<'g, 'n> BestFirstRouter<'g, 'n> {
         let mut epoch: u64 = 0;
         let mut best = IncumbentList::new(k);
 
-        for &edge in sorted_out_edges(net, &lower_bound, &mut sorted_adjacency, source) {
+        for &edge in index.successors(source) {
             let end = net.edge(edge)?.to;
             let Ok(estimate) = PartialEstimate::start(self.graph, edge, departure) else {
                 continue; // no unit distribution for this edge
@@ -362,7 +396,7 @@ impl<'g, 'n> BestFirstRouter<'g, 'n> {
                 &mut seq,
                 &mut telemetry,
                 &best,
-                &lower_bound,
+                lower_bound,
                 budget_s,
                 Node {
                     parent: NIL,
@@ -424,7 +458,7 @@ impl<'g, 'n> BestFirstRouter<'g, 'n> {
                 cursor = arena[cursor].parent;
             }
             let parent_estimate = arena[node].estimate.clone();
-            for &edge in sorted_out_edges(net, &lower_bound, &mut sorted_adjacency, at) {
+            for &edge in index.successors(at) {
                 let end = net.edge(edge)?.to;
                 if visit_mark[end.index()] == epoch {
                     continue; // would revisit a vertex
@@ -440,7 +474,7 @@ impl<'g, 'n> BestFirstRouter<'g, 'n> {
                     &mut seq,
                     &mut telemetry,
                     &best,
-                    &lower_bound,
+                    lower_bound,
                     budget_s,
                     Node {
                         parent: node,
@@ -506,29 +540,6 @@ fn admit(
         seq: *seq,
         node: arena.len() - 1,
     });
-}
-
-/// The out-edges of `v` whose head can reach the destination, in ascending
-/// order of the admissible bound at their head, built (with precomputed sort
-/// keys) on first request and memoised for the rest of the `route()` call.
-fn sorted_out_edges<'m>(
-    net: &pathcost_roadnet::RoadNetwork,
-    lower_bound: &[f64],
-    memo: &'m mut [Option<Vec<EdgeId>>],
-    v: VertexId,
-) -> &'m [EdgeId] {
-    let slot = &mut memo[v.index()];
-    if slot.is_none() {
-        let mut decorated: Vec<(f64, EdgeId)> = net
-            .out_edges(v)
-            .iter()
-            .map(|&e| (edge_target_lower_bound(net, lower_bound, e), e))
-            .filter(|(key, _)| key.is_finite())
-            .collect();
-        decorated.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then_with(|| (a.1).0.cmp(&(b.1).0)));
-        *slot = Some(decorated.into_iter().map(|(_, e)| e).collect());
-    }
-    slot.as_deref().expect("memo slot filled above")
 }
 
 /// Walks parent pointers from `node` to a root and returns the edge sequence
@@ -855,5 +866,153 @@ mod tests {
             !incumbent.beaten_by(0.8, 100.0, 2),
             "full tie: the incumbent is kept"
         );
+    }
+    /// Everything a search returns, bit for bit: per ranked result its edge
+    /// ids, probability and distribution bits, then the search counters.
+    fn search_bits(
+        outcome: &Result<(Vec<RouteResult>, SearchTelemetry), RoutingError>,
+    ) -> Vec<u64> {
+        let Ok((ranked, telemetry)) = outcome else {
+            return vec![u64::MAX];
+        };
+        let mut bits = vec![ranked.len() as u64];
+        for r in ranked {
+            bits.push(r.path.cardinality() as u64);
+            bits.extend(r.path.edges().iter().map(|e| u64::from(e.0)));
+            bits.push(r.probability.to_bits());
+            for (b, p) in r.distribution.buckets().iter().zip(r.distribution.probs()) {
+                bits.extend([b.lo, b.hi, *p].map(f64::to_bits));
+            }
+            bits.extend([
+                r.expansions as u64,
+                r.evaluated_candidates as u64,
+                r.incumbent_prunes as u64,
+            ]);
+        }
+        bits.extend([
+            telemetry.expansions as u64,
+            telemetry.evaluated_candidates as u64,
+            telemetry.incumbent_prunes as u64,
+        ]);
+        bits
+    }
+
+    /// Every ordered vertex pair of the fixture's 5×5 grid, as a top-2 search
+    /// at 1.5 × its free-flow time (equal endpoints included: an error is an
+    /// answer too).
+    fn all_pairs(net: &pathcost_roadnet::RoadNetwork) -> Vec<(VertexId, VertexId, f64)> {
+        let vertices = net.vertex_count() as u32;
+        let mut pairs = Vec::new();
+        for source in (0..vertices).map(VertexId) {
+            for destination in (0..vertices).map(VertexId) {
+                let budget = fastest_path(net, source, destination).map_or(600.0, |p| {
+                    pathcost_roadnet::search::free_flow_time_s(net, &p) * 1.5
+                });
+                pairs.push((source, destination, budget));
+            }
+        }
+        pairs
+    }
+
+    fn search_all(
+        router: &BestFirstRouter<'_, '_>,
+        od: &OdEstimator<'_, '_>,
+        pairs: &[(VertexId, VertexId, f64)],
+    ) -> Vec<Vec<u64>> {
+        let departure = Timestamp::from_day_hms(0, 8, 0, 0);
+        pairs
+            .iter()
+            .map(|&(s, d, budget)| search_bits(&router.route_top_k(od, s, d, departure, budget, 2)))
+            .collect()
+    }
+
+    /// Digest captured at the parent of PR 20, where every search ran its own
+    /// reverse Dijkstra and sorted its own successor lists.
+    #[test]
+    fn every_search_matches_the_pre_pr20_golden_digest() {
+        let f = fixture();
+        let graph = HybridGraph::build(&f.net, &f.store, f.cfg.clone()).unwrap();
+        let router = BestFirstRouter::new(&graph, RouterConfig::default()).unwrap();
+        let od = OdEstimator::new(&graph);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let answers = search_all(&router, &od, &all_pairs(&f.net));
+        for x in answers.iter().flatten() {
+            for b in x.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        let found = answers
+            .iter()
+            .filter(|bits| bits[0] != u64::MAX && bits[0] > 0)
+            .count();
+        assert_eq!((h, answers.len(), found), (0xee6b_0e16_466c_3f19, 625, 600));
+    }
+
+    #[test]
+    fn warm_cold_and_refilled_caches_answer_every_pair_identically() {
+        let f = fixture();
+        let graph = HybridGraph::build(&f.net, &f.store, f.cfg.clone()).unwrap();
+        let od = OdEstimator::new(&graph);
+        let pairs = all_pairs(&f.net);
+        let router = |destinations| {
+            let cache = FreeFlowCache::with_capacity(&f.net, destinations, destinations);
+            BestFirstRouter::with_cache(&graph, RouterConfig::default(), Arc::new(cache)).unwrap()
+        };
+        // Cold: every destination's first search fills its entry.
+        let shared = router(f.net.vertex_count());
+        let cold = search_all(&shared, &od, &pairs);
+        assert_eq!(shared.free_flow.destination_count(), f.net.vertex_count());
+        // Warm: the same router again, every entry resident.
+        assert_eq!(search_all(&shared, &od, &pairs), cold);
+        // Evicted and refilled: one slot, and the pairs visited destination
+        // by destination backwards, so each entry is dropped and rebuilt
+        // many times over.
+        let single = router(1);
+        let mut backwards: Vec<usize> = (0..pairs.len()).collect();
+        backwards.sort_by_key(|&i| std::cmp::Reverse((pairs[i].0, pairs[i].1)));
+        let reordered: Vec<_> = backwards.iter().map(|&i| pairs[i]).collect();
+        let refilled = search_all(&single, &od, &reordered);
+        for (at, &i) in backwards.iter().enumerate() {
+            assert_eq!(refilled[at], cold[i], "pair {:?}", pairs[i]);
+        }
+        assert_eq!(single.free_flow.destination_count(), 1);
+    }
+
+    #[test]
+    fn eight_threads_through_a_two_entry_cache_match_the_single_threaded_answers() {
+        let f = fixture();
+        let graph = HybridGraph::build(&f.net, &f.store, f.cfg.clone()).unwrap();
+        let od = OdEstimator::new(&graph);
+        let destinations = [VertexId(24), VertexId(18), VertexId(4), VertexId(11)];
+        let pairs: Vec<_> = all_pairs(&f.net)
+            .into_iter()
+            .filter(|(_, d, _)| destinations.contains(d))
+            .collect();
+        let alone = BestFirstRouter::new(&graph, RouterConfig::default()).unwrap();
+        let expected = search_all(&alone, &od, &pairs);
+
+        let cache = Arc::new(FreeFlowCache::with_capacity(&f.net, 2, 2));
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            for thread in 0..8 {
+                let (graph, od, pairs, expected) = (&graph, &od, &pairs, &expected);
+                let (cache, start) = (Arc::clone(&cache), &start);
+                scope.spawn(move || {
+                    let router =
+                        BestFirstRouter::with_cache(graph, RouterConfig::default(), cache).unwrap();
+                    // Each thread starts elsewhere in the list, so at any
+                    // moment the eight want more destinations than fit.
+                    let mut rotated = pairs.clone();
+                    rotated.rotate_left(thread * pairs.len() / 8);
+                    start.wait();
+                    let answers = search_all(&router, od, &rotated);
+                    for (at, answer) in answers.iter().enumerate() {
+                        let original = (at + thread * pairs.len() / 8) % pairs.len();
+                        assert_eq!(answer, &expected[original], "thread {thread}");
+                    }
+                });
+            }
+        });
+        assert!(cache.destination_count() <= 2);
     }
 }

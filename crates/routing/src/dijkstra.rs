@@ -9,10 +9,16 @@ use pathcost_roadnet::{EdgeId, RoadNetwork, VertexId};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 struct Entry {
     cost: f64,
     vertex: VertexId,
+}
+
+impl PartialEq for Entry {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
 }
 
 impl Eq for Entry {}
@@ -21,8 +27,7 @@ impl Ord for Entry {
     fn cmp(&self, other: &Self) -> Ordering {
         other
             .cost
-            .partial_cmp(&self.cost)
-            .unwrap_or(Ordering::Equal)
+            .total_cmp(&self.cost)
             .then_with(|| self.vertex.0.cmp(&other.vertex.0))
     }
 }
@@ -145,6 +150,31 @@ mod tests {
         for (l, u) in lower.iter().zip(&upper) {
             if l.is_finite() {
                 assert!((u - l * 3.0).abs() < 1e-9);
+            }
+        }
+    }
+
+    #[test]
+    fn heap_order_is_total_even_over_nan_costs() {
+        let entry = |cost, vertex| Entry {
+            cost,
+            vertex: VertexId(vertex),
+        };
+        let entries = [
+            entry(1.0, 0),
+            entry(f64::NAN, 1),
+            entry(2.0, 2),
+            entry(1.0, 3),
+        ];
+        for a in &entries {
+            for b in &entries {
+                assert_eq!(a.cmp(b), b.cmp(a).reverse());
+                assert_eq!(a == b, a.cmp(b) == Ordering::Equal);
+                for c in &entries {
+                    if a.cmp(b) != Ordering::Greater && b.cmp(c) != Ordering::Greater {
+                        assert_ne!(a.cmp(c), Ordering::Greater, "{a:?} {b:?} {c:?}");
+                    }
+                }
             }
         }
     }

@@ -13,16 +13,21 @@
 //! [`bestfirst`] (parent-pointer partial paths, optimistic-probability
 //! frontier ordering, incumbent pruning); the paper's original DFS is
 //! retained in [`naive`] as the measured and property-tested reference.
+//! What the production search derives from free-flow times alone — destination
+//! bounds, successor orders, fastest-path seeds — is a function of the
+//! immutable network and lives in the bounded [`freeflow`] cache.
 
 pub mod bestfirst;
 pub mod dijkstra;
 pub mod error;
+pub mod freeflow;
 pub mod naive;
 pub mod query;
 
-pub use bestfirst::{BestFirstRouter, RouteResult, RouterConfig, SearchTelemetry};
+pub use bestfirst::{validate_route, BestFirstRouter, RouteResult, RouterConfig, SearchTelemetry};
 pub use dijkstra::{
     edge_target_lower_bound, free_flow_to_destination, upper_bound_time_to_destination,
 };
 pub use error::RoutingError;
+pub use freeflow::{DestinationIndex, FreeFlowCache, Lookup};
 pub use query::{dominates_stochastically, prob_within_budget, rank_by_probability};

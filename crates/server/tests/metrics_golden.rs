@@ -20,7 +20,8 @@ use std::time::Duration;
 
 /// One line per family: `name TYPE [label keys] le=[edges]`, captured from
 /// the scrape described in `page_shape_matches_the_golden` at the commit
-/// before the metrics moved into per-layer registries.
+/// before the metrics moved into per-layer registries; additions since:
+/// the two `pathcost_free_flow_cache_*` families (PR 20).
 const GOLDEN: &str = "\
 pathcost_admission_degraded gauge []\n\
 pathcost_admission_queue_depth gauge []\n\
@@ -42,6 +43,8 @@ pathcost_deadline_exceeded_total counter []\n\
 pathcost_degraded_answers_total counter []\n\
 pathcost_epoch gauge []\n\
 pathcost_estimations_total counter []\n\
+pathcost_free_flow_cache_hits_total counter [map]\n\
+pathcost_free_flow_cache_misses_total counter [map]\n\
 pathcost_http_requests_total counter [class]\n\
 pathcost_ingest_publish_seconds histogram [] le=[0.000002,0.000004,0.000008,0.000016,0.000032,0.000064,0.000128,0.000256,0.000512,0.001024,0.002048,0.004096,0.008192,0.016384,0.032768,0.065536,0.131072,0.262144,0.524288,1.048576,2.097152,4.194304,8.388608,16.777216,33.554432,67.108864,134.217728,268.435456,536.870912,1073.741824,2147.483648,+Inf]\n\
 pathcost_ingest_trajectories_retired_total counter []\n\

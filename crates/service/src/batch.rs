@@ -27,12 +27,11 @@
 
 use crate::cache::key_fingerprint;
 use crate::deadline::RequestContext;
-use crate::engine::{budget_is_valid, QueryCounters, QueryEngine};
+use crate::engine::{route_is_valid, QueryCounters, QueryEngine};
 use crate::error::ServiceError;
 use crate::request::{QueryOutcome, QueryRequest};
 use pathcost_core::{IntervalId, RegimeId};
-use pathcost_roadnet::search::fastest_path;
-use pathcost_roadnet::{Path, VertexId};
+use pathcost_roadnet::Path;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -178,14 +177,13 @@ impl QueryEngine<'_> {
     /// The batch's unique `(path, interval, regime)` estimation jobs and how
     /// many duplicates collapsing them removed. Route seeds (the free-flow
     /// fastest path, the best-first search's predictable first candidate)
-    /// are memoised per OD pair so a batch of repeated routes runs one
-    /// Dijkstra per distinct pair, not one per request.
+    /// come from the engine's free-flow cache: one Dijkstra per OD pair for
+    /// as long as the pair stays resident, not one per request.
     fn warm_jobs<'r>(&self, requests: &'r [QueryRequest]) -> (Vec<Job<'r>>, u64) {
-        let net = self.graph().network();
+        let net = self.free_flow().network();
         let mut unique: HashMap<u64, Vec<Job<'r>>> = HashMap::new();
         let mut total_jobs: u64 = 0;
         let max_route_edges = self.config().router.max_path_edges;
-        let mut seed_memo: HashMap<(VertexId, VertexId), Option<Path>> = HashMap::new();
         let mut add = |interval: IntervalId, path: Cow<'r, Path>, regime: RegimeId| {
             total_jobs += 1;
             let fingerprint = key_fingerprint(path.as_ref(), interval, regime);
@@ -210,19 +208,17 @@ impl QueryEngine<'_> {
                     destination,
                     departure,
                     budget_s,
+                    k,
                     ..
                 } => {
-                    // Seed only searches that can use it: requests with an
-                    // invalid budget fail validation in the answer phase, and
-                    // a free-flow path beyond the router's cardinality limit
-                    // is a candidate the search can never materialise.
-                    if !budget_is_valid(*budget_s) {
+                    // Seed only searches that can use it: a request the
+                    // answer phase rejects is never searched, and a free-flow
+                    // path beyond the router's cardinality limit is a
+                    // candidate the search can never materialise.
+                    if !route_is_valid(net, *source, *destination, *budget_s, *k) {
                         continue;
                     }
-                    let seed = seed_memo
-                        .entry((*source, *destination))
-                        .or_insert_with(|| fastest_path(net, *source, *destination))
-                        .clone();
+                    let seed = self.free_flow().seed(*source, *destination);
                     if let Some(seed) = seed.filter(|s| s.cardinality() <= max_route_edges) {
                         add(self.interval_of(*departure), Cow::Owned(seed), regime);
                     }
@@ -275,8 +271,7 @@ fn estimation_jobs(request: &QueryRequest) -> Vec<(&Path, pathcost_traj::Timesta
             departure,
             ..
         } => candidates.iter().map(|p| (p, *departure)).collect(),
-        // Route seeds are collected (and memoised per OD pair) directly in
-        // `warm_jobs`.
+        // Route seeds are collected directly in `warm_jobs`.
         QueryRequest::Route { .. } => Vec::new(),
     }
 }

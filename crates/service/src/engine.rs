@@ -20,8 +20,10 @@ use pathcost_core::{
 };
 use pathcost_hist::Histogram1D;
 use pathcost_obs::{Gauge, Registry};
-use pathcost_roadnet::Path;
-use pathcost_routing::{prob_within_budget, BestFirstRouter, RouterConfig, RoutingError};
+use pathcost_roadnet::{Path, RoadNetwork, VertexId};
+use pathcost_routing::{
+    prob_within_budget, validate_route, BestFirstRouter, FreeFlowCache, RouterConfig, RoutingError,
+};
 use pathcost_traj::{TimeOfDay, Timestamp};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
@@ -95,6 +97,9 @@ pub struct QueryEngine<'n> {
     graph: RwLock<Arc<HybridGraph<'n>>>,
     partition: DayPartition,
     cache: DistributionCache,
+    /// Destination bounds, successor orders and route seeds: functions of
+    /// the network alone, so one cache serves every epoch and regime view.
+    free_flow: Arc<FreeFlowCache<'n>>,
     pub(crate) epoch: AtomicU64,
     /// Serializes [`Self::apply_update`]s against each other (queries are
     /// never blocked by it).
@@ -114,6 +119,25 @@ pub struct QueryEngine<'n> {
 impl<'n> QueryEngine<'n> {
     /// Wraps `graph` for serving (epoch 0).
     pub fn new(graph: Arc<HybridGraph<'n>>, config: ServiceConfig) -> Self {
+        let free_flow = FreeFlowCache::new(graph.network());
+        Self::with_free_flow_cache(graph, config, free_flow)
+    }
+
+    /// As [`Self::new`], keeping free-flow searches in `free_flow` instead of
+    /// a cache of the standard capacities — integration tests size one to
+    /// force evictions.
+    ///
+    /// # Panics
+    /// When `free_flow` is over a different network than `graph`.
+    pub fn with_free_flow_cache(
+        graph: Arc<HybridGraph<'n>>,
+        config: ServiceConfig,
+        free_flow: FreeFlowCache<'n>,
+    ) -> Self {
+        assert!(
+            std::ptr::eq(free_flow.network(), graph.network()),
+            "the free-flow cache must be over the served network"
+        );
         let partition = graph.weights().partition().clone();
         let registry = Registry::new();
         let epoch_gauge = registry.gauge(
@@ -124,10 +148,17 @@ impl<'n> QueryEngine<'n> {
         let recorder = StatsRecorder::new(&registry);
         let cache =
             DistributionCache::registered(config.cache_shards, config.shard_capacity, &registry);
+        let (hits, misses) = (
+            recorder.free_flow_hits.clone(),
+            recorder.free_flow_misses.clone(),
+        );
+        let free_flow = free_flow
+            .observed(move |map, hit| if hit { &hits } else { &misses }[map as usize].inc());
         QueryEngine {
             graph: RwLock::new(graph),
             partition,
             cache,
+            free_flow: Arc::new(free_flow),
             epoch: AtomicU64::new(0),
             update_lock: std::sync::Mutex::new(()),
             registry,
@@ -199,6 +230,11 @@ impl<'n> QueryEngine<'n> {
     /// The distribution cache (exposed for inspection and tests).
     pub fn cache(&self) -> &DistributionCache {
         &self.cache
+    }
+
+    /// The engine's cache of free-flow searches over its network.
+    pub(crate) fn free_flow(&self) -> &FreeFlowCache<'n> {
+        &self.free_flow
     }
 
     /// The registry holding every engine-level metric family, with the
@@ -535,7 +571,11 @@ impl<'n> QueryEngine<'n> {
                 } else {
                     self.config.router.clone()
                 };
-                let router = BestFirstRouter::new(&graph, router_config)?;
+                let router = BestFirstRouter::with_cache(
+                    &graph,
+                    router_config,
+                    Arc::clone(&self.free_flow),
+                )?;
                 let estimator = CachingEstimator {
                     engine: self,
                     counters,
@@ -608,11 +648,21 @@ fn chaos_panic_failpoint(path: &Path) {
     }
 }
 
-/// The budget rule shared by request validation and the batch executor's
-/// Route warm-phase seeding (which must not warm requests the answer phase
-/// will reject).
+/// The budget rule shared by request validation and [`route_is_valid`].
 pub(crate) fn budget_is_valid(budget_s: f64) -> bool {
     budget_s.is_finite() && budget_s >= 0.0
+}
+
+/// Whether the answer phase will run a search for this `Route` request
+/// rather than reject it — the batch executor seeds only those.
+pub(crate) fn route_is_valid(
+    net: &RoadNetwork,
+    source: VertexId,
+    destination: VertexId,
+    budget_s: f64,
+    k: usize,
+) -> bool {
+    budget_is_valid(budget_s) && validate_route(net, source, destination, k).is_ok()
 }
 
 fn validate_budget(budget_s: f64) -> Result<(), ServiceError> {

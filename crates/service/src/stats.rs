@@ -65,6 +65,10 @@ impl QueryKind {
     const LABELS: [&'static str; 4] = ["estimate", "probability", "rank", "route"];
 }
 
+/// The `map` label values of the free-flow cache series, indexed by
+/// `pathcost_routing::Lookup as usize`.
+const FREE_FLOW_MAPS: [&str; 2] = ["destination", "seed"];
+
 /// The engine's instruments. Events with a single call site bump the public
 /// handles directly; the `record_*` methods cover the ones several paths
 /// share.
@@ -90,6 +94,9 @@ pub(crate) struct StatsRecorder {
     pub route_candidates_evaluated: Counter,
     pub route_incumbent_prunes: Counter,
     pub route_eval_cache_hits: Counter,
+    /// Free-flow cache lookups, indexed by `pathcost_routing::Lookup as usize`.
+    pub free_flow_hits: [Counter; 2],
+    pub free_flow_misses: [Counter; 2],
     pub invalidation_tracked_evictions: Counter,
     pub invalidation_swept_evictions: Counter,
     regime_fallback: [Counter; FALLBACK_DEPTH_BUCKETS],
@@ -216,6 +223,20 @@ impl StatsRecorder {
                 "pathcost_route_cache_hits_total",
                 "Distribution-cache hits scored by Route candidate evaluations.",
             ),
+            free_flow_hits: FREE_FLOW_MAPS.map(|map| {
+                registry.counter(
+                    "pathcost_free_flow_cache_hits_total",
+                    "Free-flow searches answered from the per-network cache, by map.",
+                    &[("map", map)],
+                )
+            }),
+            free_flow_misses: FREE_FLOW_MAPS.map(|map| {
+                registry.counter(
+                    "pathcost_free_flow_cache_misses_total",
+                    "Free-flow searches run (reverse Dijkstra per destination, fastest path per seed).",
+                    &[("map", map)],
+                )
+            }),
             invalidation_tracked_evictions: invalidated("tracked"),
             invalidation_swept_evictions: invalidated("swept"),
             regime_fallback: std::array::from_fn(|depth| {
@@ -370,6 +391,8 @@ impl StatsRecorder {
             route_eval_cache_hits: self.route_eval_cache_hits.get(),
             route_incumbent_prunes: self.route_incumbent_prunes.get(),
             route_expansions: self.route_expansions.get(),
+            free_flow_hits: self.free_flow_hits.each_ref().map(Counter::get),
+            free_flow_misses: self.free_flow_misses.each_ref().map(Counter::get),
             cache_insertions,
             cache_evictions,
             ingest_updates: self.ingest_updates.get(),
@@ -455,6 +478,14 @@ pub struct ServiceStats {
     /// `Route` searches — the search-effort knob the candidate-budget
     /// trade-off (Fig 18) is tuned against.
     pub route_expansions: u64,
+    /// Lookups the engine's free-flow cache answered from a resident entry:
+    /// `[destination indexes (one per Route search), route seeds (one per
+    /// valid Route in a batch's warm phase)]`.
+    pub free_flow_hits: [u64; 2],
+    /// Lookups that ran the search instead — a reverse Dijkstra over the
+    /// whole network per destination, a fastest-path search per seed — in
+    /// the same order.
+    pub free_flow_misses: [u64; 2],
     /// Distribution-cache insertions (estimations plus warm-phase fills).
     pub cache_insertions: u64,
     /// Distribution-cache entries dropped under capacity pressure (LRU).

@@ -526,6 +526,160 @@ fn batch_warm_phase_seeds_route_searches_with_the_fastest_path() {
     );
 }
 
+/// A `Route` request under the global regime with a generous budget.
+fn route(source: u32, destination: u32, k: usize) -> QueryRequest {
+    QueryRequest::Route {
+        source: VertexId(source),
+        destination: VertexId(destination),
+        departure: Timestamp::from_day_hms(0, 8, 0, 0),
+        budget_s: 3_600.0,
+        k,
+        regime: pathcost_service::RegimeId::ALL_TRAFFIC,
+    }
+}
+
+#[test]
+fn second_identical_route_hits_the_free_flow_cache_for_bounds_and_seed() {
+    let f = fixture(312);
+    let graph = HybridGraph::build(&f.net, &f.store, f.cfg.clone()).unwrap();
+    let engine = QueryEngine::new(Arc::new(graph), ServiceConfig::default());
+    let batch = [route(0, 18, 1)];
+
+    let first = engine.execute_batch(&batch).remove(0).unwrap();
+    let stats = engine.stats();
+    assert_eq!(
+        (stats.free_flow_hits, stats.free_flow_misses),
+        ([0, 0], [1, 1])
+    );
+
+    let second = engine.execute_batch(&batch).remove(0).unwrap();
+    let stats = engine.stats();
+    assert_eq!(
+        (stats.free_flow_hits, stats.free_flow_misses),
+        ([1, 1], [1, 1])
+    );
+    assert_bit_identical(0, &first.response, &second.response);
+
+    // A point `execute` has no warm phase: bounds only, no seed lookup.
+    engine.execute(&batch[0]).unwrap();
+    let stats = engine.stats();
+    assert_eq!(
+        (stats.free_flow_hits, stats.free_flow_misses),
+        ([2, 1], [1, 1])
+    );
+}
+
+#[test]
+fn route_batches_equal_sequential_execution_with_the_free_flow_cache_at_capacity_one() {
+    let f = fixture(313);
+    let engine = |workers| {
+        let graph = HybridGraph::build(&f.net, &f.store, f.cfg.clone()).unwrap();
+        QueryEngine::with_free_flow_cache(
+            Arc::new(graph),
+            ServiceConfig {
+                workers,
+                ..ServiceConfig::default()
+            },
+            pathcost_routing::FreeFlowCache::with_capacity(&f.net, 1, 1),
+        )
+    };
+    // Four OD pairs over three destinations, interleaved and repeated, so
+    // nearly every lookup finds its entry evicted by the previous request —
+    // beside point queries sharing the batch.
+    let mut requests = vec![
+        route(0, 18, 1),
+        route(2, 22, 2),
+        route(0, 18, 3),
+        route(6, 12, 1),
+        route(4, 22, 1),
+        route(6, 12, 2),
+        route(2, 22, 2),
+    ];
+    for (path, departure) in query_paths(&f.store, 3) {
+        requests.push(QueryRequest::EstimateDistribution {
+            path,
+            departure,
+            regime: pathcost_service::RegimeId::ALL_TRAFFIC,
+        });
+    }
+
+    let sequential_engine = engine(Some(1));
+    let sequential: Vec<_> = requests
+        .iter()
+        .map(|r| sequential_engine.execute(r).unwrap())
+        .collect();
+    let stats = sequential_engine.stats();
+    assert_eq!(
+        stats.free_flow_hits[0], 0,
+        "every search found its bounds evicted"
+    );
+    assert_eq!(stats.free_flow_misses[0], 7);
+
+    for workers in [1, 4] {
+        let batch_engine = engine(Some(workers));
+        for round in 0..2 {
+            let batch = batch_engine.execute_batch(&requests);
+            for (i, (batch, seq)) in batch.iter().zip(&sequential).enumerate() {
+                let batch = batch.as_ref().expect("batch request succeeds");
+                assert_bit_identical(i, &batch.response, &seq.response);
+            }
+            let stats = batch_engine.stats();
+            assert_eq!(
+                stats.free_flow_misses[1],
+                7 * (round + 1),
+                "every seed was evicted by the next and searched again"
+            );
+        }
+    }
+}
+
+#[test]
+fn invalid_routes_are_answered_their_own_error_without_any_search() {
+    let f = fixture(314);
+    let graph = HybridGraph::build(&f.net, &f.store, f.cfg.clone()).unwrap();
+    let engine = QueryEngine::new(Arc::new(graph), ServiceConfig::default());
+    let bad_budget = |bad: f64| {
+        let mut request = route(0, 18, 1);
+        if let QueryRequest::Route { budget_s, .. } = &mut request {
+            *budget_s = bad;
+        }
+        request
+    };
+    let kinds = [
+        route(0, 18, 0),
+        route(7, 7, 1),
+        route(0, 40_000, 1),
+        route(40_000, 18, 1),
+        bad_budget(f64::NAN),
+        bad_budget(-1.0),
+    ];
+    let requests: Vec<QueryRequest> = kinds.iter().cycle().take(16).cloned().collect();
+
+    use pathcost_routing::RoutingError;
+    let results = engine.execute_batch(&requests);
+    assert_eq!(results.len(), 16);
+    for (i, result) in results.iter().enumerate() {
+        let error = result.as_ref().expect_err("every request is invalid");
+        let as_expected = match i % kinds.len() {
+            0 | 4 | 5 => matches!(error, ServiceError::InvalidRequest(_)),
+            1 => matches!(
+                error,
+                ServiceError::Routing(RoutingError::SameSourceAndDestination)
+            ),
+            _ => matches!(error, ServiceError::Routing(RoutingError::RoadNet(_))),
+        };
+        assert!(as_expected, "request {i} answered {error:?}");
+    }
+    // Rejected before any free-flow search: not one lookup, let alone a
+    // whole-graph Dijkstra towards a vertex that does not exist.
+    let stats = engine.stats();
+    assert_eq!(
+        (stats.free_flow_hits, stats.free_flow_misses),
+        ([0, 0], [0, 0])
+    );
+    assert_eq!(stats.errors, 16);
+}
+
 #[test]
 fn invalid_requests_are_rejected_without_panicking() {
     let f = fixture(306);

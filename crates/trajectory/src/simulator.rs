@@ -203,6 +203,14 @@ impl<'a> TrafficSimulator<'a> {
     pub fn run(&self) -> Result<SimulationOutput, TrajError> {
         let mut rng = StdRng::seed_from_u64(self.cfg.seed);
         let hotspots = self.pick_hotspot_pairs(&mut rng);
+        // The network is immutable and most trips travel between the same few
+        // hotspot pairs, so their routes are searched once here instead of
+        // once per trip. `fastest_path` draws nothing from `rng`, so the trip
+        // stream is the one a search per trip produces, bit for bit.
+        let hotspot_paths: Vec<Option<Path>> = hotspots
+            .iter()
+            .map(|&(from, to)| fastest_path(self.net, from, to))
+            .collect();
         let mut trajectories = Vec::with_capacity(self.cfg.trips);
         let mut ground_truth = Vec::with_capacity(self.cfg.trips);
 
@@ -217,15 +225,19 @@ impl<'a> TrafficSimulator<'a> {
         let max_attempts = self.cfg.trips * 20;
         while trajectories.len() < self.cfg.trips && attempts < max_attempts {
             attempts += 1;
-            let (from, to) = self.pick_od_pair(&hotspots, &mut rng);
-            let Some(path) = fastest_path(self.net, from, to) else {
+            let searched;
+            let path = match self.pick_trip(hotspots.len(), &mut rng) {
+                Trip::Hotspot(pair) => hotspot_paths[pair].as_ref(),
+                Trip::Random(from, to) => {
+                    searched = fastest_path(self.net, from, to);
+                    searched.as_ref()
+                }
+            };
+            let Some(path) = path.filter(|p| p.cardinality() >= 2) else {
                 continue;
             };
-            if path.cardinality() < 2 {
-                continue;
-            }
             let departure = self.pick_departure(&mut rng);
-            let matched = self.traverse(id, &path, departure, &mut rng);
+            let matched = self.traverse(id, path, departure, &mut rng);
             let trajectory = self.emit_gps(&matched, &mut rng)?;
             trajectories.push(trajectory);
             ground_truth.push(matched);
@@ -384,16 +396,14 @@ impl<'a> TrafficSimulator<'a> {
         pairs
     }
 
-    fn pick_od_pair(
-        &self,
-        hotspots: &[(VertexId, VertexId)],
-        rng: &mut StdRng,
-    ) -> (VertexId, VertexId) {
+    /// Draws the next trip's origin–destination choice: one of the
+    /// `hotspots` popular pairs (by index) or a uniformly random pair.
+    fn pick_trip(&self, hotspots: usize, rng: &mut StdRng) -> Trip {
         let n = self.net.vertex_count() as u32;
-        if !hotspots.is_empty() && rng.gen::<f64>() < self.cfg.hotspot_fraction {
-            hotspots[rng.gen_range(0..hotspots.len())]
+        if hotspots > 0 && rng.gen::<f64>() < self.cfg.hotspot_fraction {
+            Trip::Hotspot(rng.gen_range(0..hotspots))
         } else {
-            (VertexId(rng.gen_range(0..n)), VertexId(rng.gen_range(0..n)))
+            Trip::Random(VertexId(rng.gen_range(0..n)), VertexId(rng.gen_range(0..n)))
         }
     }
 
@@ -413,6 +423,14 @@ impl<'a> TrafficSimulator<'a> {
         let tod_s = tod_s.clamp(0.0, 86_399.0);
         Timestamp::new(day, TimeOfDay(tod_s))
     }
+}
+
+/// Where one simulated trip travels.
+enum Trip {
+    /// Index into the run's hotspot pairs (and their precomputed routes).
+    Hotspot(usize),
+    /// A uniformly random origin–destination pair, searched on demand.
+    Random(VertexId, VertexId),
 }
 
 /// Box–Muller sample from `N(mean, std²)`.
@@ -627,6 +645,58 @@ mod tests {
         assert!(ok.is_ok());
         assert!(
             (ok.unwrap().total_travel_time_s() - 10.0 * path.cardinality() as f64).abs() < 1e-9
+        );
+    }
+    /// FNV-1a over every bit of a run's ground truth — trajectory ids, edge
+    /// ids, `to_bits` of every entry time, travel time and speed — with the
+    /// trip count.
+    fn ground_truth_digest(net: &RoadNetwork, cfg: SimulationConfig) -> (u64, usize) {
+        let out = TrafficSimulator::new(net, cfg).unwrap().run().unwrap();
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |x: u64| {
+            for b in x.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for g in &out.ground_truth {
+            eat(g.id);
+            eat(g.path.cardinality() as u64);
+            for (i, e) in g.path.edges().iter().enumerate() {
+                eat(u64::from(e.0));
+                eat(g.entry_times[i].0.to_bits());
+                eat(g.travel_times[i].to_bits());
+                eat(g.avg_speeds_mps[i].to_bits());
+            }
+        }
+        (h, out.ground_truth.len())
+    }
+
+    /// Digests captured at the parent of PR 20 (one edge-Dijkstra per trip):
+    /// searching the hotspot routes once must not move one bit of any trip.
+    #[test]
+    fn ground_truth_matches_the_pre_pr20_golden_digest() {
+        let tiny = crate::DatasetPreset::tiny(3);
+        assert_eq!(
+            ground_truth_digest(&tiny.build_network(), tiny.simulation),
+            (0xf943_9738_a104_4181, 200),
+            "tiny(3)"
+        );
+        let grid = GeneratorConfig {
+            rows: 12,
+            cols: 12,
+            ..GeneratorConfig::tiny(12)
+        }
+        .generate();
+        let cfg = SimulationConfig {
+            trips: 2_000,
+            hotspot_pairs: 8,
+            seed: 20,
+            ..SimulationConfig::default()
+        };
+        assert_eq!(
+            ground_truth_digest(&grid, cfg),
+            (0xdaef_30b7_860f_ab02, 2_000),
+            "12x12 grid, 2 000 trips, 8 hotspot pairs"
         );
     }
 }
