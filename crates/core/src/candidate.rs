@@ -87,8 +87,8 @@ impl CandidateArray {
         departure: Timestamp,
         rank_cap: Option<usize>,
     ) -> Result<CandidateArray, CoreError> {
-        let wp = graph.weights();
-        let partition = wp.partition();
+        let wp = graph.view();
+        let partition = graph.weights().partition();
         let n = query.cardinality();
         for &e in query.edges() {
             if !graph.network().contains_edge(e) {

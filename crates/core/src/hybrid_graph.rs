@@ -2,10 +2,10 @@
 
 use crate::config::HybridConfig;
 use crate::error::CoreError;
-use crate::weights::{PathWeightFunction, WeightStats};
+use crate::weights::{PathWeightFunction, WeightStats, WeightView};
 use pathcost_hist::Histogram1D;
 use pathcost_roadnet::{Path, RoadNetwork};
-use pathcost_traj::{Timestamp, TrajectoryStore};
+use pathcost_traj::{RegimeId, Timestamp, TrajectoryStore};
 use std::sync::Arc;
 
 /// A road network together with an instantiated path weight function.
@@ -14,14 +14,17 @@ use std::sync::Arc;
 /// graph, but weights are associated with *paths* (joint distributions over
 /// the costs of their edges) rather than with single edges.
 ///
-/// The weight function sits behind an [`Arc`], so a live-update epoch
-/// ([`crate::weights::WeightUpdate`]) can be shared between the ingestor
-/// that produced it and the graph serving it without deep-copying every
-/// histogram.
+/// Everything but the network reference sits behind an [`Arc`], so a
+/// live-update epoch ([`crate::weights::WeightUpdate`]) is shared between the
+/// ingestor that produced it and the graph serving it, and binding a graph to
+/// a regime ([`Self::for_regime`]) copies nothing.
 pub struct HybridGraph<'a> {
     net: &'a RoadNetwork,
     weights: Arc<PathWeightFunction>,
-    config: HybridConfig,
+    /// What estimation reads: the all-traffic view, unless
+    /// [`Self::for_regime`] bound another.
+    view: Arc<WeightView>,
+    config: Arc<HybridConfig>,
 }
 
 // Compile-time Send + Sync audit: the serving layer (`pathcost-service`)
@@ -46,12 +49,7 @@ impl<'a> HybridGraph<'a> {
         store: &TrajectoryStore,
         config: HybridConfig,
     ) -> Result<Self, CoreError> {
-        let weights = PathWeightFunction::instantiate(net, store, &config)?;
-        Ok(HybridGraph {
-            net,
-            weights: Arc::new(weights),
-            config,
-        })
+        Self::build_with_exclusions(net, store, config, &[])
     }
 
     /// Instantiates the hybrid graph while withholding the weights of every
@@ -65,11 +63,7 @@ impl<'a> HybridGraph<'a> {
     ) -> Result<Self, CoreError> {
         let weights =
             PathWeightFunction::instantiate_with_exclusions(net, store, &config, excluded)?;
-        Ok(HybridGraph {
-            net,
-            weights: Arc::new(weights),
-            config,
-        })
+        Ok(Self::from_parts(net, weights, config))
     }
 
     /// Wraps an already-instantiated weight function — owned or already
@@ -79,9 +73,36 @@ impl<'a> HybridGraph<'a> {
         weights: impl Into<Arc<PathWeightFunction>>,
         config: HybridConfig,
     ) -> Self {
+        Self::bound(net, weights.into(), RegimeId::ALL_TRAFFIC, Arc::new(config))
+    }
+
+    /// This graph over another epoch of its weight function.
+    pub fn with_weights(&self, weights: Arc<PathWeightFunction>) -> Self {
+        Self::bound(
+            self.net,
+            weights,
+            RegimeId::ALL_TRAFFIC,
+            self.config.clone(),
+        )
+    }
+
+    /// This graph as a query under `regime` reads it: estimators built on
+    /// the result resolve every variable through the regime's fallback
+    /// ladder ([`PathWeightFunction::view`]). Three `Arc` bumps.
+    pub fn for_regime(&self, regime: RegimeId) -> Self {
+        Self::bound(self.net, self.weights.clone(), regime, self.config.clone())
+    }
+
+    fn bound(
+        net: &'a RoadNetwork,
+        weights: Arc<PathWeightFunction>,
+        regime: RegimeId,
+        config: Arc<HybridConfig>,
+    ) -> Self {
         HybridGraph {
             net,
-            weights: weights.into(),
+            view: weights.view(regime).clone(),
+            weights,
             config,
         }
     }
@@ -98,6 +119,11 @@ impl<'a> HybridGraph<'a> {
     /// The instantiated path weight function `W_P`.
     pub fn weights(&self) -> &PathWeightFunction {
         &self.weights
+    }
+
+    /// The view of the weight function this graph estimates against.
+    pub fn view(&self) -> &WeightView {
+        &self.view
     }
 
     /// The configuration the graph was built with.

@@ -50,10 +50,10 @@ impl PartialEstimate {
         edge: EdgeId,
         departure: Timestamp,
     ) -> Result<Self, CoreError> {
-        let wp = graph.weights();
         let tod = departure.time_of_day();
-        let interval = wp.partition().interval_of(tod);
-        let histogram = wp
+        let interval = graph.weights().partition().interval_of(tod);
+        let histogram = graph
+            .view()
             .unit_histogram(edge, interval)
             .ok_or(CoreError::NoDistribution)?;
         let arrival_window = (
@@ -117,10 +117,10 @@ impl PartialEstimate {
         edge: EdgeId,
         convolve: impl FnOnce(&Histogram1D, &Histogram1D) -> Result<Histogram1D, HistError>,
     ) -> Result<Self, CoreError> {
-        let wp = graph.weights();
         let mid_arrival = TimeOfDay::wrap(0.5 * (self.arrival_window.0 + self.arrival_window.1));
-        let interval = wp.partition().interval_of(mid_arrival);
-        let unit = wp
+        let interval = graph.weights().partition().interval_of(mid_arrival);
+        let unit = graph
+            .view()
             .unit_histogram(edge, interval)
             .ok_or(CoreError::NoDistribution)?;
         let histogram = convolve(&self.histogram, &unit)?;

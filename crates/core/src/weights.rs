@@ -1,51 +1,52 @@
-//! Instantiating the path weight function `W_P` from trajectories (§3).
+//! The path weight function `W_P`, instantiated from trajectories (§3).
 //!
 //! The weight function maps a path and a time interval to an instantiated
-//! random variable — the joint distribution of the path's per-edge costs.
-//! Every table of the function — the all-traffic table, and one own table per
-//! regime rung present in the data — is built by the same procedure over the
-//! trajectories that contribute to it:
+//! random variable — the joint distribution of the path's per-edge costs. It
+//! is a map of **tables**, one per rung of the regime fallback ladders that
+//! the data reaches; the all-traffic table, fed by every trajectory, is the
+//! last rung of every ladder and one key of the map like the others. Every
+//! table is fitted by the same procedure (`weights/fit.rs`) over the
+//! trajectories that contribute to it, patched by the same sorted merge when
+//! a live update re-derives some of its keys
+//! ([`PathWeightFunction::rederive_regimes`]), and restored by the same
+//! constructor ([`PathWeightFunction::from_parts`]).
 //!
-//! 1. every window of length `1..=max_rank` of every matched trajectory is an
-//!    occurrence of a candidate path, keyed by the interval its entry time
-//!    falls in; a first pass counts the occurrences of every key;
-//! 2. a second pass collects the per-edge cost rows of the keys with at least
-//!    `β` qualified occurrences;
-//! 3. each such key gets a multi-dimensional histogram fitted to its rows (the
-//!    Auto + V-Optimal procedure of §3.1/§3.2). The fits are independent, so
-//!    the sorted key list is cut into contiguous chunks, one scoped worker
-//!    (with its own [`FitScratch`]) per chunk, and the fitted variables are
-//!    concatenated in key order — the result does not depend on the worker
-//!    count. [`PathWeightFunction::rederive_regimes`] re-fits its dirty keys
-//!    through the same fan-out.
+//! What a query reads is a [`WeightView`]: the tables of its regime's ladder
+//! layered nearest-first. The tables and the views share their variables
+//! behind [`Arc`]s, so a view costs its indices and a new epoch copies only
+//! the variables it re-fitted.
 //!
 //! Unit paths that never reach `β` qualified trajectories fall back to a
 //! speed-limit-derived distribution, so every edge always has *some*
 //! ground-truth unit weight.
 
+mod fit;
+mod view;
+
+pub use view::WeightView;
+
 use crate::config::HybridConfig;
 use crate::error::CoreError;
 use crate::interval::{DayPartition, IntervalId};
-use crate::variable::{InstantiatedVariable, VariableSource};
-use pathcost_hist::{auto::auto_histogram_with_scratch, FitScratch, Histogram1D, HistogramNd};
+use crate::variable::InstantiatedVariable;
+use fit::{fan_out, fit_table, fit_variable};
+use pathcost_hist::Histogram1D;
 use pathcost_roadnet::{EdgeId, Path, RoadNetwork};
 use pathcost_traj::costs::per_edge_costs;
 use pathcost_traj::MatchedTrajectory;
 use pathcost_traj::{CostKind, RegimeId, RegimeSchema, TrajectoryStore};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 /// The variable keys whose qualified occurrence sets a batch of *appended or
 /// removed* trajectories changes: each `(edges[start..start + k], interval)`
 /// window for `k = 1..=max_rank` — the exact mirror of instantiation's pass-1
-/// enumeration below, kept next to it so the two cannot drift — once per rung
-/// of the trajectory's fallback ladder, because a regime-`Q` traversal
-/// contributes occurrences to `Q`'s own table, every ancestor group table and
-/// the global table (an untagged trajectory's ladder is the global table
-/// alone). Everything outside this set is provably untouched by the append
-/// (or retirement), which is what makes
+/// enumeration — once per rung of the trajectory's fallback ladder, because a
+/// regime-`Q` traversal contributes occurrences to `Q`'s own table, every
+/// ancestor group table and the all-traffic table (an untagged trajectory's
+/// ladder is the all-traffic table alone). Everything outside this set is
+/// provably untouched by the append (or retirement), which is what makes
 /// [`PathWeightFunction::rederive_regimes`] exact: a trajectory only ever
 /// contributes occurrences to its own windows, whether it is arriving or
 /// aging out.
@@ -103,44 +104,37 @@ impl WeightStats {
     }
 }
 
+/// One table of the weight function: its variables in strictly increasing
+/// `(path edges, interval)` key order, shared with every view that layers it.
+pub type Table = Vec<Arc<InstantiatedVariable>>;
+
+/// The key a table is sorted by.
+fn key_of(var: &InstantiatedVariable) -> (&[EdgeId], IntervalId) {
+    (var.path.edges(), var.interval)
+}
+
 /// The instantiated path weight function `W_P`.
 ///
-/// With regime-tagged trajectories in the store, the function additionally
-/// carries per-regime *own* tables (variables whose `(path, interval,
-/// regime)` occurrence count clears β) and, for every regime reachable from
-/// the data, a materialized *effective view*: a complete weight function in
-/// which each key is resolved to the nearest fallback-ladder ancestor table
-/// that clears β (specific regime → regime group → global). The estimator
-/// pipeline runs unchanged against a view; the view remembers each
-/// variable's resolution depth and source regime so the serving layer can
-/// report fallback depth and invalidate by source table. With no regime
-/// tags the extra fields stay empty and the function is bit-identical to
-/// the pre-regime pipeline.
+/// `tables` holds one table per fallback-ladder rung with at least one key
+/// clearing β: the all-traffic table under [`RegimeId::ALL_TRAFFIC`], and a
+/// regime's (or regime group's) *own* table under its id, fed only by the
+/// trajectories whose ladder passes through it. Estimation reads a
+/// [`WeightView`] — [`Self::view`] is total: a regime whose ladder crosses no
+/// own table (an untagged deployment, an undeclared regime) reads the root's
+/// view.
 #[derive(Debug, Clone)]
 pub struct PathWeightFunction {
     partition: DayPartition,
     cost_kind: CostKind,
-    variables: Vec<InstantiatedVariable>,
-    /// Exact lookup: (path edges, interval) → variable index.
-    index: HashMap<(Vec<EdgeId>, IntervalId), usize>,
-    /// All variable indices whose path starts with the given edge.
-    by_first_edge: HashMap<EdgeId, Vec<usize>>,
-    /// Speed-limit-derived fallback distribution per edge.
-    fallback_units: HashMap<EdgeId, Histogram1D>,
-    stats: WeightStats,
     /// The regime fallback-ladder schema the function was instantiated under.
     schema: RegimeSchema,
-    /// Per-regime own variable tables, sorted by `(path edges, interval)` —
-    /// only non-global regimes appear, and only with non-empty tables.
-    regime_own: BTreeMap<RegimeId, Vec<InstantiatedVariable>>,
-    /// Materialized effective view per regime (ladder-resolved variables).
-    regime_views: BTreeMap<RegimeId, Arc<PathWeightFunction>>,
-    /// Per-variable fallback-ladder resolution depth — parallel to
-    /// `variables` on a regime view, empty on the global function (depth 0).
-    variable_depths: Vec<usize>,
-    /// Per-variable source regime table — parallel to `variables` on a
-    /// regime view, empty on the global function (all-traffic).
-    variable_regimes: Vec<RegimeId>,
+    /// Speed-limit-derived fallback distribution per edge.
+    fallback_units: Arc<HashMap<EdgeId, Histogram1D>>,
+    tables: BTreeMap<RegimeId, Table>,
+    /// The view of the ladder `[ALL_TRAFFIC]`.
+    root: Arc<WeightView>,
+    /// The view of every regime whose ladder crosses an own table.
+    views: BTreeMap<RegimeId, Arc<WeightView>>,
 }
 
 /// A set of `(path, interval)` pairs whose weights must *not* be instantiated.
@@ -160,9 +154,9 @@ pub type VariableKey = (Vec<EdgeId>, IntervalId);
 
 /// A regime-qualified variable key: `(path edges, interval, regime table)`.
 /// The regime names the *table* the key lives in — `RegimeId::ALL_TRAFFIC`
-/// for the global table every trajectory contributes to, a non-global id for
-/// a regime's own table (fed only by trajectories whose fallback ladder
-/// passes through it).
+/// for the table every trajectory contributes to, another id for a regime's
+/// own table (fed only by trajectories whose fallback ladder passes through
+/// it).
 pub type RegimeVariableKey = (Vec<EdgeId>, IntervalId, RegimeId);
 
 /// The outcome of a selective re-instantiation
@@ -191,10 +185,8 @@ pub struct WeightUpdate {
     pub weights: Arc<PathWeightFunction>,
     /// Keys of previously instantiated variables whose histograms were
     /// re-derived (their qualified occurrence sets grew). The
-    /// [`RegimeId`] names the *table* the change landed in —
-    /// [`RegimeId::ALL_TRAFFIC`] for the global table, a non-global id for
-    /// a regime's own table — so the serving layer can evict only readers
-    /// that resolved the key from that table.
+    /// [`RegimeId`] names the *table* the change landed in, so the serving
+    /// layer can evict only readers that resolved the key from that table.
     pub updated: Vec<(Path, IntervalId, RegimeId)>,
     /// Keys that newly crossed the β threshold and were instantiated for the
     /// first time (regime-qualified as in [`Self::updated`]). New variables
@@ -219,89 +211,30 @@ impl WeightUpdate {
     }
 }
 
-/// Fits the §3.1/§3.2 variable of one key from its qualified per-edge cost
-/// rows (shared by full instantiation and selective re-derivation so both
-/// produce bit-identical distributions).
-fn fit_variable(
-    path: Path,
-    interval: IntervalId,
-    rows: &[Vec<f64>],
-    cfg: &HybridConfig,
-    scratch: &mut FitScratch,
-) -> Result<InstantiatedVariable, CoreError> {
-    let histogram = if path.is_unit() {
-        let totals: Vec<f64> = rows.iter().map(|r| r[0]).collect();
-        HistogramNd::from_histogram1d(&auto_histogram_with_scratch(&totals, &cfg.auto, scratch)?)
-    } else {
-        HistogramNd::from_samples_with_scratch(rows, &cfg.auto, scratch)?
-    };
-    Ok(InstantiatedVariable {
-        path,
-        interval,
-        histogram,
-        source: VariableSource::Trajectories { count: rows.len() },
-    })
-}
-
-/// Fewest keys that are worth a worker of their own: below twice this many a
-/// fan-out stays on the calling thread (a fit takes tens of microseconds, a
-/// thread hand-over about as long).
-const MIN_KEYS_PER_WORKER: usize = 32;
-
-/// Maps the per-key job `f` over `items` — contiguous chunks of the list on
-/// scoped worker threads, one [`FitScratch`] each — and returns the results
-/// in item order (or the error of the first failing item), whatever the
-/// worker count. `workers` fixes that count; `None` sizes it from the cores
-/// available and the number of items.
-fn fan_out<T: Sync, R: Send>(
-    items: &[T],
-    workers: Option<usize>,
-    f: impl Fn(&T, &mut FitScratch) -> Result<R, CoreError> + Sync,
-) -> Result<Vec<R>, CoreError> {
-    if items.is_empty() {
-        return Ok(Vec::new());
+/// Patches a key-sorted `delta` into a sorted table in one merge pass:
+/// `Some` entries replace (or insert) their key, `None` entries delete it.
+/// The result is exactly the table a rebuild from the merged key set would
+/// sort into.
+fn patch_table<'k>(
+    table: &[Arc<InstantiatedVariable>],
+    delta: impl IntoIterator<
+        Item = (
+            (&'k [EdgeId], IntervalId),
+            Option<Arc<InstantiatedVariable>>,
+        ),
+    >,
+) -> Table {
+    let mut patched = Vec::with_capacity(table.len());
+    let mut kept = table.iter().peekable();
+    for (key, patch) in delta {
+        while let Some(var) = kept.next_if(|var| key_of(var) < key) {
+            patched.push(var.clone());
+        }
+        kept.next_if(|var| key_of(var) == key);
+        patched.extend(patch);
     }
-    let workers = workers
-        .unwrap_or_else(|| {
-            let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-            cores.min(items.len() / MIN_KEYS_PER_WORKER)
-        })
-        .clamp(1, items.len());
-    let run = |chunk: &[T]| -> Result<Vec<R>, CoreError> {
-        let mut scratch = FitScratch::new();
-        chunk.iter().map(|item| f(item, &mut scratch)).collect()
-    };
-    // The calling thread takes the first chunk itself.
-    let mut chunks = items.chunks(items.len().div_ceil(workers));
-    let first = chunks.next().expect("items is not empty");
-    let parts: Vec<Result<Vec<R>, CoreError>> = std::thread::scope(|scope| {
-        let spawned: Vec<_> = chunks.map(|chunk| scope.spawn(|| run(chunk))).collect();
-        std::iter::once(run(first))
-            .chain(spawned.into_iter().map(|worker| {
-                worker
-                    .join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-            }))
-            .collect()
-    });
-    let mut results = Vec::with_capacity(items.len());
-    for part in parts {
-        results.extend(part?);
-    }
-    Ok(results)
-}
-
-/// The non-global rungs of the fallback ladders of `regimes`: the own tables
-/// those regimes' trajectories feed, and the views they resolve through.
-fn own_tables(
-    schema: &RegimeSchema,
-    regimes: impl IntoIterator<Item = RegimeId>,
-) -> BTreeSet<RegimeId> {
-    regimes
-        .into_iter()
-        .flat_map(|q| schema.ladder(q))
-        .filter(|r| !r.is_global())
-        .collect()
+    patched.extend(kept.cloned());
+    patched
 }
 
 impl PathWeightFunction {
@@ -336,12 +269,18 @@ impl PathWeightFunction {
     ) -> Result<Self, CoreError> {
         cfg.validate()?;
         let partition = DayPartition::new(cfg.alpha_minutes)?;
-        let fit_table = |table: RegimeId| {
-            Self::fit_table(net, store, cfg, &partition, excluded, table, workers)
-        };
 
-        // The all-traffic table is the root rung of every fallback ladder.
-        let variables = fit_table(RegimeId::ALL_TRAFFIC)?;
+        // One table per rung the store's trajectories reach: the last rung
+        // of every ladder, and the rungs above it for the regimes present.
+        let rungs: BTreeSet<RegimeId> = std::iter::once(RegimeId::ALL_TRAFFIC)
+            .chain(store.regimes_present())
+            .flat_map(|regime| cfg.regimes.ladder(regime))
+            .collect();
+        let mut tables = BTreeMap::new();
+        for table in rungs {
+            let fitted = fit_table(net, store, cfg, &partition, excluded, table, workers)?;
+            tables.insert(table, fitted.into_iter().map(Arc::new).collect());
+        }
 
         // Speed-limit fallbacks for every edge of the network.
         let mut fallback_units = HashMap::with_capacity(net.edge_count());
@@ -352,298 +291,60 @@ impl PathWeightFunction {
             fallback_units.insert(edge.id, Histogram1D::uniform(lo, hi.max(lo + 0.5))?);
         }
 
-        // Per-regime own tables: one table per non-global rung reachable from
-        // the regimes present in the store — none for an untagged store.
-        let mut regime_own: BTreeMap<RegimeId, Vec<InstantiatedVariable>> = BTreeMap::new();
-        for table in own_tables(&cfg.regimes, store.regimes_present()) {
-            let vars = fit_table(table)?;
-            if !vars.is_empty() {
-                regime_own.insert(table, vars);
-            }
-        }
-
-        Ok(
-            Self::finish(partition, cfg.cost_kind, variables, fallback_units, store)
-                .with_regime_tables(cfg.regimes.clone(), regime_own, store),
-        )
-    }
-
-    /// Fits one table: the two-pass β-threshold procedure over the
-    /// trajectories whose fallback ladder passes through `table` (every
-    /// trajectory, for the all-traffic table) — so the rows a key collects in
-    /// a regime's own table are exactly the contributing subsequence, in the
-    /// same (trajectory, position) order, of the rows the all-traffic table
-    /// collects. Returns the fitted variables in sorted `(path edges,
-    /// interval)` key order.
-    fn fit_table(
-        net: &RoadNetwork,
-        store: &TrajectoryStore,
-        cfg: &HybridConfig,
-        partition: &DayPartition,
-        excluded: &[(Path, IntervalId)],
-        table: RegimeId,
-        workers: Option<usize>,
-    ) -> Result<Vec<InstantiatedVariable>, CoreError> {
-        let is_excluded = |edges: &[EdgeId], interval: IntervalId| -> bool {
-            excluded.iter().any(|(path, iv)| {
-                *iv == interval
-                    && path.cardinality() <= edges.len()
-                    && edges.windows(path.cardinality()).any(|w| w == path.edges())
-            })
-        };
-        let contributing = || {
-            store
-                .matched()
-                .iter()
-                .filter(|m| cfg.regimes.contributes_to(m.regime, table))
-        };
-
-        // Pass 1: count qualified occurrences of every (window, interval)
-        // key; the keys borrow their windows from the store's trajectories.
-        type WindowKey<'a> = (&'a [EdgeId], IntervalId);
-        let mut counts: HashMap<WindowKey, usize> = HashMap::new();
-        for m in contributing() {
-            let edges = m.path.edges();
-            for k in 1..=cfg.max_rank.min(edges.len()) {
-                for start in 0..=edges.len() - k {
-                    let interval = partition.interval_of(m.entry_times[start].time_of_day());
-                    let window = &edges[start..start + k];
-                    if !excluded.is_empty() && is_excluded(window, interval) {
-                        continue;
-                    }
-                    *counts.entry((window, interval)).or_insert(0) += 1;
-                }
-            }
-        }
-
-        // Pass 2: collect per-edge cost rows only for keys that reached β.
-        let mut samples: HashMap<WindowKey, (Path, Vec<Vec<f64>>)> = counts
-            .into_iter()
-            .filter(|&(_, c)| c >= cfg.beta)
-            .map(|(key, c)| {
-                let path = Path::from_edges_unchecked(key.0.to_vec());
-                (key, (path, Vec::with_capacity(c)))
-            })
-            .collect();
-        if !samples.is_empty() {
-            for m in contributing() {
-                let edges = m.path.edges();
-                for k in 1..=cfg.max_rank.min(edges.len()) {
-                    for start in 0..=edges.len() - k {
-                        let interval = partition.interval_of(m.entry_times[start].time_of_day());
-                        if let Some((path, rows)) =
-                            samples.get_mut(&(&edges[start..start + k], interval))
-                        {
-                            if let Some(costs) = per_edge_costs(m, net, path, start, cfg.cost_kind)
-                            {
-                                rows.push(costs);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        // Fit the surviving keys, in sorted key order.
-        let mut jobs: Vec<(Path, IntervalId, Vec<Vec<f64>>)> = samples
-            .into_iter()
-            .filter(|(_, (_, rows))| rows.len() >= cfg.beta)
-            .map(|((_, interval), (path, rows))| (path, interval, rows))
-            .collect();
-        jobs.sort_unstable_by(|a, b| (a.0.edges(), a.1).cmp(&(b.0.edges(), b.1)));
-        fan_out(&jobs, workers, |(path, interval, rows), scratch| {
-            fit_variable(path.clone(), *interval, rows, cfg, scratch)
-        })
-    }
-
-    /// Attaches the regime schema and own tables to an assembled global
-    /// function and (re-)materializes the effective per-regime views. The
-    /// views are a pure function of `(global variables, own tables, schema,
-    /// store)`, so every constructor path — full instantiation, selective
-    /// re-derivation, snapshot restore — converges on identical views for
-    /// identical inputs.
-    fn with_regime_tables(
-        mut self,
-        schema: RegimeSchema,
-        regime_own: BTreeMap<RegimeId, Vec<InstantiatedVariable>>,
-        store: &TrajectoryStore,
-    ) -> PathWeightFunction {
-        self.schema = schema;
-        self.regime_own = regime_own;
-        self.materialise_views(store);
-        self
-    }
-
-    /// Builds the effective view of every regime reachable from the data:
-    /// ladder rungs are layered far-ancestor-first (global at the bottom),
-    /// so the nearest table that instantiated a key wins, and the winning
-    /// rung's ladder position becomes the key's reported fallback depth.
-    fn materialise_views(&mut self, store: &TrajectoryStore) {
-        self.regime_views.clear();
-        if self.regime_own.is_empty() && !store.has_regimes() {
-            return;
-        }
-        // Schema-declared regimes get a view even before their own data
-        // lands: a sparse regime must resolve through its *group's* table
-        // (ladder rung 1), not skip straight to the global function.
-        let sources = store
-            .regimes_present()
-            .into_iter()
-            .chain(self.regime_own.keys().copied())
-            .chain(self.schema.entries().map(|(regime, _)| regime));
-        for regime in own_tables(&self.schema, sources) {
-            let ladder = self.schema.ladder(regime);
-            let mut by_key: BTreeMap<VariableKey, (InstantiatedVariable, usize, RegimeId)> =
-                BTreeMap::new();
-            for (depth, rung) in ladder.iter().enumerate().rev() {
-                let vars: &[InstantiatedVariable] = if rung.is_global() {
-                    &self.variables
-                } else {
-                    self.regime_own.get(rung).map(Vec::as_slice).unwrap_or(&[])
-                };
-                for v in vars {
-                    by_key.insert(
-                        (v.path.edges().to_vec(), v.interval),
-                        (v.clone(), depth, *rung),
-                    );
-                }
-            }
-            let mut variables = Vec::with_capacity(by_key.len());
-            let mut depths = Vec::with_capacity(by_key.len());
-            let mut sources = Vec::with_capacity(by_key.len());
-            for (_, (v, d, r)) in by_key {
-                variables.push(v);
-                depths.push(d);
-                sources.push(r);
-            }
-            let mut view = Self::finish(
-                self.partition.clone(),
-                self.cost_kind,
-                variables,
-                self.fallback_units.clone(),
-                store,
-            );
-            view.schema = self.schema.clone();
-            view.variable_depths = depths;
-            view.variable_regimes = sources;
-            self.regime_views.insert(regime, Arc::new(view));
-        }
-    }
-
-    /// Patches a sorted delta into this function's already-sorted variable
-    /// list by a single splice/merge pass, which [`Self::rederive_regimes`]
-    /// uses so a small epoch does not pay an `O(|variables| log |variables|)`
-    /// sorted re-index.
-    /// `Some(var)` entries replace (or insert) their key, `None` entries
-    /// delete it. The merged order is exactly the sorted-key order a full
-    /// re-assembly would produce — bit-identity is asserted by the weight
-    /// tests and the live-equivalence oracle.
-    fn assemble_patched(
-        &self,
-        delta: BTreeMap<VariableKey, Option<InstantiatedVariable>>,
-        regime_own: BTreeMap<RegimeId, Vec<InstantiatedVariable>>,
-        store: &TrajectoryStore,
-    ) -> PathWeightFunction {
-        let mut variables: Vec<InstantiatedVariable> =
-            Vec::with_capacity(self.variables.len() + delta.len());
-        let mut patches = delta.into_iter().peekable();
-        for var in &self.variables {
-            let mut replaced = false;
-            while let Some((key, _)) = patches.peek() {
-                // BTreeMap orders (Vec<EdgeId>, IntervalId) keys exactly like
-                // this slice comparison, so the merge preserves sorted order.
-                let ord = (key.0.as_slice(), key.1).cmp(&(var.path.edges(), var.interval));
-                if ord == std::cmp::Ordering::Greater {
-                    break;
-                }
-                let (_, patch) = patches.next().expect("peeked");
-                if let Some(new_var) = patch {
-                    variables.push(new_var);
-                }
-                if ord == std::cmp::Ordering::Equal {
-                    replaced = true;
-                    break;
-                }
-            }
-            if !replaced {
-                variables.push(var.clone());
-            }
-        }
-        for (_, patch) in patches {
-            if let Some(new_var) = patch {
-                variables.push(new_var);
-            }
-        }
-        Self::finish(
-            self.partition.clone(),
-            self.cost_kind,
-            variables,
-            self.fallback_units.clone(),
+        Ok(Self::assemble(
+            partition,
+            cfg.cost_kind,
+            cfg.regimes.clone(),
+            Arc::new(fallback_units),
+            tables,
             store,
-        )
-        .with_regime_tables(self.schema.clone(), regime_own, store)
+        ))
     }
 
-    /// The tail shared by every constructor (instantiation,
-    /// [`Self::assemble_patched`], restore from parts): `variables` must
-    /// already be in sorted key order; the lookup and
-    /// first-edge indices and the summary statistics are derived from it.
-    fn finish(
+    /// The tail shared by every constructor (instantiation, re-derivation,
+    /// restore from parts): drops empty tables and layers the views, which
+    /// are a pure function of `(tables, schema, store)` — so every path
+    /// converges on identical views for identical inputs. A view is built
+    /// for the root and for every regime whose ladder crosses a table above
+    /// its last rung; a declared regime gets one before its own data lands,
+    /// so it resolves through its *group's* table rather than the root's.
+    fn assemble(
         partition: DayPartition,
         cost_kind: CostKind,
-        variables: Vec<InstantiatedVariable>,
-        fallback_units: HashMap<EdgeId, Histogram1D>,
+        schema: RegimeSchema,
+        fallback_units: Arc<HashMap<EdgeId, Histogram1D>>,
+        mut tables: BTreeMap<RegimeId, Table>,
         store: &TrajectoryStore,
     ) -> PathWeightFunction {
-        let mut index = HashMap::with_capacity(variables.len());
-        let mut by_first_edge: HashMap<EdgeId, Vec<usize>> = HashMap::new();
-        for (idx, var) in variables.iter().enumerate() {
-            by_first_edge
-                .entry(var.path.first_edge())
-                .or_default()
-                .push(idx);
-            index.insert((var.path.edges().to_vec(), var.interval), idx);
-        }
-
-        let mut count_by_rank: BTreeMap<usize, usize> = BTreeMap::new();
-        let mut entropy_sum: BTreeMap<usize, f64> = BTreeMap::new();
-        let mut covered: std::collections::HashSet<EdgeId> = std::collections::HashSet::new();
-        let mut memory = 0usize;
-        for v in &variables {
-            *count_by_rank.entry(v.rank()).or_insert(0) += 1;
-            *entropy_sum.entry(v.rank()).or_insert(0.0) += v.entropy();
-            covered.extend(v.path.edges().iter().copied());
-            memory += v.storage_bytes();
-        }
-        memory += fallback_units
-            .values()
-            .map(|h| h.storage_bytes())
-            .sum::<usize>();
-        let mean_entropy_by_rank = entropy_sum
-            .into_iter()
-            .map(|(rank, sum)| (rank, sum / count_by_rank[&rank] as f64))
-            .collect();
-        let stats = WeightStats {
-            count_by_rank,
-            mean_entropy_by_rank,
-            covered_edges: covered.len(),
-            edges_with_records: store.covered_edges().len(),
-            memory_bytes: memory,
+        tables.retain(|_, table| !table.is_empty());
+        let edges_with_records = store.covered_edges().len();
+        let layer = |regime: RegimeId, ladder: &[RegimeId]| {
+            let view =
+                WeightView::layered(regime, ladder, &tables, &fallback_units, edges_with_records);
+            Arc::new(view)
         };
-
+        let root = layer(RegimeId::ALL_TRAFFIC, &[RegimeId::ALL_TRAFFIC]);
+        let candidates: BTreeSet<RegimeId> = tables
+            .keys()
+            .copied()
+            .chain(schema.entries().map(|(regime, _)| regime))
+            .collect();
+        let mut views = BTreeMap::new();
+        for regime in candidates {
+            let ladder = schema.ladder(regime);
+            let above_last = &ladder[..ladder.len() - 1];
+            if above_last.iter().any(|rung| tables.contains_key(rung)) {
+                views.insert(regime, layer(regime, &ladder));
+            }
+        }
         PathWeightFunction {
             partition,
             cost_kind,
-            variables,
-            index,
-            by_first_edge,
+            schema,
             fallback_units,
-            stats,
-            schema: RegimeSchema::flat(),
-            regime_own: BTreeMap::new(),
-            regime_views: BTreeMap::new(),
-            variable_depths: Vec::new(),
-            variable_regimes: Vec::new(),
+            tables,
+            root,
+            views,
         }
     }
 
@@ -659,13 +360,12 @@ impl PathWeightFunction {
     /// be the configuration the function was originally instantiated with —
     /// the day partition (α), cost kind and regime schema are checked,
     /// because a changed partition would silently re-key every interval.
-    /// Global keys are re-derived against the full store; a non-global key
-    /// against the contributing subsequence of the store (trajectories whose
-    /// fallback ladder passes through the key's table) and patched into that
-    /// regime's own table, from which the effective views are
-    /// re-materialized. Under those conditions the result is
-    /// **bit-identical** to [`PathWeightFunction::instantiate`] over
-    /// `current`:
+    /// Each key is re-derived against the contributing subsequence of the
+    /// store (the trajectories whose fallback ladder passes through the
+    /// key's table — all of them, for the all-traffic table) and patched
+    /// into that table, from which the views are layered again. Under those
+    /// conditions the result is **bit-identical** to
+    /// [`PathWeightFunction::instantiate`] over `current`:
     ///
     /// * a dirty key's qualified rows in the current store are exactly the
     ///   rows the full rebuild's collection pass would visit, in the same
@@ -673,16 +373,16 @@ impl PathWeightFunction {
     ///   histogram exactly;
     /// * a non-dirty key's qualified occurrence set is untouched by the
     ///   mutation, so its existing histogram already equals what the rebuild
-    ///   would fit;
-    /// * variable order, lookup indices and statistics are reassembled in
-    ///   sorted key order — spliced incrementally through the internal
-    ///   `assemble_patched` merge pass, which is asserted bit-identical to
-    ///   the full sorted re-index.
+    ///   would fit — the new epoch shares it;
+    /// * every table stays in sorted key order (one merge pass per patched
+    ///   table), and the views and statistics are derived from the tables
+    ///   exactly as instantiation derives them.
     ///
     /// Count transitions go both ways: a key crossing β upward is *added*, a
     /// previously instantiated key whose support drops below β (its
     /// trajectories aged out) is **deleted** and reported in
-    /// [`WeightUpdate::removed`]. Holdout exclusions are an
+    /// [`WeightUpdate::removed`]; a table left empty is dropped, as
+    /// instantiation never keeps one. Holdout exclusions are an
     /// evaluation-protocol feature and are not supported here.
     pub fn rederive_regimes(
         &self,
@@ -720,13 +420,13 @@ impl PathWeightFunction {
         // Re-fit every dirty key that still clears β in its table (`None`
         // for the ones that do not) — independent per key, so fanned out.
         let keys: Vec<&RegimeVariableKey> = dirty.iter().collect();
-        let refits = fan_out(&keys, workers, |&(edges, interval, regime), scratch| {
+        let refits = fan_out(&keys, workers, |&(edges, interval, table), scratch| {
             let path = Path::from_edges_unchecked(edges.clone());
             // The key's qualified occurrences in its table's contributing
             // subsequence of the current store, in the same (trajectory,
             // position) order the full rebuild collects rows in.
             let occurrences: Vec<_> = current
-                .occurrences_on_contributing(&path, &self.schema, *regime)
+                .occurrences_on_contributing(&path, &self.schema, *table)
                 .into_iter()
                 .filter(|o| partition.interval_of(o.entry_time.time_of_day()) == *interval)
                 .collect();
@@ -746,71 +446,47 @@ impl PathWeightFunction {
             fit_variable(path, *interval, &rows, cfg, scratch).map(Some)
         })?;
 
-        let mut delta: BTreeMap<VariableKey, Option<InstantiatedVariable>> = BTreeMap::new();
-        let mut regime_delta: BTreeMap<
-            RegimeId,
-            BTreeMap<VariableKey, Option<InstantiatedVariable>>,
-        > = BTreeMap::new();
+        // `dirty` is sorted by (edges, interval, table), so each table's
+        // share of it arrives in that table's key order.
+        let mut deltas: BTreeMap<RegimeId, Vec<_>> = BTreeMap::new();
         let mut updated = Vec::new();
         let mut added = Vec::new();
         let mut removed = Vec::new();
-        for ((edges, interval, regime), refit) in keys.into_iter().zip(refits) {
-            let key: VariableKey = (edges.clone(), *interval);
-            let existing = if regime.is_global() {
-                self.index.contains_key(&key)
-            } else {
-                self.regime_table_get(*regime, edges, *interval).is_some()
-            };
+        for ((edges, interval, table), refit) in keys.into_iter().zip(refits) {
+            let key = (edges.as_slice(), *interval);
+            let existing = self
+                .tables
+                .get(table)
+                .is_some_and(|vars| vars.binary_search_by(|var| key_of(var).cmp(&key)).is_ok());
             // A key that lost its β support in this table is one the full
             // rebuild would not instantiate there — delete it; one that never
             // had it is left alone.
-            if refit.is_none() && !existing {
-                continue;
-            }
             let changed = match (&refit, existing) {
                 (Some(_), true) => &mut updated,
                 (Some(_), false) => &mut added,
-                (None, _) => &mut removed,
+                (None, true) => &mut removed,
+                (None, false) => continue,
             };
-            changed.push((
-                Path::from_edges_unchecked(edges.clone()),
-                *interval,
-                *regime,
-            ));
-            if regime.is_global() {
-                delta.insert(key, refit);
-            } else {
-                regime_delta.entry(*regime).or_default().insert(key, refit);
-            }
+            changed.push((Path::from_edges_unchecked(edges.clone()), *interval, *table));
+            deltas
+                .entry(*table)
+                .or_default()
+                .push((key, refit.map(Arc::new)));
         }
 
-        // Patch the regime own tables; an emptied table is dropped so the
-        // result matches what full instantiation (which never inserts empty
-        // tables) would build.
-        let mut regime_own = self.regime_own.clone();
-        for (regime, patches) in regime_delta {
-            let mut by_key: BTreeMap<VariableKey, InstantiatedVariable> = regime_own
-                .remove(&regime)
-                .unwrap_or_default()
-                .into_iter()
-                .map(|v| ((v.path.edges().to_vec(), v.interval), v))
-                .collect();
-            for (key, patch) in patches {
-                match patch {
-                    Some(var) => {
-                        by_key.insert(key, var);
-                    }
-                    None => {
-                        by_key.remove(&key);
-                    }
-                }
-            }
-            if !by_key.is_empty() {
-                regime_own.insert(regime, by_key.into_values().collect());
-            }
+        let mut tables = self.tables.clone();
+        for (table, delta) in deltas {
+            let patched = patch_table(tables.get(&table).map_or(&[], Vec::as_slice), delta);
+            tables.insert(table, patched);
         }
-
-        let weights = self.assemble_patched(delta, regime_own, current);
+        let weights = Self::assemble(
+            partition,
+            self.cost_kind,
+            self.schema.clone(),
+            self.fallback_units.clone(),
+            tables,
+            current,
+        );
         Ok(WeightUpdate {
             epoch: 0,
             trajectories: 0,
@@ -824,57 +500,41 @@ impl PathWeightFunction {
     }
 
     /// Restores a weight function from previously captured parts — the
-    /// deserialization counterpart of [`Self::variables`] +
-    /// [`Self::fallback_units`] + [`Self::regime_tables`]. `variables` and
-    /// every regime own table must be in strictly increasing
-    /// `(path edges, interval)` key order (the order [`Self::variables`]
-    /// exposes); the lookup and first-edge indices, the summary statistics
-    /// and the effective regime views are re-derived exactly as every other
-    /// constructor derives them, so a restored function is bit-identical to
-    /// the one that was captured (given the same `store`). A function without
-    /// regimes restores with [`RegimeSchema::flat`] and no own tables.
-    pub fn from_parts_with_regimes(
+    /// deserialization counterpart of [`Self::tables`] +
+    /// [`Self::fallback_units`] + [`Self::regime_schema`]. Every table must
+    /// be in strictly increasing `(path edges, interval)` key order (the
+    /// order [`Self::tables`] exposes); the views and the summary statistics
+    /// are re-derived exactly as every other constructor derives them, so a
+    /// restored function is bit-identical to the one that was captured
+    /// (given the same `store`).
+    pub fn from_parts(
         partition: DayPartition,
         cost_kind: CostKind,
-        variables: Vec<InstantiatedVariable>,
-        fallback_units: HashMap<EdgeId, Histogram1D>,
-        store: &TrajectoryStore,
         schema: RegimeSchema,
-        regime_own: BTreeMap<RegimeId, Vec<InstantiatedVariable>>,
+        fallback_units: HashMap<EdgeId, Histogram1D>,
+        tables: BTreeMap<RegimeId, Vec<InstantiatedVariable>>,
+        store: &TrajectoryStore,
     ) -> Result<Self, CoreError> {
-        for table in std::iter::once(&variables).chain(regime_own.values()) {
-            for w in table.windows(2) {
-                let a = (w[0].path.edges(), w[0].interval);
-                let b = (w[1].path.edges(), w[1].interval);
-                if a >= b {
-                    return Err(CoreError::InvalidConfig(
-                        "restored variables must be in strictly increasing (path, interval) order",
-                    ));
-                }
-            }
-        }
-        if regime_own.contains_key(&RegimeId::ALL_TRAFFIC) {
+        if tables
+            .values()
+            .any(|table| table.windows(2).any(|w| key_of(&w[0]) >= key_of(&w[1])))
+        {
             return Err(CoreError::InvalidConfig(
-                "the global table is not a regime own table",
+                "restored variables must be in strictly increasing (path, interval) order",
             ));
         }
-        Ok(
-            Self::finish(partition, cost_kind, variables, fallback_units, store)
-                .with_regime_tables(schema, regime_own, store),
-        )
-    }
-
-    /// Exact lookup in a regime's *own* table (not the effective view).
-    fn regime_table_get(
-        &self,
-        regime: RegimeId,
-        edges: &[EdgeId],
-        interval: IntervalId,
-    ) -> Option<&InstantiatedVariable> {
-        let vars = self.regime_own.get(&regime)?;
-        vars.binary_search_by(|v| (v.path.edges(), v.interval).cmp(&(edges, interval)))
-            .ok()
-            .map(|i| &vars[i])
+        let tables = tables
+            .into_iter()
+            .map(|(table, vars)| (table, vars.into_iter().map(Arc::new).collect()))
+            .collect();
+        Ok(Self::assemble(
+            partition,
+            cost_kind,
+            schema,
+            Arc::new(fallback_units),
+            tables,
+            store,
+        ))
     }
 
     /// The regime fallback-ladder schema this function was built under.
@@ -882,51 +542,17 @@ impl PathWeightFunction {
         &self.schema
     }
 
-    /// The per-regime own variable tables, sorted by key — the persistence
-    /// counterpart of [`Self::variables`] for the regime dimension.
-    pub fn regime_tables(&self) -> &BTreeMap<RegimeId, Vec<InstantiatedVariable>> {
-        &self.regime_own
+    /// Every non-empty table, keyed by the ladder rung it belongs to.
+    pub fn tables(&self) -> &BTreeMap<RegimeId, Table> {
+        &self.tables
     }
 
-    /// The regimes with a materialized effective view, in ascending order.
-    pub fn regimes(&self) -> impl Iterator<Item = RegimeId> + '_ {
-        self.regime_views.keys().copied()
-    }
-
-    /// The effective weight function for `regime`: every key resolved to
-    /// the nearest fallback-ladder table that clears β. Returns `None` for
-    /// the global regime and for regimes without any materialized view —
-    /// callers then evaluate against `self` (the global function), which is
-    /// the deepest rung of every ladder.
-    pub fn for_regime(&self, regime: RegimeId) -> Option<&Arc<PathWeightFunction>> {
-        if regime.is_global() {
-            return None;
-        }
-        self.regime_views.get(&regime)
-    }
-
-    /// The fallback-ladder depth the variable at `index` was resolved at —
-    /// 0 on the global function and for own-regime hits on a view.
-    pub fn variable_depth(&self, index: usize) -> usize {
-        self.variable_depths.get(index).copied().unwrap_or(0)
-    }
-
-    /// The source regime table of the variable at `index` —
-    /// [`RegimeId::ALL_TRAFFIC`] on the global function and for
-    /// global-fallback hits on a view.
-    pub fn variable_regime(&self, index: usize) -> RegimeId {
-        self.variable_regimes
-            .get(index)
-            .copied()
-            .unwrap_or(RegimeId::ALL_TRAFFIC)
-    }
-
-    /// The `(fallback depth, source regime)` a key resolves to on this
-    /// view, when the key is instantiated.
-    pub fn resolution_of(&self, path: &Path, interval: IntervalId) -> Option<(usize, RegimeId)> {
-        self.index
-            .get(&(path.edges().to_vec(), interval))
-            .map(|&i| (self.variable_depth(i), self.variable_regime(i)))
+    /// What a query under `regime` reads: the regime's own view when its
+    /// ladder crosses an own table, the root's view otherwise (the root
+    /// itself, an undeclared regime, a regime whose every rung is still too
+    /// sparse). [`WeightView::regime`] tells which one answered.
+    pub fn view(&self, regime: RegimeId) -> &Arc<WeightView> {
+        self.views.get(&regime).unwrap_or(&self.root)
     }
 
     /// The speed-limit-derived fallback unit distribution of every edge.
@@ -944,58 +570,34 @@ impl PathWeightFunction {
         self.cost_kind
     }
 
-    /// All trajectory-derived instantiated variables.
-    pub fn variables(&self) -> &[InstantiatedVariable] {
-        &self.variables
+    /// The all-traffic variables, in sorted key order.
+    pub fn variables(&self) -> &[Arc<InstantiatedVariable>] {
+        self.root.variables()
     }
 
-    /// The variable at `index`.
-    pub fn variable(&self, index: usize) -> &InstantiatedVariable {
-        &self.variables[index]
-    }
-
-    /// Exact lookup `W_P(P, I_j)`: the trajectory-derived variable for this
-    /// path and interval, if one was instantiated.
+    /// Exact lookup `W_P(P, I_j)` in the all-traffic table.
     pub fn get(&self, path: &Path, interval: IntervalId) -> Option<&InstantiatedVariable> {
-        self.index
-            .get(&(path.edges().to_vec(), interval))
-            .map(|&i| &self.variables[i])
+        self.root.get(path, interval)
     }
 
-    /// Indices of all variables whose path starts with `edge`.
-    pub fn variables_starting_with(&self, edge: EdgeId) -> &[usize] {
-        self.by_first_edge
-            .get(&edge)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
-    /// The unit-path cost distribution of `edge` during `interval`: the
-    /// trajectory-derived one when it exists, otherwise the speed-limit
-    /// fallback. Every edge of the network always has a unit distribution.
+    /// The all-traffic unit-path cost distribution of `edge` during
+    /// `interval` (see [`WeightView::unit_histogram`]).
     pub fn unit_histogram(&self, edge: EdgeId, interval: IntervalId) -> Option<Histogram1D> {
-        if let Some(var) = self.get(&Path::unit(edge), interval) {
-            return var.histogram.marginal_1d(0).ok();
-        }
-        self.fallback_units.get(&edge).cloned()
+        self.root.unit_histogram(edge, interval)
     }
 
-    /// `true` when the unit distribution for this edge and interval comes from
-    /// trajectories rather than the speed-limit fallback.
-    pub fn unit_is_trajectory_derived(&self, edge: EdgeId, interval: IntervalId) -> bool {
-        self.get(&Path::unit(edge), interval).is_some()
-    }
-
-    /// Summary statistics of the instantiation.
+    /// Summary statistics of the all-traffic table.
     pub fn stats(&self) -> &WeightStats {
-        &self.stats
+        self.root.stats()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::variable::VariableSource;
     use pathcost_traj::DatasetPreset;
+    use proptest::prelude::*;
 
     fn build() -> (RoadNetwork, TrajectoryStore, PathWeightFunction) {
         let (net, store) = DatasetPreset::tiny(21).materialise().unwrap();
@@ -1044,7 +646,10 @@ mod tests {
         for (i, v) in wp.variables().iter().enumerate() {
             let found = wp.get(&v.path, v.interval).expect("indexed variable");
             assert_eq!(found.path, v.path);
-            assert!(wp.variables_starting_with(v.path.first_edge()).contains(&i));
+            assert!(wp
+                .root
+                .variables_starting_with(v.path.first_edge())
+                .contains(&i));
         }
     }
 
@@ -1168,10 +773,10 @@ mod tests {
         assert_eq!(patched.stats(), full.stats());
         for (i, v) in full.variables().iter().enumerate() {
             let found = patched.get(&v.path, v.interval).expect("indexed variable");
-            assert_eq!(found, v, "lookup index diverged at {i}");
+            assert_eq!(found, &**v, "lookup index diverged at {i}");
             assert_eq!(
-                patched.variables_starting_with(v.path.first_edge()),
-                full.variables_starting_with(v.path.first_edge()),
+                patched.root.variables_starting_with(v.path.first_edge()),
+                full.root.variables_starting_with(v.path.first_edge()),
                 "first-edge index diverged for {:?}",
                 v.path.first_edge()
             );
@@ -1265,16 +870,24 @@ mod tests {
         assert_eq!(update.weights.stats(), wp.stats());
     }
 
+    /// The depth a query under `regime` reports for the variable at `index`
+    /// of the view it reads: the ladder position of the variable's source.
+    fn depth(wp: &PathWeightFunction, regime: RegimeId, index: usize) -> usize {
+        let source = wp.view(regime).source(index);
+        let ladder = wp.regime_schema().ladder(regime);
+        ladder.iter().position(|rung| *rung == source).unwrap()
+    }
+
     #[test]
     fn untagged_store_keeps_regime_machinery_inert() {
         let (_, _, wp) = build();
-        assert_eq!(wp.regimes().count(), 0);
-        assert!(wp.regime_tables().is_empty());
-        assert!(wp.for_regime(RegimeId(7)).is_none());
-        assert_eq!(wp.variable_depth(0), 0);
-        assert_eq!(wp.variable_regime(0), RegimeId::ALL_TRAFFIC);
+        assert!(wp.views.is_empty());
+        assert!(wp.tables().keys().eq([&RegimeId::ALL_TRAFFIC]));
+        assert!(Arc::ptr_eq(wp.view(RegimeId(7)), &wp.root));
+        assert_eq!(depth(&wp, RegimeId::ALL_TRAFFIC, 0), 0);
+        assert_eq!(wp.root.source(0), RegimeId::ALL_TRAFFIC);
         // A non-empty schema over an untagged store changes nothing: the
-        // global table is bit-identical and no views are materialized.
+        // all-traffic table is bit-identical and no views are layered.
         let (net, store) = DatasetPreset::tiny(21).materialise().unwrap();
         let cfg = HybridConfig {
             beta: 10,
@@ -1284,7 +897,7 @@ mod tests {
         let wp2 = PathWeightFunction::instantiate(&net, &store, &cfg).unwrap();
         assert_eq!(wp2.variables(), wp.variables());
         assert_eq!(wp2.stats(), wp.stats());
-        assert_eq!(wp2.regimes().count(), 0);
+        assert!(wp2.views.is_empty());
     }
 
     #[test]
@@ -1342,33 +955,35 @@ mod tests {
         assert_eq!(wp.variables(), plain.variables());
         assert_eq!(wp.stats(), plain.stats());
 
-        let sparse = wp.for_regime(RegimeId(2)).expect("regime 2 is present");
+        let sparse = wp.view(RegimeId(2));
+        assert_eq!(sparse.regime(), RegimeId::ALL_TRAFFIC, "the root answers");
         assert_eq!(sparse.variables(), wp.variables());
         for (i, v) in sparse.variables().iter().enumerate() {
-            assert_eq!(sparse.variable_depth(i), 1, "empty own table ⇒ depth 1");
-            assert_eq!(sparse.variable_regime(i), RegimeId::ALL_TRAFFIC);
+            assert_eq!(depth(&wp, RegimeId(2), i), 1, "empty own table ⇒ depth 1");
+            assert_eq!(sparse.source(i), RegimeId::ALL_TRAFFIC);
             assert_eq!(
-                sparse.resolution_of(&v.path, v.interval),
-                Some((1, RegimeId::ALL_TRAFFIC))
+                sparse.source_of(&v.path, v.interval),
+                Some(RegimeId::ALL_TRAFFIC)
             );
         }
 
         // Regime 1 holds nearly all data: same key set as the global table
         // (a regime count clearing β implies the global count does), with
         // own-table hits at depth 0 and sparse keys answered from depth 1.
-        let dense = wp.for_regime(RegimeId(1)).expect("regime 1 is present");
+        let dense = wp.view(RegimeId(1));
+        assert_eq!(dense.regime(), RegimeId(1), "regime 1 has a view");
         assert_eq!(dense.variables().len(), wp.variables().len());
         let mut own_hits = 0;
         for (i, v) in dense.variables().iter().enumerate() {
             let global = wp.get(&v.path, v.interval).expect("view key ⊆ global keys");
-            match dense.variable_depth(i) {
+            match depth(&wp, RegimeId(1), i) {
                 0 => {
-                    assert_eq!(dense.variable_regime(i), RegimeId(1));
+                    assert_eq!(dense.source(i), RegimeId(1));
                     own_hits += 1;
                 }
                 1 => {
-                    assert_eq!(dense.variable_regime(i), RegimeId::ALL_TRAFFIC);
-                    assert_eq!(v, global);
+                    assert_eq!(dense.source(i), RegimeId::ALL_TRAFFIC);
+                    assert_eq!(&**v, global);
                 }
                 d => panic!("flat schema has no depth {d}"),
             }
@@ -1376,25 +991,25 @@ mod tests {
         assert!(own_hits > 0, "regime 1 holds almost all data, must clear β");
 
         // A regime with no data and no schema entry has no view.
-        assert!(wp.for_regime(RegimeId(9)).is_none());
+        assert_eq!(wp.view(RegimeId(9)).regime(), RegimeId::ALL_TRAFFIC);
     }
 
-    /// Asserts the global table, every regime own table and every
-    /// materialized view of `a` are bit-identical to `b`'s.
+    /// Asserts the all-traffic table, every regime own table and every
+    /// layered view of `a` are bit-identical to `b`'s.
     fn assert_regime_identical(a: &PathWeightFunction, b: &PathWeightFunction) {
         assert_eq!(a.variables(), b.variables());
         assert_eq!(a.stats(), b.stats());
-        assert_eq!(a.regime_tables(), b.regime_tables());
-        let regimes: Vec<RegimeId> = a.regimes().collect();
-        assert_eq!(regimes, b.regimes().collect::<Vec<_>>());
+        assert_eq!(a.tables(), b.tables());
+        let regimes: Vec<RegimeId> = a.views.keys().copied().collect();
+        assert_eq!(regimes, b.views.keys().copied().collect::<Vec<_>>());
         for r in regimes {
-            let va = a.for_regime(r).expect("listed regime has a view");
-            let vb = b.for_regime(r).expect("listed regime has a view");
+            let (va, vb) = (a.view(r), b.view(r));
+            assert_eq!((va.regime(), vb.regime()), (r, r), "listed ⇒ own view");
             assert_eq!(va.variables(), vb.variables());
             assert_eq!(va.stats(), vb.stats());
             for i in 0..va.variables().len() {
-                assert_eq!(va.variable_depth(i), vb.variable_depth(i));
-                assert_eq!(va.variable_regime(i), vb.variable_regime(i));
+                assert_eq!(depth(a, r, i), depth(b, r, i));
+                assert_eq!(va.source(i), vb.source(i));
             }
         }
     }
@@ -1428,7 +1043,7 @@ mod tests {
         // The group table is fed by every trajectory (both regimes ladder
         // through it), so it mirrors the global table exactly.
         assert_eq!(
-            update.weights.regime_tables()[&RegimeId(3)],
+            update.weights.tables()[&RegimeId(3)],
             update.weights.variables()
         );
         assert!(
@@ -1477,12 +1092,7 @@ mod tests {
                 h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
             }
         };
-        let tables = std::iter::once((RegimeId::ALL_TRAFFIC, wp.variables())).chain(
-            wp.regime_tables()
-                .iter()
-                .map(|(regime, vars)| (*regime, vars.as_slice())),
-        );
-        for (regime, vars) in tables {
+        for (regime, vars) in wp.tables() {
             eat(u64::from(regime.0));
             eat(vars.len() as u64);
             for v in vars {
@@ -1535,7 +1145,7 @@ mod tests {
         let store = tag_store(&untagged, untagged.len() / 2);
         let cfg = beta10.with_regimes(grouped_schema());
         let wp = PathWeightFunction::instantiate(&net, &store, &cfg).unwrap();
-        assert_eq!(wp.regime_tables().len(), 3);
+        assert_eq!(wp.tables().len(), 4, "all-traffic + three own tables");
         assert_eq!(digest(&wp), 0x7e55_f35e_ec4a_c7a5, "tagged tiny(31)");
     }
 
@@ -1581,21 +1191,104 @@ mod tests {
         assert_regime_identical(&auto.weights, &refit.weights);
     }
 
-    #[test]
-    fn fan_out_keeps_item_order_and_reports_the_first_error() {
-        let items: Vec<usize> = (0..100).collect();
-        for workers in [None, Some(1), Some(3), Some(100), Some(1000)] {
-            let doubled = fan_out(&items, workers, |&i, _| Ok(2 * i)).unwrap();
-            assert_eq!(doubled, (0..100).map(|i| 2 * i).collect::<Vec<_>>());
-            let failed = fan_out(&items, workers, |&i, _| match i {
-                40 => Err(CoreError::NoDistribution),
-                80 => Err(CoreError::InvalidConfig("later error")),
-                _ => Ok(i),
-            });
-            assert_eq!(failed, Err(CoreError::NoDistribution));
+    /// A stand-in variable for `key`, told apart by `marker`.
+    fn stub(key: &VariableKey, marker: usize) -> Arc<InstantiatedVariable> {
+        let unit = Histogram1D::uniform(0.0, 1.0).unwrap();
+        Arc::new(InstantiatedVariable {
+            path: Path::from_edges_unchecked(key.0.clone()),
+            interval: key.1,
+            histogram: pathcost_hist::HistogramNd::from_histogram1d(&unit),
+            source: VariableSource::Trajectories { count: marker },
+        })
+    }
+
+    /// 36 keys over a small alphabet, so deltas hit stored keys often:
+    /// one- and two-edge paths (prefixes of each other) × three intervals.
+    fn small_key(code: usize) -> VariableKey {
+        let edges = match code % 12 {
+            c @ 0..=2 => vec![EdgeId(c as u32)],
+            c => vec![EdgeId((c as u32 - 3) / 3), EdgeId((c as u32 - 3) % 3)],
+        };
+        (edges, IntervalId((code / 12) as u16))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// `patch_table` ≡ rebuilding the table through a `BTreeMap`, over
+        /// one patch and a run of them, from an empty table and down to one.
+        #[test]
+        fn patch_table_matches_a_btreemap_rebuild(
+            stored in prop::collection::vec(0usize..36, 0..20),
+            patches in prop::collection::vec(
+                prop::collection::vec((0usize..36, 0usize..3), 0..16),
+                1..4,
+            ),
+        ) {
+            let mut expected: BTreeMap<VariableKey, Arc<InstantiatedVariable>> = stored
+                .iter()
+                .map(|&code| (small_key(code), stub(&small_key(code), 0)))
+                .collect();
+            let mut table: Table = expected.values().cloned().collect();
+            for (round, patch) in patches.iter().enumerate() {
+                // Two ops in three upsert, the third deletes; a key named
+                // twice keeps its last op.
+                let delta: BTreeMap<VariableKey, Option<Arc<InstantiatedVariable>>> = patch
+                    .iter()
+                    .map(|&(code, op)| {
+                        let key = small_key(code);
+                        let var = (op > 0).then(|| stub(&key, round + 1));
+                        (key, var)
+                    })
+                    .collect();
+                for (key, var) in &delta {
+                    match var {
+                        Some(var) => expected.insert(key.clone(), var.clone()),
+                        None => expected.remove(key),
+                    };
+                }
+                table = patch_table(
+                    &table,
+                    delta.iter().map(|(key, var)| ((key.0.as_slice(), key.1), var.clone())),
+                );
+                prop_assert_eq!(&table, &expected.values().cloned().collect::<Table>());
+            }
+            // Deleting every key leaves nothing behind.
+            let all: Vec<VariableKey> = (0..36).map(small_key).collect();
+            let mut keys: Vec<_> = all.iter().map(|key| (key.0.as_slice(), key.1)).collect();
+            keys.sort_unstable();
+            prop_assert!(patch_table(&table, keys.into_iter().map(|key| (key, None))).is_empty());
         }
-        let none: Vec<usize> = fan_out(&[], None, |&i: &usize, _| Ok(i)).unwrap();
-        assert!(none.is_empty());
+    }
+
+    #[test]
+    fn rederive_drops_an_emptied_table() {
+        let (net, untagged) = DatasetPreset::tiny(32).materialise().unwrap();
+        let cfg = HybridConfig {
+            beta: 10,
+            ..HybridConfig::default()
+        }
+        .with_regimes(grouped_schema());
+        let store = tag_store(&untagged, untagged.len() / 2);
+        let wp = PathWeightFunction::instantiate(&net, &store, &cfg).unwrap();
+        assert_eq!(wp.tables().len(), 4);
+
+        // Retire every regime-2 trajectory: its own table empties and goes,
+        // the group's and the all-traffic table shrink, regime 1's stays.
+        let ids: Vec<u64> = store.matched()[..untagged.len() / 2]
+            .iter()
+            .map(|m| m.id)
+            .collect();
+        let mut remaining = store;
+        let retired = remaining.retire_ids(&ids);
+        let partition = DayPartition::new(cfg.alpha_minutes).unwrap();
+        let dirty = dirty_keys_by_regime(&retired, &partition, cfg.max_rank, &cfg.regimes);
+        let update = wp.rederive_regimes(&net, &remaining, &cfg, &dirty).unwrap();
+        assert!(!update.weights.tables().contains_key(&RegimeId(2)));
+        assert_eq!(update.weights.tables().len(), 3);
+        assert_eq!(update.weights.view(RegimeId(2)).regime(), RegimeId(2));
+        let full = PathWeightFunction::instantiate(&net, &remaining, &cfg).unwrap();
+        assert_regime_identical(&update.weights, &full);
     }
 
     #[test]

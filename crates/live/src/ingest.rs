@@ -119,11 +119,9 @@ impl<'n> LiveIngestor<'n> {
     /// tags are preserved — untagged producers keep the pre-regime pipeline
     /// bit-identical.
     ///
-    /// A classifier must be deterministic in the trajectory itself: a
-    /// persisted lineage classifies each batch once and journals the rows as
-    /// tagged, recovery attaches no classifier and re-lands the journalled
-    /// tags verbatim, and the tagged rows pass through
-    /// [`ingest`](Self::ingest)'s own re-tag on the way into the store.
+    /// A persisted lineage journals the rows as the classifier tagged them;
+    /// recovery attaches no classifier and re-lands the journalled tags
+    /// verbatim.
     pub fn with_classifier(mut self, classifier: Arc<dyn RegimeClassifier>) -> Self {
         self.classifier = Some(classifier);
         self
@@ -164,9 +162,19 @@ impl<'n> LiveIngestor<'n> {
     /// itself entirely behind the watermark can therefore arrive and expire
     /// in the same call.
     pub fn ingest(&mut self, mut batch: Vec<MatchedTrajectory>) -> Result<WeightUpdate, CoreError> {
+        self.classify(&mut batch);
+        self.ingest_tagged(batch)
+    }
+
+    /// [`Self::ingest`] for a batch the caller already passed through
+    /// [`Self::classify`] — the persistence layer journals the tagged rows
+    /// before they land here.
+    pub(crate) fn ingest_tagged(
+        &mut self,
+        mut batch: Vec<MatchedTrajectory>,
+    ) -> Result<WeightUpdate, CoreError> {
         let mut seen = HashSet::with_capacity(batch.len());
         batch.retain(|m| !self.store.contains_id(m.id) && seen.insert(m.id));
-        self.classify(&mut batch);
         let mut dirty = self.dirty_of(&batch);
         let trajectories = batch.len();
         let appended_ids: Vec<u64> = batch.iter().map(|m| m.id).collect();

@@ -42,8 +42,8 @@ use pathcost_persist::journal::{Journal, JournalOp, JournalRecord};
 use pathcost_persist::snapshot::{self, list_generations, SnapshotReader, SnapshotWriter};
 use pathcost_persist::{PersistError, PersistenceStatus, RecoveryOutcome};
 use pathcost_roadnet::{EdgeId, RoadNetwork};
-use pathcost_traj::{MatchedTrajectory, Timestamp, TrajectoryStore};
-use std::collections::{BTreeMap, HashMap};
+use pathcost_traj::{MatchedTrajectory, RegimeId, Timestamp, TrajectoryStore};
+use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -421,7 +421,7 @@ impl<'n> PersistentIngestor<'n> {
         self.ensure_not_suspended()?;
         self.inner.classify(&mut batch);
         let journalled = batch.clone();
-        let update = self.inner.ingest(batch)?;
+        let update = self.inner.ingest_tagged(batch)?;
         self.journal_epoch(update.epoch, JournalOp::Ingest(journalled))?;
         Ok(update)
     }
@@ -606,34 +606,33 @@ impl<'n> PersistentIngestor<'n> {
             .collect();
         // Deterministic image: a HashMap's iteration order must never leak.
         fallbacks.sort_unstable_by_key(|(e, _)| e.0);
-        let mut config_section = Vec::new();
-        config_section.extend_from_slice(&codec::encode_config(
-            self.inner.config(),
-            self.inner.retention().max_age,
-        ));
+        let config_section =
+            codec::encode_config(self.inner.config(), self.inner.retention().max_age);
         let mut store_section = Vec::new();
         codec::put_trajectories(&mut store_section, self.inner.store().matched());
         let mut weights_section = Vec::new();
         codec::put_weights(&mut weights_section, weights.variables(), &fallbacks);
-        let mut sections = vec![
+        // The all-traffic table and the speed-limit fallbacks ride the
+        // WEIGHTS section, every other table REGIME_WEIGHTS — the layout
+        // legacy images introduced (see `restore_from_snapshot`).
+        let mut tags_section = Vec::new();
+        codec::put_regime_tags(&mut tags_section, self.inner.store().matched());
+        let own_tables: Vec<_> = weights
+            .tables()
+            .iter()
+            .filter(|(table, _)| **table != RegimeId::ALL_TRAFFIC)
+            .map(|(table, variables)| (*table, variables.as_slice()))
+            .collect();
+        let mut regimes_section = Vec::new();
+        codec::put_regime_schema(&mut regimes_section, weights.regime_schema());
+        codec::put_regime_tables(&mut regimes_section, &own_tables);
+        let sections = [
             (snapshot::section::CONFIG, config_section),
             (snapshot::section::STORE, store_section),
             (snapshot::section::WEIGHTS, weights_section),
+            (snapshot::section::REGIME_STORE, tags_section),
+            (snapshot::section::REGIME_WEIGHTS, regimes_section),
         ];
-        // Regime sections are emitted only when regime state exists, so an
-        // all-traffic deployment keeps publishing byte-identical version-1
-        // images (see `snapshot::SNAPSHOT_MAGIC_V2`).
-        if self.inner.store().has_regimes() {
-            let mut tags = Vec::new();
-            codec::put_regime_tags(&mut tags, self.inner.store().matched());
-            sections.push((snapshot::section::REGIME_STORE, tags));
-        }
-        if !weights.regime_tables().is_empty() {
-            let mut regimes = Vec::new();
-            codec::put_regime_schema(&mut regimes, weights.regime_schema());
-            codec::put_regime_tables(&mut regimes, weights.regime_tables());
-            sections.push((snapshot::section::REGIME_WEIGHTS, regimes));
-        }
         let bytes = self.writer.publish(epoch, &sections)?;
         let mut gens = list_generations(&self.dir)?;
         gens.sort_unstable();
@@ -697,9 +696,8 @@ fn restore_from_snapshot<'n>(
     let mut c = Cursor::new(store_bytes, "snapshot store section");
     let mut matched = codec::read_trajectories(&mut c)?;
     c.finish()?;
-    // A version-2 image carries per-trajectory regime tags in their own
-    // section, parallel to the STORE order; a version-1 image has none and
-    // decodes as single-regime all-traffic state.
+    // Per-trajectory regime tags ride their own section, parallel to the
+    // STORE order; a legacy image has none and decodes as all-traffic state.
     if let Some(tag_bytes) = snap.section(snapshot::section::REGIME_STORE) {
         let mut c = Cursor::new(tag_bytes, "snapshot regime-store section");
         let tags = codec::read_regime_tags(&mut c)?;
@@ -725,7 +723,7 @@ fn restore_from_snapshot<'n>(
     let mut c = Cursor::new(weights_bytes, "snapshot weights section");
     let (variables, fallbacks) = codec::read_weights(&mut c)?;
     c.finish()?;
-    let (schema, regime_own) = match snap.section(snapshot::section::REGIME_WEIGHTS) {
+    let (schema, mut tables) = match snap.section(snapshot::section::REGIME_WEIGHTS) {
         Some(regime_bytes) => {
             let mut c = Cursor::new(regime_bytes, "snapshot regime-weights section");
             let schema = codec::read_regime_schema(&mut c)?;
@@ -733,21 +731,25 @@ fn restore_from_snapshot<'n>(
             c.finish()?;
             (schema, tables)
         }
-        // The runtime schema still applies to a v1 image: the snapshot
-        // simply recorded no per-regime tables, so every ladder resolves to
-        // the global function until regime-tagged traffic arrives.
+        // The runtime schema still applies to a legacy image: it simply
+        // recorded no other table, so every ladder resolves to the
+        // all-traffic one until regime-tagged traffic arrives.
         None => (config.regimes.clone(), BTreeMap::new()),
     };
-    let fallback_units: HashMap<EdgeId, Histogram1D> = fallbacks.into_iter().collect();
-    let partition = DayPartition::new(config.alpha_minutes)?;
-    let weights = PathWeightFunction::from_parts_with_regimes(
-        partition,
+    if tables.insert(RegimeId::ALL_TRAFFIC, variables).is_some() {
+        return Err(PersistError::corrupt(
+            "snapshot regime tables",
+            "the all-traffic table is the WEIGHTS section's",
+        )
+        .into());
+    }
+    let weights = PathWeightFunction::from_parts(
+        DayPartition::new(config.alpha_minutes)?,
         config.cost_kind,
-        variables,
-        fallback_units,
-        &store,
         schema,
-        regime_own,
+        fallbacks.into_iter().collect(),
+        tables,
+        &store,
     )?;
     let mut inner = LiveIngestor::from_instantiated(net, store, weights, config.clone())?
         .with_retention(retention)?;

@@ -15,6 +15,7 @@ use pathcost_core::{HybridConfig, InstantiatedVariable, IntervalId, VariableSour
 use pathcost_hist::{Bucket, Histogram1D, HistogramNd};
 use pathcost_roadnet::{EdgeId, Path};
 use pathcost_traj::{CostKind, MatchedTrajectory, RegimeId, RegimeSchema, Timestamp};
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 // ---------------------------------------------------------------------------
@@ -144,19 +145,20 @@ pub fn read_regime_schema(c: &mut Cursor<'_>) -> Result<RegimeSchema, PersistErr
     Ok(RegimeSchema::from_entries(entries))
 }
 
-/// Encodes the per-regime own variable tables of a weight function, in
-/// ascending regime order (the `BTreeMap` iteration order, so identical
-/// functions always produce identical bytes).
-pub fn put_regime_tables(
+/// Encodes the own variable tables of a weight function — every table but
+/// the all-traffic one, which [`put_weights`] carries — in the ascending
+/// regime order the caller iterates its table map in (so identical functions
+/// always produce identical bytes).
+pub fn put_regime_tables<V: Borrow<InstantiatedVariable>>(
     out: &mut Vec<u8>,
-    tables: &BTreeMap<RegimeId, Vec<InstantiatedVariable>>,
+    tables: &[(RegimeId, &[V])],
 ) {
     put_len(out, tables.len());
     for (regime, variables) in tables {
         put_u16(out, regime.0);
         put_len(out, variables.len());
-        for v in variables {
-            put_variable(out, v);
+        for v in *variables {
+            put_variable(out, v.borrow());
         }
     }
 }
@@ -302,14 +304,14 @@ fn read_variable(c: &mut Cursor<'_>) -> Result<InstantiatedVariable, PersistErro
 /// Fallbacks arrive as a pre-sorted `(edge, histogram)` list — the caller
 /// sorts by edge id so identical weight functions always produce identical
 /// bytes (a `HashMap` iteration order must never leak into the image).
-pub fn put_weights(
+pub fn put_weights<V: Borrow<InstantiatedVariable>>(
     out: &mut Vec<u8>,
-    variables: &[InstantiatedVariable],
+    variables: &[V],
     fallback_units: &[(EdgeId, Histogram1D)],
 ) {
     put_len(out, variables.len());
     for v in variables {
-        put_variable(out, v);
+        put_variable(out, v.borrow());
     }
     put_len(out, fallback_units.len());
     for (edge, h) in fallback_units {

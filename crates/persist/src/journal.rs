@@ -10,13 +10,12 @@
 //!   payload        epoch u64, op u8, op body
 //! ```
 //!
-//! Op bodies: `0` = ingest (a trajectory batch), `1` = retire-before (a
-//! timestamp cutoff), `2` = retire-ids (an id list), `3` = regime-tagged
-//! ingest (a trajectory batch followed by one regime tag per trajectory).
-//! An all-global batch always encodes as op `0`, so journals written by an
-//! untagged deployment are byte-identical to version-1 journals. Every
-//! record carries the epoch the operation *published*, so replay can skip
-//! records already captured by a snapshot.
+//! Op bodies: `1` = retire-before (a timestamp cutoff), `2` = retire-ids (an
+//! id list), `3` = ingest (a trajectory batch followed by one regime tag per
+//! trajectory). Op `0` — an ingest without the tags — is read-only legacy:
+//! older releases wrote it for all-traffic batches, and it replays as one.
+//! Every record carries the epoch the operation *published*, so replay can
+//! skip records already captured by a snapshot.
 //!
 //! # Torn tails
 //!
@@ -66,14 +65,9 @@ impl JournalRecord {
         put_u64(&mut out, self.epoch);
         match &self.op {
             JournalOp::Ingest(batch) => {
-                if batch.iter().any(|m| !m.regime.is_global()) {
-                    put_u8(&mut out, 3);
-                    codec::put_trajectories(&mut out, batch);
-                    codec::put_regime_tags(&mut out, batch);
-                } else {
-                    put_u8(&mut out, 0);
-                    codec::put_trajectories(&mut out, batch);
-                }
+                put_u8(&mut out, 3);
+                codec::put_trajectories(&mut out, batch);
+                codec::put_regime_tags(&mut out, batch);
             }
             JournalOp::RetireBefore(cutoff) => {
                 put_u8(&mut out, 1);
@@ -384,35 +378,34 @@ mod tests {
     }
 
     #[test]
-    fn tagged_ingest_round_trips_and_untagged_stays_v1() {
+    fn ingest_round_trips_its_tags_and_a_legacy_record_replays_as_all_traffic() {
         use pathcost_traj::RegimeId;
-        let records = sample_records();
-        let untagged = match &records[0].op {
+        let untagged = match &sample_records()[0].op {
             JournalOp::Ingest(batch) => batch.clone(),
             _ => unreachable!(),
         };
-        // All-global batches encode as op 0 — the exact v1 bytes.
-        let v1 = records[0].encode();
-        assert_eq!(v1[8], 0, "all-global ingest must keep the v1 op tag");
-
         let tagged: Vec<_> = untagged
-            .into_iter()
-            .map(|m| m.with_regime(RegimeId(4)))
+            .iter()
+            .map(|m| m.clone().with_regime(RegimeId(4)))
             .collect();
-        let record = JournalRecord {
-            epoch: 9,
-            op: JournalOp::Ingest(tagged.clone()),
-        };
-        let payload = record.encode();
-        assert_eq!(payload[8], 3, "tagged ingest must use the tagged op");
-        let back = JournalRecord::decode(&payload).unwrap();
-        match back.op {
-            JournalOp::Ingest(batch) => {
-                assert_eq!(batch, tagged);
-                assert!(batch.iter().all(|m| m.regime == RegimeId(4)));
-            }
-            other => panic!("decoded {other:?}"),
+        for batch in [&untagged, &tagged] {
+            let record = JournalRecord {
+                epoch: 9,
+                op: JournalOp::Ingest(batch.clone()),
+            };
+            let payload = record.encode();
+            assert_eq!(payload[8], 3, "one ingest op");
+            assert_eq!(JournalRecord::decode(&payload).unwrap(), record);
         }
+
+        // Op 0, as older releases wrote it: epoch, tag, the batch, no tags.
+        let mut legacy = Vec::new();
+        put_u64(&mut legacy, 9);
+        put_u8(&mut legacy, 0);
+        codec::put_trajectories(&mut legacy, &tagged);
+        let replayed = JournalRecord::decode(&legacy).unwrap();
+        assert_eq!(replayed.epoch, 9);
+        assert_eq!(replayed.op, JournalOp::Ingest(untagged));
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Versioned, checksummed snapshot files with atomic publication.
 //!
-//! # File layout (version 1)
+//! # File layout
 //!
 //! ```text
-//! magic           8 bytes   b"PCSNAP\0\x01"  (version in the last byte)
+//! magic           8 bytes   b"PCSNAP\0\x02"  (version in the last byte)
 //! epoch           u64       ingest epoch the snapshot captures
 //! section count   u32
 //! header CRC32    u32       over the 20 bytes above
@@ -17,6 +17,11 @@
 //! Everything multi-byte is little-endian. Each section carries its own CRC
 //! so a single flipped bit anywhere — header or body — is detected; a
 //! truncated file fails the bounds-checked section reads.
+//!
+//! The writer has one form: version 2, with both regime sections. Version 1
+//! — the same frame under the older magic, without the regime sections — is
+//! read-only legacy: the reader accepts it, and an absent regime section
+//! decodes as all-traffic state.
 //!
 //! # Publication and generations
 //!
@@ -39,16 +44,13 @@ use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// Magic prefix of a version-1 snapshot file; the final byte is the format
-/// version.
+/// Magic prefix of a version-1 snapshot file (the final byte is the format
+/// version): read-only legacy, written by releases that had no regime
+/// sections or emitted them only for regime-tagged state.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"PCSNAP\x00\x01";
 
-/// Magic prefix of a version-2 snapshot file: version 1 plus the optional
-/// regime sections ([`section::REGIME_STORE`], [`section::REGIME_WEIGHTS`]).
-/// The writer emits version 2 only when a regime section is present, so an
-/// all-traffic deployment keeps producing byte-identical version-1 images;
-/// the reader accepts both versions (a v1 image simply decodes with no
-/// regime sections, i.e. as single-regime all-traffic state).
+/// Magic prefix of every snapshot file written today: version 1's frame plus
+/// the regime sections ([`section::REGIME_STORE`], [`section::REGIME_WEIGHTS`]).
 pub const SNAPSHOT_MAGIC_V2: [u8; 8] = *b"PCSNAP\x00\x02";
 
 /// How many published snapshot generations are kept on disk.
@@ -63,10 +65,10 @@ pub mod section {
     /// The weight function's variables + fallback units.
     pub const WEIGHTS: u32 = u32::from_le_bytes(*b"WGTS");
     /// Per-trajectory regime tags, parallel to the STOR trajectory order
-    /// (version 2, present only when some trajectory is regime-tagged).
+    /// (absent from legacy images: every trajectory is all-traffic).
     pub const REGIME_STORE: u32 = u32::from_le_bytes(*b"RGST");
-    /// The regime schema plus per-regime own variable tables (version 2,
-    /// present only when the weight function carries regime state).
+    /// The regime schema plus every own variable table (absent from legacy
+    /// images: the all-traffic table is the only one).
     pub const REGIME_WEIGHTS: u32 = u32::from_le_bytes(*b"RGWT");
 }
 
@@ -116,19 +118,11 @@ impl SnapshotWriter {
         Ok(SnapshotWriter { dir })
     }
 
-    /// Serialises `sections` into a snapshot image — version 2 when a
-    /// regime section is present, the byte-identical version 1 otherwise.
+    /// Serialises `sections` into a snapshot image.
     fn encode(epoch: u64, sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
-        let has_regimes = sections
-            .iter()
-            .any(|(tag, _)| *tag == section::REGIME_STORE || *tag == section::REGIME_WEIGHTS);
         let body: usize = sections.iter().map(|(_, p)| 12 + p.len()).sum();
         let mut out = Vec::with_capacity(24 + body);
-        out.extend_from_slice(if has_regimes {
-            &SNAPSHOT_MAGIC_V2
-        } else {
-            &SNAPSHOT_MAGIC
-        });
+        out.extend_from_slice(&SNAPSHOT_MAGIC_V2);
         put_u64(&mut out, epoch);
         put_u32(&mut out, sections.len() as u32);
         let header_crc = crc32(&out);
@@ -360,17 +354,31 @@ mod tests {
     }
 
     #[test]
-    fn regime_sections_bump_the_version_byte() {
-        let v1 = SnapshotWriter::encode(3, &sections());
-        assert_eq!(v1[7], 1, "regime-free images stay version 1");
+    fn version1_images_still_decode() {
         let mut with_regimes = sections();
         with_regimes.push((section::REGIME_STORE, vec![0, 1]));
         with_regimes.push((section::REGIME_WEIGHTS, vec![2, 3]));
-        let v2 = SnapshotWriter::encode(3, &with_regimes);
-        assert_eq!(v2[7], 2, "regime sections force version 2");
-        let snap = SnapshotReader::decode(&v2).expect("v2 decodes");
+        let image = SnapshotWriter::encode(3, &with_regimes);
+        assert_eq!(image[..8], SNAPSHOT_MAGIC_V2);
+        let snap = SnapshotReader::decode(&image).expect("v2 decodes");
         assert_eq!(snap.section(section::REGIME_STORE), Some(&[0u8, 1][..]));
         assert_eq!(snap.section(section::REGIME_WEIGHTS), Some(&[2u8, 3][..]));
+
+        // A legacy image: the three core sections under the version-1 magic
+        // (which the header CRC covers). Nothing writes one any more.
+        let reframe = |version: u8| {
+            let mut image = SnapshotWriter::encode(3, &sections());
+            assert_eq!(image[..8], SNAPSHOT_MAGIC_V2, "one writer form");
+            image[7] = version;
+            let header_crc = crc32(&image[..20]);
+            image[20..24].copy_from_slice(&header_crc.to_le_bytes());
+            image
+        };
+        assert_eq!(reframe(1)[..8], SNAPSHOT_MAGIC);
+        let legacy = SnapshotReader::decode(&reframe(1)).expect("v1 decodes");
+        assert_eq!((legacy.epoch, legacy.sections), (3, sections()));
+        // Any other version byte is not a snapshot.
+        assert!(SnapshotReader::decode(&reframe(3)).is_err());
     }
 
     #[test]

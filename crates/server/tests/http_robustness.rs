@@ -146,18 +146,14 @@ fn healthz_and_stats_report_epoch_and_latency() {
             stats.get("estimate_queries").and_then(Json::as_u64),
             Some(1)
         );
-        let e2e = stats.get("e2e_latency").unwrap();
-        assert_eq!(e2e.get("count").and_then(Json::as_u64), Some(1));
-        assert!(e2e.get("p99_us").and_then(Json::as_u64).unwrap() >= 1);
-        assert!(
-            stats
-                .get("query_latency")
-                .unwrap()
-                .get("max_us")
-                .and_then(Json::as_u64)
-                .unwrap()
-                >= 1
-        );
+        // One observation in each latency histogram, its percentile fields
+        // present — how long a sub-microsecond release-mode query took is
+        // the clock's business.
+        for (histogram, field) in [("e2e_latency", "p99_us"), ("query_latency", "max_us")] {
+            let latency = stats.get(histogram).unwrap();
+            assert_eq!(latency.get("count").and_then(Json::as_u64), Some(1));
+            assert!(latency.get(field).and_then(Json::as_u64).is_some());
+        }
     });
 }
 

@@ -284,22 +284,20 @@ impl Shard {
         &mut self,
         predicate: &impl Fn(&Path, IntervalId, RegimeId, &[u64]) -> bool,
     ) -> u64 {
-        // Walk the recency list (only live nodes are linked) and collect
-        // victims first: removal mutates the links being walked.
-        let mut victims = Vec::new();
+        // Walk the recency list (only live nodes are linked), reading each
+        // node's successor before a removal unlinks it.
+        let mut evicted = 0;
         let mut cursor = self.head;
         while cursor != NIL {
-            let node = &self.slab[cursor];
+            let (at, node) = (cursor, &self.slab[cursor]);
             let key = &node.key;
-            if predicate(&key.path, key.interval, key.regime, &node.reads) {
-                victims.push(cursor);
-            }
             cursor = node.next;
+            if predicate(&key.path, key.interval, key.regime, &node.reads) {
+                self.remove_at(at);
+                evicted += 1;
+            }
         }
-        for &at in &victims {
-            self.remove_at(at);
-        }
-        victims.len() as u64
+        evicted
     }
 }
 

@@ -7,6 +7,12 @@
 //! other), **re-check** the epoch and evict the entry again if an update was
 //! published meanwhile. The [`update`](crate::update) module has the
 //! invalidation rule the reads feed and the consistency argument.
+//!
+//! The regime a request names only selects what the estimate reads —
+//! `graph.for_regime(regime)`, the view of that regime's fallback ladder —
+//! and the fill is otherwise the same for every regime, all-traffic
+//! included: each read names the table it resolved from, and the entry's
+//! fallback depth is the deepest ladder position among them.
 
 use crate::cache::{key_fingerprint, CachedDistribution, DistributionCache};
 use crate::deadline::RequestContext;
@@ -255,8 +261,8 @@ impl<'n> QueryEngine<'n> {
     }
 
     /// Per-regime distribution-lookup tallies, keyed by raw [`RegimeId`]
-    /// value. Empty until a non-global regime is queried — the global
-    /// regime's traffic is the engine-level counters in [`Self::stats`].
+    /// value. Empty until a regime other than all-traffic is queried —
+    /// all-traffic lookups are the engine-level counters in [`Self::stats`].
     pub fn regime_stats(&self) -> std::collections::BTreeMap<u16, crate::stats::RegimeTally> {
         self.recorder.regime_tallies()
     }
@@ -331,58 +337,44 @@ impl<'n> QueryEngine<'n> {
         if let Some(hit) = self.cache.get(path, interval, regime) {
             counters.record(true, 0);
             counters.record_fallback(hit.fallback_depth);
-            if !regime.is_global() {
-                self.recorder.record_regime_lookup(
-                    &self.registry,
-                    regime,
-                    true,
-                    hit.fallback_depth,
-                );
-            }
+            self.recorder
+                .record_regime_lookup(&self.registry, regime, true, hit.fallback_depth);
             return Ok(hit);
         }
         let canonical = self.canonical_departure(interval);
-        // Non-global regimes estimate against the regime's materialized
-        // effective view (its own observations layered over the fallback
-        // ladder). Building the view graph is an `Arc` bump over the same
-        // network — `from_parts` copies nothing. A regime with no view at
-        // all (unknown, or never observed) answers from the global weights
-        // with every variable at the deepest ladder rung.
-        let weights = graph.weights();
-        let base_depth = if regime.is_global() {
-            0
-        } else {
-            weights.regime_schema().ladder(regime).len() - 1
-        };
-        let view = weights.for_regime(regime).cloned();
-        let regime_graph =
-            view.map(|view| HybridGraph::from_parts(graph.network(), view, graph.config().clone()));
-        let eval_graph = regime_graph.as_ref().unwrap_or(graph);
-        let artifacts = OdEstimator::new(eval_graph).estimate_with_artifacts(path, canonical)?;
+        // The estimate reads what the regime's fallback ladder resolves to:
+        // the regime's own view, or the all-traffic one when no table above
+        // the ladder's last rung holds anything (an `Arc` bump either way).
+        let graph = graph.for_regime(regime);
+        let artifacts = OdEstimator::new(&graph).estimate_with_artifacts(path, canonical)?;
         let depth = artifacts.decomposition.len();
-        // Reads name their *source* regime — the table the variable actually
-        // resolved from — so a global-table update stales this entry exactly
+        // Reads name their *source* — the table the variable actually
+        // resolved from — so an all-traffic update stales this entry exactly
         // when it read through the fallback ladder, and a sibling regime's
-        // update never does. The entry's fallback depth is the deepest rung
-        // any of its variables resolved at.
-        let mut fallback_depth = if regime_graph.is_some() {
-            0
-        } else {
-            base_depth
+        // update never does. A table's fallback depth is its position on the
+        // regime's ladder; the entry's is the deepest of the view that
+        // answered and of every variable it read. The regime's own table is
+        // rung 0, so the ladder is built only once something fell back.
+        let view = graph.view();
+        let mut ladder = None;
+        let mut depth_of = |table: RegimeId| {
+            if table == regime {
+                return 0;
+            }
+            let ladder =
+                ladder.get_or_insert_with(|| graph.weights().regime_schema().ladder(regime));
+            let rung = ladder.iter().position(|rung| *rung == table);
+            rung.expect("a view reads the tables of its regime's ladder")
         };
-        let resolved = eval_graph.weights();
+        let mut fallback_depth = depth_of(view.regime());
         let reads: Vec<u64> = artifacts
             .dependencies
             .iter()
             .map(|(dep_path, dep_interval)| {
-                let (dep_depth, source) = if regime.is_global() {
-                    (0, RegimeId::ALL_TRAFFIC)
-                } else {
-                    resolved
-                        .resolution_of(dep_path, *dep_interval)
-                        .unwrap_or((base_depth, RegimeId::ALL_TRAFFIC))
-                };
-                fallback_depth = fallback_depth.max(dep_depth);
+                let source = view
+                    .source_of(dep_path, *dep_interval)
+                    .unwrap_or(RegimeId::ALL_TRAFFIC);
+                fallback_depth = fallback_depth.max(depth_of(source));
                 key_fingerprint(dep_path, *dep_interval, source)
             })
             .collect();
@@ -409,10 +401,8 @@ impl<'n> QueryEngine<'n> {
         self.recorder.record_estimation(depth);
         counters.record(false, depth);
         counters.record_fallback(fallback_depth);
-        if !regime.is_global() {
-            self.recorder
-                .record_regime_lookup(&self.registry, regime, false, fallback_depth);
-        }
+        self.recorder
+            .record_regime_lookup(&self.registry, regime, false, fallback_depth);
         Ok(value)
     }
 

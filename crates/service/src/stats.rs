@@ -307,10 +307,12 @@ impl StatsRecorder {
         self.batch_jobs_deduplicated.add(deduplicated_jobs);
     }
 
-    /// Files one non-global distribution lookup: its hit/miss under the
-    /// requested regime (the `regime`-labelled series are registered on the
-    /// regime's first lookup) and its fallback depth (the last bucket
-    /// absorbs deeper ladders).
+    /// Files one distribution lookup under the `pathcost_regime_*` families:
+    /// its hit/miss under the requested regime (the `regime`-labelled series
+    /// are registered on the regime's first lookup) and its fallback depth
+    /// (the last bucket absorbs deeper ladders). All-traffic lookups are the
+    /// engine-level counters and stay out of these families — and off the
+    /// tally lock, which the hit path would otherwise contend on.
     pub fn record_regime_lookup(
         &self,
         registry: &Registry,
@@ -318,6 +320,9 @@ impl StatsRecorder {
         hit: bool,
         fallback_depth: usize,
     ) {
+        if regime.is_global() {
+            return;
+        }
         self.regime_fallback[fallback_depth.min(FALLBACK_DEPTH_BUCKETS - 1)].inc();
         let mut regimes = self.regimes.lock().expect("regime tally lock poisoned");
         let (hits, misses) = regimes.entry(regime.0).or_insert_with(|| {

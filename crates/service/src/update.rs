@@ -56,7 +56,7 @@
 use crate::cache::{key_fingerprint, DistributionCache};
 use crate::engine::QueryEngine;
 use crate::error::ServiceError;
-use pathcost_core::{HybridGraph, IntervalId, RegimeId, RegimeSchema, WeightUpdate};
+use pathcost_core::{IntervalId, RegimeId, RegimeSchema, WeightUpdate};
 use pathcost_roadnet::Path;
 use std::cell::Cell;
 use std::collections::HashSet;
@@ -208,16 +208,15 @@ impl<'n> QueryEngine<'n> {
                 "update must keep the cost kind the engine was built with",
             ));
         }
-        let schema = weights.regime_schema().clone();
-        let new_graph =
-            HybridGraph::from_parts(current.network(), weights, current.config().clone());
-        self.publish_graph(Arc::new(new_graph));
+        let published_graph = Arc::new(current.with_weights(weights));
+        self.publish_graph(published_graph.clone());
         // SeqCst pairs with the in-flight-fill guard in `estimate_cached_on`:
         // a fill that started before this store and lands after the pass
         // below observes the bump and evicts its own entry.
         self.epoch.store(published, Ordering::SeqCst);
+        let schema = published_graph.weights().regime_schema();
         let (evicted_tracked, evicted_swept) =
-            invalidate(self.cache(), &schema, &updated, &added, &removed);
+            invalidate(self.cache(), schema, &updated, &added, &removed);
 
         let recorder = &self.recorder;
         recorder.ingest_updates.inc();

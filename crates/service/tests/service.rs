@@ -226,7 +226,7 @@ fn batch_execution_equals_sequential_execution() {
         ..f.cfg.clone()
     };
     let weights = PathWeightFunction::instantiate(&f.net, &store, &cfg).unwrap();
-    assert!(weights.regime_tables().contains_key(&peak));
+    assert!(weights.tables().contains_key(&peak));
     let pairs = query_paths(&store, 4);
     let departure = pairs[0].1;
 

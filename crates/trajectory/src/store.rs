@@ -162,14 +162,6 @@ impl TrajectoryStore {
             .collect()
     }
 
-    /// `true` when at least one stored trajectory carries a non-global
-    /// regime tag. The weight function skips every per-regime pass when this
-    /// is false, which is what keeps untagged stores bit-identical to the
-    /// pre-regime pipeline.
-    pub fn has_regimes(&self) -> bool {
-        self.matched.iter().any(|m| !m.regime.is_global())
-    }
-
     /// The distinct non-global regimes present in the store, ordered.
     pub fn regimes_present(&self) -> BTreeSet<RegimeId> {
         self.matched

@@ -550,7 +550,7 @@ fn recovery_with_ttl_retention_is_deterministic() {
 }
 
 // ---------------------------------------------------------------------------
-// Regime-tagged lineages: v2 snapshots, journalled tags, v1 compatibility
+// Regime-tagged lineages: journalled tags, legacy-image compatibility
 // ---------------------------------------------------------------------------
 
 /// The regime schema used by the tagged lineage tests: peak and off-peak
@@ -561,10 +561,9 @@ fn regime_schema() -> RegimeSchema {
         .with_group(RegimeId(2), RegimeId::ALL_TRAFFIC)
 }
 
-/// A regime-tagged lineage must publish version-2 snapshots, journal ingest
-/// tags (op 3), and recover **bit-identically** — regime tables, schema and
-/// per-row tags included — then continue to the same final state as a
-/// process that never crashed.
+/// A regime-tagged lineage must recover **bit-identically** — every table,
+/// the schema and the per-row tags (snapshotted and journalled) included —
+/// to the same final state as a process that never crashed.
 #[test]
 fn regime_tagged_lineage_recovers_bit_identically() {
     check_tagged_lineage("regime-v2", false);
@@ -619,7 +618,7 @@ fn check_tagged_lineage(dir_tag: &str, classify_at_ingest: bool) {
     reference.ingest(rest[..mid].to_vec()).unwrap();
     reference.ingest(rest[mid..].to_vec()).unwrap();
     assert!(
-        !reference.weights().regime_tables().is_empty(),
+        reference.weights().tables().len() > 1,
         "fixture must clear β in at least one regime-own table"
     );
 
@@ -630,15 +629,9 @@ fn check_tagged_lineage(dir_tag: &str, classify_at_ingest: bool) {
             .unwrap();
         p.ingest(rest[..mid].to_vec()).unwrap();
         p.snapshot_now().unwrap();
-        // The tagged store forces the regime sections, which bump the
-        // format version.
-        let image = fs::read(latest_snapshot(&dir)).unwrap();
-        assert_eq!(
-            image[7], 2,
-            "a regime-tagged lineage must publish version-2 snapshots"
-        );
-        // Epoch 2 lives only in the journal: its tags ride op-3 records and
-        // must survive replay verbatim (recovery attaches no classifier).
+        // Epoch 2 lives only in the journal: its tags ride the ingest
+        // record and must survive replay verbatim (recovery attaches no
+        // classifier).
         p.ingest(rest[mid..].to_vec()).unwrap();
         // Crash.
     }
@@ -664,10 +657,7 @@ fn check_tagged_lineage(dir_tag: &str, classify_at_ingest: bool) {
         recovered.weights().variables(),
         reference.weights().variables()
     );
-    assert_eq!(
-        recovered.weights().regime_tables(),
-        reference.weights().regime_tables()
-    );
+    assert_eq!(recovered.weights().tables(), reference.weights().tables());
     assert_eq!(
         recovered.weights().regime_schema(),
         reference.weights().regime_schema()
@@ -677,13 +667,40 @@ fn check_tagged_lineage(dir_tag: &str, classify_at_ingest: bool) {
     fs::remove_dir_all(&dir).unwrap();
 }
 
-/// v1 ↔ v2 compatibility: an untagged deployment under the new code must
-/// keep writing byte-version-1 images (so pre-regime readers still accept
-/// them), and those v1 images must recover cleanly under a config that
-/// declares a regime schema — a v1 image simply decodes as single-regime
-/// all-traffic state with empty regime tables.
+/// Re-frames a snapshot image as a release without regime sections wrote
+/// it: the CONFIG, STORE and WEIGHTS sections under the version-1 magic
+/// (frame layout: PERSISTENCE.md § Snapshot file).
+fn downgrade_to_v1(image: &[u8]) -> Vec<u8> {
+    use pathcost::persist::crc::{crc32, crc32_parts};
+    use pathcost::persist::snapshot::{section, SnapshotReader, SNAPSHOT_MAGIC};
+    let snapshot = SnapshotReader::decode(image).expect("the image decodes");
+    let legacy: Vec<_> = [section::CONFIG, section::STORE, section::WEIGHTS]
+        .into_iter()
+        .map(|tag| (tag, snapshot.section(tag).expect("a core section")))
+        .collect();
+    let mut out = SNAPSHOT_MAGIC.to_vec();
+    out.extend_from_slice(&snapshot.epoch.to_le_bytes());
+    out.extend_from_slice(&(legacy.len() as u32).to_le_bytes());
+    let header_crc = crc32(&out);
+    out.extend_from_slice(&header_crc.to_le_bytes());
+    for (tag, payload) in legacy {
+        let mut frame = tag.to_le_bytes().to_vec();
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(&frame);
+        out.extend_from_slice(&crc32_parts(&[&frame, payload]).to_le_bytes());
+        out.extend_from_slice(payload);
+    }
+    out
+}
+
+/// Reader compatibility: the writer has one form (version 2, both regime
+/// sections), but a version-1 image — written before regimes existed, or by
+/// an all-traffic deployment of a release that still emitted them — must
+/// recover to the same store, variables and stats under a config that
+/// declares a regime schema: it decodes as all-traffic state with no other
+/// table.
 #[test]
-fn untagged_lineage_stays_version1_and_recovers_under_a_regime_schema() {
+fn version1_image_recovers_under_a_regime_schema() {
     let (net, store) = DatasetPreset::tiny(97).materialise().unwrap();
     let cfg = HybridConfig {
         beta: 10,
@@ -705,12 +722,13 @@ fn untagged_lineage_stays_version1_and_recovers_under_a_regime_schema() {
             .unwrap();
         p.ingest(rest).unwrap();
         p.snapshot_now().unwrap();
-        let image = fs::read(latest_snapshot(&dir)).unwrap();
-        assert_eq!(
-            image[7], 1,
-            "an all-traffic deployment must keep emitting version-1 images \
-             even when the config declares a regime schema"
-        );
+        let latest = latest_snapshot(&dir);
+        let image = fs::read(&latest).unwrap();
+        assert_eq!(image[7], 2, "the writer has one form");
+        let legacy = downgrade_to_v1(&image);
+        assert_eq!(legacy[7], 1);
+        assert!(legacy.len() < image.len(), "the regime sections are gone");
+        fs::write(&latest, legacy).unwrap();
         // Crash after the snapshot: recovery restores the v1 image directly.
     }
 
@@ -733,8 +751,12 @@ fn untagged_lineage_stays_version1_and_recovers_under_a_regime_schema() {
         reference.weights().variables()
     );
     assert!(
-        recovered.weights().regime_tables().is_empty(),
-        "a v1 image decodes as single-regime all-traffic state"
+        recovered
+            .weights()
+            .tables()
+            .keys()
+            .eq([&RegimeId::ALL_TRAFFIC]),
+        "a v1 image decodes as all-traffic state"
     );
     assert_eq!(recovered.weights().stats(), reference.weights().stats());
     drop(recovered);

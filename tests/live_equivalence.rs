@@ -560,7 +560,7 @@ fn sparse_regime_answers_are_bit_identical_to_their_fallback_ancestor() {
     let (net, store, cfg) = tagged_fixture(407, 10);
     let weights = PathWeightFunction::instantiate(&net, &store, &cfg).unwrap();
     assert!(
-        weights.regime_tables().contains_key(&RegimeId(1)),
+        weights.tables().contains_key(&RegimeId(1)),
         "the peak regime must clear β somewhere for the oracle to be non-trivial"
     );
     let engine = QueryEngine::new(
@@ -674,7 +674,7 @@ fn regime_tagged_ingest_invalidates_a_strict_subset_of_readers() {
 
     let weights = PathWeightFunction::instantiate(&net, &base, &cfg).unwrap();
     let off_peak_units: Vec<_> = weights
-        .regime_tables()
+        .tables()
         .get(&RegimeId(2))
         .expect("off-peak data must clear β somewhere")
         .iter()
@@ -778,6 +778,215 @@ fn regime_tagged_ingest_invalidates_a_strict_subset_of_readers() {
                 "post-update answers at regime {} must match a full rebuild",
                 regime.0
             );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Regime golden: every view and every reported fallback depth, pinned.
+// ---------------------------------------------------------------------------
+
+/// FNV-1a over a stream of words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn eat(&mut self, x: u64) {
+        for b in x.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// What a query under `regime` resolves against: each variable of the view
+/// the regime reads with the table it came from and that table's position
+/// on the regime's fallback ladder.
+fn view_rows(
+    weights: &PathWeightFunction,
+    regime: RegimeId,
+) -> Vec<(&pathcost::core::InstantiatedVariable, RegimeId, usize)> {
+    let view = weights.view(regime);
+    let ladder = weights.regime_schema().ladder(regime);
+    let rows = view.variables().iter().enumerate().map(|(i, v)| {
+        let source = view.source(i);
+        let depth = ladder.iter().position(|rung| *rung == source);
+        (&**v, source, depth.expect("a source is on the ladder"))
+    });
+    rows.collect()
+}
+
+/// The regimes the golden asks under: the root, the two observed regimes,
+/// the declared-but-dataless sub-regime and an undeclared one.
+const GOLDEN_REGIME_SET: [RegimeId; 5] = [
+    RegimeId::ALL_TRAFFIC,
+    RegimeId(1),
+    RegimeId(2),
+    RegimeId(3),
+    RegimeId(9),
+];
+
+/// One stage of the regime golden: `(views digest, answers digest, lookups
+/// by reported fallback depth 0 / 1 / 2)`. The views digest covers every
+/// view row (key, histogram bits, source table, ladder depth); the answers
+/// digest every probe at every regime, asked twice — as the update left the
+/// cache, then as a certain hit — with its answer bits, hit/miss tallies and
+/// `max_fallback_depth`.
+fn regime_stage(live: &QueryEngine<'_>) -> (u64, u64, [u64; 3]) {
+    let graph = live.graph();
+    let weights = graph.weights();
+    let mut views = Fnv::new();
+    for regime in GOLDEN_REGIME_SET {
+        let rows = view_rows(weights, regime);
+        views.eat(u64::from(regime.0));
+        views.eat(rows.len() as u64);
+        for (v, source, depth) in rows {
+            views.eat(v.path.cardinality() as u64);
+            v.path
+                .edges()
+                .iter()
+                .for_each(|e| views.eat(u64::from(e.0)));
+            views.eat(u64::from(v.interval.0));
+            for axis in v.histogram.axes() {
+                views.eat(axis.len() as u64);
+                for b in axis {
+                    views.eat(b.lo.to_bits());
+                    views.eat(b.hi.to_bits());
+                }
+            }
+            views.eat(v.histogram.cell_count() as u64);
+            for (key, p) in v.histogram.cells() {
+                key.iter().for_each(|&i| views.eat(u64::from(i)));
+                views.eat(p.to_bits());
+            }
+            views.eat(u64::from(source.0));
+            views.eat(depth as u64);
+        }
+    }
+
+    let mut answers = Fnv::new();
+    let mut by_depth = [0u64; 3];
+    for request in probe_requests(live, usize::MAX) {
+        let (path, departure) = probe_parts(&request);
+        for regime in GOLDEN_REGIME_SET {
+            let request = QueryRequest::EstimateDistribution {
+                path: path.clone(),
+                departure,
+                regime,
+            };
+            for _ask in 0..2 {
+                let outcome = live.execute(&request).expect("engine answers");
+                let histogram = outcome.response.distribution().expect("distribution");
+                for [lo, hi, p] in bits(histogram) {
+                    answers.eat(lo);
+                    answers.eat(hi);
+                    answers.eat(p);
+                }
+                answers.eat(outcome.stats.cache_hits);
+                answers.eat(outcome.stats.cache_misses);
+                answers.eat(outcome.stats.max_fallback_depth as u64);
+                by_depth[outcome.stats.max_fallback_depth] += 1;
+            }
+        }
+    }
+    (views.0, answers.0, by_depth)
+}
+
+/// Regime golden, captured before the all-traffic table became rung 0 of
+/// one table map: every view's rows and every probe's answer and reported
+/// fallback depth — on the miss and on the following hit — at instantiation,
+/// after one tagged ingest and after one TTL retire. Together with
+/// [`invalidation_counts_match_the_golden_sequence`] (which pins reads
+/// through eviction counts) this is the proof that a depth derived from the
+/// source table's ladder position equals the depth the views used to store.
+#[test]
+fn regime_views_and_fallback_depths_match_the_golden() {
+    let (net, full, cfg) = tagged_fixture(401, 4);
+    let split = full.len() * 70 / 100;
+    let base = TrajectoryStore::new(full.matched()[..split].to_vec());
+    let rest: Vec<MatchedTrajectory> = full.matched()[split..].to_vec();
+    let weights = PathWeightFunction::instantiate(&net, &base, &cfg).unwrap();
+    let live = QueryEngine::new(
+        Arc::new(HybridGraph::from_parts(&net, weights.clone(), cfg.clone())),
+        ServiceConfig::default(),
+    );
+    let mut ingestor = LiveIngestor::from_instantiated(&net, base, weights, cfg).unwrap();
+
+    let mut stages = vec![regime_stage(&live)];
+    let update = ingestor.ingest(rest).unwrap();
+    assert!(
+        update.changed() > 0,
+        "the tagged batch must change variables"
+    );
+    live.apply_update(update).unwrap();
+    stages.push(regime_stage(&live));
+    let update = ingestor
+        .retire_before(ttl_cutoff(ingestor.store(), 30))
+        .unwrap();
+    assert!(
+        !update.removed.is_empty(),
+        "the TTL cut must delete variables"
+    );
+    live.apply_update(update).unwrap();
+    stages.push(regime_stage(&live));
+    assert_eq!(stages, GOLDEN_REGIME_STAGES);
+}
+
+const GOLDEN_REGIME_STAGES: [(u64, u64, [u64; 3]); 3] = [
+    (
+        0x1a18_29be_77eb_61c4,
+        0x9095_462b_d006_3655,
+        [4146, 2748, 86],
+    ),
+    (
+        0x38e1_9b67_2a83_ac04,
+        0x38d8_91c1_efb5_ec31,
+        [5288, 3536, 156],
+    ),
+    (
+        0x15a3_4375_f878_bfc1,
+        0x3f5d_f561_2428_06dd,
+        [3310, 2206, 4],
+    ),
+];
+
+/// An answer that reads no trajectory variable — a dead-hour probe, built
+/// from speed limits alone — reports the ladder position of the view that
+/// answered it: 0 under a regime with a view of its own (even one whose own
+/// table is empty, like the dataless sub-regime 3 layered over its group's),
+/// the last rung under a regime the root answers for. Regime 4 is declared,
+/// dataless and grouped under an equally dataless regime 5, so nothing above
+/// the all-traffic table is on its ladder `4 → 5 → 0`. (The one value that
+/// differs from PR 22's parent, which reported 0 for regime 4 because it
+/// materialised a copy of the root for every declared regime.)
+#[test]
+fn a_zero_read_answer_reports_the_depth_of_the_view_that_answered() {
+    let (net, store, cfg) = tagged_fixture(401, 4);
+    let cfg = HybridConfig {
+        regimes: cfg.regimes.with_group(RegimeId(4), RegimeId(5)),
+        ..cfg
+    };
+    let weights = PathWeightFunction::instantiate(&net, &store, &cfg).unwrap();
+    let dead = (0..48u16)
+        .map(pathcost::core::IntervalId)
+        .find(|i| weights.variables().iter().all(|v| v.interval != *i))
+        .expect("the tiny preset leaves some half hour without traffic");
+    let path = weights.variables()[0].path.clone();
+    let engine = QueryEngine::new(
+        Arc::new(HybridGraph::from_parts(&net, weights, cfg)),
+        ServiceConfig::default(),
+    );
+    for (regime, depth) in [(0, 0), (1, 0), (3, 0), (4, 2), (9, 1)] {
+        let request = QueryRequest::EstimateDistribution {
+            path: path.clone(),
+            departure: engine.canonical_departure(dead),
+            regime: RegimeId(regime),
+        };
+        for ask in ["miss", "hit"] {
+            let stats = engine.execute(&request).expect("engine answers").stats;
+            assert_eq!(stats.max_fallback_depth, depth, "regime {regime}, {ask}");
         }
     }
 }

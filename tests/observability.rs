@@ -270,10 +270,15 @@ fn trace_ids_propagate_and_spans_are_retrievable() {
             .and_then(Json::as_u64)
             .expect("total_us");
         let spans = ours.get("spans_us").expect("spans_us object");
-        let eval = spans.get("eval").and_then(Json::as_u64).unwrap_or(0);
-        let write = spans.get("write").and_then(Json::as_u64).unwrap_or(0);
-        assert!(eval > 0, "eval span must be recorded: {body}");
-        assert!(write > 0, "write span must be recorded: {body}");
+        let span = |stage: &str| spans.get(stage).and_then(Json::as_u64).unwrap_or(0);
+        // The estimate's work lands in `warm` (which fills the cache) or in
+        // `eval`; in release mode the other of the two is a sub-microsecond
+        // cache hit and is left out of the breakdown.
+        assert!(
+            span("warm") + span("eval") > 0,
+            "the estimate's span must be recorded: {body}"
+        );
+        assert!(span("write") > 0, "write span must be recorded: {body}");
         let span_sum: u64 = [
             "parse",
             "queue",
@@ -284,7 +289,7 @@ fn trace_ids_propagate_and_spans_are_retrievable() {
             "write",
         ]
         .iter()
-        .filter_map(|s| spans.get(s).and_then(Json::as_u64))
+        .map(|s| span(s))
         .sum();
         assert!(span_sum > 0);
         // Stages are disjoint slices of the request; allow only clock
@@ -342,8 +347,14 @@ fn slow_queries_hit_the_event_log_and_the_counter() {
         .unwrap_or_else(|| panic!("no slow_query event for slow-trace-9 in log:\n{text}"));
     assert!(line.contains("\"component\":\"server\""), "{line}");
     assert!(line.contains("\"level\":\"warn\""), "{line}");
+    assert!(line.contains("\"target\":\"/query\""), "{line}");
+    assert!(line.contains("\"status\":200"), "{line}");
     assert!(line.contains("\"total_us\":"), "{line}");
-    assert!(line.contains("\"eval\":"), "{line}");
+    // The span breakdown: the estimate's work is in `warm` or in `eval`.
+    assert!(
+        line.contains("\"warm\":") || line.contains("\"eval\":"),
+        "{line}"
+    );
 }
 
 #[test]

@@ -72,7 +72,8 @@ fn best_first_matches_naive_dfs_on_preset_fixtures() {
             (Some(n), Some(f)) => {
                 // Exhaustion: neither search stopped on a cap. The incumbent
                 // bound is heuristic (incremental partial estimates versus
-                // OD-evaluated candidates — see PERFORMANCE.md §PR 3), so
+                // OD-evaluated candidates — the PR 3 caveat, see
+                // `git show d42db44:PERFORMANCE.md`), so
                 // agreement below is an empirical property of these
                 // fixtures, not a theorem; a divergence here is a real
                 // finding about the pruning rule.
