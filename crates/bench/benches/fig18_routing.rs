@@ -1,28 +1,30 @@
 //! Criterion bench for Figure 18: DFS probabilistic path queries driven by the
-//! LB, HP and OD estimators.
+//! LB, HP and OD estimators, and beside them the serving layer's search — a
+//! best-first top-2 query per pair under the OD estimator, on a budget of
+//! 1.3 × the pair's free-flow time — so the router's kernel cost regenerates
+//! on the figure's fixture.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pathcost_bench::experiment::{experiment_config, random_od_pairs, Dataset, Scale};
 use pathcost_core::{CostEstimator, HpEstimator, HybridGraph, LbEstimator, OdEstimator};
 // The figure reproduces the paper's DFS query, so it drives the retained
 // reference.
+use pathcost_roadnet::search::{fastest_path, free_flow_time_s};
 use pathcost_routing::naive::DfsRouter;
-use pathcost_routing::RouterConfig;
+use pathcost_routing::{BestFirstRouter, RouterConfig};
 use pathcost_traj::{DatasetPreset, Timestamp};
 
 fn bench_routing(c: &mut Criterion) {
     let dataset = Dataset::build(&DatasetPreset::tiny(2018));
     let cfg = experiment_config(Scale::Quick);
     let graph = HybridGraph::build(&dataset.net, &dataset.store, cfg).expect("graph builds");
-    let router = DfsRouter::new(
-        &graph,
-        RouterConfig {
-            max_expansions: 2_000,
-            max_candidates: 16,
-            max_path_edges: 60,
-        },
-    )
-    .expect("router config");
+    let config = RouterConfig {
+        max_expansions: 2_000,
+        max_candidates: 16,
+        max_path_edges: 60,
+    };
+    let router = DfsRouter::new(&graph, config.clone()).expect("router config");
+    let best_first = BestFirstRouter::new(&graph, config).expect("router config");
     let lb = LbEstimator::new(&graph);
     let hp = HpEstimator::new(&graph);
     let od = OdEstimator::new(&graph);
@@ -46,6 +48,24 @@ fn bench_routing(c: &mut Criterion) {
             );
         }
     }
+    let budgeted: Vec<_> = pairs
+        .iter()
+        .filter_map(|&(from, to)| {
+            let fastest = fastest_path(&dataset.net, from, to)?;
+            Some((from, to, 1.3 * free_flow_time_s(&dataset.net, &fastest)))
+        })
+        .collect();
+    group.bench_with_input(
+        BenchmarkId::new("OD-bestfirst-top2", "1.3xff"),
+        &budgeted,
+        |b, budgeted| {
+            b.iter(|| {
+                for &(from, to, budget_s) in budgeted {
+                    let _ = best_first.route_top_k(&od, from, to, departure, budget_s, 2);
+                }
+            })
+        },
+    );
     group.finish();
 }
 

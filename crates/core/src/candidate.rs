@@ -19,6 +19,7 @@ use pathcost_hist::HistogramNd;
 use pathcost_roadnet::Path;
 use pathcost_traj::{TimeInterval, Timestamp};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Where a selected variable came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -38,8 +39,9 @@ pub struct SelectedVariable {
     pub path: Path,
     /// The interval the variable belongs to.
     pub interval: IntervalId,
-    /// The joint distribution of the variable's path.
-    pub histogram: HistogramNd,
+    /// The joint distribution of the variable's path, shared with the weight
+    /// function's variable it was selected from.
+    pub histogram: Arc<HistogramNd>,
     /// Origin of the variable.
     pub source: CandidateSource,
 }
@@ -111,10 +113,10 @@ impl CandidateArray {
             // best overlaps the current arrival window.
             let probe_interval =
                 partition.interval_of(pathcost_traj::TimeOfDay::wrap(0.5 * (lo + hi)));
-            let unit = wp
-                .unit_histogram(edge, probe_interval)
+            let (unit, trajectory_derived) = wp
+                .unit(edge, probe_interval)
                 .ok_or(CoreError::NoDistribution)?;
-            if wp.unit_is_trajectory_derived(edge, probe_interval) {
+            if trajectory_derived {
                 trajectory_unit_reads.push((edge, probe_interval));
             }
             lo = (lo + unit.min()).min(86_400.0);
@@ -161,17 +163,17 @@ impl CandidateArray {
                 let probe_interval = partition.interval_of(pathcost_traj::TimeOfDay::wrap(
                     0.5 * (window.start + window.end),
                 ));
-                let unit = wp
-                    .unit_histogram(edge, probe_interval)
+                let (unit, trajectory_derived) = wp
+                    .unit(edge, probe_interval)
                     .ok_or(CoreError::NoDistribution)?;
-                if wp.unit_is_trajectory_derived(edge, probe_interval) {
+                if trajectory_derived {
                     trajectory_unit_reads.push((edge, probe_interval));
                 }
                 rows[k].push(SelectedVariable {
                     start: k,
                     path: Path::unit(edge),
                     interval: probe_interval,
-                    histogram: HistogramNd::from_histogram1d(&unit),
+                    histogram: Arc::new(HistogramNd::from_histogram1d(unit)),
                     source: CandidateSource::UnitFallback,
                 });
             }

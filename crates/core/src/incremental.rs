@@ -3,15 +3,26 @@
 //! Stochastic routing algorithms explore candidate paths by repeatedly
 //! extending an existing path with one more edge, and the paper notes that a
 //! cost estimation method must support this *incremental property* so the work
-//! done for the existing path can be reused. Two layers implement it here:
+//! done for the existing path can be reused. What is reused is a *chain*: the
+//! cost histogram of an edge sequence plus the arrival-time window at its
+//! end. The rule that grows one lives here once —
 //!
-//! * [`PartialEstimate`] is the path-*less* core: an [`Arc`]-shared cost
-//!   histogram plus the arrival-time window at the end of the edge chain it
-//!   describes. Extending by an edge convolves in that edge's unit
-//!   distribution at the (shifted) arrival interval. Because the histogram is
-//!   behind an `Arc`, a routing search can hold one estimate per node of a
-//!   parent-pointer tree without ever copying bucket arrays, and sharing an
-//!   estimate (e.g. into a cache) is a reference-count bump.
+//! * [`chain_start`]: the first edge contributes its unit distribution in the
+//!   interval of the departure time;
+//! * [`chain_extension`]: a further edge contributes its unit distribution in
+//!   the interval of the arrival window's midpoint, convolved in and
+//!   coarsened to 48 buckets, and the window advances by that unit's support
+//!   (clamped at midnight)
+//!
+//! — and is written against *where the histogram is kept*, not against a
+//! histogram type: the unit distribution is lent by the graph's
+//! [`WeightView`](crate::weights::WeightView), and the caller's closure
+//! convolves it into whatever storage it owns. The best-first router keeps
+//! its chains as spans of one flat arena and extends them without
+//! allocating; the two types below keep one [`Histogram1D`] per chain:
+//!
+//! * [`PartialEstimate`] is the path-*less* chain: an [`Arc`]-shared cost
+//!   histogram plus the arrival window.
 //! * [`IncrementalEstimate`] pairs a `PartialEstimate` with the concrete
 //!   [`Path`] it describes, validating adjacency and vertex-distinctness on
 //!   every extension — the safe API for callers that need the materialised
@@ -21,26 +32,79 @@
 
 use crate::error::CoreError;
 use crate::hybrid_graph::HybridGraph;
-use pathcost_hist::convolution::{convolve_with_limit, convolve_with_scratch, ConvolveScratch};
+use pathcost_hist::convolution::convolve_with_limit;
 use pathcost_hist::{HistError, Histogram1D};
 use pathcost_roadnet::{EdgeId, Path};
 use pathcost_traj::{TimeOfDay, Timestamp};
 use std::sync::Arc;
+
+/// Earliest and latest possible arrival time (seconds of day) at the end of
+/// an edge chain.
+pub type ArrivalWindow = (f64, f64);
+
+/// Buckets a chain's histogram keeps after an extension.
+const EXTENSION_BUCKETS: usize = 48;
+
+/// The first link of a chain departing at `departure`: the unit distribution
+/// of `edge` during the departure's interval, lent by the graph's view, and
+/// the arrival window at the edge's end.
+pub fn chain_start<'g>(
+    graph: &'g HybridGraph<'_>,
+    edge: EdgeId,
+    departure: Timestamp,
+) -> Result<(&'g Histogram1D, ArrivalWindow), CoreError> {
+    let tod = departure.time_of_day();
+    let unit = unit_at(graph, edge, tod)?;
+    let window = (tod.seconds() + unit.min(), tod.seconds() + unit.max());
+    Ok((unit, window))
+}
+
+/// The unit distribution of `edge` during the interval `at` falls in.
+fn unit_at<'g>(
+    graph: &'g HybridGraph<'_>,
+    edge: EdgeId,
+    at: TimeOfDay,
+) -> Result<&'g Histogram1D, CoreError> {
+    let interval = graph.weights().partition().interval_of(at);
+    let (unit, _) = graph
+        .view()
+        .unit(edge, interval)
+        .ok_or(CoreError::NoDistribution)?;
+    Ok(unit)
+}
+
+/// Extends the chain arriving within `window` by `edge`: `convolve` receives
+/// the edge's unit distribution during the interval of the window's midpoint
+/// and the bucket limit of the result, and folds the unit into the chain's
+/// histogram wherever the caller keeps it. Returns what `convolve` produced
+/// and the arrival window at the end of `edge`.
+pub fn chain_extension<'g, T>(
+    graph: &'g HybridGraph<'_>,
+    edge: EdgeId,
+    window: ArrivalWindow,
+    convolve: impl FnOnce(&'g Histogram1D, usize) -> Result<T, HistError>,
+) -> Result<(T, ArrivalWindow), CoreError> {
+    let mid_arrival = TimeOfDay::wrap(0.5 * (window.0 + window.1));
+    let unit = unit_at(graph, edge, mid_arrival)?;
+    let extended = convolve(unit, EXTENSION_BUCKETS)?;
+    let window = (
+        (window.0 + unit.min()).min(86_400.0),
+        (window.1 + unit.max()).min(86_400.0),
+    );
+    Ok((extended, window))
+}
 
 /// A path-less incremental cost distribution: the `Arc`-shared histogram of
 /// an edge chain together with the arrival-time window at its end.
 ///
 /// `PartialEstimate` performs **no adjacency or vertex-distinctness
 /// validation** — the caller guarantees that each extension edge follows the
-/// chain (a routing search tracks visited vertices itself through its search
-/// tree; [`IncrementalEstimate`] wraps this type with full [`Path`]
+/// chain ([`IncrementalEstimate`] wraps this type with full [`Path`]
 /// validation). Cloning is cheap: two machine words plus an `Arc` bump.
 #[derive(Debug, Clone)]
 pub struct PartialEstimate {
     histogram: Arc<Histogram1D>,
-    /// Earliest and latest possible arrival time (seconds of day) at the end
-    /// of the current edge chain.
-    arrival_window: (f64, f64),
+    arrival_window: ArrivalWindow,
 }
 
 impl PartialEstimate {
@@ -50,18 +114,9 @@ impl PartialEstimate {
         edge: EdgeId,
         departure: Timestamp,
     ) -> Result<Self, CoreError> {
-        let tod = departure.time_of_day();
-        let interval = graph.weights().partition().interval_of(tod);
-        let histogram = graph
-            .view()
-            .unit_histogram(edge, interval)
-            .ok_or(CoreError::NoDistribution)?;
-        let arrival_window = (
-            tod.seconds() + histogram.min(),
-            tod.seconds() + histogram.max(),
-        );
+        let (unit, arrival_window) = chain_start(graph, edge, departure)?;
         Ok(PartialEstimate {
-            histogram: Arc::new(histogram),
+            histogram: Arc::new(unit.clone()),
             arrival_window,
         })
     }
@@ -87,47 +142,17 @@ impl PartialEstimate {
     }
 
     /// Earliest and latest possible arrival (seconds of day) at the chain end.
-    pub fn arrival_window(&self) -> (f64, f64) {
+    pub fn arrival_window(&self) -> ArrivalWindow {
         self.arrival_window
     }
 
-    /// Extends the chain with one more edge, convolving in that edge's unit
-    /// distribution at the mid-window arrival interval. Uses this thread's
-    /// convolution scratch buffers.
+    /// Extends the chain with one more edge ([`chain_extension`]). Uses this
+    /// thread's convolution scratch buffers.
     pub fn extend(&self, graph: &HybridGraph<'_>, edge: EdgeId) -> Result<Self, CoreError> {
-        self.extend_inner(graph, edge, |a, unit| convolve_with_limit(a, unit, 48))
-    }
-
-    /// As [`Self::extend`], threading caller-owned scratch buffers through the
-    /// convolution so tight extension loops allocate only the result.
-    pub fn extend_with_scratch(
-        &self,
-        graph: &HybridGraph<'_>,
-        edge: EdgeId,
-        scratch: &mut ConvolveScratch,
-    ) -> Result<Self, CoreError> {
-        self.extend_inner(graph, edge, |a, unit| {
-            convolve_with_scratch(a, unit, 48, scratch)
-        })
-    }
-
-    fn extend_inner(
-        &self,
-        graph: &HybridGraph<'_>,
-        edge: EdgeId,
-        convolve: impl FnOnce(&Histogram1D, &Histogram1D) -> Result<Histogram1D, HistError>,
-    ) -> Result<Self, CoreError> {
-        let mid_arrival = TimeOfDay::wrap(0.5 * (self.arrival_window.0 + self.arrival_window.1));
-        let interval = graph.weights().partition().interval_of(mid_arrival);
-        let unit = graph
-            .view()
-            .unit_histogram(edge, interval)
-            .ok_or(CoreError::NoDistribution)?;
-        let histogram = convolve(&self.histogram, &unit)?;
-        let arrival_window = (
-            (self.arrival_window.0 + unit.min()).min(86_400.0),
-            (self.arrival_window.1 + unit.max()).min(86_400.0),
-        );
+        let (histogram, arrival_window) =
+            chain_extension(graph, edge, self.arrival_window, |unit, limit| {
+                convolve_with_limit(&self.histogram, unit, limit)
+            })?;
         Ok(PartialEstimate {
             histogram: Arc::new(histogram),
             arrival_window,
@@ -328,6 +353,85 @@ mod tests {
             .unwrap()
             .id;
         assert!(inc.extend(&graph, bad).is_err());
+    }
+
+    /// Grows `edges` from `departure` twice — as a chain of arena spans, the
+    /// way the best-first router does, and as a chain of `PartialEstimate`s —
+    /// and checks histogram and arrival window agree bit for bit after every
+    /// edge. Returns the arrival window at the end.
+    fn assert_arena_chain_matches(
+        graph: &HybridGraph<'_>,
+        edges: &[EdgeId],
+        departure: Timestamp,
+    ) -> ArrivalWindow {
+        use pathcost_hist::{ConvolveScratch, HistogramArena};
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut arena = HistogramArena::new();
+        let mut scratch = ConvolveScratch::new();
+        // Something in front, so spans do not start at offset zero.
+        arena.push(&Histogram1D::uniform(1.0, 2.0).unwrap());
+
+        let (unit, mut window) = chain_start(graph, edges[0], departure).unwrap();
+        let mut span = arena.push(unit);
+        let mut partial = PartialEstimate::start(graph, edges[0], departure).unwrap();
+        for (i, &edge) in edges.iter().enumerate() {
+            if i > 0 {
+                (span, window) = chain_extension(graph, edge, window, |unit, limit| {
+                    arena.push_convolved(span, unit, limit, &mut scratch)
+                })
+                .unwrap();
+                partial = partial.extend(graph, edge).unwrap();
+            }
+            let h = partial.histogram();
+            let bounds = |bs: &[pathcost_hist::Bucket]| {
+                bits(&bs.iter().flat_map(|b| [b.lo, b.hi]).collect::<Vec<_>>())
+            };
+            assert_eq!(bounds(arena.buckets(span)), bounds(h.buckets()), "edge {i}");
+            assert_eq!(bits(arena.probs(span)), bits(h.probs()), "edge {i}");
+            assert_eq!(
+                bits(arena.cumulative_probs(span)),
+                bits(h.cumulative_probs()),
+                "edge {i}"
+            );
+            let expected = partial.arrival_window();
+            assert_eq!(
+                (window.0.to_bits(), window.1.to_bits()),
+                (expected.0.to_bits(), expected.1.to_bits()),
+                "edge {i}"
+            );
+        }
+        window
+    }
+
+    #[test]
+    fn arena_chains_match_partial_estimates_across_intervals_and_midnight() {
+        let (net, store, cfg) = fixture();
+        let graph = HybridGraph::build(&net, &store, cfg).unwrap();
+        let partition = graph.weights().partition().clone();
+        let (query, _) = store.frequent_paths(4, 10, None)[0].clone();
+        let edges = query.edges();
+
+        // Where the data is: trajectory-derived units all the way.
+        let busy = store.occurrences_on(&query)[0].entry_time;
+        assert_arena_chain_matches(&graph, edges, busy);
+
+        // Ten seconds before an α boundary: the first edge is read in one
+        // interval, a later one in the next.
+        let boundary = partition
+            .range(partition.interval_of(busy.time_of_day()))
+            .end;
+        let before = Timestamp(boundary - 10.0);
+        let end = assert_arena_chain_matches(&graph, edges, before);
+        assert_ne!(
+            partition.interval_of(before.time_of_day()),
+            partition.interval_of(TimeOfDay::wrap(0.5 * (end.0 + end.1))),
+            "the chain must cross the interval boundary"
+        );
+
+        // Half a minute before midnight: the window clamps at 86 400 s.
+        let late = Timestamp(86_400.0 - 30.0);
+        let end = assert_arena_chain_matches(&graph, edges, late);
+        assert_eq!(end.1, 86_400.0, "the late bound must clamp");
     }
 
     #[test]

@@ -287,7 +287,7 @@ mod tests {
                 (start..start + rank).map(|e| EdgeId(e as u32)).collect(),
             ),
             interval: IntervalId(0),
-            histogram: HistogramNd::from_raw_parts(axes, cells).unwrap(),
+            histogram: std::sync::Arc::new(HistogramNd::from_raw_parts(axes, cells).unwrap()),
             source: CandidateSource::UnitFallback,
         }
     }

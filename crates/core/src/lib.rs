@@ -53,7 +53,9 @@ pub use estimator::{
     LbEstimator, OdEstimator, RdEstimator,
 };
 pub use hybrid_graph::HybridGraph;
-pub use incremental::{IncrementalEstimate, PartialEstimate};
+pub use incremental::{
+    chain_extension, chain_start, ArrivalWindow, IncrementalEstimate, PartialEstimate,
+};
 pub use interval::{DayPartition, IntervalId};
 pub use pathcost_traj::{mix_regime, RegimeClassifier, RegimeId, RegimeSchema};
 pub use variable::{InstantiatedVariable, VariableSource};

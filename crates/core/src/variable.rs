@@ -4,6 +4,7 @@ use crate::interval::IntervalId;
 use pathcost_hist::{Histogram1D, HistogramNd};
 use pathcost_roadnet::Path;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// How a random variable's distribution was obtained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -27,13 +28,49 @@ pub struct InstantiatedVariable {
     /// The interval of the day during which the distribution holds.
     pub interval: IntervalId,
     /// The joint distribution of the path's per-edge costs
-    /// (one dimension per edge; unit paths have a single dimension).
-    pub histogram: HistogramNd,
+    /// (one dimension per edge; unit paths have a single dimension). Behind
+    /// an [`Arc`] so a candidate array and a decomposition that select the
+    /// variable share it instead of copying it.
+    pub histogram: Arc<HistogramNd>,
     /// Where the distribution came from.
     pub source: VariableSource,
+    /// A unit variable's cost distribution — `histogram.marginal_1d(0)` —
+    /// derived once at construction, so the readers that ask for it per
+    /// search node or per query edge borrow it. The tables share variables
+    /// across epochs, and with them this.
+    unit: Option<Histogram1D>,
 }
 
 impl InstantiatedVariable {
+    /// A variable over `path` during `interval`. Every variable is built
+    /// here — fitted or decoded — so a unit variable always carries its
+    /// marginal.
+    pub fn new(
+        path: Path,
+        interval: IntervalId,
+        histogram: HistogramNd,
+        source: VariableSource,
+    ) -> Self {
+        let unit = if path.is_unit() {
+            histogram.marginal_1d(0).ok()
+        } else {
+            None
+        };
+        InstantiatedVariable {
+            path,
+            interval,
+            histogram: Arc::new(histogram),
+            source,
+            unit,
+        }
+    }
+
+    /// The cost distribution of a unit variable's edge; `None` for a
+    /// variable of higher rank.
+    pub fn unit_marginal(&self) -> Option<&Histogram1D> {
+        self.unit.as_ref()
+    }
+
     /// The rank of the variable: the cardinality of its path.
     pub fn rank(&self) -> usize {
         self.path.cardinality()
@@ -80,12 +117,12 @@ mod tests {
         let samples: Vec<Vec<f64>> = (0..100)
             .map(|i| vec![30.0 + (i % 5) as f64, 50.0 + (i % 7) as f64])
             .collect();
-        InstantiatedVariable {
-            path: Path::from_edges_unchecked(vec![EdgeId(0), EdgeId(1)]),
-            interval: IntervalId(16),
-            histogram: HistogramNd::from_samples(&samples, &AutoConfig::default()).unwrap(),
-            source: VariableSource::Trajectories { count: 100 },
-        }
+        InstantiatedVariable::new(
+            Path::from_edges_unchecked(vec![EdgeId(0), EdgeId(1)]),
+            IntervalId(16),
+            HistogramNd::from_samples(&samples, &AutoConfig::default()).unwrap(),
+            VariableSource::Trajectories { count: 100 },
+        )
     }
 
     #[test]
@@ -93,17 +130,19 @@ mod tests {
         let v = two_edge_variable();
         assert_eq!(v.rank(), 2);
         assert!(!v.is_unit());
-        let unit = InstantiatedVariable {
-            path: Path::unit(EdgeId(3)),
-            interval: IntervalId(0),
-            histogram: HistogramNd::from_histogram1d(
+        let unit = InstantiatedVariable::new(
+            Path::unit(EdgeId(3)),
+            IntervalId(0),
+            HistogramNd::from_histogram1d(
                 &Histogram1D::from_entries(vec![(Bucket::new(10.0, 20.0).unwrap(), 1.0)]).unwrap(),
             ),
-            source: VariableSource::SpeedLimit,
-        };
+            VariableSource::SpeedLimit,
+        );
         assert_eq!(unit.rank(), 1);
         assert!(unit.is_unit());
         assert_eq!(unit.source, VariableSource::SpeedLimit);
+        assert_eq!(unit.unit_marginal(), unit.edge_marginal(0).as_ref());
+        assert!(v.unit_marginal().is_none(), "only unit variables carry one");
     }
 
     #[test]

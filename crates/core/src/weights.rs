@@ -580,10 +580,10 @@ impl PathWeightFunction {
         self.root.get(path, interval)
     }
 
-    /// The all-traffic unit-path cost distribution of `edge` during
-    /// `interval` (see [`WeightView::unit_histogram`]).
+    /// A copy of the all-traffic unit-path cost distribution of `edge`
+    /// during `interval` (see [`WeightView::unit`], which lends it).
     pub fn unit_histogram(&self, edge: EdgeId, interval: IntervalId) -> Option<Histogram1D> {
-        self.root.unit_histogram(edge, interval)
+        self.root.unit(edge, interval).map(|(unit, _)| unit.clone())
     }
 
     /// Summary statistics of the all-traffic table.
@@ -1191,15 +1191,101 @@ mod tests {
         assert_regime_identical(&auto.weights, &refit.weights);
     }
 
+    /// Checks that every unit variable of every table carries
+    /// `histogram.marginal_1d(0)` bit for bit — and that the views lend that
+    /// very histogram — and no other variable carries one. Returns how many
+    /// unit variables it saw.
+    fn assert_units_carried(wp: &PathWeightFunction) -> usize {
+        let bits = |h: &Histogram1D| -> Vec<u64> {
+            let bounds = h.buckets().iter().flat_map(|b| [b.lo, b.hi]);
+            bounds
+                .chain(h.probs().iter().copied())
+                .chain(h.cumulative_probs().iter().copied())
+                .map(f64::to_bits)
+                .collect()
+        };
+        let mut units = 0;
+        for (regime, table) in wp.tables() {
+            for v in table {
+                let Some(carried) = v.unit_marginal() else {
+                    assert!(!v.is_unit(), "a unit variable without its marginal");
+                    continue;
+                };
+                assert!(v.is_unit());
+                assert_eq!(bits(carried), bits(&v.histogram.marginal_1d(0).unwrap()));
+                // The view of the table's own regime resolves the key from
+                // this table (nearest rung) and lends the carried histogram.
+                let (lent, trajectory_derived) = wp
+                    .view(*regime)
+                    .unit(v.path.first_edge(), v.interval)
+                    .unwrap();
+                assert!(trajectory_derived);
+                if wp.view(*regime).regime() == *regime {
+                    assert!(std::ptr::eq(lent, carried));
+                }
+                units += 1;
+            }
+        }
+        units
+    }
+
+    #[test]
+    fn unit_variables_carry_their_marginal_after_instantiate_and_rederive() {
+        let (net, untagged) = DatasetPreset::tiny(31).materialise().unwrap();
+        let cfg = HybridConfig {
+            beta: 10,
+            ..HybridConfig::default()
+        }
+        .with_regimes(grouped_schema());
+        let store = tag_store(&untagged, untagged.len() / 2);
+        // A small batch, so most keys stay clean.
+        let split = store.len() - 5;
+        let mut base = TrajectoryStore::new(store.matched()[..split].to_vec());
+        let batch = store.matched()[split..].to_vec();
+        let wp = PathWeightFunction::instantiate(&net, &base, &cfg).unwrap();
+        assert!(
+            wp.tables().len() > 1,
+            "own tables beside the all-traffic one"
+        );
+        let before = assert_units_carried(&wp);
+        assert!(before > 0);
+
+        let partition = DayPartition::new(cfg.alpha_minutes).unwrap();
+        let dirty = dirty_keys_by_regime(&batch, &partition, cfg.max_rank, &cfg.regimes);
+        base.append(batch);
+        let update = wp.rederive_regimes(&net, &base, &cfg, &dirty).unwrap();
+        assert!(update.changed() > 0);
+        assert!(assert_units_carried(&update.weights) >= before);
+        // A variable the update did not re-fit is the same allocation in
+        // both epochs, its marginal with it.
+        let shared = update
+            .weights
+            .variables()
+            .iter()
+            .any(|new| new.is_unit() && wp.variables().iter().any(|old| Arc::ptr_eq(old, new)));
+        assert!(shared, "epochs share untouched unit variables");
+    }
+
+    #[test]
+    fn a_fallback_unit_is_lent_from_the_network_wide_map() {
+        let (net, _, wp) = build();
+        let interval = IntervalId(3); // 01:30–02:00, no data
+        let edge = net.edges()[0].id;
+        let (lent, trajectory_derived) = wp.root.unit(edge, interval).unwrap();
+        assert!(!trajectory_derived);
+        assert!(std::ptr::eq(lent, &wp.fallback_units()[&edge]));
+        assert!(wp.root.unit(EdgeId(u32::MAX), interval).is_none());
+    }
+
     /// A stand-in variable for `key`, told apart by `marker`.
     fn stub(key: &VariableKey, marker: usize) -> Arc<InstantiatedVariable> {
         let unit = Histogram1D::uniform(0.0, 1.0).unwrap();
-        Arc::new(InstantiatedVariable {
-            path: Path::from_edges_unchecked(key.0.clone()),
-            interval: key.1,
-            histogram: pathcost_hist::HistogramNd::from_histogram1d(&unit),
-            source: VariableSource::Trajectories { count: marker },
-        })
+        Arc::new(InstantiatedVariable::new(
+            Path::from_edges_unchecked(key.0.clone()),
+            key.1,
+            pathcost_hist::HistogramNd::from_histogram1d(&unit),
+            VariableSource::Trajectories { count: marker },
+        ))
     }
 
     /// 36 keys over a small alphabet, so deltas hit stored keys often:

@@ -29,12 +29,8 @@ pub(super) fn fit_variable(
     } else {
         HistogramNd::from_samples_with_scratch(rows, &cfg.auto, scratch)?
     };
-    Ok(InstantiatedVariable {
-        path,
-        interval,
-        histogram,
-        source: VariableSource::Trajectories { count: rows.len() },
-    })
+    let source = VariableSource::Trajectories { count: rows.len() };
+    Ok(InstantiatedVariable::new(path, interval, histogram, source))
 }
 
 /// Fewest keys that are worth a worker of their own: below twice this many a

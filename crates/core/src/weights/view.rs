@@ -1,5 +1,13 @@
 //! What a regime reads of the weight function: its fallback ladder's tables,
 //! layered so the nearest table that instantiated a key answers for it.
+//!
+//! Reading is borrowing. A lookup hashes the caller's edge slice as it
+//! stands — no key is built — and a unit distribution
+//! ([`WeightView::unit`]) is a reference to the marginal its variable carries
+//! or to the network's speed-limit fallback, so the routing search's
+//! per-node extension and the candidate array's per-edge probes allocate
+//! nothing here. A view holds nothing per edge of the network: its indices
+//! are proportional to the variables it layers, as before.
 
 use super::{key_of, Table, WeightStats};
 use crate::interval::IntervalId;
@@ -22,8 +30,10 @@ pub struct WeightView {
     variables: Table,
     /// The table each variable came from, parallel to `variables`.
     sources: Vec<RegimeId>,
-    /// Exact lookup: (path edges, interval) → variable index.
-    index: HashMap<(Vec<EdgeId>, IntervalId), usize>,
+    /// Exact lookup: path edges → the `(interval, variable index)` of every
+    /// variable over that path, in interval order. Keyed by the edges alone
+    /// so a probe borrows its slice.
+    index: HashMap<Vec<EdgeId>, Vec<(IntervalId, usize)>>,
     /// All variable indices whose path starts with the given edge.
     by_first_edge: HashMap<EdgeId, Vec<usize>>,
     /// Speed-limit-derived fallback distribution per edge (one allocation
@@ -57,7 +67,7 @@ impl WeightView {
         rows.sort_by(|a, b| key_of(a.0).cmp(&key_of(b.0)));
         rows.dedup_by(|further, nearest| key_of(further.0) == key_of(nearest.0));
 
-        let mut index = HashMap::with_capacity(rows.len());
+        let mut index: HashMap<Vec<EdgeId>, Vec<(IntervalId, usize)>> = HashMap::new();
         let mut by_first_edge: HashMap<EdgeId, Vec<usize>> = HashMap::new();
         let mut count_by_rank: BTreeMap<usize, usize> = BTreeMap::new();
         let mut entropy_sum: BTreeMap<usize, f64> = BTreeMap::new();
@@ -68,7 +78,12 @@ impl WeightView {
                 .entry(var.path.first_edge())
                 .or_default()
                 .push(idx);
-            index.insert((var.path.edges().to_vec(), var.interval), idx);
+            match index.get_mut(var.path.edges()) {
+                Some(intervals) => intervals.push((var.interval, idx)),
+                None => {
+                    index.insert(var.path.edges().to_vec(), vec![(var.interval, idx)]);
+                }
+            }
             *count_by_rank.entry(var.rank()).or_insert(0) += 1;
             *entropy_sum.entry(var.rank()).or_insert(0.0) += var.entropy();
             covered.extend(var.path.edges().iter().copied());
@@ -117,19 +132,25 @@ impl WeightView {
         self.sources[index]
     }
 
-    fn index_of(&self, path: &Path, interval: IntervalId) -> Option<usize> {
-        self.index.get(&(path.edges().to_vec(), interval)).copied()
+    fn index_of(&self, edges: &[EdgeId], interval: IntervalId) -> Option<usize> {
+        let intervals = self.index.get(edges)?;
+        let at = intervals
+            .binary_search_by_key(&interval, |&(i, _)| i)
+            .ok()?;
+        Some(intervals[at].1)
     }
 
     /// Exact lookup `W_P(P, I_j)`: the trajectory-derived variable for this
     /// path and interval, if a table on the ladder instantiated one.
     pub fn get(&self, path: &Path, interval: IntervalId) -> Option<&InstantiatedVariable> {
-        self.index_of(path, interval).map(|i| self.variable(i))
+        self.index_of(path.edges(), interval)
+            .map(|i| self.variable(i))
     }
 
     /// The table this key resolves from, when the key is instantiated.
     pub fn source_of(&self, path: &Path, interval: IntervalId) -> Option<RegimeId> {
-        self.index_of(path, interval).map(|i| self.sources[i])
+        self.index_of(path.edges(), interval)
+            .map(|i| self.sources[i])
     }
 
     /// Indices of all variables whose path starts with `edge`.
@@ -140,20 +161,16 @@ impl WeightView {
             .unwrap_or(&[])
     }
 
-    /// The unit-path cost distribution of `edge` during `interval`: the
-    /// trajectory-derived one when it exists, otherwise the speed-limit
-    /// fallback. Every edge of the network always has a unit distribution.
-    pub fn unit_histogram(&self, edge: EdgeId, interval: IntervalId) -> Option<Histogram1D> {
-        if let Some(var) = self.get(&Path::unit(edge), interval) {
-            return var.histogram.marginal_1d(0).ok();
+    /// The unit-path cost distribution of `edge` during `interval`, borrowed
+    /// from the view, and whether it is trajectory-derived: the marginal of
+    /// the edge's unit variable when a table on the ladder instantiated one
+    /// (`true`), otherwise the speed-limit fallback (`false`). Every edge of
+    /// the network always has a unit distribution.
+    pub fn unit(&self, edge: EdgeId, interval: IntervalId) -> Option<(&Histogram1D, bool)> {
+        match self.index_of(&[edge], interval) {
+            Some(i) => self.variables[i].unit_marginal().map(|unit| (unit, true)),
+            None => self.fallback_units.get(&edge).map(|unit| (unit, false)),
         }
-        self.fallback_units.get(&edge).cloned()
-    }
-
-    /// `true` when the unit distribution for this edge and interval comes from
-    /// trajectories rather than the speed-limit fallback.
-    pub fn unit_is_trajectory_derived(&self, edge: EdgeId, interval: IntervalId) -> bool {
-        self.get(&Path::unit(edge), interval).is_some()
     }
 
     /// Summary statistics of the view's variables.

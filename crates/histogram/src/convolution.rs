@@ -11,9 +11,15 @@
 //!
 //! All buffers live in a [`ConvolveScratch`]; the scratch-free entry points
 //! reuse a thread-local one, so steady-state convolution allocates only the
-//! final [`Histogram1D`]. Callers convolving in a loop (incremental routing,
-//! the batch executor's prefix sharing) can thread their own scratch through
-//! the `*_with_scratch` variants.
+//! final [`Histogram1D`]. Callers convolving in a loop can thread their own
+//! scratch through the `*_with_scratch` variants.
+//!
+//! The kernel itself is slice-shaped: it reads `(buckets, masses)` operand
+//! slices and leaves the disjoint coarsened product in the scratch, from
+//! where one normalisation routine lays it out either as a fresh
+//! [`Histogram1D`] ([`convolve_with_scratch`]) or at the end of a
+//! [`crate::HistogramArena`] (`push_convolved`, the routing search's
+//! per-node extension, which allocates nothing) — the same bits either way.
 
 use crate::bucket::Bucket;
 use crate::error::HistError;
@@ -41,6 +47,18 @@ impl ConvolveScratch {
     /// An empty scratch; buffers grow on first use and are then reused.
     pub fn new() -> Self {
         ConvolveScratch::default()
+    }
+
+    /// Convolves the operand slices, coarsening to `max_buckets`, and returns
+    /// the disjoint sorted *unnormalised* product, which stays in the scratch.
+    pub(crate) fn convolve(
+        &mut self,
+        a: (&[Bucket], &[f64]),
+        b: (&[Bucket], &[f64]),
+        max_buckets: usize,
+    ) -> Result<&[(Bucket, f64)], HistError> {
+        convolve_core(a, b, max_buckets, &mut self.sweep)?;
+        Ok(&self.sweep.entries)
     }
 }
 
@@ -134,13 +152,12 @@ pub fn convolve_with_scratch(
     max_buckets: usize,
     scratch: &mut ConvolveScratch,
 ) -> Result<Histogram1D, HistError> {
-    convolve_core(
+    let product = scratch.convolve(
         (a.buckets(), a.probs()),
         (b.buckets(), b.probs()),
         max_buckets,
-        &mut scratch.sweep,
     )?;
-    Histogram1D::from_disjoint_entries(&scratch.sweep.entries)
+    Histogram1D::from_disjoint_entries(product)
 }
 
 /// Convolves a sequence of independent cost histograms (left to right).

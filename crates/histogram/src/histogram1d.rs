@@ -65,16 +65,18 @@ impl Histogram1D {
     /// Skips the sorting and overlap validation of [`Self::from_entries`] —
     /// callers guarantee both by construction.
     pub(crate) fn from_disjoint_entries(entries: &[(Bucket, f64)]) -> Result<Self, HistError> {
-        if entries.is_empty() {
-            return Err(HistError::EmptyInput);
-        }
-        let total: f64 = entries.iter().map(|&(_, m)| m).sum();
-        if total <= 0.0 {
-            return Err(HistError::InvalidProbability(total));
-        }
-        let buckets = entries.iter().map(|&(b, _)| b).collect();
-        let probs = entries.iter().map(|&(_, m)| m / total).collect();
-        Ok(Histogram1D::assemble(buckets, probs))
+        let n = entries.len();
+        let (mut buckets, mut probs, mut cum) = (
+            Vec::with_capacity(n),
+            Vec::with_capacity(n),
+            Vec::with_capacity(n),
+        );
+        append_normalised(entries, (&mut buckets, &mut probs, &mut cum))?;
+        Ok(Histogram1D {
+            buckets,
+            probs,
+            cum,
+        })
     }
 
     /// As [`Self::from_disjoint_entries`], from parallel bucket/mass slices.
@@ -287,16 +289,9 @@ impl Histogram1D {
         &self.cum
     }
 
-    /// Index of the first bucket whose upper bound exceeds `x`, i.e. the
-    /// bucket containing `x` when one does.
-    #[inline]
-    fn bucket_index_above(&self, x: f64) -> usize {
-        self.buckets.partition_point(|b| b.hi <= x)
-    }
-
     /// Probability density at `x` (uniform within each bucket).
     pub fn pdf_at(&self, x: f64) -> f64 {
-        let idx = self.bucket_index_above(x);
+        let idx = bucket_index_above(&self.buckets, x);
         match self.buckets.get(idx) {
             Some(b) if b.contains(x) => self.probs[idx] / b.width(),
             _ => 0.0,
@@ -305,8 +300,7 @@ impl Histogram1D {
 
     /// `P(cost ≤ x)`, by binary search over the cumulative array.
     pub fn prob_leq(&self, x: f64) -> f64 {
-        let idx = self.bucket_index_above(x);
-        cdf_at_index(&self.buckets, &self.probs, &self.cum, idx, x)
+        prob_leq_of(&self.buckets, &self.probs, &self.cum, x)
     }
 
     /// `P(lo ≤ cost < hi)`, as the CDF difference of the window bounds.
@@ -398,10 +392,52 @@ impl Histogram1D {
     }
 }
 
+/// Normalises the disjoint sorted `(bucket, mass)` entries a sweep/coarsen
+/// kernel produced and appends them — bounds, probabilities and cumulative
+/// probabilities, the latter summed left to right from zero — to the three
+/// arrays of a histogram layout: a fresh [`Histogram1D`]'s, or the end of a
+/// [`crate::HistogramArena`]. Nothing is appended on an error.
+pub(crate) fn append_normalised(
+    entries: &[(Bucket, f64)],
+    (buckets, probs, cum): (&mut Vec<Bucket>, &mut Vec<f64>, &mut Vec<f64>),
+) -> Result<(), HistError> {
+    if entries.is_empty() {
+        return Err(HistError::EmptyInput);
+    }
+    let total: f64 = entries.iter().map(|&(_, m)| m).sum();
+    if total <= 0.0 {
+        return Err(HistError::InvalidProbability(total));
+    }
+    let mut acc = 0.0f64;
+    for &(b, m) in entries {
+        let p = m / total;
+        acc += p;
+        buckets.push(b);
+        probs.push(p);
+        cum.push(acc);
+    }
+    Ok(())
+}
+
+/// Index of the first bucket whose upper bound exceeds `x`, i.e. the bucket
+/// containing `x` when one does.
+#[inline]
+fn bucket_index_above(buckets: &[Bucket], x: f64) -> usize {
+    buckets.partition_point(|b| b.hi <= x)
+}
+
+/// `P(cost ≤ x)` of the histogram laid out in `(buckets, probs, cum)`, by
+/// binary search over the cumulative array.
+#[inline]
+pub(crate) fn prob_leq_of(buckets: &[Bucket], probs: &[f64], cum: &[f64], x: f64) -> f64 {
+    cdf_at_index(buckets, probs, cum, bucket_index_above(buckets, x), x)
+}
+
 /// `P(cost ≤ x)` of the histogram laid out in `(buckets, probs, cum)` — the
-/// arrays of a [`Histogram1D`], or the Auto fit kernel's scratch copy of one —
-/// given `idx`, the index of the first bucket whose upper bound exceeds `x`
-/// (the bucket containing `x` when one does).
+/// arrays of a [`Histogram1D`], a span of a [`crate::HistogramArena`], or the
+/// Auto fit kernel's scratch copy of one — given `idx`, the index of the
+/// first bucket whose upper bound exceeds `x` (the bucket containing `x` when
+/// one does).
 #[inline]
 pub(crate) fn cdf_at_index(
     buckets: &[Bucket],

@@ -17,6 +17,8 @@
 //! * [`convolution`] — independent-sum convolution of 1-D histograms (the
 //!   legacy-baseline substrate), built on the sweep-line kernel of the
 //!   private `sweep` module with reusable [`ConvolveScratch`] buffers,
+//! * [`HistogramArena`] — many 1-D histograms in three flat arrays, extended
+//!   by convolution without allocating (a routing search's partial paths),
 //! * [`rebucket`] — overlapping entries → at most `n` disjoint buckets on a
 //!   reusable [`RebucketScratch`] (the joint chain's state merge),
 //! * [`naive`] — the retained pre-optimisation reference implementations the
@@ -25,6 +27,7 @@
 //! * [`standard`] — Gaussian / Gamma / Exponential maximum-likelihood fits for
 //!   the Figure 11(a) comparison.
 
+pub mod arena;
 pub mod auto;
 pub mod bucket;
 pub mod convolution;
@@ -40,6 +43,7 @@ pub mod standard;
 mod sweep;
 pub mod voptimal;
 
+pub use arena::{HistogramArena, Span};
 pub use auto::{AutoConfig, BucketSelection, FitScratch};
 pub use bucket::Bucket;
 pub use convolution::{convolve, convolve_many, ConvolveScratch};

@@ -260,7 +260,9 @@ impl HistogramNd {
             }
         }
         let axes: Vec<Vec<Bucket>> = dims.iter().map(|&d| self.axes[d].clone()).collect();
-        let mut acc: std::collections::HashMap<Vec<u32>, f64> = std::collections::HashMap::new();
+        // Ordered, so the normalising total below adds the cells up in key
+        // order: a marginal is a pure function of the histogram, bit for bit.
+        let mut acc: std::collections::BTreeMap<Vec<u32>, f64> = std::collections::BTreeMap::new();
         for (key, p) in &self.cells {
             let projected: Vec<u32> = dims.iter().map(|&d| key[d]).collect();
             *acc.entry(projected).or_insert(0.0) += p;

@@ -879,6 +879,29 @@ mod tests {
         let rebuilt = PathWeightFunction::instantiate(&net, &store, &fixture().2).unwrap();
         assert_eq!(r.weights().variables(), rebuilt.variables());
         assert_eq!(r.weights().stats(), rebuilt.stats());
+        // The image stores no unit marginal: a decoded unit variable derives
+        // the one it carries, bit for bit what the fitted one carries.
+        let bits = |h: &Histogram1D| -> Vec<u64> {
+            let bounds = h.buckets().iter().flat_map(|b| [b.lo, b.hi]);
+            bounds
+                .chain(h.probs().iter().copied())
+                .chain(h.cumulative_probs().iter().copied())
+                .map(f64::to_bits)
+                .collect()
+        };
+        let mut units = 0;
+        for (decoded, fitted) in r.weights().variables().iter().zip(rebuilt.variables()) {
+            assert_eq!(decoded.unit_marginal().is_some(), decoded.is_unit());
+            if let Some(carried) = decoded.unit_marginal() {
+                assert_eq!(
+                    bits(carried),
+                    bits(&decoded.histogram.marginal_1d(0).unwrap())
+                );
+                assert_eq!(bits(carried), bits(fitted.unit_marginal().unwrap()));
+                units += 1;
+            }
+        }
+        assert!(units > 0);
         fs::remove_dir_all(&dir).unwrap();
     }
 

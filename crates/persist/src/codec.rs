@@ -292,12 +292,7 @@ fn read_variable(c: &mut Cursor<'_>) -> Result<InstantiatedVariable, PersistErro
         }
     };
     let histogram = read_histogram_nd(c)?;
-    Ok(InstantiatedVariable {
-        path,
-        interval,
-        histogram,
-        source,
-    })
+    Ok(InstantiatedVariable::new(path, interval, histogram, source))
 }
 
 /// Encodes the variable list plus per-edge fallbacks of a weight function.

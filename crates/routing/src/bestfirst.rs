@@ -6,11 +6,23 @@
 //! maximises the probability of arriving within the budget. The search here
 //! is rebuilt for throughput:
 //!
-//! * **Parent-pointer arena** — partial paths live as nodes in a slab, each
-//!   holding only its last edge, its end vertex and an `Arc`-shared
-//!   [`PartialEstimate`]. No `Path` is cloned per expansion; a concrete edge
-//!   sequence is materialised (by walking parent pointers) only for complete
-//!   candidates that reach the destination.
+//! * **A node is a slice** — partial paths live as nodes in a slab, each
+//!   holding its last edge, its end vertex, its arrival window and the
+//!   [`Span`] of its cost histogram in one flat [`HistogramArena`]. Extending
+//!   a node ("path + another edge") convolves the parent's span with the unit
+//!   distribution the weight view *lends* and appends the result to the
+//!   arena; a child the budget or the incumbent rejects is popped off again.
+//!   No `Path`, no `Histogram1D` and no `Arc` is made per node; a concrete
+//!   edge sequence is materialised (by walking parent pointers) only for
+//!   complete candidates that reach the destination. The rule that grows a
+//!   chain is [`pathcost_core::chain_extension`], the one
+//!   `PartialEstimate::extend` follows, and the arena's kernels are the
+//!   ones behind `Histogram1D`, so every bound is bit for bit what a
+//!   per-node histogram would give.
+//! * **Per-thread scratch** — the slab, the arena, the frontier heap, the
+//!   convolution buffers and the visited marks belong to the thread and are
+//!   reused by its next search: a warmed thread searches without allocating,
+//!   whatever the number of expansions (`tests/routing_allocations.rs`).
 //! * **Best-first frontier** — instead of a depth-first stack, a max-heap
 //!   orders open nodes by their *optimistic within-budget probability*
 //!   `P(partial cost ≤ budget − lb(v))`, where `lb(v)` is the admissible
@@ -33,13 +45,14 @@
 //! shared histograms without copying them.
 
 use crate::error::RoutingError;
-use crate::freeflow::FreeFlowCache;
+use crate::freeflow::{DestinationIndex, FreeFlowCache};
 use crate::query::prob_within_budget;
-use pathcost_core::{CostEstimator, HybridGraph, PartialEstimate};
-use pathcost_hist::{ConvolveScratch, Histogram1D};
+use pathcost_core::{chain_extension, chain_start, ArrivalWindow, CostEstimator, HybridGraph};
+use pathcost_hist::{ConvolveScratch, Histogram1D, HistogramArena, Span};
 use pathcost_roadnet::{EdgeId, Path, RoadNetwork, VertexId};
 use pathcost_traj::Timestamp;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -100,13 +113,15 @@ pub struct SearchTelemetry {
 
 const NIL: usize = usize::MAX;
 
-/// One partial path: its last edge plus a parent pointer into the arena.
+/// One partial path: its last edge plus a parent pointer into the slab, and
+/// where its cost histogram sits in the search's arena.
 struct Node {
     parent: usize,
     edge: EdgeId,
     at: VertexId,
     depth: u32,
-    estimate: PartialEstimate,
+    histogram: Span,
+    arrival_window: ArrivalWindow,
 }
 
 /// A heap entry for an open node. Max-ordered by optimistic within-budget
@@ -213,6 +228,45 @@ impl IncumbentList {
         }
         self.ranked.truncate(self.k);
     }
+}
+
+/// What one search builds and throws away, kept by its thread for the next:
+/// the node slab, the nodes' histograms, the frontier, the convolution
+/// buffers and the visited marks.
+#[derive(Default)]
+struct SearchScratch {
+    nodes: Vec<Node>,
+    histograms: HistogramArena,
+    heap: BinaryHeap<Open>,
+    convolve: ConvolveScratch,
+    /// Epoch-marked visited array: one pass down the parent chain marks the
+    /// expanded node's vertices with a fresh epoch, then each successor is
+    /// an O(1) check. Epochs only grow, so marks left by earlier searches
+    /// (of any network) never match.
+    visit_mark: Vec<u64>,
+    epoch: u64,
+}
+
+/// Nodes and histogram buckets a thread keeps allocated between searches —
+/// several times what the benchmark's largest search touches. One search at
+/// the default expansion limit can grow the scratch to tens of megabytes;
+/// that much is given back rather than pinned to the thread.
+const RETAINED_NODES: usize = 1 << 14;
+const RETAINED_BUCKETS: usize = 1 << 16;
+
+impl SearchScratch {
+    /// Empties the scratch for the next search.
+    fn reset(&mut self) {
+        self.nodes.clear();
+        self.nodes.shrink_to(RETAINED_NODES);
+        self.heap.clear();
+        self.heap.shrink_to(RETAINED_NODES);
+        self.histograms.clear_and_shrink_to(RETAINED_BUCKETS);
+    }
+}
+
+thread_local! {
+    static SCRATCH: RefCell<SearchScratch> = RefCell::default();
 }
 
 /// Best-first probabilistic path router over a hybrid graph.
@@ -369,30 +423,57 @@ impl<'g, 'n> BestFirstRouter<'g, 'n> {
         let net = self.graph.network();
         validate_route(net, source, destination, k)?;
         let index = self.free_flow.destination(destination);
-        let lower_bound = index.lower_bound();
-        if !lower_bound[source.index()].is_finite() {
+        if !index.lower_bound()[source.index()].is_finite() {
             return Err(RoutingError::Unreachable);
         }
+        // Taken rather than borrowed for the search: the estimator is the
+        // caller's code and may itself route on this thread.
+        let mut scratch = SCRATCH.with(RefCell::take);
+        let outcome = self.search(
+            &mut scratch,
+            &index,
+            estimator,
+            (source, destination),
+            departure,
+            budget_s,
+            k,
+            cancel,
+        );
+        scratch.reset();
+        SCRATCH.with(|cell| cell.replace(scratch));
+        outcome
+    }
 
+    /// The search loop, on a scratch it may assume empty.
+    #[allow(clippy::too_many_arguments)]
+    fn search(
+        &self,
+        scratch: &mut SearchScratch,
+        index: &DestinationIndex,
+        estimator: &dyn CostEstimator,
+        (source, destination): (VertexId, VertexId),
+        departure: Timestamp,
+        budget_s: f64,
+        k: usize,
+        cancel: &dyn Fn() -> bool,
+    ) -> Result<(Vec<RouteResult>, SearchTelemetry), RoutingError> {
+        let net = self.graph.network();
+        let lower_bound = index.lower_bound();
         let mut telemetry = SearchTelemetry::default();
-        let mut arena: Vec<Node> = Vec::new();
-        let mut heap: BinaryHeap<Open> = BinaryHeap::new();
         let mut seq: u64 = 0;
-        let mut scratch = ConvolveScratch::new();
-        // Epoch-marked visited array: one pass down the parent chain marks
-        // the expanded node's vertices, then each successor is an O(1) check.
-        let mut visit_mark: Vec<u64> = vec![0; net.vertex_count()];
-        let mut epoch: u64 = 0;
         let mut best = IncumbentList::new(k);
+        if scratch.visit_mark.len() < net.vertex_count() {
+            scratch.visit_mark.resize(net.vertex_count(), 0);
+        }
 
         for &edge in index.successors(source) {
             let end = net.edge(edge)?.to;
-            let Ok(estimate) = PartialEstimate::start(self.graph, edge, departure) else {
+            let Ok((unit, arrival_window)) = chain_start(self.graph, edge, departure) else {
                 continue; // no unit distribution for this edge
             };
+            let histogram = scratch.histograms.push(unit);
             admit(
-                &mut arena,
-                &mut heap,
+                scratch,
                 &mut seq,
                 &mut telemetry,
                 &best,
@@ -403,12 +484,13 @@ impl<'g, 'n> BestFirstRouter<'g, 'n> {
                     edge,
                     at: end,
                     depth: 1,
-                    estimate,
+                    histogram,
+                    arrival_window,
                 },
             );
         }
 
-        while let Some(Open { bound, node, .. }) = heap.pop() {
+        while let Some(Open { bound, node, .. }) = scratch.heap.pop() {
             if cancel() {
                 return Err(RoutingError::Cancelled);
             }
@@ -425,12 +507,18 @@ impl<'g, 'n> BestFirstRouter<'g, 'n> {
                     continue;
                 }
             }
-            let (at, depth) = (arena[node].at, arena[node].depth);
+            let Node {
+                at,
+                depth,
+                histogram: parent_histogram,
+                arrival_window: parent_window,
+                ..
+            } = scratch.nodes[node];
             if at == destination {
                 // Complete candidate: materialise the path and evaluate its
                 // distribution with the real estimator.
                 telemetry.evaluated_candidates += 1;
-                let path = materialise(&arena, node);
+                let path = materialise(&scratch.nodes, node);
                 let distribution = estimator.estimate_arc(&path, departure)?;
                 let probability = prob_within_budget(&distribution, budget_s);
                 let mean = distribution.mean();
@@ -447,30 +535,36 @@ impl<'g, 'n> BestFirstRouter<'g, 'n> {
             }
             // Mark the vertices of this partial path (plus the source) so
             // successors closing a cycle are rejected in O(1).
-            epoch += 1;
-            visit_mark[source.index()] = epoch;
+            scratch.epoch += 1;
+            let epoch = scratch.epoch;
+            scratch.visit_mark[source.index()] = epoch;
             let mut cursor = node;
             loop {
-                visit_mark[arena[cursor].at.index()] = epoch;
-                if arena[cursor].parent == NIL {
+                scratch.visit_mark[scratch.nodes[cursor].at.index()] = epoch;
+                if scratch.nodes[cursor].parent == NIL {
                     break;
                 }
-                cursor = arena[cursor].parent;
+                cursor = scratch.nodes[cursor].parent;
             }
-            let parent_estimate = arena[node].estimate.clone();
             for &edge in index.successors(at) {
                 let end = net.edge(edge)?.to;
-                if visit_mark[end.index()] == epoch {
+                if scratch.visit_mark[end.index()] == epoch {
                     continue; // would revisit a vertex
                 }
-                let Ok(extended) =
-                    parent_estimate.extend_with_scratch(self.graph, edge, &mut scratch)
+                let SearchScratch {
+                    histograms,
+                    convolve,
+                    ..
+                } = scratch;
+                let Ok((histogram, arrival_window)) =
+                    chain_extension(self.graph, edge, parent_window, |unit, max_buckets| {
+                        histograms.push_convolved(parent_histogram, unit, max_buckets, convolve)
+                    })
                 else {
                     continue; // no unit distribution for this edge
                 };
                 admit(
-                    &mut arena,
-                    &mut heap,
+                    scratch,
                     &mut seq,
                     &mut telemetry,
                     &best,
@@ -481,7 +575,8 @@ impl<'g, 'n> BestFirstRouter<'g, 'n> {
                         edge,
                         at: end,
                         depth: depth + 1,
-                        estimate: extended,
+                        histogram,
+                        arrival_window,
                     },
                 );
             }
@@ -503,12 +598,11 @@ impl<'g, 'n> BestFirstRouter<'g, 'n> {
     }
 }
 
-/// Applies the budget and incumbent prunes to a prospective node and, when it
-/// survives, stores it in the arena and opens it on the frontier.
-#[allow(clippy::too_many_arguments)]
+/// Applies the budget and incumbent prunes to a prospective node, whose
+/// histogram is the newest of the arena, and either stores it in the slab and
+/// opens it on the frontier or pops its histogram off again.
 fn admit(
-    arena: &mut Vec<Node>,
-    heap: &mut BinaryHeap<Open>,
+    scratch: &mut SearchScratch,
     seq: &mut u64,
     telemetry: &mut SearchTelemetry,
     best: &IncumbentList,
@@ -517,28 +611,31 @@ fn admit(
     node: Node,
 ) {
     let lb = lower_bound[node.at.index()];
-    let optimistic_cost = node.estimate.histogram().min() + lb;
+    let optimistic_cost = scratch.histograms.min(node.histogram) + lb;
     if optimistic_cost > budget_s {
-        return; // even the fastest completion exceeds the budget
+        // Even the fastest completion exceeds the budget.
+        scratch.histograms.pop(node.histogram);
+        return;
     }
     // Optimistic within-budget probability: the completion takes at least the
     // admissible free-flow bound, so the candidate's probability cannot
     // exceed P(partial ≤ budget − lb). Strictly-worse bounds are pruned;
     // equal bounds survive so exact ties reach the deterministic tie-break.
-    let bound = node.estimate.histogram().prob_leq(budget_s - lb);
+    let bound = scratch.histograms.prob_leq(node.histogram, budget_s - lb);
     if let Some(prune_at) = best.prune_probability() {
         if bound < prune_at {
             telemetry.incumbent_prunes += 1;
+            scratch.histograms.pop(node.histogram);
             return;
         }
     }
-    arena.push(node);
+    scratch.nodes.push(node);
     *seq += 1;
-    heap.push(Open {
+    scratch.heap.push(Open {
         bound,
         optimistic_cost,
         seq: *seq,
-        node: arena.len() - 1,
+        node: scratch.nodes.len() - 1,
     });
 }
 
