@@ -1,16 +1,13 @@
-//! Criterion bench for Figure 18: DFS probabilistic path queries driven by the
-//! LB, HP and OD estimators, and beside them the serving layer's search — a
-//! best-first top-2 query per pair under the OD estimator, on a budget of
-//! 1.3 × the pair's free-flow time — so the router's kernel cost regenerates
-//! on the figure's fixture.
+//! Criterion bench for Figure 18: best-first probabilistic path queries
+//! driven by the LB, HP and OD estimators, and beside them the serving
+//! layer's query — a top-2 search per pair under the OD estimator, on a
+//! budget of 1.3 × the pair's free-flow time — so the router's kernel cost
+//! regenerates on the figure's fixture.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pathcost_bench::experiment::{experiment_config, random_od_pairs, Dataset, Scale};
 use pathcost_core::{CostEstimator, HpEstimator, HybridGraph, LbEstimator, OdEstimator};
-// The figure reproduces the paper's DFS query, so it drives the retained
-// reference.
 use pathcost_roadnet::search::{fastest_path, free_flow_time_s};
-use pathcost_routing::naive::DfsRouter;
 use pathcost_routing::{BestFirstRouter, RouterConfig};
 use pathcost_traj::{DatasetPreset, Timestamp};
 
@@ -23,8 +20,7 @@ fn bench_routing(c: &mut Criterion) {
         max_candidates: 16,
         max_path_edges: 60,
     };
-    let router = DfsRouter::new(&graph, config.clone()).expect("router config");
-    let best_first = BestFirstRouter::new(&graph, config).expect("router config");
+    let router = BestFirstRouter::new(&graph, config).expect("router config");
     let lb = LbEstimator::new(&graph);
     let hp = HpEstimator::new(&graph);
     let od = OdEstimator::new(&graph);
@@ -36,7 +32,7 @@ fn bench_routing(c: &mut Criterion) {
     for budget_min in [10.0f64, 20.0] {
         for est in &estimators {
             group.bench_with_input(
-                BenchmarkId::new(format!("{}-DFS", est.name()), budget_min as u32),
+                BenchmarkId::new(format!("{}-bestfirst", est.name()), budget_min as u32),
                 &pairs,
                 |b, pairs| {
                     b.iter(|| {
@@ -61,7 +57,7 @@ fn bench_routing(c: &mut Criterion) {
         |b, budgeted| {
             b.iter(|| {
                 for &(from, to, budget_s) in budgeted {
-                    let _ = best_first.route_top_k(&od, from, to, departure, budget_s, 2);
+                    let _ = router.route_top_k(&od, from, to, departure, budget_s, 2);
                 }
             })
         },

@@ -7,8 +7,8 @@ use pathcost_hist::auto::{auto_histogram, auto_histogram_with_scratch, AutoConfi
 use pathcost_hist::convolution::{convolve_many_with_limit, convolve_many_with_scratch};
 use pathcost_hist::voptimal::voptimal_histogram;
 use pathcost_hist::{
-    naive, rebucket, Bucket, ConvolveScratch, FitScratch, Histogram1D, HistogramNd,
-    RawDistribution, RebucketScratch,
+    rebucket, Bucket, ConvolveScratch, FitScratch, Histogram1D, HistogramNd, RawDistribution,
+    RebucketScratch,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -109,9 +109,8 @@ fn bench_convolution_and_marginal(c: &mut Criterion) {
     group.finish();
 }
 
-/// Long-path convolution: the sweep-line kernel (with and without a
-/// caller-threaded scratch) against the retained naive reference — the exact
-/// pre-optimisation pipeline — on the 64-edge paths the acceptance target is
+/// Long-path convolution: the sweep-line kernel, with and without a
+/// caller-threaded scratch, on the 64-edge paths the acceptance target is
 /// quantified over.
 fn bench_convolve_many_paths(c: &mut Criterion) {
     let mut group = c.benchmark_group("convolve_many_path");
@@ -129,15 +128,12 @@ fn bench_convolve_many_paths(c: &mut Criterion) {
                 b.iter(|| convolve_many_with_scratch(hists, 48, &mut scratch).unwrap())
             },
         );
-        group.bench_with_input(BenchmarkId::new("naive", edges), &hists, |b, hists| {
-            b.iter(|| naive::convolve_many_with_limit(hists, 48).unwrap())
-        });
     }
     group.finish();
 }
 
-/// CDF evaluation: binary-search `prob_leq`/`quantile` against the retained
-/// linear scans, on a histogram wide enough for the search to matter.
+/// CDF evaluation: binary-search `prob_leq`/`quantile` on a histogram wide
+/// enough for the search to matter.
 fn bench_cdf_evaluation(c: &mut Criterion) {
     let mut group = c.benchmark_group("cdf_eval");
     let unit = auto_histogram(&bimodal_samples(200, 3), &AutoConfig::default()).unwrap();
@@ -149,20 +145,9 @@ fn bench_cdf_evaluation(c: &mut Criterion) {
     group.bench_function("prob_leq_binary", |b| {
         b.iter(|| probes.iter().map(|&x| wide.prob_leq(x)).sum::<f64>())
     });
-    group.bench_function("prob_leq_naive", |b| {
-        b.iter(|| {
-            probes
-                .iter()
-                .map(|&x| naive::prob_leq(&wide, x))
-                .sum::<f64>()
-        })
-    });
     let qs: Vec<f64> = (0..256).map(|i| i as f64 / 255.0).collect();
     group.bench_function("quantile_binary", |b| {
         b.iter(|| qs.iter().map(|&q| wide.quantile(q)).sum::<f64>())
-    });
-    group.bench_function("quantile_naive", |b| {
-        b.iter(|| qs.iter().map(|&q| naive::quantile(&wide, q)).sum::<f64>())
     });
     group.finish();
 }

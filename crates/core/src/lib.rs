@@ -53,9 +53,7 @@ pub use estimator::{
     LbEstimator, OdEstimator, RdEstimator,
 };
 pub use hybrid_graph::HybridGraph;
-pub use incremental::{
-    chain_extension, chain_start, ArrivalWindow, IncrementalEstimate, PartialEstimate,
-};
+pub use incremental::{chain_extension, chain_start, ArrivalWindow};
 pub use interval::{DayPartition, IntervalId};
 pub use pathcost_traj::{mix_regime, RegimeClassifier, RegimeId, RegimeSchema};
 pub use variable::{InstantiatedVariable, VariableSource};

@@ -21,8 +21,6 @@
 //!   by convolution without allocating (a routing search's partial paths),
 //! * [`rebucket`] — overlapping entries → at most `n` disjoint buckets on a
 //!   reusable [`RebucketScratch`] (the joint chain's state merge),
-//! * [`naive`] — the retained pre-optimisation reference implementations the
-//!   fast kernels are property-tested (and benchmarked) against,
 //! * [`divergence`] — KL divergence and entropy,
 //! * [`standard`] — Gaussian / Gamma / Exponential maximum-likelihood fits for
 //!   the Figure 11(a) comparison.
@@ -35,7 +33,6 @@ pub mod divergence;
 pub mod error;
 pub mod histogram1d;
 pub mod multidim;
-pub mod naive;
 pub mod raw;
 #[cfg(test)]
 mod reference;

@@ -4,8 +4,9 @@
 //! reduce to the same problem: a set of weighted intervals ("boxcars", each
 //! with uniform density) must be flattened into disjoint buckets whose
 //! boundaries are the union of the input boundaries. The naive formulation
-//! (see [`crate::naive`]) integrates every input bucket over every elementary
-//! interval — `O(entries × cuts)`, which is quartic in the bucket count for a
+//! (kept as test code, `tests/support/hist_naive.rs` at the repository root)
+//! integrates every input bucket over every elementary interval —
+//! `O(entries × cuts)`, which is quartic in the bucket count for a
 //! convolution. The sweep here turns every interval into two density events,
 //! sorts them once, and accumulates a running density in a single pass:
 //! `O(n log n)` with no intermediate allocation beyond the reusable event

@@ -1,10 +1,10 @@
 //! Arena-based best-first probabilistic path query (§4.3).
 //!
 //! Answers the same question as the paper's DFS probabilistic path query
-//! (Hua & Pei \[10\]; retained verbatim in [`crate::naive`]): given a source, a
-//! destination, a departure time and a travel-time budget, find the path that
-//! maximises the probability of arriving within the budget. The search here
-//! is rebuilt for throughput:
+//! (Hua & Pei \[10\]; kept as the test reference `tests/support/dfs.rs`):
+//! given a source, a destination, a departure time and a travel-time budget,
+//! find the path that maximises the probability of arriving within the
+//! budget. The search here is rebuilt for throughput:
 //!
 //! * **A node is a slice** — partial paths live as nodes in a slab, each
 //!   holding its last edge, its end vertex, its arrival window and the
@@ -15,9 +15,8 @@
 //!   No `Path`, no `Histogram1D` and no `Arc` is made per node; a concrete
 //!   edge sequence is materialised (by walking parent pointers) only for
 //!   complete candidates that reach the destination. The rule that grows a
-//!   chain is [`pathcost_core::chain_extension`], the one
-//!   `PartialEstimate::extend` follows, and the arena's kernels are the
-//!   ones behind `Histogram1D`, so every bound is bit for bit what a
+//!   chain is [`pathcost_core::chain_extension`], and the arena's kernels
+//!   are the ones behind `Histogram1D`, so every bound is bit for bit what a
 //!   per-node histogram would give.
 //! * **Per-thread scratch** — the slab, the arena, the frontier heap, the
 //!   convolution buffers and the visited marks belong to the thread and are
@@ -95,8 +94,7 @@ pub struct RouteResult {
     /// Number of partial-path expansions performed.
     pub expansions: usize,
     /// Partial paths and candidates dropped because their optimistic
-    /// within-budget probability could not beat the incumbent (always 0 for
-    /// the naive DFS reference, which does not maintain an incumbent bound).
+    /// within-budget probability could not beat the incumbent.
     pub incumbent_prunes: usize,
 }
 

@@ -1,6 +1,6 @@
 //! Deterministic shortest-path substrate used by the stochastic search.
 //!
-//! The DFS probabilistic path query needs admissible lower bounds on the time
+//! The probabilistic path query needs admissible lower bounds on the time
 //! still required to reach the destination (for pruning) and a rough upper
 //! bound (for bounding the search). Both come from single-source shortest-path
 //! computations on the *reverse* graph, using free-flow travel times.

@@ -9,10 +9,11 @@
 //! estimator with OD accelerates the search and improves the quality of the
 //! selected paths — the effect measured in the paper's Figure 18.
 //!
-//! The production search is the arena-based best-first router in
-//! [`bestfirst`] (parent-pointer partial paths, optimistic-probability
-//! frontier ordering, incumbent pruning); the paper's original DFS is
-//! retained in [`naive`] as the measured and property-tested reference.
+//! The one search is the arena-based best-first router in [`bestfirst`]
+//! (parent-pointer partial paths, optimistic-probability frontier ordering,
+//! incumbent pruning); the paper's original DFS survives only as test code
+//! (`tests/support/dfs.rs` at the repository root), the reference the
+//! router is property-tested against.
 //! What the production search derives from free-flow times alone — destination
 //! bounds, successor orders, fastest-path seeds — is a function of the
 //! immutable network and lives in the bounded [`freeflow`] cache.
@@ -21,7 +22,6 @@ pub mod bestfirst;
 pub mod dijkstra;
 pub mod error;
 pub mod freeflow;
-pub mod naive;
 pub mod query;
 
 pub use bestfirst::{validate_route, BestFirstRouter, RouteResult, RouterConfig, SearchTelemetry};

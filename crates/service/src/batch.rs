@@ -13,9 +13,9 @@
 //!    fan the unique jobs out across the persistent worker pool so the
 //!    cache is populated once per distinct job with no duplicated estimator
 //!    work.
-//! 2. **Answer** — execute the requests themselves (again fanned out across
-//!    the pool; `Route` searches do their real work here), each reading
-//!    through the now-warm cache.
+//! 2. **Answer** — execute the requests themselves (fanned out on the same
+//!    schedule as the warm phase; `Route` searches do their real work here),
+//!    each reading through the now-warm cache.
 //!
 //! Both phases fill the cache through the one path [`QueryEngine::execute`]
 //! uses — the coarsest-decomposition (OD) estimate at the interval's
@@ -100,39 +100,24 @@ impl QueryEngine<'_> {
         self.recorder
             .record_batch(requests.len() as u64, deduplicated);
 
-        // Warm the cache once per unique job. Failures are not fatal here:
-        // the answer phase re-encounters them per request and reports them
-        // with the right request context.
+        // Warm the cache once per unique job, on the same schedule as the
+        // answer phase. Failures are not fatal here: the answer phase
+        // re-encounters them per request and reports them with the right
+        // request context.
         let warm_counters = QueryCounters::default();
         let warm_started = std::time::Instant::now();
-        let fill = |job: &Job<'_>| {
+        self.for_each_index(jobs.len(), |i| {
             if abandoned() {
                 return;
             }
+            let job = &jobs[i];
             let _ = self.estimate_cached(
                 &job.path,
                 self.canonical_departure(job.interval),
                 job.regime,
                 &warm_counters,
             );
-        };
-        if jobs.len() > 1 && self.batch_pool().width() > 1 {
-            // Shard-pinned warm: route each fill to the worker that owns its
-            // cache shard (worker = shard % width), so no two workers ever
-            // take the same shard lock — fills proceed contention-free.
-            let pool = self.batch_pool();
-            let width = pool.width();
-            let mut by_worker: Vec<Vec<&Job<'_>>> = (0..width).map(|_| Vec::new()).collect();
-            for job in &jobs {
-                let shard = self
-                    .cache()
-                    .shard_index(job.path.as_ref(), job.interval, job.regime);
-                by_worker[shard % width].push(job);
-            }
-            pool.run_pinned(|w| by_worker[w].iter().copied().for_each(&fill));
-        } else {
-            self.for_each_index(jobs.len(), |i| fill(&jobs[i]));
-        }
+        });
         // Warm span: the phase is batch-wide, so every traced request in the
         // batch is attributed the same wall time — the time it actually
         // waited for the warm phase, whether or not its own jobs dominated.

@@ -381,14 +381,6 @@ impl DistributionCache {
         (fingerprint >> 48) as usize % self.shards.len()
     }
 
-    /// The shard index the entry for `(path, interval, regime)` lives in —
-    /// the affinity key the batch executor uses to pin cache-fill jobs to the
-    /// worker that owns the shard (worker `shard % pool_width`), so
-    /// concurrent warm-phase fills never contend on a shard lock.
-    pub fn shard_index(&self, path: &Path, interval: IntervalId, regime: RegimeId) -> usize {
-        self.shard_index_of(key_fingerprint(path, interval, regime))
-    }
-
     /// Looks up `(path, interval, regime)`, refreshing its recency on a hit.
     pub fn get(
         &self,

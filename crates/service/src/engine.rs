@@ -561,8 +561,13 @@ impl<'n> QueryEngine<'n> {
                 } else {
                     self.config.router.clone()
                 };
+                // The search's partial chains and incumbent bound read the
+                // requested regime's view, as its candidates do; the
+                // estimator keeps the unbound snapshot because
+                // `estimate_cached_on` binds it itself.
+                let bound = graph.for_regime(*regime);
                 let router = BestFirstRouter::with_cache(
-                    &graph,
+                    &bound,
                     router_config,
                     Arc::clone(&self.free_flow),
                 )?;

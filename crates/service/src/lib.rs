@@ -114,7 +114,7 @@ pub mod cache;
 pub mod deadline;
 pub mod engine;
 pub mod error;
-pub mod pool;
+mod pool;
 pub mod request;
 pub mod stats;
 pub mod update;
@@ -125,7 +125,6 @@ pub use deadline::RequestContext;
 pub use engine::{QueryEngine, ServiceConfig};
 pub use error::ServiceError;
 pub use pathcost_core::RegimeId;
-pub use pool::WorkerPool;
 pub use request::{QueryOutcome, QueryRequest, QueryResponse, QueryStats, RankedPath};
 pub use stats::{QueryKind, RegimeTally, ServiceStats, FALLBACK_DEPTH_BUCKETS};
 pub use update::UpdateReport;

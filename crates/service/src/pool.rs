@@ -3,26 +3,16 @@
 //! The original batch executor spawned a fresh set of scoped threads for
 //! every phase of every batch — fine for a harness that executes one batch,
 //! wasteful for a serving process that executes thousands per second (two
-//! thread spawns + joins per batch, and no opportunity for cache-shard
-//! affinity). [`WorkerPool`] replaces that with N long-lived workers
-//! (N = available cores by default) that sleep on a condvar between jobs:
+//! thread spawns + joins per batch). [`WorkerPool`] replaces that with N
+//! long-lived workers (N = available cores by default) that sleep on a
+//! condvar between jobs, and has one schedule, [`WorkerPool::run`]: the
+//! workers and the submitting thread claim indices from a shared atomic
+//! counter until the range is exhausted — the work-stealing schedule the
+//! scoped executor used, minus the per-batch spawn/join cost.
 //!
-//! * [`WorkerPool::run`] is the drop-in replacement for the scoped
-//!   fan-out: workers (and the submitting thread) claim indices from a
-//!   shared atomic counter until the range is exhausted — the same
-//!   work-stealing schedule the scoped executor used, minus the per-batch
-//!   spawn/join cost.
-//! * [`WorkerPool::run_pinned`] hands each worker its stable id instead:
-//!   the batch executor uses it to route cache-fill jobs to the worker that
-//!   *owns* their [`DistributionCache`](crate::DistributionCache) shard
-//!   (shard `s` belongs to worker `s % width`), so concurrent warm-phase
-//!   fills never contend on a cache-shard lock.
-//!
-//! Jobs are **broadcast**: every worker observes every generation in order,
-//! which is what makes per-worker pinning deterministic. One job runs at a
-//! time (submitters serialize on an internal lock); within a job the
-//! submitting thread participates in index-claiming jobs and sleeps for
-//! pinned ones.
+//! Jobs are **broadcast**: every worker observes every generation in order
+//! and joins its index claiming. One job runs at a time (submitters
+//! serialize on an internal lock).
 //!
 //! A panic inside a task does not take a worker down: the task is isolated
 //! with [`std::panic::catch_unwind`], the batch completes, and the panic is
@@ -40,11 +30,14 @@
 //! reference: its lifetime is local to [`WorkerPool::run`]. The pointer is
 //! therefore lifetime-erased, exactly the way scoped thread pools
 //! (rayon, crossbeam) erase theirs, and soundness rests on a strict
-//! happens-before protocol: `run` publishes the erased pointer under the
-//! state mutex, and does **not return** until every worker has decremented
-//! the job's `remaining` count under that same mutex — i.e. until no worker
-//! can touch the pointer again. The closure is alive for the entire window
-//! in which any thread may dereference it.
+//! happens-before protocol. `run` publishes the erased pointer under the
+//! state mutex; a worker copies it out under that mutex, calls it only for
+//! the indices it claims, and then decrements the job's `remaining` count
+//! under the same mutex — after which it never touches that job again (it
+//! waits for the next generation). `run` does **not return** until
+//! `remaining` is zero, i.e. until no worker can touch the pointer again, so
+//! the closure is alive for the entire window in which any thread may
+//! dereference it.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -55,21 +48,11 @@ use std::thread::JoinHandle;
 /// this module — see the module docs for the protocol that makes it sound.
 type Task = &'static (dyn Fn(usize) + Sync);
 
-/// What the argument passed to the task means for the current job.
-#[derive(Clone, Copy)]
-enum JobKind {
-    /// Workers claim indices `0..count` from the shared atomic counter; the
-    /// task receives each claimed index (work-stealing schedule).
-    Indexed { count: usize },
-    /// Every worker calls the task exactly once with its own stable worker
-    /// id in `0..width` (shard-affine schedule).
-    Pinned,
-}
-
+/// One fork-join: the task, called once for every index in `0..count`.
 #[derive(Clone, Copy)]
 struct Job {
     task: Task,
-    kind: JobKind,
+    count: usize,
 }
 
 struct State {
@@ -87,22 +70,29 @@ struct Shared {
     work: Condvar,
     /// The submitter waits here for `remaining` to reach zero.
     done: Condvar,
-    /// Index-claim counter for [`JobKind::Indexed`] jobs.
+    /// The current job's index-claim counter.
     next: AtomicUsize,
     /// Set when any task panicked during the current job.
     panicked: AtomicBool,
 }
 
 impl Shared {
-    /// Runs one task invocation, catching panics so a poisoned request
-    /// cannot take the worker (or the whole process) down.
-    fn run_guarded(&self, task: Task, arg: usize) {
-        if catch_unwind(AssertUnwindSafe(|| task(arg))).is_err() {
-            self.panicked.store(true, Ordering::Release);
+    /// Claims indices of `job` until its range is exhausted, running each
+    /// invocation under `catch_unwind` so a poisoned request cannot take the
+    /// worker (or the whole process) down.
+    fn claim(&self, job: Job) {
+        loop {
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            if i >= job.count {
+                break;
+            }
+            if catch_unwind(AssertUnwindSafe(|| (job.task)(i))).is_err() {
+                self.panicked.store(true, Ordering::Release);
+            }
         }
     }
 
-    fn worker_loop(&self, id: usize) {
+    fn worker_loop(&self) {
         let mut seen = 0u64;
         loop {
             let job = {
@@ -118,16 +108,7 @@ impl Shared {
                     state = self.work.wait(state).expect("pool state poisoned");
                 }
             };
-            match job.kind {
-                JobKind::Indexed { count } => loop {
-                    let i = self.next.fetch_add(1, Ordering::Relaxed);
-                    if i >= count {
-                        break;
-                    }
-                    self.run_guarded(job.task, i);
-                },
-                JobKind::Pinned => self.run_guarded(job.task, id),
-            }
+            self.claim(job);
             let mut state = self.state.lock().expect("pool state poisoned");
             state.remaining -= 1;
             if state.remaining == 0 {
@@ -141,9 +122,8 @@ impl Shared {
 ///
 /// Created once per [`QueryEngine`](crate::QueryEngine) (lazily, on the
 /// first batch) and dropped with it; [`Drop`] signals shutdown and joins
-/// every worker, so an engine going away never leaks threads. See the
-/// module docs for the scheduling modes.
-pub struct WorkerPool {
+/// every worker, so an engine going away never leaks threads.
+pub(crate) struct WorkerPool {
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
     /// Serializes jobs: one fork-join at a time.
@@ -152,7 +132,7 @@ pub struct WorkerPool {
 
 impl WorkerPool {
     /// Spawns `width` workers (clamped to at least 1).
-    pub fn new(width: usize) -> Self {
+    pub(crate) fn new(width: usize) -> Self {
         let width = width.max(1);
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
@@ -171,7 +151,7 @@ impl WorkerPool {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("pathcost-worker-{id}"))
-                    .spawn(move || shared.worker_loop(id))
+                    .spawn(move || shared.worker_loop())
                     .expect("worker thread spawns")
             })
             .collect();
@@ -182,11 +162,6 @@ impl WorkerPool {
         }
     }
 
-    /// Number of worker threads.
-    pub fn width(&self) -> usize {
-        self.handles.len()
-    }
-
     /// Runs `f(i)` for every `i in 0..count` across the pool, blocking until
     /// all invocations completed. The submitting thread participates in the
     /// index claiming, so a pool of width W applies W+1 threads to the range
@@ -195,53 +170,21 @@ impl WorkerPool {
     ///
     /// Panics (on the submitting thread, after the whole range completed) if
     /// any invocation panicked; the workers themselves survive.
-    pub fn run<F: Fn(usize) + Sync>(&self, count: usize, f: F) {
-        if count == 0 {
-            return;
-        }
-        if count == 1 {
-            f(0);
-            return;
-        }
-        self.broadcast(&f, JobKind::Indexed { count }, |shared| loop {
-            let i = shared.next.fetch_add(1, Ordering::Relaxed);
-            if i >= count {
-                break;
-            }
-            shared.run_guarded(erase(&f), i);
-        });
-    }
-
-    /// Runs `f(worker_id)` exactly once on every worker (ids `0..width`),
-    /// blocking until all returned. This is the shard-pinned schedule: the
-    /// caller routes work to worker ids, and each id always executes on the
-    /// same OS thread. The submitting thread does not participate.
-    ///
-    /// Panics (on the submitting thread, after every worker finished) if any
-    /// invocation panicked; the workers themselves survive.
-    pub fn run_pinned<F: Fn(usize) + Sync>(&self, f: F) {
-        self.broadcast(&f, JobKind::Pinned, |_| {});
-    }
-
-    /// Publishes one erased job, runs `participate` on the calling thread,
-    /// then blocks until every worker acknowledged the generation.
-    fn broadcast<F: Fn(usize) + Sync>(
-        &self,
-        f: &F,
-        kind: JobKind,
-        participate: impl FnOnce(&Shared),
-    ) {
+    pub(crate) fn run<F: Fn(usize) + Sync>(&self, count: usize, f: F) {
         let guard = self.submit.lock().expect("pool submit lock poisoned");
-        let task = erase(f);
+        let job = Job {
+            task: erase(&f),
+            count,
+        };
         {
             let mut state = self.shared.state.lock().expect("pool state poisoned");
             self.shared.next.store(0, Ordering::Relaxed);
-            state.job = Some(Job { task, kind });
+            state.job = Some(job);
             state.generation += 1;
-            state.remaining = self.width();
+            state.remaining = self.handles.len();
             self.shared.work.notify_all();
         }
-        participate(&self.shared);
+        self.shared.claim(job);
         let mut state = self.shared.state.lock().expect("pool state poisoned");
         while state.remaining > 0 {
             state = self.shared.done.wait(state).expect("pool state poisoned");
@@ -261,10 +204,10 @@ impl WorkerPool {
 }
 
 /// Erases the task's lifetime. Sound per the protocol in the module docs:
-/// the erased reference is only ever dereferenced between `broadcast`
-/// publishing it and `broadcast` observing `remaining == 0`, a window in
-/// which the borrow it came from is provably alive (the submitter is still
-/// inside `run`/`run_pinned`, which borrows `f`).
+/// the erased reference is only ever dereferenced between `run` publishing
+/// it and `run` observing `remaining == 0`, a window in which the borrow it
+/// came from is provably alive (the submitter is still inside `run`, which
+/// borrows `f`).
 fn erase<F: Fn(usize) + Sync>(f: &F) -> Task {
     let short: &(dyn Fn(usize) + Sync) = f;
     // SAFETY: see above and the module docs.
@@ -301,18 +244,6 @@ mod tests {
                 hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
                 "count {count}: every index exactly once"
             );
-        }
-    }
-
-    #[test]
-    fn run_pinned_gives_each_worker_its_stable_id() {
-        let pool = WorkerPool::new(3);
-        for _ in 0..10 {
-            let seen: Vec<AtomicU64> = (0..pool.width()).map(|_| AtomicU64::new(0)).collect();
-            pool.run_pinned(|w| {
-                seen[w].fetch_add(1, Ordering::Relaxed);
-            });
-            assert!(seen.iter().all(|s| s.load(Ordering::Relaxed) == 1));
         }
     }
 

@@ -312,6 +312,70 @@ fn batch_execution_equals_sequential_execution() {
     assert_eq!(stats.estimations as usize, cold_engine.cache().len());
 }
 
+/// A `Route` under a regime searches that regime's view: its partial chains
+/// and incumbent bound read the regime's own unit table, as its candidates
+/// do. Regime 1 holds the even trajectory ids of a 4× tiny preset, so every
+/// unit variable it has is fitted from half the samples and differs from
+/// the all-traffic one. The engine over the unbound graph must answer what
+/// the engine over `graph.for_regime(1)` answers. Before the router was
+/// bound, the pair 20 → 7 at 08:00 on 1.2 × its free-flow time answered
+/// P = 0.1196 after 8 expansions through the unbound engine and P = 0.1396
+/// after 9 through the bound one.
+#[test]
+fn route_searches_under_the_requested_regime() {
+    use pathcost_service::RegimeId;
+    use pathcost_traj::RegimeSchema;
+
+    let (net, store) = DatasetPreset::tiny(303)
+        .with_trip_factor(4.0)
+        .materialise()
+        .unwrap();
+    let regime = RegimeId(1);
+    let mut matched = store.matched().to_vec();
+    for m in &mut matched {
+        m.regime = if m.id % 2 == 0 { regime } else { RegimeId(2) };
+    }
+    let store = TrajectoryStore::new(matched);
+    let cfg = HybridConfig {
+        beta: 10,
+        regimes: RegimeSchema::flat()
+            .with_group(regime, RegimeId::ALL_TRAFFIC)
+            .with_group(RegimeId(2), RegimeId::ALL_TRAFFIC),
+        ..HybridConfig::default()
+    };
+    let weights = PathWeightFunction::instantiate(&net, &store, &cfg).unwrap();
+    assert!(weights.tables()[&regime]
+        .iter()
+        .any(|v| v.path.cardinality() == 1));
+    let graph = HybridGraph::from_parts(&net, weights, cfg);
+
+    let (source, destination) = (VertexId(20), VertexId(7));
+    let fastest = pathcost_roadnet::search::fastest_path(&net, source, destination).unwrap();
+    let request = QueryRequest::Route {
+        source,
+        destination,
+        departure: Timestamp::from_day_hms(0, 8, 0, 0),
+        budget_s: 1.2 * pathcost_roadnet::search::free_flow_time_s(&net, &fastest),
+        k: 1,
+        regime,
+    };
+    let answer = |graph: HybridGraph<'_>| {
+        let engine = QueryEngine::new(Arc::new(graph), ServiceConfig::default());
+        let response = engine.execute(&request).unwrap().response;
+        let route = response.route().map(|route| {
+            (
+                route.path.clone(),
+                route.probability.to_bits(),
+                histogram_bits(&route.distribution),
+            )
+        });
+        (route, engine.stats().route_expansions)
+    };
+    let bound = answer(graph.for_regime(regime));
+    assert!(bound.0.is_some(), "the pair is feasible under its regime");
+    assert_eq!(answer(graph), bound);
+}
+
 #[test]
 fn concurrent_readers_get_identical_distributions() {
     let f = fixture(304);

@@ -18,7 +18,7 @@
 //!   response interface over a shared hybrid graph (published as swappable
 //!   epoch snapshots), a sharded LRU distribution cache keyed by
 //!   `(path, departure interval)` with targeted invalidation, a batch
-//!   executor that deduplicates shared estimation work across a scoped
+//!   executor that deduplicates shared estimation work across a persistent
 //!   worker pool, and per-query/service-level metrics,
 //! * [`live`] — online trajectory ingestion: delta-indexed store appends,
 //!   dirty-key tracking, selective re-derivation of exactly the changed

@@ -1,18 +1,21 @@
 //! Equivalence property tests: the optimised histogram kernels (sweep-line
 //! rearrangement, scratch-buffered convolution with its point-mass fast path,
 //! tournament-tree coarsening, the scratch rebucket that chains the two,
-//! binary-search CDF evaluation) against the retained
-//! naive reference implementations in `pathcost::hist::naive` — the exact
-//! pre-optimisation code. Where the arithmetic is reassociated (sweep
-//! accumulation, CDF differencing) equivalence is asserted within `1e-12`
-//! total variation; where the operation sequence is identical (coarsening
-//! merge order, `prob_leq`, `quantile`, `pdf_at`) it is asserted bit-for-bit.
+//! binary-search CDF evaluation) against the naive reference implementations
+//! in `support/hist_naive.rs` — the exact pre-optimisation code, kept as test
+//! code only. Where the arithmetic is reassociated (sweep accumulation, CDF
+//! differencing) equivalence is asserted within `1e-12` total variation;
+//! where the operation sequence is identical (coarsening merge order,
+//! `prob_leq`, `quantile`, `pdf_at`) it is asserted bit-for-bit.
 
 use pathcost::hist::convolution::{
     convolve_many_with_limit, convolve_many_with_scratch, convolve_with_limit,
 };
-use pathcost::hist::{naive, rebucket, Bucket, ConvolveScratch, Histogram1D, RebucketScratch};
+use pathcost::hist::{rebucket, Bucket, ConvolveScratch, Histogram1D, RebucketScratch};
 use proptest::prelude::*;
+
+#[path = "support/hist_naive.rs"]
+mod naive;
 
 /// `(start, width, mass)` triples convertible into overlapping buckets.
 fn overlapping_triples() -> impl Strategy<Value = Vec<(f64, f64, f64)>> {

@@ -11,8 +11,9 @@
 //! allocations with a `#[global_allocator]` and pins that: it is the guard
 //! that keeps the next edit from putting a `Vec` back into the loop.
 
+use pathcost::core::{chain_extension, chain_start, OdEstimator};
 use pathcost::core::{CoreError, CostEstimator, EstimateBreakdown, HybridConfig, HybridGraph};
-use pathcost::core::{OdEstimator, PartialEstimate};
+use pathcost::hist::convolution::convolve_with_limit;
 use pathcost::hist::Histogram1D;
 use pathcost::roadnet::search::{fastest_path, free_flow_time_s};
 use pathcost::roadnet::{Path, VertexId};
@@ -153,14 +154,18 @@ fn a_warmed_search_allocates_per_candidate_not_per_expansion() {
     }
     assert!(4 + large.evaluated_candidates < large.expansions / 4);
 
-    // The counter does count what the search no longer does: one
-    // `PartialEstimate` extension (the DFS reference's step) allocates.
+    // The counter does count what the search no longer does: extending a
+    // chain kept as one `Histogram1D` per link (the DFS reference's step)
+    // allocates.
     let edge = net.out_edges(VertexId(0))[0];
     let departure = Timestamp::from_day_hms(0, 8, 0, 0);
-    let start = PartialEstimate::start(&graph, edge, departure).unwrap();
+    let (start, window) = chain_start(&graph, edge, departure).unwrap();
     let next = net.out_edges(net.edge(edge).unwrap().to)[0];
     let before = ALLOCATIONS.with(Cell::get);
-    let extended = start.extend(&graph, next).unwrap();
+    let extended = chain_extension(&graph, next, window, |unit, limit| {
+        convolve_with_limit(start, unit, limit)
+    })
+    .unwrap();
     assert!(ALLOCATIONS.with(Cell::get) - before >= 3);
     drop(extended);
 }

@@ -1,19 +1,12 @@
-//! Retained naive reference implementations of the histogram hot paths.
-//!
-//! These are the pre-optimisation algorithms, kept verbatim so the fast
+//! The pre-optimisation histogram kernels, kept as test code so the fast
 //! kernels have an executable specification: linear-scan CDF evaluation, the
 //! allocate-sort-coarsen convolution pipeline (`O(B_a·B_b)` product entries →
 //! overlap rearrangement → greedy `O(n²)` coarsening), and the quadratic
-//! overlap rearrangement itself. Property tests assert the optimised paths
-//! stay equivalent (bit-for-bit where the arithmetic allows, within `1e-12`
-//! total variation otherwise), and the `micro_histograms` bench runs both so
-//! speedups are measured against the real old code rather than a guess.
-//!
-//! Nothing here should be called from production code paths.
+//! overlap rearrangement itself. `tests/histogram_equivalence.rs` asserts the
+//! optimised paths stay equivalent (bit-for-bit where the arithmetic allows,
+//! within `1e-12` total variation otherwise).
 
-use crate::bucket::Bucket;
-use crate::error::HistError;
-use crate::histogram1d::Histogram1D;
+use pathcost::hist::{Bucket, HistError, Histogram1D};
 
 /// `P(cost ≤ x)` by linear scan (the pre-optimisation `prob_leq`).
 pub fn prob_leq(hist: &Histogram1D, x: f64) -> f64 {
@@ -46,7 +39,7 @@ pub fn prob_within(hist: &Histogram1D, lo: f64, hi: f64) -> f64 {
     if hi <= lo {
         return 0.0;
     }
-    let probe = Bucket::new_unchecked(lo, hi);
+    let probe = Bucket { lo, hi };
     hist.buckets()
         .iter()
         .zip(hist.probs())
@@ -87,7 +80,7 @@ pub fn from_overlapping(entries: &[(Bucket, f64)]) -> Result<Histogram1D, HistEr
     cuts.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
     let mut out: Vec<(Bucket, f64)> = Vec::with_capacity(cuts.len());
     for w in cuts.windows(2) {
-        let elem = Bucket::new_unchecked(w[0], w[1]);
+        let elem = Bucket { lo: w[0], hi: w[1] };
         let mass: f64 = entries
             .iter()
             .map(|(b, p)| p * b.fraction_within(&elem))
@@ -118,7 +111,10 @@ pub fn coarsen(hist: &Histogram1D, max_buckets: usize) -> Histogram1D {
                 best = i;
             }
         }
-        let merged = Bucket::new_unchecked(buckets[best].lo, buckets[best + 1].hi);
+        let merged = Bucket {
+            lo: buckets[best].lo,
+            hi: buckets[best + 1].hi,
+        };
         buckets[best] = merged;
         probs[best] += probs[best + 1];
         buckets.remove(best + 1);
