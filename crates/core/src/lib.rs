@@ -18,7 +18,9 @@
 //!
 //! The baselines of the paper's evaluation (LB, HP, RD, OD-x, the
 //! accuracy-optimal ground truth) are provided alongside the proposed OD
-//! estimator in [`estimator`].
+//! estimator in [`estimator`]. Instantiation and re-derivation fan out on
+//! [`exec`], the one fork–join executor (the query engine's batches run on
+//! the same type).
 //!
 //! ```no_run
 //! use pathcost_core::{config::HybridConfig, hybrid_graph::HybridGraph};
@@ -37,6 +39,7 @@ pub mod config;
 pub mod decomposition;
 pub mod error;
 pub mod estimator;
+pub mod exec;
 pub mod hybrid_graph;
 pub mod incremental;
 pub mod interval;

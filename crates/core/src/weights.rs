@@ -258,8 +258,8 @@ impl PathWeightFunction {
         Self::instantiate_on(net, store, cfg, excluded, None)
     }
 
-    /// [`Self::instantiate_with_exclusions`] with the fit fan-out's worker
-    /// count fixed (`None`: sized from the machine).
+    /// [`Self::instantiate_with_exclusions`] with the fit fan-out cut into a
+    /// fixed number of parts (`None`: small chunks the worker pool claims).
     fn instantiate_on(
         net: &RoadNetwork,
         store: &TrajectoryStore,
@@ -394,8 +394,8 @@ impl PathWeightFunction {
         self.rederive_on(net, current, cfg, dirty, None)
     }
 
-    /// [`Self::rederive_regimes`] with the fit fan-out's worker count fixed
-    /// (`None`: sized from the machine and the number of dirty keys).
+    /// [`Self::rederive_regimes`] with the fit fan-out cut into a fixed
+    /// number of parts (`None`: small chunks the worker pool claims).
     fn rederive_on(
         &self,
         net: &RoadNetwork,

@@ -167,6 +167,17 @@ impl Histogram {
         conservative_quantile(&self.inner.bounds, cumulative, total, max, q)
     }
 
+    /// Forgets every observation — only for a window no registry renders
+    /// (an exported histogram's counts must never go down). An `observe`
+    /// racing the reset may land on either side of it.
+    pub fn reset(&self) {
+        for count in &self.inner.counts {
+            count.store(0, Ordering::Relaxed);
+        }
+        self.inner.sum_bits.store(0f64.to_bits(), Ordering::Relaxed);
+        self.inner.max_bits.store(0f64.to_bits(), Ordering::Relaxed);
+    }
+
     /// Consistent-enough point-in-time copy (relaxed reads; buckets may lag
     /// each other by in-flight observations, which monitoring tolerates).
     pub fn snapshot(&self) -> HistogramSnapshot {
@@ -535,9 +546,15 @@ mod tests {
 
     #[test]
     fn empty_snapshots_answer_zero() {
+        let reset = Histogram::new(&micros_bounds());
+        reset.observe(3.0);
+        reset.observe(0.000_01);
+        reset.reset();
+        assert_eq!(reset.quantile(0.99), 0.0);
         for snap in [
             Histogram::new(&micros_bounds()).snapshot(),
             HistogramSnapshot::default(),
+            reset.snapshot(),
         ] {
             assert_eq!(snap.count(), 0);
             assert_eq!(snap.p50(), 0.0);

@@ -23,7 +23,8 @@ pub const STAGE_COUNT: usize = 7;
 ///
 /// `Parse` runs from the request's first byte on the socket to admission
 /// submit (header + body read, JSON decode); `Queue` is time spent waiting
-/// in the admission queue (including linger); `Dispatch` is batch assembly
+/// in the admission queue (for the dispatcher to finish the batch ahead, or
+/// an opt-in linger window); `Dispatch` is batch assembly
 /// between pickup and execution; `Warm` is the request's share of the
 /// batch-wide cache warm phase; `Eval` is estimation/routing proper;
 /// `Serialize` is response encoding; `Write` is the socket write.

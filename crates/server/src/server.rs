@@ -39,7 +39,8 @@ pub struct ServerConfig {
     /// Maximum concurrently served connections; excess connections receive
     /// an immediate 503 and are closed.
     pub max_connections: usize,
-    /// Admission queue tuning (capacity bound, batch size, linger window).
+    /// Admission queue tuning (capacity bound, batch size, degradation
+    /// watermarks; the linger window is opt-in and off by default).
     pub admission: AdmissionConfig,
     /// Socket read timeout. Doubles as the shutdown poll interval for idle
     /// keep-alive connections, so shutdown latency is bounded by it.

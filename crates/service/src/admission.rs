@@ -10,10 +10,13 @@
 //!   requests (or [`submit_many`](AdmissionQueue::submit_many) for
 //!   `POST /query/batch`) and block on the returned [`Ticket`].
 //! * A dispatcher thread ([`dispatch`](AdmissionQueue::dispatch)) drains the
-//!   queue into batches of up to [`AdmissionConfig::max_batch`], lingering
-//!   for [`AdmissionConfig::linger`] so concurrent connections can join the
-//!   same batch, runs them through the engine's dedup/warm/answer pipeline,
-//!   and completes each ticket with its own result.
+//!   queue into batches of up to [`AdmissionConfig::max_batch`], runs them
+//!   through the engine's dedup/warm/answer pipeline, and completes each
+//!   ticket with its own result. It sets no timer: the moment it is free it
+//!   takes whatever has queued, so requests that arrive while one batch runs
+//!   form the next — batches grow with load, and a lone request on an idle
+//!   queue is dispatched at once. ([`AdmissionConfig::linger`] can still
+//!   hold a non-full batch open for a fixed window; it is off by default.)
 //! * The queue is **bounded**: once [`AdmissionConfig::capacity`] requests
 //!   are waiting, `submit` fails fast with [`ServiceError::Overloaded`]
 //!   instead of queueing unbounded work — the HTTP layer maps that to 503 so
@@ -26,7 +29,9 @@
 //!   to 504) instead of burning a worker on an answer nobody is waiting for.
 //! * Under sustained pressure the queue reports
 //!   [`degraded`](AdmissionQueue::degraded) — queue depth or end-to-end p99
-//!   above the [`AdmissionConfig`] watermarks — and two things happen:
+//!   above the [`AdmissionConfig`] watermarks, the p99 taken over the
+//!   requests completed since the queue was last drained, so the state
+//!   clears once the backlog does — and two things happen:
 //!   already-admitted batches run in degraded mode (warm phase off, route
 //!   candidate budgets capped) so the backlog drains faster, and **new
 //!   submissions are refused at the door** with [`ServiceError::Degraded`]
@@ -38,8 +43,8 @@
 //! a detached `'static` dispatcher could not hold it). The server runs
 //! `queue.dispatch(&engine)` on a scoped thread; tests can run it inline.
 //!
-//! End-to-end latency (submit → completion, i.e. queue wait + linger +
-//! execution) is recorded into a histogram separate from the engine's
+//! End-to-end latency (submit → completion, i.e. queue wait + execution)
+//! is recorded into a histogram separate from the engine's
 //! per-query execution histogram, so `/stats` can report both the work
 //! latency and the latency a client actually experienced. The queue owns the
 //! [`Registry`] its families (`pathcost_admission_*`,
@@ -64,14 +69,17 @@ pub struct AdmissionConfig {
     pub capacity: usize,
     /// Largest batch handed to [`QueryEngine::execute_batch`] at once.
     pub max_batch: usize,
-    /// How long the dispatcher waits for more requests to join a non-full
-    /// batch. Zero dispatches whatever is queued immediately.
+    /// Opt-in: how long the dispatcher holds a non-full batch open for more
+    /// requests to join. The default, zero, sets no timer — the dispatcher
+    /// takes whatever has queued the moment it is free, and requests that
+    /// arrive while a batch runs form the next one.
     pub linger: Duration,
     /// Queue depth at or above which the queue reports
     /// [`degraded`](AdmissionQueue::degraded) and batches run under the
     /// degradation policy.
     pub degrade_queue_depth: usize,
-    /// End-to-end p99 latency at or above which the queue reports
+    /// End-to-end p99 latency, over the requests completed since the queue
+    /// was last drained, at or above which the queue reports
     /// [`degraded`](AdmissionQueue::degraded).
     pub degrade_p99: Duration,
 }
@@ -81,12 +89,18 @@ impl Default for AdmissionConfig {
         AdmissionConfig {
             capacity: 1024,
             max_batch: 256,
-            linger: Duration::from_micros(200),
+            linger: Duration::ZERO,
             degrade_queue_depth: 768,
             degrade_p99: Duration::from_secs(2),
         }
     }
 }
+
+// The slot and state locks guard single stores, takes, pushes and drains
+// (and a histogram read): no code that can panic runs under them, so
+// neither is ever poisoned.
+const SLOT_POISONED: &str = "no panic while a completion slot is locked";
+const STATE_POISONED: &str = "no panic while the queue state is locked";
 
 /// One queued request: the payload plus the slot its result lands in.
 struct Pending {
@@ -111,7 +125,7 @@ impl Slot {
     }
 
     fn complete(&self, result: Result<QueryOutcome, ServiceError>) {
-        *self.result.lock().unwrap() = Some(result);
+        *self.result.lock().expect(SLOT_POISONED) = Some(result);
         self.done.notify_all();
     }
 }
@@ -125,12 +139,12 @@ pub struct Ticket {
 impl Ticket {
     /// Blocks until the request is answered and returns its result.
     pub fn wait(self) -> Result<QueryOutcome, ServiceError> {
-        let mut guard = self.slot.result.lock().unwrap();
+        let mut guard = self.slot.result.lock().expect(SLOT_POISONED);
         loop {
             if let Some(result) = guard.take() {
                 return result;
             }
-            guard = self.slot.done.wait(guard).unwrap();
+            guard = self.slot.done.wait(guard).expect(SLOT_POISONED);
         }
     }
 }
@@ -150,10 +164,14 @@ pub struct AdmissionQueue {
     /// Set from the live state by [`Self::registry`], just before a render.
     depth_gauge: Gauge,
     degraded_gauge: Gauge,
-    /// Pure queue wait (submit → batch pickup, linger included) — the
-    /// component of [`Self::latency`] the spans disentangle from execution.
+    /// Pure queue wait (submit → batch pickup) — the component of
+    /// [`Self::latency`] the spans disentangle from execution.
     queue_wait: Histogram,
     latency: Histogram,
+    /// The end-to-end latencies the p99 watermark is judged on: those of
+    /// the requests completed since the dispatcher last found the queue
+    /// drained (not exported — [`Self::latency`] keeps every request).
+    window: Histogram,
     /// Last degradation state the dispatcher observed, for transition logs.
     was_degraded: AtomicBool,
 }
@@ -197,6 +215,7 @@ impl AdmissionQueue {
                 &[],
                 &bounds,
             ),
+            window: Histogram::new(&bounds),
             registry,
             was_degraded: AtomicBool::new(false),
         }
@@ -254,7 +273,7 @@ impl AdmissionQueue {
             return Ok(Vec::new());
         }
         let submitted = Instant::now();
-        let mut state = self.state.lock().unwrap();
+        let mut state = self.state.lock().expect(STATE_POISONED);
         if state.closed {
             return Err(ServiceError::ShuttingDown);
         }
@@ -289,7 +308,7 @@ impl AdmissionQueue {
 
     /// Requests waiting for dispatch right now.
     pub fn len(&self) -> usize {
-        self.state.lock().unwrap().pending.len()
+        self.state.lock().expect(STATE_POISONED).pending.len()
     }
 
     /// Whether nothing is waiting.
@@ -299,7 +318,7 @@ impl AdmissionQueue {
 
     /// Whether [`close`](Self::close) has been called.
     pub fn is_closed(&self) -> bool {
-        self.state.lock().unwrap().closed
+        self.state.lock().expect(STATE_POISONED).closed
     }
 
     /// Snapshot of the end-to-end (submit → completion) latency histogram.
@@ -307,8 +326,8 @@ impl AdmissionQueue {
         self.latency.snapshot()
     }
 
-    /// Snapshot of the pure queue-wait (submit → batch pickup, linger
-    /// included) histogram — the queueing component of [`Self::latency`],
+    /// Snapshot of the pure queue-wait (submit → batch pickup) histogram —
+    /// the queueing component of [`Self::latency`],
     /// recorded separately so queue pressure is not conflated with
     /// evaluation or write time.
     pub fn queue_wait(&self) -> HistogramSnapshot {
@@ -317,26 +336,33 @@ impl AdmissionQueue {
 
     /// Whether the load watermarks are breached: queue depth at or above
     /// [`AdmissionConfig::degrade_queue_depth`], or end-to-end p99 at or
-    /// above [`AdmissionConfig::degrade_p99`]. While degraded, the
+    /// above [`AdmissionConfig::degrade_p99`] over the requests completed
+    /// since the queue was last found drained. While degraded, the
     /// dispatcher disables the batch warm phase and caps route candidate
     /// budgets, and the HTTP front-end reports the state on `/healthz`.
     pub fn degraded(&self) -> bool {
         self.len() >= self.config.degrade_queue_depth || self.p99_breached()
     }
 
-    /// Whether the end-to-end p99 (seconds, read off the live buckets without
-    /// allocating — this runs on every submit) has reached the watermark;
-    /// never before the first observation.
+    /// Whether the windowed end-to-end p99 (seconds, read off the live
+    /// buckets without allocating — this runs on every submit) has reached
+    /// the watermark; never while the window is empty.
     fn p99_breached(&self) -> bool {
-        let p99 = self.latency.quantile(0.99);
+        let p99 = self.window.quantile(0.99);
         p99 > 0.0 && p99 >= self.config.degrade_p99.as_secs_f64()
+    }
+
+    /// Records one completed request's end-to-end latency.
+    fn observe_e2e(&self, elapsed: Duration) {
+        self.latency.observe_duration(elapsed);
+        self.window.observe_duration(elapsed);
     }
 
     /// Closes the queue: subsequent submits fail with
     /// [`ServiceError::ShuttingDown`]; already-admitted requests are still
     /// drained and answered before [`dispatch`](Self::dispatch) returns.
     pub fn close(&self) {
-        self.state.lock().unwrap().closed = true;
+        self.state.lock().expect(STATE_POISONED).closed = true;
         self.not_empty.notify_all();
     }
 
@@ -346,63 +372,86 @@ impl AdmissionQueue {
     /// maximises cross-connection batching and the engine's worker pool
     /// already parallelises inside each batch.
     pub fn dispatch(&self, engine: &QueryEngine<'_>) {
-        loop {
-            let Some(batch) = self.next_batch() else {
-                return;
-            };
-            let picked_up = Instant::now();
-            let degraded = self.degraded();
-            self.note_degradation(degraded);
-            let mut requests = Vec::with_capacity(batch.len());
-            let mut contexts = Vec::with_capacity(batch.len());
-            let mut slots = Vec::with_capacity(batch.len());
-            for pending in batch {
-                let queued = pending.submitted.elapsed();
-                self.queue_wait.observe_duration(queued);
-                if let Some(trace) = pending.context.trace() {
-                    trace.record(Stage::Queue, queued);
-                }
-                if pending.context.should_stop() {
-                    // Shed before dispatch: the deadline passed (or the
-                    // client abandoned the request) while it queued, so
-                    // answer immediately instead of burning a worker.
-                    engine.recorder.record_shed(pending.submitted.elapsed());
-                    self.latency.observe_duration(pending.submitted.elapsed());
-                    pending.slot.complete(Err(stop_error(&pending.context)));
-                    continue;
-                }
-                requests.push(pending.request);
-                contexts.push(pending.context);
-                slots.push((pending.slot, pending.submitted));
+        while let Some(batch) = self.next_batch() {
+            let answered = self.run_batch(engine, batch);
+            // Found drained: the backlog the window judged is gone, so the
+            // p99 watermark starts afresh and a past slow spell cannot keep
+            // refusing work. Reset before the tickets complete, so a client
+            // holding its answer also sees the reopened door.
+            if self.is_empty() {
+                self.window.reset();
             }
-            if requests.is_empty() {
-                continue;
-            }
-            // Dispatch span: batch assembly between pickup and execution.
-            let assembly = picked_up.elapsed();
-            for context in &contexts {
-                if let Some(trace) = context.trace() {
-                    trace.record(Stage::Dispatch, assembly);
-                }
-            }
-            // Backstop: a panic escaping the batch (the answer phase already
-            // contains per-query panics) must not kill the dispatcher — every
-            // waiting ticket would hang forever. Answer the whole batch with
-            // an internal error instead.
-            let results = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                engine.execute_batch_under(&requests, &contexts, degraded)
-            }))
-            .unwrap_or_else(|_| {
-                engine.recorder.panicked_queries.inc();
-                (0..requests.len())
-                    .map(|_| Err(ServiceError::Internal("batch execution panicked")))
-                    .collect()
-            });
-            for ((slot, submitted), result) in slots.into_iter().zip(results) {
-                self.latency.observe_duration(submitted.elapsed());
+            for (slot, result) in answered {
                 slot.complete(result);
             }
         }
+    }
+
+    /// Sheds the requests of `batch` that expired while they queued (their
+    /// tickets complete at once), executes the rest as one engine batch and
+    /// returns their slots with their results, not yet completed.
+    fn run_batch(
+        &self,
+        engine: &QueryEngine<'_>,
+        batch: Vec<Pending>,
+    ) -> Vec<(Arc<Slot>, Result<QueryOutcome, ServiceError>)> {
+        let picked_up = Instant::now();
+        let degraded = self.degraded();
+        self.note_degradation(degraded);
+        let mut requests = Vec::with_capacity(batch.len());
+        let mut contexts = Vec::with_capacity(batch.len());
+        let mut slots = Vec::with_capacity(batch.len());
+        for pending in batch {
+            let queued = pending.submitted.elapsed();
+            self.queue_wait.observe_duration(queued);
+            if let Some(trace) = pending.context.trace() {
+                trace.record(Stage::Queue, queued);
+            }
+            if pending.context.should_stop() {
+                // Shed before dispatch: the deadline passed (or the client
+                // abandoned the request) while it queued, so answer
+                // immediately instead of burning a worker.
+                let elapsed = pending.submitted.elapsed();
+                engine.recorder.record_shed(elapsed);
+                self.observe_e2e(elapsed);
+                pending.slot.complete(Err(stop_error(&pending.context)));
+                continue;
+            }
+            requests.push(pending.request);
+            contexts.push(pending.context);
+            slots.push((pending.slot, pending.submitted));
+        }
+        if requests.is_empty() {
+            return Vec::new();
+        }
+        // Dispatch span: batch assembly between pickup and execution.
+        let assembly = picked_up.elapsed();
+        for context in &contexts {
+            if let Some(trace) = context.trace() {
+                trace.record(Stage::Dispatch, assembly);
+            }
+        }
+        // Backstop: a panic escaping the batch (the answer phase already
+        // contains per-query panics) must not kill the dispatcher — every
+        // waiting ticket would hang forever. Answer the whole batch with an
+        // internal error instead.
+        let results = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine.execute_batch_under(&requests, &contexts, degraded)
+        }))
+        .unwrap_or_else(|_| {
+            engine.recorder.panicked_queries.inc();
+            (0..requests.len())
+                .map(|_| Err(ServiceError::Internal("batch execution panicked")))
+                .collect()
+        });
+        slots
+            .into_iter()
+            .zip(results)
+            .map(|((slot, submitted), result)| {
+                self.observe_e2e(submitted.elapsed());
+                (slot, result)
+            })
+            .collect()
     }
 
     /// Logs watermark transitions (entered/left degraded mode) exactly once
@@ -416,7 +465,7 @@ impl AdmissionQueue {
             ("queue_depth", obslog::Value::from(self.len())),
             (
                 "e2e_p99_us",
-                obslog::Value::from((self.latency.quantile(0.99) * 1e6) as u64),
+                obslog::Value::from((self.window.quantile(0.99) * 1e6) as u64),
             ),
         ];
         if degraded {
@@ -426,18 +475,19 @@ impl AdmissionQueue {
         }
     }
 
-    /// Blocks until work is available and returns the next batch, or `None`
-    /// once the queue is closed and fully drained.
+    /// Blocks until work is available and returns the next batch — whatever
+    /// has queued, up to [`AdmissionConfig::max_batch`] — or `None` once the
+    /// queue is closed and fully drained.
     fn next_batch(&self) -> Option<Vec<Pending>> {
-        let mut state = self.state.lock().unwrap();
+        let mut state = self.state.lock().expect(STATE_POISONED);
         while state.pending.is_empty() {
             if state.closed {
                 return None;
             }
-            state = self.not_empty.wait(state).unwrap();
+            state = self.not_empty.wait(state).expect(STATE_POISONED);
         }
-        // Linger: give other connections a short window to join this batch
-        // before it dispatches (closed queues flush immediately).
+        // Opt-in linger: hold a non-full batch open for a fixed window so
+        // more connections can join it (closed queues flush immediately).
         if self.config.linger > Duration::ZERO {
             let deadline = Instant::now() + self.config.linger;
             while state.pending.len() < self.config.max_batch && !state.closed {
@@ -445,7 +495,10 @@ impl AdmissionQueue {
                 if now >= deadline {
                     break;
                 }
-                let (guard, _) = self.not_empty.wait_timeout(state, deadline - now).unwrap();
+                let (guard, _) = self
+                    .not_empty
+                    .wait_timeout(state, deadline - now)
+                    .expect(STATE_POISONED);
                 state = guard;
             }
         }
@@ -500,6 +553,67 @@ mod tests {
             queue.dispatch(engine);
             assert!(second.wait().is_ok());
             assert!(!queue.degraded());
+        });
+    }
+
+    #[test]
+    fn a_past_slow_spell_stops_refusing_work_once_the_queue_drains() {
+        with_engine(|engine, store| {
+            let queue = AdmissionQueue::new(AdmissionConfig::default());
+            let admitted = queue.submit(sample_request(store, 0)).unwrap();
+            for _ in 0..100 {
+                queue.observe_e2e(Duration::from_secs(3));
+            }
+            assert!(queue.degraded(), "p99 3 s is past the 2 s watermark");
+            assert!(matches!(
+                queue.submit(sample_request(store, 1)),
+                Err(ServiceError::Degraded)
+            ));
+            // Dispatch the one admitted request; the queue is then empty.
+            // Everything is read inside the scope and asserted after it, so a
+            // failure cannot leave the dispatcher waiting on an open queue.
+            let (answered, degraded_after, resubmitted) = std::thread::scope(|scope| {
+                scope.spawn(|| queue.dispatch(engine));
+                let answered = admitted.wait();
+                let degraded_after = queue.degraded();
+                let resubmitted = queue.submit(sample_request(store, 2)).map(Ticket::wait);
+                queue.close();
+                (answered, degraded_after, resubmitted)
+            });
+            assert!(answered.is_ok());
+            assert!(!degraded_after, "the drained queue judges p99 afresh");
+            assert!(matches!(resubmitted, Ok(Ok(_))), "the door reopened");
+            assert_eq!(
+                queue.latency().count(),
+                102,
+                "the exported family keeps all"
+            );
+        });
+    }
+
+    #[test]
+    fn batches_whatever_has_queued_without_a_timer() {
+        assert_eq!(AdmissionConfig::default().linger, Duration::ZERO);
+        with_engine(|engine, store| {
+            let queue = AdmissionQueue::new(AdmissionConfig::default());
+            let lone = queue.submit(sample_request(store, 0)).unwrap();
+            let held = queue.next_batch().expect("one request queued");
+            assert_eq!(held.len(), 1, "a lone request is a batch of its own");
+            // Five arrive while that batch is out of the queue (running, for
+            // a real dispatcher): they form the next batch together.
+            let five: Vec<Ticket> = (1..6)
+                .map(|i| queue.submit(sample_request(store, i)).unwrap())
+                .collect();
+            let next = queue.next_batch().expect("five requests queued");
+            assert_eq!(next.len(), 5);
+            assert!(queue.is_empty());
+            for batch in [held, next] {
+                for (slot, result) in queue.run_batch(engine, batch) {
+                    slot.complete(result);
+                }
+            }
+            assert!(lone.wait().is_ok());
+            assert!(five.into_iter().all(|ticket| ticket.wait().is_ok()));
         });
     }
 

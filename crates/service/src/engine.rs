@@ -17,9 +17,9 @@
 use crate::cache::{key_fingerprint, CachedDistribution, DistributionCache};
 use crate::deadline::RequestContext;
 use crate::error::ServiceError;
-use crate::pool::WorkerPool;
 use crate::request::{QueryOutcome, QueryRequest, QueryResponse, QueryStats, RankedPath};
 use crate::stats::{ServiceStats, StatsRecorder};
+use pathcost_core::exec::WorkerPool;
 use pathcost_core::interval::DayPartition;
 use pathcost_core::{
     CostEstimator, EstimateBreakdown, HybridGraph, IntervalId, OdEstimator, RegimeId,

@@ -23,8 +23,9 @@
 //!   O(1) lookup instead of a decomposition.
 //! * **A batch executor** — [`QueryEngine::execute_batch`] deduplicates the
 //!   `(path, interval)` estimation jobs shared across a batch and fans the
-//!   unique work out over the persistent worker pool (no async runtime:
-//!   the work is CPU-bound), then answers every request from the warm
+//!   unique work out over the engine's persistent worker pool
+//!   ([`pathcost_core::exec::WorkerPool`]; no async runtime: the work is
+//!   CPU-bound), then answers every request from the warm
 //!   cache. Every fill — warm phase, point query or route candidate — goes
 //!   through the engine's one cache-backed estimation path, so every cached
 //!   distribution is the paper's coarsest-decomposition (OD) estimate and
@@ -114,7 +115,6 @@ pub mod cache;
 pub mod deadline;
 pub mod engine;
 pub mod error;
-mod pool;
 pub mod request;
 pub mod stats;
 pub mod update;
