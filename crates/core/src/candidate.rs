@@ -11,11 +11,16 @@
 //! The surviving variables are organised into a two-dimensional *candidate
 //! array*: one row per edge of the query path, each row holding the relevant
 //! variables whose path starts at that edge, ordered by rank (Table 1).
+//!
+//! A row holds its variables by reference: a cell is the query position it
+//! starts at, an [`Arc`] of the weight view's variable (or of the edge's
+//! speed-limit fallback, where no unit variable is relevant) and where it
+//! came from — building a row copies nothing. Every trajectory-derived
+//! variable the array reads is recorded once, as its position in the view.
 
 use crate::error::CoreError;
 use crate::hybrid_graph::HybridGraph;
-use crate::interval::IntervalId;
-use pathcost_hist::HistogramNd;
+use crate::variable::InstantiatedVariable;
 use pathcost_roadnet::Path;
 use pathcost_traj::{TimeInterval, Timestamp};
 use serde::{Deserialize, Serialize};
@@ -24,7 +29,7 @@ use std::sync::Arc;
 /// Where a selected variable came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CandidateSource {
-    /// A trajectory-derived variable of the weight function (by index).
+    /// A trajectory-derived variable of the weight view (by position).
     Instantiated(usize),
     /// The speed-limit-derived unit fallback for an edge.
     UnitFallback,
@@ -35,13 +40,9 @@ pub enum CandidateSource {
 pub struct SelectedVariable {
     /// Edge offset within the query path at which this variable's path starts.
     pub start: usize,
-    /// The variable's path (a sub-path of the query path).
-    pub path: Path,
-    /// The interval the variable belongs to.
-    pub interval: IntervalId,
-    /// The joint distribution of the variable's path, shared with the weight
-    /// function's variable it was selected from.
-    pub histogram: Arc<HistogramNd>,
+    /// The variable, shared with the weight view (or the fallback table) it
+    /// was selected from; its path is the query slice `start..end()`.
+    pub var: Arc<InstantiatedVariable>,
     /// Origin of the variable.
     pub source: CandidateSource,
 }
@@ -49,7 +50,7 @@ pub struct SelectedVariable {
 impl SelectedVariable {
     /// Rank of the variable (cardinality of its path).
     pub fn rank(&self) -> usize {
-        self.path.cardinality()
+        self.var.rank()
     }
 
     /// The last query-path position covered by this variable (exclusive).
@@ -68,14 +69,14 @@ pub struct CandidateArray {
     /// The shift-and-enlarged departure interval `UI_k` (in seconds of the
     /// day) for each edge position.
     pub updated_intervals: Vec<TimeInterval>,
-    /// The `(edge, interval)` pairs whose *trajectory-derived* unit
-    /// distribution was read while building the array (shift-and-enlarge
-    /// probes and unit-fallback rows), sorted and deduplicated. Together with
-    /// the decomposition's instantiated components these are exactly the
-    /// weight-function histograms the final estimate depends on — the
-    /// dependency set the serving layer's targeted cache invalidation tracks.
-    /// Speed-limit fallbacks are excluded: their histograms never change.
-    pub trajectory_unit_reads: Vec<(pathcost_roadnet::EdgeId, IntervalId)>,
+    /// The view positions of the *trajectory-derived* unit variables read
+    /// while building the array (shift-and-enlarge probes and the unit probe
+    /// of a row without a relevant unit variable), sorted and deduplicated.
+    /// Together with the decomposition's instantiated components these are
+    /// exactly the weight-function histograms the final estimate depends on
+    /// — the dependency set the serving layer's targeted cache invalidation
+    /// tracks. Speed-limit fallbacks are excluded: they never change.
+    pub trajectory_unit_reads: Vec<usize>,
 }
 
 impl CandidateArray {
@@ -101,7 +102,7 @@ impl CandidateArray {
         // Shift-and-enlarge: UI_1 = [t, t]; UI_{k+1} = SAE(UI_k, V_{e_k}).
         let depart_tod = departure.time_of_day().seconds();
         let mut updated_intervals = Vec::with_capacity(n);
-        let mut trajectory_unit_reads: Vec<(pathcost_roadnet::EdgeId, IntervalId)> = Vec::new();
+        let mut trajectory_unit_reads = Vec::new();
         let mut lo = depart_tod;
         let mut hi = depart_tod;
         for (k, &edge) in query.edges().iter().enumerate() {
@@ -113,12 +114,10 @@ impl CandidateArray {
             // best overlaps the current arrival window.
             let probe_interval =
                 partition.interval_of(pathcost_traj::TimeOfDay::wrap(0.5 * (lo + hi)));
-            let (unit, trajectory_derived) = wp
+            let (unit, read) = wp
                 .unit(edge, probe_interval)
                 .ok_or(CoreError::NoDistribution)?;
-            if trajectory_derived {
-                trajectory_unit_reads.push((edge, probe_interval));
-            }
+            trajectory_unit_reads.extend(read);
             lo = (lo + unit.min()).min(86_400.0);
             hi = (hi + unit.max()).min(86_400.0);
         }
@@ -158,32 +157,29 @@ impl CandidateArray {
                     *entry = (overlap, vi);
                 }
             }
-            // Guarantee a unit variable in every row.
+            // Guarantee a unit variable in every row: the one the view lends
+            // at the window's midpoint — the speed-limit fallback, unless the
+            // window has shrunk to nothing (clamped at midnight), where a
+            // trajectory-derived unit overlaps it by zero.
             if best[1].1 == NONE.1 {
                 let probe_interval = partition.interval_of(pathcost_traj::TimeOfDay::wrap(
                     0.5 * (window.start + window.end),
                 ));
-                let (unit, trajectory_derived) = wp
-                    .unit(edge, probe_interval)
+                let (var, read) = wp
+                    .unit_variable(edge, probe_interval)
                     .ok_or(CoreError::NoDistribution)?;
-                if trajectory_derived {
-                    trajectory_unit_reads.push((edge, probe_interval));
-                }
+                trajectory_unit_reads.extend(read);
                 rows[k].push(SelectedVariable {
                     start: k,
-                    path: Path::unit(edge),
-                    interval: probe_interval,
-                    histogram: Arc::new(HistogramNd::from_histogram1d(unit)),
-                    source: CandidateSource::UnitFallback,
+                    var: var.clone(),
+                    source: read
+                        .map_or(CandidateSource::UnitFallback, CandidateSource::Instantiated),
                 });
             }
             for &(_, vi) in best.iter().filter(|slot| slot.1 != NONE.1) {
-                let var = wp.variable(vi);
                 rows[k].push(SelectedVariable {
                     start: k,
-                    path: var.path.clone(),
-                    interval: var.interval,
-                    histogram: var.histogram.clone(),
+                    var: wp.variables()[vi].clone(),
                     source: CandidateSource::Instantiated(vi),
                 });
             }
@@ -206,13 +202,6 @@ impl CandidateArray {
     /// `true` when the array has no rows.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
-    }
-
-    /// The highest-rank variable of row `k` (the rightmost cell of Table 1).
-    pub fn highest_rank(&self, k: usize) -> &SelectedVariable {
-        self.rows[k]
-            .last()
-            .expect("every row contains at least a unit variable")
     }
 
     /// Total number of candidate variables across all rows.
@@ -251,6 +240,38 @@ mod tests {
         (net, store, cfg, query, departure)
     }
 
+    /// Checks that every cell of `array` holds what its source names: the
+    /// view's variable `i`, shared, exactly when it says `Instantiated(i)`,
+    /// and otherwise the edge's speed-limit fallback, shared — and that the
+    /// recorded reads are sorted view positions of trajectory-derived units.
+    fn assert_cells_name_what_they_hold(graph: &HybridGraph<'_>, array: &CandidateArray) {
+        let view = graph.view();
+        for v in array.rows.iter().flatten() {
+            match v.source {
+                CandidateSource::Instantiated(i) => {
+                    assert!(
+                        Arc::ptr_eq(&v.var, &view.variables()[i]),
+                        "cell holds variable {i}"
+                    );
+                }
+                CandidateSource::UnitFallback => {
+                    let edge = v.var.path.first_edge();
+                    assert!(Arc::ptr_eq(
+                        &v.var,
+                        &graph.weights().fallback_units()[edge.index()]
+                    ));
+                    assert_eq!(v.var.source, crate::variable::VariableSource::SpeedLimit);
+                }
+            }
+        }
+        let reads = &array.trajectory_unit_reads;
+        assert!(
+            reads.windows(2).all(|w| w[0] < w[1]),
+            "sorted, deduplicated"
+        );
+        assert!(reads.iter().all(|&i| view.variable(i).is_unit()));
+    }
+
     #[test]
     fn every_row_has_a_unit_variable_and_is_sorted() {
         let (net, store, cfg, query, departure) = graph_and_query();
@@ -267,10 +288,15 @@ mod tests {
             for v in row {
                 assert_eq!(v.start, k);
                 // Spatial relevance: the variable's path matches the query at k.
-                assert_eq!(&query.edges()[k..k + v.rank()], v.path.edges());
+                assert_eq!(&query.edges()[k..k + v.rank()], v.var.path.edges());
             }
         }
         assert!(array.total_candidates() >= query.cardinality());
+        assert_cells_name_what_they_hold(&graph, &array);
+        assert!(
+            array.rows.iter().flatten().any(|v| v.rank() > 1),
+            "the fixture path carries higher-rank variables"
+        );
     }
 
     #[test]
@@ -317,12 +343,31 @@ mod tests {
     fn departures_in_dead_hours_still_produce_candidates() {
         let (net, store, cfg, query, _) = graph_and_query();
         let graph = HybridGraph::build(&net, &store, cfg).unwrap();
-        let departure = Timestamp::from_day_hms(0, 3, 0, 0);
-        let array = CandidateArray::build(&graph, &query, departure, None).unwrap();
         // At 03:00 there is typically no data, so rows contain fallbacks.
-        assert_eq!(array.len(), query.cardinality());
-        for row in &array.rows {
-            assert!(!row.is_empty());
+        // Half a minute before midnight, on the longest trip of the store,
+        // the windows clamp at 86 400 s and shrink to zero width: no variable
+        // overlaps them, and a row takes the unit the view lends at midnight.
+        let longest = store
+            .matched()
+            .iter()
+            .map(|m| &m.path)
+            .max_by_key(|path| path.cardinality())
+            .unwrap();
+        for (path, departure) in [
+            (&query, Timestamp::from_day_hms(0, 3, 0, 0)),
+            (&query, Timestamp(86_400.0 - 30.0)),
+            (longest, Timestamp(86_400.0 - 30.0)),
+        ] {
+            let array = CandidateArray::build(&graph, path, departure, None).unwrap();
+            assert_eq!(array.len(), path.cardinality());
+            for row in &array.rows {
+                assert!(!row.is_empty());
+            }
+            assert_cells_name_what_they_hold(&graph, &array);
+            if path == longest {
+                let last = array.updated_intervals.last().unwrap();
+                assert_eq!((last.start, last.duration()), (86_400.0, 0.0));
+            }
         }
     }
 }

@@ -32,55 +32,45 @@ impl Decomposition {
             query_len,
         }
     }
-    /// Algorithm 1: the coarsest decomposition obtainable from the candidate array.
-    pub fn coarsest(array: &CandidateArray) -> Decomposition {
-        let n = array.len();
+
+    /// Walks the rows left to right and chains the variable `pick` takes from
+    /// each, given the furthest end covered so far. A pick that ends no later
+    /// than that is a sub-path of an already chosen component (it would
+    /// violate spatial condition 3) and is skipped, as is a row with none.
+    fn chained<'a>(
+        array: &'a CandidateArray,
+        mut pick: impl FnMut(&'a [SelectedVariable], usize) -> Option<&'a SelectedVariable>,
+    ) -> Decomposition {
         let mut components: Vec<SelectedVariable> = Vec::new();
         let mut covered_end = 0usize;
-        for k in 0..n {
-            let best = array.highest_rank(k);
-            // Skip when this variable's path is a sub-path of an already chosen
-            // component (it would violate spatial condition 3). Because
-            // components are chosen left to right, that is exactly the case
-            // where it ends no later than the furthest end so far.
-            if best.end() <= covered_end {
-                continue;
+        for row in &array.rows {
+            if let Some(v) = pick(row, covered_end).filter(|v| v.end() > covered_end) {
+                covered_end = v.end();
+                components.push(v.clone());
             }
-            covered_end = best.end();
-            components.push(best.clone());
         }
-        Decomposition::assemble(components, n)
+        Decomposition::assemble(components, array.len())
+    }
+
+    /// Algorithm 1: the coarsest decomposition obtainable from the candidate
+    /// array — every row's highest-rank variable that extends the coverage.
+    pub fn coarsest(array: &CandidateArray) -> Decomposition {
+        Self::chained(array, |row, _| row.last())
     }
 
     /// A random valid decomposition (the RD baseline): at each row a variable
     /// is chosen uniformly at random among those extending the coverage.
     pub fn random<R: Rng + ?Sized>(array: &CandidateArray, rng: &mut R) -> Decomposition {
-        let n = array.len();
-        let mut components: Vec<SelectedVariable> = Vec::new();
-        let mut covered_end = 0usize;
-        for k in 0..n {
-            let extending: Vec<&SelectedVariable> = array.rows[k]
-                .iter()
-                .filter(|v| v.end() > covered_end)
-                .collect();
-            if extending.is_empty() {
-                continue;
-            }
-            let choice = extending[rng.gen_range(0..extending.len())];
-            covered_end = choice.end();
-            components.push(choice.clone());
-        }
-        Decomposition::assemble(components, n)
+        Self::chained(array, |row, covered_end| {
+            let extending: Vec<&SelectedVariable> =
+                row.iter().filter(|v| v.end() > covered_end).collect();
+            (!extending.is_empty()).then(|| extending[rng.gen_range(0..extending.len())])
+        })
     }
 
     /// The legacy (LB) decomposition: every edge contributes its unit variable.
     pub fn legacy(array: &CandidateArray) -> Decomposition {
-        let components = array
-            .rows
-            .iter()
-            .map(|row| row.first().expect("rows are non-empty").clone())
-            .collect();
-        Decomposition::assemble(components, array.len())
+        Self::chained(array, |row, _| row.first())
     }
 
     /// The HP decomposition \[10\]: every pair of adjacent edges contributes its
@@ -88,22 +78,9 @@ impl Decomposition {
     /// pairs are unavailable, so the estimator considers roughly `|P|`
     /// variables regardless of how much coarser information exists.
     pub fn pairwise(array: &CandidateArray) -> Decomposition {
-        let n = array.len();
-        let mut components: Vec<SelectedVariable> = Vec::new();
-        let mut covered_end = 0usize;
-        for k in 0..n {
-            let pair = array.rows[k].iter().find(|v| v.rank() == 2);
-            let candidate = match pair {
-                Some(p) => p,
-                None => &array.rows[k][0],
-            };
-            if candidate.end() <= covered_end {
-                continue;
-            }
-            covered_end = candidate.end();
-            components.push(candidate.clone());
-        }
-        Decomposition::assemble(components, n)
+        Self::chained(array, |row, _| {
+            row.iter().find(|v| v.rank() == 2).or(row.first())
+        })
     }
 
     /// The components in path order.
@@ -140,18 +117,12 @@ impl Decomposition {
         if self.components.is_empty() {
             return false;
         }
-        // Condition (4): ordered by start position, strictly increasing
-        // (two components starting at the same edge would make one a prefix of
-        // the other, violating (3)).
+        // Condition (4): ordered by start position, strictly increasing (two
+        // components starting at the same edge would make one a prefix of the
+        // other, violating (3)). Condition (3): no component contained in
+        // another — with sorted starts it suffices that ends strictly increase.
         for w in self.components.windows(2) {
-            if w[1].start <= w[0].start {
-                return false;
-            }
-        }
-        // Condition (3): no component contained in another. With sorted starts
-        // it suffices that ends strictly increase.
-        for w in self.components.windows(2) {
-            if w[1].end() <= w[0].end() {
+            if w[1].start <= w[0].start || w[1].end() <= w[0].end() {
                 return false;
             }
         }
@@ -206,7 +177,7 @@ impl Decomposition {
     pub fn entropy_hde(&self) -> f64 {
         let mut h = 0.0;
         for c in &self.components {
-            h += c.histogram.entropy();
+            h += c.var.entropy();
         }
         for i in 0..self.components.len().saturating_sub(1) {
             let overlap = self.overlap_len(i);
@@ -215,7 +186,7 @@ impl Decomposition {
             }
             let next = &self.components[i + 1];
             let dims: Vec<usize> = (0..overlap).collect();
-            if let Ok(marginal) = next.histogram.marginal(&dims) {
+            if let Ok(marginal) = next.var.histogram.marginal(&dims) {
                 h -= marginal.entropy();
             }
         }

@@ -12,7 +12,7 @@
 //! * **GT** — the accuracy-optimal baseline computed directly from ≥ β
 //!   qualified trajectories ([`GroundTruthEstimator`]), used as ground truth.
 
-use crate::candidate::CandidateArray;
+use crate::candidate::{CandidateArray, CandidateSource};
 use crate::decomposition::Decomposition;
 use crate::error::CoreError;
 use crate::hybrid_graph::HybridGraph;
@@ -85,24 +85,24 @@ pub trait CostEstimator {
 }
 
 /// One estimation's full output: the distribution, the decomposition it came
-/// from, the set of trajectory-derived weight-function variables it read, and
-/// the per-phase timing. Produced by [`OdEstimator::estimate_with_artifacts`]
-/// for callers — the serving layer's cache — that need more than the
-/// histogram.
+/// from, the trajectory-derived weight-function variables it read, and the
+/// per-phase timing. Produced by [`OdEstimator::estimate_with_artifacts`] for
+/// callers — the serving layer's cache — that need more than the histogram.
 #[derive(Debug, Clone)]
 pub struct EstimateArtifacts {
     /// The estimated cost distribution.
     pub histogram: Histogram1D,
     /// The decomposition the distribution was derived from.
     pub decomposition: Decomposition,
-    /// Every trajectory-derived variable key whose histogram the estimation
-    /// read — the shift-and-enlarge unit probes of the candidate array plus
-    /// the instantiated components of the decomposition — sorted and
+    /// The position, in the weight view the estimation read
+    /// ([`HybridGraph::view`]), of every trajectory-derived variable whose
+    /// histogram it read — the unit probes of the candidate array plus the
+    /// instantiated components of the decomposition — sorted and
     /// deduplicated. If none of these variables changes, re-running the
     /// estimation yields a bit-identical histogram (new variables appearing
     /// can still change candidate *selection*; the serving layer handles
     /// those separately by sub-path containment).
-    pub dependencies: Vec<(Path, crate::interval::IntervalId)>,
+    pub dependencies: Vec<usize>,
     /// Wall-clock phase breakdown (Figure 17's OI / JC / MC).
     pub breakdown: EstimateBreakdown,
 }
@@ -138,19 +138,16 @@ where
     let hist = Histogram1D::from_overlapping(&entries)?;
     let mc = start.elapsed().as_secs_f64();
 
-    let mut dependencies: Vec<(Path, crate::interval::IntervalId)> = array
-        .trajectory_unit_reads
-        .iter()
-        .map(|&(edge, interval)| (Path::unit(edge), interval))
-        .collect();
-    for component in decomposition.components() {
-        if matches!(
-            component.source,
-            crate::candidate::CandidateSource::Instantiated(_)
-        ) {
-            dependencies.push((component.path.clone(), component.interval));
-        }
-    }
+    let mut dependencies = array.trajectory_unit_reads;
+    dependencies.extend(
+        decomposition
+            .components()
+            .iter()
+            .filter_map(|c| match c.source {
+                CandidateSource::Instantiated(index) => Some(index),
+                CandidateSource::UnitFallback => None,
+            }),
+    );
     dependencies.sort_unstable();
     dependencies.dedup();
 
@@ -192,22 +189,12 @@ impl<'g, 'n> OdEstimator<'g, 'n> {
         }
     }
 
-    /// Estimates the distribution and returns the coarsest decomposition it
-    /// was derived from — the same pipeline as [`CostEstimator::estimate`],
-    /// exposed for callers that also need the decomposition (the serving
-    /// layer caches its component count as the query's depth).
-    pub fn estimate_with_decomposition(
-        &self,
-        path: &Path,
-        departure: Timestamp,
-    ) -> Result<(Histogram1D, Decomposition), CoreError> {
-        self.estimate_with_artifacts(path, departure)
-            .map(|a| (a.histogram, a.decomposition))
-    }
-
-    /// As [`Self::estimate_with_decomposition`], additionally reporting the
-    /// trajectory-derived variable keys the estimation read — the dependency
-    /// set the serving layer's targeted cache invalidation is built on.
+    /// Estimates the distribution — the same pipeline as
+    /// [`CostEstimator::estimate`] — and returns it with the coarsest
+    /// decomposition it was derived from (the serving layer caches its
+    /// component count as the query's depth) and the trajectory-derived
+    /// variables it read, the dependency set the serving layer's targeted
+    /// cache invalidation is built on.
     pub fn estimate_with_artifacts(
         &self,
         path: &Path,

@@ -300,11 +300,12 @@ fn cost_entries_with_scratch(
         } else {
             decomposition.overlap_len(i - 1)
         };
-        scratch.index_component(&comp.histogram, overlap_prev, decomposition.overlap_len(i));
+        let hist = &comp.var.histogram;
+        scratch.index_component(hist, overlap_prev, decomposition.overlap_len(i));
         if i == 0 {
-            scratch.seed(&comp.histogram);
+            scratch.seed(hist);
         } else {
-            scratch.extend(&comps[i - 1].histogram, &comp.histogram, overlap_prev);
+            scratch.extend(&comps[i - 1].var.histogram, hist, overlap_prev);
         }
         scratch.merge(max_state_buckets);
         if i > 0 && scratch.states.is_empty() {
@@ -472,7 +473,7 @@ mod tests {
         let unit_hists: Vec<Histogram1D> = d
             .components()
             .iter()
-            .map(|c| c.histogram.marginal_1d(0).unwrap())
+            .map(|c| c.var.edge_marginal(0).unwrap())
             .collect();
         let conv = pathcost_hist::convolution::convolve_many_with_limit(&unit_hists, 64).unwrap();
         assert!(

@@ -40,6 +40,7 @@ pub fn cost_entries_with_limit(
     let overlap_with_next = decomposition.overlap_len(0);
     let first = &comps[0];
     let mut states: Vec<ChainState> = first
+        .var
         .histogram
         .iter_cells()
         .map(|(buckets, prob)| {
@@ -58,7 +59,7 @@ pub fn cost_entries_with_limit(
         let overlap_prev = decomposition.overlap_len(i - 1);
         let overlap_next = decomposition.overlap_len(i);
         let rank = comp.rank();
-        let cells: Vec<(Vec<Bucket>, f64)> = comp.histogram.iter_cells().collect();
+        let cells: Vec<(Vec<Bucket>, f64)> = comp.var.histogram.iter_cells().collect();
 
         let mut next_states: Vec<ChainState> = Vec::with_capacity(states.len() * 4);
         for state in &states {
@@ -195,6 +196,7 @@ mod tests {
     use crate::hybrid_graph::HybridGraph;
     use crate::interval::IntervalId;
     use crate::joint::{self, ChainScratch};
+    use crate::variable::{InstantiatedVariable, VariableSource};
     use pathcost_hist::HistogramNd;
     use pathcost_roadnet::{EdgeId, Path};
     use pathcost_traj::DatasetPreset;
@@ -281,14 +283,16 @@ mod tests {
             })
             .collect();
         let rank = axes.len();
+        let var = InstantiatedVariable::new(
+            Path::from_edges_unchecked((start..start + rank).map(|e| EdgeId(e as u32)).collect()),
+            IntervalId(0),
+            HistogramNd::from_raw_parts(axes, cells).unwrap(),
+            VariableSource::Trajectories { count: 0 },
+        );
         SelectedVariable {
             start,
-            path: Path::from_edges_unchecked(
-                (start..start + rank).map(|e| EdgeId(e as u32)).collect(),
-            ),
-            interval: IntervalId(0),
-            histogram: std::sync::Arc::new(HistogramNd::from_raw_parts(axes, cells).unwrap()),
-            source: CandidateSource::UnitFallback,
+            var: std::sync::Arc::new(var),
+            source: CandidateSource::Instantiated(0),
         }
     }
 
@@ -422,16 +426,16 @@ mod tests {
                 1 => prop_assert!((0..d.len()).all(|i| d.overlap_len(i) == 0)),
                 3 => prop_assert_eq!(d.overlap_len(0), comps[1].rank()),
                 4 => {
-                    let top = comps[0].histogram.axes()[1].last().unwrap().hi;
-                    prop_assert!(comps[1].histogram.axes()[0][0].lo > top);
+                    let top = comps[0].var.histogram.axes()[1].last().unwrap().hi;
+                    prop_assert!(comps[1].var.histogram.axes()[0][0].lo > top);
                 }
                 5 => {
                     prop_assert_eq!(d.overlap_len(0), 0);
-                    let cells = comps[0].histogram.cell_count();
+                    let cells = comps[0].var.histogram.cell_count();
                     prop_assert!(cells == budget || cells == budget + 1);
                 }
                 6 => {
-                    let cells = comps[0].histogram.cells();
+                    let cells = comps[0].var.histogram.cells();
                     let dead = cells.iter().find(|(_, p)| *p == 0.0).unwrap().0[1];
                     prop_assert!(cells.iter().all(|(key, p)| (key[1] == dead) == (*p == 0.0)));
                 }

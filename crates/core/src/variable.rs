@@ -1,8 +1,10 @@
-//! Instantiated random variables (`V_P^{I_j}` in the paper).
+//! Instantiated random variables (`V_P^{I_j}` in the paper): fitted from at
+//! least β trajectories or, for an edge the data never covered, derived from
+//! its speed limit ([`InstantiatedVariable::speed_limit`]).
 
 use crate::interval::IntervalId;
 use pathcost_hist::{Histogram1D, HistogramNd};
-use pathcost_roadnet::Path;
+use pathcost_roadnet::{EdgeId, Path};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -15,7 +17,7 @@ pub enum VariableSource {
         count: usize,
     },
     /// Derived from the edge's speed limit (unit paths without enough
-    /// trajectories).
+    /// trajectories, [`InstantiatedVariable::speed_limit`]).
     SpeedLimit,
 }
 
@@ -34,10 +36,10 @@ pub struct InstantiatedVariable {
     pub histogram: Arc<HistogramNd>,
     /// Where the distribution came from.
     pub source: VariableSource,
-    /// A unit variable's cost distribution — `histogram.marginal_1d(0)` —
-    /// derived once at construction, so the readers that ask for it per
-    /// search node or per query edge borrow it. The tables share variables
-    /// across epochs, and with them this.
+    /// A unit variable's cost distribution — `histogram.marginal_1d(0)`, or
+    /// a fallback's own — held from construction, so the readers that ask
+    /// for it per search node or per query edge borrow it. The tables share
+    /// variables across epochs, and with them this.
     unit: Option<Histogram1D>,
 }
 
@@ -62,6 +64,19 @@ impl InstantiatedVariable {
             histogram: Arc::new(histogram),
             source,
             unit,
+        }
+    }
+
+    /// The speed-limit fallback of `edge`: it lends `unit` itself, bit for
+    /// bit, and its joint is derived from it. A fallback holds at every
+    /// interval; its `interval` is `IntervalId(0)` and nothing reads it.
+    pub fn speed_limit(edge: EdgeId, unit: Histogram1D) -> Self {
+        InstantiatedVariable {
+            path: Path::unit(edge),
+            interval: IntervalId(0),
+            histogram: Arc::new(HistogramNd::from_histogram1d(&unit)),
+            source: VariableSource::SpeedLimit,
+            unit: Some(unit),
         }
     }
 
@@ -111,7 +126,6 @@ impl InstantiatedVariable {
 mod tests {
     use super::*;
     use pathcost_hist::{AutoConfig, Bucket};
-    use pathcost_roadnet::EdgeId;
 
     fn two_edge_variable() -> InstantiatedVariable {
         let samples: Vec<Vec<f64>> = (0..100)
@@ -130,17 +144,17 @@ mod tests {
         let v = two_edge_variable();
         assert_eq!(v.rank(), 2);
         assert!(!v.is_unit());
-        let unit = InstantiatedVariable::new(
-            Path::unit(EdgeId(3)),
-            IntervalId(0),
-            HistogramNd::from_histogram1d(
-                &Histogram1D::from_entries(vec![(Bucket::new(10.0, 20.0).unwrap(), 1.0)]).unwrap(),
-            ),
-            VariableSource::SpeedLimit,
-        );
+        let h = Histogram1D::from_entries(vec![(Bucket::new(10.0, 20.0).unwrap(), 1.0)]).unwrap();
+        let unit = InstantiatedVariable::speed_limit(EdgeId(3), h.clone());
         assert_eq!(unit.rank(), 1);
         assert!(unit.is_unit());
+        assert_eq!(unit.path, Path::unit(EdgeId(3)));
         assert_eq!(unit.source, VariableSource::SpeedLimit);
+        assert_eq!(
+            unit.unit_marginal(),
+            Some(&h),
+            "lends the distribution it was given"
+        );
         assert_eq!(unit.unit_marginal(), unit.edge_marginal(0).as_ref());
         assert!(v.unit_marginal().is_none(), "only unit variables carry one");
     }

@@ -16,9 +16,10 @@
 //! behind [`Arc`]s, so a view costs its indices and a new epoch copies only
 //! the variables it re-fitted.
 //!
-//! Unit paths that never reach `β` qualified trajectories fall back to a
-//! speed-limit-derived distribution, so every edge always has *some*
-//! ground-truth unit weight.
+//! Unit paths that never reach `β` qualified trajectories fall back to the
+//! edge's speed-limit unit variable, so every edge always has *some* unit
+//! weight. The fallbacks depend on the network alone: one table indexed by
+//! edge id, built once per network and shared by every view of every epoch.
 
 mod fit;
 mod view;
@@ -36,7 +37,7 @@ use pathcost_traj::costs::per_edge_costs;
 use pathcost_traj::MatchedTrajectory;
 use pathcost_traj::{CostKind, RegimeId, RegimeSchema, TrajectoryStore};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// The variable keys whose qualified occurrence sets a batch of *appended or
@@ -128,8 +129,8 @@ pub struct PathWeightFunction {
     cost_kind: CostKind,
     /// The regime fallback-ladder schema the function was instantiated under.
     schema: RegimeSchema,
-    /// Speed-limit-derived fallback distribution per edge.
-    fallback_units: Arc<HashMap<EdgeId, Histogram1D>>,
+    /// The speed-limit fallback of every edge, indexed by edge id.
+    fallback_units: Arc<Table>,
     tables: BTreeMap<RegimeId, Table>,
     /// The view of the ladder `[ALL_TRAFFIC]`.
     root: Arc<WeightView>,
@@ -282,14 +283,18 @@ impl PathWeightFunction {
             tables.insert(table, fitted.into_iter().map(Arc::new).collect());
         }
 
-        // Speed-limit fallbacks for every edge of the network.
-        let mut fallback_units = HashMap::with_capacity(net.edge_count());
-        for edge in net.edges() {
-            let t_ff = edge.free_flow_time_s();
-            let lo = t_ff * (1.0 - cfg.speed_limit_spread);
-            let hi = t_ff * (1.0 + 3.0 * cfg.speed_limit_spread);
-            fallback_units.insert(edge.id, Histogram1D::uniform(lo, hi.max(lo + 0.5))?);
-        }
+        // Speed-limit fallbacks for every edge of the network, in id order.
+        let fallback_units: Table = net
+            .edges()
+            .iter()
+            .map(|edge| {
+                let t_ff = edge.free_flow_time_s();
+                let lo = t_ff * (1.0 - cfg.speed_limit_spread);
+                let hi = t_ff * (1.0 + 3.0 * cfg.speed_limit_spread);
+                let unit = Histogram1D::uniform(lo, hi.max(lo + 0.5))?;
+                Ok(Arc::new(InstantiatedVariable::speed_limit(edge.id, unit)))
+            })
+            .collect::<Result<_, CoreError>>()?;
 
         Ok(Self::assemble(
             partition,
@@ -312,7 +317,7 @@ impl PathWeightFunction {
         partition: DayPartition,
         cost_kind: CostKind,
         schema: RegimeSchema,
-        fallback_units: Arc<HashMap<EdgeId, Histogram1D>>,
+        fallback_units: Arc<Table>,
         mut tables: BTreeMap<RegimeId, Table>,
         store: &TrajectoryStore,
     ) -> PathWeightFunction {
@@ -503,15 +508,17 @@ impl PathWeightFunction {
     /// deserialization counterpart of [`Self::tables`] +
     /// [`Self::fallback_units`] + [`Self::regime_schema`]. Every table must
     /// be in strictly increasing `(path edges, interval)` key order (the
-    /// order [`Self::tables`] exposes); the views and the summary statistics
-    /// are re-derived exactly as every other constructor derives them, so a
-    /// restored function is bit-identical to the one that was captured
-    /// (given the same `store`).
+    /// order [`Self::tables`] exposes), and the fallbacks must be the
+    /// `(edge, distribution)` pairs of edge ids `0..n` in order (the order
+    /// [`Self::fallback_units`] exposes); the views and the summary
+    /// statistics are re-derived exactly as every other constructor derives
+    /// them, so a restored function is bit-identical to the one that was
+    /// captured (given the same `store`).
     pub fn from_parts(
         partition: DayPartition,
         cost_kind: CostKind,
         schema: RegimeSchema,
-        fallback_units: HashMap<EdgeId, Histogram1D>,
+        fallback_units: Vec<(EdgeId, Histogram1D)>,
         tables: BTreeMap<RegimeId, Vec<InstantiatedVariable>>,
         store: &TrajectoryStore,
     ) -> Result<Self, CoreError> {
@@ -523,6 +530,17 @@ impl PathWeightFunction {
                 "restored variables must be in strictly increasing (path, interval) order",
             ));
         }
+        let fallback_units = fallback_units
+            .into_iter()
+            .enumerate()
+            .map(|(at, (edge, unit))| {
+                (edge.index() == at)
+                    .then(|| Arc::new(InstantiatedVariable::speed_limit(edge, unit)))
+            })
+            .collect::<Option<Table>>()
+            .ok_or(CoreError::InvalidConfig(
+                "restored fallbacks must be edge ids 0..n in order",
+            ))?;
         let tables = tables
             .into_iter()
             .map(|(table, vars)| (table, vars.into_iter().map(Arc::new).collect()))
@@ -555,8 +573,8 @@ impl PathWeightFunction {
         self.views.get(&regime).unwrap_or(&self.root)
     }
 
-    /// The speed-limit-derived fallback unit distribution of every edge.
-    pub fn fallback_units(&self) -> &HashMap<EdgeId, Histogram1D> {
+    /// The speed-limit fallback of every edge, indexed by edge id.
+    pub fn fallback_units(&self) -> &[Arc<InstantiatedVariable>] {
         &self.fallback_units
     }
 
@@ -598,6 +616,7 @@ mod tests {
     use crate::variable::VariableSource;
     use pathcost_traj::DatasetPreset;
     use proptest::prelude::*;
+    use std::collections::HashMap;
 
     fn build() -> (RoadNetwork, TrajectoryStore, PathWeightFunction) {
         let (net, store) = DatasetPreset::tiny(21).materialise().unwrap();
@@ -958,13 +977,9 @@ mod tests {
         let sparse = wp.view(RegimeId(2));
         assert_eq!(sparse.regime(), RegimeId::ALL_TRAFFIC, "the root answers");
         assert_eq!(sparse.variables(), wp.variables());
-        for (i, v) in sparse.variables().iter().enumerate() {
+        for i in 0..sparse.variables().len() {
             assert_eq!(depth(&wp, RegimeId(2), i), 1, "empty own table ⇒ depth 1");
             assert_eq!(sparse.source(i), RegimeId::ALL_TRAFFIC);
-            assert_eq!(
-                sparse.source_of(&v.path, v.interval),
-                Some(RegimeId::ALL_TRAFFIC)
-            );
         }
 
         // Regime 1 holds nearly all data: same key set as the global table
@@ -1191,19 +1206,21 @@ mod tests {
         assert_regime_identical(&auto.weights, &refit.weights);
     }
 
+    /// Every bit of a 1-D histogram: bounds, masses, cumulative masses.
+    fn bits(h: &Histogram1D) -> Vec<u64> {
+        let bounds = h.buckets().iter().flat_map(|b| [b.lo, b.hi]);
+        bounds
+            .chain(h.probs().iter().copied())
+            .chain(h.cumulative_probs().iter().copied())
+            .map(f64::to_bits)
+            .collect()
+    }
+
     /// Checks that every unit variable of every table carries
     /// `histogram.marginal_1d(0)` bit for bit — and that the views lend that
     /// very histogram — and no other variable carries one. Returns how many
     /// unit variables it saw.
     fn assert_units_carried(wp: &PathWeightFunction) -> usize {
-        let bits = |h: &Histogram1D| -> Vec<u64> {
-            let bounds = h.buckets().iter().flat_map(|b| [b.lo, b.hi]);
-            bounds
-                .chain(h.probs().iter().copied())
-                .chain(h.cumulative_probs().iter().copied())
-                .map(f64::to_bits)
-                .collect()
-        };
         let mut units = 0;
         for (regime, table) in wp.tables() {
             for v in table {
@@ -1215,13 +1232,13 @@ mod tests {
                 assert_eq!(bits(carried), bits(&v.histogram.marginal_1d(0).unwrap()));
                 // The view of the table's own regime resolves the key from
                 // this table (nearest rung) and lends the carried histogram.
-                let (lent, trajectory_derived) = wp
-                    .view(*regime)
-                    .unit(v.path.first_edge(), v.interval)
-                    .unwrap();
-                assert!(trajectory_derived);
-                if wp.view(*regime).regime() == *regime {
+                let view = wp.view(*regime);
+                let (lent, index) = view.unit(v.path.first_edge(), v.interval).unwrap();
+                let index = index.expect("a trajectory-derived unit has a view position");
+                assert_eq!(view.variable(index).path, v.path);
+                if view.regime() == *regime {
                     assert!(std::ptr::eq(lent, carried));
+                    assert!(std::ptr::eq(view.variable(index), &**v));
                 }
                 units += 1;
             }
@@ -1267,14 +1284,127 @@ mod tests {
     }
 
     #[test]
-    fn a_fallback_unit_is_lent_from_the_network_wide_map() {
-        let (net, _, wp) = build();
+    fn every_edge_lends_one_speed_limit_fallback_shared_by_every_view_and_epoch() {
+        let (net, untagged) = DatasetPreset::tiny(31).materialise().unwrap();
+        let cfg = HybridConfig {
+            beta: 10,
+            ..HybridConfig::default()
+        }
+        .with_regimes(grouped_schema());
+        let store = tag_store(&untagged, untagged.len() / 2);
+        let split = store.len() - 5;
+        let mut base = TrajectoryStore::new(store.matched()[..split].to_vec());
+        let batch = store.matched()[split..].to_vec();
+        let wp = PathWeightFunction::instantiate(&net, &base, &cfg).unwrap();
+        let partition = DayPartition::new(cfg.alpha_minutes).unwrap();
+        let dirty = dirty_keys_by_regime(&batch, &partition, cfg.max_rank, &cfg.regimes);
+        base.append(batch);
+        let next = wp
+            .rederive_regimes(&net, &base, &cfg, &dirty)
+            .unwrap()
+            .weights;
+        assert!(
+            !wp.views.is_empty() && !next.views.is_empty(),
+            "regime views exist"
+        );
+        let views: Vec<&Arc<WeightView>> = [&wp, &*next]
+            .into_iter()
+            .flat_map(|w| std::iter::once(&w.root).chain(w.views.values()))
+            .collect();
+
+        // A path through the network at 03:00, when nothing is instantiated:
+        // every row of its candidate array is a fallback.
+        let query = &base.matched()[0].path;
+        let graph = crate::HybridGraph::from_parts(&net, wp.clone(), cfg.clone());
+        let departure = pathcost_traj::Timestamp::from_day_hms(0, 3, 0, 0);
+        let array = crate::CandidateArray::build(&graph, query, departure, None).unwrap();
+        let rows: HashMap<EdgeId, &Arc<InstantiatedVariable>> = array
+            .rows
+            .iter()
+            .map(|row| (row[0].var.path.first_edge(), &row[0].var))
+            .collect();
+        assert_eq!(rows.len(), query.cardinality());
+
         let interval = IntervalId(3); // 01:30–02:00, no data
-        let edge = net.edges()[0].id;
-        let (lent, trajectory_derived) = wp.root.unit(edge, interval).unwrap();
-        assert!(!trajectory_derived);
-        assert!(std::ptr::eq(lent, &wp.fallback_units()[&edge]));
+        let s = cfg.speed_limit_spread;
+        for edge in net.edges() {
+            let fallback = &wp.fallback_units()[edge.id.index()];
+            let t_ff = edge.free_flow_time_s();
+            let lo = t_ff * (1.0 - s);
+            let expected = Histogram1D::uniform(lo, (t_ff * (1.0 + 3.0 * s)).max(lo + 0.5));
+            assert_eq!(fallback.path, Path::unit(edge.id));
+            assert_eq!(fallback.source, VariableSource::SpeedLimit);
+            assert_eq!(
+                bits(fallback.unit_marginal().unwrap()),
+                bits(&expected.unwrap())
+            );
+            for view in &views {
+                let (var, index) = view.unit_variable(edge.id, interval).unwrap();
+                assert_eq!(index, None, "a fallback has no view position");
+                assert!(Arc::ptr_eq(var, fallback));
+                let (lent, _) = view.unit(edge.id, interval).unwrap();
+                assert!(std::ptr::eq(lent, fallback.unit_marginal().unwrap()));
+            }
+            if let Some(row) = rows.get(&edge.id) {
+                assert!(Arc::ptr_eq(row, fallback), "the candidate row shares it");
+            }
+        }
         assert!(wp.root.unit(EdgeId(u32::MAX), interval).is_none());
+
+        // The fallbacks' 1-D histograms still count towards the footprint.
+        let (net, _, wp) = build();
+        let fallback_bytes: usize = net
+            .edges()
+            .iter()
+            .map(|edge| {
+                let fallback = &wp.fallback_units()[edge.id.index()];
+                fallback.unit_marginal().unwrap().storage_bytes()
+            })
+            .sum();
+        let variable_bytes: usize = wp.variables().iter().map(|v| v.storage_bytes()).sum();
+        assert_eq!(wp.stats().memory_bytes, fallback_bytes + variable_bytes);
+    }
+
+    #[test]
+    fn from_parts_takes_the_fallbacks_of_edge_ids_in_order_only() {
+        let (net, store, wp) = build();
+        let cfg = HybridConfig {
+            beta: 10,
+            ..HybridConfig::default()
+        };
+        let restore = |fallbacks: Vec<(EdgeId, Histogram1D)>| {
+            let tables = wp
+                .tables()
+                .iter()
+                .map(|(regime, vars)| (*regime, vars.iter().map(|v| (**v).clone()).collect()))
+                .collect();
+            PathWeightFunction::from_parts(
+                wp.partition().clone(),
+                cfg.cost_kind,
+                wp.regime_schema().clone(),
+                fallbacks,
+                tables,
+                &store,
+            )
+        };
+        let decoded: Vec<(EdgeId, Histogram1D)> = wp
+            .fallback_units()
+            .iter()
+            .map(|v| (v.path.first_edge(), v.unit_marginal().unwrap().clone()))
+            .collect();
+        assert_eq!(decoded.len(), net.edge_count());
+        let restored = restore(decoded.clone()).unwrap();
+        assert_eq!(restored.fallback_units(), wp.fallback_units());
+        assert_eq!(restored.stats(), wp.stats());
+
+        // A duplicated id (the last entry would have won in a map) and a
+        // reordered list are refused.
+        let mut duplicated = decoded.clone();
+        duplicated[2].0 = duplicated[1].0;
+        assert!(restore(duplicated).is_err());
+        let mut reordered = decoded;
+        reordered.swap(0, 1);
+        assert!(restore(reordered).is_err());
     }
 
     /// A stand-in variable for `key`, told apart by `marker`.

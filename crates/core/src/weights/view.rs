@@ -2,12 +2,12 @@
 //! layered so the nearest table that instantiated a key answers for it.
 //!
 //! Reading is borrowing. A lookup hashes the caller's edge slice as it
-//! stands — no key is built — and a unit distribution
-//! ([`WeightView::unit`]) is a reference to the marginal its variable carries
-//! or to the network's speed-limit fallback, so the routing search's
-//! per-node extension and the candidate array's per-edge probes allocate
-//! nothing here. A view holds nothing per edge of the network: its indices
-//! are proportional to the variables it layers, as before.
+//! stands — no key is built — and a unit variable
+//! ([`WeightView::unit_variable`]) is the view's own, named by its position,
+//! or the network's speed-limit fallback, which has none, so the routing
+//! search's per-node extension and the candidate array's per-edge probes
+//! allocate nothing here. A view's indices are proportional to the
+//! variables it layers; the fallback table is shared.
 
 use super::{key_of, Table, WeightStats};
 use crate::interval::IntervalId;
@@ -36,9 +36,10 @@ pub struct WeightView {
     index: HashMap<Vec<EdgeId>, Vec<(IntervalId, usize)>>,
     /// All variable indices whose path starts with the given edge.
     by_first_edge: HashMap<EdgeId, Vec<usize>>,
-    /// Speed-limit-derived fallback distribution per edge (one allocation
-    /// for every view of every epoch — it depends on the network alone).
-    fallback_units: Arc<HashMap<EdgeId, Histogram1D>>,
+    /// The speed-limit fallback of every edge, indexed by edge id (one
+    /// allocation for every view of every epoch — it depends on the network
+    /// alone).
+    fallback_units: Arc<Table>,
     stats: WeightStats,
 }
 
@@ -50,7 +51,7 @@ impl WeightView {
         regime: RegimeId,
         ladder: &[RegimeId],
         tables: &BTreeMap<RegimeId, Table>,
-        fallback_units: &Arc<HashMap<EdgeId, Histogram1D>>,
+        fallback_units: &Arc<Table>,
         edges_with_records: usize,
     ) -> WeightView {
         let mut rows: Vec<(&Arc<InstantiatedVariable>, RegimeId)> = ladder
@@ -72,7 +73,8 @@ impl WeightView {
         let mut count_by_rank: BTreeMap<usize, usize> = BTreeMap::new();
         let mut entropy_sum: BTreeMap<usize, f64> = BTreeMap::new();
         let mut covered: HashSet<EdgeId> = HashSet::new();
-        let mut memory: usize = fallback_units.values().map(|h| h.storage_bytes()).sum();
+        let fallback_bytes = fallback_units.iter().flat_map(|v| v.unit_marginal());
+        let mut memory: usize = fallback_bytes.map(Histogram1D::storage_bytes).sum();
         for (idx, (var, _)) in rows.iter().enumerate() {
             by_first_edge
                 .entry(var.path.first_edge())
@@ -147,12 +149,6 @@ impl WeightView {
             .map(|i| self.variable(i))
     }
 
-    /// The table this key resolves from, when the key is instantiated.
-    pub fn source_of(&self, path: &Path, interval: IntervalId) -> Option<RegimeId> {
-        self.index_of(path.edges(), interval)
-            .map(|i| self.sources[i])
-    }
-
     /// Indices of all variables whose path starts with `edge`.
     pub fn variables_starting_with(&self, edge: EdgeId) -> &[usize] {
         self.by_first_edge
@@ -161,16 +157,30 @@ impl WeightView {
             .unwrap_or(&[])
     }
 
-    /// The unit-path cost distribution of `edge` during `interval`, borrowed
-    /// from the view, and whether it is trajectory-derived: the marginal of
-    /// the edge's unit variable when a table on the ladder instantiated one
-    /// (`true`), otherwise the speed-limit fallback (`false`). Every edge of
-    /// the network always has a unit distribution.
-    pub fn unit(&self, edge: EdgeId, interval: IntervalId) -> Option<(&Histogram1D, bool)> {
+    /// The unit variable of `edge` during `interval` and its position in the
+    /// view: the view's variable when a table on the ladder instantiated one
+    /// (`Some(index)`), otherwise the edge's speed-limit fallback (`None`).
+    /// Every edge of the network always has one; an unknown edge has none.
+    pub fn unit_variable(
+        &self,
+        edge: EdgeId,
+        interval: IntervalId,
+    ) -> Option<(&Arc<InstantiatedVariable>, Option<usize>)> {
         match self.index_of(&[edge], interval) {
-            Some(i) => self.variables[i].unit_marginal().map(|unit| (unit, true)),
-            None => self.fallback_units.get(&edge).map(|unit| (unit, false)),
+            Some(i) => Some((&self.variables[i], Some(i))),
+            None => self.fallback_units.get(edge.index()).map(|v| (v, None)),
         }
+    }
+
+    /// The cost distribution of [`Self::unit_variable`], borrowed from it,
+    /// and its position in the view (`None` for a fallback).
+    pub fn unit(
+        &self,
+        edge: EdgeId,
+        interval: IntervalId,
+    ) -> Option<(&Histogram1D, Option<usize>)> {
+        let (var, index) = self.unit_variable(edge, interval)?;
+        Some((var.unit_marginal()?, index))
     }
 
     /// Summary statistics of the view's variables.

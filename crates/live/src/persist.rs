@@ -34,14 +34,13 @@
 
 use crate::ingest::{LiveIngestor, RetentionConfig};
 use pathcost_core::{CoreError, DayPartition, HybridConfig, PathWeightFunction, WeightUpdate};
-use pathcost_hist::Histogram1D;
 use pathcost_obs::log as obslog;
 use pathcost_persist::codec;
 use pathcost_persist::format::Cursor;
 use pathcost_persist::journal::{Journal, JournalOp, JournalRecord};
 use pathcost_persist::snapshot::{self, list_generations, SnapshotReader, SnapshotWriter};
 use pathcost_persist::{PersistError, PersistenceStatus, RecoveryOutcome};
-use pathcost_roadnet::{EdgeId, RoadNetwork};
+use pathcost_roadnet::RoadNetwork;
 use pathcost_traj::{MatchedTrajectory, RegimeId, Timestamp, TrajectoryStore};
 use std::collections::BTreeMap;
 use std::fs;
@@ -599,19 +598,16 @@ impl<'n> PersistentIngestor<'n> {
         self.inner.compact_store();
         let epoch = self.inner.epoch();
         let weights = self.inner.weights();
-        let mut fallbacks: Vec<(EdgeId, Histogram1D)> = weights
-            .fallback_units()
-            .iter()
-            .map(|(e, h)| (*e, h.clone()))
-            .collect();
-        // Deterministic image: a HashMap's iteration order must never leak.
-        fallbacks.sort_unstable_by_key(|(e, _)| e.0);
         let config_section =
             codec::encode_config(self.inner.config(), self.inner.retention().max_age);
         let mut store_section = Vec::new();
         codec::put_trajectories(&mut store_section, self.inner.store().matched());
         let mut weights_section = Vec::new();
-        codec::put_weights(&mut weights_section, weights.variables(), &fallbacks);
+        codec::put_weights(
+            &mut weights_section,
+            weights.variables(),
+            weights.fallback_units(),
+        );
         // The all-traffic table and the speed-limit fallbacks ride the
         // WEIGHTS section, every other table REGIME_WEIGHTS — the layout
         // legacy images introduced (see `restore_from_snapshot`).
@@ -747,7 +743,7 @@ fn restore_from_snapshot<'n>(
         DayPartition::new(config.alpha_minutes)?,
         config.cost_kind,
         schema,
-        fallbacks.into_iter().collect(),
+        fallbacks,
         tables,
         &store,
     )?;
@@ -781,6 +777,7 @@ fn unix_ms() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pathcost_hist::Histogram1D;
     use pathcost_traj::DatasetPreset;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -951,6 +948,50 @@ mod tests {
         assert_eq!(report.outcome, RecoveryOutcome::Discarded);
         assert_eq!(p.epoch(), 0);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_malformed_fallback_list_discards_the_lineage() {
+        type Scramble = fn(&mut Vec<Arc<pathcost_core::InstantiatedVariable>>);
+        let duplicate: Scramble = |fallbacks| fallbacks[2] = fallbacks[1].clone();
+        let reorder: Scramble = |fallbacks| fallbacks.swap(0, 1);
+        for (tag, scramble) in [("dup-fallback", duplicate), ("swap-fallback", reorder)] {
+            let (net, store, cfg) = fixture();
+            let dir = temp_dir(tag);
+            let p = LiveIngestor::new(&net, store.clone(), cfg.clone())
+                .unwrap()
+                .with_persistence(&dir, PersistenceConfig::default())
+                .unwrap();
+            // Re-publish the base generation with its fallback list scrambled:
+            // every CRC is valid, only the list's edge ids are not 0..n.
+            let (snap, _) = SnapshotReader::load_latest(&dir).unwrap();
+            let mut snap = snap.unwrap();
+            let weights = p.weights();
+            let mut fallbacks = weights.fallback_units().to_vec();
+            scramble(&mut fallbacks);
+            let mut weights_section = Vec::new();
+            codec::put_weights(&mut weights_section, weights.variables(), &fallbacks);
+            for (section, payload) in &mut snap.sections {
+                if *section == snapshot::section::WEIGHTS {
+                    *payload = std::mem::take(&mut weights_section);
+                }
+            }
+            p.writer.publish(snap.epoch, &snap.sections).unwrap();
+            drop(p);
+
+            let (p, report) = PersistentIngestor::recover(
+                &net,
+                &dir,
+                cfg,
+                RetentionConfig::default(),
+                PersistenceConfig::default(),
+                move || store,
+            )
+            .unwrap();
+            assert_eq!(report.outcome, RecoveryOutcome::Discarded, "{tag}");
+            assert_eq!(p.epoch(), 0);
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

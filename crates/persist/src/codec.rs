@@ -296,22 +296,22 @@ fn read_variable(c: &mut Cursor<'_>) -> Result<InstantiatedVariable, PersistErro
 }
 
 /// Encodes the variable list plus per-edge fallbacks of a weight function.
-/// Fallbacks arrive as a pre-sorted `(edge, histogram)` list — the caller
-/// sorts by edge id so identical weight functions always produce identical
-/// bytes (a `HashMap` iteration order must never leak into the image).
+/// The fallbacks are its edge-indexed speed-limit table, written as
+/// `(edge, distribution)` pairs in edge-id order.
 pub fn put_weights<V: Borrow<InstantiatedVariable>>(
     out: &mut Vec<u8>,
     variables: &[V],
-    fallback_units: &[(EdgeId, Histogram1D)],
+    fallback_units: &[V],
 ) {
     put_len(out, variables.len());
     for v in variables {
         put_variable(out, v.borrow());
     }
     put_len(out, fallback_units.len());
-    for (edge, h) in fallback_units {
-        put_u32(out, edge.0);
-        put_histogram1d(out, h);
+    for fallback in fallback_units.iter().map(Borrow::borrow) {
+        put_u32(out, fallback.path.first_edge().0);
+        // A fallback is built from its distribution, so it always lends one.
+        put_histogram1d(out, fallback.unit_marginal().expect("a unit variable"));
     }
 }
 

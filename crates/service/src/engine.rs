@@ -304,7 +304,7 @@ impl<'n> QueryEngine<'n> {
     /// Cache-backed estimation: returns the distribution of `path` over the
     /// α-interval of `departure`, estimating (and caching) it on a miss.
     ///
-    /// On a miss this runs [`OdEstimator::estimate_with_decomposition`]
+    /// On a miss this runs [`OdEstimator::estimate_with_artifacts`]
     /// anchored at [`Self::canonical_departure`], so a cached entry is
     /// bit-identical to `OdEstimator::estimate` at that anchor.
     pub(crate) fn estimate_cached(
@@ -348,10 +348,11 @@ impl<'n> QueryEngine<'n> {
         let graph = graph.for_regime(regime);
         let artifacts = OdEstimator::new(&graph).estimate_with_artifacts(path, canonical)?;
         let depth = artifacts.decomposition.len();
-        // Reads name their *source* — the table the variable actually
-        // resolved from — so an all-traffic update stales this entry exactly
-        // when it read through the fallback ladder, and a sibling regime's
-        // update never does. A table's fallback depth is its position on the
+        // A read is a position in the view the estimate read, and names the
+        // variable's *source* — the table it actually resolved from — so an
+        // all-traffic update stales this entry exactly when it read through
+        // the fallback ladder, and a sibling regime's update never does.
+        // A table's fallback depth is its position on the
         // regime's ladder; the entry's is the deepest of the view that
         // answered and of every variable it read. The regime's own table is
         // rung 0, so the ladder is built only once something fell back.
@@ -370,12 +371,10 @@ impl<'n> QueryEngine<'n> {
         let reads: Vec<u64> = artifacts
             .dependencies
             .iter()
-            .map(|(dep_path, dep_interval)| {
-                let source = view
-                    .source_of(dep_path, *dep_interval)
-                    .unwrap_or(RegimeId::ALL_TRAFFIC);
+            .map(|&index| {
+                let (var, source) = (view.variable(index), view.source(index));
                 fallback_depth = fallback_depth.max(depth_of(source));
-                key_fingerprint(dep_path, *dep_interval, source)
+                key_fingerprint(&var.path, var.interval, source)
             })
             .collect();
         let value = CachedDistribution {

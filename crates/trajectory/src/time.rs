@@ -104,9 +104,10 @@ pub struct TimeInterval {
 }
 
 impl TimeInterval {
-    /// Creates an interval; `end` must be greater than `start`.
+    /// Creates an interval; `end` must not precede `start`. An empty interval
+    /// (an arrival window clamped at midnight) overlaps nothing.
     pub fn new(start: f64, end: f64) -> Self {
-        debug_assert!(end > start, "interval [{start}, {end}) is empty");
+        debug_assert!(end >= start, "interval [{start}, {end}) is reversed");
         TimeInterval { start, end }
     }
 

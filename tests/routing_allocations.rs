@@ -10,8 +10,12 @@
 //! memoised the way the serving layer's cache does it). This file counts
 //! allocations with a `#[global_allocator]` and pins that: it is the guard
 //! that keeps the next edit from putting a `Vec` back into the loop.
+//!
+//! The same counter guards a cold estimate's first step: a candidate-array
+//! row holds its variables by reference, so building the array allocates
+//! the row vectors and nothing per speed-limit fallback.
 
-use pathcost::core::{chain_extension, chain_start, OdEstimator};
+use pathcost::core::{chain_extension, chain_start, CandidateArray, CandidateSource, OdEstimator};
 use pathcost::core::{CoreError, CostEstimator, EstimateBreakdown, HybridConfig, HybridGraph};
 use pathcost::hist::convolution::convolve_with_limit;
 use pathcost::hist::Histogram1D;
@@ -168,4 +172,46 @@ fn a_warmed_search_allocates_per_candidate_not_per_expansion() {
     .unwrap();
     assert!(ALLOCATIONS.with(Cell::get) - before >= 3);
     drop(extended);
+}
+
+#[test]
+fn a_cold_candidate_array_allocates_its_rows_not_its_fallbacks() {
+    let (net, store) = DatasetPreset::tiny(91).materialise().unwrap();
+    let cfg = HybridConfig {
+        beta: 10,
+        ..HybridConfig::default()
+    };
+    let graph = HybridGraph::build(&net, &store, cfg).unwrap();
+    let query = store
+        .matched()
+        .iter()
+        .map(|m| &m.path)
+        .max_by_key(|path| path.cardinality())
+        .unwrap();
+    // 03:00: nothing is instantiated, so every row is a speed-limit fallback.
+    let departure = Timestamp::from_day_hms(0, 3, 0, 0);
+    let build = || CandidateArray::build(&graph, query, departure, None).unwrap();
+    let warm = build();
+    assert!(
+        warm.rows
+            .iter()
+            .flatten()
+            .all(|v| v.source == CandidateSource::UnitFallback),
+        "the fixture must be fallback-only"
+    );
+    assert!(warm.trajectory_unit_reads.is_empty());
+
+    let before = ALLOCATIONS.with(Cell::get);
+    let array = build();
+    let allocations = ALLOCATIONS.with(Cell::get) - before;
+    let rows = array.rows.len() as u64;
+    assert!(rows >= 8, "a long path: {rows} rows");
+    // One `Vec` per row, plus the row list, the windows and the per-rank
+    // scratch (measured: rows + 3). A row that built its fallback — a path,
+    // a joint histogram, an `Arc` — would add at least three allocations.
+    assert!(
+        allocations <= rows + 4,
+        "{allocations} allocations for {rows} fallback rows"
+    );
+    drop(array);
 }
