@@ -5,6 +5,7 @@ use crate::delta::dirty_keys_by_regime;
 use pathcost_core::{
     CoreError, DayPartition, HybridConfig, PathWeightFunction, RegimeVariableKey, WeightUpdate,
 };
+use pathcost_persist::journal::JournalOp;
 use pathcost_roadnet::RoadNetwork;
 use pathcost_traj::{tag_batch, MatchedTrajectory, RegimeClassifier, Timestamp, TrajectoryStore};
 use std::collections::{BTreeSet, HashSet};
@@ -51,11 +52,15 @@ impl RetentionConfig {
 ///
 /// Retention is the mirror image: [`LiveIngestor::retire_before`] (TTL
 /// expiry) and [`LiveIngestor::retire_ids`] remove trajectories through the
-/// in-place [`TrajectoryStore::retire_before`]/[`TrajectoryStore::retire_ids`]
-/// and publish an epoch whose dirty keys are the *removed* windows — keys
-/// whose support drops below β are deleted from the weight function and
-/// reported in [`WeightUpdate::removed`], so stale evidence stops polluting
-/// estimates instead of accumulating forever.
+/// in-place [`TrajectoryStore::retire_ids`] and publish an epoch whose dirty
+/// keys are the *removed* windows — keys whose support drops below β are
+/// deleted from the weight function and reported in
+/// [`WeightUpdate::removed`], so stale evidence stops polluting estimates
+/// instead of accumulating forever.
+///
+/// All three are one write operation, a [`JournalOp`] — the vocabulary the
+/// persistence layer journals and replays — applied, and rolled back on a
+/// failed re-derivation, by one path.
 ///
 /// The ingestor hands out epochs behind [`Arc`]s, so readers that grabbed a
 /// snapshot keep a consistent weight function while newer epochs are
@@ -127,7 +132,8 @@ impl<'n> LiveIngestor<'n> {
         self
     }
 
-    /// Tags `batch` through the installed classifier, if any.
+    /// Tags `batch` through the installed classifier, if any — before
+    /// [`Self::apply`], so a persisted lineage journals the tagged rows.
     pub(crate) fn classify(&self, batch: &mut [MatchedTrajectory]) {
         if let Some(classifier) = &self.classifier {
             tag_batch(batch, &**classifier);
@@ -163,64 +169,7 @@ impl<'n> LiveIngestor<'n> {
     /// in the same call.
     pub fn ingest(&mut self, mut batch: Vec<MatchedTrajectory>) -> Result<WeightUpdate, CoreError> {
         self.classify(&mut batch);
-        self.ingest_tagged(batch)
-    }
-
-    /// [`Self::ingest`] for a batch the caller already passed through
-    /// [`Self::classify`] — the persistence layer journals the tagged rows
-    /// before they land here.
-    pub(crate) fn ingest_tagged(
-        &mut self,
-        mut batch: Vec<MatchedTrajectory>,
-    ) -> Result<WeightUpdate, CoreError> {
-        let mut seen = HashSet::with_capacity(batch.len());
-        batch.retain(|m| !self.store.contains_id(m.id) && seen.insert(m.id));
-        let mut dirty = self.dirty_of(&batch);
-        let trajectories = batch.len();
-        let appended_ids: Vec<u64> = batch.iter().map(|m| m.id).collect();
-        self.store.append(batch);
-        let expiring = self.retention_cutoff().filter(|cutoff| {
-            self.store.matched().iter().any(|m| {
-                m.entry_times
-                    .first()
-                    .is_some_and(|t| t.seconds() < cutoff.seconds())
-            })
-        });
-        let published = if let Some(cutoff) = expiring {
-            // A retirement cannot be undone by re-appending (removed rows sat
-            // at arbitrary positions), so snapshot the post-append store; the
-            // append itself is undone below by the shared suffix-retire.
-            let prev = self.store.clone();
-            let removed = self.store.retire_before(cutoff);
-            dirty.extend(self.dirty_of(&removed));
-            let published = self.publish(dirty, trajectories, removed.len());
-            if published.is_err() {
-                self.store = prev;
-            }
-            published
-        } else {
-            self.publish(dirty, trajectories, 0)
-        };
-        if published.is_err() {
-            // Error-path consistency: the epoch was not published, so the
-            // store must not keep the batch either — otherwise every later
-            // epoch's dirty-key set would silently omit these windows and
-            // rederive would stop matching a full rebuild. The batch sits at
-            // the store's tail, so retiring its ids restores the exact
-            // pre-ingest store (survivor indices and posting lists are
-            // untouched by a suffix removal).
-            self.store.retire_ids(&appended_ids);
-        }
-        published
-    }
-
-    /// The TTL cutoff for the current store under the installed retention
-    /// policy: watermark (newest trajectory start) minus `max_age`. `None`
-    /// when retention is disabled or the store is empty.
-    fn retention_cutoff(&self) -> Option<Timestamp> {
-        let max_age = self.retention.max_age?;
-        let watermark = self.store.start_time_at_percentile(100)?;
-        Some(Timestamp(watermark.seconds() - max_age))
+        self.apply(JournalOp::Ingest(batch))
     }
 
     /// Retires every trajectory that entered its first edge strictly before
@@ -229,32 +178,90 @@ impl<'n> LiveIngestor<'n> {
     /// [`WeightUpdate::removed`]; retiring nothing publishes a (valid,
     /// unchanged) epoch.
     pub fn retire_before(&mut self, cutoff: Timestamp) -> Result<WeightUpdate, CoreError> {
-        // Pre-scan: a cutoff that retires nothing publishes a cheap no-op
-        // epoch without paying the rollback snapshot below.
-        let any = self.store.matched().iter().any(|m| {
-            m.entry_times
-                .first()
-                .is_some_and(|t| t.seconds() < cutoff.seconds())
-        });
-        if !any {
-            return self.publish(BTreeSet::new(), 0, 0);
-        }
-        let prev = self.store.clone();
-        let removed = self.store.retire_before(cutoff);
-        let dirty = self.dirty_of(&removed);
-        self.publish_or_restore(prev, dirty, removed.len())
+        self.apply(JournalOp::RetireBefore(cutoff))
     }
 
     /// Retires the trajectories with the given ids (unknown ids are ignored)
     /// and publishes the next epoch, exactly like [`Self::retire_before`].
     pub fn retire_ids(&mut self, ids: &[u64]) -> Result<WeightUpdate, CoreError> {
-        if !ids.iter().any(|&id| self.store.contains_id(id)) {
-            return self.publish(BTreeSet::new(), 0, 0);
+        self.apply(JournalOp::RetireIds(ids.to_vec()))
+    }
+
+    /// The one write path: applies `op` to the store and publishes the next
+    /// epoch. [`Self::ingest`] hands it a classified batch; the persistence
+    /// layer hands it the operation it journals, and replays the journalled
+    /// one through it.
+    ///
+    /// The batch (empty for a retirement) is deduplicated and appended, then
+    /// one predicate names what retires: rows older than the retention
+    /// cutoff for an ingest, than the explicit cutoff, or in the id set. On
+    /// error the store is rolled back to its pre-call rows, so on every
+    /// return path the store and the published weight function agree.
+    pub(crate) fn apply(&mut self, op: JournalOp) -> Result<WeightUpdate, CoreError> {
+        let (mut batch, retiring) = match op {
+            JournalOp::Ingest(batch) => (batch, None),
+            JournalOp::RetireBefore(cutoff) => (Vec::new(), Some(started_before(cutoff))),
+            JournalOp::RetireIds(ids) => {
+                let ids: HashSet<u64> = ids.into_iter().collect();
+                let named: Retiring = Box::new(move |m| ids.contains(&m.id));
+                (Vec::new(), Some(named))
+            }
+        };
+        let mut seen = HashSet::with_capacity(batch.len());
+        batch.retain(|m| !self.store.contains_id(m.id) && seen.insert(m.id));
+        let mut dirty = self.dirty_of(&batch);
+        let appended: Vec<u64> = batch.iter().map(|m| m.id).collect();
+        self.store.append(batch);
+        // An ingest expires what lies `max_age` behind the post-append
+        // watermark (the newest start).
+        let retiring = retiring.or_else(|| {
+            let max_age = self.retention.max_age?;
+            let watermark = self.store.start_time_at_percentile(100)?;
+            Some(started_before(Timestamp(watermark.seconds() - max_age)))
+        });
+        let expired: Vec<u64> = retiring.map_or_else(Vec::new, |retiring| {
+            let rows = self.store.matched().iter();
+            rows.filter(|m| retiring(m)).map(|m| m.id).collect()
+        });
+        // A retirement cannot be undone by re-appending (the removed rows sat
+        // at arbitrary positions), so only a write that retires something
+        // pays for a copy of the post-append store.
+        let mut rollback = None;
+        let mut retired = 0;
+        if !expired.is_empty() {
+            rollback = Some(self.store.clone());
+            let removed = self.store.retire_ids(&expired);
+            retired = removed.len();
+            dirty.extend(self.dirty_of(&removed));
         }
-        let prev = self.store.clone();
-        let removed = self.store.retire_ids(ids);
-        let dirty = self.dirty_of(&removed);
-        self.publish_or_restore(prev, dirty, removed.len())
+        let rederived = self
+            .current
+            .rederive_regimes(self.net, &self.store, &self.config, &dirty);
+        let mut update = match rederived {
+            Ok(update) => update,
+            Err(e) => {
+                // Nothing was published, so the store must not keep the
+                // write either — otherwise every later dirty-key set would
+                // omit these windows and rederive would stop matching a full
+                // rebuild. With the retirement undone the batch sits at the
+                // store's tail, and retiring its ids restores the exact
+                // pre-call store (a suffix removal leaves survivor indices
+                // and posting lists untouched).
+                if let Some(store) = rollback {
+                    self.store = store;
+                }
+                self.store.retire_ids(&appended);
+                return Err(e);
+            }
+        };
+        self.epoch += 1;
+        update.epoch = self.epoch;
+        update.trajectories = appended.len();
+        update.trajectories_retired = retired;
+        // An Arc bump: the ingestor's working copy and the published epoch
+        // share one allocation.
+        self.current = update.weights.clone();
+        Ok(update)
     }
 
     /// The regime-qualified dirty keys of a changed (appended or removed)
@@ -268,46 +275,6 @@ impl<'n> LiveIngestor<'n> {
             self.config.max_rank,
             &self.config.regimes,
         )
-    }
-
-    /// Publishes a retirement epoch, restoring `prev` (the pre-retirement
-    /// store) if re-derivation fails — a retirement cannot be rolled back by
-    /// re-appending (the removed trajectories sat at arbitrary positions, so
-    /// re-appending would reorder qualified rows), hence the snapshot. On
-    /// any return path the store and the published weight function agree.
-    fn publish_or_restore(
-        &mut self,
-        prev: TrajectoryStore,
-        dirty: BTreeSet<RegimeVariableKey>,
-        retired: usize,
-    ) -> Result<WeightUpdate, CoreError> {
-        let published = self.publish(dirty, 0, retired);
-        if published.is_err() {
-            self.store = prev;
-        }
-        published
-    }
-
-    /// Shared publish path: re-derives the dirty keys against the mutated
-    /// store and stamps the next epoch. On error nothing is published (the
-    /// caller is responsible for undoing its store mutation).
-    fn publish(
-        &mut self,
-        dirty: BTreeSet<RegimeVariableKey>,
-        appended: usize,
-        retired: usize,
-    ) -> Result<WeightUpdate, CoreError> {
-        let mut update =
-            self.current
-                .rederive_regimes(self.net, &self.store, &self.config, &dirty)?;
-        self.epoch += 1;
-        update.epoch = self.epoch;
-        update.trajectories = appended;
-        update.trajectories_retired = retired;
-        // An Arc bump: the ingestor's working copy and the published epoch
-        // share one allocation.
-        self.current = update.weights.clone();
-        Ok(update)
     }
 
     /// Re-stamps the ingestor at `epoch` — used by the persistence layer
@@ -356,11 +323,25 @@ impl<'n> LiveIngestor<'n> {
     }
 }
 
+/// Which stored trajectories a write retires.
+type Retiring = Box<dyn Fn(&MatchedTrajectory) -> bool>;
+
+/// TTL expiry: the trajectory entered its first edge strictly before
+/// `cutoff` (one starting exactly at it stays).
+fn started_before(cutoff: Timestamp) -> Retiring {
+    Box::new(move |m| {
+        m.entry_times
+            .first()
+            .is_some_and(|t| t.seconds() < cutoff.seconds())
+    })
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use pathcost_roadnet::RoadNetwork;
+    use pathcost_roadnet::{EdgeId, RoadNetwork};
     use pathcost_traj::DatasetPreset;
+    use std::collections::HashMap;
 
     fn fixture() -> (RoadNetwork, TrajectoryStore, HybridConfig) {
         let (net, store) = DatasetPreset::tiny(53).materialise().unwrap();
@@ -369,6 +350,81 @@ mod tests {
             ..HybridConfig::default()
         };
         (net, store, cfg)
+    }
+
+    /// A copy of the newest trajectory through the store's busiest unit
+    /// window, under a fresh id and with a negative travel time on that
+    /// window: the window clears β, so its re-fit reaches the sample and
+    /// `round_sample` rejects it — a write whose publish fails.
+    pub(crate) fn poisoned(store: &TrajectoryStore, partition: &DayPartition) -> MatchedTrajectory {
+        let window = |m: &MatchedTrajectory, i: usize| {
+            let interval = partition.interval_of(m.entry_times[i].time_of_day());
+            (m.path.edges()[i], interval)
+        };
+        let mut counts: HashMap<(EdgeId, _), usize> = HashMap::new();
+        for m in store.matched() {
+            for i in 0..m.path.cardinality() {
+                *counts.entry(window(m, i)).or_default() += 1;
+            }
+        }
+        let (&busiest, _) = counts.iter().max_by_key(|&(key, n)| (n, key)).unwrap();
+        let (template, at) = store
+            .matched()
+            .iter()
+            .filter_map(|m| {
+                (0..m.path.cardinality())
+                    .find(|&i| window(m, i) == busiest)
+                    .map(|i| (m, i))
+            })
+            .max_by(|(a, _), (b, _)| {
+                a.entry_times[0]
+                    .seconds()
+                    .total_cmp(&b.entry_times[0].seconds())
+            })
+            .unwrap();
+        let mut bad = template.clone();
+        bad.id = store.matched().iter().map(|m| m.id).max().unwrap() + 1;
+        bad.travel_times[at] = -1.0;
+        bad
+    }
+
+    #[test]
+    fn a_failed_refit_rolls_the_write_back() {
+        let (net, store, cfg) = fixture();
+        let split = store.len() * 3 / 4;
+        let base = TrajectoryStore::new(store.matched()[..split].to_vec());
+        let rest: Vec<MatchedTrajectory> = store.matched()[split..].to_vec();
+        let watermark = base.start_time_at_percentile(100).unwrap();
+        let keep_from = base.start_time_at_percentile(10).unwrap();
+        let expiring = RetentionConfig {
+            max_age: Some(watermark.seconds() - keep_from.seconds()),
+        };
+        assert!(base.matched().iter().any(|m| m.entry_times[0] < keep_from));
+        for retention in [RetentionConfig::default(), expiring] {
+            let mut ingestor = LiveIngestor::new(&net, base.clone(), cfg.clone())
+                .unwrap()
+                .with_retention(retention)
+                .unwrap();
+            let rows = ingestor.store().matched().to_vec();
+            let weights = ingestor.weights();
+            assert!(ingestor
+                .ingest(vec![poisoned(&base, ingestor.weights().partition())])
+                .is_err());
+            assert_eq!(ingestor.store().matched(), &rows[..]);
+            assert_eq!(ingestor.epoch(), 0);
+            assert!(Arc::ptr_eq(&ingestor.weights(), &weights));
+
+            // The rolled-back store indexes exactly its rows: the next write
+            // matches a rebuild over a freshly indexed copy of them.
+            let update = ingestor.ingest(rest.clone()).unwrap();
+            assert_eq!(update.epoch, 1);
+            assert_eq!(update.trajectories, rest.len());
+            assert_eq!(update.trajectories_retired > 0, retention.max_age.is_some());
+            let rebuilt = TrajectoryStore::new(ingestor.store().matched().to_vec());
+            let full = PathWeightFunction::instantiate(&net, &rebuilt, &cfg).unwrap();
+            assert_eq!(update.weights.variables(), full.variables());
+            assert_eq!(update.weights.stats(), full.stats());
+        }
     }
 
     #[test]

@@ -44,10 +44,11 @@
 //!   watermark) makes every `ingest` epoch apply that expiry
 //!   automatically, appending and retiring in one consistent epoch.
 //!   [`LiveIngestor::retire_ids`] removes explicitly named trajectories
-//!   (e.g. revoked or corrupt matches). Both go through the in-place
-//!   [`TrajectoryStore::retire_before`](pathcost_traj::TrajectoryStore::retire_before)
-//!   / [`retire_ids`](pathcost_traj::TrajectoryStore::retire_ids), which
-//!   shrink the edge index without a rebuild.
+//!   (e.g. revoked or corrupt matches). Every retirement — TTL, explicit
+//!   cutoff or ids — names its rows with one predicate and removes them
+//!   through the in-place
+//!   [`TrajectoryStore::retire_ids`](pathcost_traj::TrajectoryStore::retire_ids),
+//!   which shrinks the edge index without a rebuild.
 //! * The *removed* trajectories' windows are the dirty keys — the same
 //!   enumeration as an append, because a trajectory only ever contributes
 //!   occurrences to its own windows, whether arriving or leaving.
@@ -66,6 +67,14 @@
 //! truncated store — the same oracle as ingestion, property-tested across
 //! TTL cut points and retire/append interleavings.
 //!
+//! Ingest, TTL expiry and retire-by-id are one write operation — a
+//! `pathcost_persist::journal::JournalOp`, the record the journal stores —
+//! and [`LiveIngestor`] applies every one through a single path: dedup and
+//! append, one retirement predicate, re-derive, publish. A failed
+//! re-derivation rolls that path back as a whole (a copy of the store is
+//! taken only when the write retires something; an append is undone by
+//! retiring its suffix), so the store and the published epoch always agree.
+//!
 //! The serving side consumes the update through
 //! `pathcost_service::QueryEngine::apply_update`, which publishes the epoch
 //! and surgically evicts only the dependent cache entries (see that crate's
@@ -79,11 +88,15 @@
 //! The [`persist`] module makes the whole pipeline durable:
 //! [`LiveIngestor::with_persistence`] upgrades an ingestor to a
 //! [`PersistentIngestor`] that journals every published epoch (via
-//! `pathcost-persist`'s append-only journal) and periodically snapshots the
-//! full store + weight function. [`PersistentIngestor::recover`] resumes
-//! after a crash bit-identically: newest valid snapshot + journal replay,
-//! degrading gracefully through older generations and journal-only recovery
-//! down to a clean cold boot — never a panic on corrupt state.
+//! `pathcost-persist`'s append-only journal) from one write method and
+//! periodically snapshots the full store + weight function.
+//! [`PersistentIngestor::recover`] resumes after a crash bit-identically,
+//! replaying each journalled operation through the same write path. It
+//! decides on one four-case rule: a valid snapshot (older generations
+//! bridge a corrupt newest one) restores; else a journal that starts at
+//! epoch 1 replays onto the bootstrap store; else any on-disk state is
+//! discarded; an empty directory boots cold — never a panic on corrupt
+//! state.
 //!
 //! ```no_run
 //! use pathcost_core::HybridConfig;

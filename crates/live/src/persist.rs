@@ -1,11 +1,12 @@
 //! Crash-safe persistence for the live ingestor.
 //!
 //! [`PersistentIngestor`] wraps a [`LiveIngestor`] and makes every published
-//! epoch durable: each `ingest`/`retire_*` call is journalled (after the
-//! in-memory publish succeeds), and snapshots of the full store + weight
-//! function are taken on demand ([`PersistentIngestor::snapshot_now`]), on a
-//! configured cadence, or when an operator flags a request through the shared
-//! [`PersistenceStatus`].
+//! epoch durable: each `ingest`/`retire_*` call is one [`JournalOp`], applied
+//! and then journalled by one method (after the in-memory publish succeeds),
+//! and replayed by the same [`LiveIngestor`] path. Snapshots of the full
+//! store + weight function are taken on demand
+//! ([`PersistentIngestor::snapshot_now`]), on a configured cadence, or when
+//! an operator flags a request through the shared [`PersistenceStatus`].
 //!
 //! # Lineages and recovery
 //!
@@ -20,17 +21,19 @@
 //! persisted bit-exactly, the recovered ingestor is bit-identical to one that
 //! never crashed — the oracle `tests/crash_recovery.rs` enforces.
 //!
-//! Recovery never panics on bad state. The degradation ladder:
+//! Recovery never panics on bad state. It decides on one rule, in order:
 //!
-//! 1. newest snapshot valid → load it, replay the journal tail (**warm**);
-//! 2. newest corrupt → previous generation + the journal records after *it*
-//!    (the journal is only rotated down to the oldest retained generation,
-//!    precisely so this bridge always exists) (**warm**);
-//! 3. every generation corrupt but the journal reaches back to epoch 1 →
-//!    replay the whole journal onto the bootstrap store (**warm**);
-//! 4. nothing usable (or a config/retention fingerprint mismatch, which makes
-//!    the lineage meaningless) → wipe and start fresh (**discarded**);
-//! 5. empty directory → fresh start (**cold**).
+//! 1. a valid snapshot — the newest generation whose CRCs pass; a corrupt
+//!    newest one falls back to the previous (the journal is only rotated
+//!    down to the oldest retained generation, precisely so this bridge
+//!    always exists) — restores, and the journal records after it replay
+//!    (**warm**); a restore error, such as a config/retention fingerprint
+//!    mismatch that makes the lineage meaningless, discards the lineage;
+//! 2. with no valid snapshot, a journal that starts at epoch 1 replays whole
+//!    onto the bootstrap store (**warm**);
+//! 3. any other on-disk state is discarded, and a fresh lineage starts
+//!    (**discarded**);
+//! 4. nothing on disk is a fresh start (**cold**).
 
 use crate::ingest::{LiveIngestor, RetentionConfig};
 use pathcost_core::{CoreError, DayPartition, HybridConfig, PathWeightFunction, WeightUpdate};
@@ -54,21 +57,16 @@ pub const JOURNAL_FILE: &str = "journal.pcj";
 /// Tuning for the persistence layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PersistenceConfig {
-    /// Fsync every journal append (default). Disabling trades the last few
-    /// acknowledged epochs for throughput — recovery still works, it just
-    /// resumes from the last record the OS flushed.
-    pub fsync: bool,
-    /// Group-fsync batching: with `Some(n)` (and `fsync` on), appends skip
-    /// the per-record fdatasync and one sync closes the window after every
-    /// `n` records — closely-spaced epochs share a single fsync. Widens the
-    /// durability window to at most `n - 1` acknowledged epochs on power
-    /// loss (see PERSISTENCE.md, "Durability window"); process crashes lose
-    /// nothing (the records are already in the page cache).
+    /// Group-fsync batching: every journal append is fdatasynced unless this
+    /// is `Some(n)`, in which case appends skip the per-record sync and one
+    /// sync closes the window after every `n` records — closely-spaced
+    /// epochs share a single fsync. Widens the durability window to at most
+    /// `n - 1` acknowledged epochs on power loss (see PERSISTENCE.md,
+    /// "Durability window"); process crashes lose nothing (the records are
+    /// already in the page cache).
     pub group_fsync_epochs: Option<u64>,
     /// Automatically snapshot after this many published epochs.
     pub snapshot_every_epochs: Option<u64>,
-    /// Automatically snapshot once the journal grows past this many bytes.
-    pub snapshot_max_journal_bytes: Option<u64>,
     /// Transient journal IO errors are retried this many times (with
     /// [`io_backoff`](Self::io_backoff) between attempts) before the
     /// IO-fault ladder escalates to a snapshot attempt and then to
@@ -81,10 +79,8 @@ pub struct PersistenceConfig {
 impl Default for PersistenceConfig {
     fn default() -> Self {
         PersistenceConfig {
-            fsync: true,
             group_fsync_epochs: None,
             snapshot_every_epochs: None,
-            snapshot_max_journal_bytes: None,
             io_retries: 3,
             io_backoff: Duration::from_millis(10),
         }
@@ -171,22 +167,11 @@ impl<'n> LiveIngestor<'n> {
     ) -> Result<PersistentIngestor<'n>, PersistenceError> {
         let dir = dir.into();
         let writer = SnapshotWriter::new(&dir)?;
-        wipe_snapshots(&dir)?;
-        let (mut journal, _, _) = Journal::open(dir.join(JOURNAL_FILE))?;
-        // Empty any previous lineage's records (atomic rewrite).
-        journal.rotate(u64::MAX)?;
-        let mut this = PersistentIngestor {
-            inner: self,
-            writer,
-            journal,
-            dir,
-            config,
-            status: Arc::new(PersistenceStatus::new()),
-            epochs_since_snapshot: 0,
-            unsynced_epochs: 0,
-        };
-        this.status.record_recovery(RecoveryOutcome::Cold, 0, 0, 0);
-        this.snapshot_now()?;
+        let (journal, _, _) = Journal::open(dir.join(JOURNAL_FILE))?;
+        let status = Arc::new(PersistenceStatus::new());
+        status.record_recovery(RecoveryOutcome::Cold, 0, 0, 0);
+        let mut this = PersistentIngestor::attach(self, writer, journal, dir, config, status);
+        this.start_lineage()?;
         Ok(this)
     }
 }
@@ -219,8 +204,8 @@ impl<'n> std::ops::Deref for PersistentIngestor<'n> {
 impl<'n> PersistentIngestor<'n> {
     /// Resumes the lineage persisted in `dir`, or boots from scratch when
     /// nothing usable is there. `bootstrap` supplies the base store for a
-    /// from-scratch boot; for the journal-only recovery path (every snapshot
-    /// generation corrupt) it must deterministically reproduce the store the
+    /// from-scratch boot; for the journal-only recovery path (no valid
+    /// snapshot generation) it must deterministically reproduce the store the
     /// lineage originally started from.
     ///
     /// `config` and `retention` must match what the lineage was built under —
@@ -248,46 +233,27 @@ impl<'n> PersistentIngestor<'n> {
                 ],
             );
         }
-        let fingerprint = codec::encode_config(&config, retention.max_age);
-        let mut bootstrap = Some(bootstrap);
-        let mut bootstrap = move || (bootstrap.take().expect("bootstrap is called once"))();
-
-        let mut report = RecoveryReport {
-            outcome: RecoveryOutcome::Cold,
-            snapshot_epoch: 0,
-            replayed_records: 0,
-            corrupt_generations_skipped: skipped as u64,
-            journal_truncated_bytes: jreport.truncated_bytes,
+        let discard = |error: String| {
+            obslog::warn(
+                "persist",
+                "lineage_discarded",
+                &[
+                    ("dir", dir.display().to_string().into()),
+                    ("error", error.into()),
+                ],
+            );
+            (RecoveryOutcome::Discarded, None)
         };
-
-        let mut recovered: Option<LiveIngestor<'n>> = None;
-        if let Some(snap) = snapshot {
-            match restore_from_snapshot(net, &snap, &config, retention, &fingerprint) {
-                Ok(inner) => {
-                    report.outcome = RecoveryOutcome::Warm;
-                    report.snapshot_epoch = snap.epoch;
-                    recovered = Some(inner);
-                }
-                Err(e) => {
-                    // The snapshot decoded (CRCs passed) but does not match
-                    // this process's config/format: the whole lineage is
-                    // unusable, not just this generation.
-                    obslog::warn(
-                        "persist",
-                        "lineage_discarded",
-                        &[
-                            ("dir", dir.display().to_string().into()),
-                            ("error", e.to_string().into()),
-                        ],
-                    );
-                    report.outcome = RecoveryOutcome::Discarded;
-                }
-            }
-        } else if skipped > 0 {
-            // Generations existed but none decoded. The journal can still
-            // bridge from nothing — but only if it was never rotated (its
-            // first record is epoch 1).
-            if records.first().is_some_and(|r| r.epoch == 1) {
+        let (outcome, restored) = match snapshot {
+            // A snapshot that decoded (CRCs passed) but does not match this
+            // process's config/format makes the whole lineage unusable, not
+            // just this generation.
+            Some(snap) => match restore_from_snapshot(net, &snap, &config, retention) {
+                Ok(inner) => (RecoveryOutcome::Warm, Some(inner)),
+                Err(e) => discard(e.to_string()),
+            },
+            // From nothing, only a journal that was never rotated bridges.
+            None if records.first().is_some_and(|r| r.epoch == 1) => {
                 obslog::warn(
                     "persist",
                     "full_journal_replay",
@@ -296,59 +262,36 @@ impl<'n> PersistentIngestor<'n> {
                         ("corrupt_generations", (skipped as u64).into()),
                     ],
                 );
-                report.outcome = RecoveryOutcome::Warm;
-                recovered = Some(
-                    LiveIngestor::new(net, bootstrap(), config.clone())?
-                        .with_retention(retention)?,
-                );
-            } else {
-                obslog::warn(
+                (RecoveryOutcome::Warm, None)
+            }
+            None if skipped > 0 || !records.is_empty() => {
+                discard("no valid snapshot and the journal does not start at epoch 1".into())
+            }
+            None => {
+                obslog::info(
                     "persist",
-                    "lineage_discarded",
-                    &[
-                        ("dir", dir.display().to_string().into()),
-                        (
-                            "error",
-                            "every generation corrupt and the journal was rotated past epoch 1"
-                                .into(),
-                        ),
-                    ],
+                    "cold_boot",
+                    &[("dir", dir.display().to_string().into())],
                 );
-                report.outcome = RecoveryOutcome::Discarded;
+                (RecoveryOutcome::Cold, None)
             }
-        } else if !records.is_empty() {
-            // No snapshot was ever published (or all were deleted) but a
-            // journal survives; same bridge rule as above.
-            if records.first().is_some_and(|r| r.epoch == 1) {
-                report.outcome = RecoveryOutcome::Warm;
-                recovered = Some(
-                    LiveIngestor::new(net, bootstrap(), config.clone())?
-                        .with_retention(retention)?,
-                );
-            } else {
-                report.outcome = RecoveryOutcome::Discarded;
-            }
-        } else {
-            obslog::info(
-                "persist",
-                "cold_boot",
-                &[("dir", dir.display().to_string().into())],
-            );
-        }
-
-        let fresh_lineage = recovered.is_none();
-        let mut inner = match recovered {
+        };
+        let mut inner = match restored {
             Some(inner) => inner,
             None => LiveIngestor::new(net, bootstrap(), config)?.with_retention(retention)?,
         };
 
-        let mut journal = journal;
-        if fresh_lineage {
-            wipe_snapshots(&dir)?;
-            journal.rotate(u64::MAX)?;
-        } else {
+        let mut report = RecoveryReport {
+            outcome,
+            snapshot_epoch: inner.epoch(),
+            replayed_records: 0,
+            corrupt_generations_skipped: skipped as u64,
+            journal_truncated_bytes: jreport.truncated_bytes,
+        };
+        let resumed = outcome == RecoveryOutcome::Warm;
+        if resumed {
             // Replay the records this lineage published after the recovered
-            // snapshot, in epoch order with no gaps. A gap means the tail
+            // state, in epoch order with no gaps. A gap means the tail
             // belongs to a different rotation horizon — stop at the last
             // contiguous record, exactly like a torn tail.
             for record in records {
@@ -366,11 +309,7 @@ impl<'n> PersistentIngestor<'n> {
                     );
                     break;
                 }
-                match record.op {
-                    JournalOp::Ingest(batch) => inner.ingest(batch)?,
-                    JournalOp::RetireBefore(cutoff) => inner.retire_before(cutoff)?,
-                    JournalOp::RetireIds(ids) => inner.retire_ids(&ids)?,
-                };
+                inner.apply(record.op)?;
                 report.replayed_records += 1;
             }
         }
@@ -383,21 +322,51 @@ impl<'n> PersistentIngestor<'n> {
             report.corrupt_generations_skipped,
         );
         status.record_journal(journal.records(), journal.bytes());
-        let mut this = PersistentIngestor {
+        let mut this = Self::attach(inner, writer, journal, dir, pconfig, status);
+        if !resumed {
+            this.start_lineage()?;
+        }
+        Ok((this, report))
+    }
+
+    /// Wraps `inner` over an open state directory; `status` already carries
+    /// what the boot found.
+    fn attach(
+        inner: LiveIngestor<'n>,
+        writer: SnapshotWriter,
+        journal: Journal,
+        dir: PathBuf,
+        config: PersistenceConfig,
+        status: Arc<PersistenceStatus>,
+    ) -> Self {
+        PersistentIngestor {
             inner,
             writer,
             journal,
             dir,
-            config: pconfig,
+            config,
             status,
             epochs_since_snapshot: 0,
             unsynced_epochs: 0,
-        };
-        if fresh_lineage {
-            // Establish the new lineage's base generation.
-            this.snapshot_now()?;
         }
-        Ok((this, report))
+    }
+
+    /// Starts a fresh lineage at the current state: removes every published
+    /// snapshot and stray temp file, empties the journal (atomic rewrite) and
+    /// publishes the base snapshot.
+    fn start_lineage(&mut self) -> Result<(), PersistenceError> {
+        for entry in fs::read_dir(&self.dir).map_err(PersistError::from)? {
+            let entry = entry.map_err(PersistError::from)?;
+            let name = entry.file_name();
+            let name = name.to_string_lossy();
+            if name.starts_with("snapshot-") && (name.ends_with(".snap") || name.ends_with(".tmp"))
+            {
+                let _ = fs::remove_file(entry.path());
+            }
+        }
+        self.journal.rotate(u64::MAX)?;
+        self.snapshot_now()?;
+        Ok(())
     }
 
     /// Ingests a batch (see [`LiveIngestor::ingest`]) and journals the
@@ -415,56 +384,49 @@ impl<'n> PersistentIngestor<'n> {
     /// [`PersistenceError::Suspended`] **before** touching in-memory state.
     pub fn ingest(
         &mut self,
-        mut batch: Vec<MatchedTrajectory>,
+        batch: Vec<MatchedTrajectory>,
     ) -> Result<WeightUpdate, PersistenceError> {
-        self.ensure_not_suspended()?;
-        self.inner.classify(&mut batch);
-        let journalled = batch.clone();
-        let update = self.inner.ingest_tagged(batch)?;
-        self.journal_epoch(update.epoch, JournalOp::Ingest(journalled))?;
-        Ok(update)
+        self.apply(JournalOp::Ingest(batch))
     }
 
     /// TTL-retires (see [`LiveIngestor::retire_before`]) and journals the
     /// published epoch. Follows the same IO-fault ladder as
     /// [`ingest`](Self::ingest).
     pub fn retire_before(&mut self, cutoff: Timestamp) -> Result<WeightUpdate, PersistenceError> {
-        self.ensure_not_suspended()?;
-        let update = self.inner.retire_before(cutoff)?;
-        self.journal_epoch(update.epoch, JournalOp::RetireBefore(cutoff))?;
-        Ok(update)
+        self.apply(JournalOp::RetireBefore(cutoff))
     }
 
     /// Retires by id (see [`LiveIngestor::retire_ids`]) and journals the
     /// published epoch. Follows the same IO-fault ladder as
     /// [`ingest`](Self::ingest).
     pub fn retire_ids(&mut self, ids: &[u64]) -> Result<WeightUpdate, PersistenceError> {
-        self.ensure_not_suspended()?;
-        let update = self.inner.retire_ids(ids)?;
-        self.journal_epoch(update.epoch, JournalOp::RetireIds(ids.to_vec()))?;
-        Ok(update)
+        self.apply(JournalOp::RetireIds(ids.to_vec()))
     }
 
-    /// Resume gate: while suspended, one snapshot attempt per mutating call.
-    /// A successful snapshot makes *all* in-memory state durable (including
-    /// any epoch whose journal append failed at suspension time), rotates
-    /// the journal, and lifts the suspension.
-    fn ensure_not_suspended(&mut self) -> Result<(), PersistenceError> {
-        if !self.status.suspended() {
-            return Ok(());
+    /// The one journalled write: resume gate, classify an ingest, apply,
+    /// journal what was applied.
+    fn apply(&mut self, mut op: JournalOp) -> Result<WeightUpdate, PersistenceError> {
+        if self.status.suspended() {
+            // One resume attempt per write. A successful snapshot makes *all*
+            // in-memory state durable (including any epoch whose journal
+            // append failed at suspension time), rotates the journal, and
+            // lifts the suspension.
+            self.snapshot_now()
+                .map_err(|_| PersistenceError::Suspended)?;
+            self.status.set_suspended(false);
+            obslog::info(
+                "persist",
+                "resumed",
+                &[("snapshot_epoch", self.inner.epoch().into())],
+            );
         }
-        match self.snapshot_now() {
-            Ok(_) => {
-                self.status.set_suspended(false);
-                obslog::info(
-                    "persist",
-                    "resumed",
-                    &[("snapshot_epoch", self.inner.epoch().into())],
-                );
-                Ok(())
-            }
-            Err(_) => Err(PersistenceError::Suspended),
+        if let JournalOp::Ingest(batch) = &mut op {
+            self.inner.classify(batch);
         }
+        let journalled = op.clone();
+        let update = self.inner.apply(op)?;
+        self.journal_epoch(update.epoch, journalled)?;
+        Ok(update)
     }
 
     /// Appends with bounded retry on transient IO errors (attempt `k` backs
@@ -507,24 +469,21 @@ impl<'n> PersistentIngestor<'n> {
         let record = JournalRecord { epoch, op };
         // Group-fsync mode appends without the per-record sync and closes
         // the window below once `group_fsync_epochs` records accumulate.
-        let group = self
-            .config
-            .fsync
-            .then_some(self.config.group_fsync_epochs)
-            .flatten();
-        let sync_each = self.config.fsync && group.is_none();
-        let appended = self.append_with_retry(&record, sync_each).and_then(|()| {
-            if let Some(n) = group {
-                self.unsynced_epochs += 1;
-                if self.unsynced_epochs >= n {
-                    let started = Instant::now();
-                    self.journal.sync()?;
-                    self.status.record_fsync(started.elapsed());
-                    self.unsynced_epochs = 0;
+        let group = self.config.group_fsync_epochs;
+        let appended = self
+            .append_with_retry(&record, group.is_none())
+            .and_then(|()| {
+                if let Some(n) = group {
+                    self.unsynced_epochs += 1;
+                    if self.unsynced_epochs >= n {
+                        let started = Instant::now();
+                        self.journal.sync()?;
+                        self.status.record_fsync(started.elapsed());
+                        self.unsynced_epochs = 0;
+                    }
                 }
-            }
-            Ok(())
-        });
+                Ok(())
+            });
         match appended {
             Ok(()) => {}
             Err(PersistError::Io(e)) => {
@@ -580,10 +539,6 @@ impl<'n> PersistentIngestor<'n> {
                 .config
                 .snapshot_every_epochs
                 .is_some_and(|n| self.epochs_since_snapshot >= n)
-            || self
-                .config
-                .snapshot_max_journal_bytes
-                .is_some_and(|b| self.journal.bytes() >= b)
     }
 
     /// Publishes a snapshot of the current epoch now, prunes old generations,
@@ -675,12 +630,11 @@ fn restore_from_snapshot<'n>(
     snap: &pathcost_persist::Snapshot,
     config: &HybridConfig,
     retention: RetentionConfig,
-    fingerprint: &[u8],
 ) -> Result<LiveIngestor<'n>, PersistenceError> {
     let stored_fingerprint = snap
         .section(snapshot::section::CONFIG)
         .ok_or(PersistError::Incompatible("snapshot has no CONFIG section"))?;
-    if stored_fingerprint != fingerprint {
+    if stored_fingerprint != codec::encode_config(config, retention.max_age) {
         return Err(PersistError::Incompatible(
             "snapshot was taken under a different config/retention; refusing to mix lineages",
         )
@@ -751,19 +705,6 @@ fn restore_from_snapshot<'n>(
         .with_retention(retention)?;
     inner.set_epoch(snap.epoch);
     Ok(inner)
-}
-
-/// Removes every published snapshot and stray temp file in `dir`.
-fn wipe_snapshots(dir: &Path) -> Result<(), PersistenceError> {
-    for entry in fs::read_dir(dir).map_err(PersistError::from)? {
-        let entry = entry.map_err(PersistError::from)?;
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if name.starts_with("snapshot-") && (name.ends_with(".snap") || name.ends_with(".tmp")) {
-            let _ = fs::remove_file(entry.path());
-        }
-    }
-    Ok(())
 }
 
 /// Wall-clock milliseconds since the Unix epoch (0 if the clock is broken).
@@ -899,6 +840,47 @@ mod tests {
             }
         }
         assert!(units > 0);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_write_journals_nothing_and_recovers_the_prior_epoch() {
+        let (net, store, cfg) = fixture();
+        let dir = temp_dir("rollback");
+        let split = store.len() * 3 / 4;
+        let base = TrajectoryStore::new(store.matched()[..split].to_vec());
+        let mut p = LiveIngestor::new(&net, base, cfg.clone())
+            .unwrap()
+            .with_persistence(&dir, PersistenceConfig::default())
+            .unwrap();
+        p.ingest(store.matched()[split..].to_vec()).unwrap();
+        let status = p.status();
+        let records = status.journal_records();
+        let rows = p.store().matched().to_vec();
+        let want_vars = p.weights().variables().to_vec();
+        let bad = crate::ingest::tests::poisoned(p.store(), p.weights().partition());
+        assert!(matches!(
+            p.ingest(vec![bad]),
+            Err(PersistenceError::Core(_))
+        ));
+        assert_eq!(status.journal_records(), records);
+        assert_eq!(p.store().matched(), &rows[..]);
+        assert_eq!(p.epoch(), 1);
+        drop(p);
+
+        let (r, report) = PersistentIngestor::recover(
+            &net,
+            &dir,
+            cfg,
+            RetentionConfig::default(),
+            PersistenceConfig::default(),
+            || panic!("warm recovery must not need the bootstrap store"),
+        )
+        .unwrap();
+        assert_eq!(report.outcome, RecoveryOutcome::Warm);
+        assert_eq!(report.replayed_records, 1);
+        assert_eq!(r.epoch(), 1);
+        assert_eq!(r.weights().variables(), &want_vars[..]);
         fs::remove_dir_all(&dir).unwrap();
     }
 

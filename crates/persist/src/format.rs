@@ -110,10 +110,13 @@ impl<'a> Cursor<'a> {
     }
 
     /// Reads a collection length, rejecting absurd values so a flipped
-    /// length byte cannot trigger a huge allocation.
+    /// length byte cannot trigger a huge allocation. Every element of every
+    /// collection encodes to at least one byte, so a length beyond the bytes
+    /// left is corrupt too — and a caller's `Vec::with_capacity(len)` stays
+    /// bounded by the input's size.
     pub fn read_len(&mut self) -> Result<usize, PersistError> {
         let len = self.u32()?;
-        if len > MAX_LEN {
+        if len > MAX_LEN || len as usize > self.remaining() {
             return Err(PersistError::corrupt(
                 self.context,
                 format!("implausible collection length {len}"),
@@ -173,6 +176,19 @@ mod tests {
     fn implausible_lengths_are_rejected() {
         let mut buf = Vec::new();
         put_u32(&mut buf, MAX_LEN + 1);
+        assert!(Cursor::new(&buf, "test").read_len().is_err());
+    }
+
+    #[test]
+    fn a_length_beyond_the_bytes_left_is_rejected() {
+        let mut buf = Vec::new();
+        put_u32(&mut buf, 3);
+        buf.extend_from_slice(&[0xAA; 3]);
+        assert_eq!(Cursor::new(&buf, "test").read_len().unwrap(), 3);
+        assert!(Cursor::new(&buf[..6], "test").read_len().is_err());
+        // Within MAX_LEN, but the buffer cannot hold that many elements.
+        let mut buf = Vec::new();
+        put_u32(&mut buf, MAX_LEN);
         assert!(Cursor::new(&buf, "test").read_len().is_err());
     }
 }

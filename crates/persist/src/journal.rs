@@ -495,6 +495,32 @@ mod tests {
     }
 
     #[test]
+    fn a_crc_valid_record_claiming_max_len_trajectories_is_a_bad_frame() {
+        let path = temp_journal("max-len");
+        let (mut j, _, _) = Journal::open(&path).unwrap();
+        j.append(&sample_records()[0], false).unwrap();
+        drop(j);
+        let valid = fs::read(&path).unwrap();
+        // An ingest whose batch length is MAX_LEN, with nothing after it.
+        let mut payload = Vec::new();
+        put_u64(&mut payload, 2);
+        put_u8(&mut payload, 3);
+        put_len(&mut payload, MAX_LEN as usize);
+        let len_bytes = (payload.len() as u32).to_le_bytes();
+        let mut image = valid.clone();
+        image.extend_from_slice(&len_bytes);
+        image.extend_from_slice(&crc32_parts(&[&len_bytes, &payload]).to_le_bytes());
+        image.extend_from_slice(&payload);
+        fs::write(&path, &image).unwrap();
+
+        let (j, records, report) = Journal::open(&path).unwrap();
+        assert_eq!(records, sample_records()[..1].to_vec());
+        assert_eq!(report.truncated_bytes, (image.len() - valid.len()) as u64);
+        assert_eq!(j.bytes(), valid.len() as u64);
+        fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    #[test]
     fn non_journal_file_is_recreated_empty() {
         let path = temp_journal("recreate");
         fs::write(&path, b"this was never a journal").unwrap();

@@ -310,41 +310,10 @@ pub fn read_request<R: BufRead, W: Write>(
     })
 }
 
-/// Writes one response with a JSON body and correct framing.
-pub fn write_response<W: Write>(
-    writer: &mut W,
-    status: u16,
-    reason: &str,
-    body: &str,
-    keep_alive: bool,
-) -> io::Result<()> {
-    write_response_with(writer, status, reason, body, keep_alive, &[])
-}
-
-/// [`write_response`] plus extra response headers (e.g. `Retry-After` on
-/// overload responses). Header names must be valid as-is; values are written
-/// verbatim.
-pub fn write_response_with<W: Write>(
-    writer: &mut W,
-    status: u16,
-    reason: &str,
-    body: &str,
-    keep_alive: bool,
-    extra_headers: &[(&str, String)],
-) -> io::Result<()> {
-    write_response_full(
-        writer,
-        status,
-        reason,
-        "application/json",
-        body,
-        keep_alive,
-        extra_headers,
-    )
-}
-
-/// [`write_response_with`] with an explicit content type — the `/metrics`
-/// exposition is `text/plain`, everything else JSON.
+/// Writes one response with correct framing: `content_type` is
+/// `application/json` for everything but the `text/plain` `/metrics`
+/// exposition, and `extra_headers` (e.g. `Retry-After` on overload
+/// responses) are written verbatim — names must be valid as-is.
 pub fn write_response_full<W: Write>(
     writer: &mut W,
     status: u16,
@@ -480,7 +449,16 @@ mod tests {
     #[test]
     fn responses_are_framed_with_content_length() {
         let mut out = Vec::new();
-        write_response(&mut out, 200, "OK", "{\"a\":1}", true).unwrap();
+        write_response_full(
+            &mut out,
+            200,
+            "OK",
+            "application/json",
+            "{\"a\":1}",
+            true,
+            &[],
+        )
+        .unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("content-length: 7\r\n"));
@@ -502,10 +480,11 @@ mod tests {
     #[test]
     fn extra_headers_are_written_before_the_body() {
         let mut out = Vec::new();
-        write_response_with(
+        write_response_full(
             &mut out,
             503,
             "Service Unavailable",
+            "application/json",
             "{}",
             false,
             &[("retry-after", "1".to_string())],

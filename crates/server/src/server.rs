@@ -318,10 +318,11 @@ fn encode_traces(traces: &[FinishedTrace]) -> json::Json {
 /// Best-effort 503 for a connection over the concurrency cap.
 fn reject_over_capacity(mut stream: TcpStream) {
     let body = wire::encode_error("connection limit reached").to_string();
-    let _ = http::write_response_with(
+    let _ = http::write_response_full(
         &mut stream,
         503,
         "Service Unavailable",
+        "application/json",
         &body,
         false,
         &[("retry-after", "1".to_string())],
@@ -398,7 +399,15 @@ impl Connection<'_, '_> {
                             _ => reason,
                         };
                         let body = wire::encode_error(message).to_string();
-                        let _ = http::write_response(&mut writer, status, reason, &body, false);
+                        let _ = http::write_response_full(
+                            &mut writer,
+                            status,
+                            reason,
+                            "application/json",
+                            &body,
+                            false,
+                            &[],
+                        );
                         // The request may not have been consumed in full
                         // (e.g. an over-limit request line). Half-close and
                         // drain briefly so the close sends FIN, not RST —
