@@ -17,7 +17,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// Number of per-request stages.
-pub const STAGE_COUNT: usize = 7;
+pub const STAGE_COUNT: usize = 6;
 
 /// The serving pipeline stages a request passes through.
 ///
@@ -25,15 +25,14 @@ pub const STAGE_COUNT: usize = 7;
 /// submit (header + body read, JSON decode); `Queue` is time spent waiting
 /// in the admission queue (for the dispatcher to finish the batch ahead, or
 /// an opt-in linger window); `Dispatch` is batch assembly
-/// between pickup and execution; `Warm` is the request's share of the
-/// batch-wide cache warm phase; `Eval` is estimation/routing proper;
+/// between pickup and execution; `Eval` is the request's own evaluation —
+/// estimation of every cache miss it meets and routing included;
 /// `Serialize` is response encoding; `Write` is the socket write.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Stage {
     Parse,
     Queue,
     Dispatch,
-    Warm,
     Eval,
     Serialize,
     Write,
@@ -45,7 +44,6 @@ impl Stage {
         Stage::Parse,
         Stage::Queue,
         Stage::Dispatch,
-        Stage::Warm,
         Stage::Eval,
         Stage::Serialize,
         Stage::Write,
@@ -57,7 +55,6 @@ impl Stage {
             Stage::Parse => "parse",
             Stage::Queue => "queue",
             Stage::Dispatch => "dispatch",
-            Stage::Warm => "warm",
             Stage::Eval => "eval",
             Stage::Serialize => "serialize",
             Stage::Write => "write",
@@ -69,10 +66,9 @@ impl Stage {
             Stage::Parse => 0,
             Stage::Queue => 1,
             Stage::Dispatch => 2,
-            Stage::Warm => 3,
-            Stage::Eval => 4,
-            Stage::Serialize => 5,
-            Stage::Write => 6,
+            Stage::Eval => 3,
+            Stage::Serialize => 4,
+            Stage::Write => 5,
         }
     }
 }
@@ -106,8 +102,7 @@ impl ActiveTrace {
         &self.id
     }
 
-    /// Adds wall time to a stage. Stages may be recorded more than once
-    /// (e.g. `Eval` accumulates across a request's deduplicated jobs);
+    /// Adds wall time to a stage. Stages may be recorded more than once;
     /// contributions sum.
     pub fn record(&self, stage: Stage, elapsed: Duration) {
         self.stage_nanos[stage.index()].fetch_add(

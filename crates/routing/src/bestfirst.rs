@@ -275,10 +275,8 @@ pub struct BestFirstRouter<'g, 'n> {
 }
 
 /// The checks on a routing request's shape that every search starts with,
-/// in the order their errors are reported. Public so a caller that prepares
-/// work for a search (the serving layer's warm phase) can skip requests the
-/// search will reject.
-pub fn validate_route(
+/// in the order their errors are reported.
+fn validate_route(
     net: &RoadNetwork,
     source: VertexId,
     destination: VertexId,
@@ -1050,7 +1048,7 @@ mod tests {
         let od = OdEstimator::new(&graph);
         let pairs = all_pairs(&f.net);
         let router = |destinations| {
-            let cache = FreeFlowCache::with_capacity(&f.net, destinations, destinations);
+            let cache = FreeFlowCache::with_capacity(&f.net, destinations);
             BestFirstRouter::with_cache(&graph, RouterConfig::default(), Arc::new(cache)).unwrap()
         };
         // Cold: every destination's first search fills its entry.
@@ -1086,7 +1084,7 @@ mod tests {
         let alone = BestFirstRouter::new(&graph, RouterConfig::default()).unwrap();
         let expected = search_all(&alone, &od, &pairs);
 
-        let cache = Arc::new(FreeFlowCache::with_capacity(&f.net, 2, 2));
+        let cache = Arc::new(FreeFlowCache::with_capacity(&f.net, 2));
         let start = std::sync::Barrier::new(8);
         std::thread::scope(|scope| {
             for thread in 0..8 {

@@ -4,29 +4,23 @@
 //! travel times depend on nothing else — not on the weight-function epoch,
 //! not on the traffic regime — so everything the stochastic search derives
 //! from them is a pure function of the network and can be shared by every
-//! search that ever runs over it:
-//!
-//! * per **destination**, a [`DestinationIndex`]: the admissible lower bound
-//!   from every vertex ([`free_flow_to_destination`]) together with every
-//!   vertex's out-edges already filtered and ordered by it — what the
-//!   best-first search reads at each expansion;
-//! * per **(source, destination)**, the free-flow fastest path
-//!   ([`fastest_path`]), the search's predictable first candidate and the
-//!   batch executor's warm-phase seed — including the negative result for a
-//!   pair with no connecting path.
+//! search that ever runs over it. Per **destination** that is a
+//! [`DestinationIndex`]: the admissible lower bound from every vertex
+//! ([`free_flow_to_destination`]) together with every vertex's out-edges
+//! already filtered and ordered by it — what the best-first search reads at
+//! each expansion.
 //!
 //! Path-centric routing systems build their destination-side heuristic
 //! tables offline for the same reason (arXiv 2407.06881); here they are
-//! filled on demand. Both maps are bounded by constants sized for a
-//! 10⁴-vertex network and evict in insertion order: the working set of a
+//! filled on demand. The map is bounded by a constant sized for a
+//! 10⁴-vertex network and evicts in insertion order: the working set of a
 //! serving process (tens of popular destinations) stays resident, and
 //! nothing an entry holds can go stale. An entry is computed *outside* the
 //! lock and inserted if still absent, so two threads missing on one key at
 //! once both search, one result is kept, and both return the resident value.
 
 use crate::dijkstra::{edge_target_lower_bound, free_flow_to_destination};
-use pathcost_roadnet::search::fastest_path;
-use pathcost_roadnet::{EdgeId, Path, RoadNetwork, VertexId};
+use pathcost_roadnet::{EdgeId, RoadNetwork, VertexId};
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 use std::sync::{Arc, Mutex};
@@ -35,9 +29,6 @@ use std::sync::{Arc, Mutex};
 /// edge: ≈ 280 KB on a 10⁴-vertex grid (≈ 36 MB full), ≈ 43 KB on a
 /// 1 600-vertex one.
 const DESTINATION_CAPACITY: usize = 128;
-
-/// Seed paths kept resident (a few dozen edge ids each).
-const SEED_CAPACITY: usize = 4_096;
 
 /// Everything the best-first search needs to know about one destination.
 #[derive(Debug)]
@@ -96,15 +87,6 @@ impl DestinationIndex {
     }
 }
 
-/// Which of the cache's two maps a lookup went to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Lookup {
-    /// A [`FreeFlowCache::destination`] lookup.
-    Destination,
-    /// A [`FreeFlowCache::seed`] lookup.
-    Seed,
-}
-
 /// A map of at most `capacity` entries that makes room by dropping the
 /// entry inserted longest ago.
 struct Bounded<K, V> {
@@ -147,11 +129,10 @@ impl<K: Copy + Eq + Hash, V: Clone> Bounded<K, V> {
 pub struct FreeFlowCache<'n> {
     net: &'n RoadNetwork,
     destinations: Mutex<Bounded<VertexId, Arc<DestinationIndex>>>,
-    seeds: Mutex<Bounded<(VertexId, VertexId), Option<Path>>>,
-    /// Told `(map, hit)` on every lookup. A hook rather than counters of its
-    /// own so an owner with a metrics registry counts there, and this crate
-    /// need not depend on one.
-    observer: Option<Box<dyn Fn(Lookup, bool) + Send + Sync>>,
+    /// Told whether each lookup hit. A hook rather than counters of its own
+    /// so an owner with a metrics registry counts there, and this crate need
+    /// not depend on one.
+    observer: Option<Box<dyn Fn(bool) + Send + Sync>>,
 }
 
 // Compile-time audit: one cache is shared by every connection and worker
@@ -162,24 +143,23 @@ const _: () = {
 };
 
 impl<'n> FreeFlowCache<'n> {
-    /// An empty cache over `net` with the standard capacities.
+    /// An empty cache over `net` with the standard capacity.
     pub fn new(net: &'n RoadNetwork) -> Self {
-        Self::with_capacity(net, DESTINATION_CAPACITY, SEED_CAPACITY)
+        Self::with_capacity(net, DESTINATION_CAPACITY)
     }
 
-    /// As [`Self::new`] with explicit capacities (each at least 1) — for
-    /// tests that need evictions on a small fixture.
-    pub fn with_capacity(net: &'n RoadNetwork, destinations: usize, seeds: usize) -> Self {
+    /// As [`Self::new`] with an explicit capacity (at least 1) — for tests
+    /// that need evictions on a small fixture.
+    pub fn with_capacity(net: &'n RoadNetwork, destinations: usize) -> Self {
         FreeFlowCache {
             net,
             destinations: Mutex::new(Bounded::new(destinations)),
-            seeds: Mutex::new(Bounded::new(seeds)),
             observer: None,
         }
     }
 
-    /// Has `observer` told `(map, hit)` on every lookup from now on.
-    pub fn observed(mut self, observer: impl Fn(Lookup, bool) + Send + Sync + 'static) -> Self {
+    /// Has `observer` told whether each lookup hit from now on.
+    pub fn observed(mut self, observer: impl Fn(bool) + Send + Sync + 'static) -> Self {
         self.observer = Some(Box::new(observer));
         self
     }
@@ -192,17 +172,22 @@ impl<'n> FreeFlowCache<'n> {
     /// The index of `destination`, built on first request. A vertex outside
     /// the network gets an index with no finite bound and no successors.
     pub fn destination(&self, destination: VertexId) -> Arc<DestinationIndex> {
-        self.lookup(Lookup::Destination, &self.destinations, destination, || {
-            Arc::new(DestinationIndex::build(self.net, destination))
-        })
-    }
-
-    /// The free-flow fastest path from `source` to `destination`, searched
-    /// on first request; `None` (cached like any other answer) when the two
-    /// are equal or no path connects them.
-    pub fn seed(&self, source: VertexId, destination: VertexId) -> Option<Path> {
-        self.lookup(Lookup::Seed, &self.seeds, (source, destination), || {
-            fastest_path(self.net, source, destination)
+        let resident = self
+            .destinations
+            .lock()
+            .expect("free-flow cache poisoned")
+            .entries
+            .get(&destination)
+            .cloned();
+        if let Some(observer) = &self.observer {
+            observer(resident.is_some());
+        }
+        resident.unwrap_or_else(|| {
+            let built = Arc::new(DestinationIndex::build(self.net, destination));
+            self.destinations
+                .lock()
+                .expect("free-flow cache poisoned")
+                .insert_if_absent(destination, built)
         })
     }
 
@@ -214,40 +199,6 @@ impl<'n> FreeFlowCache<'n> {
             .entries
             .len()
     }
-
-    /// Seed paths (and negative results) currently resident.
-    pub fn seed_count(&self) -> usize {
-        self.seeds
-            .lock()
-            .expect("free-flow cache poisoned")
-            .entries
-            .len()
-    }
-
-    fn lookup<K: Copy + Eq + Hash, V: Clone>(
-        &self,
-        map: Lookup,
-        entries: &Mutex<Bounded<K, V>>,
-        key: K,
-        search: impl FnOnce() -> V,
-    ) -> V {
-        let resident = entries
-            .lock()
-            .expect("free-flow cache poisoned")
-            .entries
-            .get(&key)
-            .cloned();
-        if let Some(observer) = &self.observer {
-            observer(map, resident.is_some());
-        }
-        resident.unwrap_or_else(|| {
-            let found = search();
-            entries
-                .lock()
-                .expect("free-flow cache poisoned")
-                .insert_if_absent(key, found)
-        })
-    }
 }
 
 #[cfg(test)]
@@ -256,17 +207,17 @@ mod tests {
     use pathcost_roadnet::GeneratorConfig;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    /// `[destination hits, destination misses, seed hits, seed misses]`.
-    fn counting(cache: FreeFlowCache<'_>) -> (FreeFlowCache<'_>, Arc<[AtomicUsize; 4]>) {
-        let tally: Arc<[AtomicUsize; 4]> = Arc::default();
+    /// `[hits, misses]`.
+    fn counting(cache: FreeFlowCache<'_>) -> (FreeFlowCache<'_>, Arc<[AtomicUsize; 2]>) {
+        let tally: Arc<[AtomicUsize; 2]> = Arc::default();
         let sink = tally.clone();
-        let cache = cache.observed(move |map, hit| {
-            sink[map as usize * 2 + usize::from(!hit)].fetch_add(1, Ordering::Relaxed);
+        let cache = cache.observed(move |hit| {
+            sink[usize::from(!hit)].fetch_add(1, Ordering::Relaxed);
         });
         (cache, tally)
     }
 
-    fn counts(tally: &[AtomicUsize; 4]) -> [usize; 4] {
+    fn counts(tally: &[AtomicUsize; 2]) -> [usize; 2] {
         std::array::from_fn(|i| tally[i].load(Ordering::Relaxed))
     }
 
@@ -296,28 +247,17 @@ mod tests {
         assert!(index
             .successors(VertexId(net.vertex_count() as u32))
             .is_empty());
-        assert_eq!(
-            cache.seed(VertexId(0), destination),
-            fastest_path(&net, VertexId(0), destination)
-        );
     }
 
     #[test]
-    fn lookups_hit_after_the_first_and_negative_seeds_are_kept() {
+    fn lookups_hit_after_the_first() {
         let net = GeneratorConfig::tiny(2).generate();
         let (cache, tally) = counting(FreeFlowCache::new(&net));
         let first = cache.destination(VertexId(24));
         let again = cache.destination(VertexId(24));
         assert!(Arc::ptr_eq(&first, &again));
-        assert!(cache.seed(VertexId(0), VertexId(24)).is_some());
-        assert!(cache.seed(VertexId(0), VertexId(24)).is_some());
-        // No path: equal endpoints, and a destination outside the network.
-        for _ in 0..2 {
-            assert!(cache.seed(VertexId(3), VertexId(3)).is_none());
-            assert!(cache.seed(VertexId(3), VertexId(9_999)).is_none());
-        }
-        assert_eq!(counts(&tally), [1, 1, 3, 3]);
-        assert_eq!((cache.destination_count(), cache.seed_count()), (1, 3));
+        assert_eq!(counts(&tally), [1, 1]);
+        assert_eq!(cache.destination_count(), 1);
         let outside = cache.destination(VertexId(9_999));
         assert!(outside.lower_bound().iter().all(|b| b.is_infinite()));
     }
@@ -325,20 +265,18 @@ mod tests {
     #[test]
     fn entry_counts_never_exceed_the_capacities() {
         let net = GeneratorConfig::tiny(3).generate();
-        let (cache, tally) = counting(FreeFlowCache::with_capacity(&net, 3, 5));
+        let (cache, tally) = counting(FreeFlowCache::with_capacity(&net, 3));
         let vertices = net.vertex_count() as u32;
         for round in 0..2 {
             for v in 0..vertices {
                 cache.destination(VertexId(v));
-                cache.seed(VertexId(v), VertexId((v + 7) % vertices));
                 assert!(cache.destination_count() <= 3);
-                assert!(cache.seed_count() <= 5);
             }
-            assert_eq!((cache.destination_count(), cache.seed_count()), (3, 5));
+            assert_eq!(cache.destination_count(), 3);
             // A scan wider than the capacity evicts every entry before its
             // next use: all misses, and each refill equals a fresh search.
             let scanned = (round + 1) * vertices as usize;
-            assert_eq!(counts(&tally), [0, scanned, 0, scanned]);
+            assert_eq!(counts(&tally), [0, scanned]);
         }
         let refilled = cache.destination(VertexId(0));
         assert_eq!(

@@ -15,8 +15,8 @@
 //! (`tests/support/dfs.rs` at the repository root), the reference the
 //! router is property-tested against.
 //! What the production search derives from free-flow times alone — destination
-//! bounds, successor orders, fastest-path seeds — is a function of the
-//! immutable network and lives in the bounded [`freeflow`] cache.
+//! bounds and successor orders — is a function of the immutable network and
+//! lives in the bounded [`freeflow`] cache.
 
 pub mod bestfirst;
 pub mod dijkstra;
@@ -24,10 +24,10 @@ pub mod error;
 pub mod freeflow;
 pub mod query;
 
-pub use bestfirst::{validate_route, BestFirstRouter, RouteResult, RouterConfig, SearchTelemetry};
+pub use bestfirst::{BestFirstRouter, RouteResult, RouterConfig, SearchTelemetry};
 pub use dijkstra::{
     edge_target_lower_bound, free_flow_to_destination, upper_bound_time_to_destination,
 };
 pub use error::RoutingError;
-pub use freeflow::{DestinationIndex, FreeFlowCache, Lookup};
+pub use freeflow::{DestinationIndex, FreeFlowCache};
 pub use query::{dominates_stochastically, prob_within_budget, rank_by_probability};

@@ -10,8 +10,8 @@
 //! shared [`AdmissionQueue`](pathcost_service::AdmissionQueue) whose
 //! dispatcher batches requests *across connections* into
 //! [`QueryEngine::execute_batch`](pathcost_service::QueryEngine::execute_batch)
-//! — concurrent clients asking about overlapping paths share dedup and
-//! cache warming exactly like one caller submitting a batch.
+//! — concurrent clients share the engine's worker pool and distribution
+//! cache exactly like one caller submitting a batch.
 //!
 //! ## Endpoints
 //!

@@ -353,10 +353,6 @@ pub fn encode_stats(
         ("estimations", Json::Number(stats.estimations as f64)),
         ("batches", Json::Number(stats.batches as f64)),
         ("batch_requests", Json::Number(stats.batch_requests as f64)),
-        (
-            "batch_jobs_deduplicated",
-            Json::Number(stats.batch_jobs_deduplicated as f64),
-        ),
         ("shed_deadline", Json::Number(stats.shed_deadline as f64)),
         (
             "deadline_exceeded",

@@ -28,7 +28,6 @@ pathcost_admission_queue_depth gauge []\n\
 pathcost_admission_queue_wait_seconds histogram [] le=[0.000002,0.000004,0.000008,0.000016,0.000032,0.000064,0.000128,0.000256,0.000512,0.001024,0.002048,0.004096,0.008192,0.016384,0.032768,0.065536,0.131072,0.262144,0.524288,1.048576,2.097152,4.194304,8.388608,16.777216,33.554432,67.108864,134.217728,268.435456,536.870912,1073.741824,2147.483648,+Inf]\n\
 pathcost_admission_rejected_degraded_total counter []\n\
 pathcost_admission_shed_total counter []\n\
-pathcost_batch_jobs_deduplicated_total counter []\n\
 pathcost_batch_requests_total counter []\n\
 pathcost_batches_total counter []\n\
 pathcost_build_info gauge [version]\n\
@@ -301,10 +300,6 @@ fn stats_and_metrics_agree_on_every_shared_number_after_a_mixed_load() {
             ("estimations", "pathcost_estimations_total"),
             ("batches", "pathcost_batches_total"),
             ("batch_requests", "pathcost_batch_requests_total"),
-            (
-                "batch_jobs_deduplicated",
-                "pathcost_batch_jobs_deduplicated_total",
-            ),
             ("shed_deadline", "pathcost_admission_shed_total"),
             ("deadline_exceeded", "pathcost_deadline_exceeded_total"),
             ("cancelled", "pathcost_cancelled_total"),
@@ -376,7 +371,7 @@ fn stats_and_metrics_agree_on_every_shared_number_after_a_mixed_load() {
         }
         // The load really was mixed: the checks above compared non-zero numbers.
         assert!(stat("errors") >= 1 && stat("shed_deadline") == 1 && stat("cache_hits") >= 1);
-        assert!(stat("route_queries") == 1 && stat("batch_jobs_deduplicated") >= 1);
+        assert!(stat("route_queries") == 1);
         assert!(fallback.iter().filter_map(Json::as_u64).sum::<u64>() >= 1);
     });
 }

@@ -1,17 +1,17 @@
 //! Bounded admission queue with cross-connection batching.
 //!
-//! The batch executor ([`QueryEngine::execute_batch`]) amortises estimation
-//! work across the requests *inside one batch* — but a network front-end
-//! receives requests one connection at a time, so without help every
-//! connection would run a batch of one and the dedup/warm phases
-//! would never fire across clients. The [`AdmissionQueue`] closes that gap:
+//! The batch executor ([`QueryEngine::execute_batch`]) fans the requests
+//! *of one batch* out over the engine's worker pool — but a network
+//! front-end receives requests one connection at a time, so without help
+//! every connection would run a batch of one on one thread. The
+//! [`AdmissionQueue`] closes that gap:
 //!
 //! * Connection handlers [`submit`](AdmissionQueue::submit) individual
 //!   requests (or [`submit_many`](AdmissionQueue::submit_many) for
 //!   `POST /query/batch`) and block on the returned [`Ticket`].
 //! * A dispatcher thread ([`dispatch`](AdmissionQueue::dispatch)) drains the
 //!   queue into batches of up to [`AdmissionConfig::max_batch`], runs them
-//!   through the engine's dedup/warm/answer pipeline, and completes each
+//!   through the engine's batch executor, and completes each
 //!   ticket with its own result. It sets no timer: the moment it is free it
 //!   takes whatever has queued, so requests that arrive while one batch runs
 //!   form the next — batches grow with load, and a lone request on an idle
@@ -32,8 +32,8 @@
 //!   above the [`AdmissionConfig`] watermarks, the p99 taken over the
 //!   requests completed since the queue was last drained, so the state
 //!   clears once the backlog does — and two things happen:
-//!   already-admitted batches run in degraded mode (warm phase off, route
-//!   candidate budgets capped) so the backlog drains faster, and **new
+//!   already-admitted batches run in degraded mode (route search budgets
+//!   capped) so the backlog drains faster, and **new
 //!   submissions are refused at the door** with [`ServiceError::Degraded`]
 //!   (the HTTP layer answers 429 + `Retry-After`) so the backlog cannot
 //!   grow toward the hard capacity limit while the service is behind. See
@@ -338,8 +338,8 @@ impl AdmissionQueue {
     /// [`AdmissionConfig::degrade_queue_depth`], or end-to-end p99 at or
     /// above [`AdmissionConfig::degrade_p99`] over the requests completed
     /// since the queue was last found drained. While degraded, the
-    /// dispatcher disables the batch warm phase and caps route candidate
-    /// budgets, and the HTTP front-end reports the state on `/healthz`.
+    /// dispatcher caps route search budgets, and the HTTP front-end reports
+    /// the state on `/healthz`.
     pub fn degraded(&self) -> bool {
         self.len() >= self.config.degrade_queue_depth || self.p99_breached()
     }

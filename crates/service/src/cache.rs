@@ -364,7 +364,7 @@ impl DistributionCache {
             tallies,
             insertions: registry.counter(
                 "pathcost_cache_insertions_total",
-                "Distribution-cache insertions (estimations plus warm fills).",
+                "Distribution-cache insertions (one per estimation).",
                 &[],
             ),
             invalidations: Counter::new(),

@@ -4,8 +4,9 @@
 //! the HTTP layer builds one from the client's `x-deadline-ms` header (or the
 //! server default), the admission queue sheds requests whose deadline expired
 //! while queued *before* they reach a worker, and the engine's evaluation
-//! loops — the best-first router's expansion loop and the batch warm phase —
-//! poll it cooperatively so an abandoned query stops burning CPU.
+//! loops — the best-first router's expansion loop and the ranking's
+//! candidate loop — poll it cooperatively so an abandoned query stops
+//! burning CPU.
 //!
 //! The token is cheap to clone (`Option<Instant>` plus one `Arc`) and cheap
 //! to poll (an `Instant` comparison and one relaxed atomic load), so the hot
@@ -21,8 +22,8 @@ use pathcost_obs::ActiveTrace;
 /// Deadline + cancellation token carried alongside one request.
 ///
 /// When the front-end is tracing the request, the context additionally
-/// carries the shared [`ActiveTrace`] so the admission queue, batch warm
-/// phase and evaluation loop can file their stage spans; untraced requests
+/// carries the shared [`ActiveTrace`] so the admission queue and the
+/// evaluation loop can file their stage spans; untraced requests
 /// pay a single `Option` check.
 #[derive(Debug, Clone)]
 pub struct RequestContext {
@@ -58,7 +59,7 @@ impl RequestContext {
     }
 
     /// Attaches a trace: stage spans recorded downstream (queue wait,
-    /// dispatch, warm, eval) land on it.
+    /// dispatch, eval) land on it.
     pub fn with_trace(mut self, trace: Arc<ActiveTrace>) -> Self {
         self.trace = Some(trace);
         self

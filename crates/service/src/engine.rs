@@ -26,9 +26,9 @@ use pathcost_core::{
 };
 use pathcost_hist::Histogram1D;
 use pathcost_obs::{Gauge, Registry};
-use pathcost_roadnet::{Path, RoadNetwork, VertexId};
+use pathcost_roadnet::Path;
 use pathcost_routing::{
-    prob_within_budget, validate_route, BestFirstRouter, FreeFlowCache, RouterConfig, RoutingError,
+    prob_within_budget, BestFirstRouter, FreeFlowCache, RouterConfig, RoutingError,
 };
 use pathcost_traj::{TimeOfDay, Timestamp};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -63,7 +63,7 @@ impl Default for ServiceConfig {
 /// Per-query tallies, updated through shared references (the routing
 /// estimator adapter only sees `&self`).
 #[derive(Default)]
-pub(crate) struct QueryCounters {
+struct QueryCounters {
     hits: AtomicU64,
     misses: AtomicU64,
     max_depth: AtomicUsize,
@@ -103,8 +103,8 @@ pub struct QueryEngine<'n> {
     graph: RwLock<Arc<HybridGraph<'n>>>,
     partition: DayPartition,
     cache: DistributionCache,
-    /// Destination bounds, successor orders and route seeds: functions of
-    /// the network alone, so one cache serves every epoch and regime view.
+    /// Destination bounds and successor orders: functions of the network
+    /// alone, so one cache serves every epoch and regime view.
     free_flow: Arc<FreeFlowCache<'n>>,
     pub(crate) epoch: AtomicU64,
     /// Serializes [`Self::apply_update`]s against each other (queries are
@@ -115,10 +115,13 @@ pub struct QueryEngine<'n> {
     registry: Registry,
     epoch_gauge: Gauge,
     pub(crate) recorder: StatsRecorder,
-    /// The persistent batch worker pool: [`ServiceConfig::workers`]
-    /// long-lived threads, spawned lazily by the first batch (so engines
-    /// that never execute one never spawn threads) and joined on drop.
+    /// The persistent batch worker pool: [`Self::worker_count`] long-lived
+    /// threads, spawned lazily by the first batch (so engines that never
+    /// execute one never spawn threads) and joined on drop.
     pool: std::sync::OnceLock<WorkerPool>,
+    /// [`ServiceConfig::workers`] resolved once at construction: asking the
+    /// machine re-reads the cgroup CPU quota on every call.
+    workers: usize,
     config: ServiceConfig,
 }
 
@@ -158,8 +161,12 @@ impl<'n> QueryEngine<'n> {
             recorder.free_flow_hits.clone(),
             recorder.free_flow_misses.clone(),
         );
-        let free_flow = free_flow
-            .observed(move |map, hit| if hit { &hits } else { &misses }[map as usize].inc());
+        let free_flow = free_flow.observed(move |hit| if hit { &hits } else { &misses }.inc());
+        let workers = config.workers.unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(4)
+        });
         QueryEngine {
             graph: RwLock::new(graph),
             partition,
@@ -171,14 +178,14 @@ impl<'n> QueryEngine<'n> {
             epoch_gauge,
             recorder,
             pool: std::sync::OnceLock::new(),
+            workers,
             config,
         }
     }
 
     /// The engine's persistent batch worker pool, spawning it on first use.
     pub(crate) fn batch_pool(&self) -> &WorkerPool {
-        self.pool
-            .get_or_init(|| WorkerPool::new(self.worker_count()))
+        self.pool.get_or_init(|| WorkerPool::new(self.workers))
     }
 
     /// The lock serializing update application (see `apply_update`).
@@ -238,11 +245,6 @@ impl<'n> QueryEngine<'n> {
         &self.cache
     }
 
-    /// The engine's cache of free-flow searches over its network.
-    pub(crate) fn free_flow(&self) -> &FreeFlowCache<'n> {
-        &self.free_flow
-    }
-
     /// The registry holding every engine-level metric family, with the
     /// `pathcost_epoch` gauge brought up to date — render it for `/metrics`.
     pub fn registry(&self) -> &Registry {
@@ -292,13 +294,10 @@ impl<'n> QueryEngine<'n> {
         Timestamp::new(0, TimeOfDay::wrap(self.partition.range(interval).start))
     }
 
-    /// Worker threads used for batch fan-out.
+    /// Worker threads used for batch fan-out: [`ServiceConfig::workers`], or
+    /// the machine's available parallelism as read at construction.
     pub fn worker_count(&self) -> usize {
-        self.config.workers.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        })
+        self.workers
     }
 
     /// Cache-backed estimation: returns the distribution of `path` over the
@@ -307,7 +306,7 @@ impl<'n> QueryEngine<'n> {
     /// On a miss this runs [`OdEstimator::estimate_with_artifacts`]
     /// anchored at [`Self::canonical_departure`], so a cached entry is
     /// bit-identical to `OdEstimator::estimate` at that anchor.
-    pub(crate) fn estimate_cached(
+    fn estimate_cached(
         &self,
         path: &Path,
         departure: Timestamp,
@@ -324,7 +323,7 @@ impl<'n> QueryEngine<'n> {
     /// evaluated under that epoch even while an update lands mid-search
     /// (cache hits may still carry a concurrently published adjacent epoch;
     /// see the `Route` arm of `execute_inner`).
-    pub(crate) fn estimate_cached_on(
+    fn estimate_cached_on(
         &self,
         graph: &HybridGraph<'n>,
         snapshot_epoch: u64,
@@ -642,25 +641,8 @@ fn chaos_panic_failpoint(path: &Path) {
     }
 }
 
-/// The budget rule shared by request validation and [`route_is_valid`].
-pub(crate) fn budget_is_valid(budget_s: f64) -> bool {
-    budget_s.is_finite() && budget_s >= 0.0
-}
-
-/// Whether the answer phase will run a search for this `Route` request
-/// rather than reject it — the batch executor seeds only those.
-pub(crate) fn route_is_valid(
-    net: &RoadNetwork,
-    source: VertexId,
-    destination: VertexId,
-    budget_s: f64,
-    k: usize,
-) -> bool {
-    budget_is_valid(budget_s) && validate_route(net, source, destination, k).is_ok()
-}
-
 fn validate_budget(budget_s: f64) -> Result<(), ServiceError> {
-    if !budget_is_valid(budget_s) {
+    if !(budget_s.is_finite() && budget_s >= 0.0) {
         return Err(ServiceError::InvalidRequest(
             "budget must be a non-negative finite number of seconds",
         ));
@@ -678,7 +660,7 @@ fn validate_budget(budget_s: f64) -> Result<(), ServiceError> {
 /// Timing caveat: the reported [`EstimateBreakdown`] attributes the whole
 /// call to the joint-computation phase (`joint_s`) on a miss and is zero on a
 /// hit — the cache does not observe the OI/JC/MC split of Figure 17.
-pub(crate) struct CachingEstimator<'e, 'n> {
+struct CachingEstimator<'e, 'n> {
     engine: &'e QueryEngine<'n>,
     /// Per-query tallies of the `Route` request this adapter serves.
     counters: &'e QueryCounters,

@@ -21,15 +21,14 @@
 //!   mixed with the
 //!   [`IntervalId`](pathcost_core::IntervalId)), so repeated queries cost an
 //!   O(1) lookup instead of a decomposition.
-//! * **A batch executor** — [`QueryEngine::execute_batch`] deduplicates the
-//!   `(path, interval)` estimation jobs shared across a batch and fans the
-//!   unique work out over the engine's persistent worker pool
-//!   ([`pathcost_core::exec::WorkerPool`]; no async runtime: the work is
-//!   CPU-bound), then answers every request from the warm
-//!   cache. Every fill — warm phase, point query or route candidate — goes
-//!   through the engine's one cache-backed estimation path, so every cached
-//!   distribution is the paper's coarsest-decomposition (OD) estimate and
-//!   batch responses are bit-identical to sequential execution.
+//! * **A batch executor** — [`QueryEngine::execute_batch`] answers a
+//!   batch in one pass, its requests fanned out over the engine's
+//!   persistent worker pool ([`pathcost_core::exec::WorkerPool`]; no async
+//!   runtime: the work is CPU-bound). Every fill — point query, ranking
+//!   candidate or route candidate — goes through the engine's one
+//!   cache-backed estimation path, so every cached distribution is the
+//!   paper's coarsest-decomposition (OD) estimate and batch responses are
+//!   bit-identical to sequential execution.
 //! * **A routing adapter** — `Route` requests hand the
 //!   [`BestFirstRouter`](pathcost_routing::BestFirstRouter) a
 //!   [`CostEstimator`](pathcost_core::CostEstimator) that reads through the
@@ -47,17 +46,17 @@
 //!   (deadline + cancellation token) travels with each admitted request:
 //!   expired work is shed in the admission queue before it reaches a worker,
 //!   evaluation polls the token cooperatively, and a load-watermark policy
-//!   degrades gracefully under pressure (warm phase off, capped route
-//!   budgets) instead of queueing toward timeout. The full failure model is
+//!   degrades gracefully under pressure (capped route budgets) instead of
+//!   queueing toward timeout. The full failure model is
 //!   documented in `ROBUSTNESS.md` at the repository root.
 //! * **Observability** — every response carries per-query [`QueryStats`]
 //!   (cache hits/misses, deepest decomposition, latency) and the engine
 //!   aggregates a [`ServiceStats`] snapshot (per-kind query counts, cache
-//!   hit rate, mean decomposition depth, batch dedup savings, route search
+//!   hit rate, mean decomposition depth, batch sizes, route search
 //!   telemetry, ingest publish latency). A [`RequestContext`] can carry a
-//!   `pathcost-obs` trace: the admission queue, batch warm phase and
-//!   evaluation loop then file per-stage spans (queue wait, dispatch, warm,
-//!   eval) that the HTTP front-end exposes at `GET /debug/traces` — see
+//!   `pathcost-obs` trace: the admission queue and the evaluation loop then
+//!   file per-stage spans (queue wait, dispatch, eval) that the HTTP
+//!   front-end exposes at `GET /debug/traces` — see
 //!   `OBSERVABILITY.md` at the repository root for the span model and the
 //!   full metric inventory.
 //!

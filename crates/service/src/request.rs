@@ -186,7 +186,7 @@ pub struct QueryStats {
     /// Wall-clock time spent answering.
     pub latency: Duration,
     /// Whether this query was answered under the load-watermark degradation
-    /// policy (warm phase disabled, route candidate budgets capped) — the
+    /// policy (route search budgets capped) — the
     /// answer is valid but may be less thorough than under normal load.
     pub degraded: bool,
 }

@@ -65,10 +65,6 @@ impl QueryKind {
     const LABELS: [&'static str; 4] = ["estimate", "probability", "rank", "route"];
 }
 
-/// The `map` label values of the free-flow cache series, indexed by
-/// `pathcost_routing::Lookup as usize`.
-const FREE_FLOW_MAPS: [&str; 2] = ["destination", "seed"];
-
 /// The engine's instruments. Events with a single call site bump the public
 /// handles directly; the `record_*` methods cover the ones several paths
 /// share.
@@ -77,7 +73,6 @@ pub(crate) struct StatsRecorder {
     pub rejected_degraded: Counter,
     batches: Counter,
     batch_requests: Counter,
-    batch_jobs_deduplicated: Counter,
     queries: [Counter; 4],
     errors: Counter,
     latency: Histogram,
@@ -94,9 +89,8 @@ pub(crate) struct StatsRecorder {
     pub route_candidates_evaluated: Counter,
     pub route_incumbent_prunes: Counter,
     pub route_eval_cache_hits: Counter,
-    /// Free-flow cache lookups, indexed by `pathcost_routing::Lookup as usize`.
-    pub free_flow_hits: [Counter; 2],
-    pub free_flow_misses: [Counter; 2],
+    pub free_flow_hits: Counter,
+    pub free_flow_misses: Counter,
     pub invalidation_tracked_evictions: Counter,
     pub invalidation_swept_evictions: Counter,
     regime_fallback: [Counter; FALLBACK_DEPTH_BUCKETS],
@@ -159,10 +153,6 @@ impl StatsRecorder {
                 "pathcost_batch_requests_total",
                 "Requests that arrived inside dispatched batches.",
             ),
-            batch_jobs_deduplicated: counter(
-                "pathcost_batch_jobs_deduplicated_total",
-                "Estimation jobs skipped via intra-batch (path, interval) sharing.",
-            ),
             queries: QueryKind::LABELS.map(|kind| {
                 registry.counter(
                     "pathcost_queries_total",
@@ -193,7 +183,7 @@ impl StatsRecorder {
             ),
             degraded_answers: counter(
                 "pathcost_degraded_answers_total",
-                "Requests answered in degraded mode (no warm phase, capped budgets).",
+                "Requests answered in degraded mode (capped route budgets).",
             ),
             panicked_queries: counter(
                 "pathcost_panicked_queries_total",
@@ -223,20 +213,16 @@ impl StatsRecorder {
                 "pathcost_route_cache_hits_total",
                 "Distribution-cache hits scored by Route candidate evaluations.",
             ),
-            free_flow_hits: FREE_FLOW_MAPS.map(|map| {
-                registry.counter(
-                    "pathcost_free_flow_cache_hits_total",
-                    "Free-flow searches answered from the per-network cache, by map.",
-                    &[("map", map)],
-                )
-            }),
-            free_flow_misses: FREE_FLOW_MAPS.map(|map| {
-                registry.counter(
-                    "pathcost_free_flow_cache_misses_total",
-                    "Free-flow searches run (reverse Dijkstra per destination, fastest path per seed).",
-                    &[("map", map)],
-                )
-            }),
+            free_flow_hits: registry.counter(
+                "pathcost_free_flow_cache_hits_total",
+                "Free-flow destination-index lookups answered from the per-network cache.",
+                &[("map", "destination")],
+            ),
+            free_flow_misses: registry.counter(
+                "pathcost_free_flow_cache_misses_total",
+                "Free-flow searches run (a reverse Dijkstra per destination).",
+                &[("map", "destination")],
+            ),
             invalidation_tracked_evictions: invalidated("tracked"),
             invalidation_swept_evictions: invalidated("swept"),
             regime_fallback: std::array::from_fn(|depth| {
@@ -301,10 +287,9 @@ impl StatsRecorder {
         self.decomposition_depth_sum.add(decomposition_depth as u64);
     }
 
-    pub fn record_batch(&self, requests: u64, deduplicated_jobs: u64) {
+    pub fn record_batch(&self, requests: u64) {
         self.batches.inc();
         self.batch_requests.add(requests);
-        self.batch_jobs_deduplicated.add(deduplicated_jobs);
     }
 
     /// Files one distribution lookup under the `pathcost_regime_*` families:
@@ -391,13 +376,13 @@ impl StatsRecorder {
             panicked_queries: self.panicked_queries.get(),
             batches: self.batches.get(),
             batch_requests: self.batch_requests.get(),
-            batch_jobs_deduplicated: self.batch_jobs_deduplicated.get(),
+            batch_jobs_deduplicated: 0,
             route_candidates_evaluated: self.route_candidates_evaluated.get(),
             route_eval_cache_hits: self.route_eval_cache_hits.get(),
             route_incumbent_prunes: self.route_incumbent_prunes.get(),
             route_expansions: self.route_expansions.get(),
-            free_flow_hits: self.free_flow_hits.each_ref().map(Counter::get),
-            free_flow_misses: self.free_flow_misses.each_ref().map(Counter::get),
+            free_flow_hits: self.free_flow_hits.get(),
+            free_flow_misses: self.free_flow_misses.get(),
             cache_insertions,
             cache_evictions,
             ingest_updates: self.ingest_updates.get(),
@@ -457,8 +442,8 @@ pub struct ServiceStats {
     pub deadline_exceeded: u64,
     /// Requests abandoned mid-evaluation by explicit cancellation.
     pub cancelled: u64,
-    /// Requests answered in degraded mode (warm phase disabled, route
-    /// budgets capped) under the load-watermark policy.
+    /// Requests answered in degraded mode (route search budgets capped)
+    /// under the load-watermark policy.
     pub degraded_answers: u64,
     /// Queries whose evaluation panicked; each panic was contained by the
     /// batch executor and answered as an internal error.
@@ -467,14 +452,14 @@ pub struct ServiceStats {
     pub batches: u64,
     /// Requests that arrived inside batches.
     pub batch_requests: u64,
-    /// Estimation jobs skipped because another request in the same batch
-    /// shared the `(path, interval)` pair.
+    /// Always 0: a batch is one pass over its requests and folds no
+    /// estimation jobs. Kept only because the benchmark reads the field.
     pub batch_jobs_deduplicated: u64,
     /// Complete candidate paths evaluated across all `Route` searches.
     pub route_candidates_evaluated: u64,
     /// Distribution-cache hits scored by `Route` candidate evaluations —
     /// how often the search frontier reused a `(path, interval)` entry from
-    /// an earlier query, batch warm phase or route.
+    /// an earlier query or route.
     pub route_eval_cache_hits: u64,
     /// Partial paths dropped by the best-first router's incumbent bound
     /// across all `Route` searches.
@@ -483,15 +468,13 @@ pub struct ServiceStats {
     /// `Route` searches — the search-effort knob the candidate-budget
     /// trade-off (Fig 18) is tuned against.
     pub route_expansions: u64,
-    /// Lookups the engine's free-flow cache answered from a resident entry:
-    /// `[destination indexes (one per Route search), route seeds (one per
-    /// valid Route in a batch's warm phase)]`.
-    pub free_flow_hits: [u64; 2],
-    /// Lookups that ran the search instead — a reverse Dijkstra over the
-    /// whole network per destination, a fastest-path search per seed — in
-    /// the same order.
-    pub free_flow_misses: [u64; 2],
-    /// Distribution-cache insertions (estimations plus warm-phase fills).
+    /// Destination-index lookups (one per `Route` search) the engine's
+    /// free-flow cache answered from a resident entry.
+    pub free_flow_hits: u64,
+    /// Destination-index lookups that ran the search instead — a reverse
+    /// Dijkstra over the whole network.
+    pub free_flow_misses: u64,
+    /// Distribution-cache insertions (one per estimation).
     pub cache_insertions: u64,
     /// Distribution-cache entries dropped under capacity pressure (LRU).
     pub cache_evictions: u64,
@@ -550,12 +533,6 @@ impl ServiceStats {
         } else {
             self.cache_hits as f64 / total as f64
         }
-    }
-
-    /// Alias for [`Self::cache_hit_rate`], matching the `*_rate` accessor
-    /// family.
-    pub fn hit_rate(&self) -> f64 {
-        self.cache_hit_rate()
     }
 
     /// Total cache entries evicted by live-update invalidation (dependency-
@@ -620,7 +597,7 @@ mod tests {
         rec.record_query(QueryKind::Route, Duration::from_micros(300), false);
         rec.record_estimation(2);
         rec.record_estimation(4);
-        rec.record_batch(10, 6);
+        rec.record_batch(10);
         rec.route_candidates_evaluated.add(5);
         rec.route_eval_cache_hits.add(2);
         rec.route_incumbent_prunes.add(9);
@@ -653,7 +630,8 @@ mod tests {
         assert!((s.mean_decomposition_depth() - 3.0).abs() < 1e-12);
         assert_eq!(s.mean_latency(), Duration::from_micros(200));
         assert_eq!(s.batches, 1);
-        assert_eq!(s.batch_jobs_deduplicated, 6);
+        assert_eq!(s.batch_requests, 10);
+        assert_eq!(s.batch_jobs_deduplicated, 0);
         assert_eq!(s.route_candidates_evaluated, 5);
         assert_eq!(s.route_eval_cache_hits, 2);
         assert_eq!(s.route_incumbent_prunes, 9);
@@ -670,7 +648,6 @@ mod tests {
         assert_eq!(s.invalidation_evictions(), 14);
         assert_eq!(s.cache_insertions, 20);
         assert_eq!(s.cache_evictions, 5);
-        assert!((s.hit_rate() - s.cache_hit_rate()).abs() < 1e-15);
         // (5 LRU + 14 invalidated) / 20 insertions
         assert!((s.eviction_rate() - 0.95).abs() < 1e-12);
         // Outcome accounting: one ok + one failed query, one shed request,

@@ -232,8 +232,8 @@ fn batch_execution_equals_sequential_execution() {
 
     // A mixed batch with deliberate duplication: every path appears in an
     // estimate, a probability query and the ranking, under both regimes,
-    // beside one route search per regime (distinct regimes never share a
-    // cache key, so the parallel answer phase estimates no key twice).
+    // beside one route search per regime. Requests sharing a key may fill it
+    // concurrently; both compute the same bits.
     let mut requests: Vec<QueryRequest> = Vec::new();
     for regime in [RegimeId::ALL_TRAFFIC, peak] {
         for (path, dep) in &pairs {
@@ -289,7 +289,7 @@ fn batch_execution_equals_sequential_execution() {
         }
     };
 
-    // Cold: the warm phase fills every declared key.
+    // Cold: the batch's requests fill every key themselves.
     let cold_engine = engine(Some(4));
     assert_equals_sequential(&cold_engine.execute_batch(&requests));
     // Pre-warmed by point queries arriving in the opposite order: who filled
@@ -300,16 +300,15 @@ fn batch_execution_equals_sequential_execution() {
     }
     assert_equals_sequential(&warm_engine.execute_batch(&requests));
 
-    // The duplicated (path, interval) jobs were actually deduplicated, and
-    // each unique job was estimated exactly once.
+    // The cold batch cached exactly the keys sequential execution did, and
+    // read entries its own requests filled: each probability query follows
+    // the estimate of its key, and each ranking reads the key of the first
+    // path's estimate, so no hit at all would need all ten of those reads
+    // to race their fillers.
     let stats = cold_engine.stats();
     assert_eq!(stats.batches, 1);
-    assert!(
-        stats.batch_jobs_deduplicated > 0,
-        "duplicates must be folded"
-    );
-    assert!(stats.cache_hits > 0, "answer phase must hit the warm cache");
-    assert_eq!(stats.estimations as usize, cold_engine.cache().len());
+    assert_eq!(cold_engine.cache().len(), seq_engine.cache().len());
+    assert!(stats.cache_hits > 0, "the batch must hit keys it filled");
 }
 
 /// A `Route` under a regime searches that regime's view: its partial chains
@@ -551,45 +550,6 @@ fn route_counters_track_search_and_cache_reuse() {
     assert_eq!(stats.route_queries, 2);
 }
 
-#[test]
-fn batch_warm_phase_seeds_route_searches_with_the_fastest_path() {
-    let f = fixture(309);
-    let graph = HybridGraph::build(&f.net, &f.store, f.cfg.clone()).unwrap();
-    let engine = QueryEngine::new(Arc::new(graph), ServiceConfig::default());
-    let departure = Timestamp::from_day_hms(0, 8, 0, 0);
-    let route = QueryRequest::Route {
-        source: VertexId(0),
-        destination: VertexId(18),
-        departure,
-        budget_s: 3_600.0,
-        k: 1,
-        regime: pathcost_service::RegimeId::ALL_TRAFFIC,
-    };
-
-    // Two identical Route requests in one batch: both contribute their
-    // free-flow seed candidate to the warm phase, which deduplicates them —
-    // the Route warm-frontier follow-up from the roadmap.
-    let results = engine.execute_batch(&[route.clone(), route]);
-    assert!(results.iter().all(|r| r.is_ok()));
-    let stats = engine.stats();
-    assert!(
-        stats.batch_jobs_deduplicated >= 1,
-        "identical Route requests must share their warm seed job"
-    );
-    let seed = pathcost_roadnet::search::fastest_path(&f.net, VertexId(0), VertexId(18)).unwrap();
-    assert!(
-        engine
-            .cache()
-            .get(
-                &seed,
-                engine.interval_of(departure),
-                pathcost_service::RegimeId::ALL_TRAFFIC
-            )
-            .is_some(),
-        "the fastest-path seed candidate must be cached"
-    );
-}
-
 /// A `Route` request under the global regime with a generous budget.
 fn route(source: u32, destination: u32, k: usize) -> QueryRequest {
     QueryRequest::Route {
@@ -603,7 +563,7 @@ fn route(source: u32, destination: u32, k: usize) -> QueryRequest {
 }
 
 #[test]
-fn second_identical_route_hits_the_free_flow_cache_for_bounds_and_seed() {
+fn second_identical_route_hits_the_free_flow_cache_for_bounds() {
     let f = fixture(312);
     let graph = HybridGraph::build(&f.net, &f.store, f.cfg.clone()).unwrap();
     let engine = QueryEngine::new(Arc::new(graph), ServiceConfig::default());
@@ -611,26 +571,17 @@ fn second_identical_route_hits_the_free_flow_cache_for_bounds_and_seed() {
 
     let first = engine.execute_batch(&batch).remove(0).unwrap();
     let stats = engine.stats();
-    assert_eq!(
-        (stats.free_flow_hits, stats.free_flow_misses),
-        ([0, 0], [1, 1])
-    );
+    assert_eq!((stats.free_flow_hits, stats.free_flow_misses), (0, 1));
 
     let second = engine.execute_batch(&batch).remove(0).unwrap();
     let stats = engine.stats();
-    assert_eq!(
-        (stats.free_flow_hits, stats.free_flow_misses),
-        ([1, 1], [1, 1])
-    );
+    assert_eq!((stats.free_flow_hits, stats.free_flow_misses), (1, 1));
     assert_bit_identical(0, &first.response, &second.response);
 
-    // A point `execute` has no warm phase: bounds only, no seed lookup.
+    // A point `execute` makes the same single lookup as a batched one.
     engine.execute(&batch[0]).unwrap();
     let stats = engine.stats();
-    assert_eq!(
-        (stats.free_flow_hits, stats.free_flow_misses),
-        ([2, 1], [1, 1])
-    );
+    assert_eq!((stats.free_flow_hits, stats.free_flow_misses), (2, 1));
 }
 
 #[test]
@@ -644,7 +595,7 @@ fn route_batches_equal_sequential_execution_with_the_free_flow_cache_at_capacity
                 workers,
                 ..ServiceConfig::default()
             },
-            pathcost_routing::FreeFlowCache::with_capacity(&f.net, 1, 1),
+            pathcost_routing::FreeFlowCache::with_capacity(&f.net, 1),
         )
     };
     // Four OD pairs over three destinations, interleaved and repeated, so
@@ -674,25 +625,19 @@ fn route_batches_equal_sequential_execution_with_the_free_flow_cache_at_capacity
         .collect();
     let stats = sequential_engine.stats();
     assert_eq!(
-        stats.free_flow_hits[0], 0,
+        stats.free_flow_hits, 0,
         "every search found its bounds evicted"
     );
-    assert_eq!(stats.free_flow_misses[0], 7);
+    assert_eq!(stats.free_flow_misses, 7);
 
     for workers in [1, 4] {
         let batch_engine = engine(Some(workers));
-        for round in 0..2 {
+        for _ in 0..2 {
             let batch = batch_engine.execute_batch(&requests);
             for (i, (batch, seq)) in batch.iter().zip(&sequential).enumerate() {
                 let batch = batch.as_ref().expect("batch request succeeds");
                 assert_bit_identical(i, &batch.response, &seq.response);
             }
-            let stats = batch_engine.stats();
-            assert_eq!(
-                stats.free_flow_misses[1],
-                7 * (round + 1),
-                "every seed was evicted by the next and searched again"
-            );
         }
     }
 }
@@ -737,10 +682,7 @@ fn invalid_routes_are_answered_their_own_error_without_any_search() {
     // Rejected before any free-flow search: not one lookup, let alone a
     // whole-graph Dijkstra towards a vertex that does not exist.
     let stats = engine.stats();
-    assert_eq!(
-        (stats.free_flow_hits, stats.free_flow_misses),
-        ([0, 0], [0, 0])
-    );
+    assert_eq!((stats.free_flow_hits, stats.free_flow_misses), (0, 0));
     assert_eq!(stats.errors, 16);
 }
 
@@ -1051,7 +993,7 @@ fn cancelled_requests_stop_before_and_during_evaluation() {
 }
 
 #[test]
-fn abandoned_batch_skips_warm_phase_and_evaluation() {
+fn abandoned_batch_is_never_evaluated() {
     use pathcost_service::{RequestContext, ServiceError};
 
     let f = fixture(814);
@@ -1113,27 +1055,19 @@ fn degraded_mode_answers_are_flagged_and_counted() {
     // work than the normal answer (the tiny grid stays feasible either way).
     assert!(degraded.response.route().is_some());
 
-    // A degraded batch has no warm phase, so it collects no jobs either: a
-    // duplicate-laden batch advances the batch counters, folds nothing, and
-    // answers exactly as the single degraded request did.
+    // A degraded batch advances the batch counters and answers each request
+    // exactly as the single degraded request did.
     let before = engine.stats();
     let batch = vec![route; 3];
     let results = engine.execute_batch_under(&batch, &[], true);
     let after = engine.stats();
     assert_eq!(after.batches, before.batches + 1);
     assert_eq!(after.batch_requests, before.batch_requests + 3);
-    assert_eq!(
-        after.batch_jobs_deduplicated,
-        before.batch_jobs_deduplicated
-    );
     for (i, result) in results.iter().enumerate() {
         let outcome = result.as_ref().expect("degraded batch request succeeds");
         assert!(outcome.stats.degraded);
         assert_bit_identical(i, &outcome.response, &degraded.response);
     }
-    // The same batch under normal load does fold its duplicate seeds.
-    engine.execute_batch(&batch);
-    assert!(engine.stats().batch_jobs_deduplicated > after.batch_jobs_deduplicated);
 }
 
 #[test]

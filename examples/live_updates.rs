@@ -170,7 +170,7 @@ fn main() {
     );
     println!(
         "  cache: hit rate {:.1}%, eviction rate {:.1}%, {} entries live",
-        stats.hit_rate() * 100.0,
+        stats.cache_hit_rate() * 100.0,
         stats.eviction_rate() * 100.0,
         engine.cache().len()
     );

@@ -80,7 +80,8 @@ fn main() {
         &fastest_path(&net, source, destination).expect("grid is connected"),
     ) * 3.0;
     for _ in 0..2 {
-        // The second identical route query is served from the warm cache.
+        // Identical route queries share the candidate distributions cached
+        // by whichever of them estimates a candidate first.
         requests.push(QueryRequest::Route {
             source,
             destination,
@@ -164,7 +165,7 @@ fn main() {
         "  cache: {} hits / {} misses (hit rate {:.1}%), {} entries, eviction rate {:.1}%",
         stats.cache_hits,
         stats.cache_misses,
-        stats.hit_rate() * 100.0,
+        stats.cache_hit_rate() * 100.0,
         engine.cache().len(),
         stats.eviction_rate() * 100.0
     );
@@ -174,8 +175,8 @@ fn main() {
         stats.mean_decomposition_depth()
     );
     println!(
-        "  batch: {} requests, {} duplicate estimation jobs folded",
-        stats.batch_requests, stats.batch_jobs_deduplicated
+        "  batch: {} requests in {} batch(es)",
+        stats.batch_requests, stats.batches
     );
     println!(
         "  routing: {} candidates evaluated ({} answered by the cache), {} incumbent prunes",
@@ -184,12 +185,8 @@ fn main() {
     println!("  mean latency: {:.2?}", stats.mean_latency());
 
     assert!(
-        stats.cache_hit_rate() > 0.0,
-        "repeated paths must produce cache hits"
-    );
-    assert!(
-        stats.batch_jobs_deduplicated > 0,
-        "the workload repeats paths, so the batch must deduplicate jobs"
+        stats.cache_hits > 0,
+        "repeated paths must produce cache hits: the batch reads entries it filled"
     );
     println!("\n✓ mixed workload served; cache hit rate > 0 on repeated paths");
 }
