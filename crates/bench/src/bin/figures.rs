@@ -5,7 +5,9 @@
 //! cargo run --release -p pathcost-bench --bin figures -- fig14 fig15 --full
 //! ```
 //!
-//! Without arguments the binary prints the list of available experiments.
+//! Without arguments, or with a name not on the list, the binary prints the
+//! list of available experiments and exits with status 2 before building
+//! any dataset.
 //! `--full` switches from the quick laptop-scale presets to the DESIGN.md
 //! preset sizes.
 
@@ -25,7 +27,15 @@ fn main() {
         .filter(|a| !a.starts_with("--"))
         .map(|a| a.to_lowercase())
         .collect();
-    if requested.is_empty() {
+    let unknown: Vec<&str> = requested
+        .iter()
+        .map(String::as_str)
+        .filter(|name| !AVAILABLE.contains(name))
+        .collect();
+    if !unknown.is_empty() {
+        eprintln!("unknown experiment(s): {}", unknown.join(" "));
+    }
+    if requested.is_empty() || !unknown.is_empty() {
         eprintln!("usage: figures [--full] <experiment ...>");
         eprintln!("available: {}", AVAILABLE.join(" "));
         std::process::exit(2);

@@ -211,26 +211,25 @@ mod tests {
     use super::*;
     use pathcost_traj::DatasetPreset;
 
-    fn tiny() -> Dataset {
-        Dataset::build(&DatasetPreset::tiny(17))
-    }
-
     #[test]
     fn fig13_lists_all_estimators() {
-        let d = tiny();
+        // Seed 16 has a dense held-out path at |P| = 4 (seed 17 has none), so
+        // the ground truth and every estimator get a row of their own.
+        let d = Dataset::build(&DatasetPreset::tiny(16));
         let out = fig13_single_path(&d, Scale::Quick);
         let text = out.render();
-        // Either the figure rendered fully or (rarely) no dense path existed.
-        if text.contains("GT") {
-            for name in ["OD", "LB", "HP", "RD"] {
-                assert!(text.contains(name), "missing {name}: {text}");
-            }
+        for name in ["GT", "OD", "LB", "HP", "RD"] {
+            let row = format!("  {name:<4} mean=");
+            assert!(
+                out.rows.iter().any(|r| r.starts_with(&row)),
+                "missing {name}: {text}"
+            );
         }
     }
 
     #[test]
-    fn fig15_orders_od_below_lb() {
-        let d = tiny();
+    fn fig15_renders_a_header_and_at_least_one_row() {
+        let d = Dataset::build(&DatasetPreset::tiny(17));
         let out = fig15_entropy(&d, Scale::Quick);
         assert!(out.rows.len() > 1);
     }

@@ -1,5 +1,5 @@
-//! Prometheus text exposition format: a hand-rolled writer and a strict
-//! conformance validator.
+//! Prometheus text exposition format: a hand-rolled writer, a strict
+//! conformance validator and a series lookup.
 //!
 //! The writer produces `text/plain; version=0.0.4` output: one contiguous
 //! block per metric family (`# HELP`, `# TYPE`, then samples), label values
@@ -7,7 +7,8 @@
 //! cumulative `_bucket{le=…}` series plus `_sum` and `_count`. The validator
 //! is what the format tests, the chaos harness and the CI smoke scrape run
 //! against scraped output — it rejects duplicate series, untyped samples,
-//! malformed labels and non-cumulative histograms.
+//! malformed labels and non-cumulative histograms. [`series_value`] is how
+//! every test and example reads one number back off a page.
 
 use std::collections::{BTreeMap, HashSet};
 use std::fmt::Write as _;
@@ -420,6 +421,14 @@ pub fn validate(text: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// The value of the sample whose name-plus-labels is exactly `series`, as
+/// the page renders it (e.g. `pathcost_queries_total{kind="route"}` or
+/// `pathcost_query_seconds_count`); `None` when the page has no such sample.
+pub fn series_value(page: &str, series: &str) -> Option<f64> {
+    page.lines()
+        .find_map(|line| line.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
+}
+
 fn finish_family(family: &FamilyState) -> Result<(), String> {
     for check in family.hist.values() {
         if !check.buckets.is_empty() {
@@ -512,6 +521,26 @@ mod tests {
         let missing_inf = "# HELP h H.\n# TYPE h histogram\n\
                            h_bucket{le=\"0.1\"} 1\nh_sum 1\nh_count 1\n";
         assert!(validate(missing_inf).unwrap_err().contains("+Inf"));
+    }
+
+    #[test]
+    fn series_value_matches_the_exact_name_and_labels() {
+        let h = Histogram::new(&[1.0]);
+        h.observe(0.25);
+        let mut w = ExpositionWriter::new();
+        w.family("q_total", MetricKind::Counter, "Queries.");
+        w.sample("q_total", &[("kind", "route")], 3.0);
+        w.sample("q_total", &[("kind", "rank")], 5.0);
+        w.family("q", MetricKind::Histogram, "Latency.");
+        w.histogram("q", &[], &h.snapshot());
+        let page = w.finish();
+        assert_eq!(series_value(&page, r#"q_total{kind="rank"}"#), Some(5.0));
+        assert_eq!(series_value(&page, "q_sum"), Some(0.25));
+        assert_eq!(series_value(&page, r#"q_bucket{le="+Inf"}"#), Some(1.0));
+        // A prefix of a name, or a name without its labels, is no match.
+        assert_eq!(series_value(&page, "q_total"), None);
+        assert_eq!(series_value(&page, "q_tot"), None);
+        assert_eq!(series_value(&page, "q_missing"), None);
     }
 
     #[test]

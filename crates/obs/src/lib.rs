@@ -8,7 +8,8 @@
 //!   everything it owns,
 //! * [`expo`] — a hand-rolled Prometheus text-exposition writer
 //!   ([`ExpositionWriter`]) plus a strict [`validate`](expo::validate)
-//!   conformance checker used by tests and the chaos harness,
+//!   conformance checker and a [`series_value`](expo::series_value) lookup
+//!   used by tests and the chaos harness,
 //! * [`trace`] — per-request trace ids, per-stage spans ([`Stage`],
 //!   [`ActiveTrace`]) accumulated across threads, finished-trace snapshots
 //!   and a fixed-size [`TraceRing`] backing `GET /debug/traces`,
@@ -21,7 +22,7 @@
 //! serving layer (engine, cache, admission queue, persistence, HTTP server)
 //! registers its instruments in a [`Registry`] it owns, and `GET /metrics`
 //! renders those registries — the handles are the only place a number
-//! lives, so `/stats` and `/metrics` can never disagree.
+//! lives, and `/metrics` is the only place the server exports one.
 //!
 //! See `OBSERVABILITY.md` at the repository root for the full metric
 //! inventory, the trace/span model, the log schema, and a scrape example.

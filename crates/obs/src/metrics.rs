@@ -6,9 +6,9 @@
 //! `GET /metrics` renders those registries. Instruments are cheap `Arc`
 //! handles around relaxed atomics, so the hot path is a `fetch_add` with no
 //! lock and no name lookup. Histograms use caller-chosen fixed bucket bounds
-//! and keep an exact `f64` sum and maximum; [`HistogramSnapshot`] answers
-//! conservative quantiles from them, which is what `/stats` and the
-//! admission queue's p99 watermark read.
+//! and keep an exact `f64` sum and maximum; [`Histogram::quantile`] and
+//! [`HistogramSnapshot`] answer conservative quantiles from them, which is
+//! what the admission queue's p99 watermark reads.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};

@@ -19,10 +19,9 @@
 //! |---|---|---|
 //! | `/query` | POST | one request object (see [`wire`]) |
 //! | `/query/batch` | POST | `{"requests": [...]}` |
-//! | `/stats` | GET | engine + latency counters (JSON) |
 //! | `/metrics` | GET | Prometheus text exposition, every layer |
 //! | `/debug/traces` | GET | recent request traces with per-stage spans |
-//! | `/healthz` | GET | `{"status":"ok","epoch":N,"version":...,"uptime_s":...}` |
+//! | `/healthz` | GET | `{"status":"ok","epoch":N,"version":...,"uptime_s":...,"workers":N}` |
 //!
 //! Every response echoes an `x-trace-id` header — the client's own id if it
 //! sent a sane one, a minted id otherwise — correlating responses with
@@ -70,7 +69,7 @@
 //! curl -s localhost:8080/healthz
 //! curl -s localhost:8080/query -d '{"type":"prob","path":[0,1],"departure_s":28800,"budget_s":600}'
 //! curl -s localhost:8080/query -d '{"type":"route","source":0,"destination":9,"departure_s":28800,"budget_s":900}'
-//! curl -s localhost:8080/stats
+//! curl -s localhost:8080/metrics
 //! ```
 //!
 //! `examples/serve_http.rs` boots this end to end on a 10×10 grid fixture

@@ -6,8 +6,7 @@
 //! optional [`PersistenceStatus`], and [`ServerObs`] here (status classes,
 //! connections, write timeouts, slow queries, per-stage latency from
 //! finished traces, build info, uptime). [`render`] is those registries, in
-//! that fixed order, on one page; `GET /stats` reads the same handles
-//! through the layers' typed views, so the two endpoints cannot disagree.
+//! that fixed order, on one page — the server's only numeric export.
 
 use crate::server::ServerConfig;
 use pathcost_obs::{

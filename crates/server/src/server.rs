@@ -509,6 +509,10 @@ impl Connection<'_, '_> {
                         "uptime_s",
                         json::Json::Number(self.obs.started.elapsed().as_secs_f64()),
                     ),
+                    (
+                        "workers",
+                        json::Json::Number(self.engine.worker_count() as f64),
+                    ),
                 ];
                 if !reasons.is_empty() {
                     fields.push(("reason", json::Json::String(reasons.join("; "))));
@@ -545,19 +549,6 @@ impl Connection<'_, '_> {
                     write(writer, 503, "Service Unavailable", body)
                 }
             },
-            ("GET", "/stats") => {
-                let stats = self.engine.stats();
-                let body = wire::encode_stats(
-                    &stats,
-                    &self.queue.latency(),
-                    &self.queue.queue_wait(),
-                    self.queue.len(),
-                    self.queue.degraded(),
-                    self.engine.worker_count(),
-                    self.config.persistence.as_deref().map(encode_persistence),
-                );
-                write(writer, 200, "OK", body.to_string())
-            }
             ("GET", "/metrics") => {
                 let page = metrics::render(
                     self.obs,
@@ -624,7 +615,7 @@ impl Connection<'_, '_> {
             }
             (
                 _,
-                "/query" | "/query/batch" | "/healthz" | "/stats" | "/admin/snapshot" | "/metrics"
+                "/query" | "/query/batch" | "/healthz" | "/admin/snapshot" | "/metrics"
                 | "/debug/traces",
             ) => {
                 let body = wire::encode_error("method not allowed").to_string();

@@ -1,4 +1,4 @@
-//! JSON wire format: request decoding and response/stats encoding.
+//! JSON wire format: request decoding and response encoding.
 //!
 //! ## Requests (`POST /query`)
 //!
@@ -27,14 +27,10 @@
 
 use crate::json::Json;
 use pathcost_hist::Histogram1D;
-use pathcost_obs::HistogramSnapshot;
 use pathcost_roadnet::{EdgeId, Path, VertexId};
 use pathcost_routing::RouteResult;
-use pathcost_service::{
-    QueryOutcome, QueryRequest, QueryStats, RegimeId, ServiceError, ServiceStats,
-};
+use pathcost_service::{QueryOutcome, QueryRequest, QueryStats, RegimeId, ServiceError};
 use pathcost_traj::Timestamp;
-use std::time::Duration;
 
 /// Decodes one request object into a typed [`QueryRequest`].
 pub fn decode_request(value: &Json) -> Result<QueryRequest, String> {
@@ -309,102 +305,6 @@ pub fn encode_error(message: &str) -> Json {
     Json::object(vec![("error", Json::String(message.to_string()))])
 }
 
-/// A latency histogram (seconds) as its count plus whole-microsecond
-/// p50 / p99 / max.
-fn encode_latency(latency: &HistogramSnapshot) -> Json {
-    let micros = |seconds: f64| Json::Number(Duration::from_secs_f64(seconds).as_micros() as f64);
-    Json::object(vec![
-        ("count", Json::Number(latency.count() as f64)),
-        ("p50_us", micros(latency.p50())),
-        ("p99_us", micros(latency.p99())),
-        ("max_us", micros(latency.max)),
-    ])
-}
-
-/// Encodes the `/stats` payload: the engine's [`ServiceStats`] plus the
-/// admission queue's gauges (end-to-end and queue-wait latency histograms,
-/// current depth, degradation state), the worker-pool size and — when
-/// persistence is configured — the same persistence block `/healthz`
-/// carries. Every number is read off the instrument `/metrics` renders, so
-/// the two endpoints agree by construction.
-pub fn encode_stats(
-    stats: &ServiceStats,
-    e2e: &HistogramSnapshot,
-    queue_wait: &HistogramSnapshot,
-    queue_depth: usize,
-    degraded: bool,
-    workers: usize,
-    persistence: Option<Json>,
-) -> Json {
-    let mut fields = vec![
-        (
-            "estimate_queries",
-            Json::Number(stats.estimate_queries as f64),
-        ),
-        (
-            "probability_queries",
-            Json::Number(stats.probability_queries as f64),
-        ),
-        ("rank_queries", Json::Number(stats.rank_queries as f64)),
-        ("route_queries", Json::Number(stats.route_queries as f64)),
-        ("errors", Json::Number(stats.errors as f64)),
-        ("cache_hits", Json::Number(stats.cache_hits as f64)),
-        ("cache_misses", Json::Number(stats.cache_misses as f64)),
-        ("estimations", Json::Number(stats.estimations as f64)),
-        ("batches", Json::Number(stats.batches as f64)),
-        ("batch_requests", Json::Number(stats.batch_requests as f64)),
-        ("shed_deadline", Json::Number(stats.shed_deadline as f64)),
-        (
-            "deadline_exceeded",
-            Json::Number(stats.deadline_exceeded as f64),
-        ),
-        ("cancelled", Json::Number(stats.cancelled as f64)),
-        (
-            "degraded_answers",
-            Json::Number(stats.degraded_answers as f64),
-        ),
-        (
-            "rejected_degraded",
-            Json::Number(stats.rejected_degraded as f64),
-        ),
-        (
-            "regime_fallback",
-            Json::Array(
-                stats
-                    .regime_fallback
-                    .iter()
-                    .map(|&n| Json::Number(n as f64))
-                    .collect(),
-            ),
-        ),
-        (
-            "panicked_queries",
-            Json::Number(stats.panicked_queries as f64),
-        ),
-        ("queue_depth", Json::Number(queue_depth as f64)),
-        ("degraded", Json::Bool(degraded)),
-        ("workers", Json::Number(workers as f64)),
-        (
-            "route_expansions",
-            Json::Number(stats.route_expansions as f64),
-        ),
-        ("query_latency", encode_latency(&stats.latency)),
-        ("latency_ok", encode_latency(&stats.latency_ok)),
-        ("latency_failed", encode_latency(&stats.latency_failed)),
-        ("latency_shed", encode_latency(&stats.latency_shed)),
-        ("e2e_latency", encode_latency(e2e)),
-        ("queue_wait", encode_latency(queue_wait)),
-        (
-            "ingest_publish_latency",
-            encode_latency(&stats.ingest_publish_latency),
-        ),
-    ];
-    if let Some(persistence) = persistence {
-        fields.push(("persistence", persistence));
-    }
-    Json::object(fields)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -519,33 +419,5 @@ mod tests {
         .unwrap();
         let err = decode_batch(&value).unwrap_err();
         assert!(err.starts_with("requests[1]:"), "{err}");
-    }
-
-    #[test]
-    fn stats_payload_carries_both_latency_distributions() {
-        let stats = ServiceStats::default();
-        let e2e = HistogramSnapshot::default();
-        let queue_wait = HistogramSnapshot::default();
-        let encoded = encode_stats(&stats, &e2e, &queue_wait, 3, true, 8, None);
-        assert_eq!(encoded.get("queue_depth").unwrap().as_u64(), Some(3));
-        assert_eq!(encoded.get("degraded").unwrap(), &Json::Bool(true));
-        assert_eq!(encoded.get("workers").unwrap().as_u64(), Some(8));
-        assert!(encoded
-            .get("query_latency")
-            .unwrap()
-            .get("p99_us")
-            .is_some());
-        assert!(encoded.get("e2e_latency").unwrap().get("p50_us").is_some());
-        assert!(encoded.get("queue_wait").unwrap().get("p50_us").is_some());
-        assert!(encoded.get("ingest_publish_latency").is_some());
-        assert!(encoded.get("persistence").is_none());
-
-        let persistence = Json::object(vec![("suspended", Json::Bool(false))]);
-        let encoded = encode_stats(&stats, &e2e, &queue_wait, 0, false, 8, Some(persistence));
-        assert!(encoded
-            .get("persistence")
-            .unwrap()
-            .get("suspended")
-            .is_some());
     }
 }

@@ -7,6 +7,7 @@ mod common;
 
 use common::{get, post, send_raw, serve_with};
 use pathcost_core::{HybridConfig, HybridGraph};
+use pathcost_obs::expo::series_value;
 use pathcost_server::{Json, Limits, ServerConfig};
 use pathcost_service::{QueryEngine, ServiceConfig};
 use pathcost_traj::DatasetPreset;
@@ -103,7 +104,9 @@ fn hostile_inputs_get_4xx_and_the_server_keeps_serving() {
         assert_eq!(post(addr, "/query/batch", r#"{"requests":[]}"#).0, 400);
 
         // Unknown endpoint / wrong method.
-        assert_eq!(get(addr, "/nope").0, 404);
+        for unknown in ["/nope", "/stats"] {
+            assert_eq!(get(addr, unknown).0, 404, "{unknown}");
+        }
         assert_eq!(get(addr, "/query").0, 405);
         assert_eq!(post(addr, "/healthz", "{}").0, 405);
 
@@ -124,7 +127,7 @@ fn hostile_inputs_get_4xx_and_the_server_keeps_serving() {
 }
 
 #[test]
-fn healthz_and_stats_report_epoch_and_latency() {
+fn healthz_and_metrics_report_epoch_and_latency() {
     let (net, store) = DatasetPreset::tiny(11).materialise().unwrap();
     let graph = HybridGraph::build(&net, &store, HybridConfig::default()).unwrap();
     let engine = QueryEngine::new(Arc::new(graph), ServiceConfig::default());
@@ -139,20 +142,16 @@ fn healthz_and_stats_report_epoch_and_latency() {
 
         assert_eq!(post(addr, "/query", &good_body).0, 200);
 
-        let (status, body) = get(addr, "/stats");
+        // One observation in each latency histogram — how long a
+        // sub-microsecond release-mode query took is the clock's business.
+        let (status, page) = get(addr, "/metrics");
         assert_eq!(status, 200);
-        let stats = pathcost_server::json::parse(body.as_bytes()).unwrap();
-        assert_eq!(
-            stats.get("estimate_queries").and_then(Json::as_u64),
-            Some(1)
-        );
-        // One observation in each latency histogram, its percentile fields
-        // present — how long a sub-microsecond release-mode query took is
-        // the clock's business.
-        for (histogram, field) in [("e2e_latency", "p99_us"), ("query_latency", "max_us")] {
-            let latency = stats.get(histogram).unwrap();
-            assert_eq!(latency.get("count").and_then(Json::as_u64), Some(1));
-            assert!(latency.get(field).and_then(Json::as_u64).is_some());
+        for (series, want) in [
+            (r#"pathcost_queries_total{kind="estimate"}"#, 1.0),
+            ("pathcost_request_e2e_seconds_count", 1.0),
+            ("pathcost_query_seconds_count", 1.0),
+        ] {
+            assert_eq!(series_value(&page, series), Some(want), "{series}");
         }
     });
 }
@@ -324,27 +323,17 @@ fn expired_deadlines_get_504_and_overload_answers_carry_retry_after() {
             "POST /query HTTP/1.1\r\nHost: t\r\nx-deadline-ms: soon\r\nContent-Length: 2\r\n\r\n{}";
         assert_eq!(send_raw(addr, raw.as_bytes()).0, 400);
 
-        // The shed shows up in the stats counters.
-        let (status, body) = get(addr, "/stats");
+        // The shed shows up in the metrics.
+        let (status, page) = get(addr, "/metrics");
         assert_eq!(status, 200);
-        let stats = pathcost_server::json::parse(body.as_bytes()).unwrap();
-        assert!(stats.get("shed_deadline").and_then(Json::as_u64).unwrap() >= 1);
-        assert!(
-            stats
-                .get("deadline_exceeded")
-                .and_then(Json::as_u64)
-                .unwrap()
-                >= 1
-        );
-        assert!(
-            stats
-                .get("latency_shed")
-                .unwrap()
-                .get("count")
-                .and_then(Json::as_u64)
-                .unwrap()
-                >= 1
-        );
+        for series in [
+            "pathcost_admission_shed_total",
+            "pathcost_deadline_exceeded_total",
+            r#"pathcost_query_outcome_seconds_count{outcome="shed"}"#,
+        ] {
+            let value = series_value(&page, series);
+            assert!(value.is_some_and(|v| v >= 1.0), "{series} = {value:?}");
+        }
 
         // Overload (batch over the capacity-2 queue bound) is 503 *with*
         // Retry-After, so well-behaved clients back off.

@@ -5,6 +5,8 @@
 //! (numbers compared via `f64::to_bits`, so `-0.0` and subnormals count).
 //! The vendored proptest shim has no recursive strategies, so trees are
 //! grown by a deterministic SplitMix64 generator seeded from a drawn `u64`.
+//! The same generator mutates written documents (bit flips, truncation,
+//! repeats, splices) to check that the parser fails cleanly, never panics.
 
 use pathcost_server::json::{self, Json, MAX_DEPTH};
 use proptest::prelude::*;
@@ -299,4 +301,63 @@ fn depth_cap_boundary_is_exact() {
         .expect("a depth cap exists for objects");
     assert_eq!(obj_boundary, boundary - 1);
     assert!(json::parse(nest_obj(obj_boundary - 1).as_bytes()).is_ok());
+}
+
+// ---------------------------------------------------------------------------
+// Mutated documents
+// ---------------------------------------------------------------------------
+
+/// One random edit of `doc`: a bit flip, a truncation, up to 64 repeats of
+/// one of its slices (inflating nesting, digit runs and string lengths), or
+/// a slice of `donor` spliced over one of its ranges.
+fn mutate(gen: &mut Gen, mut doc: Vec<u8>, donor: &[u8]) -> Vec<u8> {
+    let mut pick = |len: usize| gen.below(len as u64 + 1) as usize;
+    match pick(3) {
+        0 if !doc.is_empty() => {
+            let at = pick(doc.len() - 1);
+            doc[at] ^= 1 << pick(7);
+        }
+        1 => doc.truncate(pick(doc.len())),
+        2 => {
+            let start = pick(doc.len());
+            let end = start + pick((doc.len() - start).min(32));
+            let slice = doc[start..end].to_vec();
+            let tail = doc.split_off(end);
+            for _ in 0..=pick(63) {
+                doc.extend_from_slice(&slice);
+            }
+            doc.extend(tail);
+        }
+        _ => {
+            let (a, b) = (pick(donor.len()), pick(donor.len()));
+            let at = pick(doc.len());
+            let end = at + pick(doc.len() - at);
+            doc.splice(at..end, donor[a.min(b)..a.max(b)].iter().copied());
+        }
+    }
+    doc
+}
+
+/// `json::parse` answers `Ok` or `Err` on mutations of valid documents and
+/// never panics. `JSON_MUTATION_ITERATIONS` selects a longer run.
+#[test]
+fn mutated_documents_parse_or_fail_without_panicking() {
+    let iterations: u64 = std::env::var("JSON_MUTATION_ITERATIONS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(20_000);
+    let mut gen = Gen::new(0x6a73_6f6e_6d75_7461);
+    for i in 0..iterations {
+        let mut doc = gen.value(4).to_string().into_bytes();
+        let donor = gen.value(3).to_string().into_bytes();
+        for _ in 0..=gen.below(4) {
+            doc = mutate(&mut gen, doc, &donor);
+        }
+        let outcome = std::panic::catch_unwind(|| json::parse(&doc).map(drop));
+        assert!(
+            outcome.is_ok(),
+            "iteration {i}: parse panicked on {:?}",
+            String::from_utf8_lossy(&doc)
+        );
+    }
 }

@@ -1,17 +1,18 @@
 //! The `/metrics` page keeps its shape: every family, `# TYPE`, label-key set
 //! and histogram `le` edge a dashboard could depend on is pinned by a golden
 //! list (new families may appear; pinned ones may not change or vanish),
-//! `/stats` and `/metrics` agree on every number they both carry, and the
-//! page passes the strict validator with and without persistence attached.
+//! the engine's typed view (`QueryEngine::stats`) and `/metrics` agree on
+//! every number they both carry, and the page passes the strict validator
+//! with and without persistence attached.
 
 mod common;
 
 use common::{get, post, send_raw, serve_with};
 use pathcost_core::{HybridConfig, HybridGraph};
-use pathcost_obs::expo::validate;
+use pathcost_obs::expo::{series_value, validate};
 use pathcost_persist::PersistenceStatus;
 use pathcost_roadnet::RoadNetwork;
-use pathcost_server::{json, Json, ServerConfig};
+use pathcost_server::ServerConfig;
 use pathcost_service::{QueryEngine, ServiceConfig};
 use pathcost_traj::{DatasetPreset, TrajectoryStore};
 use std::collections::{BTreeMap, BTreeSet};
@@ -210,13 +211,6 @@ fn page_shape_matches_the_golden() {
     });
 }
 
-/// The value of the exposition series with exactly this name-plus-labels.
-fn series(page: &str, series: &str) -> f64 {
-    page.lines()
-        .find_map(|l| l.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
-        .unwrap_or_else(|| panic!("series {series:?} missing:\n{page}"))
-}
-
 /// The sum over every series of a labelled family.
 fn family_sum(page: &str, family: &str) -> f64 {
     let prefix = format!("{family}{{");
@@ -273,106 +267,138 @@ fn stats_and_metrics_agree_on_every_shared_number_after_a_mixed_load() {
         );
         assert_eq!(send_raw(addr, expired.as_bytes()).0, 504);
 
-        // Neither scrape goes through admission, so nothing moves between.
-        let (code, stats_body) = get(addr, "/stats");
-        assert_eq!(code, 200);
-        let stats = json::parse(stats_body.as_bytes()).unwrap();
+        // Every admitted request is answered, so nothing moves between the
+        // scrape and the typed read.
         let (_, page) = get(addr, "/metrics");
         validate(&page).unwrap_or_else(|e| panic!("invalid exposition: {e}\n{page}"));
-        let stat = |field: &str| {
-            stats
-                .get(field)
-                .and_then(Json::as_u64)
-                .unwrap_or_else(|| panic!("/stats lacks {field}: {stats_body}"))
+        let stats = engine.stats();
+        let series = |name: &str| {
+            series_value(&page, name).unwrap_or_else(|| panic!("series {name:?} missing:\n{page}"))
         };
-        for (field, name) in [
+        for (field, value, name) in [
             (
                 "estimate_queries",
+                stats.estimate_queries,
                 "pathcost_queries_total{kind=\"estimate\"}",
             ),
             (
                 "probability_queries",
+                stats.probability_queries,
                 "pathcost_queries_total{kind=\"probability\"}",
             ),
-            ("rank_queries", "pathcost_queries_total{kind=\"rank\"}"),
-            ("route_queries", "pathcost_queries_total{kind=\"route\"}"),
-            ("errors", "pathcost_query_errors_total"),
-            ("estimations", "pathcost_estimations_total"),
-            ("batches", "pathcost_batches_total"),
-            ("batch_requests", "pathcost_batch_requests_total"),
-            ("shed_deadline", "pathcost_admission_shed_total"),
-            ("deadline_exceeded", "pathcost_deadline_exceeded_total"),
-            ("cancelled", "pathcost_cancelled_total"),
-            ("degraded_answers", "pathcost_degraded_answers_total"),
+            (
+                "rank_queries",
+                stats.rank_queries,
+                "pathcost_queries_total{kind=\"rank\"}",
+            ),
+            (
+                "route_queries",
+                stats.route_queries,
+                "pathcost_queries_total{kind=\"route\"}",
+            ),
+            ("errors", stats.errors, "pathcost_query_errors_total"),
+            (
+                "estimations",
+                stats.estimations,
+                "pathcost_estimations_total",
+            ),
+            ("batches", stats.batches, "pathcost_batches_total"),
+            (
+                "batch_requests",
+                stats.batch_requests,
+                "pathcost_batch_requests_total",
+            ),
+            (
+                "shed_deadline",
+                stats.shed_deadline,
+                "pathcost_admission_shed_total",
+            ),
+            (
+                "deadline_exceeded",
+                stats.deadline_exceeded,
+                "pathcost_deadline_exceeded_total",
+            ),
+            ("cancelled", stats.cancelled, "pathcost_cancelled_total"),
+            (
+                "degraded_answers",
+                stats.degraded_answers,
+                "pathcost_degraded_answers_total",
+            ),
             (
                 "rejected_degraded",
+                stats.rejected_degraded,
                 "pathcost_admission_rejected_degraded_total",
             ),
-            ("panicked_queries", "pathcost_panicked_queries_total"),
-            ("route_expansions", "pathcost_route_expansions_total"),
-            ("queue_depth", "pathcost_admission_queue_depth"),
-        ] {
-            assert_eq!(series(&page, name), stat(field) as f64, "{field} vs {name}");
-        }
-        for (field, family) in [
-            ("cache_hits", "pathcost_cache_hits_total"),
-            ("cache_misses", "pathcost_cache_misses_total"),
-        ] {
-            assert_eq!(family_sum(&page, family), stat(field) as f64, "{field}");
-        }
-        let fallback = stats
-            .get("regime_fallback")
-            .and_then(Json::as_array)
-            .unwrap();
-        for (depth, count) in ["0", "1", "2", "3", "4+"].iter().zip(fallback) {
-            let name = format!("pathcost_regime_fallback_total{{depth=\"{depth}\"}}");
-            assert_eq!(
-                series(&page, &name),
-                count.as_u64().unwrap() as f64,
-                "{name}"
-            );
-        }
-        for (field, name) in [
-            ("query_latency", "pathcost_query_seconds_count".to_string()),
             (
-                "e2e_latency",
-                "pathcost_request_e2e_seconds_count".to_string(),
+                "panicked_queries",
+                stats.panicked_queries,
+                "pathcost_panicked_queries_total",
             ),
             (
+                "route_expansions",
+                stats.route_expansions,
+                "pathcost_route_expansions_total",
+            ),
+        ] {
+            assert_eq!(series(name), value as f64, "{field} vs {name}");
+        }
+        assert_eq!(series("pathcost_admission_queue_depth"), 0.0);
+        for (field, value, family) in [
+            ("cache_hits", stats.cache_hits, "pathcost_cache_hits_total"),
+            (
+                "cache_misses",
+                stats.cache_misses,
+                "pathcost_cache_misses_total",
+            ),
+        ] {
+            assert_eq!(family_sum(&page, family), value as f64, "{field}");
+        }
+        for (depth, count) in ["0", "1", "2", "3", "4+"].iter().zip(stats.regime_fallback) {
+            let name = format!("pathcost_regime_fallback_total{{depth=\"{depth}\"}}");
+            assert_eq!(series(&name), count as f64, "{name}");
+        }
+        // Every admitted request left the queue evaluated or shed: that is
+        // the admission queue's end-to-end and queue-wait counts.
+        let admitted = stats.latency.count() + stats.latency_shed.count();
+        for (field, count, name) in [
+            (
+                "latency",
+                stats.latency.count(),
+                "pathcost_query_seconds_count",
+            ),
+            ("e2e", admitted, "pathcost_request_e2e_seconds_count"),
+            (
                 "queue_wait",
-                "pathcost_admission_queue_wait_seconds_count".to_string(),
+                admitted,
+                "pathcost_admission_queue_wait_seconds_count",
             ),
             (
                 "ingest_publish_latency",
-                "pathcost_ingest_publish_seconds_count".to_string(),
+                stats.ingest_publish_latency.count(),
+                "pathcost_ingest_publish_seconds_count",
             ),
             (
                 "latency_ok",
-                r#"pathcost_query_outcome_seconds_count{outcome="ok"}"#.to_string(),
+                stats.latency_ok.count(),
+                r#"pathcost_query_outcome_seconds_count{outcome="ok"}"#,
             ),
             (
                 "latency_failed",
-                r#"pathcost_query_outcome_seconds_count{outcome="failed"}"#.to_string(),
+                stats.latency_failed.count(),
+                r#"pathcost_query_outcome_seconds_count{outcome="failed"}"#,
             ),
             (
                 "latency_shed",
-                r#"pathcost_query_outcome_seconds_count{outcome="shed"}"#.to_string(),
+                stats.latency_shed.count(),
+                r#"pathcost_query_outcome_seconds_count{outcome="shed"}"#,
             ),
         ] {
-            let count = stats
-                .get(field)
-                .and_then(|h| h.get("count"))
-                .and_then(Json::as_u64);
-            assert_eq!(
-                Some(series(&page, &name) as u64),
-                count,
-                "{field} vs {name}"
-            );
+            assert_eq!(series(name), count as f64, "{field} vs {name}");
         }
         // The load really was mixed: the checks above compared non-zero numbers.
-        assert!(stat("errors") >= 1 && stat("shed_deadline") == 1 && stat("cache_hits") >= 1);
-        assert!(stat("route_queries") == 1);
-        assert!(fallback.iter().filter_map(Json::as_u64).sum::<u64>() >= 1);
+        assert!(stats.errors >= 1 && stats.shed_deadline == 1 && stats.cache_hits >= 1);
+        assert!(stats.route_queries == 1);
+        assert!(stats.regime_fallback.iter().sum::<u64>() >= 1);
     });
 }
 
@@ -402,10 +428,12 @@ fn page_validates_with_and_without_persistence() {
     serve_with(&engine, config, |addr| {
         let (_, page) = get(addr, "/metrics");
         validate(&page).unwrap_or_else(|e| panic!("invalid exposition: {e}\n{page}"));
-        assert_eq!(series(&page, "pathcost_persist_snapshots_total"), 1.0);
-        assert_eq!(series(&page, "pathcost_persist_snapshot_epoch"), 5.0);
-        assert_eq!(series(&page, "pathcost_persist_suspended"), 1.0);
-        assert_eq!(series(&page, "pathcost_persist_fsync_seconds_count"), 1.0);
-        assert!((series(&page, "pathcost_persist_fsync_seconds_sum") - 90e-6).abs() < 1e-9);
+        let series = |name| series_value(&page, name);
+        assert_eq!(series("pathcost_persist_snapshots_total"), Some(1.0));
+        assert_eq!(series("pathcost_persist_snapshot_epoch"), Some(5.0));
+        assert_eq!(series("pathcost_persist_suspended"), Some(1.0));
+        assert_eq!(series("pathcost_persist_fsync_seconds_count"), Some(1.0));
+        let fsync_sum = series("pathcost_persist_fsync_seconds_sum").unwrap();
+        assert!((fsync_sum - 90e-6).abs() < 1e-9);
     });
 }

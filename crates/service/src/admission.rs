@@ -45,7 +45,7 @@
 //!
 //! End-to-end latency (submit → completion, i.e. queue wait + execution)
 //! is recorded into a histogram separate from the engine's
-//! per-query execution histogram, so `/stats` can report both the work
+//! per-query execution histogram, so `/metrics` reports both the work
 //! latency and the latency a client actually experienced. The queue owns the
 //! [`Registry`] its families (`pathcost_admission_*`,
 //! `pathcost_request_e2e_seconds`) are registered in.
@@ -55,7 +55,7 @@ use crate::engine::{stop_error, QueryEngine};
 use crate::error::ServiceError;
 use crate::request::{QueryOutcome, QueryRequest};
 use crate::stats::latency_bounds;
-use pathcost_obs::{log as obslog, Gauge, Histogram, HistogramSnapshot, Registry, Stage};
+use pathcost_obs::{log as obslog, Gauge, Histogram, Registry, Stage};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -164,13 +164,14 @@ pub struct AdmissionQueue {
     /// Set from the live state by [`Self::registry`], just before a render.
     depth_gauge: Gauge,
     degraded_gauge: Gauge,
-    /// Pure queue wait (submit → batch pickup) — the component of
-    /// [`Self::latency`] the spans disentangle from execution.
+    /// Pure queue wait (submit → batch pickup) — the component of `latency`
+    /// the spans disentangle from execution.
     queue_wait: Histogram,
+    /// End-to-end latency (submit → completion) of every request.
     latency: Histogram,
     /// The end-to-end latencies the p99 watermark is judged on: those of
     /// the requests completed since the dispatcher last found the queue
-    /// drained (not exported — [`Self::latency`] keeps every request).
+    /// drained (not exported — `latency` keeps every request).
     window: Histogram,
     /// Last degradation state the dispatcher observed, for transition logs.
     was_degraded: AtomicBool,
@@ -319,19 +320,6 @@ impl AdmissionQueue {
     /// Whether [`close`](Self::close) has been called.
     pub fn is_closed(&self) -> bool {
         self.state.lock().expect(STATE_POISONED).closed
-    }
-
-    /// Snapshot of the end-to-end (submit → completion) latency histogram.
-    pub fn latency(&self) -> HistogramSnapshot {
-        self.latency.snapshot()
-    }
-
-    /// Snapshot of the pure queue-wait (submit → batch pickup) histogram —
-    /// the queueing component of [`Self::latency`],
-    /// recorded separately so queue pressure is not conflated with
-    /// evaluation or write time.
-    pub fn queue_wait(&self) -> HistogramSnapshot {
-        self.queue_wait.snapshot()
     }
 
     /// Whether the load watermarks are breached: queue depth at or above
@@ -510,6 +498,7 @@ impl AdmissionQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::rendered_value;
     use pathcost_core::{HybridConfig, HybridGraph};
     use pathcost_traj::{DatasetPreset, TrajectoryStore};
     use std::sync::Arc;
@@ -584,8 +573,8 @@ mod tests {
             assert!(!degraded_after, "the drained queue judges p99 afresh");
             assert!(matches!(resubmitted, Ok(Ok(_))), "the door reopened");
             assert_eq!(
-                queue.latency().count(),
-                102,
+                rendered_value(queue.registry(), "pathcost_request_e2e_seconds_count"),
+                102.0,
                 "the exported family keeps all"
             );
         });
@@ -638,7 +627,7 @@ mod tests {
                 ("pathcost_admission_queue_depth", 1.0),
                 ("pathcost_admission_degraded", 1.0),
             ] {
-                let value = crate::stats::rendered_value(queue.registry(), series);
+                let value = rendered_value(queue.registry(), series);
                 assert!(
                     (value - want).abs() < 1e-6,
                     "{series} = {value}, want {want}"
@@ -710,7 +699,7 @@ mod tests {
             queue.dispatch(engine);
             assert!(ticket.wait().is_ok());
             assert!(queue.is_empty());
-            assert!(queue.latency().count() >= 1);
+            assert!(rendered_value(queue.registry(), "pathcost_request_e2e_seconds_count") >= 1.0);
         });
     }
 
@@ -739,7 +728,12 @@ mod tests {
                 queue.close();
                 dispatcher.join().unwrap();
             });
-            assert_eq!(queue.latency().count(), 8);
+            for series in [
+                "pathcost_request_e2e_seconds_count",
+                "pathcost_admission_queue_wait_seconds_count",
+            ] {
+                assert_eq!(rendered_value(queue.registry(), series), 8.0, "{series}");
+            }
         });
     }
 }

@@ -262,13 +262,6 @@ impl<'n> QueryEngine<'n> {
         )
     }
 
-    /// Per-regime distribution-lookup tallies, keyed by raw [`RegimeId`]
-    /// value. Empty until a regime other than all-traffic is queried —
-    /// all-traffic lookups are the engine-level counters in [`Self::stats`].
-    pub fn regime_stats(&self) -> std::collections::BTreeMap<u16, crate::stats::RegimeTally> {
-        self.recorder.regime_tallies()
-    }
-
     /// Counts one request refused at the admission door because the service
     /// was degraded ([`ServiceStats::rejected_degraded`]); called by the
     /// front-end that owns both the admission queue and the engine.

@@ -125,5 +125,5 @@ pub use engine::{QueryEngine, ServiceConfig};
 pub use error::ServiceError;
 pub use pathcost_core::RegimeId;
 pub use request::{QueryOutcome, QueryRequest, QueryResponse, QueryStats, RankedPath};
-pub use stats::{QueryKind, RegimeTally, ServiceStats, FALLBACK_DEPTH_BUCKETS};
+pub use stats::{QueryKind, ServiceStats, FALLBACK_DEPTH_BUCKETS};
 pub use update::UpdateReport;

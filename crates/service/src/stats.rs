@@ -7,8 +7,8 @@
 //! path bumps. [`ServiceStats`] is the typed point-in-time *view*
 //! [`QueryEngine::stats`](crate::QueryEngine::stats) fills by reading those
 //! same handles (relaxed loads — totals can be off by in-flight queries, the
-//! usual contract for serving metrics), so `/stats` and `/metrics` are two
-//! renderings of one set of numbers.
+//! usual contract for serving metrics) for in-process readers; over HTTP the
+//! numbers exist only as `GET /metrics` renders them.
 
 use pathcost_obs::{Counter, Histogram, HistogramSnapshot, Registry};
 use std::collections::BTreeMap;
@@ -22,23 +22,6 @@ use std::time::Duration;
 /// ladders. Only non-global lookups are counted — the global regime never
 /// falls back.
 pub const FALLBACK_DEPTH_BUCKETS: usize = 5;
-
-/// Per-regime query-serving tallies (only maintained for non-global
-/// regimes; the global regime's traffic is the engine-level counters).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RegimeTally {
-    /// Distribution-cache hits scored by lookups under this regime.
-    pub hits: u64,
-    /// Cache misses (full estimations) under this regime.
-    pub misses: u64,
-}
-
-impl RegimeTally {
-    /// Total lookups under this regime.
-    pub fn lookups(&self) -> u64 {
-        self.hits + self.misses
-    }
-}
 
 /// Upper bounds, in seconds, of every serving-latency histogram: the 31
 /// power-of-two microsecond edges `2^(i+1) µs` (2 µs … ~36 minutes); the
@@ -328,21 +311,6 @@ impl StatsRecorder {
         if hit { hits } else { misses }.inc();
     }
 
-    /// The per-regime tallies (empty until a non-global lookup).
-    pub fn regime_tallies(&self) -> BTreeMap<u16, RegimeTally> {
-        let regimes = self.regimes.lock().expect("regime tally lock poisoned");
-        regimes
-            .iter()
-            .map(|(&regime, (hits, misses))| {
-                let tally = RegimeTally {
-                    hits: hits.get(),
-                    misses: misses.get(),
-                };
-                (regime, tally)
-            })
-            .collect()
-    }
-
     /// Reads every handle into the typed view; cache hit/miss/insertion/
     /// eviction totals are owned by the
     /// [`DistributionCache`](crate::cache::DistributionCache) and passed in.
@@ -513,18 +481,12 @@ pub struct ServiceStats {
     /// counts distributions whose deepest variable resolved `d` rungs down
     /// the requested regime's fallback ladder (0 = the regime's own table;
     /// the last bucket absorbs deeper ladders). Per-regime hit/miss splits
-    /// are reported separately via
-    /// [`QueryEngine::regime_stats`](crate::QueryEngine::regime_stats) —
-    /// they live behind a lock, outside this view.
+    /// are the `pathcost_regime_cache_{hits,misses}_total` families on
+    /// `/metrics` — they live behind a lock, outside this view.
     pub regime_fallback: [u64; FALLBACK_DEPTH_BUCKETS],
 }
 
 impl ServiceStats {
-    /// Total queries of every kind.
-    pub fn total_queries(&self) -> u64 {
-        self.estimate_queries + self.probability_queries + self.rank_queries + self.route_queries
-    }
-
     /// Cache hit rate in `[0, 1]`; 0 before any lookup happened.
     pub fn cache_hit_rate(&self) -> f64 {
         let total = self.cache_hits + self.cache_misses;
@@ -579,8 +541,7 @@ pub(crate) fn rendered_value(registry: &Registry, series: &str) -> f64 {
     registry.render_into(&mut page);
     let page = page.finish();
     pathcost_obs::expo::validate(&page).expect("registry renders a valid page");
-    page.lines()
-        .find_map(|l| l.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
+    pathcost_obs::expo::series_value(&page, series)
         .unwrap_or_else(|| panic!("{series} missing:\n{page}"))
 }
 
@@ -624,7 +585,6 @@ mod tests {
         let s = rec.snapshot(3, 1, 20, 5);
         assert_eq!(s.estimate_queries, 1);
         assert_eq!(s.route_queries, 1);
-        assert_eq!(s.total_queries(), 2);
         assert_eq!(s.errors, 1);
         assert!((s.cache_hit_rate() - 0.75).abs() < 1e-12);
         assert!((s.mean_decomposition_depth() - 3.0).abs() < 1e-12);
@@ -663,10 +623,15 @@ mod tests {
         assert_eq!(s.panicked_queries, 1);
         assert_eq!(s.rejected_degraded, 1);
         assert_eq!(s.regime_fallback, [1, 0, 1, 0, 1]);
-        let tallies = rec.regime_tallies();
-        assert_eq!(tallies[&1], RegimeTally { hits: 1, misses: 1 });
-        assert_eq!(tallies[&1].lookups(), 2);
-        assert_eq!(tallies[&2], RegimeTally { hits: 0, misses: 1 });
+        // Per-regime splits exist only on the rendered page.
+        for (series, want) in [
+            (r#"pathcost_regime_cache_hits_total{regime="1"}"#, 1.0),
+            (r#"pathcost_regime_cache_misses_total{regime="1"}"#, 1.0),
+            (r#"pathcost_regime_cache_hits_total{regime="2"}"#, 0.0),
+            (r#"pathcost_regime_cache_misses_total{regime="2"}"#, 1.0),
+        ] {
+            assert_eq!(rendered_value(&registry, series), want, "{series}");
+        }
     }
 
     #[test]
@@ -716,7 +681,6 @@ mod tests {
         assert_eq!(s.latency.p50(), 0.0);
         assert_eq!(s.latency.p99(), 0.0);
         assert_eq!(s.latency.max, 0.0);
-        assert_eq!(s.total_queries(), 0);
         assert_eq!(s.eviction_rate(), 0.0);
         assert_eq!(s.invalidation_evictions(), 0);
     }

@@ -941,7 +941,12 @@ fn expired_deadlines_are_shed_before_dispatch() {
         "the shed request must never reach the engine"
     );
     // Both tickets count in the end-to-end histogram (clients waited on both).
-    assert_eq!(queue.latency().count(), 2);
+    let mut page = pathcost_obs::ExpositionWriter::new();
+    queue.registry().render_into(&mut page);
+    assert_eq!(
+        pathcost_obs::expo::series_value(&page.finish(), "pathcost_request_e2e_seconds_count"),
+        Some(2.0)
+    );
 }
 
 #[test]

@@ -6,8 +6,8 @@
 //! (zero errors over the whole run); the closed-loop rate is printed but not
 //! asserted — a wall-clock floor has no place on a shared runner, and the
 //! open-loop run under `benchmark/` is the source of q/s figures. Finishes
-//! with `/stats` (tail latency from the fixed-bucket histograms) and a
-//! graceful shutdown.
+//! with the end-to-end count and mean and the cache totals read off
+//! `/metrics`, and a graceful shutdown.
 //!
 //! A second **restart leg** then drives crash-safe persistence end to end
 //! over HTTP: a persistence-backed engine serves live ingest epochs, takes a
@@ -21,6 +21,7 @@
 
 use pathcost::core::{HybridConfig, HybridGraph, PathWeightFunction};
 use pathcost::live::{LiveIngestor, PersistenceConfig, PersistentIngestor, RetentionConfig};
+use pathcost::obs::expo::series_value;
 use pathcost::persist::RecoveryOutcome;
 use pathcost::roadnet::{GeneratorConfig, NetworkKind, RoadNetwork};
 use pathcost::server::{Json, Server, ServerConfig};
@@ -228,7 +229,7 @@ fn main() {
         // Observability smoke, scrape one of two: a valid exposition before
         // any load.
         let baseline = scrape_metrics(addr);
-        let served_before = series_value(&baseline, "pathcost_http_requests_total{class=\"2xx\"}");
+        let served_before = series(&baseline, "pathcost_http_requests_total{class=\"2xx\"}");
 
         let start = Instant::now();
         let oks: usize = std::thread::scope(|clients| {
@@ -246,29 +247,19 @@ fn main() {
         let total = CLIENTS * REQUESTS_PER_CLIENT;
         let qps = total as f64 / elapsed.as_secs_f64();
 
-        // Tail latency straight from the server's own histograms.
-        let (status, stats_body) = {
-            let mut stream = TcpStream::connect(addr).expect("connect");
-            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-            roundtrip(&mut stream, &mut reader, "GET", "/stats", "")
-        };
-        assert_eq!(status, 200, "/stats must answer");
-        let stats = pathcost::server::json::parse(stats_body.as_bytes()).expect("stats JSON");
-        let e2e = stats.get("e2e_latency").expect("e2e_latency");
+        // Latency and cache totals straight from the server's own metrics.
+        let page = scrape_metrics(addr);
+        let e2e_count = series(&page, "pathcost_request_e2e_seconds_count");
+        let e2e_sum = series(&page, "pathcost_request_e2e_seconds_sum");
         println!("served {total} queries in {elapsed:.2?}  ({qps:.0} queries/sec)");
         println!(
-            "end-to-end latency: p50 {}µs  p99 {}µs  max {}µs",
-            e2e.get("p50_us").and_then(Json::as_u64).unwrap_or(0),
-            e2e.get("p99_us").and_then(Json::as_u64).unwrap_or(0),
-            e2e.get("max_us").and_then(Json::as_u64).unwrap_or(0),
+            "end-to-end latency: {e2e_count} requests, mean {:.0}µs",
+            e2e_sum / e2e_count.max(1.0) * 1e6
         );
         println!(
             "cache: {} hits / {} misses",
-            stats.get("cache_hits").and_then(Json::as_u64).unwrap_or(0),
-            stats
-                .get("cache_misses")
-                .and_then(Json::as_u64)
-                .unwrap_or(0),
+            shard_sum(&page, "pathcost_cache_hits_total"),
+            shard_sum(&page, "pathcost_cache_misses_total"),
         );
 
         // Batch leg: rank and route ride POST /query/batch alongside
@@ -316,7 +307,7 @@ fn main() {
         // Observability smoke, scrape two of two: still valid after the
         // full load, with the request counter having advanced by the run.
         let page = scrape_metrics(addr);
-        let served_after = series_value(&page, "pathcost_http_requests_total{class=\"2xx\"}");
+        let served_after = series(&page, "pathcost_http_requests_total{class=\"2xx\"}");
         assert!(
             served_after >= served_before + total as f64,
             "2xx counter must advance with the load: {served_before} -> {served_after}"
@@ -347,17 +338,16 @@ fn scrape_metrics(addr: SocketAddr) -> String {
     page
 }
 
-/// The value of an exposition series given its full name-plus-labels prefix.
-fn series_value(page: &str, series: &str) -> f64 {
-    page.lines()
-        .find_map(|l| {
-            l.strip_prefix(series)?
-                .strip_prefix(' ')?
-                .trim()
-                .parse()
-                .ok()
-        })
-        .unwrap_or_else(|| panic!("series {series:?} missing from exposition"))
+/// The value of the exposition series with exactly this name-plus-labels.
+fn series(page: &str, name: &str) -> f64 {
+    series_value(page, name).unwrap_or_else(|| panic!("series {name:?} missing from exposition"))
+}
+
+/// A per-shard cache family summed over its `shard` series.
+fn shard_sum(page: &str, family: &str) -> f64 {
+    (0..)
+        .map_while(|shard| series_value(page, &format!("{family}{{shard=\"{shard}\"}}")))
+        .sum()
 }
 
 /// One keep-alive client connection as a `(stream, reader)` pair.

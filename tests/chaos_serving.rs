@@ -24,6 +24,7 @@
 use pathcost::core::{HybridConfig, HybridGraph};
 use pathcost::live::RetentionConfig;
 use pathcost::live::{LiveIngestor, PersistenceConfig, PersistenceError, PersistentIngestor};
+use pathcost::obs::expo::series_value;
 use pathcost::persist::{clear_io_errors, inject_io_errors, RecoveryOutcome};
 use pathcost::server::{Json, Server, ServerConfig};
 use pathcost::service::{QueryEngine, ServiceConfig};
@@ -130,14 +131,10 @@ fn scrape_metrics(addr: SocketAddr) -> String {
     body
 }
 
-fn stats_counter(addr: SocketAddr, field: &str) -> u64 {
-    let (status, body) = get(addr, "/stats");
-    assert_eq!(status, 200, "{body}");
-    pathcost::server::json::parse(body.as_bytes())
-        .unwrap()
-        .get(field)
-        .and_then(Json::as_u64)
-        .unwrap_or_else(|| panic!("/stats lacks {field}: {body}"))
+/// One counter off a fresh (validated) scrape.
+fn metric(addr: SocketAddr, series: &str) -> f64 {
+    let page = scrape_metrics(addr);
+    series_value(&page, series).unwrap_or_else(|| panic!("{series} missing under chaos:\n{page}"))
 }
 
 /// One misbehaving-client repertoire iteration against the server. Every
@@ -287,27 +284,21 @@ fn chaos_serving_survives_hostile_clients_panics_and_io_faults() {
             assert!(results[0].get("distribution").is_some(), "{body}");
             assert!(results[1].get("error").is_some(), "{body}");
             assert!(results[2].get("distribution").is_some(), "{body}");
-            assert!(stats_counter(addr, "panicked_queries") >= 4);
             // The exposition stays valid after abuse and contained panics,
-            // and agrees with /stats on the panic count.
-            let panicked = scrape_metrics(addr)
-                .lines()
-                .find_map(|l| {
-                    l.strip_prefix("pathcost_panicked_queries_total ")?
-                        .parse::<f64>()
-                        .ok()
-                })
-                .expect("panicked-queries series on /metrics");
+            // and agrees with the engine's typed view on the panic count.
+            let panicked = metric(addr, "pathcost_panicked_queries_total");
             assert!(panicked >= 4.0, "panics must be visible on /metrics");
+            assert_eq!(panicked, engine.stats().panicked_queries as f64);
 
             // Phase 3 — tight-deadline flood: already-expired deadlines are
             // shed before evaluation and answered 504.
-            let shed_before = stats_counter(addr, "shed_deadline");
+            let shed_before = metric(addr, "pathcost_admission_shed_total");
             for _ in 0..flood {
                 let (code, _) = post_with_deadline(addr, &good_body, 0);
                 assert_eq!(code, 504, "expired deadline must answer 504");
             }
-            assert!(stats_counter(addr, "shed_deadline") >= shed_before + flood as u64);
+            let shed_after = metric(addr, "pathcost_admission_shed_total");
+            assert!(shed_after >= shed_before + flood as f64);
             let (code, _) = post_with_deadline(addr, &good_body, 30_000);
             assert_eq!(code, 200);
 

@@ -2,12 +2,13 @@
 //! `/metrics` Prometheus exposition (validated with the crate's own strict
 //! parser, covering every layer), trace-id propagation (`x-trace-id` echoed,
 //! spans retrievable at `/debug/traces`, spans sum bounded by the measured
-//! total), the slow-query event log, and the `/healthz` build/uptime fields.
+//! total), the slow-query event log, and the `/healthz` build/uptime/worker
+//! fields.
 //!
 //! See `OBSERVABILITY.md` for the metric inventory and the span model.
 
 use pathcost::core::{HybridConfig, HybridGraph};
-use pathcost::obs::expo::validate;
+use pathcost::obs::expo::{series_value, validate};
 use pathcost::obs::log::logger;
 use pathcost::persist::PersistenceStatus;
 use pathcost::server::{Json, Server, ServerConfig};
@@ -124,17 +125,10 @@ fn trace_id_header(headers: &str) -> Option<String> {
     })
 }
 
-/// The value of an exposition series given its full name-plus-labels prefix.
-fn series_value(page: &str, series: &str) -> f64 {
-    page.lines()
-        .find_map(|l| {
-            l.strip_prefix(series)?
-                .strip_prefix(' ')?
-                .trim()
-                .parse()
-                .ok()
-        })
-        .unwrap_or_else(|| panic!("series {series:?} missing from exposition:\n{page}"))
+/// The value of the exposition series with exactly this name-plus-labels.
+fn series(page: &str, name: &str) -> f64 {
+    series_value(page, name)
+        .unwrap_or_else(|| panic!("series {name:?} missing from exposition:\n{page}"))
 }
 
 #[test]
@@ -182,43 +176,42 @@ fn metrics_exposition_validates_and_covers_every_layer() {
             );
         }
         assert!(
-            series_value(&page, "pathcost_persist_fsync_seconds_count") >= 1.0,
+            series(&page, "pathcost_persist_fsync_seconds_count") >= 1.0,
             "recorded fsync must show up"
         );
 
-        // Counters advance between scrapes, and /stats agrees with /metrics
-        // on the shared single-source-of-truth counters.
-        let served = series_value(&page, "pathcost_http_requests_total{class=\"2xx\"}");
+        // Counters advance between scrapes, and the engine's typed view
+        // agrees with /metrics on the shared single-source-of-truth counters.
+        let served = series(&page, "pathcost_http_requests_total{class=\"2xx\"}");
         let (code, _, _) = post(addr, "/query", &good_body, None);
         assert_eq!(code, 200);
         let (_, _, page2) = get(addr, "/metrics");
         validate(&page2).unwrap();
-        let served2 = series_value(&page2, "pathcost_http_requests_total{class=\"2xx\"}");
+        let served2 = series(&page2, "pathcost_http_requests_total{class=\"2xx\"}");
         assert!(
             served2 >= served + 2.0, // the extra /query plus the first scrape
             "2xx counter must advance: {served} -> {served2}"
         );
 
-        let (code, _, stats_body) = get(addr, "/stats");
-        assert_eq!(code, 200);
-        let stats = pathcost::server::json::parse(stats_body.as_bytes()).unwrap();
         let (_, _, page3) = get(addr, "/metrics");
-        for (stats_field, series) in [
+        let stats = engine.stats();
+        for (stats_field, from_stats, name) in [
             (
                 "estimate_queries",
+                stats.estimate_queries,
                 "pathcost_queries_total{kind=\"estimate\"}",
             ),
-            ("estimations", "pathcost_estimations_total"),
-            ("batches", "pathcost_batches_total"),
+            (
+                "estimations",
+                stats.estimations,
+                "pathcost_estimations_total",
+            ),
+            ("batches", stats.batches, "pathcost_batches_total"),
         ] {
-            let from_stats = stats
-                .get(stats_field)
-                .and_then(Json::as_u64)
-                .unwrap_or_else(|| panic!("/stats lacks {stats_field}: {stats_body}"));
-            let from_metrics = series_value(&page3, series);
-            assert!(
-                (from_metrics - from_stats as f64).abs() < 0.5,
-                "{stats_field}={from_stats} but {series}={from_metrics}"
+            let from_metrics = series(&page3, name);
+            assert_eq!(
+                from_metrics, from_stats as f64,
+                "{stats_field}={from_stats} but {name}={from_metrics}"
             );
         }
     });
@@ -324,7 +317,7 @@ fn slow_queries_hit_the_event_log_and_the_counter() {
             let (code, _, _) = post(addr, "/query", &good_body, Some("slow-trace-9"));
             assert_eq!(code, 200);
             let (_, _, page) = get(addr, "/metrics");
-            assert!(series_value(&page, "pathcost_slow_queries_total") >= 1.0);
+            assert!(series(&page, "pathcost_slow_queries_total") >= 1.0);
         });
     }));
     logger().set_writer(None);
@@ -365,6 +358,11 @@ fn healthz_reports_version_and_uptime() {
                 .get("uptime_s")
                 .and_then(|v| v.as_f64())
                 .is_some_and(|u| u >= 0.0),
+            "{body}"
+        );
+        assert_eq!(
+            health.get("workers").and_then(Json::as_u64),
+            Some(engine.worker_count() as u64),
             "{body}"
         );
     });
