@@ -8,8 +8,9 @@
 //! table is fitted by the same procedure (`weights/fit.rs`) over the
 //! trajectories that contribute to it, patched by the same sorted merge when
 //! a live update re-derives some of its keys
-//! ([`PathWeightFunction::rederive_regimes`]), and restored by the same
-//! constructor ([`PathWeightFunction::from_parts`]).
+//! ([`PathWeightFunction::rederive_regimes`]), and restored from the tables
+//! alone ([`PathWeightFunction::from_parts`]): everything else a function
+//! holds is derived from the network, the configuration and the store.
 //!
 //! What a query reads is a [`WeightView`]: the tables of its regime's ladder
 //! layered nearest-first. The tables and the views share their variables
@@ -18,8 +19,10 @@
 //!
 //! Unit paths that never reach `β` qualified trajectories fall back to the
 //! edge's speed-limit unit variable, so every edge always has *some* unit
-//! weight. The fallbacks depend on the network alone: one table indexed by
-//! edge id, built once per network and shared by every view of every epoch.
+//! weight. The fallbacks are a pure function of the network and
+//! `speed_limit_spread`: one table indexed by edge id, built by the
+//! constructors that start from scratch (instantiation, restore — never
+//! persisted) and shared by every view of every epoch re-derived from it.
 
 mod fit;
 mod view;
@@ -238,6 +241,24 @@ fn patch_table<'k>(
     patched
 }
 
+/// The speed-limit fallback of every edge of `net`, indexed by edge id: a
+/// uniform distribution over `[t_ff·(1 − s), t_ff·(1 + 3s)]`, at least half
+/// a second wide, for the edge's free-flow time `t_ff` and the spread `s`.
+fn speed_limit_table(net: &RoadNetwork, spread: f64) -> Result<Arc<Table>, CoreError> {
+    let table = net
+        .edges()
+        .iter()
+        .map(|edge| {
+            let t_ff = edge.free_flow_time_s();
+            let lo = t_ff * (1.0 - spread);
+            let hi = t_ff * (1.0 + 3.0 * spread);
+            let unit = Histogram1D::uniform(lo, hi.max(lo + 0.5))?;
+            Ok(Arc::new(InstantiatedVariable::speed_limit(edge.id, unit)))
+        })
+        .collect::<Result<_, CoreError>>()?;
+    Ok(Arc::new(table))
+}
+
 impl PathWeightFunction {
     /// Instantiates the weight function from a trajectory store.
     pub fn instantiate(
@@ -282,25 +303,11 @@ impl PathWeightFunction {
             let fitted = fit_table(net, store, cfg, &partition, excluded, table, workers)?;
             tables.insert(table, fitted.into_iter().map(Arc::new).collect());
         }
-
-        // Speed-limit fallbacks for every edge of the network, in id order.
-        let fallback_units: Table = net
-            .edges()
-            .iter()
-            .map(|edge| {
-                let t_ff = edge.free_flow_time_s();
-                let lo = t_ff * (1.0 - cfg.speed_limit_spread);
-                let hi = t_ff * (1.0 + 3.0 * cfg.speed_limit_spread);
-                let unit = Histogram1D::uniform(lo, hi.max(lo + 0.5))?;
-                Ok(Arc::new(InstantiatedVariable::speed_limit(edge.id, unit)))
-            })
-            .collect::<Result<_, CoreError>>()?;
-
+        let fallback_units = speed_limit_table(net, cfg.speed_limit_spread)?;
         Ok(Self::assemble(
             partition,
-            cfg.cost_kind,
-            cfg.regimes.clone(),
-            Arc::new(fallback_units),
+            cfg,
+            fallback_units,
             tables,
             store,
         ))
@@ -313,14 +320,15 @@ impl PathWeightFunction {
     /// for the root and for every regime whose ladder crosses a table above
     /// its last rung; a declared regime gets one before its own data lands,
     /// so it resolves through its *group's* table rather than the root's.
+    /// `partition` is `cfg`'s, already validated by the caller.
     fn assemble(
         partition: DayPartition,
-        cost_kind: CostKind,
-        schema: RegimeSchema,
+        cfg: &HybridConfig,
         fallback_units: Arc<Table>,
         mut tables: BTreeMap<RegimeId, Table>,
         store: &TrajectoryStore,
     ) -> PathWeightFunction {
+        let schema = cfg.regimes.clone();
         tables.retain(|_, table| !table.is_empty());
         let edges_with_records = store.covered_edges().len();
         let layer = |regime: RegimeId, ladder: &[RegimeId]| {
@@ -344,7 +352,7 @@ impl PathWeightFunction {
         }
         PathWeightFunction {
             partition,
-            cost_kind,
+            cost_kind: cfg.cost_kind,
             schema,
             fallback_units,
             tables,
@@ -484,14 +492,7 @@ impl PathWeightFunction {
             let patched = patch_table(tables.get(&table).map_or(&[], Vec::as_slice), delta);
             tables.insert(table, patched);
         }
-        let weights = Self::assemble(
-            partition,
-            self.cost_kind,
-            self.schema.clone(),
-            self.fallback_units.clone(),
-            tables,
-            current,
-        );
+        let weights = Self::assemble(partition, cfg, self.fallback_units.clone(), tables, current);
         Ok(WeightUpdate {
             epoch: 0,
             trajectories: 0,
@@ -504,24 +505,22 @@ impl PathWeightFunction {
         })
     }
 
-    /// Restores a weight function from previously captured parts — the
-    /// deserialization counterpart of [`Self::tables`] +
-    /// [`Self::fallback_units`] + [`Self::regime_schema`]. Every table must
-    /// be in strictly increasing `(path edges, interval)` key order (the
-    /// order [`Self::tables`] exposes), and the fallbacks must be the
-    /// `(edge, distribution)` pairs of edge ids `0..n` in order (the order
-    /// [`Self::fallback_units`] exposes); the views and the summary
-    /// statistics are re-derived exactly as every other constructor derives
-    /// them, so a restored function is bit-identical to the one that was
-    /// captured (given the same `store`).
+    /// Restores a weight function from its captured tables — the
+    /// deserialization counterpart of [`Self::tables`]. Every table must be
+    /// in strictly increasing `(path edges, interval)` key order (the order
+    /// [`Self::tables`] exposes). Nothing else is restored: the day
+    /// partition, cost kind and regime schema are `cfg`'s, the speed-limit
+    /// fallbacks are built from `net` and `cfg.speed_limit_spread`, and the
+    /// views and summary statistics are derived exactly as every other
+    /// constructor derives them. So a function captured under `cfg` restores
+    /// bit-identically (given the same `net` and `store`).
     pub fn from_parts(
-        partition: DayPartition,
-        cost_kind: CostKind,
-        schema: RegimeSchema,
-        fallback_units: Vec<(EdgeId, Histogram1D)>,
+        net: &RoadNetwork,
+        cfg: &HybridConfig,
         tables: BTreeMap<RegimeId, Vec<InstantiatedVariable>>,
         store: &TrajectoryStore,
     ) -> Result<Self, CoreError> {
+        cfg.validate()?;
         if tables
             .values()
             .any(|table| table.windows(2).any(|w| key_of(&w[0]) >= key_of(&w[1])))
@@ -530,26 +529,14 @@ impl PathWeightFunction {
                 "restored variables must be in strictly increasing (path, interval) order",
             ));
         }
-        let fallback_units = fallback_units
-            .into_iter()
-            .enumerate()
-            .map(|(at, (edge, unit))| {
-                (edge.index() == at)
-                    .then(|| Arc::new(InstantiatedVariable::speed_limit(edge, unit)))
-            })
-            .collect::<Option<Table>>()
-            .ok_or(CoreError::InvalidConfig(
-                "restored fallbacks must be edge ids 0..n in order",
-            ))?;
         let tables = tables
             .into_iter()
             .map(|(table, vars)| (table, vars.into_iter().map(Arc::new).collect()))
             .collect();
         Ok(Self::assemble(
-            partition,
-            cost_kind,
-            schema,
-            Arc::new(fallback_units),
+            DayPartition::new(cfg.alpha_minutes)?,
+            cfg,
+            speed_limit_table(net, cfg.speed_limit_spread)?,
             tables,
             store,
         ))
@@ -1366,45 +1353,31 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_takes_the_fallbacks_of_edge_ids_in_order_only() {
-        let (net, store, wp) = build();
+    fn from_parts_derives_the_fallbacks_schema_and_views_it_is_not_given() {
+        let (net, untagged) = DatasetPreset::tiny(31).materialise().unwrap();
         let cfg = HybridConfig {
             beta: 10,
             ..HybridConfig::default()
-        };
-        let restore = |fallbacks: Vec<(EdgeId, Histogram1D)>| {
-            let tables = wp
-                .tables()
-                .iter()
+        }
+        .with_regimes(grouped_schema());
+        let store = tag_store(&untagged, untagged.len() / 2);
+        let wp = PathWeightFunction::instantiate(&net, &store, &cfg).unwrap();
+        let captured = |wp: &PathWeightFunction| {
+            let tables = wp.tables().iter();
+            tables
                 .map(|(regime, vars)| (*regime, vars.iter().map(|v| (**v).clone()).collect()))
-                .collect();
-            PathWeightFunction::from_parts(
-                wp.partition().clone(),
-                cfg.cost_kind,
-                wp.regime_schema().clone(),
-                fallbacks,
-                tables,
-                &store,
-            )
+                .collect::<BTreeMap<RegimeId, Vec<InstantiatedVariable>>>()
         };
-        let decoded: Vec<(EdgeId, Histogram1D)> = wp
-            .fallback_units()
-            .iter()
-            .map(|v| (v.path.first_edge(), v.unit_marginal().unwrap().clone()))
-            .collect();
-        assert_eq!(decoded.len(), net.edge_count());
-        let restored = restore(decoded.clone()).unwrap();
+        let restored = PathWeightFunction::from_parts(&net, &cfg, captured(&wp), &store).unwrap();
+        assert_regime_identical(&restored, &wp);
         assert_eq!(restored.fallback_units(), wp.fallback_units());
-        assert_eq!(restored.stats(), wp.stats());
+        assert_eq!(restored.regime_schema(), wp.regime_schema());
+        assert_eq!(restored.partition(), wp.partition());
 
-        // A duplicated id (the last entry would have won in a map) and a
-        // reordered list are refused.
-        let mut duplicated = decoded.clone();
-        duplicated[2].0 = duplicated[1].0;
-        assert!(restore(duplicated).is_err());
-        let mut reordered = decoded;
-        reordered.swap(0, 1);
-        assert!(restore(reordered).is_err());
+        // A table out of key order is refused.
+        let mut swapped = captured(&wp);
+        swapped.get_mut(&RegimeId::ALL_TRAFFIC).unwrap().swap(0, 1);
+        assert!(PathWeightFunction::from_parts(&net, &cfg, swapped, &store).is_err());
     }
 
     /// A stand-in variable for `key`, told apart by `marker`.

@@ -38,7 +38,7 @@ pub struct WeightView {
     by_first_edge: HashMap<EdgeId, Vec<usize>>,
     /// The speed-limit fallback of every edge, indexed by edge id (one
     /// allocation for every view of every epoch — it depends on the network
-    /// alone).
+    /// and `speed_limit_spread` alone).
     fallback_units: Arc<Table>,
     stats: WeightStats,
 }

@@ -90,7 +90,8 @@ impl<'n> LiveIngestor<'n> {
 
     /// Wraps an already-instantiated weight function as epoch 0. `weights`
     /// must have been instantiated from exactly `store` under `config` (the
-    /// day partition and cost kind are checked; the store itself cannot be).
+    /// day partition, cost kind and regime schema are checked — every later
+    /// re-derivation would refuse a mismatch; the store itself cannot be).
     pub fn from_instantiated(
         net: &'n RoadNetwork,
         store: TrajectoryStore,
@@ -99,7 +100,10 @@ impl<'n> LiveIngestor<'n> {
     ) -> Result<Self, CoreError> {
         config.validate()?;
         let partition = DayPartition::new(config.alpha_minutes)?;
-        if weights.partition() != &partition || weights.cost_kind() != config.cost_kind {
+        if weights.partition() != &partition
+            || weights.cost_kind() != config.cost_kind
+            || weights.regime_schema() != &config.regimes
+        {
             return Err(CoreError::InvalidConfig(
                 "the ingestor's config must match the instantiated weight function",
             ));
@@ -340,7 +344,7 @@ fn started_before(cutoff: Timestamp) -> Retiring {
 pub(crate) mod tests {
     use super::*;
     use pathcost_roadnet::{EdgeId, RoadNetwork};
-    use pathcost_traj::DatasetPreset;
+    use pathcost_traj::{DatasetPreset, RegimeId, RegimeSchema};
     use std::collections::HashMap;
 
     fn fixture() -> (RoadNetwork, TrajectoryStore, HybridConfig) {
@@ -632,8 +636,14 @@ pub(crate) mod tests {
         let weights = PathWeightFunction::instantiate(&net, &store, &cfg).unwrap();
         let recut = HybridConfig {
             alpha_minutes: cfg.alpha_minutes * 2,
-            ..cfg
+            ..cfg.clone()
         };
-        assert!(LiveIngestor::from_instantiated(&net, store, weights, recut).is_err());
+        let grouped = RegimeSchema::flat().with_group(RegimeId(1), RegimeId(3));
+        let regrouped = cfg.with_regimes(grouped);
+        for mismatched in [recut, regrouped] {
+            let refused =
+                LiveIngestor::from_instantiated(&net, store.clone(), weights.clone(), mismatched);
+            assert!(refused.is_err());
+        }
     }
 }

@@ -36,7 +36,7 @@
 //! 4. nothing on disk is a fresh start (**cold**).
 
 use crate::ingest::{LiveIngestor, RetentionConfig};
-use pathcost_core::{CoreError, DayPartition, HybridConfig, PathWeightFunction, WeightUpdate};
+use pathcost_core::{CoreError, HybridConfig, PathWeightFunction, WeightUpdate};
 use pathcost_obs::log as obslog;
 use pathcost_persist::codec;
 use pathcost_persist::format::Cursor;
@@ -558,14 +558,11 @@ impl<'n> PersistentIngestor<'n> {
         let mut store_section = Vec::new();
         codec::put_trajectories(&mut store_section, self.inner.store().matched());
         let mut weights_section = Vec::new();
-        codec::put_weights(
-            &mut weights_section,
-            weights.variables(),
-            weights.fallback_units(),
-        );
-        // The all-traffic table and the speed-limit fallbacks ride the
-        // WEIGHTS section, every other table REGIME_WEIGHTS — the layout
-        // legacy images introduced (see `restore_from_snapshot`).
+        codec::put_variables(&mut weights_section, weights.variables());
+        // The all-traffic table rides the WEIGHTS section, every other table
+        // REGIME_WEIGHTS — the layout legacy images introduced (see
+        // `restore_from_snapshot`). The speed-limit fallbacks are rebuilt
+        // from the network and the config at restore.
         let mut tags_section = Vec::new();
         codec::put_regime_tags(&mut tags_section, self.inner.store().matched());
         let own_tables: Vec<_> = weights
@@ -671,20 +668,21 @@ fn restore_from_snapshot<'n>(
                 "snapshot has no WEIGHTS section",
             ))?;
     let mut c = Cursor::new(weights_bytes, "snapshot weights section");
-    let (variables, fallbacks) = codec::read_weights(&mut c)?;
+    let variables = codec::read_weights(&mut c)?;
     c.finish()?;
-    let (schema, mut tables) = match snap.section(snapshot::section::REGIME_WEIGHTS) {
+    let mut tables = match snap.section(snapshot::section::REGIME_WEIGHTS) {
         Some(regime_bytes) => {
             let mut c = Cursor::new(regime_bytes, "snapshot regime-weights section");
-            let schema = codec::read_regime_schema(&mut c)?;
+            // The recorded schema is the config's, which the CONFIG
+            // fingerprint has matched: decoded and dropped.
+            codec::read_regime_schema(&mut c)?;
             let tables = codec::read_regime_tables(&mut c)?;
             c.finish()?;
-            (schema, tables)
+            tables
         }
-        // The runtime schema still applies to a legacy image: it simply
-        // recorded no other table, so every ladder resolves to the
-        // all-traffic one until regime-tagged traffic arrives.
-        None => (config.regimes.clone(), BTreeMap::new()),
+        // A legacy image recorded no other table, so every ladder resolves
+        // to the all-traffic one until regime-tagged traffic arrives.
+        None => BTreeMap::new(),
     };
     if tables.insert(RegimeId::ALL_TRAFFIC, variables).is_some() {
         return Err(PersistError::corrupt(
@@ -693,14 +691,7 @@ fn restore_from_snapshot<'n>(
         )
         .into());
     }
-    let weights = PathWeightFunction::from_parts(
-        DayPartition::new(config.alpha_minutes)?,
-        config.cost_kind,
-        schema,
-        fallbacks,
-        tables,
-        &store,
-    )?;
+    let weights = PathWeightFunction::from_parts(net, config, tables, &store)?;
     let mut inner = LiveIngestor::from_instantiated(net, store, weights, config.clone())?
         .with_retention(retention)?;
     inner.set_epoch(snap.epoch);
@@ -719,6 +710,7 @@ fn unix_ms() -> u64 {
 mod tests {
     use super::*;
     use pathcost_hist::Histogram1D;
+    use pathcost_persist::format::{put_len, put_u32};
     use pathcost_traj::DatasetPreset;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -933,47 +925,56 @@ mod tests {
     }
 
     #[test]
-    fn a_malformed_fallback_list_discards_the_lineage() {
-        type Scramble = fn(&mut Vec<Arc<pathcost_core::InstantiatedVariable>>);
-        let duplicate: Scramble = |fallbacks| fallbacks[2] = fallbacks[1].clone();
-        let reorder: Scramble = |fallbacks| fallbacks.swap(0, 1);
-        for (tag, scramble) in [("dup-fallback", duplicate), ("swap-fallback", reorder)] {
-            let (net, store, cfg) = fixture();
-            let dir = temp_dir(tag);
-            let p = LiveIngestor::new(&net, store.clone(), cfg.clone())
-                .unwrap()
-                .with_persistence(&dir, PersistenceConfig::default())
-                .unwrap();
-            // Re-publish the base generation with its fallback list scrambled:
-            // every CRC is valid, only the list's edge ids are not 0..n.
-            let (snap, _) = SnapshotReader::load_latest(&dir).unwrap();
-            let mut snap = snap.unwrap();
-            let weights = p.weights();
-            let mut fallbacks = weights.fallback_units().to_vec();
-            scramble(&mut fallbacks);
-            let mut weights_section = Vec::new();
-            codec::put_weights(&mut weights_section, weights.variables(), &fallbacks);
-            for (section, payload) in &mut snap.sections {
-                if *section == snapshot::section::WEIGHTS {
-                    *payload = std::mem::take(&mut weights_section);
-                }
-            }
-            p.writer.publish(snap.epoch, &snap.sections).unwrap();
-            drop(p);
-
-            let (p, report) = PersistentIngestor::recover(
-                &net,
-                &dir,
-                cfg,
-                RetentionConfig::default(),
-                PersistenceConfig::default(),
-                move || store,
-            )
+    fn a_legacy_fallback_list_is_read_and_dropped() {
+        let (net, store, cfg) = fixture();
+        let dir = temp_dir("legacy-fallbacks");
+        let split = store.len() / 2;
+        let base = TrajectoryStore::new(store.matched()[..split].to_vec());
+        let mut p = LiveIngestor::new(&net, base, cfg.clone())
+            .unwrap()
+            .with_persistence(&dir, PersistenceConfig::default())
             .unwrap();
-            assert_eq!(report.outcome, RecoveryOutcome::Discarded, "{tag}");
-            assert_eq!(p.epoch(), 0);
-            fs::remove_dir_all(&dir).unwrap();
+        p.ingest(store.matched()[split..].to_vec()).unwrap();
+        p.snapshot_now().unwrap();
+        // Re-publish the generation with WEIGHTS laid out as older writers
+        // did: the variables, then the fallback list — here with ids 0 and
+        // 1 swapped, which restore once refused. Every CRC is valid.
+        let (snap, _) = SnapshotReader::load_latest(&dir).unwrap();
+        let mut snap = snap.unwrap();
+        let weights = p.weights();
+        let mut fallbacks = weights.fallback_units().to_vec();
+        fallbacks.swap(0, 1);
+        let (_, payload) = snap
+            .sections
+            .iter_mut()
+            .find(|(section, _)| *section == snapshot::section::WEIGHTS)
+            .unwrap();
+        put_len(payload, fallbacks.len());
+        for fallback in &fallbacks {
+            put_u32(payload, fallback.path.first_edge().0);
+            codec::put_histogram1d(payload, fallback.unit_marginal().unwrap());
         }
+        p.writer.publish(snap.epoch, &snap.sections).unwrap();
+        let matched = p.store().matched().to_vec();
+        drop(p);
+
+        let (r, report) = PersistentIngestor::recover(
+            &net,
+            &dir,
+            cfg,
+            RetentionConfig::default(),
+            PersistenceConfig::default(),
+            || panic!("warm recovery must not need the bootstrap store"),
+        )
+        .unwrap();
+        assert_eq!(report.outcome, RecoveryOutcome::Warm);
+        assert_eq!(report.replayed_records, 0);
+        assert_eq!(r.epoch(), 1);
+        assert_eq!(r.store().matched(), &matched[..]);
+        assert_eq!(r.weights().tables(), weights.tables());
+        assert_eq!(r.weights().stats(), weights.stats());
+        assert_eq!(r.weights().fallback_units(), weights.fallback_units());
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

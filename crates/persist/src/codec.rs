@@ -8,6 +8,12 @@
 //! goes through the non-normalising raw-parts constructors
 //! ([`Histogram1D::from_raw_parts`], [`HistogramNd::from_raw_parts`]) for the
 //! same reason.
+//!
+//! A snapshot stores only what cannot be derived: trajectories, their regime
+//! tags and the fitted variable tables. The speed-limit fallbacks are a pure
+//! function of the network and `speed_limit_spread`, which the config
+//! fingerprint covers, so no section carries them; [`read_weights`] reads
+//! and drops the list legacy images appended to `WGTS`.
 
 use crate::error::PersistError;
 use crate::format::{put_f64, put_len, put_u16, put_u32, put_u64, put_u8, Cursor};
@@ -146,7 +152,7 @@ pub fn read_regime_schema(c: &mut Cursor<'_>) -> Result<RegimeSchema, PersistErr
 }
 
 /// Encodes the own variable tables of a weight function — every table but
-/// the all-traffic one, which [`put_weights`] carries — in the ascending
+/// the all-traffic one, which the `WGTS` section carries — in the ascending
 /// regime order the caller iterates its table map in (so identical functions
 /// always produce identical bytes).
 pub fn put_regime_tables<V: Borrow<InstantiatedVariable>>(
@@ -156,10 +162,7 @@ pub fn put_regime_tables<V: Borrow<InstantiatedVariable>>(
     put_len(out, tables.len());
     for (regime, variables) in tables {
         put_u16(out, regime.0);
-        put_len(out, variables.len());
-        for v in *variables {
-            put_variable(out, v.borrow());
-        }
+        put_variables(out, variables);
     }
 }
 
@@ -170,12 +173,7 @@ pub fn read_regime_tables(
     let mut out = BTreeMap::new();
     for _ in 0..n {
         let regime = RegimeId(c.u16()?);
-        let len = c.read_len()?;
-        let mut variables = Vec::with_capacity(len);
-        for _ in 0..len {
-            variables.push(read_variable(c)?);
-        }
-        if out.insert(regime, variables).is_some() {
+        if out.insert(regime, read_variables(c)?).is_some() {
             return Err(PersistError::corrupt(
                 "regime tables",
                 format!("duplicate regime {}", regime.0),
@@ -210,6 +208,8 @@ fn read_buckets(c: &mut Cursor<'_>) -> Result<Vec<Bucket>, PersistError> {
     Ok(out)
 }
 
+/// Encodes a 1-D histogram: the form in which legacy `WGTS` sections stored
+/// each speed-limit fallback.
 pub fn put_histogram1d(out: &mut Vec<u8>, h: &Histogram1D) {
     put_buckets(out, h.buckets());
     for &p in h.probs() {
@@ -295,43 +295,39 @@ fn read_variable(c: &mut Cursor<'_>) -> Result<InstantiatedVariable, PersistErro
     Ok(InstantiatedVariable::new(path, interval, histogram, source))
 }
 
-/// Encodes the variable list plus per-edge fallbacks of a weight function.
-/// The fallbacks are its edge-indexed speed-limit table, written as
-/// `(edge, distribution)` pairs in edge-id order.
-pub fn put_weights<V: Borrow<InstantiatedVariable>>(
-    out: &mut Vec<u8>,
-    variables: &[V],
-    fallback_units: &[V],
-) {
+/// Encodes a count-prefixed variable list: one table of a weight function
+/// (the whole `WGTS` section, or one own table of `RGWT`).
+pub fn put_variables<V: Borrow<InstantiatedVariable>>(out: &mut Vec<u8>, variables: &[V]) {
     put_len(out, variables.len());
     for v in variables {
         put_variable(out, v.borrow());
     }
-    put_len(out, fallback_units.len());
-    for fallback in fallback_units.iter().map(Borrow::borrow) {
-        put_u32(out, fallback.path.first_edge().0);
-        // A fallback is built from its distribution, so it always lends one.
-        put_histogram1d(out, fallback.unit_marginal().expect("a unit variable"));
-    }
 }
 
-/// The decoded counterpart of [`put_weights`].
-pub type WeightsParts = (Vec<InstantiatedVariable>, Vec<(EdgeId, Histogram1D)>);
-
-pub fn read_weights(c: &mut Cursor<'_>) -> Result<WeightsParts, PersistError> {
+/// The decoded counterpart of [`put_variables`].
+pub fn read_variables(c: &mut Cursor<'_>) -> Result<Vec<InstantiatedVariable>, PersistError> {
     let n = c.read_len()?;
     let mut variables = Vec::with_capacity(n);
     for _ in 0..n {
         variables.push(read_variable(c)?);
     }
-    let n = c.read_len()?;
-    let mut fallback_units = Vec::with_capacity(n);
-    for _ in 0..n {
-        let edge = EdgeId(c.u32()?);
-        let h = read_histogram1d(c)?;
-        fallback_units.push((edge, h));
+    Ok(variables)
+}
+
+/// Decodes a `WGTS` section: the all-traffic variables. Bytes after them are
+/// a legacy image's speed-limit fallbacks — count-prefixed `(u32 edge, 1-D
+/// histogram)` pairs, which restore now derives from the network and the
+/// config — decoded like any other field (a malformed list is a corrupt
+/// section) and dropped.
+pub fn read_weights(c: &mut Cursor<'_>) -> Result<Vec<InstantiatedVariable>, PersistError> {
+    let variables = read_variables(c)?;
+    if c.remaining() > 0 {
+        for _ in 0..c.read_len()? {
+            c.u32()?;
+            read_histogram1d(c)?;
+        }
     }
-    Ok((variables, fallback_units))
+    Ok(variables)
 }
 
 // ---------------------------------------------------------------------------

@@ -87,22 +87,25 @@ impl<'a> Cursor<'a> {
         Ok(self.take(1)?[0])
     }
 
+    /// Reads exactly `N` bytes.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], PersistError> {
+        let Some((bytes, _)) = self.buf[self.pos..].split_first_chunk::<N>() else {
+            return Err(self.truncated(N));
+        };
+        self.pos += N;
+        Ok(*bytes)
+    }
+
     pub fn u16(&mut self) -> Result<u16, PersistError> {
-        Ok(u16::from_le_bytes(
-            self.take(2)?.try_into().expect("2 bytes"),
-        ))
+        self.array().map(u16::from_le_bytes)
     }
 
     pub fn u32(&mut self) -> Result<u32, PersistError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
+        self.array().map(u32::from_le_bytes)
     }
 
     pub fn u64(&mut self) -> Result<u64, PersistError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
+        self.array().map(u64::from_le_bytes)
     }
 
     pub fn f64(&mut self) -> Result<f64, PersistError> {

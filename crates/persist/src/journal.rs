@@ -60,7 +60,9 @@ pub struct JournalRecord {
 }
 
 impl JournalRecord {
-    fn encode(&self) -> Vec<u8> {
+    /// The record's payload: what a journal frame carries after its length
+    /// and CRC.
+    pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         put_u64(&mut out, self.epoch);
         match &self.op {
@@ -84,7 +86,8 @@ impl JournalRecord {
         out
     }
 
-    fn decode(payload: &[u8]) -> Result<Self, PersistError> {
+    /// Decodes a frame's payload (the CRC is the caller's to check).
+    pub fn decode(payload: &[u8]) -> Result<Self, PersistError> {
         let mut c = Cursor::new(payload, "journal record");
         let epoch = c.u64()?;
         let op = match c.u8()? {
@@ -319,15 +322,16 @@ impl Journal {
 fn scan(bytes: &[u8]) -> (Vec<JournalRecord>, usize) {
     let mut records = Vec::new();
     let mut pos = JOURNAL_MAGIC.len();
-    while bytes.len() - pos >= 8 {
-        let len_bytes: [u8; 4] = bytes[pos..pos + 4].try_into().expect("4 bytes");
-        let len = u32::from_le_bytes(len_bytes) as usize;
-        let declared_crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
-        if len > MAX_LEN as usize || bytes.len() - pos - 8 < len {
+    while let Some((len_bytes, rest)) = bytes[pos..].split_first_chunk::<4>() {
+        let Some((crc_bytes, rest)) = rest.split_first_chunk::<4>() else {
+            break;
+        };
+        let len = u32::from_le_bytes(*len_bytes) as usize;
+        if len > MAX_LEN as usize || rest.len() < len {
             break;
         }
-        let payload = &bytes[pos + 8..pos + 8 + len];
-        if crc32_parts(&[&len_bytes, payload]) != declared_crc {
+        let payload = &rest[..len];
+        if crc32_parts(&[len_bytes, payload]) != u32::from_le_bytes(*crc_bytes) {
             break;
         }
         match JournalRecord::decode(payload) {

@@ -62,7 +62,8 @@ pub mod section {
     pub const CONFIG: u32 = u32::from_le_bytes(*b"CONF");
     /// The trajectory store's matched-trajectory list.
     pub const STORE: u32 = u32::from_le_bytes(*b"STOR");
-    /// The weight function's variables + fallback units.
+    /// The weight function's all-traffic variables (legacy images append the
+    /// speed-limit fallbacks, which restore reads and drops).
     pub const WEIGHTS: u32 = u32::from_le_bytes(*b"WGTS");
     /// Per-trajectory regime tags, parallel to the STOR trajectory order
     /// (absent from legacy images: every trajectory is all-traffic).
