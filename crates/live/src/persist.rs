@@ -57,14 +57,6 @@ pub const JOURNAL_FILE: &str = "journal.pcj";
 /// Tuning for the persistence layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PersistenceConfig {
-    /// Group-fsync batching: every journal append is fdatasynced unless this
-    /// is `Some(n)`, in which case appends skip the per-record sync and one
-    /// sync closes the window after every `n` records — closely-spaced
-    /// epochs share a single fsync. Widens the durability window to at most
-    /// `n - 1` acknowledged epochs on power loss (see PERSISTENCE.md,
-    /// "Durability window"); process crashes lose nothing (the records are
-    /// already in the page cache).
-    pub group_fsync_epochs: Option<u64>,
     /// Automatically snapshot after this many published epochs.
     pub snapshot_every_epochs: Option<u64>,
     /// Transient journal IO errors are retried this many times (with
@@ -79,7 +71,6 @@ pub struct PersistenceConfig {
 impl Default for PersistenceConfig {
     fn default() -> Self {
         PersistenceConfig {
-            group_fsync_epochs: None,
             snapshot_every_epochs: None,
             io_retries: 3,
             io_backoff: Duration::from_millis(10),
@@ -189,8 +180,6 @@ pub struct PersistentIngestor<'n> {
     config: PersistenceConfig,
     status: Arc<PersistenceStatus>,
     epochs_since_snapshot: u64,
-    /// Records appended since the last fdatasync (group-fsync mode only).
-    unsynced_epochs: u64,
 }
 
 impl<'n> std::ops::Deref for PersistentIngestor<'n> {
@@ -347,7 +336,6 @@ impl<'n> PersistentIngestor<'n> {
             config,
             status,
             epochs_since_snapshot: 0,
-            unsynced_epochs: 0,
         }
     }
 
@@ -430,17 +418,13 @@ impl<'n> PersistentIngestor<'n> {
     }
 
     /// Appends with bounded retry on transient IO errors (attempt `k` backs
-    /// off `k × io_backoff`). Non-IO errors are never retried. Synced
+    /// off `k × io_backoff`). Non-IO errors are never retried. Successful
     /// appends feed the fsync-latency histogram on [`PersistenceStatus`].
-    fn append_with_retry(
-        &mut self,
-        record: &JournalRecord,
-        sync: bool,
-    ) -> Result<(), PersistError> {
+    fn append_with_retry(&mut self, record: &JournalRecord) -> Result<(), PersistError> {
         let mut attempt: u32 = 0;
         loop {
             let started = Instant::now();
-            match self.journal.append(record, sync) {
+            match self.journal.append(record) {
                 Err(PersistError::Io(e)) if attempt < self.config.io_retries => {
                     attempt += 1;
                     self.status.record_io_retry();
@@ -456,7 +440,7 @@ impl<'n> PersistentIngestor<'n> {
                     std::thread::sleep(self.config.io_backoff * attempt);
                 }
                 other => {
-                    if sync && other.is_ok() {
+                    if other.is_ok() {
                         self.status.record_fsync(started.elapsed());
                     }
                     return other;
@@ -467,24 +451,7 @@ impl<'n> PersistentIngestor<'n> {
 
     fn journal_epoch(&mut self, epoch: u64, op: JournalOp) -> Result<(), PersistenceError> {
         let record = JournalRecord { epoch, op };
-        // Group-fsync mode appends without the per-record sync and closes
-        // the window below once `group_fsync_epochs` records accumulate.
-        let group = self.config.group_fsync_epochs;
-        let appended = self
-            .append_with_retry(&record, group.is_none())
-            .and_then(|()| {
-                if let Some(n) = group {
-                    self.unsynced_epochs += 1;
-                    if self.unsynced_epochs >= n {
-                        let started = Instant::now();
-                        self.journal.sync()?;
-                        self.status.record_fsync(started.elapsed());
-                        self.unsynced_epochs = 0;
-                    }
-                }
-                Ok(())
-            });
-        match appended {
+        match self.append_with_retry(&record) {
             Ok(()) => {}
             Err(PersistError::Io(e)) => {
                 // Retries exhausted. Second rung: a snapshot uses a separate
@@ -587,9 +554,6 @@ impl<'n> PersistentIngestor<'n> {
         let keep_after = gens.first().copied().unwrap_or(epoch);
         self.journal.rotate(keep_after)?;
         self.epochs_since_snapshot = 0;
-        // The rotation rewrote and fsynced the whole journal, so any
-        // group-fsync window is closed too.
-        self.unsynced_epochs = 0;
         self.status.record_snapshot(epoch, unix_ms());
         self.status.record_snapshot_duration(started.elapsed());
         self.status
@@ -974,48 +938,6 @@ mod tests {
         assert_eq!(r.weights().tables(), weights.tables());
         assert_eq!(r.weights().stats(), weights.stats());
         assert_eq!(r.weights().fallback_units(), weights.fallback_units());
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn group_fsync_journals_every_epoch_and_recovers() {
-        let (net, store, cfg) = fixture();
-        let dir = temp_dir("group-fsync");
-        let base = TrajectoryStore::new(store.matched()[..store.len() / 2].to_vec());
-        let rest: Vec<MatchedTrajectory> = store.matched()[store.len() / 2..].to_vec();
-        let mut p = LiveIngestor::new(&net, base, cfg)
-            .unwrap()
-            .with_persistence(
-                &dir,
-                PersistenceConfig {
-                    group_fsync_epochs: Some(3),
-                    ..PersistenceConfig::default()
-                },
-            )
-            .unwrap();
-        // Five epochs: syncs fire after #3; #4–#5 sit in the open window.
-        // Every record is still *written*, so a clean restart (page cache
-        // intact) replays all of them.
-        p.ingest(rest).unwrap();
-        for _ in 0..4 {
-            p.ingest(Vec::new()).unwrap();
-        }
-        let want_epoch = p.epoch();
-        let want_vars = p.weights().variables().to_vec();
-        drop(p);
-        let (r, report) = PersistentIngestor::recover(
-            &net,
-            &dir,
-            fixture().2,
-            RetentionConfig::default(),
-            PersistenceConfig::default(),
-            || panic!("warm recovery must not need the bootstrap store"),
-        )
-        .unwrap();
-        assert_eq!(report.outcome, RecoveryOutcome::Warm);
-        assert_eq!(report.replayed_records, 5);
-        assert_eq!(r.epoch(), want_epoch);
-        assert_eq!(r.weights().variables(), &want_vars[..]);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -8,7 +8,8 @@
 //! is what the format tests, the chaos harness and the CI smoke scrape run
 //! against scraped output — it rejects duplicate series, untyped samples,
 //! malformed labels and non-cumulative histograms. [`series_value`] is how
-//! every test and example reads one number back off a page.
+//! every test and example reads one number back off a page (in process
+//! through [`Registry::value`](crate::Registry::value)).
 
 use std::collections::{BTreeMap, HashSet};
 use std::fmt::Write as _;

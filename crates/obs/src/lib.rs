@@ -4,12 +4,14 @@
 //!
 //! * [`metrics`] — lock-free typed instruments ([`Counter`], [`Gauge`],
 //!   [`Histogram`] with exact sum, max and conservative quantiles) and a
-//!   [`Registry`] that hands out label-addressed handles and renders
-//!   everything it owns,
+//!   [`Registry`] that hands out label-addressed handles, renders
+//!   everything it owns and reads one series back by name
+//!   ([`Registry::value`]),
 //! * [`expo`] — a hand-rolled Prometheus text-exposition writer
 //!   ([`ExpositionWriter`]) plus a strict [`validate`](expo::validate)
 //!   conformance checker and a [`series_value`](expo::series_value) lookup
-//!   used by tests and the chaos harness,
+//!   — the one way tests, examples and the chaos harness read a number,
+//!   off a scraped page or, through [`Registry::value`], in process,
 //! * [`trace`] — per-request trace ids, per-stage spans ([`Stage`],
 //!   [`ActiveTrace`]) accumulated across threads, finished-trace snapshots
 //!   and a fixed-size [`TraceRing`] backing `GET /debug/traces`,

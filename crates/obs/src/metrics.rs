@@ -430,6 +430,18 @@ impl Registry {
             }
         }
     }
+
+    /// The value of the series whose name-plus-labels is exactly `series`
+    /// as `GET /metrics` renders it (e.g. `pathcost_queries_total{kind="route"}`
+    /// or `pathcost_query_seconds_count`): the registry is rendered and read
+    /// back with [`expo::series_value`](crate::expo::series_value), so an
+    /// in-process reader sees the page's number. `None` when no such series
+    /// is registered.
+    pub fn value(&self, series: &str) -> Option<f64> {
+        let mut page = ExpositionWriter::new();
+        self.render_into(&mut page);
+        crate::expo::series_value(&page.finish(), series)
+    }
 }
 
 #[cfg(test)]
@@ -593,5 +605,16 @@ mod tests {
         expo::validate(&text).expect("registry output must be conformant");
         assert!(text.contains("pathcost_requests_total{class=\"2xx\"} 4"));
         assert!(text.contains("pathcost_stage_seconds_bucket{stage=\"eval\",le=\"+Inf\"} 1"));
+        // `value` reads the same page back, series by exact name and labels.
+        for (series, want) in [
+            (r#"pathcost_requests_total{class="2xx"}"#, Some(4.0)),
+            ("pathcost_open_connections", Some(2.0)),
+            (r#"pathcost_stage_seconds_count{stage="eval"}"#, Some(1.0)),
+            (r#"pathcost_stage_seconds_sum{stage="eval"}"#, Some(0.002)),
+            ("pathcost_requests_total", None),
+            (r#"pathcost_requests_total{class="5xx"}"#, None),
+        ] {
+            assert_eq!(reg.value(series), want, "{series}");
+        }
     }
 }

@@ -211,10 +211,9 @@ impl Journal {
         Ok((journal, records, report))
     }
 
-    /// Appends one record. When `sync` is set the record is fdatasynced
-    /// before returning — the default for every published epoch, so a
-    /// crash immediately after an acknowledged publish cannot lose it.
-    pub fn append(&mut self, record: &JournalRecord, sync: bool) -> Result<(), PersistError> {
+    /// Appends one record and fdatasyncs it before returning, so a crash
+    /// immediately after an acknowledged publish cannot lose it.
+    pub fn append(&mut self, record: &JournalRecord) -> Result<(), PersistError> {
         if let Some(fault) = crate::faults::take_injected_failure() {
             return Err(fault);
         }
@@ -225,22 +224,9 @@ impl Journal {
         frame.extend_from_slice(&crc32_parts(&[&len_bytes, &payload]).to_le_bytes());
         frame.extend_from_slice(&payload);
         self.file.write_all(&frame)?;
-        if sync {
-            self.file.sync_data()?;
-        }
+        self.file.sync_data()?;
         self.bytes += frame.len() as u64;
         self.records += 1;
-        Ok(())
-    }
-
-    /// Flushes buffered appends to stable storage (`fdatasync`). Used by
-    /// group-fsync mode, which appends several closely-spaced epochs with
-    /// `sync: false` and closes the durability window with one sync here.
-    pub fn sync(&mut self) -> Result<(), PersistError> {
-        if let Some(fault) = crate::faults::take_injected_failure() {
-            return Err(fault);
-        }
-        self.file.sync_data()?;
         Ok(())
     }
 
@@ -419,7 +405,7 @@ mod tests {
         assert!(records.is_empty());
         assert_eq!(report, JournalReport::default());
         for r in sample_records() {
-            j.append(&r, true).unwrap();
+            j.append(&r).unwrap();
         }
         assert_eq!(j.records(), 3);
         drop(j);
@@ -435,7 +421,7 @@ mod tests {
         let path = temp_journal("torn");
         let (mut j, _, _) = Journal::open(&path).unwrap();
         for r in sample_records() {
-            j.append(&r, false).unwrap();
+            j.append(&r).unwrap();
         }
         drop(j);
         let full = fs::read(&path).unwrap();
@@ -455,13 +441,10 @@ mod tests {
             // The truncated journal accepts new appends cleanly.
             drop(j);
             let (mut j, _, _) = Journal::open(&path).unwrap();
-            j.append(
-                &JournalRecord {
-                    epoch: 99,
-                    op: JournalOp::RetireIds(vec![1]),
-                },
-                false,
-            )
+            j.append(&JournalRecord {
+                epoch: 99,
+                op: JournalOp::RetireIds(vec![1]),
+            })
             .unwrap();
             drop(j);
             let (_, records, _) = Journal::open(&path).unwrap();
@@ -475,7 +458,7 @@ mod tests {
         let path = temp_journal("flip");
         let (mut j, _, _) = Journal::open(&path).unwrap();
         for r in sample_records() {
-            j.append(&r, false).unwrap();
+            j.append(&r).unwrap();
         }
         drop(j);
         let full = fs::read(&path).unwrap();
@@ -502,7 +485,7 @@ mod tests {
     fn a_crc_valid_record_claiming_max_len_trajectories_is_a_bad_frame() {
         let path = temp_journal("max-len");
         let (mut j, _, _) = Journal::open(&path).unwrap();
-        j.append(&sample_records()[0], false).unwrap();
+        j.append(&sample_records()[0]).unwrap();
         drop(j);
         let valid = fs::read(&path).unwrap();
         // An ingest whose batch length is MAX_LEN, with nothing after it.
@@ -540,18 +523,15 @@ mod tests {
         let path = temp_journal("rotate");
         let (mut j, _, _) = Journal::open(&path).unwrap();
         for r in sample_records() {
-            j.append(&r, false).unwrap();
+            j.append(&r).unwrap();
         }
         j.rotate(1).unwrap();
         assert_eq!(j.records(), 2);
         // The rotated journal still appends and reopens cleanly.
-        j.append(
-            &JournalRecord {
-                epoch: 4,
-                op: JournalOp::RetireIds(vec![5]),
-            },
-            true,
-        )
+        j.append(&JournalRecord {
+            epoch: 4,
+            op: JournalOp::RetireIds(vec![5]),
+        })
         .unwrap();
         drop(j);
         let (_, records, report) = Journal::open(&path).unwrap();

@@ -8,7 +8,7 @@
 //! connection, and every malformed input maps to a 4xx/close instead of a
 //! panic (`tests/http_robustness.rs` drives those paths over real sockets).
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::time::Instant;
 
 /// Hard caps on what one request may consume.
@@ -48,7 +48,7 @@ pub struct Request {
     pub keep_alive: bool,
     /// Client-supplied per-request deadline from the `x-deadline-ms` header:
     /// milliseconds the client is willing to wait, counted from parse time.
-    /// `None` when absent (the server's default applies).
+    /// `None` when absent (the request is unbounded).
     pub deadline_ms: Option<u64>,
     /// Client-supplied trace id from the `x-trace-id` header, sanitized to
     /// printable ASCII ≤ 64 bytes (anything else is treated as absent so an
@@ -100,6 +100,9 @@ impl HttpError {
         }
     }
 }
+
+/// Most body bytes reserved before any of them has arrived.
+const BODY_RESERVE: usize = 64 * 1024;
 
 fn is_timeout(e: &io::Error) -> bool {
     matches!(
@@ -279,7 +282,9 @@ pub fn read_request<R: BufRead, W: Write>(
     if length > limits.max_body {
         return Err(HttpError::PayloadTooLarge);
     }
-    let mut body = vec![0u8; length];
+    // The body grows as its bytes arrive: a header alone never reserves
+    // more than `BODY_RESERVE`, whatever length it claims.
+    let mut body = Vec::with_capacity(length.min(BODY_RESERVE));
     if length > 0 {
         if expect_continue {
             writer
@@ -287,15 +292,11 @@ pub fn read_request<R: BufRead, W: Write>(
                 .and_then(|()| writer.flush())
                 .map_err(HttpError::Io)?;
         }
-        let mut filled = 0;
-        while filled < length {
-            match reader.read(&mut body[filled..]) {
-                Ok(0) => return Err(HttpError::Truncated),
-                Ok(n) => filled += n,
-                Err(e) if is_timeout(&e) => return Err(HttpError::Truncated),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(HttpError::Io(e)),
-            }
+        match reader.take(length as u64).read_to_end(&mut body) {
+            Ok(n) if n == length => {}
+            Ok(_) => return Err(HttpError::Truncated),
+            Err(e) if is_timeout(&e) => return Err(HttpError::Truncated),
+            Err(e) => return Err(HttpError::Io(e)),
         }
     }
 

@@ -49,10 +49,6 @@ pub struct ServerConfig {
     /// pin a connection thread in `write_all` for at most this long before
     /// the connection is closed.
     pub write_timeout: Duration,
-    /// Deadline applied to requests that carry no `x-deadline-ms` header.
-    /// `None` (the default) leaves such requests unbounded. Expired requests
-    /// are shed in the admission queue and answered 504.
-    pub default_deadline: Option<Duration>,
     /// HTTP parsing limits (request line / header / body sizes).
     pub limits: Limits,
     /// Shared persistence telemetry (`PersistentIngestor::status()` in
@@ -79,7 +75,6 @@ impl Default for ServerConfig {
             admission: AdmissionConfig::default(),
             read_timeout: Duration::from_millis(100),
             write_timeout: Duration::from_secs(2),
-            default_deadline: None,
             limits: Limits::default(),
             persistence: None,
             slow_query_threshold: Some(Duration::from_millis(500)),
@@ -101,11 +96,6 @@ impl ShutdownHandle {
     /// in-flight work has drained.
     pub fn shutdown(&self) {
         self.flag.store(true, Ordering::Release);
-    }
-
-    /// Whether shutdown has been requested.
-    pub fn is_shutdown(&self) -> bool {
-        self.flag.load(Ordering::Acquire)
     }
 }
 
@@ -429,13 +419,9 @@ impl Connection<'_, '_> {
     }
 
     /// The deadline/cancellation context for one request: the client's
-    /// `x-deadline-ms` header wins, else the server default, else unbounded.
+    /// `x-deadline-ms` header when present, else unbounded.
     fn request_context(&self, request: &http::Request) -> RequestContext {
-        let budget = request
-            .deadline_ms
-            .map(Duration::from_millis)
-            .or(self.config.default_deadline);
-        RequestContext::with_deadline(budget)
+        RequestContext::with_deadline(request.deadline_ms.map(Duration::from_millis))
     }
 
     /// Files a finished trace: status-class counters and per-stage
@@ -733,7 +719,7 @@ impl Connection<'_, '_> {
     }
 
     /// Maps an admission failure to its wire response, counting degraded
-    /// early rejections (`ServiceStats::rejected_degraded`, answered 429 +
+    /// early rejections (`pathcost_admission_rejected_degraded_total`, answered 429 +
     /// `Retry-After`).
     fn submit_error(&self, e: pathcost_service::ServiceError) -> (u16, &'static str, String) {
         if matches!(e, pathcost_service::ServiceError::Degraded) {

@@ -1,9 +1,10 @@
 //! The `/metrics` page keeps its shape: every family, `# TYPE`, label-key set
 //! and histogram `le` edge a dashboard could depend on is pinned by a golden
 //! list (new families may appear; pinned ones may not change or vanish),
-//! the engine's typed view (`QueryEngine::stats`) and `/metrics` agree on
-//! every number they both carry, and the page passes the strict validator
-//! with and without persistence attached.
+//! a mixed load shows on the page as sent, the counters the acceptance
+//! benchmark copies out (`QueryEngine::stats`) are the page's numbers, and
+//! the page passes the strict validator with and without persistence
+//! attached.
 
 mod common;
 
@@ -221,7 +222,7 @@ fn family_sum(page: &str, family: &str) -> f64 {
 }
 
 #[test]
-fn stats_and_metrics_agree_on_every_shared_number_after_a_mixed_load() {
+fn a_mixed_load_shows_on_the_page_and_the_benchmark_counters_agree() {
     let (net, store) = fixture(43);
     let engine = engine(&net, &store);
     let paths: Vec<_> = store
@@ -271,37 +272,31 @@ fn stats_and_metrics_agree_on_every_shared_number_after_a_mixed_load() {
         // scrape and the typed read.
         let (_, page) = get(addr, "/metrics");
         validate(&page).unwrap_or_else(|e| panic!("invalid exposition: {e}\n{page}"));
-        let stats = engine.stats();
         let series = |name: &str| {
             series_value(&page, name).unwrap_or_else(|| panic!("series {name:?} missing:\n{page}"))
         };
+        // The page counts what this test sent: one route, exactly one shed,
+        // the failing query, and a regime-tagged lookup.
+        assert_eq!(series(r#"pathcost_queries_total{kind="route"}"#), 1.0);
+        assert_eq!(series("pathcost_admission_shed_total"), 1.0);
+        assert!(series("pathcost_query_errors_total") >= 1.0);
+        assert!(family_sum(&page, "pathcost_regime_fallback_total") >= 1.0);
+        assert_eq!(series("pathcost_admission_queue_depth"), 0.0);
+        // Every admitted request left the queue evaluated or shed: that is
+        // the admission queue's end-to-end and queue-wait counts.
+        let admitted = series("pathcost_query_seconds_count")
+            + series(r#"pathcost_query_outcome_seconds_count{outcome="shed"}"#);
+        for name in [
+            "pathcost_request_e2e_seconds_count",
+            "pathcost_admission_queue_wait_seconds_count",
+        ] {
+            assert_eq!(series(name), admitted, "{name}");
+        }
+        // The counters the acceptance benchmark copies out of the engine
+        // are the page's numbers.
+        let stats = engine.stats();
+        assert_eq!(stats.batch_jobs_deduplicated, 0);
         for (field, value, name) in [
-            (
-                "estimate_queries",
-                stats.estimate_queries,
-                "pathcost_queries_total{kind=\"estimate\"}",
-            ),
-            (
-                "probability_queries",
-                stats.probability_queries,
-                "pathcost_queries_total{kind=\"probability\"}",
-            ),
-            (
-                "rank_queries",
-                stats.rank_queries,
-                "pathcost_queries_total{kind=\"rank\"}",
-            ),
-            (
-                "route_queries",
-                stats.route_queries,
-                "pathcost_queries_total{kind=\"route\"}",
-            ),
-            ("errors", stats.errors, "pathcost_query_errors_total"),
-            (
-                "estimations",
-                stats.estimations,
-                "pathcost_estimations_total",
-            ),
             ("batches", stats.batches, "pathcost_batches_total"),
             (
                 "batch_requests",
@@ -309,40 +304,33 @@ fn stats_and_metrics_agree_on_every_shared_number_after_a_mixed_load() {
                 "pathcost_batch_requests_total",
             ),
             (
-                "shed_deadline",
-                stats.shed_deadline,
-                "pathcost_admission_shed_total",
-            ),
-            (
-                "deadline_exceeded",
-                stats.deadline_exceeded,
-                "pathcost_deadline_exceeded_total",
-            ),
-            ("cancelled", stats.cancelled, "pathcost_cancelled_total"),
-            (
-                "degraded_answers",
-                stats.degraded_answers,
-                "pathcost_degraded_answers_total",
-            ),
-            (
-                "rejected_degraded",
-                stats.rejected_degraded,
-                "pathcost_admission_rejected_degraded_total",
-            ),
-            (
-                "panicked_queries",
-                stats.panicked_queries,
-                "pathcost_panicked_queries_total",
+                "estimations",
+                stats.estimations,
+                "pathcost_estimations_total",
             ),
             (
                 "route_expansions",
                 stats.route_expansions,
                 "pathcost_route_expansions_total",
             ),
+            (
+                "route_candidates_evaluated",
+                stats.route_candidates_evaluated,
+                "pathcost_route_candidates_total",
+            ),
+            (
+                "route_incumbent_prunes",
+                stats.route_incumbent_prunes,
+                "pathcost_route_prunes_total",
+            ),
+            (
+                "route_eval_cache_hits",
+                stats.route_eval_cache_hits,
+                "pathcost_route_cache_hits_total",
+            ),
         ] {
             assert_eq!(series(name), value as f64, "{field} vs {name}");
         }
-        assert_eq!(series("pathcost_admission_queue_depth"), 0.0);
         for (field, value, family) in [
             ("cache_hits", stats.cache_hits, "pathcost_cache_hits_total"),
             (
@@ -350,55 +338,16 @@ fn stats_and_metrics_agree_on_every_shared_number_after_a_mixed_load() {
                 stats.cache_misses,
                 "pathcost_cache_misses_total",
             ),
+            (
+                "cache_evictions",
+                stats.cache_evictions,
+                "pathcost_cache_evictions_total",
+            ),
         ] {
             assert_eq!(family_sum(&page, family), value as f64, "{field}");
         }
-        for (depth, count) in ["0", "1", "2", "3", "4+"].iter().zip(stats.regime_fallback) {
-            let name = format!("pathcost_regime_fallback_total{{depth=\"{depth}\"}}");
-            assert_eq!(series(&name), count as f64, "{name}");
-        }
-        // Every admitted request left the queue evaluated or shed: that is
-        // the admission queue's end-to-end and queue-wait counts.
-        let admitted = stats.latency.count() + stats.latency_shed.count();
-        for (field, count, name) in [
-            (
-                "latency",
-                stats.latency.count(),
-                "pathcost_query_seconds_count",
-            ),
-            ("e2e", admitted, "pathcost_request_e2e_seconds_count"),
-            (
-                "queue_wait",
-                admitted,
-                "pathcost_admission_queue_wait_seconds_count",
-            ),
-            (
-                "ingest_publish_latency",
-                stats.ingest_publish_latency.count(),
-                "pathcost_ingest_publish_seconds_count",
-            ),
-            (
-                "latency_ok",
-                stats.latency_ok.count(),
-                r#"pathcost_query_outcome_seconds_count{outcome="ok"}"#,
-            ),
-            (
-                "latency_failed",
-                stats.latency_failed.count(),
-                r#"pathcost_query_outcome_seconds_count{outcome="failed"}"#,
-            ),
-            (
-                "latency_shed",
-                stats.latency_shed.count(),
-                r#"pathcost_query_outcome_seconds_count{outcome="shed"}"#,
-            ),
-        ] {
-            assert_eq!(series(name), count as f64, "{field} vs {name}");
-        }
         // The load really was mixed: the checks above compared non-zero numbers.
-        assert!(stats.errors >= 1 && stats.shed_deadline == 1 && stats.cache_hits >= 1);
-        assert!(stats.route_queries == 1);
-        assert!(stats.regime_fallback.iter().sum::<u64>() >= 1);
+        assert!(stats.cache_hits >= 1 && stats.batches >= 1 && stats.route_expansions >= 1);
     });
 }
 

@@ -498,7 +498,6 @@ impl AdmissionQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::rendered_value;
     use pathcost_core::{HybridConfig, HybridGraph};
     use pathcost_traj::{DatasetPreset, TrajectoryStore};
     use std::sync::Arc;
@@ -573,7 +572,10 @@ mod tests {
             assert!(!degraded_after, "the drained queue judges p99 afresh");
             assert!(matches!(resubmitted, Ok(Ok(_))), "the door reopened");
             assert_eq!(
-                rendered_value(queue.registry(), "pathcost_request_e2e_seconds_count"),
+                queue
+                    .registry()
+                    .value("pathcost_request_e2e_seconds_count")
+                    .unwrap(),
                 102.0,
                 "the exported family keeps all"
             );
@@ -627,7 +629,7 @@ mod tests {
                 ("pathcost_admission_queue_depth", 1.0),
                 ("pathcost_admission_degraded", 1.0),
             ] {
-                let value = rendered_value(queue.registry(), series);
+                let value = queue.registry().value(series).unwrap();
                 assert!(
                     (value - want).abs() < 1e-6,
                     "{series} = {value}, want {want}"
@@ -699,7 +701,13 @@ mod tests {
             queue.dispatch(engine);
             assert!(ticket.wait().is_ok());
             assert!(queue.is_empty());
-            assert!(rendered_value(queue.registry(), "pathcost_request_e2e_seconds_count") >= 1.0);
+            assert!(
+                queue
+                    .registry()
+                    .value("pathcost_request_e2e_seconds_count")
+                    .unwrap()
+                    >= 1.0
+            );
         });
     }
 
@@ -732,7 +740,7 @@ mod tests {
                 "pathcost_request_e2e_seconds_count",
                 "pathcost_admission_queue_wait_seconds_count",
             ] {
-                assert_eq!(rendered_value(queue.registry(), series), 8.0, "{series}");
+                assert_eq!(queue.registry().value(series).unwrap(), 8.0, "{series}");
             }
         });
     }

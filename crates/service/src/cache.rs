@@ -318,9 +318,6 @@ pub struct DistributionCache {
     /// Per-shard counters, parallel to `shards`.
     tallies: Vec<ShardTally>,
     insertions: Counter,
-    /// Targeted-invalidation evictions. Not a family of its own: `/metrics`
-    /// reports them by mechanism (`pathcost_cache_invalidation_evictions_total`).
-    invalidations: Counter,
 }
 
 impl DistributionCache {
@@ -367,7 +364,6 @@ impl DistributionCache {
                 "Distribution-cache insertions (one per estimation).",
                 &[],
             ),
-            invalidations: Counter::new(),
         }
     }
 
@@ -433,19 +429,14 @@ impl DistributionCache {
     }
 
     /// Targeted invalidation of one exact `(path, interval, regime)` entry.
-    /// Returns whether an entry existed (and was evicted). Counted under
-    /// [`Self::invalidations`], not LRU [`Self::evictions`].
+    /// Returns whether an entry existed (and was evicted). Not counted under
+    /// LRU [`Self::evictions`].
     pub fn remove(&self, path: &Path, interval: IntervalId, regime: RegimeId) -> bool {
         let fingerprint = key_fingerprint(path, interval, regime);
-        let removed = self
-            .shard_of(fingerprint)
+        self.shard_of(fingerprint)
             .lock()
             .expect("cache shard poisoned")
-            .remove(fingerprint, interval, regime, path);
-        if removed {
-            self.invalidations.inc();
-        }
-        removed
+            .remove(fingerprint, interval, regime, path)
     }
 
     /// Targeted invalidation by predicate: walks every shard (each under its
@@ -453,13 +444,12 @@ impl DistributionCache {
     /// the entries for which `predicate(path, interval, regime, reads)`
     /// holds — `reads` being what the entry's [`Self::insert`] recorded. The
     /// predicate is called exactly once per live entry. Returns the number
-    /// of entries evicted; counted under [`Self::invalidations`].
+    /// of entries evicted.
     pub fn invalidate_matching(
         &self,
         predicate: impl Fn(&Path, IntervalId, RegimeId, &[u64]) -> bool,
     ) -> u64 {
-        let evicted = self
-            .shards
+        self.shards
             .iter()
             .map(|shard| {
                 shard
@@ -467,21 +457,16 @@ impl DistributionCache {
                     .expect("cache shard poisoned")
                     .invalidate_matching(&predicate)
             })
-            .sum();
-        self.invalidations.add(evicted);
-        evicted
+            .sum()
     }
 
     /// Evicts every entry — the full-flush baseline the targeted invalidation
-    /// path is benchmarked against. Returns the number of entries dropped;
-    /// counted under [`Self::invalidations`].
+    /// path is benchmarked against. Returns the number of entries dropped.
     pub fn clear(&self) -> u64 {
-        let mut dropped = 0;
-        for shard in &self.shards {
-            dropped += shard.lock().expect("cache shard poisoned").clear_all();
-        }
-        self.invalidations.add(dropped);
-        dropped
+        self.shards
+            .iter()
+            .map(|shard| shard.lock().expect("cache shard poisoned").clear_all())
+            .sum()
     }
 
     /// Number of entries currently cached, across all shards.
@@ -507,22 +492,12 @@ impl DistributionCache {
         self.tallies.iter().map(|t| t.misses.get()).sum()
     }
 
-    /// Lifetime insertion counter.
-    pub fn insertions(&self) -> u64 {
-        self.insertions.get()
-    }
-
     /// Lifetime capacity-pressure (LRU) eviction counter (the sum over
-    /// shards). Targeted invalidations are counted under
-    /// [`Self::invalidations`] instead.
+    /// shards). Targeted invalidations ([`Self::remove`] /
+    /// [`Self::invalidate_matching`] / [`Self::clear`]) return their counts
+    /// instead.
     pub fn evictions(&self) -> u64 {
         self.tallies.iter().map(|t| t.evictions.get()).sum()
-    }
-
-    /// Lifetime targeted-invalidation eviction counter
-    /// ([`Self::remove`] / [`Self::invalidate_matching`] / [`Self::clear`]).
-    pub fn invalidations(&self) -> u64 {
-        self.invalidations.get()
     }
 }
 
@@ -673,7 +648,6 @@ mod tests {
         assert!(cache.remove(&a, IntervalId(0), G));
         assert!(!cache.remove(&a, IntervalId(0), G), "already gone");
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.invalidations(), 1);
         assert_eq!(cache.evictions(), 0, "targeted removals are not LRU");
         assert!(cache.get(&a, IntervalId(0), G).is_none());
         assert!(cache.get(&a, IntervalId(1), G).is_some());
@@ -707,7 +681,6 @@ mod tests {
         }
         assert_eq!(cache.clear(), 8);
         assert!(cache.is_empty());
-        assert_eq!(cache.invalidations(), 12);
     }
 
     #[test]

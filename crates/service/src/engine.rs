@@ -252,18 +252,27 @@ impl<'n> QueryEngine<'n> {
         &self.registry
     }
 
-    /// Point-in-time typed view of the same instruments.
+    /// The counters the acceptance benchmark reads, copied off the same
+    /// instruments; every other number is read from [`Self::registry`].
     pub fn stats(&self) -> ServiceStats {
-        self.recorder.snapshot(
-            self.cache.hits(),
-            self.cache.misses(),
-            self.cache.insertions(),
-            self.cache.evictions(),
-        )
+        let r = &self.recorder;
+        ServiceStats {
+            batches: r.batches.get(),
+            batch_requests: r.batch_requests.get(),
+            batch_jobs_deduplicated: 0,
+            cache_hits: self.cache.hits(),
+            cache_misses: self.cache.misses(),
+            cache_evictions: self.cache.evictions(),
+            estimations: r.estimations.get(),
+            route_expansions: r.route_expansions.get(),
+            route_candidates_evaluated: r.route_candidates_evaluated.get(),
+            route_incumbent_prunes: r.route_incumbent_prunes.get(),
+            route_eval_cache_hits: r.route_eval_cache_hits.get(),
+        }
     }
 
     /// Counts one request refused at the admission door because the service
-    /// was degraded ([`ServiceStats::rejected_degraded`]); called by the
+    /// was degraded (`pathcost_admission_rejected_degraded_total`); called by the
     /// front-end that owns both the admission queue and the engine.
     pub fn record_rejected_degraded(&self) {
         self.recorder.rejected_degraded.inc();

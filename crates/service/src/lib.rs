@@ -51,9 +51,12 @@
 //!   documented in `ROBUSTNESS.md` at the repository root.
 //! * **Observability** — every response carries per-query [`QueryStats`]
 //!   (cache hits/misses, deepest decomposition, latency) and the engine
-//!   aggregates a [`ServiceStats`] snapshot (per-kind query counts, cache
-//!   hit rate, mean decomposition depth, batch sizes, route search
-//!   telemetry, ingest publish latency). A [`RequestContext`] can carry a
+//!   registers every aggregate (per-kind query counts, cache hits and
+//!   misses, decomposition depth, batch sizes, route search telemetry,
+//!   ingest publish latency) as a family in [`QueryEngine::registry`] —
+//!   read one by name with `Registry::value`, as `GET /metrics` renders
+//!   it. [`ServiceStats`] copies the few counters the acceptance benchmark
+//!   reads. A [`RequestContext`] can carry a
 //!   `pathcost-obs` trace: the admission queue and the evaluation loop then
 //!   file per-stage spans (queue wait, dispatch, eval) that the HTTP
 //!   front-end exposes at `GET /debug/traces` — see
@@ -102,7 +105,8 @@
 //!     outcome.response.probability(),
 //!     outcome.stats.cache_hits
 //! );
-//! println!("{:#?}", engine.stats());
+//! let served = engine.registry().value(r#"pathcost_queries_total{kind="probability"}"#);
+//! println!("probability queries served: {served:?}");
 //! ```
 //!
 //! See `examples/serve_queries.rs` for a mixed workload over all four query
@@ -125,5 +129,5 @@ pub use engine::{QueryEngine, ServiceConfig};
 pub use error::ServiceError;
 pub use pathcost_core::RegimeId;
 pub use request::{QueryOutcome, QueryRequest, QueryResponse, QueryStats, RankedPath};
-pub use stats::{QueryKind, ServiceStats, FALLBACK_DEPTH_BUCKETS};
+pub use stats::ServiceStats;
 pub use update::UpdateReport;

@@ -1,27 +1,26 @@
-//! The engine's metrics: registry-backed instruments and the typed view
-//! over them.
+//! The engine's metrics: registry-backed instruments.
 //!
 //! `StatsRecorder` registers every engine-level instrument — with the
 //! family name and help text `GET /metrics` shows — in the engine's
 //! [`Registry`] at construction and keeps the lock-free handles the query
-//! path bumps. [`ServiceStats`] is the typed point-in-time *view*
-//! [`QueryEngine::stats`](crate::QueryEngine::stats) fills by reading those
-//! same handles (relaxed loads — totals can be off by in-flight queries, the
-//! usual contract for serving metrics) for in-process readers; over HTTP the
-//! numbers exist only as `GET /metrics` renders them.
+//! path bumps. A reader looks a number up by family name in that registry
+//! (`Registry::value`), as the page renders it. [`ServiceStats`] copies
+//! the eleven counters the acceptance benchmark reads (relaxed loads —
+//! totals can be off by in-flight queries, the usual contract for serving
+//! metrics).
 
-use pathcost_obs::{Counter, Histogram, HistogramSnapshot, Registry};
+use pathcost_obs::{Counter, Histogram, Registry};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::time::Duration;
 
-/// Number of fixed regime-fallback depth buckets in [`ServiceStats`]:
+/// Number of fixed `pathcost_regime_fallback_total` depth buckets:
 /// bucket `d` counts distributions served whose deepest variable resolved
 /// `d` rungs down the requested regime's fallback ladder (bucket 0 = fully
 /// answered from the regime's own table). The last bucket absorbs deeper
 /// ladders. Only non-global lookups are counted — the global regime never
 /// falls back.
-pub const FALLBACK_DEPTH_BUCKETS: usize = 5;
+pub(crate) const FALLBACK_DEPTH_BUCKETS: usize = 5;
 
 /// Upper bounds, in seconds, of every serving-latency histogram: the 31
 /// power-of-two microsecond edges `2^(i+1) µs` (2 µs … ~36 minutes); the
@@ -32,7 +31,7 @@ pub(crate) fn latency_bounds() -> Vec<f64> {
 
 /// Which kind of request a counter bucket refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueryKind {
+pub(crate) enum QueryKind {
     /// `EstimateDistribution`.
     Estimate,
     /// `ProbWithinBudget`.
@@ -54,8 +53,8 @@ impl QueryKind {
 pub(crate) struct StatsRecorder {
     shed_deadline: Counter,
     pub rejected_degraded: Counter,
-    batches: Counter,
-    batch_requests: Counter,
+    pub batches: Counter,
+    pub batch_requests: Counter,
     queries: [Counter; 4],
     errors: Counter,
     latency: Histogram,
@@ -66,7 +65,7 @@ pub(crate) struct StatsRecorder {
     pub cancelled: Counter,
     pub degraded_answers: Counter,
     pub panicked_queries: Counter,
-    estimations: Counter,
+    pub estimations: Counter,
     decomposition_depth_sum: Counter,
     pub route_expansions: Counter,
     pub route_candidates_evaluated: Counter,
@@ -310,239 +309,41 @@ impl StatsRecorder {
         });
         if hit { hits } else { misses }.inc();
     }
-
-    /// Reads every handle into the typed view; cache hit/miss/insertion/
-    /// eviction totals are owned by the
-    /// [`DistributionCache`](crate::cache::DistributionCache) and passed in.
-    pub fn snapshot(
-        &self,
-        cache_hits: u64,
-        cache_misses: u64,
-        cache_insertions: u64,
-        cache_evictions: u64,
-    ) -> ServiceStats {
-        let [estimate_queries, probability_queries, rank_queries, route_queries] =
-            self.queries.each_ref().map(Counter::get);
-        ServiceStats {
-            estimate_queries,
-            probability_queries,
-            rank_queries,
-            route_queries,
-            errors: self.errors.get(),
-            cache_hits,
-            cache_misses,
-            estimations: self.estimations.get(),
-            decomposition_depth_sum: self.decomposition_depth_sum.get(),
-            latency: self.latency.snapshot(),
-            latency_ok: self.latency_ok.snapshot(),
-            latency_failed: self.latency_failed.snapshot(),
-            latency_shed: self.latency_shed.snapshot(),
-            shed_deadline: self.shed_deadline.get(),
-            deadline_exceeded: self.deadline_exceeded.get(),
-            cancelled: self.cancelled.get(),
-            degraded_answers: self.degraded_answers.get(),
-            panicked_queries: self.panicked_queries.get(),
-            batches: self.batches.get(),
-            batch_requests: self.batch_requests.get(),
-            batch_jobs_deduplicated: 0,
-            route_candidates_evaluated: self.route_candidates_evaluated.get(),
-            route_eval_cache_hits: self.route_eval_cache_hits.get(),
-            route_incumbent_prunes: self.route_incumbent_prunes.get(),
-            route_expansions: self.route_expansions.get(),
-            free_flow_hits: self.free_flow_hits.get(),
-            free_flow_misses: self.free_flow_misses.get(),
-            cache_insertions,
-            cache_evictions,
-            ingest_updates: self.ingest_updates.get(),
-            ingest_publish_latency: self.ingest_publish_latency.snapshot(),
-            ingest_trajectories: self.ingest_trajectories.get(),
-            ingest_trajectories_retired: self.ingest_trajectories_retired.get(),
-            ingest_variables_updated: self.ingest_variables_updated.get(),
-            ingest_variables_added: self.ingest_variables_added.get(),
-            ingest_variables_removed: self.ingest_variables_removed.get(),
-            invalidation_tracked_evictions: self.invalidation_tracked_evictions.get(),
-            invalidation_swept_evictions: self.invalidation_swept_evictions.get(),
-            rejected_degraded: self.rejected_degraded.get(),
-            regime_fallback: self.regime_fallback.each_ref().map(Counter::get),
-        }
-    }
 }
 
-/// Point-in-time view of the engine's metrics, read off the registered
-/// instruments by [`QueryEngine::stats`](crate::QueryEngine::stats).
+/// The engine counters the acceptance benchmark reads, as of one call to
+/// [`QueryEngine::stats`](crate::QueryEngine::stats). Every other engine
+/// number is read from [`QueryEngine::registry`](crate::QueryEngine::registry)
+/// by family name (`Registry::value`), as `GET /metrics` renders it.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ServiceStats {
-    /// `EstimateDistribution` queries served (including failed ones).
-    pub estimate_queries: u64,
-    /// `ProbWithinBudget` queries served.
-    pub probability_queries: u64,
-    /// `RankPaths` queries served.
-    pub rank_queries: u64,
-    /// `Route` queries served.
-    pub route_queries: u64,
-    /// Queries that returned an error.
-    pub errors: u64,
-    /// Distribution-cache hits.
-    pub cache_hits: u64,
-    /// Distribution-cache misses.
-    pub cache_misses: u64,
-    /// Full estimations performed (cache misses that ran the estimator).
-    pub estimations: u64,
-    /// Sum of coarsest-decomposition component counts over all estimations.
-    pub decomposition_depth_sum: u64,
-    /// Fixed-bucket per-query latency distribution, in seconds — the tail
-    /// ([`HistogramSnapshot::p50`] / [`HistogramSnapshot::p99`] /
-    /// [`HistogramSnapshot::max`]) behind [`Self::mean_latency`]'s average.
-    pub latency: HistogramSnapshot,
-    /// Latency distribution of successful queries only.
-    pub latency_ok: HistogramSnapshot,
-    /// Latency distribution of failed queries (errors, deadline expiry,
-    /// cancellation, contained panics).
-    pub latency_failed: HistogramSnapshot,
-    /// Queue-wait distribution of requests shed in the admission queue
-    /// because their deadline expired before dispatch.
-    pub latency_shed: HistogramSnapshot,
-    /// Requests shed in the admission queue on an expired deadline — they
-    /// were answered 504 without ever reaching a worker.
-    pub shed_deadline: u64,
-    /// All requests answered `DeadlineExceeded` — shed in the queue or
-    /// abandoned mid-evaluation by the cooperative deadline poll.
-    pub deadline_exceeded: u64,
-    /// Requests abandoned mid-evaluation by explicit cancellation.
-    pub cancelled: u64,
-    /// Requests answered in degraded mode (route search budgets capped)
-    /// under the load-watermark policy.
-    pub degraded_answers: u64,
-    /// Queries whose evaluation panicked; each panic was contained by the
-    /// batch executor and answered as an internal error.
-    pub panicked_queries: u64,
-    /// Batches executed.
+    /// Batches executed (`pathcost_batches_total`).
     pub batches: u64,
-    /// Requests that arrived inside batches.
+    /// Requests that arrived inside batches (`pathcost_batch_requests_total`).
     pub batch_requests: u64,
     /// Always 0: a batch is one pass over its requests and folds no
     /// estimation jobs. Kept only because the benchmark reads the field.
     pub batch_jobs_deduplicated: u64,
-    /// Complete candidate paths evaluated across all `Route` searches.
-    pub route_candidates_evaluated: u64,
-    /// Distribution-cache hits scored by `Route` candidate evaluations —
-    /// how often the search frontier reused a `(path, interval)` entry from
-    /// an earlier query or route.
-    pub route_eval_cache_hits: u64,
-    /// Partial paths dropped by the best-first router's incumbent bound
-    /// across all `Route` searches.
-    pub route_incumbent_prunes: u64,
-    /// Partial paths popped and extended by the best-first router across all
-    /// `Route` searches — the search-effort knob the candidate-budget
-    /// trade-off (Fig 18) is tuned against.
-    pub route_expansions: u64,
-    /// Destination-index lookups (one per `Route` search) the engine's
-    /// free-flow cache answered from a resident entry.
-    pub free_flow_hits: u64,
-    /// Destination-index lookups that ran the search instead — a reverse
-    /// Dijkstra over the whole network.
-    pub free_flow_misses: u64,
-    /// Distribution-cache insertions (one per estimation).
-    pub cache_insertions: u64,
-    /// Distribution-cache entries dropped under capacity pressure (LRU).
+    /// Distribution-cache hits, summed over the shards of
+    /// `pathcost_cache_hits_total`.
+    pub cache_hits: u64,
+    /// Distribution-cache misses (`pathcost_cache_misses_total`, summed).
+    pub cache_misses: u64,
+    /// LRU capacity evictions (`pathcost_cache_evictions_total`, summed).
     pub cache_evictions: u64,
-    /// Live-ingest updates applied through
-    /// [`QueryEngine::apply_update`](crate::QueryEngine::apply_update).
-    pub ingest_updates: u64,
-    /// Wall time each applied update spent publishing its epoch (graph swap
-    /// plus targeted cache invalidation), as a latency distribution.
-    pub ingest_publish_latency: HistogramSnapshot,
-    /// Trajectories appended across all applied updates.
-    pub ingest_trajectories: u64,
-    /// Trajectories retired (TTL-expired or removed by id) across all
-    /// applied updates.
-    pub ingest_trajectories_retired: u64,
-    /// Weight-function variables whose histograms were re-derived (their
-    /// qualified occurrence sets changed) across all applied updates.
-    pub ingest_variables_updated: u64,
-    /// Weight-function variables newly instantiated (crossed β) across all
-    /// applied updates.
-    pub ingest_variables_added: u64,
-    /// Weight-function variables deleted because their support dropped below
-    /// β after trajectories were retired, across all applied updates.
-    pub ingest_variables_removed: u64,
-    /// Cache entries surgically evicted because their recorded reads name
-    /// an updated or removed variable.
-    pub invalidation_tracked_evictions: u64,
-    /// Cache entries evicted by sub-path containment alone, for newly added
-    /// or removed variables (which change candidate selection, not just
-    /// values).
-    pub invalidation_swept_evictions: u64,
-    /// Requests answered 429 at the admission door because the service was
-    /// already degraded when they arrived — shed *before* enqueueing, the
-    /// load-watermark policy's early-rejection half.
-    pub rejected_degraded: u64,
-    /// Non-global distribution lookups by regime-fallback depth: bucket `d`
-    /// counts distributions whose deepest variable resolved `d` rungs down
-    /// the requested regime's fallback ladder (0 = the regime's own table;
-    /// the last bucket absorbs deeper ladders). Per-regime hit/miss splits
-    /// are the `pathcost_regime_cache_{hits,misses}_total` families on
-    /// `/metrics` — they live behind a lock, outside this view.
-    pub regime_fallback: [u64; FALLBACK_DEPTH_BUCKETS],
-}
-
-impl ServiceStats {
-    /// Cache hit rate in `[0, 1]`; 0 before any lookup happened.
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-
-    /// Total cache entries evicted by live-update invalidation (dependency-
-    /// tracked plus containment-swept).
-    pub fn invalidation_evictions(&self) -> u64 {
-        self.invalidation_tracked_evictions + self.invalidation_swept_evictions
-    }
-
-    /// Fraction of inserted entries that were later evicted — capacity (LRU)
-    /// and targeted invalidation combined — in `[0, 1]`; 0 before any
-    /// insertion.
-    pub fn eviction_rate(&self) -> f64 {
-        if self.cache_insertions == 0 {
-            0.0
-        } else {
-            (self.cache_evictions + self.invalidation_evictions()) as f64
-                / self.cache_insertions as f64
-        }
-    }
-
-    /// Mean components per coarsest decomposition; 0 before any estimation.
-    pub fn mean_decomposition_depth(&self) -> f64 {
-        if self.estimations == 0 {
-            0.0
-        } else {
-            self.decomposition_depth_sum as f64 / self.estimations as f64
-        }
-    }
-
-    /// Mean per-query latency; zero before any query.
-    pub fn mean_latency(&self) -> Duration {
-        match self.latency.count() {
-            0 => Duration::ZERO,
-            n => Duration::from_secs_f64(self.latency.sum / n as f64),
-        }
-    }
-}
-
-/// Renders `registry`, checks the page is a valid exposition and returns the
-/// value of the series with exactly this name-plus-labels.
-#[cfg(test)]
-pub(crate) fn rendered_value(registry: &Registry, series: &str) -> f64 {
-    let mut page = pathcost_obs::ExpositionWriter::new();
-    registry.render_into(&mut page);
-    let page = page.finish();
-    pathcost_obs::expo::validate(&page).expect("registry renders a valid page");
-    pathcost_obs::expo::series_value(&page, series)
-        .unwrap_or_else(|| panic!("{series} missing:\n{page}"))
+    /// Full estimator runs (`pathcost_estimations_total`).
+    pub estimations: u64,
+    /// Partial paths the router expanded (`pathcost_route_expansions_total`).
+    pub route_expansions: u64,
+    /// Complete candidate paths the router evaluated
+    /// (`pathcost_route_candidates_total`).
+    pub route_candidates_evaluated: u64,
+    /// Partial paths dropped by the incumbent bound
+    /// (`pathcost_route_prunes_total`).
+    pub route_incumbent_prunes: u64,
+    /// Cache hits scored by route candidate evaluations
+    /// (`pathcost_route_cache_hits_total`).
+    pub route_eval_cache_hits: u64,
 }
 
 #[cfg(test)]
@@ -551,7 +352,7 @@ mod tests {
     use pathcost_core::RegimeId;
 
     #[test]
-    fn snapshot_reflects_recorded_events() {
+    fn recorded_events_render_under_their_families() {
         let registry = Registry::new();
         let rec = StatsRecorder::new(&registry);
         rec.record_query(QueryKind::Estimate, Duration::from_micros(100), true);
@@ -582,55 +383,65 @@ mod tests {
         rec.record_regime_lookup(&registry, RegimeId(1), true, 0);
         rec.record_regime_lookup(&registry, RegimeId(1), false, 2);
         rec.record_regime_lookup(&registry, RegimeId(2), false, 99); // clamped into the last bucket
-        let s = rec.snapshot(3, 1, 20, 5);
-        assert_eq!(s.estimate_queries, 1);
-        assert_eq!(s.route_queries, 1);
-        assert_eq!(s.errors, 1);
-        assert!((s.cache_hit_rate() - 0.75).abs() < 1e-12);
-        assert!((s.mean_decomposition_depth() - 3.0).abs() < 1e-12);
-        assert_eq!(s.mean_latency(), Duration::from_micros(200));
-        assert_eq!(s.batches, 1);
-        assert_eq!(s.batch_requests, 10);
-        assert_eq!(s.batch_jobs_deduplicated, 0);
-        assert_eq!(s.route_candidates_evaluated, 5);
-        assert_eq!(s.route_eval_cache_hits, 2);
-        assert_eq!(s.route_incumbent_prunes, 9);
-        assert_eq!(s.route_expansions, 13);
-        assert_eq!(s.ingest_updates, 1);
-        assert_eq!(s.ingest_publish_latency.count(), 1);
-        assert_eq!(s.ingest_trajectories, 25);
-        assert_eq!(s.ingest_trajectories_retired, 7);
-        assert_eq!(s.ingest_variables_updated, 4);
-        assert_eq!(s.ingest_variables_added, 2);
-        assert_eq!(s.ingest_variables_removed, 1);
-        assert_eq!(s.invalidation_tracked_evictions, 11);
-        assert_eq!(s.invalidation_swept_evictions, 3);
-        assert_eq!(s.invalidation_evictions(), 14);
-        assert_eq!(s.cache_insertions, 20);
-        assert_eq!(s.cache_evictions, 5);
-        // (5 LRU + 14 invalidated) / 20 insertions
-        assert!((s.eviction_rate() - 0.95).abs() < 1e-12);
-        // Outcome accounting: one ok + one failed query, one shed request,
-        // and the shed also counts toward deadline_exceeded.
-        assert_eq!(s.latency.count(), 2);
-        assert_eq!(s.latency_ok.count(), 1);
-        assert_eq!(s.latency_failed.count(), 1);
-        assert_eq!(s.latency_shed.count(), 1);
-        assert_eq!(s.shed_deadline, 1);
-        assert_eq!(s.deadline_exceeded, 2);
-        assert_eq!(s.cancelled, 1);
-        assert_eq!(s.degraded_answers, 1);
-        assert_eq!(s.panicked_queries, 1);
-        assert_eq!(s.rejected_degraded, 1);
-        assert_eq!(s.regime_fallback, [1, 0, 1, 0, 1]);
-        // Per-regime splits exist only on the rendered page.
+        let mut page = pathcost_obs::ExpositionWriter::new();
+        registry.render_into(&mut page);
+        pathcost_obs::expo::validate(&page.finish()).expect("registry renders a valid page");
         for (series, want) in [
+            (r#"pathcost_queries_total{kind="estimate"}"#, 1.0),
+            (r#"pathcost_queries_total{kind="probability"}"#, 0.0),
+            (r#"pathcost_queries_total{kind="route"}"#, 1.0),
+            ("pathcost_query_errors_total", 1.0),
+            ("pathcost_estimations_total", 2.0),
+            ("pathcost_decomposition_components_total", 6.0),
+            ("pathcost_batches_total", 1.0),
+            ("pathcost_batch_requests_total", 10.0),
+            ("pathcost_route_candidates_total", 5.0),
+            ("pathcost_route_cache_hits_total", 2.0),
+            ("pathcost_route_prunes_total", 9.0),
+            ("pathcost_route_expansions_total", 13.0),
+            ("pathcost_ingest_updates_total", 1.0),
+            ("pathcost_ingest_publish_seconds_count", 1.0),
+            ("pathcost_ingest_trajectories_total", 25.0),
+            ("pathcost_ingest_trajectories_retired_total", 7.0),
+            (r#"pathcost_ingest_variables_total{op="updated"}"#, 4.0),
+            (r#"pathcost_ingest_variables_total{op="added"}"#, 2.0),
+            (r#"pathcost_ingest_variables_total{op="removed"}"#, 1.0),
+            (
+                r#"pathcost_cache_invalidation_evictions_total{mode="tracked"}"#,
+                11.0,
+            ),
+            (
+                r#"pathcost_cache_invalidation_evictions_total{mode="swept"}"#,
+                3.0,
+            ),
+            // Outcome accounting: one ok + one failed query, one shed
+            // request, and the shed also counts toward deadline_exceeded.
+            ("pathcost_query_seconds_count", 2.0),
+            (r#"pathcost_query_outcome_seconds_count{outcome="ok"}"#, 1.0),
+            (
+                r#"pathcost_query_outcome_seconds_count{outcome="failed"}"#,
+                1.0,
+            ),
+            (
+                r#"pathcost_query_outcome_seconds_count{outcome="shed"}"#,
+                1.0,
+            ),
+            ("pathcost_admission_shed_total", 1.0),
+            ("pathcost_deadline_exceeded_total", 2.0),
+            ("pathcost_cancelled_total", 1.0),
+            ("pathcost_degraded_answers_total", 1.0),
+            ("pathcost_panicked_queries_total", 1.0),
+            ("pathcost_admission_rejected_degraded_total", 1.0),
+            (r#"pathcost_regime_fallback_total{depth="0"}"#, 1.0),
+            (r#"pathcost_regime_fallback_total{depth="1"}"#, 0.0),
+            (r#"pathcost_regime_fallback_total{depth="2"}"#, 1.0),
+            (r#"pathcost_regime_fallback_total{depth="4+"}"#, 1.0),
             (r#"pathcost_regime_cache_hits_total{regime="1"}"#, 1.0),
             (r#"pathcost_regime_cache_misses_total{regime="1"}"#, 1.0),
             (r#"pathcost_regime_cache_hits_total{regime="2"}"#, 0.0),
             (r#"pathcost_regime_cache_misses_total{regime="2"}"#, 1.0),
         ] {
-            assert_eq!(rendered_value(&registry, series), want, "{series}");
+            assert_eq!(registry.value(series), Some(want), "{series}");
         }
     }
 
@@ -664,24 +475,11 @@ mod tests {
             ),
             ("pathcost_ingest_publish_seconds_sum", 33_009.0),
         ] {
-            let value = rendered_value(&registry, series);
+            let value = registry.value(series).expect(series);
             assert!(
                 (value * 1e6 - micros).abs() < 1.0,
                 "{series} = {value} s, want {micros} µs"
             );
         }
-    }
-
-    #[test]
-    fn empty_snapshot_divides_safely() {
-        let s = StatsRecorder::new(&Registry::new()).snapshot(0, 0, 0, 0);
-        assert_eq!(s.cache_hit_rate(), 0.0);
-        assert_eq!(s.mean_decomposition_depth(), 0.0);
-        assert_eq!(s.mean_latency(), Duration::ZERO);
-        assert_eq!(s.latency.p50(), 0.0);
-        assert_eq!(s.latency.p99(), 0.0);
-        assert_eq!(s.latency.max, 0.0);
-        assert_eq!(s.eviction_rate(), 0.0);
-        assert_eq!(s.invalidation_evictions(), 0);
     }
 }

@@ -105,8 +105,8 @@ fn invalidate(
 }
 
 /// What one applied update did to the engine — the per-update view of the
-/// cumulative `ingest_*` / `invalidation_*` counters in
-/// [`ServiceStats`](crate::ServiceStats).
+/// cumulative `pathcost_ingest_*` / `pathcost_cache_invalidation_*`
+/// families in [`QueryEngine::registry`](crate::QueryEngine::registry).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UpdateReport {
     /// The epoch now published.

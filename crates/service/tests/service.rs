@@ -11,6 +11,28 @@ use pathcost_service::{
 use pathcost_traj::{DatasetPreset, Timestamp, TrajectoryStore};
 use std::sync::Arc;
 
+/// One engine series as `GET /metrics` renders it, read by family name.
+fn metric(engine: &QueryEngine<'_>, series: &str) -> u64 {
+    engine
+        .registry()
+        .value(series)
+        .unwrap_or_else(|| panic!("{series} is not registered")) as u64
+}
+
+/// `(hits, misses)` of the engine's free-flow destination cache.
+fn free_flow(engine: &QueryEngine<'_>) -> (u64, u64) {
+    (
+        metric(
+            engine,
+            r#"pathcost_free_flow_cache_hits_total{map="destination"}"#,
+        ),
+        metric(
+            engine,
+            r#"pathcost_free_flow_cache_misses_total{map="destination"}"#,
+        ),
+    )
+}
+
 struct Fixture {
     net: RoadNetwork,
     store: TrajectoryStore,
@@ -104,11 +126,13 @@ fn cache_semantics_across_departure_intervals() {
     assert_eq!(first.response.distribution().unwrap(), &direct);
 
     let stats = engine.stats();
-    assert_eq!(stats.estimate_queries, 3);
+    assert_eq!(
+        metric(&engine, r#"pathcost_queries_total{kind="estimate"}"#),
+        3
+    );
     assert_eq!(stats.cache_hits, 1);
     assert_eq!(stats.cache_misses, 2);
-    assert!(stats.cache_hit_rate() > 0.0);
-    assert!(stats.mean_decomposition_depth() >= 1.0);
+    assert!(metric(&engine, "pathcost_decomposition_components_total") >= stats.estimations);
 }
 
 #[test]
@@ -547,7 +571,10 @@ fn route_counters_track_search_and_cache_reuse() {
         stats.route_eval_cache_hits > 0,
         "repeated Route requests must reuse (path, interval) entries"
     );
-    assert_eq!(stats.route_queries, 2);
+    assert_eq!(
+        metric(&engine, r#"pathcost_queries_total{kind="route"}"#),
+        2
+    );
 }
 
 /// A `Route` request under the global regime with a generous budget.
@@ -570,18 +597,15 @@ fn second_identical_route_hits_the_free_flow_cache_for_bounds() {
     let batch = [route(0, 18, 1)];
 
     let first = engine.execute_batch(&batch).remove(0).unwrap();
-    let stats = engine.stats();
-    assert_eq!((stats.free_flow_hits, stats.free_flow_misses), (0, 1));
+    assert_eq!(free_flow(&engine), (0, 1));
 
     let second = engine.execute_batch(&batch).remove(0).unwrap();
-    let stats = engine.stats();
-    assert_eq!((stats.free_flow_hits, stats.free_flow_misses), (1, 1));
+    assert_eq!(free_flow(&engine), (1, 1));
     assert_bit_identical(0, &first.response, &second.response);
 
     // A point `execute` makes the same single lookup as a batched one.
     engine.execute(&batch[0]).unwrap();
-    let stats = engine.stats();
-    assert_eq!((stats.free_flow_hits, stats.free_flow_misses), (2, 1));
+    assert_eq!(free_flow(&engine), (2, 1));
 }
 
 #[test]
@@ -623,12 +647,11 @@ fn route_batches_equal_sequential_execution_with_the_free_flow_cache_at_capacity
         .iter()
         .map(|r| sequential_engine.execute(r).unwrap())
         .collect();
-    let stats = sequential_engine.stats();
     assert_eq!(
-        stats.free_flow_hits, 0,
+        free_flow(&sequential_engine),
+        (0, 7),
         "every search found its bounds evicted"
     );
-    assert_eq!(stats.free_flow_misses, 7);
 
     for workers in [1, 4] {
         let batch_engine = engine(Some(workers));
@@ -681,9 +704,8 @@ fn invalid_routes_are_answered_their_own_error_without_any_search() {
     }
     // Rejected before any free-flow search: not one lookup, let alone a
     // whole-graph Dijkstra towards a vertex that does not exist.
-    let stats = engine.stats();
-    assert_eq!((stats.free_flow_hits, stats.free_flow_misses), (0, 0));
-    assert_eq!(stats.errors, 16);
+    assert_eq!(free_flow(&engine), (0, 0));
+    assert_eq!(metric(&engine, "pathcost_query_errors_total"), 16);
 }
 
 #[test]
@@ -719,8 +741,7 @@ fn invalid_requests_are_rejected_without_panicking() {
             regime: pathcost_service::RegimeId::ALL_TRAFFIC,
         })
         .is_err());
-    let stats = engine.stats();
-    assert_eq!(stats.errors, 3);
+    assert_eq!(metric(&engine, "pathcost_query_errors_total"), 3);
 }
 
 #[test]
@@ -828,12 +849,21 @@ fn apply_update_evicts_a_strict_subset_and_serves_rebuild_identical_answers() {
         report.cache_entries_after,
         warmed - report.evicted_total() as usize
     );
-    let stats = engine.stats();
-    assert_eq!(stats.ingest_updates, 1);
-    assert_eq!(stats.invalidation_evictions(), report.evicted_total());
+    assert_eq!(metric(&engine, "pathcost_ingest_updates_total"), 1);
     assert_eq!(
-        stats.ingest_variables_updated as usize + stats.ingest_variables_added as usize,
-        report.variables_updated + report.variables_added
+        metric(
+            &engine,
+            r#"pathcost_cache_invalidation_evictions_total{mode="tracked"}"#
+        ) + metric(
+            &engine,
+            r#"pathcost_cache_invalidation_evictions_total{mode="swept"}"#
+        ),
+        report.evicted_total()
+    );
+    assert_eq!(
+        metric(&engine, r#"pathcost_ingest_variables_total{op="updated"}"#)
+            + metric(&engine, r#"pathcost_ingest_variables_total{op="added"}"#),
+        (report.variables_updated + report.variables_added) as u64
     );
 
     // Correctness oracle: every post-update answer — from a surviving entry
@@ -932,19 +962,23 @@ fn expired_deadlines_are_shed_before_dispatch() {
         Err(ServiceError::DeadlineExceeded)
     ));
     assert!(healthy_ticket.wait().is_ok());
-    let stats = engine.stats();
-    assert_eq!(stats.shed_deadline, 1, "{stats:?}");
-    assert!(stats.deadline_exceeded >= 1);
-    assert_eq!(stats.latency_shed.count(), 1);
+    assert_eq!(metric(&engine, "pathcost_admission_shed_total"), 1);
+    assert!(metric(&engine, "pathcost_deadline_exceeded_total") >= 1);
     assert_eq!(
-        stats.estimate_queries, 1,
+        metric(
+            &engine,
+            r#"pathcost_query_outcome_seconds_count{outcome="shed"}"#
+        ),
+        1
+    );
+    assert_eq!(
+        metric(&engine, r#"pathcost_queries_total{kind="estimate"}"#),
+        1,
         "the shed request must never reach the engine"
     );
     // Both tickets count in the end-to-end histogram (clients waited on both).
-    let mut page = pathcost_obs::ExpositionWriter::new();
-    queue.registry().render_into(&mut page);
     assert_eq!(
-        pathcost_obs::expo::series_value(&page.finish(), "pathcost_request_e2e_seconds_count"),
+        queue.registry().value("pathcost_request_e2e_seconds_count"),
         Some(2.0)
     );
 }
@@ -973,9 +1007,8 @@ fn cancelled_requests_stop_before_and_during_evaluation() {
         engine.execute_under(&route, &ctx, false),
         Err(ServiceError::Cancelled)
     ));
-    let stats = engine.stats();
-    assert_eq!(stats.cancelled, 1);
-    assert_eq!(stats.estimations, 0, "no candidate was estimated");
+    assert_eq!(metric(&engine, "pathcost_cancelled_total"), 1);
+    assert_eq!(engine.stats().estimations, 0, "no candidate was estimated");
 
     // Mid-route: cancel concurrently with a cold-cache search. The router
     // polls the token once per expansion, so whichever poll observes the
@@ -1025,9 +1058,15 @@ fn abandoned_batch_is_never_evaluated() {
     for result in &results {
         assert!(matches!(result, Err(ServiceError::Cancelled)), "{result:?}");
     }
-    let stats = engine.stats();
-    assert_eq!(stats.cancelled, requests.len() as u64);
-    assert_eq!(stats.estimations, 0, "abandoned work must not be estimated");
+    assert_eq!(
+        metric(&engine, "pathcost_cancelled_total"),
+        requests.len() as u64
+    );
+    assert_eq!(
+        engine.stats().estimations,
+        0,
+        "abandoned work must not be estimated"
+    );
     assert!(engine.cache().is_empty());
 }
 
@@ -1054,8 +1093,7 @@ fn degraded_mode_answers_are_flagged_and_counted() {
         .execute_under(&route, &RequestContext::unbounded(), true)
         .unwrap();
     assert!(degraded.stats.degraded, "degraded answers must say so");
-    let stats = engine.stats();
-    assert_eq!(stats.degraded_answers, 1);
+    assert_eq!(metric(&engine, "pathcost_degraded_answers_total"), 1);
     // The degradation policy caps the search budget; it must not cost more
     // work than the normal answer (the tiny grid stays feasible either way).
     assert!(degraded.response.route().is_some());

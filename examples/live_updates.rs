@@ -162,6 +162,16 @@ fn main() {
     });
 
     let stats = engine.stats();
+    let (tracked, swept) = (
+        metric(
+            &engine,
+            r#"pathcost_cache_invalidation_evictions_total{mode="tracked"}"#,
+        ),
+        metric(
+            &engine,
+            r#"pathcost_cache_invalidation_evictions_total{mode="swept"}"#,
+        ),
+    );
     println!(
         "\nserved {} queries in {:.2?} while ingesting (epoch now {})",
         served.load(Ordering::Relaxed),
@@ -169,44 +179,47 @@ fn main() {
         engine.epoch()
     );
     println!(
-        "  cache: hit rate {:.1}%, eviction rate {:.1}%, {} entries live",
-        stats.cache_hit_rate() * 100.0,
-        stats.eviction_rate() * 100.0,
+        "  cache: hit rate {:.1}%, {} LRU evictions, {} entries live",
+        stats.cache_hits as f64 / (stats.cache_hits + stats.cache_misses).max(1) as f64 * 100.0,
+        stats.cache_evictions,
         engine.cache().len()
     );
     println!(
         "  ingest: {} updates, {} trajectories in, {} retired, {} variables updated, {} added, {} removed",
-        stats.ingest_updates,
-        stats.ingest_trajectories,
-        stats.ingest_trajectories_retired,
-        stats.ingest_variables_updated,
-        stats.ingest_variables_added,
-        stats.ingest_variables_removed
+        metric(&engine, "pathcost_ingest_updates_total"),
+        metric(&engine, "pathcost_ingest_trajectories_total"),
+        metric(&engine, "pathcost_ingest_trajectories_retired_total"),
+        metric(&engine, r#"pathcost_ingest_variables_total{op="updated"}"#),
+        metric(&engine, r#"pathcost_ingest_variables_total{op="added"}"#),
+        metric(&engine, r#"pathcost_ingest_variables_total{op="removed"}"#)
     );
     println!(
-        "  invalidation: {} tracked evictions, {} containment-swept ({} total)",
-        stats.invalidation_tracked_evictions,
-        stats.invalidation_swept_evictions,
-        stats.invalidation_evictions()
+        "  invalidation: {tracked} tracked evictions, {swept} containment-swept ({} total)",
+        tracked + swept
     );
 
     assert_eq!(
-        stats.ingest_updates, 4,
+        metric(&engine, "pathcost_ingest_updates_total"),
+        4,
         "three ingest batches plus one retirement were applied"
     );
     assert!(
-        stats.ingest_trajectories_retired > 0,
+        metric(&engine, "pathcost_ingest_trajectories_retired_total") > 0,
         "the TTL epoch retired data"
     );
     assert!(
-        stats.invalidation_evictions() > 0,
+        tracked + swept > 0,
         "updates touching served variables must evict their entries"
     );
     assert!(
-        stats.invalidation_tracked_evictions > 0,
+        tracked > 0,
         "the served entries read variables the ingest re-derived"
     );
-    assert!(stats.errors == 0, "no query may fail across epochs");
+    assert_eq!(
+        metric(&engine, "pathcost_query_errors_total"),
+        0,
+        "no query may fail across epochs"
+    );
     println!(
         "\n✓ served continuously across {} live epochs (ingest + TTL retirement) with targeted invalidation",
         engine.epoch()
@@ -291,4 +304,12 @@ fn main() {
         requests.len(),
         engine.epoch()
     );
+}
+
+/// One engine series as `GET /metrics` renders it, read by family name.
+fn metric(engine: &QueryEngine<'_>, series: &str) -> u64 {
+    engine
+        .registry()
+        .value(series)
+        .unwrap_or_else(|| panic!("{series} is registered at construction")) as u64
 }

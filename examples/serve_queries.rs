@@ -5,7 +5,8 @@
 //! executor: full distribution estimates (with deliberate repetition, the way
 //! commuter traffic repeats popular paths), arrival-probability point
 //! queries, a candidate ranking, and stochastic routing. Prints per-query
-//! outcomes and the engine's service-level stats, and checks the acceptance
+//! outcomes and the engine's service-level metrics (read from its registry
+//! by family name, as `GET /metrics` renders them), and checks the acceptance
 //! property that repeated paths produce a non-zero cache hit rate.
 //!
 //! Run with: `cargo run --release --example serve_queries`
@@ -152,27 +153,34 @@ fn main() {
     }
 
     let stats = engine.stats();
+    let metric = |series: &str| {
+        engine
+            .registry()
+            .value(series)
+            .unwrap_or_else(|| panic!("{series} is registered at construction"))
+    };
+    let queries = |kind: &str| metric(&format!("pathcost_queries_total{{kind=\"{kind}\"}}"));
     println!("\nservice stats after the batch ({batch_elapsed:.2?} total):");
     println!(
         "  queries: {} estimate / {} probability / {} rank / {} route ({} errors)",
-        stats.estimate_queries,
-        stats.probability_queries,
-        stats.rank_queries,
-        stats.route_queries,
-        stats.errors
+        queries("estimate"),
+        queries("probability"),
+        queries("rank"),
+        queries("route"),
+        metric("pathcost_query_errors_total")
     );
     println!(
-        "  cache: {} hits / {} misses (hit rate {:.1}%), {} entries, eviction rate {:.1}%",
+        "  cache: {} hits / {} misses (hit rate {:.1}%), {} entries, {} LRU evictions",
         stats.cache_hits,
         stats.cache_misses,
-        stats.cache_hit_rate() * 100.0,
+        stats.cache_hits as f64 / (stats.cache_hits + stats.cache_misses).max(1) as f64 * 100.0,
         engine.cache().len(),
-        stats.eviction_rate() * 100.0
+        stats.cache_evictions
     );
     println!(
         "  estimations: {} (mean decomposition depth {:.2})",
         stats.estimations,
-        stats.mean_decomposition_depth()
+        metric("pathcost_decomposition_components_total") / stats.estimations.max(1) as f64
     );
     println!(
         "  batch: {} requests in {} batch(es)",
@@ -182,7 +190,12 @@ fn main() {
         "  routing: {} candidates evaluated ({} answered by the cache), {} incumbent prunes",
         stats.route_candidates_evaluated, stats.route_eval_cache_hits, stats.route_incumbent_prunes
     );
-    println!("  mean latency: {:.2?}", stats.mean_latency());
+    println!(
+        "  mean latency: {:.2?}",
+        std::time::Duration::from_secs_f64(
+            metric("pathcost_query_seconds_sum") / metric("pathcost_query_seconds_count").max(1.0)
+        )
+    );
 
     assert!(
         stats.cache_hits > 0,

@@ -285,10 +285,13 @@ fn chaos_serving_survives_hostile_clients_panics_and_io_faults() {
             assert!(results[1].get("error").is_some(), "{body}");
             assert!(results[2].get("distribution").is_some(), "{body}");
             // The exposition stays valid after abuse and contained panics,
-            // and agrees with the engine's typed view on the panic count.
+            // and agrees with the engine's own registry on the panic count.
             let panicked = metric(addr, "pathcost_panicked_queries_total");
             assert!(panicked >= 4.0, "panics must be visible on /metrics");
-            assert_eq!(panicked, engine.stats().panicked_queries as f64);
+            assert_eq!(
+                Some(panicked),
+                engine.registry().value("pathcost_panicked_queries_total")
+            );
 
             // Phase 3 — tight-deadline flood: already-expired deadlines are
             // shed before evaluation and answered 504.
