@@ -5,7 +5,7 @@
 //! inbound `x-trace-id` header, minting an id otherwise) and carried through
 //! the stack on `RequestContext`. Each layer records the wall time it spent
 //! in its stage with [`record`](ActiveTrace::record) — an atomic add, safe
-//! from whichever thread (dispatcher, pool worker) happens to execute the
+//! from whichever thread (dispatch lane, pool worker) happens to execute the
 //! stage. When the response is written the server [`finish`](ActiveTrace::finish)es
 //! the trace into an immutable [`FinishedTrace`] and pushes it onto the
 //! [`TraceRing`] served at `GET /debug/traces`; traces slower than the
@@ -23,9 +23,9 @@ pub const STAGE_COUNT: usize = 6;
 ///
 /// `Parse` runs from the request's first byte on the socket to admission
 /// submit (header + body read, JSON decode); `Queue` is time spent waiting
-/// in the admission queue (for the dispatcher to finish the batch ahead, or
-/// an opt-in linger window); `Dispatch` is batch assembly
-/// between pickup and execution; `Eval` is the request's own evaluation —
+/// in the admission queue (for a dispatch lane to come free — every lane
+/// busy with a batch ahead — or an opt-in linger window); `Dispatch` is
+/// batch assembly between a lane's pickup and execution; `Eval` is the request's own evaluation —
 /// estimation of every cache miss it meets and routing included;
 /// `Serialize` is response encoding; `Write` is the socket write.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -92,41 +92,38 @@ impl Json {
         )
     }
 
-    fn write(&self, out: &mut String) {
+    /// Writes the compact wire form into `out`, formatting numbers straight
+    /// into it (no temporary `String` per number or per document).
+    fn write(&self, out: &mut impl fmt::Write) -> fmt::Result {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::Number(n) => {
-                // JSON has no NaN/Infinity; emit null rather than garbage.
-                if n.is_finite() {
-                    out.push_str(&format!("{n}"));
-                } else {
-                    out.push_str("null");
-                }
-            }
+            Json::Null => out.write_str("null"),
+            Json::Bool(true) => out.write_str("true"),
+            Json::Bool(false) => out.write_str("false"),
+            // JSON has no NaN/Infinity; emit null rather than garbage.
+            Json::Number(n) if n.is_finite() => write!(out, "{n}"),
+            Json::Number(_) => out.write_str("null"),
             Json::String(s) => write_string(s, out),
             Json::Array(items) => {
-                out.push('[');
+                out.write_char('[')?;
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    item.write(out);
+                    item.write(out)?;
                 }
-                out.push(']');
+                out.write_char(']')
             }
             Json::Object(fields) => {
-                out.push('{');
+                out.write_char('{')?;
                 for (i, (key, value)) in fields.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    write_string(key, out);
-                    out.push(':');
-                    value.write(out);
+                    write_string(key, out)?;
+                    out.write_char(':')?;
+                    value.write(out)?;
                 }
-                out.push('}');
+                out.write_char('}')
             }
         }
     }
@@ -136,28 +133,26 @@ impl fmt::Display for Json {
     /// Serialises the value to a compact JSON string (so `.to_string()`
     /// yields the wire form).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut out = String::new();
-        self.write(&mut out);
-        f.write_str(&out)
+        self.write(f)
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
+fn write_string(s: &str, out: &mut impl fmt::Write) -> fmt::Result {
+    out.write_char('"')?;
     for c in s.chars() {
         match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '\t' => out.write_str("\\t")?,
+            '\u{08}' => out.write_str("\\b")?,
+            '\u{0c}' => out.write_str("\\f")?,
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+            c => out.write_char(c)?,
         }
     }
-    out.push('"');
+    out.write_char('"')
 }
 
 /// Where and why parsing failed.
@@ -429,6 +424,57 @@ fn utf8_len(first: u8) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn writes_a_mixed_document_byte_for_byte() {
+        let doc = Json::object(vec![
+            (
+                "floats",
+                Json::Array(
+                    [
+                        0.1,
+                        1.0 / 3.0,
+                        2.0,
+                        -0.0,
+                        0.1 + 0.2,
+                        1e-7,
+                        1e21,
+                        6.022_140_76e23,
+                        -123.456,
+                        9_007_199_254_740_993.0,
+                    ]
+                    .into_iter()
+                    .map(Json::Number)
+                    .collect(),
+                ),
+            ),
+            (
+                "non_finite",
+                Json::Array(
+                    [f64::NAN, f64::INFINITY, f64::NEG_INFINITY]
+                        .into_iter()
+                        .map(Json::Number)
+                        .collect(),
+                ),
+            ),
+            (
+                "esc\"aped\tkey",
+                Json::String(
+                    "q\" b\\ n\n r\r t\t b\u{08} f\u{0c} c\u{01}\u{1f} / é 😀".to_string(),
+                ),
+            ),
+            ("empty", Json::object(vec![("a", Json::Array(Vec::new()))])),
+            (
+                "flags",
+                Json::Array(vec![Json::Bool(true), Json::Bool(false), Json::Null]),
+            ),
+        ]);
+        // The wire bytes clients parse: awkward floats keep their shortest
+        // round-trip form without exponents, `-0.0` stays `-0`, non-finite
+        // values are `null`, and control characters escape.
+        let want = r#"{"floats":[0.1,0.3333333333333333,2,-0,0.30000000000000004,0.0000001,1000000000000000000000,602214076000000000000000,-123.456,9007199254740992],"non_finite":[null,null,null],"esc\"aped\tkey":"q\" b\\ n\n r\r t\t b\b f\f c\u0001\u001f / é 😀","empty":{"a":[]},"flags":[true,false,null]}"#;
+        assert_eq!(doc.to_string(), want);
+    }
 
     #[test]
     fn round_trips_a_nested_document() {

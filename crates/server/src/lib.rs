@@ -8,10 +8,12 @@
 //! ([`wire`]). No async runtime: requests are CPU-bound estimator work, so
 //! the concurrency model is one scoped thread per connection feeding a
 //! shared [`AdmissionQueue`](pathcost_service::AdmissionQueue) whose
-//! dispatcher batches requests *across connections* into
+//! dispatch lanes — one per engine worker — batch requests *across
+//! connections* into
 //! [`QueryEngine::execute_batch`](pathcost_service::QueryEngine::execute_batch)
 //! — concurrent clients share the engine's worker pool and distribution
-//! cache exactly like one caller submitting a batch.
+//! cache exactly like one caller submitting a batch, and a cache hit does
+//! not wait behind another connection's cold estimate while a lane is free.
 //!
 //! ## Endpoints
 //!

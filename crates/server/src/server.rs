@@ -2,10 +2,12 @@
 //!
 //! One OS thread per live connection (scoped, so connections may borrow the
 //! engine), a shared [`AdmissionQueue`] batching requests across
-//! connections, and one dispatcher thread draining that queue through
-//! [`QueryEngine::execute_batch`]. The listener runs non-blocking so the
-//! accept loop can poll the shutdown flag; connections poll it between
-//! keep-alive requests via a short socket read timeout.
+//! connections, and one dispatch lane per engine worker
+//! ([`QueryEngine::worker_count`]) draining that queue through
+//! [`QueryEngine::execute_batch`], so a lane that is free answers the next
+//! request while another computes a cold estimate. The listener runs
+//! non-blocking so the accept loop can poll the shutdown flag; connections
+//! poll it between keep-alive requests via a short socket read timeout.
 //!
 //! Graceful shutdown ([`ShutdownHandle::shutdown`]):
 //!
@@ -13,7 +15,7 @@
 //! 2. the admission queue closes — new submissions fail with 503, but every
 //!    already-admitted request is still executed and answered,
 //! 3. idle keep-alive connections close on their next timeout tick, and
-//! 4. [`Server::run`] joins every connection and the dispatcher before
+//! 4. [`Server::run`] joins every connection and every dispatch lane before
 //!    returning, so when it returns no request is in flight.
 
 use crate::http::{self, HttpError, Limits};
@@ -154,7 +156,9 @@ impl Server {
         let obs = ServerObs::new(&self.config);
         let active = AtomicUsize::new(0);
         std::thread::scope(|scope| {
-            let dispatcher = scope.spawn(|| queue.dispatch(engine));
+            let lanes: Vec<_> = (0..engine.worker_count().max(1))
+                .map(|_| scope.spawn(|| queue.dispatch(engine)))
+                .collect();
             while !self.shutdown.load(Ordering::Acquire) {
                 match self.listener.accept() {
                     Ok((stream, _peer)) => {
@@ -192,12 +196,14 @@ impl Server {
                     Err(_) => std::thread::sleep(Duration::from_millis(5)),
                 }
             }
-            // Stop admitting; the dispatcher drains what was admitted and
-            // exits. Connection threads observe the flag on their next read
-            // timeout and close; the scope joins them all.
+            // Stop admitting; the lanes drain what was admitted and exit.
+            // Connection threads observe the flag on their next read timeout
+            // and close; the scope joins them all.
             obslog::info("server", "shutdown_draining", &[]);
             queue.close();
-            let _ = dispatcher.join();
+            for lane in lanes {
+                let _ = lane.join();
+            }
         });
         obslog::info("server", "stopped", &[]);
     }

@@ -9,21 +9,33 @@
 //! * Connection handlers [`submit`](AdmissionQueue::submit) individual
 //!   requests (or [`submit_many`](AdmissionQueue::submit_many) for
 //!   `POST /query/batch`) and block on the returned [`Ticket`].
-//! * A dispatcher thread ([`dispatch`](AdmissionQueue::dispatch)) drains the
-//!   queue into batches of up to [`AdmissionConfig::max_batch`], runs them
-//!   through the engine's batch executor, and completes each
-//!   ticket with its own result. It sets no timer: the moment it is free it
-//!   takes whatever has queued, so requests that arrive while one batch runs
-//!   form the next — batches grow with load, and a lone request on an idle
-//!   queue is dispatched at once. ([`AdmissionConfig::linger`] can still
-//!   hold a non-full batch open for a fixed window; it is off by default.)
+//! * Dispatch lanes — threads each running
+//!   [`dispatch`](AdmissionQueue::dispatch) — drain the queue into batches of
+//!   up to [`AdmissionConfig::max_batch`], run them through the engine's
+//!   batch executor, and complete each ticket with its own result. A lane
+//!   sets no timer: the moment it is free it takes whatever has queued, so
+//!   requests that arrive while the lanes are busy form the next batch —
+//!   batches grow with load, and a lone request on an idle queue is
+//!   dispatched at once. ([`AdmissionConfig::linger`] can still hold a
+//!   non-full batch open for a fixed window; it is off by default.)
+//! * The server runs one lane per engine worker. Under light load most
+//!   batches hold one request, and the executor runs a one-request batch
+//!   inline on the lane that took it, so a single lane ran every such
+//!   request one after another: two connections' cold estimates never
+//!   overlapped, and a cache hit waited behind whatever estimate was
+//!   running. With a lane per worker, a lane that is free takes the next
+//!   request while another computes. Lanes wake one at a time: a submit
+//!   wakes one idle lane, and a lane that leaves work behind in the queue
+//!   wakes the next, so a burst that one batch can absorb does not wake
+//!   every lane to find the queue empty (only [`close`](AdmissionQueue::close)
+//!   wakes them all).
 //! * The queue is **bounded**: once [`AdmissionConfig::capacity`] requests
 //!   are waiting, `submit` fails fast with [`ServiceError::Overloaded`]
 //!   instead of queueing unbounded work — the HTTP layer maps that to 503 so
 //!   backpressure reaches the client instead of the allocator.
 //! * Each request carries a [`RequestContext`] (deadline + cancellation
 //!   token, see [`submit_with_context`](AdmissionQueue::submit_with_context)).
-//!   The dispatcher **sheds expired or abandoned work before dispatch**: a
+//!   Each lane **sheds expired or abandoned work before dispatch**: a
 //!   request whose deadline passed while it queued is answered
 //!   [`ServiceError::DeadlineExceeded`] immediately (the HTTP layer maps that
 //!   to 504) instead of burning a worker on an answer nobody is waiting for.
@@ -40,8 +52,9 @@
 //!   `ROBUSTNESS.md` at the repository root for the full failure model.
 //!
 //! The queue itself owns no thread (the engine borrows the road network, so
-//! a detached `'static` dispatcher could not hold it). The server runs
-//! `queue.dispatch(&engine)` on a scoped thread; tests can run it inline.
+//! a detached `'static` lane could not hold it). The server runs
+//! `queue.dispatch(&engine)` on one scoped thread per lane; tests can run it
+//! inline.
 //!
 //! End-to-end latency (submit → completion, i.e. queue wait + execution)
 //! is recorded into a histogram separate from the engine's
@@ -69,8 +82,8 @@ pub struct AdmissionConfig {
     pub capacity: usize,
     /// Largest batch handed to [`QueryEngine::execute_batch`] at once.
     pub max_batch: usize,
-    /// Opt-in: how long the dispatcher holds a non-full batch open for more
-    /// requests to join. The default, zero, sets no timer — the dispatcher
+    /// Opt-in: how long a lane holds a non-full batch open for more
+    /// requests to join. The default, zero, sets no timer — a lane
     /// takes whatever has queued the moment it is free, and requests that
     /// arrive while a batch runs form the next one.
     pub linger: Duration,
@@ -110,7 +123,7 @@ struct Pending {
     submitted: Instant,
 }
 
-/// Completion slot shared between a [`Ticket`] and the dispatcher.
+/// Completion slot shared between a [`Ticket`] and the dispatch lanes.
 struct Slot {
     result: Mutex<Option<Result<QueryOutcome, ServiceError>>>,
     done: Condvar,
@@ -126,12 +139,13 @@ impl Slot {
 
     fn complete(&self, result: Result<QueryOutcome, ServiceError>) {
         *self.result.lock().expect(SLOT_POISONED) = Some(result);
-        self.done.notify_all();
+        // A slot has one waiter: the ticket it was issued to.
+        self.done.notify_one();
     }
 }
 
 /// A claim on one submitted request; [`wait`](Ticket::wait) blocks until the
-/// dispatcher completes it.
+/// lane that took it completes it.
 pub struct Ticket {
     slot: Arc<Slot>,
 }
@@ -170,10 +184,10 @@ pub struct AdmissionQueue {
     /// End-to-end latency (submit → completion) of every request.
     latency: Histogram,
     /// The end-to-end latencies the p99 watermark is judged on: those of
-    /// the requests completed since the dispatcher last found the queue
+    /// the requests completed since a lane last found the queue
     /// drained (not exported — `latency` keeps every request).
     window: Histogram,
-    /// Last degradation state the dispatcher observed, for transition logs.
+    /// Last degradation state a lane observed, for transition logs.
     was_degraded: AtomicBool,
 }
 
@@ -243,7 +257,7 @@ impl AdmissionQueue {
 
     /// Enqueues one request carrying a deadline / cancellation context. The
     /// caller keeps a clone of `context`: cancelling it (or letting the
-    /// deadline pass) makes the dispatcher shed the request before dispatch
+    /// deadline pass) makes a lane shed the request before dispatch
     /// and evaluation stop cooperatively if it already started.
     pub fn submit_with_context(
         &self,
@@ -255,9 +269,10 @@ impl AdmissionQueue {
     }
 
     /// Enqueues a batch all-or-nothing: either every request is admitted (in
-    /// order, so the dispatcher keeps them in one batch when it fits) or the
-    /// whole batch is rejected with [`ServiceError::Overloaded`] /
-    /// [`ServiceError::ShuttingDown`] and nothing is queued.
+    /// order, so the lane that takes them keeps them in one batch when it
+    /// fits) or the whole batch is rejected with
+    /// [`ServiceError::Overloaded`] / [`ServiceError::ShuttingDown`] and
+    /// nothing is queued.
     pub fn submit_many(&self, requests: Vec<QueryRequest>) -> Result<Vec<Ticket>, ServiceError> {
         self.submit_many_with_context(requests, RequestContext::unbounded())
     }
@@ -303,7 +318,9 @@ impl AdmissionQueue {
             });
         }
         drop(state);
-        self.not_empty.notify_all();
+        // One lane is enough to take what was just queued; if it leaves some
+        // behind, `next_batch` wakes the next.
+        self.not_empty.notify_one();
         Ok(tickets)
     }
 
@@ -326,7 +343,7 @@ impl AdmissionQueue {
     /// [`AdmissionConfig::degrade_queue_depth`], or end-to-end p99 at or
     /// above [`AdmissionConfig::degrade_p99`] over the requests completed
     /// since the queue was last found drained. While degraded, the
-    /// dispatcher caps route search budgets, and the HTTP front-end reports
+    /// lanes cap route search budgets, and the HTTP front-end reports
     /// the state on `/healthz`.
     pub fn degraded(&self) -> bool {
         self.len() >= self.config.degrade_queue_depth || self.p99_breached()
@@ -354,18 +371,22 @@ impl AdmissionQueue {
         self.not_empty.notify_all();
     }
 
-    /// Runs the dispatch loop on the calling thread until the queue is
-    /// closed *and* drained. Multiple dispatchers are allowed (each drains
-    /// its own batches), but one is usually right: a single dispatcher
-    /// maximises cross-connection batching and the engine's worker pool
-    /// already parallelises inside each batch.
+    /// Runs one dispatch lane on the calling thread until the queue is
+    /// closed *and* drained. Several lanes may run at once, each draining
+    /// its own batches; the server runs one per engine worker. One lane
+    /// serialises single-request batches — the executor runs those inline
+    /// on the lane — so under light load a cold estimate holds up every
+    /// request behind it, cache hits included. Extra lanes let a free lane
+    /// take the next request meanwhile; under heavy load whatever queued
+    /// while the lanes were busy still forms one batch that fans out over
+    /// the engine's worker pool.
     pub fn dispatch(&self, engine: &QueryEngine<'_>) {
         while let Some(batch) = self.next_batch() {
             let answered = self.run_batch(engine, batch);
-            // Found drained: the backlog the window judged is gone, so the
-            // p99 watermark starts afresh and a past slow spell cannot keep
-            // refusing work. Reset before the tickets complete, so a client
-            // holding its answer also sees the reopened door.
+            // Found drained by this lane: the backlog the window judged is
+            // gone, so the p99 watermark starts afresh and a past slow spell
+            // cannot keep refusing work. Reset before the tickets complete,
+            // so a client holding its answer also sees the reopened door.
             if self.is_empty() {
                 self.window.reset();
             }
@@ -420,7 +441,7 @@ impl AdmissionQueue {
             }
         }
         // Backstop: a panic escaping the batch (the answer phase already
-        // contains per-query panics) must not kill the dispatcher — every
+        // contains per-query panics) must not kill the lane — every
         // waiting ticket would hang forever. Answer the whole batch with an
         // internal error instead.
         let results = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -443,7 +464,7 @@ impl AdmissionQueue {
     }
 
     /// Logs watermark transitions (entered/left degraded mode) exactly once
-    /// per edge, from whichever dispatcher observes them.
+    /// per edge, from whichever lane observes them.
     fn note_degradation(&self, degraded: bool) {
         let was = self.was_degraded.swap(degraded, Ordering::Relaxed);
         if was == degraded {
@@ -468,30 +489,41 @@ impl AdmissionQueue {
     /// queue is closed and fully drained.
     fn next_batch(&self) -> Option<Vec<Pending>> {
         let mut state = self.state.lock().expect(STATE_POISONED);
-        while state.pending.is_empty() {
-            if state.closed {
-                return None;
-            }
-            state = self.not_empty.wait(state).expect(STATE_POISONED);
-        }
-        // Opt-in linger: hold a non-full batch open for a fixed window so
-        // more connections can join it (closed queues flush immediately).
-        if self.config.linger > Duration::ZERO {
-            let deadline = Instant::now() + self.config.linger;
-            while state.pending.len() < self.config.max_batch && !state.closed {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
+        loop {
+            while state.pending.is_empty() {
+                if state.closed {
+                    return None;
                 }
-                let (guard, _) = self
-                    .not_empty
-                    .wait_timeout(state, deadline - now)
-                    .expect(STATE_POISONED);
-                state = guard;
+                state = self.not_empty.wait(state).expect(STATE_POISONED);
+            }
+            // Opt-in linger: hold a non-full batch open for a fixed window so
+            // more connections can join it (closed queues flush immediately).
+            if self.config.linger > Duration::ZERO {
+                let deadline = Instant::now() + self.config.linger;
+                while state.pending.len() < self.config.max_batch && !state.closed {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        break;
+                    }
+                    let (guard, _) = self
+                        .not_empty
+                        .wait_timeout(state, deadline - now)
+                        .expect(STATE_POISONED);
+                    state = guard;
+                }
+            }
+            // Another lane may have taken everything while this one lingered.
+            if !state.pending.is_empty() {
+                break;
             }
         }
         let take = state.pending.len().min(self.config.max_batch);
-        Some(state.pending.drain(..take).collect())
+        let batch = state.pending.drain(..take).collect();
+        if !state.pending.is_empty() {
+            // More than one batch was waiting: hand the rest to the next lane.
+            self.not_empty.notify_one();
+        }
+        Some(batch)
     }
 }
 

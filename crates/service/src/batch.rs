@@ -47,7 +47,7 @@ impl QueryEngine<'_> {
     ///
     /// Panics are contained: a request whose evaluation panics answers
     /// [`ServiceError::Internal`] while the rest of the batch — and the
-    /// dispatcher thread driving it — survive.
+    /// dispatch lane driving it — survive.
     pub fn execute_batch_under(
         &self,
         requests: &[QueryRequest],

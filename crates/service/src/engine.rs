@@ -42,7 +42,8 @@ pub struct ServiceConfig {
     pub cache_shards: usize,
     /// LRU capacity of each shard, in `(path, interval)` entries.
     pub shard_capacity: usize,
-    /// Worker threads for batch execution; `None` uses the machine's
+    /// Worker threads for batch execution, and the number of admission
+    /// lanes a server runs over the engine; `None` uses the machine's
     /// available parallelism.
     pub workers: Option<usize>,
     /// Configuration of the best-first router answering `Route` requests.
@@ -296,8 +297,9 @@ impl<'n> QueryEngine<'n> {
         Timestamp::new(0, TimeOfDay::wrap(self.partition.range(interval).start))
     }
 
-    /// Worker threads used for batch fan-out: [`ServiceConfig::workers`], or
-    /// the machine's available parallelism as read at construction.
+    /// Worker threads used for batch fan-out, and the admission lanes a
+    /// server runs: [`ServiceConfig::workers`], or the machine's available
+    /// parallelism as read at construction.
     pub fn worker_count(&self) -> usize {
         self.workers
     }
@@ -631,7 +633,7 @@ pub(crate) fn stop_error(ctx: &RequestContext) -> ServiceError {
 /// The chaos harness points it at an edge id far outside any real network so
 /// ordinary requests can never trip it; the panic exercises the batch
 /// executor's containment (one poisoned request answers as an internal
-/// error, the batch and the dispatcher survive). See `ROBUSTNESS.md`.
+/// error, the batch and its dispatch lane survive). See `ROBUSTNESS.md`.
 fn chaos_panic_failpoint(path: &Path) {
     if path.cardinality() != 1 {
         return;

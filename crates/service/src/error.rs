@@ -30,7 +30,7 @@ pub enum ServiceError {
     /// The request was cancelled by its caller before completion.
     Cancelled,
     /// Query evaluation failed internally (a panic contained by the batch
-    /// executor). The rest of the batch and the dispatcher survive.
+    /// executor). The rest of the batch and its dispatch lane survive.
     Internal(&'static str),
 }
 

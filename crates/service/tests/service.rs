@@ -1116,76 +1116,94 @@ fn degraded_mode_answers_are_flagged_and_counted() {
 #[test]
 fn submit_racing_close_never_hangs_a_ticket() {
     // Stress the shutdown/overflow edge: submissions racing `close()` must
-    // either be admitted (and then answered by the draining dispatcher) or
-    // rejected with `ShuttingDown` — never left as a ticket whose `wait()`
-    // blocks forever. Repeated because the interleaving is the test.
+    // either be admitted (and then answered by a draining lane) or rejected
+    // with `ShuttingDown` — never left as a ticket whose `wait()` blocks
+    // forever — and every lane must return. Run with one lane and with
+    // several (lanes wake one at a time; `close` must still wake them all).
+    // Repeated because the interleaving is the test.
     use pathcost_service::{AdmissionConfig, AdmissionQueue, ServiceError};
 
     let f = fixture(811);
     let graph = HybridGraph::build(&f.net, &f.store, f.cfg.clone()).unwrap();
     let engine = QueryEngine::new(Arc::new(graph), ServiceConfig::default());
     let (path, departure) = query_paths(&f.store, 1).remove(0);
+    let request = || QueryRequest::EstimateDistribution {
+        path: path.clone(),
+        departure,
+        regime: pathcost_service::RegimeId::ALL_TRAFFIC,
+    };
 
     const ROUNDS: usize = 25;
     const SUBMITTERS: usize = 4;
-    for round in 0..ROUNDS {
-        let queue = AdmissionQueue::new(AdmissionConfig {
-            // A tight capacity so overflow races the close too.
-            capacity: 8,
-            ..AdmissionConfig::default()
-        });
-        std::thread::scope(|scope| {
-            let dispatcher = scope.spawn(|| queue.dispatch(&engine));
-            let submitters: Vec<_> = (0..SUBMITTERS)
-                .map(|s| {
-                    let path = path.clone();
-                    let queue = &queue;
-                    scope.spawn(move || {
-                        let mut admitted = 0usize;
-                        let mut rejected_shutdown = 0usize;
-                        loop {
-                            match queue.submit(QueryRequest::EstimateDistribution {
-                                path: path.clone(),
-                                departure,
-                                regime: pathcost_service::RegimeId::ALL_TRAFFIC,
-                            }) {
-                                Ok(ticket) => {
-                                    // Every admitted ticket must resolve, even
-                                    // when close() lands mid-drain.
-                                    ticket.wait().expect("admitted ticket answered");
-                                    admitted += 1;
-                                }
-                                Err(ServiceError::ShuttingDown) => {
-                                    rejected_shutdown += 1;
-                                    // After close, submission must *stay*
-                                    // rejected — hammer a few more times.
-                                    if rejected_shutdown > 3 + s {
-                                        break;
+    for lanes in [1, 3] {
+        for round in 0..ROUNDS {
+            let queue = AdmissionQueue::new(AdmissionConfig {
+                // A tight capacity so overflow races the close too.
+                capacity: 8,
+                ..AdmissionConfig::default()
+            });
+            std::thread::scope(|scope| {
+                let dispatchers: Vec<_> = (0..lanes)
+                    .map(|_| scope.spawn(|| queue.dispatch(&engine)))
+                    .collect();
+                let submitters: Vec<_> = (0..SUBMITTERS)
+                    .map(|s| {
+                        let (queue, request) = (&queue, &request);
+                        scope.spawn(move || {
+                            let mut admitted = 0usize;
+                            let mut rejected_shutdown = 0usize;
+                            loop {
+                                match queue.submit(request()) {
+                                    Ok(ticket) => {
+                                        // Every admitted ticket must resolve,
+                                        // even when close() lands mid-drain.
+                                        ticket.wait().expect("admitted ticket answered");
+                                        admitted += 1;
                                     }
+                                    Err(ServiceError::ShuttingDown) => {
+                                        rejected_shutdown += 1;
+                                        // After close, submission must *stay*
+                                        // rejected — hammer a few more times.
+                                        if rejected_shutdown > 3 + s {
+                                            break;
+                                        }
+                                    }
+                                    Err(ServiceError::Overloaded) => {
+                                        std::thread::yield_now();
+                                    }
+                                    Err(other) => panic!("unexpected error: {other}"),
                                 }
-                                Err(ServiceError::Overloaded) => {
-                                    std::thread::yield_now();
-                                }
-                                Err(other) => panic!("unexpected error: {other}"),
                             }
-                        }
-                        (admitted, rejected_shutdown)
+                            (admitted, rejected_shutdown)
+                        })
                     })
-                })
-                .collect();
-            // Close while the submitters are mid-flight; stagger the timing
-            // a little across rounds to vary the interleaving.
-            std::thread::sleep(std::time::Duration::from_micros((round * 37) as u64));
-            queue.close();
-            let mut any_rejected = 0;
-            for s in submitters {
-                let (_, rejected) = s.join().expect("submitter thread");
-                any_rejected += rejected;
-            }
-            assert!(any_rejected > 0, "round {round}: close() must reject");
-            dispatcher.join().expect("dispatcher drains and exits");
-            assert!(queue.is_empty(), "round {round}: queue drained");
-            assert!(queue.is_closed());
-        });
+                    .collect();
+                // Close while the submitters are mid-flight; stagger the
+                // timing a little across rounds to vary the interleaving.
+                std::thread::sleep(std::time::Duration::from_micros((round * 37) as u64));
+                queue.close();
+                let mut any_rejected = 0;
+                for s in submitters {
+                    let (_, rejected) = s.join().expect("submitter thread");
+                    any_rejected += rejected;
+                }
+                assert!(
+                    any_rejected > 0,
+                    "{lanes} lanes, round {round}: close() must reject"
+                );
+                for dispatcher in dispatchers {
+                    dispatcher.join().expect("every lane drains and exits");
+                }
+                assert!(
+                    queue.is_empty(),
+                    "{lanes} lanes, round {round}: queue drained"
+                );
+                assert!(queue.is_closed());
+                assert!(
+                    matches!(queue.submit(request()), Err(ServiceError::ShuttingDown)),
+                    "{lanes} lanes, round {round}: a submission after close is refused"
+                );
+            });
+        }
     }
 }

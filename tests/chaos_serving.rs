@@ -10,7 +10,7 @@
 //! * the server keeps answering valid requests throughout every fault phase,
 //! * expired-deadline work is shed *before* evaluation and answered 504,
 //! * an injected worker panic poisons only its own request (500), never the
-//!   batch, the dispatcher or the process,
+//!   batch, its dispatch lane or the process,
 //! * persistence IO faults degrade to serving-only mode (`/healthz` → 503
 //!   with a reason) without losing any published epoch, and full health
 //!   returns within one epoch of the faults clearing,
