@@ -5,9 +5,9 @@
 //! cargo run --release -p pathcost-bench --bin figures -- fig14 fig15 --full
 //! ```
 //!
-//! Without arguments, or with a name not on the list, the binary prints the
-//! list of available experiments and exits with status 2 before building
-//! any dataset.
+//! Without arguments, with a name not on the list or with a flag other than
+//! `--full` / `--quick`, the binary prints the list of available experiments
+//! and exits with status 2 before building any dataset.
 //! `--full` switches from the quick laptop-scale presets to the DESIGN.md
 //! preset sizes.
 
@@ -19,9 +19,19 @@ const AVAILABLE: &[&str] = &[
     "fig14", "fig15", "fig16", "fig17", "fig18", "all",
 ];
 
+/// Prints the usage text and the experiment list, then exits with status 2.
+fn usage() -> ! {
+    eprintln!("usage: figures [--full | --quick] <experiment ...>");
+    eprintln!("available: {}", AVAILABLE.join(" "));
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = Scale::from_args(&args);
+    let scale = Scale::from_args(&args).unwrap_or_else(|flag| {
+        eprintln!("unknown flag: {flag}");
+        usage()
+    });
     let requested: Vec<String> = args
         .iter()
         .filter(|a| !a.starts_with("--"))
@@ -36,9 +46,7 @@ fn main() {
         eprintln!("unknown experiment(s): {}", unknown.join(" "));
     }
     if requested.is_empty() || !unknown.is_empty() {
-        eprintln!("usage: figures [--full] <experiment ...>");
-        eprintln!("available: {}", AVAILABLE.join(" "));
-        std::process::exit(2);
+        usage();
     }
     let want = |name: &str| requested.iter().any(|r| r == name || r == "all");
 

@@ -19,13 +19,20 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parses `--full` / `--quick` style flags; anything else is Quick.
-    pub fn from_args(args: &[String]) -> Scale {
-        if args.iter().any(|a| a == "--full") {
-            Scale::Full
-        } else {
-            Scale::Quick
+    /// Reads the scale flags among `args`: `--full` selects Full, `--quick`
+    /// (or no flag) Quick. Arguments not starting with `--` are left to the
+    /// caller; any other flag is returned as the error, so a misspelt
+    /// `--full` cannot quietly run at Quick scale.
+    pub fn from_args(args: &[String]) -> Result<Scale, String> {
+        let mut scale = Scale::Quick;
+        for flag in args.iter().filter(|a| a.starts_with("--")) {
+            match flag.as_str() {
+                "--full" => scale = Scale::Full,
+                "--quick" => {}
+                _ => return Err(flag.clone()),
+            }
         }
+        Ok(scale)
     }
 }
 
@@ -390,8 +397,21 @@ mod tests {
 
     #[test]
     fn scale_parsing() {
-        assert_eq!(Scale::from_args(&["--full".to_string()]), Scale::Full);
-        assert_eq!(Scale::from_args(&["fig3".to_string()]), Scale::Quick);
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(Scale::from_args(&args(&["--full"])), Ok(Scale::Full));
+        assert_eq!(Scale::from_args(&args(&["fig3"])), Ok(Scale::Quick));
+        assert_eq!(
+            Scale::from_args(&args(&["--quick", "fig3"])),
+            Ok(Scale::Quick)
+        );
+        assert_eq!(
+            Scale::from_args(&args(&["--Full", "fig14"])),
+            Err("--Full".to_string())
+        );
+        assert_eq!(
+            Scale::from_args(&args(&["fig5", "--fulll"])),
+            Err("--fulll".to_string())
+        );
         assert_eq!(experiment_config(Scale::Quick).beta, 15);
         assert_eq!(experiment_config(Scale::Full).beta, 30);
     }

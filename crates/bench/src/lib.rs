@@ -4,9 +4,8 @@
 //! evaluation (§5). The [`experiment`] module builds the two dataset presets
 //! (D1 ≈ Aalborg, D2 ≈ Beijing), selects evaluation paths, and implements the
 //! held-out ground-truth protocol; the [`figures`] module regenerates each
-//! figure as printable rows; the `figures` binary dispatches them from the
-//! command line; the Criterion benches under `benches/` cover the timing
-//! figures (16–18).
+//! figure as printable rows, the timing figures (16–18) included; the
+//! `figures` binary dispatches them from the command line.
 
 pub mod experiment;
 pub mod figures;

@@ -450,6 +450,84 @@ mod tests {
         }
     }
 
+    /// The Fig 17 corridor: a 30-edge walk on an 8×8 grid that 80 trips
+    /// drive end to end in the same α-interval, so every sub-path up to the
+    /// rank cap is instantiated. Returns the legacy decomposition of its
+    /// 20-edge prefix (a run of unit components, a pure convolution) and the
+    /// coarsest decomposition of the whole corridor (rank-6 components
+    /// overlapping by five edges: every overlap group re-weighted and most
+    /// of them re-bucketed).
+    fn corridor_decompositions() -> (Decomposition, Decomposition) {
+        use pathcost_roadnet::{GeneratorConfig, VertexId};
+        use pathcost_traj::{MatchedTrajectory, Timestamp, TrajectoryStore};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        const EDGES: usize = 30;
+        let net = GeneratorConfig {
+            rows: 8,
+            cols: 8,
+            ..GeneratorConfig::tiny(2017)
+        }
+        .generate();
+        // A walk from the first vertex that never revisits one.
+        let to = |e| net.edge(e).unwrap().to;
+        let mut visited = vec![VertexId(0)];
+        let mut edges = Vec::with_capacity(EDGES);
+        while edges.len() < EDGES {
+            let at = visited[visited.len() - 1];
+            let mut out = net.out_edges(at).iter().copied();
+            let next = out.find(|&e| !visited.contains(&to(e))).unwrap();
+            visited.push(to(next));
+            edges.push(next);
+        }
+        let corridor = Path::new(&net, edges).unwrap();
+        let mut rng = StdRng::seed_from_u64(17);
+        let rows: Vec<MatchedTrajectory> = (0..80u32)
+            .map(|day| {
+                // Per-edge times of 15–25 s sharing a congestion factor.
+                let congestion: f64 = rng.gen_range(0.8..1.4);
+                let times: Vec<f64> = (0..EDGES)
+                    .map(|e| ((15 + e % 11) as f64 * congestion + rng.gen_range(0.0..6.0)).round())
+                    .collect();
+                let mut clock = Timestamp::from_day_hms(day, 8, 2, 0).0;
+                let entries = times
+                    .iter()
+                    .map(|t| {
+                        let entry = Timestamp(clock);
+                        clock += t;
+                        entry
+                    })
+                    .collect();
+                let speeds = vec![10.0; EDGES];
+                MatchedTrajectory::new(u64::from(day), corridor.clone(), entries, times, speeds)
+                    .unwrap()
+            })
+            .collect();
+        let store = TrajectoryStore::new(rows);
+        let graph = HybridGraph::build(&net, &store, HybridConfig::default()).unwrap();
+        let departure = Timestamp::from_day_hms(3, 8, 2, 0);
+
+        let prefix = Path::new(&net, corridor.edges()[..20].to_vec()).unwrap();
+        let array = CandidateArray::build(&graph, &prefix, departure, None).unwrap();
+        let unit_run = Decomposition::legacy(&array);
+        let array = CandidateArray::build(&graph, &corridor, departure, None).unwrap();
+        (unit_run, Decomposition::coarsest(&array))
+    }
+
+    #[test]
+    fn kernel_is_bit_identical_to_the_straight_line_walk_on_the_fig17_corridor() {
+        let (unit_run, overlapping) = corridor_decompositions();
+        assert_eq!(unit_run.ranks(), [1; 20]);
+        assert_eq!(overlapping.ranks(), [6; 25]);
+        for d in [&unit_run, &overlapping] {
+            let budget = joint::DEFAULT_STATE_BUCKETS;
+            let expected = bits(cost_entries_with_limit(d, budget));
+            assert!(expected.is_ok());
+            assert_eq!(bits(joint::cost_entries_with_limit(d, budget)), expected);
+        }
+    }
+
     /// FNV-1a over every bit of `OdEstimator::estimate` on whole trips of a
     /// preset store (bucket count, bounds and masses; `u64::MAX` for an
     /// error), with the number of trips digested and of those whose coarsest

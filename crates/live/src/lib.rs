@@ -79,9 +79,9 @@
 //! `pathcost_service::QueryEngine::apply_update`, which publishes the epoch
 //! and surgically evicts only the dependent cache entries (see that crate's
 //! `update` module). End-to-end equivalence with "full rebuild + cache
-//! flush" is property-tested in `tests/live_equivalence.rs`, and
-//! `benches/live_ingest.rs` measures update latency, retirement latency and
-//! eviction precision.
+//! flush" is property-tested in `tests/live_equivalence.rs`; a traced
+//! `ingest_churn` run of the benchmark (`benchmark/`) times the update path
+//! (`live.ingest_ms`) and counts its evictions (`service.evicted_per_update`).
 //!
 //! ## Crash safety
 //!

@@ -405,7 +405,9 @@ pub fn validate(text: &str) -> Result<(), String> {
                     "+Inf" => f64::INFINITY,
                     b => b
                         .parse::<f64>()
-                        .map_err(|_| err(format!("unparseable le bound {b:?}")))?,
+                        .ok()
+                        .filter(|bound| !bound.is_nan())
+                        .ok_or_else(|| err(format!("unparseable le bound {b:?}")))?,
                 };
                 check.buckets.push((bound, value as u64));
             } else if name == format!("{}_count", family.name) {
@@ -440,7 +442,7 @@ fn finish_family(family: &FamilyState) -> Result<(), String> {
                 ));
             }
             let mut sorted = check.buckets.clone();
-            sorted.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("le bounds are not NaN"));
+            sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
             if sorted.windows(2).any(|w| w[0].1 > w[1].1) {
                 return Err(format!(
                     "histogram {:?} buckets are not cumulative",
@@ -522,6 +524,13 @@ mod tests {
         let missing_inf = "# HELP h H.\n# TYPE h histogram\n\
                            h_bucket{le=\"0.1\"} 1\nh_sum 1\nh_count 1\n";
         assert!(validate(missing_inf).unwrap_err().contains("+Inf"));
+        // "NaN" parses as an f64; it must still be refused as a bound.
+        let nan_bound = "# HELP x_seconds X.\n# TYPE x_seconds histogram\n\
+                         x_seconds_bucket{le=\"NaN\"} 1\nx_seconds_bucket{le=\"+Inf\"} 1\n\
+                         x_seconds_sum 1\nx_seconds_count 1\n";
+        assert!(validate(nan_bound)
+            .unwrap_err()
+            .contains("unparseable le bound"));
     }
 
     #[test]

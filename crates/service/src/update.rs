@@ -38,8 +38,8 @@
 //! whose answers can change and a (typically small) subset of the whole
 //! cache — the "bit-identical to full rebuild + flush" oracle is
 //! property-tested in `tests/live_equivalence.rs`, which also pins the
-//! per-update counts of each mode, and `benches/live_ingest.rs` measures the
-//! precision and the warm-query latency advantage over a full flush.
+//! per-update counts of each mode; `tests/service.rs` checks that a 5 %
+//! append evicts a strict subset of a warm cache.
 //!
 //! Consistency under concurrency: the new epoch is swapped in *before*
 //! invalidation, and updates serialize against each other (monotonic
