@@ -8,11 +8,11 @@
 //! whatever it keeps in thread-local storage (a fit scratch, an estimator
 //! scratch) survives from one call to the next.
 //!
-//! Two kinds of instance exist. [`global`] is the process-wide pool every
-//! weight fan-out uses (instantiation, re-derivation, recovery replay):
-//! cores − 1 workers plus the caller, created on first use and never
-//! dropped. The query engine owns one more, sized by its configuration, for
-//! its batches.
+//! One instance exists: [`global`], cores − 1 workers plus the caller,
+//! created on first use and never dropped. Every fan-out runs on it — the
+//! weight fits (instantiation, re-derivation, recovery replay) and the query
+//! engine's batches alike. `WorkerPool::new` is private, so nothing
+//! outside this module (and its tests) can build a second one.
 //!
 //! Jobs are **broadcast**: every worker observes every generation in order
 //! and joins its index claiming. One job runs at a time. A submitter that
@@ -162,7 +162,7 @@ pub struct WorkerPool {
 
 impl WorkerPool {
     /// Spawns `width` workers. With none, every job runs on its submitter.
-    pub fn new(width: usize) -> Self {
+    fn new(width: usize) -> Self {
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 generation: 0,
@@ -297,7 +297,7 @@ impl Drop for WorkerPool {
     }
 }
 
-/// The process-wide pool the weight fan-outs run on: cores − 1 workers (the
+/// The process-wide pool every fan-out runs on: cores − 1 workers (the
 /// caller is the last core), spawned on first use and never dropped.
 pub fn global() -> &'static WorkerPool {
     static POOL: OnceLock<WorkerPool> = OnceLock::new();

@@ -8,12 +8,14 @@
 //! ([`wire`]). No async runtime: requests are CPU-bound estimator work, so
 //! the concurrency model is one scoped thread per connection feeding a
 //! shared [`AdmissionQueue`](pathcost_service::AdmissionQueue) whose
-//! dispatch lanes — one per engine worker — batch requests *across
-//! connections* into
+//! dispatch lanes —
+//! [`QueryEngine::worker_count`](pathcost_service::QueryEngine::worker_count)
+//! of them — batch requests *across connections* into
 //! [`QueryEngine::execute_batch`](pathcost_service::QueryEngine::execute_batch)
-//! — concurrent clients share the engine's worker pool and distribution
-//! cache exactly like one caller submitting a batch, and a cache hit does
-//! not wait behind another connection's cold estimate while a lane is free.
+//! — concurrent clients share the process-wide worker pool and the engine's
+//! distribution cache exactly like one caller submitting a batch, and a
+//! cache hit does not wait behind another connection's cold estimate while a
+//! lane is free.
 //!
 //! ## Endpoints
 //!

@@ -2,12 +2,12 @@
 //!
 //! One OS thread per live connection (scoped, so connections may borrow the
 //! engine), a shared [`AdmissionQueue`] batching requests across
-//! connections, and one dispatch lane per engine worker
-//! ([`QueryEngine::worker_count`]) draining that queue through
-//! [`QueryEngine::execute_batch`], so a lane that is free answers the next
-//! request while another computes a cold estimate. The listener runs
-//! non-blocking so the accept loop can poll the shutdown flag; connections
-//! poll it between keep-alive requests via a short socket read timeout.
+//! connections, and [`QueryEngine::worker_count`] dispatch lanes draining
+//! that queue through [`QueryEngine::execute_batch`], so a lane that is free
+//! answers the next request while another computes a cold estimate. The
+//! listener runs non-blocking so the accept loop can poll the shutdown flag;
+//! connections poll it between keep-alive requests via a short socket read
+//! timeout.
 //!
 //! Graceful shutdown ([`ShutdownHandle::shutdown`]):
 //!
@@ -156,7 +156,7 @@ impl Server {
         let obs = ServerObs::new(&self.config);
         let active = AtomicUsize::new(0);
         std::thread::scope(|scope| {
-            let lanes: Vec<_> = (0..engine.worker_count().max(1))
+            let lanes: Vec<_> = (0..engine.worker_count())
                 .map(|_| scope.spawn(|| queue.dispatch(engine)))
                 .collect();
             while !self.shutdown.load(Ordering::Acquire) {

@@ -1,6 +1,7 @@
-//! Admission lanes: the server runs one dispatch lane per engine worker, so
-//! a cache hit from one connection is answered while another connection's
-//! cold request is still running, instead of queueing behind it.
+//! Admission lanes: the server runs `QueryEngine::worker_count()` dispatch
+//! lanes, so a cache hit from one connection is answered while another
+//! connection's cold request is still running, instead of queueing behind
+//! it.
 
 mod common;
 
@@ -37,8 +38,8 @@ fn stat(body: &str, field: &str) -> f64 {
 }
 
 /// What one connection's cache hit costs while another connection's cold
-/// route runs, on a server whose engine has `workers` workers (so as many
-/// lanes): `(hit latency, route latency, whether the hit was answered first)`.
+/// route runs, on a server with `workers` admission lanes:
+/// `(hit latency, route latency, whether the hit was answered first)`.
 fn hit_during_a_cold_route(workers: usize) -> (Duration, Duration, bool) {
     let mut preset = DatasetPreset::tiny(5);
     preset.network.rows = 8;

@@ -1,5 +1,5 @@
 //! End-to-end correctness of the serving stack under concurrency: responses
-//! through sockets + admission queue + persistent worker pool must be
+//! through sockets + admission lanes + the process-wide worker pool must be
 //! bit-identical to direct [`QueryEngine`] calls, stay valid while a live
 //! ingest/retire epoch lands mid-flight, and graceful shutdown must drain
 //! without deadlocking.

@@ -1,7 +1,7 @@
 //! Bounded admission queue with cross-connection batching.
 //!
 //! The batch executor ([`QueryEngine::execute_batch`]) fans the requests
-//! *of one batch* out over the engine's worker pool — but a network
+//! *of one batch* out over the process-wide worker pool — but a network
 //! front-end receives requests one connection at a time, so without help
 //! every connection would run a batch of one on one thread. The
 //! [`AdmissionQueue`] closes that gap:
@@ -18,15 +18,15 @@
 //!   batches grow with load, and a lone request on an idle queue is
 //!   dispatched at once. ([`AdmissionConfig::linger`] can still hold a
 //!   non-full batch open for a fixed window; it is off by default.)
-//! * The server runs one lane per engine worker. Under light load most
-//!   batches hold one request, and the executor runs a one-request batch
-//!   inline on the lane that took it, so a single lane ran every such
-//!   request one after another: two connections' cold estimates never
-//!   overlapped, and a cache hit waited behind whatever estimate was
-//!   running. With a lane per worker, a lane that is free takes the next
-//!   request while another computes. Lanes wake one at a time: a submit
-//!   wakes one idle lane, and a lane that leaves work behind in the queue
-//!   wakes the next, so a burst that one batch can absorb does not wake
+//! * The server runs [`QueryEngine::worker_count`] lanes, one per core by
+//!   default. Under light load most batches hold one request, and the
+//!   executor runs a one-request batch inline on the lane that took it, so a
+//!   single lane ran every such request one after another: two connections'
+//!   cold estimates never overlapped, and a cache hit waited behind whatever
+//!   estimate was running. With a lane per core, a lane that is free takes
+//!   the next request while another computes. Lanes wake one at a time: a
+//!   submit wakes one idle lane, and a lane that leaves work behind in the
+//!   queue wakes the next, so a burst that one batch can absorb does not wake
 //!   every lane to find the queue empty (only [`close`](AdmissionQueue::close)
 //!   wakes them all).
 //! * The queue is **bounded**: once [`AdmissionConfig::capacity`] requests
@@ -373,13 +373,14 @@ impl AdmissionQueue {
 
     /// Runs one dispatch lane on the calling thread until the queue is
     /// closed *and* drained. Several lanes may run at once, each draining
-    /// its own batches; the server runs one per engine worker. One lane
-    /// serialises single-request batches — the executor runs those inline
-    /// on the lane — so under light load a cold estimate holds up every
-    /// request behind it, cache hits included. Extra lanes let a free lane
-    /// take the next request meanwhile; under heavy load whatever queued
-    /// while the lanes were busy still forms one batch that fans out over
-    /// the engine's worker pool.
+    /// its own batches; the server runs [`QueryEngine::worker_count`] of
+    /// them. One lane serialises single-request batches — the executor runs
+    /// those inline on the lane — so under light load a cold estimate holds
+    /// up every request behind it, cache hits included. Extra lanes let a
+    /// free lane take the next request meanwhile; under heavy load whatever
+    /// queued while the lanes were busy still forms one batch that fans out
+    /// over the process-wide worker pool (or runs on its lane, if another
+    /// lane's batch or a fit holds the pool).
     pub fn dispatch(&self, engine: &QueryEngine<'_>) {
         while let Some(batch) = self.next_batch() {
             let answered = self.run_batch(engine, batch);

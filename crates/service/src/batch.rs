@@ -1,30 +1,35 @@
-//! Batch execution: one pass over the requests, fanned out over a worker pool.
+//! Batch execution: one pass over the requests, fanned out over the
+//! process-wide worker pool.
 //!
 //! A serving workload hands the engine many queries at once. The batch
 //! executor answers every request of a batch through
-//! [`QueryEngine::execute_under`] on the engine's persistent worker pool, so
-//! each request fills its own cache misses through the engine's one fill
-//! path — the coarsest-decomposition (OD) estimate at the interval's
-//! canonical departure. An estimate is a pure function of `(path, interval,
-//! regime)`, so whichever worker fills a key first, a batch returns bit for
-//! bit the responses of executing its requests sequentially, whatever the
-//! cache held before: the fan-out changes wall-clock time, not results. (Two
-//! requests of one batch that miss on the same key at once may both estimate
-//! it; both compute the same bits and the cache keeps one.) The unit of
-//! parallelism is the request: a cold `RankPaths` estimates its candidates
-//! one after another on one worker, and a cold `Route` search runs on one
-//! worker too. A plain thread pool is enough here: the work is CPU-bound
-//! with no I/O to overlap, so an async runtime would add nothing.
+//! [`QueryEngine::execute_under`] on the process-wide worker pool
+//! ([`exec::global`], the one the weight fits run on), so each request fills
+//! its own cache misses through the engine's one fill path — the
+//! coarsest-decomposition (OD) estimate at the interval's canonical
+//! departure. An estimate is a pure function of `(path, interval, regime)`,
+//! so whichever thread fills a key first, a batch returns bit for bit the
+//! responses of executing its requests sequentially, whatever the cache held
+//! before: the fan-out changes wall-clock time, not results. (Two requests
+//! of one batch that miss on the same key at once may both estimate it;
+//! both compute the same bits and the cache keeps one.) A batch that finds
+//! the pool busy — a fit, another lane's batch, or a batch submitted from
+//! inside a pool task — runs on its caller instead, with the same answers.
+//! The unit of parallelism is the request: a cold `RankPaths` estimates its
+//! candidates one after another on one thread, and a cold `Route` search
+//! runs on one thread too. A plain thread pool is enough here: the work is
+//! CPU-bound with no I/O to overlap, so an async runtime would add nothing.
 
 use crate::deadline::RequestContext;
 use crate::engine::QueryEngine;
 use crate::error::ServiceError;
 use crate::request::{QueryOutcome, QueryRequest};
+use pathcost_core::exec;
 use std::sync::OnceLock;
 
 impl QueryEngine<'_> {
-    /// Executes a batch of queries, fanning them out across
-    /// [`QueryEngine::worker_count`] pool workers.
+    /// Executes a batch of queries, fanning them out over the process-wide
+    /// pool ([`exec::global`]).
     ///
     /// Results come back in request order, each independently succeeding or
     /// failing; identical to running [`QueryEngine::execute`] per request,
@@ -74,12 +79,7 @@ impl QueryEngine<'_> {
             // Each index runs exactly once, so the cell is always empty here.
             let _ = answers[i].set(outcome);
         };
-        // Inline when the pool or the batch degenerates to one.
-        if self.worker_count().min(requests.len()) <= 1 {
-            (0..requests.len()).for_each(answer);
-        } else {
-            self.batch_pool().run(requests.len(), answer);
-        }
+        exec::global().run(requests.len(), answer);
         answers
             .into_iter()
             .map(|answer| {

@@ -19,7 +19,7 @@ use crate::deadline::RequestContext;
 use crate::error::ServiceError;
 use crate::request::{QueryOutcome, QueryRequest, QueryResponse, QueryStats, RankedPath};
 use crate::stats::{ServiceStats, StatsRecorder};
-use pathcost_core::exec::WorkerPool;
+use pathcost_core::exec;
 use pathcost_core::interval::DayPartition;
 use pathcost_core::{
     CostEstimator, EstimateBreakdown, HybridGraph, IntervalId, OdEstimator, RegimeId,
@@ -42,9 +42,9 @@ pub struct ServiceConfig {
     pub cache_shards: usize,
     /// LRU capacity of each shard, in `(path, interval)` entries.
     pub shard_capacity: usize,
-    /// Worker threads for batch execution, and the number of admission
-    /// lanes a server runs over the engine; `None` uses the machine's
-    /// available parallelism.
+    /// The number of admission lanes a server runs over the engine (at
+    /// least one); `None` runs one per core. Batches fan out over the
+    /// process-wide pool ([`exec::global`]) whatever this says.
     pub workers: Option<usize>,
     /// Configuration of the best-first router answering `Route` requests.
     pub router: RouterConfig,
@@ -116,12 +116,7 @@ pub struct QueryEngine<'n> {
     registry: Registry,
     epoch_gauge: Gauge,
     pub(crate) recorder: StatsRecorder,
-    /// The persistent batch worker pool: [`Self::worker_count`] long-lived
-    /// threads, spawned lazily by the first batch (so engines that never
-    /// execute one never spawn threads) and joined on drop.
-    pool: std::sync::OnceLock<WorkerPool>,
-    /// [`ServiceConfig::workers`] resolved once at construction: asking the
-    /// machine re-reads the cgroup CPU quota on every call.
+    /// [`ServiceConfig::workers`] resolved once at construction.
     workers: usize,
     config: ServiceConfig,
 }
@@ -163,11 +158,10 @@ impl<'n> QueryEngine<'n> {
             recorder.free_flow_misses.clone(),
         );
         let free_flow = free_flow.observed(move |hit| if hit { &hits } else { &misses }.inc());
-        let workers = config.workers.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        });
+        let workers = config
+            .workers
+            .unwrap_or_else(|| exec::global().width() + 1)
+            .max(1);
         QueryEngine {
             graph: RwLock::new(graph),
             partition,
@@ -178,15 +172,9 @@ impl<'n> QueryEngine<'n> {
             registry,
             epoch_gauge,
             recorder,
-            pool: std::sync::OnceLock::new(),
             workers,
             config,
         }
-    }
-
-    /// The engine's persistent batch worker pool, spawning it on first use.
-    pub(crate) fn batch_pool(&self) -> &WorkerPool {
-        self.pool.get_or_init(|| WorkerPool::new(self.workers))
     }
 
     /// The lock serializing update application (see `apply_update`).
@@ -297,9 +285,9 @@ impl<'n> QueryEngine<'n> {
         Timestamp::new(0, TimeOfDay::wrap(self.partition.range(interval).start))
     }
 
-    /// Worker threads used for batch fan-out, and the admission lanes a
-    /// server runs: [`ServiceConfig::workers`], or the machine's available
-    /// parallelism as read at construction.
+    /// The admission lanes a server runs over the engine:
+    /// [`ServiceConfig::workers`] clamped to at least one, or one per core
+    /// (the process-wide pool's workers plus its submitter).
     pub fn worker_count(&self) -> usize {
         self.workers
     }

@@ -22,12 +22,13 @@
 //!   [`IntervalId`](pathcost_core::IntervalId)), so repeated queries cost an
 //!   O(1) lookup instead of a decomposition.
 //! * **A batch executor** — [`QueryEngine::execute_batch`] answers a
-//!   batch in one pass, its requests fanned out over the engine's
-//!   persistent worker pool ([`pathcost_core::exec::WorkerPool`]; no async
-//!   runtime: the work is CPU-bound). Every fill — point query, ranking
-//!   candidate or route candidate — goes through the engine's one
-//!   cache-backed estimation path, so every cached distribution is the
-//!   paper's coarsest-decomposition (OD) estimate and batch responses are
+//!   batch in one pass, its requests fanned out over the process-wide
+//!   worker pool the weight fits also run on
+//!   ([`pathcost_core::exec::global`]; no async runtime: the work is
+//!   CPU-bound). Every fill — point query, ranking candidate or route
+//!   candidate — goes through the engine's one cache-backed estimation
+//!   path, so every cached distribution is the paper's
+//!   coarsest-decomposition (OD) estimate and batch responses are
 //!   bit-identical to sequential execution.
 //! * **A routing adapter** — `Route` requests hand the
 //!   [`BestFirstRouter`](pathcost_routing::BestFirstRouter) a

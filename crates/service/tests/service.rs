@@ -289,20 +289,17 @@ fn batch_execution_equals_sequential_execution() {
         });
     }
 
-    let engine = |workers| {
+    let engine = || {
         QueryEngine::new(
             Arc::new(HybridGraph::from_parts(
                 &f.net,
                 weights.clone(),
                 cfg.clone(),
             )),
-            ServiceConfig {
-                workers,
-                ..ServiceConfig::default()
-            },
+            ServiceConfig::default(),
         )
     };
-    let seq_engine = engine(None);
+    let seq_engine = engine();
     let sequential: Vec<_> = requests.iter().map(|r| seq_engine.execute(r)).collect();
     let assert_equals_sequential = |results: &[Result<QueryOutcome, ServiceError>]| {
         assert_eq!(results.len(), sequential.len());
@@ -314,15 +311,26 @@ fn batch_execution_equals_sequential_execution() {
     };
 
     // Cold: the batch's requests fill every key themselves.
-    let cold_engine = engine(Some(4));
+    let cold_engine = engine();
     assert_equals_sequential(&cold_engine.execute_batch(&requests));
     // Pre-warmed by point queries arriving in the opposite order: who filled
     // a key first never shows in an answer, rankings and routes included.
-    let warm_engine = engine(Some(4));
+    let warm_engine = engine();
     for request in requests.iter().rev() {
         warm_engine.execute(request).unwrap();
     }
     assert_equals_sequential(&warm_engine.execute_batch(&requests));
+    // Submitted from inside tasks of the process-wide pool, as from a fit
+    // or another lane's batch: both batches find the one pool busy and run
+    // on their callers, sharing one cold engine.
+    let nested_engine = engine();
+    let nested: [std::sync::OnceLock<_>; 2] = Default::default();
+    pathcost_core::exec::global().run(2, |i| {
+        let _ = nested[i].set(nested_engine.execute_batch(&requests));
+    });
+    for answers in nested {
+        assert_equals_sequential(&answers.into_inner().expect("both tasks ran"));
+    }
 
     // The cold batch cached exactly the keys sequential execution did, and
     // read entries its own requests filled: each probability query follows
@@ -611,14 +619,11 @@ fn second_identical_route_hits_the_free_flow_cache_for_bounds() {
 #[test]
 fn route_batches_equal_sequential_execution_with_the_free_flow_cache_at_capacity_one() {
     let f = fixture(313);
-    let engine = |workers| {
+    let engine = || {
         let graph = HybridGraph::build(&f.net, &f.store, f.cfg.clone()).unwrap();
         QueryEngine::with_free_flow_cache(
             Arc::new(graph),
-            ServiceConfig {
-                workers,
-                ..ServiceConfig::default()
-            },
+            ServiceConfig::default(),
             pathcost_routing::FreeFlowCache::with_capacity(&f.net, 1),
         )
     };
@@ -642,7 +647,7 @@ fn route_batches_equal_sequential_execution_with_the_free_flow_cache_at_capacity
         });
     }
 
-    let sequential_engine = engine(Some(1));
+    let sequential_engine = engine();
     let sequential: Vec<_> = requests
         .iter()
         .map(|r| sequential_engine.execute(r).unwrap())
@@ -653,14 +658,12 @@ fn route_batches_equal_sequential_execution_with_the_free_flow_cache_at_capacity
         "every search found its bounds evicted"
     );
 
-    for workers in [1, 4] {
-        let batch_engine = engine(Some(workers));
-        for _ in 0..2 {
-            let batch = batch_engine.execute_batch(&requests);
-            for (i, (batch, seq)) in batch.iter().zip(&sequential).enumerate() {
-                let batch = batch.as_ref().expect("batch request succeeds");
-                assert_bit_identical(i, &batch.response, &seq.response);
-            }
+    let batch_engine = engine();
+    for _ in 0..2 {
+        let batch = batch_engine.execute_batch(&requests);
+        for (i, (batch, seq)) in batch.iter().zip(&sequential).enumerate() {
+            let batch = batch.as_ref().expect("batch request succeeds");
+            assert_bit_identical(i, &batch.response, &seq.response);
         }
     }
 }

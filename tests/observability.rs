@@ -338,26 +338,36 @@ fn slow_queries_hit_the_event_log_and_the_counter() {
 #[test]
 fn healthz_reports_version_and_uptime() {
     let (engine, _) = fixture(53);
-    with_server(ServerConfig::default(), &engine, |addr| {
-        let (code, _, body) = get(addr, "/healthz");
-        assert_eq!(code, 200, "{body}");
-        let health = pathcost::server::json::parse(body.as_bytes()).unwrap();
-        assert_eq!(
-            health.get("version").and_then(Json::as_str),
-            Some(env!("CARGO_PKG_VERSION")),
-            "{body}"
-        );
-        assert!(
-            health
-                .get("uptime_s")
-                .and_then(|v| v.as_f64())
-                .is_some_and(|u| u >= 0.0),
-            "{body}"
-        );
-        assert_eq!(
-            health.get("workers").and_then(Json::as_u64),
-            Some(engine.worker_count() as u64),
-            "{body}"
-        );
-    });
+    // `workers: Some(0)` still runs one admission lane, and says so.
+    let zero = QueryEngine::new(
+        engine.graph(),
+        ServiceConfig {
+            workers: Some(0),
+            ..ServiceConfig::default()
+        },
+    );
+    for (engine, lanes) in [(&engine, engine.worker_count()), (&zero, 1)] {
+        with_server(ServerConfig::default(), engine, |addr| {
+            let (code, _, body) = get(addr, "/healthz");
+            assert_eq!(code, 200, "{body}");
+            let health = pathcost::server::json::parse(body.as_bytes()).unwrap();
+            assert_eq!(
+                health.get("version").and_then(Json::as_str),
+                Some(env!("CARGO_PKG_VERSION")),
+                "{body}"
+            );
+            assert!(
+                health
+                    .get("uptime_s")
+                    .and_then(|v| v.as_f64())
+                    .is_some_and(|u| u >= 0.0),
+                "{body}"
+            );
+            assert_eq!(
+                health.get("workers").and_then(Json::as_u64),
+                Some(lanes as u64),
+                "{body}"
+            );
+        });
+    }
 }
