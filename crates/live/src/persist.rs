@@ -27,8 +27,9 @@
 //!    newest one falls back to the previous (the journal is only rotated
 //!    down to the oldest retained generation, precisely so this bridge
 //!    always exists) — restores, and the journal records after it replay
-//!    (**warm**); a restore error, such as a config/retention fingerprint
-//!    mismatch that makes the lineage meaningless, discards the lineage;
+//!    (**warm**); a restore error, such as a network/config/retention
+//!    fingerprint mismatch that makes the lineage meaningless, discards the
+//!    lineage;
 //! 2. with no valid snapshot, a journal that starts at epoch 1 replays whole
 //!    onto the bootstrap store (**warm**);
 //! 3. any other on-disk state is discarded, and a fresh lineage starts
@@ -44,8 +45,7 @@ use pathcost_persist::journal::{Journal, JournalOp, JournalRecord};
 use pathcost_persist::snapshot::{self, list_generations, SnapshotReader, SnapshotWriter};
 use pathcost_persist::{PersistError, PersistenceStatus, RecoveryOutcome};
 use pathcost_roadnet::RoadNetwork;
-use pathcost_traj::{MatchedTrajectory, RegimeId, Timestamp, TrajectoryStore};
-use std::collections::BTreeMap;
+use pathcost_traj::{MatchedTrajectory, Timestamp, TrajectoryStore};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -197,9 +197,10 @@ impl<'n> PersistentIngestor<'n> {
     /// snapshot generation) it must deterministically reproduce the store the
     /// lineage originally started from.
     ///
-    /// `config` and `retention` must match what the lineage was built under —
-    /// a fingerprint mismatch discards the on-disk state (you cannot replay
-    /// epochs derived under different rules) and boots fresh.
+    /// `net`, `config` and `retention` must match what the lineage was built
+    /// under — a fingerprint mismatch discards the on-disk state (you cannot
+    /// replay epochs derived over another network or under different rules)
+    /// and boots fresh.
     pub fn recover(
         net: &'n RoadNetwork,
         dir: impl Into<PathBuf>,
@@ -520,33 +521,26 @@ impl<'n> PersistentIngestor<'n> {
         self.inner.compact_store();
         let epoch = self.inner.epoch();
         let weights = self.inner.weights();
-        let config_section =
-            codec::encode_config(self.inner.config(), self.inner.retention().max_age);
+        let config_section = codec::encode_config(
+            self.inner.network(),
+            self.inner.config(),
+            self.inner.retention().max_age,
+        );
         let mut store_section = Vec::new();
         codec::put_trajectories(&mut store_section, self.inner.store().matched());
-        let mut weights_section = Vec::new();
-        codec::put_variables(&mut weights_section, weights.variables());
-        // The all-traffic table rides the WEIGHTS section, every other table
-        // REGIME_WEIGHTS — the layout legacy images introduced (see
-        // `restore_from_snapshot`). The speed-limit fallbacks are rebuilt
-        // from the network and the config at restore.
-        let mut tags_section = Vec::new();
-        codec::put_regime_tags(&mut tags_section, self.inner.store().matched());
-        let own_tables: Vec<_> = weights
+        // Every table, all-traffic included; the speed-limit fallbacks are
+        // rebuilt from the network and the config at restore.
+        let tables: Vec<_> = weights
             .tables()
             .iter()
-            .filter(|(table, _)| **table != RegimeId::ALL_TRAFFIC)
-            .map(|(table, variables)| (*table, variables.as_slice()))
+            .map(|(regime, variables)| (*regime, variables.as_slice()))
             .collect();
-        let mut regimes_section = Vec::new();
-        codec::put_regime_schema(&mut regimes_section, weights.regime_schema());
-        codec::put_regime_tables(&mut regimes_section, &own_tables);
+        let mut weights_section = Vec::new();
+        codec::put_regime_tables(&mut weights_section, &tables);
         let sections = [
             (snapshot::section::CONFIG, config_section),
             (snapshot::section::STORE, store_section),
             (snapshot::section::WEIGHTS, weights_section),
-            (snapshot::section::REGIME_STORE, tags_section),
-            (snapshot::section::REGIME_WEIGHTS, regimes_section),
         ];
         let bytes = self.writer.publish(epoch, &sections)?;
         let mut gens = list_generations(&self.dir)?;
@@ -584,77 +578,33 @@ impl<'n> PersistentIngestor<'n> {
     }
 }
 
-/// Rebuilds a [`LiveIngestor`] from a decoded snapshot, verifying the config
-/// fingerprint first.
+/// Rebuilds a [`LiveIngestor`] from a decoded snapshot, verifying the
+/// network and config fingerprint first.
 fn restore_from_snapshot<'n>(
     net: &'n RoadNetwork,
     snap: &pathcost_persist::Snapshot,
     config: &HybridConfig,
     retention: RetentionConfig,
 ) -> Result<LiveIngestor<'n>, PersistenceError> {
-    let stored_fingerprint = snap
-        .section(snapshot::section::CONFIG)
-        .ok_or(PersistError::Incompatible("snapshot has no CONFIG section"))?;
-    if stored_fingerprint != codec::encode_config(config, retention.max_age) {
+    let section = |tag, missing| snap.section(tag).ok_or(PersistError::Incompatible(missing));
+    let stored_fingerprint = section(snapshot::section::CONFIG, "snapshot has no CONFIG section")?;
+    if stored_fingerprint != codec::encode_config(net, config, retention.max_age) {
         return Err(PersistError::Incompatible(
-            "snapshot was taken under a different config/retention; refusing to mix lineages",
+            "snapshot was taken over a different network or config/retention; refusing to mix lineages",
         )
         .into());
     }
-    let store_bytes = snap
-        .section(snapshot::section::STORE)
-        .ok_or(PersistError::Incompatible("snapshot has no STORE section"))?;
+    let store_bytes = section(snapshot::section::STORE, "snapshot has no STORE section")?;
     let mut c = Cursor::new(store_bytes, "snapshot store section");
-    let mut matched = codec::read_trajectories(&mut c)?;
+    let store = TrajectoryStore::new(codec::read_trajectories(&mut c)?);
     c.finish()?;
-    // Per-trajectory regime tags ride their own section, parallel to the
-    // STORE order; a legacy image has none and decodes as all-traffic state.
-    if let Some(tag_bytes) = snap.section(snapshot::section::REGIME_STORE) {
-        let mut c = Cursor::new(tag_bytes, "snapshot regime-store section");
-        let tags = codec::read_regime_tags(&mut c)?;
-        c.finish()?;
-        if tags.len() != matched.len() {
-            return Err(PersistError::corrupt(
-                "snapshot regime tags",
-                format!("{} tags for {} trajectories", tags.len(), matched.len()),
-            )
-            .into());
-        }
-        for (m, tag) in matched.iter_mut().zip(tags) {
-            m.regime = tag;
-        }
-    }
-    let store = TrajectoryStore::new(matched);
-
-    let weights_bytes =
-        snap.section(snapshot::section::WEIGHTS)
-            .ok_or(PersistError::Incompatible(
-                "snapshot has no WEIGHTS section",
-            ))?;
+    let weights_bytes = section(
+        snapshot::section::WEIGHTS,
+        "snapshot has no WEIGHTS section",
+    )?;
     let mut c = Cursor::new(weights_bytes, "snapshot weights section");
-    let variables = codec::read_weights(&mut c)?;
+    let tables = codec::read_regime_tables(&mut c)?;
     c.finish()?;
-    let mut tables = match snap.section(snapshot::section::REGIME_WEIGHTS) {
-        Some(regime_bytes) => {
-            let mut c = Cursor::new(regime_bytes, "snapshot regime-weights section");
-            // The recorded schema is the config's, which the CONFIG
-            // fingerprint has matched: decoded and dropped.
-            codec::read_regime_schema(&mut c)?;
-            let tables = codec::read_regime_tables(&mut c)?;
-            c.finish()?;
-            tables
-        }
-        // A legacy image recorded no other table, so every ladder resolves
-        // to the all-traffic one until regime-tagged traffic arrives.
-        None => BTreeMap::new(),
-    };
-    if tables.insert(RegimeId::ALL_TRAFFIC, variables).is_some() {
-        return Err(PersistError::corrupt(
-            "snapshot regime tables",
-            "the all-traffic table is the WEIGHTS section's",
-        )
-        .into());
-    }
     let weights = PathWeightFunction::from_parts(net, config, tables, &store)?;
     let mut inner = LiveIngestor::from_instantiated(net, store, weights, config.clone())?
         .with_retention(retention)?;
@@ -674,7 +624,6 @@ fn unix_ms() -> u64 {
 mod tests {
     use super::*;
     use pathcost_hist::Histogram1D;
-    use pathcost_persist::format::{put_len, put_u32};
     use pathcost_traj::DatasetPreset;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -885,59 +834,6 @@ mod tests {
         .unwrap();
         assert_eq!(report.outcome, RecoveryOutcome::Discarded);
         assert_eq!(p.epoch(), 0);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn a_legacy_fallback_list_is_read_and_dropped() {
-        let (net, store, cfg) = fixture();
-        let dir = temp_dir("legacy-fallbacks");
-        let split = store.len() / 2;
-        let base = TrajectoryStore::new(store.matched()[..split].to_vec());
-        let mut p = LiveIngestor::new(&net, base, cfg.clone())
-            .unwrap()
-            .with_persistence(&dir, PersistenceConfig::default())
-            .unwrap();
-        p.ingest(store.matched()[split..].to_vec()).unwrap();
-        p.snapshot_now().unwrap();
-        // Re-publish the generation with WEIGHTS laid out as older writers
-        // did: the variables, then the fallback list — here with ids 0 and
-        // 1 swapped, which restore once refused. Every CRC is valid.
-        let (snap, _) = SnapshotReader::load_latest(&dir).unwrap();
-        let mut snap = snap.unwrap();
-        let weights = p.weights();
-        let mut fallbacks = weights.fallback_units().to_vec();
-        fallbacks.swap(0, 1);
-        let (_, payload) = snap
-            .sections
-            .iter_mut()
-            .find(|(section, _)| *section == snapshot::section::WEIGHTS)
-            .unwrap();
-        put_len(payload, fallbacks.len());
-        for fallback in &fallbacks {
-            put_u32(payload, fallback.path.first_edge().0);
-            codec::put_histogram1d(payload, fallback.unit_marginal().unwrap());
-        }
-        p.writer.publish(snap.epoch, &snap.sections).unwrap();
-        let matched = p.store().matched().to_vec();
-        drop(p);
-
-        let (r, report) = PersistentIngestor::recover(
-            &net,
-            &dir,
-            cfg,
-            RetentionConfig::default(),
-            PersistenceConfig::default(),
-            || panic!("warm recovery must not need the bootstrap store"),
-        )
-        .unwrap();
-        assert_eq!(report.outcome, RecoveryOutcome::Warm);
-        assert_eq!(report.replayed_records, 0);
-        assert_eq!(r.epoch(), 1);
-        assert_eq!(r.store().matched(), &matched[..]);
-        assert_eq!(r.weights().tables(), weights.tables());
-        assert_eq!(r.weights().stats(), weights.stats());
-        assert_eq!(r.weights().fallback_units(), weights.fallback_units());
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -5,24 +5,45 @@
 //! round trip *bit-identical* — the recovery oracle in `tests/crash_recovery.rs`
 //! asserts exact equality of every histogram probability, so no codec in this
 //! module may ever normalise, reorder or re-derive anything. Reconstruction
-//! goes through the non-normalising raw-parts constructors
-//! ([`Histogram1D::from_raw_parts`], [`HistogramNd::from_raw_parts`]) for the
-//! same reason.
+//! goes through the non-normalising raw-parts constructor
+//! ([`HistogramNd::from_raw_parts`]) for the same reason.
 //!
-//! A snapshot stores only what cannot be derived: trajectories, their regime
-//! tags and the fitted variable tables. The speed-limit fallbacks are a pure
-//! function of the network and `speed_limit_spread`, which the config
-//! fingerprint covers, so no section carries them; [`read_weights`] reads
-//! and drops the list legacy images appended to `WGTS`.
+//! A snapshot stores only what cannot be derived: the trajectory rows, each
+//! with its regime tag ([`put_trajectory`]), and the weight function's
+//! variable tables, every regime's in one map ([`put_regime_tables`]). The
+//! speed-limit fallbacks are a pure function of the network and
+//! `speed_limit_spread`, and the regime schema is the config's; the
+//! fingerprint [`encode_config`] covers all three, so no section carries
+//! them.
+//!
+//! Every count prefix is read through [`Cursor::read_len`] with the fewest
+//! bytes a valid element encodes to, so a decoder reserves memory in
+//! proportion to the bytes it was given, never to the count a corrupt
+//! prefix claims.
 
 use crate::error::PersistError;
 use crate::format::{put_f64, put_len, put_u16, put_u32, put_u64, put_u8, Cursor};
 use pathcost_core::{HybridConfig, InstantiatedVariable, IntervalId, VariableSource};
-use pathcost_hist::{Bucket, Histogram1D, HistogramNd};
-use pathcost_roadnet::{EdgeId, Path};
+use pathcost_hist::{Bucket, HistogramNd};
+use pathcost_roadnet::{EdgeId, Path, RoadNetwork};
 use pathcost_traj::{CostKind, MatchedTrajectory, RegimeId, RegimeSchema, Timestamp};
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
+
+/// Encoded size of one edge id.
+const EDGE_BYTES: usize = 4;
+/// The smallest valid trajectory row: id, a one-edge path, one entry time,
+/// travel time and speed, and the regime tag.
+const TRAJECTORY_MIN: usize = 8 + (4 + EDGE_BYTES) + 3 * 8 + 2;
+/// Encoded size of one bucket: its two bounds.
+const BUCKET_BYTES: usize = 16;
+/// The smallest valid histogram axis: a count and one bucket.
+const AXIS_MIN: usize = 4 + BUCKET_BYTES;
+/// The smallest valid variable: a one-edge path, interval, source tag, and a
+/// one-axis histogram with one cell.
+const VARIABLE_MIN: usize = (4 + EDGE_BYTES) + 2 + 1 + (4 + AXIS_MIN) + (4 + 4 + 8);
+/// The smallest table entry: a regime and an empty variable count.
+const TABLE_MIN: usize = 2 + 4;
 
 // ---------------------------------------------------------------------------
 // Paths and trajectories
@@ -36,7 +57,7 @@ fn put_path(out: &mut Vec<u8>, path: &Path) {
 }
 
 fn read_path(c: &mut Cursor<'_>) -> Result<Path, PersistError> {
-    let n = c.read_len()?;
+    let n = c.read_len(EDGE_BYTES)?;
     if n == 0 {
         return Err(PersistError::corrupt("path", "zero-edge path"));
     }
@@ -47,6 +68,8 @@ fn read_path(c: &mut Cursor<'_>) -> Result<Path, PersistError> {
     Ok(Path::from_edges_unchecked(edges))
 }
 
+/// Encodes one trajectory row: id, path, the per-edge entry times, travel
+/// times and speeds, then the row's regime tag.
 pub fn put_trajectory(out: &mut Vec<u8>, m: &MatchedTrajectory) {
     put_u64(out, m.id);
     put_path(out, &m.path);
@@ -59,34 +82,33 @@ pub fn put_trajectory(out: &mut Vec<u8>, m: &MatchedTrajectory) {
     for &v in &m.avg_speeds_mps {
         put_f64(out, v);
     }
+    put_u16(out, m.regime.0);
 }
 
+/// The decoded counterpart of [`put_trajectory`].
 pub fn read_trajectory(c: &mut Cursor<'_>) -> Result<MatchedTrajectory, PersistError> {
     let id = c.u64()?;
     let path = read_path(c)?;
     let n = path.cardinality();
-    let mut entry_times = Vec::with_capacity(n);
-    for _ in 0..n {
-        entry_times.push(Timestamp(c.f64()?));
-    }
-    let mut travel_times = Vec::with_capacity(n);
-    for _ in 0..n {
-        travel_times.push(c.f64()?);
-    }
-    let mut avg_speeds_mps = Vec::with_capacity(n);
-    for _ in 0..n {
-        avg_speeds_mps.push(c.f64()?);
-    }
-    // Trajectory bytes are regime-free for v1 compatibility: regime tags
-    // travel in their own section/record (see `put_regime_tags`), and an
-    // image without one decodes as all-global traffic.
+    let mut per_edge = || -> Result<Vec<f64>, PersistError> {
+        // Bounded by `read_path`'s check: `n` edges took 4n bytes, so
+        // reserving 8n is at most twice the input.
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(c.f64()?);
+        }
+        Ok(out)
+    };
+    let entry_times = per_edge()?.into_iter().map(Timestamp).collect();
+    let travel_times = per_edge()?;
+    let avg_speeds_mps = per_edge()?;
     Ok(MatchedTrajectory {
         id,
         path,
         entry_times,
         travel_times,
         avg_speeds_mps,
-        regime: RegimeId::ALL_TRAFFIC,
+        regime: RegimeId(c.u16()?),
     })
 }
 
@@ -99,7 +121,7 @@ pub fn put_trajectories(out: &mut Vec<u8>, batch: &[MatchedTrajectory]) {
 }
 
 pub fn read_trajectories(c: &mut Cursor<'_>) -> Result<Vec<MatchedTrajectory>, PersistError> {
-    let n = c.read_len()?;
+    let n = c.read_len(TRAJECTORY_MIN)?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         out.push(read_trajectory(c)?);
@@ -111,27 +133,10 @@ pub fn read_trajectories(c: &mut Cursor<'_>) -> Result<Vec<MatchedTrajectory>, P
 // Regimes
 // ---------------------------------------------------------------------------
 
-/// Encodes the regime tag of each trajectory in `batch`, in batch order —
-/// the side-channel that keeps [`put_trajectory`] bytes v1-compatible.
-pub fn put_regime_tags(out: &mut Vec<u8>, batch: &[MatchedTrajectory]) {
-    put_len(out, batch.len());
-    for m in batch {
-        put_u16(out, m.regime.0);
-    }
-}
-
-/// The decoded counterpart of [`put_regime_tags`].
-pub fn read_regime_tags(c: &mut Cursor<'_>) -> Result<Vec<RegimeId>, PersistError> {
-    let n = c.read_len()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(RegimeId(c.u16()?));
-    }
-    Ok(out)
-}
-
-/// Encodes a regime fallback schema as its ordered `(regime, group)` entries.
-pub fn put_regime_schema(out: &mut Vec<u8>, schema: &RegimeSchema) {
+/// Encodes a regime fallback schema as its ordered `(regime, group)` entries
+/// (a part of the config fingerprint; restore takes the schema from the
+/// config).
+fn put_regime_schema(out: &mut Vec<u8>, schema: &RegimeSchema) {
     let entries: Vec<_> = schema.entries().collect();
     put_len(out, entries.len());
     for (regime, group) in entries {
@@ -140,19 +145,8 @@ pub fn put_regime_schema(out: &mut Vec<u8>, schema: &RegimeSchema) {
     }
 }
 
-pub fn read_regime_schema(c: &mut Cursor<'_>) -> Result<RegimeSchema, PersistError> {
-    let n = c.read_len()?;
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        let regime = RegimeId(c.u16()?);
-        let group = RegimeId(c.u16()?);
-        entries.push((regime, group));
-    }
-    Ok(RegimeSchema::from_entries(entries))
-}
-
-/// Encodes the own variable tables of a weight function — every table but
-/// the all-traffic one, which the `WGTS` section carries — in the ascending
+/// Encodes every variable table of a weight function, the all-traffic one
+/// included, as count-prefixed `(regime, variables)` pairs in the ascending
 /// regime order the caller iterates its table map in (so identical functions
 /// always produce identical bytes).
 pub fn put_regime_tables<V: Borrow<InstantiatedVariable>>(
@@ -166,10 +160,12 @@ pub fn put_regime_tables<V: Borrow<InstantiatedVariable>>(
     }
 }
 
+/// The decoded counterpart of [`put_regime_tables`]; a regime listed twice
+/// is corrupt.
 pub fn read_regime_tables(
     c: &mut Cursor<'_>,
 ) -> Result<BTreeMap<RegimeId, Vec<InstantiatedVariable>>, PersistError> {
-    let n = c.read_len()?;
+    let n = c.read_len(TABLE_MIN)?;
     let mut out = BTreeMap::new();
     for _ in 0..n {
         let regime = RegimeId(c.u16()?);
@@ -196,7 +192,7 @@ fn put_buckets(out: &mut Vec<u8>, buckets: &[Bucket]) {
 }
 
 fn read_buckets(c: &mut Cursor<'_>) -> Result<Vec<Bucket>, PersistError> {
-    let n = c.read_len()?;
+    let n = c.read_len(BUCKET_BYTES)?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         let lo = c.f64()?;
@@ -206,24 +202,6 @@ fn read_buckets(c: &mut Cursor<'_>) -> Result<Vec<Bucket>, PersistError> {
         out.push(Bucket::new(lo, hi)?);
     }
     Ok(out)
-}
-
-/// Encodes a 1-D histogram: the form in which legacy `WGTS` sections stored
-/// each speed-limit fallback.
-pub fn put_histogram1d(out: &mut Vec<u8>, h: &Histogram1D) {
-    put_buckets(out, h.buckets());
-    for &p in h.probs() {
-        put_f64(out, p);
-    }
-}
-
-pub fn read_histogram1d(c: &mut Cursor<'_>) -> Result<Histogram1D, PersistError> {
-    let buckets = read_buckets(c)?;
-    let mut probs = Vec::with_capacity(buckets.len());
-    for _ in 0..buckets.len() {
-        probs.push(c.f64()?);
-    }
-    Ok(Histogram1D::from_raw_parts(buckets, probs)?)
 }
 
 pub fn put_histogram_nd(out: &mut Vec<u8>, h: &HistogramNd) {
@@ -241,12 +219,12 @@ pub fn put_histogram_nd(out: &mut Vec<u8>, h: &HistogramNd) {
 }
 
 pub fn read_histogram_nd(c: &mut Cursor<'_>) -> Result<HistogramNd, PersistError> {
-    let dims = c.read_len()?;
+    let dims = c.read_len(AXIS_MIN)?;
     let mut axes = Vec::with_capacity(dims);
     for _ in 0..dims {
         axes.push(read_buckets(c)?);
     }
-    let cells_len = c.read_len()?;
+    let cells_len = c.read_len(4 * dims + 8)?;
     let mut cells = Vec::with_capacity(cells_len);
     for _ in 0..cells_len {
         let mut key = Vec::with_capacity(dims);
@@ -295,37 +273,19 @@ fn read_variable(c: &mut Cursor<'_>) -> Result<InstantiatedVariable, PersistErro
     Ok(InstantiatedVariable::new(path, interval, histogram, source))
 }
 
-/// Encodes a count-prefixed variable list: one table of a weight function
-/// (the whole `WGTS` section, or one own table of `RGWT`).
-pub fn put_variables<V: Borrow<InstantiatedVariable>>(out: &mut Vec<u8>, variables: &[V]) {
+/// Encodes a count-prefixed variable list: one table of a weight function.
+fn put_variables<V: Borrow<InstantiatedVariable>>(out: &mut Vec<u8>, variables: &[V]) {
     put_len(out, variables.len());
     for v in variables {
         put_variable(out, v.borrow());
     }
 }
 
-/// The decoded counterpart of [`put_variables`].
-pub fn read_variables(c: &mut Cursor<'_>) -> Result<Vec<InstantiatedVariable>, PersistError> {
-    let n = c.read_len()?;
+fn read_variables(c: &mut Cursor<'_>) -> Result<Vec<InstantiatedVariable>, PersistError> {
+    let n = c.read_len(VARIABLE_MIN)?;
     let mut variables = Vec::with_capacity(n);
     for _ in 0..n {
         variables.push(read_variable(c)?);
-    }
-    Ok(variables)
-}
-
-/// Decodes a `WGTS` section: the all-traffic variables. Bytes after them are
-/// a legacy image's speed-limit fallbacks — count-prefixed `(u32 edge, 1-D
-/// histogram)` pairs, which restore now derives from the network and the
-/// config — decoded like any other field (a malformed list is a corrupt
-/// section) and dropped.
-pub fn read_weights(c: &mut Cursor<'_>) -> Result<Vec<InstantiatedVariable>, PersistError> {
-    let variables = read_variables(c)?;
-    if c.remaining() > 0 {
-        for _ in 0..c.read_len()? {
-            c.u32()?;
-            read_histogram1d(c)?;
-        }
     }
     Ok(variables)
 }
@@ -334,13 +294,21 @@ pub fn read_weights(c: &mut Cursor<'_>) -> Result<Vec<InstantiatedVariable>, Per
 // Configuration fingerprint
 // ---------------------------------------------------------------------------
 
-/// Encodes every configuration field that affects what the persisted state
-/// *means*. Recovery compares these bytes against the booting process's
-/// encoding: any difference (a re-tuned β, a different α partition, a changed
-/// retention window…) makes the snapshot lineage unusable and forces a clean
-/// cold boot instead of silently mixing epochs derived under different rules.
-pub fn encode_config(cfg: &HybridConfig, retention_max_age: Option<f64>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(96);
+/// Encodes everything that fixes what the persisted state *means*: the road
+/// network, every configuration field that affects a fit (the regime schema
+/// included) and the retention window. Recovery compares these bytes against
+/// the booting process's encoding: any difference (another network, a
+/// re-tuned β, a different α partition, a changed retention window…) makes
+/// the snapshot lineage unusable and forces a clean cold boot instead of
+/// silently mixing epochs derived under different rules.
+pub fn encode_config(
+    net: &RoadNetwork,
+    cfg: &HybridConfig,
+    retention_max_age: Option<f64>,
+) -> Vec<u8> {
+    let mut out = Vec::with_capacity(128);
+    put_u64(&mut out, net.edge_count() as u64);
+    put_u64(&mut out, network_digest(net));
     put_u32(&mut out, cfg.alpha_minutes);
     put_u64(&mut out, cfg.beta as u64);
     put_u64(&mut out, cfg.max_rank as u64);
@@ -360,36 +328,40 @@ pub fn encode_config(cfg: &HybridConfig, retention_max_age: Option<f64>) -> Vec<
         }
         None => put_u8(&mut out, 0),
     }
-    // Regime schema entries are appended only when the schema is non-empty,
-    // so a pre-regime deployment's fingerprint bytes are unchanged and its
-    // v1 snapshot lineage stays adoptable.
-    if !cfg.regimes.is_empty() {
-        put_regime_schema(&mut out, &cfg.regimes);
-    }
+    put_regime_schema(&mut out, &cfg.regimes);
     out
 }
 
-pub fn cost_kind_tag(kind: CostKind) -> u8 {
+/// FNV-1a over every edge's `(from, to, length, speed limit)` bits, in edge
+/// id order: the parts of the network a persisted row, variable or
+/// speed-limit fallback depends on.
+fn network_digest(net: &RoadNetwork) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for e in net.edges() {
+        let fields = [
+            u64::from(e.from.0),
+            u64::from(e.to.0),
+            e.length_m.to_bits(),
+            e.speed_limit_kmh.to_bits(),
+        ];
+        for byte in fields.iter().flat_map(|f| f.to_le_bytes()) {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+fn cost_kind_tag(kind: CostKind) -> u8 {
     match kind {
         CostKind::TravelTime => 0,
         CostKind::Emissions => 1,
     }
 }
 
-pub fn cost_kind_from_tag(tag: u8) -> Result<CostKind, PersistError> {
-    match tag {
-        0 => Ok(CostKind::TravelTime),
-        1 => Ok(CostKind::Emissions),
-        _ => Err(PersistError::corrupt(
-            "cost kind",
-            format!("unknown tag {tag}"),
-        )),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pathcost_roadnet::GeneratorConfig;
 
     fn sample_trajectory(id: u64) -> MatchedTrajectory {
         MatchedTrajectory {
@@ -403,51 +375,34 @@ mod tests {
     }
 
     #[test]
-    fn regime_sections_round_trip() {
-        let batch = vec![
-            sample_trajectory(1).with_regime(RegimeId(2)),
-            sample_trajectory(2),
-        ];
-        let mut buf = Vec::new();
-        put_regime_tags(&mut buf, &batch);
-        let mut c = Cursor::new(&buf, "tags");
-        assert_eq!(
-            read_regime_tags(&mut c).unwrap(),
-            vec![RegimeId(2), RegimeId::ALL_TRAFFIC]
-        );
-        c.finish().unwrap();
-
-        let schema = RegimeSchema::flat().with_group(RegimeId(2), RegimeId(5));
-        let mut buf = Vec::new();
-        put_regime_schema(&mut buf, &schema);
-        let mut c = Cursor::new(&buf, "schema");
-        assert_eq!(read_regime_schema(&mut c).unwrap(), schema);
-        c.finish().unwrap();
-    }
-
-    #[test]
-    fn config_fingerprint_is_v1_compatible_for_empty_schemas() {
+    fn config_fingerprint_covers_the_regime_schema() {
+        let net = GeneratorConfig::tiny(1).generate();
         let base = HybridConfig::default();
-        let reference = encode_config(&base, None);
+        let reference = encode_config(&net, &base, None);
         let grouped = base
             .clone()
             .with_regimes(RegimeSchema::flat().with_group(RegimeId(1), RegimeId(3)));
-        assert_ne!(reference, encode_config(&grouped, None));
+        assert_ne!(reference, encode_config(&net, &grouped, None));
         // An explicitly flat schema encodes exactly like the default.
         let flat = base.with_regimes(RegimeSchema::flat());
-        assert_eq!(reference, encode_config(&flat, None));
+        assert_eq!(reference, encode_config(&net, &flat, None));
     }
 
     #[test]
     fn trajectory_round_trip_is_bit_identical() {
-        let m = sample_trajectory(42);
-        let mut buf = Vec::new();
-        put_trajectory(&mut buf, &m);
-        let mut c = Cursor::new(&buf, "trajectory");
-        let back = read_trajectory(&mut c).unwrap();
-        c.finish().unwrap();
-        assert_eq!(back, m);
-        assert_eq!(back.travel_times[2].to_bits(), (0.1f64 + 0.2).to_bits());
+        for m in [
+            sample_trajectory(42),
+            sample_trajectory(43).with_regime(RegimeId(2)),
+        ] {
+            let mut buf = Vec::new();
+            put_trajectory(&mut buf, &m);
+            assert_eq!(buf[buf.len() - 2..], m.regime.0.to_le_bytes(), "tag last");
+            let mut c = Cursor::new(&buf, "trajectory");
+            let back = read_trajectory(&mut c).unwrap();
+            c.finish().unwrap();
+            assert_eq!(back, m);
+            assert_eq!(back.travel_times[2].to_bits(), (0.1f64 + 0.2).to_bits());
+        }
     }
 
     #[test]
@@ -471,20 +426,86 @@ mod tests {
 
     #[test]
     fn config_fingerprint_discriminates_every_field() {
+        let net = GeneratorConfig::tiny(1).generate();
         let base = HybridConfig::default();
-        let reference = encode_config(&base, Some(3600.0));
-        assert_eq!(reference, encode_config(&base, Some(3600.0)));
-        assert_ne!(reference, encode_config(&base, Some(7200.0)));
-        assert_ne!(reference, encode_config(&base, None));
+        let reference = encode_config(&net, &base, Some(3600.0));
+        assert_eq!(reference, encode_config(&net, &base, Some(3600.0)));
+        assert_ne!(reference, encode_config(&net, &base, Some(7200.0)));
+        assert_ne!(reference, encode_config(&net, &base, None));
         let mut beta = base.clone();
         beta.beta += 1;
-        assert_ne!(reference, encode_config(&beta, Some(3600.0)));
+        assert_ne!(reference, encode_config(&net, &beta, Some(3600.0)));
         let mut alpha = base.clone();
         alpha.alpha_minutes *= 2;
-        assert_ne!(reference, encode_config(&alpha, Some(3600.0)));
-        let mut seed = base;
+        assert_ne!(reference, encode_config(&net, &alpha, Some(3600.0)));
+        let mut seed = base.clone();
         seed.auto.seed ^= 1;
-        assert_ne!(reference, encode_config(&seed, Some(3600.0)));
+        assert_ne!(reference, encode_config(&net, &seed, Some(3600.0)));
+        let emissions = HybridConfig {
+            cost_kind: CostKind::Emissions,
+            ..base.clone()
+        };
+        assert_ne!(reference, encode_config(&net, &emissions, Some(3600.0)));
+        // The network: regenerated, the same; another seed's lengths and
+        // speed limits on the same shape, or a smaller grid, not.
+        let regenerated = GeneratorConfig::tiny(1).generate();
+        assert_eq!(reference, encode_config(&regenerated, &base, Some(3600.0)));
+        let reseeded = GeneratorConfig::tiny(2).generate();
+        assert_eq!(reseeded.edge_count(), net.edge_count());
+        assert_ne!(reference, encode_config(&reseeded, &base, Some(3600.0)));
+        let smaller = GeneratorConfig {
+            rows: 4,
+            cols: 4,
+            ..GeneratorConfig::tiny(1)
+        }
+        .generate();
+        assert_ne!(reference, encode_config(&smaller, &base, Some(3600.0)));
+    }
+
+    #[test]
+    fn the_smallest_valid_encodings_match_their_minimums() {
+        let mut buf = Vec::new();
+        put_trajectory(
+            &mut buf,
+            &MatchedTrajectory {
+                id: 1,
+                path: Path::unit(EdgeId(0)),
+                entry_times: vec![Timestamp(0.0)],
+                travel_times: vec![1.0],
+                avg_speeds_mps: vec![1.0],
+                regime: RegimeId::ALL_TRAFFIC,
+            },
+        );
+        assert_eq!(buf.len(), TRAJECTORY_MIN);
+        let unit = HistogramNd::from_raw_parts(
+            vec![vec![Bucket::new(0.0, 1.0).unwrap()]],
+            vec![(vec![0], 1.0)],
+        )
+        .unwrap();
+        let mut buf = Vec::new();
+        put_variable(
+            &mut buf,
+            &InstantiatedVariable::new(
+                Path::unit(EdgeId(0)),
+                IntervalId(0),
+                unit,
+                VariableSource::SpeedLimit,
+            ),
+        );
+        assert_eq!(buf.len(), VARIABLE_MIN);
+        let mut buf = Vec::new();
+        let empty: &[InstantiatedVariable] = &[];
+        put_regime_tables(&mut buf, &[(RegimeId(1), empty)]);
+        assert_eq!(buf.len(), 4 + TABLE_MIN);
+    }
+
+    #[test]
+    fn a_regime_listed_twice_is_corrupt() {
+        let mut buf = Vec::new();
+        let empty: &[InstantiatedVariable] = &[];
+        put_regime_tables(&mut buf, &[(RegimeId(1), empty), (RegimeId(1), empty)]);
+        let mut c = Cursor::new(&buf, "tables");
+        assert!(read_regime_tables(&mut c).is_err());
     }
 
     #[test]
@@ -498,6 +519,5 @@ mod tests {
             let mut c = Cursor::new(&bad, "trajectories");
             let _ = read_trajectories(&mut c).and_then(|_| c.finish());
         }
-        assert!(cost_kind_from_tag(7).is_err());
     }
 }

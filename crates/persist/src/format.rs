@@ -112,14 +112,15 @@ impl<'a> Cursor<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    /// Reads a collection length, rejecting absurd values so a flipped
-    /// length byte cannot trigger a huge allocation. Every element of every
-    /// collection encodes to at least one byte, so a length beyond the bytes
-    /// left is corrupt too — and a caller's `Vec::with_capacity(len)` stays
-    /// bounded by the input's size.
-    pub fn read_len(&mut self) -> Result<usize, PersistError> {
+    /// Reads a collection length whose elements each encode to at least
+    /// `min_bytes` bytes. A length beyond [`MAX_LEN`], or one whose elements
+    /// could not fit in the bytes left (`len × min_bytes > remaining`), is
+    /// corrupt. So a caller's `Vec::with_capacity(len)` reserves at most
+    /// `size_of::<T>() / min_bytes` times the input it was given, whatever
+    /// the prefix claims.
+    pub fn read_len(&mut self, min_bytes: usize) -> Result<usize, PersistError> {
         let len = self.u32()?;
-        if len > MAX_LEN || len as usize > self.remaining() {
+        if len > MAX_LEN || (len as usize).saturating_mul(min_bytes) > self.remaining() {
             return Err(PersistError::corrupt(
                 self.context,
                 format!("implausible collection length {len}"),
@@ -179,7 +180,7 @@ mod tests {
     fn implausible_lengths_are_rejected() {
         let mut buf = Vec::new();
         put_u32(&mut buf, MAX_LEN + 1);
-        assert!(Cursor::new(&buf, "test").read_len().is_err());
+        assert!(Cursor::new(&buf, "test").read_len(1).is_err());
     }
 
     #[test]
@@ -187,11 +188,19 @@ mod tests {
         let mut buf = Vec::new();
         put_u32(&mut buf, 3);
         buf.extend_from_slice(&[0xAA; 3]);
-        assert_eq!(Cursor::new(&buf, "test").read_len().unwrap(), 3);
-        assert!(Cursor::new(&buf[..6], "test").read_len().is_err());
+        assert_eq!(Cursor::new(&buf, "test").read_len(1).unwrap(), 3);
+        assert!(Cursor::new(&buf[..6], "test").read_len(1).is_err());
         // Within MAX_LEN, but the buffer cannot hold that many elements.
         let mut buf = Vec::new();
         put_u32(&mut buf, MAX_LEN);
-        assert!(Cursor::new(&buf, "test").read_len().is_err());
+        assert!(Cursor::new(&buf, "test").read_len(1).is_err());
+        // Elements of at least 8 bytes each: 3 fit in 24 bytes, not in 23.
+        let mut buf = Vec::new();
+        put_u32(&mut buf, 3);
+        buf.extend_from_slice(&[0xAA; 24]);
+        assert_eq!(Cursor::new(&buf, "test").read_len(8).unwrap(), 3);
+        assert!(Cursor::new(&buf[..27], "test").read_len(8).is_err());
+        assert!(Cursor::new(&buf, "test").read_len(9).is_err());
+        assert!(Cursor::new(&buf, "test").read_len(usize::MAX).is_err());
     }
 }

@@ -1,9 +1,9 @@
 //! The append-only ingest journal.
 //!
-//! # File layout (version 1)
+//! # File layout (version 2)
 //!
 //! ```text
-//! magic  8 bytes   b"PCJRNL\0\x01"
+//! magic  8 bytes   b"PCJRNL\0\x02"
 //! then zero or more records:
 //!   length  u32    payload bytes
 //!   CRC32   u32    over length ‖ payload
@@ -11,9 +11,8 @@
 //! ```
 //!
 //! Op bodies: `1` = retire-before (a timestamp cutoff), `2` = retire-ids (an
-//! id list), `3` = ingest (a trajectory batch followed by one regime tag per
-//! trajectory). Op `0` — an ingest without the tags — is read-only legacy:
-//! older releases wrote it for all-traffic batches, and it replays as one.
+//! id list), `3` = ingest (a trajectory batch, each row with its regime tag,
+//! in the snapshot's row encoding). Any other op is a corrupt record.
 //! Every record carries the epoch the operation *published*, so replay can
 //! skip records already captured by a snapshot.
 //!
@@ -25,7 +24,8 @@
 //! truncated back to the last valid boundary — the exact definition of
 //! "resume from the last durable record". A file whose 8-byte magic is wrong
 //! (or that is shorter than the magic) was never a journal this process can
-//! extend; it is re-created empty, and the report says so.
+//! extend — another format version included; it is re-created empty, and
+//! the report says so.
 
 use crate::codec;
 use crate::crc::crc32_parts;
@@ -37,7 +37,7 @@ use std::io::{Seek, SeekFrom, Write};
 use std::path::PathBuf;
 
 /// Magic prefix of every journal file; the final byte is the format version.
-pub const JOURNAL_MAGIC: [u8; 8] = *b"PCJRNL\x00\x01";
+pub const JOURNAL_MAGIC: [u8; 8] = *b"PCJRNL\x00\x02";
 
 /// One durable ingest operation.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,7 +69,6 @@ impl JournalRecord {
             JournalOp::Ingest(batch) => {
                 put_u8(&mut out, 3);
                 codec::put_trajectories(&mut out, batch);
-                codec::put_regime_tags(&mut out, batch);
             }
             JournalOp::RetireBefore(cutoff) => {
                 put_u8(&mut out, 1);
@@ -91,34 +90,16 @@ impl JournalRecord {
         let mut c = Cursor::new(payload, "journal record");
         let epoch = c.u64()?;
         let op = match c.u8()? {
-            0 => JournalOp::Ingest(codec::read_trajectories(&mut c)?),
             1 => JournalOp::RetireBefore(Timestamp(c.f64()?)),
             2 => {
-                let n = c.read_len()?;
+                let n = c.read_len(8)?;
                 let mut ids = Vec::with_capacity(n);
                 for _ in 0..n {
                     ids.push(c.u64()?);
                 }
                 JournalOp::RetireIds(ids)
             }
-            3 => {
-                let mut batch = codec::read_trajectories(&mut c)?;
-                let tags = codec::read_regime_tags(&mut c)?;
-                if tags.len() != batch.len() {
-                    return Err(PersistError::corrupt(
-                        "journal record",
-                        format!(
-                            "{} regime tags for {} trajectories",
-                            tags.len(),
-                            batch.len()
-                        ),
-                    ));
-                }
-                for (m, tag) in batch.iter_mut().zip(tags) {
-                    m.regime = tag;
-                }
-                JournalOp::Ingest(batch)
-            }
+            3 => JournalOp::Ingest(codec::read_trajectories(&mut c)?),
             tag => {
                 return Err(PersistError::corrupt(
                     "journal record",
@@ -368,7 +349,7 @@ mod tests {
     }
 
     #[test]
-    fn ingest_round_trips_its_tags_and_a_legacy_record_replays_as_all_traffic() {
+    fn ingest_round_trips_its_tags_and_op_0_is_refused() {
         use pathcost_traj::RegimeId;
         let untagged = match &sample_records()[0].op {
             JournalOp::Ingest(batch) => batch.clone(),
@@ -388,14 +369,17 @@ mod tests {
             assert_eq!(JournalRecord::decode(&payload).unwrap(), record);
         }
 
-        // Op 0, as older releases wrote it: epoch, tag, the batch, no tags.
-        let mut legacy = Vec::new();
-        put_u64(&mut legacy, 9);
-        put_u8(&mut legacy, 0);
-        codec::put_trajectories(&mut legacy, &tagged);
-        let replayed = JournalRecord::decode(&legacy).unwrap();
-        assert_eq!(replayed.epoch, 9);
-        assert_eq!(replayed.op, JournalOp::Ingest(untagged));
+        // The same body under op 0, or under any op this version never
+        // wrote, is a corrupt record.
+        for op in [0, 4, u8::MAX] {
+            let mut payload = JournalRecord {
+                epoch: 9,
+                op: JournalOp::Ingest(tagged.clone()),
+            }
+            .encode();
+            payload[8] = op;
+            assert!(JournalRecord::decode(&payload).is_err(), "op {op} decoded");
+        }
     }
 
     #[test]
@@ -515,6 +499,17 @@ mod tests {
         assert!(records.is_empty());
         assert!(report.recreated);
         assert_eq!(j.records(), 0);
+        // A journal of another format version: its records are not read.
+        drop(j);
+        let (mut j, _, _) = Journal::open(&path).unwrap();
+        j.append(&sample_records()[1]).unwrap();
+        drop(j);
+        let mut other = fs::read(&path).unwrap();
+        other[7] = 1;
+        fs::write(&path, &other).unwrap();
+        let (_, records, report) = Journal::open(&path).unwrap();
+        assert!(records.is_empty());
+        assert!(report.recreated);
         fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 

@@ -3,12 +3,12 @@
 //! # File layout
 //!
 //! ```text
-//! magic           8 bytes   b"PCSNAP\0\x02"  (version in the last byte)
+//! magic           8 bytes   b"PCSNAP\0\x03"  (version in the last byte)
 //! epoch           u64       ingest epoch the snapshot captures
 //! section count   u32
 //! header CRC32    u32       over the 20 bytes above
 //! per section:
-//!   tag           u32       four-CC ("CONF", "STOR", "WGTS", …)
+//!   tag           u32       four-CC: "CONF", "STOR" or "WGTS"
 //!   length        u32       payload bytes
 //!   section CRC32 u32       over tag ‖ length ‖ payload
 //!   payload       `length` bytes
@@ -18,10 +18,12 @@
 //! so a single flipped bit anywhere — header or body — is detected; a
 //! truncated file fails the bounds-checked section reads.
 //!
-//! The writer has one form: version 2, with both regime sections. Version 1
-//! — the same frame under the older magic, without the regime sections — is
-//! read-only legacy: the reader accepts it, and an absent regime section
-//! decodes as all-traffic state.
+//! A snapshot has three sections ([`section`]): the network and config
+//! fingerprint, the
+//! trajectory rows with their regime tags, and every variable table. The
+//! reader accepts exactly what the writer writes: an image under any other
+//! version byte is corrupt, so recovery skips it like any damaged
+//! generation.
 //!
 //! # Publication and generations
 //!
@@ -44,14 +46,8 @@ use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// Magic prefix of a version-1 snapshot file (the final byte is the format
-/// version): read-only legacy, written by releases that had no regime
-/// sections or emitted them only for regime-tagged state.
-pub const SNAPSHOT_MAGIC: [u8; 8] = *b"PCSNAP\x00\x01";
-
-/// Magic prefix of every snapshot file written today: version 1's frame plus
-/// the regime sections ([`section::REGIME_STORE`], [`section::REGIME_WEIGHTS`]).
-pub const SNAPSHOT_MAGIC_V2: [u8; 8] = *b"PCSNAP\x00\x02";
+/// Magic prefix of a snapshot file; the final byte is the format version.
+pub const SNAPSHOT_MAGIC: [u8; 8] = *b"PCSNAP\x00\x03";
 
 /// How many published snapshot generations are kept on disk.
 pub const KEEP_GENERATIONS: usize = 2;
@@ -60,17 +56,11 @@ pub const KEEP_GENERATIONS: usize = 2;
 pub mod section {
     /// Configuration fingerprint bytes.
     pub const CONFIG: u32 = u32::from_le_bytes(*b"CONF");
-    /// The trajectory store's matched-trajectory list.
+    /// The trajectory store's rows, each with its regime tag.
     pub const STORE: u32 = u32::from_le_bytes(*b"STOR");
-    /// The weight function's all-traffic variables (legacy images append the
-    /// speed-limit fallbacks, which restore reads and drops).
+    /// Every variable table of the weight function, keyed by regime (the
+    /// all-traffic table included).
     pub const WEIGHTS: u32 = u32::from_le_bytes(*b"WGTS");
-    /// Per-trajectory regime tags, parallel to the STOR trajectory order
-    /// (absent from legacy images: every trajectory is all-traffic).
-    pub const REGIME_STORE: u32 = u32::from_le_bytes(*b"RGST");
-    /// The regime schema plus every own variable table (absent from legacy
-    /// images: the all-traffic table is the only one).
-    pub const REGIME_WEIGHTS: u32 = u32::from_le_bytes(*b"RGWT");
 }
 
 /// A decoded snapshot: the epoch it captured plus its raw sections.
@@ -123,7 +113,7 @@ impl SnapshotWriter {
     fn encode(epoch: u64, sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
         let body: usize = sections.iter().map(|(_, p)| 12 + p.len()).sum();
         let mut out = Vec::with_capacity(24 + body);
-        out.extend_from_slice(&SNAPSHOT_MAGIC_V2);
+        out.extend_from_slice(&SNAPSHOT_MAGIC);
         put_u64(&mut out, epoch);
         put_u32(&mut out, sections.len() as u32);
         let header_crc = crc32(&out);
@@ -219,7 +209,7 @@ impl SnapshotReader {
     pub fn decode(image: &[u8]) -> Result<Snapshot, PersistError> {
         let mut c = Cursor::new(image, "snapshot header");
         let magic = c.take(8)?;
-        if magic != SNAPSHOT_MAGIC && magic != SNAPSHOT_MAGIC_V2 {
+        if magic != SNAPSHOT_MAGIC {
             return Err(PersistError::corrupt(
                 "snapshot header",
                 format!("bad magic {magic:02x?}"),
@@ -355,31 +345,22 @@ mod tests {
     }
 
     #[test]
-    fn version1_images_still_decode() {
-        let mut with_regimes = sections();
-        with_regimes.push((section::REGIME_STORE, vec![0, 1]));
-        with_regimes.push((section::REGIME_WEIGHTS, vec![2, 3]));
-        let image = SnapshotWriter::encode(3, &with_regimes);
-        assert_eq!(image[..8], SNAPSHOT_MAGIC_V2);
-        let snap = SnapshotReader::decode(&image).expect("v2 decodes");
-        assert_eq!(snap.section(section::REGIME_STORE), Some(&[0u8, 1][..]));
-        assert_eq!(snap.section(section::REGIME_WEIGHTS), Some(&[2u8, 3][..]));
-
-        // A legacy image: the three core sections under the version-1 magic
-        // (which the header CRC covers). Nothing writes one any more.
-        let reframe = |version: u8| {
-            let mut image = SnapshotWriter::encode(3, &sections());
-            assert_eq!(image[..8], SNAPSHOT_MAGIC_V2, "one writer form");
-            image[7] = version;
-            let header_crc = crc32(&image[..20]);
-            image[20..24].copy_from_slice(&header_crc.to_le_bytes());
-            image
-        };
-        assert_eq!(reframe(1)[..8], SNAPSHOT_MAGIC);
-        let legacy = SnapshotReader::decode(&reframe(1)).expect("v1 decodes");
-        assert_eq!((legacy.epoch, legacy.sections), (3, sections()));
-        // Any other version byte is not a snapshot.
-        assert!(SnapshotReader::decode(&reframe(3)).is_err());
+    fn only_the_written_version_decodes() {
+        let image = SnapshotWriter::encode(3, &sections());
+        assert_eq!(image[..8], SNAPSHOT_MAGIC);
+        let snap = SnapshotReader::decode(&image).expect("the written version decodes");
+        assert_eq!((snap.epoch, snap.sections), (3, sections()));
+        // The same frame under another version byte, its header CRC valid.
+        for version in [1, 2, 4] {
+            let mut other = image.clone();
+            other[7] = version;
+            let header_crc = crc32(&other[..20]);
+            other[20..24].copy_from_slice(&header_crc.to_le_bytes());
+            assert!(
+                SnapshotReader::decode(&other).is_err(),
+                "version {version} decoded"
+            );
+        }
     }
 
     #[test]

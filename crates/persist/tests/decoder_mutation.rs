@@ -1,28 +1,89 @@
 //! Mutation test for the persistence decoders: every reader answers `Ok` or
-//! `Err` on damaged bytes, never panics.
+//! `Err` on damaged bytes, never panics, and never asks the allocator for
+//! more than a bound linear in the bytes it was given.
 //!
 //! The seeds are valid encodings of a small regime-tagged lineage — a few
-//! dozen trajectory rows under a grouped schema, each section cut to at most
-//! [`SECTION_LIMIT`] bytes so a debug run stays fast. A deterministic
-//! SplitMix64 generator damages them (bit flips, truncation, a `u32`
-//! overwritten with a large length, splices from another seed) and hands the
-//! result to its reader:
+//! dozen tagged trajectory rows and the variable tables of a grouped
+//! schema, each section cut to at most [`SECTION_LIMIT`] bytes so a debug
+//! run stays fast. A deterministic SplitMix64 generator damages them (bit
+//! flips, truncation, a `u32` overwritten with a large length, splices from
+//! another seed) and hands the result to its reader:
 //!
 //! * whole snapshot images to [`SnapshotReader::decode`];
-//! * each section payload straight to its own codec reader, which bypasses
-//!   the CRC that would otherwise reject almost every mutation;
+//! * each section payload straight to its own codec reader
+//!   ([`codec::read_trajectories`], [`codec::read_regime_tables`]), which
+//!   bypasses the CRC that would otherwise reject almost every mutation;
 //! * journal record payloads to [`JournalRecord::decode`].
 //!
-//! `PERSIST_MUTATION_ITERATIONS` selects a longer run.
+//! A per-thread counting `#[global_allocator]` measures the bytes each call
+//! requests. `PERSIST_MUTATION_ITERATIONS` selects a longer run.
 
 use pathcost_core::{HybridConfig, PathWeightFunction};
 use pathcost_persist::codec;
-use pathcost_persist::format::{put_len, put_u32, put_u64, put_u8, Cursor, MAX_LEN};
+use pathcost_persist::format::{put_u32, Cursor, MAX_LEN};
 use pathcost_persist::snapshot::section;
 use pathcost_persist::{JournalOp, JournalRecord, SnapshotReader, SnapshotWriter};
 use pathcost_traj::{
     DatasetPreset, MatchedTrajectory, RegimeId, RegimeSchema, Timestamp, TrajectoryStore,
 };
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// The system allocator, counting the bytes this thread requests through
+/// `alloc` and `realloc`.
+struct Counting;
+
+thread_local! {
+    // Const-initialised and without a destructor, so touching it from inside
+    // the allocator neither allocates nor re-enters.
+    static REQUESTED: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a plain thread-local
+// `Cell` that is never borrowed across a call.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        REQUESTED.with(|n| n.set(n.get() + layout.size() as u64));
+        // SAFETY: the caller's obligations for `alloc` are passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator, with this
+        // layout, by the caller's obligations for `dealloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        REQUESTED.with(|n| n.set(n.get() + new_size as u64));
+        // SAFETY: as for `dealloc`, and `new_size` is the caller's to vouch for.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Bytes requested per input byte, and the constant on top: the most one
+/// decode may ask the allocator for is `C × input length + K`.
+///
+/// `C` covers what a decode builds in proportion to its input: a snapshot
+/// section copied out of its image, a row or variable `Vec` whose elements
+/// are larger in memory than on disk, and a unit variable's marginal
+/// derived from its histogram. `K` covers error messages and small fixed
+/// vectors. Measured over 2 M release iterations of the mutation test
+/// below: with `C = 6` the largest constant needed was 2 910 bytes, and with
+/// `K` = 4 KiB the largest per-byte cost was 5.68. Before the count checks
+/// took the element size, a 1 MiB buffer claiming a million rows requested
+/// 112 MB.
+const C: u64 = 6;
+const K: u64 = 4 * 1024;
+
+/// The allocation bound for an input of `len` bytes.
+fn bound(len: usize) -> u64 {
+    C * len as u64 + K
+}
 
 /// The largest seed section, in bytes.
 const SECTION_LIMIT: usize = 4096;
@@ -51,26 +112,27 @@ impl Gen {
 enum Reader {
     Image,
     Trajectories,
-    RegimeTags,
     Weights,
-    RegimeWeights,
     Journal,
 }
 
 /// Decodes `bytes` with `reader`, requiring a section reader to consume
-/// every byte as recovery does. `true` when it decoded.
-fn decode(reader: Reader, bytes: &[u8]) -> bool {
+/// every byte as recovery does. Returns whether it decoded and the bytes
+/// requested from the allocator during the call.
+fn decode(reader: Reader, bytes: &[u8]) -> (bool, u64) {
+    let before = REQUESTED.with(Cell::get);
     let mut c = Cursor::new(bytes, "mutated section");
     let decoded = match reader {
-        Reader::Image => return SnapshotReader::decode(bytes).is_ok(),
-        Reader::Journal => return JournalRecord::decode(bytes).is_ok(),
+        Reader::Image => SnapshotReader::decode(bytes).map(drop),
+        Reader::Journal => JournalRecord::decode(bytes).map(drop),
         Reader::Trajectories => codec::read_trajectories(&mut c).map(drop),
-        Reader::RegimeTags => codec::read_regime_tags(&mut c).map(drop),
-        Reader::Weights => codec::read_weights(&mut c).map(drop),
-        Reader::RegimeWeights => codec::read_regime_schema(&mut c)
-            .and_then(|_| codec::read_regime_tables(&mut c).map(drop)),
+        Reader::Weights => codec::read_regime_tables(&mut c).map(drop),
     };
-    decoded.and_then(|()| c.finish()).is_ok()
+    let ok = match reader {
+        Reader::Image | Reader::Journal => decoded.is_ok(),
+        Reader::Trajectories | Reader::Weights => decoded.and_then(|()| c.finish()).is_ok(),
+    };
+    (ok, REQUESTED.with(Cell::get) - before)
 }
 
 /// The encoding of the longest prefix `encode(k)`, `k ≤ n`, that fits in
@@ -98,52 +160,27 @@ fn seeds() -> Vec<(Reader, Vec<u8>)> {
         beta: 2,
         ..HybridConfig::default()
     }
-    .with_regimes(schema.clone());
+    .with_regimes(schema);
     let weights =
         PathWeightFunction::instantiate(&net, &TrajectoryStore::new(rows.clone()), &cfg).unwrap();
-    let own_tables: Vec<(RegimeId, &[_])> = weights
-        .tables()
-        .iter()
-        .filter(|(regime, _)| !regime.is_global())
-        .map(|(regime, table)| (*regime, table.as_slice()))
-        .collect();
-    assert!(!own_tables.is_empty(), "the lineage has own regime tables");
+    assert!(
+        weights.tables().len() > 1,
+        "the lineage has own regime tables"
+    );
 
     let store_section = fitted(rows.len(), |k| {
         let mut out = Vec::new();
         codec::put_trajectories(&mut out, &rows[..k]);
         out
     });
-    let tags_section = {
-        let mut out = Vec::new();
-        codec::put_regime_tags(&mut out, &rows);
-        out
-    };
-    let weights_section = fitted(weights.variables().len(), |k| {
-        let mut out = Vec::new();
-        codec::put_variables(&mut out, &weights.variables()[..k]);
-        out
-    });
-    // A legacy WGTS section: a few variables, then the fallback list older
-    // writers appended.
-    let legacy_weights_section = fitted(net.edge_count(), |k| {
-        let mut out = Vec::new();
-        codec::put_variables(&mut out, &weights.variables()[..2]);
-        put_len(&mut out, k);
-        for fallback in &weights.fallback_units()[..k] {
-            put_u32(&mut out, fallback.path.first_edge().0);
-            codec::put_histogram1d(&mut out, fallback.unit_marginal().unwrap());
-        }
-        out
-    });
-    let longest = own_tables.iter().map(|(_, t)| t.len()).max().unwrap();
-    let regimes_section = fitted(longest, |k| {
-        let cut: Vec<(RegimeId, &[_])> = own_tables
+    let longest = weights.tables().values().map(Vec::len).max().unwrap();
+    let weights_section = fitted(longest, |k| {
+        let cut: Vec<(RegimeId, &[_])> = weights
+            .tables()
             .iter()
             .map(|(regime, table)| (*regime, &table[..k.min(table.len())]))
             .collect();
         let mut out = Vec::new();
-        codec::put_regime_schema(&mut out, &schema);
         codec::put_regime_tables(&mut out, &cut);
         out
     });
@@ -152,11 +189,12 @@ fn seeds() -> Vec<(Reader, Vec<u8>)> {
         std::env::temp_dir().join(format!("pathcost-decoder-mutation-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let sections = [
-        (section::CONFIG, codec::encode_config(&cfg, Some(3600.0))),
+        (
+            section::CONFIG,
+            codec::encode_config(&net, &cfg, Some(3600.0)),
+        ),
         (section::STORE, store_section.clone()),
         (section::WEIGHTS, weights_section.clone()),
-        (section::REGIME_STORE, tags_section.clone()),
-        (section::REGIME_WEIGHTS, regimes_section.clone()),
     ];
     SnapshotWriter::new(&dir)
         .unwrap()
@@ -172,21 +210,15 @@ fn seeds() -> Vec<(Reader, Vec<u8>)> {
     let image = std::fs::read(image_path).unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
 
-    let batch = rows[..6].to_vec();
     let record = |epoch, op| JournalRecord { epoch, op }.encode();
-    let mut legacy_ingest = Vec::new();
-    put_u64(&mut legacy_ingest, 1);
-    put_u8(&mut legacy_ingest, 0);
-    codec::put_trajectories(&mut legacy_ingest, &batch);
-
     vec![
         (Reader::Image, image),
         (Reader::Trajectories, store_section),
-        (Reader::RegimeTags, tags_section),
         (Reader::Weights, weights_section),
-        (Reader::Weights, legacy_weights_section),
-        (Reader::RegimeWeights, regimes_section),
-        (Reader::Journal, record(2, JournalOp::Ingest(batch))),
+        (
+            Reader::Journal,
+            record(2, JournalOp::Ingest(rows[..6].to_vec())),
+        ),
         (
             Reader::Journal,
             record(3, JournalOp::RetireBefore(Timestamp(5400.5))),
@@ -195,7 +227,6 @@ fn seeds() -> Vec<(Reader, Vec<u8>)> {
             Reader::Journal,
             record(4, JournalOp::RetireIds(vec![3, 17, u64::MAX])),
         ),
-        (Reader::Journal, legacy_ingest),
     ]
 }
 
@@ -226,10 +257,10 @@ fn mutate(gen: &mut Gen, mut bytes: Vec<u8>, donor: &[u8]) -> Vec<u8> {
 }
 
 /// Every persistence decoder answers `Ok` or `Err` on mutations of valid
-/// encodings and never panics. `PERSIST_MUTATION_ITERATIONS` selects a
-/// longer run.
+/// encodings, never panics and allocates within [`bound`].
+/// `PERSIST_MUTATION_ITERATIONS` selects a longer run.
 #[test]
-fn mutated_encodings_decode_or_fail_without_panicking() {
+fn mutated_encodings_decode_or_fail_within_bounds() {
     let iterations: u64 = std::env::var("PERSIST_MUTATION_ITERATIONS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -240,7 +271,13 @@ fn mutated_encodings_decode_or_fail_without_panicking() {
             bytes.len() <= 4 * SECTION_LIMIT,
             "{reader:?} seed too large"
         );
-        assert!(decode(*reader, bytes), "{reader:?} seed must decode");
+        let (ok, requested) = decode(*reader, bytes);
+        assert!(ok, "{reader:?} seed must decode");
+        assert!(
+            requested <= bound(bytes.len()),
+            "{reader:?} seed: {requested} bytes requested for {} input bytes",
+            bytes.len()
+        );
     }
     let mut gen = Gen {
         state: 0x7065_7273_6973_7421,
@@ -253,13 +290,53 @@ fn mutated_encodings_decode_or_fail_without_panicking() {
         for _ in 0..=gen.upto(3) {
             bytes = mutate(&mut gen, bytes, donor);
         }
-        let outcome = std::panic::catch_unwind(|| decode(*reader, &bytes));
-        match outcome {
-            Ok(ok) => decoded += u64::from(ok),
-            Err(_) => panic!("iteration {i}: {reader:?} panicked on {bytes:02x?}"),
-        }
+        let (ok, requested) = std::panic::catch_unwind(|| decode(*reader, &bytes))
+            .unwrap_or_else(|_| panic!("iteration {i}: {reader:?} panicked on {bytes:02x?}"));
+        decoded += u64::from(ok);
+        assert!(
+            requested <= bound(bytes.len()),
+            "iteration {i}: {reader:?} requested {requested} bytes for a {}-byte input",
+            bytes.len()
+        );
     }
     // Some mutations must survive decoding, or the readers were never
     // reached past their first field.
     assert!(iterations < 1000 || decoded > 0, "no mutation decoded");
+}
+
+/// A count prefix claiming far more elements than the buffer could hold
+/// reserves in proportion to the buffer, not to the claim: 1 MiB whose
+/// prefix claims a million rows, variables, tables or journalled rows.
+#[test]
+fn a_claimed_count_reserves_what_arrives_not_what_it_claims() {
+    const INPUT: usize = 1 << 20;
+    assert!(
+        MAX_LEN as usize > 1_000_000,
+        "the claim passes the MAX_LEN check"
+    );
+    let claimed = |prefix: &[u8]| {
+        let mut bytes = prefix.to_vec();
+        put_u32(&mut bytes, 1_000_000);
+        bytes.resize(INPUT, 0x11);
+        bytes
+    };
+    // A journal ingest: epoch, op 3, then the row count.
+    let mut ingest = 9u64.to_le_bytes().to_vec();
+    ingest.push(3);
+    // One table of regime 0 whose variable count is the claim.
+    let table = [1, 0, 0, 0, 0, 0];
+    for (reader, bytes) in [
+        (Reader::Trajectories, claimed(&[])),
+        (Reader::Weights, claimed(&[])),
+        (Reader::Weights, claimed(&table)),
+        (Reader::Journal, claimed(&ingest)),
+    ] {
+        let (ok, requested) = decode(reader, &bytes);
+        assert!(!ok, "{reader:?} decoded filler");
+        assert!(
+            requested <= bound(bytes.len()),
+            "{reader:?}: {requested} bytes requested for a {}-byte input",
+            bytes.len()
+        );
+    }
 }

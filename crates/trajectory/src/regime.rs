@@ -92,18 +92,11 @@ impl RegimeSchema {
     }
 
     /// The declared `(regime, group)` entries, ordered by regime id — the
-    /// persistence codec's stable iteration order.
+    /// stable order the config fingerprint encodes them in.
     pub fn entries(&self) -> impl Iterator<Item = (RegimeId, RegimeId)> + '_ {
         self.parents
             .iter()
             .map(|(&r, &g)| (RegimeId(r), RegimeId(g)))
-    }
-
-    /// Rebuilds a schema from persisted `(regime, group)` entries.
-    pub fn from_entries(entries: impl IntoIterator<Item = (RegimeId, RegimeId)>) -> Self {
-        entries
-            .into_iter()
-            .fold(RegimeSchema::flat(), |s, (r, g)| s.with_group(r, g))
     }
 
     /// The parent one rung up from `regime` (the root for the root itself and
@@ -248,9 +241,6 @@ mod tests {
         assert!(schema.contributes_to(RegimeId(3), RegimeId(10)));
         assert!(schema.contributes_to(RegimeId(4), RegimeId(10)));
         assert!(!schema.contributes_to(RegimeId(3), RegimeId(4)));
-        // Round-trips through entries().
-        let rebuilt = RegimeSchema::from_entries(schema.entries());
-        assert_eq!(rebuilt, schema);
     }
 
     #[test]

@@ -23,10 +23,11 @@
 
 use pathcost::core::{HybridConfig, PathWeightFunction};
 use pathcost::live::{LiveIngestor, PersistenceConfig, PersistentIngestor, RetentionConfig};
+use pathcost::persist::crc::crc32;
 use pathcost::persist::journal::JOURNAL_MAGIC;
-use pathcost::persist::snapshot::list_generations;
+use pathcost::persist::snapshot::{list_generations, SNAPSHOT_MAGIC};
 use pathcost::persist::RecoveryOutcome;
-use pathcost::roadnet::RoadNetwork;
+use pathcost::roadnet::{GeneratorConfig, RoadNetwork};
 use pathcost::traj::{
     tag_batch, DatasetPreset, MatchedTrajectory, PeakOffPeak, RegimeId, RegimeSchema, Timestamp,
     TrajectoryStore,
@@ -545,12 +546,16 @@ fn recovery_with_ttl_retention_is_deterministic() {
         reference.weights().variables()
     );
     assert_eq!(recovered.weights().stats(), reference.weights().stats());
+    assert_eq!(
+        recovered.weights().fallback_units(),
+        reference.weights().fallback_units()
+    );
     drop(recovered);
     fs::remove_dir_all(&dir).unwrap();
 }
 
 // ---------------------------------------------------------------------------
-// Regime-tagged lineages: journalled tags, legacy-image compatibility
+// Regime-tagged lineages: snapshotted and journalled tags
 // ---------------------------------------------------------------------------
 
 /// The regime schema used by the tagged lineage tests: peak and off-peak
@@ -667,98 +672,101 @@ fn check_tagged_lineage(dir_tag: &str, classify_at_ingest: bool) {
     fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Re-frames a snapshot image as a release without regime sections wrote
-/// it: the CONFIG, STORE and WEIGHTS sections under the version-1 magic
-/// (frame layout: PERSISTENCE.md § Snapshot file).
-fn downgrade_to_v1(image: &[u8]) -> Vec<u8> {
-    use pathcost::persist::crc::{crc32, crc32_parts};
-    use pathcost::persist::snapshot::{section, SnapshotReader, SNAPSHOT_MAGIC};
-    let snapshot = SnapshotReader::decode(image).expect("the image decodes");
-    let legacy: Vec<_> = [section::CONFIG, section::STORE, section::WEIGHTS]
-        .into_iter()
-        .map(|tag| (tag, snapshot.section(tag).expect("a core section")))
-        .collect();
-    let mut out = SNAPSHOT_MAGIC.to_vec();
-    out.extend_from_slice(&snapshot.epoch.to_le_bytes());
-    out.extend_from_slice(&(legacy.len() as u32).to_le_bytes());
-    let header_crc = crc32(&out);
-    out.extend_from_slice(&header_crc.to_le_bytes());
-    for (tag, payload) in legacy {
-        let mut frame = tag.to_le_bytes().to_vec();
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&frame);
-        out.extend_from_slice(&crc32_parts(&[&frame, payload]).to_le_bytes());
-        out.extend_from_slice(payload);
-    }
-    out
-}
+// ---------------------------------------------------------------------------
+// Lineages recovery must refuse: another network, another format version
+// ---------------------------------------------------------------------------
 
-/// Reader compatibility: the writer has one form (version 2, both regime
-/// sections), but a version-1 image — written before regimes existed, or by
-/// an all-traffic deployment of a release that still emitted them — must
-/// recover to the same store, variables and stats under a config that
-/// declares a regime schema: it decodes as all-traffic state with no other
-/// table.
+/// A lineage persisted over one road network and recovered over another is
+/// discarded: the fingerprint covers the network, so its rows and
+/// variables, which name the other network's edges, are never restored.
 #[test]
-fn version1_image_recovers_under_a_regime_schema() {
-    let (net, store) = DatasetPreset::tiny(97).materialise().unwrap();
+fn a_lineage_over_another_network_is_discarded() {
+    let (net, store) = DatasetPreset::tiny(7).materialise().unwrap();
+    let grid = DatasetPreset {
+        network: GeneratorConfig {
+            rows: 4,
+            cols: 4,
+            ..GeneratorConfig::tiny(7)
+        },
+        ..DatasetPreset::tiny(7)
+    };
+    let (other_net, other_store) = grid.materialise().unwrap();
+    assert_ne!(net.edge_count(), other_net.edge_count());
     let cfg = HybridConfig {
         beta: 10,
-        regimes: regime_schema(),
         ..HybridConfig::default()
     };
     let split = store.len() / 2;
-    let base = TrajectoryStore::new(store.matched()[..split].to_vec());
-    let rest: Vec<MatchedTrajectory> = store.matched()[split..].to_vec();
-
-    let mut reference = LiveIngestor::new(&net, base.clone(), cfg.clone()).unwrap();
-    reference.ingest(rest.clone()).unwrap();
-
-    let dir = temp_dir("v1-compat");
+    let dir = temp_dir("other-network");
     {
-        let mut p = LiveIngestor::new(&net, base.clone(), cfg.clone())
-            .unwrap()
-            .with_persistence(&dir, PersistenceConfig::default())
-            .unwrap();
-        p.ingest(rest).unwrap();
+        let mut p = LiveIngestor::new(
+            &net,
+            TrajectoryStore::new(store.matched()[..split].to_vec()),
+            cfg.clone(),
+        )
+        .unwrap()
+        .with_persistence(&dir, PersistenceConfig::default())
+        .unwrap();
+        p.ingest(store.matched()[split..].to_vec()).unwrap();
         p.snapshot_now().unwrap();
-        let latest = latest_snapshot(&dir);
-        let image = fs::read(&latest).unwrap();
-        assert_eq!(image[7], 2, "the writer has one form");
-        let legacy = downgrade_to_v1(&image);
-        assert_eq!(legacy[7], 1);
-        assert!(legacy.len() < image.len(), "the regime sections are gone");
-        fs::write(&latest, legacy).unwrap();
-        // Crash after the snapshot: recovery restores the v1 image directly.
     }
 
-    let base_for_recover = base;
+    let bootstrap = other_store.clone();
     let (recovered, report) = PersistentIngestor::recover(
-        &net,
+        &other_net,
         &dir,
-        cfg,
+        cfg.clone(),
         RetentionConfig::default(),
         PersistenceConfig::default(),
-        move || base_for_recover,
+        move || bootstrap,
     )
-    .unwrap();
-    assert_eq!(report.outcome, RecoveryOutcome::Warm);
-    assert_eq!(report.snapshot_epoch, 1);
-    assert_eq!(recovered.epoch(), reference.epoch());
-    assert_eq!(recovered.store().matched(), reference.store().matched());
-    assert_eq!(
-        recovered.weights().variables(),
-        reference.weights().variables()
-    );
-    assert!(
-        recovered
-            .weights()
-            .tables()
-            .keys()
-            .eq([&RegimeId::ALL_TRAFFIC]),
-        "a v1 image decodes as all-traffic state"
-    );
-    assert_eq!(recovered.weights().stats(), reference.weights().stats());
+    .expect("recovery must degrade gracefully, never fail or panic");
+    assert_eq!(report.outcome, RecoveryOutcome::Discarded);
+    assert_eq!(report.corrupt_generations_skipped, 0);
+    assert_eq!(recovered.epoch(), 0);
+    assert_eq!(recovered.store().matched(), other_store.matched());
+    let rebuilt = PathWeightFunction::instantiate(&other_net, &other_store, &cfg).unwrap();
+    assert_eq!(recovered.weights().tables(), rebuilt.tables());
+    assert_eq!(recovered.weights().stats(), rebuilt.stats());
     drop(recovered);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A state directory in the previous format version — a snapshot under
+/// version byte 2 (header CRC valid) and a journal under the version-1
+/// magic — is not read: its generation counts as corrupt, its journal is
+/// re-created empty, and recovery boots from the bootstrap store.
+#[test]
+fn a_previous_format_version_is_discarded() {
+    let n_ops = 3;
+    let fixture = build_fixture(31, n_ops);
+    let dir = temp_dir("previous-version");
+    // No mid-run snapshot: the epoch-0 base is the only generation.
+    run_until_crash(&fixture, &dir, n_ops, &[]);
+    let snapshot = latest_snapshot(&dir);
+    let mut image = fs::read(&snapshot).unwrap();
+    assert_eq!(image[..8], SNAPSHOT_MAGIC);
+    image[7] = 2;
+    let header_crc = crc32(&image[..20]);
+    image[20..24].copy_from_slice(&header_crc.to_le_bytes());
+    fs::write(&snapshot, image).unwrap();
+    let journal = dir.join("journal.pcj");
+    let mut bytes = fs::read(&journal).unwrap();
+    assert_eq!(bytes[..8], JOURNAL_MAGIC);
+    bytes[..8].copy_from_slice(b"PCJRNL\x00\x01");
+    fs::write(&journal, bytes).unwrap();
+
+    let (recovered, report) = recover(&fixture, &dir);
+    assert_eq!(report.outcome, RecoveryOutcome::Discarded);
+    assert_eq!(report.corrupt_generations_skipped, 1);
+    assert_eq!(report.replayed_records, 0);
+    assert_state("previous version", &recovered, &fixture, 0);
+    drop(recovered);
+    // The fresh lineage is written in the current format.
+    assert_eq!(
+        fs::read(latest_snapshot(&dir)).unwrap()[..8],
+        SNAPSHOT_MAGIC
+    );
+    assert_eq!(fs::read(&journal).unwrap(), JOURNAL_MAGIC);
     fs::remove_dir_all(&dir).unwrap();
 }
