@@ -45,8 +45,10 @@ use std::sync::Arc;
 
 /// The variable keys whose qualified occurrence sets a batch of *appended or
 /// removed* trajectories changes: each `(edges[start..start + k], interval)`
-/// window for `k = 1..=max_rank` — the exact mirror of instantiation's pass-1
-/// enumeration — once per rung of the trajectory's fallback ladder, because a
+/// window for `k = 1..=max_rank` — every window instantiation counts against
+/// β, not only the ones its level-wise count visits (the batch can lift a
+/// prefix over β or drop it below) — once per rung of the trajectory's
+/// fallback ladder, because a
 /// regime-`Q` traversal contributes occurrences to `Q`'s own table, every
 /// ancestor group table and the all-traffic table (an untagged trajectory's
 /// ladder is the all-traffic table alone). Everything outside this set is

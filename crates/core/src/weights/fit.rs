@@ -1,6 +1,7 @@
-//! The §3 instantiation procedure: β-threshold counting, per-edge cost rows
-//! and the Auto + V-Optimal fit of each surviving key, fanned out over the
-//! process-wide worker pool ([`crate::exec::global`]).
+//! The §3 instantiation procedure: β-threshold counting, level by level so a
+//! rank-k window is counted only under a rank-(k − 1) prefix that reached β;
+//! per-edge cost rows; and the Auto + V-Optimal fit of each surviving key,
+//! fanned out over the process-wide worker pool ([`crate::exec::global`]).
 
 use crate::config::HybridConfig;
 use crate::error::CoreError;
@@ -10,7 +11,7 @@ use crate::variable::{InstantiatedVariable, VariableSource};
 use pathcost_hist::{auto::auto_histogram_with_scratch, FitScratch, HistogramNd};
 use pathcost_roadnet::{EdgeId, Path, RoadNetwork};
 use pathcost_traj::costs::per_edge_costs;
-use pathcost_traj::{RegimeId, TrajectoryStore};
+use pathcost_traj::{MatchedTrajectory, RegimeId, TrajectoryStore};
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -39,8 +40,10 @@ pub(super) fn fit_variable(
 /// along the sorted key list (the second half of a dirty set can take twice
 /// as long as the first), so the list is cut into many small chunks that
 /// idle threads keep claiming, and the threads finish together. A fit takes
-/// tens of microseconds, so claiming a chunk costs nothing next to fitting
-/// it; below two chunks' worth a fan-out stays on the calling thread.
+/// 150–200 µs on average (the benchmark's 40×40 `city40` fixture: 7 893
+/// fits in 0.6–0.8 s over 2 cores of a 2.1 GHz Xeon), so claiming a chunk
+/// costs nothing next to fitting it; below two chunks' worth a fan-out stays
+/// on the calling thread.
 const KEYS_PER_CHUNK: usize = 32;
 
 thread_local! {
@@ -88,8 +91,15 @@ pub(super) fn fan_out<T: Sync, R: Send>(
     Ok(results)
 }
 
-/// Fits one table: the two-pass β-threshold procedure over the trajectories
-/// whose fallback ladder passes through `table` (every trajectory, for the
+/// One key's fit job: its path, its interval and its qualified per-edge
+/// cost rows in (trajectory, position) order.
+type Job = (Path, IntervalId, Vec<Vec<f64>>);
+
+/// Marks a start whose window at the current level did not reach β.
+const PRUNED: u32 = u32::MAX;
+
+/// Fits one table: the β-threshold procedure over the trajectories whose
+/// fallback ladder passes through `table` (every trajectory, for the
 /// ladders' last rung) — so the rows a key collects in a regime's own table
 /// are exactly the contributing subsequence, in the same (trajectory,
 /// position) order, of the rows the all-traffic table collects. Candidate
@@ -105,6 +115,33 @@ pub(super) fn fit_table(
     table: RegimeId,
     workers: Option<usize>,
 ) -> Result<Vec<InstantiatedVariable>, CoreError> {
+    let jobs = table_jobs(net, store, cfg, partition, excluded, table);
+    fan_out(&jobs, workers, |(path, interval, rows), scratch| {
+        fit_variable(path.clone(), *interval, rows, cfg, scratch)
+    })
+}
+
+/// The keys of one table that reach β, with their rows, in sorted
+/// `(path edges, interval)` order. A key is a window `edges[s..s + k]` of a
+/// contributing trajectory with the interval of its first edge's entry, and
+/// its count is the number of `(trajectory, s)` starts it occurs at.
+///
+/// The windows are counted level by level, `k = 1..=max_rank`, and a
+/// rank-k window only at the starts where its rank-(k − 1) prefix reached β
+/// (Apriori pruning). This loses no key: the prefix occurs at every start
+/// the window does, under the same interval, so a window counts at most its
+/// prefix's count — below β when the prefix is. An excluded prefix excludes
+/// every extension too (the extension contains the excluded path during the
+/// same interval), so pruning it keeps the exclusions exact; the check still
+/// runs at every level, for an excluded path at a window's end.
+fn table_jobs(
+    net: &RoadNetwork,
+    store: &TrajectoryStore,
+    cfg: &HybridConfig,
+    partition: &DayPartition,
+    excluded: &[(Path, IntervalId)],
+    table: RegimeId,
+) -> Vec<Job> {
     let is_excluded = |edges: &[EdgeId], interval: IntervalId| -> bool {
         excluded.iter().any(|(path, iv)| {
             *iv == interval
@@ -112,76 +149,294 @@ pub(super) fn fit_table(
                 && edges.windows(path.cardinality()).any(|w| w == path.edges())
         })
     };
-    let contributing = || {
-        store
-            .matched()
-            .iter()
-            .filter(|m| cfg.regimes.contributes_to(m.regime, table))
-    };
-
-    // Pass 1: count qualified occurrences of every (window, interval)
-    // key; the keys borrow their windows from the store's trajectories.
-    type WindowKey<'a> = (&'a [EdgeId], IntervalId);
-    let mut counts: HashMap<WindowKey, usize> = HashMap::new();
-    for m in contributing() {
-        let edges = m.path.edges();
-        for k in 1..=cfg.max_rank.min(edges.len()) {
-            for start in 0..=edges.len() - k {
-                let interval = partition.interval_of(m.entry_times[start].time_of_day());
-                let window = &edges[start..start + k];
-                if !excluded.is_empty() && is_excluded(window, interval) {
-                    continue;
-                }
-                *counts.entry((window, interval)).or_insert(0) += 1;
-            }
-        }
-    }
-
-    // Pass 2: collect per-edge cost rows only for keys that reached β.
-    let mut samples: HashMap<WindowKey, (Path, Vec<Vec<f64>>)> = counts
-        .into_iter()
-        .filter(|&(_, c)| c >= cfg.beta)
-        .map(|(key, c)| {
-            let path = Path::from_edges_unchecked(key.0.to_vec());
-            (key, (path, Vec::with_capacity(c)))
+    // The contributing trajectories, with the interval of every position.
+    let trips: Vec<(&MatchedTrajectory, Vec<IntervalId>)> = store
+        .matched()
+        .iter()
+        .filter(|m| cfg.regimes.contributes_to(m.regime, table))
+        .map(|m| {
+            let times = m.entry_times.iter();
+            let intervals = times.map(|t| partition.interval_of(t.time_of_day()));
+            (m, intervals.collect())
         })
         .collect();
-    if !samples.is_empty() {
-        for m in contributing() {
+    // Per trajectory and start: the id of the window of the last level that
+    // starts there, or `PRUNED`. Level 0 is the empty window, id 0 at every
+    // start.
+    let mut ids: Vec<Vec<u32>> = trips
+        .iter()
+        .map(|(m, _)| vec![0; m.path.cardinality()])
+        .collect();
+
+    let mut jobs = Vec::new();
+    for k in 1..=cfg.max_rank {
+        // Count `(prefix id, last edge, interval)` keys under the prefixes
+        // that survived. A key's slot is its first-seen index; `ids` holds
+        // the slot of each counted start until the survivors are known.
+        let mut slots: HashMap<(u32, EdgeId, IntervalId), u32> = HashMap::new();
+        let mut counts: Vec<usize> = Vec::new();
+        for ((m, intervals), ids) in trips.iter().zip(&mut ids) {
             let edges = m.path.edges();
-            for k in 1..=cfg.max_rank.min(edges.len()) {
-                for start in 0..=edges.len() - k {
-                    let interval = partition.interval_of(m.entry_times[start].time_of_day());
-                    if let Some((path, rows)) =
-                        samples.get_mut(&(&edges[start..start + k], interval))
-                    {
-                        if let Some(costs) = per_edge_costs(m, net, path, start, cfg.cost_kind) {
-                            rows.push(costs);
-                        }
+            for (start, id) in ids.iter_mut().enumerate() {
+                let prefix = std::mem::replace(id, PRUNED);
+                if prefix == PRUNED || start + k > edges.len() {
+                    continue;
+                }
+                let interval = intervals[start];
+                if !excluded.is_empty() && is_excluded(&edges[start..start + k], interval) {
+                    continue;
+                }
+                let key = (prefix, edges[start + k - 1], interval);
+                let slot = *slots.entry(key).or_insert_with(|| {
+                    counts.push(0);
+                    u32::try_from(counts.len() - 1)
+                        .ok()
+                        .filter(|&slot| slot != PRUNED)
+                        .expect("fewer than u32::MAX keys per level")
+                });
+                counts[slot as usize] += 1;
+                *id = slot;
+            }
+        }
+
+        // The keys that reached β get dense ids in slot order, and each
+        // start's slot becomes its key's id (or `PRUNED`). Walking the
+        // starts in (trajectory, position) order lists every key's
+        // occurrences in the order its rows are collected in.
+        let mut id_of = vec![PRUNED; counts.len()];
+        let mut occurrences: Vec<Vec<(usize, usize)>> = Vec::new();
+        for (slot, &count) in counts.iter().enumerate() {
+            if count >= cfg.beta {
+                id_of[slot] = occurrences.len() as u32;
+                occurrences.push(Vec::with_capacity(count));
+            }
+        }
+        if occurrences.is_empty() {
+            break;
+        }
+        for (t, ids) in ids.iter_mut().enumerate() {
+            for (start, id) in ids.iter_mut().enumerate() {
+                if *id != PRUNED {
+                    *id = id_of[*id as usize];
+                    if *id != PRUNED {
+                        occurrences[*id as usize].push((t, start));
                     }
                 }
             }
         }
-    }
 
-    // Fit the surviving keys, in sorted key order.
-    let mut jobs: Vec<(Path, IntervalId, Vec<Vec<f64>>)> = samples
-        .into_iter()
-        .filter(|(_, (_, rows))| rows.len() >= cfg.beta)
-        .map(|((_, interval), (path, rows))| (path, interval, rows))
-        .collect();
+        // Collect each surviving key's rows. A key short of β rows is not
+        // fitted, but its count reached β, so it still prefixes the next
+        // level.
+        for starts in occurrences {
+            let (m, intervals) = &trips[starts[0].0];
+            let at = starts[0].1;
+            let path = Path::from_edges_unchecked(m.path.edges()[at..at + k].to_vec());
+            let rows: Vec<Vec<f64>> = starts
+                .iter()
+                .filter_map(|&(t, start)| {
+                    per_edge_costs(trips[t].0, net, &path, start, cfg.cost_kind)
+                })
+                .collect();
+            if rows.len() >= cfg.beta {
+                jobs.push((path, intervals[at], rows));
+            }
+        }
+    }
     jobs.sort_unstable_by(|a, b| (a.0.edges(), a.1).cmp(&(b.0.edges(), b.1)));
-    fan_out(&jobs, workers, |(path, interval, rows), scratch| {
-        fit_variable(path.clone(), *interval, rows, cfg, scratch)
-    })
+    jobs
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pathcost_hist::{AutoConfig, Histogram1D};
+    use pathcost_traj::{CostKind, DatasetPreset, RegimeSchema};
     use std::collections::HashSet;
     use std::sync::Barrier;
+
+    /// The two-pass enumeration the level-wise count replaced: pass 1
+    /// counts every window of rank ≤ `max_rank`, pass 2 collects the rows of
+    /// the keys that reached β. Kept as the reference [`table_jobs`] must
+    /// match.
+    fn two_pass_jobs(
+        net: &RoadNetwork,
+        store: &TrajectoryStore,
+        cfg: &HybridConfig,
+        partition: &DayPartition,
+        excluded: &[(Path, IntervalId)],
+        table: RegimeId,
+    ) -> Vec<Job> {
+        let is_excluded = |edges: &[EdgeId], interval: IntervalId| -> bool {
+            excluded.iter().any(|(path, iv)| {
+                *iv == interval
+                    && path.cardinality() <= edges.len()
+                    && edges.windows(path.cardinality()).any(|w| w == path.edges())
+            })
+        };
+        let contributing = || {
+            store
+                .matched()
+                .iter()
+                .filter(|m| cfg.regimes.contributes_to(m.regime, table))
+        };
+
+        // Pass 1: count qualified occurrences of every (window, interval)
+        // key; the keys borrow their windows from the store's trajectories.
+        type WindowKey<'a> = (&'a [EdgeId], IntervalId);
+        let mut counts: HashMap<WindowKey, usize> = HashMap::new();
+        for m in contributing() {
+            let edges = m.path.edges();
+            for k in 1..=cfg.max_rank.min(edges.len()) {
+                for start in 0..=edges.len() - k {
+                    let interval = partition.interval_of(m.entry_times[start].time_of_day());
+                    let window = &edges[start..start + k];
+                    if !excluded.is_empty() && is_excluded(window, interval) {
+                        continue;
+                    }
+                    *counts.entry((window, interval)).or_insert(0) += 1;
+                }
+            }
+        }
+
+        // Pass 2: collect per-edge cost rows only for keys that reached β.
+        let mut samples: HashMap<WindowKey, (Path, Vec<Vec<f64>>)> = counts
+            .into_iter()
+            .filter(|&(_, c)| c >= cfg.beta)
+            .map(|(key, c)| {
+                let path = Path::from_edges_unchecked(key.0.to_vec());
+                (key, (path, Vec::with_capacity(c)))
+            })
+            .collect();
+        if !samples.is_empty() {
+            for m in contributing() {
+                let edges = m.path.edges();
+                for k in 1..=cfg.max_rank.min(edges.len()) {
+                    for start in 0..=edges.len() - k {
+                        let interval = partition.interval_of(m.entry_times[start].time_of_day());
+                        if let Some((path, rows)) =
+                            samples.get_mut(&(&edges[start..start + k], interval))
+                        {
+                            if let Some(costs) = per_edge_costs(m, net, path, start, cfg.cost_kind)
+                            {
+                                rows.push(costs);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        let mut jobs: Vec<Job> = samples
+            .into_iter()
+            .filter(|(_, (_, rows))| rows.len() >= cfg.beta)
+            .map(|((_, interval), (path, rows))| (path, interval, rows))
+            .collect();
+        jobs.sort_unstable_by(|a, b| (a.0.edges(), a.1).cmp(&(b.0.edges(), b.1)));
+        jobs
+    }
+
+    /// Every bit of a job list: key edges, interval and each row's costs.
+    fn job_bits(jobs: &[Job]) -> Vec<(Vec<u32>, u16, Vec<Vec<u64>>)> {
+        jobs.iter()
+            .map(|(path, interval, rows)| {
+                let edges = path.edges().iter().map(|e| e.0).collect();
+                let rows = rows
+                    .iter()
+                    .map(|r| r.iter().map(|c| c.to_bits()).collect())
+                    .collect();
+                (edges, interval.0, rows)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn level_wise_counting_matches_the_two_pass_enumeration() {
+        let partition = DayPartition::new(30).unwrap();
+        let grouped = RegimeSchema::flat()
+            .with_group(RegimeId(1), RegimeId(3))
+            .with_group(RegimeId(2), RegimeId(3));
+        for seed in [21, 51] {
+            let (net, untagged) = DatasetPreset::tiny(seed).materialise().unwrap();
+            // Every third trajectory under regime 2, the rest under 1.
+            let tagged = TrajectoryStore::new(
+                untagged
+                    .matched()
+                    .iter()
+                    .enumerate()
+                    .map(|(i, m)| m.clone().with_regime(RegimeId(1 + u16::from(i % 3 == 0))))
+                    .collect(),
+            );
+            // Three excluded keys off one trajectory: rank 3 at its start,
+            // rank 2 overlapping it, and a unit path further on.
+            let m = untagged
+                .matched()
+                .iter()
+                .find(|m| m.path.cardinality() >= 6)
+                .unwrap();
+            let key = |at: usize, k: usize| {
+                let path = Path::from_edges_unchecked(m.path.edges()[at..at + k].to_vec());
+                (path, partition.interval_of(m.entry_times[at].time_of_day()))
+            };
+            let excluded = [key(0, 3), key(2, 2), key(5, 1)];
+            // Each excluded key clears β = 2 unless excluded.
+            let cfg = HybridConfig {
+                beta: 2,
+                ..HybridConfig::default()
+            };
+            let all = RegimeId::ALL_TRAFFIC;
+            let jobs = |excluded| table_jobs(&net, &untagged, &cfg, &partition, excluded, all);
+            let (kept, pruned) = (jobs(&[][..]), jobs(&excluded[..]));
+            for (path, interval) in &excluded {
+                let fitted = |jobs: &[Job]| jobs.iter().any(|j| (&j.0, j.1) == (path, *interval));
+                assert!(fitted(&kept) && !fitted(&pruned), "{path:?} {interval:?}");
+            }
+            let setups = [
+                (&untagged, RegimeSchema::flat(), vec![RegimeId::ALL_TRAFFIC]),
+                (&tagged, grouped.clone(), (0..4).map(RegimeId).collect()),
+            ];
+            let grid = [1, 2, 5, 30].into_iter().flat_map(|beta| {
+                [1, 2, 6, 40].into_iter().flat_map(move |max_rank| {
+                    [CostKind::TravelTime, CostKind::Emissions].map(|kind| (beta, max_rank, kind))
+                })
+            });
+            for (beta, max_rank, cost_kind) in grid {
+                for (store, regimes, tables) in &setups {
+                    let cfg = HybridConfig {
+                        beta,
+                        max_rank,
+                        cost_kind,
+                        regimes: regimes.clone(),
+                        ..HybridConfig::default()
+                    };
+                    for excluded in [&[][..], &excluded[..]] {
+                        for &table in tables {
+                            let at = format!(
+                                "tiny({seed}) table {table:?} β {beta} rank {max_rank} \
+                                 {cost_kind:?} {} exclusions",
+                                excluded.len()
+                            );
+                            let want =
+                                two_pass_jobs(&net, store, &cfg, &partition, excluded, table);
+                            let got = table_jobs(&net, store, &cfg, &partition, excluded, table);
+                            assert_eq!(job_bits(&got), job_bits(&want), "{at}");
+                            // The fits are a pure function of the rows;
+                            // compare them where fitting every key stays
+                            // cheap in a debug build.
+                            if beta >= 5 && max_rank == 6 {
+                                let fitted =
+                                    fit_table(&net, store, &cfg, &partition, excluded, table, None);
+                                let reference = fan_out(&want, Some(1), |(p, iv, rows), s| {
+                                    fit_variable(p.clone(), *iv, rows, &cfg, s)
+                                });
+                                assert!(fitted.unwrap() == reference.unwrap(), "{at}: fits differ");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn fan_out_keeps_item_order_and_reports_the_first_error() {

@@ -1,8 +1,8 @@
 //! Dirty-key computation: which weight-function variables can an ingest (or
 //! retirement) batch touch?
 //!
-//! The weight function's pass 1 (`PathWeightFunction::instantiate`) counts
-//! one qualified occurrence per *window* of every trajectory: each
+//! The weight function (`PathWeightFunction::instantiate`) counts one
+//! qualified occurrence per *window* of every trajectory: each
 //! `(edges[start..start + k], interval_of(entry_times[start]))` pair for
 //! `k = 1..=max_rank`. Appending a trajectory therefore grows — and
 //! retiring one shrinks — the qualified occurrence set of exactly the keys
@@ -10,10 +10,12 @@
 //! everything else is untouched by construction. This module enumerates
 //! them; the same enumeration serves both directions, which is why
 //! `LiveIngestor::retire_*` feed the *removed* trajectories through it.
+//! The dirty set is every window of the batch, although instantiation skips
+//! the windows under a prefix short of β: a batch can move a prefix across β.
 
 /// The set of regime-keyed variable keys whose qualified occurrence sets a
 /// batch of newly appended trajectories changes. The implementation lives in
-/// `pathcost-core` next to the pass-1 loop it mirrors
+/// `pathcost-core` next to the counting loop it mirrors
 /// ([`pathcost_core::weights`]), so the enumeration and the instantiation it
 /// must match cannot drift apart; this module re-exports it as the ingest
 /// subsystem's entry point and keeps the batch-level tests.

@@ -49,11 +49,12 @@ impl PartialOrd for QueueEntry {
 /// Finds the cost-minimal edge sequence from `from` to `to` using the supplied
 /// per-edge cost function, returning it as a [`Path`] when one exists.
 ///
-/// Costs must be positive. The search runs Dijkstra over edges, so the
-/// resulting edge sequence is adjacent by construction; if the cheapest edge
-/// sequence revisits a vertex (which can only happen on pathological inputs)
-/// the result is rejected and `None` is returned, matching the paper's
-/// requirement that paths visit distinct vertices.
+/// Costs are clamped to at least `f64::EPSILON` (a NaN cost reads as
+/// `EPSILON`). The search runs Dijkstra over edges, so the resulting edge
+/// sequence is adjacent by construction, and it expands each vertex once, so
+/// the sequence never revisits a vertex: the result is a valid [`Path`] (the
+/// paper's paths visit distinct vertices) whenever `to` is reachable over
+/// finite-cost edges.
 pub fn shortest_path<F>(
     net: &RoadNetwork,
     from: VertexId,
@@ -63,17 +64,26 @@ pub fn shortest_path<F>(
 where
     F: FnMut(EdgeId) -> f64,
 {
-    if from == to {
+    if from == to || from.index() >= net.vertex_count() {
         return None;
     }
     let edge_count = net.edge_count();
     let mut best = vec![f64::INFINITY; edge_count];
     let mut parent: Vec<Option<EdgeId>> = vec![None; edge_count];
+    // A vertex is expanded when the first edge into it pops; `from` is
+    // expanded from the start. Costs are clamped to ≥ EPSILON, so pops come in
+    // non-decreasing cost order, and `fl(a + c)` is monotone in `a`: a later
+    // edge into an expanded vertex arrives at a cost no lower than the first
+    // one's, so relaxing its out-edges could not strictly improve any label.
+    // Skipping it — and never queueing an edge into an expanded vertex —
+    // leaves every label and parent the full edge-Dijkstra would leave.
+    let mut expanded = vec![false; net.vertex_count()];
+    expanded[from.index()] = true;
     let mut heap = BinaryHeap::new();
 
     for &e in net.out_edges(from) {
         let c = edge_cost(e).max(f64::EPSILON);
-        if c < best[e.index()] {
+        if c < best[e.index()] && !expanded[net.edge(e).ok()?.to.index()] {
             best[e.index()] = c;
             heap.push(QueueEntry { cost: c, edge: e });
         }
@@ -84,14 +94,17 @@ where
         if cost > best[edge.index()] {
             continue;
         }
-        let edge_ref = net.edge(edge).ok()?;
-        if edge_ref.to == to {
+        let head = net.edge(edge).ok()?.to;
+        if head == to {
             goal = Some(edge);
             break;
         }
-        for &next in net.out_edges(edge_ref.to) {
+        if std::mem::replace(&mut expanded[head.index()], true) {
+            continue;
+        }
+        for &next in net.out_edges(head) {
             let c = cost + edge_cost(next).max(f64::EPSILON);
-            if c < best[next.index()] {
+            if c < best[next.index()] && !expanded[net.edge(next).ok()?.to.index()] {
                 best[next.index()] = c;
                 parent[next.index()] = Some(edge);
                 heap.push(QueueEntry {
@@ -135,6 +148,133 @@ pub fn free_flow_time_s(net: &RoadNetwork, path: &Path) -> f64 {
 mod tests {
     use super::*;
     use crate::generators::GeneratorConfig;
+
+    /// The search before it expanded each vertex once: an edge-Dijkstra
+    /// that relaxes every edge it pops. Kept as the reference
+    /// [`shortest_path`] must match.
+    fn full_edge_dijkstra<F>(
+        net: &RoadNetwork,
+        from: VertexId,
+        to: VertexId,
+        mut edge_cost: F,
+    ) -> Option<Path>
+    where
+        F: FnMut(EdgeId) -> f64,
+    {
+        if from == to {
+            return None;
+        }
+        let edge_count = net.edge_count();
+        let mut best = vec![f64::INFINITY; edge_count];
+        let mut parent: Vec<Option<EdgeId>> = vec![None; edge_count];
+        let mut heap = BinaryHeap::new();
+
+        for &e in net.out_edges(from) {
+            let c = edge_cost(e).max(f64::EPSILON);
+            if c < best[e.index()] {
+                best[e.index()] = c;
+                heap.push(QueueEntry { cost: c, edge: e });
+            }
+        }
+
+        let mut goal: Option<EdgeId> = None;
+        while let Some(QueueEntry { cost, edge }) = heap.pop() {
+            if cost > best[edge.index()] {
+                continue;
+            }
+            let edge_ref = net.edge(edge).ok()?;
+            if edge_ref.to == to {
+                goal = Some(edge);
+                break;
+            }
+            for &next in net.out_edges(edge_ref.to) {
+                let c = cost + edge_cost(next).max(f64::EPSILON);
+                if c < best[next.index()] {
+                    best[next.index()] = c;
+                    parent[next.index()] = Some(edge);
+                    heap.push(QueueEntry {
+                        cost: c,
+                        edge: next,
+                    });
+                }
+            }
+        }
+
+        let goal = goal?;
+        let mut edges = vec![goal];
+        let mut cur = goal;
+        while let Some(prev) = parent[cur.index()] {
+            edges.push(prev);
+            cur = prev;
+        }
+        edges.reverse();
+        Path::new(net, edges).ok()
+    }
+
+    /// Compares [`shortest_path`] with the full edge-Dijkstra on every
+    /// ordered vertex pair of `net` under `cost`, checks that every path is
+    /// simple, and returns how many pairs had no path.
+    fn assert_matches_the_full_search(net: &RoadNetwork, cost: impl Fn(EdgeId) -> f64) -> usize {
+        let n = net.vertex_count() as u32;
+        let mut unreachable = 0;
+        for from in (0..n).map(VertexId) {
+            for to in (0..n).map(VertexId) {
+                let got = shortest_path(net, from, to, &cost);
+                assert_eq!(
+                    got,
+                    full_edge_dijkstra(net, from, to, &cost),
+                    "{from:?} → {to:?}"
+                );
+                let Some(path) = got else {
+                    unreachable += usize::from(from != to);
+                    continue;
+                };
+                let vertices = path.vertices(net).unwrap();
+                assert_eq!((vertices[0], *vertices.last().unwrap()), (from, to));
+                let distinct: std::collections::HashSet<_> = vertices.iter().collect();
+                assert_eq!(distinct.len(), vertices.len(), "{from:?} → {to:?} revisits");
+            }
+        }
+        unreachable
+    }
+
+    #[test]
+    fn expanding_each_vertex_once_matches_the_full_search() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let grid = GeneratorConfig::tiny(1).generate();
+        let free_flow = |e| {
+            grid.edge(e)
+                .map(|edge| edge.free_flow_time_s())
+                .unwrap_or(f64::INFINITY)
+        };
+        // Unit costs tie every path of equal hop count.
+        assert_eq!(assert_matches_the_full_search(&grid, |_| 1.0), 0);
+        assert_eq!(assert_matches_the_full_search(&grid, free_flow), 0);
+        // Zero and NaN costs clamp to EPSILON; an infinite one is never
+        // relaxed.
+        let mut rng = StdRng::seed_from_u64(41);
+        let odd: Vec<f64> = (0..grid.edge_count())
+            .map(|_| match rng.gen_range(0..8) {
+                0 => 0.0,
+                1 => f64::NAN,
+                2 => f64::INFINITY,
+                _ => rng.gen_range(0.5..2.0),
+            })
+            .collect();
+        assert!(assert_matches_the_full_search(&grid, |e| odd[e.index()]) > 0);
+
+        // Dropped edges leave some pairs unreachable; both searches say so.
+        let sparse = GeneratorConfig {
+            rows: 6,
+            cols: 6,
+            drop_probability: 0.5,
+            ..GeneratorConfig::tiny(7)
+        }
+        .generate();
+        let free_flow = |e| sparse.edge(e).unwrap().free_flow_time_s();
+        assert!(assert_matches_the_full_search(&sparse, free_flow) > 0);
+    }
 
     #[test]
     fn fastest_path_connects_grid_corners() {

@@ -173,15 +173,42 @@ impl<'a> TrafficSimulator<'a> {
         if cfg.days == 0 {
             return Err(TrajError::InvalidConfig("days must be positive"));
         }
-        if cfg.sampling_interval_s <= 0.0 {
+        if !(cfg.sampling_interval_s.is_finite() && cfg.sampling_interval_s > 0.0) {
             return Err(TrajError::InvalidConfig(
-                "sampling interval must be positive",
+                "sampling interval must be positive and finite",
             ));
         }
         if !(0.0..1.0).contains(&cfg.edge_correlation) {
             return Err(TrajError::InvalidConfig(
                 "edge correlation must be in [0, 1)",
             ));
+        }
+        let (delay_lo, delay_hi) = cfg.incident_delay_s;
+        if !(delay_lo.is_finite()
+            && delay_hi.is_finite()
+            && 0.0 <= delay_lo
+            && delay_lo <= delay_hi)
+        {
+            return Err(TrajError::InvalidConfig(
+                "incident delay range must be finite, non-negative and ordered",
+            ));
+        }
+        if !(0.0..=1.0).contains(&cfg.incident_probability) {
+            return Err(TrajError::InvalidConfig(
+                "incident probability must be in [0, 1]",
+            ));
+        }
+        if !(0.0..=1.0).contains(&cfg.hotspot_fraction) {
+            return Err(TrajError::InvalidConfig(
+                "hotspot fraction must be in [0, 1]",
+            ));
+        }
+        for spread in [cfg.trip_factor_std, cfg.gps_noise_m] {
+            if !(spread.is_finite() && spread >= 0.0) {
+                return Err(TrajError::InvalidConfig(
+                    "trip factor spread and GPS noise must be finite and non-negative",
+                ));
+            }
         }
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xE1CE_BA5E);
         let edge_bias = (0..net.edge_count())
@@ -206,7 +233,10 @@ impl<'a> TrafficSimulator<'a> {
         // The network is immutable and most trips travel between the same few
         // hotspot pairs, so their routes are searched once here instead of
         // once per trip. `fastest_path` draws nothing from `rng`, so the trip
-        // stream is the one a search per trip produces, bit for bit.
+        // stream is the one a search per trip produces, bit for bit. The
+        // random trips' searches (one each, expanding each vertex once) are
+        // still most of `run`'s time on a large network; traversal and GPS
+        // emission are a small share.
         let hotspot_paths: Vec<Option<Path>> = hotspots
             .iter()
             .map(|&(from, to)| fastest_path(self.net, from, to))
@@ -467,38 +497,67 @@ mod tests {
     #[test]
     fn config_validation() {
         let net = GeneratorConfig::tiny(1).generate();
-        assert!(TrafficSimulator::new(
-            &net,
+        type Edit = fn(&mut SimulationConfig);
+        let rejected: [(&str, Edit); 19] = [
+            ("no trips", |c| c.trips = 0),
+            ("no days", |c| c.days = 0),
+            ("zero sampling", |c| c.sampling_interval_s = 0.0),
+            ("NaN sampling", |c| c.sampling_interval_s = f64::NAN),
+            ("∞ sampling", |c| c.sampling_interval_s = f64::INFINITY),
+            ("correlation > 1", |c| c.edge_correlation = 1.2),
+            ("reversed delay", |c| c.incident_delay_s = (75.0, 15.0)),
+            ("NaN delay", |c| c.incident_delay_s = (f64::NAN, 15.0)),
+            ("∞ delay", |c| c.incident_delay_s = (15.0, f64::INFINITY)),
+            ("negative delay", |c| c.incident_delay_s = (-5.0, 15.0)),
+            ("incident p < 0", |c| c.incident_probability = -0.1),
+            ("incident p > 1", |c| c.incident_probability = 1.5),
+            ("NaN incident p", |c| c.incident_probability = f64::NAN),
+            ("hotspot share > 1", |c| c.hotspot_fraction = 2.0),
+            ("hotspot share < 0", |c| c.hotspot_fraction = -0.5),
+            ("NaN trip factor", |c| c.trip_factor_std = f64::NAN),
+            ("negative trip factor", |c| c.trip_factor_std = -0.1),
+            ("negative GPS noise", |c| c.gps_noise_m = -1.0),
+            ("∞ GPS noise", |c| c.gps_noise_m = f64::INFINITY),
+        ];
+        for (case, edit) in rejected {
+            let mut cfg = SimulationConfig::default();
+            edit(&mut cfg);
+            assert!(
+                matches!(
+                    TrafficSimulator::new(&net, cfg),
+                    Err(TrajError::InvalidConfig(_))
+                ),
+                "{case}"
+            );
+        }
+
+        // The edges of every range are accepted, and a degenerate delay
+        // range runs.
+        let edges = SimulationConfig {
+            trips: 50,
+            incident_probability: 1.0,
+            incident_delay_s: (30.0, 30.0),
+            hotspot_fraction: 0.0,
+            trip_factor_std: 0.0,
+            gps_noise_m: 0.0,
+            ..Default::default()
+        };
+        assert!(TrafficSimulator::new(&net, edges).unwrap().run().is_ok());
+        // Every preset, and the acceptance benchmark's fixture (70 % hotspot
+        // trips, hourly GPS samples).
+        let presets = [
+            crate::DatasetPreset::aalborg_like(1).simulation,
+            crate::DatasetPreset::beijing_like(1).simulation,
+            crate::DatasetPreset::tiny(1).simulation,
             SimulationConfig {
-                trips: 0,
+                hotspot_fraction: 0.7,
+                sampling_interval_s: 3_600.0,
                 ..Default::default()
-            }
-        )
-        .is_err());
-        assert!(TrafficSimulator::new(
-            &net,
-            SimulationConfig {
-                days: 0,
-                ..Default::default()
-            }
-        )
-        .is_err());
-        assert!(TrafficSimulator::new(
-            &net,
-            SimulationConfig {
-                sampling_interval_s: 0.0,
-                ..Default::default()
-            }
-        )
-        .is_err());
-        assert!(TrafficSimulator::new(
-            &net,
-            SimulationConfig {
-                edge_correlation: 1.2,
-                ..Default::default()
-            }
-        )
-        .is_err());
+            },
+        ];
+        for cfg in presets {
+            assert!(TrafficSimulator::new(&net, cfg).is_ok());
+        }
     }
 
     #[test]
