@@ -132,7 +132,7 @@ impl<'a> HybridGraph<'a> {
     }
 
     /// Instantiation statistics (variable counts by rank, coverage, memory).
-    pub fn stats(&self) -> &WeightStats {
+    pub fn stats(&self) -> WeightStats {
         self.weights.stats()
     }
 

@@ -33,7 +33,7 @@ use crate::config::HybridConfig;
 use crate::error::CoreError;
 use crate::interval::{DayPartition, IntervalId};
 use crate::variable::InstantiatedVariable;
-use fit::{fan_out, fit_table, fit_variable};
+use fit::{fan_out, fit_jobs, fit_table};
 use pathcost_hist::Histogram1D;
 use pathcost_roadnet::{EdgeId, Path, RoadNetwork};
 use pathcost_traj::costs::per_edge_costs;
@@ -79,7 +79,8 @@ pub fn dirty_keys_by_regime(
 }
 
 /// Summary statistics of an instantiated weight function, used by the
-/// Figure 8–12 experiments.
+/// Figure 8–12 experiments. Computed on request ([`WeightView::stats`]), not
+/// with every epoch.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct WeightStats {
     /// Number of trajectory-derived variables per rank.
@@ -385,13 +386,16 @@ impl PathWeightFunction {
     /// * a dirty key's qualified rows in the current store are exactly the
     ///   rows the full rebuild's collection pass would visit, in the same
     ///   (trajectory, position) order, so re-fitting reproduces the rebuild's
-    ///   histogram exactly;
+    ///   histogram exactly. The re-fit shares identical columns across the
+    ///   dirty keys of every table, where the rebuild shares them within one
+    ///   table; that changes no bit, because an axis fit is a pure function
+    ///   of its column's values in order (`weights/fit.rs`);
     /// * a non-dirty key's qualified occurrence set is untouched by the
     ///   mutation, so its existing histogram already equals what the rebuild
     ///   would fit — the new epoch shares it;
     /// * every table stays in sorted key order (one merge pass per patched
-    ///   table), and the views and statistics are derived from the tables
-    ///   exactly as instantiation derives them.
+    ///   table), and the views are layered from the tables exactly as
+    ///   instantiation layers them (the statistics are read off a view).
     ///
     /// Count transitions go both ways: a key crossing β upward is *added*, a
     /// previously instantiated key whose support drops below β (its
@@ -432,10 +436,11 @@ impl PathWeightFunction {
             ));
         }
 
-        // Re-fit every dirty key that still clears β in its table (`None`
-        // for the ones that do not) — independent per key, so fanned out.
+        // Collect every dirty key's rows in its table — independent per
+        // key, so fanned out — and re-fit the keys that still clear β there
+        // (`None` for the ones that do not) in one shared-column fit.
         let keys: Vec<&RegimeVariableKey> = dirty.iter().collect();
-        let refits = fan_out(&keys, workers, |&(edges, interval, table), scratch| {
+        let collected = fan_out(&keys, workers, |&(edges, interval, table), _| {
             let path = Path::from_edges_unchecked(edges.clone());
             // The key's qualified occurrences in its table's contributing
             // subsequence of the current store, in the same (trajectory,
@@ -455,11 +460,14 @@ impl PathWeightFunction {
                     per_edge_costs(m, net, &path, o.offset, cfg.cost_kind)
                 })
                 .collect();
-            if rows.len() < cfg.beta {
-                return Ok(None);
-            }
-            fit_variable(path, *interval, &rows, cfg, scratch).map(Some)
+            Ok((rows.len() >= cfg.beta).then_some((path, *interval, rows)))
         })?;
+        let qualified: Vec<bool> = collected.iter().map(Option::is_some).collect();
+        let mut fitted =
+            fit_jobs(collected.into_iter().flatten().collect(), cfg, workers)?.into_iter();
+        let refits = qualified
+            .into_iter()
+            .map(|q| q.then(|| fitted.next().expect("one fit per qualified key")));
 
         // `dirty` is sorted by (edges, interval, table), so each table's
         // share of it arrives in that table's key order.
@@ -513,9 +521,9 @@ impl PathWeightFunction {
     /// [`Self::tables`] exposes). Nothing else is restored: the day
     /// partition, cost kind and regime schema are `cfg`'s, the speed-limit
     /// fallbacks are built from `net` and `cfg.speed_limit_spread`, and the
-    /// views and summary statistics are derived exactly as every other
-    /// constructor derives them. So a function captured under `cfg` restores
-    /// bit-identically (given the same `net` and `store`).
+    /// views (so the summary statistics too) are derived exactly as every
+    /// other constructor derives them. So a function captured under `cfg`
+    /// restores bit-identically (given the same `net` and `store`).
     pub fn from_parts(
         net: &RoadNetwork,
         cfg: &HybridConfig,
@@ -593,8 +601,8 @@ impl PathWeightFunction {
         self.root.unit(edge, interval).map(|(unit, _)| unit.clone())
     }
 
-    /// Summary statistics of the all-traffic table.
-    pub fn stats(&self) -> &WeightStats {
+    /// Summary statistics of the all-traffic table, computed on each call.
+    pub fn stats(&self) -> WeightStats {
         self.root.stats()
     }
 }

@@ -1,7 +1,14 @@
 //! The §3 instantiation procedure: β-threshold counting, level by level so a
 //! rank-k window is counted only under a rank-(k − 1) prefix that reached β;
-//! per-edge cost rows; and the Auto + V-Optimal fit of each surviving key,
-//! fanned out over the process-wide worker pool ([`crate::exec::global`]).
+//! per-edge cost rows; and the Auto + V-Optimal fit of each surviving key.
+//!
+//! There is one fit pipeline, [`fit_jobs`], for instantiation and for every
+//! live re-derivation alike. It fits each *distinct* column once — overlapping
+//! keys share most of theirs: on the benchmark's `city40` fixture 11 163 of
+//! the 24 740 axis columns of an instantiation are distinct, and about half
+//! of a 10-row publish's are — and assembles every variable from the fits of
+//! its columns. Fits and assembly fan out over the process-wide worker pool
+//! ([`crate::exec::global`]).
 
 use crate::config::HybridConfig;
 use crate::error::CoreError;
@@ -16,34 +23,116 @@ use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-/// Fits the §3.1/§3.2 variable of one key from its qualified per-edge cost
-/// rows (shared by full instantiation and selective re-derivation so both
-/// produce bit-identical distributions).
-pub(super) fn fit_variable(
-    path: Path,
-    interval: IntervalId,
-    rows: &[Vec<f64>],
+/// One key's fit job: its path, its interval and its qualified per-edge
+/// cost rows in (trajectory, position) order — one cost per edge of the path
+/// in every row.
+type Job = (Path, IntervalId, Vec<Vec<f64>>);
+
+/// Fits the §3.1/§3.2 variable of every job and returns them in job order
+/// (or the error of the first failing job). The one fit pipeline: full
+/// instantiation ([`fit_table`]) and selective re-derivation
+/// (`PathWeightFunction::rederive_regimes`) both end here, so both produce
+/// bit-identical distributions.
+///
+/// A variable's histogram is a pure function of its rows and `cfg.auto`:
+/// each axis is the Auto + V-Optimal fit of one column (the values of one
+/// dimension, in row order — cross-validation deals samples into folds by
+/// position, so the order is part of the input), a unit variable is its
+/// column's 1-D fit, and any other variable counts its rows into the cross
+/// product of its axes. Overlapping keys often share columns — a window
+/// whose occurrences are exactly its prefix's has the prefix's columns for
+/// its first edges — so the fit runs in three steps:
+///
+/// 1. every `(job, dim)` column is interned: an FNV-style hash over the
+///    value bits in row order, plus the length, and on a hash hit an exact
+///    comparison in place. Distinct columns are numbered in first-appearance
+///    `(job, dim)` order;
+/// 2. one Auto fit per distinct column, fanned out over the worker pool;
+/// 3. each variable is assembled from the fits of its columns.
+///
+/// By purity every variable is bit-identical to fitting it on its own. So
+/// is the error: fitting each variable on its own fails first at the first
+/// failing `(job, dim)` pair, whose column first appears there (an earlier
+/// appearance would be an identical column failing earlier), and the
+/// fan-out reports the first failing distinct column in that order.
+pub(super) fn fit_jobs(
+    jobs: Vec<Job>,
     cfg: &HybridConfig,
-    scratch: &mut FitScratch,
-) -> Result<InstantiatedVariable, CoreError> {
-    let histogram = if path.is_unit() {
-        let totals: Vec<f64> = rows.iter().map(|r| r[0]).collect();
-        HistogramNd::from_histogram1d(&auto_histogram_with_scratch(&totals, &cfg.auto, scratch)?)
-    } else {
-        HistogramNd::from_samples_with_scratch(rows, &cfg.auto, scratch)?
-    };
-    let source = VariableSource::Trajectories { count: rows.len() };
-    Ok(InstantiatedVariable::new(path, interval, histogram, source))
+    workers: Option<usize>,
+) -> Result<Vec<InstantiatedVariable>, CoreError> {
+    // Step 1: the distinct columns by their first `(job, dim)`, and each
+    // job's column ids.
+    let mut distinct: Vec<(usize, usize)> = Vec::new();
+    let mut ids: Vec<Vec<u32>> = Vec::with_capacity(jobs.len());
+    let mut by_hash: HashMap<(u64, usize), Vec<u32>> = HashMap::new();
+    for (j, (path, _, rows)) in jobs.iter().enumerate() {
+        let mut own = Vec::with_capacity(path.cardinality());
+        for d in 0..path.cardinality() {
+            let same = by_hash
+                .entry((column_hash(rows, d), rows.len()))
+                .or_default();
+            let seen = same.iter().copied().find(|&id| {
+                let (first, dim) = distinct[id as usize];
+                let other = &jobs[first].2;
+                rows.iter()
+                    .zip(other)
+                    .all(|(a, b)| a[d].to_bits() == b[dim].to_bits())
+            });
+            let id = seen.unwrap_or_else(|| {
+                let id = u32::try_from(distinct.len()).expect("fewer than 2^32 columns");
+                distinct.push((j, d));
+                same.push(id);
+                id
+            });
+            own.push(id);
+        }
+        ids.push(own);
+    }
+
+    // Step 2: one fit per distinct column.
+    let fits = fan_out(&distinct, workers, |&(j, d), scratch| {
+        let column: Vec<f64> = jobs[j].2.iter().map(|row| row[d]).collect();
+        Ok(auto_histogram_with_scratch(&column, &cfg.auto, scratch)?)
+    })?;
+    #[cfg(test)]
+    tests::FITS_RUN.with(|n| n.set(n.get() + fits.len()));
+
+    // Step 3: each variable from its columns' fits.
+    let assembly: Vec<(&Job, &Vec<u32>)> = jobs.iter().zip(&ids).collect();
+    fan_out(&assembly, workers, |&((path, interval, rows), ids), _| {
+        let histogram = if path.is_unit() {
+            HistogramNd::from_histogram1d(&fits[ids[0] as usize])
+        } else {
+            let axes = ids.iter().map(|&id| fits[id as usize].buckets().to_vec());
+            HistogramNd::from_samples_with_axes(rows, axes.collect())?
+        };
+        let source = VariableSource::Trajectories { count: rows.len() };
+        Ok(InstantiatedVariable::new(
+            path.clone(),
+            *interval,
+            histogram,
+            source,
+        ))
+    })
 }
 
-/// Keys per chunk of a machine-sized fan-out. Fit costs vary severalfold
+/// An FNV-1a-style hash of column `d` of `rows`: one xor-multiply round per
+/// value's 64 bits, in row order. Equal hashes are compared exactly.
+fn column_hash(rows: &[Vec<f64>], d: usize) -> u64 {
+    rows.iter().fold(0xcbf2_9ce4_8422_2325, |h, row| {
+        (h ^ row[d].to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Items per chunk of a machine-sized fan-out. Fit costs vary severalfold
 /// along the sorted key list (the second half of a dirty set can take twice
 /// as long as the first), so the list is cut into many small chunks that
-/// idle threads keep claiming, and the threads finish together. A fit takes
-/// 150–200 µs on average (the benchmark's 40×40 `city40` fixture: 7 893
-/// fits in 0.6–0.8 s over 2 cores of a 2.1 GHz Xeon), so claiming a chunk
-/// costs nothing next to fitting it; below two chunks' worth a fan-out stays
-/// on the calling thread.
+/// idle threads keep claiming, and the threads finish together. On the
+/// benchmark's 40×40 `city40` fixture, over 2 cores of a 2.1 GHz Xeon, an
+/// axis fit takes 30–40 µs on average (11 163 distinct columns in 0.17–0.21
+/// s) and assembling a variable from its axes about 8 µs (7 893 in about
+/// 30 ms), so claiming a chunk costs nothing next to running it; below two
+/// chunks' worth a fan-out stays on the calling thread.
 const KEYS_PER_CHUNK: usize = 32;
 
 thread_local! {
@@ -91,10 +180,6 @@ pub(super) fn fan_out<T: Sync, R: Send>(
     Ok(results)
 }
 
-/// One key's fit job: its path, its interval and its qualified per-edge
-/// cost rows in (trajectory, position) order.
-type Job = (Path, IntervalId, Vec<Vec<f64>>);
-
 /// Marks a start whose window at the current level did not reach β.
 const PRUNED: u32 = u32::MAX;
 
@@ -116,9 +201,7 @@ pub(super) fn fit_table(
     workers: Option<usize>,
 ) -> Result<Vec<InstantiatedVariable>, CoreError> {
     let jobs = table_jobs(net, store, cfg, partition, excluded, table);
-    fan_out(&jobs, workers, |(path, interval, rows), scratch| {
-        fit_variable(path.clone(), *interval, rows, cfg, scratch)
-    })
+    fit_jobs(jobs, cfg, workers)
 }
 
 /// The keys of one table that reach β, with their rows, in sorted
@@ -250,7 +333,8 @@ fn table_jobs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pathcost_hist::{AutoConfig, Histogram1D};
+    use crate::weights::{dirty_keys_by_regime, PathWeightFunction};
+    use pathcost_hist::{auto::auto_histogram, AutoConfig, Histogram1D};
     use pathcost_traj::{CostKind, DatasetPreset, RegimeSchema};
     use std::collections::HashSet;
     use std::sync::Barrier;
@@ -350,92 +434,340 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn level_wise_counting_matches_the_two_pass_enumeration() {
-        let partition = DayPartition::new(30).unwrap();
+    /// One seed's fixture: the network, the untagged store, a copy with
+    /// every third trajectory under regime 2 and the rest under 1, and three
+    /// excluded keys off one trajectory — rank 3 at its start, rank 2
+    /// overlapping it, and a unit path further on.
+    struct Fixture {
+        net: RoadNetwork,
+        untagged: TrajectoryStore,
+        tagged: TrajectoryStore,
+        excluded: Vec<(Path, IntervalId)>,
+    }
+
+    fn fixture(seed: u64, partition: &DayPartition) -> Fixture {
+        let (net, untagged) = DatasetPreset::tiny(seed).materialise().unwrap();
+        let tagged = TrajectoryStore::new(
+            untagged
+                .matched()
+                .iter()
+                .enumerate()
+                .map(|(i, m)| m.clone().with_regime(RegimeId(1 + u16::from(i % 3 == 0))))
+                .collect(),
+        );
+        let m = untagged
+            .matched()
+            .iter()
+            .find(|m| m.path.cardinality() >= 6)
+            .unwrap();
+        let key = |at: usize, k: usize| {
+            let path = Path::from_edges_unchecked(m.path.edges()[at..at + k].to_vec());
+            (path, partition.interval_of(m.entry_times[at].time_of_day()))
+        };
+        let excluded = vec![key(0, 3), key(2, 2), key(5, 1)];
+        Fixture {
+            net,
+            untagged,
+            tagged,
+            excluded,
+        }
+    }
+
+    /// Visits every table of the grid `betas × max_ranks × {travel time,
+    /// emissions} × {untagged flat, tagged grouped} × {no exclusions, the
+    /// fixture's}` with a label naming the case.
+    fn each_table(
+        fx: &Fixture,
+        betas: &[usize],
+        max_ranks: &[usize],
+        mut visit: impl FnMut(&str, &TrajectoryStore, &HybridConfig, &[(Path, IntervalId)], RegimeId),
+    ) {
         let grouped = RegimeSchema::flat()
             .with_group(RegimeId(1), RegimeId(3))
             .with_group(RegimeId(2), RegimeId(3));
-        for seed in [21, 51] {
-            let (net, untagged) = DatasetPreset::tiny(seed).materialise().unwrap();
-            // Every third trajectory under regime 2, the rest under 1.
-            let tagged = TrajectoryStore::new(
-                untagged
-                    .matched()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, m)| m.clone().with_regime(RegimeId(1 + u16::from(i % 3 == 0))))
-                    .collect(),
-            );
-            // Three excluded keys off one trajectory: rank 3 at its start,
-            // rank 2 overlapping it, and a unit path further on.
-            let m = untagged
-                .matched()
-                .iter()
-                .find(|m| m.path.cardinality() >= 6)
-                .unwrap();
-            let key = |at: usize, k: usize| {
-                let path = Path::from_edges_unchecked(m.path.edges()[at..at + k].to_vec());
-                (path, partition.interval_of(m.entry_times[at].time_of_day()))
-            };
-            let excluded = [key(0, 3), key(2, 2), key(5, 1)];
-            // Each excluded key clears β = 2 unless excluded.
-            let cfg = HybridConfig {
-                beta: 2,
-                ..HybridConfig::default()
-            };
-            let all = RegimeId::ALL_TRAFFIC;
-            let jobs = |excluded| table_jobs(&net, &untagged, &cfg, &partition, excluded, all);
-            let (kept, pruned) = (jobs(&[][..]), jobs(&excluded[..]));
-            for (path, interval) in &excluded {
-                let fitted = |jobs: &[Job]| jobs.iter().any(|j| (&j.0, j.1) == (path, *interval));
-                assert!(fitted(&kept) && !fitted(&pruned), "{path:?} {interval:?}");
-            }
-            let setups = [
-                (&untagged, RegimeSchema::flat(), vec![RegimeId::ALL_TRAFFIC]),
-                (&tagged, grouped.clone(), (0..4).map(RegimeId).collect()),
-            ];
-            let grid = [1, 2, 5, 30].into_iter().flat_map(|beta| {
-                [1, 2, 6, 40].into_iter().flat_map(move |max_rank| {
-                    [CostKind::TravelTime, CostKind::Emissions].map(|kind| (beta, max_rank, kind))
-                })
-            });
-            for (beta, max_rank, cost_kind) in grid {
-                for (store, regimes, tables) in &setups {
-                    let cfg = HybridConfig {
-                        beta,
-                        max_rank,
-                        cost_kind,
-                        regimes: regimes.clone(),
-                        ..HybridConfig::default()
-                    };
-                    for excluded in [&[][..], &excluded[..]] {
-                        for &table in tables {
-                            let at = format!(
-                                "tiny({seed}) table {table:?} β {beta} rank {max_rank} \
-                                 {cost_kind:?} {} exclusions",
-                                excluded.len()
-                            );
-                            let want =
-                                two_pass_jobs(&net, store, &cfg, &partition, excluded, table);
-                            let got = table_jobs(&net, store, &cfg, &partition, excluded, table);
-                            assert_eq!(job_bits(&got), job_bits(&want), "{at}");
-                            // The fits are a pure function of the rows;
-                            // compare them where fitting every key stays
-                            // cheap in a debug build.
-                            if beta >= 5 && max_rank == 6 {
-                                let fitted =
-                                    fit_table(&net, store, &cfg, &partition, excluded, table, None);
-                                let reference = fan_out(&want, Some(1), |(p, iv, rows), s| {
-                                    fit_variable(p.clone(), *iv, rows, &cfg, s)
-                                });
-                                assert!(fitted.unwrap() == reference.unwrap(), "{at}: fits differ");
+        let setups = [
+            (
+                &fx.untagged,
+                RegimeSchema::flat(),
+                vec![RegimeId::ALL_TRAFFIC],
+            ),
+            (&fx.tagged, grouped, (0..4).map(RegimeId).collect()),
+        ];
+        for &beta in betas {
+            for &max_rank in max_ranks {
+                for cost_kind in [CostKind::TravelTime, CostKind::Emissions] {
+                    for (store, regimes, tables) in &setups {
+                        let cfg = HybridConfig {
+                            beta,
+                            max_rank,
+                            cost_kind,
+                            regimes: regimes.clone(),
+                            ..HybridConfig::default()
+                        };
+                        for excluded in [&[][..], &fx.excluded[..]] {
+                            for &table in tables {
+                                let at = format!(
+                                    "table {table:?} β {beta} rank {max_rank} {cost_kind:?} \
+                                     {} exclusions",
+                                    excluded.len()
+                                );
+                                visit(&at, store, &cfg, excluded, table);
                             }
                         }
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn level_wise_counting_matches_the_two_pass_enumeration() {
+        let partition = DayPartition::new(30).unwrap();
+        for seed in [21, 51] {
+            let fx = fixture(seed, &partition);
+            // Each excluded key clears β = 2 unless excluded.
+            let cfg = HybridConfig {
+                beta: 2,
+                ..HybridConfig::default()
+            };
+            let all = RegimeId::ALL_TRAFFIC;
+            let jobs =
+                |excluded| table_jobs(&fx.net, &fx.untagged, &cfg, &partition, excluded, all);
+            let (kept, pruned) = (jobs(&[][..]), jobs(&fx.excluded[..]));
+            for (path, interval) in &fx.excluded {
+                let fitted = |jobs: &[Job]| jobs.iter().any(|j| (&j.0, j.1) == (path, *interval));
+                assert!(fitted(&kept) && !fitted(&pruned), "{path:?} {interval:?}");
+            }
+            let (betas, max_ranks) = ([1, 2, 5, 30], [1, 2, 6, 40]);
+            each_table(
+                &fx,
+                &betas,
+                &max_ranks,
+                |at, store, cfg, excluded, table| {
+                    let want = two_pass_jobs(&fx.net, store, cfg, &partition, excluded, table);
+                    let got = table_jobs(&fx.net, store, cfg, &partition, excluded, table);
+                    assert_eq!(job_bits(&got), job_bits(&want), "tiny({seed}) {at}");
+                },
+            );
+        }
+    }
+
+    thread_local! {
+        /// Axis fits run by the [`fit_jobs`] calls this thread made.
+        pub(super) static FITS_RUN: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// The number of axis fits `f` runs through [`fit_jobs`] on this thread.
+    fn fits_run(f: impl FnOnce()) -> usize {
+        let before = FITS_RUN.get();
+        f();
+        FITS_RUN.get() - before
+    }
+
+    /// The per-variable fit [`fit_jobs`] replaced: every variable fits each
+    /// of its columns itself. Kept as the reference the shared-column fit
+    /// must match bit for bit.
+    fn fit_variable(
+        path: &Path,
+        interval: IntervalId,
+        rows: &[Vec<f64>],
+        cfg: &HybridConfig,
+    ) -> Result<InstantiatedVariable, CoreError> {
+        let histogram = if path.is_unit() {
+            let totals: Vec<f64> = rows.iter().map(|r| r[0]).collect();
+            HistogramNd::from_histogram1d(&auto_histogram(&totals, &cfg.auto)?)
+        } else {
+            HistogramNd::from_samples(rows, &cfg.auto)?
+        };
+        let source = VariableSource::Trajectories { count: rows.len() };
+        Ok(InstantiatedVariable::new(
+            path.clone(),
+            interval,
+            histogram,
+            source,
+        ))
+    }
+
+    fn fit_each(jobs: &[Job], cfg: &HybridConfig) -> Result<Vec<InstantiatedVariable>, CoreError> {
+        jobs.iter()
+            .map(|(path, interval, rows)| fit_variable(path, *interval, rows, cfg))
+            .collect()
+    }
+
+    /// Every bit of each variable: key edges, interval, source count, axis
+    /// bounds, cell indices and masses.
+    fn variable_bits(vars: &[InstantiatedVariable]) -> Vec<Vec<u64>> {
+        vars.iter()
+            .map(|v| {
+                let mut bits: Vec<u64> = v.path.edges().iter().map(|e| u64::from(e.0)).collect();
+                bits.push(u64::from(v.interval.0));
+                if let VariableSource::Trajectories { count } = v.source {
+                    bits.push(count as u64);
+                }
+                for axis in v.histogram.axes() {
+                    bits.push(axis.len() as u64);
+                    bits.extend(axis.iter().flat_map(|b| [b.lo.to_bits(), b.hi.to_bits()]));
+                }
+                for (cell, p) in v.histogram.cells() {
+                    bits.extend(cell.iter().map(|&i| u64::from(i)));
+                    bits.push(p.to_bits());
+                }
+                bits
+            })
+            .collect()
+    }
+
+    /// `(distinct columns, (variable, dim) pairs)` of `jobs`, where a column
+    /// is its values' bits in row order.
+    fn column_counts<'a>(jobs: impl IntoIterator<Item = &'a Job>) -> (usize, usize) {
+        let columns: Vec<Vec<u64>> = jobs
+            .into_iter()
+            .flat_map(|(path, _, rows)| {
+                (0..path.cardinality()).map(move |d| rows.iter().map(|r| r[d].to_bits()).collect())
+            })
+            .collect();
+        let pairs = columns.len();
+        (columns.into_iter().collect::<HashSet<_>>().len(), pairs)
+    }
+
+    #[test]
+    fn shared_column_fits_match_per_variable_fits_bit_for_bit() {
+        let partition = DayPartition::new(30).unwrap();
+        let mut shared = 0;
+        for seed in [21, 51] {
+            let fx = fixture(seed, &partition);
+            each_table(&fx, &[5, 30], &[6], |at, store, cfg, excluded, table| {
+                let jobs = table_jobs(&fx.net, store, cfg, &partition, excluded, table);
+                let want = variable_bits(&fit_each(&jobs, cfg).unwrap());
+                let (distinct, pairs) = column_counts(&jobs);
+                shared += pairs - distinct;
+                for workers in [None, Some(3)] {
+                    let mut got = Vec::new();
+                    let fits = fits_run(|| {
+                        got = fit_table(&fx.net, store, cfg, &partition, excluded, table, workers)
+                            .unwrap();
+                    });
+                    assert_eq!(variable_bits(&got), want, "tiny({seed}) {at}");
+                    assert_eq!(fits, distinct, "tiny({seed}) {at}: one fit per column");
+                }
+            });
+        }
+        assert!(shared > 0, "the grid shares some column");
+    }
+
+    #[test]
+    fn hand_made_columns_are_shared_only_when_identical() {
+        let cfg = HybridConfig::default();
+        let path =
+            |ids: &[u32]| Path::from_edges_unchecked(ids.iter().map(|&i| EdgeId(i)).collect());
+        let rows = |columns: &[&[f64]]| -> Vec<Vec<f64>> {
+            (0..columns[0].len())
+                .map(|i| columns.iter().map(|c| c[i]).collect())
+                .collect()
+        };
+        let a: Vec<f64> = (0..40u32)
+            .map(|k| 20.0 + f64::from(k % 4) * 15.0 + f64::from(k * 7 % 5))
+            .collect();
+        let b: Vec<f64> = (0..40u32).map(|k| 30.0 + f64::from(k * 11 % 17)).collect();
+        let reversed: Vec<f64> = a.iter().rev().copied().collect();
+        let jobs: Vec<Job> = vec![
+            (path(&[1, 2]), IntervalId(3), rows(&[&a, &b])),
+            // The pair's first column: shared.
+            (path(&[1]), IntervalId(3), rows(&[&a])),
+            // The same values in another order: not shared, because folds
+            // are dealt by position.
+            (path(&[4]), IntervalId(3), rows(&[&reversed])),
+            // A longer path whose columns all appeared above, b at another
+            // dim: all three shared.
+            (path(&[7, 2, 9]), IntervalId(5), rows(&[&reversed, &b, &a])),
+        ];
+        let reference = fit_each(&jobs, &cfg).unwrap();
+        assert!(
+            reference[1].histogram != reference[2].histogram,
+            "the order of a column decides its fit here, so sharing on the \
+             values alone would change a histogram"
+        );
+        let want = variable_bits(&reference);
+        for workers in [None, Some(1), Some(3)] {
+            let mut got = Vec::new();
+            let fits = fits_run(|| got = fit_jobs(jobs.clone(), &cfg, workers).unwrap());
+            assert_eq!(fits, 3, "a, b and a reversed, once each");
+            assert_eq!(variable_bits(&got), want);
+        }
+
+        // The first error is the reference's: the earliest failing
+        // (variable, dim), not the earliest failing column of another order.
+        let mut nan = b.clone();
+        nan[7] = f64::NAN;
+        let mut negative = a.clone();
+        negative[3] = -1.0;
+        let failing: Vec<Job> = vec![
+            jobs[0].clone(),
+            (path(&[5]), IntervalId(3), rows(&[&b])),
+            (path(&[5, 6]), IntervalId(3), rows(&[&a, &nan])),
+            (path(&[7]), IntervalId(3), rows(&[&negative])),
+            (path(&[8, 6]), IntervalId(3), rows(&[&negative, &nan])),
+        ];
+        let want = format!("{:?}", fit_each(&failing, &cfg).unwrap_err());
+        assert!(want.contains("NaN"), "{want}");
+        for workers in [None, Some(1), Some(5)] {
+            let got = fit_jobs(failing.clone(), &cfg, workers).unwrap_err();
+            assert_eq!(format!("{got:?}"), want);
+        }
+    }
+
+    #[test]
+    fn instantiate_and_rederive_fit_each_distinct_column_once() {
+        let partition = DayPartition::new(30).unwrap();
+        let fx = fixture(31, &partition);
+        let cfg = HybridConfig {
+            beta: 10,
+            regimes: RegimeSchema::flat()
+                .with_group(RegimeId(1), RegimeId(3))
+                .with_group(RegimeId(2), RegimeId(3)),
+            ..HybridConfig::default()
+        };
+        let split = fx.tagged.len() * 7 / 10;
+        let mut store = TrajectoryStore::new(fx.tagged.matched()[..split].to_vec());
+        let batch = fx.tagged.matched()[split..].to_vec();
+
+        let mut wp = None;
+        let fits = fits_run(|| wp = Some(PathWeightFunction::instantiate(&fx.net, &store, &cfg)));
+        let wp = wp.unwrap().unwrap();
+        // Instantiation fits table by table.
+        let (mut distinct, mut pairs) = (0, 0);
+        for &table in wp.tables().keys() {
+            let jobs = table_jobs(&fx.net, &store, &cfg, &partition, &[], table);
+            assert_eq!(jobs.len(), wp.tables()[&table].len());
+            let counts = column_counts(&jobs);
+            (distinct, pairs) = (distinct + counts.0, pairs + counts.1);
+        }
+        assert_eq!(fits, distinct, "instantiate: one fit per distinct column");
+        assert!(fits < pairs, "instantiate: {fits} fits for {pairs} columns");
+
+        let dirty = dirty_keys_by_regime(&batch, &partition, cfg.max_rank, &cfg.regimes);
+        store.append(batch);
+        let mut update = None;
+        let fits = fits_run(|| update = Some(wp.rederive_regimes(&fx.net, &store, &cfg, &dirty)));
+        let update = update.unwrap().unwrap();
+        // Re-derivation fits every re-fitted key of every table at once.
+        let refitted: HashSet<(&[EdgeId], IntervalId, RegimeId)> = update
+            .updated
+            .iter()
+            .chain(&update.added)
+            .map(|(path, interval, table)| (path.edges(), *interval, *table))
+            .collect();
+        let mut jobs = Vec::new();
+        for &table in update.weights.tables().keys() {
+            let table_jobs = table_jobs(&fx.net, &store, &cfg, &partition, &[], table);
+            jobs.extend(table_jobs.into_iter().filter(|(path, interval, _)| {
+                refitted.contains(&(path.edges(), *interval, table))
+            }));
+        }
+        assert_eq!(jobs.len(), refitted.len());
+        let (distinct, pairs) = column_counts(&jobs);
+        assert_eq!(fits, distinct, "rederive: one fit per distinct column");
+        assert!(fits < pairs, "rederive: {fits} fits for {pairs} columns");
     }
 
     #[test]

@@ -40,7 +40,8 @@ pub struct WeightView {
     /// allocation for every view of every epoch — it depends on the network
     /// and `speed_limit_spread` alone).
     fallback_units: Arc<Table>,
-    stats: WeightStats,
+    /// The store's covered-edge count, for [`Self::stats`].
+    edges_with_records: usize,
 }
 
 impl WeightView {
@@ -70,11 +71,6 @@ impl WeightView {
 
         let mut index: HashMap<Vec<EdgeId>, Vec<(IntervalId, usize)>> = HashMap::new();
         let mut by_first_edge: HashMap<EdgeId, Vec<usize>> = HashMap::new();
-        let mut count_by_rank: BTreeMap<usize, usize> = BTreeMap::new();
-        let mut entropy_sum: BTreeMap<usize, f64> = BTreeMap::new();
-        let mut covered: HashSet<EdgeId> = HashSet::new();
-        let fallback_bytes = fallback_units.iter().flat_map(|v| v.unit_marginal());
-        let mut memory: usize = fallback_bytes.map(Histogram1D::storage_bytes).sum();
         for (idx, (var, _)) in rows.iter().enumerate() {
             by_first_edge
                 .entry(var.path.first_edge())
@@ -86,22 +82,7 @@ impl WeightView {
                     index.insert(var.path.edges().to_vec(), vec![(var.interval, idx)]);
                 }
             }
-            *count_by_rank.entry(var.rank()).or_insert(0) += 1;
-            *entropy_sum.entry(var.rank()).or_insert(0.0) += var.entropy();
-            covered.extend(var.path.edges().iter().copied());
-            memory += var.storage_bytes();
         }
-        let mean_entropy_by_rank = entropy_sum
-            .into_iter()
-            .map(|(rank, sum)| (rank, sum / count_by_rank[&rank] as f64))
-            .collect();
-        let stats = WeightStats {
-            count_by_rank,
-            mean_entropy_by_rank,
-            covered_edges: covered.len(),
-            edges_with_records,
-            memory_bytes: memory,
-        };
         let (variables, sources) = rows.into_iter().map(|(v, rung)| (v.clone(), rung)).unzip();
         WeightView {
             regime,
@@ -110,7 +91,7 @@ impl WeightView {
             index,
             by_first_edge,
             fallback_units: fallback_units.clone(),
-            stats,
+            edges_with_records,
         }
     }
 
@@ -183,8 +164,30 @@ impl WeightView {
         Some((var.unit_marginal()?, index))
     }
 
-    /// Summary statistics of the view's variables.
-    pub fn stats(&self) -> &WeightStats {
-        &self.stats
+    /// Summary statistics of the view's variables, computed on each call
+    /// (every epoch layers its views again; only reports read these).
+    pub fn stats(&self) -> WeightStats {
+        let mut count_by_rank: BTreeMap<usize, usize> = BTreeMap::new();
+        let mut entropy_sum: BTreeMap<usize, f64> = BTreeMap::new();
+        let mut covered: HashSet<EdgeId> = HashSet::new();
+        let fallback_bytes = self.fallback_units.iter().flat_map(|v| v.unit_marginal());
+        let mut memory: usize = fallback_bytes.map(Histogram1D::storage_bytes).sum();
+        for var in &self.variables {
+            *count_by_rank.entry(var.rank()).or_insert(0) += 1;
+            *entropy_sum.entry(var.rank()).or_insert(0.0) += var.entropy();
+            covered.extend(var.path.edges().iter().copied());
+            memory += var.storage_bytes();
+        }
+        let mean_entropy_by_rank = entropy_sum
+            .into_iter()
+            .map(|(rank, sum)| (rank, sum / count_by_rank[&rank] as f64))
+            .collect();
+        WeightStats {
+            count_by_rank,
+            mean_entropy_by_rank,
+            covered_edges: covered.len(),
+            edges_with_records: self.edges_with_records,
+            memory_bytes: memory,
+        }
     }
 }

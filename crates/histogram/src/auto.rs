@@ -157,9 +157,6 @@ impl RawParts {
 /// histogram being scored. Buffers grow on first use and are then reused.
 #[derive(Debug, Default)]
 pub struct FitScratch {
-    /// The column being fitted, when the caller's samples are not contiguous
-    /// (one dimension of joint rows).
-    pub(crate) column: Vec<f64>,
     /// `(rounded sample, original index)`, sorted by value then index.
     sorted: Vec<(f64, u32)>,
     /// Working resolution of the prepared column.
@@ -178,7 +175,7 @@ pub struct FitScratch {
     boundaries: Vec<usize>,
     gaps: Vec<f64>,
     /// The candidate (and, last, the final) histogram's arrays.
-    pub(crate) buckets: Vec<Bucket>,
+    buckets: Vec<Bucket>,
     probs: Vec<f64>,
     cum: Vec<f64>,
     errors: Vec<f64>,
@@ -362,13 +359,6 @@ impl FitScratch {
             (&mut self.buckets, &mut self.probs, &mut self.cum),
         )
     }
-
-    /// The Auto + V-Optimal bucket bounds of `samples` — one axis of a
-    /// multi-dimensional histogram — left in `self.buckets`.
-    pub(crate) fn fit_axis(&mut self, samples: &[f64], cfg: &AutoConfig) -> Result<(), HistError> {
-        self.prepare(samples, cfg)?;
-        self.fit(cfg)
-    }
 }
 
 thread_local! {
@@ -516,7 +506,8 @@ pub fn auto_histogram_with_scratch(
     cfg: &AutoConfig,
     scratch: &mut FitScratch,
 ) -> Result<Histogram1D, HistError> {
-    scratch.fit_axis(samples, cfg)?;
+    scratch.prepare(samples, cfg)?;
+    scratch.fit(cfg)?;
     Ok(Histogram1D::from_normalised_parts(
         &scratch.buckets,
         &scratch.probs,

@@ -10,7 +10,7 @@
 //! per dimension, and the probability of each hyper-bucket is the fraction of
 //! joint samples falling in it (Figure 6).
 
-use crate::auto::{with_thread_scratch, AutoConfig, FitScratch};
+use crate::auto::{auto_histogram, AutoConfig};
 use crate::bucket::Bucket;
 use crate::error::HistError;
 use crate::histogram1d::Histogram1D;
@@ -34,16 +34,6 @@ impl HistogramNd {
     /// Per-dimension bucket counts are chosen with the Auto method and bucket
     /// boundaries with V-Optimal; cell probabilities are empirical fractions.
     pub fn from_samples(samples: &[Vec<f64>], cfg: &AutoConfig) -> Result<Self, HistError> {
-        with_thread_scratch(|scratch| Self::from_samples_with_scratch(samples, cfg, scratch))
-    }
-
-    /// As [`Self::from_samples`], with caller-provided working memory for the
-    /// per-dimension Auto fits.
-    pub fn from_samples_with_scratch(
-        samples: &[Vec<f64>],
-        cfg: &AutoConfig,
-        scratch: &mut FitScratch,
-    ) -> Result<Self, HistError> {
         if samples.is_empty() {
             return Err(HistError::EmptyInput);
         }
@@ -60,19 +50,14 @@ impl HistogramNd {
             }
         }
 
-        // Per-dimension axes, each fitted from one contiguous column.
-        let mut column = std::mem::take(&mut scratch.column);
-        let axes: Result<Vec<Vec<Bucket>>, HistError> = (0..dims)
+        // Per-dimension axes, each the Auto fit of one column.
+        let axes = (0..dims)
             .map(|d| {
-                column.clear();
-                column.extend(samples.iter().map(|s| s[d]));
-                scratch.fit_axis(&column, cfg)?;
-                Ok(scratch.buckets.clone())
+                let column: Vec<f64> = samples.iter().map(|s| s[d]).collect();
+                Ok(auto_histogram(&column, cfg)?.buckets().to_vec())
             })
-            .collect();
-        scratch.column = column;
-
-        Self::from_samples_with_axes(samples, axes?)
+            .collect::<Result<_, HistError>>()?;
+        Self::from_samples_with_axes(samples, axes)
     }
 
     /// Builds an N-dimensional histogram from joint samples using externally

@@ -466,12 +466,12 @@ pub(crate) mod tests {
         let rest: Vec<MatchedTrajectory> = store.matched()[split..].to_vec();
         let mut ingestor = LiveIngestor::new(&net, base, cfg).unwrap();
         let snapshot = ingestor.weights();
-        let before = snapshot.stats().clone();
+        let before = snapshot.stats();
         let update = ingestor.ingest(rest).unwrap();
         assert!(update.changed() > 0, "a 25% append must change variables");
         // The pre-ingest snapshot is untouched; the new epoch differs.
-        assert_eq!(snapshot.stats(), &before);
-        assert_ne!(ingestor.weights().stats(), &before);
+        assert_eq!(snapshot.stats(), before);
+        assert_ne!(ingestor.weights().stats(), before);
         assert!(!Arc::ptr_eq(&snapshot, &ingestor.weights()));
     }
 

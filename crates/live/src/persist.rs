@@ -663,7 +663,7 @@ mod tests {
         p.ingest(rest[mid..].to_vec()).unwrap();
         let want_epoch = p.epoch();
         let want_vars = p.weights().variables().to_vec();
-        let want_stats = p.weights().stats().clone();
+        let want_stats = p.weights().stats();
         let want_matched = p.store().matched().to_vec();
         drop(p);
 
@@ -681,7 +681,7 @@ mod tests {
         assert_eq!(report.corrupt_generations_skipped, 0);
         assert_eq!(r.epoch(), want_epoch);
         assert_eq!(r.weights().variables(), &want_vars[..]);
-        assert_eq!(r.weights().stats(), &want_stats);
+        assert_eq!(r.weights().stats(), want_stats);
         assert_eq!(r.store().matched(), &want_matched[..]);
         assert_eq!(r.status().recovery_outcome(), RecoveryOutcome::Warm);
 
