@@ -33,10 +33,9 @@ use crate::config::HybridConfig;
 use crate::error::CoreError;
 use crate::interval::{DayPartition, IntervalId};
 use crate::variable::InstantiatedVariable;
-use fit::{fan_out, fit_jobs, fit_table};
+use fit::{dirty_jobs, fit_jobs, fit_table};
 use pathcost_hist::Histogram1D;
 use pathcost_roadnet::{EdgeId, Path, RoadNetwork};
-use pathcost_traj::costs::per_edge_costs;
 use pathcost_traj::MatchedTrajectory;
 use pathcost_traj::{CostKind, RegimeId, RegimeSchema, TrajectoryStore};
 use serde::{Deserialize, Serialize};
@@ -333,7 +332,7 @@ impl PathWeightFunction {
     ) -> PathWeightFunction {
         let schema = cfg.regimes.clone();
         tables.retain(|_, table| !table.is_empty());
-        let edges_with_records = store.covered_edges().len();
+        let edges_with_records = store.covered_edge_count();
         let layer = |regime: RegimeId, ladder: &[RegimeId]| {
             let view =
                 WeightView::layered(regime, ladder, &tables, &fallback_units, edges_with_records);
@@ -386,7 +385,14 @@ impl PathWeightFunction {
     /// * a dirty key's qualified rows in the current store are exactly the
     ///   rows the full rebuild's collection pass would visit, in the same
     ///   (trajectory, position) order, so re-fitting reproduces the rebuild's
-    ///   histogram exactly. The re-fit shares identical columns across the
+    ///   histogram exactly. They are collected per group of dirty keys that
+    ///   share a first edge and a table, in one walk over that edge's
+    ///   postings (`weights/fit.rs::dirty_jobs`). A posting's stored entry
+    ///   minute only skips postings that cannot be in any of the group's
+    ///   intervals (with a minute's margin either side), and every posting
+    ///   kept passes the exact interval, regime and edge tests of a per-key
+    ///   walk, so each key keeps the same occurrences in the same posting
+    ///   order. The re-fit shares identical columns across the
     ///   dirty keys of every table, where the rebuild shares them within one
     ///   table; that changes no bit, because an axis fit is a pure function
     ///   of its column's values in order (`weights/fit.rs`);
@@ -436,32 +442,10 @@ impl PathWeightFunction {
             ));
         }
 
-        // Collect every dirty key's rows in its table — independent per
-        // key, so fanned out — and re-fit the keys that still clear β there
-        // (`None` for the ones that do not) in one shared-column fit.
-        let keys: Vec<&RegimeVariableKey> = dirty.iter().collect();
-        let collected = fan_out(&keys, workers, |&(edges, interval, table), _| {
-            let path = Path::from_edges_unchecked(edges.clone());
-            // The key's qualified occurrences in its table's contributing
-            // subsequence of the current store, in the same (trajectory,
-            // position) order the full rebuild collects rows in.
-            let occurrences: Vec<_> = current
-                .occurrences_on_contributing(&path, &self.schema, *table)
-                .into_iter()
-                .filter(|o| partition.interval_of(o.entry_time.time_of_day()) == *interval)
-                .collect();
-            if occurrences.len() < cfg.beta {
-                return Ok(None);
-            }
-            let rows: Vec<Vec<f64>> = occurrences
-                .iter()
-                .filter_map(|o| {
-                    let m = current.get(o.traj_index).expect("occurrence is in store");
-                    per_edge_costs(m, net, &path, o.offset, cfg.cost_kind)
-                })
-                .collect();
-            Ok((rows.len() >= cfg.beta).then_some((path, *interval, rows)))
-        })?;
+        // Collect every dirty key's rows in its table, and re-fit the keys
+        // that still clear β there (`None` for the ones that do not) in one
+        // shared-column fit.
+        let collected = dirty_jobs(net, current, cfg, &partition, dirty, workers)?;
         let qualified: Vec<bool> = collected.iter().map(Option::is_some).collect();
         let mut fitted =
             fit_jobs(collected.into_iter().flatten().collect(), cfg, workers)?.into_iter();
@@ -475,7 +459,7 @@ impl PathWeightFunction {
         let mut updated = Vec::new();
         let mut added = Vec::new();
         let mut removed = Vec::new();
-        for ((edges, interval, table), refit) in keys.into_iter().zip(refits) {
+        for ((edges, interval, table), refit) in dirty.iter().zip(refits) {
             let key = (edges.as_slice(), *interval);
             let existing = self
                 .tables

@@ -2,12 +2,20 @@
 //! rank-k window is counted only under a rank-(k − 1) prefix that reached β;
 //! per-edge cost rows; and the Auto + V-Optimal fit of each surviving key.
 //!
+//! Rows are collected two ways. Instantiation ([`fit_table`]) walks every
+//! contributing trajectory. A live re-derivation ([`dirty_jobs`]) walks, for
+//! each group of dirty keys sharing a first edge and a table, that edge's
+//! postings once, and passes over every posting whose entry minute is in
+//! none of the group's intervals without opening its trajectory. Both keep
+//! a key's rows in one flat buffer, in (trajectory, position) order.
+//!
 //! There is one fit pipeline, [`fit_jobs`], for instantiation and for every
 //! live re-derivation alike. It fits each *distinct* column once — overlapping
 //! keys share most of theirs: on the benchmark's `city40` fixture 11 163 of
 //! the 24 740 axis columns of an instantiation are distinct, and about half
 //! of a 10-row publish's are — and assembles every variable from the fits of
-//! its columns. Fits and assembly fan out over the process-wide worker pool
+//! its columns, reading each column and row in place in the flat buffer.
+//! Collection, fits and assembly fan out over the process-wide worker pool
 //! ([`crate::exec::global`]).
 
 use crate::config::HybridConfig;
@@ -15,18 +23,35 @@ use crate::error::CoreError;
 use crate::exec;
 use crate::interval::{DayPartition, IntervalId};
 use crate::variable::{InstantiatedVariable, VariableSource};
+use crate::weights::RegimeVariableKey;
 use pathcost_hist::{auto::auto_histogram_with_scratch, FitScratch, HistogramNd};
 use pathcost_roadnet::{EdgeId, Path, RoadNetwork};
-use pathcost_traj::costs::per_edge_costs;
+use pathcost_traj::costs::per_edge_costs_into;
 use pathcost_traj::{MatchedTrajectory, RegimeId, TrajectoryStore};
 use std::cell::Cell;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Mutex;
 
 /// One key's fit job: its path, its interval and its qualified per-edge
-/// cost rows in (trajectory, position) order — one cost per edge of the path
-/// in every row.
-type Job = (Path, IntervalId, Vec<Vec<f64>>);
+/// cost rows in (trajectory, position) order, in one flat buffer — row `r`
+/// is `rows[r * k..(r + 1) * k]` for the path's cardinality `k`, one cost
+/// per edge.
+type Job = (Path, IntervalId, Vec<f64>);
+
+/// The rows of a job, each a slice of its flat buffer.
+fn rows_of((path, _, rows): &Job) -> std::slice::ChunksExact<'_, f64> {
+    rows.chunks_exact(path.cardinality())
+}
+
+/// The number of rows of a job.
+fn row_count((path, _, rows): &Job) -> usize {
+    rows.len() / path.cardinality()
+}
+
+/// Column `d` of a job's rows, read in place in row order.
+fn column_of((path, _, rows): &Job, d: usize) -> impl Iterator<Item = f64> + '_ {
+    rows.iter().skip(d).step_by(path.cardinality()).copied()
+}
 
 /// Fits the §3.1/§3.2 variable of every job and returns them in job order
 /// (or the error of the first failing job). The one fit pipeline: full
@@ -65,18 +90,18 @@ pub(super) fn fit_jobs(
     let mut distinct: Vec<(usize, usize)> = Vec::new();
     let mut ids: Vec<Vec<u32>> = Vec::with_capacity(jobs.len());
     let mut by_hash: HashMap<(u64, usize), Vec<u32>> = HashMap::new();
-    for (j, (path, _, rows)) in jobs.iter().enumerate() {
-        let mut own = Vec::with_capacity(path.cardinality());
-        for d in 0..path.cardinality() {
+    for (j, job) in jobs.iter().enumerate() {
+        let k = job.0.cardinality();
+        let mut own = Vec::with_capacity(k);
+        for d in 0..k {
             let same = by_hash
-                .entry((column_hash(rows, d), rows.len()))
+                .entry((column_hash(column_of(job, d)), row_count(job)))
                 .or_default();
             let seen = same.iter().copied().find(|&id| {
                 let (first, dim) = distinct[id as usize];
-                let other = &jobs[first].2;
-                rows.iter()
-                    .zip(other)
-                    .all(|(a, b)| a[d].to_bits() == b[dim].to_bits())
+                column_of(job, d)
+                    .zip(column_of(&jobs[first], dim))
+                    .all(|(a, b)| a.to_bits() == b.to_bits())
             });
             let id = seen.unwrap_or_else(|| {
                 let id = u32::try_from(distinct.len()).expect("fewer than 2^32 columns");
@@ -91,7 +116,7 @@ pub(super) fn fit_jobs(
 
     // Step 2: one fit per distinct column.
     let fits = fan_out(&distinct, workers, |&(j, d), scratch| {
-        let column: Vec<f64> = jobs[j].2.iter().map(|row| row[d]).collect();
+        let column: Vec<f64> = column_of(&jobs[j], d).collect();
         Ok(auto_histogram_with_scratch(&column, &cfg.auto, scratch)?)
     })?;
     #[cfg(test)]
@@ -99,14 +124,18 @@ pub(super) fn fit_jobs(
 
     // Step 3: each variable from its columns' fits.
     let assembly: Vec<(&Job, &Vec<u32>)> = jobs.iter().zip(&ids).collect();
-    fan_out(&assembly, workers, |&((path, interval, rows), ids), _| {
+    fan_out(&assembly, workers, |&(job, ids), _| {
+        let (path, interval, _) = job;
         let histogram = if path.is_unit() {
             HistogramNd::from_histogram1d(&fits[ids[0] as usize])
         } else {
+            let rows: Vec<&[f64]> = rows_of(job).collect();
             let axes = ids.iter().map(|&id| fits[id as usize].buckets().to_vec());
-            HistogramNd::from_samples_with_axes(rows, axes.collect())?
+            HistogramNd::from_samples_with_axes(&rows, axes.collect())?
         };
-        let source = VariableSource::Trajectories { count: rows.len() };
+        let source = VariableSource::Trajectories {
+            count: row_count(job),
+        };
         Ok(InstantiatedVariable::new(
             path.clone(),
             *interval,
@@ -116,11 +145,11 @@ pub(super) fn fit_jobs(
     })
 }
 
-/// An FNV-1a-style hash of column `d` of `rows`: one xor-multiply round per
-/// value's 64 bits, in row order. Equal hashes are compared exactly.
-fn column_hash(rows: &[Vec<f64>], d: usize) -> u64 {
-    rows.iter().fold(0xcbf2_9ce4_8422_2325, |h, row| {
-        (h ^ row[d].to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
+/// An FNV-1a-style hash of a column: one xor-multiply round per value's 64
+/// bits, in row order. Equal hashes are compared exactly.
+fn column_hash(column: impl Iterator<Item = f64>) -> u64 {
+    column.fold(0xcbf2_9ce4_8422_2325, |h, value| {
+        (h ^ value.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
     })
 }
 
@@ -315,13 +344,11 @@ fn table_jobs(
             let (m, intervals) = &trips[starts[0].0];
             let at = starts[0].1;
             let path = Path::from_edges_unchecked(m.path.edges()[at..at + k].to_vec());
-            let rows: Vec<Vec<f64>> = starts
-                .iter()
-                .filter_map(|&(t, start)| {
-                    per_edge_costs(trips[t].0, net, &path, start, cfg.cost_kind)
-                })
-                .collect();
-            if rows.len() >= cfg.beta {
+            let mut rows = Vec::with_capacity(starts.len() * k);
+            for &(t, start) in &starts {
+                per_edge_costs_into(trips[t].0, net, &path, start, cfg.cost_kind, &mut rows);
+            }
+            if rows.len() / k >= cfg.beta {
                 jobs.push((path, intervals[at], rows));
             }
         }
@@ -330,11 +357,128 @@ fn table_jobs(
     jobs
 }
 
+/// The rows of every dirty key in its table of the `current` store, in
+/// `dirty`'s order: `Some(job)` for a key with at least β qualified
+/// occurrences yielding at least β rows, `None` otherwise. A key's rows are
+/// the rows of its qualified occurrences in its table's contributing
+/// subsequence, in (trajectory, position) order — the order [`table_jobs`]
+/// collects them in, so the fit is the rebuild's.
+///
+/// The keys are collected in groups that share a first edge and a table,
+/// one walk over the edge's postings per group, the groups fanned out over
+/// the worker pool. A posting carries the minute of day of its entry, so
+/// the walk passes over every posting whose minute cannot fall in any of the
+/// group's intervals without opening its trajectory; see [`minute_mask`].
+/// A posting that passes is tested exactly — the interval of its entry
+/// time, the regime of its trajectory, the edges that follow — and appended
+/// to every key of the group it is an occurrence of. Postings are in
+/// (trajectory, position) order, so each key's occurrences are too. Nothing
+/// here assumes `dirty` holds the prefixes of its keys.
+pub(super) fn dirty_jobs(
+    net: &RoadNetwork,
+    current: &TrajectoryStore,
+    cfg: &HybridConfig,
+    partition: &DayPartition,
+    dirty: &BTreeSet<RegimeVariableKey>,
+    workers: Option<usize>,
+) -> Result<Vec<Option<Job>>, CoreError> {
+    type Group<'a> = Vec<(usize, &'a RegimeVariableKey)>;
+    let mut groups: BTreeMap<(EdgeId, RegimeId), Group> = BTreeMap::new();
+    for (i, key) in dirty.iter().enumerate() {
+        groups.entry((key.0[0], key.2)).or_default().push((i, key));
+    }
+    let groups: Vec<_> = groups.into_iter().collect();
+    let collected = fan_out(&groups, workers, |((edge, table), keys), _| {
+        Ok(collect_group(
+            net, current, cfg, partition, *edge, *table, keys,
+        ))
+    })?;
+    let mut jobs: Vec<Option<Job>> = (0..dirty.len()).map(|_| None).collect();
+    for (i, job) in collected.into_iter().flatten() {
+        jobs[i] = job;
+    }
+    Ok(jobs)
+}
+
+/// The minutes of the day whose postings may enter one of `intervals`:
+/// each interval's minutes, widened by one minute on either side so that no
+/// rounding of a time of day to its minute can reject a posting the exact
+/// interval test would accept.
+fn minute_mask(partition: &DayPartition, intervals: impl Iterator<Item = IntervalId>) -> Vec<bool> {
+    const MINUTES: usize = 1_440;
+    let alpha = partition.alpha_minutes() as usize;
+    let mut mask = vec![false; MINUTES];
+    for interval in intervals.filter(|iv| iv.0 < partition.interval_count()) {
+        // The last interval absorbs the remainder of the day.
+        let first = usize::from(interval.0) * alpha;
+        let last = if interval.0 + 1 == partition.interval_count() {
+            MINUTES - 1
+        } else {
+            first + alpha - 1
+        };
+        mask[first.saturating_sub(1)..=(last + 1).min(MINUTES - 1)].fill(true);
+    }
+    mask
+}
+
+/// One group of [`dirty_jobs`]: the keys (with their indices in the dirty
+/// set) that start with `edge` and live in `table`.
+fn collect_group(
+    net: &RoadNetwork,
+    current: &TrajectoryStore,
+    cfg: &HybridConfig,
+    partition: &DayPartition,
+    edge: EdgeId,
+    table: RegimeId,
+    keys: &[(usize, &RegimeVariableKey)],
+) -> Vec<(usize, Option<Job>)> {
+    let mask = minute_mask(partition, keys.iter().map(|(_, key)| key.1));
+    let matched = current.matched();
+    let (postings, minutes) = current.postings(edge);
+    let mut occurrences: Vec<Vec<(u32, u32)>> = vec![Vec::new(); keys.len()];
+    for (&(ti, pos), &minute) in postings.iter().zip(minutes) {
+        if !mask[usize::from(minute)] {
+            continue;
+        }
+        let m = &matched[ti as usize];
+        let interval = partition.interval_of(m.entry_times[pos as usize].time_of_day());
+        let tail = &m.path.edges()[pos as usize..];
+        // Whether the trajectory feeds `table` is the same for every key of
+        // the group: asked once, and only of a posting some key matches.
+        let mut contributes = None;
+        for ((_, (edges, key_interval, _)), found) in keys.iter().zip(&mut occurrences) {
+            if *key_interval == interval
+                && tail.starts_with(edges)
+                && *contributes.get_or_insert_with(|| cfg.regimes.contributes_to(m.regime, table))
+            {
+                found.push((ti, pos));
+            }
+        }
+    }
+    keys.iter()
+        .zip(occurrences)
+        .map(|(&(i, (edges, interval, _)), found)| {
+            if found.len() < cfg.beta {
+                return (i, None);
+            }
+            let path = Path::from_edges_unchecked(edges.clone());
+            let mut rows = Vec::with_capacity(found.len() * edges.len());
+            for (ti, pos) in found {
+                let m = &matched[ti as usize];
+                per_edge_costs_into(m, net, &path, pos as usize, cfg.cost_kind, &mut rows);
+            }
+            let job = (rows.len() / edges.len() >= cfg.beta).then_some((path, *interval, rows));
+            (i, job)
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::weights::{dirty_keys_by_regime, PathWeightFunction};
     use pathcost_hist::{auto::auto_histogram, AutoConfig, Histogram1D};
+    use pathcost_traj::costs::per_edge_costs;
     use pathcost_traj::{CostKind, DatasetPreset, RegimeSchema};
     use std::collections::HashSet;
     use std::sync::Barrier;
@@ -384,7 +528,7 @@ mod tests {
         }
 
         // Pass 2: collect per-edge cost rows only for keys that reached β.
-        let mut samples: HashMap<WindowKey, (Path, Vec<Vec<f64>>)> = counts
+        let mut samples: HashMap<WindowKey, (Path, Vec<f64>)> = counts
             .into_iter()
             .filter(|&(_, c)| c >= cfg.beta)
             .map(|(key, c)| {
@@ -403,7 +547,7 @@ mod tests {
                         {
                             if let Some(costs) = per_edge_costs(m, net, path, start, cfg.cost_kind)
                             {
-                                rows.push(costs);
+                                rows.extend(costs);
                             }
                         }
                     }
@@ -413,7 +557,7 @@ mod tests {
 
         let mut jobs: Vec<Job> = samples
             .into_iter()
-            .filter(|(_, (_, rows))| rows.len() >= cfg.beta)
+            .filter(|(_, (path, rows))| rows.len() / path.cardinality() >= cfg.beta)
             .map(|((_, interval), (path, rows))| (path, interval, rows))
             .collect();
         jobs.sort_unstable_by(|a, b| (a.0.edges(), a.1).cmp(&(b.0.edges(), b.1)));
@@ -421,15 +565,16 @@ mod tests {
     }
 
     /// Every bit of a job list: key edges, interval and each row's costs.
-    fn job_bits(jobs: &[Job]) -> Vec<(Vec<u32>, u16, Vec<Vec<u64>>)> {
-        jobs.iter()
-            .map(|(path, interval, rows)| {
-                let edges = path.edges().iter().map(|e| e.0).collect();
-                let rows = rows
-                    .iter()
+    fn job_bits<'a>(
+        jobs: impl IntoIterator<Item = &'a Job>,
+    ) -> Vec<(Vec<u32>, u16, Vec<Vec<u64>>)> {
+        jobs.into_iter()
+            .map(|job| {
+                let edges = job.0.edges().iter().map(|e| e.0).collect();
+                let rows = rows_of(job)
                     .map(|r| r.iter().map(|c| c.to_bits()).collect())
                     .collect();
-                (edges, interval.0, rows)
+                (edges, job.1 .0, rows)
             })
             .collect()
     }
@@ -552,6 +697,235 @@ mod tests {
         }
     }
 
+    /// The per-key collection [`dirty_jobs`] replaced: each key walks its
+    /// first edge's postings through `occurrences_on`, keeps the occurrences
+    /// of its table's contributing trajectories that enter during its
+    /// interval, and collects their rows. Kept as the reference the grouped
+    /// collection must match bit for bit.
+    fn per_key_jobs(
+        net: &RoadNetwork,
+        store: &TrajectoryStore,
+        cfg: &HybridConfig,
+        partition: &DayPartition,
+        dirty: &BTreeSet<RegimeVariableKey>,
+    ) -> Vec<Option<Job>> {
+        dirty
+            .iter()
+            .map(|(edges, interval, table)| {
+                let path = Path::from_edges_unchecked(edges.clone());
+                let occurrences: Vec<_> = store
+                    .occurrences_on(&path)
+                    .into_iter()
+                    .filter(|o| {
+                        let regime = store.matched()[o.traj_index].regime;
+                        cfg.regimes.contributes_to(regime, *table)
+                    })
+                    .filter(|o| partition.interval_of(o.entry_time.time_of_day()) == *interval)
+                    .collect();
+                if occurrences.len() < cfg.beta {
+                    return None;
+                }
+                let rows: Vec<Vec<f64>> = occurrences
+                    .iter()
+                    .filter_map(|o| {
+                        let m = &store.matched()[o.traj_index];
+                        per_edge_costs(m, net, &path, o.offset, cfg.cost_kind)
+                    })
+                    .collect();
+                (rows.len() >= cfg.beta).then(|| (path, *interval, rows.concat()))
+            })
+            .collect()
+    }
+
+    /// Asserts [`dirty_jobs`] ≡ [`per_key_jobs`] bit for bit, whatever the
+    /// fan-out, and returns how many keys kept a job.
+    fn assert_collects_like_per_key(
+        net: &RoadNetwork,
+        store: &TrajectoryStore,
+        cfg: &HybridConfig,
+        dirty: &BTreeSet<RegimeVariableKey>,
+        at: &str,
+    ) -> usize {
+        let partition = DayPartition::new(cfg.alpha_minutes).unwrap();
+        let bits = |jobs: Vec<Option<Job>>| -> Vec<_> { jobs.iter().map(job_bits).collect() };
+        let want = bits(per_key_jobs(net, store, cfg, &partition, dirty));
+        for workers in [None, Some(1), Some(3)] {
+            let got = dirty_jobs(net, store, cfg, &partition, dirty, workers).unwrap();
+            assert!(
+                got.len() == want.len() && bits(got) == want,
+                "{at} {workers:?}"
+            );
+        }
+        want.iter().filter(|job| !job.is_empty()).count()
+    }
+
+    /// Dirty sets that are not closed under prefixes, cut from `dirty`: its
+    /// keys of rank ≥ 2 only (no unit key), every third key, each key one
+    /// interval later, and each key in a table nobody feeds and past the
+    /// last interval.
+    fn not_prefix_closed(
+        dirty: &BTreeSet<RegimeVariableKey>,
+        partition: &DayPartition,
+    ) -> Vec<BTreeSet<RegimeVariableKey>> {
+        let moved = |f: &dyn Fn(&RegimeVariableKey) -> RegimeVariableKey| {
+            dirty.iter().map(f).collect::<BTreeSet<_>>()
+        };
+        let past_the_day = IntervalId(partition.interval_count());
+        vec![
+            dirty.iter().filter(|k| k.0.len() >= 2).cloned().collect(),
+            dirty.iter().step_by(3).cloned().collect(),
+            moved(&|(e, iv, t)| (e.clone(), IntervalId(iv.0 + 1), *t)),
+            moved(&|(e, _, _)| (e.clone(), past_the_day, RegimeId(9)))
+                .into_iter()
+                .chain(moved(&|(e, iv, _)| (e.clone(), *iv, RegimeId(9))))
+                .collect(),
+        ]
+    }
+
+    #[test]
+    fn grouped_collection_matches_the_per_key_collection() {
+        let partition = DayPartition::new(30).unwrap();
+        let (mut kept, mut dropped) = (0, 0);
+        for seed in [21, 51] {
+            let fx = fixture(seed, &partition);
+            let grouped = RegimeSchema::flat()
+                .with_group(RegimeId(1), RegimeId(3))
+                .with_group(RegimeId(2), RegimeId(3));
+            let setups = [
+                ("untagged", &fx.untagged, RegimeSchema::flat()),
+                ("tagged", &fx.tagged, grouped),
+            ];
+            for (name, full, regimes) in setups {
+                for cost_kind in [CostKind::TravelTime, CostKind::Emissions] {
+                    let cfg = HybridConfig {
+                        beta: 5,
+                        cost_kind,
+                        regimes: regimes.clone(),
+                        ..HybridConfig::default()
+                    };
+                    let dirty_of = |batch: &[MatchedTrajectory]| {
+                        dirty_keys_by_regime(batch, &partition, cfg.max_rank, &cfg.regimes)
+                    };
+                    let mut check = |store: &TrajectoryStore,
+                                     dirty: &BTreeSet<RegimeVariableKey>,
+                                     step: &str| {
+                        let at = format!("tiny({seed}) {name} {cost_kind:?} {step}");
+                        let n = assert_collects_like_per_key(&fx.net, store, &cfg, dirty, &at);
+                        kept += n;
+                        dropped += dirty.len() - n;
+                    };
+                    // Append the last 30 %, retire the oldest quarter, retire
+                    // every fifth id, append the retired back.
+                    let split = full.len() * 7 / 10;
+                    let mut store = TrajectoryStore::new(full.matched()[..split].to_vec());
+                    let batch = full.matched()[split..].to_vec();
+                    let dirty = dirty_of(&batch);
+                    store.append(batch);
+                    check(&store, &dirty, "append");
+                    for (i, cut) in not_prefix_closed(&dirty, &partition).iter().enumerate() {
+                        check(&store, cut, &format!("append, cut {i}"));
+                    }
+                    let cutoff = store.start_time_at_percentile(25).unwrap();
+                    let retired = store.retire_before(cutoff);
+                    check(&store, &dirty_of(&retired), "retire_before");
+                    let ids: Vec<u64> = store.matched().iter().step_by(5).map(|m| m.id).collect();
+                    let retired = store.retire_ids(&ids);
+                    let dirty = dirty_of(&retired);
+                    check(&store, &dirty, "retire_ids");
+                    for (i, cut) in not_prefix_closed(&dirty, &partition).iter().enumerate() {
+                        check(&store, cut, &format!("retire_ids, cut {i}"));
+                    }
+                    let dirty = dirty_of(&retired);
+                    store.append(retired);
+                    check(&store, &dirty, "re-append");
+                }
+            }
+        }
+        assert!(
+            kept > 0 && dropped > 0,
+            "{kept} keys kept a job, {dropped} did not"
+        );
+    }
+
+    #[test]
+    fn boundary_entry_times_collect_like_the_per_key_collection() {
+        // Entry times on an interval boundary, one ulp below it, on a minute
+        // boundary and one ulp below that, on days 0, 1, 7 and 29.
+        let below = |t: f64| f64::from_bits(t.to_bits() - 1);
+        let mut times = Vec::new();
+        for day in [0.0, 1.0, 7.0, 29.0] {
+            for seconds in [
+                8.0 * 3_600.0,
+                8.5 * 3_600.0,
+                17.0 * 3_600.0 + 60.0,
+                86_340.0,
+            ] {
+                let t = day * 86_400.0 + seconds;
+                times.extend([t, below(t)]);
+            }
+        }
+        times.push(below(86_400.0));
+        let partition = DayPartition::new(30).unwrap();
+        let fx = fixture(21, &partition);
+        // Every trajectory's every entry time is one of them, in turn.
+        let placed: Vec<MatchedTrajectory> = fx
+            .tagged
+            .matched()
+            .iter()
+            .enumerate()
+            .map(|(i, m)| {
+                let mut m = m.clone();
+                for (p, t) in m.entry_times.iter_mut().enumerate() {
+                    *t = pathcost_traj::Timestamp(times[(i + p) % times.len()]);
+                }
+                m
+            })
+            .collect();
+        let cfg = HybridConfig {
+            beta: 2,
+            regimes: RegimeSchema::flat().with_group(RegimeId(1), RegimeId(3)),
+            ..HybridConfig::default()
+        };
+        let store = TrajectoryStore::new(placed);
+        // The keys of every window, and each one interval earlier and later.
+        let dirty = dirty_keys_by_regime(store.matched(), &partition, cfg.max_rank, &cfg.regimes);
+        let shifted = |by: i32| {
+            dirty.iter().filter_map(move |(e, iv, t)| {
+                let iv = u16::try_from(i32::from(iv.0) + by).ok()?;
+                Some((e.clone(), IntervalId(iv), *t))
+            })
+        };
+        let dirty: BTreeSet<_> = shifted(-1).chain(shifted(0)).chain(shifted(1)).collect();
+        let kept = assert_collects_like_per_key(&fx.net, &store, &cfg, &dirty, "boundaries");
+        assert!(kept > 0, "some boundary key clears β");
+        // One ulp below 08:30 is 08:29's minute and the 08:00 interval.
+        let tod = pathcost_traj::Timestamp(below(86_400.0 + 8.5 * 3_600.0)).time_of_day();
+        assert_eq!(tod.minute_of_day(), 509);
+        assert_eq!(partition.interval_of(tod), IntervalId(16));
+    }
+
+    #[test]
+    fn minute_mask_widens_each_interval_by_a_minute() {
+        let minutes = |mask: Vec<bool>| -> Vec<usize> {
+            mask.iter()
+                .enumerate()
+                .filter(|(_, &on)| on)
+                .map(|(m, _)| m)
+                .collect()
+        };
+        let half_hours = DayPartition::new(30).unwrap();
+        let mask = minute_mask(&half_hours, [IntervalId(16)].into_iter());
+        assert_eq!(minutes(mask), (479..=510).collect::<Vec<_>>());
+        let mask = minute_mask(&half_hours, [IntervalId(0), IntervalId(47)].into_iter());
+        let want: Vec<usize> = (0..=30).chain(1_409..1_440).collect();
+        assert_eq!(minutes(mask), want);
+        // 50-minute intervals: the last one, 28, absorbs 23:20–24:00.
+        let fifties = DayPartition::new(50).unwrap();
+        let mask = minute_mask(&fifties, [IntervalId(28), IntervalId(29)].into_iter());
+        assert_eq!(minutes(mask), (1_399..1_440).collect::<Vec<_>>());
+        assert!(minutes(minute_mask(&fifties, std::iter::empty())).is_empty());
+    }
+
     thread_local! {
         /// Axis fits run by the [`fit_jobs`] calls this thread made.
         pub(super) static FITS_RUN: Cell<usize> = const { Cell::new(0) };
@@ -568,30 +942,30 @@ mod tests {
     /// of its columns itself. Kept as the reference the shared-column fit
     /// must match bit for bit.
     fn fit_variable(
-        path: &Path,
-        interval: IntervalId,
-        rows: &[Vec<f64>],
+        (path, interval, rows): &Job,
         cfg: &HybridConfig,
     ) -> Result<InstantiatedVariable, CoreError> {
+        let rows: Vec<Vec<f64>> = rows
+            .chunks_exact(path.cardinality())
+            .map(<[f64]>::to_vec)
+            .collect();
         let histogram = if path.is_unit() {
             let totals: Vec<f64> = rows.iter().map(|r| r[0]).collect();
             HistogramNd::from_histogram1d(&auto_histogram(&totals, &cfg.auto)?)
         } else {
-            HistogramNd::from_samples(rows, &cfg.auto)?
+            HistogramNd::from_samples(&rows, &cfg.auto)?
         };
         let source = VariableSource::Trajectories { count: rows.len() };
         Ok(InstantiatedVariable::new(
             path.clone(),
-            interval,
+            *interval,
             histogram,
             source,
         ))
     }
 
     fn fit_each(jobs: &[Job], cfg: &HybridConfig) -> Result<Vec<InstantiatedVariable>, CoreError> {
-        jobs.iter()
-            .map(|(path, interval, rows)| fit_variable(path, *interval, rows, cfg))
-            .collect()
+        jobs.iter().map(|job| fit_variable(job, cfg)).collect()
     }
 
     /// Every bit of each variable: key edges, interval, source count, axis
@@ -622,8 +996,8 @@ mod tests {
     fn column_counts<'a>(jobs: impl IntoIterator<Item = &'a Job>) -> (usize, usize) {
         let columns: Vec<Vec<u64>> = jobs
             .into_iter()
-            .flat_map(|(path, _, rows)| {
-                (0..path.cardinality()).map(move |d| rows.iter().map(|r| r[d].to_bits()).collect())
+            .flat_map(|job| {
+                (0..job.0.cardinality()).map(move |d| column_of(job, d).map(f64::to_bits).collect())
             })
             .collect();
         let pairs = columns.len();
@@ -660,9 +1034,9 @@ mod tests {
         let cfg = HybridConfig::default();
         let path =
             |ids: &[u32]| Path::from_edges_unchecked(ids.iter().map(|&i| EdgeId(i)).collect());
-        let rows = |columns: &[&[f64]]| -> Vec<Vec<f64>> {
+        let rows = |columns: &[&[f64]]| -> Vec<f64> {
             (0..columns[0].len())
-                .map(|i| columns.iter().map(|c| c[i]).collect())
+                .flat_map(|i| columns.iter().map(move |c| c[i]))
                 .collect()
         };
         let a: Vec<f64> = (0..40u32)

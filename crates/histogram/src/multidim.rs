@@ -61,10 +61,11 @@ impl HistogramNd {
     }
 
     /// Builds an N-dimensional histogram from joint samples using externally
-    /// chosen per-dimension axes (used by tests and by callers that want fixed
-    /// `Sta-b` axes).
-    pub fn from_samples_with_axes(
-        samples: &[Vec<f64>],
+    /// chosen per-dimension axes (used by tests, by callers that want fixed
+    /// `Sta-b` axes, and by the weight fit, which hands in slices of one
+    /// flat row buffer).
+    pub fn from_samples_with_axes<S: AsRef<[f64]>>(
+        samples: &[S],
         axes: Vec<Vec<Bucket>>,
     ) -> Result<Self, HistError> {
         if samples.is_empty() || axes.is_empty() {
@@ -75,6 +76,7 @@ impl HistogramNd {
         // are counted by sorting the sample order on them.
         let mut keys: Vec<u32> = Vec::with_capacity(samples.len() * dims);
         for sample in samples {
+            let sample = sample.as_ref();
             if sample.len() != dims {
                 return Err(HistError::DimensionMismatch {
                     expected: dims,

@@ -13,8 +13,9 @@
 //! Cost when disarmed is one relaxed atomic load per operation — noise next
 //! to the fsync those operations perform. The counter is process-global, so
 //! tests using it must not run concurrently with other persistence tests in
-//! the same process (the chaos harness is a separate integration-test
-//! binary, which gives it its own process).
+//! the same process: each lives in an integration-test binary of its own
+//! (`tests/fault_injection.rs` here, the chaos harness and the live crate's
+//! `io_faults`), which gives it its own process.
 
 use crate::error::PersistError;
 use std::io;
@@ -41,7 +42,7 @@ pub fn armed_io_errors() -> u64 {
 
 /// Consumes one armed failure, if any. Called by the guarded operations;
 /// returns the error the operation should fail with.
-pub(crate) fn take_injected_failure() -> Option<PersistError> {
+pub fn take_injected_failure() -> Option<PersistError> {
     // Fast path: disarmed (the overwhelmingly common case).
     if INJECTED_IO_FAILURES.load(Ordering::Relaxed) == 0 {
         return None;
@@ -63,28 +64,4 @@ pub(crate) fn take_injected_failure() -> Option<PersistError> {
         }
     }
     None
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn injection_fails_exactly_n_operations() {
-        clear_io_errors();
-        assert!(take_injected_failure().is_none());
-        inject_io_errors(2);
-        assert_eq!(armed_io_errors(), 2);
-        assert!(take_injected_failure().is_some());
-        assert!(take_injected_failure().is_some());
-        assert!(take_injected_failure().is_none());
-        assert_eq!(armed_io_errors(), 0);
-    }
-
-    #[test]
-    fn clear_disarms_pending_failures() {
-        inject_io_errors(5);
-        clear_io_errors();
-        assert!(take_injected_failure().is_none());
-    }
 }

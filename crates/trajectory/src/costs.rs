@@ -49,26 +49,43 @@ pub fn per_edge_costs(
     offset: usize,
     kind: CostKind,
 ) -> Option<Vec<f64>> {
+    let mut costs = Vec::with_capacity(path.cardinality());
+    per_edge_costs_into(matched, net, path, offset, kind, &mut costs).then_some(costs)
+}
+
+/// [`per_edge_costs`] appended to `out`, one cost per edge of `path`, with
+/// no allocation of its own. Returns `false`, and leaves `out` as it was,
+/// where [`per_edge_costs`] returns `None`.
+pub fn per_edge_costs_into(
+    matched: &MatchedTrajectory,
+    net: &RoadNetwork,
+    path: &Path,
+    offset: usize,
+    kind: CostKind,
+    out: &mut Vec<f64>,
+) -> bool {
     let k = path.cardinality();
     if offset + k > matched.path.cardinality() {
-        return None;
+        return false;
     }
     if &matched.path.edges()[offset..offset + k] != path.edges() {
-        return None;
+        return false;
     }
-    let mut costs = Vec::with_capacity(k);
-    for i in 0..k {
-        let idx = offset + i;
+    let start = out.len();
+    for idx in offset..offset + k {
         let cost = match kind {
             CostKind::TravelTime => matched.travel_times[idx],
             CostKind::Emissions => {
-                let edge = net.edge(matched.path.edges()[idx]).ok()?;
+                let Ok(edge) = net.edge(matched.path.edges()[idx]) else {
+                    out.truncate(start);
+                    return false;
+                };
                 emission_grams(matched.avg_speeds_mps[idx], edge.length_m, edge.grade)
             }
         };
-        costs.push(cost);
+        out.push(cost);
     }
-    Some(costs)
+    true
 }
 
 /// The total cost of one occurrence of `path` inside a matched trajectory.
@@ -139,6 +156,38 @@ mod tests {
             assert!(per_edge_costs(m, &net, &sub, 0, CostKind::TravelTime).is_none());
         }
         assert!(per_edge_costs(m, &net, &m.path, 5_000, CostKind::TravelTime).is_none());
+    }
+
+    #[test]
+    fn per_edge_costs_into_appends_what_per_edge_costs_returns() {
+        let net = GeneratorConfig::tiny(3).generate();
+        let sim = TrafficSimulator::new(
+            &net,
+            SimulationConfig {
+                trips: 10,
+                days: 1,
+                ..SimulationConfig::default()
+            },
+        )
+        .unwrap();
+        let out = sim.run().unwrap();
+        for kind in [CostKind::TravelTime, CostKind::Emissions] {
+            let mut flat = vec![-1.0];
+            for m in &out.ground_truth {
+                let sub = m.path.slice(0, m.path.cardinality().min(3)).unwrap();
+                for (path, offset) in [(&m.path, 0), (&sub, 0), (&sub, 1), (&m.path, 5_000)] {
+                    let before = flat.clone();
+                    let appended = per_edge_costs_into(m, &net, path, offset, kind, &mut flat);
+                    match per_edge_costs(m, &net, path, offset, kind) {
+                        Some(costs) => {
+                            assert!(appended);
+                            assert_eq!(flat, [before, costs].concat());
+                        }
+                        None => assert!(!appended && flat == before, "out untouched"),
+                    }
+                }
+            }
+        }
     }
 
     #[test]

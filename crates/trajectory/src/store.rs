@@ -6,10 +6,13 @@
 //! trajectory's path and the entry time into the first edge of `P` is `t`.
 //! [`TrajectoryStore`] indexes map-matched trajectories by edge so these
 //! queries (and the sparseness / frequent-path analyses of the evaluation)
-//! are efficient.
+//! are efficient. Each posting of that index also carries the minute of day
+//! of its traversal's entry ([`TrajectoryStore::postings`]), so a query for
+//! one interval can skip the postings of every other without reading their
+//! trajectories.
 
 use crate::costs::{per_edge_costs, total_cost, CostKind};
-use crate::regime::{RegimeId, RegimeSchema};
+use crate::regime::RegimeId;
 use crate::simulator::{MatchedTrajectory, SimulationOutput};
 use crate::time::{TimeInterval, Timestamp};
 use pathcost_roadnet::{EdgeId, Path, RoadNetwork};
@@ -37,10 +40,23 @@ pub struct Occurrence {
 #[derive(Debug, Clone)]
 pub struct TrajectoryStore {
     matched: Vec<MatchedTrajectory>,
-    /// For every edge, the `(trajectory index, position)` pairs where it occurs.
-    edge_index: HashMap<EdgeId, Vec<(u32, u32)>>,
+    /// The postings of every edge some stored trajectory traverses; an edge
+    /// nobody traverses has no entry (retirement drops emptied lists).
+    edge_index: HashMap<EdgeId, Postings>,
     /// Trajectory id → index into `matched`.
     by_id: HashMap<u64, u32>,
+}
+
+/// The postings of one edge: every `(trajectory index, position)` at which
+/// it occurs, in ascending order, and beside each — in a parallel list, 2
+/// bytes a posting — the minute of day at which that traversal entered the
+/// edge ([`crate::TimeOfDay::minute_of_day`] of its entry time). The minute
+/// lets a time-of-day filter pass over a posting without opening its
+/// trajectory; both lists are always the same length.
+#[derive(Debug, Clone, Default)]
+struct Postings {
+    at: Vec<(u32, u32)>,
+    minutes: Vec<u16>,
 }
 
 impl TrajectoryStore {
@@ -118,12 +134,21 @@ impl TrajectoryStore {
         TrajectoryStore::new(self.matched[..keep.min(self.matched.len())].to_vec())
     }
 
+    /// The postings of `edge`: the `(trajectory index, position)` pairs where
+    /// it occurs, in ascending order, and the minute of day
+    /// ([`crate::TimeOfDay::minute_of_day`]) at which each of those
+    /// traversals entered it. Both slices have the same length; both are
+    /// empty for an edge no stored trajectory traverses.
+    pub fn postings(&self, edge: EdgeId) -> (&[(u32, u32)], &[u16]) {
+        self.edge_index
+            .get(&edge)
+            .map_or((&[], &[]), |p| (&p.at, &p.minutes))
+    }
+
     /// All occurrences of `path` in the store (any time of day).
     pub fn occurrences_on(&self, path: &Path) -> Vec<Occurrence> {
         let k = path.cardinality();
-        let Some(first_positions) = self.edge_index.get(&path.first_edge()) else {
-            return Vec::new();
-        };
+        let (first_positions, _) = self.postings(path.first_edge());
         let mut out = Vec::new();
         for &(ti, pos) in first_positions {
             let m = &self.matched[ti as usize];
@@ -140,26 +165,6 @@ impl TrajectoryStore {
             }
         }
         out
-    }
-
-    /// The occurrences of `path` restricted to trajectories whose regime
-    /// contributes to the `table` regime under `schema` — the regime-filtered
-    /// form of [`Self::occurrences_on`]. For the global table every
-    /// trajectory qualifies, so the result (and its order) is identical to
-    /// the unfiltered query.
-    pub fn occurrences_on_contributing(
-        &self,
-        path: &Path,
-        schema: &RegimeSchema,
-        table: RegimeId,
-    ) -> Vec<Occurrence> {
-        let all = self.occurrences_on(path);
-        if table.is_global() {
-            return all;
-        }
-        all.into_iter()
-            .filter(|o| schema.contributes_to(self.matched[o.traj_index].regime, table))
-            .collect()
     }
 
     /// The distinct non-global regimes present in the store, ordered.
@@ -212,11 +217,14 @@ impl TrajectoryStore {
     /// The set of edges traversed by at least one stored trajectory
     /// (the paper's `E''`: edges with at least one GPS record).
     pub fn covered_edges(&self) -> HashSet<EdgeId> {
-        self.edge_index
-            .iter()
-            .filter(|(_, v)| !v.is_empty())
-            .map(|(&e, _)| e)
-            .collect()
+        self.edge_index.keys().copied().collect()
+    }
+
+    /// `covered_edges().len()` without building the set: the number of
+    /// non-empty posting lists, which is the number of lists, because
+    /// retirement drops the lists it empties.
+    pub fn covered_edge_count(&self) -> usize {
+        self.edge_index.len()
     }
 
     /// For each cardinality `k = 1..=max_k`, the maximum number of
@@ -295,10 +303,11 @@ impl TrajectoryStore {
                 std::collections::hash_map::Entry::Vacant(slot) => slot.insert(index),
             };
             for (pos, &e) in m.path.edges().iter().enumerate() {
-                self.edge_index
-                    .entry(e)
-                    .or_default()
-                    .push((index, pos as u32));
+                let postings = self.edge_index.entry(e).or_default();
+                postings.at.push((index, pos as u32));
+                let entry = m.entry_times.get(pos);
+                let minute = entry.map_or(0, |t| t.time_of_day().minute_of_day());
+                postings.minutes.push(minute);
             }
             self.matched.push(m);
             appended += 1;
@@ -380,7 +389,8 @@ impl TrajectoryStore {
             m.avg_speeds_mps.shrink_to_fit();
         }
         for postings in self.edge_index.values_mut() {
-            postings.shrink_to_fit();
+            postings.at.shrink_to_fit();
+            postings.minutes.shrink_to_fit();
         }
         self.edge_index.shrink_to_fit();
         self.by_id.shrink_to_fit();
@@ -388,8 +398,8 @@ impl TrajectoryStore {
 
     /// Shared removal path: splits off the trajectories matching `predicate`,
     /// renumbers the survivors, and filters + remaps every edge posting list
-    /// in place (the remap is monotone, so ascending posting order is
-    /// preserved without re-sorting).
+    /// and its minutes in place, in step (the remap is monotone, so ascending
+    /// posting order is preserved without re-sorting).
     fn retire_where<F: FnMut(&MatchedTrajectory) -> bool>(
         &mut self,
         mut predicate: F,
@@ -410,14 +420,19 @@ impl TrajectoryStore {
             return removed;
         }
         self.edge_index.retain(|_, postings| {
-            postings.retain_mut(|(ti, _)| match remap[*ti as usize] {
-                Some(new) => {
-                    *ti = new;
-                    true
+            let Postings { at, minutes } = postings;
+            let mut kept = 0;
+            for i in 0..at.len() {
+                let (ti, pos) = at[i];
+                if let Some(new) = remap[ti as usize] {
+                    at[kept] = (new, pos);
+                    minutes[kept] = minutes[i];
+                    kept += 1;
                 }
-                None => false,
-            });
-            !postings.is_empty()
+            }
+            at.truncate(kept);
+            minutes.truncate(kept);
+            kept > 0
         });
         for m in &removed {
             self.by_id.remove(&m.id);
@@ -435,6 +450,7 @@ mod tests {
     use crate::simulator::{SimulationConfig, TrafficSimulator};
     use crate::time::TimeInterval;
     use pathcost_roadnet::GeneratorConfig;
+    use std::collections::BTreeMap;
 
     fn store_and_net() -> (pathcost_roadnet::RoadNetwork, TrajectoryStore) {
         let net = GeneratorConfig::tiny(12).generate();
@@ -451,6 +467,29 @@ mod tests {
         .unwrap();
         let out = sim.run().unwrap();
         (net, TrajectoryStore::from_ground_truth(&out))
+    }
+
+    /// One edge's postings and their minutes.
+    type EdgePostings = (Vec<(u32, u32)>, Vec<u16>);
+
+    /// Every covered edge's postings and minutes, by edge — the whole edge
+    /// index — after checking that each minute is its traversal's entry
+    /// minute and that the covered-edge count is the set's size.
+    fn postings_by_edge(store: &TrajectoryStore) -> BTreeMap<EdgeId, EdgePostings> {
+        let covered = store.covered_edges();
+        assert_eq!(store.covered_edge_count(), covered.len());
+        covered
+            .into_iter()
+            .map(|e| {
+                let (at, minutes) = store.postings(e);
+                assert_eq!(at.len(), minutes.len());
+                for (&(ti, pos), &minute) in at.iter().zip(minutes) {
+                    let entry = store.matched[ti as usize].entry_times[pos as usize];
+                    assert_eq!(minute, entry.time_of_day().minute_of_day());
+                }
+                (e, (at.to_vec(), minutes.to_vec()))
+            })
+            .collect()
     }
 
     #[test]
@@ -575,6 +614,9 @@ mod tests {
             }
         }
         assert_eq!(incremental.covered_edges(), store.covered_edges());
+        // Postings and their minutes, edge by edge.
+        assert_eq!(postings_by_edge(&incremental), postings_by_edge(&store));
+        assert!(incremental.postings(EdgeId(u32::MAX)).0.is_empty());
     }
 
     #[test]
@@ -715,6 +757,8 @@ mod tests {
             }
         }
         assert_eq!(retired_store.covered_edges(), rebuilt.covered_edges());
+        // Postings and their minutes, edge by edge.
+        assert_eq!(postings_by_edge(&retired_store), postings_by_edge(&rebuilt));
         // Retiring everything (or nothing) is well-behaved.
         let mut all = store.clone();
         assert_eq!(
@@ -723,6 +767,7 @@ mod tests {
         );
         assert!(all.is_empty());
         assert!(all.covered_edges().is_empty());
+        assert_eq!(all.covered_edge_count(), 0);
         let mut none = store.clone();
         assert!(none.retire_before(Timestamp(f64::NEG_INFINITY)).is_empty());
         assert_eq!(none.len(), store.len());
@@ -758,6 +803,7 @@ mod tests {
                 rebuilt.occurrences_on(&m.path)
             );
         }
+        assert_eq!(postings_by_edge(&retired_store), postings_by_edge(&rebuilt));
         // index_of stays consistent after renumbering.
         for (i, m) in retired_store.matched().iter().enumerate() {
             assert_eq!(retired_store.index_of(m.id), Some(i));
@@ -782,6 +828,7 @@ mod tests {
                 expected.occurrences_on(&m.path)
             );
         }
+        assert_eq!(postings_by_edge(&round_trip), postings_by_edge(&expected));
     }
 
     #[test]
@@ -801,6 +848,7 @@ mod tests {
         // Compaction is invisible to every query.
         assert_eq!(heavy.matched(), before.matched());
         assert_eq!(heavy.covered_edges(), before.covered_edges());
+        assert_eq!(postings_by_edge(&heavy), postings_by_edge(&before));
         for m in store.matched().iter().take(10) {
             assert_eq!(
                 heavy.occurrences_on(&m.path),

@@ -37,6 +37,16 @@ impl TimeOfDay {
         ((self.0 / 60.0) as u32) % 60
     }
 
+    /// The minute of the day, `floor(seconds / 60)`, clamped to `0..=1 439`
+    /// (NaN reads 0). Each trajectory-store posting keeps it, so a
+    /// time-of-day filter can pass over a posting without opening the
+    /// trajectory.
+    pub fn minute_of_day(self) -> u16 {
+        // `as` saturates: NaN and negatives read 0, anything past the day
+        // 65 535.
+        ((self.0 / 60.0) as u16).min(1_439)
+    }
+
     /// Wraps an arbitrary number of seconds into `[0, 86 400)`.
     pub fn wrap(seconds: f64) -> Self {
         TimeOfDay(seconds.rem_euclid(SECONDS_PER_DAY))
@@ -154,6 +164,19 @@ mod tests {
         assert_eq!(t.minutes(), 30);
         assert!((t.seconds() - (8.0 * 3600.0 + 30.0 * 60.0 + 15.0)).abs() < 1e-9);
         assert_eq!(t.to_string(), "08:30");
+    }
+
+    #[test]
+    fn minute_of_day_floors_and_stays_in_the_day() {
+        assert_eq!(TimeOfDay::from_hms(8, 30, 0).minute_of_day(), 510);
+        assert_eq!(
+            TimeOfDay(f64::from_bits(30_600f64.to_bits() - 1)).minute_of_day(),
+            509
+        );
+        assert_eq!(TimeOfDay(0.0).minute_of_day(), 0);
+        assert_eq!(TimeOfDay(SECONDS_PER_DAY).minute_of_day(), 1_439);
+        assert_eq!(TimeOfDay(f64::NAN).minute_of_day(), 0);
+        assert_eq!(TimeOfDay(f64::INFINITY).minute_of_day(), 1_439);
     }
 
     #[test]
