@@ -106,9 +106,8 @@ mod tests {
         (net, store, cfg)
     }
 
-    /// Grows `edges` from `departure` one [`Histogram1D`] per link — the
-    /// test-local DFS reference's chain — returning every link's histogram
-    /// and arrival window.
+    /// Grows `edges` from `departure` one [`Histogram1D`] per link, returning
+    /// every link's histogram and arrival window.
     fn histogram_chain(
         graph: &HybridGraph<'_>,
         edges: &[EdgeId],

@@ -79,21 +79,6 @@ pub fn kl_divergence_from_raw(raw: &RawDistribution, approx: &Histogram1D, resol
     kl_divergence(&p, &q)
 }
 
-/// Entropy of a histogram discretised at `resolution`-wide cells spanning its
-/// support. Coarser histograms (wider buckets) have larger discretised entropy
-/// than sharply concentrated ones.
-pub fn entropy_at_resolution(hist: &Histogram1D, resolution: f64) -> f64 {
-    let resolution = if resolution > 0.0 { resolution } else { 1.0 };
-    let mut probs = Vec::new();
-    let mut x = hist.min();
-    let max = hist.max();
-    while x < max {
-        probs.push(hist.prob_within(x, x + resolution));
-        x += resolution;
-    }
-    entropy_of_probs(&probs)
-}
-
 fn common_cuts(a: impl Iterator<Item = f64>, b: impl Iterator<Item = f64>) -> Vec<f64> {
     let mut cuts: Vec<f64> = a.chain(b).collect();
     cuts.sort_by(|x, y| x.partial_cmp(y).expect("finite bounds"));
@@ -179,13 +164,6 @@ mod tests {
             kl_good < kl_bad,
             "V-Optimal fit ({kl_good}) should beat a flat histogram ({kl_bad})"
         );
-    }
-
-    #[test]
-    fn entropy_at_resolution_larger_for_wider_distributions() {
-        let narrow = Histogram1D::uniform(100.0, 105.0).unwrap();
-        let wide = Histogram1D::uniform(100.0, 200.0).unwrap();
-        assert!(entropy_at_resolution(&wide, 1.0) > entropy_at_resolution(&narrow, 1.0));
     }
 
     #[test]

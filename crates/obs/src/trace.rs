@@ -146,12 +146,6 @@ impl FinishedTrace {
     pub fn stage(&self, stage: Stage) -> u64 {
         self.stage_micros[stage.index()]
     }
-
-    /// Sum of all recorded stage times — ≤ `total_micros` up to clock
-    /// granularity, since the stages are disjoint slices of the request.
-    pub fn stages_total_micros(&self) -> u64 {
-        self.stage_micros.iter().sum()
-    }
 }
 
 /// Fixed-capacity ring of recently completed traces, newest first.
@@ -238,7 +232,6 @@ mod tests {
         assert_eq!(done.stage(Stage::Eval), 750);
         assert_eq!(done.stage(Stage::Write), 40);
         assert_eq!(done.stage(Stage::Parse), 0);
-        assert_eq!(done.stages_total_micros(), 790);
     }
 
     #[test]

@@ -266,11 +266,6 @@ impl PersistenceStatus {
         self.snapshot_seconds.observe_duration(took);
     }
 
-    /// Distribution of snapshot publish durations.
-    pub fn snapshot_duration(&self) -> HistogramSnapshot {
-        self.snapshot_seconds.snapshot()
-    }
-
     pub fn recovery_outcome(&self) -> RecoveryOutcome {
         RecoveryOutcome::from_u8(self.recovery_outcome.load(Ordering::Relaxed))
     }
@@ -380,7 +375,7 @@ mod tests {
         s.record_snapshot_duration(Duration::from_millis(8));
         s.record_snapshot_fallback();
         assert_eq!(s.fsync_latency().count(), 2);
-        assert_eq!(s.snapshot_duration().count(), 1);
+        assert_eq!(s.snapshot_seconds.snapshot().count(), 1);
         assert_eq!(s.snapshot_fallbacks(), 1);
         assert!(s.fsync_latency().sum > 0.003);
     }

@@ -199,29 +199,6 @@ impl RoadNetwork {
             .copied()
             .find(|&e| self.edges[e.index()].to == to)
     }
-
-    /// Total length of all edges, in metres.
-    pub fn total_length_m(&self) -> f64 {
-        self.edges.iter().map(|e| e.length_m).sum()
-    }
-
-    /// The bounding box of all vertex locations as `(min, max)` points.
-    ///
-    /// Returns `None` for an empty network.
-    pub fn bounding_box(&self) -> Option<(Point, Point)> {
-        if self.vertices.is_empty() {
-            return None;
-        }
-        let mut min = self.vertices[0].location;
-        let mut max = min;
-        for v in &self.vertices {
-            min.x = min.x.min(v.location.x);
-            min.y = min.y.min(v.location.y);
-            max.x = max.x.max(v.location.x);
-            max.y = max.y.max(v.location.y);
-        }
-        Some((min, max))
-    }
 }
 
 #[cfg(test)]
@@ -276,20 +253,6 @@ mod tests {
         let expected = e.length_m / (e.speed_limit_kmh / 3.6);
         assert!((e.free_flow_time_s() - expected).abs() < 1e-9);
         assert!(e.free_flow_time_s() > 0.0);
-    }
-
-    #[test]
-    fn bounding_box_covers_vertices() {
-        let net = small_net();
-        let (min, max) = net.bounding_box().unwrap();
-        assert_eq!(min.x, 0.0);
-        assert_eq!(max.x, 200.0);
-    }
-
-    #[test]
-    fn total_length_positive() {
-        let net = small_net();
-        assert!(net.total_length_m() > 0.0);
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Arena-based best-first probabilistic path query (§4.3).
 //!
-//! Answers the same question as the paper's DFS probabilistic path query
-//! (Hua & Pei \[10\]; kept as the test reference `tests/support/dfs.rs`):
-//! given a source, a destination, a departure time and a travel-time budget,
-//! find the path that maximises the probability of arriving within the
-//! budget. The search here is rebuilt for throughput:
+//! Answers the paper's probabilistic path query (Hua & Pei \[10\], a DFS
+//! there): given a source, a destination, a departure time and a travel-time
+//! budget, find the path that maximises the probability of arriving within
+//! the budget. Its reference is the exhaustive oracle
+//! `tests/support/exhaustive.rs`, which ranks every simple path by
+//! `Incumbent::beaten_by`'s ordering. The search here is rebuilt for
+//! throughput:
 //!
 //! * **A node is a slice** — partial paths live as nodes in a slab, each
 //!   holding its last edge, its end vertex, its arrival window and the
@@ -24,8 +26,8 @@
 //!   whatever the number of expansions (`tests/routing_allocations.rs`).
 //! * **Best-first frontier** — instead of a depth-first stack, a max-heap
 //!   orders open nodes by their *optimistic within-budget probability*
-//!   `P(partial cost ≤ budget − lb(v))`, where `lb(v)` is the admissible
-//!   free-flow bound to the destination. Ties break towards the smaller
+//!   `P(partial cost ≤ budget − lb(v))`, where `lb(v)` is the free-flow
+//!   bound to the destination. Ties break towards the smaller
 //!   optimistic arrival time (A*-style), then insertion order, so the search
 //!   is deterministic and reaches a strong first incumbent quickly.
 //! * **Incumbent pruning** — once a candidate has been evaluated, any partial
@@ -33,7 +35,7 @@
 //!   probability is dropped (at push and again at pop, where the incumbent
 //!   may have improved). Equal-bound paths are kept so tie-breaking stays
 //!   exact.
-//! * **Precomputed bounds and successor order** — the admissible bounds to
+//! * **Precomputed bounds and successor order** — the free-flow bounds to
 //!   the destination and the lower-bound-sorted adjacency come from a
 //!   [`FreeFlowCache`]: they depend on the network alone, so they are
 //!   searched once per destination, not once per `route()` call.
@@ -275,17 +277,22 @@ pub struct BestFirstRouter<'g, 'n> {
 }
 
 /// The checks on a routing request's shape that every search starts with,
-/// in the order their errors are reported.
+/// in the order their errors are reported. A NaN budget is refused: every
+/// comparison against it is false, so nothing would prune.
 fn validate_route(
     net: &RoadNetwork,
     source: VertexId,
     destination: VertexId,
+    budget_s: f64,
     k: usize,
 ) -> Result<(), RoutingError> {
     if k == 0 {
         return Err(RoutingError::InvalidConfig(
             "k-best routing needs k >= 1 ranked results",
         ));
+    }
+    if budget_s.is_nan() {
+        return Err(RoutingError::InvalidConfig("the budget must not be NaN"));
     }
     if source == destination {
         return Err(RoutingError::SameSourceAndDestination);
@@ -335,7 +342,8 @@ impl<'g, 'n> BestFirstRouter<'g, 'n> {
     /// that maximises the probability of arriving within `budget_s` seconds.
     ///
     /// Returns `Ok(None)` when no candidate path within the search limits can
-    /// possibly meet the budget.
+    /// possibly meet the budget. [`Self::route_top_k`] with `k = 1` and a
+    /// probe that never fires, keeping only the best.
     pub fn route(
         &self,
         estimator: &dyn CostEstimator,
@@ -344,69 +352,40 @@ impl<'g, 'n> BestFirstRouter<'g, 'n> {
         departure: Timestamp,
         budget_s: f64,
     ) -> Result<Option<RouteResult>, RoutingError> {
-        self.route_with_telemetry(estimator, source, destination, departure, budget_s)
-            .map(|(best, _)| best)
-    }
-
-    /// As [`Self::route`], additionally reporting the search counters even
-    /// when no feasible path exists (the serving layer's `route_*` metrics).
-    pub fn route_with_telemetry(
-        &self,
-        estimator: &dyn CostEstimator,
-        source: VertexId,
-        destination: VertexId,
-        departure: Timestamp,
-        budget_s: f64,
-    ) -> Result<(Option<RouteResult>, SearchTelemetry), RoutingError> {
-        self.route_top_k(estimator, source, destination, departure, budget_s, 1)
-            .map(|(mut ranked, telemetry)| {
-                let best = (!ranked.is_empty()).then(|| ranked.swap_remove(0));
-                (best, telemetry)
-            })
-    }
-
-    /// K-best routing: the `k` distinct paths with the highest probability of
-    /// arriving within `budget_s`, ordered best-first by the search's
-    /// deterministic candidate ordering (probability, then lower mean, then
-    /// fewer edges). Fewer than `k` results are returned when the search
-    /// space does not contain that many feasible candidates.
-    ///
-    /// This is the arena pay-off the single-result query already set up: the
-    /// search explores identically, only the incumbent bookkeeping widens —
-    /// pruning compares against the *k-th best* probability, so partial paths
-    /// that could still place in the ranking are never dropped. With `k = 1`
-    /// the search (including its prune counters) is exactly [`Self::route`].
-    pub fn route_top_k(
-        &self,
-        estimator: &dyn CostEstimator,
-        source: VertexId,
-        destination: VertexId,
-        departure: Timestamp,
-        budget_s: f64,
-        k: usize,
-    ) -> Result<(Vec<RouteResult>, SearchTelemetry), RoutingError> {
-        self.route_top_k_cancellable(
+        let (ranked, _) = self.route_top_k(
             estimator,
             source,
             destination,
             departure,
             budget_s,
-            k,
+            1,
             &|| false,
-        )
+        )?;
+        Ok(ranked.into_iter().next())
     }
 
-    /// As [`Self::route_top_k`], polling `cancel` once per frontier pop. When
-    /// the probe returns `true` the search stops immediately with
-    /// [`RoutingError::Cancelled`] — the cooperative hook the serving layer
-    /// uses so an abandoned query (client disconnect, deadline expiry) stops
-    /// burning a worker instead of running its full expansion budget.
+    /// K-best routing: the `k` distinct paths with the highest probability of
+    /// arriving within `budget_s`, ordered best-first by the search's
+    /// deterministic candidate ordering (probability, then lower mean, then
+    /// fewer edges), with the search counters, which are reported even when
+    /// no feasible path exists (the serving layer's `route_*` metrics).
+    /// Fewer than `k` results are returned when the search space does not
+    /// contain that many feasible candidates.
     ///
-    /// The probe is a plain closure rather than a [`RouterConfig`] field so
-    /// the config stays `Serialize`/`PartialEq` and per-request tokens do not
-    /// leak into long-lived configuration.
+    /// The search explores identically for every `k`; only the incumbent
+    /// bookkeeping widens — pruning compares against the *k-th best*
+    /// probability, so partial paths that could still place in the ranking
+    /// are never dropped.
+    ///
+    /// `cancel` is polled once per frontier pop. When it returns `true` the
+    /// search stops immediately with [`RoutingError::Cancelled`] — the
+    /// cooperative hook the serving layer uses so an abandoned query (client
+    /// disconnect, deadline expiry) stops burning a worker instead of running
+    /// its full expansion budget. It is a plain closure rather than a
+    /// [`RouterConfig`] field so the config stays `Serialize`/`PartialEq` and
+    /// per-request tokens do not leak into long-lived configuration.
     #[allow(clippy::too_many_arguments)]
-    pub fn route_top_k_cancellable(
+    pub fn route_top_k(
         &self,
         estimator: &dyn CostEstimator,
         source: VertexId,
@@ -417,7 +396,7 @@ impl<'g, 'n> BestFirstRouter<'g, 'n> {
         cancel: &dyn Fn() -> bool,
     ) -> Result<(Vec<RouteResult>, SearchTelemetry), RoutingError> {
         let net = self.graph.network();
-        validate_route(net, source, destination, k)?;
+        validate_route(net, source, destination, budget_s, k)?;
         let index = self.free_flow.destination(destination);
         if !index.lower_bound()[source.index()].is_finite() {
             return Err(RoutingError::Unreachable);
@@ -613,10 +592,12 @@ fn admit(
         scratch.histograms.pop(node.histogram);
         return;
     }
-    // Optimistic within-budget probability: the completion takes at least the
-    // admissible free-flow bound, so the candidate's probability cannot
-    // exceed P(partial ≤ budget − lb). Strictly-worse bounds are pruned;
-    // equal bounds survive so exact ties reach the deterministic tie-break.
+    // Optimistic within-budget probability: were the completion to take at
+    // least the free-flow bound, the candidate's probability could not exceed
+    // P(partial ≤ budget − lb). (Neither prune is sound; the exhaustive
+    // oracle's ratchet counts what they cost.) Strictly-worse bounds are
+    // pruned; equal bounds survive so exact ties reach the deterministic
+    // tie-break.
     let bound = scratch.histograms.prob_leq(node.histogram, budget_s - lb);
     if let Some(prune_at) = best.prune_probability() {
         if bound < prune_at {
@@ -711,16 +692,18 @@ mod tests {
         let graph = HybridGraph::build(&f.net, &f.store, f.cfg.clone()).unwrap();
         let router = BestFirstRouter::new(&graph, RouterConfig::default()).unwrap();
         let od = OdEstimator::new(&graph);
-        let (result, telemetry) = router
-            .route_with_telemetry(
+        let (ranked, telemetry) = router
+            .route_top_k(
                 &od,
                 VertexId(0),
                 VertexId(24),
                 Timestamp::from_day_hms(0, 8, 0, 0),
                 1.0, // one second: unreachable within budget
+                1,
+                &|| false,
             )
             .unwrap();
-        assert!(result.is_none());
+        assert!(ranked.is_empty());
         assert_eq!(telemetry.evaluated_candidates, 0);
     }
 
@@ -738,6 +721,25 @@ mod tests {
         assert!(router
             .route(&od, VertexId(3), VertexId(40_000), departure, 600.0)
             .is_err());
+        // Every comparison against NaN is false, so a NaN budget would prune
+        // nothing and answer anyway.
+        assert!(matches!(
+            router.route(&od, VertexId(0), VertexId(12), departure, f64::NAN),
+            Err(RoutingError::InvalidConfig(_))
+        ));
+        // Infinite and negative budgets keep their answers: certain arrival,
+        // and no path.
+        let unbounded = router
+            .route(&od, VertexId(0), VertexId(12), departure, f64::INFINITY)
+            .unwrap()
+            .expect("an infinite budget is met by any path");
+        assert_eq!(unbounded.probability, 1.0);
+        for budget in [f64::NEG_INFINITY, -1.0] {
+            assert!(router
+                .route(&od, VertexId(0), VertexId(12), departure, budget)
+                .unwrap()
+                .is_none());
+        }
         assert!(BestFirstRouter::new(
             &graph,
             RouterConfig {
@@ -842,7 +844,7 @@ mod tests {
         let budget = ff * 2.5;
 
         let (ranked, _) = router
-            .route_top_k(&od, source, destination, departure, budget, 3)
+            .route_top_k(&od, source, destination, departure, budget, 3, &|| false)
             .unwrap();
         assert!((1..=3).contains(&ranked.len()), "got {}", ranked.len());
         // Ordered best-first and free of duplicate paths.
@@ -859,10 +861,12 @@ mod tests {
         assert_eq!(ranked[0].probability, single.probability);
         // k = 0 is rejected; a huge k just returns what exists.
         assert!(router
-            .route_top_k(&od, source, destination, departure, budget, 0)
+            .route_top_k(&od, source, destination, departure, budget, 0, &|| false)
             .is_err());
         let (all, telemetry) = router
-            .route_top_k(&od, source, destination, departure, budget, 1_000)
+            .route_top_k(&od, source, destination, departure, budget, 1_000, &|| {
+                false
+            })
             .unwrap();
         assert!(all.len() <= telemetry.evaluated_candidates);
         assert_eq!(all[0].path, single.path);
@@ -886,7 +890,7 @@ mod tests {
         // A never-firing probe behaves exactly like the plain search.
         let polls = AtomicUsize::new(0);
         let (ranked, telemetry) = router
-            .route_top_k_cancellable(
+            .route_top_k(
                 &od,
                 VertexId(0),
                 VertexId(18),
@@ -910,7 +914,7 @@ mod tests {
         // Cancelling after a few polls stops the search well short of the
         // full expansion count, with the dedicated error.
         let polls = AtomicUsize::new(0);
-        let result = router.route_top_k_cancellable(
+        let result = router.route_top_k(
             &od,
             VertexId(0),
             VertexId(18),
@@ -1015,7 +1019,9 @@ mod tests {
         let departure = Timestamp::from_day_hms(0, 8, 0, 0);
         pairs
             .iter()
-            .map(|&(s, d, budget)| search_bits(&router.route_top_k(od, s, d, departure, budget, 2)))
+            .map(|&(s, d, budget)| {
+                search_bits(&router.route_top_k(od, s, d, departure, budget, 2, &|| false))
+            })
             .collect()
     }
 

@@ -1,14 +1,21 @@
 //! Free-flow searches over the road network, run once and kept.
 //!
-//! A [`RoadNetwork`] is immutable for the life of the process and free-flow
+//! The probabilistic path query prunes with a lower bound on the time still
+//! needed to reach the destination: the free-flow time from every vertex,
+//! one Dijkstra over the reverse graph ([`free_flow_to_destination`]). A
+//! [`RoadNetwork`] is immutable for the life of the process and free-flow
 //! travel times depend on nothing else — not on the weight-function epoch,
 //! not on the traffic regime — so everything the stochastic search derives
 //! from them is a pure function of the network and can be shared by every
 //! search that ever runs over it. Per **destination** that is a
-//! [`DestinationIndex`]: the admissible lower bound from every vertex
-//! ([`free_flow_to_destination`]) together with every vertex's out-edges
-//! already filtered and ordered by it — what the best-first search reads at
-//! each expansion.
+//! [`DestinationIndex`]: the bound from every vertex together with every
+//! vertex's out-edges already filtered and ordered by it — what the
+//! best-first search reads at each expansion.
+//!
+//! The bound is a free-flow sum, but a speed-limit fallback unit's support
+//! starts below free flow, so the budget prune can reject a completion that
+//! meets the budget. `tests/routing_equivalence.rs` counts the searches this
+//! costs against the exhaustive oracle (`tests/support/exhaustive.rs`).
 //!
 //! Path-centric routing systems build their destination-side heuristic
 //! tables offline for the same reason (arXiv 2407.06881); here they are
@@ -19,11 +26,87 @@
 //! lock and inserted if still absent, so two threads missing on one key at
 //! once both search, one result is kept, and both return the resident value.
 
-use crate::dijkstra::{edge_target_lower_bound, free_flow_to_destination};
 use pathcost_roadnet::{EdgeId, RoadNetwork, VertexId};
-use std::collections::{HashMap, VecDeque};
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::hash::Hash;
 use std::sync::{Arc, Mutex};
+
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    cost: f64,
+    vertex: VertexId,
+}
+
+impl PartialEq for Entry {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Entry {}
+
+impl Ord for Entry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .cost
+            .total_cmp(&self.cost)
+            .then_with(|| self.vertex.0.cmp(&other.vertex.0))
+    }
+}
+
+impl PartialOrd for Entry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Free-flow travel time (seconds) from every vertex to `destination`, computed
+/// with Dijkstra on the reverse graph. Unreachable vertices get `f64::INFINITY`.
+///
+/// The search prunes with these values as lower bounds on the time still
+/// needed; the module docs say where an estimate can fall below them.
+pub fn free_flow_to_destination(net: &RoadNetwork, destination: VertexId) -> Vec<f64> {
+    let mut dist = vec![f64::INFINITY; net.vertex_count()];
+    if destination.index() >= net.vertex_count() {
+        return dist;
+    }
+    dist[destination.index()] = 0.0;
+    let mut heap = BinaryHeap::new();
+    heap.push(Entry {
+        cost: 0.0,
+        vertex: destination,
+    });
+    while let Some(Entry { cost, vertex }) = heap.pop() {
+        if cost > dist[vertex.index()] {
+            continue;
+        }
+        // Relax incoming edges: we walk the graph backwards.
+        for &eid in net.in_edges(vertex) {
+            let edge = net.edge(eid).expect("edge ids from the network are valid");
+            let next = edge.from;
+            let c = cost + edge.free_flow_time_s();
+            if c < dist[next.index()] {
+                dist[next.index()] = c;
+                heap.push(Entry {
+                    cost: c,
+                    vertex: next,
+                });
+            }
+        }
+    }
+    dist
+}
+
+/// The lower bound at the head of `edge`: the free-flow time from
+/// the edge's `to` vertex onwards, read out of a `lower_bound` array produced
+/// by [`free_flow_to_destination`]. An edge the network cannot resolve gets
+/// `f64::INFINITY`, so it sorts last.
+fn edge_target_lower_bound(net: &RoadNetwork, lower_bound: &[f64], edge: EdgeId) -> f64 {
+    net.edge(edge)
+        .map(|e| lower_bound[e.to.index()])
+        .unwrap_or(f64::INFINITY)
+}
 
 /// Destinations kept resident. One index is 12 bytes per vertex plus 4 per
 /// edge: ≈ 280 KB on a 10⁴-vertex grid (≈ 36 MB full), ≈ 43 KB on a
@@ -68,8 +151,8 @@ impl DestinationIndex {
     }
 
     /// Free-flow seconds from every vertex (by index) to the destination;
-    /// `f64::INFINITY` where the destination cannot be reached. Never more
-    /// than the congested travel time, so admissible for pruning.
+    /// `f64::INFINITY` where the destination cannot be reached. The search
+    /// prunes with it; the module docs say where an estimate undercuts it.
     pub fn lower_bound(&self) -> &[f64] {
         &self.lower_bound
     }
@@ -204,21 +287,22 @@ impl<'n> FreeFlowCache<'n> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pathcost_roadnet::search::{fastest_path, free_flow_time_s};
     use pathcost_roadnet::GeneratorConfig;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
     /// `[hits, misses]`.
     fn counting(cache: FreeFlowCache<'_>) -> (FreeFlowCache<'_>, Arc<[AtomicUsize; 2]>) {
         let tally: Arc<[AtomicUsize; 2]> = Arc::default();
         let sink = tally.clone();
         let cache = cache.observed(move |hit| {
-            sink[usize::from(!hit)].fetch_add(1, Ordering::Relaxed);
+            sink[usize::from(!hit)].fetch_add(1, Relaxed);
         });
         (cache, tally)
     }
 
     fn counts(tally: &[AtomicUsize; 2]) -> [usize; 2] {
-        std::array::from_fn(|i| tally[i].load(Ordering::Relaxed))
+        std::array::from_fn(|i| tally[i].load(Relaxed))
     }
 
     #[test]
@@ -291,5 +375,68 @@ mod tests {
         assert_eq!(map.insert_if_absent(3, 'c'), 'c');
         assert!(!map.entries.contains_key(&1));
         assert!(map.entries.contains_key(&2) && map.entries.contains_key(&3));
+    }
+
+    #[test]
+    fn distances_match_forward_shortest_paths() {
+        let net = GeneratorConfig::tiny(5).generate();
+        let dest = VertexId(24);
+        let dist = free_flow_to_destination(&net, dest);
+        assert_eq!(dist[dest.index()], 0.0);
+        for source in [VertexId(0), VertexId(7), VertexId(12)] {
+            let path = fastest_path(&net, source, dest).unwrap();
+            let time = free_flow_time_s(&net, &path);
+            assert!(
+                (dist[source.index()] - time).abs() < 1e-6,
+                "reverse distance {} vs forward path time {}",
+                dist[source.index()],
+                time
+            );
+        }
+    }
+
+    #[test]
+    fn lower_bounds_are_admissible() {
+        let net = GeneratorConfig::tiny(6).generate();
+        let dest = VertexId(20);
+        let dist = free_flow_to_destination(&net, dest);
+        // Any actual path's free-flow time is at least the bound at its start.
+        for source in (0..10).map(VertexId) {
+            if let Some(path) = fastest_path(&net, source, dest) {
+                assert!(free_flow_time_s(&net, &path) + 1e-9 >= dist[source.index()]);
+            }
+        }
+    }
+
+    #[test]
+    fn heap_order_is_total_even_over_nan_costs() {
+        let entry = |cost, vertex| Entry {
+            cost,
+            vertex: VertexId(vertex),
+        };
+        let entries = [
+            entry(1.0, 0),
+            entry(f64::NAN, 1),
+            entry(2.0, 2),
+            entry(1.0, 3),
+        ];
+        for a in &entries {
+            for b in &entries {
+                assert_eq!(a.cmp(b), b.cmp(a).reverse());
+                assert_eq!(a == b, a.cmp(b) == Ordering::Equal);
+                for c in &entries {
+                    if a.cmp(b) != Ordering::Greater && b.cmp(c) != Ordering::Greater {
+                        assert_ne!(a.cmp(c), Ordering::Greater, "{a:?} {b:?} {c:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_destination_yields_all_infinite() {
+        let net = GeneratorConfig::tiny(8).generate();
+        let dist = free_flow_to_destination(&net, VertexId(9_999));
+        assert!(dist.iter().all(|d| d.is_infinite()));
     }
 }

@@ -11,23 +11,21 @@
 //!
 //! The one search is the arena-based best-first router in [`bestfirst`]
 //! (parent-pointer partial paths, optimistic-probability frontier ordering,
-//! incumbent pruning); the paper's original DFS survives only as test code
-//! (`tests/support/dfs.rs` at the repository root), the reference the
-//! router is property-tested against.
+//! incumbent pruning). Its reference is an exhaustive oracle kept as test
+//! code (`tests/support/exhaustive.rs` at the repository root): every simple
+//! path of at most 8 edges, estimated and ranked by the router's own
+//! candidate ordering; `tests/routing_equivalence.rs` pins the searches
+//! where the router answers worse as a ratchet.
 //! What the production search derives from free-flow times alone — destination
 //! bounds and successor orders — is a function of the immutable network and
 //! lives in the bounded [`freeflow`] cache.
 
 pub mod bestfirst;
-pub mod dijkstra;
 pub mod error;
 pub mod freeflow;
 pub mod query;
 
 pub use bestfirst::{BestFirstRouter, RouteResult, RouterConfig, SearchTelemetry};
-pub use dijkstra::{
-    edge_target_lower_bound, free_flow_to_destination, upper_bound_time_to_destination,
-};
 pub use error::RoutingError;
-pub use freeflow::{DestinationIndex, FreeFlowCache};
+pub use freeflow::{free_flow_to_destination, DestinationIndex, FreeFlowCache};
 pub use query::{dominates_stochastically, prob_within_budget, rank_by_probability};

@@ -567,7 +567,7 @@ impl<'n> QueryEngine<'n> {
                     pinned: (snapshot_epoch, graph.clone()),
                     regime: *regime,
                 };
-                let (mut ranked, telemetry) = match router.route_top_k_cancellable(
+                let (mut ranked, telemetry) = match router.route_top_k(
                     &estimator,
                     *source,
                     *destination,

@@ -67,14 +67,6 @@ impl Trajectory {
     pub fn duration_s(&self) -> f64 {
         self.end_time().minus(self.start_time())
     }
-
-    /// Straight-line length of the recorded track in metres.
-    pub fn track_length_m(&self) -> f64 {
-        self.records
-            .windows(2)
-            .map(|w| w[0].location.distance(&w[1].location))
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -90,7 +82,7 @@ mod tests {
     }
 
     #[test]
-    fn valid_trajectory_reports_times_and_length() {
+    fn valid_trajectory_reports_times() {
         let t = Trajectory::new(
             1,
             vec![
@@ -105,7 +97,6 @@ mod tests {
         assert_eq!(t.start_time().seconds(), 10.0);
         assert_eq!(t.end_time().seconds(), 35.0);
         assert!((t.duration_s() - 25.0).abs() < 1e-9);
-        assert!((t.track_length_m() - 150.0).abs() < 1e-9);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! one interval can skip the postings of every other without reading their
 //! trajectories.
 
-use crate::costs::{per_edge_costs, total_cost, CostKind};
+use crate::costs::{total_cost, CostKind};
 use crate::regime::RegimeId;
 use crate::simulator::{MatchedTrajectory, SimulationOutput};
 use crate::time::{TimeInterval, Timestamp};
@@ -196,21 +196,6 @@ impl TrajectoryStore {
         self.qualified(path, interval)
             .iter()
             .filter_map(|o| total_cost(&self.matched[o.traj_index], net, path, o.offset, kind))
-            .collect()
-    }
-
-    /// The per-edge cost vector of each qualified trajectory on `path` during
-    /// `interval` (one row per qualified trajectory, one column per edge).
-    pub fn qualified_per_edge_costs(
-        &self,
-        net: &RoadNetwork,
-        path: &Path,
-        interval: &TimeInterval,
-        kind: CostKind,
-    ) -> Vec<Vec<f64>> {
-        self.qualified(path, interval)
-            .iter()
-            .filter_map(|o| per_edge_costs(&self.matched[o.traj_index], net, path, o.offset, kind))
             .collect()
     }
 
@@ -447,6 +432,7 @@ impl TrajectoryStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::costs::per_edge_costs;
     use crate::simulator::{SimulationConfig, TrafficSimulator};
     use crate::time::TimeInterval;
     use pathcost_roadnet::GeneratorConfig;
@@ -529,7 +515,14 @@ mod tests {
         let m0 = store.get(0).unwrap().clone();
         let whole_day = TimeInterval::new(0.0, 86_400.0);
         let totals = store.qualified_total_costs(&net, &m0.path, &whole_day, CostKind::TravelTime);
-        let rows = store.qualified_per_edge_costs(&net, &m0.path, &whole_day, CostKind::TravelTime);
+        let rows: Vec<Vec<f64>> = store
+            .qualified(&m0.path, &whole_day)
+            .iter()
+            .filter_map(|o| {
+                let matched = store.get(o.traj_index).unwrap();
+                per_edge_costs(matched, &net, &m0.path, o.offset, CostKind::TravelTime)
+            })
+            .collect();
         assert_eq!(totals.len(), rows.len());
         for (t, row) in totals.iter().zip(&rows) {
             assert_eq!(row.len(), m0.path.cardinality());

@@ -107,7 +107,15 @@ fn warmed_search(
     let departure = Timestamp::from_day_hms(0, 8, 0, 0);
     let search = || {
         router
-            .route_top_k(estimator, source, destination, departure, budget, 2)
+            .route_top_k(
+                estimator,
+                source,
+                destination,
+                departure,
+                budget,
+                2,
+                &|| false,
+            )
             .unwrap()
     };
     let warm = search();
@@ -159,8 +167,7 @@ fn a_warmed_search_allocates_per_candidate_not_per_expansion() {
     assert!(4 + large.evaluated_candidates < large.expansions / 4);
 
     // The counter does count what the search no longer does: extending a
-    // chain kept as one `Histogram1D` per link (the DFS reference's step)
-    // allocates.
+    // chain kept as one `Histogram1D` per link allocates.
     let edge = net.out_edges(VertexId(0))[0];
     let departure = Timestamp::from_day_hms(0, 8, 0, 0);
     let (start, window) = chain_start(&graph, edge, departure).unwrap();

@@ -1,27 +1,21 @@
-//! Naive-vs-optimised router equivalence.
+//! The router against the exhaustive oracle.
 //!
-//! The arena-based best-first search (`BestFirstRouter`) must agree with the
-//! DFS reference (`support/dfs.rs`, test code only) whenever both searches
-//! run to exhaustion: the same best within-budget probability, bit for bit,
-//! and the same best path, modulo exact-probability ties, where the
-//! optimised search's deterministic tie-break (lower expected cost, then
-//! fewer edges) may legitimately pick a different — never worse — candidate
-//! than the DFS's discovery order does. Both searches evaluate candidates
-//! through the same `OdEstimator`, which is bit-reproducible.
-//!
-//! The search space is bounded through `max_path_edges` (both searches
-//! truncate identically there) while the expansion/candidate caps are set
-//! high enough that neither search stops early; each case asserts that.
+//! `support/exhaustive.rs` enumerates every simple path of at most
+//! `max_path_edges` edges, estimates each with `OdEstimator` (the estimator
+//! the router evaluates its candidates with, bit-reproducible) and ranks
+//! them by the router's candidate ordering. With the expansion and candidate
+//! caps set high, the router can only answer worse than the oracle where a
+//! prune dropped the oracle's best path. It does so on a known share of the
+//! grid below, which a ratchet pins, and on none of the legacy cases.
 
 use pathcost::core::{HybridConfig, HybridGraph, OdEstimator};
 use pathcost::roadnet::search::{fastest_path, free_flow_time_s};
-use pathcost::roadnet::VertexId;
-use pathcost::routing::{BestFirstRouter, RouteResult, RouterConfig};
-use pathcost::traj::{DatasetPreset, Timestamp};
+use pathcost::roadnet::{RoadNetwork, VertexId};
+use pathcost::routing::{BestFirstRouter, RouterConfig};
+use pathcost::traj::{DatasetPreset, Timestamp, TrajectoryStore};
 
-#[path = "support/dfs.rs"]
-mod dfs;
-use dfs::DfsRouter;
+#[path = "support/exhaustive.rs"]
+mod exhaustive;
 
 /// (preset seed, source, destination, budget multiplier over free flow,
 /// departure hour).
@@ -50,142 +44,169 @@ fn exhaustive_config() -> RouterConfig {
     }
 }
 
-/// The DFS's and the best-first search's answers to one case: the tiny preset
-/// of its seed at β = 10, an exhaustive router configuration, and a budget of
-/// the multiplier times the pair's free-flow time.
-fn answers(
-    (seed, source, destination, budget_mult, hour): Case,
-) -> (Option<RouteResult>, Option<RouteResult>) {
-    let (net, store) = DatasetPreset::tiny(seed).materialise().unwrap();
+/// The tiny preset of `seed`, which the graph is built over at β = 10.
+fn dataset(seed: u64) -> (RoadNetwork, TrajectoryStore) {
+    DatasetPreset::tiny(seed).materialise().unwrap()
+}
+
+fn graph<'n>(net: &'n RoadNetwork, store: &TrajectoryStore) -> HybridGraph<'n> {
     let cfg = HybridConfig {
         beta: 10,
         ..HybridConfig::default()
     };
-    let graph = HybridGraph::build(&net, &store, cfg).unwrap();
-    let od = OdEstimator::new(&graph);
-    let (source, destination) = (VertexId(source), VertexId(destination));
-    let Some(ff_path) = fastest_path(&net, source, destination) else {
-        panic!("fixture pair {source}->{destination} must be connected");
-    };
-    let budget = free_flow_time_s(&net, &ff_path) * budget_mult;
-    let departure = Timestamp::from_day_hms(0, hour, 0, 0);
-    let naive = DfsRouter::new(&graph, exhaustive_config())
-        .route(&od, source, destination, departure, budget)
-        .unwrap();
-    let optimised = BestFirstRouter::new(&graph, exhaustive_config())
-        .unwrap()
-        .route(&od, source, destination, departure, budget)
-        .unwrap();
-    (naive, optimised)
+    HybridGraph::build(net, store, cfg).unwrap()
 }
 
-#[test]
-fn best_first_matches_naive_dfs_on_preset_fixtures() {
-    let max_expansions = exhaustive_config().max_expansions;
-    for case in CASES {
-        let (seed, source, destination, budget_mult, _) = case;
-        let label = format!("seed {seed}, {source}->{destination}, budget x{budget_mult}");
-        match answers(case) {
-            (None, None) => {}
-            (Some(n), Some(f)) => {
-                // Exhaustion: neither search stopped on a cap. The incumbent
-                // bound is heuristic (incremental partial estimates versus
-                // OD-evaluated candidates — the PR 3 caveat, see
-                // `git show d42db44:PERFORMANCE.md`), so
-                // agreement below is an empirical property of these
-                // fixtures, not a theorem; a divergence here is a real
-                // finding about the pruning rule.
-                assert!(n.expansions < max_expansions, "{label}: naive capped");
-                assert!(f.expansions <= max_expansions, "{label}: optimised capped");
-                assert_eq!(
-                    n.probability.to_bits(),
-                    f.probability.to_bits(),
-                    "{label}: naive P={} vs optimised P={}",
-                    n.probability,
-                    f.probability
-                );
-                if n.path != f.path {
-                    // An exact-probability tie: the optimised tie-break must
-                    // have picked an at-least-as-good candidate.
-                    assert!(
-                        f.distribution.mean() <= n.distribution.mean(),
-                        "{label}: tie broken towards a worse mean ({} vs {})",
-                        f.distribution.mean(),
-                        n.distribution.mean()
-                    );
-                } else {
-                    assert_eq!(n.path, f.path, "{label}");
-                }
-            }
-            (n, f) => panic!(
-                "{label}: feasibility disagreement (naive {:?}, optimised {:?})",
-                n.map(|r| r.probability),
-                f.map(|r| r.probability)
-            ),
-        }
-    }
+/// The free-flow time of the fastest path from `source` to `destination`.
+fn free_flow_s(net: &RoadNetwork, source: VertexId, destination: VertexId) -> f64 {
+    let Some(path) = fastest_path(net, source, destination) else {
+        panic!("fixture pair {source}->{destination} must be connected");
+    };
+    free_flow_time_s(net, &path)
 }
 
 #[test]
 fn tie_breaking_is_deterministic_and_never_worse_than_naive() {
-    // Many candidates reach P = 1.0; the best-first search must then prefer
-    // the lowest expected cost (then fewest edges) and return the identical
-    // result on every run.
-    let (naive_best, first) = answers(TIE_CASE);
-    let (_, second) = answers(TIE_CASE);
-    let naive_best = naive_best.expect("generous budget is feasible");
-    let first = first.expect("generous budget is feasible");
-    let second = second.expect("generous budget is feasible");
+    // On every legacy case the router returns exactly the oracle's best
+    // path, with bit-identical P, on two runs. Under the generous budget of
+    // `TIE_CASE` many candidates reach P = 1.0, so the lower mean and then
+    // the fewer edges decide.
+    for case @ (seed, source, destination, budget_mult, hour) in CASES.into_iter().chain([TIE_CASE])
+    {
+        let label = format!("seed {seed}, {source}->{destination}, budget x{budget_mult}");
+        let (net, store) = dataset(seed);
+        let graph = graph(&net, &store);
+        let od = OdEstimator::new(&graph);
+        let config = exhaustive_config();
+        let (source, destination) = (VertexId(source), VertexId(destination));
+        let budget = free_flow_s(&net, source, destination) * budget_mult;
+        let departure = Timestamp::from_day_hms(0, hour, 0, 0);
 
-    assert_eq!(
-        first.path, second.path,
-        "tie-breaking must be deterministic"
-    );
-    assert_eq!(first.probability, second.probability);
-    assert_eq!(
-        first.probability.to_bits(),
-        naive_best.probability.to_bits()
-    );
-    // The deterministic tie-break prefers the lower expected cost; the DFS
-    // keeps whichever P-maximal candidate it discovered first.
-    assert!(
-        first.distribution.mean() <= naive_best.distribution.mean(),
-        "optimised mean {} must not exceed naive mean {}",
-        first.distribution.mean(),
-        naive_best.distribution.mean()
-    );
-    if first.distribution.mean() == naive_best.distribution.mean() {
-        assert!(first.path.cardinality() <= naive_best.path.cardinality());
+        let paths = exhaustive::simple_paths(&net, source, destination, config.max_path_edges);
+        let candidates = exhaustive::estimate(&od, &paths, departure);
+        let (oracle, oracle_p) = exhaustive::best(&candidates, budget).expect("connected pair");
+        let router = BestFirstRouter::new(&graph, config).unwrap();
+        let route = || {
+            router
+                .route(&od, source, destination, departure, budget)
+                .unwrap()
+                .unwrap_or_else(|| panic!("{label}: the router found no route ({case:?})"))
+        };
+        let (first, second) = (route(), route());
+        assert_eq!(
+            first.path, second.path,
+            "{label}: tie-breaking must be deterministic"
+        );
+        assert_eq!(first.probability.to_bits(), second.probability.to_bits());
+        assert_eq!(
+            first.path, oracle.path,
+            "{label}: not the oracle's best path"
+        );
+        assert_eq!(
+            first.probability.to_bits(),
+            oracle_p.to_bits(),
+            "{label}: router P={} vs oracle P={oracle_p}",
+            first.probability
+        );
     }
 }
 
-/// Digest captured at the parent of PR 25, where the DFS was the library's
-/// `pathcost_routing::naive::DfsRouter` on `IncrementalEstimate`: per case
-/// the best path's edges, probability and distribution bits, expansions and
-/// evaluated candidates.
+/// The ratchet's grid: tiny presets, sources, departures on day 0 and budget
+/// multipliers over the pair's free-flow time; every vertex other than the
+/// source is a destination.
+const PRESETS: [u64; 4] = [91, 81, 16, 17];
+const SOURCES: [u32; 6] = [0, 2, 6, 12, 18, 24];
+const DEPARTURE_HOURS: [u32; 3] = [8, 17, 3];
+const BUDGET_MULTIPLIERS: [f64; 7] = [0.9, 1.0, 1.1, 1.2, 1.5, 2.0, 3.0];
+
+/// What the grid counts. A miss is a search where the router's P is below
+/// the oracle's; a missing route counts as P = 0.
+#[derive(Debug, Default)]
+struct Tally {
+    searches: usize,
+    enumerated_paths: usize,
+    misses: usize,
+    no_route_misses: usize,
+    misses_by_budget: [usize; BUDGET_MULTIPLIERS.len()],
+    /// Searches whose oracle-best path reads a rank ≥ 2 variable, and the
+    /// misses among them.
+    multi_edge_best: usize,
+    multi_edge_misses: usize,
+    router_above_oracle: usize,
+    /// Times the router's P falls from one budget multiplier to the next.
+    non_monotone: usize,
+}
+
 #[test]
-fn dfs_reference_matches_the_pre_pr25_golden_digest() {
-    let mut bits: Vec<u64> = Vec::new();
-    let mut found = 0;
-    for case in CASES.into_iter().chain([TIE_CASE]) {
-        let Some(r) = answers(case).0 else {
-            bits.push(u64::MAX);
-            continue;
-        };
-        found += 1;
-        bits.push(r.path.cardinality() as u64);
-        bits.extend(r.path.edges().iter().map(|e| u64::from(e.0)));
-        bits.push(r.probability.to_bits());
-        for (b, p) in r.distribution.buckets().iter().zip(r.distribution.probs()) {
-            bits.extend([b.lo, b.hi, *p].map(f64::to_bits));
+fn router_misses_against_the_exhaustive_oracle_stay_within_the_ratchet() {
+    let config = exhaustive_config();
+    let mut tally = Tally::default();
+    for seed in PRESETS {
+        let (net, store) = dataset(seed);
+        let graph = graph(&net, &store);
+        let od = OdEstimator::new(&graph);
+        let router = BestFirstRouter::new(&graph, config.clone()).unwrap();
+        for source in SOURCES.map(VertexId) {
+            for destination in (0..net.vertex_count() as u32).map(VertexId) {
+                if destination == source {
+                    continue;
+                }
+                let paths =
+                    exhaustive::simple_paths(&net, source, destination, config.max_path_edges);
+                tally.enumerated_paths += paths.len();
+                let free_flow = free_flow_s(&net, source, destination);
+                for hour in DEPARTURE_HOURS {
+                    let departure = Timestamp::from_day_hms(0, hour, 0, 0);
+                    let candidates = exhaustive::estimate(&od, &paths, departure);
+                    let mut previous = 0.0f64;
+                    for (at, mult) in BUDGET_MULTIPLIERS.into_iter().enumerate() {
+                        let budget = free_flow * mult;
+                        let (oracle, oracle_p) =
+                            exhaustive::best(&candidates, budget).expect("connected pair");
+                        let route = router
+                            .route(&od, source, destination, departure, budget)
+                            .unwrap();
+                        let router_p = route.as_ref().map_or(0.0, |r| r.probability);
+                        tally.searches += 1;
+                        tally.multi_edge_best += usize::from(oracle.multi_edge);
+                        if router_p < oracle_p {
+                            tally.misses += 1;
+                            tally.no_route_misses += usize::from(route.is_none());
+                            tally.misses_by_budget[at] += 1;
+                            tally.multi_edge_misses += usize::from(oracle.multi_edge);
+                        }
+                        tally.router_above_oracle += usize::from(router_p > oracle_p);
+                        tally.non_monotone += usize::from(router_p < previous);
+                        previous = router_p;
+                    }
+                }
+            }
         }
-        bits.extend([r.expansions as u64, r.evaluated_candidates as u64]);
     }
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for x in &bits {
-        for b in x.to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
+    // These counts are the router's known defect, recorded and not hidden:
+    // the budget prune adds a free-flow lower bound that a speed-limit
+    // fallback unit can undercut, and the incumbent prune compares an OD
+    // probability with an independent chain's (ROADMAP.md, the router's
+    // open item). They are upper bounds; a change that lowers them re-pins
+    // them, in one commit named for it, and nothing else moves them.
+    assert!(tally.misses <= 1_366, "{tally:#?}");
+    assert!(tally.no_route_misses <= 1_346, "{tally:#?}");
+    let ratchet = [1_301, 31, 15, 11, 4, 4, 0];
+    for (at, (&misses, bound)) in tally.misses_by_budget.iter().zip(ratchet).enumerate() {
+        assert!(
+            misses <= bound,
+            "x{} budget: {misses} misses > {bound}\n{tally:#?}",
+            BUDGET_MULTIPLIERS[at]
+        );
     }
-    assert_eq!((h, found), (0x67f8_73a6_a7a7_574f, 7));
+    assert!(tally.multi_edge_misses <= 9, "{tally:#?}");
+    // Exact: an enumeration that finds fewer paths, or a fixture that stops
+    // reaching rank ≥ 2 variables, cannot pass by missing less.
+    assert_eq!(tally.searches, 12_096, "{tally:#?}");
+    assert_eq!(tally.enumerated_paths, 28_776, "{tally:#?}");
+    assert_eq!(tally.multi_edge_best, 264, "{tally:#?}");
+    // The oracle's best is an upper bound on what the router can find.
+    assert_eq!(tally.router_above_oracle, 0, "{tally:#?}");
+    // Fig 18's premise: loosening the budget never lowers the router's P.
+    assert_eq!(tally.non_monotone, 0, "{tally:#?}");
 }
