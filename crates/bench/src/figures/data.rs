@@ -3,7 +3,7 @@
 
 use crate::experiment::{make_holdout, Dataset, Scale};
 use crate::figures::FigureOutput;
-use pathcost_core::{CostEstimator, DayPartition, HybridGraph, LbEstimator};
+use pathcost_core::{CostEstimator, DayPartition, HybridGraph, OdEstimator};
 use pathcost_hist::auto::{auto_histogram, cross_validated_errors, AutoConfig};
 use pathcost_hist::divergence::kl_divergence_histograms;
 use pathcost_hist::RawDistribution;
@@ -51,7 +51,7 @@ pub fn fig4_independence(dataset: &Dataset, scale: Scale) -> FigureOutput {
         &holdout.exclusions,
     )
     .expect("hybrid graph builds");
-    let lb = LbEstimator::new(&graph);
+    let lb = OdEstimator::with_rank_cap(&graph, 1);
     let mut divergences = Vec::new();
     for q in &holdout.queries {
         if let Ok(est) = lb.estimate(&q.path, q.departure) {
@@ -95,7 +95,7 @@ pub fn fig4_independence(dataset: &Dataset, scale: Scale) -> FigureOutput {
             &holdout.exclusions,
         )
         .expect("hybrid graph builds");
-        let lb = LbEstimator::new(&graph);
+        let lb = OdEstimator::with_rank_cap(&graph, 1);
         let mut total = 0.0;
         let mut n = 0usize;
         for q in &holdout.queries {

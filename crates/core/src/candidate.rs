@@ -82,14 +82,23 @@ pub struct CandidateArray {
 impl CandidateArray {
     /// Builds the candidate array for `query` departing at `departure`.
     ///
-    /// `rank_cap` restricts the maximum rank of considered variables (used by
-    /// the LB, HP and OD-x baselines); `None` considers every rank.
+    /// `rank_cap` restricts the maximum rank of considered variables (the
+    /// OD-x baselines); `None` considers every rank, and a cap of 0, which
+    /// would admit no variable, is refused. A row holds at most one variable
+    /// per rank, in increasing rank, and starts with a unit variable, so its
+    /// last variable under a cap of 1 is its unit variable and under a cap of
+    /// 2 its rank-2 variable where one is relevant: the coarsest decomposition
+    /// is then the LB baseline's unit chain and the HP baseline's pairwise
+    /// chain.
     pub fn build(
         graph: &HybridGraph<'_>,
         query: &Path,
         departure: Timestamp,
         rank_cap: Option<usize>,
     ) -> Result<CandidateArray, CoreError> {
+        if rank_cap == Some(0) {
+            return Err(CoreError::InvalidConfig("a rank cap must be at least 1"));
+        }
         let wp = graph.view();
         let partition = graph.weights().partition();
         let n = query.cardinality();
@@ -203,11 +212,6 @@ impl CandidateArray {
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
-
-    /// Total number of candidate variables across all rows.
-    pub fn total_candidates(&self) -> usize {
-        self.rows.iter().map(Vec::len).sum()
-    }
 }
 
 #[cfg(test)]
@@ -272,6 +276,8 @@ mod tests {
         assert!(reads.iter().all(|&i| view.variable(i).is_unit()));
     }
 
+    /// LB being OD-1 and HP being OD-2 rests on this row shape: one variable
+    /// per rank, in increasing rank, a unit variable first.
     #[test]
     fn every_row_has_a_unit_variable_and_is_sorted() {
         let (net, store, cfg, query, departure) = graph_and_query();
@@ -291,7 +297,6 @@ mod tests {
                 assert_eq!(&query.edges()[k..k + v.rank()], v.var.path.edges());
             }
         }
-        assert!(array.total_candidates() >= query.cardinality());
         assert_cells_name_what_they_hold(&graph, &array);
         assert!(
             array.rows.iter().flatten().any(|v| v.rank() > 1),
@@ -325,7 +330,13 @@ mod tests {
             assert!(row.iter().all(|v| v.rank() == 1));
         }
         let uncapped = CandidateArray::build(&graph, &query, departure, None).unwrap();
-        assert!(uncapped.total_candidates() >= capped.total_candidates());
+        for (capped, uncapped) in capped.rows.iter().zip(&uncapped.rows) {
+            assert!(uncapped.len() >= capped.len());
+        }
+        assert!(matches!(
+            CandidateArray::build(&graph, &query, departure, Some(0)),
+            Err(CoreError::InvalidConfig(_))
+        ));
     }
 
     #[test]

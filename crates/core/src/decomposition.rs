@@ -68,21 +68,6 @@ impl Decomposition {
         })
     }
 
-    /// The legacy (LB) decomposition: every edge contributes its unit variable.
-    pub fn legacy(array: &CandidateArray) -> Decomposition {
-        Self::chained(array, |row, _| row.first())
-    }
-
-    /// The HP decomposition \[10\]: every pair of adjacent edges contributes its
-    /// rank-2 variable when one exists, interleaved with unit variables where
-    /// pairs are unavailable, so the estimator considers roughly `|P|`
-    /// variables regardless of how much coarser information exists.
-    pub fn pairwise(array: &CandidateArray) -> Decomposition {
-        Self::chained(array, |row, _| {
-            row.iter().find(|v| v.rank() == 2).or(row.first())
-        })
-    }
-
     /// The components in path order.
     pub fn components(&self) -> &[SelectedVariable] {
         &self.components
@@ -248,11 +233,16 @@ mod tests {
         assert!(!d.is_empty());
     }
 
+    /// The legacy (LB) decomposition: the coarsest one under a cap of 1,
+    /// every edge's unit variable.
+    fn lb_decomposition(f: &Fixture) -> Decomposition {
+        Decomposition::coarsest(&array(f, Some(1)))
+    }
+
     #[test]
     fn legacy_uses_only_unit_variables() {
         let f = fixture();
-        let a = array(&f, None);
-        let d = Decomposition::legacy(&a);
+        let d = lb_decomposition(&f);
         assert!(d.is_valid());
         assert!(d.ranks().iter().all(|&r| r == 1));
         assert_eq!(d.len(), f.query.cardinality());
@@ -260,15 +250,6 @@ mod tests {
         for i in 0..d.len() {
             assert_eq!(d.overlap_len(i), 0);
         }
-    }
-
-    #[test]
-    fn pairwise_is_valid_and_mostly_rank_two() {
-        let f = fixture();
-        let a = array(&f, None);
-        let d = Decomposition::pairwise(&a);
-        assert!(d.is_valid());
-        assert!(d.ranks().iter().all(|&r| r <= 2));
     }
 
     #[test]
@@ -287,7 +268,7 @@ mod tests {
         let f = fixture();
         let a = array(&f, None);
         let coarsest = Decomposition::coarsest(&a);
-        let legacy = Decomposition::legacy(&a);
+        let legacy = lb_decomposition(&f);
         if coarsest.ranks().iter().any(|&r| r > 1) {
             assert!(coarsest.is_coarser_than(&legacy));
             assert!(!legacy.is_coarser_than(&coarsest));
@@ -315,7 +296,7 @@ mod tests {
         let f = fixture();
         let a = array(&f, None);
         let coarsest = Decomposition::coarsest(&a);
-        let legacy = Decomposition::legacy(&a);
+        let legacy = lb_decomposition(&f);
         assert!(
             coarsest.entropy_hde() <= legacy.entropy_hde() + 1e-9,
             "coarsest H_DE {} vs legacy {}",

@@ -4,13 +4,23 @@
 //!
 //! * **OD** — the paper's proposal: coarsest decomposition over the full
 //!   candidate array ([`OdEstimator`] with no rank cap),
-//! * **OD-x** — OD restricted to instantiated variables of rank ≤ x,
+//! * **OD-x** — OD restricted to instantiated variables of rank ≤ x
+//!   ([`OdEstimator::with_rank_cap`]),
 //! * **LB** — the legacy baseline: edge-granularity convolution with
-//!   arrival-time shifting ([`LbEstimator`]),
-//! * **HP** — pairwise joint distributions of adjacent edges ([`HpEstimator`]),
+//!   arrival-time shifting, which is OD-1,
+//! * **HP** — pairwise joint distributions of adjacent edges \[10\], which is
+//!   OD-2,
 //! * **RD** — a random (non-coarsest) decomposition ([`RdEstimator`]),
 //! * **GT** — the accuracy-optimal baseline computed directly from ≥ β
 //!   qualified trajectories ([`GroundTruthEstimator`]), used as ground truth.
+//!
+//! LB and HP need no estimator of their own because of the shape of a
+//! candidate row ([`CandidateArray::build`]): at most one variable per rank,
+//! in increasing rank, the first a unit variable. Under a cap of 1 a row is
+//! its unit variable alone, so the coarsest decomposition convolves the
+//! units edge by edge. Under a cap of 2 a row's last variable is its rank-2
+//! variable where one is relevant and its unit variable otherwise — the pair
+//! HP takes.
 
 use crate::candidate::{CandidateArray, CandidateSource};
 use crate::decomposition::Decomposition;
@@ -47,9 +57,6 @@ impl EstimateBreakdown {
 
 /// A method that estimates the cost distribution of a path at a departure time.
 pub trait CostEstimator {
-    /// Short name used in experiment output ("OD", "LB", …).
-    fn name(&self) -> &str;
-
     /// Estimates the travel cost distribution of `path` departing at `departure`.
     fn estimate(&self, path: &Path, departure: Timestamp) -> Result<Histogram1D, CoreError> {
         self.estimate_with_breakdown(path, departure)
@@ -167,7 +174,6 @@ where
 pub struct OdEstimator<'g, 'n> {
     graph: &'g HybridGraph<'n>,
     rank_cap: Option<usize>,
-    name: String,
 }
 
 impl<'g, 'n> OdEstimator<'g, 'n> {
@@ -176,16 +182,16 @@ impl<'g, 'n> OdEstimator<'g, 'n> {
         OdEstimator {
             graph,
             rank_cap: None,
-            name: "OD".to_string(),
         }
     }
 
-    /// OD-x: only instantiated variables of rank ≤ `cap` are considered.
+    /// OD-x: only instantiated variables of rank ≤ `cap` are considered
+    /// (OD-1 is the LB baseline, OD-2 the HP baseline). Under a cap of 0
+    /// every estimate fails with [`CoreError::InvalidConfig`].
     pub fn with_rank_cap(graph: &'g HybridGraph<'n>, cap: usize) -> Self {
         OdEstimator {
             graph,
             rank_cap: Some(cap),
-            name: format!("OD-{cap}"),
         }
     }
 
@@ -207,10 +213,6 @@ impl<'g, 'n> OdEstimator<'g, 'n> {
 }
 
 impl CostEstimator for OdEstimator<'_, '_> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
     fn estimate_with_breakdown(
         &self,
         path: &Path,
@@ -228,75 +230,6 @@ impl CostEstimator for OdEstimator<'_, '_> {
     }
 }
 
-/// The legacy baseline (LB): unit-path weights convolved under independence,
-/// with shift-and-enlarge arrival-time updating.
-pub struct LbEstimator<'g, 'n> {
-    graph: &'g HybridGraph<'n>,
-}
-
-impl<'g, 'n> LbEstimator<'g, 'n> {
-    /// Creates the legacy-baseline estimator.
-    pub fn new(graph: &'g HybridGraph<'n>) -> Self {
-        LbEstimator { graph }
-    }
-}
-
-impl CostEstimator for LbEstimator<'_, '_> {
-    fn name(&self) -> &str {
-        "LB"
-    }
-
-    fn estimate_with_breakdown(
-        &self,
-        path: &Path,
-        departure: Timestamp,
-    ) -> Result<(Histogram1D, EstimateBreakdown), CoreError> {
-        estimate_via_decomposition(self.graph, path, departure, Some(1), |array| {
-            Decomposition::legacy(array)
-        })
-        .map(|a| (a.histogram, a.breakdown))
-    }
-
-    fn decomposition_entropy(&self, path: &Path, departure: Timestamp) -> Option<f64> {
-        let array = CandidateArray::build(self.graph, path, departure, Some(1)).ok()?;
-        Some(Decomposition::legacy(&array).entropy_hde())
-    }
-}
-
-/// The HP baseline \[10\]: joint distributions of every pair of adjacent edges.
-pub struct HpEstimator<'g, 'n> {
-    graph: &'g HybridGraph<'n>,
-}
-
-impl<'g, 'n> HpEstimator<'g, 'n> {
-    /// Creates the HP estimator.
-    pub fn new(graph: &'g HybridGraph<'n>) -> Self {
-        HpEstimator { graph }
-    }
-}
-
-impl CostEstimator for HpEstimator<'_, '_> {
-    fn name(&self) -> &str {
-        "HP"
-    }
-
-    fn estimate_with_breakdown(
-        &self,
-        path: &Path,
-        departure: Timestamp,
-    ) -> Result<(Histogram1D, EstimateBreakdown), CoreError> {
-        estimate_via_decomposition(self.graph, path, departure, Some(2), |array| {
-            Decomposition::pairwise(array)
-        })
-        .map(|a| (a.histogram, a.breakdown))
-    }
-
-    fn decomposition_entropy(&self, path: &Path, departure: Timestamp) -> Option<f64> {
-        let array = CandidateArray::build(self.graph, path, departure, Some(2)).ok()?;
-        Some(Decomposition::pairwise(&array).entropy_hde())
-    }
-}
-
 /// The RD baseline: a randomly chosen valid decomposition.
 pub struct RdEstimator<'g, 'n> {
     graph: &'g HybridGraph<'n>,
@@ -311,10 +244,6 @@ impl<'g, 'n> RdEstimator<'g, 'n> {
 }
 
 impl CostEstimator for RdEstimator<'_, '_> {
-    fn name(&self) -> &str {
-        "RD"
-    }
-
     fn estimate_with_breakdown(
         &self,
         path: &Path,
@@ -373,10 +302,6 @@ impl<'a> GroundTruthEstimator<'a> {
 }
 
 impl CostEstimator for GroundTruthEstimator<'_> {
-    fn name(&self) -> &str {
-        "GT"
-    }
-
     fn estimate_with_breakdown(
         &self,
         path: &Path,
@@ -463,27 +388,21 @@ mod tests {
         let graph = HybridGraph::build(&f.net, &f.store, f.cfg.clone()).unwrap();
         let od = OdEstimator::new(&graph);
         let od2 = OdEstimator::with_rank_cap(&graph, 2);
-        let lb = LbEstimator::new(&graph);
-        let hp = HpEstimator::new(&graph);
+        let lb = OdEstimator::with_rank_cap(&graph, 1);
         let rd = RdEstimator::new(&graph, 7);
-        let estimators: Vec<&dyn CostEstimator> = vec![&od, &od2, &lb, &hp, &rd];
-        for est in estimators {
+        let estimators: [(&str, &dyn CostEstimator); 4] =
+            [("OD", &od), ("OD-2", &od2), ("LB", &lb), ("RD", &rd)];
+        for (name, est) in estimators {
             let (hist, breakdown) = est
                 .estimate_with_breakdown(&f.query, f.departure)
-                .unwrap_or_else(|e| panic!("{} failed: {e}", est.name()));
+                .unwrap_or_else(|e| panic!("{name} failed: {e}"));
             assert!(
                 (hist.probs().iter().sum::<f64>() - 1.0).abs() < 1e-6,
-                "{}",
-                est.name()
+                "{name}"
             );
             assert!(hist.mean() > 0.0);
             assert!(breakdown.total_s() >= 0.0);
         }
-        assert_eq!(od.name(), "OD");
-        assert_eq!(od2.name(), "OD-2");
-        assert_eq!(lb.name(), "LB");
-        assert_eq!(hp.name(), "HP");
-        assert_eq!(rd.name(), "RD");
     }
 
     #[test]
@@ -499,7 +418,6 @@ mod tests {
             "GT mean {} vs sample mean {sample_mean}",
             hist.mean()
         );
-        assert_eq!(gt.name(), "GT");
     }
 
     #[test]
@@ -533,7 +451,7 @@ mod tests {
         let graph = HybridGraph::build(&net, &store, cfg.clone()).unwrap();
         let gt = GroundTruthEstimator::new(&net, &store, cfg.clone()).unwrap();
         let od = OdEstimator::new(&graph);
-        let lb = LbEstimator::new(&graph);
+        let lb = OdEstimator::with_rank_cap(&graph, 1);
 
         // Evaluate on paths that are dense during the morning-peak interval,
         // so the accuracy-optimal ground truth is available.
@@ -580,7 +498,7 @@ mod tests {
         let f = fixture();
         let graph = HybridGraph::build(&f.net, &f.store, f.cfg.clone()).unwrap();
         let od = OdEstimator::new(&graph);
-        let lb = LbEstimator::new(&graph);
+        let lb = OdEstimator::with_rank_cap(&graph, 1);
         let h_od = od.decomposition_entropy(&f.query, f.departure).unwrap();
         let h_lb = lb.decomposition_entropy(&f.query, f.departure).unwrap();
         assert!(h_od <= h_lb + 1e-9, "OD H_DE {h_od} vs LB {h_lb}");

@@ -325,11 +325,6 @@ pub fn cost_histogram_with_limit(
     Histogram1D::from_overlapping(&entries).map_err(CoreError::from)
 }
 
-/// Derives the query path's cost distribution with the default state budget.
-pub fn cost_histogram(decomposition: &Decomposition) -> Result<Histogram1D, CoreError> {
-    cost_histogram_with_limit(decomposition, DEFAULT_STATE_BUCKETS)
-}
-
 #[cfg(test)]
 mod reference;
 
@@ -390,15 +385,19 @@ mod tests {
 
     fn decomposition(f: &Fixture, kind: &str) -> Decomposition {
         let graph = HybridGraph::build(&f.net, &f.store, f.graph_cfg.clone()).unwrap();
-        let array = CandidateArray::build(&graph, &f.query, f.departure, None).unwrap();
+        // LB and HP are the coarsest decompositions under caps of 1 and 2.
+        let cap = match kind {
+            "legacy" => Some(1),
+            "pairwise" => Some(2),
+            _ => None,
+        };
+        let array = CandidateArray::build(&graph, &f.query, f.departure, cap).unwrap();
         match kind {
-            "coarsest" => Decomposition::coarsest(&array),
-            "legacy" => Decomposition::legacy(&array),
-            "pairwise" => Decomposition::pairwise(&array),
-            _ => {
+            "random" => {
                 let mut rng = StdRng::seed_from_u64(3);
                 Decomposition::random(&array, &mut rng)
             }
+            _ => Decomposition::coarsest(&array),
         }
     }
 
@@ -407,7 +406,7 @@ mod tests {
         let f = fixture();
         for kind in ["coarsest", "legacy", "pairwise", "random"] {
             let d = decomposition(&f, kind);
-            let h = cost_histogram(&d).unwrap();
+            let h = cost_histogram_with_limit(&d, DEFAULT_STATE_BUCKETS).unwrap();
             let total: f64 = h.probs().iter().sum();
             assert!((total - 1.0).abs() < 1e-6, "{kind}: mass {total}");
             assert!(h.mean() > 0.0, "{kind}: mean must be positive");
@@ -419,7 +418,7 @@ mod tests {
     fn estimated_mean_is_close_to_empirical_mean() {
         let f = fixture();
         let d = decomposition(&f, "coarsest");
-        let h = cost_histogram(&d).unwrap();
+        let h = cost_histogram_with_limit(&d, DEFAULT_STATE_BUCKETS).unwrap();
         // Empirical ground truth from the store, restricted to the departure's
         // α-interval — the estimate is interval-local, so comparing against
         // the whole day would mix distinct traffic regimes.
@@ -441,7 +440,7 @@ mod tests {
     fn support_bounds_are_consistent_with_components() {
         let f = fixture();
         let d = decomposition(&f, "coarsest");
-        let h = cost_histogram(&d).unwrap();
+        let h = cost_histogram_with_limit(&d, DEFAULT_STATE_BUCKETS).unwrap();
         // The minimum possible total cost cannot be below the sum over
         // components of their new-edge minima (a loose sanity bound: zero).
         assert!(h.min() >= 0.0);
@@ -469,7 +468,7 @@ mod tests {
         // With a purely unit decomposition the chain reduces to convolution.
         let f = fixture();
         let d = decomposition(&f, "legacy");
-        let chain = cost_histogram(&d).unwrap();
+        let chain = cost_histogram_with_limit(&d, DEFAULT_STATE_BUCKETS).unwrap();
         let unit_hists: Vec<Histogram1D> = d
             .components()
             .iter()
@@ -531,7 +530,7 @@ mod tests {
         // possible; instead check that a single-component decomposition works
         // and produces the component's own cost distribution.
         if d.len() == 1 {
-            let h = cost_histogram(&d).unwrap();
+            let h = cost_histogram_with_limit(&d, DEFAULT_STATE_BUCKETS).unwrap();
             assert!(h.bucket_count() >= 1);
         }
     }

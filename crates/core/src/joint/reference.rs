@@ -452,11 +452,11 @@ mod tests {
 
     /// The Fig 17 corridor: a 30-edge walk on an 8×8 grid that 80 trips
     /// drive end to end in the same α-interval, so every sub-path up to the
-    /// rank cap is instantiated. Returns the legacy decomposition of its
-    /// 20-edge prefix (a run of unit components, a pure convolution) and the
-    /// coarsest decomposition of the whole corridor (rank-6 components
-    /// overlapping by five edges: every overlap group re-weighted and most
-    /// of them re-bucketed).
+    /// rank cap is instantiated. Returns the legacy decomposition (the
+    /// coarsest under a cap of 1) of its 20-edge prefix (a run of unit
+    /// components, a pure convolution) and the coarsest decomposition of the
+    /// whole corridor (rank-6 components overlapping by five edges: every
+    /// overlap group re-weighted and most of them re-bucketed).
     fn corridor_decompositions() -> (Decomposition, Decomposition) {
         use pathcost_roadnet::{GeneratorConfig, VertexId};
         use pathcost_traj::{MatchedTrajectory, Timestamp, TrajectoryStore};
@@ -509,8 +509,8 @@ mod tests {
         let departure = Timestamp::from_day_hms(3, 8, 2, 0);
 
         let prefix = Path::new(&net, corridor.edges()[..20].to_vec()).unwrap();
-        let array = CandidateArray::build(&graph, &prefix, departure, None).unwrap();
-        let unit_run = Decomposition::legacy(&array);
+        let array = CandidateArray::build(&graph, &prefix, departure, Some(1)).unwrap();
+        let unit_run = Decomposition::coarsest(&array);
         let array = CandidateArray::build(&graph, &corridor, departure, None).unwrap();
         (unit_run, Decomposition::coarsest(&array))
     }

@@ -16,9 +16,9 @@
 //!    and marginalises it into the univariate cost distribution (§4.2,
 //!    [`joint`]).
 //!
-//! The baselines of the paper's evaluation (LB, HP, RD, OD-x, the
-//! accuracy-optimal ground truth) are provided alongside the proposed OD
-//! estimator in [`estimator`]. Instantiation and re-derivation fan out on
+//! The baselines of the paper's evaluation (RD, OD-x — LB is OD-1 and HP is
+//! OD-2 — and the accuracy-optimal ground truth) are provided alongside the
+//! proposed OD estimator in [`estimator`]. Instantiation and re-derivation fan out on
 //! [`exec`], the one fork–join executor (the query engine's batches run on
 //! the same type).
 //!
@@ -52,8 +52,8 @@ pub use config::HybridConfig;
 pub use decomposition::Decomposition;
 pub use error::CoreError;
 pub use estimator::{
-    CostEstimator, EstimateArtifacts, EstimateBreakdown, GroundTruthEstimator, HpEstimator,
-    LbEstimator, OdEstimator, RdEstimator,
+    CostEstimator, EstimateArtifacts, EstimateBreakdown, GroundTruthEstimator, OdEstimator,
+    RdEstimator,
 };
 pub use hybrid_graph::HybridGraph;
 pub use incremental::{chain_extension, chain_start, ArrivalWindow};

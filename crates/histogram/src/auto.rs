@@ -402,17 +402,6 @@ pub fn cross_validated_errors(
     })
 }
 
-/// Computes the cross-validated error `E_b` of using `b` buckets for the given
-/// samples.
-pub fn cross_validated_error(
-    samples: &[f64],
-    b: usize,
-    cfg: &AutoConfig,
-) -> Result<f64, HistError> {
-    let errors = cross_validated_errors(samples, b, cfg)?;
-    Ok(*errors.last().expect("at least one bucket count evaluated"))
-}
-
 /// The squared error `SE(H, D)` between a histogram and a raw distribution:
 /// the sum over the raw distribution's cost values of the squared difference
 /// between the probability the histogram assigns to the value and the raw
@@ -549,8 +538,8 @@ mod tests {
     fn cross_validated_error_decreases_initially() {
         let samples = bimodal_samples(200, 7);
         let cfg = AutoConfig::default();
-        let e1 = cross_validated_error(&samples, 1, &cfg).unwrap();
-        let e2 = cross_validated_error(&samples, 2, &cfg).unwrap();
+        let errors = cross_validated_errors(&samples, 2, &cfg).unwrap();
+        let (e1, e2) = (errors[0], errors[1]);
         assert!(
             e2 < e1,
             "two buckets must beat one on bimodal data ({e2} vs {e1})"
@@ -605,19 +594,19 @@ mod tests {
             ..AutoConfig::default()
         };
         assert!(matches!(
-            cross_validated_error(&samples, 2, &cfg),
+            cross_validated_errors(&samples, 2, &cfg),
             Err(HistError::TooFewFolds(1))
         ));
         assert!(select_bucket_count(&[], &AutoConfig::default()).is_err());
-        assert!(cross_validated_error(&samples, 0, &AutoConfig::default()).is_err());
+        assert!(cross_validated_errors(&samples, 0, &AutoConfig::default()).is_err());
     }
 
     #[test]
     fn small_sample_fallback_still_works() {
         let samples = vec![10.0, 12.0, 20.0];
         let cfg = AutoConfig::default();
-        let e = cross_validated_error(&samples, 2, &cfg).unwrap();
-        assert!(e.is_finite());
+        let errors = cross_validated_errors(&samples, 2, &cfg).unwrap();
+        assert!(errors.iter().all(|e| e.is_finite()));
         let sel = select_bucket_count(&samples, &cfg).unwrap();
         assert!(sel.bucket_count >= 1);
     }

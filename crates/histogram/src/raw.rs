@@ -138,25 +138,6 @@ impl RawDistribution {
         self.values.len()
     }
 
-    /// The probability assigned to exactly `value` (zero for unseen values).
-    pub fn prob_of(&self, value: f64) -> f64 {
-        match self
-            .values
-            .binary_search_by(|v| v.partial_cmp(&value).expect("finite values"))
-        {
-            Ok(i) => self.probs[i],
-            Err(_) => {
-                // Tolerate tiny floating point differences from rounding.
-                self.values
-                    .iter()
-                    .zip(&self.probs)
-                    .find(|(v, _)| (**v - value).abs() < 1e-9)
-                    .map(|(_, p)| *p)
-                    .unwrap_or(0.0)
-            }
-        }
-    }
-
     /// Mean cost.
     pub fn mean(&self) -> f64 {
         self.values
@@ -217,7 +198,7 @@ mod tests {
         let d = RawDistribution::from_samples(&[10.0, 10.0, 20.0, 30.0], 1.0).unwrap();
         assert_eq!(d.values(), &[10.0, 20.0, 30.0]);
         assert!((d.probs().iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!((d.prob_of(10.0) - 0.5).abs() < 1e-12);
+        assert_eq!(d.probs(), &[0.5, 0.25, 0.25]);
         assert_eq!(d.sample_count(), 4);
         assert_eq!(d.distinct_count(), 3);
     }
@@ -226,7 +207,7 @@ mod tests {
     fn from_samples_rounds_to_resolution() {
         let d = RawDistribution::from_samples(&[10.2, 9.9, 10.4], 1.0).unwrap();
         assert_eq!(d.values(), &[10.0]);
-        assert!((d.prob_of(10.0) - 1.0).abs() < 1e-12);
+        assert_eq!(d.probs(), &[1.0]);
     }
 
     #[test]
@@ -242,8 +223,8 @@ mod tests {
     fn from_pairs_normalises_and_merges_duplicates() {
         let d = RawDistribution::from_pairs(&[(5.0, 2.0), (10.0, 1.0), (5.0, 1.0)]).unwrap();
         assert_eq!(d.values(), &[5.0, 10.0]);
-        assert!((d.prob_of(5.0) - 0.75).abs() < 1e-12);
-        assert!((d.prob_of(10.0) - 0.25).abs() < 1e-12);
+        assert!((d.probs()[0] - 0.75).abs() < 1e-12);
+        assert!((d.probs()[1] - 0.25).abs() < 1e-12);
     }
 
     #[test]

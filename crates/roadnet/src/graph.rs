@@ -191,14 +191,6 @@ impl RoadNetwork {
             None => &[],
         }
     }
-
-    /// Finds the directed edge from `from` to `to`, if it exists.
-    pub fn find_edge(&self, from: VertexId, to: VertexId) -> Option<EdgeId> {
-        self.out_edges(from)
-            .iter()
-            .copied()
-            .find(|&e| self.edges[e.index()].to == to)
-    }
 }
 
 #[cfg(test)]
@@ -237,13 +229,6 @@ mod tests {
         assert_eq!(net.successors(EdgeId(0)), &[EdgeId(1)]);
         assert_eq!(net.out_edges(VertexId(0)), &[EdgeId(0)]);
         assert_eq!(net.in_edges(VertexId(0)), &[EdgeId(2)]);
-    }
-
-    #[test]
-    fn find_edge_by_endpoints() {
-        let net = small_net();
-        assert_eq!(net.find_edge(VertexId(0), VertexId(1)), Some(EdgeId(0)));
-        assert_eq!(net.find_edge(VertexId(1), VertexId(0)), None);
     }
 
     #[test]

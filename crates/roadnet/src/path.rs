@@ -129,12 +129,6 @@ impl Path {
             .any(|w| w == self.edges.as_slice())
     }
 
-    /// Returns `true` if `self` is a *strict* sub-path of `other`
-    /// (a sub-path and not equal).
-    pub fn is_strict_subpath_of(&self, other: &Path) -> bool {
-        self.is_subpath_of(other) && self.edges.len() < other.edges.len()
-    }
-
     /// The offset at which `sub` starts inside `self`, if `sub` is a sub-path.
     pub fn subpath_offset(&self, sub: &Path) -> Option<usize> {
         if sub.edges.len() > self.edges.len() {
@@ -356,8 +350,6 @@ mod tests {
         assert!(p(&[1, 2, 3, 4]).is_subpath_of(&full));
         assert!(!p(&[1, 3]).is_subpath_of(&full));
         assert!(!p(&[4, 5]).is_subpath_of(&full));
-        assert!(p(&[2, 3]).is_strict_subpath_of(&full));
-        assert!(!full.is_strict_subpath_of(&full));
         assert_eq!(full.subpath_offset(&p(&[3, 4])), Some(2));
         assert_eq!(full.subpath_offset(&p(&[0, 1])), None);
     }

@@ -637,7 +637,7 @@ fn materialise(arena: &[Node], node: usize) -> Path {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pathcost_core::{HybridConfig, LbEstimator, OdEstimator};
+    use pathcost_core::{HybridConfig, OdEstimator};
     use pathcost_roadnet::search::fastest_path;
     use pathcost_traj::DatasetPreset;
 
@@ -756,7 +756,7 @@ mod tests {
         let graph = HybridGraph::build(&f.net, &f.store, f.cfg.clone()).unwrap();
         let router = BestFirstRouter::new(&graph, RouterConfig::default()).unwrap();
         let od = OdEstimator::new(&graph);
-        let lb = LbEstimator::new(&graph);
+        let lb = OdEstimator::with_rank_cap(&graph, 1);
         let source = VertexId(2);
         let destination = VertexId(22);
         let departure = Timestamp::from_day_hms(0, 17, 0, 0);

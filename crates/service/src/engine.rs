@@ -665,10 +665,6 @@ struct CachingEstimator<'e, 'n> {
 }
 
 impl CostEstimator for CachingEstimator<'_, '_> {
-    fn name(&self) -> &str {
-        "OD-cached"
-    }
-
     fn estimate_with_breakdown(
         &self,
         path: &Path,

@@ -135,17 +135,6 @@ impl UpdateReport {
     pub fn evicted_total(&self) -> u64 {
         self.evicted_tracked + self.evicted_swept
     }
-
-    /// Fraction of the pre-update cache this update evicted, in `[0, 1]`.
-    /// A full flush scores 1.0; targeted invalidation's whole point is to
-    /// keep this near the fraction of variables that actually changed.
-    pub fn evicted_fraction(&self) -> f64 {
-        if self.cache_entries_before == 0 {
-            0.0
-        } else {
-            self.evicted_total() as f64 / self.cache_entries_before as f64
-        }
-    }
 }
 
 impl<'n> QueryEngine<'n> {
@@ -327,7 +316,7 @@ mod tests {
     }
 
     #[test]
-    fn update_report_precision_divides_safely() {
+    fn update_report_totals_both_eviction_counts() {
         let report = UpdateReport {
             epoch: 1,
             variables_updated: 2,
@@ -339,11 +328,5 @@ mod tests {
             cache_entries_after: 12,
         };
         assert_eq!(report.evicted_total(), 4);
-        assert!((report.evicted_fraction() - 0.25).abs() < 1e-12);
-        let empty = UpdateReport {
-            cache_entries_before: 0,
-            ..report
-        };
-        assert_eq!(empty.evicted_fraction(), 0.0);
     }
 }

@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use pathcost::core::{CostEstimator, HybridConfig, HybridGraph, LbEstimator, OdEstimator};
+use pathcost::core::{CostEstimator, HybridConfig, HybridGraph, OdEstimator};
 use pathcost::traj::{DatasetPreset, HmmMapMatcher, MapMatchConfig, TrajectoryStore};
 
 fn main() {
@@ -56,15 +56,17 @@ fn main() {
         departure.time_of_day()
     );
 
-    let od = OdEstimator::new(&graph);
-    let lb = LbEstimator::new(&graph);
-    for estimator in [&od as &dyn CostEstimator, &lb] {
+    // The legacy baseline LB is OD capped at rank 1: edge-by-edge convolution.
+    for (name, estimator) in [
+        ("OD", OdEstimator::new(&graph)),
+        ("LB", OdEstimator::with_rank_cap(&graph, 1)),
+    ] {
         let dist = estimator
             .estimate(&path, departure)
             .expect("estimation succeeds");
         println!(
             "  {:<3} mean {:>6.1}s   p10 {:>6.1}s   p90 {:>6.1}s   P(≤ mean+60s) {:.2}",
-            estimator.name(),
+            name,
             dist.mean(),
             dist.quantile(0.1),
             dist.quantile(0.9),

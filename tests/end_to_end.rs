@@ -2,9 +2,7 @@
 //! hybrid graph → estimate → route, exercising the public API exactly the way
 //! the examples and the experiment harness do.
 
-use pathcost::core::{
-    CostEstimator, GroundTruthEstimator, HybridConfig, HybridGraph, LbEstimator, OdEstimator,
-};
+use pathcost::core::{CostEstimator, GroundTruthEstimator, HybridConfig, HybridGraph, OdEstimator};
 use pathcost::hist::divergence::kl_divergence_histograms;
 use pathcost::roadnet::search::{fastest_path, free_flow_time_s};
 use pathcost::roadnet::VertexId;
@@ -104,7 +102,7 @@ fn estimators_expose_distinct_behaviour_on_long_paths() {
     };
     let graph = HybridGraph::build(&net, &store, cfg).expect("hybrid graph builds");
     let od = OdEstimator::new(&graph);
-    let lb = LbEstimator::new(&graph);
+    let lb = OdEstimator::with_rank_cap(&graph, 1);
 
     // Build a long query by extending a frequent path greedily.
     let (seed_path, _) = store.frequent_paths(5, 15, None)[0].clone();

@@ -71,10 +71,6 @@ struct Memo<'g, 'n> {
 }
 
 impl CostEstimator for Memo<'_, '_> {
-    fn name(&self) -> &str {
-        "memoised OD"
-    }
-
     fn estimate_arc(
         &self,
         path: &Path,
