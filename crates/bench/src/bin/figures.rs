@@ -8,8 +8,8 @@
 //! Without arguments, with a name not on the list or with a flag other than
 //! `--full` / `--quick`, the binary prints the list of available experiments
 //! and exits with status 2 before building any dataset.
-//! `--full` switches from the quick laptop-scale presets to the DESIGN.md
-//! preset sizes.
+//! `--full` switches from the quick laptop-scale presets to the presets' own
+//! sizes (`Scale::Full` in `pathcost_bench::experiment`).
 
 use pathcost_bench::experiment::{Dataset, Scale};
 use pathcost_bench::figures::{self, FigureOutput};

@@ -14,7 +14,9 @@ pub enum Scale {
     /// Reduced trip counts; every figure completes in seconds. Default for the
     /// `figures` binary and for CI.
     Quick,
-    /// The full preset sizes described in DESIGN.md.
+    /// The presets' own sizes ([`DatasetPreset::aalborg_like`],
+    /// [`DatasetPreset::beijing_like`]), which Quick shrinks in [`Dataset::d1`]
+    /// and [`Dataset::d2`].
     Full,
 }
 
@@ -130,7 +132,7 @@ pub struct HoldoutSet {
     /// The paper removes the held-out *trajectories* from its (much larger)
     /// datasets; at this repository's laptop scale that would also strip the
     /// sub-path evidence the estimators are supposed to work from, so the
-    /// exclusion is applied at the weight level instead (see DESIGN.md).
+    /// exclusion is applied at the weight level instead (see [`make_holdout`]).
     pub exclusions: Vec<(Path, IntervalId)>,
 }
 

@@ -1,9 +1,9 @@
 //! Regeneration of every table and figure of the paper's evaluation (§5).
 //!
 //! Each function returns the printable rows of one figure so that the
-//! `figures` binary, the integration tests and EXPERIMENTS.md all share the
-//! same code path. Quick scale keeps every figure within seconds; `--full`
-//! uses the DESIGN.md preset sizes.
+//! `figures` binary and the tests share the same code path. Quick scale
+//! keeps every figure within seconds; `--full` uses the presets' own sizes
+//! ([`Scale::Full`](crate::experiment::Scale::Full)).
 
 pub mod accuracy;
 pub mod data;

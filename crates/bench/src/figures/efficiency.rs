@@ -10,9 +10,10 @@ use pathcost_traj::Timestamp;
 use std::time::Instant;
 
 /// Figure 16: mean estimation run-time per query path versus cardinality, for
-/// OD, RD, HP, LB and the rank-capped OD-2/3/4 variants. HP is OD-2 and LB is
-/// OD-1, so the HP and OD-2 columns time the same estimator; both are kept
-/// because the paper plots both.
+/// OD, RD, HP, LB and the rank-capped OD-2/3/4 variants, in µs (at Quick
+/// scale a query takes well under a millisecond). HP is OD-2 and LB is OD-1,
+/// so the HP and OD-2 columns time the same estimator; both are kept because
+/// the paper plots both.
 pub fn fig16_runtime(dataset: &Dataset, scale: Scale) -> FigureOutput {
     let cfg = experiment_config(scale);
     let (cards, per_card) = if scale == Scale::Quick {
@@ -31,7 +32,7 @@ pub fn fig16_runtime(dataset: &Dataset, scale: Scale) -> FigureOutput {
     let estimators: Vec<&dyn CostEstimator> = vec![&od, &rd, &hp, &lb, &od2, &od3, &od4];
 
     let mut rows = vec![format!(
-        "{:>5} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
+        "{:>5} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}   (µs per query)",
         "|P|", "OD", "RD", "HP", "LB", "OD-2", "OD-3", "OD-4"
     )];
     for card in cards {
@@ -50,10 +51,10 @@ pub fn fig16_runtime(dataset: &Dataset, scale: Scale) -> FigureOutput {
                 }
             }
             let elapsed = start.elapsed().as_secs_f64();
-            means.push(elapsed / ok.max(1) as f64 * 1_000.0);
+            means.push(elapsed / ok.max(1) as f64 * 1e6);
         }
         rows.push(format!(
-            "{:>5} {:>8.2}ms {:>8.2}ms {:>8.2}ms {:>8.2}ms {:>8.2}ms {:>8.2}ms {:>8.2}ms",
+            "{:>5} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>9.1}",
             card, means[0], means[1], means[2], means[3], means[4], means[5], means[6]
         ));
     }
@@ -66,14 +67,14 @@ pub fn fig16_runtime(dataset: &Dataset, scale: Scale) -> FigureOutput {
 
 /// Figure 17: OI (decomposition identification), JC (joint computation) and
 /// MC (marginal derivation) run-times for |P| ≈ 20 queries, as the dataset
-/// grows.
+/// grows, in µs per query.
 pub fn fig17_breakdown(dataset: &Dataset, scale: Scale) -> FigureOutput {
     let cfg = experiment_config(scale);
     let fractions = [0.25, 0.5, 0.75, 1.0];
     let card = 20usize;
     let per_fraction = if scale == Scale::Quick { 20 } else { 100 };
     let mut rows = vec![format!(
-        "{:>10} {:>10} {:>10} {:>10}",
+        "{:>10} {:>10} {:>10} {:>10}   (µs per query)",
         "dataset", "OI", "JC", "MC"
     )];
     for &fraction in &fractions {
@@ -94,11 +95,11 @@ pub fn fig17_breakdown(dataset: &Dataset, scale: Scale) -> FigureOutput {
         }
         let n = n.max(1) as f64;
         rows.push(format!(
-            "{:>10} {:>8.2}ms {:>8.2}ms {:>8.2}ms",
+            "{:>10} {:>10.1} {:>10.1} {:>10.1}",
             subset.name,
-            total.decomposition_s / n * 1_000.0,
-            total.joint_s / n * 1_000.0,
-            total.marginal_s / n * 1_000.0
+            total.decomposition_s / n * 1e6,
+            total.joint_s / n * 1e6,
+            total.marginal_s / n * 1e6
         ));
     }
     FigureOutput {

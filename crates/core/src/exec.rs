@@ -10,9 +10,10 @@
 //!
 //! One instance exists: [`global`], cores − 1 workers plus the caller,
 //! created on first use and never dropped. Every fan-out runs on it — the
-//! weight fits (instantiation, re-derivation, recovery replay) and the query
-//! engine's batches alike. `WorkerPool::new` is private, so nothing
-//! outside this module (and its tests) can build a second one.
+//! weight fits (instantiation, re-derivation, recovery replay), a snapshot
+//! restore's two section decodes and the query engine's batches alike.
+//! `WorkerPool::new` is private, so nothing outside this module (and its
+//! tests) can build a second one.
 //!
 //! Jobs are **broadcast**: every worker observes every generation in order
 //! and joins its index claiming. One job runs at a time. A submitter that

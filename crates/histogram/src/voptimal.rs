@@ -132,15 +132,17 @@ impl VOptimalTables {
             let cur = &mut upper[..stride];
             let choice = &mut self.choice[k * stride..(k + 1) * stride];
             for j in k..=n {
-                let column = &self.sse[tri(j)..tri(j) + j];
+                // Starts `k - 1..j`; the first strictly smallest cost wins.
+                // One comparison selects both `best` and `arg`, so the loop
+                // compiles to selects instead of an unpredictable branch.
+                let column = &self.sse[tri(j) + k - 1..tri(j) + j];
                 let mut best = f64::INFINITY;
                 let mut arg = 0usize;
-                for (i, (reach, span)) in prev[..j].iter().zip(column).enumerate().skip(k - 1) {
+                for (i, (reach, span)) in (k - 1..j).zip(prev[k - 1..j].iter().zip(column)) {
                     let cost = reach + span;
-                    if cost < best {
-                        best = cost;
-                        arg = i;
-                    }
+                    let better = cost < best;
+                    best = if better { cost } else { best };
+                    arg = if better { i } else { arg };
                 }
                 cur[j] = best;
                 choice[j] = arg as u32;

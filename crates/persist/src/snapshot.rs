@@ -44,6 +44,7 @@ use crate::error::PersistError;
 use crate::format::{put_u32, put_u64, Cursor, MAX_LEN};
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// Magic prefix of a snapshot file; the final byte is the format version.
@@ -63,22 +64,26 @@ pub mod section {
     pub const WEIGHTS: u32 = u32::from_le_bytes(*b"WGTS");
 }
 
-/// A decoded snapshot: the epoch it captured plus its raw sections.
+/// A decoded snapshot: the epoch it captured and the image it was decoded
+/// from, whose sections it lends out without copying them.
 #[derive(Debug)]
 pub struct Snapshot {
     /// Ingest epoch at which the snapshot was taken.
     pub epoch: u64,
-    /// `(tag, payload)` pairs in file order.
-    pub sections: Vec<(u32, Vec<u8>)>,
+    /// The whole validated image.
+    image: Vec<u8>,
+    /// `(tag, payload range in image)` pairs in file order.
+    sections: Vec<(u32, Range<usize>)>,
 }
 
 impl Snapshot {
-    /// The payload of the section with this tag, if present.
+    /// The payload of the section with this tag, if present, borrowed from
+    /// the image.
     pub fn section(&self, tag: u32) -> Option<&[u8]> {
         self.sections
             .iter()
             .find(|(t, _)| *t == tag)
-            .map(|(_, payload)| payload.as_slice())
+            .map(|(_, range)| &self.image[range.clone()])
     }
 }
 
@@ -198,16 +203,23 @@ pub fn list_generations(dir: &Path) -> Result<Vec<u64>, PersistError> {
 pub struct SnapshotReader;
 
 impl SnapshotReader {
-    /// Decodes and CRC-validates one snapshot file.
+    /// Decodes and CRC-validates one snapshot file, in the buffer it was
+    /// read into.
     pub fn read(path: &Path) -> Result<Snapshot, PersistError> {
-        let image = fs::read(path)?;
-        Self::decode(&image)
+        Self::decode_owned(fs::read(path)?)
     }
 
     /// Decodes a snapshot image, validating magic, version, header CRC and
-    /// every section CRC. Never panics on arbitrary bytes.
+    /// every section CRC. Never panics on arbitrary bytes. Copies the image
+    /// once; [`Self::decode_owned`] decodes a buffer the caller gives up.
     pub fn decode(image: &[u8]) -> Result<Snapshot, PersistError> {
-        let mut c = Cursor::new(image, "snapshot header");
+        Self::decode_owned(image.to_vec())
+    }
+
+    /// [`Self::decode`] over an owned image, which becomes the snapshot's
+    /// storage: each section is a range into it, not a copy.
+    pub fn decode_owned(image: Vec<u8>) -> Result<Snapshot, PersistError> {
+        let mut c = Cursor::new(&image, "snapshot header");
         let magic = c.take(8)?;
         if magic != SNAPSHOT_MAGIC {
             return Err(PersistError::corrupt(
@@ -242,6 +254,7 @@ impl SnapshotReader {
                 ));
             }
             let declared = c.u32()?;
+            let start = image.len() - c.remaining();
             let payload = c.take(len as usize)?;
             let mut frame = [0u8; 8];
             frame[..4].copy_from_slice(&tag.to_le_bytes());
@@ -253,10 +266,14 @@ impl SnapshotReader {
                     format!("section {tag:08x} CRC {declared:08x} != {actual:08x}"),
                 ));
             }
-            sections.push((tag, payload.to_vec()));
+            sections.push((tag, start..start + payload.len()));
         }
         c.finish()?;
-        Ok(Snapshot { epoch, sections })
+        Ok(Snapshot {
+            epoch,
+            image,
+            sections,
+        })
     }
 
     /// Loads the newest snapshot in `dir` that decodes cleanly, walking
@@ -349,7 +366,11 @@ mod tests {
         let image = SnapshotWriter::encode(3, &sections());
         assert_eq!(image[..8], SNAPSHOT_MAGIC);
         let snap = SnapshotReader::decode(&image).expect("the written version decodes");
-        assert_eq!((snap.epoch, snap.sections), (3, sections()));
+        assert_eq!(snap.epoch, 3);
+        for (tag, payload) in sections() {
+            assert_eq!(snap.section(tag), Some(&payload[..]));
+        }
+        assert_eq!(snap.sections.len(), sections().len());
         // The same frame under another version byte, its header CRC valid.
         for version in [1, 2, 4] {
             let mut other = image.clone();
@@ -359,6 +380,21 @@ mod tests {
             assert!(
                 SnapshotReader::decode(&other).is_err(),
                 "version {version} decoded"
+            );
+        }
+    }
+
+    #[test]
+    fn sections_borrow_the_image_they_were_decoded_from() {
+        let image = SnapshotWriter::encode(3, &sections());
+        let span = image.as_ptr_range();
+        let snap = SnapshotReader::decode_owned(image).expect("the written image decodes");
+        for (tag, payload) in sections() {
+            let lent = snap.section(tag).expect("every written section is present");
+            assert_eq!(lent, &payload[..]);
+            assert!(
+                span.contains(&lent.as_ptr()),
+                "section {tag:08x} is a copy, not a range of the image"
             );
         }
     }

@@ -9,7 +9,9 @@
 //! flips, truncation, a `u32` overwritten with a large length, splices from
 //! another seed) and hands the result to its reader:
 //!
-//! * whole snapshot images to [`SnapshotReader::decode`];
+//! * whole snapshot images to [`SnapshotReader::decode`], and to
+//!   [`SnapshotReader::decode_owned`], which decodes the buffer it is given
+//!   in place as recovery does with the file it read;
 //! * each section payload straight to its own codec reader
 //!   ([`codec::read_trajectories`], [`codec::read_regime_tables`]), which
 //!   bypasses the CRC that would otherwise reject almost every mutation;
@@ -68,10 +70,10 @@ static GLOBAL: Counting = Counting;
 /// Bytes requested per input byte, and the constant on top: the most one
 /// decode may ask the allocator for is `C × input length + K`.
 ///
-/// `C` covers what a decode builds in proportion to its input: a snapshot
-/// section copied out of its image, a row or variable `Vec` whose elements
-/// are larger in memory than on disk, and a unit variable's marginal
-/// derived from its histogram. `K` covers error messages and small fixed
+/// `C` covers what a decode builds in proportion to its input: the copy of
+/// a borrowed image that [`SnapshotReader::decode`] decodes, a row or
+/// variable `Vec` whose elements are larger in memory than on disk, and a
+/// unit variable's marginal derived from its histogram. `K` covers error messages and small fixed
 /// vectors. Measured over 2 M release iterations of the mutation test
 /// below: with `C = 6` the largest constant needed was 2 910 bytes, and with
 /// `K` = 4 KiB the largest per-byte cost was 5.68. Before the count checks
@@ -111,6 +113,7 @@ impl Gen {
 #[derive(Debug, Clone, Copy)]
 enum Reader {
     Image,
+    OwnedImage,
     Trajectories,
     Weights,
     Journal,
@@ -120,16 +123,23 @@ enum Reader {
 /// every byte as recovery does. Returns whether it decoded and the bytes
 /// requested from the allocator during the call.
 fn decode(reader: Reader, bytes: &[u8]) -> (bool, u64) {
+    // The owned decode takes a buffer the way recovery takes the file it
+    // read; that buffer is the caller's, so it is not counted.
+    let mut owned = match reader {
+        Reader::OwnedImage => bytes.to_vec(),
+        _ => Vec::new(),
+    };
     let before = REQUESTED.with(Cell::get);
     let mut c = Cursor::new(bytes, "mutated section");
     let decoded = match reader {
         Reader::Image => SnapshotReader::decode(bytes).map(drop),
+        Reader::OwnedImage => SnapshotReader::decode_owned(std::mem::take(&mut owned)).map(drop),
         Reader::Journal => JournalRecord::decode(bytes).map(drop),
         Reader::Trajectories => codec::read_trajectories(&mut c).map(drop),
         Reader::Weights => codec::read_regime_tables(&mut c).map(drop),
     };
     let ok = match reader {
-        Reader::Image | Reader::Journal => decoded.is_ok(),
+        Reader::Image | Reader::OwnedImage | Reader::Journal => decoded.is_ok(),
         Reader::Trajectories | Reader::Weights => decoded.and_then(|()| c.finish()).is_ok(),
     };
     (ok, REQUESTED.with(Cell::get) - before)
@@ -212,7 +222,8 @@ fn seeds() -> Vec<(Reader, Vec<u8>)> {
 
     let record = |epoch, op| JournalRecord { epoch, op }.encode();
     vec![
-        (Reader::Image, image),
+        (Reader::Image, image.clone()),
+        (Reader::OwnedImage, image),
         (Reader::Trajectories, store_section),
         (Reader::Weights, weights_section),
         (
@@ -278,6 +289,14 @@ fn mutated_encodings_decode_or_fail_within_bounds() {
             "{reader:?} seed: {requested} bytes requested for {} input bytes",
             bytes.len()
         );
+        if let Reader::OwnedImage = reader {
+            // Sections are ranges of the image, never copies of it.
+            assert!(
+                requested < bytes.len() as u64 / 4,
+                "the owned decode requested {requested} bytes for a {}-byte image",
+                bytes.len()
+            );
+        }
     }
     let mut gen = Gen {
         state: 0x7065_7273_6973_7421,
