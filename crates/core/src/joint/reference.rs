@@ -499,9 +499,7 @@ mod tests {
                         entry
                     })
                     .collect();
-                let speeds = vec![10.0; EDGES];
-                MatchedTrajectory::new(u64::from(day), corridor.clone(), entries, times, speeds)
-                    .unwrap()
+                MatchedTrajectory::new(u64::from(day), corridor.clone(), entries, times).unwrap()
             })
             .collect();
         let store = TrajectoryStore::new(rows);

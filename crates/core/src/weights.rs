@@ -900,25 +900,32 @@ mod tests {
         assert!(wp2.views.is_empty());
     }
 
+    /// An untagged batch dirties exactly its windows of rank 1..=max_rank at
+    /// their entry intervals, each once, in the all-traffic table: every key
+    /// has a window as its witness, every window yields a key, and an empty
+    /// batch is clean.
     #[test]
     fn dirty_keys_by_regime_matches_global_enumeration_for_untagged_batches() {
-        let (_, store) = DatasetPreset::tiny(21).materialise().unwrap();
         let partition = DayPartition::new(30).unwrap();
-        let batch = store.matched()[..10].to_vec();
-        let mut flat = BTreeSet::new();
-        for m in &batch {
-            let edges = m.path.edges();
-            for k in 1..=6.min(edges.len()) {
-                for start in 0..=edges.len() - k {
-                    let interval = partition.interval_of(m.entry_times[start].time_of_day());
-                    flat.insert((edges[start..start + k].to_vec(), interval));
+        for (seed, rows, max_rank) in [(21, 10, 6), (51, 3, 4), (21, 0, 6)] {
+            let (_, store) = DatasetPreset::tiny(seed).materialise().unwrap();
+            let batch = store.matched()[..rows].to_vec();
+            let mut flat = BTreeSet::new();
+            for m in &batch {
+                let edges = m.path.edges();
+                for k in 1..=max_rank.min(edges.len()) {
+                    for start in 0..=edges.len() - k {
+                        let interval = partition.interval_of(m.entry_times[start].time_of_day());
+                        flat.insert((edges[start..start + k].to_vec(), interval));
+                    }
                 }
             }
-        }
-        let tagged = dirty_keys_by_regime(&batch, &partition, 6, &RegimeSchema::flat());
-        assert_eq!(tagged.len(), flat.len());
-        for (edges, interval) in &flat {
-            assert!(tagged.contains(&(edges.clone(), *interval, RegimeId::ALL_TRAFFIC)));
+            let tagged = dirty_keys_by_regime(&batch, &partition, max_rank, &RegimeSchema::flat());
+            assert_eq!(tagged.len(), flat.len(), "tiny({seed}), {rows} rows");
+            assert_eq!(tagged.is_empty(), rows == 0);
+            for (edges, interval) in &flat {
+                assert!(tagged.contains(&(edges.clone(), *interval, RegimeId::ALL_TRAFFIC)));
+            }
         }
     }
 

@@ -1,9 +1,9 @@
 //! The live ingestor: append/retire → dirty keys → selective re-derivation →
 //! versioned epoch.
 
-use crate::delta::dirty_keys_by_regime;
 use pathcost_core::{
-    CoreError, DayPartition, HybridConfig, PathWeightFunction, RegimeVariableKey, WeightUpdate,
+    dirty_keys_by_regime, CoreError, DayPartition, HybridConfig, PathWeightFunction,
+    RegimeVariableKey, WeightUpdate,
 };
 use pathcost_persist::journal::JournalOp;
 use pathcost_roadnet::RoadNetwork;

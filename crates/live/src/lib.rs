@@ -19,7 +19,8 @@
 //!    [`MatchedTrajectory`](pathcost_traj::MatchedTrajectory) are appended to
 //!    the [`TrajectoryStore`](pathcost_traj::TrajectoryStore) through its
 //!    incremental index maintenance, not a rebuild.
-//! 2. **Dirty-key computation** ([`delta::dirty_keys_by_regime`]) — the appended
+//! 2. **Dirty-key computation**
+//!    ([`dirty_keys_by_regime`](pathcost_core::dirty_keys_by_regime)) — the appended
 //!    windows name exactly the weight-function variables whose qualified
 //!    occurrence sets changed; everything else is provably untouched.
 //! 3. **Selective re-derivation**
@@ -118,7 +119,6 @@
 //! );
 //! ```
 
-pub mod delta;
 pub mod ingest;
 pub mod persist;
 

@@ -8,9 +8,11 @@
 //! goes through the non-normalising raw-parts constructor
 //! ([`HistogramNd::from_raw_parts`]) for the same reason.
 //!
-//! A snapshot stores only what cannot be derived: the trajectory rows, each
-//! with its regime tag ([`put_trajectory`]), and the weight function's
-//! variable tables, every regime's in one map ([`put_regime_tables`]). The
+//! A snapshot stores only what cannot be derived: the trajectory rows
+//! ([`put_trajectory`]), each with its regime tag and no speeds (an edge's
+//! speed is its length over its travel time, derived where the emission
+//! model reads it), and the weight function's variable tables, every
+//! regime's in one map ([`put_regime_tables`]). The
 //! speed-limit fallbacks are a pure function of the network and
 //! `speed_limit_spread`, and the regime schema is the config's; the
 //! fingerprint [`encode_config`] covers all three, so no section carries
@@ -32,9 +34,9 @@ use std::collections::BTreeMap;
 
 /// Encoded size of one edge id.
 const EDGE_BYTES: usize = 4;
-/// The smallest valid trajectory row: id, a one-edge path, one entry time,
-/// travel time and speed, and the regime tag.
-const TRAJECTORY_MIN: usize = 8 + (4 + EDGE_BYTES) + 3 * 8 + 2;
+/// The smallest valid trajectory row: id, a one-edge path, one entry time
+/// and travel time, and the regime tag.
+const TRAJECTORY_MIN: usize = 8 + (4 + EDGE_BYTES) + 2 * 8 + 2;
 /// Encoded size of one bucket: its two bounds.
 const BUCKET_BYTES: usize = 16;
 /// The smallest valid histogram axis: a count and one bucket.
@@ -68,8 +70,8 @@ fn read_path(c: &mut Cursor<'_>) -> Result<Path, PersistError> {
     Ok(Path::from_edges_unchecked(edges))
 }
 
-/// Encodes one trajectory row: id, path, the per-edge entry times, travel
-/// times and speeds, then the row's regime tag.
+/// Encodes one trajectory row: id, path, the per-edge entry times and travel
+/// times, then the row's regime tag.
 pub fn put_trajectory(out: &mut Vec<u8>, m: &MatchedTrajectory) {
     put_u64(out, m.id);
     put_path(out, &m.path);
@@ -78,9 +80,6 @@ pub fn put_trajectory(out: &mut Vec<u8>, m: &MatchedTrajectory) {
     }
     for &t in &m.travel_times {
         put_f64(out, t);
-    }
-    for &v in &m.avg_speeds_mps {
-        put_f64(out, v);
     }
     put_u16(out, m.regime.0);
 }
@@ -101,13 +100,11 @@ pub fn read_trajectory(c: &mut Cursor<'_>) -> Result<MatchedTrajectory, PersistE
     };
     let entry_times = per_edge()?.into_iter().map(Timestamp).collect();
     let travel_times = per_edge()?;
-    let avg_speeds_mps = per_edge()?;
     Ok(MatchedTrajectory {
         id,
         path,
         entry_times,
         travel_times,
-        avg_speeds_mps,
         regime: RegimeId(c.u16()?),
     })
 }
@@ -369,7 +366,6 @@ mod tests {
             path: Path::from_edges_unchecked(vec![EdgeId(3), EdgeId(9), EdgeId(4)]),
             entry_times: vec![Timestamp(10.5), Timestamp(20.25), Timestamp(31.125)],
             travel_times: vec![9.75, 10.875, 0.1 + 0.2], // deliberately inexact sum
-            avg_speeds_mps: vec![13.0, 12.5, 11.75],
             regime: RegimeId::ALL_TRAFFIC,
         }
     }
@@ -472,11 +468,11 @@ mod tests {
                 path: Path::unit(EdgeId(0)),
                 entry_times: vec![Timestamp(0.0)],
                 travel_times: vec![1.0],
-                avg_speeds_mps: vec![1.0],
                 regime: RegimeId::ALL_TRAFFIC,
             },
         );
         assert_eq!(buf.len(), TRAJECTORY_MIN);
+        assert_eq!(TRAJECTORY_MIN, 34);
         let unit = HistogramNd::from_raw_parts(
             vec![vec![Bucket::new(0.0, 1.0).unwrap()]],
             vec![(vec![0], 1.0)],

@@ -1,9 +1,9 @@
 //! The append-only ingest journal.
 //!
-//! # File layout (version 2)
+//! # File layout (version 3)
 //!
 //! ```text
-//! magic  8 bytes   b"PCJRNL\0\x02"
+//! magic  8 bytes   b"PCJRNL\0\x03"
 //! then zero or more records:
 //!   length  u32    payload bytes
 //!   CRC32   u32    over length ‖ payload
@@ -37,7 +37,7 @@ use std::io::{Seek, SeekFrom, Write};
 use std::path::PathBuf;
 
 /// Magic prefix of every journal file; the final byte is the format version.
-pub const JOURNAL_MAGIC: [u8; 8] = *b"PCJRNL\x00\x02";
+pub const JOURNAL_MAGIC: [u8; 8] = *b"PCJRNL\x00\x03";
 
 /// One durable ingest operation.
 #[derive(Debug, Clone, PartialEq)]
@@ -329,7 +329,6 @@ mod tests {
             path: RoadPath::from_edges_unchecked(vec![EdgeId(1), EdgeId(2)]),
             entry_times: vec![Timestamp(5.0), Timestamp(9.5)],
             travel_times: vec![4.5, 6.25],
-            avg_speeds_mps: vec![10.0, 11.0],
             regime: pathcost_traj::RegimeId::ALL_TRAFFIC,
         };
         vec![

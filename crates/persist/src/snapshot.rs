@@ -3,7 +3,7 @@
 //! # File layout
 //!
 //! ```text
-//! magic           8 bytes   b"PCSNAP\0\x03"  (version in the last byte)
+//! magic           8 bytes   b"PCSNAP\0\x04"  (version in the last byte)
 //! epoch           u64       ingest epoch the snapshot captures
 //! section count   u32
 //! header CRC32    u32       over the 20 bytes above
@@ -48,7 +48,7 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// Magic prefix of a snapshot file; the final byte is the format version.
-pub const SNAPSHOT_MAGIC: [u8; 8] = *b"PCSNAP\x00\x03";
+pub const SNAPSHOT_MAGIC: [u8; 8] = *b"PCSNAP\x00\x04";
 
 /// How many published snapshot generations are kept on disk.
 pub const KEEP_GENERATIONS: usize = 2;
@@ -372,7 +372,7 @@ mod tests {
         }
         assert_eq!(snap.sections.len(), sections().len());
         // The same frame under another version byte, its header CRC valid.
-        for version in [1, 2, 4] {
+        for version in [1, 2, 3, 5] {
             let mut other = image.clone();
             other[7] = version;
             let header_crc = crc32(&other[..20]);

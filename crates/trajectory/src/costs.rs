@@ -5,7 +5,9 @@
 //! between the last and first GPS record on the path; emissions are derived
 //! from the speed profile and road grades using a vehicular environmental
 //! impact model. This module provides both, operating on
-//! [`MatchedTrajectory`] occurrences.
+//! [`MatchedTrajectory`] occurrences. A row stores no speeds: an edge's
+//! average speed is its length over its travel time, derived here, the one
+//! place the emission model reads it.
 
 use crate::simulator::MatchedTrajectory;
 use pathcost_roadnet::{Path, RoadNetwork};
@@ -80,7 +82,8 @@ pub fn per_edge_costs_into(
                     out.truncate(start);
                     return false;
                 };
-                emission_grams(matched.avg_speeds_mps[idx], edge.length_m, edge.grade)
+                let speed_mps = edge.length_m / matched.travel_times[idx];
+                emission_grams(speed_mps, edge.length_m, edge.grade)
             }
         };
         out.push(cost);
@@ -207,5 +210,29 @@ mod tests {
         let emissions = per_edge_costs(m, &net, &m.path, 0, CostKind::Emissions).unwrap();
         assert_eq!(emissions.len(), m.path.cardinality());
         assert!(emissions.iter().all(|&e| e > 0.0));
+    }
+
+    #[test]
+    fn emissions_read_the_speed_derived_from_length_and_travel_time() {
+        let preset = crate::DatasetPreset::tiny(5);
+        let net = preset.build_network();
+        let out = preset.simulate(&net).unwrap();
+        let mut edges = 0;
+        for m in &out.ground_truth {
+            let emissions = per_edge_costs(m, &net, &m.path, 0, CostKind::Emissions).unwrap();
+            for (i, (&e, &grams)) in m.path.edges().iter().zip(&emissions).enumerate() {
+                let edge = net.edge(e).unwrap();
+                let expected =
+                    emission_grams(edge.length_m / m.travel_times[i], edge.length_m, edge.grade);
+                assert_eq!(
+                    grams.to_bits(),
+                    expected.to_bits(),
+                    "trip {} edge {i}",
+                    m.id
+                );
+                edges += 1;
+            }
+        }
+        assert!(edges > out.ground_truth.len());
     }
 }

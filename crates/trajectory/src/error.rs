@@ -29,7 +29,7 @@ impl fmt::Display for TrajError {
             TrajError::NonMonotonicTime => write!(f, "GPS record times must strictly increase"),
             TrajError::NoMatch => write!(f, "map matching found no candidate edges"),
             TrajError::NoRoute => write!(f, "no route exists between the sampled vertices"),
-            TrajError::InvalidConfig(msg) => write!(f, "invalid simulation config: {msg}"),
+            TrajError::InvalidConfig(msg) => write!(f, "invalid config: {msg}"),
             TrajError::RoadNet(e) => write!(f, "road network error: {e}"),
         }
     }

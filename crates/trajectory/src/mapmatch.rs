@@ -47,9 +47,24 @@ pub struct HmmMapMatcher<'a> {
 }
 
 impl<'a> HmmMapMatcher<'a> {
-    /// Creates a matcher for the given network.
-    pub fn new(net: &'a RoadNetwork, cfg: MapMatchConfig) -> Self {
-        HmmMapMatcher { net, cfg }
+    /// Creates a matcher for the given network, refusing a config under
+    /// which a score could be NaN: a GPS sigma that is not positive with a
+    /// normal square (a record on its edge would score `0 / 0`), or
+    /// a hop penalty or candidate radius that is not finite and non-negative.
+    pub fn new(net: &'a RoadNetwork, cfg: MapMatchConfig) -> Result<Self, TrajError> {
+        if !(cfg.gps_sigma_m > 0.0 && (cfg.gps_sigma_m * cfg.gps_sigma_m).is_normal()) {
+            return Err(TrajError::InvalidConfig(
+                "GPS sigma must be positive with a normal square",
+            ));
+        }
+        for bound in [cfg.hop_penalty, cfg.candidate_radius_m] {
+            if !(bound.is_finite() && bound >= 0.0) {
+                return Err(TrajError::InvalidConfig(
+                    "hop penalty and candidate radius must be finite and non-negative",
+                ));
+            }
+        }
+        Ok(HmmMapMatcher { net, cfg })
     }
 
     /// Map-matches one trajectory, returning its path and per-edge timing.
@@ -228,19 +243,7 @@ impl<'a> HmmMapMatcher<'a> {
             };
             travel_times.push((end.minus(entry_times[i])).max(0.5));
         }
-        let speeds = path
-            .edges()
-            .iter()
-            .zip(&travel_times)
-            .map(|(&e, &t)| {
-                self.net
-                    .edge(e)
-                    .map(|edge| edge.length_m / t)
-                    .unwrap_or(1.0)
-            })
-            .collect();
-
-        MatchedTrajectory::new(traj.id, path, entry_times, travel_times, speeds)
+        MatchedTrajectory::new(traj.id, path, entry_times, travel_times)
     }
 
     /// A short sequence of edges connecting `from` to `to` exclusively
@@ -298,7 +301,7 @@ mod tests {
         };
         let sim = TrafficSimulator::new(&net, cfg).unwrap();
         let out = sim.run().unwrap();
-        let matcher = HmmMapMatcher::new(&net, MapMatchConfig::default());
+        let matcher = HmmMapMatcher::new(&net, MapMatchConfig::default()).unwrap();
 
         let mut correct = 0usize;
         let mut total = 0usize;
@@ -333,7 +336,7 @@ mod tests {
         };
         let sim = TrafficSimulator::new(&net, cfg).unwrap();
         let out = sim.run().unwrap();
-        let matcher = HmmMapMatcher::new(&net, MapMatchConfig::default());
+        let matcher = HmmMapMatcher::new(&net, MapMatchConfig::default()).unwrap();
         for (traj, truth) in out.trajectories.iter().zip(&out.ground_truth) {
             if let Ok(matched) = matcher.match_trajectory(traj) {
                 let rel = (matched.total_travel_time_s() - truth.total_travel_time_s()).abs()
@@ -346,7 +349,7 @@ mod tests {
     #[test]
     fn far_away_records_fail_to_match() {
         let net = GeneratorConfig::tiny(1).generate();
-        let matcher = HmmMapMatcher::new(&net, MapMatchConfig::default());
+        let matcher = HmmMapMatcher::new(&net, MapMatchConfig::default()).unwrap();
         let traj = Trajectory::new(
             1,
             vec![
@@ -394,9 +397,69 @@ mod tests {
             )
             .unwrap(),
         );
-        let matcher = HmmMapMatcher::new(&net, MapMatchConfig::default());
+        let matcher = HmmMapMatcher::new(&net, MapMatchConfig::default()).unwrap();
         let matched = matcher.match_all(&out.trajectories);
         assert!(matched.len() >= 4);
         assert!(matched.len() < out.trajectories.len());
+    }
+
+    #[test]
+    fn configs_that_could_score_nan_are_refused() {
+        let preset = crate::DatasetPreset::tiny(7);
+        let net = preset.build_network();
+        let sigma = |gps_sigma_m| MapMatchConfig {
+            gps_sigma_m,
+            ..MapMatchConfig::default()
+        };
+        let hop = |hop_penalty| MapMatchConfig {
+            hop_penalty,
+            ..MapMatchConfig::default()
+        };
+        let radius = |candidate_radius_m| MapMatchConfig {
+            candidate_radius_m,
+            ..MapMatchConfig::default()
+        };
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        let bad = [
+            sigma(0.0),
+            sigma(-8.0),
+            sigma(1e-200), // its square underflows to 0
+            sigma(nan),
+            sigma(inf),
+            hop(-1.0),
+            hop(nan),
+            hop(inf),
+            radius(-1.0),
+            radius(nan),
+            radius(inf),
+        ];
+        for cfg in bad {
+            assert!(
+                matches!(
+                    HmmMapMatcher::new(&net, cfg.clone()),
+                    Err(TrajError::InvalidConfig(_))
+                ),
+                "{cfg:?} accepted"
+            );
+        }
+        // Zero is a valid hop penalty and candidate radius.
+        let zero_bounds = MapMatchConfig {
+            hop_penalty: 0.0,
+            candidate_radius_m: 0.0,
+            ..MapMatchConfig::default()
+        };
+        assert!(HmmMapMatcher::new(&net, zero_bounds).is_ok());
+        // Noise-free GPS puts records on their edges (distance 0), which a
+        // zero sigma scored as NaN; a valid sigma matches every trip.
+        let mut noise_free = preset.simulation;
+        noise_free.gps_noise_m = 0.0;
+        let out = TrafficSimulator::new(&net, noise_free)
+            .unwrap()
+            .run()
+            .unwrap();
+        let matcher = HmmMapMatcher::new(&net, MapMatchConfig::default()).unwrap();
+        for traj in &out.trajectories {
+            matcher.match_trajectory(traj).unwrap();
+        }
     }
 }

@@ -211,7 +211,6 @@ mod tests {
             Path::from_edges_unchecked(vec![EdgeId(1)]),
             vec![Timestamp(tod)],
             vec![10.0],
-            vec![8.0],
         )
         .unwrap()
     }

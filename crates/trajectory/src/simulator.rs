@@ -82,7 +82,10 @@ impl Default for SimulationConfig {
 /// per-edge entry times and travel times.
 ///
 /// This is the output of map matching (§2.1, "the path of trajectory `T`"),
-/// and also what the simulator knows as ground truth.
+/// and also what the simulator knows as ground truth. It holds only what was
+/// observed: an edge's average speed is its length over its travel time,
+/// derived where the emission model reads it
+/// ([`per_edge_costs_into`](crate::costs::per_edge_costs_into)).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MatchedTrajectory {
     /// Identifier shared with the raw [`Trajectory`].
@@ -93,8 +96,6 @@ pub struct MatchedTrajectory {
     pub entry_times: Vec<Timestamp>,
     /// Travel time spent on each edge of the path, in seconds.
     pub travel_times: Vec<f64>,
-    /// Average speed on each edge in metres per second (used by the emission model).
-    pub avg_speeds_mps: Vec<f64>,
     /// The traffic regime this trajectory was observed under; the default
     /// [`RegimeId::ALL_TRAFFIC`](crate::regime::RegimeId::ALL_TRAFFIC) means
     /// "no contextual label" and reproduces the paper's single-weight-function
@@ -110,10 +111,9 @@ impl MatchedTrajectory {
         path: Path,
         entry_times: Vec<Timestamp>,
         travel_times: Vec<f64>,
-        avg_speeds_mps: Vec<f64>,
     ) -> Result<Self, TrajError> {
         let n = path.cardinality();
-        if entry_times.len() != n || travel_times.len() != n || avg_speeds_mps.len() != n {
+        if entry_times.len() != n || travel_times.len() != n {
             return Err(TrajError::InvalidConfig(
                 "per-edge vectors must match the path cardinality",
             ));
@@ -123,7 +123,6 @@ impl MatchedTrajectory {
             path,
             entry_times,
             travel_times,
-            avg_speeds_mps,
             regime: crate::regime::RegimeId::ALL_TRAFFIC,
         })
     }
@@ -295,7 +294,6 @@ impl<'a> TrafficSimulator<'a> {
         let n = path.cardinality();
         let mut entry_times = Vec::with_capacity(n);
         let mut travel_times = Vec::with_capacity(n);
-        let mut speeds = Vec::with_capacity(n);
 
         // Per-trip (driver/vehicle) factor, shared by every edge: the main
         // source of positive correlation between the edges of one traversal.
@@ -335,7 +333,6 @@ impl<'a> TrafficSimulator<'a> {
 
             entry_times.push(now);
             travel_times.push(time_s);
-            speeds.push(edge.length_m / time_s);
             now = now.plus(time_s);
         }
 
@@ -344,7 +341,6 @@ impl<'a> TrafficSimulator<'a> {
             path: path.clone(),
             entry_times,
             travel_times,
-            avg_speeds_mps: speeds,
             regime: crate::regime::RegimeId::ALL_TRAFFIC,
         }
     }
@@ -578,7 +574,6 @@ mod tests {
             assert!(Path::new(&net, g.path.edges().to_vec()).is_ok());
             assert_eq!(g.travel_times.len(), g.path.cardinality());
             assert!(g.travel_times.iter().all(|&t| t > 0.0));
-            assert!(g.avg_speeds_mps.iter().all(|&s| s > 0.0));
             // Entry times strictly increase along the path.
             for w in g.entry_times.windows(2) {
                 assert!(w[1].seconds() > w[0].seconds());
@@ -691,7 +686,6 @@ mod tests {
             path.clone(),
             vec![Timestamp(0.0)],
             vec![10.0; path.cardinality()],
-            vec![5.0; path.cardinality()],
         );
         assert!(err.is_err());
         let ok = MatchedTrajectory::new(
@@ -699,7 +693,6 @@ mod tests {
             path.clone(),
             vec![Timestamp(0.0); path.cardinality()],
             vec![10.0; path.cardinality()],
-            vec![5.0; path.cardinality()],
         );
         assert!(ok.is_ok());
         assert!(
@@ -707,8 +700,8 @@ mod tests {
         );
     }
     /// FNV-1a over every bit of a run's ground truth — trajectory ids, edge
-    /// ids, `to_bits` of every entry time, travel time and speed — with the
-    /// trip count.
+    /// ids, `to_bits` of every entry time, travel time and speed (the edge's
+    /// length over its travel time) — with the trip count.
     fn ground_truth_digest(net: &RoadNetwork, cfg: SimulationConfig) -> (u64, usize) {
         let out = TrafficSimulator::new(net, cfg).unwrap().run().unwrap();
         let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -724,7 +717,8 @@ mod tests {
                 eat(u64::from(e.0));
                 eat(g.entry_times[i].0.to_bits());
                 eat(g.travel_times[i].to_bits());
-                eat(g.avg_speeds_mps[i].to_bits());
+                let length = net.edge(*e).expect("ground-truth edges exist").length_m;
+                eat((length / g.travel_times[i]).to_bits());
             }
         }
         (h, out.ground_truth.len())

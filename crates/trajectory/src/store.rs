@@ -371,7 +371,6 @@ impl TrajectoryStore {
         for m in &mut self.matched {
             m.entry_times.shrink_to_fit();
             m.travel_times.shrink_to_fit();
-            m.avg_speeds_mps.shrink_to_fit();
         }
         for postings in self.edge_index.values_mut() {
             postings.at.shrink_to_fit();

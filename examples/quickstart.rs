@@ -24,7 +24,8 @@ fn main() {
     println!("simulated {} GPS trajectories", output.trajectories.len());
 
     // 2. Map matching (Newson–Krumm style HMM) aligns GPS records with paths.
-    let matcher = HmmMapMatcher::new(&net, MapMatchConfig::default());
+    let matcher =
+        HmmMapMatcher::new(&net, MapMatchConfig::default()).expect("the default config is valid");
     let matched = matcher.match_all(&output.trajectories);
     println!("map-matched {} trajectories", matched.len());
     let store = TrajectoryStore::new(matched);

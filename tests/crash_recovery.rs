@@ -733,8 +733,8 @@ fn a_lineage_over_another_network_is_discarded() {
 }
 
 /// A state directory in the previous format version — a snapshot under
-/// version byte 2 (header CRC valid) and a journal under the version-1
-/// magic — is not read: its generation counts as corrupt, its journal is
+/// version byte 3 (header CRC valid) and a journal under the version-2
+/// magic, whose rows still carried speeds — is not read: its generation counts as corrupt, its journal is
 /// re-created empty, and recovery boots from the bootstrap store.
 #[test]
 fn a_previous_format_version_is_discarded() {
@@ -746,14 +746,14 @@ fn a_previous_format_version_is_discarded() {
     let snapshot = latest_snapshot(&dir);
     let mut image = fs::read(&snapshot).unwrap();
     assert_eq!(image[..8], SNAPSHOT_MAGIC);
-    image[7] = 2;
+    image[7] = 3;
     let header_crc = crc32(&image[..20]);
     image[20..24].copy_from_slice(&header_crc.to_le_bytes());
     fs::write(&snapshot, image).unwrap();
     let journal = dir.join("journal.pcj");
     let mut bytes = fs::read(&journal).unwrap();
     assert_eq!(bytes[..8], JOURNAL_MAGIC);
-    bytes[..8].copy_from_slice(b"PCJRNL\x00\x01");
+    bytes[..8].copy_from_slice(b"PCJRNL\x00\x02");
     fs::write(&journal, bytes).unwrap();
 
     let (recovered, report) = recover(&fixture, &dir);

@@ -24,7 +24,8 @@ fn full_pipeline_with_map_matching() {
     preset.simulation.trips = 150;
     let net = preset.build_network();
     let out = preset.simulate(&net).expect("simulation succeeds");
-    let matcher = HmmMapMatcher::new(&net, MapMatchConfig::default());
+    let matcher =
+        HmmMapMatcher::new(&net, MapMatchConfig::default()).expect("the default config is valid");
     let matched = matcher.match_all(&out.trajectories);
     assert!(
         matched.len() as f64 >= out.trajectories.len() as f64 * 0.9,
