@@ -191,17 +191,63 @@ impl<'n> LiveIngestor<'n> {
         self.apply(JournalOp::RetireIds(ids.to_vec()))
     }
 
-    /// The one write path: applies `op` to the store and publishes the next
+    /// The one write path: lands `op` on the store and publishes the next
     /// epoch. [`Self::ingest`] hands it a classified batch; the persistence
-    /// layer hands it the operation it journals, and replays the journalled
-    /// one through it.
-    ///
-    /// The batch (empty for a retirement) is deduplicated and appended, then
-    /// one predicate names what retires: rows older than the retention
-    /// cutoff for an ingest, than the explicit cutoff, or in the id set. On
-    /// error the store is rolled back to its pre-call rows, so on every
-    /// return path the store and the published weight function agree.
+    /// layer hands it the operation it journals. On error the store is
+    /// rolled back to its pre-call rows, so on every return path the store
+    /// and the published weight function agree.
     pub(crate) fn apply(&mut self, op: JournalOp) -> Result<WeightUpdate, CoreError> {
+        let landed = self.land(op, true);
+        match self.publish(&landed.dirty, 1) {
+            Ok(mut update) => {
+                update.trajectories = landed.appended.len();
+                update.trajectories_retired = landed.retired;
+                Ok(update)
+            }
+            Err(e) => {
+                // Nothing was published, so the store must not keep the
+                // write either — otherwise every later dirty-key set would
+                // omit these windows and rederive would stop matching a full
+                // rebuild. With the retirement undone the batch sits at the
+                // store's tail, and retiring its ids restores the exact
+                // pre-call store (a suffix removal leaves survivor indices
+                // and posting lists untouched).
+                if let Some(store) = landed.rollback {
+                    self.store = store;
+                }
+                self.store.retire_ids(&landed.appended);
+                Err(e)
+            }
+        }
+    }
+
+    /// Replays journalled operations as one re-derivation: lands each on
+    /// the store in order, exactly as [`Self::apply`] would, then publishes
+    /// once over the union of their dirty keys and advances the epoch by
+    /// their count. The union names every key whose occurrences changed
+    /// since the published weight function's store, so the one
+    /// [`PathWeightFunction::rederive_regimes`] is bit-identical to applying
+    /// them one by one. Nothing is rolled back: on error the store holds
+    /// writes the weights do not, and the caller discards the ingestor.
+    pub(crate) fn replay(&mut self, ops: Vec<JournalOp>) -> Result<(), CoreError> {
+        if ops.is_empty() {
+            return Ok(());
+        }
+        let epochs = ops.len() as u64;
+        let mut dirty = BTreeSet::new();
+        for op in ops {
+            dirty.append(&mut self.land(op, false).dirty);
+        }
+        self.publish(&dirty, epochs).map(drop)
+    }
+
+    /// Lands `op` on the store without publishing: the batch (empty for a
+    /// retirement) is deduplicated and appended, then one predicate names
+    /// what retires — rows older than the retention cutoff taken from this
+    /// operation's own post-append watermark for an ingest, than the
+    /// explicit cutoff, or in the id set. With `rollback` set, a write that
+    /// retires something keeps a copy of the post-append store to undo it.
+    fn land(&mut self, op: JournalOp, rollback: bool) -> Landed {
         let (mut batch, retiring) = match op {
             JournalOp::Ingest(batch) => (batch, None),
             JournalOp::RetireBefore(cutoff) => (Vec::new(), Some(started_before(cutoff))),
@@ -230,38 +276,33 @@ impl<'n> LiveIngestor<'n> {
         // A retirement cannot be undone by re-appending (the removed rows sat
         // at arbitrary positions), so only a write that retires something
         // pays for a copy of the post-append store.
-        let mut rollback = None;
-        let mut retired = 0;
+        let (mut retired, mut undo) = (0, None);
         if !expired.is_empty() {
-            rollback = Some(self.store.clone());
+            undo = rollback.then(|| self.store.clone());
             let removed = self.store.retire_ids(&expired);
             retired = removed.len();
             dirty.extend(self.dirty_of(&removed));
         }
-        let rederived = self
-            .current
-            .rederive_regimes(self.net, &self.store, &self.config, &dirty);
-        let mut update = match rederived {
-            Ok(update) => update,
-            Err(e) => {
-                // Nothing was published, so the store must not keep the
-                // write either — otherwise every later dirty-key set would
-                // omit these windows and rederive would stop matching a full
-                // rebuild. With the retirement undone the batch sits at the
-                // store's tail, and retiring its ids restores the exact
-                // pre-call store (a suffix removal leaves survivor indices
-                // and posting lists untouched).
-                if let Some(store) = rollback {
-                    self.store = store;
-                }
-                self.store.retire_ids(&appended);
-                return Err(e);
-            }
-        };
-        self.epoch += 1;
+        Landed {
+            dirty,
+            appended,
+            retired,
+            rollback: undo,
+        }
+    }
+
+    /// Re-derives the weight function over the store as it stands, from
+    /// the keys `dirty` names, and publishes it `epochs` epochs on.
+    fn publish(
+        &mut self,
+        dirty: &BTreeSet<RegimeVariableKey>,
+        epochs: u64,
+    ) -> Result<WeightUpdate, CoreError> {
+        let mut update =
+            self.current
+                .rederive_regimes(self.net, &self.store, &self.config, dirty)?;
+        self.epoch += epochs;
         update.epoch = self.epoch;
-        update.trajectories = appended.len();
-        update.trajectories_retired = retired;
         // An Arc bump: the ingestor's working copy and the published epoch
         // share one allocation.
         self.current = update.weights.clone();
@@ -325,6 +366,18 @@ impl<'n> LiveIngestor<'n> {
     pub fn network(&self) -> &'n RoadNetwork {
         self.net
     }
+}
+
+/// What landing one write on the store did ([`LiveIngestor::land`]).
+struct Landed {
+    /// The keys whose occurrences it changed.
+    dirty: BTreeSet<RegimeVariableKey>,
+    /// Ids of the rows it appended, in order.
+    appended: Vec<u64>,
+    /// How many rows it retired.
+    retired: usize,
+    /// The post-append store, kept to undo a retirement when asked for.
+    rollback: Option<TrajectoryStore>,
 }
 
 /// Which stored trajectories a write retires.
@@ -613,6 +666,55 @@ pub(crate) mod tests {
         assert_eq!(ingestor.store().len(), store.len());
         let full = PathWeightFunction::instantiate(&net, ingestor.store(), &cfg).unwrap();
         assert_eq!(update.weights.variables(), full.variables());
+    }
+
+    #[test]
+    fn replaying_writes_as_one_publish_matches_applying_them_one_by_one() {
+        let (net, store, cfg) = fixture();
+        let split = store.len() / 2;
+        let base = TrajectoryStore::new(store.matched()[..split].to_vec());
+        let rest: Vec<MatchedTrajectory> = store.matched()[split..].to_vec();
+        let watermark = store.start_time_at_percentile(100).unwrap();
+        let keep_from = store.start_time_at_percentile(20).unwrap();
+        let retention = RetentionConfig {
+            max_age: Some(watermark.seconds() - keep_from.seconds()),
+        };
+        let third = rest.len() / 3;
+        let ops = || {
+            vec![
+                JournalOp::Ingest(rest[..third].to_vec()),
+                // A re-delivery and a row retired by id after it landed.
+                JournalOp::Ingest(rest[..third * 2].to_vec()),
+                JournalOp::RetireIds(vec![rest[0].id, u64::MAX]),
+                JournalOp::RetireBefore(store.start_time_at_percentile(5).unwrap()),
+                JournalOp::Ingest(rest[third * 2..].to_vec()),
+            ]
+        };
+        let start = || {
+            LiveIngestor::new(&net, base.clone(), cfg.clone())
+                .unwrap()
+                .with_retention(retention)
+                .unwrap()
+        };
+        let mut applied = start();
+        for op in ops() {
+            applied.apply(op).unwrap();
+        }
+        let mut replayed = start();
+        replayed.replay(ops()).unwrap();
+        assert_eq!(replayed.epoch(), applied.epoch());
+        assert_eq!(replayed.store().matched(), applied.store().matched());
+        assert_eq!(
+            replayed.weights().variables(),
+            applied.weights().variables()
+        );
+        assert_eq!(replayed.weights().stats(), applied.weights().stats());
+        assert_eq!(replayed.weights().tables(), applied.weights().tables());
+        // Nothing to replay publishes nothing.
+        let before = replayed.weights();
+        replayed.replay(Vec::new()).unwrap();
+        assert_eq!(replayed.epoch(), applied.epoch());
+        assert!(Arc::ptr_eq(&replayed.weights(), &before));
     }
 
     #[test]

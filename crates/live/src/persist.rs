@@ -3,7 +3,7 @@
 //! [`PersistentIngestor`] wraps a [`LiveIngestor`] and makes every published
 //! epoch durable: each `ingest`/`retire_*` call is one [`JournalOp`], applied
 //! and then journalled by one method (after the in-memory publish succeeds),
-//! and replayed by the same [`LiveIngestor`] path. Snapshots of the full
+//! and replayed through the same [`LiveIngestor`] landing step. Snapshots of the full
 //! store + weight function are taken on demand
 //! ([`PersistentIngestor::snapshot_now`]), on a configured cadence, or when
 //! an operator flags a request through the shared [`PersistenceStatus`].
@@ -17,9 +17,17 @@
 //! [`PersistentIngestor::recover`] **resumes** one: it loads the newest valid
 //! snapshot (skipping corrupt generations), replays the journal records after
 //! it, and continues the epoch sequence exactly where the crashed process
-//! stopped. Because every replayed operation is deterministic and every `f64`
-//! persisted bit-exactly, the recovered ingestor is bit-identical to one that
-//! never crashed — the oracle `tests/crash_recovery.rs` enforces.
+//! stopped. Replay lands each contiguous record on the store in order —
+//! dedup, append, that record's own retention cutoff, retirement — exactly
+//! as the live write did, then re-derives once over the union of their
+//! dirty keys and advances the epoch by the record count: one publish for
+//! the whole tail instead of one per record. The union names every key
+//! whose occurrences changed since the snapshot's store, so by
+//! `rederive_regimes`'s own contract the result is the one record-by-record
+//! publishing reaches. Because every replayed operation is deterministic and
+//! every `f64` persisted bit-exactly, the recovered ingestor is
+//! bit-identical to one that never crashed — the oracle
+//! `tests/crash_recovery.rs` enforces.
 //!
 //! Recovery never panics on bad state. It decides on one rule, in order:
 //!
@@ -298,26 +306,32 @@ impl<'n> PersistentIngestor<'n> {
             // Replay the records this lineage published after the recovered
             // state, in epoch order with no gaps. A gap means the tail
             // belongs to a different rotation horizon — stop at the last
-            // contiguous record, exactly like a torn tail.
+            // contiguous record, exactly like a torn tail. The tail lands
+            // record by record and publishes once.
+            let mut tail = Vec::new();
             for record in records {
-                if record.epoch <= inner.epoch() {
+                let have = inner.epoch() + tail.len() as u64;
+                if record.epoch <= have {
                     continue;
                 }
-                if record.epoch != inner.epoch() + 1 {
+                if record.epoch != have + 1 {
                     obslog::warn(
                         "persist",
                         "journal_gap",
                         &[
                             ("record_epoch", record.epoch.into()),
-                            ("have_epoch", inner.epoch().into()),
+                            ("have_epoch", have.into()),
                         ],
                     );
                     break;
                 }
+                tail.push(record.op);
+            }
+            if !tail.is_empty() {
                 let started = Instant::now();
-                inner.apply(record.op)?;
-                report.replay += started.elapsed();
-                report.replayed_records += 1;
+                report.replayed_records = tail.len() as u64;
+                inner.replay(tail)?;
+                report.replay = started.elapsed();
             }
             obslog::info(
                 "persist",

@@ -29,6 +29,11 @@ pub enum Json {
     Array(Vec<Json>),
     /// An object; insertion-ordered so output is deterministic.
     Object(Vec<(String, Json)>),
+    /// A value already in compact wire form, written verbatim. The wire
+    /// encoders return their documents this way; the accessors see nothing
+    /// inside one (parse its text to inspect it), and [`parse`] never
+    /// produces one.
+    Raw(String),
 }
 
 impl Json {
@@ -103,6 +108,7 @@ impl Json {
             Json::Number(n) if n.is_finite() => write!(out, "{n}"),
             Json::Number(_) => out.write_str("null"),
             Json::String(s) => write_string(s, out),
+            Json::Raw(text) => out.write_str(text),
             Json::Array(items) => {
                 out.write_char('[')?;
                 for (i, item) in items.iter().enumerate() {

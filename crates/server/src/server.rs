@@ -4,7 +4,16 @@
 //! engine), a shared [`AdmissionQueue`] batching requests across
 //! connections, and [`QueryEngine::worker_count`] dispatch lanes draining
 //! that queue through [`QueryEngine::execute_batch`], so a lane that is free
-//! answers the next request while another computes a cold estimate. The
+//! answers the next request while another computes a cold estimate.
+//!
+//! A `POST /query` point query (`estimate` or `prob`) whose distribution is
+//! cached never reaches a lane: the connection thread that parsed it
+//! answers it with one cache lookup ([`AdmissionQueue::admit`]) whenever the
+//! queue would have admitted it — open, not degraded, below capacity, its
+//! deadline not passed — and writes the outcome's JSON straight into the
+//! response body ([`wire::encode_outcome_for`] builds no tree). A miss,
+//! every other kind and every `/query/batch` go through the queue; a hit the
+//! queue would refuse or shed is refused or shed exactly as before. The
 //! listener runs non-blocking so the accept loop can poll the shutdown flag;
 //! connections poll it between keep-alive requests via a short socket read
 //! timeout.
@@ -568,7 +577,7 @@ impl Connection<'_, '_> {
                     Ok((ticket, regime)) => match ticket.wait() {
                         Ok(outcome) => {
                             let started = Instant::now();
-                            let body = wire::encode_outcome_for(&outcome, regime).to_string();
+                            let body = wire::outcome_body(&outcome, regime);
                             trace.record(Stage::Serialize, started.elapsed());
                             write(writer, 200, "OK", body)
                         }
@@ -673,7 +682,9 @@ impl Connection<'_, '_> {
 
     /// Parses and admits one `/query` body, returning the ticket together
     /// with the request's regime (echoed into the response); the error is a
-    /// ready-to-send `(status, reason, body)` triple.
+    /// ready-to-send `(status, reason, body)` triple. A cached point query
+    /// is answered here, on the connection thread, and its ticket is ready
+    /// ([`AdmissionQueue::admit`]).
     fn parse_and_submit_one(
         &self,
         body: &[u8],
@@ -690,7 +701,7 @@ impl Connection<'_, '_> {
             .map_err(|e| (400, "Bad Request", wire::encode_error(&e).to_string()))?;
         let regime = request.regime();
         self.queue
-            .submit_with_context(request, context)
+            .admit(self.engine, request, context)
             .map(|ticket| (ticket, regime))
             .map_err(|e| self.submit_error(e))
     }

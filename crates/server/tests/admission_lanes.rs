@@ -1,16 +1,20 @@
-//! Admission lanes: the server runs `QueryEngine::worker_count()` dispatch
-//! lanes, so a cache hit from one connection is answered while another
-//! connection's cold request is still running, instead of queueing behind
-//! it.
+//! Admission lanes and inline hits: a cached point query is answered on its
+//! connection's thread and never enters the admission queue, so it does not
+//! wait for another connection's cold request, on any number of lanes; the
+//! server runs `QueryEngine::worker_count()` dispatch lanes for everything
+//! else. A hit the queue would refuse or shed is refused or shed.
 
 mod common;
 
-use common::{post, roundtrip, serve_with};
+use common::{get, post, roundtrip, send_raw, serve_with};
 use pathcost_core::{HybridConfig, HybridGraph};
 use pathcost_roadnet::Path;
 use pathcost_routing::RouterConfig;
-use pathcost_server::{json, ServerConfig};
-use pathcost_service::{QueryEngine, QueryRequest, RegimeId, ServiceConfig};
+use pathcost_server::{json, wire, ServerConfig};
+use pathcost_service::{
+    AdmissionConfig, AdmissionQueue, QueryEngine, QueryRequest, RegimeId, RequestContext,
+    ServiceConfig, ServiceError,
+};
 use pathcost_traj::DatasetPreset;
 use std::io::BufReader;
 use std::net::TcpStream;
@@ -143,19 +147,154 @@ fn hit_during_a_cold_route(workers: usize) -> (Duration, Duration, bool) {
 }
 
 #[test]
-fn a_cache_hit_waits_for_another_connections_cold_route_only_on_a_single_lane() {
-    // One worker, one lane: the hit queues behind the route and takes
-    // nearly as long.
-    let (hit, route, _) = hit_during_a_cold_route(1);
-    assert!(
-        hit * 2 > route,
-        "one lane: the hit took {hit:?} beside a route of {route:?}"
-    );
-    // Two workers, two lanes: the free lane answers the hit while the route
-    // runs, in a small fraction of the route's time.
-    let (hit, route, hit_first) = hit_during_a_cold_route(2);
-    assert!(
-        hit_first && hit * 10 < route,
-        "two lanes: the hit took {hit:?}, queued behind a route of {route:?}"
-    );
+fn a_cache_hit_never_waits_for_another_connections_cold_route() {
+    // A cached point query is answered on its own connection's thread, so
+    // it waits for no lane: with one lane busy on the route, or with a
+    // second lane free, it comes back in a small fraction of the route's
+    // time, and first.
+    for workers in [1, 2] {
+        let (hit, route, hit_first) = hit_during_a_cold_route(workers);
+        assert!(
+            hit_first && hit * 10 < route,
+            "{workers} lane(s): the hit took {hit:?}, queued behind a route of {route:?}"
+        );
+    }
+}
+
+/// Runs `f` over a small engine with two `/query` bodies for it: an
+/// `estimate` whose distribution is already cached, and one of another path
+/// that is not.
+fn with_prefilled(f: impl FnOnce(&QueryEngine<'_>, &str, &str)) {
+    let (net, store) = DatasetPreset::tiny(7).materialise().unwrap();
+    let graph = HybridGraph::build(&net, &store, HybridConfig::default()).unwrap();
+    let engine = QueryEngine::new(Arc::new(graph), ServiceConfig::default());
+    let paths = store.frequent_paths(2, 5, None);
+    let body = |path: &Path| {
+        let departure = store.occurrences_on(path)[0].entry_time;
+        let body = format!(
+            r#"{{"type":"estimate","path":{},"departure_s":{}}}"#,
+            edges_json(path),
+            departure.0
+        );
+        (body, departure)
+    };
+    let (cached, departure) = body(&paths[0].0);
+    engine
+        .execute(&QueryRequest::EstimateDistribution {
+            path: paths[0].0.clone(),
+            departure,
+            regime: RegimeId::ALL_TRAFFIC,
+        })
+        .unwrap();
+    f(&engine, &cached, &body(&paths[1].0).0);
+}
+
+/// The sum over every series of a family on a scraped page.
+fn family(page: &str, name: &str) -> f64 {
+    page.lines()
+        .filter(|line| {
+            line.strip_prefix(name)
+                .is_some_and(|rest| rest.starts_with([' ', '{']))
+        })
+        .map(|line| line.rsplit(' ').next().unwrap().parse::<f64>().unwrap())
+        .sum()
+}
+
+#[test]
+fn a_cached_point_query_never_enters_the_queue() {
+    with_prefilled(|engine, estimate, cold| {
+        let prob = estimate.replace(r#""type":"estimate""#, r#""type":"prob","budget_s":600"#);
+        serve_with(engine, ServerConfig::default(), |addr| {
+            let scrape = |names: &[&str]| {
+                let (status, page) = get(addr, "/metrics");
+                assert_eq!(status, 200);
+                names
+                    .iter()
+                    .map(|name| family(&page, name))
+                    .collect::<Vec<f64>>()
+            };
+            let counted = [
+                "pathcost_batches_total",
+                "pathcost_cache_hits_total",
+                "pathcost_cache_misses_total",
+                "pathcost_request_e2e_seconds_count",
+                "pathcost_admission_queue_wait_seconds_count",
+                "pathcost_admission_queue_wait_seconds_sum",
+                "pathcost_query_seconds_count",
+            ];
+            let before = scrape(&counted);
+            for body in [estimate, &prob] {
+                let (status, response) = post(addr, "/query", body);
+                assert_eq!(status, 200, "{response}");
+                assert_eq!(stat(&response, "cache_hits"), 1.0);
+                assert_eq!(stat(&response, "cache_misses"), 0.0);
+            }
+            let hits = scrape(&counted);
+            let moved: Vec<f64> = hits.iter().zip(&before).map(|(a, b)| a - b).collect();
+            // No batch, two hits counted once each, no miss counted for either
+            // probe; each answer observed end to end with a zero queue wait and
+            // evaluated once.
+            assert_eq!(moved, [0.0, 2.0, 0.0, 2.0, 2.0, 0.0, 2.0], "{counted:?}");
+
+            // A miss goes through the queue and is counted once, by the lane.
+            let (status, response) = post(addr, "/query", cold);
+            assert_eq!(status, 200, "{response}");
+            assert_eq!(stat(&response, "cache_misses"), 1.0);
+            let after = scrape(&counted);
+            assert_eq!(after[0] - hits[0], 1.0, "one batch");
+            assert_eq!(after[2] - hits[2], 1.0, "one miss");
+            assert_eq!(after[1] - hits[1], 0.0, "no hit");
+        });
+    });
+}
+
+#[test]
+fn a_cache_hit_is_refused_or_shed_as_a_queued_request_is() {
+    with_prefilled(|engine, estimate, _| {
+        let hits = || engine.stats().cache_hits;
+        let before = hits();
+        let request = wire::decode_request(&json::parse(estimate.as_bytes()).unwrap()).unwrap();
+
+        // Closed: 503, and the cache is never read.
+        let queue = AdmissionQueue::new(AdmissionConfig::default());
+        queue.close();
+        let refused = queue
+            .admit(engine, request, RequestContext::unbounded())
+            .err()
+            .expect("a closed queue admits nothing");
+        assert!(matches!(refused, ServiceError::ShuttingDown));
+        assert_eq!(wire::error_status(&refused).0, 503);
+        assert_eq!(hits(), before, "a refused hit reads nothing");
+
+        // Degraded: 429 at the door, counted as a degraded rejection.
+        let degraded = ServerConfig {
+            admission: AdmissionConfig {
+                degrade_queue_depth: 0,
+                ..AdmissionConfig::default()
+            },
+            ..ServerConfig::default()
+        };
+        serve_with(engine, degraded, |addr| {
+            assert_eq!(post(addr, "/query", estimate).0, 429);
+            let (_, page) = get(addr, "/metrics");
+            assert_eq!(
+                family(&page, "pathcost_admission_rejected_degraded_total"),
+                1.0
+            );
+        });
+        assert_eq!(hits(), before, "a refused hit reads nothing");
+
+        // Already expired: queued, shed by the lane before it is evaluated, 504.
+        serve_with(engine, ServerConfig::default(), |addr| {
+            let expired = format!(
+            "POST /query HTTP/1.1\r\nHost: t\r\nx-deadline-ms: 0\r\nContent-Length: {}\r\n\r\n{estimate}",
+            estimate.len()
+        );
+            assert_eq!(send_raw(addr, expired.as_bytes()).0, 504);
+            let (_, page) = get(addr, "/metrics");
+            assert_eq!(family(&page, "pathcost_admission_shed_total"), 1.0);
+            assert_eq!(family(&page, "pathcost_batches_total"), 0.0);
+        });
+        assert_eq!(hits(), before, "a shed hit reads nothing");
+    });
 }

@@ -9,6 +9,18 @@
 //! * Connection handlers [`submit`](AdmissionQueue::submit) individual
 //!   requests (or [`submit_many`](AdmissionQueue::submit_many) for
 //!   `POST /query/batch`) and block on the returned [`Ticket`].
+//! * A cached point query never enters the queue. The server hands each
+//!   `POST /query` to [`admit`](AdmissionQueue::admit), which answers an
+//!   `EstimateDistribution` or `ProbWithinBudget` whose distribution is
+//!   cached on the connection thread with one cache lookup: no queue slot,
+//!   no lane wake-up, no hand-back, and so no wait behind another
+//!   connection's cold estimate or route. It does so only when `submit`
+//!   would admit the request — the queue open, not degraded, below
+//!   capacity — and the request's context has not stopped; anything else,
+//!   a miss included, is submitted as before, so a hit is refused (closed,
+//!   degraded, full) or shed (expired) exactly as a queued request is. The
+//!   answer is observed in the end-to-end latency and the degradation
+//!   window, with a zero queue wait.
 //! * Dispatch lanes — threads each running
 //!   [`dispatch`](AdmissionQueue::dispatch) — drain the queue into batches of
 //!   up to [`AdmissionConfig::max_batch`], run them through the engine's
@@ -24,7 +36,8 @@
 //!   single lane ran every such request one after another: two connections'
 //!   cold estimates never overlapped, and a cache hit waited behind whatever
 //!   estimate was running. With a lane per core, a lane that is free takes
-//!   the next request while another computes. Lanes wake one at a time: a
+//!   the next request while another computes (a cache hit no longer needs a
+//!   free lane at all, see above). Lanes wake one at a time: a
 //!   submit wakes one idle lane, and a lane that leaves work behind in the
 //!   queue wakes the next, so a burst that one batch can absorb does not wake
 //!   every lane to find the queue empty (only [`close`](AdmissionQueue::close)
@@ -144,21 +157,33 @@ impl Slot {
     }
 }
 
-/// A claim on one submitted request; [`wait`](Ticket::wait) blocks until the
-/// lane that took it completes it.
+/// A claim on one admitted request; [`wait`](Ticket::wait) blocks until the
+/// lane that took it completes it, or returns at once for a request
+/// [`admit`](AdmissionQueue::admit) answered itself.
 pub struct Ticket {
-    slot: Arc<Slot>,
+    state: TicketState,
+}
+
+enum TicketState {
+    /// Answered on the admitting thread.
+    Answered(QueryOutcome),
+    /// Queued: a lane completes the slot.
+    Queued(Arc<Slot>),
 }
 
 impl Ticket {
     /// Blocks until the request is answered and returns its result.
     pub fn wait(self) -> Result<QueryOutcome, ServiceError> {
-        let mut guard = self.slot.result.lock().expect(SLOT_POISONED);
+        let slot = match self.state {
+            TicketState::Answered(outcome) => return Ok(outcome),
+            TicketState::Queued(slot) => slot,
+        };
+        let mut guard = slot.result.lock().expect(SLOT_POISONED);
         loop {
             if let Some(result) = guard.take() {
                 return result;
             }
-            guard = self.slot.done.wait(guard).expect(SLOT_POISONED);
+            guard = slot.done.wait(guard).expect(SLOT_POISONED);
         }
     }
 }
@@ -250,6 +275,61 @@ impl AdmissionQueue {
         self.config
     }
 
+    /// Admits one request for `engine`. A cached point query — an
+    /// `EstimateDistribution` or `ProbWithinBudget` whose distribution is in
+    /// the engine's cache — is answered here, on the calling thread, and its
+    /// ticket is ready at once: it takes no queue slot and wakes no lane.
+    /// That happens only when [`submit`](Self::submit) would admit the
+    /// request (the queue open, not degraded, below capacity) and its
+    /// context has not stopped; the answer counts in the end-to-end latency
+    /// and the degradation window like any other, with a zero queue wait.
+    /// Every other request — a miss, another kind, an expired context the
+    /// lanes shed, a refusal — goes through
+    /// [`submit_with_context`](Self::submit_with_context) as it would
+    /// without this call.
+    pub fn admit(
+        &self,
+        engine: &QueryEngine<'_>,
+        request: QueryRequest,
+        context: RequestContext,
+    ) -> Result<Ticket, ServiceError> {
+        let admitted = Instant::now();
+        let state = self.state.lock().expect(STATE_POISONED);
+        let admissible = self.refusal(&state, 1).is_none();
+        drop(state);
+        if admissible && !context.should_stop() {
+            if let Some(outcome) = engine.execute_hit(&request, &context) {
+                self.queue_wait.observe_duration(Duration::ZERO);
+                self.observe_e2e(admitted.elapsed());
+                return Ok(Ticket {
+                    state: TicketState::Answered(outcome),
+                });
+            }
+        }
+        self.submit_with_context(request, context)
+    }
+
+    /// Why the queue would refuse `incoming` more requests now, if it would:
+    /// closed, degraded, or over capacity, checked in that order.
+    fn refusal(&self, state: &QueueState, incoming: usize) -> Option<ServiceError> {
+        if state.closed {
+            return Some(ServiceError::ShuttingDown);
+        }
+        // Early rejection under degradation: when the load watermarks are
+        // already breached, refuse new work at the door (the HTTP layer
+        // answers 429 + `Retry-After`) instead of admitting it into a queue
+        // that is answering slower than clients wait. The depth watermark is
+        // read off the held state rather than through [`Self::degraded`] —
+        // that accessor takes the same (non-reentrant) lock.
+        if state.pending.len() >= self.config.degrade_queue_depth || self.p99_breached() {
+            return Some(ServiceError::Degraded);
+        }
+        if state.pending.len() + incoming > self.config.capacity {
+            return Some(ServiceError::Overloaded);
+        }
+        None
+    }
+
     /// Enqueues one request, failing fast when the queue is full or closed.
     pub fn submit(&self, request: QueryRequest) -> Result<Ticket, ServiceError> {
         self.submit_with_context(request, RequestContext::unbounded())
@@ -290,26 +370,15 @@ impl AdmissionQueue {
         }
         let submitted = Instant::now();
         let mut state = self.state.lock().expect(STATE_POISONED);
-        if state.closed {
-            return Err(ServiceError::ShuttingDown);
-        }
-        // Early rejection under degradation: when the load watermarks are
-        // already breached, refuse new work at the door (the HTTP layer
-        // answers 429 + `Retry-After`) instead of admitting it into a queue
-        // that is answering slower than clients wait. The depth watermark is
-        // re-derived from the held state rather than through
-        // [`Self::degraded`] — that accessor takes this same (non-reentrant)
-        // lock.
-        if state.pending.len() >= self.config.degrade_queue_depth || self.p99_breached() {
-            return Err(ServiceError::Degraded);
-        }
-        if state.pending.len() + requests.len() > self.config.capacity {
-            return Err(ServiceError::Overloaded);
+        if let Some(refused) = self.refusal(&state, requests.len()) {
+            return Err(refused);
         }
         let mut tickets = Vec::with_capacity(requests.len());
         for request in requests {
             let slot = Slot::new();
-            tickets.push(Ticket { slot: slot.clone() });
+            tickets.push(Ticket {
+                state: TicketState::Queued(slot.clone()),
+            });
             state.pending.push_back(Pending {
                 request,
                 context: context.clone(),
@@ -551,6 +620,126 @@ mod tests {
             departure,
             regime: pathcost_core::RegimeId::ALL_TRAFFIC,
         }
+    }
+
+    #[test]
+    fn admit_answers_a_cached_point_query_without_queueing_it() {
+        with_engine(|engine, store| {
+            let queue = AdmissionQueue::new(AdmissionConfig::default());
+            let hit = sample_request(store, 0);
+            let direct = engine.execute(&hit).unwrap();
+            let QueryRequest::EstimateDistribution {
+                path, departure, ..
+            } = hit.clone()
+            else {
+                unreachable!()
+            };
+            let prob = QueryRequest::ProbWithinBudget {
+                path,
+                departure,
+                budget_s: 600.0,
+                regime: pathcost_core::RegimeId::ALL_TRAFFIC,
+            };
+            let counts = || {
+                let stats = engine.stats();
+                (stats.batches, stats.cache_hits, stats.cache_misses)
+            };
+            let before = counts();
+            for request in [hit, prob] {
+                let ticket = queue
+                    .admit(engine, request, RequestContext::unbounded())
+                    .unwrap();
+                assert!(queue.is_empty(), "a hit takes no queue slot");
+                let outcome = ticket.wait().unwrap();
+                assert_eq!(
+                    (outcome.stats.cache_hits, outcome.stats.cache_misses),
+                    (1, 0)
+                );
+                if let Some(histogram) = outcome.response.distribution() {
+                    assert_eq!(histogram, direct.response.distribution().unwrap());
+                }
+            }
+            assert_eq!(
+                counts(),
+                (before.0, before.1 + 2, before.2),
+                "no batch, no miss"
+            );
+            let registry = queue.registry();
+            for (series, want) in [
+                ("pathcost_request_e2e_seconds_count", 2.0),
+                ("pathcost_admission_queue_wait_seconds_count", 2.0),
+                ("pathcost_admission_queue_wait_seconds_sum", 0.0),
+            ] {
+                assert_eq!(registry.value(series).unwrap(), want, "{series}");
+            }
+
+            // A miss is queued, its probe uncounted; the lane counts it.
+            let miss = queue
+                .admit(
+                    engine,
+                    sample_request(store, 1),
+                    RequestContext::unbounded(),
+                )
+                .unwrap();
+            assert_eq!(queue.len(), 1);
+            assert_eq!(counts(), (before.0, before.1 + 2, before.2));
+            queue.close();
+            queue.dispatch(engine);
+            assert_eq!(miss.wait().unwrap().stats.cache_misses, 1);
+            assert_eq!(counts(), (before.0 + 1, before.1 + 2, before.2 + 1));
+        });
+    }
+
+    #[test]
+    fn admit_refuses_and_sheds_a_cached_point_query_as_submit_does() {
+        with_engine(|engine, store| {
+            let hit = sample_request(store, 0);
+            engine.execute(&hit).unwrap();
+            let hits = || engine.stats().cache_hits;
+            let before = hits();
+            let admit = |queue: &AdmissionQueue, context| queue.admit(engine, hit.clone(), context);
+
+            let closed = AdmissionQueue::new(AdmissionConfig::default());
+            closed.close();
+            let refused = admit(&closed, RequestContext::unbounded());
+            assert!(matches!(refused, Err(ServiceError::ShuttingDown)));
+
+            let degraded = AdmissionQueue::new(AdmissionConfig {
+                degrade_queue_depth: 1,
+                ..AdmissionConfig::default()
+            });
+            degraded.submit(sample_request(store, 1)).unwrap();
+            let refused = admit(&degraded, RequestContext::unbounded());
+            assert!(matches!(refused, Err(ServiceError::Degraded)));
+
+            let full = AdmissionQueue::new(AdmissionConfig {
+                capacity: 1,
+                ..AdmissionConfig::default()
+            });
+            full.submit(sample_request(store, 1)).unwrap();
+            let refused = admit(&full, RequestContext::unbounded());
+            assert!(matches!(refused, Err(ServiceError::Overloaded)));
+
+            let open = AdmissionQueue::new(AdmissionConfig::default());
+            let expired = RequestContext::with_deadline(Some(Duration::ZERO));
+            let shed = admit(&open, expired).unwrap();
+            assert_eq!(
+                open.len(),
+                1,
+                "an expired hit is queued for the lane to shed"
+            );
+            open.close();
+            open.dispatch(engine);
+            assert!(matches!(shed.wait(), Err(ServiceError::DeadlineExceeded)));
+            assert_eq!(
+                engine
+                    .registry()
+                    .value("pathcost_admission_shed_total")
+                    .unwrap(),
+                1.0
+            );
+            assert_eq!(hits(), before, "no refused or shed hit reads the cache");
+        });
     }
 
     #[test]

@@ -384,6 +384,27 @@ impl DistributionCache {
         interval: IntervalId,
         regime: RegimeId,
     ) -> Option<CachedDistribution> {
+        self.lookup(path, interval, regime, true)
+    }
+
+    /// As [`Self::get`], but a miss is not counted: the caller answers a
+    /// miss by handing the request to a path that looks it up again.
+    pub(crate) fn probe(
+        &self,
+        path: &Path,
+        interval: IntervalId,
+        regime: RegimeId,
+    ) -> Option<CachedDistribution> {
+        self.lookup(path, interval, regime, false)
+    }
+
+    fn lookup(
+        &self,
+        path: &Path,
+        interval: IntervalId,
+        regime: RegimeId,
+        count_miss: bool,
+    ) -> Option<CachedDistribution> {
         let fingerprint = key_fingerprint(path, interval, regime);
         let shard_index = self.shard_index_of(fingerprint);
         let found = self.shards[shard_index]
@@ -391,12 +412,11 @@ impl DistributionCache {
             .expect("cache shard poisoned")
             .get(fingerprint, interval, regime, path);
         let tally = &self.tallies[shard_index];
-        if found.is_some() {
-            &tally.hits
-        } else {
-            &tally.misses
+        match found {
+            Some(_) => tally.hits.inc(),
+            None if count_miss => tally.misses.inc(),
+            None => {}
         }
-        .inc();
         found
     }
 

@@ -326,10 +326,7 @@ impl<'n> QueryEngine<'n> {
     ) -> Result<CachedDistribution, ServiceError> {
         let interval = self.interval_of(departure);
         if let Some(hit) = self.cache.get(path, interval, regime) {
-            counters.record(true, 0);
-            counters.record_fallback(hit.fallback_depth);
-            self.recorder
-                .record_regime_lookup(&self.registry, regime, true, hit.fallback_depth);
+            self.record_hit(&hit, regime, counters);
             return Ok(hit);
         }
         let canonical = self.canonical_departure(interval);
@@ -396,6 +393,59 @@ impl<'n> QueryEngine<'n> {
         Ok(value)
     }
 
+    /// What every cache hit records: the query's tallies and the regime's
+    /// lookup counters.
+    fn record_hit(&self, hit: &CachedDistribution, regime: RegimeId, counters: &QueryCounters) {
+        counters.record(true, 0);
+        counters.record_fallback(hit.fallback_depth);
+        self.recorder
+            .record_regime_lookup(&self.registry, regime, true, hit.fallback_depth);
+    }
+
+    /// Answers a point query from the cache alone: `Some` when `request` is
+    /// an `EstimateDistribution` or a valid `ProbWithinBudget` whose
+    /// distribution is cached, recording exactly what [`Self::execute_under`]
+    /// records for that hit (not degraded); `None`, with nothing recorded,
+    /// for any other request or a lookup that misses. The admission queue
+    /// answers a cached point query this way on the thread that submits it.
+    pub(crate) fn execute_hit(
+        &self,
+        request: &QueryRequest,
+        ctx: &RequestContext,
+    ) -> Option<QueryOutcome> {
+        let start = Instant::now();
+        let (path, departure, regime, budget_s) = match request {
+            QueryRequest::EstimateDistribution {
+                path,
+                departure,
+                regime,
+            } => (path, departure, regime, None),
+            QueryRequest::ProbWithinBudget {
+                path,
+                departure,
+                budget_s,
+                regime,
+            } => {
+                validate_budget(*budget_s).ok()?;
+                (path, departure, regime, Some(*budget_s))
+            }
+            _ => return None,
+        };
+        let hit = self
+            .cache
+            .probe(path, self.interval_of(*departure), *regime)?;
+        let counters = QueryCounters::default();
+        self.record_hit(&hit, *regime, &counters);
+        let response = Ok(match budget_s {
+            None => QueryResponse::Distribution(hit.histogram),
+            Some(budget_s) => {
+                QueryResponse::Probability(prob_within_budget(&hit.histogram, budget_s))
+            }
+        });
+        self.conclude(request, ctx, start, &counters, response, false)
+            .ok()
+    }
+
     /// Executes a single query, recording per-query and engine-level stats.
     pub fn execute(&self, request: &QueryRequest) -> Result<QueryOutcome, ServiceError> {
         self.execute_under(request, &RequestContext::unbounded(), false)
@@ -423,6 +473,20 @@ impl<'n> QueryEngine<'n> {
         } else {
             self.execute_inner(request, &counters, ctx, degraded)
         };
+        self.conclude(request, ctx, start, &counters, response, degraded)
+    }
+
+    /// Records an evaluated query — its eval span, its latency since
+    /// `start`, its failure or degraded answer — and stamps its outcome.
+    fn conclude(
+        &self,
+        request: &QueryRequest,
+        ctx: &RequestContext,
+        start: Instant,
+        counters: &QueryCounters,
+        response: Result<QueryResponse, ServiceError>,
+        degraded: bool,
+    ) -> Result<QueryOutcome, ServiceError> {
         let latency = start.elapsed();
         if let Some(trace) = ctx.trace() {
             trace.record(pathcost_obs::Stage::Eval, latency);
