@@ -17,13 +17,23 @@
 //! speed-limit fallback, where no unit variable is relevant) and where it
 //! came from — building a row copies nothing. Every trajectory-derived
 //! variable the array reads is recorded once, as its position in the view.
+//!
+//! The array also records each position's temporal **footprint**
+//! ([`PositionFootprint`]): the intervals at which a variable starting there
+//! can be selected (those overlapping `UI_k`) and the intervals its unit
+//! probes looked up. A variable key outside the footprint of every position
+//! its path occurs at is never consulted, so instantiating or deleting it
+//! leaves the array — and the estimate — unchanged; the serving layer's
+//! cache invalidation rests on this.
 
 use crate::error::CoreError;
 use crate::hybrid_graph::HybridGraph;
+use crate::interval::{DayPartition, IntervalId};
 use crate::variable::InstantiatedVariable;
 use pathcost_roadnet::Path;
-use pathcost_traj::{TimeInterval, Timestamp};
+use pathcost_traj::{TimeInterval, TimeOfDay, Timestamp};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Where a selected variable came from.
@@ -59,6 +69,47 @@ impl SelectedVariable {
     }
 }
 
+/// The temporal footprint of one query position `k`: every interval at which
+/// the build could consult a variable key whose path starts at `k`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PositionFootprint {
+    /// The ids of the intervals whose range overlaps `UI_k` by a positive
+    /// length — the relevance scan's own `overlap > 0` test, so exactly the
+    /// intervals a variable starting at `k` can be selected at. Empty where
+    /// `UI_k` has shrunk to nothing at the midnight clamp.
+    pub overlapping: Range<u16>,
+    /// The interval of each unit probe made at `k`: the shift-and-enlarge
+    /// probe (every position but the last) and the probe of a row without a
+    /// relevant unit variable. Kept apart from the range because at the
+    /// midnight clamp a probe's midpoint wraps to interval 0, outside it.
+    pub probes: [Option<IntervalId>; 2],
+}
+
+impl PositionFootprint {
+    /// `true` when a variable key at `interval` whose path starts at this
+    /// position could have been consulted: the interval overlaps `UI_k`, or
+    /// the key is a unit (`unit`) and a probe looked the interval up.
+    pub fn admits(&self, interval: IntervalId, unit: bool) -> bool {
+        self.overlapping.contains(&interval.0)
+            || (unit && self.probes.contains(&Some(interval)))
+    }
+}
+
+/// The ids of the intervals of `partition` whose range overlaps `window` by
+/// a positive length. The set is one contiguous run, so only the ids around
+/// the window's ends are tested (their neighbours too, which absorbs any
+/// rounding in `interval_of`).
+fn overlapping_ids(partition: &DayPartition, window: &TimeInterval) -> Range<u16> {
+    let first = partition.interval_of(TimeOfDay(window.start)).0;
+    let last = partition.interval_of(TimeOfDay(window.end)).0;
+    let around = first.saturating_sub(1)..=(last + 1).min(partition.interval_count() - 1);
+    let mut ids = around.filter(|&id| partition.range(IntervalId(id)).overlap(window) > 0.0);
+    match ids.next() {
+        Some(start) => start..ids.last().unwrap_or(start) + 1,
+        None => 0..0,
+    }
+}
+
 /// The two-dimensional candidate array of §4.1.3.
 #[derive(Debug, Clone)]
 pub struct CandidateArray {
@@ -77,6 +128,9 @@ pub struct CandidateArray {
     /// — the dependency set the serving layer's targeted cache invalidation
     /// tracks. Speed-limit fallbacks are excluded: they never change.
     pub trajectory_unit_reads: Vec<usize>,
+    /// Each position's temporal footprint, parallel to `rows`: which keys
+    /// the build could have consulted there, whether or not it read them.
+    pub footprints: Vec<PositionFootprint>,
 }
 
 impl CandidateArray {
@@ -111,18 +165,24 @@ impl CandidateArray {
         // Shift-and-enlarge: UI_1 = [t, t]; UI_{k+1} = SAE(UI_k, V_{e_k}).
         let depart_tod = departure.time_of_day().seconds();
         let mut updated_intervals = Vec::with_capacity(n);
+        let mut footprints = Vec::with_capacity(n);
         let mut trajectory_unit_reads = Vec::new();
         let mut lo = depart_tod;
         let mut hi = depart_tod;
         for (k, &edge) in query.edges().iter().enumerate() {
-            updated_intervals.push(TimeInterval::new(lo, (hi.max(lo + 1e-6)).min(86_400.0)));
+            let window = TimeInterval::new(lo, (hi.max(lo + 1e-6)).min(86_400.0));
+            footprints.push(PositionFootprint {
+                overlapping: overlapping_ids(partition, &window),
+                probes: [None, None],
+            });
+            updated_intervals.push(window);
             if k + 1 == n {
                 break;
             }
             // The unit variable used for the shift is the one whose interval
             // best overlaps the current arrival window.
-            let probe_interval =
-                partition.interval_of(pathcost_traj::TimeOfDay::wrap(0.5 * (lo + hi)));
+            let probe_interval = partition.interval_of(TimeOfDay::wrap(0.5 * (lo + hi)));
+            footprints[k].probes[0] = Some(probe_interval);
             let (unit, read) = wp
                 .unit(edge, probe_interval)
                 .ok_or(CoreError::NoDistribution)?;
@@ -171,9 +231,9 @@ impl CandidateArray {
             // window has shrunk to nothing (clamped at midnight), where a
             // trajectory-derived unit overlaps it by zero.
             if best[1].1 == NONE.1 {
-                let probe_interval = partition.interval_of(pathcost_traj::TimeOfDay::wrap(
-                    0.5 * (window.start + window.end),
-                ));
+                let probe_interval =
+                    partition.interval_of(TimeOfDay::wrap(0.5 * (window.start + window.end)));
+                footprints[k].probes[1] = Some(probe_interval);
                 let (var, read) = wp
                     .unit_variable(edge, probe_interval)
                     .ok_or(CoreError::NoDistribution)?;
@@ -200,6 +260,7 @@ impl CandidateArray {
             rows,
             updated_intervals,
             trajectory_unit_reads,
+            footprints,
         })
     }
 
@@ -348,6 +409,85 @@ mod tests {
             CandidateArray::build(&graph, &bogus, departure, None),
             Err(CoreError::UnknownEdge(_))
         ));
+    }
+
+    /// The footprint recorded at every position equals what a brute-force
+    /// reading of the build finds: the range is `partition.all()` filtered
+    /// by the relevance scan's own overlap test, and the probes are the
+    /// intervals a re-run of the shift-and-enlarge recurrence looks up (the
+    /// row probe only where no unit variable overlaps the window). Random
+    /// departures on the frequent paths and the longest trip, plus ones half
+    /// a minute before midnight, where the windows clamp at 86 400 s, admit
+    /// no interval and the probes wrap to interval 0.
+    #[test]
+    fn footprints_match_a_brute_force_scan_and_the_probes_made() {
+        use rand::{Rng, SeedableRng};
+        let (net, store, cfg, _, _) = graph_and_query();
+        let graph = HybridGraph::build(&net, &store, cfg).unwrap();
+        let (view, partition) = (graph.view(), graph.weights().partition());
+        let longest = store
+            .matched()
+            .iter()
+            .map(|m| m.path.clone())
+            .max_by_key(|path| path.cardinality())
+            .unwrap();
+        let mut paths: Vec<Path> = store
+            .frequent_paths(3, 5, None)
+            .into_iter()
+            .map(|(path, _)| path)
+            .take(6)
+            .collect();
+        paths.push(longest.clone());
+        let mut rng = rand::rngs::StdRng::seed_from_u64(54);
+        let mut departures: Vec<(Path, Timestamp)> = paths
+            .iter()
+            .flat_map(|path| {
+                let draws: Vec<f64> = (0..12).map(|_| rng.gen_range(0.0..86_400.0)).collect();
+                draws.into_iter().map(move |t| (path.clone(), Timestamp(t)))
+            })
+            .collect();
+        departures.push((longest.clone(), Timestamp(86_400.0 - 30.0)));
+        departures.push((longest, Timestamp(86_400.0 - 1.0)));
+
+        let mut wrapped = 0;
+        for (path, departure) in &departures {
+            let array = CandidateArray::build(&graph, path, *departure, None).unwrap();
+            assert_eq!(array.footprints.len(), path.cardinality());
+            let mut lo = departure.time_of_day().seconds();
+            let mut hi = lo;
+            for (k, (&edge, footprint)) in path.edges().iter().zip(&array.footprints).enumerate() {
+                let window = &array.updated_intervals[k];
+                let brute: Vec<u16> = partition
+                    .all()
+                    .filter(|&id| partition.range(id).overlap(window) > 0.0)
+                    .map(|id| id.0)
+                    .collect();
+                assert_eq!(
+                    footprint.overlapping.clone().collect::<Vec<_>>(),
+                    brute,
+                    "range at position {k} of a {departure:?} departure"
+                );
+                let shift_probe = (k + 1 < path.cardinality()).then(|| {
+                    let probe = partition.interval_of(TimeOfDay::wrap(0.5 * (lo + hi)));
+                    let (unit, _) = view.unit(edge, probe).unwrap();
+                    lo = (lo + unit.min()).min(86_400.0);
+                    hi = (hi + unit.max()).min(86_400.0);
+                    probe
+                });
+                let unit_overlaps = view.variables_starting_with(edge).iter().any(|&i| {
+                    let var = view.variable(i);
+                    var.is_unit() && partition.range(var.interval).overlap(window) > 0.0
+                });
+                let row_probe = (!unit_overlaps).then(|| {
+                    partition.interval_of(TimeOfDay::wrap(0.5 * (window.start + window.end)))
+                });
+                assert_eq!(footprint.probes, [shift_probe, row_probe], "position {k}");
+                if footprint.overlapping.is_empty() && row_probe == Some(IntervalId(0)) {
+                    wrapped += 1;
+                }
+            }
+        }
+        assert!(wrapped > 0, "some window must clamp at midnight and wrap its probe");
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! variable where one is relevant and its unit variable otherwise — the pair
 //! HP takes.
 
-use crate::candidate::{CandidateArray, CandidateSource};
+use crate::candidate::{CandidateArray, CandidateSource, PositionFootprint};
 use crate::decomposition::Decomposition;
 use crate::error::CoreError;
 use crate::hybrid_graph::HybridGraph;
@@ -106,10 +106,15 @@ pub struct EstimateArtifacts {
     /// histogram it read — the unit probes of the candidate array plus the
     /// instantiated components of the decomposition — sorted and
     /// deduplicated. If none of these variables changes, re-running the
-    /// estimation yields a bit-identical histogram (new variables appearing
-    /// can still change candidate *selection*; the serving layer handles
-    /// those separately by sub-path containment).
+    /// estimation yields a bit-identical histogram — unless a variable is
+    /// instantiated or deleted at a key inside [`Self::footprints`], which
+    /// can change candidate *selection*.
     pub dependencies: Vec<usize>,
+    /// The candidate array's per-position temporal footprints
+    /// ([`CandidateArray::footprints`]): a variable key whose path occurs at
+    /// no position whose footprint admits its interval was never consulted,
+    /// so instantiating or deleting it leaves this estimate bit-identical.
+    pub footprints: Vec<PositionFootprint>,
     /// Wall-clock phase breakdown (Figure 17's OI / JC / MC).
     pub breakdown: EstimateBreakdown,
 }
@@ -162,6 +167,7 @@ where
         histogram: hist,
         decomposition,
         dependencies,
+        footprints: array.footprints,
         breakdown: EstimateBreakdown {
             decomposition_s: oi,
             joint_s: jc,

@@ -47,7 +47,7 @@ pub mod joint;
 pub mod variable;
 pub mod weights;
 
-pub use candidate::{CandidateArray, CandidateSource, SelectedVariable};
+pub use candidate::{CandidateArray, CandidateSource, PositionFootprint, SelectedVariable};
 pub use config::HybridConfig;
 pub use decomposition::Decomposition;
 pub use error::CoreError;

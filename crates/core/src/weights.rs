@@ -195,17 +195,18 @@ pub struct WeightUpdate {
     /// layer can evict only readers that resolved the key from that table.
     pub updated: Vec<(Path, IntervalId, RegimeId)>,
     /// Keys that newly crossed the β threshold and were instantiated for the
-    /// first time (regime-qualified as in [`Self::updated`]). New variables
-    /// change candidate *selection* for any query path containing them, so
-    /// invalidation must treat these by sub-path containment rather than by
-    /// recorded reads.
+    /// first time (regime-qualified as in [`Self::updated`]). A new variable
+    /// can change candidate *selection* for a query path containing it
+    /// wherever the key falls inside the candidate array's footprint there
+    /// ([`crate::PositionFootprint`]), so invalidation must treat these by
+    /// footprint rather than by recorded reads.
     pub added: Vec<(Path, IntervalId, RegimeId)>,
     /// Keys of previously instantiated variables whose support dropped below
     /// the β threshold (trajectories aged out) and were *deleted* from the
     /// weight function (regime-qualified as in [`Self::updated`]). Like
-    /// [`Self::added`], a deletion changes candidate selection for any query
-    /// path containing the key's path, so invalidation must flush recorded
-    /// readers *and* sweep by sub-path containment.
+    /// [`Self::added`], a deletion can change candidate selection for a
+    /// query path containing the key's path inside its footprint, so
+    /// invalidation must flush recorded readers *and* sweep by footprint.
     pub removed: Vec<(Path, IntervalId, RegimeId)>,
 }
 

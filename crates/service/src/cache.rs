@@ -17,14 +17,17 @@
 //! doubly-linked nodes, giving O(1) lookup, touch and eviction.
 //!
 //! Invalidation: an entry carries its **reads** — the fingerprints of the
-//! regime-qualified weight-function variables its estimation consumed —
-//! beside its value, written by the same [`DistributionCache::insert`]
-//! under the same shard lock. "Which answers does this update stale?" is
-//! therefore one [`DistributionCache::invalidate_matching`] pass whose
-//! predicate sees each entry's key and reads together (the rule itself
-//! lives in the [`update`](crate::update) module); an entry that leaves the
-//! cache for any reason — LRU pressure, invalidation, a raced fill evicting
-//! itself — takes its reads with it, so there is nothing to keep in step.
+//! regime-qualified weight-function variables its estimation consumed — and,
+//! apart from them, its candidate array's per-position **footprints** — the
+//! intervals at which the estimation could consult a key starting at each
+//! position ([`PositionFootprint`]) — beside its value, all written by the
+//! same [`DistributionCache::insert`] under the same shard lock. "Which
+//! answers does this update stale?" is therefore one
+//! [`DistributionCache::invalidate_matching`] pass whose predicate sees each
+//! entry's key, reads and footprints together (the rule itself lives in the
+//! [`update`](crate::update) module); an entry that leaves the cache for any
+//! reason — LRU pressure, invalidation, a raced fill evicting itself — takes
+//! them with it, so there is nothing to keep in step.
 //!
 //! Regimes: the key is really the triple `(path, interval, regime)` — the
 //! regime is folded into the fingerprint through
@@ -32,7 +35,7 @@
 //! [`RegimeId::ALL_TRAFFIC`], so global-regime keys (and their shard
 //! selection) are bit-identical to the pre-regime cache.
 
-use pathcost_core::{mix_regime, IntervalId, RegimeId};
+use pathcost_core::{mix_regime, IntervalId, PositionFootprint, RegimeId};
 use pathcost_hist::Histogram1D;
 use pathcost_obs::{Counter, Registry};
 use pathcost_roadnet::Path;
@@ -97,6 +100,8 @@ struct Node {
     /// [`key_fingerprint`]s of the variable keys the estimation read. Kept
     /// beside the value, not inside it, so a hit still clones one `Arc`.
     reads: Box<[u64]>,
+    /// The estimation's footprint at each position of the key's path.
+    footprints: Box<[PositionFootprint]>,
     prev: usize,
     next: usize,
 }
@@ -192,10 +197,12 @@ impl Shard {
         path: &Path,
         value: CachedDistribution,
         reads: Box<[u64]>,
+        footprints: Box<[PositionFootprint]>,
     ) -> bool {
         if let Some(at) = self.find(fingerprint, interval, regime, path) {
             self.slab[at].value = value;
             self.slab[at].reads = reads;
+            self.slab[at].footprints = footprints;
             self.unlink(at);
             self.push_front(at);
             return false;
@@ -215,6 +222,7 @@ impl Shard {
             key,
             value,
             reads,
+            footprints,
             prev: NIL,
             next: NIL,
         };
@@ -278,11 +286,11 @@ impl Shard {
         dropped
     }
 
-    /// Evicts every entry whose key and reads match `predicate`, returning
-    /// how many were evicted.
+    /// Evicts every entry whose key, reads and footprints match `predicate`,
+    /// returning how many were evicted.
     fn invalidate_matching(
         &mut self,
-        predicate: &impl Fn(&Path, IntervalId, RegimeId, &[u64]) -> bool,
+        predicate: &impl Fn(&Path, IntervalId, RegimeId, &[u64], &[PositionFootprint]) -> bool,
     ) -> u64 {
         // Walk the recency list (only live nodes are linked), reading each
         // node's successor before a removal unlinks it.
@@ -292,7 +300,13 @@ impl Shard {
             let (at, node) = (cursor, &self.slab[cursor]);
             let key = &node.key;
             cursor = node.next;
-            if predicate(&key.path, key.interval, key.regime, &node.reads) {
+            if predicate(
+                &key.path,
+                key.interval,
+                key.regime,
+                &node.reads,
+                &node.footprints,
+            ) {
                 self.remove_at(at);
                 evicted += 1;
             }
@@ -421,11 +435,12 @@ impl DistributionCache {
     }
 
     /// Inserts (or refreshes) the entry for `(path, interval, regime)`:
-    /// `value` and the `reads` it was estimated from (fingerprints of the
-    /// regime-qualified variable keys, mixed like the cache key itself — what
-    /// [`Self::invalidate_matching`]'s predicate is later shown) land
+    /// `value`, the `reads` it was estimated from (fingerprints of the
+    /// regime-qualified variable keys, mixed like the cache key itself) and
+    /// the estimation's per-position `footprints` — what
+    /// [`Self::invalidate_matching`]'s predicate is later shown — land
     /// together under one shard lock, so no pass over the cache can observe
-    /// the entry without its reads. Making room may drop the shard's
+    /// the entry without them. Making room may drop the shard's
     /// least-recently-used entry.
     pub fn insert(
         &self,
@@ -434,15 +449,16 @@ impl DistributionCache {
         regime: RegimeId,
         value: CachedDistribution,
         reads: Vec<u64>,
+        footprints: Vec<PositionFootprint>,
     ) {
         let fingerprint = key_fingerprint(path, interval, regime);
         let shard_index = self.shard_index_of(fingerprint);
-        let reads = reads.into_boxed_slice();
+        let (reads, footprints) = (reads.into_boxed_slice(), footprints.into_boxed_slice());
         self.insertions.inc();
         let evicted = self.shards[shard_index]
             .lock()
             .expect("cache shard poisoned")
-            .insert(fingerprint, interval, regime, path, value, reads);
+            .insert(fingerprint, interval, regime, path, value, reads, footprints);
         if evicted {
             self.tallies[shard_index].evictions.inc();
         }
@@ -461,13 +477,13 @@ impl DistributionCache {
 
     /// Targeted invalidation by predicate: walks every shard (each under its
     /// own lock, so concurrent traffic on other shards proceeds) and evicts
-    /// the entries for which `predicate(path, interval, regime, reads)`
-    /// holds — `reads` being what the entry's [`Self::insert`] recorded. The
-    /// predicate is called exactly once per live entry. Returns the number
-    /// of entries evicted.
+    /// the entries for which `predicate(path, interval, regime, reads,
+    /// footprints)` holds — `reads` and `footprints` being what the entry's
+    /// [`Self::insert`] recorded. The predicate is called exactly once per
+    /// live entry. Returns the number of entries evicted.
     pub fn invalidate_matching(
         &self,
-        predicate: impl Fn(&Path, IntervalId, RegimeId, &[u64]) -> bool,
+        predicate: impl Fn(&Path, IntervalId, RegimeId, &[u64], &[PositionFootprint]) -> bool,
     ) -> u64 {
         self.shards
             .iter()
@@ -553,7 +569,7 @@ mod tests {
         let cache = DistributionCache::new(4, 8);
         let p = path(&[1, 2, 3]);
         assert!(cache.get(&p, IntervalId(3), G).is_none());
-        cache.insert(&p, IntervalId(3), G, value(10.0), Vec::new());
+        cache.insert(&p, IntervalId(3), G, value(10.0), Vec::new(), Vec::new());
         let got = cache.get(&p, IntervalId(3), G).expect("cached");
         assert!((got.histogram.mean() - 10.0).abs() < 1e-9);
         assert_eq!(cache.hits(), 1);
@@ -565,8 +581,8 @@ mod tests {
     fn intervals_key_independent_entries() {
         let cache = DistributionCache::new(4, 8);
         let p = path(&[1, 2, 3]);
-        cache.insert(&p, IntervalId(0), G, value(10.0), Vec::new());
-        cache.insert(&p, IntervalId(1), G, value(20.0), Vec::new());
+        cache.insert(&p, IntervalId(0), G, value(10.0), Vec::new(), Vec::new());
+        cache.insert(&p, IntervalId(1), G, value(20.0), Vec::new(), Vec::new());
         assert_eq!(cache.len(), 2);
         assert!((cache.get(&p, IntervalId(0), G).unwrap().histogram.mean() - 10.0).abs() < 1e-9);
         assert!((cache.get(&p, IntervalId(1), G).unwrap().histogram.mean() - 20.0).abs() < 1e-9);
@@ -577,11 +593,11 @@ mod tests {
     fn lru_evicts_the_least_recently_used() {
         let cache = DistributionCache::new(1, 2);
         let (a, b, c) = (path(&[1]), path(&[2]), path(&[3]));
-        cache.insert(&a, IntervalId(0), G, value(1.0), Vec::new());
-        cache.insert(&b, IntervalId(0), G, value(2.0), Vec::new());
+        cache.insert(&a, IntervalId(0), G, value(1.0), Vec::new(), Vec::new());
+        cache.insert(&b, IntervalId(0), G, value(2.0), Vec::new(), Vec::new());
         // Touch `a` so `b` is the LRU entry, then overflow.
         assert!(cache.get(&a, IntervalId(0), G).is_some());
-        cache.insert(&c, IntervalId(0), G, value(3.0), Vec::new());
+        cache.insert(&c, IntervalId(0), G, value(3.0), Vec::new(), Vec::new());
         assert_eq!(cache.len(), 2);
         assert!(
             cache.get(&a, IntervalId(0), G).is_some(),
@@ -598,8 +614,8 @@ mod tests {
     fn reinsert_refreshes_value_without_growing() {
         let cache = DistributionCache::new(1, 4);
         let p = path(&[7, 8]);
-        cache.insert(&p, IntervalId(5), G, value(1.0), Vec::new());
-        cache.insert(&p, IntervalId(5), G, value(9.0), Vec::new());
+        cache.insert(&p, IntervalId(5), G, value(1.0), Vec::new(), Vec::new());
+        cache.insert(&p, IntervalId(5), G, value(9.0), Vec::new(), Vec::new());
         assert_eq!(cache.len(), 1);
         assert!((cache.get(&p, IntervalId(5), G).unwrap().histogram.mean() - 9.0).abs() < 1e-9);
     }
@@ -612,7 +628,7 @@ mod tests {
         let p = path(&[4, 5, 6]);
         let inserted = value(42.0);
         let backing = inserted.histogram.clone();
-        cache.insert(&p, IntervalId(1), G, inserted, Vec::new());
+        cache.insert(&p, IntervalId(1), G, inserted, Vec::new(), Vec::new());
         let first = cache.get(&p, IntervalId(1), G).expect("cached");
         let second = cache.get(&p, IntervalId(1), G).expect("cached");
         assert!(Arc::ptr_eq(&first.histogram, &backing));
@@ -623,19 +639,19 @@ mod tests {
     fn refreshing_a_full_shard_evicts_nothing_and_replaces_the_reads() {
         let cache = DistributionCache::new(1, 2);
         let (a, b, c) = (path(&[1]), path(&[2]), path(&[3]));
-        cache.insert(&a, IntervalId(0), G, value(1.0), vec![7]);
-        cache.insert(&b, IntervalId(4), G, value(2.0), vec![8]);
+        cache.insert(&a, IntervalId(0), G, value(1.0), vec![7], Vec::new());
+        cache.insert(&b, IntervalId(4), G, value(2.0), vec![8], Vec::new());
         // Refreshing an existing key never evicts, and the entry now
         // answers for the refill's reads, not its predecessor's.
-        cache.insert(&a, IntervalId(0), G, value(1.5), vec![9]);
+        cache.insert(&a, IntervalId(0), G, value(1.5), vec![9], Vec::new());
         assert_eq!(cache.evictions(), 0);
-        assert_eq!(cache.invalidate_matching(|_, _, _, reads| reads == [7]), 0);
+        assert_eq!(cache.invalidate_matching(|_, _, _, reads, _| reads == [7]), 0);
         // Overflow: `b` is now the LRU entry and leaves with its reads.
-        cache.insert(&c, IntervalId(0), G, value(3.0), Vec::new());
+        cache.insert(&c, IntervalId(0), G, value(3.0), Vec::new(), Vec::new());
         assert_eq!(cache.evictions(), 1);
         assert!(cache.get(&b, IntervalId(4), G).is_none());
-        assert_eq!(cache.invalidate_matching(|_, _, _, reads| reads == [8]), 0);
-        assert_eq!(cache.invalidate_matching(|_, _, _, reads| reads == [9]), 1);
+        assert_eq!(cache.invalidate_matching(|_, _, _, reads, _| reads == [8]), 0);
+        assert_eq!(cache.invalidate_matching(|_, _, _, reads, _| reads == [9]), 1);
         assert_eq!(cache.len(), 1);
     }
 
@@ -648,6 +664,7 @@ mod tests {
                 IntervalId(0),
                 G,
                 value(i as f64 + 1.0),
+                Vec::new(),
                 Vec::new(),
             );
         }
@@ -662,9 +679,9 @@ mod tests {
     fn remove_evicts_exactly_one_entry_and_counts_it() {
         let cache = DistributionCache::new(4, 8);
         let (a, b) = (path(&[1, 2]), path(&[3, 4]));
-        cache.insert(&a, IntervalId(0), G, value(1.0), Vec::new());
-        cache.insert(&a, IntervalId(1), G, value(2.0), Vec::new());
-        cache.insert(&b, IntervalId(0), G, value(3.0), Vec::new());
+        cache.insert(&a, IntervalId(0), G, value(1.0), Vec::new(), Vec::new());
+        cache.insert(&a, IntervalId(1), G, value(2.0), Vec::new(), Vec::new());
+        cache.insert(&b, IntervalId(0), G, value(3.0), Vec::new(), Vec::new());
         assert!(cache.remove(&a, IntervalId(0), G));
         assert!(!cache.remove(&a, IntervalId(0), G), "already gone");
         assert_eq!(cache.len(), 2);
@@ -673,7 +690,7 @@ mod tests {
         assert!(cache.get(&a, IntervalId(1), G).is_some());
         assert!(cache.get(&b, IntervalId(0), G).is_some());
         // A removed slot is reusable without disturbing the survivors.
-        cache.insert(&a, IntervalId(0), G, value(9.0), Vec::new());
+        cache.insert(&a, IntervalId(0), G, value(9.0), Vec::new(), Vec::new());
         assert_eq!(cache.len(), 3);
         assert!((cache.get(&a, IntervalId(0), G).unwrap().histogram.mean() - 9.0).abs() < 1e-9);
     }
@@ -688,9 +705,10 @@ mod tests {
                 G,
                 value(1.0),
                 Vec::new(),
+                Vec::new(),
             );
         }
-        let evicted = cache.invalidate_matching(|_, interval, _, _| interval == IntervalId(0));
+        let evicted = cache.invalidate_matching(|_, interval, _, _, _| interval == IntervalId(0));
         assert_eq!(evicted, 4);
         assert_eq!(cache.len(), 8);
         for i in 0..12u32 {
@@ -708,9 +726,9 @@ mod tests {
         let cache = DistributionCache::new(4, 8);
         let p = path(&[1, 2, 3]);
         let (peak, off) = (RegimeId(1), RegimeId(2));
-        cache.insert(&p, IntervalId(0), G, value(10.0), Vec::new());
-        cache.insert(&p, IntervalId(0), peak, value(20.0), Vec::new());
-        cache.insert(&p, IntervalId(0), off, value(30.0), Vec::new());
+        cache.insert(&p, IntervalId(0), G, value(10.0), Vec::new(), Vec::new());
+        cache.insert(&p, IntervalId(0), peak, value(20.0), Vec::new(), Vec::new());
+        cache.insert(&p, IntervalId(0), off, value(30.0), Vec::new(), Vec::new());
         assert_eq!(cache.len(), 3, "one entry per regime");
         assert!((cache.get(&p, IntervalId(0), G).unwrap().histogram.mean() - 10.0).abs() < 1e-9);
         assert!((cache.get(&p, IntervalId(0), peak).unwrap().histogram.mean() - 20.0).abs() < 1e-9);
@@ -724,7 +742,7 @@ mod tests {
         );
         // Regime-targeted invalidation only touches that regime's entries.
         assert_eq!(
-            cache.invalidate_matching(|_, _, regime, _| regime == peak),
+            cache.invalidate_matching(|_, _, regime, _, _| regime == peak),
             1
         );
         assert!(cache.get(&p, IntervalId(0), peak).is_none());

@@ -370,8 +370,14 @@ impl<'n> QueryEngine<'n> {
             decomposition_depth: depth,
             fallback_depth,
         };
-        self.cache
-            .insert(path, interval, regime, value.clone(), reads);
+        self.cache.insert(
+            path,
+            interval,
+            regime,
+            value.clone(),
+            reads,
+            artifacts.footprints,
+        );
         // Guard against a fill racing `apply_update`: an update published
         // while this estimation was in flight may have run its invalidation
         // pass before the insert above landed, which would otherwise strand

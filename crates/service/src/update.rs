@@ -23,22 +23,44 @@
 //!   read names its **source** regime — the fallback-ladder table the
 //!   variable resolved from — so a regime-R entry that fell back to the
 //!   global table is staled by global changes, not regime-R ones.
-//! * **swept** — otherwise, its path contains the path of an *added*
-//!   variable (its key crossed β for the first time) or a *removed* one (its
-//!   support dropped below β after trajectories were retired) whose table
-//!   lies on the entry regime's fallback ladder. Such a change alters
-//!   candidate **selection** for every containing path whether or not that
-//!   path's previous estimate read the key, so reads cannot find it. Any
-//!   interval matches — temporal relevance depends on the entry's
-//!   shift-and-enlarge windows, which the rule conservatively does not
-//!   model.
+//! * **swept** — otherwise, an *added* variable (its key crossed β for the
+//!   first time) or a *removed* one (its support dropped below β after
+//!   trajectories were retired) may change the entry's candidate
+//!   **selection** whether or not its previous estimate read the key, so
+//!   reads cannot find it. Such a key `(p, I, table)` sweeps the entry when
+//!   the table lies on the entry regime's fallback ladder and `p` occurs in
+//!   the entry's path at a position `k` whose **footprint** admits `I`:
+//!   `I` overlaps the shift-and-enlarged window `UI_k` by a positive length,
+//!   or `p` is a unit key and a unit probe at `k` looked `I` up. Every
+//!   entry stores the footprints of the candidate array it was estimated
+//!   from ([`pathcost_core::PositionFootprint`]), beside its reads.
+//!
+//! Why the swept rule is exact. The candidate array consults the weight
+//! view in two ways only (§4.1.3, Eq. 3): the relevance scan at position
+//! `k` keeps a variable whose path matches the query there only if its
+//! interval overlaps `UI_k` by a positive length — the very test the
+//! footprint's range records — and each unit probe at `k` looks up the
+//! unit key of the `k`-th edge at one computed interval, which the
+//! footprint records apart (at the midnight clamp `UI_k` is empty and the
+//! probe wraps to interval 0, outside any range). The windows themselves
+//! are computed from the probes' histograms, and the coarsest
+//! decomposition reads only the array's ranks. So the array is a function
+//! of the keys the footprints admit, plus the histograms of what it read;
+//! a key added or removed where no occurrence of its path admits its
+//! interval leaves the array, the decomposition and every histogram read
+//! unchanged, and the cached answer is bit-identical to a re-estimate.
+//! Histogram changes never alter selection, so updated keys need only the
+//! tracked rule. (The footprints are the canonical departure's — the one
+//! the entry was estimated at, and the only one it answers for.)
 //!
 //! Reads are 64-bit fingerprints; a collision can only over-evict (sound,
 //! never stale). Together the two rules evict a superset of the entries
 //! whose answers can change and a (typically small) subset of the whole
 //! cache — the "bit-identical to full rebuild + flush" oracle is
 //! property-tested in `tests/live_equivalence.rs`, which also pins the
-//! per-update counts of each mode; `tests/service.rs` checks that a 5 %
+//! per-update counts of each mode and checks that an entry the footprints
+//! spare, though its path contains an added key, answers bit-identically
+//! to a rebuild; `crates/service/tests/service.rs` checks that a 5 %
 //! append evicts a strict subset of a warm cache.
 //!
 //! Consistency under concurrency: the new epoch is swapped in *before*
@@ -56,7 +78,7 @@
 use crate::cache::{key_fingerprint, DistributionCache};
 use crate::engine::QueryEngine;
 use crate::error::ServiceError;
-use pathcost_core::{IntervalId, RegimeId, RegimeSchema, WeightUpdate};
+use pathcost_core::{IntervalId, PositionFootprint, RegimeId, RegimeSchema, WeightUpdate};
 use pathcost_roadnet::Path;
 use std::cell::Cell;
 use std::collections::HashSet;
@@ -65,6 +87,23 @@ use std::sync::Arc;
 
 /// A regime-qualified variable key, as a [`WeightUpdate`] lists it.
 type VariableKey = (Path, IntervalId, RegimeId);
+
+/// `true` when the estimation behind an entry for `path`, whose candidate
+/// array left `footprints`, could have consulted the variable key
+/// `(sub, interval)`: `sub` occurs at a position whose footprint admits the
+/// interval. Every occurrence counts — a path may visit `sub` twice.
+fn consulted(
+    path: &Path,
+    footprints: &[PositionFootprint],
+    sub: &Path,
+    interval: IntervalId,
+) -> bool {
+    let unit = sub.cardinality() == 1;
+    path.edges()
+        .windows(sub.cardinality())
+        .zip(footprints)
+        .any(|(at, footprint)| footprint.admits(interval, unit) && at == sub.edges())
+}
 
 /// The invalidation pass: evicts every entry of `cache` that the changed
 /// variables can affect and returns `(tracked, swept)` — how many fell to
@@ -87,7 +126,7 @@ fn invalidate(
         .map(|(path, interval, regime)| key_fingerprint(path, *interval, *regime))
         .collect();
     let tracked = Cell::new(0u64);
-    let evicted = cache.invalidate_matching(|path, _, entry_regime, reads| {
+    let evicted = cache.invalidate_matching(|path, _, entry_regime, reads, footprints| {
         if reads.iter().any(|read| stale_reads.contains(read)) {
             tracked.set(tracked.get() + 1);
             return true;
@@ -97,8 +136,9 @@ fn invalidate(
         // regime-R table change never evicts a sibling regime's (or the
         // global) entries, which is the strict-subset invalidation the
         // regime dimension promises.
-        added.iter().chain(removed).any(|(sub, _, var_regime)| {
-            schema.contributes_to(entry_regime, *var_regime) && sub.is_subpath_of(path)
+        added.iter().chain(removed).any(|(sub, interval, var_regime)| {
+            schema.contributes_to(entry_regime, *var_regime)
+                && consulted(path, footprints, sub, *interval)
         })
     });
     (tracked.get(), evicted - tracked.get())
@@ -121,8 +161,9 @@ pub struct UpdateReport {
     /// Entries evicted because their reads name an updated or removed
     /// variable.
     pub evicted_tracked: u64,
-    /// Entries evicted by containment alone (their path contains an added
-    /// or removed variable's path; their reads name none of the changes).
+    /// Entries evicted by footprint alone (an added or removed variable's
+    /// path occurs in theirs at a position whose footprint admits its
+    /// interval; their reads name none of the changes).
     pub evicted_swept: u64,
     /// Cache entries immediately before the update.
     pub cache_entries_before: usize,
@@ -246,6 +287,14 @@ mod tests {
     /// The global regime pre-regime tests record under.
     const G: RegimeId = RegimeId::ALL_TRAFFIC;
 
+    /// A footprint over the interval ids `overlapping` with the given probes.
+    fn footprint(overlapping: std::ops::Range<u16>, probes: [Option<u16>; 2]) -> PositionFootprint {
+        PositionFootprint {
+            overlapping,
+            probes: probes.map(|probe| probe.map(IntervalId)),
+        }
+    }
+
     #[test]
     fn reads_name_their_source_table_and_sibling_regimes_stay_untouched() {
         use crate::cache::CachedDistribution;
@@ -253,25 +302,37 @@ mod tests {
 
         let (peak, off) = (RegimeId(1), RegimeId(2));
         let schema = RegimeSchema::flat().with_group(peak, G).with_group(off, G);
-        // The same variable key lives in two tables, global and peak.
-        let key = path(&[1]);
-        let at = IntervalId(4);
-        let read = |regime| vec![key_fingerprint(&key, at, regime)];
+        // A 22:50 departure (α = 30 min) on edges 1 → 2 → 3: UI_0 lies in
+        // interval 45, UI_1 spans 46–47, and UI_2 is clamped at midnight —
+        // empty, its row's unit probe wrapped to interval 0.
         let entry = path(&[1, 2, 3]);
+        let at = IntervalId(45);
+        let footprints = || {
+            vec![
+                footprint(45..46, [Some(45), None]),
+                footprint(46..48, [Some(46), None]),
+                footprint(0..0, [None, Some(0)]),
+            ]
+        };
+        // The same variable key — the unit probed at position 0 — lives in
+        // two tables, global and peak.
+        let key = path(&[1]);
+        let read = |regime| vec![key_fingerprint(&key, at, regime)];
         // A global entry reading the global table, a peak entry that
         // resolved the key from the peak table, and an off-peak entry that
         // fell back to the global table (its read names the *source*).
+        let value = || CachedDistribution {
+            histogram: Arc::new(
+                Histogram1D::from_entries(vec![(Bucket::new(1.0, 2.0).unwrap(), 1.0)]).unwrap(),
+            ),
+            decomposition_depth: 1,
+            fallback_depth: 0,
+        };
         let warm = || {
             let cache = DistributionCache::new(2, 8);
-            let bucket = Bucket::new(1.0, 2.0).unwrap();
-            let value = CachedDistribution {
-                histogram: Arc::new(Histogram1D::from_entries(vec![(bucket, 1.0)]).unwrap()),
-                decomposition_depth: 1,
-                fallback_depth: 0,
-            };
-            cache.insert(&entry, at, G, value.clone(), read(G));
-            cache.insert(&entry, at, peak, value.clone(), read(peak));
-            cache.insert(&entry, at, off, value, read(G));
+            cache.insert(&entry, at, G, value(), read(G), footprints());
+            cache.insert(&entry, at, peak, value(), read(peak), footprints());
+            cache.insert(&entry, at, off, value(), read(G), footprints());
             cache
         };
         let cached = |cache: &DistributionCache| {
@@ -290,21 +351,60 @@ mod tests {
         assert_eq!(invalidate(&cache, &schema, &changed, &[], &[]), (2, 0));
         assert_eq!(cached(&cache), [false, true, false]);
 
-        // Containment follows the ladder the same way: a key added to the
-        // peak table reaches peak entries only, one added globally reaches
-        // every regime. Another interval's key is no read of these entries.
-        let elsewhere = IntervalId(9);
+        // An added key sweeps only where its path occurs at a position whose
+        // footprint admits its interval. Outside every footprint — an
+        // interval UI_0 does not reach (its range ends before 46), one
+        // before UI_1, a unit at an interval nobody probed — nothing goes.
         let cache = warm();
-        let changed = [(path(&[2, 3]), elsewhere, peak)];
+        for outside in [
+            (path(&[1, 2]), IntervalId(46)),
+            (path(&[2, 3]), IntervalId(45)),
+            (path(&[1]), IntervalId(46)),
+        ] {
+            let changed = [(outside.0, outside.1, G)];
+            assert_eq!(invalidate(&cache, &schema, &[], &changed, &[]), (0, 0));
+        }
+        assert_eq!(cache.len(), 3);
+        // Inside UI_1's range the key reaches every regime whose ladder
+        // holds its table: a peak-table key peak entries only, a global one
+        // every regime.
+        let changed = [(path(&[2, 3]), IntervalId(47), peak)];
         assert_eq!(invalidate(&cache, &schema, &[], &changed, &[]), (0, 1));
         assert_eq!(cached(&cache), [true, false, true]);
-        let changed = [(path(&[2, 3]), elsewhere, G)];
+        let changed = [(path(&[2, 3]), IntervalId(47), G)];
         assert_eq!(invalidate(&cache, &schema, &[], &changed, &[]), (0, 2));
         assert!(cache.is_empty());
+        // A unit key at the interval position 2's probe wrapped to sweeps,
+        // though UI_2 admits no interval; a longer key there could not.
+        let cache = warm();
+        let changed = [(path(&[2, 3]), IntervalId(0), G)];
+        assert_eq!(invalidate(&cache, &schema, &[], &changed, &[]), (0, 0));
+        let changed = [(path(&[3]), IntervalId(0), G)];
+        assert_eq!(invalidate(&cache, &schema, &[], &changed, &[]), (0, 3));
 
-        // A removed key counts its readers as tracked and the other
-        // containing entries as swept; an update that changed nothing, or
-        // only keys nobody read or contains, evicts nothing.
+        // A path that visits `5 → 6` twice: the key sweeps when either
+        // occurrence admits its interval, here only the second one, and
+        // not one past that occurrence's range.
+        let looped = path(&[5, 6, 5, 6]);
+        let cache = DistributionCache::new(2, 8);
+        let looped_footprints = || {
+            vec![
+                footprint(10..11, [Some(10), None]),
+                footprint(10..12, [Some(11), None]),
+                footprint(11..13, [Some(12), None]),
+                footprint(12..14, [None, None]),
+            ]
+        };
+        cache.insert(&looped, IntervalId(10), G, value(), Vec::new(), looped_footprints());
+        let changed = [(path(&[5, 6]), IntervalId(13), G)];
+        assert_eq!(invalidate(&cache, &schema, &[], &changed, &[]), (0, 0));
+        let changed = [(path(&[5, 6]), IntervalId(12), G)];
+        assert_eq!(invalidate(&cache, &schema, &[], &[], &changed), (0, 1));
+        assert!(cache.is_empty());
+
+        // A removed key counts its readers as tracked and the other entries
+        // whose footprint admits it as swept; an update that changed
+        // nothing, or only keys nobody read or could select, evicts nothing.
         let cache = warm();
         let changed = [(key.clone(), at, G)];
         assert_eq!(invalidate(&cache, &schema, &[], &[], &changed), (2, 1));

@@ -133,7 +133,8 @@ fn main() {
 
         // Fourth epoch, still under live traffic: the oldest ~35% of the
         // store hits its TTL. Variables losing their β support are deleted;
-        // their readers are flushed and containing paths swept.
+        // their readers are flushed, and so are the entries whose candidate
+        // arrays could have selected them.
         let cutoff = ingestor
             .store()
             .start_time_at_percentile(35)
@@ -194,7 +195,7 @@ fn main() {
         metric(&engine, r#"pathcost_ingest_variables_total{op="removed"}"#)
     );
     println!(
-        "  invalidation: {tracked} tracked evictions, {swept} containment-swept ({} total)",
+        "  invalidation: {tracked} tracked evictions, {swept} footprint-swept ({} total)",
         tracked + swept
     );
 

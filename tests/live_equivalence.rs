@@ -392,7 +392,7 @@ fn invalidation_trace(
     let mut trace = Vec::new();
     for round in 0..6 {
         // Whole trips ride along with the variable probes: long paths that
-        // contain many variables, so the containment rule has work to do.
+        // contain many variables, so the footprint rule has work to do.
         let trips = full
             .matched()
             .iter()
@@ -493,6 +493,92 @@ const GOLDEN_REGIMES: [(u64, u64, usize); 6] = [
     (148, 92, 32),
     (12, 8, 256),
 ];
+
+/// The footprint rule against the oracle: over the golden's roomy lineage
+/// (ingest and TTL-retire epochs, whole trips warmed beside the variable
+/// probes), some entries whose path contains an added or removed key — each
+/// of which a rule matching the key at any interval would have evicted —
+/// survive because no occurrence's footprint admits the key's interval, and
+/// every one of them answers bit-identically to a cold rebuild, as the cache
+/// holds it and as the engine serves it.
+#[test]
+fn entries_spared_by_their_footprints_answer_like_a_rebuild() {
+    let (net, full) = pathcost::traj::DatasetPreset::tiny(509)
+        .with_trip_factor(3.0)
+        .materialise()
+        .unwrap();
+    let cfg = HybridConfig {
+        beta: 6,
+        ..HybridConfig::default()
+    };
+    let split = full.len() * 88 / 100;
+    let base = TrajectoryStore::new(full.matched()[..split].to_vec());
+    let rest: Vec<MatchedTrajectory> = full.matched()[split..].to_vec();
+    let weights = PathWeightFunction::instantiate(&net, &base, &cfg).unwrap();
+    let live = QueryEngine::new(
+        Arc::new(HybridGraph::from_parts(&net, weights.clone(), cfg.clone())),
+        ServiceConfig::default(),
+    );
+    let mut ingestor = LiveIngestor::from_instantiated(&net, base, weights, cfg.clone()).unwrap();
+    let mut batches = rest.chunks(rest.len().div_ceil(3).max(1));
+    let mut spared_total = 0;
+    for round in 0..4 {
+        let trips = full
+            .matched()
+            .iter()
+            .step_by(17)
+            .map(|m| QueryRequest::EstimateDistribution {
+                path: m.path.clone(),
+                departure: m.entry_times[0],
+                regime: RegimeId::ALL_TRAFFIC,
+            });
+        let warm: Vec<QueryRequest> = probe_requests(&live, 40).into_iter().chain(trips).collect();
+        for request in &warm {
+            live.execute(request).unwrap();
+        }
+        let update = if round % 2 == 0 {
+            ingestor.ingest(batches.next().unwrap().to_vec()).unwrap()
+        } else {
+            ingestor
+                .retire_before(ttl_cutoff(ingestor.store(), 4))
+                .unwrap()
+        };
+        let containing: Vec<&QueryRequest> = warm
+            .iter()
+            .filter(|request| {
+                let (path, _) = probe_parts(request);
+                update
+                    .added
+                    .iter()
+                    .chain(&update.removed)
+                    .any(|(key, _, _)| key.is_subpath_of(path))
+            })
+            .collect();
+        live.apply_update(update).unwrap();
+
+        let oracle_weights = PathWeightFunction::instantiate(&net, ingestor.store(), &cfg).unwrap();
+        let oracle = QueryEngine::new(
+            Arc::new(HybridGraph::from_parts(&net, oracle_weights, cfg.clone())),
+            ServiceConfig::default(),
+        );
+        for request in containing {
+            let (path, departure) = probe_parts(request);
+            let interval = live.interval_of(departure);
+            let Some(cached) = live.cache().get(path, interval, RegimeId::ALL_TRAFFIC) else {
+                continue;
+            };
+            spared_total += 1;
+            let rebuilt = bits(&estimate(&oracle, request));
+            assert_eq!(bits(&cached.histogram), rebuilt, "round {round}: {request:?}");
+            assert_eq!(bits(&estimate(&live, request)), rebuilt, "round {round}");
+        }
+        assert_equivalent(&live, &oracle, &warm, &format!("round {round}"));
+    }
+    assert!(
+        spared_total > 0,
+        "some entry containing an added or removed key must survive its update"
+    );
+}
 
 // ---------------------------------------------------------------------------
 // Regime-keyed weight variables: fallback-ladder oracle, global bit-identity
@@ -719,8 +805,9 @@ fn regime_tagged_ingest_invalidates_a_strict_subset_of_readers() {
             .all(|(_, _, regime)| *regime != RegimeId(2)),
         "peak-tagged arrivals must never touch the off-peak table"
     );
-    // Keys safe to assert survival on: global update only, not added/removed
-    // anywhere (additions/removals sweep readers by containment).
+    // Keys safe to assert survival on: global update only, and no key added
+    // or removed inside their path at any interval (a superset of what the
+    // footprint rule sweeps).
     let swept = |path: &pathcost::roadnet::Path| {
         update
             .added
