@@ -432,10 +432,13 @@ fn invalidation_trace(
 }
 
 /// Invalidation golden: which entries an update evicts, and under which
-/// mode it counts them, is pinned to numbers captured when reads still
-/// lived in a separate variable → readers index — over an untagged lineage with
-/// a roomy cache, the same lineage under steady LRU pressure, and a
-/// regime-tagged lineage queried at every regime of its schema.
+/// mode it counts them — over an untagged lineage with a roomy cache, the
+/// same lineage under steady LRU pressure, and a regime-tagged lineage
+/// queried at every regime of its schema. Re-pinned when the swept rule
+/// began testing each entry's footprints instead of any-interval
+/// containment: the roomy swept counts went from (20, 10, 38, 0, 11, 33) to
+/// (3, 0, 0, 0, 0, 0), and a few entries that now survive are evicted as
+/// readers in a later round instead.
 #[test]
 fn invalidation_counts_match_the_golden_sequence() {
     let (net, full) = pathcost::traj::DatasetPreset::tiny(509)
@@ -469,29 +472,29 @@ fn invalidation_counts_match_the_golden_sequence() {
 }
 
 const GOLDEN_ROOMY: [(u64, u64, usize); 6] = [
-    (22, 20, 37),
-    (22, 10, 47),
-    (35, 38, 6),
-    (18, 0, 60),
-    (26, 11, 41),
-    (28, 33, 18),
+    (22, 3, 54),
+    (22, 0, 57),
+    (35, 0, 44),
+    (19, 0, 63),
+    (27, 0, 54),
+    (28, 0, 53),
 ];
-/// 4 shards × 8 entries: 358 LRU evictions interleave with the updates.
+/// 4 shards × 8 entries: 385 LRU evictions interleave with the updates.
 const GOLDEN_TIGHT: [(u64, u64, usize); 6] = [
-    (7, 11, 14),
-    (6, 4, 22),
-    (13, 13, 6),
+    (7, 1, 24),
+    (6, 0, 26),
+    (13, 0, 19),
     (8, 0, 24),
-    (8, 2, 22),
-    (11, 9, 12),
+    (8, 0, 24),
+    (11, 0, 21),
 ];
 const GOLDEN_REGIMES: [(u64, u64, usize); 6] = [
     (56, 0, 216),
-    (76, 72, 124),
-    (68, 124, 80),
-    (64, 52, 156),
-    (148, 92, 32),
-    (12, 8, 256),
+    (76, 0, 196),
+    (68, 4, 200),
+    (64, 0, 212),
+    (148, 0, 124),
+    (12, 0, 288),
 ];
 
 /// The footprint rule against the oracle: over the golden's roomy lineage
@@ -991,6 +994,10 @@ fn regime_stage(live: &QueryEngine<'_>) -> (u64, u64, u64, [u64; 3]) {
 /// [`invalidation_counts_match_the_golden_sequence`] (which pins reads
 /// through eviction counts) this is the proof that a depth derived from the
 /// source table's ladder position equals the depth the views used to store.
+/// Only the accounting digests of the two update stages were re-captured
+/// since, when the swept rule began testing footprints: more entries
+/// survive an update, so some first asks hit; the views, the answers and
+/// the depths did not move.
 #[test]
 fn regime_views_and_fallback_depths_match_the_golden() {
     let (net, full, cfg) = tagged_fixture(401, 4);
@@ -1034,13 +1041,13 @@ const GOLDEN_REGIME_STAGES: [(u64, u64, u64, [u64; 3]); 3] = [
     (
         0x38e1_9b67_2a83_ac04,
         0xdba1_4bf2_aeaa_4bdd,
-        0xe3f1_ec94_e092_8165,
+        0x1952_a170_7018_6c45,
         [5288, 3536, 156],
     ),
     (
         0x15a3_4375_f878_bfc1,
         0xc2c6_01b6_c579_8859,
-        0x5070_6a31_360b_6965,
+        0xb69f_faa4_6f44_4685,
         [3310, 2206, 4],
     ),
 ];
