@@ -79,7 +79,7 @@ use crate::cache::{key_fingerprint, DistributionCache};
 use crate::engine::QueryEngine;
 use crate::error::ServiceError;
 use pathcost_core::{IntervalId, PositionFootprint, RegimeId, RegimeSchema, WeightUpdate};
-use pathcost_roadnet::Path;
+use pathcost_roadnet::{EdgeId, Path};
 use std::cell::Cell;
 use std::collections::HashSet;
 use std::sync::atomic::Ordering;
@@ -88,21 +88,62 @@ use std::sync::Arc;
 /// A regime-qualified variable key, as a [`WeightUpdate`] lists it.
 type VariableKey = (Path, IntervalId, RegimeId);
 
-/// `true` when the estimation behind an entry for `path`, whose candidate
-/// array left `footprints`, could have consulted the variable key
-/// `(sub, interval)`: `sub` occurs at a position whose footprint admits the
-/// interval. Every occurrence counts — a path may visit `sub` twice.
-fn consulted(
+/// The added and removed keys, indexed by the first edge of their path, so
+/// the swept rule scans an entry's path once instead of once per key: a
+/// bitset over edge ids rules out most positions, and the keys starting at
+/// a marked edge are one run of a sorted list.
+struct KeysByFirstEdge<'k> {
+    marked: Vec<u64>,
+    keys: Vec<(EdgeId, &'k VariableKey)>,
+}
+
+impl<'k> KeysByFirstEdge<'k> {
+    fn new(keys: impl Iterator<Item = &'k VariableKey>) -> Self {
+        let mut keys: Vec<_> = keys.map(|key| (key.0.first_edge(), key)).collect();
+        keys.sort_unstable_by_key(|(edge, _)| *edge);
+        let words = keys.last().map_or(0, |(edge, _)| edge.index() / 64 + 1);
+        let mut marked = vec![0u64; words];
+        for (edge, _) in &keys {
+            marked[edge.index() / 64] |= 1 << (edge.index() % 64);
+        }
+        KeysByFirstEdge { marked, keys }
+    }
+
+    /// The keys whose path starts with `edge`.
+    fn starting_with(&self, edge: EdgeId) -> &[(EdgeId, &'k VariableKey)] {
+        let word = self.marked.get(edge.index() / 64).copied().unwrap_or(0);
+        if word & (1 << (edge.index() % 64)) == 0 {
+            return &[];
+        }
+        let from = self.keys.partition_point(|(first, _)| *first < edge);
+        let len = self.keys[from..].partition_point(|(first, _)| *first == edge);
+        &self.keys[from..from + len]
+    }
+}
+
+/// The swept rule for one entry of regime `entry_regime` on `path`, whose
+/// candidate array left `footprints`: some added or removed key's table is
+/// on the entry's fallback ladder and its path occurs in `path` at a
+/// position whose footprint admits its interval. Every occurrence counts —
+/// a path may visit a key twice.
+fn swept(
     path: &Path,
     footprints: &[PositionFootprint],
-    sub: &Path,
-    interval: IntervalId,
+    entry_regime: RegimeId,
+    schema: &RegimeSchema,
+    changed: &KeysByFirstEdge<'_>,
 ) -> bool {
-    let unit = sub.cardinality() == 1;
-    path.edges()
-        .windows(sub.cardinality())
-        .zip(footprints)
-        .any(|(at, footprint)| footprint.admits(interval, unit) && at == sub.edges())
+    let edges = path.edges();
+    edges.iter().zip(footprints).enumerate().any(|(k, (&edge, footprint))| {
+        changed
+            .starting_with(edge)
+            .iter()
+            .any(|(_, (sub, interval, table))| {
+                footprint.admits(*interval, sub.is_unit())
+                    && edges[k..].starts_with(sub.edges())
+                    && schema.contributes_to(entry_regime, *table)
+            })
+    })
 }
 
 /// The invalidation pass: evicts every entry of `cache` that the changed
@@ -125,6 +166,7 @@ fn invalidate(
         .chain(removed)
         .map(|(path, interval, regime)| key_fingerprint(path, *interval, *regime))
         .collect();
+    let changed = KeysByFirstEdge::new(added.iter().chain(removed));
     let tracked = Cell::new(0u64);
     let evicted = cache.invalidate_matching(|path, _, entry_regime, reads, footprints| {
         if reads.iter().any(|read| stale_reads.contains(read)) {
@@ -136,10 +178,7 @@ fn invalidate(
         // regime-R table change never evicts a sibling regime's (or the
         // global) entries, which is the strict-subset invalidation the
         // regime dimension promises.
-        added.iter().chain(removed).any(|(sub, interval, var_regime)| {
-            schema.contributes_to(entry_regime, *var_regime)
-                && consulted(path, footprints, sub, *interval)
-        })
+        swept(path, footprints, entry_regime, schema, &changed)
     });
     (tracked.get(), evicted - tracked.get())
 }
