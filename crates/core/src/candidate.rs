@@ -90,8 +90,7 @@ impl PositionFootprint {
     /// position could have been consulted: the interval overlaps `UI_k`, or
     /// the key is a unit (`unit`) and a probe looked the interval up.
     pub fn admits(&self, interval: IntervalId, unit: bool) -> bool {
-        self.overlapping.contains(&interval.0)
-            || (unit && self.probes.contains(&Some(interval)))
+        self.overlapping.contains(&interval.0) || (unit && self.probes.contains(&Some(interval)))
     }
 }
 
@@ -105,7 +104,7 @@ fn overlapping_ids(partition: &DayPartition, window: &TimeInterval) -> Range<u16
     let around = first.saturating_sub(1)..=(last + 1).min(partition.interval_count() - 1);
     let mut ids = around.filter(|&id| partition.range(IntervalId(id)).overlap(window) > 0.0);
     match ids.next() {
-        Some(start) => start..ids.last().unwrap_or(start) + 1,
+        Some(start) => start..ids.next_back().unwrap_or(start) + 1,
         None => 0..0,
     }
 }
@@ -487,7 +486,10 @@ mod tests {
                 }
             }
         }
-        assert!(wrapped > 0, "some window must clamp at midnight and wrap its probe");
+        assert!(
+            wrapped > 0,
+            "some window must clamp at midnight and wrap its probe"
+        );
     }
 
     #[test]

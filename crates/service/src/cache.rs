@@ -94,14 +94,20 @@ pub(crate) fn key_fingerprint(path: &Path, interval: IntervalId, regime: RegimeI
 
 const NIL: usize = usize::MAX;
 
-struct Node {
-    key: Key,
+/// What one key holds: its value and what invalidation needs to know about
+/// the estimation behind it.
+struct Entry {
     value: CachedDistribution,
     /// [`key_fingerprint`]s of the variable keys the estimation read. Kept
     /// beside the value, not inside it, so a hit still clones one `Arc`.
     reads: Box<[u64]>,
     /// The estimation's footprint at each position of the key's path.
     footprints: Box<[PositionFootprint]>,
+}
+
+struct Node {
+    key: Key,
+    entry: Entry,
     prev: usize,
     next: usize,
 }
@@ -184,7 +190,7 @@ impl Shard {
         let at = self.find(fingerprint, interval, regime, path)?;
         self.unlink(at);
         self.push_front(at);
-        Some(self.slab[at].value.clone())
+        Some(self.slab[at].entry.value.clone())
     }
 
     /// Inserts or refreshes an entry; returns whether making room dropped
@@ -195,14 +201,10 @@ impl Shard {
         interval: IntervalId,
         regime: RegimeId,
         path: &Path,
-        value: CachedDistribution,
-        reads: Box<[u64]>,
-        footprints: Box<[PositionFootprint]>,
+        entry: Entry,
     ) -> bool {
         if let Some(at) = self.find(fingerprint, interval, regime, path) {
-            self.slab[at].value = value;
-            self.slab[at].reads = reads;
-            self.slab[at].footprints = footprints;
+            self.slab[at].entry = entry;
             self.unlink(at);
             self.push_front(at);
             return false;
@@ -220,9 +222,7 @@ impl Shard {
         };
         let node = Node {
             key,
-            value,
-            reads,
-            footprints,
+            entry,
             prev: NIL,
             next: NIL,
         };
@@ -300,13 +300,8 @@ impl Shard {
             let (at, node) = (cursor, &self.slab[cursor]);
             let key = &node.key;
             cursor = node.next;
-            if predicate(
-                &key.path,
-                key.interval,
-                key.regime,
-                &node.reads,
-                &node.footprints,
-            ) {
+            let (reads, footprints) = (&node.entry.reads, &node.entry.footprints);
+            if predicate(&key.path, key.interval, key.regime, reads, footprints) {
                 self.remove_at(at);
                 evicted += 1;
             }
@@ -453,12 +448,16 @@ impl DistributionCache {
     ) {
         let fingerprint = key_fingerprint(path, interval, regime);
         let shard_index = self.shard_index_of(fingerprint);
-        let (reads, footprints) = (reads.into_boxed_slice(), footprints.into_boxed_slice());
+        let entry = Entry {
+            value,
+            reads: reads.into_boxed_slice(),
+            footprints: footprints.into_boxed_slice(),
+        };
         self.insertions.inc();
         let evicted = self.shards[shard_index]
             .lock()
             .expect("cache shard poisoned")
-            .insert(fingerprint, interval, regime, path, value, reads, footprints);
+            .insert(fingerprint, interval, regime, path, entry);
         if evicted {
             self.tallies[shard_index].evictions.inc();
         }
@@ -639,19 +638,49 @@ mod tests {
     fn refreshing_a_full_shard_evicts_nothing_and_replaces_the_reads() {
         let cache = DistributionCache::new(1, 2);
         let (a, b, c) = (path(&[1]), path(&[2]), path(&[3]));
-        cache.insert(&a, IntervalId(0), G, value(1.0), vec![7], Vec::new());
+        let footprint = |at: u16| PositionFootprint {
+            overlapping: at..at + 1,
+            probes: [None, None],
+        };
+        cache.insert(
+            &a,
+            IntervalId(0),
+            G,
+            value(1.0),
+            vec![7],
+            vec![footprint(0)],
+        );
         cache.insert(&b, IntervalId(4), G, value(2.0), vec![8], Vec::new());
         // Refreshing an existing key never evicts, and the entry now
-        // answers for the refill's reads, not its predecessor's.
-        cache.insert(&a, IntervalId(0), G, value(1.5), vec![9], Vec::new());
+        // answers for the refill's reads and footprints, not its
+        // predecessor's.
+        cache.insert(
+            &a,
+            IntervalId(0),
+            G,
+            value(1.5),
+            vec![9],
+            vec![footprint(1)],
+        );
         assert_eq!(cache.evictions(), 0);
-        assert_eq!(cache.invalidate_matching(|_, _, _, reads, _| reads == [7]), 0);
+        assert_eq!(
+            cache.invalidate_matching(|_, _, _, reads, _| reads == [7]),
+            0
+        );
+        let stale = |footprints: &[PositionFootprint]| footprints == [footprint(0)];
+        assert_eq!(cache.invalidate_matching(|_, _, _, _, f| stale(f)), 0);
         // Overflow: `b` is now the LRU entry and leaves with its reads.
         cache.insert(&c, IntervalId(0), G, value(3.0), Vec::new(), Vec::new());
         assert_eq!(cache.evictions(), 1);
         assert!(cache.get(&b, IntervalId(4), G).is_none());
-        assert_eq!(cache.invalidate_matching(|_, _, _, reads, _| reads == [8]), 0);
-        assert_eq!(cache.invalidate_matching(|_, _, _, reads, _| reads == [9]), 1);
+        assert_eq!(
+            cache.invalidate_matching(|_, _, _, reads, _| reads == [8]),
+            0
+        );
+        assert_eq!(
+            cache.invalidate_matching(|_, _, _, reads, _| reads == [9]),
+            1
+        );
         assert_eq!(cache.len(), 1);
     }
 

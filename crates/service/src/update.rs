@@ -33,7 +33,11 @@
 //!   `I` overlaps the shift-and-enlarged window `UI_k` by a positive length,
 //!   or `p` is a unit key and a unit probe at `k` looked `I` up. Every
 //!   entry stores the footprints of the candidate array it was estimated
-//!   from ([`pathcost_core::PositionFootprint`]), beside its reads.
+//!   from ([`pathcost_core::PositionFootprint`]), beside its reads. Apart
+//!   from keys, an entry is swept when the update hands its regime to
+//!   another view — a regime's first table appeared or its last one
+//!   emptied — because an answer reports the fallback depth of the view
+//!   that answered it, even one that read no trajectory variable.
 //!
 //! Why the swept rule is exact. The candidate array consults the weight
 //! view in two ways only (§4.1.3, Eq. 3): the relevance scan at position
@@ -78,7 +82,9 @@
 use crate::cache::{key_fingerprint, DistributionCache};
 use crate::engine::QueryEngine;
 use crate::error::ServiceError;
-use pathcost_core::{IntervalId, PositionFootprint, RegimeId, RegimeSchema, WeightUpdate};
+use pathcost_core::{
+    IntervalId, PathWeightFunction, PositionFootprint, RegimeId, RegimeSchema, WeightUpdate,
+};
 use pathcost_roadnet::{EdgeId, Path};
 use std::cell::Cell;
 use std::collections::HashSet;
@@ -134,31 +140,56 @@ fn swept(
     changed: &KeysByFirstEdge<'_>,
 ) -> bool {
     let edges = path.edges();
-    edges.iter().zip(footprints).enumerate().any(|(k, (&edge, footprint))| {
-        changed
-            .starting_with(edge)
-            .iter()
-            .any(|(_, (sub, interval, table))| {
-                footprint.admits(*interval, sub.is_unit())
-                    && edges[k..].starts_with(sub.edges())
-                    && schema.contributes_to(entry_regime, *table)
-            })
-    })
+    edges
+        .iter()
+        .zip(footprints)
+        .enumerate()
+        .any(|(k, (&edge, footprint))| {
+            changed
+                .starting_with(edge)
+                .iter()
+                .any(|(_, (sub, interval, table))| {
+                    footprint.admits(*interval, sub.is_unit())
+                        && edges[k..].starts_with(sub.edges())
+                        && schema.contributes_to(entry_regime, *table)
+                })
+        })
+}
+
+/// The regimes whose queries `published` answers from another view than
+/// `current` did. Only a regime with a view of its own in either epoch can
+/// change hands, and those are the regimes of a non-empty table or of the
+/// schema (see `PathWeightFunction::view`).
+fn rerooted(current: &PathWeightFunction, published: &PathWeightFunction) -> Vec<RegimeId> {
+    let schema = published
+        .regime_schema()
+        .entries()
+        .map(|(regime, _)| regime);
+    let mut regimes: Vec<RegimeId> = (current.tables().keys())
+        .chain(published.tables().keys())
+        .copied()
+        .chain(schema)
+        .filter(|&regime| current.view(regime).regime() != published.view(regime).regime())
+        .collect();
+    regimes.sort_unstable();
+    regimes.dedup();
+    regimes
 }
 
 /// The invalidation pass: evicts every entry of `cache` that the changed
-/// variables can affect and returns `(tracked, swept)` — how many fell to
-/// each rule of the module docs. `schema` is the *new* epoch's
-/// fallback-ladder schema, which decides which regimes' entries a touched
-/// table can reach.
+/// variables — or a `rerooted` regime — can affect and returns
+/// `(tracked, swept)`: how many fell to each rule of the module docs.
+/// `schema` is the *new* epoch's fallback-ladder schema, which decides
+/// which regimes' entries a touched table can reach.
 fn invalidate(
     cache: &DistributionCache,
     schema: &RegimeSchema,
+    rerooted: &[RegimeId],
     updated: &[VariableKey],
     added: &[VariableKey],
     removed: &[VariableKey],
 ) -> (u64, u64) {
-    if updated.is_empty() && added.is_empty() && removed.is_empty() {
+    if updated.is_empty() && added.is_empty() && removed.is_empty() && rerooted.is_empty() {
         return (0, 0);
     }
     let stale_reads: HashSet<u64> = updated
@@ -178,7 +209,7 @@ fn invalidate(
         // regime-R table change never evicts a sibling regime's (or the
         // global) entries, which is the strict-subset invalidation the
         // regime dimension promises.
-        swept(path, footprints, entry_regime, schema, &changed)
+        rerooted.contains(&entry_regime) || swept(path, footprints, entry_regime, schema, &changed)
     });
     (tracked.get(), evicted - tracked.get())
 }
@@ -202,7 +233,8 @@ pub struct UpdateReport {
     pub evicted_tracked: u64,
     /// Entries evicted by footprint alone (an added or removed variable's
     /// path occurs in theirs at a position whose footprint admits its
-    /// interval; their reads name none of the changes).
+    /// interval; their reads name none of the changes), or because another
+    /// view now answers their regime.
     pub evicted_swept: u64,
     /// Cache entries immediately before the update.
     pub cache_entries_before: usize,
@@ -283,9 +315,11 @@ impl<'n> QueryEngine<'n> {
         // a fill that started before this store and lands after the pass
         // below observes the bump and evicts its own entry.
         self.epoch.store(published, Ordering::SeqCst);
-        let schema = published_graph.weights().regime_schema();
+        let published_weights = published_graph.weights();
+        let schema = published_weights.regime_schema();
+        let rerooted = rerooted(current.weights(), published_weights);
         let (evicted_tracked, evicted_swept) =
-            invalidate(self.cache(), schema, &updated, &added, &removed);
+            invalidate(self.cache(), schema, &rerooted, &updated, &added, &removed);
 
         let recorder = &self.recorder;
         recorder.ingest_updates.inc();
@@ -381,13 +415,13 @@ mod tests {
         // A peak-table update stales only the own-table reader…
         let cache = warm();
         let changed = [(key.clone(), at, peak)];
-        assert_eq!(invalidate(&cache, &schema, &changed, &[], &[]), (1, 0));
+        assert_eq!(invalidate(&cache, &schema, &[], &changed, &[], &[]), (1, 0));
         assert_eq!(cached(&cache), [true, false, true]);
         // …and a global-table one the global reader AND the off-peak
         // fallback reader, never the peak entry.
         let cache = warm();
         let changed = [(key.clone(), at, G)];
-        assert_eq!(invalidate(&cache, &schema, &changed, &[], &[]), (2, 0));
+        assert_eq!(invalidate(&cache, &schema, &[], &changed, &[], &[]), (2, 0));
         assert_eq!(cached(&cache), [false, true, false]);
 
         // An added key sweeps only where its path occurs at a position whose
@@ -401,25 +435,25 @@ mod tests {
             (path(&[1]), IntervalId(46)),
         ] {
             let changed = [(outside.0, outside.1, G)];
-            assert_eq!(invalidate(&cache, &schema, &[], &changed, &[]), (0, 0));
+            assert_eq!(invalidate(&cache, &schema, &[], &[], &changed, &[]), (0, 0));
         }
         assert_eq!(cache.len(), 3);
         // Inside UI_1's range the key reaches every regime whose ladder
         // holds its table: a peak-table key peak entries only, a global one
         // every regime.
         let changed = [(path(&[2, 3]), IntervalId(47), peak)];
-        assert_eq!(invalidate(&cache, &schema, &[], &changed, &[]), (0, 1));
+        assert_eq!(invalidate(&cache, &schema, &[], &[], &changed, &[]), (0, 1));
         assert_eq!(cached(&cache), [true, false, true]);
         let changed = [(path(&[2, 3]), IntervalId(47), G)];
-        assert_eq!(invalidate(&cache, &schema, &[], &changed, &[]), (0, 2));
+        assert_eq!(invalidate(&cache, &schema, &[], &[], &changed, &[]), (0, 2));
         assert!(cache.is_empty());
         // A unit key at the interval position 2's probe wrapped to sweeps,
         // though UI_2 admits no interval; a longer key there could not.
         let cache = warm();
         let changed = [(path(&[2, 3]), IntervalId(0), G)];
-        assert_eq!(invalidate(&cache, &schema, &[], &changed, &[]), (0, 0));
+        assert_eq!(invalidate(&cache, &schema, &[], &[], &changed, &[]), (0, 0));
         let changed = [(path(&[3]), IntervalId(0), G)];
-        assert_eq!(invalidate(&cache, &schema, &[], &changed, &[]), (0, 3));
+        assert_eq!(invalidate(&cache, &schema, &[], &[], &changed, &[]), (0, 3));
 
         // A path that visits `5 → 6` twice: the key sweeps when either
         // occurrence admits its interval, here only the second one, and
@@ -434,11 +468,18 @@ mod tests {
                 footprint(12..14, [None, None]),
             ]
         };
-        cache.insert(&looped, IntervalId(10), G, value(), Vec::new(), looped_footprints());
+        cache.insert(
+            &looped,
+            IntervalId(10),
+            G,
+            value(),
+            Vec::new(),
+            looped_footprints(),
+        );
         let changed = [(path(&[5, 6]), IntervalId(13), G)];
-        assert_eq!(invalidate(&cache, &schema, &[], &changed, &[]), (0, 0));
+        assert_eq!(invalidate(&cache, &schema, &[], &[], &changed, &[]), (0, 0));
         let changed = [(path(&[5, 6]), IntervalId(12), G)];
-        assert_eq!(invalidate(&cache, &schema, &[], &[], &changed), (0, 1));
+        assert_eq!(invalidate(&cache, &schema, &[], &[], &[], &changed), (0, 1));
         assert!(cache.is_empty());
 
         // A removed key counts its readers as tracked and the other entries
@@ -446,12 +487,19 @@ mod tests {
         // nothing, or only keys nobody read or could select, evicts nothing.
         let cache = warm();
         let changed = [(key.clone(), at, G)];
-        assert_eq!(invalidate(&cache, &schema, &[], &[], &changed), (2, 1));
+        assert_eq!(invalidate(&cache, &schema, &[], &[], &[], &changed), (2, 1));
         let cache = warm();
         let changed = [(path(&[7]), at, G)];
-        assert_eq!(invalidate(&cache, &schema, &changed, &changed, &[]), (0, 0));
-        assert_eq!(invalidate(&cache, &schema, &[], &[], &[]), (0, 0));
+        assert_eq!(
+            invalidate(&cache, &schema, &[], &changed, &changed, &[]),
+            (0, 0)
+        );
+        assert_eq!(invalidate(&cache, &schema, &[], &[], &[], &[]), (0, 0));
         assert_eq!(cache.len(), 3);
+        // A regime another view now answers loses every entry, whatever it
+        // read; the other regimes keep theirs.
+        assert_eq!(invalidate(&cache, &schema, &[off], &[], &[], &[]), (0, 1));
+        assert_eq!(cached(&cache), [true, true, false]);
     }
 
     #[test]

@@ -434,11 +434,9 @@ fn invalidation_trace(
 /// Invalidation golden: which entries an update evicts, and under which
 /// mode it counts them — over an untagged lineage with a roomy cache, the
 /// same lineage under steady LRU pressure, and a regime-tagged lineage
-/// queried at every regime of its schema. Re-pinned when the swept rule
-/// began testing each entry's footprints instead of any-interval
-/// containment: the roomy swept counts went from (20, 10, 38, 0, 11, 33) to
-/// (3, 0, 0, 0, 0, 0), and a few entries that now survive are evicted as
-/// readers in a later round instead.
+/// queried at every regime of its schema. The swept counts are the
+/// footprint rule's: an entry whose path merely contains an added or
+/// removed key, at an interval its footprints do not admit, stays.
 #[test]
 fn invalidation_counts_match_the_golden_sequence() {
     let (net, full) = pathcost::traj::DatasetPreset::tiny(509)
@@ -572,7 +570,11 @@ fn entries_spared_by_their_footprints_answer_like_a_rebuild() {
             };
             spared_total += 1;
             let rebuilt = bits(&estimate(&oracle, request));
-            assert_eq!(bits(&cached.histogram), rebuilt, "round {round}: {request:?}");
+            assert_eq!(
+                bits(&cached.histogram),
+                rebuilt,
+                "round {round}: {request:?}"
+            );
             assert_eq!(bits(&estimate(&live, request)), rebuilt, "round {round}");
         }
         assert_equivalent(&live, &oracle, &warm, &format!("round {round}"));
@@ -872,6 +874,69 @@ fn regime_tagged_ingest_invalidates_a_strict_subset_of_readers() {
     }
 }
 
+/// A regime's first table changes which view answers it: before the ingest
+/// an undeclared regime 7 is answered by the root, one rung down its ladder
+/// `7 → 0`; after a batch tagged 7 it has a view of its own, and an answer
+/// that read no trajectory variable — a dead-hour probe, built from speed
+/// limits alone — reports depth 0. The cached answers must follow, on the
+/// hit as on a rebuild's miss.
+#[test]
+fn a_regime_whose_first_table_appears_reports_its_own_view_depth() {
+    let (net, full, cfg) = tagged_fixture(401, 4);
+    let split = full.len() * 70 / 100;
+    let base = TrajectoryStore::new(full.matched()[..split].to_vec());
+    let rest: Vec<MatchedTrajectory> = full.matched()[split..].to_vec();
+    let weights = PathWeightFunction::instantiate(&net, &base, &cfg).unwrap();
+    let live = QueryEngine::new(
+        Arc::new(HybridGraph::from_parts(&net, weights.clone(), cfg.clone())),
+        ServiceConfig::default(),
+    );
+    let mut ingestor = LiveIngestor::from_instantiated(&net, base, weights, cfg.clone())
+        .unwrap()
+        .with_classifier(Arc::new(Always(RegimeId(7))));
+    let probes: Vec<QueryRequest> = full
+        .matched()
+        .iter()
+        .step_by(5)
+        .map(|m| QueryRequest::EstimateDistribution {
+            path: m.path.clone(),
+            departure: Timestamp::from_day_hms(0, 3, 0, 0),
+            regime: RegimeId(7),
+        })
+        .collect();
+    for request in &probes {
+        let stats = live.execute(request).unwrap().stats;
+        assert_eq!(stats.max_fallback_depth, 1, "the root answers regime 7");
+    }
+    let update = ingestor.ingest(rest).unwrap();
+    assert!(
+        update
+            .added
+            .iter()
+            .any(|(_, _, table)| *table == RegimeId(7)),
+        "the batch must give regime 7 a table"
+    );
+    live.apply_update(update).unwrap();
+
+    let oracle_weights = PathWeightFunction::instantiate(&net, ingestor.store(), &cfg).unwrap();
+    let oracle = QueryEngine::new(
+        Arc::new(HybridGraph::from_parts(&net, oracle_weights, cfg)),
+        ServiceConfig::default(),
+    );
+    for request in &probes {
+        let (a, b) = (
+            live.execute(request).unwrap(),
+            oracle.execute(request).unwrap(),
+        );
+        assert_eq!(a.response.distribution(), b.response.distribution());
+        assert_eq!(
+            b.stats.max_fallback_depth, 0,
+            "regime 7 has a view of its own"
+        );
+        assert_eq!(a.stats.max_fallback_depth, 0, "{request:?}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Regime golden: every view and every reported fallback depth, pinned.
 // ---------------------------------------------------------------------------
@@ -994,10 +1059,8 @@ fn regime_stage(live: &QueryEngine<'_>) -> (u64, u64, u64, [u64; 3]) {
 /// [`invalidation_counts_match_the_golden_sequence`] (which pins reads
 /// through eviction counts) this is the proof that a depth derived from the
 /// source table's ladder position equals the depth the views used to store.
-/// Only the accounting digests of the two update stages were re-captured
-/// since, when the swept rule began testing footprints: more entries
-/// survive an update, so some first asks hit; the views, the answers and
-/// the depths did not move.
+/// Which entries an update evicts shows in the accounting digest alone: a
+/// narrower invalidation rule moves it, never the answers digest.
 #[test]
 fn regime_views_and_fallback_depths_match_the_golden() {
     let (net, full, cfg) = tagged_fixture(401, 4);
