@@ -165,15 +165,10 @@ fn rerooted(current: &PathWeightFunction, published: &PathWeightFunction) -> Vec
         .regime_schema()
         .entries()
         .map(|(regime, _)| regime);
-    let mut regimes: Vec<RegimeId> = (current.tables().keys())
-        .chain(published.tables().keys())
-        .copied()
-        .chain(schema)
+    let tables = current.tables().keys().chain(published.tables().keys());
+    (tables.copied().chain(schema))
         .filter(|&regime| current.view(regime).regime() != published.view(regime).regime())
-        .collect();
-    regimes.sort_unstable();
-    regimes.dedup();
-    regimes
+        .collect()
 }
 
 /// The invalidation pass: evicts every entry of `cache` that the changed

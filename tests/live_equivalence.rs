@@ -14,9 +14,11 @@
 //! additionally cover variables *deleted* because their support dropped
 //! below β.
 //!
-//! Two further tests cover what the oracle's sequential rounds cannot: fills
-//! racing updates under LRU churn (no pre-update entry is retained), and a
-//! golden of the per-update eviction counts by mode.
+//! Further tests cover what the oracle's sequential rounds cannot: fills
+//! racing updates under LRU churn (no pre-update entry is retained), a
+//! golden of the per-update eviction counts by mode, and entries the swept
+//! rule's footprints spare though their path contains a changed key (each
+//! answers like a rebuild).
 
 use pathcost::core::{HybridConfig, HybridGraph, PathWeightFunction};
 use pathcost::live::LiveIngestor;
