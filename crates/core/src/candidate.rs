@@ -92,6 +92,78 @@ impl PositionFootprint {
     pub fn admits(&self, interval: IntervalId, unit: bool) -> bool {
         self.overlapping.contains(&interval.0) || (unit && self.probes.contains(&Some(interval)))
     }
+
+    /// The footprint in four bytes, keeping a probe only where the range
+    /// does not already admit it (see [`PackedFootprint`]).
+    pub fn packed(&self) -> PackedFootprint {
+        let range = &self.overlapping;
+        let mut strays = (self.probes.iter().flatten())
+            .map(|probe| probe.0)
+            .filter(|probe| !range.contains(probe));
+        let (first, second) = (strays.next(), strays.next());
+        let Some(first) = first else {
+            return if range.is_empty() {
+                PackedFootprint::NOTHING
+            } else {
+                PackedFootprint {
+                    from: range.start,
+                    to: range.end,
+                }
+            };
+        };
+        if range.is_empty() && second.is_none_or(|second| second == first) {
+            return PackedFootprint {
+                from: first,
+                to: first,
+            };
+        }
+        // A probe outside a non-empty range, or two distinct probes at an
+        // empty one: `build` makes neither. Widening the range over them
+        // admits a superset, which can only evict more, never less.
+        let ends = (!range.is_empty()).then(|| [range.start, range.end - 1]);
+        let ids = [Some(first), second].into_iter().flatten();
+        let ids = ids.chain(ends.into_iter().flatten());
+        let (lo, hi) = ids.fold((u16::MAX, 0), |(lo, hi), id| (lo.min(id), hi.max(id)));
+        PackedFootprint {
+            from: lo,
+            to: hi + 1,
+        }
+    }
+}
+
+/// A [`PositionFootprint`] as a cache entry keeps it, in four bytes: it
+/// [`admits`](Self::admits) what the footprint admits, without the probes
+/// the range already admits.
+///
+/// A probe looks up the interval that holds the midpoint of `UI_k`. Where
+/// the window has a positive length, that interval overlaps it by a positive
+/// length, so the range already holds every probe made there. Only where
+/// `UI_k` clamped at midnight — an empty range — does a probe fall outside
+/// it, and both probes then look up the midpoint of the same empty window
+/// (which wraps to interval 0). So a packed footprint is the range where
+/// that is not empty, and otherwise the one interval its probes looked up.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PackedFootprint {
+    /// With `to`: the range `from..to` when `from < to`; an empty range and
+    /// a unit probe of interval `from` when `from == to`; nothing at all
+    /// when `from > to`.
+    from: u16,
+    to: u16,
+}
+
+impl PackedFootprint {
+    /// Admits no key: an empty range where no probe was made.
+    const NOTHING: PackedFootprint = PackedFootprint { from: 1, to: 0 };
+
+    /// [`PositionFootprint::admits`] of the footprint this was packed from.
+    pub fn admits(&self, interval: IntervalId, unit: bool) -> bool {
+        let id = interval.0;
+        if self.from < self.to {
+            (self.from..self.to).contains(&id)
+        } else {
+            unit && self.from == id && self.from == self.to
+        }
+    }
 }
 
 /// The ids of the intervals of `partition` whose range overlaps `window` by
@@ -490,6 +562,74 @@ mod tests {
             wrapped > 0,
             "some window must clamp at midnight and wrap its probe"
         );
+    }
+
+    /// A packed footprint admits exactly what the footprint it was packed
+    /// from admits — every interval, unit or not — on every position of the
+    /// frequent paths and the longest trip at random departures and half a
+    /// minute before midnight, where the probes wrap outside an empty range.
+    /// Footprints `build` never makes pack to a range that admits more.
+    #[test]
+    fn packed_footprints_admit_what_the_footprints_do() {
+        use rand::{Rng, SeedableRng};
+        assert_eq!(std::mem::size_of::<PackedFootprint>(), 4);
+        let (net, store, cfg, _, _) = graph_and_query();
+        let graph = HybridGraph::build(&net, &store, cfg).unwrap();
+        let partition = graph.weights().partition();
+        let longest = store
+            .matched()
+            .iter()
+            .map(|m| m.path.clone())
+            .max_by_key(|path| path.cardinality())
+            .unwrap();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(55);
+        let mut departures = vec![(longest, Timestamp(86_400.0 - 30.0))];
+        for (path, _) in store.frequent_paths(3, 5, None).into_iter().take(6) {
+            for _ in 0..12 {
+                departures.push((path.clone(), Timestamp(rng.gen_range(0.0..86_400.0))));
+            }
+        }
+        let same = |footprint: &PositionFootprint| {
+            let packed = footprint.packed();
+            partition.all().all(|id| {
+                [false, true]
+                    .into_iter()
+                    .all(|unit| packed.admits(id, unit) == footprint.admits(id, unit))
+            })
+        };
+        let mut wrapped = 0;
+        for (path, departure) in &departures {
+            let array = CandidateArray::build(&graph, path, *departure, None).unwrap();
+            for (k, footprint) in array.footprints.iter().enumerate() {
+                assert!(
+                    same(footprint),
+                    "position {k} of {departure:?}: {footprint:?}"
+                );
+                wrapped += usize::from(footprint.overlapping.is_empty());
+            }
+        }
+        assert!(wrapped > 0, "some window must clamp at midnight");
+
+        let hand = |overlapping: Range<u16>, probes: [Option<u16>; 2]| PositionFootprint {
+            overlapping,
+            probes: probes.map(|probe| probe.map(IntervalId)),
+        };
+        for exact in [
+            hand(3..5, [Some(3), Some(4)]),
+            hand(0..0, [None, Some(0)]),
+            hand(0..0, [Some(7), Some(7)]),
+            hand(0..0, [None, None]),
+        ] {
+            assert!(same(&exact), "{exact:?}");
+        }
+        for widened in [hand(3..5, [Some(9), None]), hand(0..0, [Some(2), Some(6)])] {
+            let packed = widened.packed();
+            for id in partition.all() {
+                for unit in [false, true] {
+                    assert!(!widened.admits(id, unit) || packed.admits(id, unit));
+                }
+            }
+        }
     }
 
     #[test]

@@ -34,6 +34,7 @@
 //! println!("P(travel time ≤ 10 min) = {}", distribution.prob_leq(600.0));
 //! ```
 
+pub mod bounded;
 pub mod candidate;
 pub mod config;
 pub mod decomposition;
@@ -47,7 +48,10 @@ pub mod joint;
 pub mod variable;
 pub mod weights;
 
-pub use candidate::{CandidateArray, CandidateSource, PositionFootprint, SelectedVariable};
+pub use bounded::BoundedMap;
+pub use candidate::{
+    CandidateArray, CandidateSource, PackedFootprint, PositionFootprint, SelectedVariable,
+};
 pub use config::HybridConfig;
 pub use decomposition::Decomposition;
 pub use error::CoreError;

@@ -26,10 +26,10 @@
 //! lock and inserted if still absent, so two threads missing on one key at
 //! once both search, one result is kept, and both return the resident value.
 
+use pathcost_core::BoundedMap;
 use pathcost_roadnet::{EdgeId, RoadNetwork, VertexId};
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::hash::Hash;
+use std::collections::BinaryHeap;
 use std::sync::{Arc, Mutex};
 
 #[derive(Debug, Clone, Copy)]
@@ -170,39 +170,6 @@ impl DestinationIndex {
     }
 }
 
-/// A map of at most `capacity` entries that makes room by dropping the
-/// entry inserted longest ago.
-struct Bounded<K, V> {
-    entries: HashMap<K, V>,
-    inserted: VecDeque<K>,
-    capacity: usize,
-}
-
-impl<K: Copy + Eq + Hash, V: Clone> Bounded<K, V> {
-    fn new(capacity: usize) -> Self {
-        Bounded {
-            entries: HashMap::new(),
-            inserted: VecDeque::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// The resident value of `key` after the call: the one already there,
-    /// or else `value`, inserted.
-    fn insert_if_absent(&mut self, key: K, value: V) -> V {
-        if let Some(resident) = self.entries.get(&key) {
-            return resident.clone();
-        }
-        if self.entries.len() >= self.capacity {
-            let oldest = self.inserted.pop_front().expect("a full map has an oldest");
-            self.entries.remove(&oldest);
-        }
-        self.inserted.push_back(key);
-        self.entries.insert(key, value.clone());
-        value
-    }
-}
-
 /// Bounded, thread-safe cache of the free-flow searches over one network.
 ///
 /// The serving engine owns one for its lifetime and shares it with every
@@ -211,7 +178,7 @@ impl<K: Copy + Eq + Hash, V: Clone> Bounded<K, V> {
 /// a private one, so there is a single code path either way.
 pub struct FreeFlowCache<'n> {
     net: &'n RoadNetwork,
-    destinations: Mutex<Bounded<VertexId, Arc<DestinationIndex>>>,
+    destinations: Mutex<BoundedMap<VertexId, Arc<DestinationIndex>>>,
     /// Told whether each lookup hit. A hook rather than counters of its own
     /// so an owner with a metrics registry counts there, and this crate need
     /// not depend on one.
@@ -236,7 +203,7 @@ impl<'n> FreeFlowCache<'n> {
     pub fn with_capacity(net: &'n RoadNetwork, destinations: usize) -> Self {
         FreeFlowCache {
             net,
-            destinations: Mutex::new(Bounded::new(destinations)),
+            destinations: Mutex::new(BoundedMap::new(destinations)),
             observer: None,
         }
     }
@@ -259,7 +226,6 @@ impl<'n> FreeFlowCache<'n> {
             .destinations
             .lock()
             .expect("free-flow cache poisoned")
-            .entries
             .get(&destination)
             .cloned();
         if let Some(observer) = &self.observer {
@@ -279,7 +245,6 @@ impl<'n> FreeFlowCache<'n> {
         self.destinations
             .lock()
             .expect("free-flow cache poisoned")
-            .entries
             .len()
     }
 }
@@ -367,14 +332,6 @@ mod tests {
             refilled.lower_bound(),
             &free_flow_to_destination(&net, VertexId(0))[..]
         );
-        // The oldest insertion goes first; a resident key is not re-inserted.
-        let mut map = Bounded::new(2);
-        assert_eq!(map.insert_if_absent(1, 'a'), 'a');
-        assert_eq!(map.insert_if_absent(2, 'b'), 'b');
-        assert_eq!(map.insert_if_absent(1, 'z'), 'a');
-        assert_eq!(map.insert_if_absent(3, 'c'), 'c');
-        assert!(!map.entries.contains_key(&1));
-        assert!(map.entries.contains_key(&2) && map.entries.contains_key(&3));
     }
 
     #[test]

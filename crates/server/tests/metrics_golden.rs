@@ -24,6 +24,10 @@ use std::time::Duration;
 /// the scrape described in `page_shape_matches_the_golden` at the commit
 /// before the metrics moved into per-layer registries; additions since:
 /// the two `pathcost_free_flow_cache_*` families (PR 20).
+/// The route map added `pathcost_route_cache_misses_total` beside
+/// `pathcost_route_cache_hits_total`, which now counts route-map hits, and
+/// `pathcost_route_eval_cache_hits_total`, under which the candidate
+/// evaluations' distribution-cache hits moved.
 const GOLDEN: &str = "\
 pathcost_admission_degraded gauge []\n\
 pathcost_admission_queue_depth gauge []\n\
@@ -76,7 +80,9 @@ pathcost_regime_fallback_total counter [depth]\n\
 pathcost_request_e2e_seconds histogram [] le=[0.000002,0.000004,0.000008,0.000016,0.000032,0.000064,0.000128,0.000256,0.000512,0.001024,0.002048,0.004096,0.008192,0.016384,0.032768,0.065536,0.131072,0.262144,0.524288,1.048576,2.097152,4.194304,8.388608,16.777216,33.554432,67.108864,134.217728,268.435456,536.870912,1073.741824,2147.483648,+Inf]\n\
 pathcost_request_stage_seconds histogram [stage] le=[0.000001,0.000004,0.000016,0.000064,0.000256,0.001024,0.004096,0.016384,0.065536,0.262144,1.048576,4.194304,+Inf]\n\
 pathcost_route_cache_hits_total counter []\n\
+pathcost_route_cache_misses_total counter []\n\
 pathcost_route_candidates_total counter []\n\
+pathcost_route_eval_cache_hits_total counter []\n\
 pathcost_route_expansions_total counter []\n\
 pathcost_route_prunes_total counter []\n\
 pathcost_slow_queries_total counter []\n\
@@ -326,7 +332,7 @@ fn a_mixed_load_shows_on_the_page_and_the_benchmark_counters_agree() {
             (
                 "route_eval_cache_hits",
                 stats.route_eval_cache_hits,
-                "pathcost_route_cache_hits_total",
+                "pathcost_route_eval_cache_hits_total",
             ),
         ] {
             assert_eq!(series(name), value as f64, "{field} vs {name}");

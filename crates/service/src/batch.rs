@@ -17,8 +17,13 @@
 //! inside a pool task — runs on its caller instead, with the same answers.
 //! The unit of parallelism is the request: a cold `RankPaths` estimates its
 //! candidates one after another on one thread, and a cold `Route` search
-//! runs on one thread too. A plain thread pool is enough here: the work is
-//! CPU-bound with no I/O to overlap, so an async runtime would add nothing.
+//! runs on one thread too. A `Route` asked before in the same epoch is not
+//! searched at all: the engine's route map answers it with the bits the
+//! search gave, which are a pure function of the request and the epoch's
+//! graph, so who searched first never shows either (two identical routes
+//! of one batch may both search; both compute the same bits and the map
+//! keeps one). A plain thread pool is enough here: the work is CPU-bound
+//! with no I/O to overlap, so an async runtime would add nothing.
 
 use crate::deadline::RequestContext;
 use crate::engine::QueryEngine;

@@ -20,14 +20,15 @@
 //! regime-qualified weight-function variables its estimation consumed — and,
 //! apart from them, its candidate array's per-position **footprints** — the
 //! intervals at which the estimation could consult a key starting at each
-//! position ([`PositionFootprint`]) — beside its value, all written by the
+//! position ([`PositionFootprint`], kept as a four-byte
+//! [`PackedFootprint`]) — beside its value, all written by the
 //! same [`DistributionCache::insert`] under the same shard lock. "Which
 //! answers does this update stale?" is therefore one
 //! [`DistributionCache::invalidate_matching`] pass whose predicate sees each
 //! entry's key, reads and footprints together (the rule itself lives in the
 //! [`update`](crate::update) module); an entry that leaves the cache for any
-//! reason — LRU pressure, invalidation, a raced fill evicting itself — takes
-//! them with it, so there is nothing to keep in step.
+//! reason — LRU pressure, invalidation, a flush — takes them with it, so
+//! there is nothing to keep in step.
 //!
 //! Regimes: the key is really the triple `(path, interval, regime)` — the
 //! regime is folded into the fingerprint through
@@ -35,7 +36,7 @@
 //! [`RegimeId::ALL_TRAFFIC`], so global-regime keys (and their shard
 //! selection) are bit-identical to the pre-regime cache.
 
-use pathcost_core::{mix_regime, IntervalId, PositionFootprint, RegimeId};
+use pathcost_core::{mix_regime, IntervalId, PackedFootprint, PositionFootprint, RegimeId};
 use pathcost_hist::Histogram1D;
 use pathcost_obs::{Counter, Registry};
 use pathcost_roadnet::Path;
@@ -96,13 +97,28 @@ const NIL: usize = usize::MAX;
 
 /// What one key holds: its value and what invalidation needs to know about
 /// the estimation behind it.
-struct Entry {
+pub(crate) struct Entry {
     value: CachedDistribution,
     /// [`key_fingerprint`]s of the variable keys the estimation read. Kept
     /// beside the value, not inside it, so a hit still clones one `Arc`.
     reads: Box<[u64]>,
-    /// The estimation's footprint at each position of the key's path.
-    footprints: Box<[PositionFootprint]>,
+    /// The estimation's footprint at each position of the key's path,
+    /// packed to four bytes a position.
+    footprints: Box<[PackedFootprint]>,
+}
+
+impl Entry {
+    pub(crate) fn new(
+        value: CachedDistribution,
+        reads: Vec<u64>,
+        footprints: &[PositionFootprint],
+    ) -> Self {
+        Entry {
+            value,
+            reads: reads.into_boxed_slice(),
+            footprints: footprints.iter().map(PositionFootprint::packed).collect(),
+        }
+    }
 }
 
 struct Node {
@@ -256,22 +272,6 @@ impl Shard {
         self.len -= 1;
     }
 
-    /// Removes the exact entry for `(path, interval, regime)`, returning
-    /// whether it was present.
-    fn remove(
-        &mut self,
-        fingerprint: u64,
-        interval: IntervalId,
-        regime: RegimeId,
-        path: &Path,
-    ) -> bool {
-        let Some(at) = self.find(fingerprint, interval, regime, path) else {
-            return false;
-        };
-        self.remove_at(at);
-        true
-    }
-
     /// Drops every entry at once, returning how many were live. Unlike
     /// [`Self::invalidate_matching`] this resets the slab wholesale — no
     /// free-list bookkeeping.
@@ -290,7 +290,7 @@ impl Shard {
     /// returning how many were evicted.
     fn invalidate_matching(
         &mut self,
-        predicate: &impl Fn(&Path, IntervalId, RegimeId, &[u64], &[PositionFootprint]) -> bool,
+        predicate: &impl Fn(&Path, IntervalId, RegimeId, &[u64], &[PackedFootprint]) -> bool,
     ) -> u64 {
         // Walk the recency list (only live nodes are linked), reading each
         // node's successor before a removal unlinks it.
@@ -376,10 +376,6 @@ impl DistributionCache {
         }
     }
 
-    fn shard_of(&self, fingerprint: u64) -> &Mutex<Shard> {
-        &self.shards[self.shard_index_of(fingerprint)]
-    }
-
     /// The shard index a fingerprint routes to (high bits: the low bits feed
     /// the per-shard `HashMap`).
     fn shard_index_of(&self, fingerprint: u64) -> usize {
@@ -446,32 +442,37 @@ impl DistributionCache {
         reads: Vec<u64>,
         footprints: Vec<PositionFootprint>,
     ) {
-        let fingerprint = key_fingerprint(path, interval, regime);
-        let shard_index = self.shard_index_of(fingerprint);
-        let entry = Entry {
-            value,
-            reads: reads.into_boxed_slice(),
-            footprints: footprints.into_boxed_slice(),
-        };
-        self.insertions.inc();
-        let evicted = self.shards[shard_index]
-            .lock()
-            .expect("cache shard poisoned")
-            .insert(fingerprint, interval, regime, path, entry);
-        if evicted {
-            self.tallies[shard_index].evictions.inc();
-        }
+        let entry = Entry::new(value, reads, &footprints);
+        self.insert_unless(path, interval, regime, entry, || false);
     }
 
-    /// Targeted invalidation of one exact `(path, interval, regime)` entry.
-    /// Returns whether an entry existed (and was evicted). Not counted under
-    /// LRU [`Self::evictions`].
-    pub fn remove(&self, path: &Path, interval: IntervalId, regime: RegimeId) -> bool {
+    /// As [`Self::insert`], but `stale` is asked under the shard lock and
+    /// the entry lands only if it answers `false`; returns whether it
+    /// landed. The query engine's fills ask whether an update bumped the
+    /// epoch since their snapshot: an invalidation pass takes every shard
+    /// lock after its bump, so a fill either lands before the pass visits
+    /// its shard (and the pass sees it) or sees the bump and stays out.
+    pub(crate) fn insert_unless(
+        &self,
+        path: &Path,
+        interval: IntervalId,
+        regime: RegimeId,
+        entry: Entry,
+        stale: impl FnOnce() -> bool,
+    ) -> bool {
         let fingerprint = key_fingerprint(path, interval, regime);
-        self.shard_of(fingerprint)
+        let shard_index = self.shard_index_of(fingerprint);
+        self.insertions.inc();
+        let mut shard = self.shards[shard_index]
             .lock()
-            .expect("cache shard poisoned")
-            .remove(fingerprint, interval, regime, path)
+            .expect("cache shard poisoned");
+        if stale() {
+            return false;
+        }
+        if shard.insert(fingerprint, interval, regime, path, entry) {
+            self.tallies[shard_index].evictions.inc();
+        }
+        true
     }
 
     /// Targeted invalidation by predicate: walks every shard (each under its
@@ -482,7 +483,7 @@ impl DistributionCache {
     /// live entry. Returns the number of entries evicted.
     pub fn invalidate_matching(
         &self,
-        predicate: impl Fn(&Path, IntervalId, RegimeId, &[u64], &[PositionFootprint]) -> bool,
+        predicate: impl Fn(&Path, IntervalId, RegimeId, &[u64], &[PackedFootprint]) -> bool,
     ) -> u64 {
         self.shards
             .iter()
@@ -528,9 +529,8 @@ impl DistributionCache {
     }
 
     /// Lifetime capacity-pressure (LRU) eviction counter (the sum over
-    /// shards). Targeted invalidations ([`Self::remove`] /
-    /// [`Self::invalidate_matching`] / [`Self::clear`]) return their counts
-    /// instead.
+    /// shards). Targeted invalidations ([`Self::invalidate_matching`] /
+    /// [`Self::clear`]) return their counts instead.
     pub fn evictions(&self) -> u64 {
         self.tallies.iter().map(|t| t.evictions.get()).sum()
     }
@@ -667,7 +667,7 @@ mod tests {
             cache.invalidate_matching(|_, _, _, reads, _| reads == [7]),
             0
         );
-        let stale = |footprints: &[PositionFootprint]| footprints == [footprint(0)];
+        let stale = |footprints: &[PackedFootprint]| footprints == [footprint(0).packed()];
         assert_eq!(cache.invalidate_matching(|_, _, _, _, f| stale(f)), 0);
         // Overflow: `b` is now the LRU entry and leaves with its reads.
         cache.insert(&c, IntervalId(0), G, value(3.0), Vec::new(), Vec::new());
@@ -702,26 +702,6 @@ mod tests {
         assert!(cache.get(&path(&[99]), IntervalId(0), G).is_some());
         assert!(cache.get(&path(&[98]), IntervalId(0), G).is_some());
         assert!(cache.get(&path(&[0]), IntervalId(0), G).is_none());
-    }
-
-    #[test]
-    fn remove_evicts_exactly_one_entry_and_counts_it() {
-        let cache = DistributionCache::new(4, 8);
-        let (a, b) = (path(&[1, 2]), path(&[3, 4]));
-        cache.insert(&a, IntervalId(0), G, value(1.0), Vec::new(), Vec::new());
-        cache.insert(&a, IntervalId(1), G, value(2.0), Vec::new(), Vec::new());
-        cache.insert(&b, IntervalId(0), G, value(3.0), Vec::new(), Vec::new());
-        assert!(cache.remove(&a, IntervalId(0), G));
-        assert!(!cache.remove(&a, IntervalId(0), G), "already gone");
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.evictions(), 0, "targeted removals are not LRU");
-        assert!(cache.get(&a, IntervalId(0), G).is_none());
-        assert!(cache.get(&a, IntervalId(1), G).is_some());
-        assert!(cache.get(&b, IntervalId(0), G).is_some());
-        // A removed slot is reusable without disturbing the survivors.
-        cache.insert(&a, IntervalId(0), G, value(9.0), Vec::new(), Vec::new());
-        assert_eq!(cache.len(), 3);
-        assert!((cache.get(&a, IntervalId(0), G).unwrap().histogram.mean() - 9.0).abs() < 1e-9);
     }
 
     #[test]

@@ -1,12 +1,29 @@
 //! The query engine: cache-backed serving of path-cost-distribution queries.
 //!
-//! Every cached distribution enters through one three-step fill
+//! Every cached distribution enters through one two-step fill
 //! (`QueryEngine::estimate_cached`): **estimate** against an epoch
-//! snapshot, **insert** the value together with the variable keys the
+//! snapshot, then **insert** the value together with the variable keys the
 //! estimate read (one shard lock, so invalidation never sees one without the
-//! other), **re-check** the epoch and evict the entry again if an update was
-//! published meanwhile. The [`update`](crate::update) module has the
-//! invalidation rule the reads feed and the consistency argument.
+//! other) only if, under that lock, no update has bumped the epoch since the
+//! snapshot. The [`update`](crate::update) module has the invalidation rule
+//! the reads feed and the consistency argument.
+//!
+//! Above the distributions sits a small **route map**: the answer of every
+//! `Route` search completed in the current epoch, keyed by the request
+//! exactly as asked — source, destination, departure and budget bits, `k`,
+//! regime — so a popular route is searched once per epoch. It is exact
+//! because a route answer is a pure function of the request and the
+//! epoch's graph: the search reads the regime's bound view, the free-flow
+//! bounds (a function of the network alone) and candidate distributions,
+//! which a cache hit and a fresh estimate give bit for bit alike. The key
+//! keeps the exact departure, not its interval's anchor, because the
+//! search's arrival windows start at it and read later intervals from it.
+//! An applied update empties the map once its invalidation pass is done; a
+//! search keeps its answer only if it began after the pass of the epoch it
+//! pinned and no update emptied the map meanwhile (`keep_route`), and only
+//! when it completed at full budgets — a degraded, expired or cancelled
+//! search leaves nothing. The map holds a constant number of answers and
+//! drops the oldest insertion first.
 //!
 //! The regime a request names only selects what the estimate reads —
 //! `graph.for_regime(regime)`, the view of that regime's fallback ladder —
@@ -14,7 +31,7 @@
 //! included: each read names the table it resolved from, and the entry's
 //! fallback depth is the deepest ladder position among them.
 
-use crate::cache::{key_fingerprint, CachedDistribution, DistributionCache};
+use crate::cache::{key_fingerprint, CachedDistribution, DistributionCache, Entry};
 use crate::deadline::RequestContext;
 use crate::error::ServiceError;
 use crate::request::{QueryOutcome, QueryRequest, QueryResponse, QueryStats, RankedPath};
@@ -22,17 +39,17 @@ use crate::stats::{ServiceStats, StatsRecorder};
 use pathcost_core::exec;
 use pathcost_core::interval::DayPartition;
 use pathcost_core::{
-    CostEstimator, EstimateBreakdown, HybridGraph, IntervalId, OdEstimator, RegimeId,
+    BoundedMap, CostEstimator, EstimateBreakdown, HybridGraph, IntervalId, OdEstimator, RegimeId,
 };
 use pathcost_hist::Histogram1D;
 use pathcost_obs::{Gauge, Registry};
-use pathcost_roadnet::Path;
+use pathcost_roadnet::{Path, VertexId};
 use pathcost_routing::{
     prob_within_budget, BestFirstRouter, FreeFlowCache, RouterConfig, RoutingError,
 };
 use pathcost_traj::{TimeOfDay, Timestamp};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 /// Configuration of the query engine.
@@ -61,6 +78,37 @@ impl Default for ServiceConfig {
     }
 }
 
+/// Route answers kept per epoch: `route_batch` asks 192 distinct routes.
+const ROUTE_ANSWERS: usize = 1024;
+
+/// A `Route` request exactly as asked — the departure and the budget by
+/// their bits. The departure is not canonicalised to its interval: the
+/// search's arrival windows start at it and read later intervals from it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct RouteKey {
+    source: VertexId,
+    destination: VertexId,
+    departure: u64,
+    budget: u64,
+    k: usize,
+    regime: RegimeId,
+}
+
+/// A completed search's response and the depths its stats reported.
+struct RouteAnswer {
+    response: QueryResponse,
+    max_decomposition_depth: usize,
+    max_fallback_depth: usize,
+}
+
+/// The answers of completed route searches, all of one epoch.
+struct RouteAnswers {
+    /// The epoch the answers were searched under: the one whose update last
+    /// emptied the map (after its invalidation pass).
+    epoch: u64,
+    answers: BoundedMap<RouteKey, Arc<RouteAnswer>>,
+}
+
 /// Per-query tallies, updated through shared references (the routing
 /// estimator adapter only sees `&self`).
 #[derive(Default)]
@@ -79,6 +127,14 @@ impl QueryCounters {
             self.misses.fetch_add(1, Ordering::Relaxed);
             self.max_depth.fetch_max(depth, Ordering::Relaxed);
         }
+    }
+
+    /// What a route answered from the route map reports: one hit and the
+    /// depths its search reported.
+    fn record_route_hit(&self, answer: &RouteAnswer) {
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        (self.max_depth).fetch_max(answer.max_decomposition_depth, Ordering::Relaxed);
+        (self.max_fallback).fetch_max(answer.max_fallback_depth, Ordering::Relaxed);
     }
 
     /// Folds one distribution's regime-fallback depth (hit or miss — a
@@ -107,6 +163,9 @@ pub struct QueryEngine<'n> {
     /// Destination bounds and successor orders: functions of the network
     /// alone, so one cache serves every epoch and regime view.
     free_flow: Arc<FreeFlowCache<'n>>,
+    /// The answers of route searches completed in the current epoch (see
+    /// the `Route` arm of `execute_inner`).
+    routes: Mutex<RouteAnswers>,
     pub(crate) epoch: AtomicU64,
     /// Serializes [`Self::apply_update`]s against each other (queries are
     /// never blocked by it).
@@ -167,6 +226,10 @@ impl<'n> QueryEngine<'n> {
             partition,
             cache,
             free_flow: Arc::new(free_flow),
+            routes: Mutex::new(RouteAnswers {
+                epoch: 0,
+                answers: BoundedMap::new(ROUTE_ANSWERS),
+            }),
             epoch: AtomicU64::new(0),
             update_lock: std::sync::Mutex::new(()),
             registry,
@@ -196,7 +259,7 @@ impl<'n> QueryEngine<'n> {
     /// publishes the graph *before* bumping the epoch, so reading the epoch
     /// first guarantees `epoch ≤ the epoch the snapshot belongs to`. A fill
     /// whose snapshot predates an update then always observes the epoch bump
-    /// in its post-insert check and self-evicts; reading the pair in the
+    /// in its insert's check and keeps out; reading the pair in the
     /// opposite order could pair an old graph with the new epoch number and
     /// silently retain a stale entry.
     fn graph_snapshot(&self) -> (u64, Arc<HybridGraph<'n>>) {
@@ -221,7 +284,44 @@ impl<'n> QueryEngine<'n> {
     /// instead of appearing to restart at 0. Only ever moves forward; calling
     /// it with an older epoch is a no-op.
     pub fn resume_epoch(&self, epoch: u64) {
+        let _serialized = self.update_lock.lock().expect("update lock poisoned");
         self.epoch.fetch_max(epoch, Ordering::SeqCst);
+        self.forget_routes(self.epoch.load(Ordering::SeqCst));
+    }
+
+    /// Empties the route map and dedicates it to `epoch`'s answers. Called
+    /// under the update lock once nothing of an earlier epoch is left to
+    /// read: by [`Self::apply_update`] after its invalidation pass.
+    pub(crate) fn forget_routes(&self, epoch: u64) {
+        let mut routes = self.routes.lock().expect("route map poisoned");
+        routes.answers.clear();
+        routes.epoch = epoch;
+    }
+
+    /// The answer a completed search gave `key` in the current epoch; on a
+    /// miss, the epoch the route map holds answers of, for
+    /// [`Self::keep_route`].
+    fn cached_route(&self, key: &RouteKey) -> Result<Arc<RouteAnswer>, u64> {
+        let routes = self.routes.lock().expect("route map poisoned");
+        match routes.answers.get(key) {
+            Some(answer) if routes.epoch == self.epoch.load(Ordering::SeqCst) => {
+                Ok(Arc::clone(answer))
+            }
+            _ => Err(routes.epoch),
+        }
+    }
+
+    /// Keeps the answer of a search that pinned `snapshot_epoch`, if the
+    /// route map held that epoch's answers both when the search looked it
+    /// up (`held`, read before the snapshot) and now. Then the search began
+    /// after that epoch's invalidation pass, so every distribution it read
+    /// was valid for the epoch, and no update has emptied the map since —
+    /// an update landing later empties it again.
+    fn keep_route(&self, key: RouteKey, answer: RouteAnswer, held: u64, snapshot_epoch: u64) {
+        let mut routes = self.routes.lock().expect("route map poisoned");
+        if held == snapshot_epoch && routes.epoch == snapshot_epoch {
+            routes.answers.insert_if_absent(key, Arc::new(answer));
+        }
     }
 
     /// The engine's configuration.
@@ -370,27 +470,20 @@ impl<'n> QueryEngine<'n> {
             decomposition_depth: depth,
             fallback_depth,
         };
-        self.cache.insert(
-            path,
-            interval,
-            regime,
-            value.clone(),
-            reads,
-            artifacts.footprints,
-        );
         // Guard against a fill racing `apply_update`: an update published
-        // while this estimation was in flight may have run its invalidation
-        // pass before the insert above landed, which would otherwise strand
-        // a pre-update entry no later update can find. Seeing an epoch newer
-        // than the snapshot here (`snapshot_epoch` was read before the graph,
-        // see `graph_snapshot`) and evicting our own entry restores the
-        // invariant: the caller still gets its (raced, pre-update — allowed)
-        // answer, but the cache does not retain it. An update whose epoch
-        // bump comes after this check runs its pass after the insert, and
-        // finds the entry with its reads.
-        if self.epoch.load(Ordering::SeqCst) != snapshot_epoch {
-            self.cache.remove(path, interval, regime);
-        }
+        // while this estimation was in flight may already have run its
+        // invalidation pass over this key's shard, which would strand a
+        // pre-update entry no later update can find. So the entry lands only
+        // if, under the shard lock, the epoch is still the snapshot's
+        // (`snapshot_epoch` was read before the graph, see `graph_snapshot`):
+        // an update's pass takes that lock after its bump, so either it finds
+        // the entry with its reads or the fill sees the bump and keeps out.
+        // The caller still gets its (raced, pre-update — allowed) answer, but
+        // no other query ever reads it from the cache.
+        let entry = Entry::new(value.clone(), reads, &artifacts.footprints);
+        self.cache.insert_unless(path, interval, regime, entry, || {
+            self.epoch.load(Ordering::SeqCst) != snapshot_epoch
+        });
         self.recorder.record_estimation(depth);
         counters.record(false, depth);
         counters.record_fallback(fallback_depth);
@@ -598,6 +691,28 @@ impl<'n> QueryEngine<'n> {
                         "Route needs k >= 1 ranked results",
                     ));
                 }
+                // A route answer is a pure function of the request and the
+                // epoch's graph, so a search completed in this epoch answers
+                // its request again — degraded or not — with the depths it
+                // reported. The map is looked up before the snapshot is
+                // pinned (see `keep_route`).
+                let key = RouteKey {
+                    source: *source,
+                    destination: *destination,
+                    departure: departure.0.to_bits(),
+                    budget: budget_s.to_bits(),
+                    k: *k,
+                    regime: *regime,
+                };
+                let held = match self.cached_route(&key) {
+                    Ok(answer) => {
+                        self.recorder.route_cache_hits.inc();
+                        counters.record_route_hit(&answer);
+                        return Ok(answer.response.clone());
+                    }
+                    Err(held) => held,
+                };
+                self.recorder.route_cache_misses.inc();
                 // One epoch snapshot for the whole search: the router's
                 // bounds, partial estimates and every *fresh* candidate
                 // estimation read the same weight function even if an update
@@ -663,12 +778,24 @@ impl<'n> QueryEngine<'n> {
                     .route_incumbent_prunes
                     .add(telemetry.incumbent_prunes as u64);
                 recorder.route_expansions.add(telemetry.expansions as u64);
-                if *k == 1 {
+                let response = if *k == 1 {
                     let best = (!ranked.is_empty()).then(|| ranked.swap_remove(0));
-                    Ok(QueryResponse::Route(best))
+                    QueryResponse::Route(best)
                 } else {
-                    Ok(QueryResponse::Routes(ranked))
+                    QueryResponse::Routes(ranked)
+                };
+                // A degraded search ran on quartered budgets: its answer is
+                // valid but not the one a full search gives, so it is not
+                // kept. (A cancelled or expired one returned above.)
+                if !degraded {
+                    let answer = RouteAnswer {
+                        response: response.clone(),
+                        max_decomposition_depth: counters.max_depth.load(Ordering::Relaxed),
+                        max_fallback_depth: counters.max_fallback.load(Ordering::Relaxed),
+                    };
+                    self.keep_route(key, answer, held, snapshot_epoch);
                 }
+                Ok(response)
             }
         }
     }
@@ -714,10 +841,13 @@ fn validate_budget(budget_s: f64) -> Result<(), ServiceError> {
 
 /// Estimator adapter that lets [`BestFirstRouter`] (or any [`CostEstimator`]
 /// consumer) read complete-candidate distributions through the engine's
-/// cache: repeated routing over popular OD pairs re-estimates nothing. The
-/// router asks through [`CostEstimator::estimate_arc`], which this adapter
-/// answers with the cached `Arc` itself — a hit costs a reference bump, not
-/// a histogram copy.
+/// cache. A route asked again in the same epoch never reaches it — the
+/// route map answers without a search — but searches that differ (another
+/// budget, departure or `k` over a popular OD pair) share their candidates'
+/// distributions through it and re-estimate nothing. The router asks
+/// through [`CostEstimator::estimate_arc`], which this adapter answers with
+/// the cached `Arc` itself — a hit costs a reference bump, not a histogram
+/// copy.
 ///
 /// Timing caveat: the reported [`EstimateBreakdown`] attributes the whole
 /// call to the joint-computation phase (`joint_s`) on a miss and is zero on a
@@ -782,5 +912,122 @@ impl CachingEstimator<'_, '_> {
                 // Non-core failures cannot escape `estimate_cached`.
                 _ => pathcost_core::CoreError::NoDistribution,
             })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pathcost_core::HybridConfig;
+    use pathcost_roadnet::RoadNetwork;
+    use pathcost_traj::{DatasetPreset, TrajectoryStore};
+    use std::time::Duration;
+
+    fn fixture() -> (RoadNetwork, TrajectoryStore, HybridConfig) {
+        let (net, store) = DatasetPreset::tiny(331).materialise().unwrap();
+        let cfg = HybridConfig {
+            beta: 10,
+            ..HybridConfig::default()
+        };
+        (net, store, cfg)
+    }
+
+    fn route(budget_s: f64) -> QueryRequest {
+        QueryRequest::Route {
+            source: VertexId(0),
+            destination: VertexId(18),
+            departure: Timestamp::from_day_hms(0, 8, 0, 0),
+            budget_s,
+            k: 1,
+            regime: RegimeId::ALL_TRAFFIC,
+        }
+    }
+
+    fn kept(engine: &QueryEngine<'_>) -> usize {
+        engine.routes.lock().unwrap().answers.len()
+    }
+
+    /// The best route's path and probability bits.
+    fn best(response: &QueryResponse) -> Option<(Path, u64)> {
+        (response.route()).map(|route| (route.path.clone(), route.probability.to_bits()))
+    }
+
+    /// Only a completed search at full budgets is kept: a degraded one, one
+    /// whose deadline expires and one that is cancelled leave the route map
+    /// empty, and the next full request searches.
+    #[test]
+    fn route_cache_keeps_nothing_from_degraded_expired_or_cancelled_searches() {
+        let (net, store, cfg) = fixture();
+        let graph = HybridGraph::build(&net, &store, cfg).unwrap();
+        let engine = QueryEngine::new(Arc::new(graph), ServiceConfig::default());
+        let request = route(3_600.0);
+
+        let degraded = engine.execute_under(&request, &RequestContext::unbounded(), true);
+        assert!(degraded.unwrap().response.route().is_some());
+        assert_eq!(kept(&engine), 0, "a degraded search is not kept");
+        let expired = RequestContext::with_deadline(Some(Duration::ZERO));
+        let cancelled = RequestContext::unbounded();
+        cancelled.cancel();
+        for (ctx, error) in [
+            (&expired, ServiceError::DeadlineExceeded),
+            (&cancelled, ServiceError::Cancelled),
+        ] {
+            // Straight into the `Route` arm, past `execute_under`'s
+            // pre-flight check: the search itself stops at its first poll.
+            let counters = QueryCounters::default();
+            let stopped = engine.execute_inner(&request, &counters, ctx, false);
+            assert_eq!(stopped.unwrap_err().to_string(), error.to_string());
+            assert_eq!(kept(&engine), 0, "a stopped search is not kept");
+        }
+        let misses = engine.recorder.route_cache_misses.get();
+        assert_eq!(misses, 3);
+        engine.execute(&request).unwrap();
+        assert_eq!(kept(&engine), 1);
+        // A degraded request reads what a full search kept.
+        let again = engine.execute_under(&request, &RequestContext::unbounded(), true);
+        assert_eq!(again.unwrap().stats.cache_hits, 1);
+        assert_eq!(engine.recorder.route_cache_hits.get(), 1);
+    }
+
+    /// The route map answers only for the epoch it holds. Between an
+    /// update's invalidation pass and its emptying the map (simulated here
+    /// by publishing other weights, bumping the epoch and flushing the
+    /// distribution cache), a request searches the new graph; and after
+    /// `resume_epoch` the map holds the resumed epoch's answers.
+    #[test]
+    fn route_cache_answers_only_its_own_epoch() {
+        let (net, store, cfg) = fixture();
+        let half = TrajectoryStore::new(store.matched()[..store.len() / 3].to_vec());
+        let full = Arc::new(HybridGraph::build(&net, &store, cfg.clone()).unwrap());
+        let sparse = Arc::new(HybridGraph::build(&net, &half, cfg).unwrap());
+        let request = route(1_500.0);
+        let fresh = |graph: &Arc<HybridGraph<'_>>| {
+            let engine = QueryEngine::new(graph.clone(), ServiceConfig::default());
+            best(&engine.execute(&request).unwrap().response)
+        };
+        let (before, after) = (fresh(&full), fresh(&sparse));
+        assert!(before.is_some() && after.is_some());
+        assert_ne!(before, after, "the two weight functions route apart");
+
+        let engine = QueryEngine::new(full, ServiceConfig::default());
+        assert_eq!(best(&engine.execute(&request).unwrap().response), before);
+        engine.publish_graph(sparse);
+        engine.epoch.store(1, Ordering::SeqCst);
+        engine.cache().clear();
+        let raced = engine.execute(&request).unwrap();
+        let hits = engine.recorder.route_cache_hits.get();
+        assert_eq!(hits, 0, "an older epoch's answer is not read");
+        assert_eq!(best(&raced.response), after);
+        assert_eq!(
+            kept(&engine),
+            1,
+            "nor is a search kept until the map moves on"
+        );
+
+        engine.resume_epoch(4);
+        assert_eq!((kept(&engine), engine.epoch()), (0, 4));
+        assert_eq!(best(&engine.execute(&request).unwrap().response), after);
+        let hit = engine.execute(&request).unwrap();
+        assert_eq!((hit.stats.cache_hits, best(&hit.response)), (1, after));
     }
 }

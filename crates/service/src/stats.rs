@@ -71,6 +71,8 @@ pub(crate) struct StatsRecorder {
     pub route_candidates_evaluated: Counter,
     pub route_incumbent_prunes: Counter,
     pub route_eval_cache_hits: Counter,
+    pub route_cache_hits: Counter,
+    pub route_cache_misses: Counter,
     pub free_flow_hits: Counter,
     pub free_flow_misses: Counter,
     pub invalidation_tracked_evictions: Counter,
@@ -192,8 +194,16 @@ impl StatsRecorder {
                 "Partial paths dropped by the router's incumbent bound.",
             ),
             route_eval_cache_hits: counter(
-                "pathcost_route_cache_hits_total",
+                "pathcost_route_eval_cache_hits_total",
                 "Distribution-cache hits scored by Route candidate evaluations.",
+            ),
+            route_cache_hits: counter(
+                "pathcost_route_cache_hits_total",
+                "Route requests answered by a search completed earlier in the epoch.",
+            ),
+            route_cache_misses: counter(
+                "pathcost_route_cache_misses_total",
+                "Route requests that ran a search (a valid request the route map did not hold).",
             ),
             free_flow_hits: registry.counter(
                 "pathcost_free_flow_cache_hits_total",
@@ -342,7 +352,7 @@ pub struct ServiceStats {
     /// (`pathcost_route_prunes_total`).
     pub route_incumbent_prunes: u64,
     /// Cache hits scored by route candidate evaluations
-    /// (`pathcost_route_cache_hits_total`).
+    /// (`pathcost_route_eval_cache_hits_total`).
     pub route_eval_cache_hits: u64,
 }
 
@@ -362,6 +372,8 @@ mod tests {
         rec.record_batch(10);
         rec.route_candidates_evaluated.add(5);
         rec.route_eval_cache_hits.add(2);
+        rec.route_cache_hits.add(6);
+        rec.route_cache_misses.add(8);
         rec.route_incumbent_prunes.add(9);
         rec.route_expansions.add(13);
         rec.ingest_updates.inc();
@@ -396,7 +408,9 @@ mod tests {
             ("pathcost_batches_total", 1.0),
             ("pathcost_batch_requests_total", 10.0),
             ("pathcost_route_candidates_total", 5.0),
-            ("pathcost_route_cache_hits_total", 2.0),
+            ("pathcost_route_eval_cache_hits_total", 2.0),
+            ("pathcost_route_cache_hits_total", 6.0),
+            ("pathcost_route_cache_misses_total", 8.0),
             ("pathcost_route_prunes_total", 9.0),
             ("pathcost_route_expansions_total", 13.0),
             ("pathcost_ingest_updates_total", 1.0),

@@ -33,7 +33,8 @@
 //!   `I` overlaps the shift-and-enlarged window `UI_k` by a positive length,
 //!   or `p` is a unit key and a unit probe at `k` looked `I` up. Every
 //!   entry stores the footprints of the candidate array it was estimated
-//!   from ([`pathcost_core::PositionFootprint`]), beside its reads. Apart
+//!   from ([`pathcost_core::PositionFootprint`], packed to four bytes a
+//!   position as [`PackedFootprint`]), beside its reads. Apart
 //!   from keys, an entry is swept when the update hands its regime to
 //!   another view — a regime's first table appeared or its last one
 //!   emptied — because an answer reports the fallback depth of the view
@@ -72,18 +73,21 @@
 //! epochs). Queries racing an update may still read a pre-update cache entry
 //! (a pre-update answer, exactly as if they had arrived earlier). A miss
 //! whose estimation is in flight while the update lands is epoch-guarded by
-//! the three-step fill (estimate → insert value and reads under one shard
-//! lock → re-check the epoch): either the pass finds the inserted entry
-//! with its reads, or the filler observes the epoch bump after its insert
-//! and evicts its own entry — a raced fill can hand its caller a pre-update
-//! answer but never *retains* one. Sequential callers (ingest, then query)
-//! always observe post-update answers.
+//! the fill (estimate → insert value and reads under one shard lock, only if
+//! the epoch is still the snapshot's there): the pass takes each shard lock
+//! after the bump, so either it finds the inserted entry with its reads, or
+//! the filler sees the bump and keeps its entry out — a raced fill can hand
+//! its caller a pre-update answer but no other query ever reads it from the
+//! cache. The engine's route map is emptied after the pass, and keeps only
+//! answers of searches that began after their epoch's pass (see the
+//! `engine` module). Sequential callers (ingest, then query) always observe
+//! post-update answers.
 
 use crate::cache::{key_fingerprint, DistributionCache};
 use crate::engine::QueryEngine;
 use crate::error::ServiceError;
 use pathcost_core::{
-    IntervalId, PathWeightFunction, PositionFootprint, RegimeId, RegimeSchema, WeightUpdate,
+    IntervalId, PackedFootprint, PathWeightFunction, RegimeId, RegimeSchema, WeightUpdate,
 };
 use pathcost_roadnet::{EdgeId, Path};
 use std::cell::Cell;
@@ -134,7 +138,7 @@ impl<'k> KeysByFirstEdge<'k> {
 /// a path may visit a key twice.
 fn swept(
     path: &Path,
-    footprints: &[PositionFootprint],
+    footprints: &[PackedFootprint],
     entry_regime: RegimeId,
     schema: &RegimeSchema,
     changed: &KeysByFirstEdge<'_>,
@@ -307,14 +311,19 @@ impl<'n> QueryEngine<'n> {
         let published_graph = Arc::new(current.with_weights(weights));
         self.publish_graph(published_graph.clone());
         // SeqCst pairs with the in-flight-fill guard in `estimate_cached_on`:
-        // a fill that started before this store and lands after the pass
-        // below observes the bump and evicts its own entry.
+        // a fill that started before this store and takes its shard lock
+        // after the pass below has visited that shard observes the bump and
+        // keeps its entry out.
         self.epoch.store(published, Ordering::SeqCst);
         let published_weights = published_graph.weights();
         let schema = published_weights.regime_schema();
         let rerooted = rerooted(current.weights(), published_weights);
         let (evicted_tracked, evicted_swept) =
             invalidate(self.cache(), schema, &rerooted, &updated, &added, &removed);
+        // Route answers read distributions, which the pass above has now
+        // made the new epoch's: forget the old epoch's routes only here, so
+        // no search that read a pre-pass entry can keep its answer.
+        self.forget_routes(published);
 
         let recorder = &self.recorder;
         recorder.ingest_updates.inc();
@@ -346,6 +355,7 @@ impl<'n> QueryEngine<'n> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pathcost_core::PositionFootprint;
     use pathcost_roadnet::EdgeId;
 
     fn path(ids: &[u32]) -> Path {

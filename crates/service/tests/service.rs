@@ -570,19 +570,230 @@ fn route_counters_track_search_and_cache_reuse() {
     );
     let evaluated_after_first = stats.route_candidates_evaluated;
 
-    // The identical route again: candidate evaluations hit the cache.
-    let second = engine.execute(&request).unwrap();
+    // The same pair under another budget searches again, and its candidate
+    // evaluations hit the distribution cache.
+    let mut tighter = request.clone();
+    if let QueryRequest::Route { budget_s, .. } = &mut tighter {
+        *budget_s = 3_000.0;
+    }
+    let second = engine.execute(&tighter).unwrap();
     assert!(second.response.route().is_some());
     let stats = engine.stats();
     assert!(stats.route_candidates_evaluated > evaluated_after_first);
     assert!(
         stats.route_eval_cache_hits > 0,
-        "repeated Route requests must reuse (path, interval) entries"
+        "Route requests must reuse (path, interval) entries"
     );
     assert_eq!(
         metric(&engine, r#"pathcost_queries_total{kind="route"}"#),
         2
     );
+
+    // The identical request again is answered by the route map: no search.
+    let third = engine.execute(&request).unwrap();
+    assert_bit_identical(0, &first.response, &third.response);
+    assert_eq!((third.stats.cache_hits, third.stats.cache_misses), (1, 0));
+    assert_eq!(engine.stats().route_expansions, stats.route_expansions);
+    assert_eq!(metric(&engine, "pathcost_route_cache_hits_total"), 1);
+    assert_eq!(metric(&engine, "pathcost_route_cache_misses_total"), 2);
+}
+
+/// The stats a route answer reports whatever the cache held: its two
+/// depths, with the hit and miss counts left out.
+fn depths(outcome: &QueryOutcome) -> (usize, usize) {
+    (
+        outcome.stats.max_decomposition_depth,
+        outcome.stats.max_fallback_depth,
+    )
+}
+
+/// A repeated `Route` is answered by the route map, bit for bit what a
+/// fresh engine's search answers — path, probability, histogram and the
+/// two depths — for k = 1 and k = 2, under the global regime and under one
+/// the schema does not declare (which falls back to the global table).
+#[test]
+fn route_cache_hits_answer_like_a_fresh_search() {
+    use pathcost_service::RegimeId;
+
+    let f = fixture(321);
+    let graph = Arc::new(HybridGraph::build(&f.net, &f.store, f.cfg.clone()).unwrap());
+    let fresh = || QueryEngine::new(graph.clone(), ServiceConfig::default());
+    let mut fell_back = false;
+    for regime in [RegimeId::ALL_TRAFFIC, RegimeId(9)] {
+        for k in [1, 2] {
+            let mut request = route(0, 18, k);
+            if let QueryRequest::Route { regime: asked, .. } = &mut request {
+                *asked = regime;
+            }
+            let engine = fresh();
+            let searched = engine.execute(&request).unwrap();
+            let expansions = engine.stats().route_expansions;
+            let hit = engine.execute(&request).unwrap();
+            assert_eq!(engine.stats().route_expansions, expansions, "{request:?}");
+            assert_eq!(metric(&engine, "pathcost_route_cache_hits_total"), 1);
+            assert_eq!(metric(&engine, "pathcost_route_cache_misses_total"), 1);
+            assert_eq!((hit.stats.cache_hits, hit.stats.cache_misses), (1, 0));
+
+            let reference = fresh().execute(&request).unwrap();
+            assert!(reference.stats.cache_misses > 0, "a fresh engine searches");
+            assert!(reference.response.route().is_some(), "{request:?}");
+            assert_bit_identical(0, &hit.response, &reference.response);
+            assert_bit_identical(0, &hit.response, &searched.response);
+            assert_eq!(depths(&hit), depths(&reference), "{request:?}");
+            assert_eq!(depths(&hit), depths(&searched), "{request:?}");
+            fell_back |= hit.stats.max_fallback_depth > 0;
+        }
+    }
+    assert!(fell_back, "the undeclared regime reads through its ladder");
+}
+
+/// Another departure in the same α-interval, or another budget, is another
+/// request: the search's arrival windows start at the exact departure, so
+/// the route map keys on it, not on its interval.
+#[test]
+fn route_cache_misses_another_departure_or_budget() {
+    let f = fixture(322);
+    let graph = Arc::new(HybridGraph::build(&f.net, &f.store, f.cfg.clone()).unwrap());
+    let engine = QueryEngine::new(graph.clone(), ServiceConfig::default());
+    let mut later = route(0, 18, 1);
+    engine.execute(&later).unwrap();
+    if let QueryRequest::Route { departure, .. } = &mut later {
+        assert_eq!(
+            engine.interval_of(*departure),
+            engine.interval_of(departure.plus(60.0))
+        );
+        *departure = departure.plus(60.0);
+    }
+    for (misses, request) in [(2, later), (3, route_within(0, 18, 3_000.0))] {
+        let expansions = engine.stats().route_expansions;
+        let outcome = engine.execute(&request).unwrap();
+        assert!(engine.stats().route_expansions > expansions, "{request:?}");
+        assert_eq!(metric(&engine, "pathcost_route_cache_misses_total"), misses);
+        assert_eq!(metric(&engine, "pathcost_route_cache_hits_total"), 0);
+        let fresh = QueryEngine::new(graph.clone(), ServiceConfig::default());
+        let reference = fresh.execute(&request).unwrap();
+        assert_bit_identical(0, &outcome.response, &reference.response);
+    }
+}
+
+/// An applied update empties the route map: the same request searches
+/// again and answers what an engine rebuilt from the merged store answers,
+/// and the map then keeps the new epoch's answer.
+#[test]
+fn route_cache_is_emptied_by_an_update() {
+    let (net, full, cfg) = live_fixture(323);
+    let split = full.len() * 80 / 100;
+    let base = TrajectoryStore::new(full.matched()[..split].to_vec());
+    let weights = PathWeightFunction::instantiate(&net, &base, &cfg).unwrap();
+    let graph = HybridGraph::from_parts(&net, weights.clone(), cfg.clone());
+    let engine = QueryEngine::new(Arc::new(graph), ServiceConfig::default());
+    let mut ingestor = LiveIngestor::from_instantiated(&net, base, weights, cfg.clone()).unwrap();
+    let requests = [route(0, 18, 1), route(2, 22, 2)];
+    for request in &requests {
+        engine.execute(request).unwrap();
+        engine.execute(request).unwrap();
+    }
+    assert_eq!(metric(&engine, "pathcost_route_cache_hits_total"), 2);
+
+    let update = ingestor.ingest(full.matched()[split..].to_vec()).unwrap();
+    assert!(update.changed() > 0);
+    engine.apply_update(update).unwrap();
+    let rebuilt = PathWeightFunction::instantiate(&net, ingestor.store(), &cfg).unwrap();
+    let oracle = QueryEngine::new(
+        Arc::new(HybridGraph::from_parts(&net, rebuilt, cfg)),
+        ServiceConfig::default(),
+    );
+    for request in &requests {
+        let expansions = metric(&engine, "pathcost_route_expansions_total");
+        let live = engine.execute(request).unwrap();
+        assert!(
+            metric(&engine, "pathcost_route_expansions_total") > expansions,
+            "{request:?} searched again after the update"
+        );
+        let reference = oracle.execute(request).unwrap();
+        assert_bit_identical(0, &live.response, &reference.response);
+        // The map now holds the new epoch's answers.
+        let again = engine.execute(request).unwrap();
+        assert_eq!((again.stats.cache_hits, again.stats.cache_misses), (1, 0));
+        assert_bit_identical(0, &again.response, &reference.response);
+    }
+    assert_eq!(metric(&engine, "pathcost_route_cache_hits_total"), 4);
+    assert_eq!(metric(&engine, "pathcost_route_cache_misses_total"), 4);
+}
+
+/// Route searches racing updates: reader threads repeat four routes over a
+/// 16-entry distribution cache (so fills are in flight at every instant)
+/// while the main thread publishes ingest epochs. A raced search may answer
+/// its caller with a pre-update epoch's bits, but the route map may not keep
+/// them: after every update the readers are held at a gate, and every route
+/// the map answers must equal what an engine rebuilt from the current store
+/// answers.
+#[test]
+fn route_cache_never_keeps_a_pre_update_answer() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let (net, full, cfg) = live_fixture(324);
+    let split = full.len() * 70 / 100;
+    let base = TrajectoryStore::new(full.matched()[..split].to_vec());
+    let rest = full.matched()[split..].to_vec();
+    let weights = PathWeightFunction::instantiate(&net, &base, &cfg).unwrap();
+    let engine = QueryEngine::new(
+        Arc::new(HybridGraph::from_parts(&net, weights.clone(), cfg.clone())),
+        ServiceConfig {
+            cache_shards: 2,
+            shard_capacity: 8,
+            ..ServiceConfig::default()
+        },
+    );
+    let mut ingestor = LiveIngestor::from_instantiated(&net, base, weights, cfg.clone()).unwrap();
+    let requests = [
+        route(0, 18, 1),
+        route(2, 22, 2),
+        route(6, 12, 1),
+        route_within(4, 22, 2_400.0),
+    ];
+    let stop = AtomicBool::new(false);
+    // Readers hold the gate shared for one query; the main thread takes it
+    // exclusively to look at a quiescent engine.
+    let gate = std::sync::RwLock::new(());
+    let mut checked = 0;
+    std::thread::scope(|scope| {
+        for reader in 0..2 {
+            let (engine, requests, stop, gate) = (&engine, &requests, &stop, &gate);
+            scope.spawn(move || {
+                for request in requests.iter().cycle().skip(reader) {
+                    let _serving = gate.read().unwrap();
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    engine.execute(request).expect("serving route succeeds");
+                }
+            });
+        }
+        for batch in rest.chunks(rest.len().div_ceil(4)) {
+            let update = ingestor.ingest(batch.to_vec()).unwrap();
+            engine.apply_update(update).unwrap();
+
+            let _quiescent = gate.write().unwrap();
+            let rebuilt = PathWeightFunction::instantiate(&net, ingestor.store(), &cfg).unwrap();
+            let oracle = QueryEngine::new(
+                Arc::new(HybridGraph::from_parts(&net, rebuilt, cfg.clone())),
+                ServiceConfig::default(),
+            );
+            for request in &requests {
+                let hits = metric(&engine, "pathcost_route_cache_hits_total");
+                let live = engine.execute(request).unwrap();
+                if metric(&engine, "pathcost_route_cache_hits_total") > hits {
+                    let reference = oracle.execute(request).unwrap();
+                    assert_bit_identical(checked, &live.response, &reference.response);
+                    checked += 1;
+                }
+            }
+        }
+        stop.store(true, Ordering::Relaxed);
+    });
+    assert_eq!(engine.epoch(), 4);
+    assert!(checked > 0, "the readers kept answers between updates");
 }
 
 /// A `Route` request under the global regime with a generous budget.
@@ -597,8 +808,17 @@ fn route(source: u32, destination: u32, k: usize) -> QueryRequest {
     }
 }
 
+/// `route(source, destination, 1)` under another budget.
+fn route_within(source: u32, destination: u32, budget: f64) -> QueryRequest {
+    let mut request = route(source, destination, 1);
+    if let QueryRequest::Route { budget_s, .. } = &mut request {
+        *budget_s = budget;
+    }
+    request
+}
+
 #[test]
-fn second_identical_route_hits_the_free_flow_cache_for_bounds() {
+fn a_second_search_to_a_destination_hits_the_free_flow_cache_for_bounds() {
     let f = fixture(312);
     let graph = HybridGraph::build(&f.net, &f.store, f.cfg.clone()).unwrap();
     let engine = QueryEngine::new(Arc::new(graph), ServiceConfig::default());
@@ -607,12 +827,19 @@ fn second_identical_route_hits_the_free_flow_cache_for_bounds() {
     let first = engine.execute_batch(&batch).remove(0).unwrap();
     assert_eq!(free_flow(&engine), (0, 1));
 
-    let second = engine.execute_batch(&batch).remove(0).unwrap();
+    // Another budget is another search, over the same destination's bounds.
+    let tighter = [route_within(0, 18, 3_000.0)];
+    engine.execute_batch(&tighter).remove(0).unwrap();
     assert_eq!(free_flow(&engine), (1, 1));
-    assert_bit_identical(0, &first.response, &second.response);
+
+    // The identical request is answered by the route map: no search, so no
+    // lookup.
+    let again = engine.execute_batch(&batch).remove(0).unwrap();
+    assert_eq!(free_flow(&engine), (1, 1));
+    assert_bit_identical(0, &first.response, &again.response);
 
     // A point `execute` makes the same single lookup as a batched one.
-    engine.execute(&batch[0]).unwrap();
+    engine.execute(&route_within(0, 18, 2_400.0)).unwrap();
     assert_eq!(free_flow(&engine), (2, 1));
 }
 
@@ -629,7 +856,9 @@ fn route_batches_equal_sequential_execution_with_the_free_flow_cache_at_capacity
     };
     // Four OD pairs over three destinations, interleaved and repeated, so
     // nearly every lookup finds its entry evicted by the previous request —
-    // beside point queries sharing the batch.
+    // beside point queries sharing the batch. The last route repeats the
+    // second one exactly, so sequential execution answers it from the route
+    // map, with no search.
     let mut requests = vec![
         route(0, 18, 1),
         route(2, 22, 2),
@@ -654,7 +883,7 @@ fn route_batches_equal_sequential_execution_with_the_free_flow_cache_at_capacity
         .collect();
     assert_eq!(
         free_flow(&sequential_engine),
-        (0, 7),
+        (0, 6),
         "every search found its bounds evicted"
     );
 

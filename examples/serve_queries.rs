@@ -81,8 +81,9 @@ fn main() {
         &fastest_path(&net, source, destination).expect("grid is connected"),
     ) * 3.0;
     for _ in 0..2 {
-        // Identical route queries share the candidate distributions cached
-        // by whichever of them estimates a candidate first.
+        // Identical route queries: a search completed first keeps its answer
+        // in the route map for the other; two running at once both search
+        // and share the candidate distributions either estimates first.
         requests.push(QueryRequest::Route {
             source,
             destination,
@@ -187,8 +188,13 @@ fn main() {
         stats.batch_requests, stats.batches
     );
     println!(
-        "  routing: {} candidates evaluated ({} answered by the cache), {} incumbent prunes",
-        stats.route_candidates_evaluated, stats.route_eval_cache_hits, stats.route_incumbent_prunes
+        "  routing: {} candidates evaluated ({} answered by the cache), {} incumbent prunes; \
+         {} route requests answered by the route map, {} searched",
+        stats.route_candidates_evaluated,
+        stats.route_eval_cache_hits,
+        stats.route_incumbent_prunes,
+        metric("pathcost_route_cache_hits_total"),
+        metric("pathcost_route_cache_misses_total")
     );
     println!(
         "  mean latency: {:.2?}",
