@@ -447,8 +447,7 @@ impl DistributionCache {
     }
 
     /// As [`Self::insert`], but `stale` is asked under the shard lock and
-    /// the entry lands only if it answers `false`; returns whether it
-    /// landed. The query engine's fills ask whether an update bumped the
+    /// the entry lands only if it answers `false`. The query engine's fills ask whether an update bumped the
     /// epoch since their snapshot: an invalidation pass takes every shard
     /// lock after its bump, so a fill either lands before the pass visits
     /// its shard (and the pass sees it) or sees the bump and stays out.
@@ -459,20 +458,16 @@ impl DistributionCache {
         regime: RegimeId,
         entry: Entry,
         stale: impl FnOnce() -> bool,
-    ) -> bool {
+    ) {
         let fingerprint = key_fingerprint(path, interval, regime);
         let shard_index = self.shard_index_of(fingerprint);
         self.insertions.inc();
         let mut shard = self.shards[shard_index]
             .lock()
             .expect("cache shard poisoned");
-        if stale() {
-            return false;
-        }
-        if shard.insert(fingerprint, interval, regime, path, entry) {
+        if !stale() && shard.insert(fingerprint, interval, regime, path, entry) {
             self.tallies[shard_index].evictions.inc();
         }
-        true
     }
 
     /// Targeted invalidation by predicate: walks every shard (each under its

@@ -725,12 +725,12 @@ fn route_cache_is_emptied_by_an_update() {
 /// 16-entry distribution cache (so fills are in flight at every instant)
 /// while the main thread publishes ingest epochs. A raced search may answer
 /// its caller with a pre-update epoch's bits, but the route map may not keep
-/// them: after every update the readers are held at a gate, and every route
-/// the map answers must equal what an engine rebuilt from the current store
-/// answers.
+/// them: after every update, once the readers have answered four more
+/// rounds, they are held at a gate, and every route the map answers must
+/// equal what an engine rebuilt from the current store answers.
 #[test]
 fn route_cache_never_keeps_a_pre_update_answer() {
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     let (net, full, cfg) = live_fixture(324);
     let split = full.len() * 70 / 100;
@@ -753,26 +753,34 @@ fn route_cache_never_keeps_a_pre_update_answer() {
         route_within(4, 22, 2_400.0),
     ];
     let stop = AtomicBool::new(false);
+    let answered = AtomicUsize::new(0);
     // Readers hold the gate shared for one query; the main thread takes it
     // exclusively to look at a quiescent engine.
     let gate = std::sync::RwLock::new(());
     let mut checked = 0;
     std::thread::scope(|scope| {
         for reader in 0..2 {
-            let (engine, requests, stop, gate) = (&engine, &requests, &stop, &gate);
+            let (engine, requests, stop, answered, gate) =
+                (&engine, &requests, &stop, &answered, &gate);
             scope.spawn(move || {
                 for request in requests.iter().cycle().skip(reader) {
                     let _serving = gate.read().unwrap();
-                    if stop.load(Ordering::Relaxed) {
+                    if stop.load(Ordering::SeqCst) {
                         break;
                     }
                     engine.execute(request).expect("serving route succeeds");
+                    answered.fetch_add(1, Ordering::SeqCst);
                 }
             });
         }
         for batch in rest.chunks(rest.len().div_ceil(4)) {
             let update = ingestor.ingest(batch.to_vec()).unwrap();
             engine.apply_update(update).unwrap();
+            // Let the readers search, and keep, under the new epoch.
+            let target = answered.load(Ordering::SeqCst) + 4 * requests.len();
+            while answered.load(Ordering::SeqCst) < target {
+                std::thread::yield_now();
+            }
 
             let _quiescent = gate.write().unwrap();
             let rebuilt = PathWeightFunction::instantiate(&net, ingestor.store(), &cfg).unwrap();
@@ -790,7 +798,7 @@ fn route_cache_never_keeps_a_pre_update_answer() {
                 }
             }
         }
-        stop.store(true, Ordering::Relaxed);
+        stop.store(true, Ordering::SeqCst);
     });
     assert_eq!(engine.epoch(), 4);
     assert!(checked > 0, "the readers kept answers between updates");
