@@ -13,9 +13,9 @@
 //! of them — batch requests *across connections* into
 //! [`QueryEngine::execute_batch`](pathcost_service::QueryEngine::execute_batch)
 //! — concurrent clients share the process-wide worker pool and the engine's
-//! distribution cache exactly like one caller submitting a batch, and a
-//! cache hit does not wait behind another connection's cold estimate while a
-//! lane is free.
+//! distribution cache exactly like one caller submitting a batch. A request,
+//! or a `/query/batch` envelope, that the cache and the route map answer in
+//! full is answered on its connection's thread and waits for no lane.
 //!
 //! ## Endpoints
 //!

@@ -6,17 +6,18 @@
 //! that queue through [`QueryEngine::execute_batch`], so a lane that is free
 //! answers the next request while another computes a cold estimate.
 //!
-//! A `POST /query` point query (`estimate` or `prob`) whose distribution is
-//! cached never reaches a lane: the connection thread that parsed it
-//! answers it with one cache lookup ([`AdmissionQueue::admit`]) whenever the
-//! queue would have admitted it — open, not degraded, below capacity, its
-//! deadline not passed — and writes the outcome's JSON straight into the
-//! response body ([`wire::encode_outcome_for`] builds no tree). A miss,
-//! every other kind and every `/query/batch` go through the queue; a hit the
-//! queue would refuse or shed is refused or shed exactly as before. The
-//! listener runs non-blocking so the accept loop can poll the shutdown flag;
-//! connections poll it between keep-alive requests via a short socket read
-//! timeout.
+//! `POST /query` and `POST /query/batch` share one parse-and-admit path: a
+//! `/query` is an envelope of one request. When every request of an
+//! envelope is answered by the engine's distribution cache or route map,
+//! the connection thread that parsed it answers them all
+//! ([`AdmissionQueue::admit`]) whenever the queue would have admitted the
+//! envelope — open, not degraded, room for all of it, its deadline not
+//! passed — and never reaches a lane. A `/query` outcome's JSON is written
+//! straight into the response body, with no tree built. One miss queues
+//! the whole envelope; an envelope the queue would refuse or shed is
+//! refused or shed whole, answered inline or not. The listener runs
+//! non-blocking so the accept loop can poll the shutdown flag; connections
+//! poll it between keep-alive requests via a short socket read timeout.
 //!
 //! Graceful shutdown ([`ShutdownHandle::shutdown`]):
 //!
@@ -433,12 +434,6 @@ impl Connection<'_, '_> {
         }
     }
 
-    /// The deadline/cancellation context for one request: the client's
-    /// `x-deadline-ms` header when present, else unbounded.
-    fn request_context(&self, request: &http::Request) -> RequestContext {
-        RequestContext::with_deadline(request.deadline_ms.map(Duration::from_millis))
-    }
-
     /// Files a finished trace: status-class counters and per-stage
     /// histograms, the `/debug/traces` ring, and — over the threshold — the
     /// slow-query counter and a `slow_query` event with the span breakdown.
@@ -571,10 +566,16 @@ impl Connection<'_, '_> {
                 let body = encode_traces(&self.obs.traces.recent());
                 write(writer, 200, "OK", body.to_string())
             }
-            ("POST", "/query") => {
-                let context = self.request_context(request).with_trace(Arc::clone(trace));
-                match self.parse_and_submit_one(&request.body, context) {
-                    Ok((ticket, regime)) => match ticket.wait() {
+            ("POST", target @ ("/query" | "/query/batch")) => {
+                let batch = target == "/query/batch";
+                let mut admitted = match self.parse_and_admit(request, trace, batch) {
+                    Ok(admitted) => admitted,
+                    Err((status, reason, body)) => return write(writer, status, reason, body),
+                };
+                if !batch {
+                    // A `/query` is an envelope of one, answered bare.
+                    let (ticket, regime) = admitted.swap_remove(0);
+                    return match ticket.wait() {
                         Ok(outcome) => {
                             let started = Instant::now();
                             let body = wire::outcome_body(&outcome, regime);
@@ -586,33 +587,20 @@ impl Connection<'_, '_> {
                             let body = wire::encode_error(&error.to_string()).to_string();
                             write(writer, status, reason, body)
                         }
-                    },
-                    Err(response) => {
-                        let (status, reason, body) = response;
-                        write(writer, status, reason, body)
-                    }
+                    };
                 }
-            }
-            ("POST", "/query/batch") => {
-                let context = self.request_context(request).with_trace(Arc::clone(trace));
-                match self.parse_and_submit_batch(&request.body, context) {
-                    Ok(tickets) => {
-                        let results: Vec<json::Json> = tickets
-                            .into_iter()
-                            .map(|(ticket, regime)| match ticket.wait() {
-                                Ok(outcome) => wire::encode_outcome_for(&outcome, regime),
-                                Err(error) => wire::encode_error(&error.to_string()),
-                            })
-                            .collect();
-                        let started = Instant::now();
-                        let body =
-                            json::Json::object(vec![("results", json::Json::Array(results))])
-                                .to_string();
-                        trace.record(Stage::Serialize, started.elapsed());
-                        write(writer, 200, "OK", body)
-                    }
-                    Err((status, reason, body)) => write(writer, status, reason, body),
-                }
+                let results: Vec<json::Json> = admitted
+                    .into_iter()
+                    .map(|(ticket, regime)| match ticket.wait() {
+                        Ok(outcome) => wire::encode_outcome_for(&outcome, regime),
+                        Err(error) => wire::encode_error(&error.to_string()),
+                    })
+                    .collect();
+                let started = Instant::now();
+                let body =
+                    json::Json::object(vec![("results", json::Json::Array(results))]).to_string();
+                trace.record(Stage::Serialize, started.elapsed());
+                write(writer, 200, "OK", body)
             }
             (
                 _,
@@ -680,57 +668,36 @@ impl Connection<'_, '_> {
         }
     }
 
-    /// Parses and admits one `/query` body, returning the ticket together
-    /// with the request's regime (echoed into the response); the error is a
-    /// ready-to-send `(status, reason, body)` triple. A cached point query
-    /// is answered here, on the connection thread, and its ticket is ready
-    /// ([`AdmissionQueue::admit`]).
-    fn parse_and_submit_one(
+    /// Parses the body of a `/query` (one request) or a `/query/batch`
+    /// (`batch`: a non-empty list) and admits its requests as one envelope
+    /// under the request's deadline ([`AdmissionQueue::admit`], which
+    /// answers an envelope of hits on this thread), returning each ticket
+    /// with its request's regime (echoed into the response). The error is
+    /// a ready-to-send `(status, reason, body)` triple.
+    fn parse_and_admit(
         &self,
-        body: &[u8],
-        context: RequestContext,
-    ) -> Result<SubmittedQuery, (u16, &'static str, String)> {
-        let value = json::parse(body).map_err(|e| {
-            (
-                400,
-                "Bad Request",
-                wire::encode_error(&e.to_string()).to_string(),
-            )
-        })?;
-        let request = wire::decode_request(&value)
-            .map_err(|e| (400, "Bad Request", wire::encode_error(&e).to_string()))?;
-        let regime = request.regime();
-        self.queue
-            .admit(self.engine, request, context)
-            .map(|ticket| (ticket, regime))
-            .map_err(|e| self.submit_error(e))
-    }
-
-    fn parse_and_submit_batch(
-        &self,
-        body: &[u8],
-        context: RequestContext,
+        request: &http::Request,
+        trace: &Arc<ActiveTrace>,
+        batch: bool,
     ) -> Result<Vec<SubmittedQuery>, (u16, &'static str, String)> {
-        let value = json::parse(body).map_err(|e| {
-            (
-                400,
-                "Bad Request",
-                wire::encode_error(&e.to_string()).to_string(),
-            )
-        })?;
-        let requests = wire::decode_batch(&value)
-            .map_err(|e| (400, "Bad Request", wire::encode_error(&e).to_string()))?;
+        let bad = |message: &str| (400, "Bad Request", wire::encode_error(message).to_string());
+        let value = json::parse(&request.body).map_err(|e| bad(&e.to_string()))?;
+        let requests = if batch {
+            wire::decode_batch(&value)
+        } else {
+            wire::decode_request(&value).map(|request| vec![request])
+        }
+        .map_err(|e| bad(&e))?;
         if requests.is_empty() {
-            return Err((
-                400,
-                "Bad Request",
-                wire::encode_error("\"requests\" must be non-empty").to_string(),
-            ));
+            return Err(bad("\"requests\" must be non-empty"));
         }
         let regimes: Vec<pathcost_service::RegimeId> =
             requests.iter().map(|r| r.regime()).collect();
+        // The client's `x-deadline-ms` header when present, else unbounded.
+        let deadline = request.deadline_ms.map(Duration::from_millis);
+        let context = RequestContext::with_deadline(deadline).with_trace(Arc::clone(trace));
         self.queue
-            .submit_many_with_context(requests, context)
+            .admit(self.engine, requests, context)
             .map(|tickets| tickets.into_iter().zip(regimes).collect())
             .map_err(|e| self.submit_error(e))
     }

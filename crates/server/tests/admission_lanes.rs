@@ -1,8 +1,10 @@
-//! Admission lanes and inline hits: a cached point query is answered on its
-//! connection's thread and never enters the admission queue, so it does not
-//! wait for another connection's cold request, on any number of lanes; the
-//! server runs `QueryEngine::worker_count()` dispatch lanes for everything
-//! else. A hit the queue would refuse or shed is refused or shed.
+//! Admission lanes and inline hits: a cached point query, or a
+//! `/query/batch` envelope of hits, is answered on its connection's thread
+//! and never enters the admission queue, so it does not wait for another
+//! connection's cold request, on any number of lanes; the server runs
+//! `QueryEngine::worker_count()` dispatch lanes for everything else, and an
+//! envelope with one miss is queued whole. A hit or an envelope the queue
+//! would refuse or shed is refused or shed.
 
 mod common;
 
@@ -254,19 +256,27 @@ fn a_cache_hit_is_refused_or_shed_as_a_queued_request_is() {
         let hits = || engine.stats().cache_hits;
         let before = hits();
         let request = wire::decode_request(&json::parse(estimate.as_bytes()).unwrap()).unwrap();
+        // An envelope of hits: the cached estimate, its probability, and the
+        // estimate again.
+        let prob = estimate.replace(r#""type":"estimate""#, r#""type":"prob","budget_s":600"#);
+        let batch = format!(r#"{{"requests":[{estimate},{prob},{estimate}]}}"#);
+        let envelope = wire::decode_batch(&json::parse(batch.as_bytes()).unwrap()).unwrap();
 
         // Closed: 503, and the cache is never read.
         let queue = AdmissionQueue::new(AdmissionConfig::default());
         queue.close();
-        let refused = queue
-            .admit(engine, request, RequestContext::unbounded())
-            .err()
-            .expect("a closed queue admits nothing");
-        assert!(matches!(refused, ServiceError::ShuttingDown));
-        assert_eq!(wire::error_status(&refused).0, 503);
+        for requests in [vec![request], envelope.clone()] {
+            let refused = queue
+                .admit(engine, requests, RequestContext::unbounded())
+                .err()
+                .expect("a closed queue admits nothing");
+            assert!(matches!(refused, ServiceError::ShuttingDown));
+            assert_eq!(wire::error_status(&refused).0, 503);
+        }
         assert_eq!(hits(), before, "a refused hit reads nothing");
 
-        // Degraded: 429 at the door, counted as a degraded rejection.
+        // Degraded: 429 at the door, counted as one degraded rejection per
+        // envelope.
         let degraded = ServerConfig {
             admission: AdmissionConfig {
                 degrade_queue_depth: 0,
@@ -276,25 +286,88 @@ fn a_cache_hit_is_refused_or_shed_as_a_queued_request_is() {
         };
         serve_with(engine, degraded, |addr| {
             assert_eq!(post(addr, "/query", estimate).0, 429);
+            assert_eq!(post(addr, "/query/batch", &batch).0, 429);
             let (_, page) = get(addr, "/metrics");
             assert_eq!(
                 family(&page, "pathcost_admission_rejected_degraded_total"),
-                1.0
+                2.0
             );
         });
         assert_eq!(hits(), before, "a refused hit reads nothing");
 
-        // Already expired: queued, shed by the lane before it is evaluated, 504.
+        // Already expired: queued, shed by the lane before it is evaluated,
+        // 504 — for the envelope, each of its requests.
         serve_with(engine, ServerConfig::default(), |addr| {
-            let expired = format!(
-            "POST /query HTTP/1.1\r\nHost: t\r\nx-deadline-ms: 0\r\nContent-Length: {}\r\n\r\n{estimate}",
-            estimate.len()
-        );
-            assert_eq!(send_raw(addr, expired.as_bytes()).0, 504);
+            let expired = |target: &str, body: &str| {
+                let raw = format!(
+                    "POST {target} HTTP/1.1\r\nHost: t\r\nx-deadline-ms: 0\r\nContent-Length: {}\r\n\r\n{body}",
+                    body.len()
+                );
+                send_raw(addr, raw.as_bytes())
+            };
+            assert_eq!(expired("/query", estimate).0, 504);
+            let (status, body) = expired("/query/batch", &batch);
+            assert_eq!(status, 200, "{body}");
+            let results = json::parse(body.as_bytes()).unwrap();
+            let results = results.get("results").and_then(json::Json::as_array);
+            assert_eq!(results.map(<[json::Json]>::len), Some(3), "{body}");
+            assert!(
+                results.unwrap().iter().all(|r| r.get("error").is_some()),
+                "{body}"
+            );
             let (_, page) = get(addr, "/metrics");
-            assert_eq!(family(&page, "pathcost_admission_shed_total"), 1.0);
+            assert_eq!(family(&page, "pathcost_admission_shed_total"), 4.0);
             assert_eq!(family(&page, "pathcost_batches_total"), 0.0);
         });
+        let queue = AdmissionQueue::new(AdmissionConfig::default());
+        let expired = RequestContext::with_deadline(Some(Duration::ZERO));
+        let tickets = queue.admit(engine, envelope, expired).unwrap();
+        assert_eq!(queue.len(), 3, "an expired envelope is queued whole");
+        queue.close();
+        queue.dispatch(engine);
+        for ticket in tickets {
+            let shed = ticket.wait().expect_err("shed");
+            assert_eq!(wire::error_status(&shed).0, 504);
+        }
         assert_eq!(hits(), before, "a shed hit reads nothing");
+    });
+}
+
+#[test]
+fn an_envelope_of_hits_never_enters_the_queue() {
+    with_prefilled(|engine, estimate, cold| {
+        let prob = estimate.replace(r#""type":"estimate""#, r#""type":"prob","budget_s":600"#);
+        let hits = format!(r#"{{"requests":[{estimate},{prob},{estimate}]}}"#);
+        let missing = format!(r#"{{"requests":[{estimate},{prob},{cold}]}}"#);
+        serve_with(engine, ServerConfig::default(), |addr| {
+            let counted = [
+                "pathcost_batches_total",
+                "pathcost_batch_requests_total",
+                "pathcost_cache_hits_total",
+                "pathcost_cache_misses_total",
+                "pathcost_admission_queue_wait_seconds_count",
+                "pathcost_admission_queue_wait_seconds_sum",
+            ];
+            let scrape = || {
+                let (status, page) = get(addr, "/metrics");
+                assert_eq!(status, 200);
+                counted.map(|name| family(&page, name))
+            };
+            let moved = |body: &str| {
+                let before = scrape();
+                let (status, response) = post(addr, "/query/batch", body);
+                assert_eq!(status, 200, "{response}");
+                let after = scrape();
+                let moved: Vec<f64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
+                moved
+            };
+            // Three hits answered on the connection thread: no batch, three
+            // hits, three zero queue waits.
+            assert_eq!(moved(&hits), [0.0, 0.0, 3.0, 0.0, 3.0, 0.0], "{counted:?}");
+            // One miss queues the envelope whole, and its two hits are
+            // counted once, by the lane.
+            let moved = moved(&missing);
+            assert_eq!(moved[..5], [1.0, 3.0, 2.0, 1.0, 3.0], "{counted:?}");
+        });
     });
 }

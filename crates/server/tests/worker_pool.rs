@@ -180,14 +180,24 @@ fn live_epoch_lands_mid_flight_without_breaking_responses() {
     let engine = QueryEngine::new(Arc::new(graph), ServiceConfig::default());
     let mut ingestor = LiveIngestor::from_instantiated(&net, base.clone(), weights, cfg).unwrap();
     let requests = workload(&base, 4);
+    // Each client writes a request in several pieces without TCP_NODELAY,
+    // so a later piece can wait out a delayed ACK (about 40 ms) before it is
+    // sent. Under `test_config`'s 50 ms read timeout, a loaded machine that
+    // stalls a client thread a little more turns that gap into a 408 (6 of
+    // 600 runs looped on a two-core machine under build load, debug and
+    // release). Allow a second.
+    let config = ServerConfig {
+        read_timeout: Duration::from_secs(1),
+        ..test_config()
+    };
 
-    serve_with(&engine, test_config(), |addr| {
+    serve_with(&engine, config, |addr| {
         std::thread::scope(|scope| {
             // Socket load: every response must be well-formed and 200,
             // whichever epoch answers it.
             let clients: Vec<_> = (0..4)
                 .map(|client| {
-                    let requests = &requests;
+                    let (requests, engine) = (&requests, &engine);
                     scope.spawn(move || {
                         let mut stream = TcpStream::connect(addr).unwrap();
                         let mut reader = BufReader::new(stream.try_clone().unwrap());
@@ -199,7 +209,11 @@ fn live_epoch_lands_mid_flight_without_breaking_responses() {
                                 "/query",
                                 &requests[(client + i) % requests.len()].0,
                             );
-                            assert_eq!(status, 200, "{body}");
+                            let epoch = engine.epoch();
+                            assert_eq!(
+                                status, 200,
+                                "client {client}, request {i}, epoch {epoch}: {body}"
+                            );
                             let parsed = pathcost_server::json::parse(body.as_bytes()).unwrap();
                             assert!(parsed.get("type").is_some());
                         }

@@ -6,21 +6,23 @@
 //! every connection would run a batch of one on one thread. The
 //! [`AdmissionQueue`] closes that gap:
 //!
-//! * Connection handlers [`submit`](AdmissionQueue::submit) individual
-//!   requests (or [`submit_many`](AdmissionQueue::submit_many) for
-//!   `POST /query/batch`) and block on the returned [`Ticket`].
-//! * A cached point query never enters the queue. The server hands each
-//!   `POST /query` to [`admit`](AdmissionQueue::admit), which answers an
-//!   `EstimateDistribution` or `ProbWithinBudget` whose distribution is
-//!   cached on the connection thread with one cache lookup: no queue slot,
-//!   no lane wake-up, no hand-back, and so no wait behind another
-//!   connection's cold estimate or route. It does so only when `submit`
-//!   would admit the request — the queue open, not degraded, below
-//!   capacity — and the request's context has not stopped; anything else,
-//!   a miss included, is submitted as before, so a hit is refused (closed,
-//!   degraded, full) or shed (expired) exactly as a queued request is. The
-//!   answer is observed in the end-to-end latency and the degradation
-//!   window, with a zero queue wait.
+//! * Connection handlers hand the requests of one HTTP request — one for
+//!   `POST /query`, all of them for `POST /query/batch` — to
+//!   [`admit`](AdmissionQueue::admit) as one envelope, and block on the
+//!   returned [`Ticket`]s.
+//! * An envelope of hits never enters the queue. `admit` runs one refusal
+//!   check for the whole envelope — the queue open, not degraded, room for
+//!   all of it — and, when it passes and the context has not stopped,
+//!   answers every request on the connection thread from the engine's
+//!   distribution cache and route map alone: no queue slot, no lane
+//!   wake-up, no hand-back, and so no wait behind another connection's cold
+//!   estimate or route. The engine does that through the same code a lane
+//!   runs, in a mode that reports a miss instead of estimating or
+//!   searching. One miss anywhere queues the whole envelope as before, and
+//!   the inline attempt counts nothing, so a refusal (closed, degraded,
+//!   full) or a shed (expired) stays all-or-nothing per envelope, answered
+//!   inline or not. An inline answer is observed in the end-to-end latency
+//!   and the degradation window, with a zero queue wait.
 //! * Dispatch lanes — threads each running
 //!   [`dispatch`](AdmissionQueue::dispatch) — drain the queue into batches of
 //!   up to [`AdmissionConfig::max_batch`], run them through the engine's
@@ -43,13 +45,13 @@
 //!   every lane to find the queue empty (only [`close`](AdmissionQueue::close)
 //!   wakes them all).
 //! * The queue is **bounded**: once [`AdmissionConfig::capacity`] requests
-//!   are waiting, `submit` fails fast with [`ServiceError::Overloaded`]
+//!   are waiting, `admit` fails fast with [`ServiceError::Overloaded`]
 //!   instead of queueing unbounded work — the HTTP layer maps that to 503 so
 //!   backpressure reaches the client instead of the allocator.
 //! * Each request carries a [`RequestContext`] (deadline + cancellation
-//!   token, see [`submit_with_context`](AdmissionQueue::submit_with_context)).
-//!   Each lane **sheds expired or abandoned work before dispatch**: a
-//!   request whose deadline passed while it queued is answered
+//!   token, one per envelope: an HTTP request has a single client, so a
+//!   single deadline). Each lane **sheds expired or abandoned work before
+//!   dispatch**: a request whose deadline passed while it queued is answered
 //!   [`ServiceError::DeadlineExceeded`] immediately (the HTTP layer maps that
 //!   to 504) instead of burning a worker on an answer nobody is waiting for.
 //! * Under sustained pressure the queue reports
@@ -90,8 +92,8 @@ use std::time::{Duration, Instant};
 /// Tuning for an [`AdmissionQueue`].
 #[derive(Debug, Clone, Copy)]
 pub struct AdmissionConfig {
-    /// Maximum requests waiting for dispatch; beyond this, `submit` returns
-    /// [`ServiceError::Overloaded`].
+    /// Maximum requests waiting for dispatch; beyond this, `admit` and
+    /// `submit` return [`ServiceError::Overloaded`].
     pub capacity: usize,
     /// Largest batch handed to [`QueryEngine::execute_batch`] at once.
     pub max_batch: usize,
@@ -275,38 +277,43 @@ impl AdmissionQueue {
         self.config
     }
 
-    /// Admits one request for `engine`. A cached point query — an
-    /// `EstimateDistribution` or `ProbWithinBudget` whose distribution is in
-    /// the engine's cache — is answered here, on the calling thread, and its
-    /// ticket is ready at once: it takes no queue slot and wakes no lane.
-    /// That happens only when [`submit`](Self::submit) would admit the
-    /// request (the queue open, not degraded, below capacity) and its
-    /// context has not stopped; the answer counts in the end-to-end latency
-    /// and the degradation window like any other, with a zero queue wait.
-    /// Every other request — a miss, another kind, an expired context the
-    /// lanes shed, a refusal — goes through
-    /// [`submit_with_context`](Self::submit_with_context) as it would
-    /// without this call.
+    /// Admits the requests of one HTTP request — a `/query` is an envelope
+    /// of one — for `engine`, all or nothing, with one ticket per request.
+    /// When the queue would admit the envelope (open, not degraded, room
+    /// for all of it) and its context has not stopped, the engine first
+    /// tries to answer every request from its cache and route map alone; if
+    /// each one hits, the envelope is answered here, on the calling thread,
+    /// and takes no queue slot and wakes no lane. Each answer counts in the
+    /// end-to-end latency and the degradation window like any other, with a
+    /// zero queue wait. Otherwise — one miss, an expired context the lanes
+    /// shed — the whole envelope is queued, and that attempt has counted
+    /// nothing; a refusal refuses the whole envelope.
     pub fn admit(
         &self,
         engine: &QueryEngine<'_>,
-        request: QueryRequest,
+        requests: Vec<QueryRequest>,
         context: RequestContext,
-    ) -> Result<Ticket, ServiceError> {
+    ) -> Result<Vec<Ticket>, ServiceError> {
         let admitted = Instant::now();
         let state = self.state.lock().expect(STATE_POISONED);
-        let admissible = self.refusal(&state, 1).is_none();
+        if let Some(refused) = self.refusal(&state, requests.len()) {
+            return Err(refused);
+        }
         drop(state);
-        if admissible && !context.should_stop() {
-            if let Some(outcome) = engine.execute_hit(&request, &context) {
-                self.queue_wait.observe_duration(Duration::ZERO);
-                self.observe_e2e(admitted.elapsed());
-                return Ok(Ticket {
-                    state: TicketState::Answered(outcome),
-                });
+        if !context.should_stop() {
+            if let Some(outcomes) = engine.execute_cached(&requests, &context) {
+                let elapsed = admitted.elapsed();
+                let answered = |outcome| {
+                    self.queue_wait.observe_duration(Duration::ZERO);
+                    self.observe_e2e(elapsed);
+                    Ticket {
+                        state: TicketState::Answered(outcome),
+                    }
+                };
+                return Ok(outcomes.into_iter().map(answered).collect());
             }
         }
-        self.submit_with_context(request, context)
+        self.submit_many_with_context(requests, context)
     }
 
     /// Why the queue would refuse `incoming` more requests now, if it would:
@@ -330,37 +337,23 @@ impl AdmissionQueue {
         None
     }
 
-    /// Enqueues one request, failing fast when the queue is full or closed.
+    /// Enqueues one request with no deadline, failing fast when the queue
+    /// is full or closed.
     pub fn submit(&self, request: QueryRequest) -> Result<Ticket, ServiceError> {
-        self.submit_with_context(request, RequestContext::unbounded())
-    }
-
-    /// Enqueues one request carrying a deadline / cancellation context. The
-    /// caller keeps a clone of `context`: cancelling it (or letting the
-    /// deadline pass) makes a lane shed the request before dispatch
-    /// and evaluation stop cooperatively if it already started.
-    pub fn submit_with_context(
-        &self,
-        request: QueryRequest,
-        context: RequestContext,
-    ) -> Result<Ticket, ServiceError> {
-        let mut tickets = self.submit_many_with_context(vec![request], context)?;
+        let mut tickets =
+            self.submit_many_with_context(vec![request], RequestContext::unbounded())?;
         Ok(tickets.pop().expect("one ticket per request"))
     }
 
-    /// Enqueues a batch all-or-nothing: either every request is admitted (in
-    /// order, so the lane that takes them keeps them in one batch when it
-    /// fits) or the whole batch is rejected with
-    /// [`ServiceError::Overloaded`] / [`ServiceError::ShuttingDown`] and
-    /// nothing is queued.
-    pub fn submit_many(&self, requests: Vec<QueryRequest>) -> Result<Vec<Ticket>, ServiceError> {
-        self.submit_many_with_context(requests, RequestContext::unbounded())
-    }
-
-    /// [`submit_many`](Self::submit_many) with one shared deadline /
-    /// cancellation context for the whole batch (an HTTP batch request has a
-    /// single client, so a single deadline).
-    pub fn submit_many_with_context(
+    /// [`admit`](Self::admit)'s queueing half: enqueues a batch with one
+    /// shared deadline / cancellation context, all-or-nothing — either
+    /// every request is admitted (in order, so the lane that takes them
+    /// keeps them in one batch when it fits) or the whole batch is refused
+    /// and nothing is queued. The caller keeps a clone of `context`:
+    /// cancelling it (or letting the deadline pass) makes a lane shed the
+    /// requests before dispatch and evaluation stop cooperatively if it
+    /// already started.
+    fn submit_many_with_context(
         &self,
         requests: Vec<QueryRequest>,
         context: RequestContext,
@@ -646,11 +639,11 @@ mod tests {
             };
             let before = counts();
             for request in [hit, prob] {
-                let ticket = queue
-                    .admit(engine, request, RequestContext::unbounded())
+                let mut tickets = queue
+                    .admit(engine, vec![request], RequestContext::unbounded())
                     .unwrap();
                 assert!(queue.is_empty(), "a hit takes no queue slot");
-                let outcome = ticket.wait().unwrap();
+                let outcome = tickets.remove(0).wait().unwrap();
                 assert_eq!(
                     (outcome.stats.cache_hits, outcome.stats.cache_misses),
                     (1, 0)
@@ -677,10 +670,11 @@ mod tests {
             let miss = queue
                 .admit(
                     engine,
-                    sample_request(store, 1),
+                    vec![sample_request(store, 1)],
                     RequestContext::unbounded(),
                 )
-                .unwrap();
+                .unwrap()
+                .remove(0);
             assert_eq!(queue.len(), 1);
             assert_eq!(counts(), (before.0, before.1 + 2, before.2));
             queue.close();
@@ -697,7 +691,10 @@ mod tests {
             engine.execute(&hit).unwrap();
             let hits = || engine.stats().cache_hits;
             let before = hits();
-            let admit = |queue: &AdmissionQueue, context| queue.admit(engine, hit.clone(), context);
+            let admit = |queue: &AdmissionQueue, context| {
+                let tickets = queue.admit(engine, vec![hit.clone()], context);
+                tickets.map(|mut tickets| tickets.remove(0))
+            };
 
             let closed = AdmissionQueue::new(AdmissionConfig::default());
             closed.close();
@@ -876,7 +873,9 @@ mod tests {
                 })
                 .collect();
             std::thread::scope(|scope| {
-                let tickets = queue.submit_many(requests.clone()).unwrap();
+                let tickets = queue
+                    .submit_many_with_context(requests.clone(), RequestContext::unbounded())
+                    .unwrap();
                 scope.spawn(|| queue.dispatch(engine));
                 for (ticket, expected) in tickets.into_iter().zip(&direct) {
                     let outcome = ticket.wait().unwrap();
@@ -901,8 +900,9 @@ mod tests {
                 Err(ServiceError::Overloaded)
             ));
             // All-or-nothing: a 2-element batch over a full queue queues none.
+            let pair = vec![sample_request(store, 0), sample_request(store, 1)];
             assert!(matches!(
-                queue.submit_many(vec![sample_request(store, 0), sample_request(store, 1),]),
+                queue.submit_many_with_context(pair, RequestContext::unbounded()),
                 Err(ServiceError::Overloaded)
             ));
             assert_eq!(queue.len(), 2);

@@ -382,47 +382,42 @@ impl DistributionCache {
         (fingerprint >> 48) as usize % self.shards.len()
     }
 
-    /// Looks up `(path, interval, regime)`, refreshing its recency on a hit.
+    /// Looks up `(path, interval, regime)`, refreshing its recency on a hit,
+    /// and counts the hit or the miss.
     pub fn get(
         &self,
         path: &Path,
         interval: IntervalId,
         regime: RegimeId,
     ) -> Option<CachedDistribution> {
-        self.lookup(path, interval, regime, true)
+        let (shard, found) = self.probe(path, interval, regime);
+        self.count(shard, found.is_some());
+        found
     }
 
-    /// As [`Self::get`], but a miss is not counted: the caller answers a
-    /// miss by handing the request to a path that looks it up again.
+    /// As [`Self::get`], but nothing is counted: the lookup comes back with
+    /// the key's shard, for [`Self::count`]. The query engine counts a hit
+    /// once the query that read it is answered, and a miss only where it is
+    /// about to be estimated.
     pub(crate) fn probe(
         &self,
         path: &Path,
         interval: IntervalId,
         regime: RegimeId,
-    ) -> Option<CachedDistribution> {
-        self.lookup(path, interval, regime, false)
-    }
-
-    fn lookup(
-        &self,
-        path: &Path,
-        interval: IntervalId,
-        regime: RegimeId,
-        count_miss: bool,
-    ) -> Option<CachedDistribution> {
+    ) -> (usize, Option<CachedDistribution>) {
         let fingerprint = key_fingerprint(path, interval, regime);
-        let shard_index = self.shard_index_of(fingerprint);
-        let found = self.shards[shard_index]
+        let shard = self.shard_index_of(fingerprint);
+        let found = self.shards[shard]
             .lock()
             .expect("cache shard poisoned")
             .get(fingerprint, interval, regime, path);
-        let tally = &self.tallies[shard_index];
-        match found {
-            Some(_) => tally.hits.inc(),
-            None if count_miss => tally.misses.inc(),
-            None => {}
-        }
-        found
+        (shard, found)
+    }
+
+    /// Counts one lookup in `shard`'s hit or miss tally.
+    pub(crate) fn count(&self, shard: usize, hit: bool) {
+        let tally = &self.tallies[shard];
+        if hit { &tally.hits } else { &tally.misses }.inc();
     }
 
     /// Inserts (or refreshes) the entry for `(path, interval, regime)`:

@@ -1,7 +1,7 @@
 //! The query engine: cache-backed serving of path-cost-distribution queries.
 //!
 //! Every cached distribution enters through one two-step fill
-//! (`QueryEngine::estimate_cached`): **estimate** against an epoch
+//! (`QueryEngine::lookup`): **estimate** against an epoch
 //! snapshot, then **insert** the value together with the variable keys the
 //! estimate read (one shard lock, so invalidation never sees one without the
 //! other) only if, under that lock, no update has bumped the epoch since the
@@ -30,6 +30,15 @@
 //! and the fill is otherwise the same for every regime, all-traffic
 //! included: each read names the table it resolved from, and the entry's
 //! fallback depth is the deepest ladder position among them.
+//!
+//! One function, `execute_inner`, validates every request and builds its
+//! response. A dispatch lane runs it in `Mode::Fill`, which estimates a
+//! missing distribution and searches a missing route. A connection thread
+//! runs it in `Mode::CachedOnly`: every arm reads through the same lookups
+//! (the distribution cache, the route map) and reports a miss instead of
+//! filling it. A query's hits are counted only once it is answered
+//! (`conclude`), so an envelope that misses on its last key and is then
+//! queued leaves no count behind from its first try.
 
 use crate::cache::{key_fingerprint, CachedDistribution, DistributionCache, Entry};
 use crate::deadline::RequestContext;
@@ -48,9 +57,10 @@ use pathcost_routing::{
     prob_within_budget, BestFirstRouter, FreeFlowCache, RouterConfig, RoutingError,
 };
 use pathcost_traj::{TimeOfDay, Timestamp};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::cell::{Cell, RefCell};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Configuration of the query engine.
 #[derive(Debug, Clone)]
@@ -81,6 +91,24 @@ impl Default for ServiceConfig {
 /// Route answers kept per epoch: `route_batch` asks 192 distinct routes.
 const ROUTE_ANSWERS: usize = 1024;
 
+// The route map's lock guards lookups, `Arc` clones, insertions and clears;
+// the graph lock guards an `Arc` clone and a store. No code that can panic
+// runs under either, so neither is ever poisoned.
+const ROUTES_POISONED: &str = "no panic while the route map is locked";
+const GRAPH_POISONED: &str = "no panic while the graph handle is locked";
+
+/// What [`QueryEngine::execute_inner`] does with a request that neither the
+/// distribution cache nor the route map answers.
+#[derive(Clone, Copy)]
+enum Mode {
+    /// Estimate the distribution, or search the route — on quartered
+    /// budgets when `degraded` — as a dispatch lane does.
+    Fill { degraded: bool },
+    /// Report the miss (`Ok(None)`) and count nothing: the admission queue
+    /// answers an envelope of hits on its connection thread this way.
+    CachedOnly,
+}
+
 /// A `Route` request exactly as asked — the departure and the budget by
 /// their bits. The departure is not canonicalised to its interval: the
 /// search's arrival windows start at it and read later intervals from it.
@@ -109,41 +137,47 @@ struct RouteAnswers {
     answers: BoundedMap<RouteKey, Arc<RouteAnswer>>,
 }
 
-/// Per-query tallies, updated through shared references (the routing
-/// estimator adapter only sees `&self`).
+/// Per-query tallies, kept through shared references (the routing
+/// estimator adapter only sees `&self`) by the one thread answering it.
 #[derive(Default)]
 struct QueryCounters {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    max_depth: AtomicUsize,
-    max_fallback: AtomicUsize,
+    hits: Cell<u64>,
+    misses: Cell<u64>,
+    max_depth: Cell<usize>,
+    max_fallback: Cell<usize>,
+    /// The shard and fallback depth of each distribution-cache hit, and
+    /// whether the route map answered: counted in the shared instruments by
+    /// [`QueryEngine::conclude`], once the query is answered.
+    read: RefCell<Vec<(usize, usize)>>,
+    route_hit: Cell<bool>,
 }
 
 impl QueryCounters {
-    fn record(&self, hit: bool, depth: usize) {
-        if hit {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            self.max_depth.fetch_max(depth, Ordering::Relaxed);
-        }
+    fn record_hit(&self, shard: usize, hit: &CachedDistribution) {
+        self.hits.set(self.hits.get() + 1);
+        self.record_depths(0, hit.fallback_depth);
+        self.read.borrow_mut().push((shard, hit.fallback_depth));
+    }
+
+    fn record_miss(&self, depth: usize, fallback_depth: usize) {
+        self.misses.set(self.misses.get() + 1);
+        self.record_depths(depth, fallback_depth);
     }
 
     /// What a route answered from the route map reports: one hit and the
     /// depths its search reported.
     fn record_route_hit(&self, answer: &RouteAnswer) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        (self.max_depth).fetch_max(answer.max_decomposition_depth, Ordering::Relaxed);
-        (self.max_fallback).fetch_max(answer.max_fallback_depth, Ordering::Relaxed);
+        self.hits.set(self.hits.get() + 1);
+        self.record_depths(answer.max_decomposition_depth, answer.max_fallback_depth);
+        self.route_hit.set(true);
     }
 
-    /// Folds one distribution's regime-fallback depth (hit or miss — a
-    /// cached entry carries the depth it was resolved at) into the query's
-    /// maximum.
-    fn record_fallback(&self, depth: usize) {
-        if depth > 0 {
-            self.max_fallback.fetch_max(depth, Ordering::Relaxed);
-        }
+    /// Folds a decomposition depth and a regime-fallback depth (a cached
+    /// entry carries the one it was resolved at) into the query's maxima.
+    fn record_depths(&self, depth: usize, fallback_depth: usize) {
+        self.max_depth.set(self.max_depth.get().max(depth));
+        self.max_fallback
+            .set(self.max_fallback.get().max(fallback_depth));
     }
 }
 
@@ -249,7 +283,7 @@ impl<'n> QueryEngine<'n> {
     /// Holders keep a consistent epoch even while an update swaps in a new
     /// one.
     pub fn graph(&self) -> Arc<HybridGraph<'n>> {
-        self.graph.read().expect("graph lock poisoned").clone()
+        self.graph.read().expect(GRAPH_POISONED).clone()
     }
 
     /// The epoch version *followed by* the graph snapshot, in that order —
@@ -270,7 +304,7 @@ impl<'n> QueryEngine<'n> {
     /// Installs `graph` as the published snapshot (the swap half of
     /// [`Self::apply_update`]).
     pub(crate) fn publish_graph(&self, graph: Arc<HybridGraph<'n>>) {
-        *self.graph.write().expect("graph lock poisoned") = graph;
+        *self.graph.write().expect(GRAPH_POISONED) = graph;
     }
 
     /// The version of the currently published weight-function epoch:
@@ -293,7 +327,7 @@ impl<'n> QueryEngine<'n> {
     /// under the update lock once nothing of an earlier epoch is left to
     /// read: by [`Self::apply_update`] after its invalidation pass.
     pub(crate) fn forget_routes(&self, epoch: u64) {
-        let mut routes = self.routes.lock().expect("route map poisoned");
+        let mut routes = self.routes.lock().expect(ROUTES_POISONED);
         routes.answers.clear();
         routes.epoch = epoch;
     }
@@ -302,7 +336,7 @@ impl<'n> QueryEngine<'n> {
     /// miss, the epoch the route map holds answers of, for
     /// [`Self::keep_route`].
     fn cached_route(&self, key: &RouteKey) -> Result<Arc<RouteAnswer>, u64> {
-        let routes = self.routes.lock().expect("route map poisoned");
+        let routes = self.routes.lock().expect(ROUTES_POISONED);
         match routes.answers.get(key) {
             Some(answer) if routes.epoch == self.epoch.load(Ordering::SeqCst) => {
                 Ok(Arc::clone(answer))
@@ -318,7 +352,7 @@ impl<'n> QueryEngine<'n> {
     /// was valid for the epoch, and no update has emptied the map since —
     /// an update landing later empties it again.
     fn keep_route(&self, key: RouteKey, answer: RouteAnswer, held: u64, snapshot_epoch: u64) {
-        let mut routes = self.routes.lock().expect("route map poisoned");
+        let mut routes = self.routes.lock().expect(ROUTES_POISONED);
         if held == snapshot_epoch && routes.epoch == snapshot_epoch {
             routes.answers.insert_if_absent(key, Arc::new(answer));
         }
@@ -392,43 +426,35 @@ impl<'n> QueryEngine<'n> {
         self.workers
     }
 
-    /// Cache-backed estimation: returns the distribution of `path` over the
-    /// α-interval of `departure`, estimating (and caching) it on a miss.
-    ///
-    /// On a miss this runs [`OdEstimator::estimate_with_artifacts`]
-    /// anchored at [`Self::canonical_departure`], so a cached entry is
-    /// bit-identical to `OdEstimator::estimate` at that anchor.
-    fn estimate_cached(
+    /// The distribution of `path` over the α-interval of `departure` under
+    /// `regime`, read through the cache. A hit is noted in `counters` and
+    /// counted when the query concludes. A miss is estimated against
+    /// `snapshot` (see [`Self::graph_snapshot`]) and cached — by
+    /// [`OdEstimator::estimate_with_artifacts`] at the interval's
+    /// [`Self::canonical_departure`], so an entry is bit-identical to
+    /// `OdEstimator::estimate` there — or, without a snapshot, reported as
+    /// `Ok(None)` with nothing counted. A routing search passes the snapshot
+    /// it pinned, so every candidate it estimates *fresh* is evaluated under
+    /// that epoch (see the `Route` arm of `execute_inner`).
+    fn lookup(
         &self,
         path: &Path,
         departure: Timestamp,
         regime: RegimeId,
         counters: &QueryCounters,
-    ) -> Result<CachedDistribution, ServiceError> {
-        let (snapshot_epoch, graph) = self.graph_snapshot();
-        self.estimate_cached_on(&graph, snapshot_epoch, path, departure, regime, counters)
-    }
-
-    /// As [`Self::estimate_cached`], estimating misses against the given
-    /// epoch snapshot instead of re-reading the published graph — a routing
-    /// search pins one snapshot so every candidate it estimates *fresh* is
-    /// evaluated under that epoch even while an update lands mid-search
-    /// (cache hits may still carry a concurrently published adjacent epoch;
-    /// see the `Route` arm of `execute_inner`).
-    fn estimate_cached_on(
-        &self,
-        graph: &HybridGraph<'n>,
-        snapshot_epoch: u64,
-        path: &Path,
-        departure: Timestamp,
-        regime: RegimeId,
-        counters: &QueryCounters,
-    ) -> Result<CachedDistribution, ServiceError> {
+        snapshot: Option<&(u64, Arc<HybridGraph<'n>>)>,
+    ) -> Result<Option<CachedDistribution>, ServiceError> {
         let interval = self.interval_of(departure);
-        if let Some(hit) = self.cache.get(path, interval, regime) {
-            self.record_hit(&hit, regime, counters);
-            return Ok(hit);
+        let (shard, found) = self.cache.probe(path, interval, regime);
+        if let Some(hit) = found {
+            counters.record_hit(shard, &hit);
+            return Ok(Some(hit));
         }
+        let Some((snapshot_epoch, graph)) = snapshot else {
+            return Ok(None);
+        };
+        chaos_panic_failpoint(path);
+        self.cache.count(shard, false);
         let canonical = self.canonical_departure(interval);
         // The estimate reads what the regime's fallback ladder resolves to:
         // the regime's own view, or the all-traffic one when no table above
@@ -482,67 +508,13 @@ impl<'n> QueryEngine<'n> {
         // no other query ever reads it from the cache.
         let entry = Entry::new(value.clone(), reads, &artifacts.footprints);
         self.cache.insert_unless(path, interval, regime, entry, || {
-            self.epoch.load(Ordering::SeqCst) != snapshot_epoch
+            self.epoch.load(Ordering::SeqCst) != *snapshot_epoch
         });
         self.recorder.record_estimation(depth);
-        counters.record(false, depth);
-        counters.record_fallback(fallback_depth);
+        counters.record_miss(depth, fallback_depth);
         self.recorder
             .record_regime_lookup(&self.registry, regime, false, fallback_depth);
-        Ok(value)
-    }
-
-    /// What every cache hit records: the query's tallies and the regime's
-    /// lookup counters.
-    fn record_hit(&self, hit: &CachedDistribution, regime: RegimeId, counters: &QueryCounters) {
-        counters.record(true, 0);
-        counters.record_fallback(hit.fallback_depth);
-        self.recorder
-            .record_regime_lookup(&self.registry, regime, true, hit.fallback_depth);
-    }
-
-    /// Answers a point query from the cache alone: `Some` when `request` is
-    /// an `EstimateDistribution` or a valid `ProbWithinBudget` whose
-    /// distribution is cached, recording exactly what [`Self::execute_under`]
-    /// records for that hit (not degraded); `None`, with nothing recorded,
-    /// for any other request or a lookup that misses. The admission queue
-    /// answers a cached point query this way on the thread that submits it.
-    pub(crate) fn execute_hit(
-        &self,
-        request: &QueryRequest,
-        ctx: &RequestContext,
-    ) -> Option<QueryOutcome> {
-        let start = Instant::now();
-        let (path, departure, regime, budget_s) = match request {
-            QueryRequest::EstimateDistribution {
-                path,
-                departure,
-                regime,
-            } => (path, departure, regime, None),
-            QueryRequest::ProbWithinBudget {
-                path,
-                departure,
-                budget_s,
-                regime,
-            } => {
-                validate_budget(*budget_s).ok()?;
-                (path, departure, regime, Some(*budget_s))
-            }
-            _ => return None,
-        };
-        let hit = self
-            .cache
-            .probe(path, self.interval_of(*departure), *regime)?;
-        let counters = QueryCounters::default();
-        self.record_hit(&hit, *regime, &counters);
-        let response = Ok(match budget_s {
-            None => QueryResponse::Distribution(hit.histogram),
-            Some(budget_s) => {
-                QueryResponse::Probability(prob_within_budget(&hit.histogram, budget_s))
-            }
-        });
-        self.conclude(request, ctx, start, &counters, response, false)
-            .ok()
+        Ok(Some(value))
     }
 
     /// Executes a single query, recording per-query and engine-level stats.
@@ -570,25 +542,59 @@ impl<'n> QueryEngine<'n> {
         let response = if ctx.should_stop() {
             Err(stop_error(ctx))
         } else {
-            self.execute_inner(request, &counters, ctx, degraded)
+            let fill = Mode::Fill { degraded };
+            (self.execute_inner(request, &counters, ctx, fill))
+                .and_then(|answer| answer.ok_or(ServiceError::Internal("a fill left a miss")))
         };
-        self.conclude(request, ctx, start, &counters, response, degraded)
+        self.conclude(request, ctx, start.elapsed(), &counters, response, degraded)
     }
 
-    /// Records an evaluated query — its eval span, its latency since
-    /// `start`, its failure or degraded answer — and stamps its outcome.
+    /// Answers one envelope of requests from the distribution cache and the
+    /// route map alone, estimating and searching nothing: `Some` with every
+    /// outcome, each recorded as [`Self::execute_under`] records it, when
+    /// every request hits; `None`, with nothing recorded, when any request
+    /// misses, fails validation or sees `ctx` stop. The admission queue
+    /// answers an envelope of hits on its connection thread this way.
+    pub(crate) fn execute_cached(
+        &self,
+        requests: &[QueryRequest],
+        ctx: &RequestContext,
+    ) -> Option<Vec<QueryOutcome>> {
+        let mut answered = Vec::with_capacity(requests.len());
+        for request in requests {
+            let (counters, start) = (QueryCounters::default(), Instant::now());
+            let response =
+                (self.execute_inner(request, &counters, ctx, Mode::CachedOnly)).ok()??;
+            answered.push((response, counters, start.elapsed()));
+        }
+        let conclude = |(request, (response, counters, latency))| {
+            (self.conclude(request, ctx, latency, &counters, Ok(response), false)).ok()
+        };
+        requests.iter().zip(answered).map(conclude).collect()
+    }
+
+    /// Records an answered query — its eval span and latency, the hits it
+    /// read, its failure or degraded answer — and stamps its outcome.
     fn conclude(
         &self,
         request: &QueryRequest,
         ctx: &RequestContext,
-        start: Instant,
+        latency: Duration,
         counters: &QueryCounters,
         response: Result<QueryResponse, ServiceError>,
         degraded: bool,
     ) -> Result<QueryOutcome, ServiceError> {
-        let latency = start.elapsed();
         if let Some(trace) = ctx.trace() {
             trace.record(pathcost_obs::Stage::Eval, latency);
+        }
+        let regime = request.regime();
+        for &(shard, fallback_depth) in counters.read.borrow().iter() {
+            self.cache.count(shard, true);
+            self.recorder
+                .record_regime_lookup(&self.registry, regime, true, fallback_depth);
+        }
+        if counters.route_hit.get() {
+            self.recorder.route_cache_hits.inc();
         }
         self.recorder
             .record_query(request.kind(), latency, response.is_ok());
@@ -603,32 +609,37 @@ impl<'n> QueryEngine<'n> {
         response.map(|response| QueryOutcome {
             response,
             stats: QueryStats {
-                cache_hits: counters.hits.load(Ordering::Relaxed),
-                cache_misses: counters.misses.load(Ordering::Relaxed),
-                max_decomposition_depth: counters.max_depth.load(Ordering::Relaxed),
-                max_fallback_depth: counters.max_fallback.load(Ordering::Relaxed),
+                cache_hits: counters.hits.get(),
+                cache_misses: counters.misses.get(),
+                max_decomposition_depth: counters.max_depth.get(),
+                max_fallback_depth: counters.max_fallback.get(),
                 latency,
                 degraded,
             },
         })
     }
 
+    /// Validates `request` and builds its response: the one code that does,
+    /// for a dispatch lane and a connection thread alike. `Ok(None)` is a
+    /// miss under [`Mode::CachedOnly`], which never estimates or searches.
     fn execute_inner(
         &self,
         request: &QueryRequest,
         counters: &QueryCounters,
         ctx: &RequestContext,
-        degraded: bool,
-    ) -> Result<QueryResponse, ServiceError> {
+        mode: Mode,
+    ) -> Result<Option<QueryResponse>, ServiceError> {
+        // A fill estimates a distribution against the epoch published now.
+        let snapshot = || matches!(mode, Mode::Fill { .. }).then(|| self.graph_snapshot());
         match request {
             QueryRequest::EstimateDistribution {
                 path,
                 departure,
                 regime,
             } => {
-                chaos_panic_failpoint(path);
-                let cached = self.estimate_cached(path, *departure, *regime, counters)?;
-                Ok(QueryResponse::Distribution(cached.histogram))
+                let fill = snapshot();
+                let cached = self.lookup(path, *departure, *regime, counters, fill.as_ref())?;
+                Ok(cached.map(|cached| QueryResponse::Distribution(cached.histogram)))
             }
             QueryRequest::ProbWithinBudget {
                 path,
@@ -637,11 +648,11 @@ impl<'n> QueryEngine<'n> {
                 regime,
             } => {
                 validate_budget(*budget_s)?;
-                let cached = self.estimate_cached(path, *departure, *regime, counters)?;
-                Ok(QueryResponse::Probability(prob_within_budget(
-                    &cached.histogram,
-                    *budget_s,
-                )))
+                let fill = snapshot();
+                let cached = self.lookup(path, *departure, *regime, counters, fill.as_ref())?;
+                Ok(cached.map(|cached| {
+                    QueryResponse::Probability(prob_within_budget(&cached.histogram, *budget_s))
+                }))
             }
             QueryRequest::RankPaths {
                 candidates,
@@ -663,11 +674,15 @@ impl<'n> QueryEngine<'n> {
                     if ctx.should_stop() {
                         return Err(stop_error(ctx));
                     }
-                    if let Ok(cached) = self.estimate_cached(path, *departure, *regime, counters) {
-                        ranking.push(RankedPath {
+                    let fill = snapshot();
+                    match self.lookup(path, *departure, *regime, counters, fill.as_ref()) {
+                        Ok(Some(cached)) => ranking.push(RankedPath {
                             index,
                             probability: prob_within_budget(&cached.histogram, *budget_s),
-                        });
+                        }),
+                        Ok(None) => return Ok(None),
+                        // A candidate that cannot be estimated is not ranked.
+                        Err(_) => {}
                     }
                 }
                 ranking.sort_by(|a, b| {
@@ -675,7 +690,7 @@ impl<'n> QueryEngine<'n> {
                         .total_cmp(&a.probability)
                         .then(a.index.cmp(&b.index))
                 });
-                Ok(QueryResponse::Ranking(ranking))
+                Ok(Some(QueryResponse::Ranking(ranking)))
             }
             QueryRequest::Route {
                 source,
@@ -706,11 +721,13 @@ impl<'n> QueryEngine<'n> {
                 };
                 let held = match self.cached_route(&key) {
                     Ok(answer) => {
-                        self.recorder.route_cache_hits.inc();
                         counters.record_route_hit(&answer);
-                        return Ok(answer.response.clone());
+                        return Ok(Some(answer.response.clone()));
                     }
                     Err(held) => held,
+                };
+                let Mode::Fill { degraded } = mode else {
+                    return Ok(None);
                 };
                 self.recorder.route_cache_misses.inc();
                 // One epoch snapshot for the whole search: the router's
@@ -739,7 +756,7 @@ impl<'n> QueryEngine<'n> {
                 // The search's partial chains and incumbent bound read the
                 // requested regime's view, as its candidates do; the
                 // estimator keeps the unbound snapshot because
-                // `estimate_cached_on` binds it itself.
+                // `lookup` binds it itself.
                 let bound = graph.for_regime(*regime);
                 let router = BestFirstRouter::with_cache(
                     &bound,
@@ -771,9 +788,7 @@ impl<'n> QueryEngine<'n> {
                 recorder
                     .route_candidates_evaluated
                     .add(telemetry.evaluated_candidates as u64);
-                recorder
-                    .route_eval_cache_hits
-                    .add(counters.hits.load(Ordering::Relaxed));
+                recorder.route_eval_cache_hits.add(counters.hits.get());
                 recorder
                     .route_incumbent_prunes
                     .add(telemetry.incumbent_prunes as u64);
@@ -790,12 +805,12 @@ impl<'n> QueryEngine<'n> {
                 if !degraded {
                     let answer = RouteAnswer {
                         response: response.clone(),
-                        max_decomposition_depth: counters.max_depth.load(Ordering::Relaxed),
-                        max_fallback_depth: counters.max_fallback.load(Ordering::Relaxed),
+                        max_decomposition_depth: counters.max_depth.get(),
+                        max_fallback_depth: counters.max_fallback.get(),
                     };
                     self.keep_route(key, answer, held, snapshot_epoch);
                 }
-                Ok(response)
+                Ok(Some(response))
             }
         }
     }
@@ -814,11 +829,13 @@ pub(crate) fn stop_error(ctx: &RequestContext) -> ServiceError {
 }
 
 /// Chaos-testing failpoint: when `PATHCOST_CHAOS_PANIC_EDGE` is set to an
-/// edge id, a single-edge `EstimateDistribution` of exactly that edge panics.
-/// The chaos harness points it at an edge id far outside any real network so
-/// ordinary requests can never trip it; the panic exercises the batch
-/// executor's containment (one poisoned request answers as an internal
-/// error, the batch and its dispatch lane survive). See `ROBUSTNESS.md`.
+/// edge id, a fill about to estimate the single-edge path of exactly that
+/// edge panics. The chaos harness points it at an edge id far outside any
+/// real network so ordinary requests can never trip it; the panic exercises
+/// the batch executor's containment (one poisoned request answers as an
+/// internal error, the batch and its dispatch lane survive). A fill runs
+/// only on a lane, so it never fires on a connection thread. See
+/// `ROBUSTNESS.md`.
 fn chaos_panic_failpoint(path: &Path) {
     if path.cardinality() != 1 {
         return;
@@ -897,21 +914,14 @@ impl CachingEstimator<'_, '_> {
         path: &Path,
         departure: Timestamp,
     ) -> Result<CachedDistribution, pathcost_core::CoreError> {
-        let (snapshot_epoch, graph) = &self.pinned;
-        self.engine
-            .estimate_cached_on(
-                graph,
-                *snapshot_epoch,
-                path,
-                departure,
-                self.regime,
-                self.counters,
-            )
-            .map_err(|e| match e {
-                ServiceError::Core(core) => core,
-                // Non-core failures cannot escape `estimate_cached`.
-                _ => pathcost_core::CoreError::NoDistribution,
-            })
+        let (engine, pinned) = (self.engine, Some(&self.pinned));
+        match engine.lookup(path, departure, self.regime, self.counters, pinned) {
+            Ok(Some(cached)) => Ok(cached),
+            Err(ServiceError::Core(core)) => Err(core),
+            // A pinned snapshot fills every miss, and non-core failures
+            // cannot escape a fill.
+            _ => Err(pathcost_core::CoreError::NoDistribution),
+        }
     }
 }
 
@@ -975,7 +985,8 @@ mod tests {
             // Straight into the `Route` arm, past `execute_under`'s
             // pre-flight check: the search itself stops at its first poll.
             let counters = QueryCounters::default();
-            let stopped = engine.execute_inner(&request, &counters, ctx, false);
+            let fill = Mode::Fill { degraded: false };
+            let stopped = engine.execute_inner(&request, &counters, ctx, fill);
             assert_eq!(stopped.unwrap_err().to_string(), error.to_string());
             assert_eq!(kept(&engine), 0, "a stopped search is not kept");
         }

@@ -310,7 +310,7 @@ impl<'n> QueryEngine<'n> {
         }
         let published_graph = Arc::new(current.with_weights(weights));
         self.publish_graph(published_graph.clone());
-        // SeqCst pairs with the in-flight-fill guard in `estimate_cached_on`:
+        // SeqCst pairs with the in-flight-fill guard in `QueryEngine::lookup`:
         // a fill that started before this store and takes its shard lock
         // after the pass below has visited that shard observes the bump and
         // keeps its entry out.

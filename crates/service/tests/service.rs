@@ -1178,15 +1178,17 @@ fn expired_deadlines_are_shed_before_dispatch() {
 
     let expired = RequestContext::with_deadline(Some(Duration::ZERO));
     let shed_ticket = queue
-        .submit_with_context(
-            QueryRequest::EstimateDistribution {
+        .admit(
+            &engine,
+            vec![QueryRequest::EstimateDistribution {
                 path: path.clone(),
                 departure,
                 regime: pathcost_service::RegimeId::ALL_TRAFFIC,
-            },
+            }],
             expired,
         )
-        .unwrap();
+        .unwrap()
+        .remove(0);
     let healthy_ticket = queue
         .submit(QueryRequest::EstimateDistribution {
             path,
@@ -1445,5 +1447,161 @@ fn submit_racing_close_never_hangs_a_ticket() {
                 );
             });
         }
+    }
+}
+
+/// Every counter, gauge and histogram count of the engine's and the
+/// queue's registries, by series: what answering moves, latency aside.
+fn counted(
+    engine: &QueryEngine<'_>,
+    queue: &pathcost_service::AdmissionQueue,
+) -> std::collections::BTreeMap<String, f64> {
+    let mut page = pathcost_obs::expo::ExpositionWriter::new();
+    engine.registry().render_into(&mut page);
+    queue.registry().render_into(&mut page);
+    let page = page.finish();
+    let histograms: Vec<&str> = page
+        .lines()
+        .filter_map(|line| line.strip_prefix("# TYPE ")?.strip_suffix(" histogram"))
+        .collect();
+    let latency = |name: &str| {
+        let family = name.strip_suffix("_bucket").or(name.strip_suffix("_sum"));
+        family.is_some_and(|family| histograms.contains(&family))
+    };
+    page.lines()
+        .filter(|line| !line.starts_with('#'))
+        .filter_map(|line| line.rsplit_once(' '))
+        .filter(|(series, _)| !latency(series.split('{').next().unwrap_or(series)))
+        .map(|(series, value)| (series.to_string(), value.parse().unwrap()))
+        .collect()
+}
+
+/// A `route_batch`-shaped envelope: 2 routes, 2 rankings and 12 point
+/// queries with repeats, two of them under an undeclared regime.
+fn route_batch_envelope(store: &TrajectoryStore) -> Vec<QueryRequest> {
+    use pathcost_service::RegimeId;
+    let pairs = query_paths(store, 4);
+    let candidates: Vec<Path> = pairs.iter().map(|(p, _)| p.clone()).collect();
+    let rank = |budget_s: f64| QueryRequest::RankPaths {
+        candidates: candidates.clone(),
+        departure: pairs[0].1,
+        budget_s,
+        regime: RegimeId::ALL_TRAFFIC,
+    };
+    let point = |i: usize| {
+        let (path, departure) = pairs[i % pairs.len()].clone();
+        let regime = if i == 5 {
+            RegimeId(9)
+        } else {
+            RegimeId::ALL_TRAFFIC
+        };
+        match i % 2 {
+            0 => QueryRequest::EstimateDistribution {
+                path,
+                departure,
+                regime,
+            },
+            _ => QueryRequest::ProbWithinBudget {
+                path,
+                departure,
+                budget_s: 600.0,
+                regime,
+            },
+        }
+    };
+    let mut envelope = vec![route(0, 18, 1), rank(600.0)];
+    envelope.extend((0..6).map(point));
+    envelope.extend([route(2, 22, 2), rank(900.0)]);
+    envelope.extend((0..6).map(point));
+    envelope
+}
+
+/// An envelope answered inline by `admit` moves every engine and admission
+/// counter exactly as the same envelope run by a lane (`execute_batch`)
+/// moves them on an identical engine, batch counters aside, and its answers
+/// carry the same stats. An envelope whose last ranking candidate misses is
+/// queued whole, counts its earlier hits once, and moves the batch counters
+/// by 1 / n on both engines.
+#[test]
+fn an_inline_envelope_counts_as_a_lane_does() {
+    use pathcost_service::{AdmissionConfig, AdmissionQueue, RequestContext};
+
+    let f = fixture(323);
+    let build = || {
+        let graph = HybridGraph::build(&f.net, &f.store, f.cfg.clone()).unwrap();
+        QueryEngine::new(Arc::new(graph), ServiceConfig::default())
+    };
+    let (inline, lane) = (build(), build());
+    let hits = route_batch_envelope(&f.store);
+    for engine in [&inline, &lane] {
+        assert!(engine.execute_batch(&hits).iter().all(Result::is_ok));
+    }
+    let mut missing = hits.clone();
+    let cold = f.store.frequent_paths(2, 30, None).pop().unwrap().0;
+    let last_rank = missing
+        .iter()
+        .rposition(|r| matches!(r, QueryRequest::RankPaths { .. }));
+    if let QueryRequest::RankPaths { candidates, .. } = &mut missing[last_rank.unwrap()] {
+        assert!(
+            !candidates.contains(&cold),
+            "the appended candidate is cold"
+        );
+        candidates.push(cold);
+    }
+
+    let n = hits.len() as f64;
+    for (envelope, queued) in [(hits, false), (missing, true)] {
+        let (inline_queue, lane_queue) = (
+            AdmissionQueue::new(AdmissionConfig::default()),
+            AdmissionQueue::new(AdmissionConfig::default()),
+        );
+        let before = [counted(&inline, &inline_queue), counted(&lane, &lane_queue)];
+        let context = RequestContext::unbounded();
+        let answered = inline_queue
+            .admit(&inline, envelope.clone(), context)
+            .unwrap();
+        assert_eq!(inline_queue.len(), if queued { envelope.len() } else { 0 });
+        let run = envelope
+            .iter()
+            .map(|r| lane_queue.submit(r.clone()).unwrap());
+        let ran: Vec<_> = run.collect();
+        for (queue, engine) in [(&inline_queue, &inline), (&lane_queue, &lane)] {
+            queue.close();
+            queue.dispatch(engine);
+        }
+        for (i, (a, b)) in answered.into_iter().zip(ran).enumerate() {
+            let (a, b) = (a.wait().unwrap(), b.wait().unwrap());
+            assert_bit_identical(i, &a.response, &b.response);
+            let stats = |o: &QueryOutcome| {
+                let s = &o.stats;
+                let depths = (s.max_decomposition_depth, s.max_fallback_depth);
+                (s.cache_hits, s.cache_misses, depths, s.degraded)
+            };
+            assert_eq!(stats(&a), stats(&b), "request {i}");
+        }
+        let mut moved = [counted(&inline, &inline_queue), counted(&lane, &lane_queue)]
+            .into_iter()
+            .zip(&before)
+            .map(|(after, before)| {
+                let mut moved = after;
+                for (series, value) in moved.iter_mut() {
+                    *value -= before.get(series).copied().unwrap_or(0.0);
+                }
+                moved
+            })
+            .collect::<Vec<_>>();
+        let batches = ["pathcost_batches_total", "pathcost_batch_requests_total"];
+        let inline_batches = if queued { [1.0, n] } else { [0.0, 0.0] };
+        for ((family, inline), lane) in batches.iter().zip(inline_batches).zip([1.0, n]) {
+            assert_eq!(moved[0].remove(*family), Some(inline), "{family} inline");
+            assert_eq!(moved[1].remove(*family), Some(lane), "{family} lane");
+        }
+        let hits: f64 = (moved[0].iter())
+            .filter(|(series, _)| series.starts_with("pathcost_cache_hits_total"))
+            .map(|(_, moved)| moved)
+            .sum();
+        assert!(hits >= n, "the envelope reads its hits: {hits}");
+        assert_eq!(moved[0]["pathcost_route_cache_hits_total"], 2.0);
+        assert_eq!(moved[0], moved[1], "queued: {queued}");
     }
 }
